@@ -1,13 +1,13 @@
-//! Data-plane before/after benchmarks: the persistent work-stealing pool
-//! vs the seed's per-stage thread spawning, the fused zero-copy narrow
-//! chain vs op-at-a-time materialization, and the hash-once pre-sized
-//! bucketize vs the seed's re-hashing one. The "before" kernels live in
-//! `bench::dataplane` and reimplement the replaced seed code verbatim.
+//! Data-plane before/after benchmarks: the fused zero-copy narrow chain
+//! vs op-at-a-time materialization, and the hash-once pre-sized bucketize
+//! vs the seed's re-hashing one. The "before" kernels live in
+//! `bench::dataplane` and reimplement the replaced seed code verbatim; the
+//! "after" kernels are the engine's own.
 
-use bench::dataplane::{fused_chain, seed_bucketize, seed_chain, spawn_par_map, ChainOp};
+use bench::dataplane::{seed_bucketize, seed_chain, ChainOp, FusedChain};
 use criterion::{criterion_group, criterion_main, Criterion};
 use engine::shuffle::bucketize;
-use engine::{HashPartitioner, Key, Record, ReduceFn, Value, WorkerPool};
+use engine::{HashPartitioner, Key, Record, ReduceFn, Value};
 use std::sync::Arc;
 
 fn records(n: usize, keys: i64) -> Vec<Record> {
@@ -18,45 +18,25 @@ fn records(n: usize, keys: i64) -> Vec<Record> {
 
 fn chain() -> Vec<ChainOp> {
     vec![
-        ChainOp::Filter(Box::new(|r: &Record| r.value.as_int() % 5 != 0)),
-        ChainOp::Map(Box::new(|r: &Record| {
+        ChainOp::Filter(Arc::new(|r: &Record| r.value.as_int() % 5 != 0)),
+        ChainOp::Map(Arc::new(|r: &Record| {
             Record::new(r.key.clone(), Value::Int(r.value.as_int() + 1))
         })),
-        ChainOp::Filter(Box::new(|r: &Record| r.value.as_int() % 2 == 0)),
+        ChainOp::Filter(Arc::new(|r: &Record| r.value.as_int() % 2 == 0)),
     ]
-}
-
-fn pool_dispatch(c: &mut Criterion) {
-    let mut g = c.benchmark_group("dispatch");
-    let workers = 4;
-    let tasks = 256;
-    let work = |i: usize| -> u64 {
-        let mut acc = i as u64;
-        for _ in 0..2_000 {
-            acc = acc.wrapping_mul(0x9E3779B97F4A7C15).rotate_left(17);
-        }
-        acc
-    };
-    g.bench_function("spawn-par-map-256-tasks", |b| {
-        b.iter(|| spawn_par_map(workers, tasks, work))
-    });
-    let pool = WorkerPool::new(workers);
-    g.bench_function("worker-pool-256-tasks", |b| {
-        b.iter(|| pool.map(tasks, work))
-    });
-    g.finish();
 }
 
 fn narrow_chain(c: &mut Criterion) {
     let mut g = c.benchmark_group("narrow-chain");
-    let input = records(200_000, 1000);
+    let input = Arc::new(records(200_000, 1000));
     let ops = chain();
-    assert_eq!(seed_chain(&input, &ops), fused_chain(&input, &ops));
+    let fused = FusedChain::new(&ops);
+    assert_eq!(seed_chain(&input, &ops), fused.run(&input));
     g.bench_function("seed-copy-then-op-at-a-time-200k", |b| {
         b.iter(|| seed_chain(&input, &ops))
     });
     g.bench_function("fused-borrowed-single-pass-200k", |b| {
-        b.iter(|| fused_chain(&input, &ops))
+        b.iter(|| fused.run(&input))
     });
     g.finish();
 }
@@ -81,5 +61,5 @@ fn bucketize_kernels(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, pool_dispatch, narrow_chain, bucketize_kernels);
+criterion_group!(benches, narrow_chain, bucketize_kernels);
 criterion_main!(benches);

@@ -3,21 +3,18 @@
 //! ```text
 //! cargo run --release -p bench --bin perfgate
 //! cargo run --release -p bench --bin perfgate -- --baseline results/BENCH_dataplane.json \
-//!     --shuffle-baseline results/BENCH_shuffle_pipeline.json \
 //!     --jobserver-baseline results/BENCH_jobserver.json \
 //!     --tolerance 0.15 [--fresh-out results/BENCH_dataplane.fresh.json] \
-//!     [--shuffle-fresh-out results/BENCH_shuffle_pipeline.fresh.json] \
 //!     [--jobserver-fresh-out results/BENCH_jobserver.fresh.json]
 //! ```
 //!
 //! Re-measures the before/after kernels on this host and compares each
-//! kernel's *speedup ratio* against the committed baselines (data-plane
-//! and shuffle-pipeline). Ratios are machine-portable (both sides of each
-//! ratio run on the same host), so the gate works on heterogeneous CI
-//! runners where raw milliseconds would not. Exits 1 if any kernel's
-//! fresh ratio falls more than the tolerance (default 15%) below the
-//! baseline's, or if the pipelined shuffle's end-to-end speedup drops
-//! below its hard 1.3x floor.
+//! kernel's *speedup ratio* against the committed baseline. Ratios are
+//! machine-portable (both sides of each ratio run on the same host), so
+//! the gate works on heterogeneous CI runners where raw milliseconds would
+//! not. Exits 1 if any kernel's fresh ratio falls more than the tolerance
+//! (default 15%) below the baseline's, or a columnar kernel misses its
+//! hard 1.5x floor.
 //!
 //! The job-server gate re-serves the multi-tenant contention sweep and
 //! compares its *virtual-clock* p99 latency and throughput against
@@ -39,9 +36,7 @@
 //! split, and the repeated hash aggregation actually retuned.
 
 use bench::jobserver::{jobserver_gate_checks, measure_jobserver, JobserverReport};
-use bench::report::{
-    best_fresh, gate_checks, measure_dataplane, measure_shuffle_pipeline, DataplaneReport,
-};
+use bench::report::{best_fresh, gate_checks, measure_dataplane, DataplaneReport};
 use engine::{Context, EngineOptions, FaultCounters, FaultPlan, Key, MemCounters, Record, Value};
 use simcluster::uniform_cluster;
 use std::sync::Arc;
@@ -313,11 +308,6 @@ fn adaptive_gate() -> Vec<(String, bool)> {
     bench::adaptive::adaptive_gate_checks(&committed, &fresh)
 }
 
-/// Hard floor on the fresh `pipeline_sql_join_e2e` speedup: the pipelined
-/// shuffle must beat the barrier engine by at least this much end-to-end,
-/// regardless of what the committed baseline says.
-const PIPELINE_E2E_FLOOR: f64 = 1.3;
-
 /// Hard floors on the columnar data plane: the vectorized fused chain and
 /// the per-batch bucketize must beat their row-at-a-time counterparts by
 /// at least this much, regardless of what the committed baseline says.
@@ -326,11 +316,9 @@ const COLUMNAR_FLOOR_KERNELS: [&str; 2] = ["columnar_fused_chain", "columnar_buc
 
 fn main() {
     let mut baseline_path = "results/BENCH_dataplane.json".to_string();
-    let mut shuffle_baseline_path = "results/BENCH_shuffle_pipeline.json".to_string();
     let mut jobserver_baseline_path = "results/BENCH_jobserver.json".to_string();
     let mut tolerance = 0.15f64;
     let mut fresh_out: Option<String> = None;
-    let mut shuffle_fresh_out: Option<String> = None;
     let mut jobserver_fresh_out: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -342,7 +330,6 @@ fn main() {
         };
         match arg.as_str() {
             "--baseline" => baseline_path = value("--baseline"),
-            "--shuffle-baseline" => shuffle_baseline_path = value("--shuffle-baseline"),
             "--jobserver-baseline" => jobserver_baseline_path = value("--jobserver-baseline"),
             "--tolerance" => {
                 let raw = value("--tolerance");
@@ -352,14 +339,12 @@ fn main() {
                 });
             }
             "--fresh-out" => fresh_out = Some(value("--fresh-out")),
-            "--shuffle-fresh-out" => shuffle_fresh_out = Some(value("--shuffle-fresh-out")),
             "--jobserver-fresh-out" => jobserver_fresh_out = Some(value("--jobserver-fresh-out")),
             other => {
                 eprintln!("error: unknown argument '{other}'");
                 eprintln!(
-                    "usage: perfgate [--baseline FILE] [--shuffle-baseline FILE] \
-                     [--jobserver-baseline FILE] [--tolerance F] [--fresh-out FILE] \
-                     [--shuffle-fresh-out FILE] [--jobserver-fresh-out FILE]"
+                    "usage: perfgate [--baseline FILE] [--jobserver-baseline FILE] \
+                     [--tolerance F] [--fresh-out FILE] [--jobserver-fresh-out FILE]"
                 );
                 std::process::exit(2);
             }
@@ -381,7 +366,6 @@ fn main() {
         })
     };
     let baseline = load(&baseline_path);
-    let shuffle_baseline = load(&shuffle_baseline_path);
     let jobserver_baseline = {
         let text = std::fs::read_to_string(&jobserver_baseline_path).unwrap_or_else(|e| {
             eprintln!("error: read baseline {jobserver_baseline_path}: {e}");
@@ -401,19 +385,8 @@ fn main() {
             std::process::exit(2);
         });
     }
-    eprintln!(
-        "[perfgate] measuring shuffle-pipeline kernels (interleaved best-of-7, best of 2 runs)..."
-    );
-    let shuffle_fresh = best_fresh((0..2).map(|_| measure_shuffle_pipeline()).collect());
-    if let Some(path) = &shuffle_fresh_out {
-        std::fs::write(path, shuffle_fresh.to_json()).unwrap_or_else(|e| {
-            eprintln!("error: write {path}: {e}");
-            std::process::exit(2);
-        });
-    }
 
-    let mut checks = gate_checks(&baseline, &fresh, tolerance);
-    checks.extend(gate_checks(&shuffle_baseline, &shuffle_fresh, tolerance));
+    let checks = gate_checks(&baseline, &fresh, tolerance);
     println!(
         "{:<36} {:>9} {:>9} {:>9}  verdict",
         "kernel", "baseline", "fresh", "floor"
@@ -434,25 +407,9 @@ fn main() {
         );
         failed |= !c.ok();
     }
-    // The end-to-end pipelining win also has an absolute floor: whatever
-    // the committed baseline says, `--pipeline on` must beat `--pipeline
-    // off` by at least 1.3x on the SQL-join workload.
-    let e2e = shuffle_fresh
-        .kernel("pipeline_sql_join_e2e")
-        .map(|k| k.speedup);
-    let e2e_ok = matches!(e2e, Some(s) if s >= PIPELINE_E2E_FLOOR);
-    println!(
-        "{:<36} {:>8.2}x {:>9} {:>8.2}x  {}",
-        "pipeline_sql_join_e2e (abs floor)",
-        PIPELINE_E2E_FLOOR,
-        e2e.map(|s| format!("{s:.2}x"))
-            .unwrap_or_else(|| "missing".to_string()),
-        PIPELINE_E2E_FLOOR,
-        if e2e_ok { "ok" } else { "REGRESSED" }
-    );
-    failed |= !e2e_ok;
-    // So do the columnar data-plane wins: the vectorized fused chain and
-    // the per-batch bucketize carry absolute 1.5x floors over the row path.
+    // The columnar data-plane wins also have absolute floors: the
+    // vectorized fused chain and the per-batch bucketize carry 1.5x floors
+    // over the row path, whatever the committed baseline says.
     for name in COLUMNAR_FLOOR_KERNELS {
         let got = fresh.kernel(name).map(|k| k.speedup);
         let ok = matches!(got, Some(s) if s >= COLUMNAR_FLOOR);
@@ -503,14 +460,14 @@ fn main() {
     if failed {
         eprintln!(
             "perfgate: FAIL — a kernel or job-server figure regressed more than {:.0}% vs \
-             {baseline_path} / {shuffle_baseline_path} / {jobserver_baseline_path}, or an \
-             absolute pipeline/columnar/job-server floor was missed",
+             {baseline_path} / {jobserver_baseline_path}, or an absolute \
+             columnar/job-server floor was missed",
             tolerance * 100.0
         );
         std::process::exit(1);
     }
     println!(
-        "perfgate: ok — all {} kernels within {:.0}% of {baseline_path} / {shuffle_baseline_path}",
+        "perfgate: ok — all {} kernels within {:.0}% of {baseline_path}",
         checks.len(),
         tolerance * 100.0
     );

@@ -8,8 +8,7 @@
 //! Output goes to stdout and, per experiment, to `results/<id>.txt`.
 //! Experiment ids: table1, fig2, fig3, fig4, sec2b, fig7, fig8, table2,
 //! table3, fig9, fig10, fig11, fig12, fig13, fig14, fig_mem, fig_faults,
-//! fig_adaptive, fig_tenants, fig_scale, jobserver, dataplane,
-//! shuffle_pipeline.
+//! fig_adaptive, fig_tenants, fig_scale, jobserver, dataplane.
 //!
 //! `fig_scale` is the topology sweep: the same weak-scaled aggregation
 //! auto-tuned at 6/96/1000 nodes on a flat fabric vs an oversubscribed
@@ -34,13 +33,9 @@
 //! tenant-count figure.
 //!
 //! `dataplane` additionally writes `results/BENCH_dataplane.json`: host
-//! wall-clock of the executor's before/after kernels (seed spawn dispatch
-//! vs persistent pool, op-at-a-time vs fused chain, seed vs hash-once
-//! bucketize) plus real-workload wall-clock across worker counts.
-//!
-//! `shuffle_pipeline` writes `results/BENCH_shuffle_pipeline.json`: the
-//! end-to-end SQL-join workload with the push-based pipelined shuffle on
-//! vs off, plus the streaming-merge and owned-bucketize micro-kernels.
+//! wall-clock of the executor's before/after kernels (op-at-a-time vs
+//! fused chain, seed vs hash-once bucketize, row vs columnar, seed vs
+//! streaming merges) plus real-workload wall-clock across worker counts.
 
 use bench::{
     fmt_kb, fmt_time, kmeans_motivation, kmeans_paper, kmeans_reduced, paper_autotuner,
@@ -78,7 +73,6 @@ fn main() {
             "fig_scale",
             "jobserver",
             "dataplane",
-            "shuffle_pipeline",
         ]
     } else {
         args.iter().map(String::as_str).collect()
@@ -114,7 +108,6 @@ fn main() {
             "fig_scale" => fig_scale(),
             "jobserver" => runner.jobserver_bench(),
             "dataplane" => dataplane(),
-            "shuffle_pipeline" => shuffle_pipeline(),
             other => {
                 eprintln!("unknown experiment id: {other}");
                 continue;
@@ -977,40 +970,9 @@ fn dataplane() -> String {
     }
     section(
         "Data plane — before/after host wall-clock (BENCH_dataplane.json)",
-        "Before = seed kernels (scoped spawn dispatch, deep-copy + op-at-a-time \
-         chains, re-hashing bucketize); after = persistent pool + fused \
-         zero-copy data plane. Timings are interleaved best-of-7 host \
-         milliseconds; per kernel, the most conservative of three runs is \
-         committed so the one-sided CI gate never inherits an inflated floor.",
-        t.render(),
-    )
-}
-
-fn shuffle_pipeline() -> String {
-    let runs = (0..3)
-        .map(|_| bench::report::measure_shuffle_pipeline())
-        .collect();
-    let report = bench::report::conservative_baseline(runs);
-    std::fs::write("results/BENCH_shuffle_pipeline.json", report.to_json())
-        .expect("write results/BENCH_shuffle_pipeline.json");
-
-    let mut t = Table::new(&["kernel", "before ms", "after ms", "speedup"]);
-    for k in &report.kernels {
-        t.row(vec![
-            k.name.clone(),
-            format!("{:.2}", k.before_ms),
-            format!("{:.2}", k.after_ms),
-            format!("{:.2}x", k.speedup),
-        ]);
-    }
-    section(
-        "Shuffle pipeline — barrier vs push-based (BENCH_shuffle_pipeline.json)",
-        "pipeline_sql_join_e2e is the headline: host wall-clock of a \
-         multi-stage SQL-join workload (two aggregations feeding a join and \
-         a rebalance, 8 workers) with `--pipeline off` (stage-barrier \
-         engine) vs `--pipeline on` (push-based exchange, streaming merges, \
-         owned bucketize). The micro-kernels isolate the per-record wins \
-         the pipeline rides on. Timings are interleaved best-of-7 host \
+        "Before = seed kernels (deep-copy + op-at-a-time chains, re-hashing \
+         bucketize, on-demand SipHash merges) or the row path; after = the \
+         executor's own fused, hash-once, columnar and streaming kernels. Timings are interleaved best-of-7 host \
          milliseconds; per kernel, the most conservative of three runs is \
          committed so the one-sided CI gate never inherits an inflated floor.",
         t.render(),

@@ -1,53 +1,21 @@
 //! Before/after kernels for the data-plane benchmarks.
 //!
-//! The executor rewrite replaced three seed-era kernels: per-stage scoped
-//! thread spawning with one mutex per result, deep-copied task inputs run
-//! through one materialized pass per narrow op, and a bucketize that
-//! re-hashed every key through `SipHash` twice. The "before" functions here
-//! reimplement those seed kernels verbatim so `cargo bench --bench
-//! data_plane` and `repro -- dataplane` can quantify the persistent-pool +
-//! zero-copy data plane against the code it replaced, on identical inputs.
+//! The executor rewrite replaced seed-era kernels: deep-copied task inputs
+//! run through one materialized pass per narrow op, a bucketize that
+//! re-hashed every key through `SipHash` twice, and reduce-side merges over
+//! on-demand `SipHash` tables. The "before" functions here reimplement
+//! those seed kernels verbatim so `cargo bench --bench data_plane` and
+//! `repro -- dataplane` can quantify the current data plane against the
+//! code it replaced, on identical inputs. Every "after" is the engine's own
+//! `pub fn` — nothing here copies production code.
 
 use engine::shuffle::TaskBuckets;
 use engine::{
-    batch_size, Context, EngineOptions, GenFn, Key, Partitioner, Record, ReduceFn, Value,
+    batch_size, FilterFn, FlatMapFn, Key, MapFn, Partitioner, Rdd, RddGraph, Record, ReduceFn,
+    Value,
 };
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-
-/// The seed's per-stage dispatch: fresh scoped threads per call, a shared
-/// `fetch_add` cursor with chunk size 1, and one mutex per result slot.
-pub fn spawn_par_map<U, F>(workers: usize, n: usize, f: F) -> Vec<U>
-where
-    U: Send,
-    F: Fn(usize) -> U + Sync,
-{
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = workers.max(1).min(n);
-    if workers == 1 {
-        return (0..n).map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let out: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let v = f(i);
-                *out[i].lock().expect("result slot") = Some(v);
-            });
-        }
-    });
-    out.into_iter()
-        .map(|m| m.into_inner().expect("slot").expect("every index computed"))
-        .collect()
-}
+use std::sync::Arc;
 
 /// The seed's map-side bucketize: `partition()` re-hashes every key, the
 /// combine index re-hashes it a second time through `SipHash`, and buckets
@@ -100,14 +68,12 @@ pub fn seed_bucketize(
     )
 }
 
-/// A boxed record-to-records expansion, as in the engine's `FlatMapFn`.
-pub type FlatMapOp = Box<dyn Fn(&Record) -> Vec<Record> + Send + Sync>;
-
-/// A narrow op for the chain kernels below.
+/// A narrow op for the chain kernels, in the engine's own closure types so
+/// one chain drives both the seed copy and the production kernel.
 pub enum ChainOp {
-    Map(Box<dyn Fn(&Record) -> Record + Send + Sync>),
-    Filter(Box<dyn Fn(&Record) -> bool + Send + Sync>),
-    FlatMap(FlatMapOp),
+    Map(MapFn),
+    Filter(FilterFn),
+    FlatMap(FlatMapFn),
 }
 
 /// The seed's narrow-chain execution: deep-copy the task's input slice,
@@ -116,66 +82,47 @@ pub fn seed_chain(input: &[Record], ops: &[ChainOp]) -> Vec<Record> {
     let mut records = input.to_vec();
     for op in ops {
         records = match op {
-            ChainOp::Map(f) => records.iter().map(f).collect(),
+            ChainOp::Map(f) => records.iter().map(|r| f(r)).collect(),
             ChainOp::Filter(f) => records.into_iter().filter(|r| f(r)).collect(),
-            ChainOp::FlatMap(f) => records.iter().flat_map(f).collect(),
+            ChainOp::FlatMap(f) => records.iter().flat_map(|r| f(r)).collect(),
         };
     }
     records
 }
 
-/// The rewrite's narrow-chain execution: borrow the input slice and stream
+/// `ops` as a lineage the executor can run: borrow the input and stream
 /// each record through the whole chain in one pass, cloning only records
 /// that survive to the output.
-pub fn fused_chain(input: &[Record], ops: &[ChainOp]) -> Vec<Record> {
-    let mut out = Vec::new();
-    for rec in input {
-        feed_ref(ops, rec, &mut out);
-    }
-    out
+pub struct FusedChain {
+    graph: RddGraph,
+    chain: Vec<Rdd>,
 }
 
-fn feed_ref(ops: &[ChainOp], rec: &Record, out: &mut Vec<Record>) {
-    let Some((head, rest)) = ops.split_first() else {
-        out.push(rec.clone());
-        return;
-    };
-    match head {
-        ChainOp::Map(f) => feed_owned(rest, f(rec), out),
-        ChainOp::Filter(f) => {
-            if f(rec) {
-                feed_ref(rest, rec, out);
-            }
-        }
-        ChainOp::FlatMap(f) => {
-            for r in f(rec) {
-                feed_owned(rest, r, out);
-            }
-        }
+impl FusedChain {
+    pub fn new(ops: &[ChainOp]) -> FusedChain {
+        let mut graph = RddGraph::new();
+        let mut cur = graph.parallelize(Vec::new(), 1, "src");
+        let chain = ops
+            .iter()
+            .map(|op| {
+                cur = match op {
+                    ChainOp::Map(f) => graph.map(cur, Arc::clone(f), 0.0, "map"),
+                    ChainOp::Filter(f) => graph.filter(cur, Arc::clone(f), 0.0, "filter"),
+                    ChainOp::FlatMap(f) => graph.flat_map(cur, Arc::clone(f), 0.0, "flat-map"),
+                };
+                cur
+            })
+            .collect();
+        FusedChain { graph, chain }
     }
-}
 
-fn feed_owned(ops: &[ChainOp], rec: Record, out: &mut Vec<Record>) {
-    let Some((head, rest)) = ops.split_first() else {
-        out.push(rec);
-        return;
-    };
-    match head {
-        ChainOp::Map(f) => feed_owned(rest, f(&rec), out),
-        ChainOp::Filter(f) => {
-            if f(&rec) {
-                feed_owned(rest, rec, out);
-            }
-        }
-        ChainOp::FlatMap(f) => {
-            for r in f(&rec) {
-                feed_owned(rest, r, out);
-            }
-        }
+    /// Runs the engine's production narrow-chain kernel over `input`.
+    pub fn run(&self, input: &Arc<Vec<Record>>) -> Vec<Record> {
+        engine::exec::run_narrow_chain(&self.graph, &self.chain, input)
     }
 }
 
-/// The pre-pipelining reduce-side join merge: three `SipHash` hash maps
+/// The seed-era reduce-side join merge: three `SipHash` hash maps
 /// grown on demand, a separate match-collection pass, and an output vector
 /// with no capacity hint.
 pub fn seed_merge_join(left: &[Record], right: &[Record]) -> (Vec<Record>, u64) {
@@ -217,7 +164,7 @@ pub fn seed_merge_join(left: &[Record], right: &[Record]) -> (Vec<Record>, u64) 
     (out, probes)
 }
 
-/// The pre-pipelining reduce-side co-group merge: two on-demand `SipHash`
+/// The seed-era reduce-side co-group merge: two on-demand `SipHash`
 /// maps plus an order list, output assembled without a capacity hint.
 pub fn seed_merge_cogroup(left: &[Record], right: &[Record]) -> Vec<Record> {
     let mut order: Vec<Key> = Vec::new();
@@ -257,93 +204,23 @@ pub fn seed_merge_cogroup(left: &[Record], right: &[Record]) -> Vec<Record> {
         .collect()
 }
 
-/// Builds and runs the multi-stage SQL-join workload used by the
-/// shuffle-pipeline benchmark: two generated tables each aggregated with
-/// `reduce_by_key` (independent sibling stages), joined on the shared key
-/// space, then collected. Returns the joined rows.
-///
-/// The tables carry boxed `Value::Pair` payloads, so every record the
-/// barrier engine clones out of a map bucket costs two heap allocations —
-/// exactly the copies the push-based exchange elides by moving bucket
-/// ownership into the reduce-side merges.
-pub fn sql_join_workload(pipeline: bool, workers: usize, rows: usize) -> Vec<Record> {
-    let parts = 8;
-    let opts = EngineOptions {
-        workers,
-        pipeline,
-        ..crate::paper_engine(parts, false)
-    };
-    let mut ctx = Context::new(opts);
-    let n = rows;
-
-    // A row payload shaped like a small SQL tuple: (id, (qty, amount)).
-    // Boxed nesting makes cloning a row cost four heap allocations.
-    let row = |id: i64, qty: i64, amount: i64| {
-        Value::Pair(
-            Box::new(Value::Int(id)),
-            Box::new(Value::Pair(
-                Box::new(Value::Int(qty)),
-                Box::new(Value::Int(amount)),
-            )),
-        )
-    };
-    let gen_orders: GenFn = Arc::new(move |i, p| {
-        let (lo, hi) = (i * n / p, (i + 1) * n / p);
-        (lo..hi)
-            .map(|j| Record::new(Key::Int((j % n) as i64), row(j as i64, 1, 7 * j as i64)))
-            .collect()
-    });
-    let gen_returns: GenFn = Arc::new(move |i, p| {
-        let (lo, hi) = (i * n / p, (i + 1) * n / p);
-        (lo..hi)
-            .map(|j| {
-                Record::new(
-                    Key::Int(((j * 3) % n) as i64),
-                    row(-(j as i64), 1, 11 * j as i64),
-                )
-            })
-            .collect()
-    });
-    let orders = ctx.text_file("pipe.orders", 30 * n as u64, gen_orders, 1e-9, "orders");
-    let returns = ctx.text_file("pipe.returns", 30 * n as u64, gen_returns, 1e-9, "returns");
-
-    let merge_pair: ReduceFn = Arc::new(|a, b| match (a, b) {
-        (Value::Pair(a1, rest_a), Value::Pair(b1, rest_b)) => {
-            match (rest_a.as_ref(), rest_b.as_ref()) {
-                (Value::Pair(a2, a3), Value::Pair(b2, b3)) => Value::Pair(
-                    Box::new(Value::Int(a1.as_int().min(b1.as_int()))),
-                    Box::new(Value::Pair(
-                        Box::new(Value::Int(a2.as_int() + b2.as_int())),
-                        Box::new(Value::Int(a3.as_int().max(b3.as_int()))),
-                    )),
-                ),
-                _ => unreachable!("nested pair rows"),
-            }
-        }
-        _ => unreachable!("pair-valued tables"),
-    });
-    let agg_orders = ctx.reduce_by_key(orders, merge_pair.clone(), None, 1e-9, "agg-orders");
-    let agg_returns = ctx.reduce_by_key(returns, merge_pair, None, 1e-9, "agg-returns");
-    let joined = ctx.join(agg_orders, agg_returns, None, 1e-9, "join-tables");
-    let balanced = ctx.repartition(joined, None, "rebalance");
-    ctx.collect(balanced, "sql-join-pipeline")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use engine::{Key, Value};
 
-    fn data(n: usize) -> Vec<Record> {
-        (0..n)
-            .map(|i| Record::new(Key::Int(i as i64 % 37), Value::Int(i as i64)))
-            .collect()
+    fn data(n: usize) -> Arc<Vec<Record>> {
+        Arc::new(
+            (0..n)
+                .map(|i| Record::new(Key::Int(i as i64 % 37), Value::Int(i as i64)))
+                .collect(),
+        )
     }
 
     fn chain() -> Vec<ChainOp> {
         vec![
-            ChainOp::Filter(Box::new(|r: &Record| r.value.as_int() % 3 != 0)),
-            ChainOp::Map(Box::new(|r: &Record| {
+            ChainOp::Filter(Arc::new(|r: &Record| r.value.as_int() % 3 != 0)),
+            ChainOp::Map(Arc::new(|r: &Record| {
                 Record::new(r.key.clone(), Value::Int(r.value.as_int() * 2))
             })),
         ]
@@ -353,7 +230,7 @@ mod tests {
     fn fused_chain_matches_seed_chain() {
         let input = data(500);
         let ops = chain();
-        assert_eq!(seed_chain(&input, &ops), fused_chain(&input, &ops));
+        assert_eq!(seed_chain(&input, &ops), FusedChain::new(&ops).run(&input));
     }
 
     #[test]
@@ -387,7 +264,7 @@ mod tests {
         let row_ops = chain();
         assert_eq!(
             run_int_chain(&batch, &int_ops).unwrap().to_records(),
-            fused_chain(&input, &row_ops)
+            FusedChain::new(&row_ops).run(&input)
         );
 
         // Per-batch bucketize vs the row loop, buckets and byte tables.
@@ -411,12 +288,6 @@ mod tests {
             .collect();
         let cloned: Vec<Record> = rb.buckets.iter().flat_map(|b| b.to_vec()).collect();
         assert_eq!(concat_int_batches(&col_parts).unwrap().to_records(), cloned);
-    }
-
-    #[test]
-    fn spawn_par_map_covers_all_indices() {
-        let out = spawn_par_map(4, 100, |i| i * 3);
-        assert_eq!(out, (0..100).map(|i| i * 3).collect::<Vec<_>>());
     }
 
     fn sides(n: usize) -> (Vec<Record>, Vec<Record>) {
@@ -445,13 +316,5 @@ mod tests {
             seed_merge_cogroup(&left, &right),
             engine::shuffle::merge_cogroup(&left, &right)
         );
-    }
-
-    #[test]
-    fn sql_join_workload_pipeline_matches_barrier() {
-        let on = sql_join_workload(true, 2, 3_000);
-        let off = sql_join_workload(false, 2, 3_000);
-        assert!(!on.is_empty());
-        assert_eq!(on, off);
     }
 }

@@ -7,15 +7,15 @@
 //! more than the tolerance below the committed baseline's ratio fails.
 
 use crate::dataplane::{
-    fused_chain, seed_bucketize, seed_chain, seed_merge_cogroup, seed_merge_join, spawn_par_map,
-    sql_join_workload, ChainOp,
+    seed_bucketize, seed_chain, seed_merge_cogroup, seed_merge_join, ChainOp, FusedChain,
 };
-use engine::shuffle::{bucketize, bucketize_columnar, bucketize_in, bucketize_owned_in, TaskArena};
+use engine::shuffle::{bucketize, bucketize_columnar, bucketize_in, TaskArena};
 use engine::{
     concat_int_batches, run_int_chain, ColumnBatch, EngineOptions, HashPartitioner, IntOp, Key,
-    Record, ReduceFn, Value, WorkerPool,
+    Record, ReduceFn, Value,
 };
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use workloads::{KMeans, KMeansConfig};
 
 /// One before/after kernel measurement (host milliseconds, best-of-N).
@@ -47,7 +47,7 @@ pub struct WorkloadWallclock {
 pub struct DataplaneReport {
     /// Always `"dataplane"`.
     pub experiment: String,
-    /// Worker count used for the dispatch kernel and the multi-lane run.
+    /// Worker count used for the multi-lane workload run.
     pub workers: usize,
     /// Before/after kernel timings.
     pub kernels: Vec<KernelResult>,
@@ -191,50 +191,30 @@ pub fn time_pair_ms(mut before: impl FnMut() -> f64, mut after: impl FnMut() -> 
     (b, a)
 }
 
-/// Runs the full data-plane measurement: the four before/after kernels
-/// plus the reduced-KMeans wall-clock at 1 and `workers` lanes.
+/// Runs the full data-plane measurement: the before/after kernels plus the
+/// reduced-KMeans wall-clock at 1 and `workers` lanes.
 pub fn measure_dataplane() -> DataplaneReport {
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
         .min(4);
 
-    // Kernel 1: dispatch of 256 compute-bound tasks.
-    let tasks = 256;
-    let work = |i: usize| -> u64 {
-        let mut acc = i as u64;
-        for _ in 0..20_000 {
-            acc = acc.wrapping_mul(0x9E3779B97F4A7C15).rotate_left(17);
-        }
-        acc
-    };
-    let pool = WorkerPool::new(workers);
-    let (dispatch_before, dispatch_after) = time_pair_ms(
-        || {
-            once_ms(|| {
-                std::hint::black_box(spawn_par_map(workers, tasks, work));
-            })
-        },
-        || {
-            once_ms(|| {
-                std::hint::black_box(pool.map(tasks, work));
-            })
-        },
+    // Narrow chain over 200k records: deep-copy + one pass per op vs the
+    // executor's borrowed fused single pass.
+    let input: Arc<Vec<Record>> = Arc::new(
+        (0..200_000)
+            .map(|i| Record::new(Key::Int(i % 1000), Value::Int(i)))
+            .collect(),
     );
-
-    // Kernel 2: narrow chain over 200k records (deep-copy + one pass per op
-    // vs borrowed fused single pass).
-    let input: Vec<Record> = (0..200_000)
-        .map(|i| Record::new(Key::Int(i % 1000), Value::Int(i)))
-        .collect();
     let ops = vec![
-        ChainOp::Filter(Box::new(|r: &Record| r.value.as_int() % 5 != 0)),
-        ChainOp::Map(Box::new(|r: &Record| {
+        ChainOp::Filter(Arc::new(|r: &Record| r.value.as_int() % 5 != 0)),
+        ChainOp::Map(Arc::new(|r: &Record| {
             Record::new(r.key.clone(), Value::Int(r.value.as_int() + 1))
         })),
-        ChainOp::Filter(Box::new(|r: &Record| r.value.as_int() % 2 == 0)),
+        ChainOp::Filter(Arc::new(|r: &Record| r.value.as_int() % 2 == 0)),
     ];
-    assert_eq!(seed_chain(&input, &ops), fused_chain(&input, &ops));
+    let fused = FusedChain::new(&ops);
+    assert_eq!(seed_chain(&input, &ops), fused.run(&input));
     let (chain_before, chain_after) = time_pair_ms(
         || {
             once_ms(|| {
@@ -246,16 +226,15 @@ pub fn measure_dataplane() -> DataplaneReport {
         || {
             once_ms(|| {
                 for _ in 0..3 {
-                    std::hint::black_box(fused_chain(&input, &ops));
+                    std::hint::black_box(fused.run(&input));
                 }
             })
         },
     );
 
-    // Kernel 3: shuffle-write bucketize, with and without map-side combine.
+    // Shuffle-write bucketize, with and without map-side combine.
     let part = HashPartitioner::new(300);
-    let sum: ReduceFn =
-        std::sync::Arc::new(|a: &Value, b: &Value| Value::Int(a.as_int() + b.as_int()));
+    let sum: ReduceFn = Arc::new(|a: &Value, b: &Value| Value::Int(a.as_int() + b.as_int()));
     // Three repetitions per timed window: a single pass is ~10 ms, short
     // enough that scheduler jitter dominates the ratio.
     let (nb_before, nb_after) = time_pair_ms(
@@ -291,8 +270,8 @@ pub fn measure_dataplane() -> DataplaneReport {
         },
     );
 
-    // Kernel 5: vectorized fused int chain over a typed column batch vs the
-    // row streaming pass over the same records. The batch is built outside
+    // Vectorized fused int chain over a typed column batch vs the
+    // executor's row streaming pass over the same records. The batch is built outside
     // the timed window — in the engine it arrives prebuilt from the shuffle.
     let batch = ColumnBatch::from_records(&input);
     let int_ops = vec![
@@ -300,18 +279,18 @@ pub fn measure_dataplane() -> DataplaneReport {
         IntOp::Map(Box::new(|v: i64| v.wrapping_mul(3) + 1)),
         IntOp::Filter(Box::new(|v: i64| v % 2 == 0)),
     ];
-    let row_ops = vec![
-        ChainOp::Filter(Box::new(|r: &Record| r.value.as_int() % 5 != 0)),
-        ChainOp::Map(Box::new(|r: &Record| {
+    let row_chain = FusedChain::new(&[
+        ChainOp::Filter(Arc::new(|r: &Record| r.value.as_int() % 5 != 0)),
+        ChainOp::Map(Arc::new(|r: &Record| {
             Record::new(
                 r.key.clone(),
                 Value::Int(r.value.as_int().wrapping_mul(3) + 1),
             )
         })),
-        ChainOp::Filter(Box::new(|r: &Record| r.value.as_int() % 2 == 0)),
-    ];
+        ChainOp::Filter(Arc::new(|r: &Record| r.value.as_int() % 2 == 0)),
+    ]);
     assert_eq!(
-        fused_chain(&input, &row_ops),
+        row_chain.run(&input),
         run_int_chain(&batch, &int_ops)
             .expect("typed int batch")
             .to_records()
@@ -320,7 +299,7 @@ pub fn measure_dataplane() -> DataplaneReport {
         || {
             once_ms(|| {
                 for _ in 0..3 {
-                    std::hint::black_box(fused_chain(&input, &row_ops));
+                    std::hint::black_box(row_chain.run(&input));
                 }
             })
         },
@@ -333,7 +312,7 @@ pub fn measure_dataplane() -> DataplaneReport {
         },
     );
 
-    // Kernel 6: per-batch bucketize — one vectorized pass over the key
+    // Per-batch bucketize — one vectorized pass over the key
     // column plus a stable counting-sort gather, vs the row loop that
     // hashes and clones record-at-a-time. Both sides start from the same
     // `&[Record]` slice, as in the engine's shuffle write.
@@ -362,9 +341,9 @@ pub fn measure_dataplane() -> DataplaneReport {
         },
     );
 
-    // Kernel 7: slice-shipping reduce-side concat — splicing the typed
-    // buffers of shuffled batch slices vs cloning every record out of row
-    // buckets. Inputs are the buckets the two kernel-6 paths produce.
+    // Slice-shipping reduce-side concat — splicing the typed buffers of
+    // shuffled batch slices vs cloning every record out of row buckets.
+    // Inputs are the buckets the two per-batch bucketize paths produce.
     let (row_tb, _) = bucketize_in(&input, &part, None, &mut arena_row);
     let row_parts: Vec<Vec<Record>> = row_tb.buckets.iter().map(|b| b.to_vec()).collect();
     let (col_tb, _) = bucketize_columnar(&input, &part, &mut arena_col).expect("typed keys");
@@ -401,86 +380,9 @@ pub fn measure_dataplane() -> DataplaneReport {
         },
     );
 
-    // Real workload: end-to-end host wall-clock of a reduced KMeans run on
-    // the persistent pool, single lane vs `workers` lanes.
-    let mut cfg = KMeansConfig::paper();
-    cfg.points = 20_000;
-    let w = KMeans::new(cfg);
-    let run_with = |lanes: usize| {
-        let opts = EngineOptions {
-            workers: lanes,
-            ..crate::paper_engine(300, false)
-        };
-        time_ms(|| {
-            use chopper::Workload as _;
-            std::hint::black_box(w.run(&opts, &engine::WorkloadConf::new(), 1.0));
-        })
-    };
-    let run_one = run_with(1);
-    let run_many = run_with(workers);
-
-    let kernel = |name: &str, before: f64, after: f64| KernelResult {
-        name: name.to_string(),
-        before_ms: before,
-        after_ms: after,
-        speedup: before / after,
-    };
-    DataplaneReport {
-        experiment: "dataplane".to_string(),
-        workers,
-        kernels: vec![
-            kernel("dispatch_spawn_vs_pool", dispatch_before, dispatch_after),
-            kernel(
-                "narrow_chain_materialized_vs_fused",
-                chain_before,
-                chain_after,
-            ),
-            kernel("bucketize_no_combine", nb_before, nb_after),
-            kernel("bucketize_combine", cb_before, cb_after),
-            kernel("columnar_fused_chain", vc_before, vc_after),
-            kernel("columnar_bucketize", pb_before, pb_after),
-            kernel("columnar_concat_merge", sm_before, sm_after),
-        ],
-        workload_wallclock: vec![
-            WorkloadWallclock {
-                workload: "kmeans-20k".to_string(),
-                workers: 1,
-                host_ms: run_one,
-            },
-            WorkloadWallclock {
-                workload: "kmeans-20k".to_string(),
-                workers,
-                host_ms: run_many,
-            },
-        ],
-    }
-}
-
-/// Runs the shuffle-pipeline measurement: the end-to-end SQL-join workload
-/// with the push-based exchange on vs off (the PR's headline number), plus
-/// the reduce-side merge and owned-bucketize micro-kernels it rides on.
-/// The whole document reuses the [`DataplaneReport`] schema (experiment
-/// `"shuffle_pipeline"`) so [`gate_checks`] works unchanged.
-pub fn measure_shuffle_pipeline() -> DataplaneReport {
-    let workers = 8;
-    let rows = 100_000;
-
-    // Kernel 1 (the acceptance number): end-to-end wall-clock of the
-    // multi-stage SQL-join workload, barrier vs pipelined.
-    let (e2e_off, e2e_on) = time_pair_ms(
-        || {
-            once_ms(|| {
-                std::hint::black_box(sql_join_workload(false, workers, rows));
-            })
-        },
-        || {
-            once_ms(|| {
-                std::hint::black_box(sql_join_workload(true, workers, rows));
-            })
-        },
-    );
-
-    // Micro-kernel inputs: two keyed sides with moderate key multiplicity.
+    // Reduce-side merges over two keyed sides with moderate key
+    // multiplicity: seed-era (on-demand SipHash tables, unsized outputs) vs
+    // the streaming pre-sized accumulators.
     let n = 120_000;
     let left: Vec<Record> = (0..n)
         .map(|i| Record::new(Key::Int(i % 20_000), Value::Int(i)))
@@ -489,8 +391,6 @@ pub fn measure_shuffle_pipeline() -> DataplaneReport {
         .map(|i| Record::new(Key::Int((i * 3) % 20_000), Value::Int(-i)))
         .collect();
 
-    // Kernel 2/3: seed-era reduce-side merges (on-demand SipHash tables,
-    // unsized outputs) vs the streaming pre-sized accumulators.
     assert_eq!(
         seed_merge_join(&left, &right),
         engine::shuffle::merge_join(&left, &right)
@@ -528,35 +428,23 @@ pub fn measure_shuffle_pipeline() -> DataplaneReport {
         },
     );
 
-    // Kernel 4: map-side bucketize, cloning (barrier engine) vs moving
-    // (pipelined executor owns the task output). The owned variant's input
-    // copy is made outside the timed section.
-    // A single bucketize pass is only a few milliseconds; five per window
-    // keeps scheduler jitter out of the ratio. Both sides walk freshly
-    // cloned inputs (made outside the timed section) so neither gets a
-    // cache-warm rescan advantage — in the engine, every task's output is
-    // newly produced memory.
-    let part = HashPartitioner::new(64);
-    let mut arena_b = TaskArena::default();
-    let mut arena_a = TaskArena::default();
-    let (bk_before, bk_after) = time_pair_ms(
-        || {
-            let copies: Vec<Vec<Record>> = (0..5).map(|_| left.clone()).collect();
-            once_ms(|| {
-                for records in &copies {
-                    std::hint::black_box(bucketize_in(records, &part, None, &mut arena_b));
-                }
-            })
-        },
-        || {
-            let copies: Vec<Vec<Record>> = (0..5).map(|_| left.clone()).collect();
-            once_ms(|| {
-                for owned in copies {
-                    std::hint::black_box(bucketize_owned_in(owned, &part, None, &mut arena_a));
-                }
-            })
-        },
-    );
+    // Real workload: end-to-end host wall-clock of a reduced KMeans run on
+    // the persistent pool, single lane vs `workers` lanes.
+    let mut cfg = KMeansConfig::paper();
+    cfg.points = 20_000;
+    let w = KMeans::new(cfg);
+    let run_with = |lanes: usize| {
+        let opts = EngineOptions {
+            workers: lanes,
+            ..crate::paper_engine(300, false)
+        };
+        time_ms(|| {
+            use chopper::Workload as _;
+            std::hint::black_box(w.run(&opts, &engine::WorkloadConf::new(), 1.0));
+        })
+    };
+    let run_one = run_with(1);
+    let run_many = run_with(workers);
 
     let kernel = |name: &str, before: f64, after: f64| KernelResult {
         name: name.to_string(),
@@ -565,24 +453,32 @@ pub fn measure_shuffle_pipeline() -> DataplaneReport {
         speedup: before / after,
     };
     DataplaneReport {
-        experiment: "shuffle_pipeline".to_string(),
+        experiment: "dataplane".to_string(),
         workers,
         kernels: vec![
-            kernel("pipeline_sql_join_e2e", e2e_off, e2e_on),
+            kernel(
+                "narrow_chain_materialized_vs_fused",
+                chain_before,
+                chain_after,
+            ),
+            kernel("bucketize_no_combine", nb_before, nb_after),
+            kernel("bucketize_combine", cb_before, cb_after),
+            kernel("columnar_fused_chain", vc_before, vc_after),
+            kernel("columnar_bucketize", pb_before, pb_after),
+            kernel("columnar_concat_merge", sm_before, sm_after),
             kernel("merge_join_seed_vs_streaming", mj_before, mj_after),
             kernel("merge_cogroup_seed_vs_streaming", cg_before, cg_after),
-            kernel("bucketize_clone_vs_owned", bk_before, bk_after),
         ],
         workload_wallclock: vec![
             WorkloadWallclock {
-                workload: "sql-join-100k-barrier".to_string(),
-                workers,
-                host_ms: e2e_off,
+                workload: "kmeans-20k".to_string(),
+                workers: 1,
+                host_ms: run_one,
             },
             WorkloadWallclock {
-                workload: "sql-join-100k-pipelined".to_string(),
+                workload: "kmeans-20k".to_string(),
                 workers,
-                host_ms: e2e_on,
+                host_ms: run_many,
             },
         ],
     }

@@ -28,6 +28,43 @@ impl std::error::Error for ParseError {}
 /// Flags that take no value.
 const BOOLEAN_FLAGS: &[&str] = &["copartition", "vanilla", "help", "gantt", "serial"];
 
+/// Flags that take a value, over all commands.
+const VALUE_FLAGS: &[&str] = &[
+    "adaptive",
+    "batch",
+    "clock",
+    "cluster",
+    "conf",
+    "db",
+    "executor-mem",
+    "fault-plan",
+    "fault-seed",
+    "file",
+    "jobs",
+    "mem-shared",
+    "mem-tenant",
+    "out",
+    "out-conf",
+    "partitions",
+    "policy",
+    "queue-cap",
+    "results-out",
+    "scale",
+    "scales",
+    "seed",
+    "slots",
+    "summary-out",
+    "tables-out",
+    "tenants",
+    "test-parallelism",
+    "test-partitions",
+    "topology",
+    "trace",
+    "trace-out",
+    "workers",
+    "workload",
+];
+
 impl Args {
     /// Parses raw arguments (without the binary name).
     pub fn parse<I, S>(raw: I) -> Result<Args, ParseError>
@@ -56,9 +93,11 @@ impl Args {
             }
             let value = if BOOLEAN_FLAGS.contains(&name) {
                 "true".to_string()
-            } else {
+            } else if VALUE_FLAGS.contains(&name) {
                 iter.next()
                     .ok_or_else(|| ParseError(format!("flag --{name} requires a value")))?
+            } else {
+                return Err(ParseError(format!("unknown flag --{name}")));
             };
             if flags.insert(name.to_string(), value).is_some() {
                 return Err(ParseError(format!("flag --{name} given twice")));
@@ -145,6 +184,12 @@ mod tests {
     #[test]
     fn value_flag_without_value_is_an_error() {
         assert!(parse(&["run", "--workload"]).is_err());
+    }
+
+    #[test]
+    fn unknown_flag_is_an_error() {
+        let err = parse(&["run", "--wrokload", "kmeans"]).unwrap_err();
+        assert!(err.0.contains("unknown flag --wrokload"), "{err}");
     }
 
     #[test]

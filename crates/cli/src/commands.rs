@@ -12,7 +12,7 @@ chopper-cli — CHOPPER auto-partitioning (CLUSTER 2016 reproduction)
 
 commands:
   run      --workload kmeans|pca|sql|logreg [--scale F] [--partitions N]
-           [--copartition] [--gantt] [--conf FILE] [--pipeline on|off] [--batch on|off]
+           [--copartition] [--gantt] [--conf FILE] [--batch on|off]
            [--adaptive on|off] [--cluster paper|uniform:N,C,GHz]
            [--topology flat|rack:RxH[:oversub]]
            [--executor-mem SIZE] [--fault-plan FILE] [--fault-seed N]
@@ -29,7 +29,7 @@ commands:
   conf     --file FILE
   serve    --trace FILE [--policy fair|fifo] [--slots N] [--queue-cap N]
            [--mem-shared SIZE] [--mem-tenant SIZE] [--workers N]
-           [--partitions N] [--pipeline on|off] [--batch on|off] [--serial]
+           [--partitions N] [--batch on|off] [--serial]
            [--cluster paper|uniform:N,C,GHz] [--results-out FILE]
            [--tables-out FILE] [--trace-out FILE]
   loadgen  --out FILE [--tenants N] [--jobs N] [--seed N]
@@ -156,11 +156,6 @@ fn engine_opts(args: &Args) -> Result<EngineOptions, String> {
         None => None,
         Some(s) => Some(parse_mem_size(s)?),
     };
-    let pipeline = match args.get("pipeline") {
-        None | Some("on") => true,
-        Some("off") => false,
-        Some(other) => return Err(format!("bad --pipeline '{other}' (expected on|off)")),
-    };
     let batch = match args.get("batch") {
         None | Some("on") => true,
         Some("off") => false,
@@ -171,17 +166,6 @@ fn engine_opts(args: &Args) -> Result<EngineOptions, String> {
         Some("off") => false,
         Some(other) => return Err(format!("bad --adaptive '{other}' (expected on|off)")),
     };
-    // An explicit `--pipeline on` cannot be honored under governed
-    // memory (the engine would silently fall back to the barrier path);
-    // reject the combination instead of surprising the user.
-    if args.get("pipeline") == Some("on") && executor_mem.is_some() {
-        return Err(
-            "--pipeline on cannot be combined with --executor-mem: the governed \
-             memory engine interleaves evictions with stage execution and always \
-             runs the barrier path — drop one of the two flags"
-                .into(),
-        );
-    }
     let cluster = cluster(args)?;
     // `--adaptive on` enables both halves of the adaptive layer: the
     // in-engine hot-partition splitter (EngineOptions::adaptive) and the
@@ -200,7 +184,6 @@ fn engine_opts(args: &Args) -> Result<EngineOptions, String> {
         default_parallelism: args.num("partitions", 300).map_err(|e| e.to_string())?,
         copartition_scheduling: args.has("copartition"),
         executor_mem,
-        pipeline,
         batch,
         adaptive,
         replan,
@@ -517,9 +500,8 @@ pub fn conf(args: &Args) -> CmdResult {
 /// Builds the job server's engine options from `serve` flags.
 ///
 /// `serve` exposes a narrower engine surface than `run`, and the two
-/// flags it drops are rejected at parse time (mirroring the
-/// `--pipeline on` × `--executor-mem` conflict in [`engine_opts`])
-/// rather than silently ignored: a global `--fault-plan` would perturb
+/// flags it drops are rejected at parse time rather than silently
+/// ignored: a global `--fault-plan` would perturb
 /// every tenant's virtual clock (the server attaches plans per tenant),
 /// and `--executor-mem` governs cache eviction, which the job server
 /// replaces with the admission ledger's per-tenant budgets.
@@ -542,11 +524,6 @@ fn serve_engine_opts(args: &Args) -> Result<EngineOptions, String> {
                 .into(),
         );
     }
-    let pipeline = match args.get("pipeline") {
-        None | Some("on") => true,
-        Some("off") => false,
-        Some(other) => return Err(format!("bad --pipeline '{other}' (expected on|off)")),
-    };
     let batch = match args.get("batch") {
         None | Some("on") => true,
         Some("off") => false,
@@ -561,7 +538,6 @@ fn serve_engine_opts(args: &Args) -> Result<EngineOptions, String> {
         workers: args
             .num("workers", defaults.workers)
             .map_err(|e| e.to_string())?,
-        pipeline,
         batch,
         ..defaults
     };
@@ -750,26 +726,6 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_flag_parses_on_off() {
-        assert!(engine_opts(&args(&["run"])).unwrap().pipeline);
-        assert!(
-            engine_opts(&args(&["run", "--pipeline", "on"]))
-                .unwrap()
-                .pipeline
-        );
-        assert!(
-            !engine_opts(&args(&["run", "--pipeline", "off"]))
-                .unwrap()
-                .pipeline
-        );
-        let err = match engine_opts(&args(&["run", "--pipeline", "maybe"])) {
-            Err(e) => e,
-            Ok(_) => panic!("bad --pipeline value must be rejected"),
-        };
-        assert!(err.contains("--pipeline"));
-    }
-
-    #[test]
     fn batch_flag_parses_on_off() {
         assert!(engine_opts(&args(&["run"])).unwrap().batch);
         assert!(engine_opts(&args(&["run", "--batch", "on"])).unwrap().batch);
@@ -900,13 +856,11 @@ mod tests {
     }
 
     #[test]
-    fn explicit_pipeline_on_conflicts_with_executor_mem() {
-        let err = opts_err(&["run", "--pipeline", "on", "--executor-mem", "256m"]);
-        assert!(err.contains("--pipeline on"), "got: {err}");
-        // Without the explicit flag the combination is allowed: the
-        // engine runs the barrier path under governed memory.
-        let o = engine_opts(&args(&["run", "--executor-mem", "256m"])).unwrap();
-        assert!(o.pipeline && o.executor_mem.is_some());
+    fn executor_mem_needs_no_engine_flag_and_pipeline_is_gone() {
+        let o = engine_opts(&args(&["run", "--executor-mem", "16m"])).unwrap();
+        assert_eq!(o.executor_mem, Some(16 * 1024 * 1024));
+        let err = Args::parse(["run", "--pipeline", "on"]).unwrap_err();
+        assert!(err.0.contains("unknown flag --pipeline"), "{err}");
     }
 
     #[test]
@@ -1010,22 +964,20 @@ mod tests {
         let d = serve_engine_opts(&args(&["serve"])).unwrap();
         let defaults = jobserver::server_engine_defaults();
         assert_eq!(d.default_parallelism, defaults.default_parallelism);
-        assert!(d.pipeline && d.batch);
+        assert!(d.batch);
         let o = serve_engine_opts(&args(&[
             "serve",
             "--workers",
             "2",
             "--partitions",
             "8",
-            "--pipeline",
-            "off",
             "--batch",
             "off",
         ]))
         .unwrap();
         assert_eq!(o.workers, 2);
         assert_eq!(o.default_parallelism, 8);
-        assert!(!o.pipeline && !o.batch);
+        assert!(!o.batch);
     }
 
     #[test]

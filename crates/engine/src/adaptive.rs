@@ -3,11 +3,10 @@
 //! The static planner fixes every shuffle's partitioner and partition
 //! count before the job runs; when the data turns out skewed, one hot
 //! reduce partition stalls the whole stage. This module closes that gap
-//! *inside* a job: by the time a reduce task could start, its exchange
-//! already holds the complete map×partition byte table, so the engine can
-//! decide — identically in the barrier and pipelined executors, and
-//! identically under any fault plan — to split hot partitions into
-//! sub-tasks before reduce work is dispatched.
+//! *inside* a job: by the time a reduce stage starts, its shuffle holds
+//! the complete map×partition byte table, so the engine can decide —
+//! identically at any worker count and under any fault plan — to split
+//! hot partitions into sub-tasks before reduce work is dispatched.
 //!
 //! Determinism rules (the reason this is safe to default on):
 //!
@@ -21,10 +20,8 @@
 //!   the same aggregates as the unsplit merge, and concatenating
 //!   sub-outputs in sub order is a deterministic permutation of the
 //!   unsplit output (identical sorted tables).
-//! * Only **range-partitioned** shuffles split in place: their map side
-//!   already synchronizes on the sample barrier, so collecting the full
-//!   column before merging costs the pipelined executor no overlap it had.
-//!   Hash skew is handled between jobs by the re-planner
+//! * Only **range-partitioned** shuffles split in place. Hash skew is
+//!   handled between jobs by the re-planner
 //!   (`core::adaptive`), which flips hot hash stages to range — this
 //!   module's hash [`SubRouter`] exists as the fallback when a hot range
 //!   bucket's keys are too concentrated to yield distinct sub-bounds.
@@ -36,7 +33,7 @@ use crate::partitioner::{Partitioner, PartitionerKind, PartitionerSpec, RangePar
 use crate::rdd::RddGraph;
 use crate::record::{Key, Record};
 use crate::shuffle::{ConcatMerge, GroupMerge, ReduceMerge};
-use crate::stage::{Plan, PlanStage, SideDep, StageRoot};
+use crate::stage::{Plan, StageRoot};
 use std::sync::Arc;
 
 /// Max/mean per-bucket byte skew above which a reduce partition counts as
@@ -136,7 +133,7 @@ impl SplitPlan {
 }
 
 /// Decides the split for one shuffle from its per-partition byte totals
-/// (the column sums of the exchange's map×partition byte table).
+/// (the column sums of the shuffle's map×partition byte table).
 ///
 /// The trigger statistic is [`trace::skew_ratio`] — the same max/mean
 /// computation the trace summary reports per stage — so a threshold read
@@ -170,10 +167,10 @@ pub fn plan_splits(column_bytes: &[u64]) -> Option<SplitPlan> {
 /// Whether `stage_idx`'s root shuffle may split in place, returning the
 /// shuffle index when it may.
 ///
-/// Both executors evaluate this from the plan and graph alone (never from
-/// runtime state), so they agree bit-for-bit. Conditions: the root is a
-/// `ShuffleRead` over a **range**-partitioned shuffle, this stage is that
-/// shuffle's only consumer, and the stage captures no cache (splitting
+/// Evaluated from the plan and graph alone, never from runtime state.
+/// Conditions: the root is a `ShuffleRead` over a **range**-partitioned
+/// shuffle, this is that shuffle's only read, and the stage captures no
+/// cache (splitting
 /// re-orders records within a partition, which must not leak into a cached
 /// RDD whose co-partitioning later stages rely on).
 pub(crate) fn split_eligible(plan: &Plan, graph: &RddGraph, stage_idx: usize) -> Option<usize> {
@@ -184,29 +181,13 @@ pub(crate) fn split_eligible(plan: &Plan, graph: &RddGraph, stage_idx: usize) ->
     if plan.shuffles[shuffle].scheme.kind != PartitionerKind::Range {
         return None;
     }
-    let consumers = plan
-        .stages
-        .iter()
-        .filter(|s| consumes_shuffle(s, shuffle))
-        .count();
-    if consumers != 1 {
+    if plan.shuffle_reads(shuffle) != 1 {
         return None;
     }
     if graph.node(wide).cached || stage.chain.iter().any(|&r| graph.node(r).cached) {
         return None;
     }
     Some(shuffle)
-}
-
-/// Whether a stage reads shuffle `idx` (as reduce root or join side).
-fn consumes_shuffle(stage: &PlanStage, idx: usize) -> bool {
-    match &stage.root {
-        StageRoot::ShuffleRead { shuffle, .. } => *shuffle == idx,
-        StageRoot::JoinRead { left, right, .. } => {
-            left == &SideDep::Shuffle(idx) || right == &SideDep::Shuffle(idx)
-        }
-        _ => false,
-    }
 }
 
 /// Base seed for sub-bound sampling of shuffle `plan_idx` in job `job_id`
@@ -273,8 +254,7 @@ impl SubRouter {
 }
 
 /// The virtual-task statistics of one sub-merge, measured during the
-/// physical split — both executors hand these to the driver, which builds
-/// one `TaskSpec` per sub from them.
+/// physical split; the driver builds one `TaskSpec` per sub from them.
 #[derive(Debug, Clone)]
 pub(crate) struct SubTaskStats {
     /// Encoded bytes received from each map task (length = map count).
@@ -294,9 +274,7 @@ pub(crate) struct SubTaskStats {
 /// materialized to owned rows. Each record is routed once
 /// (charged at [`PARTITION_COST`]) and each sub pays the same merge cost
 /// shape as an unsplit task over its share, so the sum of sub costs equals
-/// the unsplit cost plus the routing charge. Shared verbatim by the
-/// barrier and pipelined executors — the returned records, cost, and
-/// stats are bit-identical given identical inputs.
+/// the unsplit cost plus the routing charge.
 pub(crate) fn merge_split(
     maps: Vec<Vec<Record>>,
     merge: &MergeKind,

@@ -6,9 +6,8 @@
 //! `f64` scalars, fixed-stride `f64` vectors, dictionary-encoded strings —
 //! each with an optional validity bitmap (a cleared bit reads back as
 //! `Key::None` / `Value::Null`). Buffers are `Arc`-shared, so slicing a
-//! batch is O(1) and ships no data: the pipelined shuffle publishes bucket
-//! *slices* of one partition-ordered batch instead of cloned record
-//! vectors.
+//! batch is O(1) and ships no data: a shuffle write stores bucket *slices*
+//! of one partition-ordered batch instead of cloned record vectors.
 //!
 //! Conversions are lossless in both directions: any column whose rows do
 //! not fit a typed layout (composite `Key::Pair` keys, mixed variants,

@@ -9,12 +9,12 @@
 use crate::config::WorkloadConf;
 use crate::metrics::{JobMetrics, StageKind, StageMetrics};
 use crate::ops::{FilterFn, FlatMapFn, GenFn, MapFn, OpKind, ReduceFn};
-use crate::partitioner::{build_partitioner, Partitioner, PartitionerSpec};
-use crate::pool::WorkerPool;
+use crate::partitioner::{build_partitioner, Partitioner, PartitionerKind, PartitionerSpec};
+use crate::pool::{lock, WorkerPool};
 use crate::rdd::{Rdd, RddGraph};
 use crate::record::{batch_size, Key, Record};
 use crate::shuffle::{
-    Bucket, CogroupMerge, ConcatMerge, GroupMerge, JoinMerge, ReduceMerge, TaskBuckets,
+    Bucket, CogroupMerge, ConcatMerge, GroupMerge, JoinMerge, ReduceMerge, TaskArena,
 };
 use crate::stage::{plan_job, MaterializedInfo, Plan, PlanStage, SideDep, StageOutput, StageRoot};
 use blockstore::BlockStore;
@@ -24,7 +24,7 @@ use numeric::Reservoir;
 use simcluster::{ClusterSpec, NodeId, Simulation, TaskSpec};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use trace::TraceSink;
 
 /// Compute units charged per record for partition assignment during shuffle
@@ -74,15 +74,9 @@ pub struct EngineOptions {
     /// Victim-selection policy for the bounded cache (LRC by default:
     /// DAG-aware least-reference-count, after Yang et al.).
     pub eviction_policy: EvictionPolicy,
-    /// Push-based pipelined shuffle (the default): map tasks publish
-    /// buckets into a per-shuffle exchange and reduce tasks merge as map
-    /// outputs become available, with independent sibling stages running
-    /// concurrently on the worker pool. Results, metrics, and
-    /// virtual-clock traces are bit-identical either way — only host
-    /// wall-clock behaviour differs. `false` restores the stage-barrier
-    /// engine. Memory-governed contexts (`executor_mem`) always use the
-    /// barrier engine, because eviction decisions are interleaved with
-    /// stage execution.
+    /// No effect. The engine has one executor; this field once selected
+    /// between two and is kept only because the frozen `benchmark/`
+    /// package still sets it. Nothing reads it.
     pub pipeline: bool,
     /// Deterministic fault-injection plan. `None` (the default) runs
     /// fault-free — the recovery hooks cost nothing. `Some(plan)` injects
@@ -207,29 +201,40 @@ impl EngineOptions {
     }
 }
 
-pub(crate) struct Materialized {
-    pub(crate) parts: Vec<Arc<Vec<Record>>>,
-    pub(crate) homes: Vec<NodeId>,
-    pub(crate) partitioning: Option<PartitionerSpec>,
-    pub(crate) producer_stage: usize,
+struct Materialized {
+    parts: Vec<Arc<Vec<Record>>>,
+    homes: Vec<NodeId>,
+    partitioning: Option<PartitionerSpec>,
+    producer_stage: usize,
     /// When true the partitions' bytes live in spill files on each home
     /// node's disk, not executor memory: reads charge local disk I/O
     /// instead of memory-resident access. The host-side `Arc`s are kept
     /// so reread data stays byte-identical.
-    pub(crate) spilled: bool,
+    spilled: bool,
 }
 
-pub(crate) struct ShuffleData {
-    /// `buckets[map_task][reduce_partition]` — row vectors or columnar
-    /// batch slices, per the producing task's layout.
-    pub(crate) buckets: Vec<Vec<Bucket>>,
-    pub(crate) bytes: Vec<Vec<u64>>,
-    pub(crate) nodes: Vec<NodeId>,
-    pub(crate) producer_gid: usize,
+/// One shuffle's map output, from the map stage that wrote it until the
+/// last stage that reads it.
+struct ShuffleData {
+    /// `rows[map_task][reduce_partition]` — row vectors or columnar batch
+    /// slices, per the producing task's layout; `None` where the bucket is
+    /// empty or already taken. One lock per map task's row: reduce tasks
+    /// take their column's buckets out in place (see [`ShuffleData::take`])
+    /// and hold a lock only for that move. Emptied after the last read.
+    rows: Vec<Mutex<Vec<Option<Bucket>>>>,
+    /// `bytes[map_task][reduce_partition]`, serialized size per bucket.
+    bytes: Vec<Vec<u64>>,
+    nodes: Vec<NodeId>,
+    producer_gid: usize,
     /// The producer stage's task specs, retained only while a fault plan
     /// is active so that map outputs lost to a node failure can be
     /// recomputed through lineage (empty otherwise).
-    pub(crate) specs: Vec<TaskSpec>,
+    specs: Vec<TaskSpec>,
+    /// More than one read in the plan (a self-join, or two stages over one
+    /// uncached wide RDD): reads clone bucket handles instead of taking.
+    shared: bool,
+    /// Reads of this shuffle that have not run yet.
+    reads_left: usize,
 }
 
 /// Live state of a fault plan over a run: the not-yet-applied timed
@@ -285,8 +290,8 @@ pub struct Context {
     store: Arc<BlockStore>,
     conf: WorkloadConf,
     options: EngineOptions,
-    /// Persistent compute pool; every stage's data computation and shuffle
-    /// bucketing fans out over these threads. Possibly shared with other
+    /// Persistent compute pool; every stage's tasks fan out over these
+    /// threads. Possibly shared with other
     /// contexts (see [`EngineOptions::shared_pool`]).
     pool: Arc<WorkerPool>,
     /// Upper bound on pool lanes this context's dispatches may occupy
@@ -845,48 +850,15 @@ impl Context {
         let job_id = self.jobs.len();
         let job_start = self.sim.clock();
 
-        // Pipelined mode runs the whole job's data plane up front on the
-        // host pool — map tasks push buckets into per-shuffle exchanges,
-        // reduce tasks merge incrementally, sibling stages overlap — then
-        // the loop below replays each stage's virtual-cluster accounting in
-        // plan order from the recorded per-stage data. Memory-governed
-        // contexts keep the barrier engine: eviction decisions interleave
-        // with stage execution.
-        let pipelined = self.options.pipeline && !self.governed();
-        let mut pre_stages: std::collections::VecDeque<crate::exchange::StageData> =
-            std::collections::VecDeque::new();
-        if pipelined {
-            let num_tasks: Vec<usize> = plan
-                .stages
-                .iter()
-                .map(|s| self.stage_partitions(&plan, s).max(1))
-                .collect();
-            pre_stages = crate::exchange::run_pipelined(crate::exchange::PipelineInput {
-                graph: &self.graph,
-                plan: &plan,
-                num_tasks: &num_tasks,
-                materialized: &self.materialized,
-                pool: &self.pool,
-                job_id,
-                trace: &self.options.trace,
-                batch: self.options.batch,
-                lanes: self.lane_cap().min(self.pool.workers()),
-                adaptive: self.options.adaptive,
-            })
-            .into();
-        }
-
         let mut shuffles: Vec<Option<ShuffleData>> = Vec::new();
         shuffles.resize_with(plan.shuffles.len(), || None);
         let mut stage_metrics: Vec<StageMetrics> = Vec::new();
         let mut result: Vec<Record> = Vec::new();
 
-        for (idx, stage) in plan.stages.iter().enumerate() {
+        for idx in 0..plan.stages.len() {
             let gid = self.next_stage_id;
             self.next_stage_id += 1;
-            let pre = pre_stages.pop_front();
-            let (metrics, output_records) =
-                self.exec_stage(&plan, idx, stage, gid, job_id, &mut shuffles, pre);
+            let (metrics, output_records) = self.exec_stage(&plan, idx, gid, job_id, &mut shuffles);
             stage_metrics.push(metrics);
             if let Some(records) = output_records {
                 result = records;
@@ -900,71 +872,7 @@ impl Context {
                 .advance(result_bytes as f64 / self.options.driver_bandwidth);
         }
 
-        // Between-jobs re-optimization: hand the finished job's actuals to
-        // the installed hook; a returned configuration replaces `conf` for
-        // subsequent jobs. Decisions and their trigger state are recorded
-        // as virtual-clock trace instants on the driver track.
-        if let Some(hook) = self.options.replan.clone() {
-            let actuals: Vec<crate::adaptive::StageActuals> = stage_metrics
-                .iter()
-                .enumerate()
-                .map(|(idx, m)| {
-                    let write_bucket_skew = match plan.stages[idx].output {
-                        StageOutput::ShuffleWrite(sidx) => shuffles[sidx]
-                            .as_ref()
-                            .map(|d| {
-                                let p = plan.shuffles[sidx].scheme.partitions;
-                                let cols: Vec<f64> = (0..p)
-                                    .map(|i| d.bytes.iter().map(|b| b[i]).sum::<u64>() as f64)
-                                    .collect();
-                                trace::skew_ratio(&cols)
-                            })
-                            .unwrap_or(1.0),
-                        StageOutput::Result => 1.0,
-                    };
-                    crate::adaptive::StageActuals {
-                        stage_id: m.stage_id,
-                        signature: m.root_signature,
-                        kind: m.kind,
-                        scheme: m.scheme,
-                        configurable: m.configurable,
-                        num_tasks: self.stage_partitions(&plan, &plan.stages[idx]).max(1),
-                        tasks_run: m.num_tasks,
-                        input_records: m.input_records,
-                        input_bytes: m.input_bytes,
-                        output_bytes: m.output_bytes,
-                        shuffle_read_bytes: m.shuffle_read_bytes,
-                        shuffle_write_bytes: m.shuffle_write_bytes,
-                        write_bucket_skew,
-                        duration_s: m.end - m.start,
-                        task_skew: m.task_skew(),
-                    }
-                })
-                .collect();
-            let input = crate::adaptive::ReplanInput {
-                job_id,
-                clock: self.sim.clock(),
-                conf: self.conf.clone(),
-                actuals,
-            };
-            if let Some(new_conf) = hook(&input) {
-                if self.options.trace.is_enabled() {
-                    use trace::{pids, Clock, Track};
-                    self.options.trace.instant(
-                        Clock::Virtual,
-                        Track::new(pids::DRIVER, 0),
-                        format!("j{job_id} adaptive replan"),
-                        "adaptive",
-                        input.clock,
-                        vec![
-                            ("job", job_id.into()),
-                            ("decisions", new_conf.stages.len().into()),
-                        ],
-                    );
-                }
-                self.conf = new_conf;
-            }
-        }
+        self.replan_after_job(&plan, job_id, &stage_metrics, &shuffles);
 
         self.jobs.push(JobMetrics {
             job_id,
@@ -974,6 +882,79 @@ impl Context {
             end: self.sim.clock(),
         });
         result
+    }
+
+    /// Between-jobs re-optimization: hand the finished job's actuals to
+    /// the installed hook; a returned configuration replaces `conf` for
+    /// subsequent jobs. Decisions and their trigger state are recorded as
+    /// virtual-clock trace instants on the driver track.
+    fn replan_after_job(
+        &mut self,
+        plan: &Plan,
+        job_id: usize,
+        stage_metrics: &[StageMetrics],
+        shuffles: &[Option<ShuffleData>],
+    ) {
+        let Some(hook) = self.options.replan.clone() else {
+            return;
+        };
+        let actuals: Vec<crate::adaptive::StageActuals> = stage_metrics
+            .iter()
+            .enumerate()
+            .map(|(idx, m)| {
+                let write_bucket_skew = match plan.stages[idx].output {
+                    StageOutput::ShuffleWrite(sidx) => shuffles[sidx]
+                        .as_ref()
+                        .map(|d| {
+                            let cols: Vec<f64> =
+                                d.column_bytes().into_iter().map(|b| b as f64).collect();
+                            trace::skew_ratio(&cols)
+                        })
+                        .unwrap_or(1.0),
+                    StageOutput::Result => 1.0,
+                };
+                crate::adaptive::StageActuals {
+                    stage_id: m.stage_id,
+                    signature: m.root_signature,
+                    kind: m.kind,
+                    scheme: m.scheme,
+                    configurable: m.configurable,
+                    num_tasks: self.stage_partitions(plan, &plan.stages[idx]).max(1),
+                    tasks_run: m.num_tasks,
+                    input_records: m.input_records,
+                    input_bytes: m.input_bytes,
+                    output_bytes: m.output_bytes,
+                    shuffle_read_bytes: m.shuffle_read_bytes,
+                    shuffle_write_bytes: m.shuffle_write_bytes,
+                    write_bucket_skew,
+                    duration_s: m.end - m.start,
+                    task_skew: m.task_skew(),
+                }
+            })
+            .collect();
+        let input = crate::adaptive::ReplanInput {
+            job_id,
+            clock: self.sim.clock(),
+            conf: self.conf.clone(),
+            actuals,
+        };
+        if let Some(new_conf) = hook(&input) {
+            if self.options.trace.is_enabled() {
+                use trace::{pids, Clock, Track};
+                self.options.trace.instant(
+                    Clock::Virtual,
+                    Track::new(pids::DRIVER, 0),
+                    format!("j{job_id} adaptive replan"),
+                    "adaptive",
+                    input.clock,
+                    vec![
+                        ("job", job_id.into()),
+                        ("decisions", new_conf.stages.len().into()),
+                    ],
+                );
+            }
+            self.conf = new_conf;
+        }
     }
 
     /// Number of tasks a plan stage runs.
@@ -1047,145 +1028,173 @@ impl Context {
         cur
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Runs plan stage `plan_idx`, in phases: resolve inputs → run tasks →
+    /// build specs → fault injection, simulation and memory reservation →
+    /// persist captures and shuffle output → metrics → trace. Every job
+    /// takes this one path; options only change what the accounting
+    /// phases charge, never which code moves the data.
     fn exec_stage(
         &mut self,
         plan: &Plan,
         plan_idx: usize,
-        stage: &PlanStage,
         gid: usize,
         job_id: usize,
         shuffles: &mut [Option<ShuffleData>],
-        pre: Option<crate::exchange::StageData>,
     ) -> (StageMetrics, Option<Vec<Record>>) {
-        let num_tasks = self.stage_partitions(plan, stage).max(1);
+        let stage = &plan.stages[plan_idx];
+        let cx = StageCtx {
+            plan,
+            plan_idx,
+            gid,
+            job_id,
+            num_tasks: self.stage_partitions(plan, stage).max(1),
+            root_scheme: match &stage.root {
+                StageRoot::ShuffleRead { shuffle, .. } => Some(plan.shuffles[*shuffle].scheme),
+                StageRoot::JoinRead { wide, .. } => plan.schemes.get(wide).copied(),
+                _ => None,
+            },
+        };
         // Fault plan: apply node-loss and slow-node events whose virtual
         // time has passed before this stage reads any placement state, so
-        // preps see re-homed data and the scheduler sees the shrunk
+        // reads see re-homed data and the scheduler sees the shrunk
         // topology. Recovery (lineage recompute + replica re-homing) runs
-        // inside. Both engines share this path — the pipelined executor
-        // replays its virtual accounting through `exec_stage`, so its
-        // consumers are effectively parked while a lost producer's map
-        // outputs are recomputed here.
+        // inside, before any consumer fetch accounting for a lost shuffle.
         if self.faults.is_some() {
             self.apply_due_faults(shuffles);
         }
-        let wide_cost = |wide: Rdd| self.graph.node(wide).cost_per_record;
-        // Replay mode: the pipelined executor already did this stage's
-        // data-plane work (compute + bucketize). This pass only replays the
-        // virtual-cluster side — fetch accounting, simulation, captures,
-        // metrics, trace — from the recorded `StageData`, in plan order, so
-        // every simulated quantity is bit-identical to the barrier engine.
-        let replay = pre.is_some();
 
-        // ---------------- Phase A: materialize inputs per task -----------
-        // Pre-gather per-task inputs (cheap Arc clones) so the parallel
-        // compute below owns everything it needs.
-        let mut preps: Vec<TaskPrep> = Vec::with_capacity(num_tasks);
-        let mut parents_gids: Vec<usize> = Vec::new();
-        // Cached RDDs consumed by this stage, for lineage ref-counting.
-        let mut cached_reads: Vec<Rdd> = Vec::new();
-        // Adaptive hot-partition split, decided from the producer's
-        // map×partition byte table before any reduce work dispatches.
-        // Purely data-plane inputs: identical across engines, worker
-        // counts, and fault plans. `None` when `--adaptive off`, the stage
-        // is ineligible, or the column skew sits below the trigger.
-        let mut split_plan: Option<crate::adaptive::SplitPlan> = None;
-        // Producer task placements, kept for per-sub fetch construction.
-        let mut producer_nodes: Vec<NodeId> = Vec::new();
-        match &stage.root {
-            StageRoot::Source(rdd) => {
-                let node = self.graph.node(*rdd);
-                match &node.op {
-                    OpKind::SourceCollection { data, .. } => {
-                        let len = data.len();
-                        for i in 0..num_tasks {
-                            let start = i * len / num_tasks;
-                            let end = (i + 1) * len / num_tasks;
-                            preps.push(TaskPrep {
-                                input: RootInput::Slice(Arc::clone(data), start, end),
-                                fetches: Vec::new(),
-                                fetch_chunks: 0,
-                                local_read_bytes: 0,
-                                preferred: Vec::new(),
-                            });
-                        }
-                    }
-                    OpKind::SourceBlocks { file, gen, .. } => {
-                        let blocks = self.store.read_file(file).unwrap_or_default();
-                        let file_len: u64 = blocks.iter().map(|b| b.size).sum();
-                        let per_task = if num_tasks > 0 {
-                            file_len / num_tasks as u64
-                        } else {
-                            0
-                        };
-                        // Once a node is lost, prefer the deterministic
-                        // serving replica the block store selects over the
-                        // raw replica list (whose primary may be dead).
-                        let down: Option<Vec<bool>> = self
-                            .faults
-                            .as_ref()
-                            .filter(|f| f.counters.nodes_lost > 0)
-                            .map(|f| f.lost.clone());
-                        for i in 0..num_tasks {
-                            let bi = i * blocks.len().max(1) / num_tasks;
-                            let preferred = if blocks.is_empty() {
-                                Vec::new()
-                            } else if let Some(down) = &down {
-                                match self.store.select_replica(file, bi, down) {
-                                    Some(n) => vec![n],
-                                    None => Vec::new(),
-                                }
-                            } else {
-                                blocks[bi].replicas.clone()
-                            };
-                            preps.push(TaskPrep {
-                                input: RootInput::Gen(Arc::clone(gen), i, num_tasks),
-                                fetches: Vec::new(),
-                                fetch_chunks: 0,
-                                local_read_bytes: per_task,
-                                preferred,
-                            });
-                        }
-                    }
-                    other => unreachable!("source stage over {other:?}"),
-                }
+        let sink = self.options.trace.clone();
+        let (input, mut reads) = self.resolve_inputs(&cx, shuffles);
+        let wall_start = sink.wall_now();
+        let (outs, writes) = self.run_tasks(&cx, &input);
+        let wall = (wall_start, sink.wall_now());
+        drop(input);
+        // A shuffle's bucket table is dead once its last read has run.
+        for sidx in stage.root.shuffle_reads() {
+            let data = shuffles[sidx].as_mut().expect("producer stage ran first");
+            data.reads_left -= 1;
+            if data.reads_left == 0 {
+                data.rows = Vec::new();
             }
+        }
+        self.account_cached_reads(&reads.cached_reads);
+
+        if let Some(sp) = reads.split_plan.as_ref().filter(|_| sink.is_enabled()) {
+            self.trace_split(&cx, sp);
+        }
+        let StageSpecs {
+            mut specs,
+            last_spec_of_task,
+            unsplit,
+        } = self.build_specs(&cx, &reads, &outs, writes.as_deref());
+        // Fetch-table snapshot for metrics: fault injection appends
+        // re-fetch entries to spec fetch lists, but the metrics byte
+        // tables must stay fault-invariant.
+        let spec_fetches: Vec<Vec<(NodeId, u64)>> =
+            specs.iter().map(|s| s.fetches.clone()).collect();
+        let timing = self.charge_stage(&cx, &mut specs, reads.split_plan.is_some());
+        // Per physical task: the node that finished it (its last sub).
+        let homes: Vec<NodeId> = last_spec_of_task
+            .iter()
+            .map(|&j| timing.tasks[j].node)
+            .collect();
+        self.persist_captures(&cx, &outs, &homes);
+
+        reads.parents_gids.sort_unstable();
+        reads.parents_gids.dedup();
+        let metrics = self.stage_metrics(
+            &cx,
+            &outs,
+            writes.as_deref(),
+            &spec_fetches,
+            &timing,
+            reads.parents_gids,
+        );
+        let mut result_records = None;
+        match (stage.output, writes) {
+            (StageOutput::ShuffleWrite(sidx), Some(writes)) => {
+                let mut rows = Vec::with_capacity(cx.num_tasks);
+                let mut bytes = Vec::with_capacity(cx.num_tasks);
+                for w in writes {
+                    rows.push(Mutex::new(w.row));
+                    bytes.push(w.bytes);
+                }
+                let reads_left = plan.shuffle_reads(sidx);
+                shuffles[sidx] = Some(ShuffleData {
+                    rows,
+                    bytes,
+                    nodes: homes,
+                    producer_gid: gid,
+                    // Retained only under a fault plan, as-if-unsplit when
+                    // a split fired: recompute of a lost map output re-runs
+                    // the whole physical task, not one sub.
+                    specs: match (self.faults.is_some(), unsplit) {
+                        (false, _) => Vec::new(),
+                        (true, Some(unsplit)) => unsplit,
+                        (true, None) => specs,
+                    },
+                    shared: reads_left > 1,
+                    reads_left,
+                });
+            }
+            (StageOutput::Result, _) => {
+                let mut all = Vec::new();
+                for out in &outs {
+                    all.extend_from_slice(out.records.as_slice());
+                }
+                result_records = Some(all);
+            }
+            (StageOutput::ShuffleWrite(_), None) => {
+                unreachable!("shuffle-write tasks return their buckets")
+            }
+        }
+        if sink.is_enabled() {
+            self.trace_stage(&cx, &metrics, &timing, wall);
+        }
+        (metrics, result_records)
+    }
+
+    // ------------------------------------------------------------------
+    // Phase 1: resolve inputs
+    // ------------------------------------------------------------------
+
+    /// Where each task's input lives: the data-plane view (what
+    /// [`compute_task`] reads) and the virtual-side view (what the
+    /// simulator charges for reading it).
+    fn resolve_inputs<'s>(
+        &'s self,
+        cx: &StageCtx<'_>,
+        shuffles: &'s [Option<ShuffleData>],
+    ) -> (StageInput<'s>, StageReads) {
+        let num_tasks = cx.num_tasks;
+        let mut reads = StageReads::default();
+        let produced = |s: usize| -> &'s ShuffleData {
+            shuffles[s].as_ref().expect("producer stage ran first")
+        };
+        let wide_cost = |wide: Rdd| self.graph.node(wide).cost_per_record;
+        let input = match &cx.stage().root {
+            StageRoot::Source(rdd) => self.source_input(*rdd, num_tasks, &mut reads),
             StageRoot::CachedRead(rdd) => {
                 let mat = &self.materialized[rdd];
-                parents_gids.push(mat.producer_stage);
-                let spilled = mat.spilled;
-                for i in 0..num_tasks {
-                    let bytes = batch_size(&mat.parts[i]);
-                    if spilled {
-                        // Bytes live in a spill file on the home node's
-                        // disk: the read is local disk I/O (feeding the
-                        // Fig. 14 transaction counters), not a memory-
-                        // resident fetch.
-                        preps.push(TaskPrep {
-                            input: RootInput::Cached(Arc::clone(&mat.parts[i])),
-                            fetches: Vec::new(),
-                            fetch_chunks: 0,
-                            local_read_bytes: bytes,
-                            preferred: vec![mat.homes[i]],
-                        });
-                    } else {
-                        preps.push(TaskPrep {
-                            input: RootInput::Cached(Arc::clone(&mat.parts[i])),
-                            fetches: vec![(mat.homes[i], bytes)],
-                            fetch_chunks: 1,
-                            local_read_bytes: 0,
-                            preferred: vec![mat.homes[i]],
-                        });
-                    }
-                }
-                cached_reads.push(*rdd);
+                reads.parents_gids.push(mat.producer_stage);
+                reads.cached_reads.push(*rdd);
+                reads.tasks = (0..num_tasks)
+                    .map(|i| {
+                        // A spilled partition lives in a spill file on its
+                        // home node's disk: the read is local disk I/O
+                        // (feeding the Fig. 14 transaction counters), not
+                        // a memory-resident fetch.
+                        let mut t = mat.read_of(i);
+                        t.fetch_chunks = usize::from(!mat.spilled);
+                        t.preferred = vec![mat.homes[i]];
+                        t
+                    })
+                    .collect();
+                StageInput::Cached(&mat.parts)
             }
             StageRoot::ShuffleRead { wide, shuffle } => {
-                let data = shuffles[*shuffle]
-                    .as_ref()
-                    .expect("producer stage ran first");
-                parents_gids.push(data.producer_gid);
+                let data = produced(*shuffle);
+                reads.parents_gids.push(data.producer_gid);
                 let merge = match &self.graph.node(*wide).op {
                     OpKind::ReduceByKey { f, .. } => {
                         MergeKind::Reduce(Arc::clone(f), wide_cost(*wide))
@@ -1194,151 +1203,114 @@ impl Context {
                     OpKind::Repartition { .. } => MergeKind::Concat,
                     other => unreachable!("single-parent wide op expected, got {other:?}"),
                 };
+                // Adaptive hot-partition split, decided from the producer's
+                // map×partition byte table before any reduce work
+                // dispatches. Purely data-plane inputs: identical across
+                // worker counts and fault plans.
                 if self.options.adaptive
-                    && crate::adaptive::split_eligible(plan, &self.graph, plan_idx).is_some()
+                    && crate::adaptive::split_eligible(cx.plan, &self.graph, cx.plan_idx).is_some()
                 {
-                    let cols: Vec<u64> = (0..num_tasks)
-                        .map(|i| data.bytes.iter().map(|b| b[i]).sum())
-                        .collect();
-                    split_plan = crate::adaptive::plan_splits(&cols);
-                    if split_plan.is_some() {
-                        producer_nodes = data.nodes.clone();
+                    reads.split_plan = crate::adaptive::plan_splits(&data.column_bytes());
+                    if reads.split_plan.is_some() {
+                        reads.producer_nodes = data.nodes.clone();
                     }
                 }
-                let split_base_seed = crate::adaptive::split_seed(job_id, plan_idx);
-                for i in 0..num_tasks {
-                    let input = if replay {
-                        // Pipelined runs leave `buckets` empty: the exchange
-                        // consumed them. Fetch accounting only needs `bytes`.
-                        RootInput::Replay
-                    } else {
-                        RootInput::Shuffle {
-                            parts: data
-                                .buckets
-                                .iter()
-                                .map(|task_buckets| task_buckets[i].clone())
-                                .collect(),
-                            merge: merge.clone(),
-                            split: split_plan.as_ref().and_then(|sp| {
-                                (sp.subs[i] > 1).then_some(SplitDirective {
-                                    k: sp.subs[i],
-                                    seed: split_base_seed
-                                        ^ ((i as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15)),
-                                })
-                            }),
-                        }
-                    };
-                    let fetches =
-                        aggregate_fetches(data.nodes.iter().zip(data.bytes.iter().map(|b| b[i])));
-                    let chunks = data.bytes.iter().filter(|b| b[i] > 0).count();
-                    preps.push(TaskPrep {
-                        input,
-                        fetches,
-                        fetch_chunks: chunks,
-                        local_read_bytes: 0,
-                        preferred: Vec::new(),
-                    });
+                reads.tasks = (0..num_tasks).map(|i| data.read_of(i)).collect();
+                StageInput::Shuffle {
+                    data,
+                    merge,
+                    split: reads.split_plan.clone(),
+                    split_seed: crate::adaptive::split_seed(cx.job_id, cx.plan_idx),
                 }
             }
             StageRoot::JoinRead { wide, left, right } => {
-                let is_join = matches!(self.graph.node(*wide).op, OpKind::Join { .. });
-                let cost = wide_cost(*wide);
-                type SideParts = (
-                    Vec<Vec<Bucket>>,
-                    Vec<Vec<(NodeId, u64)>>,
-                    Vec<u64>,
-                    Vec<usize>,
-                );
-                let side = |dep: &SideDep,
-                            parents_gids: &mut Vec<usize>,
-                            cached_reads: &mut Vec<Rdd>|
-                 -> SideParts {
-                    match dep {
-                        SideDep::Shuffle(s) => {
-                            let data = shuffles[*s].as_ref().expect("producer stage ran first");
-                            parents_gids.push(data.producer_gid);
-                            let mut parts = Vec::with_capacity(num_tasks);
-                            let mut fetches = Vec::with_capacity(num_tasks);
-                            let mut chunks = Vec::with_capacity(num_tasks);
-                            for i in 0..num_tasks {
-                                if replay {
-                                    parts.push(Vec::new());
-                                } else {
-                                    parts.push(
-                                        data.buckets
-                                            .iter()
-                                            .map(|tb| tb[i].clone())
-                                            .collect::<Vec<_>>(),
-                                    );
-                                }
-                                fetches.push(aggregate_fetches(
-                                    data.nodes.iter().zip(data.bytes.iter().map(|b| b[i])),
-                                ));
-                                // One chunk per producer task with data for
-                                // us; a bucket is non-empty iff its byte
-                                // count is (every record encodes ≥ 2 bytes),
-                                // so this works without the bucket data.
-                                chunks.push(data.bytes.iter().filter(|b| b[i] > 0).count());
-                            }
-                            (parts, fetches, vec![0; num_tasks], chunks)
-                        }
-                        SideDep::Narrow(rdd) => {
-                            let mat = &self.materialized[rdd];
-                            parents_gids.push(mat.producer_stage);
-                            cached_reads.push(*rdd);
-                            let mut parts = Vec::with_capacity(num_tasks);
-                            let mut fetches = Vec::with_capacity(num_tasks);
-                            let mut local = Vec::with_capacity(num_tasks);
-                            let mut chunks = Vec::with_capacity(num_tasks);
-                            for i in 0..num_tasks {
-                                let bytes = batch_size(&mat.parts[i]);
-                                parts.push(vec![Bucket::Rows(Arc::clone(&mat.parts[i]))]);
-                                chunks.push(usize::from(!mat.parts[i].is_empty()));
-                                if mat.spilled {
-                                    // Spilled side: local disk reread.
-                                    fetches.push(Vec::new());
-                                    local.push(bytes);
-                                } else {
-                                    fetches.push(vec![(mat.homes[i], bytes)]);
-                                    local.push(0);
-                                }
-                            }
-                            (parts, fetches, local, chunks)
-                        }
+                let mut side = |dep: &SideDep| match dep {
+                    SideDep::Shuffle(s) => {
+                        reads.parents_gids.push(produced(*s).producer_gid);
+                        JoinSide::Shuffle(produced(*s))
+                    }
+                    SideDep::Narrow(rdd) => {
+                        reads
+                            .parents_gids
+                            .push(self.materialized[rdd].producer_stage);
+                        reads.cached_reads.push(*rdd);
+                        JoinSide::Narrow(&self.materialized[rdd])
                     }
                 };
-                let (lparts, lfetches, llocal, lchunks) =
-                    side(left, &mut parents_gids, &mut cached_reads);
-                let (rparts, rfetches, rlocal, rchunks) =
-                    side(right, &mut parents_gids, &mut cached_reads);
-                for i in 0..num_tasks {
-                    let mut fetches = lfetches[i].clone();
-                    fetches.extend_from_slice(&rfetches[i]);
-                    let input = if replay {
-                        RootInput::Replay
-                    } else {
-                        RootInput::Join {
-                            left: lparts[i].clone(),
-                            right: rparts[i].clone(),
-                            is_join,
-                            cost,
-                        }
-                    };
-                    preps.push(TaskPrep {
-                        input,
-                        fetch_chunks: lchunks[i] + rchunks[i],
-                        fetches: aggregate_fetches(fetches.iter().map(|(n, b)| (n, *b))),
-                        local_read_bytes: llocal[i] + rlocal[i],
-                        preferred: Vec::new(),
-                    });
+                let (left, right) = (side(left), side(right));
+                reads.tasks = (0..num_tasks)
+                    .map(|i| {
+                        let (mut t, r) = (left.read_of(i), right.read_of(i));
+                        t.fetches.extend(r.fetches);
+                        t.fetches = aggregate_fetches(t.fetches.iter().map(|(n, b)| (n, *b)));
+                        t.fetch_chunks += r.fetch_chunks;
+                        t.local_read_bytes += r.local_read_bytes;
+                        t
+                    })
+                    .collect();
+                StageInput::Join {
+                    left,
+                    right,
+                    is_join: matches!(self.graph.node(*wide).op, OpKind::Join { .. }),
+                    cost: wide_cost(*wide),
                 }
             }
-        }
+        };
+        (input, reads)
+    }
 
-        // Account the cached reads: each consuming stage burns one
-        // lineage reference, bumps recency, and — for spilled entries —
-        // pays the reread through the spill files.
-        for rdd in &cached_reads {
+    fn source_input(&self, rdd: Rdd, num_tasks: usize, reads: &mut StageReads) -> StageInput<'_> {
+        match &self.graph.node(rdd).op {
+            OpKind::SourceCollection { data, .. } => {
+                reads.tasks.resize_with(num_tasks, TaskReads::default);
+                StageInput::Slice(data)
+            }
+            OpKind::SourceBlocks { file, gen, .. } => {
+                let blocks = self.store.read_file(file).unwrap_or_default();
+                let file_len: u64 = blocks.iter().map(|b| b.size).sum();
+                let per_task = file_len / num_tasks as u64;
+                // Once a node is lost, prefer the deterministic serving
+                // replica the block store selects over the raw replica
+                // list (whose primary may be dead).
+                let down: Option<&Vec<bool>> = self
+                    .faults
+                    .as_ref()
+                    .filter(|f| f.counters.nodes_lost > 0)
+                    .map(|f| &f.lost);
+                reads.tasks = (0..num_tasks)
+                    .map(|i| {
+                        let bi = i * blocks.len().max(1) / num_tasks;
+                        let preferred = if blocks.is_empty() {
+                            Vec::new()
+                        } else if let Some(down) = down {
+                            self.store
+                                .select_replica(file, bi, down)
+                                .into_iter()
+                                .collect()
+                        } else {
+                            blocks[bi].replicas.clone()
+                        };
+                        TaskReads {
+                            local_read_bytes: per_task,
+                            preferred,
+                            ..TaskReads::default()
+                        }
+                    })
+                    .collect();
+                StageInput::Gen {
+                    gen,
+                    cost_per_record: self.graph.node(rdd).cost_per_record,
+                }
+            }
+            other => unreachable!("source stage over {other:?}"),
+        }
+    }
+
+    /// Accounts a stage's cached reads: each consuming stage burns one
+    /// lineage reference, bumps recency, and — for spilled entries — pays
+    /// the reread through the spill files.
+    fn account_cached_reads(&mut self, cached_reads: &[Rdd]) {
+        for rdd in cached_reads {
             *self.reads_done.entry(*rdd).or_insert(0) += 1;
             if self.governed() {
                 let id = rdd.0 as u64;
@@ -1352,189 +1324,127 @@ impl Context {
                 }
             }
         }
+    }
 
-        // Root RDD caching and chain captures.
+    // ------------------------------------------------------------------
+    // Phase 2: run tasks
+    // ------------------------------------------------------------------
+
+    /// Runs the stage's tasks on the pool. A shuffle-write task bucketizes
+    /// (and combines) its own output by move before the next task starts;
+    /// a range shuffle first needs every task's key sample for its bounds,
+    /// so it computes in one pass and bucketizes, still by move, in a
+    /// second. Returns per-task outputs and, for shuffle writes, per-task
+    /// bucket rows.
+    fn run_tasks(
+        &self,
+        cx: &StageCtx<'_>,
+        input: &StageInput<'_>,
+    ) -> (Vec<TaskOut>, Option<Vec<MapWrite>>) {
+        let (stage, num_tasks) = (cx.stage(), cx.num_tasks);
         let root_rdd = stage.root_rdd();
         let capture_root = self.graph.node(root_rdd).cached
             && !self.materialized.contains_key(&root_rdd)
             && !matches!(stage.root, StageRoot::CachedRead(_));
-
-        // When this stage feeds a range-partitioned shuffle, each task
-        // reservoir-samples its own output during the map pass; the serial
-        // whole-output scan this replaces is gone.
-        let range_sample: Option<SampleSpec> = match stage.output {
-            StageOutput::ShuffleWrite(sidx)
-                if plan.shuffles[sidx].scheme.kind
-                    == crate::partitioner::PartitionerKind::Range =>
-            {
-                let spec = plan.shuffles[sidx].scheme;
-                Some(SampleSpec {
-                    cap: (20 * spec.partitions).div_ceil(num_tasks.max(1)).max(8),
-                    seed: (job_id as u64) << 32 | (plan_idx as u64) << 8 | 0xC0,
+        let writer = match stage.output {
+            StageOutput::ShuffleWrite(sidx) => {
+                let shuffle = &cx.plan.shuffles[sidx];
+                let wide = self.graph.node(shuffle.for_wide);
+                Some(ShuffleWriter {
+                    spec: shuffle.scheme,
+                    combine: match &wide.op {
+                        OpKind::ReduceByKey { f, .. } if shuffle.combine => Some(Arc::clone(f)),
+                        _ => None,
+                    },
+                    combine_cost: wide.cost_per_record,
+                    seed: (cx.job_id as u64) << 32 | (cx.plan_idx as u64) << 8 | 0xC0,
+                    batch: self.options.batch,
                 })
             }
-            _ => None,
+            StageOutput::Result => None,
         };
-
-        // Parallel real computation on the persistent pool. In replay mode
-        // the pipelined executor already produced every task's output; the
-        // recorded lengths/bytes stand in for the consumed shuffle buckets.
-        let sink = self.options.trace.clone();
-        let graph = &self.graph;
-        let chain = stage.chain.clone();
-        let sample_spec = range_sample.as_ref();
-        let mut pre_lens: Option<Vec<u64>> = None;
-        let mut pre_bytes: Option<Vec<u64>> = None;
-        let mut pre_bucket_bytes: Option<Vec<Vec<u64>>> = None;
-        let mut pre_extra: Option<Vec<f64>> = None;
-        let wall_compute_start = sink.wall_now();
-        let outs: Vec<TaskOut> = match pre {
-            Some(sd) => {
-                pre_lens = Some(sd.out_lens);
-                pre_bytes = Some(sd.out_bytes);
-                pre_bucket_bytes = sd.bucket_bytes;
-                pre_extra = Some(sd.extra_cost);
-                sd.outs
-            }
-            None => self.pool.map_capped(preps.len(), self.lane_cap(), |i, _| {
-                compute_task(
-                    graph,
-                    &preps[i].input,
-                    &chain,
-                    i,
-                    capture_root,
-                    root_rdd,
-                    sample_spec,
-                )
-            }),
-        };
-        let wall_compute_end = sink.wall_now();
-
-        // ---------------- Phase B: shuffle write (if any) ----------------
-        let mut bucketed: Option<Vec<TaskBuckets>> = None;
-        let mut bucket_bytes: Option<Vec<Vec<u64>>> = None;
-        let mut extra_cost: Vec<f64> = vec![0.0; num_tasks];
-        let mut wall_bucketize: Option<(f64, f64)> = None;
-        if replay {
-            bucket_bytes = pre_bucket_bytes;
-            extra_cost = pre_extra.expect("replay stage data carries extra costs");
-        } else if let StageOutput::ShuffleWrite(sidx) = stage.output {
-            let spec = plan.shuffles[sidx].scheme;
-            let combine_fn: Option<ReduceFn> = if plan.shuffles[sidx].combine {
-                match &self.graph.node(plan.shuffles[sidx].for_wide).op {
-                    OpKind::ReduceByKey { f, .. } => Some(Arc::clone(f)),
-                    _ => None,
-                }
-            } else {
-                None
-            };
-            let combine_cost = wide_cost(plan.shuffles[sidx].for_wide);
-
-            // Range partitioners need global bounds. Each map task already
-            // reservoir-sampled its own output during the compute pass; here
-            // we only concatenate the per-task samples in task order, so the
-            // bounds are independent of worker scheduling.
-            let seed = (job_id as u64) << 32 | (plan_idx as u64) << 8 | 0xC0;
-            let partitioner: Arc<dyn Partitioner> = match spec.kind {
-                crate::partitioner::PartitionerKind::Hash => {
-                    build_partitioner(spec, std::iter::empty(), seed)
-                }
-                crate::partitioner::PartitionerKind::Range => {
-                    let keys: Vec<Key> =
-                        outs.iter().flat_map(|o| o.sample.iter().cloned()).collect();
-                    build_partitioner(spec, keys.iter(), seed)
-                }
-            };
-            let is_range = spec.kind == crate::partitioner::PartitionerKind::Range;
-
-            let partitioner_ref = &*partitioner;
-            let combine_ref = combine_fn.as_ref();
-            let outs_ref = &outs;
-            let pool = &*self.pool;
-            // Columnar fast path: combine-free writes bucketize through a
-            // typed batch (vectorized assignment + stable gather + slice
-            // buckets). Per-task row fallback for non-columnar keys.
-            let use_batch = self.options.batch && combine_ref.is_none();
-            let lane_cap = self.lane_cap();
-            let wall_bucketize_start = sink.wall_now();
-            let results: Vec<(TaskBuckets, f64)> = pool.map_capped(num_tasks, lane_cap, |i, p| {
-                let mut arena = pool.arena(p);
-                let records = outs_ref[i].records.as_slice();
-                let (tb, combine_ops) = use_batch
-                    .then(|| {
-                        crate::shuffle::bucketize_columnar(records, partitioner_ref, &mut arena)
-                    })
-                    .flatten()
-                    .unwrap_or_else(|| {
-                        crate::shuffle::bucketize_in(
-                            records,
-                            partitioner_ref,
-                            combine_ref,
-                            &mut arena,
-                        )
-                    });
-                let n = records.len() as f64;
-                let mut cost = n * PARTITION_COST + combine_ops as f64 * combine_cost;
-                if is_range {
-                    cost += n * SAMPLE_COST;
-                }
-                (tb, cost)
+        // Range writes: each task reservoir-samples its own output during
+        // the compute pass.
+        let sample = writer
+            .as_ref()
+            .filter(|w| w.is_range())
+            .map(|w| SampleSpec {
+                cap: (20 * w.spec.partitions).div_ceil(num_tasks).max(8),
+                seed: w.seed,
             });
-            wall_bucketize = Some((wall_bucketize_start, sink.wall_now()));
-            let mut tbs = Vec::with_capacity(num_tasks);
-            for (i, (tb, c)) in results.into_iter().enumerate() {
-                extra_cost[i] = c;
-                tbs.push(tb);
-            }
-            bucket_bytes = Some(tbs.iter().map(|tb| tb.bytes.clone()).collect());
-            bucketed = Some(tbs);
-        }
-
-        // ---------------- Build task specs & simulate --------------------
-        let root_scheme = match &stage.root {
-            StageRoot::ShuffleRead { shuffle, .. } => Some(plan.shuffles[*shuffle].scheme),
-            StageRoot::JoinRead { wide, .. } => plan.schemes.get(wide).copied(),
-            _ => None,
+        let compute = |i: usize| {
+            compute_task(
+                &self.graph,
+                input,
+                &stage.chain,
+                TaskId {
+                    index: i,
+                    of: num_tasks,
+                },
+                capture_root.then_some(root_rdd),
+                sample.as_ref(),
+            )
         };
-        let task_mem_budget = self.options.per_task_mem_budget();
-        let split_active = split_plan.is_some();
-        if let Some(sp) = &split_plan {
-            if sink.is_enabled() {
-                use trace::{pids, Clock, Track};
-                let hot = sp.subs.iter().filter(|&&k| k > 1).count();
-                sink.instant(
-                    Clock::Virtual,
-                    Track::new(pids::DRIVER, 0),
-                    format!("j{job_id}.s{gid} adaptive split"),
-                    "adaptive",
-                    self.sim.clock(),
-                    vec![
-                        ("stage", gid.into()),
-                        ("job", job_id.into()),
-                        ("hot_partitions", hot.into()),
-                        ("physical_tasks", num_tasks.into()),
-                        ("virtual_tasks", sp.total_tasks().into()),
-                    ],
-                );
-            }
+        let (pool, cap) = (&*self.pool, self.lane_cap());
+        let Some(writer) = writer else {
+            return (pool.map_capped(num_tasks, cap, |i, _| compute(i)), None);
+        };
+        if !writer.is_range() {
+            let partitioner = build_partitioner(writer.spec, std::iter::empty(), writer.seed);
+            let (outs, writes) = pool
+                .map_capped(num_tasks, cap, |i, p| {
+                    let mut out = compute(i);
+                    let records = std::mem::take(&mut out.records);
+                    let write = writer.write(records, &*partitioner, &mut pool.arena(p));
+                    (out, write)
+                })
+                .into_iter()
+                .unzip();
+            return (outs, Some(writes));
         }
-        let mut specs: Vec<TaskSpec> = Vec::with_capacity(num_tasks);
+        let mut outs = pool.map_capped(num_tasks, cap, |i, _| compute(i));
+        // Bounds come from the per-task samples concatenated in task order,
+        // so they are independent of worker scheduling.
+        let keys: Vec<Key> = outs.iter().flat_map(|o| o.sample.iter().cloned()).collect();
+        let partitioner = build_partitioner(writer.spec, keys.iter(), writer.seed);
+        let records: Vec<Mutex<TaskRecords>> = outs
+            .iter_mut()
+            .map(|o| Mutex::new(std::mem::take(&mut o.records)))
+            .collect();
+        let writes = pool.map_capped(num_tasks, cap, |i, p| {
+            let records = std::mem::take(&mut *lock(&records[i]));
+            writer.write(records, &*partitioner, &mut pool.arena(p))
+        });
+        (outs, Some(writes))
+    }
+
+    // ------------------------------------------------------------------
+    // Phase 3: task specs
+    // ------------------------------------------------------------------
+
+    /// Turns what the tasks read, computed and wrote into simulator task
+    /// specs — one per task, or one per sub-merge where a task ran as an
+    /// adaptive split.
+    fn build_specs(
+        &mut self,
+        cx: &StageCtx<'_>,
+        reads: &StageReads,
+        outs: &[TaskOut],
+        writes: Option<&[MapWrite]>,
+    ) -> StageSpecs {
+        let task_mem_budget = self.options.per_task_mem_budget();
+        let split_active = reads.split_plan.is_some();
+        let keep_unsplit = self.faults.is_some() && split_active;
+        let mut specs: Vec<TaskSpec> = Vec::with_capacity(outs.len());
         // Split tasks expand into several virtual specs, but downstream
         // consumers address shuffle data per *physical* task: remember each
         // task's final spec, whose node finishes (and stores) its output.
-        let mut last_spec_of_task: Vec<usize> = Vec::with_capacity(num_tasks);
-        // As-if-unsplit specs, retained for lineage recovery under a fault
-        // plan: recompute of a lost map output re-runs the whole physical
-        // task, not one sub.
-        let keep_unsplit = self.faults.is_some() && split_active;
-        let mut unsplit_specs: Vec<TaskSpec> = Vec::new();
-        for (i, prep) in preps.iter().enumerate() {
-            let out = &outs[i];
-            let mut write_bytes = bucket_bytes
-                .as_ref()
-                .map(|b| b[i].iter().sum::<u64>())
-                .unwrap_or(0);
-            let mut local_read_bytes = prep.local_read_bytes;
+        let mut last_spec_of_task: Vec<usize> = Vec::with_capacity(outs.len());
+        let mut unsplit: Vec<TaskSpec> = Vec::new();
+        for (i, (task, out)) in reads.tasks.iter().zip(outs).enumerate() {
+            let (mut write_bytes, extra_cost) =
+                writes.map_or((0, 0.0), |w| (w[i].bytes.iter().sum(), w[i].cost));
+            let mut local_read_bytes = task.local_read_bytes;
             // Map-side combine overflow: a shuffle buffer larger than the
             // task's execution-memory share spills the overflow to disk
             // and re-reads it during the merge.
@@ -1546,20 +1456,16 @@ impl Context {
                     local_read_bytes += overflow;
                 }
             }
-            let out_bytes = pre_bytes
-                .as_ref()
-                .map(|v| v[i])
-                .unwrap_or_else(|| batch_size(out.records.as_slice()));
-            let mut preferred = prep.preferred.clone();
+            let mut preferred = task.preferred.clone();
             let mut pinned = None;
             // Split stages skip co-partition anchoring: their virtual task
             // indices no longer align 1:1 with partition indices, so an
             // anchor keyed on them would pin the wrong data together.
             if self.options.copartition_scheduling && !split_active {
-                if let Some(s) = root_scheme {
+                if let Some(s) = cx.root_scheme {
                     if let Some(&anchor) = self.anchors.get(&(s.kind, s.partitions, i)) {
                         pinned = Some(anchor);
-                    } else if let Some((node, _)) = prep.fetches.iter().max_by_key(|(_, b)| *b) {
+                    } else if let Some((node, _)) = task.fetches.iter().max_by_key(|(_, b)| *b) {
                         // Locality-aware reduce placement: prefer the node
                         // holding the largest share of this task's input.
                         preferred.push(*node);
@@ -1567,17 +1473,17 @@ impl Context {
                 }
             }
             let base_spec = TaskSpec {
-                compute_cost: out.cost + extra_cost[i],
+                compute_cost: out.cost + extra_cost,
                 local_read_bytes,
-                fetches: prep.fetches.clone(),
-                fetch_chunks: prep.fetch_chunks,
+                fetches: task.fetches.clone(),
+                fetch_chunks: task.fetch_chunks,
                 write_bytes,
-                memory_bytes: out.input_bytes + out_bytes,
+                memory_bytes: out.input_bytes + out.out_bytes,
                 preferred_nodes: preferred,
                 pinned_node: pinned,
             };
             if keep_unsplit {
-                unsplit_specs.push(base_spec.clone());
+                unsplit.push(base_spec.clone());
             }
             match out.sub_stats.as_deref() {
                 Some(stats) => {
@@ -1597,13 +1503,16 @@ impl Context {
                             // finish gates the physical task's output.
                             compute_cost: st.cost
                                 + if last {
-                                    (out.cost - sub_cost_sum) + extra_cost[i]
+                                    (out.cost - sub_cost_sum) + extra_cost
                                 } else {
                                     0.0
                                 },
                             local_read_bytes: if last { local_read_bytes } else { 0 },
                             fetches: aggregate_fetches(
-                                producer_nodes.iter().zip(st.per_map_bytes.iter().copied()),
+                                reads
+                                    .producer_nodes
+                                    .iter()
+                                    .zip(st.per_map_bytes.iter().copied()),
                             ),
                             fetch_chunks: st.per_map_bytes.iter().filter(|&&b| b > 0).count(),
                             write_bytes: if last { write_bytes } else { 0 },
@@ -1617,16 +1526,30 @@ impl Context {
             }
             last_spec_of_task.push(specs.len() - 1);
         }
-        // Fetch-table snapshot for metrics: fault injection below appends
-        // re-fetch entries to spec fetch lists, but the metrics byte
-        // tables must stay fault-invariant.
-        let spec_fetches: Vec<Vec<(NodeId, u64)>> =
-            specs.iter().map(|s| s.fetches.clone()).collect();
-        let stage_faults = self.inject_task_faults(&mut specs, gid);
-        let timing = self.sim.run_stage(&specs);
-        let nodes: Vec<NodeId> = timing.tasks.iter().map(|t| t.node).collect();
-        // Per physical task: the node that finished it (its last sub).
-        let physical_nodes: Vec<NodeId> = last_spec_of_task.iter().map(|&j| nodes[j]).collect();
+        StageSpecs {
+            specs,
+            last_spec_of_task,
+            unsplit: keep_unsplit.then_some(unsplit),
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Phase 4: fault injection, simulation, memory reservation
+    // ------------------------------------------------------------------
+
+    /// Charges the stage to the simulated cluster: per-task fault draws
+    /// perturb the specs, the simulator places and times them, placements
+    /// anchor co-partitioned indices, and a governed context reserves the
+    /// stage's execution working set (possibly evicting cached data).
+    fn charge_stage(
+        &mut self,
+        cx: &StageCtx<'_>,
+        specs: &mut [TaskSpec],
+        split_active: bool,
+    ) -> simcluster::StageTiming {
+        let (gid, job_id) = (cx.gid, cx.job_id);
+        let stage_faults = self.inject_task_faults(specs, gid);
+        let timing = self.sim.run_stage(specs);
         if let Some((retried, failures, corrupt)) = stage_faults {
             self.emit_fault_event(
                 &format!("j{job_id}.s{gid} retries"),
@@ -1639,34 +1562,41 @@ impl Context {
                 ],
             );
         }
-
         // Anchor co-partitioned indices for subsequent same-scheme stages.
         // Split stages don't anchor: spec indices ≠ partition indices.
         if self.options.copartition_scheduling && !split_active {
-            if let Some(s) = root_scheme {
-                for (i, &n) in nodes.iter().enumerate() {
-                    self.anchors.entry((s.kind, s.partitions, i)).or_insert(n);
+            if let Some(s) = cx.root_scheme {
+                for (i, t) in timing.tasks.iter().enumerate() {
+                    self.anchors
+                        .entry((s.kind, s.partitions, i))
+                        .or_insert(t.node);
                 }
             }
         }
-
-        // ---------------- Persist caches ---------------------------------
-        // Governed mode: reserve this stage's execution working set first
-        // (execution borrows from storage, possibly evicting cached data),
-        // then admit the captures through the memory manager.
+        // Execution borrows from storage: reserve before the captures
+        // below are admitted through the memory manager.
         if self.governed() {
             let mut reserve = vec![0u64; self.options.cluster.num_nodes()];
-            for (spec, &n) in specs.iter().zip(&nodes) {
-                reserve[n] = reserve[n].max(spec.memory_bytes);
+            for (spec, t) in specs.iter().zip(&timing.tasks) {
+                reserve[t.node] = reserve[t.node].max(spec.memory_bytes);
             }
             self.refresh_refs();
             let evictions = self.mem.set_execution_reservation(&reserve);
             self.apply_evictions(&evictions);
         }
+        timing
+    }
 
-        let root_part = self.root_partitioning(plan, stage);
+    // ------------------------------------------------------------------
+    // Phase 5: persist cache captures
+    // ------------------------------------------------------------------
+
+    fn persist_captures(&mut self, cx: &StageCtx<'_>, outs: &[TaskOut], homes: &[NodeId]) {
+        let stage = cx.stage();
+        let root_rdd = stage.root_rdd();
+        let root_part = self.root_partitioning(cx.plan, stage);
         let mut capture_map: HashMap<Rdd, Vec<Arc<Vec<Record>>>> = HashMap::new();
-        for out in &outs {
+        for out in outs {
             for (rdd, data) in &out.captures {
                 capture_map.entry(*rdd).or_default().push(Arc::clone(data));
             }
@@ -1677,7 +1607,7 @@ impl Context {
         let mut captures: Vec<(Rdd, Vec<Arc<Vec<Record>>>)> = capture_map.into_iter().collect();
         captures.sort_by_key(|(r, _)| r.0);
         for (rdd, parts) in captures {
-            if parts.len() != num_tasks || self.materialized.contains_key(&rdd) {
+            if parts.len() != outs.len() || self.materialized.contains_key(&rdd) {
                 continue;
             }
             let partitioning = if rdd == root_rdd {
@@ -1692,10 +1622,10 @@ impl Context {
                 *self.reads_done.entry(rdd).or_insert(0) += 1;
             }
             let spilled = if self.governed() {
-                self.admit_capture(rdd, &parts, &physical_nodes)
+                self.admit_capture(rdd, &parts, homes)
             } else {
                 for (i, p) in parts.iter().enumerate() {
-                    self.sim.add_resident(physical_nodes[i], batch_size(p));
+                    self.sim.add_resident(homes[i], batch_size(p));
                 }
                 false
             };
@@ -1703,56 +1633,32 @@ impl Context {
                 rdd,
                 Materialized {
                     parts,
-                    homes: physical_nodes.clone(),
+                    homes: homes.to_vec(),
                     partitioning,
-                    producer_stage: gid,
+                    producer_stage: cx.gid,
                     spilled,
                 },
             );
         }
+    }
 
-        // ---------------- Store shuffle output / result ------------------
-        let mut result_records = None;
-        let shuffle_write_bytes;
-        match stage.output {
-            StageOutput::ShuffleWrite(sidx) => {
-                let bytes = bucket_bytes.take().expect("bucket bytes in phase B");
-                shuffle_write_bytes = bytes.iter().flatten().sum();
-                // Replayed stages published their buckets through the
-                // exchange, which consumed them; only byte accounting
-                // survives for downstream fetch simulation.
-                let buckets = match bucketed {
-                    Some(tbs) => tbs.into_iter().map(|tb| tb.buckets).collect(),
-                    None => Vec::new(),
-                };
-                shuffles[sidx] = Some(ShuffleData {
-                    buckets,
-                    bytes,
-                    nodes: physical_nodes.clone(),
-                    producer_gid: gid,
-                    specs: if keep_unsplit {
-                        unsplit_specs
-                    } else if self.faults.is_some() {
-                        specs.clone()
-                    } else {
-                        Vec::new()
-                    },
-                });
-            }
-            StageOutput::Result => {
-                shuffle_write_bytes = 0;
-                let mut all = Vec::new();
-                for out in &outs {
-                    all.extend_from_slice(out.records.as_slice());
-                }
-                result_records = Some(all);
-            }
-        }
+    // ------------------------------------------------------------------
+    // Phase 6: metrics and trace
+    // ------------------------------------------------------------------
 
-        // ---------------- Metrics ----------------------------------------
-        // Computed from the (pre-injection) spec fetch tables, not `preps`:
-        // identical for unsplit stages (specs clone prep fetches verbatim),
-        // and correctly per-sub for split stages.
+    /// Stage metrics, computed from the pre-injection spec fetch tables:
+    /// identical to the tasks' own reads for unsplit stages (specs clone
+    /// them verbatim), and correctly per-sub for split stages.
+    fn stage_metrics(
+        &self,
+        cx: &StageCtx<'_>,
+        outs: &[TaskOut],
+        writes: Option<&[MapWrite]>,
+        spec_fetches: &[Vec<(NodeId, u64)>],
+        timing: &simcluster::StageTiming,
+        parents: Vec<usize>,
+    ) -> StageMetrics {
+        let stage = cx.stage();
         let shuffle_read_bytes: u64 = match &stage.root {
             StageRoot::ShuffleRead { .. } | StageRoot::JoinRead { .. } => spec_fetches
                 .iter()
@@ -1762,14 +1668,18 @@ impl Context {
         };
         let remote_read_bytes: u64 = spec_fetches
             .iter()
-            .zip(&nodes)
-            .flat_map(|(f, &n)| f.iter().filter(move |(src, _)| *src != n).map(|(_, b)| *b))
+            .zip(&timing.tasks)
+            .flat_map(|(f, t)| {
+                f.iter()
+                    .filter(move |(src, _)| *src != t.node)
+                    .map(|(_, b)| *b)
+            })
             .sum();
+        let user_fixed = |rdd: &Rdd| self.graph.node(*rdd).user_fixed;
         let (kind, configurable) = match &stage.root {
             StageRoot::Source(rdd) => {
-                let node = self.graph.node(*rdd);
                 let dynamic = matches!(
-                    node.op,
+                    self.graph.node(*rdd).op,
                     OpKind::SourceBlocks {
                         partitions: None,
                         ..
@@ -1777,147 +1687,135 @@ impl Context {
                 );
                 (StageKind::Source, dynamic)
             }
-            StageRoot::ShuffleRead { wide, .. } => {
-                (StageKind::Shuffle, !self.graph.node(*wide).user_fixed)
-            }
-            StageRoot::JoinRead { wide, .. } => {
-                (StageKind::Join, !self.graph.node(*wide).user_fixed)
-            }
+            StageRoot::ShuffleRead { wide, .. } => (StageKind::Shuffle, !user_fixed(wide)),
+            StageRoot::JoinRead { wide, .. } => (StageKind::Join, !user_fixed(wide)),
             StageRoot::CachedRead(_) => (StageKind::Cached, false),
         };
-        let root_node = self.graph.node(root_rdd);
+        let root_node = self.graph.node(stage.root_rdd());
         let terminal_node = self.graph.node(stage.terminal);
-        parents_gids.sort_unstable();
-        parents_gids.dedup();
-        let metrics = StageMetrics {
-            stage_id: gid,
-            job_id,
+        StageMetrics {
+            stage_id: cx.gid,
+            job_id: cx.job_id,
             name: terminal_node.tag.to_string(),
             root_signature: root_node.signature,
             terminal_signature: terminal_node.signature,
             kind,
-            scheme: root_scheme.or_else(|| {
-                // Source stages report the scheme-equivalent of their split
-                // count so the optimizer can reason about them uniformly.
-                Some(PartitionerSpec::hash(num_tasks))
-            }),
+            // Source stages report the scheme-equivalent of their split
+            // count so the optimizer can reason about them uniformly.
+            scheme: cx.root_scheme.or(Some(PartitionerSpec::hash(cx.num_tasks))),
             configurable,
             user_fixed: root_node.user_fixed,
             // Virtual tasks actually simulated — exceeds the physical
             // partition count when an adaptive split fired.
-            num_tasks: specs.len(),
+            num_tasks: timing.tasks.len(),
             input_records: outs.iter().map(|o| o.input_records).sum(),
             input_bytes: outs.iter().map(|o| o.input_bytes).sum(),
-            output_records: match &pre_lens {
-                Some(v) => v.iter().sum(),
-                None => outs.iter().map(|o| o.records.len() as u64).sum(),
-            },
-            output_bytes: match &pre_bytes {
-                Some(v) => v.iter().sum(),
-                None => outs.iter().map(|o| batch_size(o.records.as_slice())).sum(),
-            },
+            output_records: outs.iter().map(|o| o.out_records).sum(),
+            output_bytes: outs.iter().map(|o| o.out_bytes).sum(),
             shuffle_read_bytes,
-            shuffle_write_bytes,
+            shuffle_write_bytes: writes.map_or(0, |w| w.iter().flat_map(|w| &w.bytes).sum()),
             remote_read_bytes,
             start: timing.start,
             end: timing.end,
             task_durations: timing.tasks.iter().map(|t| t.duration()).collect(),
             placements: timing.tasks.clone(),
-            parents: parents_gids,
-        };
-
-        // ---------------- Trace emission ----------------------------------
-        // Purely observational: everything below reads `timing` / `metrics`
-        // after the simulation advanced, so traced and untraced runs produce
-        // bit-identical stage timings. Virtual-clock events are emitted here
-        // on the driver thread in stage order, which keeps the virtual trace
-        // slice deterministic across host worker counts.
-        if sink.is_enabled() {
-            use trace::{pids, Clock, Track};
-            let label = format!("j{job_id}.s{gid} {}", metrics.name);
-            sink.span(
-                Clock::Virtual,
-                Track::new(pids::DRIVER, 0),
-                label.clone(),
-                "stage",
-                timing.start,
-                timing.end,
-                vec![
-                    ("stage", gid.into()),
-                    ("job", job_id.into()),
-                    ("tasks", metrics.num_tasks.into()),
-                    ("kind", format!("{:?}", metrics.kind).into()),
-                    ("skew", metrics.task_skew().into()),
-                    ("shuffle_read_bytes", metrics.shuffle_read_bytes.into()),
-                    ("shuffle_write_bytes", metrics.shuffle_write_bytes.into()),
-                ],
-            );
-            let shuf = Track::new(pids::DRIVER, 1);
-            if !sink.has_thread_name(shuf) {
-                sink.name_thread(shuf, "shuffle bytes");
-            }
-            sink.counter(
-                Clock::Virtual,
-                shuf,
-                "shuffle_read_bytes",
-                "shuffle",
-                timing.start,
-                metrics.shuffle_read_bytes as f64,
-            );
-            sink.counter(
-                Clock::Virtual,
-                shuf,
-                "remote_read_bytes",
-                "shuffle",
-                timing.start,
-                metrics.remote_read_bytes as f64,
-            );
-            sink.counter(
-                Clock::Virtual,
-                shuf,
-                "shuffle_write_bytes",
-                "shuffle",
-                timing.end,
-                metrics.shuffle_write_bytes as f64,
-            );
-            simcluster::emit_stage_trace(
-                &sink,
-                &self.options.cluster,
-                &timing,
-                &format!("j{job_id}.s{gid}"),
-                gid,
-            );
-            let phases = Track::new(pids::POOL, 1);
-            if !sink.has_thread_name(phases) {
-                sink.name_thread(phases, "driver phases");
-            }
-            // Replayed stages did their data-plane work in the pipelined
-            // executor, which emits its own wall overlap spans; a zero-width
-            // driver compute span here would only mislead.
-            if !replay {
-                sink.span(
-                    Clock::Wall,
-                    phases,
-                    format!("compute {label}"),
-                    "phase",
-                    wall_compute_start,
-                    wall_compute_end,
-                    vec![("tasks", num_tasks.into())],
-                );
-            }
-            if let Some((start, end)) = wall_bucketize {
-                sink.span(
-                    Clock::Wall,
-                    phases,
-                    format!("bucketize {label}"),
-                    "phase",
-                    start,
-                    end,
-                    vec![("tasks", num_tasks.into())],
-                );
-            }
+            parents,
         }
-        (metrics, result_records)
+    }
+
+    /// Records an adaptive split decision on the driver track.
+    fn trace_split(&self, cx: &StageCtx<'_>, sp: &crate::adaptive::SplitPlan) {
+        use trace::{pids, Clock, Track};
+        let (gid, job_id) = (cx.gid, cx.job_id);
+        let hot = sp.subs.iter().filter(|&&k| k > 1).count();
+        self.options.trace.instant(
+            Clock::Virtual,
+            Track::new(pids::DRIVER, 0),
+            format!("j{job_id}.s{gid} adaptive split"),
+            "adaptive",
+            self.sim.clock(),
+            vec![
+                ("stage", gid.into()),
+                ("job", job_id.into()),
+                ("hot_partitions", hot.into()),
+                ("physical_tasks", cx.num_tasks.into()),
+                ("virtual_tasks", sp.total_tasks().into()),
+            ],
+        );
+    }
+
+    /// Purely observational: reads `timing` / `metrics` after the
+    /// simulation advanced, so traced and untraced runs produce
+    /// bit-identical stage timings. Virtual-clock events are emitted on
+    /// the driver thread in stage order, which keeps the virtual trace
+    /// slice deterministic across host worker counts; the one wall span
+    /// covers the stage's task phase on the host pool.
+    fn trace_stage(
+        &self,
+        cx: &StageCtx<'_>,
+        metrics: &StageMetrics,
+        timing: &simcluster::StageTiming,
+        wall: (f64, f64),
+    ) {
+        use trace::{pids, Clock, Track};
+        let sink = &self.options.trace;
+        let (gid, job_id) = (cx.gid, cx.job_id);
+        sink.span(
+            Clock::Virtual,
+            Track::new(pids::DRIVER, 0),
+            format!("j{job_id}.s{gid} {}", metrics.name),
+            "stage",
+            timing.start,
+            timing.end,
+            vec![
+                ("stage", gid.into()),
+                ("job", job_id.into()),
+                ("tasks", metrics.num_tasks.into()),
+                ("kind", format!("{:?}", metrics.kind).into()),
+                ("skew", metrics.task_skew().into()),
+                ("shuffle_read_bytes", metrics.shuffle_read_bytes.into()),
+                ("shuffle_write_bytes", metrics.shuffle_write_bytes.into()),
+            ],
+        );
+        let shuf = Track::new(pids::DRIVER, 1);
+        if !sink.has_thread_name(shuf) {
+            sink.name_thread(shuf, "shuffle bytes");
+        }
+        for (name, at, bytes) in [
+            (
+                "shuffle_read_bytes",
+                timing.start,
+                metrics.shuffle_read_bytes,
+            ),
+            ("remote_read_bytes", timing.start, metrics.remote_read_bytes),
+            (
+                "shuffle_write_bytes",
+                timing.end,
+                metrics.shuffle_write_bytes,
+            ),
+        ] {
+            sink.counter(Clock::Virtual, shuf, name, "shuffle", at, bytes as f64);
+        }
+        simcluster::emit_stage_trace(
+            sink,
+            &self.options.cluster,
+            timing,
+            &format!("j{job_id}.s{gid}"),
+            gid,
+        );
+        let stages = Track::new(pids::POOL, 2);
+        if !sink.has_thread_name(stages) {
+            sink.name_thread(stages, "pipeline stages");
+        }
+        sink.span(
+            Clock::Wall,
+            stages,
+            format!("pipeline j{job_id}.p{} {}", cx.plan_idx, metrics.name),
+            "pipeline",
+            wall.0,
+            wall.1,
+            vec![("tasks", cx.num_tasks.into())],
+        );
     }
 
     // ------------------------------------------------------------------
@@ -2260,16 +2158,20 @@ impl Context {
             }
             total_recomputed += lost_idx.len() as u64;
             let producer = data.producer_gid;
-            self.emit_fault_span(
-                &format!("recompute s{producer}"),
-                "recompute",
-                timing.start,
-                timing.end,
-                vec![
-                    ("stage", producer.into()),
-                    ("map_tasks", lost_idx.len().into()),
-                ],
-            );
+            if let Some(track) = self.fault_lane() {
+                self.options.trace.span(
+                    trace::Clock::Virtual,
+                    track,
+                    format!("recompute s{producer}"),
+                    "recompute",
+                    timing.start,
+                    timing.end,
+                    vec![
+                        ("stage", producer.into()),
+                        ("map_tasks", lost_idx.len().into()),
+                    ],
+                );
+            }
         }
         if total_recomputed > 0 {
             let fs = self.faults.as_mut().expect("fault state present");
@@ -2346,6 +2248,19 @@ impl Context {
         }
     }
 
+    /// The fault-recovery trace lane; `None` when tracing is off.
+    fn fault_lane(&self) -> Option<trace::Track> {
+        let sink = &self.options.trace;
+        if !sink.is_enabled() {
+            return None;
+        }
+        let track = trace::Track::new(trace::pids::DRIVER, 3);
+        if !sink.has_thread_name(track) {
+            sink.name_thread(track, "fault recovery");
+        }
+        Some(track)
+    }
+
     /// Emits an instant on the fault-recovery trace lane.
     fn emit_fault_event(
         &self,
@@ -2353,52 +2268,12 @@ impl Context {
         cat: &'static str,
         args: Vec<(&'static str, trace::ArgValue)>,
     ) {
-        let sink = &self.options.trace;
-        if !sink.is_enabled() {
-            return;
+        if let Some(track) = self.fault_lane() {
+            let (name, now) = (name.to_string(), self.sim.clock());
+            self.options
+                .trace
+                .instant(trace::Clock::Virtual, track, name, cat, now, args);
         }
-        use trace::{pids, Clock, Track};
-        let track = Track::new(pids::DRIVER, 3);
-        if !sink.has_thread_name(track) {
-            sink.name_thread(track, "fault recovery");
-        }
-        sink.instant(
-            Clock::Virtual,
-            track,
-            name.to_string(),
-            cat,
-            self.sim.clock(),
-            args,
-        );
-    }
-
-    /// Emits a span on the fault-recovery trace lane.
-    fn emit_fault_span(
-        &self,
-        name: &str,
-        cat: &'static str,
-        start_s: f64,
-        end_s: f64,
-        args: Vec<(&'static str, trace::ArgValue)>,
-    ) {
-        let sink = &self.options.trace;
-        if !sink.is_enabled() {
-            return;
-        }
-        use trace::{pids, Clock, Track};
-        let track = Track::new(pids::DRIVER, 3);
-        if !sink.has_thread_name(track) {
-            sink.name_thread(track, "fault recovery");
-        }
-        sink.span(
-            Clock::Virtual,
-            track,
-            name.to_string(),
-            cat,
-            start_s,
-            end_s,
-            args,
-        );
     }
 }
 
@@ -2423,6 +2298,128 @@ where
     v
 }
 
+/// The plan stage being executed and its identifiers, shared by every
+/// phase of [`Context::exec_stage`].
+struct StageCtx<'p> {
+    plan: &'p Plan,
+    plan_idx: usize,
+    /// Global stage id (unique across jobs within a context).
+    gid: usize,
+    job_id: usize,
+    num_tasks: usize,
+    /// Scheme the stage's root was shuffled under, if it reads a shuffle.
+    root_scheme: Option<PartitionerSpec>,
+}
+
+impl StageCtx<'_> {
+    fn stage(&self) -> &PlanStage {
+        &self.plan.stages[self.plan_idx]
+    }
+}
+
+/// What the simulator charges one task for reading its input, and where
+/// the task would like to run.
+#[derive(Default)]
+struct TaskReads {
+    fetches: Vec<(NodeId, u64)>,
+    fetch_chunks: usize,
+    local_read_bytes: u64,
+    preferred: Vec<NodeId>,
+}
+
+/// The virtual-side view of a stage's inputs (see
+/// [`Context::resolve_inputs`]).
+#[derive(Default)]
+struct StageReads {
+    tasks: Vec<TaskReads>,
+    parents_gids: Vec<usize>,
+    /// Cached RDDs consumed by this stage, for lineage ref-counting.
+    cached_reads: Vec<Rdd>,
+    /// `None` when `--adaptive off`, the stage is ineligible, or the
+    /// column skew sits below the trigger.
+    split_plan: Option<crate::adaptive::SplitPlan>,
+    /// Producer task placements, kept for per-sub fetch construction.
+    producer_nodes: Vec<NodeId>,
+}
+
+/// Simulator specs of one stage (see [`Context::build_specs`]).
+struct StageSpecs {
+    specs: Vec<TaskSpec>,
+    last_spec_of_task: Vec<usize>,
+    /// As-if-unsplit specs, retained for lineage recovery when a split
+    /// fired under a fault plan.
+    unsplit: Option<Vec<TaskSpec>>,
+}
+
+impl Materialized {
+    /// How partition `i` is read: from its home node's memory, or — once
+    /// spilled — from that node's local disk.
+    fn read_of(&self, i: usize) -> TaskReads {
+        let bytes = batch_size(&self.parts[i]);
+        let mut t = TaskReads {
+            fetch_chunks: usize::from(!self.parts[i].is_empty()),
+            ..TaskReads::default()
+        };
+        if self.spilled {
+            t.local_read_bytes = bytes;
+        } else {
+            t.fetches = vec![(self.homes[i], bytes)];
+        }
+        t
+    }
+}
+
+impl ShuffleData {
+    /// What reduce partition `col` fetches: bytes per producer node, one
+    /// chunk per map task with data for it.
+    fn read_of(&self, col: usize) -> TaskReads {
+        TaskReads {
+            fetches: aggregate_fetches(self.nodes.iter().zip(self.bytes.iter().map(|b| b[col]))),
+            fetch_chunks: self.bytes.iter().filter(|b| b[col] > 0).count(),
+            ..TaskReads::default()
+        }
+    }
+
+    /// Bytes written per reduce partition (column sums of the byte table).
+    fn column_bytes(&self) -> Vec<u64> {
+        let p = self.bytes.first().map_or(0, Vec::len);
+        (0..p)
+            .map(|i| self.bytes.iter().map(|b| b[i]).sum())
+            .collect()
+    }
+
+    /// Takes map task `m`'s bucket for reduce partition `col` out of the
+    /// table — in place, so no per-reducer copy of a column ever exists —
+    /// or clones its handle when the shuffle has more than one read.
+    /// `None` for an empty bucket (never stored; `bytes` says so without
+    /// touching the row lock).
+    fn take(&self, m: usize, col: usize) -> Option<Bucket> {
+        if self.bytes[m][col] == 0 {
+            return None;
+        }
+        let mut row = lock(&self.rows[m]);
+        if self.shared {
+            row[col].clone()
+        } else {
+            row[col].take()
+        }
+    }
+
+    /// Feeds reduce partition `col`'s buckets to `push` in map-task order;
+    /// returns the records and bytes fetched.
+    fn drain_column(&self, col: usize, mut push: impl FnMut(Bucket)) -> (u64, u64) {
+        let (mut fetched, mut bytes) = (0u64, 0u64);
+        for m in 0..self.rows.len() {
+            if let Some(bucket) = self.take(m, col) {
+                fetched += bucket.len() as u64;
+                bytes += self.bytes[m][col];
+                push(bucket);
+            }
+        }
+        (fetched, bytes)
+    }
+}
+
 #[derive(Clone)]
 pub(crate) enum MergeKind {
     Reduce(ReduceFn, f64),
@@ -2430,78 +2427,177 @@ pub(crate) enum MergeKind {
     Concat,
 }
 
-/// Instruction to split one hot reduce partition into `k` sub-merges
-/// (see [`crate::adaptive`]). `seed` feeds the sub-bound reservoir.
-#[derive(Clone, Copy)]
-pub(crate) struct SplitDirective {
-    pub(crate) k: usize,
-    pub(crate) seed: u64,
+/// Where one join side's data comes from.
+enum JoinSide<'s> {
+    /// A shuffle, consumed bucket by bucket in map order.
+    Shuffle(&'s ShuffleData),
+    /// A materialized co-partitioned RDD: partition `i` feeds task `i`.
+    Narrow(&'s Materialized),
 }
 
-pub(crate) enum RootInput {
-    Slice(Arc<Vec<Record>>, usize, usize),
-    Gen(GenFn, usize, usize),
-    Cached(Arc<Vec<Record>>),
-    Shuffle {
-        parts: Vec<Bucket>,
-        merge: MergeKind,
-        split: Option<SplitDirective>,
+impl JoinSide<'_> {
+    fn read_of(&self, i: usize) -> TaskReads {
+        match self {
+            JoinSide::Shuffle(data) => data.read_of(i),
+            JoinSide::Narrow(mat) => mat.read_of(i),
+        }
+    }
+
+    /// Feeds partition `col` of this side to `push`; returns the records
+    /// and bytes fetched.
+    fn drain(&self, col: usize, mut push: impl FnMut(Bucket)) -> (u64, u64) {
+        match self {
+            JoinSide::Shuffle(data) => data.drain_column(col, push),
+            JoinSide::Narrow(mat) => {
+                let part = &mat.parts[col];
+                push(Bucket::Rows(Arc::clone(part)));
+                (part.len() as u64, batch_size(part))
+            }
+        }
+    }
+}
+
+/// The data-plane view of a stage's inputs: what task `i` of `n` reads.
+enum StageInput<'s> {
+    /// Slice `i` of an in-memory collection.
+    Slice(&'s Arc<Vec<Record>>),
+    /// Split `i` of a deterministic generator.
+    Gen {
+        gen: &'s GenFn,
+        cost_per_record: f64,
     },
+    /// Partition `i` of a cached RDD.
+    Cached(&'s [Arc<Vec<Record>>]),
+    /// Column `i` of a shuffle, merged as the wide op prescribes. Hot
+    /// columns of `split` merge as several sub-tasks (see
+    /// [`crate::adaptive`]); `split_seed` feeds their sub-bound samples.
+    Shuffle {
+        data: &'s ShuffleData,
+        merge: MergeKind,
+        split: Option<crate::adaptive::SplitPlan>,
+        split_seed: u64,
+    },
+    /// Partition `i` of both sides of a join or co-group.
     Join {
-        left: Vec<Bucket>,
-        right: Vec<Bucket>,
+        left: JoinSide<'s>,
+        right: JoinSide<'s>,
         is_join: bool,
         cost: f64,
     },
-    /// Placeholder used when replaying a stage whose data-plane work already
-    /// ran in the pipelined executor: the replay never computes records.
-    Replay,
 }
 
-struct TaskPrep {
-    input: RootInput,
-    fetches: Vec<(NodeId, u64)>,
-    fetch_chunks: usize,
-    local_read_bytes: u64,
-    preferred: Vec<NodeId>,
+/// How a stage's tasks bucketize their output for the shuffle they feed.
+struct ShuffleWriter {
+    spec: PartitionerSpec,
+    /// Map-side combine function (reduce-by-key consumers only).
+    combine: Option<ReduceFn>,
+    combine_cost: f64,
+    /// Seeds the range bounds and the per-task key samples.
+    seed: u64,
+    /// Columnar data plane enabled ([`EngineOptions::batch`]).
+    batch: bool,
+}
+
+/// One map task's shuffle output.
+struct MapWrite {
+    /// One slot per reduce partition; `None` where the task wrote nothing.
+    row: Vec<Option<Bucket>>,
+    bytes: Vec<u64>,
+    /// Compute charged for partitioning, combining and range sampling.
+    cost: f64,
+}
+
+impl ShuffleWriter {
+    fn is_range(&self) -> bool {
+        self.spec.kind == PartitionerKind::Range
+    }
+
+    /// Bucketizes a finished task's records, *moving* them into buckets
+    /// when the task owns its output (the common case) and borrowing when
+    /// the records window a shared cache partition. Combine-free writes go
+    /// through a typed column batch when the keys fit one; every path
+    /// produces identical bucket contents and byte tables.
+    fn write(
+        &self,
+        records: TaskRecords,
+        partitioner: &dyn Partitioner,
+        arena: &mut TaskArena,
+    ) -> MapWrite {
+        let n = records.len() as f64;
+        let columnar = (self.batch && self.combine.is_none())
+            .then(|| crate::shuffle::bucketize_columnar(records.as_slice(), partitioner, arena))
+            .flatten();
+        let (tb, combine_ops) = match (columnar, records) {
+            (Some(done), _) => done,
+            (None, TaskRecords::Owned(v)) => {
+                crate::shuffle::bucketize_owned_in(v, partitioner, self.combine.as_ref(), arena)
+            }
+            (None, shared) => crate::shuffle::bucketize_in(
+                shared.as_slice(),
+                partitioner,
+                self.combine.as_ref(),
+                arena,
+            ),
+        };
+        let mut cost = n * PARTITION_COST + combine_ops as f64 * self.combine_cost;
+        if self.is_range() {
+            cost += n * SAMPLE_COST;
+        }
+        // Empty buckets are dropped here, by the thread that just made
+        // them: at P ≫ records per task they are most of the row.
+        let row = tb
+            .buckets
+            .into_iter()
+            .zip(&tb.bytes)
+            .map(|(b, &bytes)| (bytes > 0).then_some(b))
+            .collect();
+        MapWrite {
+            row,
+            bytes: tb.bytes,
+            cost,
+        }
+    }
 }
 
 /// Per-task reservoir sampling for range-partitioned shuffle writes: each
 /// map task samples its own output during the compute pass instead of a
 /// serial driver-side scan over every task's records.
-pub(crate) struct SampleSpec {
+struct SampleSpec {
     /// Reservoir capacity per task.
-    pub(crate) cap: usize,
+    cap: usize,
     /// Stage-level seed; each task derives its own stream from it.
-    pub(crate) seed: u64,
+    seed: u64,
 }
 
 /// A task's output records: either owned by the task, or a window into a
 /// shared source/cache partition that the narrow chain never needed to copy.
-pub(crate) enum TaskRecords {
+enum TaskRecords {
     Owned(Vec<Record>),
     Shared(Arc<Vec<Record>>, usize, usize),
 }
 
+impl Default for TaskRecords {
+    fn default() -> Self {
+        TaskRecords::Owned(Vec::new())
+    }
+}
+
 impl TaskRecords {
-    pub(crate) fn as_slice(&self) -> &[Record] {
+    fn as_slice(&self) -> &[Record] {
         match self {
             TaskRecords::Owned(v) => v,
             TaskRecords::Shared(data, start, end) => &data[*start..*end],
         }
     }
 
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            TaskRecords::Owned(v) => v.len(),
-            TaskRecords::Shared(_, start, end) => end - start,
-        }
+    fn len(&self) -> usize {
+        self.as_slice().len()
     }
 }
 
 /// An `Arc` snapshot of the records for cache persistence. Shared windows
 /// covering a whole partition are captured without copying.
-pub(crate) fn capture_arc(records: &TaskRecords) -> Arc<Vec<Record>> {
+fn capture_arc(records: &TaskRecords) -> Arc<Vec<Record>> {
     match records {
         TaskRecords::Owned(v) => Arc::new(v.clone()),
         TaskRecords::Shared(data, start, end) => {
@@ -2514,18 +2610,22 @@ pub(crate) fn capture_arc(records: &TaskRecords) -> Arc<Vec<Record>> {
     }
 }
 
-pub(crate) struct TaskOut {
-    pub(crate) records: TaskRecords,
-    pub(crate) cost: f64,
-    pub(crate) input_records: u64,
-    pub(crate) input_bytes: u64,
-    pub(crate) captures: Vec<(Rdd, Arc<Vec<Record>>)>,
+struct TaskOut {
+    /// The task's output; emptied once a shuffle write has consumed it.
+    records: TaskRecords,
+    /// Count and encoded size of `records` as the task produced them.
+    out_records: u64,
+    out_bytes: u64,
+    cost: f64,
+    input_records: u64,
+    input_bytes: u64,
+    captures: Vec<(Rdd, Arc<Vec<Record>>)>,
     /// Keys reservoir-sampled from the final records (range shuffles only).
-    pub(crate) sample: Vec<Key>,
+    sample: Vec<Key>,
     /// Per-sub virtual-task statistics when this task ran as an adaptive
     /// split (`None` for unsplit tasks). The driver turns these into one
     /// `TaskSpec` per sub.
-    pub(crate) sub_stats: Option<Vec<crate::adaptive::SubTaskStats>>,
+    sub_stats: Option<Vec<crate::adaptive::SubTaskStats>>,
 }
 
 /// One narrow op compiled for a fused streaming pass.
@@ -2605,179 +2705,223 @@ fn feed_ref(ops: &mut [OpState<'_>], rec: &Record, out: &mut Vec<Record>) {
     }
 }
 
-/// Materializes the root input, applies the narrow chain, and accounts cost.
+/// Task `index` of a stage's `of` tasks.
+#[derive(Clone, Copy)]
+struct TaskId {
+    index: usize,
+    of: usize,
+}
+
+/// A task's root input, materialized.
+struct RootRead {
+    records: TaskRecords,
+    input_records: u64,
+    input_bytes: u64,
+    /// Generation or merge compute charged so far.
+    cost: f64,
+    sub_stats: Option<Vec<crate::adaptive::SubTaskStats>>,
+}
+
+/// Materializes task `task`'s root input.
 ///
-/// The chain runs as fused streaming passes: one pass per segment, where a
-/// segment ends at (and includes) the next cached node, whose full output
-/// must be materialized for capture. Slice/Cached roots are borrowed, not
-/// copied — an empty chain passes the shared window straight through.
-pub(crate) fn compute_task(
-    graph: &RddGraph,
-    input: &RootInput,
-    chain: &[Rdd],
-    task_index: usize,
-    capture_root: bool,
-    root_rdd: Rdd,
-    range_sample: Option<&SampleSpec>,
-) -> TaskOut {
+/// Shuffle and join roots take their buckets out of the producer's table
+/// in map-task order and fold them straight into the streaming merge
+/// accumulators — the merge sees the same record stream whatever the
+/// worker count, so results, byte counts, range samples, and every
+/// simulated cost are deterministic. Slice/Cached roots are borrowed, not
+/// copied.
+fn read_root(input: &StageInput<'_>, task: TaskId) -> RootRead {
+    let i = task.index;
     let mut cost = 0.0;
-    let mut sub_stats: Option<Vec<crate::adaptive::SubTaskStats>> = None;
+    let mut sub_stats = None;
     let (records, input_records, input_bytes) = match input {
-        RootInput::Slice(data, start, end) => {
-            let slice = &data[*start..*end];
-            let b = batch_size(slice);
-            let n = slice.len() as u64;
-            (TaskRecords::Shared(Arc::clone(data), *start, *end), n, b)
+        StageInput::Slice(data) => {
+            let (start, end) = (i * data.len() / task.of, (i + 1) * data.len() / task.of);
+            let slice = &data[start..end];
+            let shared = TaskRecords::Shared(Arc::clone(data), start, end);
+            (shared, slice.len() as u64, batch_size(slice))
         }
-        RootInput::Gen(gen, i, n) => {
-            let node = graph.node(root_rdd);
-            let records = gen(*i, *n);
+        StageInput::Gen {
+            gen,
+            cost_per_record,
+        } => {
+            let records = gen(i, task.of);
             let b = batch_size(&records);
             let count = records.len() as u64;
-            cost += count as f64 * node.cost_per_record;
+            cost += count as f64 * cost_per_record;
             (TaskRecords::Owned(records), count, b)
         }
-        RootInput::Cached(data) => {
-            let b = batch_size(data);
-            let n = data.len() as u64;
-            (TaskRecords::Shared(Arc::clone(data), 0, data.len()), n, b)
+        StageInput::Cached(parts) => {
+            let data = &parts[i];
+            let shared = TaskRecords::Shared(Arc::clone(data), 0, data.len());
+            (shared, data.len() as u64, batch_size(data))
         }
-        RootInput::Shuffle {
-            parts,
+        StageInput::Shuffle {
+            data,
             merge,
-            split: Some(dir),
+            split,
+            split_seed,
         } => {
-            // Adaptive hot-partition split: materialize the incoming
-            // buckets in map order, route each record to one of `k`
-            // sub-buckets, and merge each sub independently. The routing
-            // is key-preserving, so aggregates match the unsplit merge;
-            // concatenation in sub order keeps the output deterministic.
-            let fetched: u64 = parts.iter().map(|p| p.len() as u64).sum();
-            let bytes: u64 = parts.iter().map(|p| p.encoded_bytes()).sum();
-            let maps: Vec<Vec<Record>> = parts.iter().map(Bucket::to_vec).collect();
-            let router = crate::adaptive::SubRouter::build(
-                maps.iter().flatten().map(|r| &r.key),
-                dir.k,
-                dir.seed,
-            );
-            let (records, merge_cost, stats) = crate::adaptive::merge_split(maps, merge, &router);
-            cost += merge_cost;
-            sub_stats = Some(stats);
-            (TaskRecords::Owned(records), fetched, bytes)
-        }
-        RootInput::Shuffle {
-            parts,
-            merge,
-            split: None,
-        } => {
-            // Buckets arrive as row vectors or columnar slices; byte
-            // accounting and merge results are identical either way
-            // (`encoded_bytes` equals `batch_size` of the materialized
-            // records by construction).
-            let fetched: u64 = parts.iter().map(|p| p.len() as u64).sum();
-            let bytes: u64 = parts.iter().map(|p| p.encoded_bytes()).sum();
-            cost += fetched as f64 * MERGE_BASE_COST;
-            let records = match merge {
-                MergeKind::Reduce(f, c) => {
-                    let mut m = ReduceMerge::new(Arc::clone(f));
-                    for p in parts {
-                        m.push_bucket(p);
+            let k = split.as_ref().map_or(1, |sp| sp.subs[i]);
+            let (records, fetched, bytes) = if k > 1 {
+                // Adaptive hot-partition split: take the column in map
+                // order, route each record to one of `k` sub-buckets, and
+                // merge each sub independently. The routing is
+                // key-preserving, so aggregates match the unsplit merge;
+                // concatenation in sub order keeps the output deterministic.
+                let maps: Vec<Vec<Record>> = (0..data.rows.len())
+                    .map(|m| data.take(m, i).map_or_else(Vec::new, Bucket::into_records))
+                    .collect();
+                let fetched: u64 = maps.iter().map(|b| b.len() as u64).sum();
+                let bytes: u64 = data.bytes.iter().map(|b| b[i]).sum();
+                let seed = split_seed ^ ((i as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15));
+                let router = crate::adaptive::SubRouter::build(
+                    maps.iter().flatten().map(|r| &r.key),
+                    k,
+                    seed,
+                );
+                let (records, merge_cost, stats) =
+                    crate::adaptive::merge_split(maps, merge, &router);
+                cost += merge_cost;
+                sub_stats = Some(stats);
+                (records, fetched, bytes)
+            } else {
+                match merge {
+                    MergeKind::Reduce(f, c) => {
+                        let mut m = ReduceMerge::new(Arc::clone(f));
+                        let (fetched, bytes) = data.drain_column(i, |b| m.push_bucket_owned(b));
+                        cost += fetched as f64 * MERGE_BASE_COST;
+                        let (out, ops) = m.finish();
+                        cost += ops as f64 * c;
+                        (out, fetched, bytes)
                     }
-                    let (out, ops) = m.finish();
-                    cost += ops as f64 * c;
-                    out
-                }
-                MergeKind::Group(c) => {
-                    cost += fetched as f64 * c;
-                    let mut m = GroupMerge::new();
-                    for p in parts {
-                        m.push_bucket(p);
+                    MergeKind::Group(c) => {
+                        let mut m = GroupMerge::new();
+                        let (fetched, bytes) = data.drain_column(i, |b| m.push_bucket_owned(b));
+                        cost += fetched as f64 * MERGE_BASE_COST;
+                        cost += fetched as f64 * c;
+                        (m.finish(), fetched, bytes)
                     }
-                    m.finish()
-                }
-                MergeKind::Concat => {
-                    let mut m = ConcatMerge::new();
-                    for p in parts {
-                        m.push_bucket(p);
+                    MergeKind::Concat => {
+                        let mut m = ConcatMerge::new();
+                        let (fetched, bytes) = data.drain_column(i, |b| m.push_bucket_owned(b));
+                        cost += fetched as f64 * MERGE_BASE_COST;
+                        (m.finish(), fetched, bytes)
                     }
-                    m.finish()
                 }
             };
             (TaskRecords::Owned(records), fetched, bytes)
         }
-        RootInput::Join {
+        StageInput::Join {
             left,
             right,
             is_join,
             cost: c,
         } => {
-            let mut l: Vec<Record> = Vec::new();
-            for p in left {
-                p.extend_into(&mut l);
-            }
-            let mut r: Vec<Record> = Vec::new();
-            for p in right {
-                p.extend_into(&mut r);
-            }
-            let fetched = (l.len() + r.len()) as u64;
-            let bytes = batch_size(&l) + batch_size(&r);
-            cost += fetched as f64 * (MERGE_BASE_COST + c);
-            let records = if *is_join {
+            // Left side fully, seal, then the right: the merge sees both
+            // streams in map-task order.
+            let (records, fetched, bytes) = if *is_join {
                 let mut m = JoinMerge::new();
-                m.push_left_owned(l);
+                let l = left.drain(i, |b| m.push_bucket_owned(b, true));
                 m.seal_left();
-                m.push_right_owned(r);
+                let r = right.drain(i, |b| m.push_bucket_owned(b, false));
+                cost += (l.0 + r.0) as f64 * (MERGE_BASE_COST + c);
                 let (out, probes) = m.finish();
                 cost += probes as f64 * MERGE_BASE_COST;
-                out
+                (out, l.0 + r.0, l.1 + r.1)
             } else {
                 let mut m = CogroupMerge::new();
-                m.push_left_owned(l);
+                let l = left.drain(i, |b| m.push_bucket_owned(b, true));
                 m.seal_left();
-                m.push_right_owned(r);
-                m.finish()
+                let r = right.drain(i, |b| m.push_bucket_owned(b, false));
+                cost += (l.0 + r.0) as f64 * (MERGE_BASE_COST + c);
+                (m.finish(), l.0 + r.0, l.1 + r.1)
             };
             (TaskRecords::Owned(records), fetched, bytes)
         }
-        RootInput::Replay => unreachable!("replayed stages never recompute records"),
     };
-
-    let mut captures = Vec::new();
-    if capture_root {
-        captures.push((root_rdd, capture_arc(&records)));
-    }
-
-    let mut out = run_chain_and_finish(
-        graph,
-        chain,
-        task_index,
+    RootRead {
         records,
-        cost,
         input_records,
         input_bytes,
-        captures,
-        range_sample,
-    );
-    out.sub_stats = sub_stats;
-    out
+        cost,
+        sub_stats,
+    }
 }
 
-/// Runs the fused narrow chain over `records` and finishes the task:
-/// per-op cost accounting, cache captures, and range-shuffle sampling.
-/// Shared between the barrier path (`compute_task`) and the pipelined
-/// executor, whose roots are materialized incrementally from exchanges.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_chain_and_finish(
+/// Runs one task: root input, narrow chain, cache captures, and — for
+/// range-shuffle writes — a reservoir sample of the output keys.
+/// `capture_root` names the root RDD when its output must be cached.
+fn compute_task(
+    graph: &RddGraph,
+    input: &StageInput<'_>,
+    chain: &[Rdd],
+    task: TaskId,
+    capture_root: Option<Rdd>,
+    range_sample: Option<&SampleSpec>,
+) -> TaskOut {
+    let root = read_root(input, task);
+    let mut captures = Vec::new();
+    if let Some(root_rdd) = capture_root {
+        captures.push((root_rdd, capture_arc(&root.records)));
+    }
+    let mut cost = root.cost;
+    let records = run_chain(
+        graph,
+        chain,
+        task.index,
+        root.records,
+        &mut cost,
+        &mut captures,
+    );
+    let sample = match range_sample {
+        Some(spec) => {
+            let task_seed = spec.seed ^ ((task.index as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15));
+            let mut res = Reservoir::new(spec.cap, task_seed);
+            for r in records.as_slice() {
+                res.offer(r.key.clone());
+            }
+            res.into_items()
+        }
+        None => Vec::new(),
+    };
+    TaskOut {
+        out_records: records.len() as u64,
+        out_bytes: batch_size(records.as_slice()),
+        records,
+        cost,
+        input_records: root.input_records,
+        input_bytes: root.input_bytes,
+        captures,
+        sample,
+        sub_stats: root.sub_stats,
+    }
+}
+
+/// The executor's fused narrow-chain pass over one task's borrowed input —
+/// what [`compute_task`] runs between a stage's root and its output.
+/// Public so that benchmarks time this kernel rather than a copy of it.
+pub fn run_narrow_chain(graph: &RddGraph, chain: &[Rdd], input: &Arc<Vec<Record>>) -> Vec<Record> {
+    let shared = TaskRecords::Shared(Arc::clone(input), 0, input.len());
+    match run_chain(graph, chain, 0, shared, &mut 0.0, &mut Vec::new()) {
+        TaskRecords::Owned(v) => v,
+        shared => shared.as_slice().to_vec(),
+    }
+}
+
+/// Applies the narrow chain to `records` as fused streaming passes: one
+/// pass per segment, where a segment ends at (and includes) the next
+/// cached node, whose full output must be materialized for capture. An
+/// empty chain passes a shared window straight through. Per-op compute is
+/// added to `cost`.
+fn run_chain(
     graph: &RddGraph,
     chain: &[Rdd],
     task_index: usize,
     mut records: TaskRecords,
-    mut cost: f64,
-    input_records: u64,
-    input_bytes: u64,
-    mut captures: Vec<(Rdd, Arc<Vec<Record>>)>,
-    range_sample: Option<&SampleSpec>,
-) -> TaskOut {
+    cost: &mut f64,
+    captures: &mut Vec<(Rdd, Arc<Vec<Record>>)>,
+) -> TaskRecords {
     let mut counts: Vec<u64> = vec![0; chain.len()];
     let mut pos = 0;
     while pos < chain.len() {
@@ -2803,7 +2947,7 @@ pub(crate) fn run_chain_and_finish(
             })
             .collect();
         let mut out = Vec::new();
-        match std::mem::replace(&mut records, TaskRecords::Owned(Vec::new())) {
+        match std::mem::take(&mut records) {
             TaskRecords::Owned(v) => {
                 for rec in v {
                     feed_owned(&mut ops, rec, &mut out);
@@ -2826,33 +2970,12 @@ pub(crate) fn run_chain_and_finish(
     }
 
     // Charge per-op compute cost in chain order, after the root costs —
-    // the same f64 accumulation sequence as the op-at-a-time loop, so
+    // the same f64 accumulation sequence as an op-at-a-time loop, so
     // simulated stage timings are bit-identical.
     for (i, &r) in chain.iter().enumerate() {
-        cost += counts[i] as f64 * graph.node(r).cost_per_record;
+        *cost += counts[i] as f64 * graph.node(r).cost_per_record;
     }
-
-    let sample = match range_sample {
-        Some(spec) => {
-            let task_seed = spec.seed ^ ((task_index as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15));
-            let mut res = Reservoir::new(spec.cap, task_seed);
-            for r in records.as_slice() {
-                res.offer(r.key.clone());
-            }
-            res.into_items()
-        }
-        None => Vec::new(),
-    };
-
-    TaskOut {
-        records,
-        cost,
-        input_records,
-        input_bytes,
-        captures,
-        sample,
-        sub_stats: None,
-    }
+    records
 }
 
 #[cfg(test)]

@@ -47,7 +47,6 @@
 pub mod adaptive;
 pub mod batch;
 pub mod config;
-mod exchange;
 pub mod exec;
 pub mod metrics;
 pub mod ops;

@@ -85,7 +85,11 @@ struct PoolState {
     shutdown: bool,
 }
 
-fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
+/// Locks a mutex, ignoring poisoning: a panicking pool item is re-raised
+/// on the dispatching thread once the epoch drains, and every value
+/// guarded this way is valid at each step, so a second panic here would
+/// only mask the first.
+pub(crate) fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 

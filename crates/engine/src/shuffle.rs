@@ -11,11 +11,11 @@
 //!
 //! Reduce-side merges are *incremental*: each merge is an accumulator
 //! ([`ReduceMerge`], [`GroupMerge`], [`ConcatMerge`], [`JoinMerge`],
-//! [`CogroupMerge`]) that consumes one map-task bucket at a time, so the
-//! pipelined shuffle can start merging as soon as the first map output is
-//! published. Buckets pushed by value are *moved* into the accumulator
-//! (no per-record clone); the batch `merge_*` functions are thin wrappers
-//! that feed borrowed slices through the same accumulators.
+//! [`CogroupMerge`]) that consumes one map-task bucket at a time, so a
+//! reduce task never materializes its whole input. Buckets pushed by
+//! value are *moved* into the accumulator (no per-record clone); the
+//! batch `merge_*` functions are thin wrappers that feed borrowed slices
+//! through the same accumulators.
 //!
 //! All merges preserve first-seen key order, keeping the engine
 //! deterministic end-to-end (no `HashMap` iteration order leaks into
@@ -57,16 +57,6 @@ impl Bucket {
         self.len() == 0
     }
 
-    /// Serialized size — `batch_size` of the rows for `Rows`, buffer-length
-    /// arithmetic for `Cols`. Both variants agree with `batch_size` of the
-    /// materialized records, so shuffle byte tables are path-independent.
-    pub fn encoded_bytes(&self) -> u64 {
-        match self {
-            Bucket::Rows(v) => batch_size(v),
-            Bucket::Cols(b) => b.encoded_size(),
-        }
-    }
-
     /// Materializes the bucket's records (cloned / reconstructed).
     pub fn to_vec(&self) -> Vec<Record> {
         match self {
@@ -75,14 +65,12 @@ impl Bucket {
         }
     }
 
-    /// Appends the bucket's records to `out`.
-    pub fn extend_into(&self, out: &mut Vec<Record>) {
+    /// The bucket's records by value: moved out when this is the last
+    /// handle on a row bucket, cloned / reconstructed otherwise.
+    pub fn into_records(self) -> Vec<Record> {
         match self {
-            Bucket::Rows(v) => out.extend_from_slice(v),
-            Bucket::Cols(b) => {
-                out.reserve(b.len());
-                b.for_each_record(|r| out.push(r));
-            }
+            Bucket::Rows(v) => Arc::try_unwrap(v).unwrap_or_else(|shared| shared.as_ref().clone()),
+            Bucket::Cols(b) => b.to_records(),
         }
     }
 }
@@ -244,10 +232,10 @@ pub fn bucketize_in(
 /// [`bucketize_in`] over an *owned* record vector: records are moved into
 /// their buckets instead of cloned. Output is identical to the borrowing
 /// version on the same input — same bucket contents, same byte table, same
-/// combine-op count — only the allocation pattern differs. The pipelined
-/// executor uses this at shuffle-write task finish, where it owns the task
-/// output outright; the barrier engine keeps the borrowing version because
-/// it still needs the records for per-task byte accounting afterwards.
+/// combine-op count — only the allocation pattern differs. The executor
+/// uses this at shuffle-write task finish whenever the task owns its
+/// output outright, and the borrowing version when the output windows a
+/// shared cache partition.
 pub fn bucketize_owned_in(
     records: Vec<Record>,
     partitioner: &dyn Partitioner,
@@ -325,9 +313,9 @@ pub fn bucketize_owned_in(
 ///
 /// Returns `None` when the keys or values do not fit a typed column
 /// layout (composite keys, mixed variants, boxed payloads) — the caller
-/// falls back to the row path, which for the pipelined engine means
-/// *moving* owned records into buckets instead of deep-cloning them into
-/// fallback row columns. When it succeeds, bucket contents, intra-bucket
+/// falls back to the row path, *moving* owned records into buckets
+/// instead of deep-cloning them into fallback row columns. When it
+/// succeeds, bucket contents, intra-bucket
 /// order, and byte tables are bit-identical to [`bucketize_in`] without
 /// combine.
 pub fn bucketize_columnar(
@@ -448,6 +436,18 @@ impl ReduceMerge {
         }
     }
 
+    /// Fold a shipped bucket by value: a row bucket whose handle is the
+    /// last one is moved in, a shared one is cloned from.
+    pub fn push_bucket_owned(&mut self, bucket: Bucket) {
+        match bucket {
+            Bucket::Cols(b) => self.push_batch(&b),
+            Bucket::Rows(v) => match Arc::try_unwrap(v) {
+                Ok(owned) => self.push_owned(owned),
+                Err(shared) => self.push_slice(&shared),
+            },
+        }
+    }
+
     /// Merged records in first-seen key order, plus reduce-op count.
     pub fn finish(self) -> (Vec<Record>, u64) {
         (self.out, self.ops)
@@ -543,11 +543,15 @@ impl GroupMerge {
         });
     }
 
-    /// Collect a shipped bucket, whichever layout it arrived in.
-    pub fn push_bucket(&mut self, bucket: &Bucket) {
+    /// Collect a shipped bucket by value: a row bucket whose handle is the
+    /// last one is moved in, a shared one is cloned from.
+    pub fn push_bucket_owned(&mut self, bucket: Bucket) {
         match bucket {
-            Bucket::Rows(v) => self.push_slice(v),
-            Bucket::Cols(b) => self.push_batch(b),
+            Bucket::Cols(b) => self.push_batch(&b),
+            Bucket::Rows(v) => match Arc::try_unwrap(v) {
+                Ok(owned) => self.push_owned(owned),
+                Err(shared) => self.push_slice(&shared),
+            },
         }
     }
 
@@ -607,11 +611,15 @@ impl ConcatMerge {
         batch.for_each_record(|r| self.out.push(r));
     }
 
-    /// Append a shipped bucket, whichever layout it arrived in.
-    pub fn push_bucket(&mut self, bucket: &Bucket) {
+    /// Append a shipped bucket by value: a row bucket whose handle is the
+    /// last one is moved in, a shared one is cloned from.
+    pub fn push_bucket_owned(&mut self, bucket: Bucket) {
         match bucket {
-            Bucket::Rows(v) => self.push_slice(v),
-            Bucket::Cols(b) => self.push_batch(b),
+            Bucket::Cols(b) => self.push_batch(&b),
+            Bucket::Rows(v) => match Arc::try_unwrap(v) {
+                Ok(owned) => self.push_owned(owned),
+                Err(shared) => self.push_slice(&shared),
+            },
         }
     }
 
@@ -636,8 +644,8 @@ where
 /// Streaming inner hash join. Left buckets build the table; right buckets
 /// probe it. Right buckets pushed before [`JoinMerge::seal_left`] are
 /// buffered untouched and probed at seal time in arrival order, so a
-/// pipelined consumer may interleave sides freely while producing output
-/// identical to "all left, then all right".
+/// consumer may interleave sides freely while producing output identical
+/// to "all left, then all right".
 pub struct JoinMerge {
     order: Vec<Key>,
     lefts: Vec<Vec<Value>>,
@@ -784,6 +792,24 @@ impl JoinMerge {
             (Bucket::Rows(v), false) => self.push_right_slice(v),
             (Bucket::Cols(b), true) => self.push_left_batch(b),
             (Bucket::Cols(b), false) => self.push_right_batch(b),
+        }
+    }
+
+    /// Route a shipped bucket to the chosen side by value: a row bucket
+    /// whose handle is the last one is moved in, a shared one is cloned
+    /// from.
+    pub fn push_bucket_owned(&mut self, bucket: Bucket, is_left: bool) {
+        match (bucket, is_left) {
+            (Bucket::Cols(b), true) => self.push_left_batch(&b),
+            (Bucket::Cols(b), false) => self.push_right_batch(&b),
+            (Bucket::Rows(v), true) => match Arc::try_unwrap(v) {
+                Ok(owned) => self.push_left_owned(owned),
+                Err(shared) => self.push_left_slice(&shared),
+            },
+            (Bucket::Rows(v), false) => match Arc::try_unwrap(v) {
+                Ok(owned) => self.push_right_owned(owned),
+                Err(shared) => self.push_right_slice(&shared),
+            },
         }
     }
 
@@ -961,14 +987,21 @@ impl CogroupMerge {
         batch.for_each_record(|r| self.right_record(r.key, r.value));
     }
 
-    /// Route a shipped bucket to the chosen side, whichever layout it
-    /// arrived in.
-    pub fn push_bucket(&mut self, bucket: &Bucket, is_left: bool) {
+    /// Route a shipped bucket to the chosen side by value: a row bucket
+    /// whose handle is the last one is moved in, a shared one is cloned
+    /// from.
+    pub fn push_bucket_owned(&mut self, bucket: Bucket, is_left: bool) {
         match (bucket, is_left) {
-            (Bucket::Rows(v), true) => self.push_left_slice(v),
-            (Bucket::Rows(v), false) => self.push_right_slice(v),
-            (Bucket::Cols(b), true) => self.push_left_batch(b),
-            (Bucket::Cols(b), false) => self.push_right_batch(b),
+            (Bucket::Cols(b), true) => self.push_left_batch(&b),
+            (Bucket::Cols(b), false) => self.push_right_batch(&b),
+            (Bucket::Rows(v), true) => match Arc::try_unwrap(v) {
+                Ok(owned) => self.push_left_owned(owned),
+                Err(shared) => self.push_left_slice(&shared),
+            },
+            (Bucket::Rows(v), false) => match Arc::try_unwrap(v) {
+                Ok(owned) => self.push_right_owned(owned),
+                Err(shared) => self.push_right_slice(&shared),
+            },
         }
     }
 
@@ -1291,13 +1324,13 @@ mod tests {
         assert_eq!(col_ops, row_ops);
 
         let mut g = GroupMerge::new();
-        g.push_bucket(&batch_a);
-        g.push_bucket(&batch_b);
+        g.push_bucket_owned(batch_a.clone());
+        g.push_bucket_owned(batch_b.clone());
         assert_eq!(g.finish(), merge_group([a.as_slice(), b.as_slice()]));
 
         let mut c = ConcatMerge::new();
-        c.push_bucket(&batch_a);
-        c.push_bucket(&batch_b);
+        c.push_bucket_owned(batch_a.clone());
+        c.push_bucket_owned(batch_b.clone());
         assert_eq!(c.finish(), merge_concat([a.as_slice(), b.as_slice()]));
 
         let (row_join, row_probes) = merge_join(&a, &b);
@@ -1310,10 +1343,61 @@ mod tests {
         assert_eq!(col_probes, row_probes);
 
         let mut cg = CogroupMerge::new();
-        cg.push_bucket(&batch_a, true);
+        cg.push_bucket_owned(batch_a, true);
         cg.seal_left();
-        cg.push_bucket(&batch_b, false);
+        cg.push_bucket_owned(batch_b, false);
         assert_eq!(cg.finish(), merge_cogroup(&a, &b));
+    }
+
+    #[test]
+    fn owned_row_buckets_merge_like_slices_unique_or_shared() {
+        let a: Vec<Record> = (0..60).map(|i| rec(i % 9, i)).collect();
+        let b: Vec<Record> = (0..60).map(|i| rec(i % 6, i * 2)).collect();
+        // `a` travels as the last handle on its rows (moved in); `b` as
+        // one of two handles (cloned from).
+        let shared_b = Arc::new(b.clone());
+        let buckets = || {
+            (
+                Bucket::Rows(Arc::new(a.clone())),
+                Bucket::Rows(Arc::clone(&shared_b)),
+            )
+        };
+
+        let (ba, bb) = buckets();
+        let mut m = ReduceMerge::new(sum());
+        m.push_bucket_owned(ba);
+        m.push_bucket_owned(bb);
+        assert_eq!(
+            m.finish(),
+            merge_reduce([a.as_slice(), b.as_slice()], &sum())
+        );
+
+        let (ba, bb) = buckets();
+        let mut g = GroupMerge::new();
+        g.push_bucket_owned(ba);
+        g.push_bucket_owned(bb);
+        assert_eq!(g.finish(), merge_group([a.as_slice(), b.as_slice()]));
+
+        let (ba, bb) = buckets();
+        let mut c = ConcatMerge::new();
+        c.push_bucket_owned(ba);
+        c.push_bucket_owned(bb);
+        assert_eq!(c.finish(), merge_concat([a.as_slice(), b.as_slice()]));
+
+        let (ba, bb) = buckets();
+        let mut j = JoinMerge::new();
+        j.push_bucket_owned(ba, true);
+        j.seal_left();
+        j.push_bucket_owned(bb, false);
+        assert_eq!(j.finish(), merge_join(&a, &b));
+
+        let (ba, bb) = buckets();
+        let mut cg = CogroupMerge::new();
+        cg.push_bucket_owned(bb, true);
+        cg.seal_left();
+        cg.push_bucket_owned(ba, false);
+        assert_eq!(cg.finish(), merge_cogroup(&b, &a));
+        assert_eq!(*shared_b, b, "the shared handle's rows are untouched");
     }
 
     #[test]

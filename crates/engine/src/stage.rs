@@ -53,6 +53,24 @@ pub enum StageRoot {
     CachedRead(Rdd),
 }
 
+impl StageRoot {
+    /// The shuffles this root reads, one entry per read: a self-join lists
+    /// its one shuffle twice.
+    pub fn shuffle_reads(&self) -> Vec<usize> {
+        match self {
+            StageRoot::ShuffleRead { shuffle, .. } => vec![*shuffle],
+            StageRoot::JoinRead { left, right, .. } => [left, right]
+                .into_iter()
+                .filter_map(|dep| match dep {
+                    SideDep::Shuffle(s) => Some(*s),
+                    SideDep::Narrow(_) => None,
+                })
+                .collect(),
+            StageRoot::Source(_) | StageRoot::CachedRead(_) => Vec::new(),
+        }
+    }
+}
+
 /// Where a stage's terminal records go.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StageOutput {
@@ -126,6 +144,16 @@ impl Plan {
     /// The result stage's index (always the last stage).
     pub fn final_stage(&self) -> usize {
         self.stages.len() - 1
+    }
+
+    /// How many times the plan reads shuffle `idx`, over all stages and
+    /// join sides. More than one means the shuffle's buckets are shared.
+    pub fn shuffle_reads(&self, idx: usize) -> usize {
+        self.stages
+            .iter()
+            .flat_map(|s| s.root.shuffle_reads())
+            .filter(|&s| s == idx)
+            .count()
     }
 }
 
@@ -529,5 +557,6 @@ mod tests {
             StageRoot::JoinRead { left, right, .. } => assert_eq!(left, right),
             other => panic!("expected JoinRead, got {other:?}"),
         }
+        assert_eq!(plan.shuffle_reads(0), 2, "one shuffle, read by both sides");
     }
 }

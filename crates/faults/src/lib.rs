@@ -5,8 +5,8 @@
 //! straggler multipliers, shuffle-block corruption — as a pure function of
 //! a seed. The engine consults the plan at fixed, schedule-independent
 //! decision points (stage id, task index, attempt number), so the same
-//! plan injects the *same* faults regardless of worker count, pipelining,
-//! or host timing: failure behaviour becomes as reproducible as the rest
+//! plan injects the *same* faults regardless of worker count or host
+//! timing: failure behaviour becomes as reproducible as the rest
 //! of the virtual cluster.
 //!
 //! The plan carries no state. Every query ([`FaultPlan::attempts`],

@@ -459,15 +459,13 @@ mod tests {
         let r = req(JobKind::KMeans, 0.25, 3);
         let base = TenantRuntime::new(EngineOptions {
             workers: 1,
-            pipeline: false,
             batch: false,
             ..small_opts()
         })
         .run(&r);
-        for (workers, pipeline, batch) in [(4, true, true), (2, true, false), (4, false, true)] {
+        for (workers, batch) in [(4, true), (2, false)] {
             let got = TenantRuntime::new(EngineOptions {
                 workers,
-                pipeline,
                 batch,
                 ..small_opts()
             })

@@ -19,7 +19,7 @@
 //! shared host [`engine::WorkerPool`], capped per tenant — while every
 //! scheduling decision keys on virtual-clock state only. A fixed trace
 //! therefore produces bit-identical per-job result tables and latencies
-//! across worker counts, pipeline/batch modes, and physical
+//! across worker counts, row/columnar layouts, and physical
 //! interleavings; `tests/server_equivalence.rs` pins this.
 
 pub mod jobs;

@@ -12,8 +12,8 @@
 //! each job's uncontended service time and core demand. Scheduling state
 //! (virtual time, fair tags, queue contents, the memory ledger) is keyed
 //! only on trace content — never on host timing — so a fixed trace + seed
-//! replays bit-identically regardless of worker count, pipeline/batch
-//! mode, or how tenant executions physically interleave.
+//! replays bit-identically regardless of worker count, row/columnar
+//! layout, or how tenant executions physically interleave.
 //!
 //! # Scheduling
 //!
@@ -98,8 +98,8 @@ pub struct ServerConfig {
     /// Default per-tenant memory guarantee (a trace `tenant ... mem`
     /// clause overrides it).
     pub mem_guarantee: u64,
-    /// Engine options for every tenant context (cluster, workers,
-    /// pipeline/batch, parallelism). `shared_pool` is overwritten by the
+    /// Engine options for every tenant context (cluster, workers, batch,
+    /// parallelism). `shared_pool` is overwritten by the
     /// server.
     pub engine: EngineOptions,
     /// Host-side execution interleaving.
@@ -216,7 +216,7 @@ impl ServeReport {
 
     /// Policy-independent result-table fingerprint: one line per job with
     /// its rows and hash. CI compares this text across schedulers,
-    /// pipeline/batch modes, and worker counts — it must be identical as
+    /// row/columnar layouts, and worker counts — it must be identical as
     /// long as the same jobs ran.
     pub fn tables_text(&self) -> String {
         let mut out = String::new();

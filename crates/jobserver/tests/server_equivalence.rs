@@ -1,8 +1,8 @@
-//! Job-server equivalence suite, in the style of `pipeline_equivalence`:
+//! Job-server equivalence suite, in the style of `batch_equivalence`:
 //! a fixed trace + seed must produce a bit-identical [`ServeReport`] —
 //! per-job result hashes, dispatch/completion times, latencies, queue
-//! and ledger counters — regardless of host worker count, pipeline/batch
-//! data-plane mode, or how tenant executions physically interleave.
+//! and ledger counters — regardless of host worker count, row/columnar
+//! data layout, or how tenant executions physically interleave.
 //!
 //! This is the property that makes the contention benchmark and the CI
 //! matrix meaningful: scheduling decisions key on virtual-clock state
@@ -10,13 +10,12 @@
 
 use jobserver::{generate, serve, Interleave, Policy, ServeReport, ServerConfig};
 
-fn engine(workers: usize, pipeline: bool, batch: bool) -> engine::EngineOptions {
+fn engine(workers: usize, batch: bool) -> engine::EngineOptions {
     engine::EngineOptions {
         cluster: simcluster::uniform_cluster(4, 4, 2.0),
         default_parallelism: 8,
         block_size: 128 * 1024,
         workers,
-        pipeline,
         batch,
         ..jobserver::server_engine_defaults()
     }
@@ -25,7 +24,6 @@ fn engine(workers: usize, pipeline: bool, batch: bool) -> engine::EngineOptions 
 fn run_with_slots(
     policy: Policy,
     workers: usize,
-    pipeline: bool,
     batch: bool,
     interleave: Interleave,
     slots: usize,
@@ -34,21 +32,15 @@ fn run_with_slots(
     let cfg = ServerConfig {
         policy,
         slots,
-        engine: engine(workers, pipeline, batch),
+        engine: engine(workers, batch),
         interleave,
         ..ServerConfig::default()
     };
     serve(&trace, &cfg).unwrap()
 }
 
-fn run(
-    policy: Policy,
-    workers: usize,
-    pipeline: bool,
-    batch: bool,
-    interleave: Interleave,
-) -> ServeReport {
-    run_with_slots(policy, workers, pipeline, batch, interleave, 4)
+fn run(policy: Policy, workers: usize, batch: bool, interleave: Interleave) -> ServeReport {
+    run_with_slots(policy, workers, batch, interleave, 4)
 }
 
 /// Field-by-field bit comparison, with `Debug` as the catch-all (equal
@@ -85,51 +77,20 @@ fn assert_identical(label: &str, got: &ServeReport, want: &ServeReport) {
 
 #[test]
 fn report_is_bit_identical_across_workers_dataplane_and_interleaving() {
-    // Reference: fully serial host — one worker, barrier engine, row
-    // data plane, jobs executed inline at dispatch.
-    let reference = run(Policy::Fair, 1, false, false, Interleave::Serial);
+    // Reference: fully serial host — one worker, row data plane, jobs
+    // executed inline at dispatch.
+    let reference = run(Policy::Fair, 1, false, Interleave::Serial);
     assert_eq!(reference.completed, 56);
     assert!(reference.rejected.is_empty());
 
-    let sweeps: [(&str, usize, bool, bool, Interleave); 5] = [
-        (
-            "w8 pipeline+batch threads",
-            8,
-            true,
-            true,
-            Interleave::TenantThreads,
-        ),
-        (
-            "w8 batch-only threads",
-            8,
-            false,
-            true,
-            Interleave::TenantThreads,
-        ),
-        (
-            "w8 pipeline-only serial",
-            8,
-            true,
-            false,
-            Interleave::Serial,
-        ),
-        (
-            "w2 pipeline+batch threads",
-            2,
-            true,
-            true,
-            Interleave::TenantThreads,
-        ),
-        (
-            "w1 rows threads",
-            1,
-            false,
-            false,
-            Interleave::TenantThreads,
-        ),
+    let sweeps: [(&str, usize, bool, Interleave); 4] = [
+        ("w8 batch threads", 8, true, Interleave::TenantThreads),
+        ("w8 rows serial", 8, false, Interleave::Serial),
+        ("w2 batch threads", 2, true, Interleave::TenantThreads),
+        ("w1 rows threads", 1, false, Interleave::TenantThreads),
     ];
-    for (label, workers, pipeline, batch, interleave) in sweeps {
-        let got = run(Policy::Fair, workers, pipeline, batch, interleave);
+    for (label, workers, batch, interleave) in sweeps {
+        let got = run(Policy::Fair, workers, batch, interleave);
         assert_identical(label, &got, &reference);
     }
 }
@@ -144,7 +105,7 @@ fn fifo_and_fair_disagree_on_timing_but_not_tables() {
         let cfg = ServerConfig {
             policy,
             slots: 4,
-            engine: engine(workers, true, batch),
+            engine: engine(workers, batch),
             interleave,
             ..ServerConfig::default()
         };
@@ -180,7 +141,7 @@ fn serve_rejects_unsound_configurations() {
         &ServerConfig {
             queue_cap: 4,
             interleave: Interleave::TenantThreads,
-            engine: engine(2, true, true),
+            engine: engine(2, true),
             ..ServerConfig::default()
         },
     )
@@ -191,7 +152,7 @@ fn serve_rejects_unsound_configurations() {
         &trace,
         &ServerConfig {
             slots: 0,
-            engine: engine(2, true, true),
+            engine: engine(2, true),
             ..ServerConfig::default()
         },
     )
@@ -203,7 +164,7 @@ fn serve_rejects_unsound_configurations() {
         &ServerConfig {
             mem_shared: 1 << 10,
             mem_guarantee: 1 << 10,
-            engine: engine(2, true, true),
+            engine: engine(2, true),
             ..ServerConfig::default()
         },
     )
@@ -213,7 +174,7 @@ fn serve_rejects_unsound_configurations() {
 
 #[test]
 fn report_round_trips_through_json() {
-    let report = run(Policy::Fair, 2, true, true, Interleave::TenantThreads);
+    let report = run(Policy::Fair, 2, true, Interleave::TenantThreads);
     let parsed = ServeReport::parse(&report.to_json()).unwrap();
     assert_eq!(parsed, report);
     assert_eq!(format!("{parsed:?}"), format!("{report:?}"));

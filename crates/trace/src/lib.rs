@@ -49,11 +49,9 @@ pub mod pids {
     /// Wall clock: the autotune loop (grid cells, fits, decisions).
     pub const AUTOTUNE: u32 = 3;
     /// Wall clock: the host executor pool. Track layout: tid 0 carries
-    /// the pool's steal/idle counters, tid 1 the barrier executor's
-    /// per-stage phase spans, tid 2 the pipelined executor's per-stage
-    /// overlap spans (first task start → last task end; spans that
-    /// overlap across stages are the pipeline at work), and tid 3 the
-    /// per-exchange available-prefix counters.
+    /// the pool's steal/idle counters, tid 2 the executor's one span per
+    /// stage (category `pipeline`: the stage's tasks on the pool, first
+    /// dispatch → last return).
     pub const POOL: u32 = 4;
     /// Virtual clock: the multi-tenant job server. Track layout: tid 0
     /// carries the admission-queue depth counter (sampled at every

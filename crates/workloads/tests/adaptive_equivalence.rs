@@ -2,11 +2,11 @@
 //!
 //! * `--adaptive on` (splitter + replan hook) must produce bit-identical
 //!   virtual results — job/stage metrics, per-task durations, the
-//!   virtual-clock trace slice — at any host worker count, pipelined or
-//!   barrier, row or columnar. Adaptive decisions key on data-plane byte
+//!   virtual-clock trace slice — at any host worker count, row or
+//!   columnar. Adaptive decisions key on data-plane byte
 //!   tables and the virtual clock only, so nothing host-side may leak in.
 //! * `--adaptive off` must do the same (the static engine is already
-//!   pinned by the pipeline/batch suites; this adds the flag's own
+//!   pinned by the batch suite; this adds the flag's own
 //!   off-state to the matrix).
 //! * The two modes must agree on every output *value*: hot-partition
 //!   splitting is key-preserving and aggregation is order-insensitive per
@@ -20,13 +20,12 @@ use engine::{ClockFilter, Context, EngineOptions, TraceSink, WorkloadConf};
 use simcluster::uniform_cluster;
 use workloads::{SkewAgg, SkewAggConfig, SkewAggResult};
 
-fn options(adaptive: bool, pipeline: bool, batch: bool, workers: usize) -> EngineOptions {
+fn options(adaptive: bool, batch: bool, workers: usize) -> EngineOptions {
     EngineOptions {
         cluster: uniform_cluster(3, 4, 2.0),
         default_parallelism: 8,
         workers,
         trace: TraceSink::enabled(),
-        pipeline,
         batch,
         adaptive,
         // The replan hook is part of `--adaptive on`: its inputs are
@@ -56,10 +55,10 @@ struct Observed {
     clock_bits: u64,
 }
 
-fn observe(adaptive: bool, pipeline: bool, batch: bool, workers: usize) -> Observed {
+fn observe(adaptive: bool, batch: bool, workers: usize) -> Observed {
     let w = SkewAgg::new(SkewAggConfig::small());
     let res: SkewAggResult = w.execute(
-        &options(adaptive, pipeline, batch, workers),
+        &options(adaptive, batch, workers),
         &WorkloadConf::new(),
         1.0,
     );
@@ -77,37 +76,33 @@ fn observe(adaptive: bool, pipeline: bool, batch: bool, workers: usize) -> Obser
 }
 
 fn assert_matrix_bit_identical(adaptive: bool) {
-    let reference = observe(adaptive, false, true, 1);
+    let reference = observe(adaptive, true, 1);
     assert!(
         !reference.virtual_trace.is_empty(),
         "traced run produced no events"
     );
     for workers in [1, 8] {
-        for pipeline in [false, true] {
-            for batch in [false, true] {
-                if !pipeline && batch && workers == 1 {
-                    continue; // the reference itself
-                }
-                let what = format!(
-                    "adaptive {adaptive}, pipeline {pipeline}, batch {batch}, workers {workers}"
-                );
-                let got = observe(adaptive, pipeline, batch, workers);
-                assert_eq!(reference.tables, got.tables, "{what}: output tables");
-                assert_eq!(
-                    reference.fingerprint, got.fingerprint,
-                    "{what}: fingerprint"
-                );
-                assert_eq!(reference.jobs_debug, got.jobs_debug, "{what}: job metrics");
-                assert_eq!(
-                    reference.stages_debug, got.stages_debug,
-                    "{what}: stage metrics"
-                );
-                assert_eq!(
-                    reference.virtual_trace, got.virtual_trace,
-                    "{what}: virtual trace slice"
-                );
-                assert_eq!(reference.clock_bits, got.clock_bits, "{what}: clock");
+        for batch in [false, true] {
+            if batch && workers == 1 {
+                continue; // the reference itself
             }
+            let what = format!("adaptive {adaptive}, batch {batch}, workers {workers}");
+            let got = observe(adaptive, batch, workers);
+            assert_eq!(reference.tables, got.tables, "{what}: output tables");
+            assert_eq!(
+                reference.fingerprint, got.fingerprint,
+                "{what}: fingerprint"
+            );
+            assert_eq!(reference.jobs_debug, got.jobs_debug, "{what}: job metrics");
+            assert_eq!(
+                reference.stages_debug, got.stages_debug,
+                "{what}: stage metrics"
+            );
+            assert_eq!(
+                reference.virtual_trace, got.virtual_trace,
+                "{what}: virtual trace slice"
+            );
+            assert_eq!(reference.clock_bits, got.clock_bits, "{what}: clock");
         }
     }
 }
@@ -124,8 +119,8 @@ fn adaptive_off_is_bit_identical_across_the_matrix() {
 
 #[test]
 fn on_and_off_agree_on_outputs_and_diverge_on_time() {
-    let on = observe(true, true, true, 4);
-    let off = observe(false, true, true, 4);
+    let on = observe(true, true, 4);
+    let off = observe(false, true, 4);
     assert_eq!(on.tables, off.tables, "splitting must preserve every value");
     assert_eq!(on.fingerprint, off.fingerprint);
     let t_on = f64::from_bits(on.clock_bits);
@@ -140,7 +135,7 @@ fn on_and_off_agree_on_outputs_and_diverge_on_time() {
 #[test]
 fn adaptive_run_actually_splits_and_replans() {
     let w = SkewAgg::new(SkewAggConfig::small());
-    let res = w.execute(&options(true, true, true, 4), &WorkloadConf::new(), 1.0);
+    let res = w.execute(&options(true, true, 4), &WorkloadConf::new(), 1.0);
     let stages = res.ctx.all_stages();
     assert!(
         stages[1].num_tasks > w.config.partitions,

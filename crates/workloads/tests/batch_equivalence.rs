@@ -2,21 +2,19 @@
 //! every paper workload, `--batch on` and `--batch off` must produce
 //! bit-identical simulated results — job/stage metrics, per-task virtual
 //! durations, and the virtual-clock slice of the Chrome trace — at any
-//! host worker count, in both the barrier and pipelined engines. Only
-//! wall-clock changes.
+//! host worker count. Only wall-clock changes.
 
 use chopper::Workload;
 use engine::{ClockFilter, Context, EngineOptions, JobMetrics, TraceSink, WorkloadConf};
 use simcluster::uniform_cluster;
 use workloads::{KMeans, KMeansConfig, LogReg, LogRegConfig, Pca, PcaConfig, Sql, SqlConfig};
 
-fn options(batch: bool, pipeline: bool, workers: usize) -> EngineOptions {
+fn options(batch: bool, workers: usize) -> EngineOptions {
     EngineOptions {
         cluster: uniform_cluster(3, 4, 2.0),
         default_parallelism: 8,
         workers,
         trace: TraceSink::enabled(),
-        pipeline,
         batch,
         ..EngineOptions::default()
     }
@@ -66,12 +64,8 @@ struct Observed {
     total_s_bits: u64,
 }
 
-fn observe(w: &dyn Workload, batch: bool, pipeline: bool, workers: usize) -> Observed {
-    let ctx: Context = w.run(
-        &options(batch, pipeline, workers),
-        &WorkloadConf::new(),
-        1.0,
-    );
+fn observe(w: &dyn Workload, batch: bool, workers: usize) -> Observed {
+    let ctx: Context = w.run(&options(batch, workers), &WorkloadConf::new(), 1.0);
     let summary = ctx.trace_summary();
     Observed {
         jobs: ctx.jobs().to_vec(),
@@ -87,43 +81,38 @@ fn observe(w: &dyn Workload, batch: bool, pipeline: bool, workers: usize) -> Obs
 }
 
 fn assert_batch_equivalent(w: &dyn Workload) {
-    // Reference: the row-at-a-time barrier engine on one worker — the
-    // slowest, simplest configuration every other mode must reproduce.
-    let reference = observe(w, false, false, 1);
+    // Reference: rows on one worker — the slowest, simplest configuration
+    // every other mode must reproduce.
+    let reference = observe(w, false, 1);
     assert!(
         !reference.virtual_trace.is_empty(),
         "{}: traced run produced no events",
         w.name()
     );
     for workers in [1, 8] {
-        for pipeline in [false, true] {
-            for batch in [false, true] {
-                if !batch && !pipeline && workers == 1 {
-                    continue; // that's the reference itself
-                }
-                let what = format!(
-                    "{}: batch {batch}, pipeline {pipeline}, workers {workers}",
-                    w.name()
-                );
-                let got = observe(w, batch, pipeline, workers);
-                assert_jobs_bit_identical(&reference.jobs, &got.jobs, &what);
-                assert_eq!(
-                    reference.stages_debug, got.stages_debug,
-                    "{what}: stage metrics diverged"
-                );
-                assert_eq!(
-                    reference.virtual_trace, got.virtual_trace,
-                    "{what}: virtual trace slice diverged"
-                );
-                assert_eq!(
-                    reference.summary_stages, got.summary_stages,
-                    "{what}: summary stage rows diverged"
-                );
-                assert_eq!(
-                    reference.total_s_bits, got.total_s_bits,
-                    "{what}: total virtual time diverged"
-                );
+        for batch in [false, true] {
+            if !batch && workers == 1 {
+                continue; // that's the reference itself
             }
+            let what = format!("{}: batch {batch}, workers {workers}", w.name());
+            let got = observe(w, batch, workers);
+            assert_jobs_bit_identical(&reference.jobs, &got.jobs, &what);
+            assert_eq!(
+                reference.stages_debug, got.stages_debug,
+                "{what}: stage metrics diverged"
+            );
+            assert_eq!(
+                reference.virtual_trace, got.virtual_trace,
+                "{what}: virtual trace slice diverged"
+            );
+            assert_eq!(
+                reference.summary_stages, got.summary_stages,
+                "{what}: summary stage rows diverged"
+            );
+            assert_eq!(
+                reference.total_s_bits, got.total_s_bits,
+                "{what}: total virtual time diverged"
+            );
         }
     }
 }

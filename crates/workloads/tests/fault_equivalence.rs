@@ -4,8 +4,8 @@
 //! tables as the fault-free run — only simulated timings, placements,
 //! and the recovery trace may differ. On top of that, faulted execution
 //! itself must stay deterministic: the same plan and seed must replay
-//! the same injected faults and the same virtual-clock trace across
-//! pipeline on/off and any host worker count.
+//! the same injected faults and the same virtual-clock trace at any host
+//! worker count.
 
 use chopper::Workload;
 use engine::{ClockFilter, Context, EngineOptions, FaultPlan, NodeLoss, TraceSink, WorkloadConf};
@@ -29,24 +29,19 @@ fn small_workloads() -> Vec<Box<dyn Workload>> {
     ]
 }
 
-fn options(pipeline: bool, workers: usize, faults: Option<FaultPlan>) -> EngineOptions {
+fn options(workers: usize, faults: Option<FaultPlan>) -> EngineOptions {
     EngineOptions {
         cluster: uniform_cluster(3, 4, 2.0),
         default_parallelism: 8,
         workers,
         trace: TraceSink::enabled(),
-        pipeline,
         faults,
         ..EngineOptions::default()
     }
 }
 
-fn run(w: &dyn Workload, pipeline: bool, workers: usize, faults: Option<FaultPlan>) -> Context {
-    w.run(
-        &options(pipeline, workers, faults),
-        &WorkloadConf::new(),
-        1.0,
-    )
+fn run(w: &dyn Workload, workers: usize, faults: Option<FaultPlan>) -> Context {
+    w.run(&options(workers, faults), &WorkloadConf::new(), 1.0)
 }
 
 /// The placement- and timing-independent view of a finished run: job and
@@ -78,7 +73,7 @@ fn byte_table(ctx: &Context) -> String {
 }
 
 /// Everything virtual-clock observable, for faulted-vs-faulted bit
-/// comparisons (same plan, different engine mode / worker count).
+/// comparisons (same plan, different worker count).
 fn virtual_view(ctx: &Context) -> (String, String) {
     (
         format!("{:?}", ctx.all_stages()),
@@ -93,8 +88,8 @@ fn virtual_view(ctx: &Context) -> (String, String) {
 fn assert_plan_equivalent(text: &str) {
     let p = plan(text);
     for w in small_workloads() {
-        let clean = byte_table(&run(w.as_ref(), false, 1, None));
-        let reference = run(w.as_ref(), false, 1, Some(p.clone()));
+        let clean = byte_table(&run(w.as_ref(), 1, None));
+        let reference = run(w.as_ref(), 1, Some(p.clone()));
         assert_eq!(
             clean,
             byte_table(&reference),
@@ -103,36 +98,29 @@ fn assert_plan_equivalent(text: &str) {
         );
         let (ref_stages, ref_trace) = virtual_view(&reference);
         assert!(!ref_trace.is_empty(), "{}: no trace events", w.name());
-        for workers in [1, 8] {
-            for pipeline in [false, true] {
-                if !pipeline && workers == 1 {
-                    continue; // that's the reference itself
-                }
-                let what = format!("{}: pipeline {pipeline}, workers {workers}", w.name());
-                let got = run(w.as_ref(), pipeline, workers, Some(p.clone()));
-                assert_eq!(clean, byte_table(&got), "{what}: byte table diverged");
-                let (stages, trace) = virtual_view(&got);
-                assert_eq!(ref_stages, stages, "{what}: stage metrics diverged");
-                assert_eq!(ref_trace, trace, "{what}: virtual trace diverged");
-                assert_eq!(
-                    reference.fault_counters(),
-                    got.fault_counters(),
-                    "{what}: injected faults diverged"
-                );
-            }
-        }
+        let what = format!("{}: workers 8", w.name());
+        let got = run(w.as_ref(), 8, Some(p.clone()));
+        assert_eq!(clean, byte_table(&got), "{what}: byte table diverged");
+        let (stages, trace) = virtual_view(&got);
+        assert_eq!(ref_stages, stages, "{what}: stage metrics diverged");
+        assert_eq!(ref_trace, trace, "{what}: virtual trace diverged");
+        assert_eq!(
+            reference.fault_counters(),
+            got.fault_counters(),
+            "{what}: injected faults diverged"
+        );
     }
 }
 
 #[test]
-fn plan_smoke_preserves_results_across_modes_and_workers() {
+fn plan_smoke_preserves_results_across_workers() {
     assert_plan_equivalent(SMOKE);
 }
 
 #[test]
 fn plan_smoke_injects_retries_and_corruption() {
     let p = plan(SMOKE);
-    let ctx = run(&Sql::new(SqlConfig::small()), true, 8, Some(p));
+    let ctx = run(&Sql::new(SqlConfig::small()), 8, Some(p));
     let fc = ctx.fault_counters();
     assert!(fc.retried_tasks > 0, "8% failure rate must retry: {fc:?}");
     assert!(fc.corrupt_chunks > 0, "3% corruption must trigger: {fc:?}");
@@ -141,7 +129,7 @@ fn plan_smoke_injects_retries_and_corruption() {
 }
 
 #[test]
-fn plan_lossy_preserves_results_across_modes_and_workers() {
+fn plan_lossy_preserves_results_across_workers() {
     assert_plan_equivalent(LOSSY);
 }
 
@@ -149,7 +137,7 @@ fn plan_lossy_preserves_results_across_modes_and_workers() {
 fn plan_lossy_blacklists_the_node_on_every_workload() {
     let p = plan(LOSSY);
     for w in small_workloads() {
-        let ctx = run(w.as_ref(), false, 1, Some(p.clone()));
+        let ctx = run(w.as_ref(), 1, Some(p.clone()));
         let fc = ctx.fault_counters();
         assert_eq!(fc.nodes_lost, 1, "{}: {fc:?}", w.name());
         assert!(fc.retried_tasks > 0, "{}: {fc:?}", w.name());
@@ -163,7 +151,7 @@ fn plan_lossy_mid_shuffle_recomputes_lost_map_outputs() {
     // boundary while the producer's map outputs are still live — forcing
     // lineage recomputation rather than mere rescheduling.
     for w in small_workloads() {
-        let clean = run(w.as_ref(), false, 1, None);
+        let clean = run(w.as_ref(), 1, None);
         let clean_table = byte_table(&clean);
         let target = clean
             .jobs()
@@ -178,7 +166,7 @@ fn plan_lossy_mid_shuffle_recomputes_lost_map_outputs() {
             node_loss: vec![NodeLoss { node: 0, at }],
             ..FaultPlan::default()
         };
-        let ctx = run(w.as_ref(), false, 1, Some(p));
+        let ctx = run(w.as_ref(), 1, Some(p));
         let fc = ctx.fault_counters();
         assert_eq!(fc.nodes_lost, 1, "{}: {fc:?}", w.name());
         assert!(
@@ -200,8 +188,8 @@ fn invariants_inert_plan_is_bit_identical_to_no_plan() {
     let inert = FaultPlan::default();
     assert!(inert.is_inert());
     for w in small_workloads() {
-        let clean = run(w.as_ref(), true, 2, None);
-        let faulted = run(w.as_ref(), true, 2, Some(inert.clone()));
+        let clean = run(w.as_ref(), 2, None);
+        let faulted = run(w.as_ref(), 2, Some(inert.clone()));
         let (clean_stages, clean_trace) = virtual_view(&clean);
         let (stages, trace) = virtual_view(&faulted);
         assert_eq!(
@@ -228,8 +216,8 @@ fn invariants_speculation_never_double_counts_shuffle_bytes() {
     let with_speculation =
         FaultPlan::from_text("seed 9\nslow-node 1 6 1\nspeculation 1.5\n").unwrap();
     for w in small_workloads() {
-        let base = run(w.as_ref(), false, 2, Some(straggler_only.clone()));
-        let spec = run(w.as_ref(), false, 2, Some(with_speculation.clone()));
+        let base = run(w.as_ref(), 2, Some(straggler_only.clone()));
+        let spec = run(w.as_ref(), 2, Some(with_speculation.clone()));
         assert_eq!(
             byte_table(&base),
             byte_table(&spec),

@@ -2,8 +2,8 @@
 //! workload, a cluster spec carrying `Topology::Flat` must produce
 //! bit-identical simulated results to the default spec — job/stage
 //! metrics, per-task virtual durations, and the virtual-clock slice of
-//! the Chrome trace — at any host worker count, with pipelining or
-//! batching on or off. The netsim fabric only engages for rack specs;
+//! the Chrome trace — at any host worker count, with batching on or
+//! off. The netsim fabric only engages for rack specs;
 //! flat keeps the closed-form fetch model byte-for-byte.
 
 use chopper::Workload;
@@ -11,7 +11,7 @@ use engine::{ClockFilter, Context, EngineOptions, JobMetrics, TraceSink, Workloa
 use simcluster::{uniform_cluster, Topology};
 use workloads::{KMeans, KMeansConfig, LogReg, LogRegConfig, Pca, PcaConfig, Sql, SqlConfig};
 
-fn options(explicit_flat: bool, pipeline: bool, batch: bool, workers: usize) -> EngineOptions {
+fn options(explicit_flat: bool, batch: bool, workers: usize) -> EngineOptions {
     let mut cluster = uniform_cluster(3, 4, 2.0);
     if explicit_flat {
         cluster = cluster.with_topology(Topology::Flat);
@@ -21,7 +21,6 @@ fn options(explicit_flat: bool, pipeline: bool, batch: bool, workers: usize) -> 
         default_parallelism: 8,
         workers,
         trace: TraceSink::enabled(),
-        pipeline,
         batch,
         ..EngineOptions::default()
     }
@@ -71,15 +70,9 @@ struct Observed {
     total_s_bits: u64,
 }
 
-fn observe(
-    w: &dyn Workload,
-    explicit_flat: bool,
-    pipeline: bool,
-    batch: bool,
-    workers: usize,
-) -> Observed {
+fn observe(w: &dyn Workload, explicit_flat: bool, batch: bool, workers: usize) -> Observed {
     let ctx: Context = w.run(
-        &options(explicit_flat, pipeline, batch, workers),
+        &options(explicit_flat, batch, workers),
         &WorkloadConf::new(),
         1.0,
     );
@@ -98,40 +91,38 @@ fn observe(
 }
 
 fn assert_flat_topology_equivalent(w: &dyn Workload) {
-    // Reference: the default spec (no topology stated), barrier mode,
-    // single worker — exactly what every figure before netsim observed.
-    let reference = observe(w, false, false, false, 1);
+    // Reference: the default spec (no topology stated), rows, single
+    // worker — exactly what every figure before netsim observed.
+    let reference = observe(w, false, false, 1);
     assert!(
         !reference.virtual_trace.is_empty(),
         "{}: traced run produced no events",
         w.name()
     );
     for workers in [1, 8] {
-        for pipeline in [false, true] {
-            for batch in [false, true] {
-                let what = format!(
-                    "{}: explicit flat, pipeline {pipeline}, batch {batch}, workers {workers}",
-                    w.name()
-                );
-                let got = observe(w, true, pipeline, batch, workers);
-                assert_jobs_bit_identical(&reference.jobs, &got.jobs, &what);
-                assert_eq!(
-                    reference.stages_debug, got.stages_debug,
-                    "{what}: stage metrics diverged"
-                );
-                assert_eq!(
-                    reference.virtual_trace, got.virtual_trace,
-                    "{what}: virtual trace slice diverged"
-                );
-                assert_eq!(
-                    reference.summary_stages, got.summary_stages,
-                    "{what}: summary stage rows diverged"
-                );
-                assert_eq!(
-                    reference.total_s_bits, got.total_s_bits,
-                    "{what}: total virtual time diverged"
-                );
-            }
+        for batch in [false, true] {
+            let what = format!(
+                "{}: explicit flat, batch {batch}, workers {workers}",
+                w.name()
+            );
+            let got = observe(w, true, batch, workers);
+            assert_jobs_bit_identical(&reference.jobs, &got.jobs, &what);
+            assert_eq!(
+                reference.stages_debug, got.stages_debug,
+                "{what}: stage metrics diverged"
+            );
+            assert_eq!(
+                reference.virtual_trace, got.virtual_trace,
+                "{what}: virtual trace slice diverged"
+            );
+            assert_eq!(
+                reference.summary_stages, got.summary_stages,
+                "{what}: summary stage rows diverged"
+            );
+            assert_eq!(
+                reference.total_s_bits, got.total_s_bits,
+                "{what}: total virtual time diverged"
+            );
         }
     }
 }

@@ -1,0 +1,120 @@
+//! Tier-1 guard for the engine: `cargo test -q` at the repository root
+//! runs only this package, so this is where a change to the executor has
+//! to fail first. Two paper workloads at 1/20 scale, at a fat and a wide
+//! partition count, ungoverned and under a tight memory budget: results,
+//! per-stage byte tables and the job-end virtual clock must not depend on
+//! the host worker count or the row/columnar layout, and the memory
+//! budget must move nothing but the clock and where bytes are read from.
+
+use chopper_repro::engine::{Context, EngineOptions, WorkloadConf};
+use chopper_repro::workloads::{KMeans, KMeansConfig, Sql, SqlConfig};
+
+const SCALE: f64 = 0.05;
+/// Small enough that both workloads spill at either partition count.
+const TIGHT_MEM: u64 = 8 * 1024;
+
+fn options(workers: usize, batch: bool, partitions: usize, mem: Option<u64>) -> EngineOptions {
+    EngineOptions {
+        default_parallelism: partitions,
+        workers,
+        batch,
+        executor_mem: mem,
+        ..EngineOptions::default()
+    }
+}
+
+/// What one run is compared on.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    /// The workload's typed result, sorted and rendered (`f64` `Debug` is
+    /// a shortest round-trip form: distinct bits render distinctly).
+    result: String,
+    /// Per stage: tasks, records and bytes in and out, shuffle bytes
+    /// written.
+    byte_table: Vec<[u64; 6]>,
+    /// Per stage, shuffle bytes fetched. Budget-dependent: a spilled
+    /// co-partitioned join side is read from local disk instead.
+    shuffle_read: Vec<u64>,
+    clock_bits: u64,
+    spilled: bool,
+}
+
+fn observe(ctx: &Context, result: String) -> Observed {
+    let mem = ctx.mem_counters();
+    let stages = ctx.all_stages();
+    Observed {
+        result,
+        byte_table: stages
+            .iter()
+            .map(|m| {
+                [
+                    m.num_tasks as u64,
+                    m.input_records,
+                    m.input_bytes,
+                    m.output_records,
+                    m.output_bytes,
+                    m.shuffle_write_bytes,
+                ]
+            })
+            .collect(),
+        shuffle_read: stages.iter().map(|m| m.shuffle_read_bytes).collect(),
+        clock_bits: ctx.clock().to_bits(),
+        spilled: mem.spills + mem.evictions > 0,
+    }
+}
+
+fn sql(opts: &EngineOptions) -> Observed {
+    let mut res = Sql::new(SqlConfig::paper()).execute(opts, &WorkloadConf::new(), SCALE);
+    res.joined
+        .sort_by(|a, b| a.partial_cmp(b).expect("finite revenues"));
+    observe(&res.ctx, format!("{:?}", res.joined))
+}
+
+fn kmeans(opts: &EngineOptions) -> Observed {
+    // The paper layout thinned to what exercises the engine — the cached
+    // input re-read by a preparation pass and two Lloyd iterations — with
+    // short vectors, so an unoptimized build spends its time in the
+    // executor rather than in distance arithmetic.
+    let cfg = KMeansConfig {
+        dim: 4,
+        prep_passes: 1,
+        iterations: 2,
+        ..KMeansConfig::paper()
+    };
+    let mut res = KMeans::new(cfg).execute(opts, &WorkloadConf::new(), SCALE);
+    res.histogram.sort_unstable();
+    observe(&res.ctx, format!("{:?} {:?}", res.centers, res.histogram))
+}
+
+fn assert_layout_and_workers_do_not_matter(name: &str, run: fn(&EngineOptions) -> Observed) {
+    for partitions in [8, 600] {
+        let free = run(&options(1, false, partitions, None));
+        assert!(!free.byte_table.is_empty(), "{name}: no stages ran");
+        let tight = run(&options(1, false, partitions, Some(TIGHT_MEM)));
+        assert!(
+            tight.spilled,
+            "{name} P={partitions}: the tight budget never engaged"
+        );
+        assert_eq!(free.result, tight.result, "{name} P={partitions}: budget");
+        assert_eq!(free.byte_table, tight.byte_table, "{name} P={partitions}");
+        for (mem, reference) in [(None, &free), (Some(TIGHT_MEM), &tight)] {
+            for (workers, batch) in [(1, true), (8, false), (8, true)] {
+                let got = run(&options(workers, batch, partitions, mem));
+                assert_eq!(
+                    &got, reference,
+                    "{name} P={partitions} mem={mem:?} workers={workers} batch={batch}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn sql_is_identical_across_workers_layout_and_budget() {
+    assert_layout_and_workers_do_not_matter("sql", sql);
+}
+
+#[test]
+fn kmeans_is_identical_across_workers_layout_and_budget() {
+    assert_layout_and_workers_do_not_matter("kmeans", kmeans);
+}
