@@ -931,11 +931,12 @@ fn fig_scale() -> String {
         "Fig scale — tuned P and partitioner vs cluster size and fabric",
         "The same weak-scaled aggregation workload auto-tuned at 6, 96 and \
          1000 hosts, once on a flat fabric and once on a 4:1-oversubscribed \
-         rack/spine fabric. Rack cells run on the netsim flow engine \
-         (per-link max-min sharing, topology-aware reduce placement) and \
-         the optimizer judges shuffle significance against the degraded \
-         cross-rack bandwidth, so contention the flat model cannot see \
-         reshapes its choices. Shape criterion: at least one stage's tuned \
+         rack/spine fabric. Every cell runs on the netsim flow engine \
+         (per-link max-min sharing, rack-aware reduce placement); on the \
+         rack fabric the ToR uplinks are contended too and the optimizer \
+         judges shuffle significance against the degraded cross-rack \
+         bandwidth, so contention the flat fabric does not have reshapes \
+         its choices. Shape criterion: at least one stage's tuned \
          partition count or partitioner differs between the fabrics, and \
          the whole table regenerates bit-identically (doc-sync gated).",
         body,

@@ -9,7 +9,9 @@
 use crate::dataplane::{
     seed_bucketize, seed_chain, seed_merge_cogroup, seed_merge_join, ChainOp, FusedChain,
 };
-use engine::shuffle::{bucketize, bucketize_columnar, bucketize_in, TaskArena};
+use engine::shuffle::{
+    bucketize_columnar, bucketize_columnar_runs, bucketize_in, bucketize_runs_shared, TaskArena,
+};
 use engine::{
     concat_int_batches, run_int_chain, ColumnBatch, EngineOptions, HashPartitioner, IntOp, Key,
     Record, ReduceFn, Value,
@@ -232,8 +234,11 @@ pub fn measure_dataplane() -> DataplaneReport {
         },
     );
 
-    // Shuffle-write bucketize, with and without map-side combine.
+    // Shuffle-write bucketize, with and without map-side combine: the
+    // seed's bucket-per-partition kernel vs the executor's one-allocation
+    // partition-ordered runs.
     let part = HashPartitioner::new(300);
+    let mut arena = TaskArena::default();
     let sum: ReduceFn = Arc::new(|a: &Value, b: &Value| Value::Int(a.as_int() + b.as_int()));
     // Three repetitions per timed window: a single pass is ~10 ms, short
     // enough that scheduler jitter dominates the ratio.
@@ -248,7 +253,7 @@ pub fn measure_dataplane() -> DataplaneReport {
         || {
             once_ms(|| {
                 for _ in 0..3 {
-                    std::hint::black_box(bucketize(&input, &part, None));
+                    std::hint::black_box(bucketize_runs_shared(&input, &part, None, &mut arena));
                 }
             })
         },
@@ -264,7 +269,12 @@ pub fn measure_dataplane() -> DataplaneReport {
         || {
             once_ms(|| {
                 for _ in 0..3 {
-                    std::hint::black_box(bucketize(&input, &part, Some(&sum)));
+                    std::hint::black_box(bucketize_runs_shared(
+                        &input,
+                        &part,
+                        Some(&sum),
+                        &mut arena,
+                    ));
                 }
             })
         },
@@ -328,14 +338,19 @@ pub fn measure_dataplane() -> DataplaneReport {
         || {
             once_ms(|| {
                 for _ in 0..3 {
-                    std::hint::black_box(bucketize_in(&input, &part, None, &mut arena_row));
+                    std::hint::black_box(bucketize_runs_shared(
+                        &input,
+                        &part,
+                        None,
+                        &mut arena_row,
+                    ));
                 }
             })
         },
         || {
             once_ms(|| {
                 for _ in 0..3 {
-                    std::hint::black_box(bucketize_columnar(&input, &part, &mut arena_col));
+                    std::hint::black_box(bucketize_columnar_runs(&input, &part, &mut arena_col));
                 }
             })
         },

@@ -4,11 +4,11 @@
 //! each cluster size the same weak-scaled aggregation workload is
 //! auto-tuned twice, once on a flat fabric and once on an oversubscribed
 //! rack/spine fabric (`rack:<racks>x<hosts>:4`), and the tuned plans are
-//! diffed stage by stage. The rack runs execute on the netsim flow
-//! engine (link contention, topology-aware placement) and the optimizer
-//! judges shuffle significance against the degraded cross-rack
-//! bandwidth, so the chosen partition count or partitioner can flip
-//! where the flat model says it should not.
+//! diffed stage by stage. Both runs execute on the one netsim flow
+//! engine; the rack fabric adds contended ToR uplinks and rack-aware
+//! placement, and the optimizer judges shuffle significance against the
+//! degraded cross-rack bandwidth, so the chosen partition count or
+//! partitioner can flip where the flat fabric says it should not.
 //!
 //! Everything here is virtual-clock deterministic: the report
 //! regenerates verbatim regardless of host worker count, which is what
@@ -181,8 +181,7 @@ pub struct CellResult {
     pub tuned_time: f64,
     /// Per-stage tuning outcome, in decision order: `(stage, choice)`.
     pub decisions: Vec<(String, String)>,
-    /// Simulation events processed by the tuned run (0 on the flat
-    /// closed-form path, which needs no event engine).
+    /// Simulation events processed by the tuned run.
     pub events: u64,
     /// Netsim flows completed by the tuned run.
     pub flows: u64,

@@ -4,15 +4,19 @@ use crate::args::Args;
 use chopper::{Autotuner, DecisionAction, TestRunPlan, Workload, WorkloadDb};
 use engine::{Context, EngineOptions, PartitionerKind, WorkloadConf};
 use simcluster::{paper_cluster, uniform_cluster, ClusterSpec};
-use workloads::{KMeans, KMeansConfig, LogReg, LogRegConfig, Pca, PcaConfig, Sql, SqlConfig};
+use workloads::{
+    KMeans, KMeansConfig, LogReg, LogRegConfig, Pca, PcaConfig, SkewAgg, SkewAggConfig, Sql,
+    SqlConfig,
+};
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
 chopper-cli — CHOPPER auto-partitioning (CLUSTER 2016 reproduction)
 
 commands:
-  run      --workload kmeans|pca|sql|logreg [--scale F] [--partitions N]
-           [--copartition] [--gantt] [--conf FILE] [--batch on|off]
+  run      --workload kmeans|pca|sql|logreg|skewagg [--scale F]
+           [--partitions N] [--copartition] [--gantt] [--conf FILE]
+           [--batch on|off]
            [--adaptive on|off] [--cluster paper|uniform:N,C,GHz]
            [--topology flat|rack:RxH[:oversub]]
            [--executor-mem SIZE] [--fault-plan FILE] [--fault-seed N]
@@ -35,10 +39,11 @@ commands:
   loadgen  --out FILE [--tenants N] [--jobs N] [--seed N]
   help
 
---topology shapes the simulated network: `flat` (default) is the
-historical non-blocking fabric; `rack:<racks>x<hosts>[:oversub]` groups
-hosts into racks behind ToR uplinks carrying hosts×NIC/oversub each way,
-simulated flow-level with max-min fair sharing. The rack grid must have
+--topology shapes the simulated network, which carries every shuffle
+fetch as a flow under max-min fair sharing: `flat` (default) is one rack
+on a non-blocking fabric, so only the receiver NICs are contended;
+`rack:<racks>x<hosts>[:oversub]` groups hosts into racks behind ToR
+uplinks carrying hosts×NIC/oversub each way. The rack grid must have
 room for every cluster node; malformed specs are rejected at parse time.
 
 --adaptive (default on) enables runtime re-optimization: the engine
@@ -75,8 +80,9 @@ fn workload(args: &Args) -> Result<Box<dyn Workload>, String> {
         "pca" => Ok(Box::new(Pca::new(PcaConfig::paper()))),
         "sql" => Ok(Box::new(Sql::new(SqlConfig::paper()))),
         "logreg" => Ok(Box::new(LogReg::new(LogRegConfig::paper()))),
+        "skewagg" => Ok(Box::new(SkewAgg::new(SkewAggConfig::paper()))),
         other => Err(format!(
-            "unknown workload '{other}' (kmeans|pca|sql|logreg)"
+            "unknown workload '{other}' (kmeans|pca|sql|logreg|skewagg)"
         )),
     }
 }
@@ -97,17 +103,11 @@ fn cluster(args: &Args) -> Result<ClusterSpec, String> {
         other => return Err(format!("unknown cluster spec '{other}'")),
     };
     if let Some(t) = args.get("topology") {
-        let topo: simcluster::Topology = t
+        // Whether the grid covers the cluster is `EngineOptions::validate`'s
+        // check, shared with specs that never pass through here.
+        spec.topology = t
             .parse()
             .map_err(|e: simcluster::TopologyParseError| e.to_string())?;
-        if !topo.covers(spec.num_nodes()) {
-            return Err(format!(
-                "--topology {topo} has room for fewer hosts than the cluster's \
-                 {} nodes — grow the rack grid or shrink the cluster",
-                spec.num_nodes()
-            ));
-        }
-        spec.topology = topo;
     }
     Ok(spec)
 }
@@ -648,6 +648,12 @@ mod tests {
                 .name(),
             "logreg"
         );
+        assert_eq!(
+            workload(&args(&["run", "--workload", "skewagg"]))
+                .unwrap()
+                .name(),
+            "skewagg"
+        );
         assert!(workload(&args(&["run", "--workload", "zebra"])).is_err());
         assert!(workload(&args(&["run"])).is_err());
     }
@@ -665,7 +671,7 @@ mod tests {
     #[test]
     fn topology_flag_shapes_the_cluster() {
         let flat = cluster(&args(&["run", "--cluster", "uniform:8,4,2.0"])).unwrap();
-        assert!(flat.topology.is_flat());
+        assert_eq!(flat.topology, simcluster::Topology::Flat);
         let racked = cluster(&args(&[
             "run",
             "--cluster",
@@ -702,17 +708,36 @@ mod tests {
                 .expect_err(&format!("'{bad}' must be rejected"));
             assert!(err.contains("topology"), "'{bad}' error: {err}");
         }
-        // A well-formed grid that is too small for the cluster is also an
-        // argument error, not a later panic.
-        let err = cluster(&args(&[
+    }
+
+    #[test]
+    fn undersized_topology_grid_dies_at_parse_time() {
+        // A well-formed grid that is too small for the cluster is an
+        // argument error for every command, not a later panic or a last
+        // rack silently absorbing the overflow.
+        let tokens = [
             "run",
             "--cluster",
             "uniform:8,4,2.0",
             "--topology",
             "rack:2x2",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("room"), "got: {err}");
+        ];
+        let Err(err) = engine_opts(&args(&tokens)) else {
+            panic!("undersized grid must be rejected");
+        };
+        assert!(
+            err.contains("room") && err.contains("rack:2x2"),
+            "got: {err}"
+        );
+        assert!(serve_engine_opts(&args(&tokens)).is_err());
+        let fits = [
+            "run",
+            "--cluster",
+            "uniform:8,4,2.0",
+            "--topology",
+            "rack:2x4",
+        ];
+        assert!(engine_opts(&args(&fits)).is_ok());
     }
 
     #[test]

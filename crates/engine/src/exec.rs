@@ -14,7 +14,7 @@ use crate::pool::{lock, WorkerPool};
 use crate::rdd::{Rdd, RddGraph};
 use crate::record::{batch_size, Key, Record};
 use crate::shuffle::{
-    Bucket, CogroupMerge, ConcatMerge, GroupMerge, JoinMerge, ReduceMerge, TaskArena,
+    CogroupMerge, ConcatMerge, GroupMerge, JoinMerge, ReduceMerge, Run, Runs, TaskArena, TaskRuns,
 };
 use crate::stage::{plan_job, MaterializedInfo, Plan, PlanStage, SideDep, StageOutput, StageRoot};
 use blockstore::BlockStore;
@@ -173,6 +173,13 @@ impl EngineOptions {
     /// parse time so the user gets the message instead of a silent
     /// fallback.
     pub fn validate(&self) -> Result<(), String> {
+        let (topology, nodes) = (self.cluster.topology, self.cluster.num_nodes());
+        if !topology.covers(nodes) {
+            return Err(format!(
+                "topology {topology} has room for fewer hosts than the cluster's \
+                 {nodes} nodes — grow the rack grid or shrink the cluster"
+            ));
+        }
         if let Some(m) = self.speculation {
             if m.is_nan() || m <= 1.0 {
                 return Err(format!("speculation multiplier must be > 1, got {m}"));
@@ -216,13 +223,16 @@ struct Materialized {
 /// One shuffle's map output, from the map stage that wrote it until the
 /// last stage that reads it.
 struct ShuffleData {
-    /// `rows[map_task][reduce_partition]` — row vectors or columnar batch
-    /// slices, per the producing task's layout; `None` where the bucket is
-    /// empty or already taken. One lock per map task's row: reduce tasks
-    /// take their column's buckets out in place (see [`ShuffleData::take`])
-    /// and hold a lock only for that move. Emptied after the last read.
-    rows: Vec<Mutex<Vec<Option<Bucket>>>>,
-    /// `bytes[map_task][reduce_partition]`, serialized size per bucket.
+    /// `rows[map_task]` — that task's whole output in reduce-partition
+    /// order, records or a columnar batch per the task's layout. One lock
+    /// per map task: a reduce task merges its partition's run out of the
+    /// row in place (see [`ShuffleData::with_run`]) and holds the lock only
+    /// for that. Emptied after the last read.
+    rows: Vec<Mutex<Runs>>,
+    /// `offsets[map_task]`: reduce partition `c`'s run is
+    /// `offsets[map_task][c]..offsets[map_task][c + 1]` of the row.
+    offsets: Vec<Vec<usize>>,
+    /// `bytes[map_task][reduce_partition]`, serialized size per run.
     bytes: Vec<Vec<u64>>,
     nodes: Vec<NodeId>,
     producer_gid: usize,
@@ -231,7 +241,7 @@ struct ShuffleData {
     /// recomputed through lineage (empty otherwise).
     specs: Vec<TaskSpec>,
     /// More than one read in the plan (a self-join, or two stages over one
-    /// uncached wide RDD): reads clone bucket handles instead of taking.
+    /// uncached wide RDD): reads clone the records instead of moving them.
     shared: bool,
     /// Reads of this shuffle that have not run yet.
     reads_left: usize,
@@ -1069,7 +1079,7 @@ impl Context {
         let (outs, writes) = self.run_tasks(&cx, &input);
         let wall = (wall_start, sink.wall_now());
         drop(input);
-        // A shuffle's bucket table is dead once its last read has run.
+        // A shuffle's table is dead once its last read has run.
         for sidx in stage.root.shuffle_reads() {
             let data = shuffles[sidx].as_mut().expect("producer stage ran first");
             data.reads_left -= 1;
@@ -1114,14 +1124,17 @@ impl Context {
         match (stage.output, writes) {
             (StageOutput::ShuffleWrite(sidx), Some(writes)) => {
                 let mut rows = Vec::with_capacity(cx.num_tasks);
+                let mut offsets = Vec::with_capacity(cx.num_tasks);
                 let mut bytes = Vec::with_capacity(cx.num_tasks);
                 for w in writes {
-                    rows.push(Mutex::new(w.row));
-                    bytes.push(w.bytes);
+                    rows.push(Mutex::new(w.runs.runs));
+                    offsets.push(w.runs.offsets);
+                    bytes.push(w.runs.bytes);
                 }
                 let reads_left = plan.shuffle_reads(sidx);
                 shuffles[sidx] = Some(ShuffleData {
                     rows,
+                    offsets,
                     bytes,
                     nodes: homes,
                     producer_gid: gid,
@@ -1145,7 +1158,7 @@ impl Context {
                 result_records = Some(all);
             }
             (StageOutput::ShuffleWrite(_), None) => {
-                unreachable!("shuffle-write tasks return their buckets")
+                unreachable!("shuffle-write tasks return their runs")
             }
         }
         if sink.is_enabled() {
@@ -1335,7 +1348,7 @@ impl Context {
     /// a range shuffle first needs every task's key sample for its bounds,
     /// so it computes in one pass and bucketizes, still by move, in a
     /// second. Returns per-task outputs and, for shuffle writes, per-task
-    /// bucket rows.
+    /// runs.
     fn run_tasks(
         &self,
         cx: &StageCtx<'_>,
@@ -1443,7 +1456,7 @@ impl Context {
         let mut unsplit: Vec<TaskSpec> = Vec::new();
         for (i, (task, out)) in reads.tasks.iter().zip(outs).enumerate() {
             let (mut write_bytes, extra_cost) =
-                writes.map_or((0, 0.0), |w| (w[i].bytes.iter().sum(), w[i].cost));
+                writes.map_or((0, 0.0), |w| (w[i].runs.bytes.iter().sum(), w[i].cost));
             let mut local_read_bytes = task.local_read_bytes;
             // Map-side combine overflow: a shuffle buffer larger than the
             // task's execution-memory share spills the overflow to disk
@@ -1713,7 +1726,7 @@ impl Context {
             output_records: outs.iter().map(|o| o.out_records).sum(),
             output_bytes: outs.iter().map(|o| o.out_bytes).sum(),
             shuffle_read_bytes,
-            shuffle_write_bytes: writes.map_or(0, |w| w.iter().flat_map(|w| &w.bytes).sum()),
+            shuffle_write_bytes: writes.map_or(0, |w| w.iter().flat_map(|w| &w.runs.bytes).sum()),
             remote_read_bytes,
             start: timing.start,
             end: timing.end,
@@ -2041,11 +2054,12 @@ impl Context {
     }
 
     /// Recovers the data that died with `node`, replicas first, recompute
-    /// second: cached partitions re-home to surviving nodes at
-    /// replica-read disk cost (their host-side `Arc`s never left driver
-    /// memory, so results are untouched), while lost shuffle map outputs
-    /// — which have no replicas — are recomputed through lineage by
-    /// re-running their retained task specs on the surviving topology.
+    /// second: cached partitions re-home to surviving nodes at the cost
+    /// of a network copy plus a replica disk read (their host-side `Arc`s
+    /// never left driver memory, so results are untouched), while lost
+    /// shuffle map outputs — which have no replicas — are recomputed
+    /// through lineage by re-running their retained task specs on the
+    /// surviving topology.
     /// Only placements and the virtual clock change.
     fn recover_lost_node(&mut self, node: NodeId, shuffles: &mut [Option<ShuffleData>]) {
         let down: Vec<bool> = self
@@ -2093,23 +2107,21 @@ impl Context {
                 replica_read[new_home] += bytes;
                 moved_bytes += bytes;
             }
-            // Under a rack topology the surviving replica must also cross
-            // the network to its new home; charge those transfers as
-            // contended flows. Source selection is deterministic: the
-            // survivor after the new home in id order holds the replica
-            // (with a single survivor the copy is node-local and free).
-            if !self.options.cluster.topology.is_flat() {
-                let transfers: Vec<(NodeId, NodeId, u64)> = moves
-                    .iter()
-                    .enumerate()
-                    .map(|(k, &(_, _, bytes))| {
-                        let new_home = survivors[k % survivors.len()];
-                        let src = survivors[(k + 1) % survivors.len()];
-                        (src, new_home, bytes)
-                    })
-                    .collect();
-                self.sim.charge_replica_transfers(&transfers);
-            }
+            // The surviving replica also crosses the network to its new
+            // home; charge those transfers as contended flows. Source
+            // selection is deterministic: the survivor after the new home
+            // in id order holds the replica (with a single survivor the
+            // copy is node-local and free).
+            let transfers: Vec<(NodeId, NodeId, u64)> = moves
+                .iter()
+                .enumerate()
+                .map(|(k, &(_, _, bytes))| {
+                    let new_home = survivors[k % survivors.len()];
+                    let src = survivors[(k + 1) % survivors.len()];
+                    (src, new_home, bytes)
+                })
+                .collect();
+            self.sim.charge_replica_transfers(&transfers);
             self.sim.charge_disk_io(&replica_read, false);
             let fs = self.faults.as_mut().expect("fault state present");
             fs.counters.replica_rehomed_partitions += moves.len() as u64;
@@ -2388,33 +2400,37 @@ impl ShuffleData {
             .collect()
     }
 
-    /// Takes map task `m`'s bucket for reduce partition `col` out of the
-    /// table — in place, so no per-reducer copy of a column ever exists —
-    /// or clones its handle when the shuffle has more than one read.
-    /// `None` for an empty bucket (never stored; `bytes` says so without
-    /// touching the row lock).
-    fn take(&self, m: usize, col: usize) -> Option<Bucket> {
+    /// Hands map task `m`'s run for reduce partition `col` to `push` and
+    /// returns its record count. Row records are moved out in place under
+    /// the row's lock — no per-reducer copy of a column ever exists, and
+    /// the row's one allocation is freed with the table, by the driver —
+    /// or lent when the shuffle has more than one read. An empty run is
+    /// skipped on the byte table, without touching the lock.
+    fn with_run(&self, m: usize, col: usize, push: &mut impl FnMut(Run<'_>)) -> u64 {
         if self.bytes[m][col] == 0 {
-            return None;
+            return 0;
         }
+        let (start, end) = (self.offsets[m][col], self.offsets[m][col + 1]);
         let mut row = lock(&self.rows[m]);
-        if self.shared {
-            row[col].clone()
-        } else {
-            row[col].take()
+        match &mut *row {
+            Runs::Rows(records) if self.shared => push(Run::Shared(&records[start..end])),
+            Runs::Rows(records) => push(Run::Moved(&mut records[start..end])),
+            Runs::Cols(batch) => {
+                let slice = batch.slice(start, end - start);
+                drop(row);
+                push(Run::Cols(slice));
+            }
         }
+        (end - start) as u64
     }
 
-    /// Feeds reduce partition `col`'s buckets to `push` in map-task order;
+    /// Feeds reduce partition `col`'s runs to `push` in map-task order;
     /// returns the records and bytes fetched.
-    fn drain_column(&self, col: usize, mut push: impl FnMut(Bucket)) -> (u64, u64) {
+    fn drain_column(&self, col: usize, mut push: impl FnMut(Run<'_>)) -> (u64, u64) {
         let (mut fetched, mut bytes) = (0u64, 0u64);
         for m in 0..self.rows.len() {
-            if let Some(bucket) = self.take(m, col) {
-                fetched += bucket.len() as u64;
-                bytes += self.bytes[m][col];
-                push(bucket);
-            }
+            fetched += self.with_run(m, col, &mut push);
+            bytes += self.bytes[m][col];
         }
         (fetched, bytes)
     }
@@ -2429,7 +2445,7 @@ pub(crate) enum MergeKind {
 
 /// Where one join side's data comes from.
 enum JoinSide<'s> {
-    /// A shuffle, consumed bucket by bucket in map order.
+    /// A shuffle, consumed run by run in map order.
     Shuffle(&'s ShuffleData),
     /// A materialized co-partitioned RDD: partition `i` feeds task `i`.
     Narrow(&'s Materialized),
@@ -2445,12 +2461,12 @@ impl JoinSide<'_> {
 
     /// Feeds partition `col` of this side to `push`; returns the records
     /// and bytes fetched.
-    fn drain(&self, col: usize, mut push: impl FnMut(Bucket)) -> (u64, u64) {
+    fn drain(&self, col: usize, mut push: impl FnMut(Run<'_>)) -> (u64, u64) {
         match self {
             JoinSide::Shuffle(data) => data.drain_column(col, push),
             JoinSide::Narrow(mat) => {
                 let part = &mat.parts[col];
-                push(Bucket::Rows(Arc::clone(part)));
+                push(Run::Shared(part));
                 (part.len() as u64, batch_size(part))
             }
         }
@@ -2500,9 +2516,7 @@ struct ShuffleWriter {
 
 /// One map task's shuffle output.
 struct MapWrite {
-    /// One slot per reduce partition; `None` where the task wrote nothing.
-    row: Vec<Option<Bucket>>,
-    bytes: Vec<u64>,
+    runs: TaskRuns,
     /// Compute charged for partitioning, combining and range sampling.
     cost: f64,
 }
@@ -2512,11 +2526,11 @@ impl ShuffleWriter {
         self.spec.kind == PartitionerKind::Range
     }
 
-    /// Bucketizes a finished task's records, *moving* them into buckets
-    /// when the task owns its output (the common case) and borrowing when
+    /// Orders a finished task's records by reduce partition, *moving* them
+    /// when the task owns its output (the common case) and cloning when
     /// the records window a shared cache partition. Combine-free writes go
     /// through a typed column batch when the keys fit one; every path
-    /// produces identical bucket contents and byte tables.
+    /// produces identical run contents and byte tables.
     fn write(
         &self,
         records: TaskRecords,
@@ -2525,14 +2539,16 @@ impl ShuffleWriter {
     ) -> MapWrite {
         let n = records.len() as f64;
         let columnar = (self.batch && self.combine.is_none())
-            .then(|| crate::shuffle::bucketize_columnar(records.as_slice(), partitioner, arena))
+            .then(|| {
+                crate::shuffle::bucketize_columnar_runs(records.as_slice(), partitioner, arena)
+            })
             .flatten();
-        let (tb, combine_ops) = match (columnar, records) {
-            (Some(done), _) => done,
+        let (runs, combine_ops) = match (columnar, records) {
+            (Some(runs), _) => (runs, 0),
             (None, TaskRecords::Owned(v)) => {
-                crate::shuffle::bucketize_owned_in(v, partitioner, self.combine.as_ref(), arena)
+                crate::shuffle::bucketize_runs(v, partitioner, self.combine.as_ref(), arena)
             }
-            (None, shared) => crate::shuffle::bucketize_in(
+            (None, shared) => crate::shuffle::bucketize_runs_shared(
                 shared.as_slice(),
                 partitioner,
                 self.combine.as_ref(),
@@ -2543,19 +2559,7 @@ impl ShuffleWriter {
         if self.is_range() {
             cost += n * SAMPLE_COST;
         }
-        // Empty buckets are dropped here, by the thread that just made
-        // them: at P ≫ records per task they are most of the row.
-        let row = tb
-            .buckets
-            .into_iter()
-            .zip(&tb.bytes)
-            .map(|(b, &bytes)| (bytes > 0).then_some(b))
-            .collect();
-        MapWrite {
-            row,
-            bytes: tb.bytes,
-            cost,
-        }
+        MapWrite { runs, cost }
     }
 }
 
@@ -2724,7 +2728,7 @@ struct RootRead {
 
 /// Materializes task `task`'s root input.
 ///
-/// Shuffle and join roots take their buckets out of the producer's table
+/// Shuffle and join roots move their runs out of the producer's table
 /// in map-task order and fold them straight into the streaming merge
 /// accumulators — the merge sees the same record stream whatever the
 /// worker count, so results, byte counts, range samples, and every
@@ -2769,9 +2773,10 @@ fn read_root(input: &StageInput<'_>, task: TaskId) -> RootRead {
                 // merge each sub independently. The routing is
                 // key-preserving, so aggregates match the unsplit merge;
                 // concatenation in sub order keeps the output deterministic.
-                let maps: Vec<Vec<Record>> = (0..data.rows.len())
-                    .map(|m| data.take(m, i).map_or_else(Vec::new, Bucket::into_records))
-                    .collect();
+                let mut maps: Vec<Vec<Record>> = vec![Vec::new(); data.rows.len()];
+                for (m, records) in maps.iter_mut().enumerate() {
+                    data.with_run(m, i, &mut |run| *records = run.into_records());
+                }
                 let fetched: u64 = maps.iter().map(|b| b.len() as u64).sum();
                 let bytes: u64 = data.bytes.iter().map(|b| b[i]).sum();
                 let seed = split_seed ^ ((i as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15));
@@ -2789,7 +2794,7 @@ fn read_root(input: &StageInput<'_>, task: TaskId) -> RootRead {
                 match merge {
                     MergeKind::Reduce(f, c) => {
                         let mut m = ReduceMerge::new(Arc::clone(f));
-                        let (fetched, bytes) = data.drain_column(i, |b| m.push_bucket_owned(b));
+                        let (fetched, bytes) = data.drain_column(i, |run| m.push_run(run));
                         cost += fetched as f64 * MERGE_BASE_COST;
                         let (out, ops) = m.finish();
                         cost += ops as f64 * c;
@@ -2797,14 +2802,14 @@ fn read_root(input: &StageInput<'_>, task: TaskId) -> RootRead {
                     }
                     MergeKind::Group(c) => {
                         let mut m = GroupMerge::new();
-                        let (fetched, bytes) = data.drain_column(i, |b| m.push_bucket_owned(b));
+                        let (fetched, bytes) = data.drain_column(i, |run| m.push_run(run));
                         cost += fetched as f64 * MERGE_BASE_COST;
                         cost += fetched as f64 * c;
                         (m.finish(), fetched, bytes)
                     }
                     MergeKind::Concat => {
                         let mut m = ConcatMerge::new();
-                        let (fetched, bytes) = data.drain_column(i, |b| m.push_bucket_owned(b));
+                        let (fetched, bytes) = data.drain_column(i, |run| m.push_run(run));
                         cost += fetched as f64 * MERGE_BASE_COST;
                         (m.finish(), fetched, bytes)
                     }
@@ -2822,18 +2827,18 @@ fn read_root(input: &StageInput<'_>, task: TaskId) -> RootRead {
             // streams in map-task order.
             let (records, fetched, bytes) = if *is_join {
                 let mut m = JoinMerge::new();
-                let l = left.drain(i, |b| m.push_bucket_owned(b, true));
+                let l = left.drain(i, |run| m.push_run(run, true));
                 m.seal_left();
-                let r = right.drain(i, |b| m.push_bucket_owned(b, false));
+                let r = right.drain(i, |run| m.push_run(run, false));
                 cost += (l.0 + r.0) as f64 * (MERGE_BASE_COST + c);
                 let (out, probes) = m.finish();
                 cost += probes as f64 * MERGE_BASE_COST;
                 (out, l.0 + r.0, l.1 + r.1)
             } else {
                 let mut m = CogroupMerge::new();
-                let l = left.drain(i, |b| m.push_bucket_owned(b, true));
+                let l = left.drain(i, |run| m.push_run(run, true));
                 m.seal_left();
-                let r = right.drain(i, |b| m.push_bucket_owned(b, false));
+                let r = right.drain(i, |run| m.push_run(run, false));
                 cost += (l.0 + r.0) as f64 * (MERGE_BASE_COST + c);
                 (m.finish(), l.0 + r.0, l.1 + r.1)
             };
@@ -3684,6 +3689,47 @@ mod tests {
     }
 
     #[test]
+    fn rehoming_a_cached_partition_pays_the_network_copy() {
+        // Cache six partitions over three nodes, lose node 0 between
+        // jobs, then read the cache through a narrow job: every task
+        // finds its (re-homed) partition's node free, so the only bytes
+        // that cross the network are the replica copies themselves.
+        let probe = |faults: Option<FaultPlan>| {
+            let mut ctx = Context::new(EngineOptions {
+                faults,
+                ..test_options()
+            });
+            let data: Vec<Record> = (0..6_000)
+                .map(|i| Record::new(Key::Int(i), Value::Int(i)))
+                .collect();
+            let src = ctx.parallelize(data, 6, "src");
+            let kept = ctx.map(src, Arc::new(|r: &Record| r.clone()), 1e-4, "kept");
+            ctx.cache(kept);
+            ctx.count(kept, "materialize");
+            let loss_at = ctx.clock();
+            let read = sorted(ctx.collect(kept, "read"));
+            (read, loss_at, ctx)
+        };
+        let (base, loss_at, base_ctx) = probe(None);
+        let (got, _, ctx) = probe(Some(FaultPlan {
+            node_loss: vec![NodeLoss {
+                node: 0,
+                at: loss_at,
+            }],
+            ..FaultPlan::default()
+        }));
+        assert_eq!(base, got, "the re-homed cache must serve identical data");
+        let counters = ctx.fault_counters();
+        assert!(counters.replica_rehomed_partitions > 0, "{counters:?}");
+        assert_eq!(
+            ctx.sim().io_stats().remote_bytes,
+            base_ctx.sim().io_stats().remote_bytes + counters.replica_read_bytes,
+            "a flat fabric carries replica copies like any other"
+        );
+        assert!(ctx.clock() > base_ctx.clock());
+    }
+
+    #[test]
     fn stragglers_and_plan_speculation_preserve_results() {
         let (base_a, base_b, _, _) = fault_probe(test_options());
         let mut opts = test_options();
@@ -3725,6 +3771,29 @@ mod tests {
             ..FaultPlan::default()
         });
         assert!(opts.validate().is_err(), "out-of-range node must fail");
+    }
+
+    #[test]
+    fn undersized_topology_grid_is_rejected() {
+        // `with_topology` asserts the grid covers the cluster; a struct
+        // literal or a deserialized spec gets here without that check.
+        let mut opts = test_options();
+        opts.cluster.topology = simcluster::Topology::Rack {
+            racks: 1,
+            hosts: 2,
+            oversub: 1.0,
+        };
+        let err = opts.validate().unwrap_err();
+        assert!(
+            err.contains("rack:1x2:1") && err.contains("3 nodes"),
+            "got: {err}"
+        );
+        opts.cluster.topology = simcluster::Topology::Rack {
+            racks: 2,
+            hosts: 2,
+            oversub: 1.0,
+        };
+        assert_eq!(opts.validate(), Ok(()));
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub struct WorkerPool {
     /// Wall-clock diagnostic sink ([`pids::POOL`] counters).
     sink: TraceSink,
     /// One reusable [`TaskArena`] per participant: scratch allocations for
-    /// `bucketize_in` survive across tasks instead of being re-allocated
+    /// the shuffle write survive across tasks instead of being re-allocated
     /// per call. Items dispatched via [`WorkerPool::map_with`] receive
     /// their participant id and borrow that participant's arena
     /// uncontended (a participant runs one item at a time).

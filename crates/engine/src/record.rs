@@ -161,6 +161,14 @@ pub struct Record {
     pub value: Value,
 }
 
+/// The placeholder a moved-out record leaves behind (`std::mem::take`):
+/// no key, no value, no heap.
+impl Default for Record {
+    fn default() -> Self {
+        Record::keyless(Value::Null)
+    }
+}
+
 impl Record {
     /// Creates a record.
     pub fn new(key: Key, value: Value) -> Self {

@@ -9,10 +9,17 @@
 //! each partition sees fewer duplicate keys, the combiner collapses less,
 //! and more records survive to be shuffled.
 //!
+//! A map task's output is one allocation: its records (or one columnar
+//! batch) in reduce-partition order plus `P + 1` run boundaries
+//! ([`TaskRuns`]). Nothing is allocated per reduce partition, so a write
+//! costs the same at P = 60 and P = 1200; [`TaskBuckets`] is the same
+//! output cut into one [`Bucket`] per partition, for callers that want
+//! the pieces.
+//!
 //! Reduce-side merges are *incremental*: each merge is an accumulator
 //! ([`ReduceMerge`], [`GroupMerge`], [`ConcatMerge`], [`JoinMerge`],
-//! [`CogroupMerge`]) that consumes one map-task bucket at a time, so a
-//! reduce task never materializes its whole input. Buckets pushed by
+//! [`CogroupMerge`]) that consumes one map task's [`Run`] at a time, so a
+//! reduce task never materializes its whole input. Records pushed by
 //! value are *moved* into the accumulator (no per-record clone); the
 //! batch `merge_*` functions are thin wrappers that feed borrowed slices
 //! through the same accumulators.
@@ -27,7 +34,7 @@
 use crate::batch::ColumnBatch;
 use crate::ops::ReduceFn;
 use crate::partitioner::Partitioner;
-use crate::record::{batch_size, Key, Record, Value};
+use crate::record::{Key, Record, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -64,15 +71,6 @@ impl Bucket {
             Bucket::Cols(b) => b.to_records(),
         }
     }
-
-    /// The bucket's records by value: moved out when this is the last
-    /// handle on a row bucket, cloned / reconstructed otherwise.
-    pub fn into_records(self) -> Vec<Record> {
-        match self {
-            Bucket::Rows(v) => Arc::try_unwrap(v).unwrap_or_else(|shared| shared.as_ref().clone()),
-            Bucket::Cols(b) => b.to_records(),
-        }
-    }
 }
 
 /// Buckets compare by logical record content, independent of layout: a row
@@ -103,6 +101,79 @@ impl TaskBuckets {
     }
 }
 
+/// A map task's whole output in reduce-partition order, in whichever
+/// layout the write took.
+#[derive(Debug, Clone)]
+pub(crate) enum Runs {
+    /// Row layout: the records themselves.
+    Rows(Vec<Record>),
+    /// Columnar layout: one partition-ordered batch.
+    Cols(ColumnBatch),
+}
+
+/// Map-side output of one task as the executor stores it: every record of
+/// the task in one allocation, ordered by reduce partition, first-seen
+/// order inside a partition. However many reduce partitions there are, a
+/// task allocates nothing per partition — at P much larger than the
+/// records per task, per-bucket vectors and their handles used to be most
+/// of the shuffle's work. [`TaskRuns::into_buckets`] cuts it into the
+/// bucket-per-partition form.
+#[derive(Debug, Clone)]
+pub struct TaskRuns {
+    /// The records, partition `b` at `offsets[b]..offsets[b + 1]`.
+    pub(crate) runs: Runs,
+    /// `P + 1` run boundaries.
+    pub(crate) offsets: Vec<usize>,
+    /// Serialized size per reduce partition.
+    pub(crate) bytes: Vec<u64>,
+}
+
+impl TaskRuns {
+    /// One [`Bucket`] per reduce partition: row runs are moved into their
+    /// own vectors, columnar runs become zero-copy slices.
+    pub fn into_buckets(self) -> TaskBuckets {
+        let lens = self.offsets.windows(2).map(|w| w[1] - w[0]);
+        let buckets = match self.runs {
+            Runs::Rows(records) => {
+                let mut records = records.into_iter();
+                lens.map(|n| Bucket::Rows(Arc::new(records.by_ref().take(n).collect())))
+                    .collect()
+            }
+            Runs::Cols(batch) => lens
+                .zip(&self.offsets)
+                .map(|(n, &start)| Bucket::Cols(batch.slice(start, n)))
+                .collect(),
+        };
+        TaskBuckets {
+            buckets,
+            bytes: self.bytes,
+        }
+    }
+}
+
+/// One map task's records for one reduce partition, as the shuffle table
+/// hands them to a merge accumulator.
+pub enum Run<'a> {
+    /// The consumer is the only reader: records are moved out, leaving
+    /// [`Record::default`] placeholders behind.
+    Moved(&'a mut [Record]),
+    /// Other readers remain: records are cloned.
+    Shared(&'a [Record]),
+    /// A columnar slice.
+    Cols(ColumnBatch),
+}
+
+impl Run<'_> {
+    /// The run's records by value.
+    pub fn into_records(self) -> Vec<Record> {
+        match self {
+            Run::Moved(records) => records.iter_mut().map(std::mem::take).collect(),
+            Run::Shared(records) => records.to_vec(),
+            Run::Cols(batch) => batch.to_records(),
+        }
+    }
+}
+
 /// Pass-through hasher for keys that are already good hashes (`stable_hash`
 /// output); avoids re-hashing `u64` map keys in the combine path.
 #[derive(Default, Clone)]
@@ -122,25 +193,31 @@ impl std::hash::Hasher for IdentityHasher {
 
 type IdentityBuild = std::hash::BuildHasherDefault<IdentityHasher>;
 
-/// Reusable scratch space for [`bucketize_in`]: the partition-assignment
-/// vector, bucket-count vector, and combine dedup indexes survive across
-/// calls, so a long-lived worker stops paying per-task allocation churn.
-/// Bucket payload vectors themselves are *not* pooled — they are moved
-/// into `Arc`s and owned downstream by the shuffle consumer.
+/// End of a same-hash chain in [`TaskArena::next`].
+const CHAIN_END: u32 = u32::MAX;
+
+/// Reusable scratch space for the bucketize functions: the
+/// partition-assignment vector, the per-partition counts and the combine
+/// dedup index survive across calls, so a long-lived worker stops paying
+/// per-task allocation churn. The record payload itself is *not* pooled —
+/// it is owned downstream by the shuffle consumer.
 #[derive(Default)]
 pub struct TaskArena {
     assignment: Vec<u32>,
     counts: Vec<usize>,
-    index: Vec<HashMap<u64, Vec<u32>, IdentityBuild>>,
+    /// Combine index: `stable_hash` → first record seen with that hash.
+    heads: HashMap<u64, u32, IdentityBuild>,
+    /// Next first-seen record with the same hash, or [`CHAIN_END`].
+    next: Vec<u32>,
+    /// Record indices in reduce-partition order.
+    order: Vec<u32>,
 }
 
 /// Buckets `records` by `partitioner`, optionally combining values per key
 /// within each bucket (map-side combine for reduce-by-key).
 ///
 /// Each record's key is hashed at most once: the `stable_hash` drives both
-/// the partition choice (for hash partitioners) and the combine index. The
-/// no-combine path sizes every bucket exactly before copying a single
-/// record.
+/// the partition choice (for hash partitioners) and the combine index.
 ///
 /// Returns the buckets and the number of combine applications performed
 /// (for cost accounting).
@@ -161,168 +238,234 @@ pub fn bucketize_in(
     combine: Option<&ReduceFn>,
     arena: &mut TaskArena,
 ) -> (TaskBuckets, u64) {
-    let p = partitioner.num_partitions();
-    let mut combine_ops = 0u64;
-    let buckets: Vec<Vec<Record>> = match combine {
-        None => {
-            // Pass 1: partition assignment + exact bucket sizes.
-            let assignment = &mut arena.assignment;
-            assignment.clear();
-            assignment.reserve(records.len());
-            let counts = &mut arena.counts;
-            counts.clear();
-            counts.resize(p, 0);
-            for r in records {
-                let b = partitioner.partition(&r.key);
-                counts[b] += 1;
-                assignment.push(b as u32);
-            }
-            // Pass 2: copy each surviving record into a pre-sized bucket.
-            let mut out: Vec<Vec<Record>> = counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-            for (r, &b) in records.iter().zip(assignment.iter()) {
-                out[b as usize].push(r.clone());
-            }
-            out
-        }
-        Some(f) => {
-            // First-seen-order combine per bucket. The dedup index is keyed
-            // on the record's stable hash (identity-hashed); same-hash slots
-            // are disambiguated by a real key comparison.
-            if arena.index.len() < p {
-                arena.index.resize_with(p, HashMap::default);
-            }
-            let index = &mut arena.index[..p];
-            for m in index.iter_mut() {
-                m.clear();
-            }
-            let mut out: Vec<Vec<Record>> = vec![Vec::new(); p];
-            for r in records {
-                let h = r.key.stable_hash();
-                let b = partitioner.partition_hashed(&r.key, h);
-                let bucket = &mut out[b];
-                let slots = index[b].entry(h).or_default();
-                match slots.iter().find(|&&i| bucket[i as usize].key == r.key) {
-                    Some(&i) => {
-                        let merged = f(&bucket[i as usize].value, &r.value);
-                        bucket[i as usize].value = merged;
-                        combine_ops += 1;
-                    }
-                    None => {
-                        slots.push(bucket.len() as u32);
-                        bucket.push(r.clone());
-                    }
-                }
-            }
-            out
-        }
-    };
-    let bytes = buckets.iter().map(|b| batch_size(b)).collect();
-    (
-        TaskBuckets {
-            buckets: buckets
-                .into_iter()
-                .map(|b| Bucket::Rows(Arc::new(b)))
-                .collect(),
-            bytes,
-        },
-        combine_ops,
-    )
+    let (runs, ops) = bucketize_runs_shared(records, partitioner, combine, arena);
+    (runs.into_buckets(), ops)
 }
 
 /// [`bucketize_in`] over an *owned* record vector: records are moved into
 /// their buckets instead of cloned. Output is identical to the borrowing
 /// version on the same input — same bucket contents, same byte table, same
-/// combine-op count — only the allocation pattern differs. The executor
-/// uses this at shuffle-write task finish whenever the task owns its
-/// output outright, and the borrowing version when the output windows a
-/// shared cache partition.
+/// combine-op count.
 pub fn bucketize_owned_in(
     records: Vec<Record>,
     partitioner: &dyn Partitioner,
     combine: Option<&ReduceFn>,
     arena: &mut TaskArena,
 ) -> (TaskBuckets, u64) {
-    let p = partitioner.num_partitions();
-    let mut combine_ops = 0u64;
-    let buckets: Vec<Vec<Record>> = match combine {
-        None => {
-            let assignment = &mut arena.assignment;
-            assignment.clear();
-            assignment.reserve(records.len());
-            let counts = &mut arena.counts;
-            counts.clear();
-            counts.resize(p, 0);
-            for r in &records {
-                let b = partitioner.partition(&r.key);
-                counts[b] += 1;
-                assignment.push(b as u32);
-            }
-            let mut out: Vec<Vec<Record>> = counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-            for (r, &b) in records.into_iter().zip(arena.assignment.iter()) {
-                out[b as usize].push(r);
-            }
-            out
-        }
-        Some(f) => {
-            if arena.index.len() < p {
-                arena.index.resize_with(p, HashMap::default);
-            }
-            let index = &mut arena.index[..p];
-            for m in index.iter_mut() {
-                m.clear();
-            }
-            let mut out: Vec<Vec<Record>> = vec![Vec::new(); p];
-            for r in records {
-                let h = r.key.stable_hash();
-                let b = partitioner.partition_hashed(&r.key, h);
-                let bucket = &mut out[b];
-                let slots = index[b].entry(h).or_default();
-                match slots.iter().find(|&&i| bucket[i as usize].key == r.key) {
-                    Some(&i) => {
-                        let merged = f(&bucket[i as usize].value, &r.value);
-                        bucket[i as usize].value = merged;
-                        combine_ops += 1;
-                    }
-                    None => {
-                        slots.push(bucket.len() as u32);
-                        bucket.push(r);
-                    }
-                }
-            }
-            out
-        }
-    };
-    let bytes = buckets.iter().map(|b| batch_size(b)).collect();
-    (
-        TaskBuckets {
-            buckets: buckets
-                .into_iter()
-                .map(|b| Bucket::Rows(Arc::new(b)))
-                .collect(),
-            bytes,
-        },
-        combine_ops,
-    )
+    let (runs, ops) = bucketize_runs(records, partitioner, combine, arena);
+    (runs.into_buckets(), ops)
 }
 
-/// Columnar bucketize for combine-free shuffle writes: converts the task
+/// The executor's row shuffle write over a task's own output: records are
+/// *moved* into reduce-partition order. Without a combine, two passes:
+/// partition assignment with exact run sizes, then one move per record.
+/// With one, duplicates fold into the first record seen with their key and
+/// the survivors are ordered the same way, so a run keeps first-seen key
+/// order. Returns the runs and the number of combine applications.
+pub fn bucketize_runs(
+    records: Vec<Record>,
+    partitioner: &dyn Partitioner,
+    combine: Option<&ReduceFn>,
+    arena: &mut TaskArena,
+) -> (TaskRuns, u64) {
+    let p = partitioner.num_partitions();
+    let (mut records, ops) = match combine {
+        None => {
+            assign(&records, partitioner, arena);
+            (records, 0)
+        }
+        Some(f) => combine_first_seen(records, partitioner, f, arena),
+    };
+    let runs = order_runs(p, arena, |i| std::mem::take(&mut records[i]));
+    (runs, ops)
+}
+
+/// [`bucketize_runs`] over records the task does not own (a window of a
+/// shared cache partition): survivors are cloned, everything else is
+/// identical.
+pub fn bucketize_runs_shared(
+    records: &[Record],
+    partitioner: &dyn Partitioner,
+    combine: Option<&ReduceFn>,
+    arena: &mut TaskArena,
+) -> (TaskRuns, u64) {
+    let p = partitioner.num_partitions();
+    match combine {
+        None => {
+            assign(records, partitioner, arena);
+            (order_runs(p, arena, |i| records[i].clone()), 0)
+        }
+        Some(f) => {
+            let (mut survivors, ops) = combine_first_seen(records, partitioner, f, arena);
+            let runs = order_runs(p, arena, |i| std::mem::take(&mut survivors[i]));
+            (runs, ops)
+        }
+    }
+}
+
+/// Fills `arena.assignment` (one partition id per record) and
+/// `arena.counts` (records per partition).
+fn assign(records: &[Record], partitioner: &dyn Partitioner, arena: &mut TaskArena) {
+    let TaskArena {
+        assignment, counts, ..
+    } = arena;
+    assignment.clear();
+    assignment.reserve(records.len());
+    counts.clear();
+    counts.resize(partitioner.num_partitions(), 0);
+    for r in records {
+        let b = partitioner.partition(&r.key);
+        counts[b] += 1;
+        assignment.push(b as u32);
+    }
+}
+
+/// A record by value or by reference: the combine pass only clones a
+/// borrowed record when it is the first with its key.
+trait IntoRecord: std::borrow::Borrow<Record> {
+    fn into_record(self) -> Record;
+}
+
+impl IntoRecord for Record {
+    fn into_record(self) -> Record {
+        self
+    }
+}
+
+impl IntoRecord for &Record {
+    fn into_record(self) -> Record {
+        self.clone()
+    }
+}
+
+/// Map-side combine over the whole task: every record folds into the
+/// first one seen with its key (same key, same partition, so one index
+/// serves all partitions). Returns the survivors in first-seen order and
+/// the number of combine applications; `arena.assignment` and
+/// `arena.counts` describe the survivors. The index is keyed on the
+/// record's stable hash (identity-hashed); records that share a hash are
+/// chained and disambiguated by a real key comparison.
+fn combine_first_seen<R: IntoRecord>(
+    records: impl IntoIterator<Item = R>,
+    partitioner: &dyn Partitioner,
+    f: &ReduceFn,
+    arena: &mut TaskArena,
+) -> (Vec<Record>, u64) {
+    use std::collections::hash_map::Entry;
+    let TaskArena {
+        assignment,
+        counts,
+        heads,
+        next,
+        ..
+    } = arena;
+    assignment.clear();
+    counts.clear();
+    counts.resize(partitioner.num_partitions(), 0);
+    heads.clear();
+    next.clear();
+    let mut seen: Vec<Record> = Vec::new();
+    let mut ops = 0u64;
+    for item in records {
+        let r = item.borrow();
+        let h = r.key.stable_hash();
+        let new = seen.len() as u32;
+        match heads.entry(h) {
+            Entry::Vacant(slot) => {
+                slot.insert(new);
+            }
+            Entry::Occupied(slot) => {
+                let mut at = *slot.get();
+                loop {
+                    if seen[at as usize].key == r.key {
+                        break;
+                    }
+                    if next[at as usize] == CHAIN_END {
+                        next[at as usize] = new;
+                        at = new;
+                        break;
+                    }
+                    at = next[at as usize];
+                }
+                if at != new {
+                    let first = &mut seen[at as usize];
+                    first.value = f(&first.value, &r.value);
+                    ops += 1;
+                    continue;
+                }
+            }
+        }
+        let b = partitioner.partition_hashed(&r.key, h);
+        counts[b] += 1;
+        assignment.push(b as u32);
+        next.push(CHAIN_END);
+        seen.push(item.into_record());
+    }
+    (seen, ops)
+}
+
+/// Lays `records` out in reduce-partition order by `arena.assignment`
+/// (stable: a partition's records keep their relative order) and sums the
+/// byte table on the way. `fetch(i)` yields input record `i` by value —
+/// moved out of an owned vector or cloned from a borrowed one — and is
+/// called once per record, in output order.
+fn order_runs(p: usize, arena: &mut TaskArena, mut fetch: impl FnMut(usize) -> Record) -> TaskRuns {
+    let TaskArena {
+        assignment,
+        counts,
+        order,
+        ..
+    } = arena;
+    let mut offsets = Vec::with_capacity(p + 1);
+    let mut acc = 0usize;
+    offsets.push(0);
+    // `counts` turns into each partition's write cursor.
+    for c in counts.iter_mut() {
+        let n = std::mem::replace(c, acc);
+        acc += n;
+        offsets.push(acc);
+    }
+    // Counting sort of the record indices, then one sequential write.
+    order.clear();
+    order.resize(assignment.len(), 0);
+    for (i, &b) in assignment.iter().enumerate() {
+        order[counts[b as usize]] = i as u32;
+        counts[b as usize] += 1;
+    }
+    let mut ordered = Vec::with_capacity(order.len());
+    let mut bytes = Vec::with_capacity(p);
+    for w in offsets.windows(2) {
+        let mut run_bytes = 0u64;
+        for &i in &order[w[0]..w[1]] {
+            let r = fetch(i as usize);
+            run_bytes += r.encoded_size();
+            ordered.push(r);
+        }
+        bytes.push(run_bytes);
+    }
+    TaskRuns {
+        runs: Runs::Rows(ordered),
+        offsets,
+        bytes,
+    }
+}
+
+/// Columnar shuffle write for combine-free shuffles: converts the task
 /// output to a [`ColumnBatch`], computes partition assignment with one
-/// pass over the key column, reorders into partition-contiguous buffers
-/// with a stable counting sort, and returns each bucket as a zero-copy
-/// slice of the gathered batch. Byte tables come from buffer lengths.
+/// pass over the key column and reorders into partition-contiguous buffers
+/// with a stable counting sort. Byte tables come from buffer lengths.
 ///
 /// Returns `None` when the keys or values do not fit a typed column
 /// layout (composite keys, mixed variants, boxed payloads) — the caller
-/// falls back to the row path, *moving* owned records into buckets
+/// falls back to the row path, *moving* owned records into their runs
 /// instead of deep-cloning them into fallback row columns. When it
-/// succeeds, bucket contents, intra-bucket
-/// order, and byte tables are bit-identical to [`bucketize_in`] without
-/// combine.
-pub fn bucketize_columnar(
+/// succeeds, run contents, intra-run order, and byte tables are
+/// bit-identical to [`bucketize_runs`] without combine.
+pub fn bucketize_columnar_runs(
     records: &[Record],
     partitioner: &dyn Partitioner,
     arena: &mut TaskArena,
-) -> Option<(TaskBuckets, u64)> {
+) -> Option<TaskRuns> {
     let batch = ColumnBatch::from_records_typed(records)?;
     let p = partitioner.num_partitions();
     let assignment = &mut arena.assignment;
@@ -330,14 +473,28 @@ pub fn bucketize_columnar(
     assignment.reserve(records.len());
     batch.partition_assignment(partitioner, assignment);
     let (gathered, offsets) = batch.gather(assignment, p);
-    let mut buckets = Vec::with_capacity(p);
-    let mut bytes = Vec::with_capacity(p);
-    for b in 0..p {
-        let slice = gathered.slice(offsets[b], offsets[b + 1] - offsets[b]);
-        bytes.push(slice.encoded_size());
-        buckets.push(Bucket::Cols(slice));
-    }
-    Some((TaskBuckets { buckets, bytes }, 0))
+    let bytes = offsets
+        .windows(2)
+        .map(|w| match w[1] - w[0] {
+            0 => 0,
+            n => gathered.slice(w[0], n).encoded_size(),
+        })
+        .collect();
+    Some(TaskRuns {
+        runs: Runs::Cols(gathered),
+        offsets,
+        bytes,
+    })
+}
+
+/// [`bucketize_columnar_runs`] cut into one zero-copy slice per reduce
+/// partition. The second tuple field (combine applications) is always 0.
+pub fn bucketize_columnar(
+    records: &[Record],
+    partitioner: &dyn Partitioner,
+    arena: &mut TaskArena,
+) -> Option<(TaskBuckets, u64)> {
+    bucketize_columnar_runs(records, partitioner, arena).map(|runs| (runs.into_buckets(), 0))
 }
 
 /// Map-side spill overflow: the bytes of a task's shuffle write that do
@@ -370,8 +527,8 @@ impl ReduceMerge {
         }
     }
 
-    /// Fold an owned bucket in; first-seen records are moved, not cloned.
-    pub fn push_owned(&mut self, records: Vec<Record>) {
+    /// Fold owned records in; first-seen records are moved, not cloned.
+    pub fn push_owned(&mut self, records: impl IntoIterator<Item = Record>) {
         let Self { f, out, index, ops } = self;
         for r in records {
             let h = r.key.stable_hash();
@@ -436,15 +593,12 @@ impl ReduceMerge {
         }
     }
 
-    /// Fold a shipped bucket by value: a row bucket whose handle is the
-    /// last one is moved in, a shared one is cloned from.
-    pub fn push_bucket_owned(&mut self, bucket: Bucket) {
-        match bucket {
-            Bucket::Cols(b) => self.push_batch(&b),
-            Bucket::Rows(v) => match Arc::try_unwrap(v) {
-                Ok(owned) => self.push_owned(owned),
-                Err(shared) => self.push_slice(&shared),
-            },
+    /// Fold one map task's run in, as the shuffle table hands it out.
+    pub fn push_run(&mut self, run: Run<'_>) {
+        match run {
+            Run::Moved(records) => self.push_owned(records.iter_mut().map(std::mem::take)),
+            Run::Shared(records) => self.push_slice(records),
+            Run::Cols(batch) => self.push_batch(&batch),
         }
     }
 
@@ -483,8 +637,8 @@ impl GroupMerge {
         Self::default()
     }
 
-    /// Collect an owned bucket; keys and values are moved.
-    pub fn push_owned(&mut self, records: Vec<Record>) {
+    /// Collect owned records; keys and values are moved.
+    pub fn push_owned(&mut self, records: impl IntoIterator<Item = Record>) {
         for r in records {
             let h = r.key.stable_hash();
             let slots = self.index.entry(h).or_default();
@@ -543,15 +697,12 @@ impl GroupMerge {
         });
     }
 
-    /// Collect a shipped bucket by value: a row bucket whose handle is the
-    /// last one is moved in, a shared one is cloned from.
-    pub fn push_bucket_owned(&mut self, bucket: Bucket) {
-        match bucket {
-            Bucket::Cols(b) => self.push_batch(&b),
-            Bucket::Rows(v) => match Arc::try_unwrap(v) {
-                Ok(owned) => self.push_owned(owned),
-                Err(shared) => self.push_slice(&shared),
-            },
+    /// Collect one map task's run in, as the shuffle table hands it out.
+    pub fn push_run(&mut self, run: Run<'_>) {
+        match run {
+            Run::Moved(records) => self.push_owned(records.iter_mut().map(std::mem::take)),
+            Run::Shared(records) => self.push_slice(records),
+            Run::Cols(batch) => self.push_batch(&batch),
         }
     }
 
@@ -579,7 +730,6 @@ where
 }
 
 /// Streaming merge for `repartition`: plain concatenation in push order.
-/// The first owned bucket is adopted wholesale (no copy at all).
 #[derive(Default)]
 pub struct ConcatMerge {
     out: Vec<Record>,
@@ -591,13 +741,9 @@ impl ConcatMerge {
         Self::default()
     }
 
-    /// Append an owned bucket; records are moved.
-    pub fn push_owned(&mut self, records: Vec<Record>) {
-        if self.out.is_empty() {
-            self.out = records;
-        } else {
-            self.out.extend(records);
-        }
+    /// Append owned records; they are moved.
+    pub fn push_owned(&mut self, records: impl IntoIterator<Item = Record>) {
+        self.out.extend(records);
     }
 
     /// Append a borrowed bucket; records are cloned.
@@ -611,15 +757,12 @@ impl ConcatMerge {
         batch.for_each_record(|r| self.out.push(r));
     }
 
-    /// Append a shipped bucket by value: a row bucket whose handle is the
-    /// last one is moved in, a shared one is cloned from.
-    pub fn push_bucket_owned(&mut self, bucket: Bucket) {
-        match bucket {
-            Bucket::Cols(b) => self.push_batch(&b),
-            Bucket::Rows(v) => match Arc::try_unwrap(v) {
-                Ok(owned) => self.push_owned(owned),
-                Err(shared) => self.push_slice(&shared),
-            },
+    /// Append one map task's run in, as the shuffle table hands it out.
+    pub fn push_run(&mut self, run: Run<'_>) {
+        match run {
+            Run::Moved(records) => self.push_owned(records.iter_mut().map(std::mem::take)),
+            Run::Shared(records) => self.push_slice(records),
+            Run::Cols(batch) => self.push_batch(&batch),
         }
     }
 
@@ -688,8 +831,8 @@ impl JoinMerge {
         }
     }
 
-    /// Build the table from an owned left bucket; records are moved.
-    pub fn push_left_owned(&mut self, records: Vec<Record>) {
+    /// Build the table from owned left records; they are moved.
+    pub fn push_left_owned(&mut self, records: impl IntoIterator<Item = Record>) {
         debug_assert!(!self.sealed, "left side pushed after seal_left");
         for r in records {
             self.build(r.key, r.value);
@@ -740,15 +883,11 @@ impl JoinMerge {
         }
     }
 
-    /// Probe with an owned right bucket (buffered if the left side is not
+    /// Probe with owned right records (buffered if the left side is not
     /// sealed yet); matched values are moved, not cloned.
-    pub fn push_right_owned(&mut self, records: Vec<Record>) {
+    pub fn push_right_owned(&mut self, records: impl IntoIterator<Item = Record>) {
         if !self.sealed {
-            if self.pending.is_empty() {
-                self.pending = records;
-            } else {
-                self.pending.extend(records);
-            }
+            self.pending.extend(records);
             return;
         }
         for r in records {
@@ -795,21 +934,16 @@ impl JoinMerge {
         }
     }
 
-    /// Route a shipped bucket to the chosen side by value: a row bucket
-    /// whose handle is the last one is moved in, a shared one is cloned
-    /// from.
-    pub fn push_bucket_owned(&mut self, bucket: Bucket, is_left: bool) {
-        match (bucket, is_left) {
-            (Bucket::Cols(b), true) => self.push_left_batch(&b),
-            (Bucket::Cols(b), false) => self.push_right_batch(&b),
-            (Bucket::Rows(v), true) => match Arc::try_unwrap(v) {
-                Ok(owned) => self.push_left_owned(owned),
-                Err(shared) => self.push_left_slice(&shared),
-            },
-            (Bucket::Rows(v), false) => match Arc::try_unwrap(v) {
-                Ok(owned) => self.push_right_owned(owned),
-                Err(shared) => self.push_right_slice(&shared),
-            },
+    /// Route one map task's run to the chosen side, as the shuffle table
+    /// hands it out.
+    pub fn push_run(&mut self, run: Run<'_>, is_left: bool) {
+        match (run, is_left) {
+            (Run::Moved(rs), true) => self.push_left_owned(rs.iter_mut().map(std::mem::take)),
+            (Run::Moved(rs), false) => self.push_right_owned(rs.iter_mut().map(std::mem::take)),
+            (Run::Shared(rs), true) => self.push_left_slice(rs),
+            (Run::Shared(rs), false) => self.push_right_slice(rs),
+            (Run::Cols(batch), true) => self.push_left_batch(&batch),
+            (Run::Cols(batch), false) => self.push_right_batch(&batch),
         }
     }
 
@@ -895,8 +1029,8 @@ impl CogroupMerge {
         i
     }
 
-    /// Collect an owned left bucket; records are moved.
-    pub fn push_left_owned(&mut self, records: Vec<Record>) {
+    /// Collect owned left records; they are moved.
+    pub fn push_left_owned(&mut self, records: impl IntoIterator<Item = Record>) {
         debug_assert!(!self.sealed, "left side pushed after seal_left");
         for r in records {
             let i = match self.slot(&r.key) {
@@ -937,15 +1071,11 @@ impl CogroupMerge {
         }
     }
 
-    /// Collect an owned right bucket (buffered if the left side is not
-    /// sealed yet); records are moved.
-    pub fn push_right_owned(&mut self, records: Vec<Record>) {
+    /// Collect owned right records (buffered if the left side is not
+    /// sealed yet); they are moved.
+    pub fn push_right_owned(&mut self, records: impl IntoIterator<Item = Record>) {
         if !self.sealed {
-            if self.pending.is_empty() {
-                self.pending = records;
-            } else {
-                self.pending.extend(records);
-            }
+            self.pending.extend(records);
             return;
         }
         for r in records {
@@ -987,21 +1117,16 @@ impl CogroupMerge {
         batch.for_each_record(|r| self.right_record(r.key, r.value));
     }
 
-    /// Route a shipped bucket to the chosen side by value: a row bucket
-    /// whose handle is the last one is moved in, a shared one is cloned
-    /// from.
-    pub fn push_bucket_owned(&mut self, bucket: Bucket, is_left: bool) {
-        match (bucket, is_left) {
-            (Bucket::Cols(b), true) => self.push_left_batch(&b),
-            (Bucket::Cols(b), false) => self.push_right_batch(&b),
-            (Bucket::Rows(v), true) => match Arc::try_unwrap(v) {
-                Ok(owned) => self.push_left_owned(owned),
-                Err(shared) => self.push_left_slice(&shared),
-            },
-            (Bucket::Rows(v), false) => match Arc::try_unwrap(v) {
-                Ok(owned) => self.push_right_owned(owned),
-                Err(shared) => self.push_right_slice(&shared),
-            },
+    /// Route one map task's run to the chosen side, as the shuffle table
+    /// hands it out.
+    pub fn push_run(&mut self, run: Run<'_>, is_left: bool) {
+        match (run, is_left) {
+            (Run::Moved(rs), true) => self.push_left_owned(rs.iter_mut().map(std::mem::take)),
+            (Run::Moved(rs), false) => self.push_right_owned(rs.iter_mut().map(std::mem::take)),
+            (Run::Shared(rs), true) => self.push_left_slice(rs),
+            (Run::Shared(rs), false) => self.push_right_slice(rs),
+            (Run::Cols(batch), true) => self.push_left_batch(&batch),
+            (Run::Cols(batch), false) => self.push_right_batch(&batch),
         }
     }
 
@@ -1040,7 +1165,8 @@ pub fn merge_cogroup(left: &[Record], right: &[Record]) -> Vec<Record> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partitioner::HashPartitioner;
+    use crate::partitioner::{HashPartitioner, RangePartitioner};
+    use crate::record::batch_size;
 
     fn rec(k: i64, v: i64) -> Record {
         Record::new(Key::Int(k), Value::Int(v))
@@ -1312,8 +1438,9 @@ mod tests {
     fn merge_accumulators_consume_columnar_buckets_identically() {
         let a: Vec<Record> = (0..60).map(|i| rec(i % 9, i)).collect();
         let b: Vec<Record> = (0..60).map(|i| rec(i % 6, i * 2)).collect();
-        let batch_a = Bucket::Cols(ColumnBatch::from_records(&a));
-        let batch_b = Bucket::Cols(ColumnBatch::from_records(&b));
+        let cols_a = ColumnBatch::from_records(&a);
+        let cols_b = ColumnBatch::from_records(&b);
+        let (batch_a, batch_b) = (Bucket::Cols(cols_a.clone()), Bucket::Cols(cols_b.clone()));
 
         let (row_out, row_ops) = merge_reduce([a.as_slice(), b.as_slice()], &sum());
         let mut m = ReduceMerge::new(sum());
@@ -1324,13 +1451,13 @@ mod tests {
         assert_eq!(col_ops, row_ops);
 
         let mut g = GroupMerge::new();
-        g.push_bucket_owned(batch_a.clone());
-        g.push_bucket_owned(batch_b.clone());
+        g.push_run(Run::Cols(cols_a.clone()));
+        g.push_run(Run::Cols(cols_b.clone()));
         assert_eq!(g.finish(), merge_group([a.as_slice(), b.as_slice()]));
 
         let mut c = ConcatMerge::new();
-        c.push_bucket_owned(batch_a.clone());
-        c.push_bucket_owned(batch_b.clone());
+        c.push_run(Run::Cols(cols_a.clone()));
+        c.push_run(Run::Cols(cols_b.clone()));
         assert_eq!(c.finish(), merge_concat([a.as_slice(), b.as_slice()]));
 
         let (row_join, row_probes) = merge_join(&a, &b);
@@ -1343,61 +1470,106 @@ mod tests {
         assert_eq!(col_probes, row_probes);
 
         let mut cg = CogroupMerge::new();
-        cg.push_bucket_owned(batch_a, true);
+        cg.push_run(Run::Cols(cols_a), true);
         cg.seal_left();
-        cg.push_bucket_owned(batch_b, false);
+        cg.push_run(Run::Cols(cols_b), false);
         assert_eq!(cg.finish(), merge_cogroup(&a, &b));
     }
 
     #[test]
-    fn owned_row_buckets_merge_like_slices_unique_or_shared() {
+    fn row_runs_merge_like_slices_moved_or_shared() {
         let a: Vec<Record> = (0..60).map(|i| rec(i % 9, i)).collect();
         let b: Vec<Record> = (0..60).map(|i| rec(i % 6, i * 2)).collect();
-        // `a` travels as the last handle on its rows (moved in); `b` as
-        // one of two handles (cloned from).
-        let shared_b = Arc::new(b.clone());
-        let buckets = || {
-            (
-                Bucket::Rows(Arc::new(a.clone())),
-                Bucket::Rows(Arc::clone(&shared_b)),
-            )
+        // `a` travels as a run with one reader (moved out, placeholders
+        // left behind); `b` as a run other readers still need (cloned).
+        let moved = |check: &mut dyn FnMut(Run<'_>, Run<'_>)| {
+            let mut owned = a.clone();
+            check(Run::Moved(&mut owned), Run::Shared(&b));
+            assert!(owned.iter().all(|r| *r == Record::default()));
         };
 
-        let (ba, bb) = buckets();
-        let mut m = ReduceMerge::new(sum());
-        m.push_bucket_owned(ba);
-        m.push_bucket_owned(bb);
-        assert_eq!(
-            m.finish(),
-            merge_reduce([a.as_slice(), b.as_slice()], &sum())
-        );
+        moved(&mut |ra, rb| {
+            let mut m = ReduceMerge::new(sum());
+            m.push_run(ra);
+            m.push_run(rb);
+            assert_eq!(
+                m.finish(),
+                merge_reduce([a.as_slice(), b.as_slice()], &sum())
+            );
+        });
+        moved(&mut |ra, rb| {
+            let mut g = GroupMerge::new();
+            g.push_run(ra);
+            g.push_run(rb);
+            assert_eq!(g.finish(), merge_group([a.as_slice(), b.as_slice()]));
+        });
+        moved(&mut |ra, rb| {
+            let mut c = ConcatMerge::new();
+            c.push_run(ra);
+            c.push_run(rb);
+            assert_eq!(c.finish(), merge_concat([a.as_slice(), b.as_slice()]));
+        });
+        moved(&mut |ra, rb| {
+            let mut j = JoinMerge::new();
+            j.push_run(ra, true);
+            j.seal_left();
+            j.push_run(rb, false);
+            assert_eq!(j.finish(), merge_join(&a, &b));
+        });
+        moved(&mut |ra, rb| {
+            let mut cg = CogroupMerge::new();
+            cg.push_run(rb, true);
+            cg.seal_left();
+            cg.push_run(ra, false);
+            assert_eq!(cg.finish(), merge_cogroup(&b, &a));
+        });
+    }
 
-        let (ba, bb) = buckets();
-        let mut g = GroupMerge::new();
-        g.push_bucket_owned(ba);
-        g.push_bucket_owned(bb);
-        assert_eq!(g.finish(), merge_group([a.as_slice(), b.as_slice()]));
-
-        let (ba, bb) = buckets();
-        let mut c = ConcatMerge::new();
-        c.push_bucket_owned(ba);
-        c.push_bucket_owned(bb);
-        assert_eq!(c.finish(), merge_concat([a.as_slice(), b.as_slice()]));
-
-        let (ba, bb) = buckets();
-        let mut j = JoinMerge::new();
-        j.push_bucket_owned(ba, true);
-        j.seal_left();
-        j.push_bucket_owned(bb, false);
-        assert_eq!(j.finish(), merge_join(&a, &b));
-
-        let (ba, bb) = buckets();
-        let mut cg = CogroupMerge::new();
-        cg.push_bucket_owned(bb, true);
-        cg.seal_left();
-        cg.push_bucket_owned(ba, false);
-        assert_eq!(cg.finish(), merge_cogroup(&b, &a));
-        assert_eq!(*shared_b, b, "the shared handle's rows are untouched");
+    #[test]
+    fn runs_are_the_buckets_laid_end_to_end() {
+        // Owned, shared and columnar writes agree on offsets, bytes and
+        // contents, with and without combine, and first-seen order holds
+        // inside a run even when two keys share a partition.
+        let records: Vec<Record> = (0..500).map(|i| rec((i * 7) % 41, i)).collect();
+        let hash = HashPartitioner::new(16);
+        let keys: Vec<Key> = records.iter().map(|r| r.key.clone()).collect();
+        let range = RangePartitioner::from_sample(keys.iter(), 16, 3);
+        for part in [&hash as &dyn Partitioner, &range] {
+            for combine in [None, Some(sum())] {
+                let arena = &mut TaskArena::default();
+                let (owned, ops) = bucketize_runs(records.clone(), part, combine.as_ref(), arena);
+                let (shared, shared_ops) =
+                    bucketize_runs_shared(&records, part, combine.as_ref(), arena);
+                assert_eq!(ops, shared_ops);
+                assert_eq!(owned.offsets, shared.offsets);
+                assert_eq!(owned.bytes, shared.bytes);
+                let Runs::Rows(rows) = &owned.runs else {
+                    panic!("row write")
+                };
+                for (b, w) in owned.offsets.windows(2).enumerate() {
+                    let run = &rows[w[0]..w[1]];
+                    assert_eq!(owned.bytes[b], batch_size(run));
+                    assert!(run.iter().all(|r| part.partition(&r.key) == b));
+                    if combine.is_some() {
+                        let mut keys: Vec<&Key> = run.iter().map(|r| &r.key).collect();
+                        keys.dedup();
+                        keys.sort();
+                        keys.dedup();
+                        assert_eq!(keys.len(), run.len(), "one record per key");
+                    }
+                }
+                assert_eq!(
+                    owned.clone().into_buckets().buckets,
+                    shared.into_buckets().buckets
+                );
+                if combine.is_none() {
+                    let cols = bucketize_columnar_runs(&records, part, arena).expect("int keys");
+                    assert_eq!(cols.offsets, owned.offsets);
+                    assert_eq!(cols.bytes, owned.bytes);
+                    assert_eq!(cols.into_buckets().buckets, owned.into_buckets().buckets);
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //!   it bit-deterministic. The queue is a binary heap and stays fast at
 //!   millions of events.
 //! * [`topology`] — hierarchical cluster topology descriptions: `flat`
-//!   (every NIC wired to a non-blocking fabric, the historical model) and
-//!   `rack:<racks>x<hosts>[:oversub]` (host NIC → ToR → spine, with the
-//!   rack uplink/downlink capacity oversubscribed by the given factor).
+//!   (every NIC wired to a non-blocking fabric: one rack, infinite
+//!   uplinks) and `rack:<racks>x<hosts>[:oversub]` (host NIC → ToR →
+//!   spine, with the rack uplink/downlink capacity oversubscribed by the
+//!   given factor).
 //! * [`flow`] — a flow-level network: links with capacities, flows with
 //!   byte counts routed over link paths, and progressive-filling max-min
 //!   fair bandwidth sharing recomputed event-driven on every flow arrival

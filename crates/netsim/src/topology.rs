@@ -2,10 +2,10 @@
 //!
 //! Two shapes cover the repo's needs:
 //!
-//! * [`Topology::Flat`] — the historical model: every NIC hangs off a
-//!   non-blocking fabric, so the only network constraints are the two
-//!   endpoints' NICs. This is the default, and simulations under it must
-//!   be bit-identical to the pre-topology code.
+//! * [`Topology::Flat`] — the default: every NIC hangs off a
+//!   non-blocking fabric. It is the one-rack case of the shape below
+//!   (`num_racks() == 1`, `rack_of() == 0`, infinite uplinks), and
+//!   simulates identically to `rack:1x<nodes>:1`.
 //! * [`Topology::Rack`] — a two-tier leaf/spine: hosts are grouped into
 //!   racks of `hosts` machines behind a ToR switch whose uplink into the
 //!   (non-blocking) spine carries `hosts × NIC / oversub` in each
@@ -138,11 +138,6 @@ impl Deserialize for Topology {
 }
 
 impl Topology {
-    /// Whether this is the non-blocking flat fabric.
-    pub fn is_flat(&self) -> bool {
-        matches!(self, Topology::Flat)
-    }
-
     /// Number of racks (1 for flat).
     pub fn num_racks(&self) -> usize {
         match self {
@@ -173,16 +168,6 @@ impl Topology {
         match self {
             Topology::Flat => f64::INFINITY,
             Topology::Rack { hosts, oversub, .. } => *hosts as f64 * nic_bandwidth / oversub,
-        }
-    }
-
-    /// The effective bandwidth one host can count on for cross-rack
-    /// traffic when every host in the rack competes for the uplink:
-    /// `NIC / oversub` under a rack topology, the NIC itself when flat.
-    pub fn cross_rack_bandwidth(&self, nic_bandwidth: f64) -> f64 {
-        match self {
-            Topology::Flat => nic_bandwidth,
-            Topology::Rack { oversub, .. } => nic_bandwidth / oversub,
         }
     }
 }
@@ -287,7 +272,7 @@ mod tests {
     }
 
     #[test]
-    fn bandwidth_helpers_apply_oversubscription() {
+    fn uplink_capacity_applies_oversubscription() {
         let t = Topology::Rack {
             racks: 8,
             hosts: 12,
@@ -295,8 +280,6 @@ mod tests {
         };
         let nic = 1.25e9;
         assert!((t.uplink_capacity(nic) - 12.0 * nic / 4.0).abs() < 1e-6);
-        assert!((t.cross_rack_bandwidth(nic) - nic / 4.0).abs() < 1e-6);
-        assert_eq!(Topology::Flat.cross_rack_bandwidth(nic), nic);
         assert!(Topology::Flat.uplink_capacity(nic).is_infinite());
     }
 }

@@ -11,8 +11,9 @@
 //! * [`task`] — the task cost descriptor the engine submits (compute units,
 //!   local input bytes, per-source shuffle fetches, output bytes, locality
 //!   preferences and co-partition pins),
-//! * [`sim`] — the simulator proper: per-core list scheduling with stage
-//!   barriers, Spark-like FIFO slot assignment with locality preference,
+//! * [`sim`] — the simulator proper: one event-driven stage scheduler
+//!   (serial driver dispatch, FIFO slot assignment with locality
+//!   preference, shuffle fetches as `netsim` flows, stage barriers),
 //!   virtual clock, failure/slow-down injection,
 //! * [`trace`] — bucketed utilization time series (CPU %, memory %,
 //!   packets/s, disk transactions/s) backing the paper's Figures 11–14.

@@ -1,19 +1,60 @@
 //! The virtual-time cluster simulator.
 //!
-//! Tasks are placed with Spark-like FIFO slot scheduling: each node exposes
-//! `cores` slots, tasks are assigned in submission order to the slot that
-//! frees earliest, with a bounded *locality wait* that lets a task hold out
-//! briefly for a node holding its input (Spark's delay scheduling), and hard
-//! pins for CHOPPER's co-partition-aware placement. A stage is a barrier:
-//! the virtual clock only advances past a stage once its slowest task ends —
-//! exactly the straggler semantics that make data skew expensive in the
-//! paper.
+//! A stage is one deterministic event loop over three kinds of event —
+//! the driver dispatching a task descriptor, a task finishing, and a
+//! shuffle flow completing in the [`netsim`] network — and a barrier:
+//! the virtual clock only advances past a stage once its slowest task
+//! ends, exactly the straggler semantics that make data skew expensive
+//! in the paper.
+//!
+//! **Placement** happens when a task is dispatched or a core frees, in
+//! FIFO order over the tasks waiting: a hard pin (CHOPPER's
+//! co-partition-aware scheduling) waits for its node without blocking
+//! the tasks behind it; otherwise a preferred (data-local) node with a
+//! free core wins outright, then the free node whose rack holds the most
+//! of the task's shuffle input, then the least-loaded one, ties rotated
+//! by a per-stage salt so two stages' placements do not align by
+//! accident.
+//!
+//! **Cost** has two parts. Remote shuffle bytes become *flows*: source
+//! rack uplink → destination rack downlink → destination NIC, sharing
+//! every link max-min fairly with all other in-flight fetches. On
+//! [`Topology::Flat`] there is one rack and the uplinks are infinite, so
+//! the receiver NICs are the only contended links; on an oversubscribed
+//! rack fabric the ToR uplinks congest exactly when many tasks pull
+//! cross-rack at once. Everything else ([`Simulation::task_cost`]:
+//! launch overhead, compute, disk, chunk bookkeeping, fetch-wave
+//! latency) is a closed-form tail charged once the task's flows have
+//! completed; it does not contend.
+//!
+//! Approximations, chosen deliberately:
+//!
+//! * A task's flows are aggregated per source rack (plus one same-rack
+//!   aggregate), not per source host, bounding queue traffic at scale;
+//!   past [`MAX_PER_RACK_FLOWS`] distinct source racks they collapse
+//!   further into a single cross-rack flow through the destination's
+//!   downlink. Sender-side NICs are not modeled — the receiver NIC and
+//!   the rack uplinks/downlinks are the contended resources.
+//! * Speculative backup copies are timed by the uncontended estimator
+//!   ([`Simulation::uncontended_duration`]): speculation fires in the
+//!   stage tail, when the network is draining.
+//!
+//! Determinism: every queue is `(time, seq)`-ordered, ties between a
+//! stage event and a flow completion at the same instant resolve to the
+//! stage event, and placement scans nodes in id order with explicit
+//! tie-breaks. Identical inputs replay bit-identically.
 
-mod rack;
+use std::collections::VecDeque;
+
+use netsim::{EventQueue, LinkId, Network, Topology};
 
 use crate::spec::{ClusterSpec, NodeId};
 use crate::task::TaskSpec;
 use crate::trace::UtilTrace;
+
+/// Above this many distinct source racks, a task's cross-rack fetches
+/// collapse into one aggregate flow through the destination downlink.
+const MAX_PER_RACK_FLOWS: usize = 8;
 
 /// Where and when one task ran.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,7 +124,6 @@ pub struct IoStats {
 pub struct Simulation {
     spec: ClusterSpec,
     clock: f64,
-    locality_wait: f64,
     slowdown: Vec<f64>,
     failed: Vec<bool>,
     resident_bytes: Vec<u64>,
@@ -93,6 +133,17 @@ pub struct Simulation {
     speculation: Option<f64>,
     net_stats: netsim::NetworkStats,
     events: u64,
+}
+
+/// What one task costs on one node, split by the layer that charges it.
+struct TaskCost {
+    /// Seconds of launch overhead, compute, disk, chunk bookkeeping and
+    /// fetch-wave latency: everything but the transfer itself.
+    tail: f64,
+    /// Shuffle bytes that cross the network.
+    remote_bytes: u64,
+    /// Input and shuffle bytes read on the node itself.
+    local_bytes: u64,
 }
 
 impl Simulation {
@@ -109,7 +160,6 @@ impl Simulation {
         Simulation {
             spec,
             clock: 0.0,
-            locality_wait: 0.1,
             slowdown: vec![1.0; n],
             failed: vec![false; n],
             resident_bytes: vec![0; n],
@@ -220,20 +270,60 @@ impl Simulation {
         self.clock = end;
     }
 
+    /// Charges driver-coordinated replica transfers (`(src, dst, bytes)`)
+    /// through the topology: same-rack copies contend only at the
+    /// destination NIC, cross-rack copies also cross the source uplink and
+    /// destination downlink. The clock advances to the last completion and
+    /// the packet trace records each transfer over its actual window.
+    pub fn charge_replica_transfers(&mut self, moves: &[(NodeId, NodeId, u64)]) {
+        if moves.iter().all(|&(_, _, b)| b == 0) {
+            return;
+        }
+        let start = self.clock;
+        let (mut net, nic, uplink, downlink) = build_network(&self.spec);
+        net.sync_to(start);
+        let mut flow_move: Vec<usize> = Vec::with_capacity(moves.len());
+        for (i, &(src, dst, bytes)) in moves.iter().enumerate() {
+            if bytes == 0 || src == dst {
+                continue;
+            }
+            let (sr, dr) = (self.spec.rack_of(src), self.spec.rack_of(dst));
+            let path = if sr == dr {
+                vec![nic[dst]]
+            } else {
+                vec![uplink[sr], downlink[dr], nic[dst]]
+            };
+            net.start_flow(path, bytes as f64);
+            flow_move.push(i);
+        }
+        let mut end = start;
+        while let Some((t, flow)) = net.pop_completion() {
+            let &(_, _, bytes) = &moves[flow_move[flow]];
+            let packets = (bytes as f64 / self.spec.mtu as f64).ceil();
+            self.trace
+                .record_packets(start, t.max(start + 1e-9), 2.0 * packets);
+            self.io.remote_bytes += bytes;
+            end = end.max(t);
+        }
+        self.net_stats += net.stats();
+        self.events += net.stats().events_processed;
+        self.clock = end;
+    }
+
     /// Cumulative data-movement counters.
     pub fn io_stats(&self) -> IoStats {
         self.io
     }
 
-    /// Cumulative flow-network counters (all zero in flat mode, which
-    /// never builds a flow network).
+    /// Cumulative flow-network counters: flows started and completed,
+    /// rate recomputations, queue traffic.
     pub fn network_stats(&self) -> netsim::NetworkStats {
         self.net_stats
     }
 
-    /// Total discrete events processed across rack-mode stages (stage
-    /// dispatch/completion events plus flow completions) — the quantity
-    /// the perfgate throughput floor is measured over.
+    /// Total discrete events processed so far (stage dispatch/completion
+    /// events plus flow completions) — the quantity the perfgate
+    /// throughput floor is measured over.
     pub fn events_processed(&self) -> u64 {
         self.events
     }
@@ -243,82 +333,72 @@ impl Simulation {
         &self.trace
     }
 
-    /// Runs one stage: places every task, advances the clock to the barrier,
-    /// and returns the schedule.
+    /// Runs one stage: dispatches, places and times every task, advances
+    /// the clock to the barrier, and returns the schedule.
     ///
     /// # Panics
     /// Panics if `tasks` is empty or every node has failed.
     pub fn run_stage(&mut self, tasks: &[TaskSpec]) -> StageTiming {
         assert!(!tasks.is_empty(), "a stage needs at least one task");
-        if !self.spec.topology.is_flat() {
-            // Rack topologies need the event-driven engine: link
-            // contention makes durations placement-dependent. The flat
-            // path below stays untouched — and bit-identical.
-            return self.run_stage_rack(tasks);
-        }
         let stage_start = self.clock;
-
-        // Free-at times for every core slot, grouped by node. All cores are
-        // free at the barrier that starts the stage.
-        let mut cores: Vec<Vec<f64>> = self
-            .spec
-            .nodes
-            .iter()
-            .map(|n| vec![stage_start; n.cores])
-            .collect();
-
-        let mut timings = Vec::with_capacity(tasks.len());
-        let mut stage_end = stage_start;
-        let mut assigned = vec![0usize; self.spec.num_nodes()];
         // Each stage starts its round-robin at a different node: executor
         // resource offers arrive in arbitrary per-stage order in Spark, so
         // two stages' partition placements must not align by accident.
         let salt = self.stages_run % self.spec.num_nodes();
         self.stages_run += 1;
 
-        for (idx, task) in tasks.iter().enumerate() {
-            let dispatched = stage_start + idx as f64 * self.spec.dispatch_interval;
-            let node = self.choose_node(task, &cores, &assigned, dispatched, salt);
-            assigned[node] += 1;
-            // Earliest core on the chosen node.
-            let (slot, &free) = cores[node]
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.partial_cmp(b.1).expect("no NaN times"))
-                .expect("nodes have at least one core");
-            // The driver ships task descriptors serially; task `idx` cannot
-            // launch before its dispatch slot.
-            let start = free.max(dispatched);
-            let (duration, net_time, remote_bytes, local_bytes) = self.task_duration(task, node);
-            let end = start + duration;
-            cores[node][slot] = end;
-            stage_end = stage_end.max(end);
-
-            // Tracing: CPU + task memory over the span, packets over the
-            // fetch window, disk transactions over the whole task.
-            self.trace.record_task(start, end, task.memory_bytes);
-            if remote_bytes > 0 {
-                let packets = (remote_bytes as f64 / self.spec.mtu as f64).ceil();
-                // Received and transmitted both count in Fig. 13.
-                self.trace
-                    .record_packets(start, start + net_time.max(1e-9), 2.0 * packets);
-            }
-            let io_bytes = local_bytes + task.write_bytes;
-            if io_bytes > 0 {
-                let txns = (io_bytes as f64 / self.spec.io_transaction_bytes as f64).ceil();
-                self.trace.record_transactions(start, end, txns);
-            }
-
-            self.io.remote_bytes += remote_bytes;
-            self.io.local_read_bytes += local_bytes;
-            self.io.write_bytes += task.write_bytes;
-
-            timings.push(TaskTiming { node, start, end });
+        let mut st = Stage::new(self, tasks, stage_start, salt);
+        // The driver ships task descriptors serially; task `idx` cannot
+        // launch before its dispatch slot.
+        for idx in 0..tasks.len() {
+            st.q.push(
+                stage_start + idx as f64 * self.spec.dispatch_interval,
+                Ev::Dispatch(idx),
+            );
         }
+
+        while st.ended < tasks.len() {
+            let take_net = match (st.q.peek_time(), st.net.next_completion_time()) {
+                // Equal instants resolve to the stage event: dispatches
+                // and completions outrank flow completions, determinately.
+                (Some(a), Some(b)) => b < a,
+                (None, Some(_)) => true,
+                (Some(_), None) => false,
+                (None, None) => unreachable!("tasks pending but no events"),
+            };
+            if take_net {
+                let (t, flow) = st.net.pop_completion().expect("peeked completion");
+                let idx = st.flow_task[flow];
+                let run = &mut st.run[idx];
+                run.pending_flows -= 1;
+                if run.pending_flows == 0 {
+                    run.net_end = t;
+                    st.q.push(t + run.tail, Ev::TaskEnd(idx));
+                }
+            } else {
+                let ev = st.q.pop().expect("peeked event");
+                match ev.item {
+                    Ev::Dispatch(idx) => st.ready.push_back(idx),
+                    Ev::TaskEnd(idx) => st.finish_task(self, idx, ev.time),
+                }
+                st.try_place(self, ev.time);
+            }
+        }
+
+        let Stage {
+            net,
+            q,
+            slots,
+            mut timing,
+            mut stage_end,
+            ..
+        } = st;
+        self.net_stats += net.stats();
+        self.events += q.total_popped() + net.stats().events_processed;
 
         // Speculative execution: re-run flagged stragglers elsewhere.
         if let Some(multiplier) = self.speculation {
-            stage_end = self.speculate(tasks, &mut timings, &cores, multiplier, stage_end);
+            stage_end = self.speculate(tasks, &mut timing, &slots, multiplier, stage_end);
         }
 
         // Resident (cached) memory is charged for the stage's whole span.
@@ -331,12 +411,13 @@ impl Simulation {
         StageTiming {
             start: stage_start,
             end: stage_end,
-            tasks: timings,
+            tasks: timing,
         }
     }
 
     /// Launches backup copies for tasks still running `multiplier` × the
     /// median duration after their start, and returns the new stage end.
+    /// `cores` holds each core's final free-at time.
     fn speculate(
         &mut self,
         tasks: &[TaskSpec],
@@ -383,8 +464,7 @@ impl Simulation {
             let Some((backup_start, backup_node)) = best else {
                 continue;
             };
-            let (backup_dur, _, _, _) = self.task_duration(task, backup_node);
-            let backup_end = backup_start + backup_dur;
+            let backup_end = backup_start + self.uncontended_duration(task, backup_node);
             if backup_end < timing.end {
                 // The backup wins: account for its execution and cut the
                 // task's effective completion.
@@ -400,125 +480,322 @@ impl Simulation {
         timings.iter().map(|t| t.end).fold(0.0, f64::max)
     }
 
-    /// Spark-like placement: earliest-free node, with a bounded wait for a
-    /// preferred (data-local) node, and hard pins taking precedence. Among
-    /// nodes that could start the task immediately (free core at or before
-    /// its dispatch time), the least-loaded one wins — Spark's round-robin
-    /// resource offers — instead of always the lowest-numbered node.
-    fn choose_node(
-        &self,
-        task: &TaskSpec,
-        cores: &[Vec<f64>],
-        assigned: &[usize],
-        dispatched: f64,
-        salt: usize,
-    ) -> NodeId {
-        if let Some(pin) = task.pinned_node {
-            if !self.failed[pin] {
-                return pin;
-            }
-        }
-
-        let earliest =
-            |node: NodeId| -> f64 { cores[node].iter().copied().fold(f64::INFINITY, f64::min) };
-
-        let mut best: Option<(f64, NodeId)> = None;
-        let mut best_ready: Option<(f64, NodeId)> = None;
-        #[allow(clippy::needless_range_loop)] // indexes three parallel arrays
-        for node in 0..self.spec.num_nodes() {
-            if self.failed[node] {
-                continue;
-            }
-            let t = earliest(node);
-            if best.is_none_or(|(bt, _)| t < bt) {
-                best = Some((t, node));
-            }
-            if t <= dispatched {
-                // Ready now: balance by fraction of this stage's tasks
-                // already assigned per core slot; ties rotate with the
-                // per-stage salt instead of always favouring node 0.
-                let n = self.spec.num_nodes();
-                let rotated = (node + n - salt) % n;
-                let load = assigned[node] as f64 / self.spec.nodes[node].cores as f64;
-                let better = match best_ready {
-                    None => true,
-                    Some((bl, bn)) => {
-                        let brot = (bn + n - salt) % n;
-                        load < bl - 1e-12 || (load < bl + 1e-12 && rotated < brot)
-                    }
-                };
-                if better {
-                    best_ready = Some((load, node));
-                }
-            }
-        }
-        let (best_t, best_node) = match (best_ready, best) {
-            (Some((_, n)), _) => (dispatched, n),
-            (None, Some(b)) => b,
-            (None, None) => unreachable!("at least one live node"),
-        };
-
-        // Delay scheduling: take a preferred node if it frees soon enough.
-        let mut local_best: Option<(f64, NodeId)> = None;
-        for &node in &task.preferred_nodes {
-            if node < self.spec.num_nodes() && !self.failed[node] {
-                let t = earliest(node);
-                if local_best.is_none_or(|(bt, _)| t < bt) {
-                    local_best = Some((t, node));
-                }
-            }
-        }
-        if let Some((lt, ln)) = local_best {
-            if lt <= best_t + self.locality_wait {
-                return ln;
-            }
-        }
-        best_node
-    }
-
-    /// Returns `(total duration, network time, remote bytes, local read
-    /// bytes)` of `task` when run on `node`.
-    fn task_duration(&self, task: &TaskSpec, node: NodeId) -> (f64, f64, u64, u64) {
+    /// The cost decomposition of `task` on `node`: the one place the
+    /// per-task constants of [`ClusterSpec`] are applied.
+    fn task_cost(&self, task: &TaskSpec, node: NodeId) -> TaskCost {
         let n = &self.spec.nodes[node];
         let speed = n.speed / self.slowdown[node];
-        let compute = task.compute_cost / speed;
-
-        // Split fetches into local (disk) and remote (network) portions.
-        let mut remote_total: u64 = 0;
-        let mut per_src_max = 0.0_f64;
-        let mut remote_srcs = 0usize;
-        let mut local_fetch: u64 = 0;
+        let (mut local_fetch, mut remote_bytes, mut remote_srcs) = (0u64, 0u64, 0usize);
         for &(src, bytes) in &task.fetches {
             if src == node {
                 local_fetch += bytes;
             } else {
-                remote_total += bytes;
+                remote_bytes += bytes;
                 remote_srcs += 1;
-                let src_bw = self.spec.nodes[src].net_bandwidth;
-                per_src_max = per_src_max.max(bytes as f64 / src_bw);
             }
         }
-        // Receiver NIC is usually the bottleneck; a single hot sender can
-        // also bound the transfer. Fetches from distinct sources overlap,
-        // and so do their round trips: the fetcher keeps
-        // `max_concurrent_fetches` requests in flight, so latency is paid
-        // once per wave of that many sources, not once per source.
-        let net_time = if remote_total > 0 {
-            let waves = remote_srcs.div_ceil(self.spec.max_concurrent_fetches.max(1));
-            (remote_total as f64 / n.net_bandwidth).max(per_src_max) + waves as f64 * n.net_latency
-        } else {
-            0.0
-        };
-
+        // Fetches from distinct sources overlap, and so do their round
+        // trips: the fetcher keeps `max_concurrent_fetches` requests in
+        // flight, so latency is paid once per wave of that many sources,
+        // not once per source.
+        let waves = remote_srcs.div_ceil(self.spec.max_concurrent_fetches.max(1));
         // Cold input reads pay disk bandwidth; local shuffle fetches are
         // freshly written map outputs served from the page cache.
-        let local_bytes = task.local_read_bytes + local_fetch;
-        let disk_time = (task.local_read_bytes + task.write_bytes) as f64 / n.disk_bandwidth
+        let disk = (task.local_read_bytes + task.write_bytes) as f64 / n.disk_bandwidth
             + local_fetch as f64 / self.spec.cache_bandwidth;
-        let chunk_time = task.fetch_chunks as f64 * self.spec.fetch_chunk_overhead;
+        let chunk = task.fetch_chunks as f64 * self.spec.fetch_chunk_overhead;
+        TaskCost {
+            tail: self.spec.task_launch_overhead
+                + task.compute_cost / speed
+                + disk
+                + chunk
+                + waves as f64 * n.net_latency,
+            remote_bytes,
+            local_bytes: task.local_read_bytes + local_fetch,
+        }
+    }
 
-        let total = self.spec.task_launch_overhead + compute + net_time + disk_time + chunk_time;
-        (total, net_time, remote_total, local_bytes)
+    /// How long `task` takes on `node` with the network to itself: its
+    /// remote bytes at the full receiver-NIC rate, then the tail.
+    fn uncontended_duration(&self, task: &TaskSpec, node: NodeId) -> f64 {
+        let cost = self.task_cost(task, node);
+        cost.remote_bytes as f64 / self.spec.nodes[node].net_bandwidth + cost.tail
+    }
+}
+
+/// Builds the leaf/spine link set for a spec: one receive-direction link
+/// per NIC, one uplink + one downlink per rack
+/// ([`ClusterSpec::rack_link_capacities`]).
+fn build_network(spec: &ClusterSpec) -> (Network, Vec<LinkId>, Vec<LinkId>, Vec<LinkId>) {
+    let mut net = Network::new();
+    let nic: Vec<LinkId> = spec
+        .nodes
+        .iter()
+        .map(|n| net.add_link(n.net_bandwidth))
+        .collect();
+    let caps = spec.rack_link_capacities();
+    let uplink: Vec<LinkId> = caps.iter().map(|&c| net.add_link(c)).collect();
+    let downlink: Vec<LinkId> = caps.iter().map(|&c| net.add_link(c)).collect();
+    (net, nic, uplink, downlink)
+}
+
+enum Ev {
+    /// The driver ships task `idx`'s descriptor; it joins the ready queue.
+    Dispatch(usize),
+    /// Task `idx` finishes its closed-form tail and frees its core.
+    TaskEnd(usize),
+}
+
+/// What the loop tracks about a task between its start and its end.
+#[derive(Clone, Default)]
+struct Running {
+    slot: usize,
+    pending_flows: usize,
+    /// [`TaskCost::tail`], charged after the task's flows finish.
+    tail: f64,
+    remote_bytes: u64,
+    /// Bytes behind the task's disk-transaction trace.
+    txn_bytes: u64,
+    /// When the task's last flow completed (packet-trace window end).
+    net_end: f64,
+}
+
+/// All per-stage state of the event loop.
+struct Stage<'a> {
+    tasks: &'a [TaskSpec],
+    topo: Topology,
+    salt: usize,
+    net: Network,
+    nic: Vec<LinkId>,
+    uplink: Vec<LinkId>,
+    downlink: Vec<LinkId>,
+    q: EventQueue<Ev>,
+    /// Per-node core slots: free-at time, `INFINITY` while occupied.
+    slots: Vec<Vec<f64>>,
+    /// Tasks of this stage placed per node so far.
+    assigned: Vec<usize>,
+    /// Dispatched tasks waiting for a core, in dispatch order.
+    ready: VecDeque<usize>,
+    timing: Vec<TaskTiming>,
+    run: Vec<Running>,
+    /// Per task, shuffle input bytes by source rack — the placement score.
+    rack_bytes: Vec<Vec<u64>>,
+    /// Flow id → owning task.
+    flow_task: Vec<usize>,
+    ended: usize,
+    stage_end: f64,
+}
+
+impl<'a> Stage<'a> {
+    fn new(sim: &Simulation, tasks: &'a [TaskSpec], stage_start: f64, salt: usize) -> Self {
+        let topo = sim.spec.topology;
+        let (mut net, nic, uplink, downlink) = build_network(&sim.spec);
+        net.sync_to(stage_start);
+        let rack_bytes = tasks
+            .iter()
+            .map(|t| {
+                let mut by_rack = vec![0u64; topo.num_racks()];
+                for &(src, bytes) in &t.fetches {
+                    by_rack[topo.rack_of(src)] += bytes;
+                }
+                by_rack
+            })
+            .collect();
+        let unplaced = TaskTiming {
+            node: 0,
+            start: 0.0,
+            end: 0.0,
+        };
+        Stage {
+            tasks,
+            topo,
+            salt,
+            net,
+            nic,
+            uplink,
+            downlink,
+            q: EventQueue::with_capacity(tasks.len() * 2),
+            // All cores are free at the barrier that starts the stage.
+            slots: sim
+                .spec
+                .nodes
+                .iter()
+                .map(|n| vec![stage_start; n.cores])
+                .collect(),
+            assigned: vec![0; sim.spec.num_nodes()],
+            ready: VecDeque::new(),
+            timing: vec![unplaced; tasks.len()],
+            run: vec![Running::default(); tasks.len()],
+            rack_bytes,
+            flow_task: Vec::new(),
+            ended: 0,
+            stage_end: stage_start,
+        }
+    }
+
+    /// Whether `node` has a core free at `now`.
+    fn has_free_core(&self, node: NodeId, now: f64) -> bool {
+        self.slots[node].iter().any(|&t| t <= now + 1e-12)
+    }
+
+    /// Topology-aware placement. `None` means the task cannot start now —
+    /// for a pinned task, "its node is busy"; for anything else, "no node
+    /// has a free core".
+    fn pick_node(&self, sim: &Simulation, idx: usize, now: f64) -> Option<NodeId> {
+        let task = &self.tasks[idx];
+        let n = sim.spec.num_nodes();
+        if let Some(pin) = task.pinned_node {
+            if !sim.failed[pin] {
+                return self.has_free_core(pin, now).then_some(pin);
+            }
+        }
+        // Data-local preference: a preferred node with a free core wins
+        // outright; a busy one is not worth stalling for while the
+        // network is shared.
+        for &p in &task.preferred_nodes {
+            if p < n && !sim.failed[p] && self.has_free_core(p, now) {
+                return Some(p);
+            }
+        }
+        // Otherwise: the free node whose rack holds the most of this
+        // task's shuffle input — cross-rack bytes are the contended
+        // resource — then the least-loaded by fraction of this stage's
+        // tasks already assigned per core (Spark's round-robin resource
+        // offers), then salt-rotated id.
+        let mut best: Option<(u64, f64, usize, NodeId)> = None;
+        for node in 0..n {
+            if sim.failed[node] || !self.has_free_core(node, now) {
+                continue;
+            }
+            let score = self.rack_bytes[idx][self.topo.rack_of(node)];
+            let load = self.assigned[node] as f64 / sim.spec.nodes[node].cores as f64;
+            let rotated = (node + n - self.salt) % n;
+            let better = match best {
+                None => true,
+                Some((bs, bl, br, _)) => {
+                    score > bs
+                        || (score == bs
+                            && (load < bl - 1e-12 || (load < bl + 1e-12 && rotated < br)))
+                }
+            };
+            if better {
+                best = Some((score, load, rotated, node));
+            }
+        }
+        best.map(|(_, _, _, node)| node)
+    }
+
+    /// Drains the ready queue in FIFO order, skipping (but keeping)
+    /// pinned tasks whose node is busy; stops at the first task that
+    /// cannot place because the whole cluster is out of cores.
+    fn try_place(&mut self, sim: &mut Simulation, now: f64) {
+        let mut i = 0;
+        while i < self.ready.len() {
+            let idx = self.ready[i];
+            match self.pick_node(sim, idx, now) {
+                Some(node) => {
+                    self.ready.remove(i);
+                    self.start_task(sim, idx, node, now);
+                }
+                None => {
+                    let pinned_wait = self.tasks[idx].pinned_node.is_some_and(|p| !sim.failed[p]);
+                    if pinned_wait {
+                        i += 1; // waiting for its pin; let others pass
+                    } else {
+                        break; // no free core anywhere — nobody can place
+                    }
+                }
+            }
+        }
+    }
+
+    fn start_task(&mut self, sim: &mut Simulation, idx: usize, node: NodeId, now: f64) {
+        let task = &self.tasks[idx];
+        self.assigned[node] += 1;
+        let slot = self.slots[node]
+            .iter()
+            .position(|&t| t <= now + 1e-12)
+            .expect("pick_node guarantees a free core");
+        self.slots[node][slot] = f64::INFINITY;
+        self.timing[idx].node = node;
+        self.timing[idx].start = now;
+
+        let cost = sim.task_cost(task, node);
+        sim.io.remote_bytes += cost.remote_bytes;
+        sim.io.local_read_bytes += cost.local_bytes;
+        sim.io.write_bytes += task.write_bytes;
+        self.run[idx] = Running {
+            slot,
+            pending_flows: 0,
+            tail: cost.tail,
+            remote_bytes: cost.remote_bytes,
+            txn_bytes: cost.local_bytes + task.write_bytes,
+            net_end: now,
+        };
+
+        // Launch the task's flows: one same-rack aggregate through the
+        // receiver NIC, one per source rack through uplink → downlink →
+        // NIC, collapsing to a single cross-rack aggregate when the rack
+        // fan-in is large.
+        let my_rack = self.topo.rack_of(node);
+        let mut same_rack = 0u64;
+        let mut cross = vec![0u64; self.topo.num_racks()];
+        for &(src, bytes) in task.fetches.iter().filter(|&&(src, _)| src != node) {
+            let r = self.topo.rack_of(src);
+            if r == my_rack {
+                same_rack += bytes;
+            } else {
+                cross[r] += bytes;
+            }
+        }
+        self.net.sync_to(now);
+        if same_rack > 0 {
+            self.start_flow(idx, vec![self.nic[node]], same_rack);
+        }
+        if cross.iter().filter(|&&b| b > 0).count() > MAX_PER_RACK_FLOWS {
+            let path = vec![self.downlink[my_rack], self.nic[node]];
+            self.start_flow(idx, path, cross.iter().sum());
+        } else {
+            for (r, &bytes) in cross.iter().enumerate() {
+                if bytes > 0 {
+                    let path = vec![self.uplink[r], self.downlink[my_rack], self.nic[node]];
+                    self.start_flow(idx, path, bytes);
+                }
+            }
+        }
+        if self.run[idx].pending_flows == 0 {
+            self.q.push(now + cost.tail, Ev::TaskEnd(idx));
+        }
+    }
+
+    fn start_flow(&mut self, idx: usize, path: Vec<LinkId>, bytes: u64) {
+        self.net.start_flow(path, bytes as f64);
+        self.flow_task.push(idx);
+        self.run[idx].pending_flows += 1;
+    }
+
+    fn finish_task(&mut self, sim: &mut Simulation, idx: usize, now: f64) {
+        let TaskTiming { node, start, .. } = self.timing[idx];
+        let run = &self.run[idx];
+        self.timing[idx].end = now;
+        self.slots[node][run.slot] = now;
+        self.ended += 1;
+        self.stage_end = self.stage_end.max(now);
+
+        // Tracing: CPU + task memory over the span, packets over the
+        // fetch window, disk transactions over the whole task.
+        sim.trace
+            .record_task(start, now, self.tasks[idx].memory_bytes);
+        if run.remote_bytes > 0 {
+            let packets = (run.remote_bytes as f64 / sim.spec.mtu as f64).ceil();
+            // Received and transmitted both count in Fig. 13.
+            sim.trace
+                .record_packets(start, run.net_end.max(start + 1e-9), 2.0 * packets);
+        }
+        if run.txn_bytes > 0 {
+            let txns = (run.txn_bytes as f64 / sim.spec.io_transaction_bytes as f64).ceil();
+            sim.trace.record_transactions(start, now, txns);
+        }
     }
 }
 
@@ -529,6 +806,16 @@ mod tests {
 
     fn two_node_cluster() -> ClusterSpec {
         uniform_cluster(2, 2, 1.0) // 2 nodes x 2 cores, speed 1.0
+    }
+
+    fn racked(nodes: usize, cores: usize, racks: usize, hosts: usize, oversub: f64) -> Simulation {
+        Simulation::new(
+            uniform_cluster(nodes, cores, 1.0).with_topology(Topology::Rack {
+                racks,
+                hosts,
+                oversub,
+            }),
+        )
     }
 
     #[test]
@@ -607,10 +894,24 @@ mod tests {
     }
 
     #[test]
-    fn locality_preference_is_honored_when_cheap() {
+    fn preferred_node_with_a_free_core_wins_outright() {
+        // Load balancing alone would start at the salt-rotated node 0.
         let mut sim = Simulation::new(two_node_cluster());
         let st = sim.run_stage(&[TaskSpec::compute(1.0).prefer(1)]);
         assert_eq!(st.tasks[0].node, 1);
+
+        // A busy preference is not waited for: with both of node 1's
+        // cores pinned down, the task starts on node 0 at its dispatch
+        // slot instead of queueing behind them.
+        let mut sim = Simulation::new(two_node_cluster());
+        let dispatch = sim.spec().dispatch_interval;
+        let st = sim.run_stage(&[
+            TaskSpec::compute(5.0).pin(1),
+            TaskSpec::compute(5.0).pin(1),
+            TaskSpec::compute(1.0).prefer(1),
+        ]);
+        assert_eq!(st.tasks[2].node, 0);
+        assert!((st.tasks[2].start - 2.0 * dispatch).abs() < 1e-12);
     }
 
     #[test]
@@ -841,5 +1142,218 @@ mod tests {
             sim.run_stage(&tasks)
         };
         assert_eq!(mk(), mk());
+    }
+
+    #[test]
+    fn flat_is_the_one_rack_topology() {
+        // `Flat` and `rack:1xN:1` build the same NICs and never route a
+        // byte over an uplink, so contended stages agree bit for bit —
+        // schedule, counters, event count and utilization trace.
+        let run = |topology: Topology| {
+            let mut sim =
+                Simulation::with_trace_bucket(paper_cluster().with_topology(topology), 1.0);
+            let tasks: Vec<TaskSpec> = (0..300)
+                .map(|i| TaskSpec {
+                    compute_cost: 0.2 + (i % 7) as f64 * 0.1,
+                    fetches: (0..5)
+                        .map(|s| (s, 2_000_000 + (i * s) as u64 * 999))
+                        .collect(),
+                    write_bytes: 300_000,
+                    ..TaskSpec::default()
+                })
+                .collect();
+            let st = (sim.run_stage(&tasks), sim.run_stage(&tasks));
+            sim.charge_replica_transfers(&[(0, 3, 5_000_000), (1, 3, 7_000_000)]);
+            let stats = sim.network_stats();
+            (
+                st,
+                sim.clock().to_bits(),
+                sim.io_stats(),
+                sim.events_processed(),
+                stats.flows_completed,
+                format!("{:?}", sim.trace().points()),
+            )
+        };
+        let flat = run(Topology::Flat);
+        let one_rack = run(Topology::Rack {
+            racks: 1,
+            hosts: 5,
+            oversub: 1.0,
+        });
+        assert_eq!(flat, one_rack);
+        assert!(flat.4 > 0, "flat fetches are flows too");
+    }
+
+    #[test]
+    fn uncontended_fetch_runs_at_the_receiver_nic_rate() {
+        // One task, one remote fetch, nobody else on the wire:
+        // `overhead + bytes/NIC + latency`.
+        let spec = two_node_cluster();
+        let bw = spec.nodes[0].net_bandwidth;
+        let expect = spec.task_launch_overhead + 2.0 + spec.nodes[0].net_latency;
+        let t = TaskSpec {
+            fetches: vec![(1, (2.0 * bw) as u64)],
+            ..TaskSpec::default()
+        }
+        .pin(0);
+        let mut sim = Simulation::new(spec);
+        let got = sim.run_stage(std::slice::from_ref(&t)).duration();
+        assert!((got - expect).abs() < 1e-9, "got {got}, want {expect}");
+        assert_eq!(sim.network_stats().flows_completed, 1);
+        assert!(sim.events_processed() > 0);
+    }
+
+    #[test]
+    fn concurrent_fetches_share_the_receiver_nic() {
+        // Two tasks on one node each pull one NIC-second from the other
+        // node: sharing the receiver NIC max-min fairly, both transfers
+        // take two seconds.
+        let spec = two_node_cluster();
+        let bytes = spec.nodes[0].net_bandwidth as u64;
+        let t = TaskSpec {
+            fetches: vec![(1, bytes)],
+            ..TaskSpec::default()
+        }
+        .pin(0);
+        let mut sim = Simulation::new(spec);
+        let st = sim.run_stage(&[t.clone(), t]);
+        assert!(
+            st.tasks[0].duration() > 1.9,
+            "got {}",
+            st.tasks[0].duration()
+        );
+        assert!(st.duration() < 2.1, "got {}", st.duration());
+    }
+
+    #[test]
+    fn oversubscribed_uplink_throttles_cross_rack_stages() {
+        // Two reduce tasks in rack 1, each pulling from both rack-0 hosts.
+        // At oversub 4 the shared uplink carries half a NIC, so the stage
+        // runs ~4x longer than at full bisection.
+        let bw = uniform_cluster(1, 1, 1.0).nodes[0].net_bandwidth;
+        let bytes = bw as u64; // one NIC-second per source
+        let tasks: Vec<TaskSpec> = [2usize, 3]
+            .iter()
+            .map(|&dst| {
+                TaskSpec {
+                    fetches: vec![(0, bytes), (1, bytes)],
+                    ..TaskSpec::default()
+                }
+                .pin(dst)
+            })
+            .collect();
+        let fast = racked(4, 1, 2, 2, 1.0).run_stage(&tasks).duration();
+        let slow = racked(4, 1, 2, 2, 4.0).run_stage(&tasks).duration();
+        assert!(
+            slow > 3.0 * fast,
+            "oversub 4 should be ~4x slower: {slow} vs {fast}"
+        );
+        // Transfer math: 2 NIC-seconds of bytes per task, two tasks on an
+        // uplink of 2·NIC/4 → 8 seconds of transfer at oversub 4.
+        assert!(
+            (slow - fast - 6.0).abs() < 0.1,
+            "got slow={slow} fast={fast}"
+        );
+    }
+
+    #[test]
+    fn placement_prefers_the_rack_holding_the_shuffle_input() {
+        // All of the task's input sits in rack 0; with free cores
+        // everywhere the scheduler must not send it cross-rack.
+        let mut sim = racked(6, 2, 3, 2, 4.0);
+        let t = TaskSpec {
+            fetches: vec![(0, 1 << 20), (1, 1 << 20)],
+            ..TaskSpec::default()
+        };
+        let st = sim.run_stage(&[t]);
+        assert!(
+            st.tasks[0].node < 2,
+            "placed on node {} outside rack 0",
+            st.tasks[0].node
+        );
+    }
+
+    #[test]
+    fn contended_stages_replay_bit_identically() {
+        let run = || {
+            let mut sim = racked(8, 2, 4, 2, 4.0);
+            let tasks: Vec<TaskSpec> = (0..24)
+                .map(|i| TaskSpec {
+                    compute_cost: 0.5 + (i % 5) as f64 * 0.3,
+                    fetches: vec![((i * 3) % 8, 1_000_000 + i as u64 * 7_000)],
+                    write_bytes: 500_000,
+                    ..TaskSpec::default()
+                })
+                .collect();
+            let a = sim.run_stage(&tasks);
+            let b = sim.run_stage(&tasks);
+            (a, b, sim.events_processed())
+        };
+        let (a1, b1, e1) = run();
+        let (a2, b2, e2) = run();
+        assert_eq!(e1, e2);
+        for (x, y) in [(a1, a2), (b1, b2)] {
+            assert_eq!(x.end.to_bits(), y.end.to_bits());
+            for (tx, ty) in x.tasks.iter().zip(&y.tasks) {
+                assert_eq!(tx.node, ty.node);
+                assert_eq!(tx.start.to_bits(), ty.start.to_bits());
+                assert_eq!(tx.end.to_bits(), ty.end.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn pinned_tasks_wait_for_their_node_without_blocking_others() {
+        // Node 0 has one core; two tasks pinned there must serialize while
+        // an unpinned task slips past to another node.
+        let mut sim = racked(4, 1, 2, 2, 1.0);
+        let tasks = vec![
+            TaskSpec::compute(2.0).pin(0),
+            TaskSpec::compute(2.0).pin(0),
+            TaskSpec::compute(1.0),
+        ];
+        let st = sim.run_stage(&tasks);
+        assert_eq!(st.tasks[0].node, 0);
+        assert_eq!(st.tasks[1].node, 0);
+        assert!(st.tasks[1].start >= st.tasks[0].end - 1e-9, "serialized");
+        assert_ne!(st.tasks[2].node, 0, "unpinned task skipped ahead");
+        assert!(st.tasks[2].end < st.tasks[1].end);
+    }
+
+    #[test]
+    fn replica_transfers_contend_on_the_uplink() {
+        // Two same-source-rack transfers share one uplink; clock advances
+        // by the max-min completion, not the naive per-NIC time.
+        let mut sim = racked(4, 1, 2, 2, 2.0);
+        let bw = sim.spec().nodes[0].net_bandwidth;
+        let uplink = 2.0 * bw / 2.0; // hosts × NIC / oversub = one NIC
+        let bytes = bw as u64;
+        let t0 = sim.clock();
+        sim.charge_replica_transfers(&[(0, 2, bytes), (1, 3, bytes)]);
+        // 2 NIC-seconds of bytes through a one-NIC uplink: 2 seconds.
+        let took = sim.clock() - t0;
+        let expect = 2.0 * bytes as f64 / uplink;
+        assert!((took - expect).abs() < 1e-9, "took {took}, want {expect}");
+        assert_eq!(sim.io_stats().remote_bytes, 2 * bytes);
+        // Same-node and zero-byte moves are free.
+        let t1 = sim.clock();
+        sim.charge_replica_transfers(&[(0, 0, 123), (1, 2, 0)]);
+        assert_eq!(sim.clock(), t1);
+    }
+
+    #[test]
+    fn speculation_rescues_stragglers_on_a_rack_fabric() {
+        let mut sim = racked(4, 2, 2, 2, 1.0);
+        sim.set_slowdown(0, 10.0);
+        sim.enable_speculation(1.5);
+        let tasks: Vec<TaskSpec> = (0..8).map(|_| TaskSpec::compute(5.0)).collect();
+        let st = sim.run_stage(&tasks);
+        // The straggling copies on node 0 must have been rescued: no task
+        // ends anywhere near the 10x-slowed duration.
+        assert!(
+            st.max_task() < 25.0,
+            "straggler not rescued: {}",
+            st.max_task()
+        );
     }
 }

@@ -77,10 +77,11 @@ pub struct ClusterSpec {
     /// This is the second mechanism behind the 2000-partition blowup —
     /// with thousands of short tasks, the driver becomes the bottleneck.
     pub dispatch_interval: f64,
-    /// Network topology. [`Topology::Flat`] (the default) reproduces the
-    /// historical closed-form network model bit-for-bit; a rack topology
-    /// switches shuffle fetches and replica transfers to flow-level
-    /// simulation with contended ToR uplinks.
+    /// Network topology: how the node NICs are grouped behind rack
+    /// uplinks in the flow network that carries shuffle fetches and
+    /// replica transfers. [`Topology::Flat`] (the default) is one rack on
+    /// a non-blocking fabric — the receiver NICs are the only contended
+    /// links; a rack topology adds oversubscribed ToR uplinks.
     #[serde(default)]
     pub topology: Topology,
     /// How many map outputs a reduce task fetches concurrently (Spark's
@@ -151,18 +152,44 @@ impl ClusterSpec {
         self.topology.rack_of(node)
     }
 
-    /// The bandwidth a shuffle fetch can realistically count on: the
-    /// slowest NIC in the cluster, degraded by the topology's
-    /// oversubscription for cross-rack traffic. This is what the optimizer
-    /// uses to judge whether a stage's shuffle volume is significant
-    /// (Eq. 3's `s/bw/t0` term).
+    /// Capacity in bytes/s of each rack's uplink (and downlink) in the
+    /// flow network: `hosts × fastest NIC in the rack / oversub`, infinite
+    /// for an empty rack and on a flat fabric.
+    pub fn rack_link_capacities(&self) -> Vec<f64> {
+        let mut fastest = vec![0.0f64; self.topology.num_racks()];
+        for (i, n) in self.nodes.iter().enumerate() {
+            let r = self.rack_of(i);
+            fastest[r] = fastest[r].max(n.net_bandwidth);
+        }
+        fastest
+            .iter()
+            .map(|&nic| match self.topology.uplink_capacity(nic) {
+                c if c > 0.0 => c,
+                _ => f64::INFINITY,
+            })
+            .collect()
+    }
+
+    /// The bandwidth a shuffle fetch can realistically count on when the
+    /// whole cluster fetches at once, read off the flow network's links:
+    /// the slowest NIC, or a host's even share of its rack's uplink when
+    /// that is tighter. This is what the optimizer uses to judge whether
+    /// a stage's shuffle volume is significant (Eq. 3's `s/bw/t0` term).
     pub fn effective_shuffle_bandwidth(&self) -> f64 {
-        let min_nic = self
-            .nodes
+        let mut hosts = vec![0usize; self.topology.num_racks()];
+        for i in 0..self.nodes.len() {
+            hosts[self.rack_of(i)] += 1;
+        }
+        let uplink_shares = self
+            .rack_link_capacities()
+            .into_iter()
+            .zip(hosts)
+            .map(|(cap, h)| cap / h as f64);
+        self.nodes
             .iter()
             .map(|n| n.net_bandwidth)
-            .fold(f64::INFINITY, f64::min);
-        self.topology.cross_rack_bandwidth(min_nic)
+            .chain(uplink_shares)
+            .fold(f64::INFINITY, f64::min)
     }
 }
 
@@ -270,7 +297,7 @@ mod tests {
         assert_ne!(stripped, json, "fields were present to strip");
         let back: ClusterSpec = serde_json::from_str(&stripped).unwrap();
         assert_eq!(back, c);
-        assert!(back.topology.is_flat());
+        assert_eq!(back.topology, Topology::Flat);
         assert_eq!(back.max_concurrent_fetches, 5);
     }
 
@@ -298,5 +325,12 @@ mod tests {
             oversub: 4.0,
         });
         assert_eq!(racked.effective_shuffle_bandwidth(), nic / 4.0);
+        // One full-bisection rack is the flat fabric.
+        let one_rack = paper_cluster().with_topology(Topology::Rack {
+            racks: 1,
+            hosts: 5,
+            oversub: 1.0,
+        });
+        assert_eq!(one_rack.effective_shuffle_bandwidth(), 1e9 / 8.0);
     }
 }

@@ -1,20 +1,24 @@
-//! An explicit `--topology flat` must be a no-op: for every paper
-//! workload, a cluster spec carrying `Topology::Flat` must produce
-//! bit-identical simulated results to the default spec — job/stage
+//! There is one network model, and `Topology::Flat` is its one-rack
+//! case: for every paper workload, a cluster spec carrying
+//! `Topology::Rack { racks: 1, hosts: n, oversub: 1.0 }` must produce
+//! bit-identical simulated results to the flat spec — job/stage
 //! metrics, per-task virtual durations, and the virtual-clock slice of
 //! the Chrome trace — at any host worker count, with batching on or
-//! off. The netsim fabric only engages for rack specs;
-//! flat keeps the closed-form fetch model byte-for-byte.
+//! off.
 
 use chopper::Workload;
 use engine::{ClockFilter, Context, EngineOptions, JobMetrics, TraceSink, WorkloadConf};
 use simcluster::{uniform_cluster, Topology};
 use workloads::{KMeans, KMeansConfig, LogReg, LogRegConfig, Pca, PcaConfig, Sql, SqlConfig};
 
-fn options(explicit_flat: bool, batch: bool, workers: usize) -> EngineOptions {
+fn options(one_rack: bool, batch: bool, workers: usize) -> EngineOptions {
     let mut cluster = uniform_cluster(3, 4, 2.0);
-    if explicit_flat {
-        cluster = cluster.with_topology(Topology::Flat);
+    if one_rack {
+        cluster = cluster.with_topology(Topology::Rack {
+            racks: 1,
+            hosts: 3,
+            oversub: 1.0,
+        });
     }
     EngineOptions {
         cluster,
@@ -68,11 +72,13 @@ struct Observed {
     virtual_trace: String,
     summary_stages: String,
     total_s_bits: u64,
+    /// The simulator's own books: IO counters and the utilization trace.
+    sim_debug: String,
 }
 
-fn observe(w: &dyn Workload, explicit_flat: bool, batch: bool, workers: usize) -> Observed {
+fn observe(w: &dyn Workload, one_rack: bool, batch: bool, workers: usize) -> Observed {
     let ctx: Context = w.run(
-        &options(explicit_flat, batch, workers),
+        &options(one_rack, batch, workers),
         &WorkloadConf::new(),
         1.0,
     );
@@ -87,12 +93,17 @@ fn observe(w: &dyn Workload, explicit_flat: bool, batch: bool, workers: usize) -
         // between modes; stage rows are virtual-clock data and must not.
         summary_stages: format!("{:?}", summary.stages),
         total_s_bits: summary.total_s.to_bits(),
+        sim_debug: format!(
+            "{:?} {:?}",
+            ctx.sim().io_stats(),
+            ctx.sim().trace().points()
+        ),
     }
 }
 
-fn assert_flat_topology_equivalent(w: &dyn Workload) {
-    // Reference: the default spec (no topology stated), rows, single
-    // worker — exactly what every figure before netsim observed.
+fn assert_flat_is_the_one_rack_topology(w: &dyn Workload) {
+    // Reference: the default (flat) spec, rows, single worker — what
+    // every paper figure observes.
     let reference = observe(w, false, false, 1);
     assert!(
         !reference.virtual_trace.is_empty(),
@@ -101,10 +112,7 @@ fn assert_flat_topology_equivalent(w: &dyn Workload) {
     );
     for workers in [1, 8] {
         for batch in [false, true] {
-            let what = format!(
-                "{}: explicit flat, batch {batch}, workers {workers}",
-                w.name()
-            );
+            let what = format!("{}: rack:1x3:1, batch {batch}, workers {workers}", w.name());
             let got = observe(w, true, batch, workers);
             assert_jobs_bit_identical(&reference.jobs, &got.jobs, &what);
             assert_eq!(
@@ -123,26 +131,30 @@ fn assert_flat_topology_equivalent(w: &dyn Workload) {
                 reference.total_s_bits, got.total_s_bits,
                 "{what}: total virtual time diverged"
             );
+            assert_eq!(
+                reference.sim_debug, got.sim_debug,
+                "{what}: io counters or utilization trace diverged"
+            );
         }
     }
 }
 
 #[test]
-fn kmeans_flat_topology_matches_default() {
-    assert_flat_topology_equivalent(&KMeans::new(KMeansConfig::small()));
+fn kmeans_flat_matches_one_rack() {
+    assert_flat_is_the_one_rack_topology(&KMeans::new(KMeansConfig::small()));
 }
 
 #[test]
-fn pca_flat_topology_matches_default() {
-    assert_flat_topology_equivalent(&Pca::new(PcaConfig::small()));
+fn pca_flat_matches_one_rack() {
+    assert_flat_is_the_one_rack_topology(&Pca::new(PcaConfig::small()));
 }
 
 #[test]
-fn sql_flat_topology_matches_default() {
-    assert_flat_topology_equivalent(&Sql::new(SqlConfig::small()));
+fn sql_flat_matches_one_rack() {
+    assert_flat_is_the_one_rack_topology(&Sql::new(SqlConfig::small()));
 }
 
 #[test]
-fn logreg_flat_topology_matches_default() {
-    assert_flat_topology_equivalent(&LogReg::new(LogRegConfig::small()));
+fn logreg_flat_matches_one_rack() {
+    assert_flat_is_the_one_rack_topology(&LogReg::new(LogRegConfig::small()));
 }

@@ -5,8 +5,11 @@
 //! per-stage byte tables and the job-end virtual clock must not depend on
 //! the host worker count or the row/columnar layout, and the memory
 //! budget must move nothing but the clock and where bytes are read from.
+//! One more cell holds the simulator to its one network model: the flat
+//! fabric and a single full-bisection rack are the same cluster.
 
 use chopper_repro::engine::{Context, EngineOptions, WorkloadConf};
+use chopper_repro::simcluster::Topology;
 use chopper_repro::workloads::{KMeans, KMeansConfig, Sql, SqlConfig};
 
 const SCALE: f64 = 0.05;
@@ -36,6 +39,9 @@ struct Observed {
     /// co-partitioned join side is read from local disk instead.
     shuffle_read: Vec<u64>,
     clock_bits: u64,
+    /// The simulator's books, rendered: per-stage span and task
+    /// durations, IO counters, utilization trace.
+    sim_books: String,
     spilled: bool,
 }
 
@@ -59,6 +65,15 @@ fn observe(ctx: &Context, result: String) -> Observed {
             .collect(),
         shuffle_read: stages.iter().map(|m| m.shuffle_read_bytes).collect(),
         clock_bits: ctx.clock().to_bits(),
+        sim_books: format!(
+            "{:?} {:?} {:?}",
+            stages
+                .iter()
+                .map(|m| (m.start, m.end, &m.task_durations))
+                .collect::<Vec<_>>(),
+            ctx.sim().io_stats(),
+            ctx.sim().trace().points()
+        ),
         spilled: mem.spills + mem.evictions > 0,
     }
 }
@@ -117,4 +132,16 @@ fn sql_is_identical_across_workers_layout_and_budget() {
 #[test]
 fn kmeans_is_identical_across_workers_layout_and_budget() {
     assert_layout_and_workers_do_not_matter("kmeans", kmeans);
+}
+
+#[test]
+fn flat_is_the_one_rack_topology() {
+    let flat = options(1, true, 600, None);
+    let mut one_rack = flat.clone();
+    one_rack.cluster = one_rack.cluster.with_topology(Topology::Rack {
+        racks: 1,
+        hosts: 5,
+        oversub: 1.0,
+    });
+    assert_eq!(sql(&flat), sql(&one_rack));
 }
