@@ -1,26 +1,26 @@
-//! CI perf-regression gate over the data-plane kernels.
+//! CI regression gate over the virtual-clock figures and invariants.
 //!
 //! ```text
 //! cargo run --release -p bench --bin perfgate
-//! cargo run --release -p bench --bin perfgate -- --baseline results/BENCH_dataplane.json \
-//!     --jobserver-baseline results/BENCH_jobserver.json \
-//!     --tolerance 0.15 [--fresh-out results/BENCH_dataplane.fresh.json] \
+//! cargo run --release -p bench --bin perfgate -- \
+//!     --jobserver-baseline results/BENCH_jobserver.json --tolerance 0.15 \
 //!     [--jobserver-fresh-out results/BENCH_jobserver.fresh.json]
 //! ```
 //!
-//! Re-measures the before/after kernels on this host and compares each
-//! kernel's *speedup ratio* against the committed baseline. Ratios are
-//! machine-portable (both sides of each ratio run on the same host), so
-//! the gate works on heterogeneous CI runners where raw milliseconds would
-//! not. Exits 1 if any kernel's fresh ratio falls more than the tolerance
-//! (default 15%) below the baseline's, or a columnar kernel misses its
-//! hard 1.5x floor.
+//! No engine kernel is timed here: the host wall-clock of the data plane
+//! is gated by the parent-vs-change run of `BENCHMARK.json`
+//! (`benchmark/`) alone. Exits 1 if any check below fails, 2 on a bad
+//! command line.
 //!
 //! The job-server gate re-serves the multi-tenant contention sweep and
 //! compares its *virtual-clock* p99 latency and throughput against
-//! `results/BENCH_jobserver.json` at the same tolerance, with two
-//! absolute floors: 16-tenant throughput at least 2x the serial server,
-//! and fair-share beating FIFO on interactive p99 under contention.
+//! `results/BENCH_jobserver.json` within the tolerance (default 15%), with
+//! two absolute floors: 16-tenant throughput at least 2x the serial
+//! server, and fair-share beating FIFO on interactive p99 under
+//! contention.
+//!
+//! The memory and fault gates check exact invariants of small governed
+//! and faulted runs (see `mem_gate`, `fault_gate`).
 //!
 //! The netsim gate holds the topology subsystem to its scale contract:
 //! event-queue and 1000-node-fabric churn at ≥ 1M events/s, the
@@ -36,7 +36,6 @@
 //! split, and the repeated hash aggregation actually retuned.
 
 use bench::jobserver::{jobserver_gate_checks, measure_jobserver, JobserverReport};
-use bench::report::{best_fresh, gate_checks, measure_dataplane, DataplaneReport};
 use engine::{Context, EngineOptions, FaultCounters, FaultPlan, Key, MemCounters, Record, Value};
 use simcluster::uniform_cluster;
 use std::sync::Arc;
@@ -142,11 +141,7 @@ fn mem_gate() -> Vec<(String, bool)> {
     ]
 }
 
-/// Deterministic fault-recovery gate. The kernel ratio gates above
-/// already police the *wall-clock* cost of carrying the recovery hooks:
-/// the committed baselines predate the fault subsystem, so a fresh
-/// measurement that fell more than the tolerance below them would fail
-/// the run. What this gate adds are the exact virtual-clock invariants:
+/// Deterministic fault-recovery gate, exact virtual-clock invariants:
 /// an inert plan is bit-identical to no plan, an active plan injects
 /// faults without moving results, and a node loss blacklists the node
 /// and recomputes its live map outputs through lineage.
@@ -309,17 +304,9 @@ fn adaptive_gate() -> Vec<(String, bool)> {
     bench::adaptive::adaptive_gate_checks(&committed, &fresh)
 }
 
-/// Hard floors on the columnar data plane: the vectorized fused chain and
-/// the per-batch bucketize must beat their row-at-a-time counterparts by
-/// at least this much, regardless of what the committed baseline says.
-const COLUMNAR_FLOOR: f64 = 1.5;
-const COLUMNAR_FLOOR_KERNELS: [&str; 2] = ["columnar_fused_chain", "columnar_bucketize"];
-
 fn main() {
-    let mut baseline_path = "results/BENCH_dataplane.json".to_string();
     let mut jobserver_baseline_path = "results/BENCH_jobserver.json".to_string();
     let mut tolerance = 0.15f64;
-    let mut fresh_out: Option<String> = None;
     let mut jobserver_fresh_out: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -330,7 +317,6 @@ fn main() {
             })
         };
         match arg.as_str() {
-            "--baseline" => baseline_path = value("--baseline"),
             "--jobserver-baseline" => jobserver_baseline_path = value("--jobserver-baseline"),
             "--tolerance" => {
                 let raw = value("--tolerance");
@@ -339,13 +325,12 @@ fn main() {
                     std::process::exit(2);
                 });
             }
-            "--fresh-out" => fresh_out = Some(value("--fresh-out")),
             "--jobserver-fresh-out" => jobserver_fresh_out = Some(value("--jobserver-fresh-out")),
             other => {
                 eprintln!("error: unknown argument '{other}'");
                 eprintln!(
-                    "usage: perfgate [--baseline FILE] [--jobserver-baseline FILE] \
-                     [--tolerance F] [--fresh-out FILE] [--jobserver-fresh-out FILE]"
+                    "usage: perfgate [--jobserver-baseline FILE] [--tolerance F] \
+                     [--jobserver-fresh-out FILE]"
                 );
                 std::process::exit(2);
             }
@@ -356,17 +341,6 @@ fn main() {
         std::process::exit(2);
     }
 
-    let load = |path: &str| -> DataplaneReport {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("error: read baseline {path}: {e}");
-            std::process::exit(2);
-        });
-        DataplaneReport::parse(&text).unwrap_or_else(|e| {
-            eprintln!("error: {path}: {e}");
-            std::process::exit(2);
-        })
-    };
-    let baseline = load(&baseline_path);
     let jobserver_baseline = {
         let text = std::fs::read_to_string(&jobserver_baseline_path).unwrap_or_else(|e| {
             eprintln!("error: read baseline {jobserver_baseline_path}: {e}");
@@ -378,53 +352,7 @@ fn main() {
         })
     };
 
-    eprintln!("[perfgate] measuring data-plane kernels (interleaved best-of-7, best of 2 runs)...");
-    let fresh = best_fresh((0..2).map(|_| measure_dataplane()).collect());
-    if let Some(path) = &fresh_out {
-        std::fs::write(path, fresh.to_json()).unwrap_or_else(|e| {
-            eprintln!("error: write {path}: {e}");
-            std::process::exit(2);
-        });
-    }
-
-    let checks = gate_checks(&baseline, &fresh, tolerance);
-    println!(
-        "{:<36} {:>9} {:>9} {:>9}  verdict",
-        "kernel", "baseline", "fresh", "floor"
-    );
     let mut failed = false;
-    for c in &checks {
-        let fresh_cell = c
-            .fresh_speedup
-            .map(|s| format!("{s:.2}x"))
-            .unwrap_or_else(|| "missing".to_string());
-        println!(
-            "{:<36} {:>8.2}x {:>9} {:>8.2}x  {}",
-            c.name,
-            c.baseline_speedup,
-            fresh_cell,
-            c.floor,
-            if c.ok() { "ok" } else { "REGRESSED" }
-        );
-        failed |= !c.ok();
-    }
-    // The columnar data-plane wins also have absolute floors: the
-    // vectorized fused chain and the per-batch bucketize carry 1.5x floors
-    // over the row path, whatever the committed baseline says.
-    for name in COLUMNAR_FLOOR_KERNELS {
-        let got = fresh.kernel(name).map(|k| k.speedup);
-        let ok = matches!(got, Some(s) if s >= COLUMNAR_FLOOR);
-        println!(
-            "{:<36} {:>8.2}x {:>9} {:>8.2}x  {}",
-            format!("{name} (abs floor)"),
-            COLUMNAR_FLOOR,
-            got.map(|s| format!("{s:.2}x"))
-                .unwrap_or_else(|| "missing".to_string()),
-            COLUMNAR_FLOOR,
-            if ok { "ok" } else { "REGRESSED" }
-        );
-        failed |= !ok;
-    }
     eprintln!("[perfgate] serving the multi-tenant contention sweep (virtual clock)...");
     // One run suffices: every figure is virtual-clock deterministic.
     let jobserver_fresh = measure_jobserver();
@@ -460,16 +388,15 @@ fn main() {
     }
     if failed {
         eprintln!(
-            "perfgate: FAIL — a kernel or job-server figure regressed more than {:.0}% vs \
-             {baseline_path} / {jobserver_baseline_path}, or an absolute \
-             columnar/job-server floor was missed",
+            "perfgate: FAIL — a job-server figure moved more than {:.0}% from \
+             {jobserver_baseline_path}, or a floor or invariant above was missed",
             tolerance * 100.0
         );
         std::process::exit(1);
     }
     println!(
-        "perfgate: ok — all {} kernels within {:.0}% of {baseline_path}",
-        checks.len(),
+        "perfgate: ok — job server within {:.0}% of {jobserver_baseline_path}, every floor \
+         and invariant held",
         tolerance * 100.0
     );
 }

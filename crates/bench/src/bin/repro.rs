@@ -8,7 +8,10 @@
 //! Output goes to stdout and, per experiment, to `results/<id>.txt`.
 //! Experiment ids: table1, fig2, fig3, fig4, sec2b, fig7, fig8, table2,
 //! table3, fig9, fig10, fig11, fig12, fig13, fig14, fig_mem, fig_faults,
-//! fig_adaptive, fig_tenants, fig_scale, jobserver, dataplane.
+//! fig_adaptive, fig_tenants, fig_scale, jobserver. Every output is on the
+//! virtual clock and regenerates verbatim; host wall-clock is measured by
+//! `benchmark/` alone. An unknown id prints this list and exits 2 before
+//! anything runs.
 //!
 //! `fig_scale` is the topology sweep: the same weak-scaled aggregation
 //! auto-tuned at 6/96/1000 nodes on a flat fabric vs an oversubscribed
@@ -31,11 +34,6 @@
 //! regenerated verbatim and checked by the doc-sync drift gate.
 //! `fig_tenants` renders the same sweep as the latency/throughput vs
 //! tenant-count figure.
-//!
-//! `dataplane` additionally writes `results/BENCH_dataplane.json`: host
-//! wall-clock of the executor's before/after kernels (op-at-a-time vs
-//! fused chain, seed vs hash-once bucketize, row vs columnar, seed vs
-//! streaming merges) plus real-workload wall-clock across worker counts.
 
 use bench::{
     fmt_kb, fmt_time, kmeans_motivation, kmeans_paper, kmeans_reduced, paper_autotuner,
@@ -47,72 +45,67 @@ use engine::{Context, FaultPlan, StageMetrics, WorkloadConf};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+/// Renders one experiment's report.
+type Render = fn(&mut Runner) -> String;
+
+/// Every experiment, in the order `all` runs them.
+const EXPERIMENTS: [(&str, Render); 21] = [
+    ("table1", |_| table1()),
+    ("fig2", |r| r.motivation().fig2()),
+    ("fig3", |r| r.motivation().fig3()),
+    ("fig4", |r| r.motivation().fig4()),
+    ("sec2b", |r| r.motivation().sec2b()),
+    ("fig7", Runner::fig7),
+    ("fig8", Runner::fig8),
+    ("table2", Runner::table2),
+    ("table3", Runner::table3),
+    ("fig9", Runner::fig9),
+    ("fig10", Runner::fig10),
+    ("fig11", |r| {
+        r.trace_figure("fig11", "CPU utilization (%)", |p| p.cpu_pct)
+    }),
+    ("fig12", |r| {
+        r.trace_figure("fig12", "Memory utilization (%)", |p| p.mem_pct)
+    }),
+    ("fig13", |r| {
+        r.trace_figure("fig13", "Packets tx+rx per second", |p| p.packets_per_sec)
+    }),
+    ("fig14", |r| {
+        r.trace_figure("fig14", "Disk transactions per second", |p| {
+            p.transactions_per_sec
+        })
+    }),
+    ("fig_mem", |_| fig_mem()),
+    ("fig_faults", |_| fig_faults()),
+    ("fig_adaptive", |_| fig_adaptive()),
+    ("fig_tenants", Runner::fig_tenants),
+    ("fig_scale", |_| fig_scale()),
+    ("jobserver", Runner::jobserver_bench),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let ids = || EXPERIMENTS.iter().map(|(id, _)| *id);
     let wanted: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
-        vec![
-            "table1",
-            "fig2",
-            "fig3",
-            "fig4",
-            "sec2b",
-            "fig7",
-            "fig8",
-            "table2",
-            "table3",
-            "fig9",
-            "fig10",
-            "fig11",
-            "fig12",
-            "fig13",
-            "fig14",
-            "fig_mem",
-            "fig_faults",
-            "fig_adaptive",
-            "fig_tenants",
-            "fig_scale",
-            "jobserver",
-            "dataplane",
-        ]
+        ids().collect()
     } else {
         args.iter().map(String::as_str).collect()
     };
+    // Resolve every id before running anything.
+    let mut runs = Vec::new();
+    for id in wanted {
+        let Some(experiment) = EXPERIMENTS.iter().find(|(known, _)| *known == id) else {
+            eprintln!("unknown experiment id: {id}");
+            eprintln!("experiments: all {}", ids().collect::<Vec<_>>().join(" "));
+            std::process::exit(2);
+        };
+        runs.push(experiment);
+    }
     std::fs::create_dir_all("results").expect("create results dir");
 
     let mut runner = Runner::default();
-    for id in wanted {
-        let report = match id {
-            "table1" => table1(),
-            "fig2" => runner.motivation().fig2(),
-            "fig3" => runner.motivation().fig3(),
-            "fig4" => runner.motivation().fig4(),
-            "sec2b" => runner.motivation().sec2b(),
-            "fig7" => runner.fig7(),
-            "fig8" => runner.fig8(),
-            "table2" => runner.table2(),
-            "table3" => runner.table3(),
-            "fig9" => runner.fig9(),
-            "fig10" => runner.fig10(),
-            "fig11" => runner.trace_figure("fig11", "CPU utilization (%)", |p| p.cpu_pct),
-            "fig12" => runner.trace_figure("fig12", "Memory utilization (%)", |p| p.mem_pct),
-            "fig13" => {
-                runner.trace_figure("fig13", "Packets tx+rx per second", |p| p.packets_per_sec)
-            }
-            "fig14" => runner.trace_figure("fig14", "Disk transactions per second", |p| {
-                p.transactions_per_sec
-            }),
-            "fig_mem" => fig_mem(),
-            "fig_faults" => fig_faults(),
-            "fig_adaptive" => fig_adaptive(),
-            "fig_tenants" => runner.fig_tenants(),
-            "fig_scale" => fig_scale(),
-            "jobserver" => runner.jobserver_bench(),
-            "dataplane" => dataplane(),
-            other => {
-                eprintln!("unknown experiment id: {other}");
-                continue;
-            }
-        };
+    for (id, render) in runs {
+        let report = render(&mut runner);
         println!("{report}");
         std::fs::write(format!("results/{id}.txt"), &report)
             .unwrap_or_else(|e| panic!("write results/{id}.txt: {e}"));
@@ -940,43 +933,6 @@ fn fig_scale() -> String {
          partition count or partitioner differs between the fabrics, and \
          the whole table regenerates bit-identically (doc-sync gated).",
         body,
-    )
-}
-
-fn dataplane() -> String {
-    let runs = (0..3).map(|_| bench::report::measure_dataplane()).collect();
-    let report = bench::report::conservative_baseline(runs);
-    std::fs::write("results/BENCH_dataplane.json", report.to_json())
-        .expect("write results/BENCH_dataplane.json");
-
-    let mut t = Table::new(&["kernel", "before ms", "after ms", "speedup"]);
-    for k in &report.kernels {
-        t.row(vec![
-            k.name.clone(),
-            format!("{:.2}", k.before_ms),
-            format!("{:.2}", k.after_ms),
-            format!("{:.2}x", k.speedup),
-        ]);
-    }
-    if let [one, many] = report.workload_wallclock.as_slice() {
-        t.row(vec![
-            format!(
-                "{} wall-clock {} -> {} workers",
-                one.workload, one.workers, many.workers
-            ),
-            format!("{:.1}", one.host_ms),
-            format!("{:.1}", many.host_ms),
-            format!("{:.2}x", one.host_ms / many.host_ms),
-        ]);
-    }
-    section(
-        "Data plane — before/after host wall-clock (BENCH_dataplane.json)",
-        "Before = seed kernels (deep-copy + op-at-a-time chains, re-hashing \
-         bucketize, on-demand SipHash merges) or the row path; after = the \
-         executor's own fused, hash-once, columnar and streaming kernels. Timings are interleaved best-of-7 host \
-         milliseconds; per kernel, the most conservative of three runs is \
-         committed so the one-sided CI gate never inherits an inflated floor.",
-        t.render(),
     )
 }
 

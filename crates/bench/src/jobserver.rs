@@ -1,11 +1,10 @@
 //! Multi-tenant contention benchmark over the job server, plus its CI
 //! gate (`results/BENCH_jobserver.json`).
 //!
-//! Unlike the data-plane kernels, every figure here is *virtual-clock*
-//! time from the simulated cluster: a fixed trace + seed produces
-//! bit-identical latencies on any host, so the committed baseline is
-//! regenerated verbatim by `repro jobserver` and participates in the
-//! doc-sync drift check — no host-jitter tolerance gymnastics needed.
+//! Every figure here is *virtual-clock* time from the simulated cluster:
+//! a fixed trace + seed produces bit-identical latencies on any host, so
+//! the committed baseline is regenerated verbatim by `repro jobserver`
+//! and participates in the doc-sync drift check.
 //! The gate still applies the shared perfgate tolerance so deliberate
 //! cost-model recalibrations inside the band do not require a lockstep
 //! baseline refresh.

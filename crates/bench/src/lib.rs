@@ -6,9 +6,7 @@
 //! experiments so `cargo bench` stays tractable.
 
 pub mod adaptive;
-pub mod dataplane;
 pub mod jobserver;
-pub mod report;
 pub mod scale;
 
 use chopper::{Autotuner, TestRunPlan, Workload};
@@ -67,8 +65,7 @@ pub fn kmeans_motivation() -> KMeans {
     KMeans::new(cfg)
 }
 
-/// A reduced KMeans (20k points) used by the memory-pressure experiment
-/// and the data-plane wall-clock benchmark.
+/// A reduced KMeans (20k points) used by the memory-pressure experiment.
 pub fn kmeans_reduced() -> KMeans {
     let mut cfg = KMeansConfig::paper();
     cfg.points = 20_000;

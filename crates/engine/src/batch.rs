@@ -203,8 +203,10 @@ enum ValueShape {
 }
 
 /// One fused pass over the records deciding both column layouts; stops
-/// refining a column once it has degraded to the row fallback.
-fn classify(records: &[Record]) -> (KeyShape, ValueShape) {
+/// refining a column once it has degraded to the row fallback, and stops
+/// altogether once both have — or, with `typed_only`, once either has:
+/// that caller gives up on the batch, so the rest of the pass is wasted.
+fn classify(records: &[Record], typed_only: bool) -> (KeyShape, ValueShape) {
     let mut ks = KeyShape::AllNone;
     let mut vs = ValueShape::AllNull;
     for r in records {
@@ -227,7 +229,8 @@ fn classify(records: &[Record]) -> (KeyShape, ValueShape) {
                 _ => ValueShape::Rows,
             };
         }
-        if ks == KeyShape::Rows && vs == ValueShape::Rows {
+        let (k, v) = (ks == KeyShape::Rows, vs == ValueShape::Rows);
+        if (k && v) || (typed_only && (k || v)) {
             break;
         }
     }
@@ -403,7 +406,7 @@ impl ColumnBatch {
     /// not fit a typed layout fall back to row columns, so
     /// [`ColumnBatch::to_records`] round-trips every input losslessly.
     pub fn from_records(records: &[Record]) -> ColumnBatch {
-        let (ks, vs) = classify(records);
+        let (ks, vs) = classify(records, false);
         ColumnBatch {
             offset: 0,
             len: records.len(),
@@ -416,9 +419,10 @@ impl ColumnBatch {
     /// — the shuffle write's entry point. Returns `None` on composite
     /// keys, mixed variants, or boxed payloads, where the row path (which
     /// can *move* owned records) is cheaper than deep-cloning into
-    /// fallback row columns. One classify pass, shared with construction.
+    /// fallback row columns. One classify pass, shared with construction,
+    /// that ends at the first record no typed layout can hold.
     pub fn from_records_typed(records: &[Record]) -> Option<ColumnBatch> {
-        let (ks, vs) = classify(records);
+        let (ks, vs) = classify(records, true);
         if ks == KeyShape::Rows || vs == ValueShape::Rows {
             return None;
         }
@@ -530,18 +534,15 @@ impl ColumnBatch {
         Record::new(self.key_at(i), self.value_at(i))
     }
 
-    /// Materializes the whole window back into rows.
-    pub fn to_records(&self) -> Vec<Record> {
-        (0..self.len).map(|i| self.record_at(i)).collect()
+    /// Reconstructed rows in window order (the merge accumulators consume
+    /// shipped slices through this without an intermediate `Vec`).
+    pub fn records(&self) -> impl ExactSizeIterator<Item = Record> + '_ {
+        (0..self.len).map(|i| self.record_at(i))
     }
 
-    /// Streams reconstructed rows to `f` in window order (the merge
-    /// accumulators consume shipped bucket slices through this without an
-    /// intermediate `Vec`).
-    pub fn for_each_record(&self, mut f: impl FnMut(Record)) {
-        for i in 0..self.len {
-            f(self.record_at(i));
-        }
+    /// Materializes the whole window back into rows.
+    pub fn to_records(&self) -> Vec<Record> {
+        self.records().collect()
     }
 
     /// Serialized size of the window, computed from buffer lengths (and
@@ -862,153 +863,6 @@ impl ColumnBatch {
     }
 }
 
-// ---------------------------------------------------------------------
-// Vectorized fused narrow chains
-// ---------------------------------------------------------------------
-
-/// One vectorized narrow op over an integer value column. The scalar stays
-/// in a register across the whole fused chain; no `Record` is built until
-/// (unless) the row path needs one.
-pub enum IntOp {
-    /// Replace the value with `f(value)`.
-    Map(Box<dyn Fn(i64) -> i64 + Send + Sync>),
-    /// Keep rows where `f(value)` holds.
-    Filter(Box<dyn Fn(i64) -> bool + Send + Sync>),
-}
-
-/// Runs a fused chain of [`IntOp`]s over the batch in one pass: each row's
-/// integer value is threaded through every op back-to-back, survivors'
-/// keys and values are appended to fresh column buffers. Returns `None`
-/// when the value column is not a no-null integer column (the caller
-/// falls back to the row chain). Output rows equal the row-path result
-/// bit-for-bit, in the same order.
-pub fn run_int_chain(batch: &ColumnBatch, ops: &[IntOp]) -> Option<ColumnBatch> {
-    let ValueColumn::Int {
-        data,
-        validity: None,
-    } = &batch.values
-    else {
-        return None;
-    };
-    let (start, end) = (batch.offset, batch.offset + batch.len);
-    let mut out_vals: Vec<i64> = Vec::with_capacity(batch.len);
-    // Surviving source rows, for the key gather below.
-    let mut keep: Vec<u32> = Vec::with_capacity(batch.len);
-    'row: for (i, &v0) in data[start..end].iter().enumerate() {
-        let mut v = v0;
-        for op in ops {
-            match op {
-                IntOp::Map(f) => v = f(v),
-                IntOp::Filter(f) => {
-                    if !f(v) {
-                        continue 'row;
-                    }
-                }
-            }
-        }
-        out_vals.push(v);
-        keep.push(i as u32);
-    }
-
-    let keys = match &batch.keys {
-        KeyColumn::AllNone => KeyColumn::AllNone,
-        KeyColumn::Int { data, validity } => {
-            let out: Vec<i64> = keep.iter().map(|&i| data[start + i as usize]).collect();
-            let v = validity.as_ref().map(|v| {
-                let mut out_v = Validity::new(keep.len());
-                for (d, &i) in keep.iter().enumerate() {
-                    if v.get(start + i as usize) {
-                        out_v.set(d);
-                    }
-                }
-                Arc::new(out_v)
-            });
-            KeyColumn::Int {
-                data: Arc::new(out),
-                validity: v,
-            }
-        }
-        KeyColumn::Str {
-            dict,
-            codes,
-            validity,
-        } => {
-            let out: Vec<u32> = keep.iter().map(|&i| codes[start + i as usize]).collect();
-            let v = validity.as_ref().map(|v| {
-                let mut out_v = Validity::new(keep.len());
-                for (d, &i) in keep.iter().enumerate() {
-                    if v.get(start + i as usize) {
-                        out_v.set(d);
-                    }
-                }
-                Arc::new(out_v)
-            });
-            KeyColumn::Str {
-                dict: Arc::clone(dict),
-                codes: Arc::new(out),
-                validity: v,
-            }
-        }
-        KeyColumn::Rows(rows) => KeyColumn::Rows(Arc::new(
-            keep.iter()
-                .map(|&i| rows[start + i as usize].clone())
-                .collect(),
-        )),
-    };
-
-    Some(ColumnBatch {
-        offset: 0,
-        len: out_vals.len(),
-        keys,
-        values: ValueColumn::Int {
-            data: Arc::new(out_vals),
-            validity: None,
-        },
-    })
-}
-
-/// Concatenates batch slices into one owned batch with plain buffer
-/// copies — the slice-shipping counterpart of cloning record vectors into
-/// a merged `Vec<Record>`. All parts must share the integer key/value
-/// layout with no validity gaps (the shape the shuffle's hot path ships);
-/// returns `None` otherwise.
-pub fn concat_int_batches(parts: &[ColumnBatch]) -> Option<ColumnBatch> {
-    let total: usize = parts.iter().map(ColumnBatch::len).sum();
-    let mut keys = Vec::with_capacity(total);
-    let mut vals = Vec::with_capacity(total);
-    for part in parts {
-        let (start, end) = (part.offset, part.offset + part.len);
-        match (&part.keys, &part.values) {
-            (
-                KeyColumn::Int {
-                    data: k,
-                    validity: None,
-                },
-                ValueColumn::Int {
-                    data: v,
-                    validity: None,
-                },
-            ) => {
-                keys.extend_from_slice(&k[start..end]);
-                vals.extend_from_slice(&v[start..end]);
-            }
-            _ => return None,
-        }
-    }
-    Some(ColumnBatch {
-        offset: 0,
-        len: total,
-        keys: KeyColumn::Int {
-            data: Arc::new(keys),
-            validity: None,
-        },
-        values: ValueColumn::Int {
-            data: Arc::new(vals),
-            validity: None,
-        },
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1087,6 +941,22 @@ mod tests {
     }
 
     #[test]
+    fn typed_only_classification_stops_at_the_first_untyped_column() {
+        let pair_key = Key::Pair(Box::new(Key::Int(1)), Box::new(Key::Int(2)));
+        let pair_value = Value::Pair(Box::new(Value::Int(1)), Box::new(Value::Int(2)));
+        let rows = vec![
+            Record::new(Key::Int(1), pair_value),
+            Record::new(pair_key, Value::Int(3)),
+        ];
+        // The first record already rules a typed batch out, so the second
+        // record's composite key is never looked at.
+        assert!(classify(&rows, true) == (KeyShape::Int, ValueShape::Rows));
+        assert!(classify(&rows, false) == (KeyShape::Rows, ValueShape::Rows));
+        assert!(ColumnBatch::from_records_typed(&rows).is_none());
+        assert_eq!(ColumnBatch::from_records(&rows).to_records(), rows);
+    }
+
+    #[test]
     fn slicing_is_zero_copy_and_windowed() {
         let rows: Vec<Record> = (0..100)
             .map(|i| Record::new(Key::Int(i), Value::Int(i * 2)))
@@ -1153,38 +1023,6 @@ mod tests {
                 .collect();
             assert_eq!(bucket, want, "bucket {p} must match row-path order");
         }
-    }
-
-    #[test]
-    fn fused_int_chain_matches_row_chain() {
-        let rows: Vec<Record> = (0..1000)
-            .map(|i| Record::new(Key::Int(i % 10), Value::Int(i)))
-            .collect();
-        let b = ColumnBatch::from_records(&rows);
-        let ops = vec![
-            IntOp::Filter(Box::new(|v| v % 3 != 0)),
-            IntOp::Map(Box::new(|v| v * 2 + 1)),
-            IntOp::Filter(Box::new(|v| v % 5 != 0)),
-        ];
-        let got = run_int_chain(&b, &ops).expect("int column").to_records();
-        let want: Vec<Record> = rows
-            .iter()
-            .filter(|r| r.value.as_int() % 3 != 0)
-            .map(|r| Record::new(r.key.clone(), Value::Int(r.value.as_int() * 2 + 1)))
-            .filter(|r| r.value.as_int() % 5 != 0)
-            .collect();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn concat_batches_matches_record_concat() {
-        let rows: Vec<Record> = (0..90)
-            .map(|i| Record::new(Key::Int(i), Value::Int(-i)))
-            .collect();
-        let b = ColumnBatch::from_records(&rows);
-        let parts = [b.slice(0, 30), b.slice(30, 30), b.slice(60, 30)];
-        let merged = concat_int_batches(&parts).expect("int layout");
-        assert_eq!(merged.to_records(), rows);
     }
 
     #[test]

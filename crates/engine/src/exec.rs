@@ -12,7 +12,7 @@ use crate::ops::{FilterFn, FlatMapFn, GenFn, MapFn, OpKind, ReduceFn};
 use crate::partitioner::{build_partitioner, Partitioner, PartitionerKind, PartitionerSpec};
 use crate::pool::{lock, WorkerPool};
 use crate::rdd::{Rdd, RddGraph};
-use crate::record::{batch_size, Key, Record};
+use crate::record::{batch_size, IntoRecord, Key, Record};
 use crate::shuffle::{
     CogroupMerge, ConcatMerge, GroupMerge, JoinMerge, ReduceMerge, Run, Runs, TaskArena, TaskRuns,
 };
@@ -2650,60 +2650,34 @@ struct OpState<'g> {
     inputs: u64,
 }
 
-/// Streams one owned record through the remaining fused ops.
+/// Streams one record, owned or borrowed, through the remaining fused
+/// ops. A borrowed record is cloned only if it survives to the output;
+/// whatever a `Map`/`FlatMap` produces continues owned.
 ///
 /// Records arrive at each op in the same order as the op-at-a-time loop
 /// (every narrow op is order-preserving), so per-op `Sample` RNG draws are
 /// bit-identical to the unfused execution.
-fn feed_owned(ops: &mut [OpState<'_>], rec: Record, out: &mut Vec<Record>) {
+fn feed<R: IntoRecord>(ops: &mut [OpState<'_>], rec: R, out: &mut Vec<Record>) {
     let Some((head, rest)) = ops.split_first_mut() else {
-        out.push(rec);
+        out.push(rec.into_record());
         return;
     };
     head.inputs += 1;
     match &mut head.op {
-        FusedOp::Map(f) => feed_owned(rest, f(&rec), out),
+        FusedOp::Map(f) => feed(rest, f(rec.borrow()), out),
         FusedOp::FlatMap(f) => {
-            for r in f(&rec) {
-                feed_owned(rest, r, out);
+            for r in f(rec.borrow()) {
+                feed(rest, r, out);
             }
         }
         FusedOp::Filter(f) => {
-            if f(&rec) {
-                feed_owned(rest, rec, out);
+            if f(rec.borrow()) {
+                feed(rest, rec, out);
             }
         }
         FusedOp::Sample { fraction, rng } => {
             if rng.next_f64() < *fraction {
-                feed_owned(rest, rec, out);
-            }
-        }
-    }
-}
-
-/// Streams one borrowed record through the fused ops, cloning only when it
-/// survives to the output (or a `Map`/`FlatMap` takes over ownership).
-fn feed_ref(ops: &mut [OpState<'_>], rec: &Record, out: &mut Vec<Record>) {
-    let Some((head, rest)) = ops.split_first_mut() else {
-        out.push(rec.clone());
-        return;
-    };
-    head.inputs += 1;
-    match &mut head.op {
-        FusedOp::Map(f) => feed_owned(rest, f(rec), out),
-        FusedOp::FlatMap(f) => {
-            for r in f(rec) {
-                feed_owned(rest, r, out);
-            }
-        }
-        FusedOp::Filter(f) => {
-            if f(rec) {
-                feed_ref(rest, rec, out);
-            }
-        }
-        FusedOp::Sample { fraction, rng } => {
-            if rng.next_f64() < *fraction {
-                feed_ref(rest, rec, out);
+                feed(rest, rec, out);
             }
         }
     }
@@ -2903,17 +2877,6 @@ fn compute_task(
     }
 }
 
-/// The executor's fused narrow-chain pass over one task's borrowed input —
-/// what [`compute_task`] runs between a stage's root and its output.
-/// Public so that benchmarks time this kernel rather than a copy of it.
-pub fn run_narrow_chain(graph: &RddGraph, chain: &[Rdd], input: &Arc<Vec<Record>>) -> Vec<Record> {
-    let shared = TaskRecords::Shared(Arc::clone(input), 0, input.len());
-    match run_chain(graph, chain, 0, shared, &mut 0.0, &mut Vec::new()) {
-        TaskRecords::Owned(v) => v,
-        shared => shared.as_slice().to_vec(),
-    }
-}
-
 /// Applies the narrow chain to `records` as fused streaming passes: one
 /// pass per segment, where a segment ends at (and includes) the next
 /// cached node, whose full output must be materialized for capture. An
@@ -2955,12 +2918,12 @@ fn run_chain(
         match std::mem::take(&mut records) {
             TaskRecords::Owned(v) => {
                 for rec in v {
-                    feed_owned(&mut ops, rec, &mut out);
+                    feed(&mut ops, rec, &mut out);
                 }
             }
             TaskRecords::Shared(data, start, end) => {
                 for rec in &data[start..end] {
-                    feed_ref(&mut ops, rec, &mut out);
+                    feed(&mut ops, rec, &mut out);
                 }
             }
         }
@@ -3015,6 +2978,62 @@ mod tests {
         (0..200)
             .map(|i| Record::new(Key::Int(i % 10), Value::Int(1)))
             .collect()
+    }
+
+    /// One fused op per letter: `m`ap, fla`x`-map, `f`ilter, `s`ample.
+    fn fused_ops<'g>(
+        spec: &str,
+        map: &'g MapFn,
+        flat: &'g FlatMapFn,
+        filter: &'g FilterFn,
+    ) -> Vec<OpState<'g>> {
+        let op = |c| match c {
+            'm' => FusedOp::Map(map),
+            'x' => FusedOp::FlatMap(flat),
+            'f' => FusedOp::Filter(filter),
+            _ => FusedOp::Sample {
+                fraction: 0.6,
+                rng: numeric::XorShift64::new(17),
+            },
+        };
+        let state = |c| OpState {
+            op: op(c),
+            inputs: 0,
+        };
+        spec.chars().map(state).collect()
+    }
+
+    #[test]
+    fn chain_step_is_the_same_for_an_owned_and_a_shared_root() {
+        let map: MapFn =
+            Arc::new(|r: &Record| Record::new(r.key.clone(), Value::Int(r.value.as_int() * 3)));
+        let flat: FlatMapFn = Arc::new(|r: &Record| {
+            (0..r.value.as_int() % 4)
+                .map(|j| Record::new(Key::Int(j), r.value.clone()))
+                .collect()
+        });
+        let filter: FilterFn = Arc::new(|r: &Record| r.value.as_int() % 2 == 0);
+        let input: Vec<Record> = (0..300)
+            .map(|i| Record::new(Key::Int(i % 11), Value::Int(i)))
+            .collect();
+        for spec in ["", "fs", "fms", "sxf", "msxs"] {
+            let run = |owned: bool| {
+                let mut ops = fused_ops(spec, &map, &flat, &filter);
+                let mut out = Vec::new();
+                for rec in &input {
+                    if owned {
+                        feed(&mut ops, rec.clone(), &mut out);
+                    } else {
+                        feed(&mut ops, rec, &mut out);
+                    }
+                }
+                let inputs: Vec<u64> = ops.iter().map(|st| st.inputs).collect();
+                (out, inputs)
+            };
+            let (owned, shared) = (run(true), run(false));
+            assert_eq!(owned, shared, "chain {spec:?}");
+            assert!(!owned.0.is_empty(), "chain {spec:?} keeps something");
+        }
     }
 
     #[test]

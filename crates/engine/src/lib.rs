@@ -60,7 +60,7 @@ pub mod stage;
 pub use adaptive::{
     plan_splits, ReplanHook, ReplanInput, SplitPlan, StageActuals, SubRouter, HOT_SKEW_TRIGGER,
 };
-pub use batch::{concat_int_batches, run_int_chain, ColumnBatch, IntOp, KeyColumn, ValueColumn};
+pub use batch::{ColumnBatch, KeyColumn, ValueColumn};
 pub use config::WorkloadConf;
 pub use exec::{Context, EngineOptions};
 pub use faults::{FaultCounters, FaultPlan, NodeLoss, Straggler};

@@ -589,7 +589,7 @@ mod tests {
         let out = pool.map_with(32, |i, participant| {
             assert!(participant < pool.workers());
             let mut arena = pool.arena(participant);
-            let (tb, _) = crate::shuffle::bucketize_in(&records, &p, None, &mut arena);
+            let (tb, _) = crate::shuffle::bucketize_owned_in(records.clone(), &p, None, &mut arena);
             (i, tb.bytes)
         });
         for (i, (idx, bytes)) in out.iter().enumerate() {

@@ -189,6 +189,35 @@ impl Record {
     }
 }
 
+/// A record by value or by reference. Each data-plane step (narrow-chain
+/// step, map-side combine, reduce-side merges) is written once over this:
+/// an owned record is moved into whatever keeps it, a borrowed one is
+/// cloned only in the part that is kept — the whole record when it is the
+/// first with its key, just the value when it joins a key already held,
+/// nothing when it is folded by reference or dropped.
+pub(crate) trait IntoRecord: std::borrow::Borrow<Record> {
+    fn into_record(self) -> Record;
+    fn into_value(self) -> Value;
+}
+
+impl IntoRecord for Record {
+    fn into_record(self) -> Record {
+        self
+    }
+    fn into_value(self) -> Value {
+        self.value
+    }
+}
+
+impl IntoRecord for &Record {
+    fn into_record(self) -> Record {
+        self.clone()
+    }
+    fn into_value(self) -> Value {
+        self.value.clone()
+    }
+}
+
 /// Total bytes of a record batch.
 pub fn batch_size(records: &[Record]) -> u64 {
     records.iter().map(Record::encoded_size).sum()

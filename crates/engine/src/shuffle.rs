@@ -19,10 +19,13 @@
 //! Reduce-side merges are *incremental*: each merge is an accumulator
 //! ([`ReduceMerge`], [`GroupMerge`], [`ConcatMerge`], [`JoinMerge`],
 //! [`CogroupMerge`]) that consumes one map task's [`Run`] at a time, so a
-//! reduce task never materializes its whole input. Records pushed by
-//! value are *moved* into the accumulator (no per-record clone); the
-//! batch `merge_*` functions are thin wrappers that feed borrowed slices
-//! through the same accumulators.
+//! reduce task never materializes its whole input. Each accumulator has
+//! one private step, generic over a record by value or by reference
+//! (`record::IntoRecord`): owned records are *moved* in, borrowed ones
+//! cloned only in the part that is kept, and a columnar slice is one
+//! more iterator of owned records. The `push_*` methods only pick the
+//! iterator; the batch `merge_*` functions feed borrowed slices through
+//! the same accumulators.
 //!
 //! All merges preserve first-seen key order, keeping the engine
 //! deterministic end-to-end (no `HashMap` iteration order leaks into
@@ -34,7 +37,7 @@
 use crate::batch::ColumnBatch;
 use crate::ops::ReduceFn;
 use crate::partitioner::Partitioner;
-use crate::record::{Key, Record, Value};
+use crate::record::{IntoRecord, Key, Record, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -226,26 +229,15 @@ pub fn bucketize(
     partitioner: &dyn Partitioner,
     combine: Option<&ReduceFn>,
 ) -> (TaskBuckets, u64) {
-    bucketize_in(records, partitioner, combine, &mut TaskArena::default())
-}
-
-/// [`bucketize`] with caller-owned scratch space. Behaviour is identical;
-/// only the allocation pattern differs (scratch buffers are cleared and
-/// reused instead of freshly allocated).
-pub fn bucketize_in(
-    records: &[Record],
-    partitioner: &dyn Partitioner,
-    combine: Option<&ReduceFn>,
-    arena: &mut TaskArena,
-) -> (TaskBuckets, u64) {
-    let (runs, ops) = bucketize_runs_shared(records, partitioner, combine, arena);
+    let (runs, ops) =
+        bucketize_runs_shared(records, partitioner, combine, &mut TaskArena::default());
     (runs.into_buckets(), ops)
 }
 
-/// [`bucketize_in`] over an *owned* record vector: records are moved into
-/// their buckets instead of cloned. Output is identical to the borrowing
-/// version on the same input — same bucket contents, same byte table, same
-/// combine-op count.
+/// [`bucketize`] over an *owned* record vector with caller-owned scratch
+/// space: records are moved into their buckets instead of cloned. Output
+/// is identical to the borrowing version on the same input — same bucket
+/// contents, same byte table, same combine-op count.
 pub fn bucketize_owned_in(
     records: Vec<Record>,
     partitioner: &dyn Partitioner,
@@ -317,24 +309,6 @@ fn assign(records: &[Record], partitioner: &dyn Partitioner, arena: &mut TaskAre
         let b = partitioner.partition(&r.key);
         counts[b] += 1;
         assignment.push(b as u32);
-    }
-}
-
-/// A record by value or by reference: the combine pass only clones a
-/// borrowed record when it is the first with its key.
-trait IntoRecord: std::borrow::Borrow<Record> {
-    fn into_record(self) -> Record;
-}
-
-impl IntoRecord for Record {
-    fn into_record(self) -> Record {
-        self
-    }
-}
-
-impl IntoRecord for &Record {
-    fn into_record(self) -> Record {
-        self.clone()
     }
 }
 
@@ -506,9 +480,9 @@ pub fn spill_overflow(write_bytes: u64, task_mem_budget: u64) -> u64 {
 }
 
 /// Streaming reduce-side merge for `reduce_by_key`: folds all values of a
-/// key with `f`, preserving first-seen key order. Buckets can be pushed
-/// one at a time, owned (records are moved) or borrowed (records are
-/// cloned on first sight only).
+/// key with `f`, preserving first-seen key order. Records can be pushed
+/// one run at a time, owned (moved) or borrowed (cloned on first sight
+/// only).
 pub struct ReduceMerge {
     f: ReduceFn,
     out: Vec<Record>,
@@ -527,12 +501,13 @@ impl ReduceMerge {
         }
     }
 
-    /// Fold owned records in; first-seen records are moved, not cloned.
-    pub fn push_owned(&mut self, records: impl IntoIterator<Item = Record>) {
+    /// The merge step: a record whose key is already held folds into it
+    /// by reference; the first record with a key is kept.
+    fn fold<R: IntoRecord>(&mut self, records: impl IntoIterator<Item = R>) {
         let Self { f, out, index, ops } = self;
-        for r in records {
-            let h = r.key.stable_hash();
-            let slots = index.entry(h).or_default();
+        for item in records {
+            let r = item.borrow();
+            let slots = index.entry(r.key.stable_hash()).or_default();
             match slots.iter().find(|&&i| out[i as usize].key == r.key) {
                 Some(&i) => {
                     out[i as usize].value = f(&out[i as usize].value, &r.value);
@@ -540,65 +515,36 @@ impl ReduceMerge {
                 }
                 None => {
                     slots.push(out.len() as u32);
-                    out.push(r);
+                    out.push(item.into_record());
                 }
             }
         }
+    }
+
+    /// Fold owned records in; first-seen records are moved, not cloned.
+    pub fn push_owned(&mut self, records: impl IntoIterator<Item = Record>) {
+        self.fold(records);
     }
 
     /// Fold a borrowed bucket in; first-seen records are cloned.
     pub fn push_slice(&mut self, records: &[Record]) {
-        let Self { f, out, index, ops } = self;
-        for r in records {
-            let h = r.key.stable_hash();
-            let slots = index.entry(h).or_default();
-            match slots.iter().find(|&&i| out[i as usize].key == r.key) {
-                Some(&i) => {
-                    out[i as usize].value = f(&out[i as usize].value, &r.value);
-                    *ops += 1;
-                }
-                None => {
-                    slots.push(out.len() as u32);
-                    out.push(r.clone());
-                }
-            }
-        }
-    }
-
-    /// Fold a columnar bucket in; records are reconstructed row by row and
-    /// moved (no intermediate `Vec`).
-    pub fn push_batch(&mut self, batch: &ColumnBatch) {
-        let Self { f, out, index, ops } = self;
-        batch.for_each_record(|r| {
-            let h = r.key.stable_hash();
-            let slots = index.entry(h).or_default();
-            match slots.iter().find(|&&i| out[i as usize].key == r.key) {
-                Some(&i) => {
-                    out[i as usize].value = f(&out[i as usize].value, &r.value);
-                    *ops += 1;
-                }
-                None => {
-                    slots.push(out.len() as u32);
-                    out.push(r);
-                }
-            }
-        });
+        self.fold(records);
     }
 
     /// Fold a shipped bucket in, whichever layout it arrived in.
     pub fn push_bucket(&mut self, bucket: &Bucket) {
         match bucket {
-            Bucket::Rows(v) => self.push_slice(v),
-            Bucket::Cols(b) => self.push_batch(b),
+            Bucket::Rows(v) => self.fold(v.as_slice()),
+            Bucket::Cols(b) => self.fold(b.records()),
         }
     }
 
     /// Fold one map task's run in, as the shuffle table hands it out.
     pub fn push_run(&mut self, run: Run<'_>) {
         match run {
-            Run::Moved(records) => self.push_owned(records.iter_mut().map(std::mem::take)),
-            Run::Shared(records) => self.push_slice(records),
-            Run::Cols(batch) => self.push_batch(&batch),
+            Run::Moved(records) => self.fold(records.iter_mut().map(std::mem::take)),
+            Run::Shared(records) => self.fold(records),
+            Run::Cols(batch) => self.fold(batch.records()),
         }
     }
 
@@ -637,72 +583,44 @@ impl GroupMerge {
         Self::default()
     }
 
+    /// The merge step: a value joins its key's group; the first record
+    /// with a key also contributes the key.
+    fn fold<R: IntoRecord>(&mut self, records: impl IntoIterator<Item = R>) {
+        for item in records {
+            let key = &item.borrow().key;
+            let slots = self.index.entry(key.stable_hash()).or_default();
+            match slots
+                .iter()
+                .find(|&&i| self.order[i as usize] == *key)
+                .copied()
+            {
+                Some(i) => self.groups[i as usize].push(item.into_value()),
+                None => {
+                    slots.push(self.order.len() as u32);
+                    let r = item.into_record();
+                    self.order.push(r.key);
+                    self.groups.push(vec![r.value]);
+                }
+            }
+        }
+    }
+
     /// Collect owned records; keys and values are moved.
     pub fn push_owned(&mut self, records: impl IntoIterator<Item = Record>) {
-        for r in records {
-            let h = r.key.stable_hash();
-            let slots = self.index.entry(h).or_default();
-            match slots
-                .iter()
-                .find(|&&i| self.order[i as usize] == r.key)
-                .copied()
-            {
-                Some(i) => self.groups[i as usize].push(r.value),
-                None => {
-                    slots.push(self.order.len() as u32);
-                    self.order.push(r.key);
-                    self.groups.push(vec![r.value]);
-                }
-            }
-        }
+        self.fold(records);
     }
 
-    /// Collect a borrowed bucket; keys and values are cloned.
+    /// Collect a borrowed bucket; values (and first-seen keys) are cloned.
     pub fn push_slice(&mut self, records: &[Record]) {
-        for r in records {
-            let h = r.key.stable_hash();
-            let slots = self.index.entry(h).or_default();
-            match slots
-                .iter()
-                .find(|&&i| self.order[i as usize] == r.key)
-                .copied()
-            {
-                Some(i) => self.groups[i as usize].push(r.value.clone()),
-                None => {
-                    slots.push(self.order.len() as u32);
-                    self.order.push(r.key.clone());
-                    self.groups.push(vec![r.value.clone()]);
-                }
-            }
-        }
-    }
-
-    /// Collect a columnar bucket; records are reconstructed and moved.
-    pub fn push_batch(&mut self, batch: &ColumnBatch) {
-        batch.for_each_record(|r| {
-            let h = r.key.stable_hash();
-            let slots = self.index.entry(h).or_default();
-            match slots
-                .iter()
-                .find(|&&i| self.order[i as usize] == r.key)
-                .copied()
-            {
-                Some(i) => self.groups[i as usize].push(r.value),
-                None => {
-                    slots.push(self.order.len() as u32);
-                    self.order.push(r.key);
-                    self.groups.push(vec![r.value]);
-                }
-            }
-        });
+        self.fold(records);
     }
 
     /// Collect one map task's run in, as the shuffle table hands it out.
     pub fn push_run(&mut self, run: Run<'_>) {
         match run {
-            Run::Moved(records) => self.push_owned(records.iter_mut().map(std::mem::take)),
-            Run::Shared(records) => self.push_slice(records),
-            Run::Cols(batch) => self.push_batch(&batch),
+            Run::Moved(records) => self.fold(records.iter_mut().map(std::mem::take)),
+            Run::Shared(records) => self.fold(records),
+            Run::Cols(batch) => self.fold(batch.records()),
         }
     }
 
@@ -741,28 +659,26 @@ impl ConcatMerge {
         Self::default()
     }
 
+    fn fold<R: IntoRecord>(&mut self, records: impl IntoIterator<Item = R>) {
+        self.out.extend(records.into_iter().map(R::into_record));
+    }
+
     /// Append owned records; they are moved.
     pub fn push_owned(&mut self, records: impl IntoIterator<Item = Record>) {
-        self.out.extend(records);
+        self.fold(records);
     }
 
     /// Append a borrowed bucket; records are cloned.
     pub fn push_slice(&mut self, records: &[Record]) {
-        self.out.extend_from_slice(records);
-    }
-
-    /// Append a columnar bucket; records are reconstructed in order.
-    pub fn push_batch(&mut self, batch: &ColumnBatch) {
-        self.out.reserve(batch.len());
-        batch.for_each_record(|r| self.out.push(r));
+        self.fold(records);
     }
 
     /// Append one map task's run in, as the shuffle table hands it out.
     pub fn push_run(&mut self, run: Run<'_>) {
         match run {
-            Run::Moved(records) => self.push_owned(records.iter_mut().map(std::mem::take)),
-            Run::Shared(records) => self.push_slice(records),
-            Run::Cols(batch) => self.push_batch(&batch),
+            Run::Moved(records) => self.fold(records.iter_mut().map(std::mem::take)),
+            Run::Shared(records) => self.fold(records),
+            Run::Cols(batch) => self.fold(batch.records()),
         }
     }
 
@@ -784,11 +700,12 @@ where
     m.finish()
 }
 
-/// Streaming inner hash join. Left buckets build the table; right buckets
-/// probe it. Right buckets pushed before [`JoinMerge::seal_left`] are
-/// buffered untouched and probed at seal time in arrival order, so a
-/// consumer may interleave sides freely while producing output identical
-/// to "all left, then all right".
+/// Streaming inner hash join. Left records build the table; right records
+/// probe it. Rights pushed before [`JoinMerge::seal_left`] are buffered
+/// untouched and probed at seal time in arrival order, so a consumer may
+/// interleave sides freely while producing output identical to "all left,
+/// then all right".
+#[derive(Default)]
 pub struct JoinMerge {
     order: Vec<Key>,
     lefts: Vec<Vec<Value>>,
@@ -802,148 +719,109 @@ pub struct JoinMerge {
 impl JoinMerge {
     /// New empty join accumulator.
     pub fn new() -> Self {
-        Self {
-            order: Vec::new(),
-            lefts: Vec::new(),
-            rights: Vec::new(),
-            index: HashMap::default(),
-            pending: Vec::new(),
-            sealed: false,
-            probes: 0,
+        Self::default()
+    }
+
+    /// The build step: a left value joins its key's list; the first
+    /// record with a key also contributes the key.
+    fn build<R: IntoRecord>(&mut self, records: impl IntoIterator<Item = R>) {
+        debug_assert!(!self.sealed, "left side pushed after seal_left");
+        for item in records {
+            let key = &item.borrow().key;
+            let slots = self.index.entry(key.stable_hash()).or_default();
+            match slots
+                .iter()
+                .find(|&&i| self.order[i as usize] == *key)
+                .copied()
+            {
+                Some(i) => self.lefts[i as usize].push(item.into_value()),
+                None => {
+                    slots.push(self.order.len() as u32);
+                    let r = item.into_record();
+                    self.order.push(r.key);
+                    self.lefts.push(vec![r.value]);
+                    self.rights.push(Vec::new());
+                }
+            }
         }
     }
 
-    fn build(&mut self, key: Key, value: Value) {
-        let h = key.stable_hash();
-        let slots = self.index.entry(h).or_default();
-        match slots
-            .iter()
-            .find(|&&i| self.order[i as usize] == key)
-            .copied()
-        {
-            Some(i) => self.lefts[i as usize].push(value),
-            None => {
-                slots.push(self.order.len() as u32);
-                self.order.push(key);
-                self.lefts.push(vec![value]);
-                self.rights.push(Vec::new());
+    /// The probe step: a right value joins its key's list if the left
+    /// side has the key and is dropped otherwise. Before the seal,
+    /// records are buffered whole.
+    fn probe<R: IntoRecord>(&mut self, records: impl IntoIterator<Item = R>) {
+        if !self.sealed {
+            self.pending.extend(records.into_iter().map(R::into_record));
+            return;
+        }
+        for item in records {
+            self.probes += 1;
+            let key = &item.borrow().key;
+            let hit = self
+                .index
+                .get(&key.stable_hash())
+                .and_then(|slots| slots.iter().find(|&&i| self.order[i as usize] == *key))
+                .copied();
+            if let Some(i) = hit {
+                self.rights[i as usize].push(item.into_value());
             }
+        }
+    }
+
+    fn side<R: IntoRecord>(&mut self, records: impl IntoIterator<Item = R>, is_left: bool) {
+        if is_left {
+            self.build(records)
+        } else {
+            self.probe(records)
         }
     }
 
     /// Build the table from owned left records; they are moved.
     pub fn push_left_owned(&mut self, records: impl IntoIterator<Item = Record>) {
-        debug_assert!(!self.sealed, "left side pushed after seal_left");
-        for r in records {
-            self.build(r.key, r.value);
-        }
+        self.build(records);
     }
 
-    /// Build the table from a borrowed left bucket; records are cloned.
+    /// Build the table from a borrowed left bucket; values (and
+    /// first-seen keys) are cloned.
     pub fn push_left_slice(&mut self, records: &[Record]) {
-        debug_assert!(!self.sealed, "left side pushed after seal_left");
-        for r in records {
-            self.build(r.key.clone(), r.value.clone());
-        }
+        self.build(records);
     }
 
-    fn probe_owned(&mut self, r: Record) {
-        self.probes += 1;
-        let h = r.key.stable_hash();
-        let hit = self
-            .index
-            .get(&h)
-            .and_then(|slots| slots.iter().find(|&&i| self.order[i as usize] == r.key))
-            .copied();
-        if let Some(i) = hit {
-            self.rights[i as usize].push(r.value);
-        }
-    }
-
-    fn probe_ref(&mut self, r: &Record) {
-        self.probes += 1;
-        let h = r.key.stable_hash();
-        let hit = self
-            .index
-            .get(&h)
-            .and_then(|slots| slots.iter().find(|&&i| self.order[i as usize] == r.key))
-            .copied();
-        if let Some(i) = hit {
-            self.rights[i as usize].push(r.value.clone());
-        }
-    }
-
-    /// Declare the left side complete; buffered right buckets are probed
+    /// Declare the left side complete; buffered right records are probed
     /// now, in the order they arrived.
     pub fn seal_left(&mut self) {
         self.sealed = true;
         let pending = std::mem::take(&mut self.pending);
-        for r in pending {
-            self.probe_owned(r);
-        }
+        self.probe(pending);
     }
 
     /// Probe with owned right records (buffered if the left side is not
     /// sealed yet); matched values are moved, not cloned.
     pub fn push_right_owned(&mut self, records: impl IntoIterator<Item = Record>) {
-        if !self.sealed {
-            self.pending.extend(records);
-            return;
-        }
-        for r in records {
-            self.probe_owned(r);
-        }
+        self.probe(records);
     }
 
     /// Probe with a borrowed right bucket; matched values are cloned.
     pub fn push_right_slice(&mut self, records: &[Record]) {
-        if !self.sealed {
-            self.pending.extend_from_slice(records);
-            return;
-        }
-        for r in records {
-            self.probe_ref(r);
-        }
-    }
-
-    /// Build the table from a columnar left bucket.
-    pub fn push_left_batch(&mut self, batch: &ColumnBatch) {
-        debug_assert!(!self.sealed, "left side pushed after seal_left");
-        batch.for_each_record(|r| self.build(r.key, r.value));
-    }
-
-    /// Probe with a columnar right bucket (buffered if the left side is
-    /// not sealed yet).
-    pub fn push_right_batch(&mut self, batch: &ColumnBatch) {
-        if !self.sealed {
-            self.pending.reserve(batch.len());
-            batch.for_each_record(|r| self.pending.push(r));
-            return;
-        }
-        batch.for_each_record(|r| self.probe_owned(r));
+        self.probe(records);
     }
 
     /// Route a shipped bucket to the chosen side, whichever layout it
     /// arrived in.
     pub fn push_bucket(&mut self, bucket: &Bucket, is_left: bool) {
-        match (bucket, is_left) {
-            (Bucket::Rows(v), true) => self.push_left_slice(v),
-            (Bucket::Rows(v), false) => self.push_right_slice(v),
-            (Bucket::Cols(b), true) => self.push_left_batch(b),
-            (Bucket::Cols(b), false) => self.push_right_batch(b),
+        match bucket {
+            Bucket::Rows(v) => self.side(v.as_slice(), is_left),
+            Bucket::Cols(b) => self.side(b.records(), is_left),
         }
     }
 
     /// Route one map task's run to the chosen side, as the shuffle table
     /// hands it out.
     pub fn push_run(&mut self, run: Run<'_>, is_left: bool) {
-        match (run, is_left) {
-            (Run::Moved(rs), true) => self.push_left_owned(rs.iter_mut().map(std::mem::take)),
-            (Run::Moved(rs), false) => self.push_right_owned(rs.iter_mut().map(std::mem::take)),
-            (Run::Shared(rs), true) => self.push_left_slice(rs),
-            (Run::Shared(rs), false) => self.push_right_slice(rs),
-            (Run::Cols(batch), true) => self.push_left_batch(&batch),
-            (Run::Cols(batch), false) => self.push_right_batch(&batch),
+        match run {
+            Run::Moved(records) => self.side(records.iter_mut().map(std::mem::take), is_left),
+            Run::Shared(records) => self.side(records, is_left),
+            Run::Cols(batch) => self.side(batch.records(), is_left),
         }
     }
 
@@ -974,12 +852,6 @@ impl JoinMerge {
     }
 }
 
-impl Default for JoinMerge {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// Inner hash join of two sides: emits `Record(k, Pair(l, r))` for every
 /// pair of matching values, in left-side first-seen key order. Returns the
 /// output and the number of probe operations.
@@ -992,7 +864,7 @@ pub fn merge_join(left: &[Record], right: &[Record]) -> (Vec<Record>, u64) {
 }
 
 /// Streaming co-group of two sides. Shares [`JoinMerge`]'s seal protocol:
-/// right buckets pushed before [`CogroupMerge::seal_left`] are buffered and
+/// rights pushed before [`CogroupMerge::seal_left`] are buffered and
 /// replayed at seal time, preserving the "left keys first, then unseen
 /// right keys" output order.
 #[derive(Default)]
@@ -1011,7 +883,7 @@ impl CogroupMerge {
         Self::default()
     }
 
-    fn slot(&mut self, key: &Key) -> Option<usize> {
+    fn slot(&self, key: &Key) -> Option<usize> {
         let h = key.stable_hash();
         self.index
             .get(&h)
@@ -1029,104 +901,71 @@ impl CogroupMerge {
         i
     }
 
+    /// The merge step for either side: a value joins its key's list on
+    /// that side; a key seen for the first time gets the next slot. Rights
+    /// arriving before the seal are buffered whole.
+    fn side<R: IntoRecord>(&mut self, records: impl IntoIterator<Item = R>, is_left: bool) {
+        if is_left {
+            debug_assert!(!self.sealed, "left side pushed after seal_left");
+        } else if !self.sealed {
+            self.pending.extend(records.into_iter().map(R::into_record));
+            return;
+        }
+        for item in records {
+            let (i, value) = match self.slot(&item.borrow().key) {
+                Some(i) => (i, item.into_value()),
+                None => {
+                    let r = item.into_record();
+                    (self.insert(r.key), r.value)
+                }
+            };
+            let lists = if is_left {
+                &mut self.lefts
+            } else {
+                &mut self.rights
+            };
+            lists[i].push(value);
+        }
+    }
+
     /// Collect owned left records; they are moved.
     pub fn push_left_owned(&mut self, records: impl IntoIterator<Item = Record>) {
-        debug_assert!(!self.sealed, "left side pushed after seal_left");
-        for r in records {
-            let i = match self.slot(&r.key) {
-                Some(i) => i,
-                None => self.insert(r.key),
-            };
-            self.lefts[i].push(r.value);
-        }
+        self.side(records, true);
     }
 
-    /// Collect a borrowed left bucket; records are cloned.
+    /// Collect a borrowed left bucket; values (and first-seen keys) are
+    /// cloned.
     pub fn push_left_slice(&mut self, records: &[Record]) {
-        debug_assert!(!self.sealed, "left side pushed after seal_left");
-        for r in records {
-            let i = match self.slot(&r.key) {
-                Some(i) => i,
-                None => self.insert(r.key.clone()),
-            };
-            self.lefts[i].push(r.value.clone());
-        }
+        self.side(records, true);
     }
 
-    fn right_record(&mut self, key: Key, value: Value) {
-        let i = match self.slot(&key) {
-            Some(i) => i,
-            None => self.insert(key),
-        };
-        self.rights[i].push(value);
-    }
-
-    /// Declare the left side complete; buffered right buckets are replayed
-    /// now, in the order they arrived.
+    /// Declare the left side complete; buffered right records are
+    /// replayed now, in the order they arrived.
     pub fn seal_left(&mut self) {
         self.sealed = true;
         let pending = std::mem::take(&mut self.pending);
-        for r in pending {
-            self.right_record(r.key, r.value);
-        }
+        self.side(pending, false);
     }
 
     /// Collect owned right records (buffered if the left side is not
     /// sealed yet); they are moved.
     pub fn push_right_owned(&mut self, records: impl IntoIterator<Item = Record>) {
-        if !self.sealed {
-            self.pending.extend(records);
-            return;
-        }
-        for r in records {
-            self.right_record(r.key, r.value);
-        }
+        self.side(records, false);
     }
 
-    /// Collect a borrowed right bucket; records are cloned.
+    /// Collect a borrowed right bucket; values (and first-seen keys) are
+    /// cloned.
     pub fn push_right_slice(&mut self, records: &[Record]) {
-        if !self.sealed {
-            self.pending.extend_from_slice(records);
-            return;
-        }
-        for r in records {
-            self.right_record(r.key.clone(), r.value.clone());
-        }
-    }
-
-    /// Collect a columnar left bucket.
-    pub fn push_left_batch(&mut self, batch: &ColumnBatch) {
-        debug_assert!(!self.sealed, "left side pushed after seal_left");
-        batch.for_each_record(|r| {
-            let i = match self.slot(&r.key) {
-                Some(i) => i,
-                None => self.insert(r.key),
-            };
-            self.lefts[i].push(r.value);
-        });
-    }
-
-    /// Collect a columnar right bucket (buffered if the left side is not
-    /// sealed yet).
-    pub fn push_right_batch(&mut self, batch: &ColumnBatch) {
-        if !self.sealed {
-            self.pending.reserve(batch.len());
-            batch.for_each_record(|r| self.pending.push(r));
-            return;
-        }
-        batch.for_each_record(|r| self.right_record(r.key, r.value));
+        self.side(records, false);
     }
 
     /// Route one map task's run to the chosen side, as the shuffle table
     /// hands it out.
     pub fn push_run(&mut self, run: Run<'_>, is_left: bool) {
-        match (run, is_left) {
-            (Run::Moved(rs), true) => self.push_left_owned(rs.iter_mut().map(std::mem::take)),
-            (Run::Moved(rs), false) => self.push_right_owned(rs.iter_mut().map(std::mem::take)),
-            (Run::Shared(rs), true) => self.push_left_slice(rs),
-            (Run::Shared(rs), false) => self.push_right_slice(rs),
-            (Run::Cols(batch), true) => self.push_left_batch(&batch),
-            (Run::Cols(batch), false) => self.push_right_batch(&batch),
+        match run {
+            Run::Moved(records) => self.side(records.iter_mut().map(std::mem::take), is_left),
+            Run::Shared(records) => self.side(records, is_left),
+            Run::Cols(batch) => self.side(batch.records(), is_left),
         }
     }
 
@@ -1385,19 +1224,18 @@ mod tests {
     }
 
     #[test]
-    fn bucketize_in_reuses_arena_without_behaviour_change() {
+    fn a_reused_arena_does_not_change_the_write() {
         let p = HashPartitioner::new(4);
         let mut arena = TaskArena::default();
         for round in 0..3 {
             for combine in [None, Some(sum())] {
                 let records: Vec<Record> = (0..200).map(|i| rec((i + round) % 13, i)).collect();
                 let fresh = bucketize(&records, &p, combine.as_ref());
-                let reused = bucketize_in(&records, &p, combine.as_ref(), &mut arena);
-                assert_eq!(reused.1, fresh.1);
-                assert_eq!(reused.0.bytes, fresh.0.bytes);
-                for (a, b) in reused.0.buckets.iter().zip(&fresh.0.buckets) {
-                    assert_eq!(a, b);
-                }
+                let (runs, ops) = bucketize_runs_shared(&records, &p, combine.as_ref(), &mut arena);
+                let reused = runs.into_buckets();
+                assert_eq!(ops, fresh.1);
+                assert_eq!(reused.bytes, fresh.0.bytes);
+                assert_eq!(reused.buckets, fresh.0.buckets);
             }
         }
     }
@@ -1426,12 +1264,22 @@ mod tests {
 
     #[test]
     fn columnar_bucketize_bails_on_composite_keys() {
-        let records = vec![Record::new(
+        let composite_key = vec![Record::new(
             Key::Pair(Box::new(Key::Int(1)), Box::new(Key::Int(2))),
             Value::Int(1),
         )];
+        // The skewed aggregation's group-by map output: typed key, boxed
+        // value. One untyped column is enough to take the row path.
+        let composite_value: Vec<Record> = (0..50)
+            .map(|i| {
+                let pair = Value::Pair(Box::new(Value::Int(i)), Box::new(Value::Float(0.5)));
+                Record::new(Key::Int(i % 7), pair)
+            })
+            .collect();
         let p = HashPartitioner::new(4);
-        assert!(bucketize_columnar(&records, &p, &mut TaskArena::default()).is_none());
+        for records in [composite_key, composite_value] {
+            assert!(bucketize_columnar(&records, &p, &mut TaskArena::default()).is_none());
+        }
     }
 
     #[test]

@@ -1,6 +1,9 @@
 //! Property-based tests for the engine's core invariants.
 
-use engine::shuffle::{bucketize, merge_concat, merge_group, merge_join, merge_reduce};
+use engine::shuffle::{
+    bucketize, merge_cogroup, merge_concat, merge_group, merge_join, merge_reduce, CogroupMerge,
+    ConcatMerge, GroupMerge, JoinMerge, ReduceMerge, Run,
+};
 use engine::{
     build_partitioner, measure_skew, ColumnBatch, HashPartitioner, Key, Partitioner,
     PartitionerSpec, RangePartitioner, Record, ReduceFn, Value, WorkloadConf,
@@ -69,6 +72,59 @@ fn arb_typed_records(max: usize) -> impl Strategy<Value = Vec<Record>> {
         (key, any::<i64>()).prop_map(|(k, v)| Record::new(k, Value::Int(v))),
         0..max,
     )
+}
+
+/// Records over a dozen keys of every shape (so runs share keys) with
+/// values of every shape.
+fn arb_colliding_records(max: usize) -> impl Strategy<Value = Vec<Record>> {
+    let record = (0i64..12, arb_any_value()).prop_map(|(k, v)| {
+        let key = match k % 4 {
+            0 => Key::None,
+            1 => Key::Int(k / 4),
+            2 => Key::str(["a", "b", "c"][(k / 4) as usize]),
+            _ => Key::Pair(Box::new(Key::Int(k / 4)), Box::new(Key::None)),
+        };
+        Record::new(key, v)
+    });
+    proptest::collection::vec(record, 0..max)
+}
+
+/// `records` cut at `cuts` into consecutive runs, as map tasks would
+/// deliver them.
+fn cut_runs<'a>(records: &'a [Record], cuts: &[usize]) -> Vec<&'a [Record]> {
+    let mut ends: Vec<usize> = cuts.iter().map(|&c| c.min(records.len())).collect();
+    ends.push(records.len());
+    ends.sort_unstable();
+    let mut start = 0;
+    ends.into_iter()
+        .map(|end| {
+            let run = &records[start..end];
+            start = end;
+            run
+        })
+        .collect()
+}
+
+/// Hands every run to `push` in the form its drawn kind names — moved out
+/// of an owned buffer, lent, or columnar — or all lent when `kinds` is
+/// `None`. The second argument of `push` is the run's index.
+fn feed_runs(runs: &[&[Record]], kinds: Option<&[u8]>, mut push: impl FnMut(Run<'_>, usize)) {
+    for (i, run) in runs.iter().enumerate() {
+        match kinds.map(|k| k[i % k.len()]) {
+            Some(0) => push(Run::Moved(&mut run.to_vec()), i),
+            Some(2) => push(Run::Cols(ColumnBatch::from_records(run)), i),
+            _ => push(Run::Shared(run), i),
+        }
+    }
+}
+
+/// A reduce function defined on every value shape; not commutative, so
+/// it also pins the fold order.
+fn fold_sizes() -> ReduceFn {
+    Arc::new(|a: &Value, b: &Value| {
+        let (a, b) = (a.encoded_size() as i64, b.encoded_size() as i64);
+        Value::Int(a.wrapping_mul(31).wrapping_add(b))
+    })
 }
 
 fn sum() -> ReduceFn {
@@ -177,6 +233,74 @@ proptest! {
         let merged = merge_concat([a, b]);
         prop_assert_eq!(merged.len(), records.len());
         prop_assert_eq!(engine::batch_size(&merged), engine::batch_size(&records));
+    }
+
+    /// However a reducer's input arrives — runs moved, lent or columnar,
+    /// in any mix, rights before or after the left side is sealed — every
+    /// accumulator finishes to what the all-lent feed gives, records and
+    /// counters both.
+    #[test]
+    fn accumulators_do_not_care_how_runs_arrive(
+        left in arb_colliding_records(160),
+        right in arb_colliding_records(160),
+        left_cuts in proptest::collection::vec(0usize..160, 0..6),
+        right_cuts in proptest::collection::vec(0usize..160, 0..6),
+        kinds in proptest::collection::vec(0u8..3, 16),
+        early in 0usize..4,
+    ) {
+        let lefts = cut_runs(&left, &left_cuts);
+        let rights = cut_runs(&right, &right_cuts);
+        let f = fold_sizes();
+
+        let reduce = |kinds| {
+            let mut m = ReduceMerge::new(Arc::clone(&f));
+            feed_runs(&lefts, kinds, |run, _| m.push_run(run));
+            m.finish()
+        };
+        prop_assert_eq!(reduce(Some(&kinds)), reduce(None));
+        prop_assert_eq!(reduce(None), merge_reduce(lefts.iter().copied(), &f));
+
+        let group = |kinds| {
+            let mut m = GroupMerge::new();
+            feed_runs(&lefts, kinds, |run, _| m.push_run(run));
+            m.finish()
+        };
+        prop_assert_eq!(group(Some(&kinds)), group(None));
+        prop_assert_eq!(group(None), merge_group(lefts.iter().copied()));
+
+        let concat = |kinds| {
+            let mut m = ConcatMerge::new();
+            feed_runs(&lefts, kinds, |run, _| m.push_run(run));
+            m.finish()
+        };
+        prop_assert_eq!(concat(Some(&kinds)), concat(None));
+        prop_assert_eq!(concat(None), merge_concat(lefts.iter().copied()));
+
+        // The first `early` right runs arrive before any left run.
+        let right_kinds = |kinds: Option<&[u8]>| kinds.map(|k| k.iter().rev().copied().collect::<Vec<u8>>());
+        let join = |kinds: Option<&[u8]>| {
+            let rk = right_kinds(kinds);
+            let mut m = JoinMerge::new();
+            feed_runs(&rights, rk.as_deref(), |run, i| if i < early { m.push_run(run, false) });
+            feed_runs(&lefts, kinds, |run, _| m.push_run(run, true));
+            m.seal_left();
+            feed_runs(&rights, rk.as_deref(), |run, i| if i >= early { m.push_run(run, false) });
+            m.finish()
+        };
+        prop_assert_eq!(join(Some(&kinds)), join(None));
+        prop_assert_eq!(join(None), merge_join(&left, &right));
+
+        let cogroup = |kinds: Option<&[u8]>| {
+            let rk = right_kinds(kinds);
+            let mut m = CogroupMerge::new();
+            feed_runs(&rights, rk.as_deref(), |run, i| if i < early { m.push_run(run, false) });
+            feed_runs(&lefts, kinds, |run, _| m.push_run(run, true));
+            m.seal_left();
+            feed_runs(&rights, rk.as_deref(), |run, i| if i >= early { m.push_run(run, false) });
+            m.finish()
+        };
+        prop_assert_eq!(cogroup(Some(&kinds)), cogroup(None));
+        prop_assert_eq!(cogroup(None), merge_cogroup(&left, &right));
     }
 
     /// Join output size equals the sum over shared keys of |L_k|·|R_k|.
