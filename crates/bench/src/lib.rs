@@ -1,9 +1,9 @@
 //! Shared harness for regenerating the CHOPPER paper's tables and figures.
 //!
 //! The `repro` binary (`cargo run -p bench --release --bin repro -- all`)
-//! produces every table and figure of the evaluation; the Criterion
-//! benches under `benches/` exercise reduced-size versions of the same
-//! experiments so `cargo bench` stays tractable.
+//! produces every table and figure of the evaluation, on the virtual
+//! clock; the shapes it is held to are asserted at test-friendly sizes in
+//! the root package's `tests/paper_shapes.rs` and `tests/end_to_end.rs`.
 
 pub mod adaptive;
 pub mod jobserver;

@@ -55,14 +55,16 @@ bit-for-bit.
 
 --executor-mem bounds each simulated executor's unified memory (cache +
 task working sets); accepts k/m/g suffixes, e.g. 512m. Omitting it keeps
-the cache unbounded (no eviction or spill).
+the cache unbounded (no eviction or spill). run and trace then print a
+`memory:` line with what the memory manager did.
 
 --fault-plan installs a deterministic, seeded fault plan (task failures,
 node losses at virtual times, slow nodes, shuffle-chunk corruption) and
 enables recovery: retries, lineage recomputation, replica re-homing, and
 blacklisting. Results are bit-identical to the fault-free run; only
 simulated timings change. --fault-seed overrides the plan file's seed.
-Mutually exclusive with --executor-mem.
+Composes with --executor-mem: a lost node's cached partitions re-home
+through the memory manager, so a survivor pushed over its budget spills.
 
 serve runs a multi-tenant job trace (see loadgen, or write one by hand:
 `tenant NAME weight W [mem SIZE]` + `job TENANT at SECS KIND scale F
@@ -190,10 +192,22 @@ fn engine_opts(args: &Args) -> Result<EngineOptions, String> {
         faults: fault_plan(args)?,
         ..EngineOptions::default()
     };
-    // Surface invalid combinations (e.g. --fault-plan with
-    // --executor-mem) as a parse-time error instead of an engine panic.
+    // Surface invalid values (e.g. a fault plan naming a node outside
+    // the cluster) as a parse-time error instead of an engine panic.
     opts.validate()?;
     Ok(opts)
+}
+
+/// Prints the memory-manager counter line when a budget was set.
+fn print_mem_counters(ctx: &Context, opts: &EngineOptions) {
+    if opts.executor_mem.is_none() {
+        return;
+    }
+    let mc = ctx.mem_counters();
+    println!(
+        "memory: {} evictions, {} spills ({} B), {} rereads ({} B), {} released",
+        mc.evictions, mc.spills, mc.spill_bytes, mc.rereads, mc.reread_bytes, mc.released
+    );
 }
 
 /// Prints the fault-recovery counter line when a plan was installed.
@@ -281,6 +295,7 @@ pub fn run(args: &Args) -> CmdResult {
     }
     let ctx = w.run(&opts, &conf, scale);
     print_stages(&ctx);
+    print_mem_counters(&ctx, &opts);
     print_fault_counters(&ctx, &opts);
     if args.has("gantt") {
         for s in ctx.all_stages() {
@@ -326,17 +341,7 @@ pub fn trace(args: &Args) -> CmdResult {
     std::fs::write(out, &json).map_err(|e| format!("write {out}: {e}"))?;
     let summary = ctx.trace_summary();
     print!("{}", summary.render());
-    let mc = ctx.mem_counters();
-    println!(
-        "memory: {} evictions, {} spills ({} B), {} rereads ({} B), {} recomputes, {} released",
-        mc.evictions,
-        mc.spills,
-        mc.spill_bytes,
-        mc.rereads,
-        mc.reread_bytes,
-        mc.recomputes,
-        mc.released
-    );
+    print_mem_counters(&ctx, &opts);
     print_fault_counters(&ctx, &opts);
     if let Some(path) = args.get("summary-out") {
         std::fs::write(path, summary.to_json()).map_err(|e| format!("write {path}: {e}"))?;
@@ -855,16 +860,19 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_conflicts_with_executor_mem_at_parse_time() {
+    fn fault_plan_composes_with_executor_mem() {
         let path = write_plan("ok.plan", "task-fail-prob 0.1\n");
-        let err = opts_err(&[
+        let o = engine_opts(&args(&[
             "run",
             "--fault-plan",
             path.to_str().unwrap(),
             "--executor-mem",
             "256m",
-        ]);
-        assert!(err.contains("--executor-mem"), "got: {err}");
+        ]))
+        .unwrap();
+        assert_eq!(o.executor_mem, Some(256 * 1024 * 1024));
+        assert_eq!(o.faults.as_ref().map(|p| p.task_fail_prob), Some(0.1));
+        assert_eq!(o.validate(), Ok(()));
     }
 
     #[test]

@@ -70,6 +70,38 @@ fn run_prints_stage_table() {
 }
 
 #[test]
+fn run_composes_a_memory_budget_with_a_fault_plan() {
+    let plan = concat!(env!("CARGO_MANIFEST_DIR"), "/../../plans/plan_lossy.plan");
+    let mut cmd = bin();
+    cmd.args([
+        "run",
+        "--workload",
+        "kmeans",
+        "--scale",
+        "0.05",
+        "--executor-mem",
+        "64k",
+        "--fault-plan",
+        plan,
+    ]);
+    let out = run_ok(&mut cmd);
+    let text = String::from_utf8_lossy(&out.stdout);
+    let line = |prefix: &str| {
+        text.lines()
+            .find(|l| l.starts_with(prefix))
+            .unwrap_or_else(|| panic!("no `{prefix}` line:\n{text}"))
+    };
+    // Both books report, and both did something: the cached input
+    // spilled, and the lost node's share of it re-homed.
+    let memory = line("memory:");
+    assert!(!memory.contains(" 0 spills"), "{memory}");
+    let faults = line("faults:");
+    assert!(faults.contains(" 1 nodes lost"), "{faults}");
+    assert!(!faults.contains(" 0 re-homed"), "{faults}");
+    assert_eq!(out.stdout, run_ok(&mut cmd).stdout, "rerun differs");
+}
+
+#[test]
 fn tune_plan_run_round_trip() {
     let dir = tmpdir("roundtrip");
     let db = dir.join("db.json");

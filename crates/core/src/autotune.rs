@@ -251,6 +251,25 @@ mod tests {
     }
 
     #[test]
+    fn memory_and_recovery_bounds_meet_in_one_tuner() {
+        let base = EngineOptions {
+            cluster: uniform_cluster(3, 4, 2.0),
+            executor_mem: Some(64 << 20),
+            faults: Some(engine::FaultPlan {
+                task_fail_prob: 0.05,
+                ..engine::FaultPlan::default()
+            }),
+            ..EngineOptions::default()
+        };
+        assert_eq!(base.validate(), Ok(()));
+        let t = Autotuner::new(base);
+        // 64 MiB over the four cores of a node, and the plan's failure
+        // rate: both bounds on the choice of P are live at once.
+        assert_eq!(t.optimizer.task_mem_budget, Some((16u64 << 20) as f64));
+        assert_eq!(t.optimizer.fault_prob, 0.05);
+    }
+
+    #[test]
     fn end_to_end_tuning_beats_bad_default() {
         let w = MiniAgg {
             records_full: 30_000,

@@ -19,7 +19,7 @@ use crate::shuffle::{
 use crate::stage::{plan_job, MaterializedInfo, Plan, PlanStage, SideDep, StageOutput, StageRoot};
 use blockstore::BlockStore;
 use faults::{FaultCounters, FaultPlan, NodeLoss, Straggler};
-use memman::{Disposition, EvictionPolicy, InsertOutcome, MemCounters, MemoryManager};
+use memman::{Eviction, EvictionPolicy, MemCounters, MemoryManager};
 use numeric::Reservoir;
 use simcluster::{ClusterSpec, NodeId, Simulation, TaskSpec};
 use std::collections::HashMap;
@@ -66,10 +66,10 @@ pub struct EngineOptions {
     /// are bit-identical with the sink on or off.
     pub trace: TraceSink,
     /// Per-executor unified memory budget in bytes. `None` (the default)
-    /// leaves the storage layer ungoverned — the cache never evicts and
-    /// nothing spills, preserving the historical behaviour bit-for-bit.
-    /// `Some(b)` bounds each node's cached data + task working sets at
-    /// `b` bytes, enabling eviction, spill, and recompute paths.
+    /// is the unbounded case: the memory manager books every cached
+    /// partition all the same, but no node is ever over its limit, so
+    /// nothing is evicted or spilled. `Some(b)` bounds each node's cached
+    /// data + task working sets at `b` bytes.
     pub executor_mem: Option<u64>,
     /// Victim-selection policy for the bounded cache (LRC by default:
     /// DAG-aware least-reference-count, after Yang et al.).
@@ -87,8 +87,7 @@ pub struct EngineOptions {
     /// partitions, and scheduler blacklisting of lost nodes. Faults
     /// perturb only the *simulated* side (timings, placements, the
     /// virtual clock); results and metrics byte tables stay bit-identical
-    /// to the fault-free run. Mutually exclusive with `executor_mem` —
-    /// see [`EngineOptions::validate`].
+    /// to the fault-free run.
     pub faults: Option<FaultPlan>,
     /// Columnar data plane (the default): combine-free shuffle writes
     /// convert each task's output to a typed [`crate::batch::ColumnBatch`],
@@ -154,7 +153,7 @@ impl Default for EngineOptions {
 impl EngineOptions {
     /// The per-task execution-memory budget implied by `executor_mem`:
     /// the tightest node's budget split across its cores (every core may
-    /// host a task concurrently). `None` when ungoverned.
+    /// host a task concurrently). `None` without a budget.
     pub fn per_task_mem_budget(&self) -> Option<u64> {
         let mem = self.executor_mem?;
         let max_cores = self
@@ -168,7 +167,7 @@ impl EngineOptions {
         Some(mem / max_cores as u64)
     }
 
-    /// Checks for malformed values and mutually exclusive combinations.
+    /// Checks for malformed values and contradictory combinations.
     /// [`Context::new`] panics on an invalid set; the CLI calls this at
     /// parse time so the user gets the message instead of a silent
     /// fallback.
@@ -187,15 +186,6 @@ impl EngineOptions {
         }
         if let Some(plan) = &self.faults {
             plan.validate(self.cluster.num_nodes())?;
-            if self.executor_mem.is_some() {
-                return Err(
-                    "--fault-plan cannot be combined with --executor-mem: fault \
-                     recovery re-homes data through the ungoverned store, while \
-                     governed runs interleave evictions with stage execution — \
-                     drop one of the two"
-                        .to_string(),
-                );
-            }
             if plan.speculation.is_some() && self.speculation.is_some() {
                 return Err(
                     "speculation is configured twice: both the fault plan and the \
@@ -213,11 +203,6 @@ struct Materialized {
     homes: Vec<NodeId>,
     partitioning: Option<PartitionerSpec>,
     producer_stage: usize,
-    /// When true the partitions' bytes live in spill files on each home
-    /// node's disk, not executor memory: reads charge local disk I/O
-    /// instead of memory-resident access. The host-side `Arc`s are kept
-    /// so reread data stays byte-identical.
-    spilled: bool,
 }
 
 /// One shuffle's map output, from the map stage that wrote it until the
@@ -313,12 +298,12 @@ pub struct Context {
     anchors: HashMap<(crate::partitioner::PartitionerKind, usize, usize), NodeId>,
     jobs: Vec<JobMetrics>,
     next_stage_id: usize,
-    /// Unified memory manager governing the cache (inert when
-    /// `executor_mem` is `None`).
+    /// The ledger of cached-partition residency: which bytes sit in which
+    /// node's memory and which entries live on disk. Unbounded when
+    /// `executor_mem` is `None`. Every change goes through
+    /// [`Context::book`], which keeps `sim`'s residency and the spill
+    /// files in `store` in step with it.
     mem: MemoryManager,
-    /// RDDs whose cached copy was dropped at least once — a later
-    /// re-materialization of one of these counts as a recompute.
-    evicted_once: std::collections::BTreeSet<Rdd>,
     /// Cached reads already served per RDD, subtracted from the lineage
     /// child count to get *remaining* references for LRC.
     reads_done: HashMap<Rdd, usize>,
@@ -382,7 +367,6 @@ impl Context {
             jobs: Vec::new(),
             next_stage_id: 0,
             mem,
-            evicted_once: std::collections::BTreeSet::new(),
             reads_done: HashMap::new(),
             faults,
         }
@@ -581,24 +565,19 @@ impl Context {
     /// any spill files) immediately. A later read recomputes from lineage.
     pub fn uncache(&mut self, rdd: Rdd) {
         self.graph.set_uncached(rdd);
-        if let Some(freed) = self.mem.release(rdd.0 as u64) {
-            for (n, &b) in freed.iter().enumerate() {
-                self.sim.release_resident(n, b);
+        let Some(mat) = self.materialized.remove(&rdd) else {
+            return;
+        };
+        let id = rdd.0 as u64;
+        if self.mem.is_spilled(id) {
+            for i in 0..mat.parts.len() {
+                self.store.delete_file(&spill_name(rdd, i));
             }
         }
-        if let Some(mat) = self.materialized.remove(&rdd) {
-            if mat.spilled {
-                for i in 0..mat.parts.len() {
-                    self.store.delete_file(&spill_name(rdd, i));
-                }
-            }
-            // Ungoverned contexts track residency outside the manager.
-            if !self.governed() {
-                for (i, part) in mat.parts.iter().enumerate() {
-                    self.sim.release_resident(mat.homes[i], batch_size(part));
-                }
-            }
-        }
+        self.book(|mem, _| {
+            mem.release(id);
+            Vec::new()
+        });
     }
 
     // ------------------------------------------------------------------
@@ -844,12 +823,6 @@ impl Context {
     }
 
     fn run_job(&mut self, final_rdd: Rdd, name: &str) -> Vec<Record> {
-        // Reclaim dead cache entries before planning: at this point the
-        // driver has built every consumer this job (and any iteration
-        // preceding it) will use, so a zero-ref entry really is garbage.
-        // Sweeping *before* the plan also guarantees the plan never
-        // schedules a CachedRead of an entry the sweep removed.
-        self.sweep_unreferenced();
         let plan = plan_job(
             &self.graph,
             final_rdd,
@@ -1164,6 +1137,11 @@ impl Context {
         if sink.is_enabled() {
             self.trace_stage(&cx, &metrics, &timing, wall);
         }
+        debug_assert_eq!(
+            self.mem.storage_used(),
+            self.sim.resident_bytes(),
+            "a cached partition moved without going through `book`"
+        );
         (metrics, result_records)
     }
 
@@ -1189,6 +1167,7 @@ impl Context {
             StageRoot::Source(rdd) => self.source_input(*rdd, num_tasks, &mut reads),
             StageRoot::CachedRead(rdd) => {
                 let mat = &self.materialized[rdd];
+                let spilled = self.mem.is_spilled(rdd.0 as u64);
                 reads.parents_gids.push(mat.producer_stage);
                 reads.cached_reads.push(*rdd);
                 reads.tasks = (0..num_tasks)
@@ -1197,8 +1176,8 @@ impl Context {
                         // home node's disk: the read is local disk I/O
                         // (feeding the Fig. 14 transaction counters), not
                         // a memory-resident fetch.
-                        let mut t = mat.read_of(i);
-                        t.fetch_chunks = usize::from(!mat.spilled);
+                        let mut t = mat.read_of(i, spilled);
+                        t.fetch_chunks = usize::from(!spilled);
                         t.preferred = vec![mat.homes[i]];
                         t
                     })
@@ -1247,7 +1226,7 @@ impl Context {
                             .parents_gids
                             .push(self.materialized[rdd].producer_stage);
                         reads.cached_reads.push(*rdd);
-                        JoinSide::Narrow(&self.materialized[rdd])
+                        JoinSide::Narrow(&self.materialized[rdd], self.mem.is_spilled(rdd.0 as u64))
                     }
                 };
                 let (left, right) = (side(left), side(right));
@@ -1325,15 +1304,12 @@ impl Context {
     fn account_cached_reads(&mut self, cached_reads: &[Rdd]) {
         for rdd in cached_reads {
             *self.reads_done.entry(*rdd).or_insert(0) += 1;
-            if self.governed() {
-                let id = rdd.0 as u64;
-                self.mem.touch(id);
-                if self.mem.is_spilled(id) {
-                    self.mem.reread(id);
-                    let num_parts = self.materialized[rdd].parts.len();
-                    for i in 0..num_parts {
-                        self.store.read_file(&spill_name(*rdd, i));
-                    }
+            let id = rdd.0 as u64;
+            self.mem.touch(id);
+            if self.mem.is_spilled(id) {
+                self.mem.reread(id);
+                for i in 0..self.materialized[rdd].parts.len() {
+                    self.store.read_file(&spill_name(*rdd, i));
                 }
             }
         }
@@ -1552,8 +1528,8 @@ impl Context {
 
     /// Charges the stage to the simulated cluster: per-task fault draws
     /// perturb the specs, the simulator places and times them, placements
-    /// anchor co-partitioned indices, and a governed context reserves the
-    /// stage's execution working set (possibly evicting cached data).
+    /// anchor co-partitioned indices, and the stage's execution working
+    /// set is reserved (under a budget, possibly evicting cached data).
     fn charge_stage(
         &mut self,
         cx: &StageCtx<'_>,
@@ -1586,17 +1562,13 @@ impl Context {
                 }
             }
         }
-        // Execution borrows from storage: reserve before the captures
-        // below are admitted through the memory manager.
-        if self.governed() {
-            let mut reserve = vec![0u64; self.options.cluster.num_nodes()];
-            for (spec, t) in specs.iter().zip(&timing.tasks) {
-                reserve[t.node] = reserve[t.node].max(spec.memory_bytes);
-            }
-            self.refresh_refs();
-            let evictions = self.mem.set_execution_reservation(&reserve);
-            self.apply_evictions(&evictions);
+        // Execution borrows from storage: reserve before the stage's
+        // captures ask the memory manager for room.
+        let mut reserve = vec![0u64; self.options.cluster.num_nodes()];
+        for (spec, t) in specs.iter().zip(&timing.tasks) {
+            reserve[t.node] = reserve[t.node].max(spec.memory_bytes);
         }
+        self.book(|mem, refs| mem.set_execution_reservation(&reserve, refs));
         timing
     }
 
@@ -1614,7 +1586,7 @@ impl Context {
                 capture_map.entry(*rdd).or_default().push(Arc::clone(data));
             }
         }
-        // Deterministic insertion order: under memory governance the
+        // Deterministic insertion order: under a memory budget the
         // insertion order decides who evicts whom, so hash-map order
         // would leak into results.
         let mut captures: Vec<(Rdd, Vec<Arc<Vec<Record>>>)> = capture_map.into_iter().collect();
@@ -1634,14 +1606,10 @@ impl Context {
             if !(rdd == stage.terminal && matches!(stage.output, StageOutput::Result)) {
                 *self.reads_done.entry(rdd).or_insert(0) += 1;
             }
-            let spilled = if self.governed() {
-                self.admit_capture(rdd, &parts, homes)
-            } else {
-                for (i, p) in parts.iter().enumerate() {
-                    self.sim.add_resident(homes[i], batch_size(p));
-                }
-                false
-            };
+            let mut per_node = vec![0u64; self.options.cluster.num_nodes()];
+            for (part, &home) in parts.iter().zip(homes) {
+                per_node[home] += batch_size(part);
+            }
             self.materialized.insert(
                 rdd,
                 Materialized {
@@ -1649,9 +1617,19 @@ impl Context {
                     homes: homes.to_vec(),
                     partitioning,
                     producer_stage: cx.gid,
-                    spilled,
                 },
             );
+            let id = rdd.0 as u64;
+            self.book(|mem, refs| mem.insert(id, per_node.clone(), refs));
+            if self.mem.is_spilled(id) {
+                // No room even with every eligible victim gone: the
+                // capture goes straight to disk, a transfer of its own
+                // after the victims'.
+                self.write_spills(&[Eviction {
+                    id,
+                    bytes: per_node,
+                }]);
+            }
         }
     }
 
@@ -1832,147 +1810,59 @@ impl Context {
     }
 
     // ------------------------------------------------------------------
-    // Memory governance
+    // The cache ledger
     // ------------------------------------------------------------------
 
-    /// Whether the storage layer is governed by a memory budget.
-    fn governed(&self) -> bool {
-        self.options.executor_mem.is_some()
-    }
-
     /// Snapshot of the memory-manager counters (evictions, spills,
-    /// rereads, recomputes). All zero when ungoverned.
+    /// rereads, released entries).
     pub fn mem_counters(&self) -> MemCounters {
         self.mem.counters()
     }
 
-    /// Remaining references of a cached RDD: graph children not yet
-    /// served a read, plus one pin reference while the driver still holds
-    /// the cache handle (cleared by [`Context::uncache`]). The pin keeps
-    /// a lineage-idle cache from being dropped between jobs of a lazily
-    /// built DAG — an iterative driver re-reads it with consumers that do
-    /// not exist in the graph yet. Under pressure a pinned-but-idle entry
-    /// still ranks first for eviction, but it spills instead of dropping.
-    fn lineage_refs(&self, rdd: Rdd) -> usize {
-        let pin = usize::from(self.graph.node(rdd).cached);
-        self.graph
-            .child_count(rdd)
-            .saturating_sub(self.reads_done.get(&rdd).copied().unwrap_or(0))
-            .max(pin)
+    /// The one place cached data changes where it lives. `op` books the
+    /// movement — a capture admitted, a stage's execution reservation, a
+    /// lost node's partitions re-homed, an `uncache` — in the memory
+    /// manager and returns the entries the manager pushed to disk to make
+    /// room; their spill files are written and the simulator's residency
+    /// becomes the ledger's, so the books agree after every movement.
+    /// `op` is handed the remaining-reference lookup, which the manager
+    /// calls only while it ranks victims: a run that never overflows
+    /// never walks the graph.
+    fn book(&mut self, op: impl FnOnce(&mut MemoryManager, memman::RefsOf) -> Vec<Eviction>) {
+        let (graph, reads_done) = (&self.graph, &self.reads_done);
+        let evicted = op(&mut self.mem, &|id| {
+            remaining_refs(graph, reads_done, Rdd(id as usize))
+        });
+        self.write_spills(&evicted);
+        self.sim.set_resident(self.mem.storage_used());
     }
 
-    /// Push current lineage ref-counts into the memory manager so LRC
-    /// ranks victims on up-to-date information.
-    fn refresh_refs(&mut self) {
-        let mut ids: Vec<Rdd> = self.materialized.keys().copied().collect();
-        ids.sort_by_key(|r| r.0);
-        for rdd in ids {
-            let refs = self.lineage_refs(rdd);
-            self.mem.set_refs(rdd.0 as u64, refs);
-        }
-    }
-
-    /// Mirror the memory manager's eviction decisions into the engine:
-    /// release simulated residency, drop or spill the materialization,
-    /// and charge the spill writes to the victims' home disks.
-    fn apply_evictions(&mut self, evictions: &[memman::Eviction]) {
-        if evictions.is_empty() {
+    /// Entries the ledger just moved to disk: write each partition's spill
+    /// file on its home node and charge the writes as one parallel disk
+    /// transfer. The host-side `Arc`s stay, so reread data is
+    /// byte-identical.
+    fn write_spills(&mut self, spilled: &[Eviction]) {
+        if spilled.is_empty() {
             return;
         }
-        let num_nodes = self.options.cluster.num_nodes();
-        let mut spill_write = vec![0u64; num_nodes];
-        for ev in evictions {
+        let mut spill_write = vec![0u64; self.options.cluster.num_nodes()];
+        for ev in spilled {
             let rdd = Rdd(ev.id as usize);
-            for (n, &b) in ev.bytes.iter().enumerate() {
-                self.sim.release_resident(n, b);
+            let mat = &self.materialized[&rdd];
+            for (i, part) in mat.parts.iter().enumerate() {
+                self.store
+                    .create_file_on(&spill_name(rdd, i), batch_size(part), mat.homes[i]);
             }
-            match ev.disposition {
-                Disposition::Dropped => {
-                    self.materialized.remove(&rdd);
-                    self.evicted_once.insert(rdd);
-                }
-                Disposition::Spilled => {
-                    let mat = self
-                        .materialized
-                        .get_mut(&rdd)
-                        .expect("spilled victim is materialized");
-                    mat.spilled = true;
-                    for (w, b) in spill_write.iter_mut().zip(&ev.bytes) {
-                        *w += b;
-                    }
-                    let homes = mat.homes.clone();
-                    let sizes: Vec<u64> = mat.parts.iter().map(|p| batch_size(p)).collect();
-                    for (i, bytes) in sizes.into_iter().enumerate() {
-                        self.store
-                            .create_file_on(&spill_name(rdd, i), bytes, homes[i]);
-                    }
-                }
+            for (w, b) in spill_write.iter_mut().zip(&ev.bytes) {
+                *w += b;
             }
             self.emit_mem_event(ev);
         }
         self.sim.charge_disk_io(&spill_write, true);
     }
 
-    /// Admit a freshly captured cache entry through the memory manager.
-    /// Returns whether the entry went straight to spill.
-    fn admit_capture(&mut self, rdd: Rdd, parts: &[Arc<Vec<Record>>], nodes: &[NodeId]) -> bool {
-        let num_nodes = self.options.cluster.num_nodes();
-        let mut per_node = vec![0u64; num_nodes];
-        let sizes: Vec<u64> = parts.iter().map(|p| batch_size(p)).collect();
-        for (i, &b) in sizes.iter().enumerate() {
-            per_node[nodes[i]] += b;
-        }
-        if self.evicted_once.contains(&rdd) {
-            self.mem.note_recompute();
-        }
-        let refs = self.lineage_refs(rdd);
-        let outcome = self.mem.insert(rdd.0 as u64, per_node.clone(), refs);
-        let evicted = outcome.evicted().to_vec();
-        self.apply_evictions(&evicted);
-        match outcome {
-            InsertOutcome::Stored { .. } => {
-                for (i, &b) in sizes.iter().enumerate() {
-                    self.sim.add_resident(nodes[i], b);
-                }
-                false
-            }
-            InsertOutcome::Spilled { .. } => {
-                for (i, &b) in sizes.iter().enumerate() {
-                    self.store.create_file_on(&spill_name(rdd, i), b, nodes[i]);
-                }
-                self.sim.charge_disk_io(&per_node, true);
-                true
-            }
-        }
-    }
-
-    /// Drop cached entries whose reference count reached zero — no
-    /// remaining consumer in the graph built so far can read them and the
-    /// driver no longer pins them (see [`Context::uncache`]).
-    /// Governed mode only: ungoverned contexts keep the historical
-    /// retain-forever behaviour (and its bit-identical figures).
-    fn sweep_unreferenced(&mut self) {
-        if !self.governed() {
-            return;
-        }
-        self.refresh_refs();
-        for (id, freed) in self.mem.release_unreferenced() {
-            let rdd = Rdd(id as usize);
-            if let Some(mat) = self.materialized.remove(&rdd) {
-                for (n, &b) in freed.iter().enumerate() {
-                    self.sim.release_resident(n, b);
-                }
-                if mat.spilled {
-                    for i in 0..mat.parts.len() {
-                        self.store.delete_file(&spill_name(rdd, i));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Trace an eviction decision on the driver's memory lane.
-    fn emit_mem_event(&self, ev: &memman::Eviction) {
+    /// Trace a spill on the driver's memory lane.
+    fn emit_mem_event(&self, ev: &Eviction) {
         let sink = &self.options.trace;
         if !sink.is_enabled() {
             return;
@@ -1982,18 +1872,15 @@ impl Context {
         if !sink.has_thread_name(track) {
             sink.name_thread(track, "memory manager");
         }
-        let (name, cat) = match ev.disposition {
-            Disposition::Dropped => (format!("drop r{}", ev.id), "evict"),
-            Disposition::Spilled => (format!("spill r{}", ev.id), "spill"),
-        };
         let bytes: u64 = ev.bytes.iter().sum();
+        let refs = remaining_refs(&self.graph, &self.reads_done, Rdd(ev.id as usize));
         sink.instant(
             Clock::Virtual,
             track,
-            name,
-            cat,
+            format!("spill r{}", ev.id),
+            "spill",
             self.sim.clock(),
-            vec![("bytes", bytes.into()), ("refs", ev.refs.into())],
+            vec![("bytes", bytes.into()), ("refs", refs.into())],
         );
     }
 
@@ -2059,7 +1946,10 @@ impl Context {
     /// never left driver memory, so results are untouched), while lost
     /// shuffle map outputs — which have no replicas — are recomputed
     /// through lineage by re-running their retained task specs on the
-    /// surviving topology.
+    /// surviving topology. The re-homing is a ledger move like any other:
+    /// a survivor pushed over its budget spills by the configured policy,
+    /// and a partition that was on the lost node's disk lands on its new
+    /// home's disk.
     /// Only placements and the virtual clock change.
     fn recover_lost_node(&mut self, node: NodeId, shuffles: &mut [Option<ShuffleData>]) {
         let down: Vec<bool> = self
@@ -2092,18 +1982,21 @@ impl Context {
         }
         if !moves.is_empty() {
             let mut replica_read = vec![0u64; num_nodes];
+            let mut respilled = vec![0u64; num_nodes];
+            let mut ledger_moves = Vec::with_capacity(moves.len());
             let mut moved_bytes = 0u64;
             for (k, &(rdd, i, bytes)) in moves.iter().enumerate() {
                 let new_home = survivors[k % survivors.len()];
-                let spilled = {
-                    let mat = self.materialized.get_mut(&rdd).expect("key just listed");
-                    mat.homes[i] = new_home;
-                    mat.spilled
-                };
-                if !spilled {
-                    self.sim.release_resident(node, bytes);
-                    self.sim.add_resident(new_home, bytes);
+                self.materialized
+                    .get_mut(&rdd)
+                    .expect("key just listed")
+                    .homes[i] = new_home;
+                if self.mem.is_spilled(rdd.0 as u64) {
+                    self.store
+                        .create_file_on(&spill_name(rdd, i), bytes, new_home);
+                    respilled[new_home] += bytes;
                 }
+                ledger_moves.push((rdd.0 as u64, new_home, bytes));
                 replica_read[new_home] += bytes;
                 moved_bytes += bytes;
             }
@@ -2123,6 +2016,8 @@ impl Context {
                 .collect();
             self.sim.charge_replica_transfers(&transfers);
             self.sim.charge_disk_io(&replica_read, false);
+            self.sim.charge_disk_io(&respilled, true);
+            self.book(|mem, refs| mem.rehome(node, &ledger_moves, refs));
             let fs = self.faults.as_mut().expect("fault state present");
             fs.counters.replica_rehomed_partitions += moves.len() as u64;
             fs.counters.replica_read_bytes += moved_bytes;
@@ -2289,6 +2184,21 @@ impl Context {
     }
 }
 
+/// Remaining references of a booked cache entry: graph children not yet
+/// served a read, and at least the one pin reference the driver holds
+/// until [`Context::uncache`] (which releases the entry on the spot, so
+/// every booked entry is pinned). The pin keeps a lineage-idle cache
+/// between jobs of a lazily built DAG — an iterative driver re-reads it
+/// with consumers that do not exist in the graph yet — which is why a
+/// victim is always spilled, never dropped: under pressure an idle entry
+/// ranks first for eviction, but it must stay readable.
+fn remaining_refs(graph: &RddGraph, reads_done: &HashMap<Rdd, usize>, rdd: Rdd) -> usize {
+    graph
+        .child_count(rdd)
+        .saturating_sub(reads_done.get(&rdd).copied().unwrap_or(0))
+        .max(1)
+}
+
 /// Name of the spill file backing partition `part` of a cached RDD.
 fn spill_name(rdd: Rdd, part: usize) -> String {
     format!("__spill/r{}.p{}", rdd.0, part)
@@ -2365,14 +2275,14 @@ struct StageSpecs {
 
 impl Materialized {
     /// How partition `i` is read: from its home node's memory, or — once
-    /// spilled — from that node's local disk.
-    fn read_of(&self, i: usize) -> TaskReads {
+    /// the ledger has the entry `spilled` — from that node's local disk.
+    fn read_of(&self, i: usize, spilled: bool) -> TaskReads {
         let bytes = batch_size(&self.parts[i]);
         let mut t = TaskReads {
             fetch_chunks: usize::from(!self.parts[i].is_empty()),
             ..TaskReads::default()
         };
-        if self.spilled {
+        if spilled {
             t.local_read_bytes = bytes;
         } else {
             t.fetches = vec![(self.homes[i], bytes)];
@@ -2447,15 +2357,16 @@ pub(crate) enum MergeKind {
 enum JoinSide<'s> {
     /// A shuffle, consumed run by run in map order.
     Shuffle(&'s ShuffleData),
-    /// A materialized co-partitioned RDD: partition `i` feeds task `i`.
-    Narrow(&'s Materialized),
+    /// A materialized co-partitioned RDD: partition `i` feeds task `i`,
+    /// from disk when the ledger has the entry spilled.
+    Narrow(&'s Materialized, bool),
 }
 
 impl JoinSide<'_> {
     fn read_of(&self, i: usize) -> TaskReads {
         match self {
             JoinSide::Shuffle(data) => data.read_of(i),
-            JoinSide::Narrow(mat) => mat.read_of(i),
+            JoinSide::Narrow(mat, spilled) => mat.read_of(i, *spilled),
         }
     }
 
@@ -2464,7 +2375,7 @@ impl JoinSide<'_> {
     fn drain(&self, col: usize, mut push: impl FnMut(Run<'_>)) -> (u64, u64) {
         match self {
             JoinSide::Shuffle(data) => data.drain_column(col, push),
-            JoinSide::Narrow(mat) => {
+            JoinSide::Narrow(mat, _) => {
                 let part = &mat.parts[col];
                 push(Run::Shared(part));
                 (part.len() as u64, batch_size(part))
@@ -3557,11 +3468,16 @@ mod tests {
         // throughout, but the driver's pin must keep it materialized.
         let other = ctx.parallelize(word_records(), 4, "other");
         ctx.count(other, "unrelated");
-        assert_eq!(ctx.mem_counters().released, 0, "pin must block the sweep");
+        assert_eq!(ctx.mem_counters().released, 0, "only `uncache` releases");
         let counts = ctx.reduce_by_key(doubled, sum(), None, 1e-6, "count");
         let out = ctx.collect(counts, "reuse");
         assert_eq!(out.len(), 10);
-        assert_eq!(ctx.mem_counters().recomputes, 0, "cache hit, not rebuild");
+        let reuse = ctx.jobs().last().expect("three jobs ran");
+        assert_eq!(
+            reuse.stages[0].kind,
+            StageKind::Cached,
+            "cache hit, not rebuild"
+        );
     }
 
     #[test]
@@ -3598,7 +3514,8 @@ mod tests {
         ctx.uncache(src);
         let out = ctx.collect(src, "reuse");
         assert_eq!(out.len(), 200);
-        assert_eq!(ctx.mem_counters().released, 0, "manager is inert");
+        assert_eq!(ctx.mem_counters().released, 1, "the book is real");
+        assert_eq!(ctx.sim().resident_bytes(), &[0, 0, 0]);
     }
 
     /// Runs cache + shuffle jobs under the given options and returns the
@@ -3707,36 +3624,44 @@ mod tests {
         );
     }
 
+    /// Caches six partitions over three nodes, then reads the cache back
+    /// through a narrow job. Returns the sorted read, the virtual time
+    /// between the two jobs, and the cached RDD.
+    fn cache_probe(
+        faults: Option<FaultPlan>,
+        executor_mem: Option<u64>,
+    ) -> (Vec<Record>, f64, Rdd, Context) {
+        let mut ctx = Context::new(EngineOptions {
+            faults,
+            executor_mem,
+            ..test_options()
+        });
+        let data: Vec<Record> = (0..6_000)
+            .map(|i| Record::new(Key::Int(i), Value::Int(i)))
+            .collect();
+        let src = ctx.parallelize(data, 6, "src");
+        let kept = ctx.map(src, Arc::new(|r: &Record| r.clone()), 1e-4, "kept");
+        ctx.cache(kept);
+        ctx.count(kept, "materialize");
+        let between = ctx.clock();
+        let read = sorted(ctx.collect(kept, "read"));
+        (read, between, kept, ctx)
+    }
+
+    fn lose_node_0_at(at: f64) -> Option<FaultPlan> {
+        Some(FaultPlan {
+            node_loss: vec![NodeLoss { node: 0, at }],
+            ..FaultPlan::default()
+        })
+    }
+
     #[test]
     fn rehoming_a_cached_partition_pays_the_network_copy() {
-        // Cache six partitions over three nodes, lose node 0 between
-        // jobs, then read the cache through a narrow job: every task
-        // finds its (re-homed) partition's node free, so the only bytes
-        // that cross the network are the replica copies themselves.
-        let probe = |faults: Option<FaultPlan>| {
-            let mut ctx = Context::new(EngineOptions {
-                faults,
-                ..test_options()
-            });
-            let data: Vec<Record> = (0..6_000)
-                .map(|i| Record::new(Key::Int(i), Value::Int(i)))
-                .collect();
-            let src = ctx.parallelize(data, 6, "src");
-            let kept = ctx.map(src, Arc::new(|r: &Record| r.clone()), 1e-4, "kept");
-            ctx.cache(kept);
-            ctx.count(kept, "materialize");
-            let loss_at = ctx.clock();
-            let read = sorted(ctx.collect(kept, "read"));
-            (read, loss_at, ctx)
-        };
-        let (base, loss_at, base_ctx) = probe(None);
-        let (got, _, ctx) = probe(Some(FaultPlan {
-            node_loss: vec![NodeLoss {
-                node: 0,
-                at: loss_at,
-            }],
-            ..FaultPlan::default()
-        }));
+        // Lose node 0 between the jobs: every read task finds its
+        // (re-homed) partition's node free, so the only bytes that cross
+        // the network are the replica copies themselves.
+        let (base, loss_at, _, base_ctx) = cache_probe(None, None);
+        let (got, _, _, ctx) = cache_probe(lose_node_0_at(loss_at), None);
         assert_eq!(base, got, "the re-homed cache must serve identical data");
         let counters = ctx.fault_counters();
         assert!(counters.replica_rehomed_partitions > 0, "{counters:?}");
@@ -3746,6 +3671,40 @@ mod tests {
             "a flat fabric carries replica copies like any other"
         );
         assert!(ctx.clock() > base_ctx.clock());
+    }
+
+    #[test]
+    fn rehoming_goes_through_the_memory_budget() {
+        let (base, loss_at, _, base_ctx) = cache_probe(None, None);
+        let on_survivors = |ctx: &Context, kept: Rdd| {
+            (0..6).all(|i| {
+                let blocks = ctx.store().file_blocks(&spill_name(kept, i));
+                blocks.is_some_and(|b| b.iter().all(|b| b.replicas != [0]))
+            })
+        };
+        // Each node caches two partitions and a task's working set is two
+        // partitions' worth: 4.5 partitions per node hold that with room
+        // to spare, but not the third partition a survivor inherits.
+        let roomy = base_ctx.sim().resident_bytes()[0] * 9 / 4;
+        let (got, _, _, free) = cache_probe(None, Some(roomy));
+        assert_eq!(base, got);
+        assert_eq!(free.mem_counters().spills, 0, "fits while node 0 lives");
+        let (got, _, kept, ctx) = cache_probe(lose_node_0_at(loss_at), Some(roomy));
+        assert_eq!(base, got, "the spilled cache must serve identical data");
+        let mc = ctx.mem_counters();
+        assert_eq!((mc.evictions, mc.spills), (1, 1), "a survivor overflowed");
+        assert_eq!(mc.rereads, 1, "the read job found it on disk");
+        assert_eq!(ctx.sim().resident_bytes(), &[0, 0, 0]);
+        assert!(on_survivors(&ctx, kept), "spill files follow the new homes");
+
+        // A budget the cache never fit: spilled at capture, and the lost
+        // node's partitions land spilled on their new homes.
+        let (got, _, kept, ctx) = cache_probe(lose_node_0_at(loss_at), Some(roomy / 4));
+        assert_eq!(base, got);
+        let mc = ctx.mem_counters();
+        assert_eq!((mc.evictions, mc.spills), (0, 1), "spilled on arrival");
+        assert!(ctx.fault_counters().replica_rehomed_partitions > 0);
+        assert!(on_survivors(&ctx, kept), "spill files were re-created");
     }
 
     #[test]
@@ -3769,12 +3728,6 @@ mod tests {
 
     #[test]
     fn fault_options_conflicts_are_rejected() {
-        let mut opts = test_options();
-        opts.faults = Some(FaultPlan::default());
-        opts.executor_mem = Some(1 << 30);
-        let err = opts.validate().unwrap_err();
-        assert!(err.contains("--executor-mem"), "got: {err}");
-
         let mut opts = test_options();
         opts.faults = Some(FaultPlan {
             speculation: Some(1.5),
@@ -3819,8 +3772,10 @@ mod tests {
     #[should_panic(expected = "invalid engine options")]
     fn context_refuses_invalid_fault_options() {
         let mut opts = test_options();
-        opts.faults = Some(FaultPlan::default());
-        opts.executor_mem = Some(1 << 30);
+        opts.faults = Some(FaultPlan {
+            node_loss: vec![NodeLoss { node: 9, at: 1.0 }],
+            ..FaultPlan::default()
+        });
         Context::new(opts);
     }
 }

@@ -213,7 +213,6 @@ fn generous_budget_matches_ungoverned_run() {
     assert_eq!(mc.evictions, 0, "nothing to evict under a generous budget");
     assert_eq!(mc.spills, 0);
     assert_eq!(mc.rereads, 0);
-    assert_eq!(mc.recomputes, 0);
 }
 
 #[test]

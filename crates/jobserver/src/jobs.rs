@@ -1,14 +1,14 @@
 //! Per-tenant job execution: four workload builders over a long-lived
 //! engine [`Context`], with cross-job reuse of cached source RDDs.
 //!
-//! Each tenant owns one ungoverned `Context` for the server's lifetime.
-//! Ungoverned contexts never evict (`memman` only governs when
-//! `executor_mem` is set), so a dataset cached by one job is still
-//! materialized when a later job of the same tenant asks for the same
-//! `(kind, scale, seed)` — the cross-job cache reuse the job server
-//! advertises. Every generator is a pure function of `(seed, global
-//! record index)`, so results are independent of partition count, worker
-//! count, and physical interleaving.
+//! Each tenant owns one `Context` for the server's lifetime. A cached
+//! dataset stays booked until it is uncached — under an `executor_mem`
+//! budget it may spill to disk, but it is never dropped — so a dataset
+//! cached by one job is still materialized when a later job of the same
+//! tenant asks for the same `(kind, scale, seed)`: the cross-job cache
+//! reuse the job server advertises. Every generator is a pure function
+//! of `(seed, global record index)`, so results are independent of
+//! partition count, worker count, and physical interleaving.
 
 use std::collections::HashMap;
 use std::sync::Arc;

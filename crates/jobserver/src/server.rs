@@ -313,7 +313,6 @@ pub fn serve(trace: &JobTrace, cfg: &ServerConfig) -> Result<ServeReport, String
     if cfg.slots == 0 {
         return Err("slots must be >= 1".to_string());
     }
-    cfg.engine.validate()?;
     if cfg.engine.faults.is_some() {
         return Err(
             "set per-tenant fault plans via ServerConfig::fault_plans, not EngineOptions::faults"
@@ -324,6 +323,25 @@ pub fn serve(trace: &JobTrace, cfg: &ServerConfig) -> Result<ServeReport, String
         if !trace.tenants.iter().any(|t| &t.name == name) {
             return Err(format!("fault plan names unknown tenant '{name}'"));
         }
+    }
+    // Each tenant's options are validated as assembled — its fault plan
+    // attached — so a plan that does not fit the cluster is an `Err` here
+    // rather than a panic in `Context::new`.
+    let mut tenant_options = Vec::with_capacity(trace.tenants.len());
+    for t in &trace.tenants {
+        let faults = cfg
+            .fault_plans
+            .iter()
+            .find(|(name, _)| name == &t.name)
+            .map(|(_, plan)| plan.clone());
+        let options = EngineOptions {
+            faults,
+            ..cfg.engine.clone()
+        };
+        options
+            .validate()
+            .map_err(|e| format!("tenant '{}': {e}", t.name))?;
+        tenant_options.push(options);
     }
     if cfg.interleave == Interleave::TenantThreads && trace.jobs.len() > cfg.queue_cap {
         return Err(format!(
@@ -360,18 +378,12 @@ pub fn serve(trace: &JobTrace, cfg: &ServerConfig) -> Result<ServeReport, String
     let mut runtimes: Vec<TenantRuntime> = trace
         .tenants
         .iter()
-        .map(|t| {
-            let faults = cfg
-                .fault_plans
-                .iter()
-                .find(|(name, _)| name == &t.name)
-                .map(|(_, plan)| plan.clone());
-            let options = EngineOptions {
+        .zip(tenant_options)
+        .map(|(t, options)| {
+            let rt = TenantRuntime::new(EngineOptions {
                 shared_pool: Some(Arc::clone(&pool)),
-                faults,
-                ..cfg.engine.clone()
-            };
-            let rt = TenantRuntime::new(options);
+                ..options
+            });
             // Weighted share of host lanes, at least one.
             let lanes = ((cfg.engine.workers as f64) * t.weight / total_weight).round() as usize;
             rt.ctx

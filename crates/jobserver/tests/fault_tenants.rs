@@ -3,7 +3,9 @@
 //! node) while another tenant runs concurrently on the same server. The
 //! unaffected tenant's result tables must be bit-identical to its solo
 //! (fault-free, single-tenant) run — faults perturb the victim's virtual
-//! timings, never anyone's bytes.
+//! timings, never anyone's bytes. Nor does a memory budget on top: a
+//! faulted tenant whose cached datasets spill still reports the tables of
+//! the fault-free, unbounded run.
 
 use jobserver::{serve, Interleave, JobTrace, ServerConfig};
 
@@ -133,4 +135,60 @@ fn fault_plan_for_unknown_tenant_is_rejected() {
     )
     .unwrap_err();
     assert!(err.contains("unknown tenant"), "{err}");
+}
+
+#[test]
+fn tenant_plan_outside_the_cluster_is_an_error_not_a_panic() {
+    let trace = JobTrace::from_text(TRACE).unwrap();
+    // Node 7 does not exist on the 4-node cluster.
+    let plan = engine::FaultPlan::from_text("lose-node 7 1\n").unwrap();
+    let err = serve(
+        &trace,
+        &ServerConfig {
+            engine: engine(),
+            fault_plans: vec![("victim".to_string(), plan)],
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap_err();
+    assert!(err.contains("victim") && err.contains("node"), "{err}");
+}
+
+#[test]
+fn faulted_tenant_under_a_memory_budget_keeps_its_tables() {
+    let trace = JobTrace::from_text(TRACE).unwrap();
+    let sink = engine::TraceSink::enabled();
+    let squeezed = serve(
+        &trace,
+        &ServerConfig {
+            engine: engine::EngineOptions {
+                // Far below any job's cached dataset: every capture spills.
+                executor_mem: Some(8 * 1024),
+                trace: sink.clone(),
+                ..engine()
+            },
+            fault_plans: vec![(
+                "victim".to_string(),
+                engine::FaultPlan::from_text(PLAN_SMOKE).unwrap(),
+            )],
+            interleave: Interleave::Serial,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    assert!(squeezed.faults_injected > 0, "the plan never fired");
+    assert!(
+        sink.events().iter().any(|e| e.cat == "spill"),
+        "the budget never engaged"
+    );
+    let free = serve(
+        &trace,
+        &ServerConfig {
+            engine: engine(),
+            interleave: Interleave::Serial,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(squeezed.tables_text(), free.tables_text());
 }

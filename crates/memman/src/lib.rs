@@ -6,19 +6,25 @@
 //! RDD partitions). Execution borrows from storage: raising the execution
 //! reservation shrinks the storage limit and may force evictions.
 //!
+//! The manager is the ledger of where cached bytes live on *every* run:
+//! without a budget it is unbounded — it books the same entries and moves
+//! and simply never finds a node over its limit.
+//!
 //! Eviction is pluggable:
 //!
 //! * [`EvictionPolicy::Lru`] — classic least-recently-used.
 //! * [`EvictionPolicy::Lrc`] — least-reference-count (DAG-aware, after
 //!   Yang et al.): victims are ordered by remaining lineage references
 //!   first, recency second, so a partition still needed by a future stage
-//!   outlives one that is not.
+//!   outlives one that is not. The manager stores no reference counts: it
+//!   asks the caller for an entry's remaining references only while it
+//!   ranks victims, so a run that never overflows never pays for them.
 //!
-//! A victim with zero remaining references is *dropped* (recompute from
-//! lineage if ever needed again); a victim with live references is
-//! *spilled* (its bytes move to disk, a later read pays a reread). All
-//! decisions are deterministic: entries live in a `BTreeMap` keyed by id
-//! and ties break on (refs, last-access, id), never on hash order.
+//! A victim is always *spilled* (its bytes move to disk, a later read
+//! pays a reread): the caller books only entries it still holds a handle
+//! on, and releases an entry outright when it lets go. All decisions are
+//! deterministic: entries live in a `BTreeMap` keyed by id and ties break
+//! on (refs, last-access, id), never on hash order.
 
 use std::collections::BTreeMap;
 
@@ -35,10 +41,10 @@ pub enum EvictionPolicy {
 /// Monotonic counters describing everything the manager did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemCounters {
-    /// Victims removed from the storage region (dropped or spilled).
+    /// Resident entries pushed out of the storage region to make room.
     pub evictions: u64,
-    /// Entries whose bytes moved to disk (victims with live refs, plus
-    /// inserts that never fit).
+    /// Spills: evicted entries, inserts that never fit, and map-side
+    /// shuffle overflows.
     pub spills: u64,
     /// Total bytes written to spill storage.
     pub spill_bytes: u64,
@@ -46,76 +52,40 @@ pub struct MemCounters {
     pub rereads: u64,
     /// Total bytes read back from spill storage.
     pub reread_bytes: u64,
-    /// Cache entries that were re-materialized after a drop.
-    pub recomputes: u64,
-    /// Entries released because their lineage ref-count hit zero.
+    /// Entries released by the caller.
     pub released: u64,
 }
 
-/// What happened to an evicted entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Disposition {
-    /// No remaining references: the entry is gone, recompute on reuse.
-    Dropped,
-    /// Live references remain: bytes moved to disk, reads pay a reread.
-    Spilled,
-}
-
-/// One eviction decision, reported back to the caller so it can mirror
-/// the change (release simulated residency, write the spill file, …).
+/// A resident entry the manager moved to disk to make room, reported
+/// back so the caller can mirror it (write the spill files, charge the
+/// disk, …).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Eviction {
     /// Entry id (the engine keys these by RDD id).
     pub id: u64,
-    /// Dropped or spilled.
-    pub disposition: Disposition,
-    /// Remaining lineage references at eviction time.
-    pub refs: usize,
     /// Resident bytes freed, per node.
     pub bytes: Vec<u64>,
 }
 
-/// Result of [`MemoryManager::insert`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum InsertOutcome {
-    /// The entry is resident in the storage region.
-    Stored { evicted: Vec<Eviction> },
-    /// Even after evicting everything eligible the entry did not fit;
-    /// its bytes go straight to disk.
-    Spilled { evicted: Vec<Eviction> },
-}
-
-impl InsertOutcome {
-    /// The evictions performed while making room, regardless of outcome.
-    pub fn evicted(&self) -> &[Eviction] {
-        match self {
-            InsertOutcome::Stored { evicted } | InsertOutcome::Spilled { evicted } => evicted,
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EntryState {
-    Resident,
-    Spilled,
-}
+/// An entry's remaining lineage references, by id. Called only while
+/// ranking victims under [`EvictionPolicy::Lrc`].
+pub type RefsOf<'a> = &'a dyn Fn(u64) -> usize;
 
 #[derive(Debug, Clone)]
 struct Entry {
-    /// Resident bytes per node (zeroed on spill).
+    /// Resident bytes per node (all zero once spilled).
     bytes: Vec<u64>,
     /// Logical size of the cached data (survives a spill; rereads are
     /// charged against it so spill→reread round-trips exactly).
     total: u64,
     last_access: u64,
-    refs: usize,
-    state: EntryState,
+    spilled: bool,
 }
 
 /// Deterministic unified memory manager for one simulated cluster.
 #[derive(Debug)]
 pub struct MemoryManager {
-    /// Per-node unified budget; `None` means unlimited (manager inert).
+    /// Per-node unified budget; `None` means unbounded.
     budget: Option<u64>,
     num_nodes: usize,
     policy: EvictionPolicy,
@@ -143,7 +113,7 @@ impl MemoryManager {
         }
     }
 
-    /// Unlimited manager: tracks accounting but never evicts or spills.
+    /// Unbounded manager: books every entry but never evicts or spills.
     pub fn unlimited(num_nodes: usize) -> Self {
         Self::new(num_nodes, None, EvictionPolicy::default())
     }
@@ -170,10 +140,7 @@ impl MemoryManager {
 
     /// True when the entry exists and its bytes live on disk.
     pub fn is_spilled(&self, id: u64) -> bool {
-        matches!(
-            self.entries.get(&id),
-            Some(e) if e.state == EntryState::Spilled
-        )
+        self.entries.get(&id).is_some_and(|e| e.spilled)
     }
 
     fn next_seq(&mut self) -> u64 {
@@ -184,79 +151,62 @@ impl MemoryManager {
     /// Nodes whose storage region currently exceeds its limit, given an
     /// optional incoming allocation.
     fn over_budget_nodes(&self, incoming: Option<&[u64]>) -> Vec<usize> {
-        let Some(_) = self.budget else {
-            return Vec::new();
-        };
         (0..self.num_nodes)
             .filter(|&n| {
                 let want = self.storage_used[n] + incoming.map_or(0, |b| b[n]);
-                want > self.storage_limit(n).unwrap()
+                self.storage_limit(n).is_some_and(|limit| want > limit)
             })
             .collect()
     }
 
     /// Deterministically pick the next victim among resident entries
     /// holding bytes on any of `nodes`. Returns the entry id.
-    fn pick_victim(&self, nodes: &[usize], exclude: Option<u64>) -> Option<u64> {
-        let mut best: Option<(usize, u64, u64)> = None; // (refs, last_access, id)
-        let mut best_id = None;
-        for (&id, e) in &self.entries {
-            if Some(id) == exclude || e.state != EntryState::Resident {
-                continue;
-            }
-            if !nodes.iter().any(|&n| e.bytes[n] > 0) {
-                continue;
-            }
-            let key = match self.policy {
-                EvictionPolicy::Lru => (0, e.last_access, id),
-                EvictionPolicy::Lrc => (e.refs, e.last_access, id),
-            };
-            if best.is_none_or(|b| key < b) {
-                best = Some(key);
-                best_id = Some(id);
-            }
-        }
-        best_id
+    fn pick_victim(&self, nodes: &[usize], exclude: Option<u64>, refs: RefsOf) -> Option<u64> {
+        self.entries
+            .iter()
+            .filter(|&(&id, e)| {
+                Some(id) != exclude && !e.spilled && nodes.iter().any(|&n| e.bytes[n] > 0)
+            })
+            .min_by_key(|&(&id, e)| {
+                let refs = match self.policy {
+                    EvictionPolicy::Lru => 0,
+                    EvictionPolicy::Lrc => refs(id),
+                };
+                (refs, e.last_access, id)
+            })
+            .map(|(&id, _)| id)
     }
 
-    /// Evict the entry `id`; returns the decision record.
+    /// Moves the resident entry `id` to disk; returns the decision record.
     fn evict(&mut self, id: u64) -> Eviction {
         let e = self.entries.get_mut(&id).expect("victim exists");
         let freed = std::mem::replace(&mut e.bytes, vec![0; self.num_nodes]);
-        for (n, b) in freed.iter().enumerate() {
-            self.storage_used[n] -= b;
+        e.spilled = true;
+        for (used, b) in self.storage_used.iter_mut().zip(&freed) {
+            *used -= b;
         }
-        let refs = e.refs;
         self.counters.evictions += 1;
-        let disposition = if refs == 0 {
-            self.entries.remove(&id);
-            Disposition::Dropped
-        } else {
-            let e = self.entries.get_mut(&id).unwrap();
-            e.state = EntryState::Spilled;
-            self.counters.spills += 1;
-            self.counters.spill_bytes += e.total;
-            Disposition::Spilled
-        };
-        Eviction {
-            id,
-            disposition,
-            refs,
-            bytes: freed,
-        }
+        self.counters.spills += 1;
+        self.counters.spill_bytes += e.total;
+        Eviction { id, bytes: freed }
     }
 
     /// Evict until every node fits (optionally with `incoming` added).
     /// Stops when no eligible victim remains even if still over — the
     /// caller decides what to do with the overflow.
-    fn make_room(&mut self, incoming: Option<&[u64]>, exclude: Option<u64>) -> Vec<Eviction> {
+    fn make_room(
+        &mut self,
+        incoming: Option<&[u64]>,
+        exclude: Option<u64>,
+        refs: RefsOf,
+    ) -> Vec<Eviction> {
         let mut out = Vec::new();
         loop {
             let over = self.over_budget_nodes(incoming);
             if over.is_empty() {
                 break;
             }
-            match self.pick_victim(&over, exclude) {
+            match self.pick_victim(&over, exclude, refs) {
                 Some(id) => out.push(self.evict(id)),
                 None => break,
             }
@@ -267,56 +217,68 @@ impl MemoryManager {
     /// Reserve execution memory per node for the upcoming stage; evicts
     /// cached data if storage must shrink to make room. Returns the
     /// evictions performed.
-    pub fn set_execution_reservation(&mut self, per_node: &[u64]) -> Vec<Eviction> {
+    pub fn set_execution_reservation(&mut self, per_node: &[u64], refs: RefsOf) -> Vec<Eviction> {
         assert_eq!(per_node.len(), self.num_nodes);
         self.exec_reserved.copy_from_slice(per_node);
-        self.make_room(None, None)
+        self.make_room(None, None, refs)
     }
 
-    /// Insert a cached entry with `per_node` resident bytes and `refs`
-    /// remaining lineage references.
-    pub fn insert(&mut self, id: u64, per_node: Vec<u64>, refs: usize) -> InsertOutcome {
+    /// Insert a cached entry with `per_node` resident bytes, evicting
+    /// others to make room; returns those evictions. If the entry does
+    /// not fit even then, its own bytes go straight to disk — see
+    /// [`MemoryManager::is_spilled`].
+    pub fn insert(&mut self, id: u64, per_node: Vec<u64>, refs: RefsOf) -> Vec<Eviction> {
         assert_eq!(per_node.len(), self.num_nodes);
         let total: u64 = per_node.iter().sum();
-        let seq = self.next_seq();
-        // Re-inserting an id replaces the old entry (recompute path).
-        if let Some(old) = self.entries.remove(&id) {
-            for (n, b) in old.bytes.iter().enumerate() {
-                self.storage_used[n] -= b;
-            }
-        }
-        let evicted = self.make_room(Some(&per_node), Some(id));
-        let fits = self.over_budget_nodes(Some(&per_node)).is_empty();
-        if fits {
-            for (n, b) in per_node.iter().enumerate() {
-                self.storage_used[n] += b;
-            }
-            self.entries.insert(
-                id,
-                Entry {
-                    bytes: per_node,
-                    total,
-                    last_access: seq,
-                    refs,
-                    state: EntryState::Resident,
-                },
-            );
-            InsertOutcome::Stored { evicted }
-        } else {
+        let last_access = self.next_seq();
+        // Re-inserting an id replaces the old entry.
+        self.remove(id);
+        let evicted = self.make_room(Some(&per_node), Some(id), refs);
+        let spilled = !self.over_budget_nodes(Some(&per_node)).is_empty();
+        let bytes = if spilled {
             self.counters.spills += 1;
             self.counters.spill_bytes += total;
-            self.entries.insert(
-                id,
-                Entry {
-                    bytes: vec![0; self.num_nodes],
-                    total,
-                    last_access: seq,
-                    refs,
-                    state: EntryState::Spilled,
-                },
-            );
-            InsertOutcome::Spilled { evicted }
+            vec![0; self.num_nodes]
+        } else {
+            for (used, b) in self.storage_used.iter_mut().zip(&per_node) {
+                *used += b;
+            }
+            per_node
+        };
+        self.entries.insert(
+            id,
+            Entry {
+                bytes,
+                total,
+                last_access,
+                spilled,
+            },
+        );
+        evicted
+    }
+
+    /// Re-homes cached data after the loss of node `from`: each
+    /// `(id, to, bytes)` moves `bytes` of entry `id` from `from` to `to`,
+    /// then survivors that overflowed make room as for an insert. A
+    /// spilled entry holds no resident bytes, so its moves change nothing
+    /// here (the caller re-creates its spill files on the new home).
+    pub fn rehome(
+        &mut self,
+        from: usize,
+        moves: &[(u64, usize, u64)],
+        refs: RefsOf,
+    ) -> Vec<Eviction> {
+        for &(id, to, bytes) in moves {
+            let e = self.entries.get_mut(&id).expect("re-homed entry is booked");
+            if e.spilled {
+                continue;
+            }
+            e.bytes[from] -= bytes;
+            e.bytes[to] += bytes;
+            self.storage_used[from] -= bytes;
+            self.storage_used[to] += bytes;
         }
+        self.make_room(None, None, refs)
     }
 
     /// Record a read of the entry (bumps recency).
@@ -327,13 +289,6 @@ impl MemoryManager {
         }
     }
 
-    /// Update remaining lineage references for an entry.
-    pub fn set_refs(&mut self, id: u64, refs: usize) {
-        if let Some(e) = self.entries.get_mut(&id) {
-            e.refs = refs;
-        }
-    }
-
     /// Charge a read of a spilled entry. Returns the bytes read back —
     /// exactly the bytes that were spilled for this entry.
     pub fn reread(&mut self, id: u64) -> u64 {
@@ -341,16 +296,11 @@ impl MemoryManager {
         let Some(e) = self.entries.get_mut(&id) else {
             return 0;
         };
-        debug_assert_eq!(e.state, EntryState::Spilled, "reread of resident entry");
+        debug_assert!(e.spilled, "reread of resident entry");
         e.last_access = seq;
         self.counters.rereads += 1;
         self.counters.reread_bytes += e.total;
         e.total
-    }
-
-    /// Record that a previously dropped entry was re-materialized.
-    pub fn note_recompute(&mut self) {
-        self.counters.recomputes += 1;
     }
 
     /// Record a map-side shuffle spill of `bytes` (combine buffer larger
@@ -360,29 +310,23 @@ impl MemoryManager {
         self.counters.spill_bytes += bytes;
     }
 
-    /// Remove an entry outright (lineage ref-count hit zero). Returns the
-    /// per-node resident bytes freed, if the entry existed.
-    pub fn release(&mut self, id: u64) -> Option<Vec<u64>> {
-        let e = self.entries.remove(&id)?;
-        for (n, b) in e.bytes.iter().enumerate() {
-            self.storage_used[n] -= b;
+    /// Takes the entry out of the books, resident bytes included.
+    fn remove(&mut self, id: u64) -> bool {
+        let Some(e) = self.entries.remove(&id) else {
+            return false;
+        };
+        for (used, b) in self.storage_used.iter_mut().zip(&e.bytes) {
+            *used -= b;
         }
-        self.counters.released += 1;
-        Some(e.bytes)
+        true
     }
 
-    /// Drop every entry whose ref-count is zero; returns (id, freed
-    /// per-node bytes) for each, in id order.
-    pub fn release_unreferenced(&mut self) -> Vec<(u64, Vec<u64>)> {
-        let ids: Vec<u64> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.refs == 0)
-            .map(|(&id, _)| id)
-            .collect();
-        ids.into_iter()
-            .filter_map(|id| self.release(id).map(|b| (id, b)))
-            .collect()
+    /// Remove an entry outright (the caller let go of it). Returns
+    /// whether it existed.
+    pub fn release(&mut self, id: u64) -> bool {
+        let existed = self.remove(id);
+        self.counters.released += u64::from(existed);
+        existed
     }
 }
 
@@ -481,56 +425,65 @@ impl TenantLedger {
 mod tests {
     use super::*;
 
-    fn stored(o: &InsertOutcome) -> bool {
-        matches!(o, InsertOutcome::Stored { .. })
+    /// Every entry holds one reference.
+    fn pinned(_: u64) -> usize {
+        1
     }
 
     #[test]
     fn unlimited_never_evicts() {
         let mut m = MemoryManager::unlimited(2);
         for id in 0..10 {
-            let out = m.insert(id, vec![1 << 30, 1 << 30], 0);
-            assert!(stored(&out));
-            assert!(out.evicted().is_empty());
+            let evicted = m.insert(id, vec![1 << 30, 1 << 30], &|_| {
+                panic!("an unbounded manager never ranks victims")
+            });
+            assert!(evicted.is_empty());
+            assert!(!m.is_spilled(id));
         }
+        assert_eq!(m.storage_used(), &[10 << 30, 10 << 30]);
         assert_eq!(m.counters(), MemCounters::default());
     }
 
     #[test]
     fn lru_evicts_least_recent() {
         let mut m = MemoryManager::new(1, Some(100), EvictionPolicy::Lru);
-        assert!(stored(&m.insert(1, vec![40], 1)));
-        assert!(stored(&m.insert(2, vec![40], 1)));
+        let never = |_| panic!("LRU ignores reference counts");
+        assert!(m.insert(1, vec![40], &never).is_empty());
+        assert!(m.insert(2, vec![40], &never).is_empty());
         m.touch(1); // entry 2 is now least recent
-        let out = m.insert(3, vec![40], 1);
-        assert!(stored(&out));
-        assert_eq!(out.evicted().len(), 1);
-        assert_eq!(out.evicted()[0].id, 2);
-        assert_eq!(out.evicted()[0].disposition, Disposition::Spilled);
+        let evicted = m.insert(3, vec![40], &never);
+        assert_eq!(
+            evicted,
+            vec![Eviction {
+                id: 2,
+                bytes: vec![40]
+            }]
+        );
         assert!(m.is_spilled(2));
-        assert!(!m.is_spilled(1));
+        assert!(!m.is_spilled(1) && !m.is_spilled(3));
     }
 
     #[test]
-    fn lrc_prefers_zero_ref_victim_and_drops_it() {
+    fn lrc_spills_the_least_referenced_entry_first() {
         let mut m = MemoryManager::new(1, Some(100), EvictionPolicy::Lrc);
-        m.insert(1, vec![40], 3);
-        m.insert(2, vec![40], 0);
+        let refs = |id| if id == 1 { 3 } else { 1 };
+        m.insert(1, vec![40], &refs);
+        m.insert(2, vec![40], &refs);
         m.touch(2); // recency says evict 1; refs say evict 2
-        let out = m.insert(3, vec![40], 1);
-        assert_eq!(out.evicted()[0].id, 2);
-        assert_eq!(out.evicted()[0].disposition, Disposition::Dropped);
-        assert!(!m.is_spilled(1), "live-ref entry stays resident");
+        let evicted = m.insert(3, vec![40], &refs);
+        assert_eq!(evicted[0].id, 2);
+        assert!(m.is_spilled(2), "a victim is always spilled, never dropped");
+        assert!(!m.is_spilled(1), "the most-referenced entry stays resident");
         assert_eq!(m.counters().evictions, 1);
-        assert_eq!(m.counters().spills, 0);
+        assert_eq!(m.counters().spills, 1);
     }
 
     #[test]
     fn execution_reservation_squeezes_storage() {
         let mut m = MemoryManager::new(1, Some(100), EvictionPolicy::Lrc);
-        m.insert(1, vec![60], 1);
-        assert!(m.set_execution_reservation(&[30]).is_empty());
-        let ev = m.set_execution_reservation(&[70]);
+        m.insert(1, vec![60], &pinned);
+        assert!(m.set_execution_reservation(&[30], &pinned).is_empty());
+        let ev = m.set_execution_reservation(&[70], &pinned);
         assert_eq!(ev.len(), 1);
         assert_eq!(ev[0].id, 1);
         assert!(m.is_spilled(1));
@@ -540,36 +493,56 @@ mod tests {
     #[test]
     fn oversized_insert_spills_itself() {
         let mut m = MemoryManager::new(2, Some(50), EvictionPolicy::Lrc);
-        let out = m.insert(7, vec![60, 10], 2);
-        assert!(matches!(out, InsertOutcome::Spilled { .. }));
+        assert!(m.insert(7, vec![60, 10], &pinned).is_empty());
         assert!(m.is_spilled(7));
         assert_eq!(m.counters().spill_bytes, 70);
+        assert_eq!(m.counters().evictions, 0, "nothing was resident to evict");
         assert_eq!(m.reread(7), 70);
         assert_eq!(m.counters().reread_bytes, 70);
     }
 
     #[test]
-    fn release_unreferenced_sweeps_only_zero_ref() {
-        let mut m = MemoryManager::unlimited(1);
-        m.insert(1, vec![10], 2);
-        m.insert(2, vec![20], 0);
-        m.insert(3, vec![30], 1);
-        m.set_refs(3, 0);
-        let freed = m.release_unreferenced();
+    fn rehome_moves_bytes_and_an_overflowing_survivor_spills() {
+        let mut m = MemoryManager::new(3, Some(100), EvictionPolicy::Lrc);
+        m.insert(1, vec![40, 40, 0], &pinned);
+        m.insert(2, vec![50, 0, 50], &pinned);
+        // Node 0 dies: entry 1's bytes go to node 1, entry 2's to node 2.
+        let evicted = m.rehome(0, &[(1, 1, 40), (2, 2, 50)], &pinned);
+        assert!(evicted.is_empty(), "both survivors still fit");
+        assert_eq!(m.storage_used(), &[0, 80, 100]);
+        // Node 1 dies too: its 80 bytes land on node 2, which overflows;
+        // the least recently used resident entry there spills whole.
+        let evicted = m.rehome(1, &[(1, 2, 80)], &pinned);
         assert_eq!(
-            freed,
-            vec![(2, vec![20]), (3, vec![30])],
-            "id order, zero-ref only"
+            evicted,
+            vec![Eviction {
+                id: 1,
+                bytes: vec![0, 0, 80]
+            }]
         );
+        assert_eq!(m.storage_used(), &[0, 0, 100]);
+        // A spilled entry has no resident bytes left to move.
+        assert!(m.rehome(2, &[(1, 0, 80)], &pinned).is_empty());
+        assert_eq!(m.storage_used(), &[0, 0, 100]);
+        assert!(m.is_spilled(1) && !m.is_spilled(2));
+    }
+
+    #[test]
+    fn release_frees_resident_bytes() {
+        let mut m = MemoryManager::unlimited(1);
+        m.insert(1, vec![10], &pinned);
+        m.insert(2, vec![20], &pinned);
+        assert!(m.release(2));
+        assert!(!m.release(2), "already gone");
         assert_eq!(m.storage_used(), &[10]);
-        assert_eq!(m.counters().released, 2);
+        assert_eq!(m.counters().released, 1);
     }
 
     #[test]
     fn reinsert_replaces_prior_accounting() {
         let mut m = MemoryManager::new(1, Some(100), EvictionPolicy::Lrc);
-        m.insert(1, vec![80], 1);
-        m.insert(1, vec![40], 1); // recompute shrank it
+        m.insert(1, vec![80], &pinned);
+        m.insert(1, vec![40], &pinned);
         assert_eq!(m.storage_used(), &[40]);
     }
 

@@ -228,15 +228,12 @@ impl Simulation {
         self.failed[node] = false;
     }
 
-    /// Registers `bytes` of cached RDD data resident on `node` (counted in
-    /// the memory-utilization trace until released).
-    pub fn add_resident(&mut self, node: NodeId, bytes: u64) {
-        self.resident_bytes[node] += bytes;
-    }
-
-    /// Releases previously registered resident bytes.
-    pub fn release_resident(&mut self, node: NodeId, bytes: u64) {
-        self.resident_bytes[node] = self.resident_bytes[node].saturating_sub(bytes);
+    /// Sets the cached RDD bytes resident on each node (counted in the
+    /// memory-utilization trace of every stage that runs while they
+    /// stay). The engine copies its memory manager's per-node totals
+    /// here, so the two books cannot drift.
+    pub fn set_resident(&mut self, per_node_bytes: &[u64]) {
+        self.resident_bytes.copy_from_slice(per_node_bytes);
     }
 
     /// Currently registered resident bytes per node.
@@ -1048,11 +1045,10 @@ mod tests {
     fn resident_memory_shows_in_trace() {
         let mut sim = Simulation::with_trace_bucket(two_node_cluster(), 1.0);
         let total_mem = sim.spec().total_memory();
-        sim.add_resident(0, total_mem / 2);
+        sim.set_resident(&[total_mem / 2, 0]);
         sim.run_stage(&[TaskSpec::compute(2.0)]);
         let pts = sim.trace().points();
         assert!(pts[0].mem_pct > 45.0, "half the cluster memory is cached");
-        sim.release_resident(0, total_mem / 2);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! and the recovery trace may differ. On top of that, faulted execution
 //! itself must stay deterministic: the same plan and seed must replay
 //! the same injected faults and the same virtual-clock trace at any host
-//! worker count.
+//! worker count. The lossy plan is also run under a memory budget tight
+//! enough to spill, where a lost node's cached partitions re-home through
+//! the memory manager.
 
 use chopper::Workload;
 use engine::{ClockFilter, Context, EngineOptions, FaultPlan, NodeLoss, TraceSink, WorkloadConf};
@@ -29,19 +31,32 @@ fn small_workloads() -> Vec<Box<dyn Workload>> {
     ]
 }
 
-fn options(workers: usize, faults: Option<FaultPlan>) -> EngineOptions {
+/// Small enough that every small workload spills.
+const TIGHT_MEM: u64 = 8 * 1024;
+
+fn options(workers: usize, faults: Option<FaultPlan>, mem: Option<u64>) -> EngineOptions {
     EngineOptions {
         cluster: uniform_cluster(3, 4, 2.0),
         default_parallelism: 8,
         workers,
         trace: TraceSink::enabled(),
         faults,
+        executor_mem: mem,
         ..EngineOptions::default()
     }
 }
 
 fn run(w: &dyn Workload, workers: usize, faults: Option<FaultPlan>) -> Context {
-    w.run(&options(workers, faults), &WorkloadConf::new(), 1.0)
+    run_with_mem(w, workers, faults, None)
+}
+
+fn run_with_mem(
+    w: &dyn Workload,
+    workers: usize,
+    faults: Option<FaultPlan>,
+    mem: Option<u64>,
+) -> Context {
+    w.run(&options(workers, faults, mem), &WorkloadConf::new(), 1.0)
 }
 
 /// The placement- and timing-independent view of a finished run: job and
@@ -82,14 +97,21 @@ fn virtual_view(ctx: &Context) -> (String, String) {
     )
 }
 
-/// Shared matrix check for one shipped plan: every faulted configuration
-/// must (a) match the fault-free run's byte tables and (b) be bit-equal
-/// to the faulted reference on every virtual-clock observable.
-fn assert_plan_equivalent(text: &str) {
+/// Shared matrix check for one shipped plan under one memory budget:
+/// every faulted configuration must (a) match the fault-free run's byte
+/// tables and (b) be bit-equal to the faulted reference on every
+/// virtual-clock observable.
+fn assert_plan_equivalent(text: &str, mem: Option<u64>) {
     let p = plan(text);
     for w in small_workloads() {
-        let clean = byte_table(&run(w.as_ref(), 1, None));
-        let reference = run(w.as_ref(), 1, Some(p.clone()));
+        let clean = byte_table(&run_with_mem(w.as_ref(), 1, None, mem));
+        let reference = run_with_mem(w.as_ref(), 1, Some(p.clone()), mem);
+        assert_eq!(
+            mem.is_some(),
+            reference.mem_counters().spills > 0,
+            "{}: spills under a budget, and only then",
+            w.name()
+        );
         assert_eq!(
             clean,
             byte_table(&reference),
@@ -99,7 +121,7 @@ fn assert_plan_equivalent(text: &str) {
         let (ref_stages, ref_trace) = virtual_view(&reference);
         assert!(!ref_trace.is_empty(), "{}: no trace events", w.name());
         let what = format!("{}: workers 8", w.name());
-        let got = run(w.as_ref(), 8, Some(p.clone()));
+        let got = run_with_mem(w.as_ref(), 8, Some(p.clone()), mem);
         assert_eq!(clean, byte_table(&got), "{what}: byte table diverged");
         let (stages, trace) = virtual_view(&got);
         assert_eq!(ref_stages, stages, "{what}: stage metrics diverged");
@@ -109,12 +131,17 @@ fn assert_plan_equivalent(text: &str) {
             got.fault_counters(),
             "{what}: injected faults diverged"
         );
+        assert_eq!(
+            reference.mem_counters(),
+            got.mem_counters(),
+            "{what}: memory manager diverged"
+        );
     }
 }
 
 #[test]
 fn plan_smoke_preserves_results_across_workers() {
-    assert_plan_equivalent(SMOKE);
+    assert_plan_equivalent(SMOKE, None);
 }
 
 #[test]
@@ -130,7 +157,8 @@ fn plan_smoke_injects_retries_and_corruption() {
 
 #[test]
 fn plan_lossy_preserves_results_across_workers() {
-    assert_plan_equivalent(LOSSY);
+    assert_plan_equivalent(LOSSY, None);
+    assert_plan_equivalent(LOSSY, Some(TIGHT_MEM));
 }
 
 #[test]

@@ -47,6 +47,35 @@ fn kmeans_full_loop_improves_oversized_default() {
         "plan: {:?}",
         cmp.plan.decisions
     );
+    // Table II: the tuned stage 0 is no slower than vanilla's (the
+    // partition-dependency group may keep its default at this scale).
+    let stage0 = |ctx: &chopper_repro::engine::Context| ctx.all_stages()[0].duration();
+    assert!(
+        stage0(&cmp.chopper) <= stage0(&cmp.vanilla) * 1.01,
+        "stage 0: {:.2}s vs {:.2}s",
+        stage0(&cmp.chopper),
+        stage0(&cmp.vanilla)
+    );
+    // Table III: per-stage variety, and the iterations' update stages
+    // share one count.
+    let counts: Vec<usize> = cmp
+        .chopper
+        .all_stages()
+        .iter()
+        .map(|s| s.num_tasks)
+        .collect();
+    assert!(
+        counts.iter().any(|&c| c != counts[0]),
+        "one count everywhere: {counts:?}"
+    );
+    let first_iter = 1 + w.config.prep_passes;
+    let updates: Vec<usize> = (0..w.config.iterations)
+        .map(|i| counts[first_iter + 2 * i + 1])
+        .collect();
+    assert!(
+        updates.windows(2).all(|u| u[0] == u[1]),
+        "iterations differ: {updates:?}"
+    );
 }
 
 #[test]

@@ -6,9 +6,11 @@
 //! the host worker count or the row/columnar layout, and the memory
 //! budget must move nothing but the clock and where bytes are read from.
 //! One more cell holds the simulator to its one network model: the flat
-//! fabric and a single full-bisection rack are the same cluster.
+//! fabric and a single full-bisection rack are the same cluster. Another
+//! composes the budget with a fault plan: a node is lost while the cached
+//! input is live, so its partitions re-home through the memory manager.
 
-use chopper_repro::engine::{Context, EngineOptions, WorkloadConf};
+use chopper_repro::engine::{Context, EngineOptions, FaultPlan, NodeLoss, WorkloadConf};
 use chopper_repro::simcluster::Topology;
 use chopper_repro::workloads::{KMeans, KMeansConfig, Sql, SqlConfig};
 
@@ -43,6 +45,8 @@ struct Observed {
     /// durations, IO counters, utilization trace.
     sim_books: String,
     spilled: bool,
+    /// Cached partitions re-homed off a lost node.
+    rehomed: u64,
 }
 
 fn observe(ctx: &Context, result: String) -> Observed {
@@ -75,6 +79,7 @@ fn observe(ctx: &Context, result: String) -> Observed {
             ctx.sim().trace().points()
         ),
         spilled: mem.spills + mem.evictions > 0,
+        rehomed: ctx.fault_counters().replica_rehomed_partitions,
     }
 }
 
@@ -85,7 +90,9 @@ fn sql(opts: &EngineOptions) -> Observed {
     observe(&res.ctx, format!("{:?}", res.joined))
 }
 
-fn kmeans(opts: &EngineOptions) -> Observed {
+/// Runs k-means and returns its observation plus the virtual time at
+/// which its first stage — the one that caches the input — ended.
+fn kmeans_timed(opts: &EngineOptions) -> (Observed, f64) {
     // The paper layout thinned to what exercises the engine — the cached
     // input re-read by a preparation pass and two Lloyd iterations — with
     // short vectors, so an unoptimized build spends its time in the
@@ -98,7 +105,13 @@ fn kmeans(opts: &EngineOptions) -> Observed {
     };
     let mut res = KMeans::new(cfg).execute(opts, &WorkloadConf::new(), SCALE);
     res.histogram.sort_unstable();
-    observe(&res.ctx, format!("{:?} {:?}", res.centers, res.histogram))
+    let cached_at = res.ctx.all_stages()[0].end;
+    let result = format!("{:?} {:?}", res.centers, res.histogram);
+    (observe(&res.ctx, result), cached_at)
+}
+
+fn kmeans(opts: &EngineOptions) -> Observed {
+    kmeans_timed(opts).0
 }
 
 fn assert_layout_and_workers_do_not_matter(name: &str, run: fn(&EngineOptions) -> Observed) {
@@ -132,6 +145,38 @@ fn sql_is_identical_across_workers_layout_and_budget() {
 #[test]
 fn kmeans_is_identical_across_workers_layout_and_budget() {
     assert_layout_and_workers_do_not_matter("kmeans", kmeans);
+}
+
+#[test]
+fn kmeans_under_a_budget_survives_a_node_loss() {
+    let (free, cached_at) = kmeans_timed(&options(1, false, 8, None));
+    // Due as soon as the cached input exists: the loss is applied at the
+    // next stage boundary, before the first re-read of the cache.
+    let plan = FaultPlan {
+        node_loss: vec![NodeLoss {
+            node: 0,
+            at: cached_at,
+        }],
+        ..FaultPlan::default()
+    };
+    let run = |workers, batch| {
+        kmeans(&EngineOptions {
+            faults: Some(plan.clone()),
+            ..options(workers, batch, 8, Some(TIGHT_MEM))
+        })
+    };
+    let reference = run(1, false);
+    assert!(reference.spilled, "the tight budget never engaged");
+    assert!(reference.rehomed > 0, "node 0 held no cached partition");
+    assert_eq!(free.result, reference.result);
+    assert_eq!(free.byte_table, reference.byte_table);
+    for (workers, batch) in [(1, true), (8, false), (8, true)] {
+        assert_eq!(
+            run(workers, batch),
+            reference,
+            "workers={workers} batch={batch}"
+        );
+    }
 }
 
 #[test]

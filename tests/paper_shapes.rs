@@ -120,6 +120,12 @@ fn fig9_join_volume_is_placement_independent() {
     let v_join = vanilla.all_stages()[4].clone();
     let c_join = chopper.all_stages()[4].clone();
     assert_eq!(v_join.shuffle_read_bytes, c_join.shuffle_read_bytes);
+    assert!(
+        vanilla.all_stages()[..4]
+            .iter()
+            .all(|s| s.shuffle_data() > 0),
+        "the scans and aggregations feeding the join all shuffle"
+    );
     assert_eq!(
         c_join.remote_read_bytes, 0,
         "co-partitioned join is fully local"
@@ -148,6 +154,8 @@ fn utilization_traces_are_sane() {
     // transactions.
     assert!(points.iter().any(|p| p.packets_per_sec > 0.0));
     assert!(points.iter().any(|p| p.transactions_per_sec > 0.0));
+    // The cached input shows as resident memory.
+    assert!(points.iter().any(|p| p.mem_pct > 0.0));
 }
 
 /// The engine's virtual timing is fully deterministic across repeated runs
