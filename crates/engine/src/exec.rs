@@ -14,7 +14,8 @@ use crate::pool::{lock, WorkerPool};
 use crate::rdd::{Rdd, RddGraph};
 use crate::record::{batch_size, IntoRecord, Key, Record};
 use crate::shuffle::{
-    CogroupMerge, ConcatMerge, GroupMerge, JoinMerge, ReduceMerge, Run, Runs, TaskArena, TaskRuns,
+    CogroupMerge, Combiner, ConcatMerge, GroupMerge, JoinMerge, ReduceMerge, Run, Runs, TaskArena,
+    TaskRuns,
 };
 use crate::stage::{plan_job, MaterializedInfo, Plan, PlanStage, SideDep, StageOutput, StageRoot};
 use blockstore::BlockStore;
@@ -797,14 +798,29 @@ impl Context {
     // Actions
     // ------------------------------------------------------------------
 
-    /// Runs the job computing `rdd` and returns all its records.
+    /// Runs the job computing `rdd` and returns all its records. A task's
+    /// own output is moved into the result; only a window of a shared
+    /// source or cache partition is cloned.
     pub fn collect(&mut self, rdd: Rdd, name: &str) -> Vec<Record> {
-        self.run_job(rdd, name)
+        let outs = self.run_job(rdd, name);
+        let mut all = Vec::with_capacity(outs.iter().map(|o| o.out_records as usize).sum());
+        for out in outs {
+            match out.records {
+                TaskRecords::Owned(v) => all.extend(v),
+                shared => all.extend_from_slice(shared.as_slice()),
+            }
+        }
+        all
     }
 
-    /// Runs the job computing `rdd` and returns its record count.
+    /// Runs the job computing `rdd` and returns its record count. No
+    /// result vector is built, but the job is charged on the virtual clock
+    /// exactly like a [`Context::collect`] — the driver-link transfer of
+    /// the result's bytes included (every committed figure pins that), so
+    /// the tasks still sum their output bytes.
     pub fn count(&mut self, rdd: Rdd, name: &str) -> u64 {
-        self.run_job(rdd, name).len() as u64
+        let outs = self.run_job(rdd, name);
+        outs.iter().map(|o| o.out_records).sum()
     }
 
     fn mat_infos(&self) -> HashMap<Rdd, MaterializedInfo> {
@@ -822,7 +838,9 @@ impl Context {
             .collect()
     }
 
-    fn run_job(&mut self, final_rdd: Rdd, name: &str) -> Vec<Record> {
+    /// Runs the job computing `final_rdd` and returns the outputs of its
+    /// result stage's tasks.
+    fn run_job(&mut self, final_rdd: Rdd, name: &str) -> Vec<TaskOut> {
         let plan = plan_job(
             &self.graph,
             final_rdd,
@@ -836,20 +854,20 @@ impl Context {
         let mut shuffles: Vec<Option<ShuffleData>> = Vec::new();
         shuffles.resize_with(plan.shuffles.len(), || None);
         let mut stage_metrics: Vec<StageMetrics> = Vec::new();
-        let mut result: Vec<Record> = Vec::new();
+        let mut result: Vec<TaskOut> = Vec::new();
 
         for idx in 0..plan.stages.len() {
             let gid = self.next_stage_id;
             self.next_stage_id += 1;
-            let (metrics, output_records) = self.exec_stage(&plan, idx, gid, job_id, &mut shuffles);
+            let (metrics, result_outs) = self.exec_stage(&plan, idx, gid, job_id, &mut shuffles);
             stage_metrics.push(metrics);
-            if let Some(records) = output_records {
-                result = records;
+            if let Some(outs) = result_outs {
+                result = outs;
             }
         }
 
         // Driver-side result collection over the master's link.
-        let result_bytes = batch_size(&result);
+        let result_bytes: u64 = result.iter().map(|o| o.out_bytes).sum();
         if result_bytes > 0 {
             self.sim
                 .advance(result_bytes as f64 / self.options.driver_bandwidth);
@@ -1023,7 +1041,7 @@ impl Context {
         gid: usize,
         job_id: usize,
         shuffles: &mut [Option<ShuffleData>],
-    ) -> (StageMetrics, Option<Vec<Record>>) {
+    ) -> (StageMetrics, Option<Vec<TaskOut>>) {
         let stage = &plan.stages[plan_idx];
         let cx = StageCtx {
             plan,
@@ -1093,7 +1111,7 @@ impl Context {
             &timing,
             reads.parents_gids,
         );
-        let mut result_records = None;
+        let mut result_outs = None;
         match (stage.output, writes) {
             (StageOutput::ShuffleWrite(sidx), Some(writes)) => {
                 let mut rows = Vec::with_capacity(cx.num_tasks);
@@ -1123,13 +1141,7 @@ impl Context {
                     reads_left,
                 });
             }
-            (StageOutput::Result, _) => {
-                let mut all = Vec::new();
-                for out in &outs {
-                    all.extend_from_slice(out.records.as_slice());
-                }
-                result_records = Some(all);
-            }
+            (StageOutput::Result, _) => result_outs = Some(outs),
             (StageOutput::ShuffleWrite(_), None) => {
                 unreachable!("shuffle-write tasks return their runs")
             }
@@ -1142,7 +1154,7 @@ impl Context {
             self.sim.resident_bytes(),
             "a cached partition moved without going through `book`"
         );
-        (metrics, result_records)
+        (metrics, result_outs)
     }
 
     // ------------------------------------------------------------------
@@ -1319,12 +1331,15 @@ impl Context {
     // Phase 2: run tasks
     // ------------------------------------------------------------------
 
-    /// Runs the stage's tasks on the pool. A shuffle-write task bucketizes
-    /// (and combines) its own output by move before the next task starts;
-    /// a range shuffle first needs every task's key sample for its bounds,
-    /// so it computes in one pass and bucketizes, still by move, in a
-    /// second. Returns per-task outputs and, for shuffle writes, per-task
-    /// runs.
+    /// Runs the stage's tasks on the pool. A task feeding a hash shuffle
+    /// with map-side combine streams its narrow chain straight into the
+    /// combine and never holds its pre-combine output; a combine-free hash
+    /// write collects the task's output first (the columnar layout needs
+    /// all of it) and bucketizes it by move before the next task starts;
+    /// a range shuffle first needs every task's key sample for its
+    /// bounds, so it computes in one pass and bucketizes, still by move,
+    /// in a second. Returns per-task outputs and, for shuffle writes,
+    /// per-task runs.
     fn run_tasks(
         &self,
         cx: &StageCtx<'_>,
@@ -1361,7 +1376,7 @@ impl Context {
                 cap: (20 * w.spec.partitions).div_ceil(num_tasks).max(8),
                 seed: w.seed,
             });
-        let compute = |i: usize| {
+        let compute = |i: usize, stream: Option<&mut CombineSink<'_>>| {
             compute_task(
                 &self.graph,
                 input,
@@ -1372,26 +1387,38 @@ impl Context {
                 },
                 capture_root.then_some(root_rdd),
                 sample.as_ref(),
+                stream,
             )
         };
         let (pool, cap) = (&*self.pool, self.lane_cap());
         let Some(writer) = writer else {
-            return (pool.map_capped(num_tasks, cap, |i, _| compute(i)), None);
+            return (
+                pool.map_capped(num_tasks, cap, |i, _| compute(i, None)),
+                None,
+            );
         };
         if !writer.is_range() {
             let partitioner = build_partitioner(writer.spec, std::iter::empty(), writer.seed);
             let (outs, writes) = pool
                 .map_capped(num_tasks, cap, |i, p| {
-                    let mut out = compute(i);
-                    let records = std::mem::take(&mut out.records);
-                    let write = writer.write(records, &*partitioner, &mut pool.arena(p));
-                    (out, write)
+                    pool.with_arena(p, |arena| match &writer.combine {
+                        Some(f) => {
+                            let mut sink = CombineSink::new(Combiner::new(&*partitioner, f, arena));
+                            let out = compute(i, Some(&mut sink));
+                            (out, writer.finish(sink))
+                        }
+                        None => {
+                            let mut out = compute(i, None);
+                            let records = std::mem::take(&mut out.records);
+                            (out, writer.write(records, &*partitioner, arena))
+                        }
+                    })
                 })
                 .into_iter()
                 .unzip();
             return (outs, Some(writes));
         }
-        let mut outs = pool.map_capped(num_tasks, cap, |i, _| compute(i));
+        let mut outs = pool.map_capped(num_tasks, cap, |i, _| compute(i, None));
         // Bounds come from the per-task samples concatenated in task order,
         // so they are independent of worker scheduling.
         let keys: Vec<Key> = outs.iter().flat_map(|o| o.sample.iter().cloned()).collect();
@@ -1402,7 +1429,7 @@ impl Context {
             .collect();
         let writes = pool.map_capped(num_tasks, cap, |i, p| {
             let records = std::mem::take(&mut *lock(&records[i]));
-            writer.write(records, &*partitioner, &mut pool.arena(p))
+            pool.with_arena(p, |arena| writer.write(records, &*partitioner, arena))
         });
         (outs, Some(writes))
     }
@@ -2448,7 +2475,7 @@ impl ShuffleWriter {
         partitioner: &dyn Partitioner,
         arena: &mut TaskArena,
     ) -> MapWrite {
-        let n = records.len() as f64;
+        let n = records.len() as u64;
         let columnar = (self.batch && self.combine.is_none())
             .then(|| {
                 crate::shuffle::bucketize_columnar_runs(records.as_slice(), partitioner, arena)
@@ -2466,6 +2493,21 @@ impl ShuffleWriter {
                 arena,
             ),
         };
+        self.charged(runs, n, combine_ops)
+    }
+
+    /// Closes a streamed combining write: the sink has already folded
+    /// every record the task's chain produced.
+    fn finish(&self, sink: CombineSink<'_>) -> MapWrite {
+        let (runs, combine_ops) = sink.combiner.finish();
+        self.charged(runs, sink.records, combine_ops)
+    }
+
+    /// `runs` with the compute charged for writing them: partitioning (and
+    /// range sampling) per record the task produced, `n` of them, plus the
+    /// combine applications.
+    fn charged(&self, runs: TaskRuns, n: u64, combine_ops: u64) -> MapWrite {
+        let n = n as f64;
         let mut cost = n * PARTITION_COST + combine_ops as f64 * self.combine_cost;
         if self.is_range() {
             cost += n * SAMPLE_COST;
@@ -2510,25 +2552,25 @@ impl TaskRecords {
     }
 }
 
-/// An `Arc` snapshot of the records for cache persistence. Shared windows
-/// covering a whole partition are captured without copying.
-fn capture_arc(records: &TaskRecords) -> Arc<Vec<Record>> {
-    match records {
-        TaskRecords::Owned(v) => Arc::new(v.clone()),
-        TaskRecords::Shared(data, start, end) => {
-            if *start == 0 && *end == data.len() {
-                Arc::clone(data)
-            } else {
-                Arc::new(data[*start..*end].to_vec())
-            }
-        }
-    }
+/// Captures the records for cache persistence and leaves the task reading
+/// the captured partition. Nothing is copied: an owned vector moves into
+/// its `Arc`, a shared window covering a whole partition is captured as
+/// that partition (only a partial window of a source collection is cloned).
+fn capture(records: &mut TaskRecords) -> Arc<Vec<Record>> {
+    let part = match std::mem::take(records) {
+        TaskRecords::Owned(v) => Arc::new(v),
+        TaskRecords::Shared(data, start, end) if start == 0 && end == data.len() => data,
+        TaskRecords::Shared(data, start, end) => Arc::new(data[start..end].to_vec()),
+    };
+    *records = TaskRecords::Shared(Arc::clone(&part), 0, part.len());
+    part
 }
 
 struct TaskOut {
-    /// The task's output; emptied once a shuffle write has consumed it.
+    /// The task's output; empty once a shuffle write has consumed it, and
+    /// from the start when the task streamed it into one.
     records: TaskRecords,
-    /// Count and encoded size of `records` as the task produced them.
+    /// Count and encoded size of the records the task produced.
     out_records: u64,
     out_bytes: u64,
     cost: f64,
@@ -2561,16 +2603,57 @@ struct OpState<'g> {
     inputs: u64,
 }
 
+/// Where a fused pass puts the records that survive it.
+trait RecordSink {
+    fn push<R: IntoRecord>(&mut self, rec: R);
+}
+
+/// Collects the pass's output; a borrowed record is cloned here.
+impl RecordSink for Vec<Record> {
+    fn push<R: IntoRecord>(&mut self, rec: R) {
+        Vec::push(self, rec.into_record());
+    }
+}
+
+/// A task's streamed shuffle write: counts and sizes every record the
+/// narrow chain produces — the task's output as the metrics and the
+/// simulator's memory charge see it — and folds it into the map-side
+/// combine on the spot.
+struct CombineSink<'a> {
+    combiner: Combiner<'a>,
+    records: u64,
+    bytes: u64,
+}
+
+impl<'a> CombineSink<'a> {
+    fn new(combiner: Combiner<'a>) -> Self {
+        CombineSink {
+            combiner,
+            records: 0,
+            bytes: 0,
+        }
+    }
+}
+
+impl RecordSink for CombineSink<'_> {
+    #[inline]
+    fn push<R: IntoRecord>(&mut self, rec: R) {
+        self.records += 1;
+        self.bytes += rec.borrow().encoded_size();
+        self.combiner.push(rec);
+    }
+}
+
 /// Streams one record, owned or borrowed, through the remaining fused
-/// ops. A borrowed record is cloned only if it survives to the output;
-/// whatever a `Map`/`FlatMap` produces continues owned.
+/// ops. A borrowed record is cloned only if the sink keeps it; whatever a
+/// `Map`/`FlatMap` produces continues owned.
 ///
 /// Records arrive at each op in the same order as the op-at-a-time loop
 /// (every narrow op is order-preserving), so per-op `Sample` RNG draws are
 /// bit-identical to the unfused execution.
-fn feed<R: IntoRecord>(ops: &mut [OpState<'_>], rec: R, out: &mut Vec<Record>) {
+fn feed<R: IntoRecord, S: RecordSink>(ops: &mut [OpState<'_>], rec: R, out: &mut S) {
     let Some((head, rest)) = ops.split_first_mut() else {
-        out.push(rec.into_record());
+        out.push(rec);
         return;
     };
     head.inputs += 1;
@@ -2589,6 +2672,23 @@ fn feed<R: IntoRecord>(ops: &mut [OpState<'_>], rec: R, out: &mut Vec<Record>) {
         FusedOp::Sample { fraction, rng } => {
             if rng.next_f64() < *fraction {
                 feed(rest, rec, out);
+            }
+        }
+    }
+}
+
+/// One fused pass: every record of `records` — moved if the task owns
+/// them, lent if they window a shared partition — through `ops` into `out`.
+fn feed_all<S: RecordSink>(records: TaskRecords, ops: &mut [OpState<'_>], out: &mut S) {
+    match records {
+        TaskRecords::Owned(v) => {
+            for rec in v {
+                feed(ops, rec, out);
+            }
+        }
+        TaskRecords::Shared(data, start, end) => {
+            for rec in &data[start..end] {
+                feed(ops, rec, out);
             }
         }
     }
@@ -2741,7 +2841,9 @@ fn read_root(input: &StageInput<'_>, task: TaskId) -> RootRead {
 
 /// Runs one task: root input, narrow chain, cache captures, and — for
 /// range-shuffle writes — a reservoir sample of the output keys.
-/// `capture_root` names the root RDD when its output must be cached.
+/// `capture_root` names the root RDD when its output must be cached. With
+/// a `stream`, the task's output goes into it record by record and
+/// [`TaskOut::records`] stays empty.
 fn compute_task(
     graph: &RddGraph,
     input: &StageInput<'_>,
@@ -2749,11 +2851,12 @@ fn compute_task(
     task: TaskId,
     capture_root: Option<Rdd>,
     range_sample: Option<&SampleSpec>,
+    mut stream: Option<&mut CombineSink<'_>>,
 ) -> TaskOut {
-    let root = read_root(input, task);
+    let mut root = read_root(input, task);
     let mut captures = Vec::new();
     if let Some(root_rdd) = capture_root {
-        captures.push((root_rdd, capture_arc(&root.records)));
+        captures.push((root_rdd, capture(&mut root.records)));
     }
     let mut cost = root.cost;
     let records = run_chain(
@@ -2763,6 +2866,7 @@ fn compute_task(
         root.records,
         &mut cost,
         &mut captures,
+        stream.as_deref_mut(),
     );
     let sample = match range_sample {
         Some(spec) => {
@@ -2775,10 +2879,14 @@ fn compute_task(
         }
         None => Vec::new(),
     };
+    let (out_records, out_bytes) = match stream {
+        Some(sink) => (sink.records, sink.bytes),
+        None => (records.len() as u64, batch_size(records.as_slice())),
+    };
     TaskOut {
-        out_records: records.len() as u64,
-        out_bytes: batch_size(records.as_slice()),
         records,
+        out_records,
+        out_bytes,
         cost,
         input_records: root.input_records,
         input_bytes: root.input_bytes,
@@ -2788,11 +2896,14 @@ fn compute_task(
     }
 }
 
-/// Applies the narrow chain to `records` as fused streaming passes: one
-/// pass per segment, where a segment ends at (and includes) the next
-/// cached node, whose full output must be materialized for capture. An
-/// empty chain passes a shared window straight through. Per-op compute is
-/// added to `cost`.
+/// Applies the narrow chain to `records` as fused streaming passes, one
+/// per segment. A segment ends at (and includes) the next cached node:
+/// its output is materialized, captured by move, and the task reads on
+/// from the captured partition. The last pass writes into `stream` when
+/// the task has one — with no ops left if the chain ended in a cached
+/// node — and nothing is returned; without a stream the last pass's
+/// output is returned, and an empty chain passes its input straight
+/// through. Per-op compute is added to `cost`.
 fn run_chain(
     graph: &RddGraph,
     chain: &[Rdd],
@@ -2800,10 +2911,11 @@ fn run_chain(
     mut records: TaskRecords,
     cost: &mut f64,
     captures: &mut Vec<(Rdd, Arc<Vec<Record>>)>,
+    mut stream: Option<&mut CombineSink<'_>>,
 ) -> TaskRecords {
     let mut counts: Vec<u64> = vec![0; chain.len()];
     let mut pos = 0;
-    while pos < chain.len() {
+    while pos < chain.len() || stream.is_some() {
         let seg_end = chain[pos..]
             .iter()
             .position(|&r| graph.node(r).cached)
@@ -2825,26 +2937,25 @@ fn run_chain(
                 inputs: 0,
             })
             .collect();
-        let mut out = Vec::new();
-        match std::mem::take(&mut records) {
-            TaskRecords::Owned(v) => {
-                for rec in v {
-                    feed(&mut ops, rec, &mut out);
-                }
-            }
-            TaskRecords::Shared(data, start, end) => {
-                for rec in &data[start..end] {
-                    feed(&mut ops, rec, &mut out);
+        let cached = chain[pos..seg_end]
+            .last()
+            .filter(|&&r| graph.node(r).cached);
+        let input = std::mem::take(&mut records);
+        // A segment that ends in a cached node is never the streamed one.
+        match stream.take_if(|_| cached.is_none()) {
+            Some(sink) => feed_all(input, &mut ops, sink),
+            None => {
+                let mut out = Vec::new();
+                feed_all(input, &mut ops, &mut out);
+                records = TaskRecords::Owned(out);
+                if let Some(&rdd) = cached {
+                    captures.push((rdd, capture(&mut records)));
                 }
             }
         }
         for (off, st) in ops.iter().enumerate() {
             counts[pos + off] = st.inputs;
         }
-        if graph.node(chain[seg_end - 1]).cached {
-            captures.push((chain[seg_end - 1], Arc::new(out.clone())));
-        }
-        records = TaskRecords::Owned(out);
         pos = seg_end;
     }
 
@@ -2945,6 +3056,230 @@ mod tests {
             assert_eq!(owned, shared, "chain {spec:?}");
             assert!(!owned.0.is_empty(), "chain {spec:?} keeps something");
         }
+    }
+
+    /// One task of `src → flat-map → filter`, written to a 5-way hash
+    /// shuffle with a map-side combine: streamed into the combine, or
+    /// collected first and handed to the writer.
+    fn combining_task(
+        graph: &RddGraph,
+        chain: &[Rdd],
+        data: &Arc<Vec<Record>>,
+        index: usize,
+        streamed: bool,
+    ) -> (TaskOut, MapWrite) {
+        let writer = ShuffleWriter {
+            spec: PartitionerSpec::hash(5),
+            combine: Some(sum()),
+            combine_cost: 1e-6,
+            seed: 9,
+            batch: true,
+        };
+        let partitioner = build_partitioner(writer.spec, std::iter::empty(), writer.seed);
+        let f = writer.combine.as_ref().expect("combining writer");
+        let arena = &mut TaskArena::default();
+        let task = TaskId { index, of: 3 };
+        let input = StageInput::Slice(data);
+        if streamed {
+            let mut sink = CombineSink::new(Combiner::new(&*partitioner, f, arena));
+            let out = compute_task(graph, &input, chain, task, None, None, Some(&mut sink));
+            assert!(
+                out.records.as_slice().is_empty(),
+                "a streamed task holds nothing"
+            );
+            (out, writer.finish(sink))
+        } else {
+            let mut out = compute_task(graph, &input, chain, task, None, None, None);
+            let records = std::mem::take(&mut out.records);
+            (out, writer.write(records, &*partitioner, arena))
+        }
+    }
+
+    #[test]
+    fn a_streamed_combine_write_equals_the_collected_one_cached_tail_or_not() {
+        let mut graph = RddGraph::new();
+        let data: Vec<Record> = (0..240)
+            .map(|i| Record::new(Key::Int(i % 17), Value::Int(i)))
+            .collect();
+        let src = graph.parallelize(data.clone(), 3, "src");
+        let spread = graph.flat_map(
+            src,
+            Arc::new(|r: &Record| {
+                (0..r.value.as_int() % 3)
+                    .map(|j| Record::new(Key::Int(r.value.as_int() % 7 + j), r.value.clone()))
+                    .collect()
+            }),
+            2e-6,
+            "spread",
+        );
+        let kept = graph.filter(
+            spread,
+            Arc::new(|r: &Record| r.value.as_int() % 5 != 0),
+            1e-6,
+            "kept",
+        );
+        let (chain, data) = ([spread, kept], Arc::new(data));
+        for index in 0..3 {
+            graph.set_uncached(kept);
+            let (collected, collected_write) = combining_task(&graph, &chain, &data, index, false);
+            assert!(collected.out_records > 0, "task {index} keeps something");
+            let task = TaskId { index, of: 3 };
+            let chain_output = compute_task(
+                &graph,
+                &StageInput::Slice(&data),
+                &chain,
+                task,
+                None,
+                None,
+                None,
+            )
+            .records;
+            for (cached_tail, streamed) in [(false, true), (true, true), (true, false)] {
+                if cached_tail {
+                    graph.set_cached(kept);
+                } else {
+                    graph.set_uncached(kept);
+                }
+                let (out, write) = combining_task(&graph, &chain, &data, index, streamed);
+                let case = format!("task {index} cached tail {cached_tail} streamed {streamed}");
+                assert_eq!(out.out_records, collected.out_records, "{case}");
+                assert_eq!(out.out_bytes, collected.out_bytes, "{case}");
+                assert_eq!(out.input_records, collected.input_records, "{case}");
+                assert_eq!(out.cost.to_bits(), collected.cost.to_bits(), "{case}");
+                assert_eq!(
+                    write.cost.to_bits(),
+                    collected_write.cost.to_bits(),
+                    "{case}"
+                );
+                assert_eq!(write.runs.offsets, collected_write.runs.offsets, "{case}");
+                assert_eq!(write.runs.bytes, collected_write.runs.bytes, "{case}");
+                match (&write.runs.runs, &collected_write.runs.runs) {
+                    (Runs::Rows(a), Runs::Rows(b)) => assert_eq!(a, b, "{case}"),
+                    _ => panic!("{case}: a combining write is a row write"),
+                }
+                if cached_tail {
+                    // The capture is the chain's whole pre-combine output.
+                    let [(rdd, part)] = out.captures.as_slice() else {
+                        panic!("{case}: one capture")
+                    };
+                    assert_eq!(*rdd, kept, "{case}");
+                    assert_eq!(part.as_slice(), chain_output.as_slice(), "{case}");
+                } else {
+                    assert!(out.captures.is_empty(), "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_capture_moves_an_owned_output_and_shares_a_whole_partition() {
+        let owned: Vec<Record> = word_records();
+        let at = owned.as_ptr();
+        let mut records = TaskRecords::Owned(owned);
+        let part = capture(&mut records);
+        assert_eq!(part.as_ptr(), at, "the vector moved into its Arc");
+        assert!(
+            matches!(&records, TaskRecords::Shared(data, 0, 200) if Arc::ptr_eq(data, &part)),
+            "the task reads on from the captured partition"
+        );
+        // A window over a whole shared partition is that partition...
+        let again = capture(&mut records);
+        assert!(Arc::ptr_eq(&again, &part));
+        // ...and only a partial window is copied.
+        let mut window = TaskRecords::Shared(Arc::clone(&part), 50, 80);
+        let copy = capture(&mut window);
+        assert_eq!(copy.as_slice(), &part[50..80]);
+        assert_eq!(window.as_slice(), &part[50..80]);
+    }
+
+    /// Three jobs over one lineage, with `act` as the action: a cached
+    /// source chain (the result stage's output is a shared capture), the
+    /// cache re-read, and a reduce (the result stage owns its output).
+    fn counted_jobs(mut act: impl FnMut(&mut Context, Rdd, &str) -> u64) -> (Vec<u64>, Context) {
+        let mut ctx = Context::new(test_options());
+        let src = ctx.parallelize(word_records(), 4, "src");
+        let odd = ctx.filter(
+            src,
+            Arc::new(|r: &Record| r.key != Key::Int(4)),
+            1e-6,
+            "odd",
+        );
+        ctx.cache(odd);
+        let counts = ctx.reduce_by_key(odd, sum(), None, 1e-6, "count");
+        let sizes = vec![
+            act(&mut ctx, odd, "materialize"),
+            act(&mut ctx, odd, "reuse"),
+            act(&mut ctx, counts, "reduce"),
+        ];
+        (sizes, ctx)
+    }
+
+    #[test]
+    fn count_is_collect_without_the_records() {
+        let (counted, a) = counted_jobs(|ctx, rdd, name| ctx.count(rdd, name));
+        let (collected, b) = counted_jobs(|ctx, rdd, name| ctx.collect(rdd, name).len() as u64);
+        assert_eq!(counted, vec![180, 180, 9]);
+        assert_eq!(counted, collected);
+        assert_eq!(a.clock().to_bits(), b.clock().to_bits());
+        // `f64`'s `Debug` is a shortest round-trip form: equal text, equal bits.
+        assert_eq!(format!("{:?}", a.jobs()), format!("{:?}", b.jobs()));
+    }
+
+    /// Two tenants capped to one lane each run inline on their own threads
+    /// and both get participant 0 of the shared pool — the same arena
+    /// slot. A task that kept that slot locked while its user closures run
+    /// would make A, parked inside its map function, block B's shuffle
+    /// write for good.
+    #[test]
+    fn tenants_of_a_shared_pool_do_not_wait_on_each_others_tasks() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let pool = Arc::new(WorkerPool::new(2));
+        let tenant = || {
+            let ctx = Context::new(EngineOptions {
+                shared_pool: Some(Arc::clone(&pool)),
+                ..test_options()
+            });
+            ctx.slot_cap_handle().store(1, Ordering::Relaxed);
+            ctx
+        };
+        let (mut a, mut b) = (tenant(), tenant());
+        let (a_parked, a_is_parked) = mpsc::channel::<()>();
+        let (b_done, b_is_done) = mpsc::channel::<()>();
+        // A's first record parks the task until B's job has finished.
+        let gate = Mutex::new(Some((a_parked, b_is_done)));
+        let src = a.parallelize(word_records(), 4, "src");
+        let parked = a.map(
+            src,
+            Arc::new(move |r: &Record| {
+                let first_call = lock(&gate).take();
+                if let Some((a_parked, b_is_done)) = first_call {
+                    a_parked.send(()).expect("the test is listening");
+                    b_is_done
+                        .recv_timeout(Duration::from_secs(60))
+                        .expect("B finishes its combine job while A's task is parked");
+                }
+                r.clone()
+            }),
+            1e-6,
+            "parked",
+        );
+        let a_counts = a.reduce_by_key(parked, sum(), None, 1e-6, "count");
+        let src = b.parallelize(word_records(), 4, "src");
+        let b_counts = b.reduce_by_key(src, sum(), None, 1e-6, "count");
+        std::thread::scope(|s| {
+            let a_job = s.spawn(|| a.collect(a_counts, "a").len());
+            let b_job = s.spawn(move || {
+                a_is_parked
+                    .recv_timeout(Duration::from_secs(60))
+                    .expect("A starts its map stage");
+                let n = b.collect(b_counts, "b").len();
+                b_done.send(()).expect("A is waiting");
+                n
+            });
+            assert_eq!(b_job.join().expect("tenant B"), 10);
+            assert_eq!(a_job.join().expect("tenant A"), 10);
+        });
     }
 
     #[test]

@@ -37,7 +37,7 @@
 use crate::shuffle::TaskArena;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use trace::{pids, Clock, PoolCounters, TraceSink, Track};
 
@@ -57,8 +57,8 @@ pub struct WorkerPool {
     /// One reusable [`TaskArena`] per participant: scratch allocations for
     /// the shuffle write survive across tasks instead of being re-allocated
     /// per call. Items dispatched via [`WorkerPool::map_with`] receive
-    /// their participant id and borrow that participant's arena
-    /// uncontended (a participant runs one item at a time).
+    /// their participant id and take that participant's arena for the
+    /// length of the item (see [`WorkerPool::with_arena`]).
     arenas: Vec<Mutex<TaskArena>>,
 }
 
@@ -205,17 +205,27 @@ impl WorkerPool {
         self.map_with(n, |i, _| f(i))
     }
 
-    /// Borrows the reusable scratch arena of `participant` (as reported to
-    /// a [`WorkerPool::map_with`] closure). Uncontended in practice: a
-    /// participant runs one item at a time.
-    pub fn arena(&self, participant: usize) -> MutexGuard<'_, TaskArena> {
-        lock(&self.arenas[participant])
+    /// Runs `f` over the reusable scratch arena of `participant` (as
+    /// reported to a [`WorkerPool::map_with`] closure). The arena is taken
+    /// out of its slot and put back afterwards, so no lock is held while
+    /// `f` runs — `f` may call user closures and block. A participant id
+    /// is *not* exclusive to one thread: the inline path of
+    /// [`WorkerPool::map_capped`] (a dispatch capped to one lane, or of one
+    /// item) reports participant 0 to every calling thread, so all tenants
+    /// of a shared pool meet on slot 0. A caller that finds the slot taken
+    /// works over a fresh arena, and the last one back keeps its scratch.
+    pub fn with_arena<T>(&self, participant: usize, f: impl FnOnce(&mut TaskArena) -> T) -> T {
+        let slot = &self.arenas[participant];
+        let mut arena = std::mem::take(&mut *lock(slot));
+        let out = f(&mut arena);
+        *lock(slot) = arena;
+        out
     }
 
     /// Like [`WorkerPool::map`], but `f` also receives the id of the
     /// participant executing the item (`0..workers()`, stable for the
     /// lifetime of the pool), for access to per-participant scratch state
-    /// such as [`WorkerPool::arena`].
+    /// such as [`WorkerPool::with_arena`].
     pub fn map_with<U, F>(&self, n: usize, f: F) -> Vec<U>
     where
         U: Send,
@@ -588,8 +598,9 @@ mod tests {
         let expected = crate::shuffle::bucketize(&records, &p, None).0;
         let out = pool.map_with(32, |i, participant| {
             assert!(participant < pool.workers());
-            let mut arena = pool.arena(participant);
-            let (tb, _) = crate::shuffle::bucketize_owned_in(records.clone(), &p, None, &mut arena);
+            let (tb, _) = pool.with_arena(participant, |arena| {
+                crate::shuffle::bucketize_owned_in(records.clone(), &p, None, arena)
+            });
             (i, tb.bytes)
         });
         for (i, (idx, bytes)) in out.iter().enumerate() {

@@ -195,8 +195,10 @@ impl Record {
 /// cloned only in the part that is kept — the whole record when it is the
 /// first with its key, just the value when it joins a key already held,
 /// nothing when it is folded by reference or dropped.
-pub(crate) trait IntoRecord: std::borrow::Borrow<Record> {
+pub trait IntoRecord: std::borrow::Borrow<Record> {
+    /// The whole record, cloned if it was borrowed.
     fn into_record(self) -> Record;
+    /// Only the value, cloned if the record was borrowed.
     fn into_value(self) -> Value;
 }
 

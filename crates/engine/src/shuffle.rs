@@ -14,7 +14,9 @@
 //! ([`TaskRuns`]). Nothing is allocated per reduce partition, so a write
 //! costs the same at P = 60 and P = 1200; [`TaskBuckets`] is the same
 //! output cut into one [`Bucket`] per partition, for callers that want
-//! the pieces.
+//! the pieces. The map-side combine is incremental ([`Combiner`]): the
+//! executor pushes a task's records into it as the narrow chain produces
+//! them, and the whole-sequence writes are the loop over the same `push`.
 //!
 //! Reduce-side merges are *incremental*: each merge is an accumulator
 //! ([`ReduceMerge`], [`GroupMerge`], [`ConcatMerge`], [`JoinMerge`],
@@ -255,21 +257,19 @@ pub fn bucketize_owned_in(
 /// the survivors are ordered the same way, so a run keeps first-seen key
 /// order. Returns the runs and the number of combine applications.
 pub fn bucketize_runs(
-    records: Vec<Record>,
+    mut records: Vec<Record>,
     partitioner: &dyn Partitioner,
     combine: Option<&ReduceFn>,
     arena: &mut TaskArena,
 ) -> (TaskRuns, u64) {
-    let p = partitioner.num_partitions();
-    let (mut records, ops) = match combine {
+    match combine {
         None => {
             assign(&records, partitioner, arena);
-            (records, 0)
+            let p = partitioner.num_partitions();
+            (order_runs(p, arena, |i| std::mem::take(&mut records[i])), 0)
         }
         Some(f) => combine_first_seen(records, partitioner, f, arena),
-    };
-    let runs = order_runs(p, arena, |i| std::mem::take(&mut records[i]));
-    (runs, ops)
+    }
 }
 
 /// [`bucketize_runs`] over records the task does not own (a window of a
@@ -281,17 +281,13 @@ pub fn bucketize_runs_shared(
     combine: Option<&ReduceFn>,
     arena: &mut TaskArena,
 ) -> (TaskRuns, u64) {
-    let p = partitioner.num_partitions();
     match combine {
         None => {
             assign(records, partitioner, arena);
+            let p = partitioner.num_partitions();
             (order_runs(p, arena, |i| records[i].clone()), 0)
         }
-        Some(f) => {
-            let (mut survivors, ops) = combine_first_seen(records, partitioner, f, arena);
-            let runs = order_runs(p, arena, |i| std::mem::take(&mut survivors[i]));
-            (runs, ops)
-        }
+        Some(f) => combine_first_seen(records, partitioner, f, arena),
     }
 }
 
@@ -312,35 +308,58 @@ fn assign(records: &[Record], partitioner: &dyn Partitioner, arena: &mut TaskAre
     }
 }
 
-/// Map-side combine over the whole task: every record folds into the
-/// first one seen with its key (same key, same partition, so one index
-/// serves all partitions). Returns the survivors in first-seen order and
-/// the number of combine applications; `arena.assignment` and
-/// `arena.counts` describe the survivors. The index is keyed on the
-/// record's stable hash (identity-hashed); records that share a hash are
-/// chained and disambiguated by a real key comparison.
-fn combine_first_seen<R: IntoRecord>(
-    records: impl IntoIterator<Item = R>,
-    partitioner: &dyn Partitioner,
-    f: &ReduceFn,
-    arena: &mut TaskArena,
-) -> (Vec<Record>, u64) {
-    use std::collections::hash_map::Entry;
-    let TaskArena {
-        assignment,
-        counts,
-        heads,
-        next,
-        ..
-    } = arena;
-    assignment.clear();
-    counts.clear();
-    counts.resize(partitioner.num_partitions(), 0);
-    heads.clear();
-    next.clear();
-    let mut seen: Vec<Record> = Vec::new();
-    let mut ops = 0u64;
-    for item in records {
+/// Map-side combine over a whole task, one record at a time: every record
+/// [`push`](Combiner::push)ed folds into the first one seen with its key
+/// (same key, same partition, so one index serves all partitions), and
+/// [`finish`](Combiner::finish) lays the survivors out in reduce-partition
+/// order. A task that streams its narrow chain into this never holds its
+/// pre-combine output. The index is keyed on the record's stable hash
+/// (identity-hashed); records that share a hash are chained and
+/// disambiguated by a real key comparison.
+pub struct Combiner<'a> {
+    partitioner: &'a dyn Partitioner,
+    f: &'a ReduceFn,
+    /// `assignment` and `counts` describe `seen`; `heads` and `next` index it.
+    arena: &'a mut TaskArena,
+    /// The survivors, in first-seen order.
+    seen: Vec<Record>,
+    ops: u64,
+}
+
+impl<'a> Combiner<'a> {
+    /// An empty combine folding with `f`, over `arena`'s scratch space.
+    pub fn new(
+        partitioner: &'a dyn Partitioner,
+        f: &'a ReduceFn,
+        arena: &'a mut TaskArena,
+    ) -> Self {
+        arena.assignment.clear();
+        arena.counts.clear();
+        arena.counts.resize(partitioner.num_partitions(), 0);
+        arena.heads.clear();
+        arena.next.clear();
+        Combiner {
+            partitioner,
+            f,
+            arena,
+            seen: Vec::new(),
+            ops: 0,
+        }
+    }
+
+    /// Folds one record in, owned or borrowed: the first record with a key
+    /// is kept (a borrowed one cloned), a later one only lends its value.
+    #[inline]
+    pub fn push<R: IntoRecord>(&mut self, item: R) {
+        use std::collections::hash_map::Entry;
+        let TaskArena {
+            assignment,
+            counts,
+            heads,
+            next,
+            ..
+        } = &mut *self.arena;
+        let seen = &mut self.seen;
         let r = item.borrow();
         let h = r.key.stable_hash();
         let new = seen.len() as u32;
@@ -363,19 +382,43 @@ fn combine_first_seen<R: IntoRecord>(
                 }
                 if at != new {
                     let first = &mut seen[at as usize];
-                    first.value = f(&first.value, &r.value);
-                    ops += 1;
-                    continue;
+                    first.value = (self.f)(&first.value, &r.value);
+                    self.ops += 1;
+                    return;
                 }
             }
         }
-        let b = partitioner.partition_hashed(&r.key, h);
+        let b = self.partitioner.partition_hashed(&r.key, h);
         counts[b] += 1;
         assignment.push(b as u32);
         next.push(CHAIN_END);
         seen.push(item.into_record());
     }
-    (seen, ops)
+
+    /// The survivors in reduce-partition order, first-seen order inside a
+    /// partition, and the number of combine applications.
+    pub fn finish(self) -> (TaskRuns, u64) {
+        let mut seen = self.seen;
+        let runs = order_runs(self.partitioner.num_partitions(), self.arena, |i| {
+            std::mem::take(&mut seen[i])
+        });
+        (runs, self.ops)
+    }
+}
+
+/// The combining shuffle write of a whole record sequence: the loop over
+/// [`Combiner::push`].
+fn combine_first_seen<R: IntoRecord>(
+    records: impl IntoIterator<Item = R>,
+    partitioner: &dyn Partitioner,
+    f: &ReduceFn,
+    arena: &mut TaskArena,
+) -> (TaskRuns, u64) {
+    let mut combiner = Combiner::new(partitioner, f, arena);
+    for item in records {
+        combiner.push(item);
+    }
+    combiner.finish()
 }
 
 /// Lays `records` out in reduce-partition order by `arena.assignment`

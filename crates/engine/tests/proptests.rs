@@ -1,8 +1,9 @@
 //! Property-based tests for the engine's core invariants.
 
 use engine::shuffle::{
-    bucketize, merge_cogroup, merge_concat, merge_group, merge_join, merge_reduce, CogroupMerge,
-    ConcatMerge, GroupMerge, JoinMerge, ReduceMerge, Run,
+    bucketize, bucketize_runs, bucketize_runs_shared, merge_cogroup, merge_concat, merge_group,
+    merge_join, merge_reduce, Bucket, CogroupMerge, Combiner, ConcatMerge, GroupMerge, JoinMerge,
+    ReduceMerge, Run, TaskArena, TaskRuns,
 };
 use engine::{
     build_partitioner, measure_skew, ColumnBatch, HashPartitioner, Key, Partitioner,
@@ -87,6 +88,33 @@ fn arb_colliding_records(max: usize) -> impl Strategy<Value = Vec<Record>> {
         Record::new(key, v)
     });
     proptest::collection::vec(record, 0..max)
+}
+
+/// Records over ten keys, among them two pairs that are unequal yet share
+/// a stable hash: a pair key's byte encoding is not prefix-free, so
+/// `("a", (None, None))` and `("a\u{3}\0", None)` hash the same bytes.
+fn arb_hash_colliding_records(max: usize) -> impl Strategy<Value = Vec<Record>> {
+    let pair = |a: &str, b: Key| Key::Pair(Box::new(Key::str(a)), Box::new(b));
+    let nested = || Key::Pair(Box::new(Key::None), Box::new(Key::None));
+    let keys = vec![
+        pair("a", nested()),
+        pair("a\u{3}\0", Key::None),
+        pair("b", nested()),
+        pair("b\u{3}\0", Key::None),
+        pair("b", Key::None),
+        Key::None,
+        Key::Int(0),
+        Key::Int(1),
+        Key::str("a"),
+        Key::str(""),
+    ];
+    assert_eq!(keys[0].stable_hash(), keys[1].stable_hash());
+    assert_eq!(keys[2].stable_hash(), keys[3].stable_hash());
+    assert!(keys[0] != keys[1] && keys[2] != keys[3]);
+    proptest::collection::vec(
+        (0usize..10, arb_any_value()).prop_map(move |(k, v)| Record::new(keys[k].clone(), v)),
+        0..max,
+    )
 }
 
 /// `records` cut at `cuts` into consecutive runs, as map tasks would
@@ -301,6 +329,63 @@ proptest! {
         };
         prop_assert_eq!(cogroup(Some(&kinds)), cogroup(None));
         prop_assert_eq!(cogroup(None), merge_cogroup(&left, &right));
+    }
+
+    /// The incremental combiner fed one record at a time — each owned or
+    /// borrowed as drawn — writes what the whole-sequence combining writes
+    /// do, and what combine-free bucketing followed by a per-bucket reduce
+    /// gives: the same runs with the same boundaries, byte table and
+    /// combine count, at one partition, a few, and far more than keys,
+    /// with unequal keys that share a hash, over a reused arena.
+    #[test]
+    fn streamed_combine_equals_the_whole_sequence_write(
+        records in arb_hash_colliding_records(200),
+        parts in prop_oneof![Just(1usize), 2usize..9, Just(4096usize)],
+        range in any::<bool>(),
+        owned in proptest::collection::vec(any::<bool>(), 8),
+    ) {
+        let keys: Vec<Key> = records.iter().map(|r| r.key.clone()).collect();
+        let p: Box<dyn Partitioner> = if range {
+            Box::new(RangePartitioner::from_sample(keys.iter(), parts, 7))
+        } else {
+            Box::new(HashPartitioner::new(parts))
+        };
+        let f = fold_sizes();
+        let arena = &mut TaskArena::default();
+        let written = |(runs, ops): (TaskRuns, u64)| {
+            let tb = runs.into_buckets();
+            (tb.buckets, tb.bytes, ops)
+        };
+
+        let (buckets, _) = bucketize(&records, &*p, None);
+        let merged: Vec<(Vec<Record>, u64)> = buckets
+            .buckets
+            .iter()
+            .map(|b| merge_reduce([b.to_vec().as_slice()], &f))
+            .collect();
+        let want = (
+            merged
+                .iter()
+                .map(|(run, _)| Bucket::Rows(Arc::new(run.clone())))
+                .collect::<Vec<_>>(),
+            merged.iter().map(|(run, _)| engine::batch_size(run)).collect::<Vec<u64>>(),
+            merged.iter().map(|(_, ops)| ops).sum::<u64>(),
+        );
+        prop_assert_eq!(want.0.len(), parts);
+
+        for feed in [Some(true), Some(false), None] {
+            let mut combiner = Combiner::new(&*p, &f, arena);
+            for (i, r) in records.iter().enumerate() {
+                if feed.unwrap_or(owned[i % owned.len()]) {
+                    combiner.push(r.clone());
+                } else {
+                    combiner.push(r);
+                }
+            }
+            prop_assert_eq!(&written(combiner.finish()), &want, "feed owned: {:?}", feed);
+        }
+        prop_assert_eq!(&written(bucketize_runs(records.clone(), &*p, Some(&f), arena)), &want);
+        prop_assert_eq!(&written(bucketize_runs_shared(&records, &*p, Some(&f), arena)), &want);
     }
 
     /// Join output size equals the sum over shared keys of |L_k|·|R_k|.

@@ -124,11 +124,9 @@ impl KMeans {
             let x = r.value.as_vector();
             let c = nearest(x, &centers);
             // Emit (cluster, (sum vector, count)) for the center update.
-            let mut sum = x.to_vec();
-            sum.shrink_to_fit();
             Record::new(
                 Key::Int(c as i64),
-                Value::Pair(Box::new(Value::vector(sum)), Box::new(Value::Int(1))),
+                Value::Pair(Box::new(Value::vector(x.to_vec())), Box::new(Value::Int(1))),
             )
         })
     }

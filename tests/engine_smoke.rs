@@ -9,10 +9,13 @@
 //! fabric and a single full-bisection rack are the same cluster. Another
 //! composes the budget with a fault plan: a node is lost while the cached
 //! input is live, so its partitions re-home through the memory manager.
+//! The PCA cell covers the task shape the other two lack: a flat-map that
+//! multiplies its input by the dimension and streams into a map-side
+//! combine that keeps one record per matrix row.
 
 use chopper_repro::engine::{Context, EngineOptions, FaultPlan, NodeLoss, WorkloadConf};
 use chopper_repro::simcluster::Topology;
-use chopper_repro::workloads::{KMeans, KMeansConfig, Sql, SqlConfig};
+use chopper_repro::workloads::{KMeans, KMeansConfig, Pca, PcaConfig, Sql, SqlConfig};
 
 const SCALE: f64 = 0.05;
 /// Small enough that both workloads spill at either partition count.
@@ -114,6 +117,12 @@ fn kmeans(opts: &EngineOptions) -> Observed {
     kmeans_timed(opts).0
 }
 
+fn pca(opts: &EngineOptions) -> Observed {
+    let res = Pca::new(PcaConfig::paper()).execute(opts, &WorkloadConf::new(), SCALE);
+    let result = format!("{:?} {:?} {:?}", res.mean, res.components, res.eigenvalues);
+    observe(&res.ctx, result)
+}
+
 fn assert_layout_and_workers_do_not_matter(name: &str, run: fn(&EngineOptions) -> Observed) {
     for partitions in [8, 600] {
         let free = run(&options(1, false, partitions, None));
@@ -145,6 +154,21 @@ fn sql_is_identical_across_workers_layout_and_budget() {
 #[test]
 fn kmeans_is_identical_across_workers_layout_and_budget() {
     assert_layout_and_workers_do_not_matter("kmeans", kmeans);
+}
+
+#[test]
+fn pca_is_identical_across_workers_and_layout() {
+    for partitions in [60, 1200] {
+        let reference = pca(&options(1, false, partitions, None));
+        assert_eq!(reference.byte_table.len(), 6, "P={partitions}: six stages");
+        for (workers, batch) in [(1, true), (8, false), (8, true)] {
+            assert_eq!(
+                pca(&options(workers, batch, partitions, None)),
+                reference,
+                "pca P={partitions} workers={workers} batch={batch}"
+            );
+        }
+    }
 }
 
 #[test]
