@@ -1,4 +1,5 @@
-//! Ablations over CHOPPER's design choices (DESIGN.md Section 6):
+//! Ablations over CHOPPER's design choices (DESIGN.md Section 6), the
+//! `ablation_*` experiments of the `repro` binary:
 //!
 //! * `weights` — α/β sweep of the Eq. 3 objective on SQL: higher β trades
 //!   scan speed for lower shuffle volume (the Fig. 9 tension).
@@ -10,55 +11,19 @@
 //! * `transfer` — the paper's Section VI retraining question: a model
 //!   trained on the healthy cluster applied after a resource change,
 //!   vs a retrained model.
+//! * `algorithms` — Algorithm 2 (per-stage) vs Algorithm 3 (global).
+//! * `speculation` — reactive speculative execution vs CHOPPER's plan.
+//! * `basis` — the paper's Eq. 1–2 feature basis vs the extended one.
+//! * `significance` — shuffle-significance weighting of Eq. 3 on/off.
 //!
 //! ```text
-//! cargo run --release -p bench --bin ablations -- all
+//! cargo run --release -p bench --bin repro -- ablation_weights ablation_gamma
 //! ```
 
-use bench::{paper_autotuner, paper_engine, stages, Table};
+use crate::{paper_autotuner, paper_engine, section, stages, Table};
 use chopper::{CostWeights, TestRunPlan, Workload, WorkloadDb};
 use engine::{Key, PartitionerSpec, Record, Value, WorkloadConf};
 use workloads::{KMeans, KMeansConfig, Sql, SqlConfig};
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let wanted: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
-        vec![
-            "weights",
-            "gamma",
-            "copartition",
-            "clamp",
-            "transfer",
-            "algorithms",
-            "speculation",
-            "basis",
-            "significance",
-        ]
-    } else {
-        args.iter().map(String::as_str).collect()
-    };
-    std::fs::create_dir_all("results").expect("create results dir");
-    for id in wanted {
-        let report = match id {
-            "weights" => ablate_weights(),
-            "gamma" => ablate_gamma(),
-            "copartition" => ablate_copartition(),
-            "clamp" => ablate_clamp(),
-            "transfer" => ablate_transfer(),
-            "algorithms" => ablate_algorithms(),
-            "speculation" => ablate_speculation(),
-            "basis" => ablate_basis(),
-            "significance" => ablate_significance(),
-            other => {
-                eprintln!("unknown ablation: {other}");
-                continue;
-            }
-        };
-        println!("{report}");
-        std::fs::write(format!("results/ablation_{id}.txt"), &report)
-            .expect("write ablation result");
-    }
-}
 
 fn small_sql() -> Sql {
     Sql::new(SqlConfig {
@@ -78,7 +43,7 @@ fn small_kmeans() -> KMeans {
 }
 
 /// α/β sweep: the weight on shuffle volume trades scan speed for shuffle.
-fn ablate_weights() -> String {
+pub fn weights() -> String {
     let w = small_sql();
     let mut t = Table::new(&["alpha", "beta", "total time", "scan shuffle KB", "scan P"]);
     for (alpha, beta) in [(1.0, 0.0), (0.7, 0.3), (0.5, 0.5), (0.3, 0.7), (0.0, 1.0)] {
@@ -104,7 +69,7 @@ fn ablate_weights() -> String {
 }
 
 /// γ sweep on a pipeline with a pathologically user-fixed stage.
-fn ablate_gamma() -> String {
+pub fn gamma() -> String {
     struct FixedBad;
     impl Workload for FixedBad {
         fn name(&self) -> &str {
@@ -184,7 +149,7 @@ fn ablate_gamma() -> String {
 }
 
 /// Co-partition-aware scheduling on/off.
-fn ablate_copartition() -> String {
+pub fn copartition() -> String {
     let w = small_sql();
     let mut t = Table::new(&["scheduling", "join remote KB", "join time", "total"]);
     for (label, copart) in [("vanilla placement", false), ("co-partition-aware", true)] {
@@ -209,7 +174,7 @@ fn ablate_copartition() -> String {
 }
 
 /// Grid-search clamping on/off.
-fn ablate_clamp() -> String {
+pub fn clamp() -> String {
     let w = small_kmeans();
     let mut t = Table::new(&["grid search", "stage-0 P", "total time"]);
     for (label, clamp) in [
@@ -236,7 +201,7 @@ fn ablate_clamp() -> String {
 }
 
 /// Cross-resource model transfer (paper Section VI).
-fn ablate_transfer() -> String {
+pub fn transfer() -> String {
     let w = small_kmeans();
 
     // Train on the healthy cluster.
@@ -288,7 +253,7 @@ fn ablate_transfer() -> String {
 
 /// Algorithm 2 (naive per-stage) vs Algorithm 3 (global) — the paper's
 /// stage-A/stage-B/stage-C join argument, on the SQL workload.
-fn ablate_algorithms() -> String {
+pub fn algorithms() -> String {
     let w = small_sql();
     let tuner = paper_autotuner();
     let mut db = WorkloadDb::new();
@@ -363,7 +328,7 @@ fn ablate_algorithms() -> String {
 
 /// Reactive (speculative execution) vs proactive (CHOPPER) straggler
 /// handling, under partition skew and under a degraded node.
-fn ablate_speculation() -> String {
+pub fn speculation() -> String {
     use workloads::LogRegConfig;
     let w = workloads::LogReg::new({
         let mut c = LogRegConfig::paper();
@@ -420,7 +385,7 @@ fn ablate_speculation() -> String {
 }
 
 /// Paper basis vs extended basis for the Eq. 1–2 fits.
-fn ablate_basis() -> String {
+pub fn basis() -> String {
     let w = small_kmeans();
     let mut t = Table::new(&["basis", "stage-0 P", "total time"]);
     for (label, basis) in [
@@ -448,14 +413,14 @@ fn ablate_basis() -> String {
 }
 
 /// Shuffle-significance weighting on/off (raw paper Eq. 3 vs weighted).
-fn ablate_significance() -> String {
-    let w = bench::pca_paper();
+pub fn significance() -> String {
+    let w = crate::pca_paper();
     let mut t = Table::new(&["beta weighting", "parse P", "total time"]);
     for (label, bw) in [
         ("raw Eq. 3 (significance off)", None),
         (
             "significance-weighted (default)",
-            Some(4e8 / bench::DATA_SCALE as f64),
+            Some(4e8 / crate::DATA_SCALE as f64),
         ),
     ] {
         let mut tuner = paper_autotuner();
@@ -472,14 +437,5 @@ fn ablate_significance() -> String {
         "Ablation: shuffle-term significance weighting",
         "Eq. 3's shuffle ratio is dimensionless: for a stage whose shuffle          is kilobytes inside a minutes-long stage, the raw formula can veto          decisions worth whole seconds to save bytes worth milliseconds.          The default scales beta's participation by the shuffle's plausible          share of stage time; setting shuffle_bandwidth to None restores          the paper's exact objective.",
         t.render(),
-    )
-}
-
-fn section(title: &str, context: &str, body: String) -> String {
-    format!(
-        "================================================================\n\
-         {title}\n{context}\n\
-         ----------------------------------------------------------------\n\
-         {body}\n"
     )
 }

@@ -1,27 +1,29 @@
-//! Adaptive-execution benchmark: the skewed aggregation (`skewagg`)
+//! Adaptive-execution comparison: the skewed aggregation (`skewagg`)
 //! workload run `--adaptive off` vs `--adaptive on`.
 //!
 //! Every figure here is virtual-clock deterministic — the splitter keys
 //! on data-plane byte tables and the replan hook on virtual durations —
-//! so like the job-server sweep the committed
-//! `results/BENCH_adaptive.json` regenerates verbatim and is checked by
-//! the doc-sync drift gate. Perfgate re-measures it and enforces, on top
-//! of bit-identity with the committed JSON, two hard floors: the
+//! so `repro fig_adaptive` regenerates the committed
+//! `results/BENCH_adaptive.json` verbatim and CI's doc-sync step (`repro
+//! all`, then `git diff --exit-code -- results/`) pins it. The floors the
+//! figure is read by are asserted by this module's unit test: the
 //! adaptive run at least [`ADAPTIVE_SPEEDUP_FLOOR`]x faster than the
-//! static run, and the two modes' sorted output tables bit-identical.
+//! static run, the two modes' sorted output tables bit-identical, the hot
+//! range partition split, the repeated aggregation retuned. Host
+//! wall-clock is measured by `benchmark/` alone.
 
 use crate::DATA_SCALE;
 use engine::{EngineOptions, PartitionerSpec, WorkloadConf};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use simcluster::{ClusterSpec, NodeSpec};
 use workloads::{SkewAgg, SkewAggConfig, SkewAggResult};
 
-/// Hard floor on the end-to-end `--adaptive on` vs `off` speedup for the
-/// skewed aggregation, regardless of what the committed baseline says.
+/// Floor on the end-to-end `--adaptive on` vs `off` speedup for the
+/// skewed aggregation.
 pub const ADAPTIVE_SPEEDUP_FLOOR: f64 = 1.3;
 
 /// Per-job virtual wall time under both modes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct AdaptiveJobRow {
     /// Job label (`hot-agg`, `freq-agg` round one / two).
     pub job: String,
@@ -41,7 +43,7 @@ pub struct AdaptiveJobRow {
 }
 
 /// The adaptive-vs-static comparison (what `BENCH_adaptive.json` holds).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct AdaptiveReport {
     /// One row per job, in execution order.
     pub jobs: Vec<AdaptiveJobRow>,
@@ -59,24 +61,9 @@ pub struct AdaptiveReport {
 }
 
 impl AdaptiveReport {
-    /// Parses a committed report.
-    pub fn parse(text: &str) -> Result<AdaptiveReport, String> {
-        serde_json::from_str(text).map_err(|e| format!("parse adaptive report: {e}"))
-    }
-
     /// Renders the report as indented JSON (what gets committed).
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("report serializes")
-    }
-
-    /// The `hot-agg` row (the user-fixed range job the splitter targets).
-    pub fn hot_row(&self) -> &AdaptiveJobRow {
-        &self.jobs[0]
-    }
-
-    /// The final `freq-agg` row (the round the replan hook retunes).
-    pub fn retuned_row(&self) -> &AdaptiveJobRow {
-        self.jobs.last().expect("report has jobs")
     }
 }
 
@@ -165,87 +152,29 @@ pub fn measure_adaptive() -> AdaptiveReport {
     }
 }
 
-/// The perfgate checks: bit-identity against the committed JSON plus the
-/// absolute floors. `committed` is the raw text of
-/// `results/BENCH_adaptive.json` (empty if missing — every check that
-/// needs it then fails loudly rather than passing vacuously).
-pub fn adaptive_gate_checks(committed: &str, fresh: &AdaptiveReport) -> Vec<(String, bool)> {
-    let bit_identical = committed == fresh.to_json();
-    let hot = fresh.hot_row();
-    let retuned = fresh.retuned_row();
-    let split_fired = hot.tasks_adaptive > hot.tasks_static;
-    let replan_fired = retuned.scheme_adaptive != retuned.scheme_static;
-    vec![
-        (
-            "fresh adaptive figures match committed BENCH_adaptive.json bit-identically"
-                .to_string(),
-            bit_identical,
-        ),
-        (
-            format!(
-                "adaptive beats static by >= {ADAPTIVE_SPEEDUP_FLOOR}x on the skewed \
-                 aggregation ({:.2}x)",
-                fresh.speedup
-            ),
-            fresh.speedup >= ADAPTIVE_SPEEDUP_FLOOR,
-        ),
-        (
-            format!(
-                "adaptive and static sorted output tables are bit-identical \
-                 (fingerprint {:016x})",
-                fresh.fingerprint
-            ),
-            fresh.tables_equal,
-        ),
-        (
-            format!(
-                "hot range partition splits into sub-tasks ({} virtual over {} physical)",
-                hot.tasks_adaptive, hot.tasks_static
-            ),
-            split_fired,
-        ),
-        (
-            format!(
-                "replan retunes the repeated hash aggregation ({} -> {})",
-                retuned.scheme_static, retuned.scheme_adaptive
-            ),
-            replan_fired,
-        ),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn report_roundtrips_through_json() {
-        let rep = AdaptiveReport {
-            jobs: vec![AdaptiveJobRow {
-                job: "hot-agg".into(),
-                time_static: 10.5,
-                time_adaptive: 6.25,
-                tasks_static: 16,
-                tasks_adaptive: 20,
-                scheme_static: "range(16)".into(),
-                scheme_adaptive: "range(16)".into(),
-            }],
-            total_static: 30.0,
-            total_adaptive: 20.0,
-            speedup: 1.5,
-            tables_equal: true,
-            fingerprint: 0xDEAD_BEEF,
-        };
-        let back = AdaptiveReport::parse(&rep.to_json()).expect("roundtrip");
-        assert_eq!(back, rep);
-    }
-
-    #[test]
-    fn gate_checks_fail_without_a_committed_baseline() {
-        let fresh = measure_adaptive();
-        let checks = adaptive_gate_checks("", &fresh);
-        assert!(!checks[0].1, "empty baseline must not pass bit-identity");
-        let against_self = adaptive_gate_checks(&fresh.to_json(), &fresh);
-        assert!(against_self[0].1, "a report matches its own JSON");
+    fn adaptive_clears_its_floors_with_identical_tables() {
+        let rep = measure_adaptive();
+        assert!(
+            rep.speedup >= ADAPTIVE_SPEEDUP_FLOOR,
+            "adaptive {:.2}x over static, floor {ADAPTIVE_SPEEDUP_FLOOR}x",
+            rep.speedup
+        );
+        assert!(rep.tables_equal, "sorted output tables diverged");
+        // hot-agg: the byte-hot range partition splits into sub-tasks.
+        let hot = &rep.jobs[0];
+        assert!(
+            hot.tasks_adaptive > hot.tasks_static,
+            "no split: {} virtual tasks over {} partitions",
+            hot.tasks_adaptive,
+            hot.tasks_static
+        );
+        // freq-agg round two: the replan hook retunes the shared stage.
+        let retuned = rep.jobs.last().expect("report has jobs");
+        assert_ne!(retuned.scheme_adaptive, retuned.scheme_static, "no replan");
     }
 }

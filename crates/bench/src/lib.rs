@@ -1,10 +1,13 @@
 //! Shared harness for regenerating the CHOPPER paper's tables and figures.
 //!
 //! The `repro` binary (`cargo run -p bench --release --bin repro -- all`)
-//! produces every table and figure of the evaluation, on the virtual
-//! clock; the shapes it is held to are asserted at test-friendly sizes in
-//! the root package's `tests/paper_shapes.rs` and `tests/end_to_end.rs`.
+//! produces every table, figure and ablation of the evaluation, on the
+//! virtual clock, and CI's doc-sync step diffs them against the committed
+//! `results/`; the shapes it is held to are asserted at test-friendly
+//! sizes in the root package's `tests/paper_shapes.rs` and
+//! `tests/end_to_end.rs`.
 
+pub mod ablations;
 pub mod adaptive;
 pub mod jobserver;
 pub mod scale;
@@ -230,6 +233,17 @@ pub fn fmt_time(secs: f64) -> String {
 /// Formats bytes as KB with one decimal (the paper's Fig. 4/9 unit).
 pub fn fmt_kb(bytes: u64) -> String {
     format!("{:>10.1}", bytes as f64 / 1024.0)
+}
+
+/// One experiment's report: a ruled header (title, then the paper
+/// context and shape criterion) over the rendered body.
+pub fn section(title: &str, context: &str, body: String) -> String {
+    format!(
+        "================================================================\n\
+         {title}\n{context}\n\
+         ----------------------------------------------------------------\n\
+         {body}\n"
+    )
 }
 
 /// Simple fixed-width table printer.

@@ -1,20 +1,23 @@
 //! Fig scale — topology-aware tuning from 6 to 1000 nodes.
 //!
-//! The sweep behind `repro fig_scale` and the perfgate scale gates: at
-//! each cluster size the same weak-scaled aggregation workload is
-//! auto-tuned twice, once on a flat fabric and once on an oversubscribed
-//! rack/spine fabric (`rack:<racks>x<hosts>:4`), and the tuned plans are
-//! diffed stage by stage. Both runs execute on the one netsim flow
-//! engine; the rack fabric adds contended ToR uplinks and rack-aware
-//! placement, and the optimizer judges shuffle significance against the
-//! degraded cross-rack bandwidth, so the chosen partition count or
-//! partitioner can flip where the flat fabric says it should not.
+//! The sweep behind `repro fig_scale`: at each cluster size the same
+//! weak-scaled aggregation workload is auto-tuned twice, once on a flat
+//! fabric and once on an oversubscribed rack/spine fabric
+//! (`rack:<racks>x<hosts>:4`), and the tuned plans are diffed stage by
+//! stage. Both runs execute on the one netsim flow engine; the rack
+//! fabric adds contended ToR uplinks and rack-aware placement, and the
+//! optimizer judges shuffle significance against the degraded cross-rack
+//! bandwidth, so the chosen partition count or partitioner can flip where
+//! the flat fabric says it should not.
 //!
 //! Everything here is virtual-clock deterministic: the report
-//! regenerates verbatim regardless of host worker count, which is what
-//! lets CI keep `results/fig_scale.txt` under the doc-sync drift gate
-//! and lets perfgate re-run the 1000-node cells against the committed
-//! copy as a bit-identity floor.
+//! regenerates verbatim regardless of host worker count, so CI's doc-sync
+//! step (`repro all`, then `git diff --exit-code -- results/`) pins
+//! `results/fig_scale.txt` — its `events` / `flows` columns are the
+//! runner-portable tractability contract of the 1000-node cells. The
+//! headline claim, that the rack fabric flips a stage at 1000 nodes, is
+//! this module's unit test; host wall-clock (events per second included)
+//! is measured by `benchmark/` alone.
 
 use crate::{fmt_time, Table, DATA_SCALE};
 use chopper::{Autotuner, DecisionAction, TestRunPlan, Workload};
@@ -24,7 +27,6 @@ use engine::{
 };
 use simcluster::{uniform_cluster, ClusterSpec, Topology};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The sweep's cluster sizes (hosts). 6 matches the paper's testbed
 /// scale; 1000 is the ROADMAP's 100x+ target.
@@ -188,11 +190,8 @@ pub struct CellResult {
 }
 
 impl CellResult {
-    /// The cell's row in the fig_scale table, untrimmed. Perfgate joins
-    /// these with single spaces and greps the committed figure for the
-    /// result, so this is the bit-identity contract between a fresh run
-    /// and `results/fig_scale.txt`.
-    pub fn row_cells(&self) -> Vec<String> {
+    /// The cell's row in the fig_scale table.
+    fn row_cells(&self) -> Vec<String> {
         let decisions = self
             .decisions
             .iter()
@@ -338,90 +337,17 @@ impl ScaleSweep {
     }
 }
 
-// ---- perfgate throughput probes -------------------------------------------
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// Interleaved push/pop churn through the netsim event queue (the exact
-/// structure the 1000-node sweep's completions run through), `total`
-/// operations with a 512-entry steady backlog. Returns
-/// `(events, seconds)`.
-pub fn queue_churn(total: u64) -> (u64, f64) {
-    let mut q: netsim::EventQueue<u64> = netsim::EventQueue::with_capacity(1024);
-    let mut rng: u64 = 0x9E37_79B9_7F4A_7C15;
-    let mut next = move || {
-        rng ^= rng << 13;
-        rng ^= rng >> 7;
-        rng ^= rng << 17;
-        rng
-    };
-    let start = Instant::now();
-    let mut ops: u64 = 0;
-    let mut t = 0.0f64;
-    while ops < total {
-        for _ in 0..64 {
-            t += (next() % 1024) as f64 * 1e-6;
-            q.push(t, next());
-            ops += 1;
-        }
-        while q.len() > 512 {
-            q.pop();
-            ops += 1;
-        }
+    #[test]
+    fn rack_fabric_flips_a_stage_at_1000_nodes() {
+        let flat = run_cell(1000, Topology::Flat);
+        let rack = run_cell(1000, rack_topology(1000));
+        assert_ne!(
+            flat.decisions, rack.decisions,
+            "the oversubscribed fabric must re-tune at least one stage"
+        );
     }
-    while q.pop().is_some() {
-        ops += 1;
-    }
-    (ops, start.elapsed().as_secs_f64())
-}
-
-/// Flow churn on the 1000-node rack fabric itself: shuffle-shaped flows
-/// (same-rack and cross-rack, NIC + uplink + downlink paths) started and
-/// completed through the max-min engine until at least `min_flows` have
-/// finished. Returns `(events, seconds)` where events are the queue
-/// schedules + pops the churn drove (rate changes re-schedule
-/// predictions, exactly as in the sweep).
-pub fn fabric_churn(min_flows: u64) -> (u64, f64) {
-    let (racks, hosts) = rack_grid(1000);
-    let nic = 1.25e9 / DATA_SCALE as f64;
-    let mut net = netsim::Network::new();
-    let nics: Vec<_> = (0..racks * hosts).map(|_| net.add_link(nic)).collect();
-    let rack_cap = hosts as f64 * nic / SCALE_OVERSUB;
-    let ups: Vec<_> = (0..racks).map(|_| net.add_link(rack_cap)).collect();
-    let downs: Vec<_> = (0..racks).map(|_| net.add_link(rack_cap)).collect();
-    let mut rng: u64 = 0xD1B5_4A32_D192_ED03;
-    let mut next = move || {
-        rng ^= rng << 13;
-        rng ^= rng >> 7;
-        rng ^= rng << 17;
-        rng
-    };
-    let start = Instant::now();
-    let mut completed: u64 = 0;
-    while completed < min_flows {
-        for _ in 0..128 {
-            let dst = (next() % nics.len() as u64) as usize;
-            let src_rack = (next() % racks as u64) as usize;
-            let bytes = 1.0 + (next() % 4_000_000) as f64;
-            let dr = dst / hosts;
-            let path = if src_rack == dr {
-                vec![nics[dst]]
-            } else {
-                vec![ups[src_rack], downs[dr], nics[dst]]
-            };
-            net.start_flow(path, bytes);
-        }
-        // A reduce wave at this scale keeps hundreds of fetches in
-        // flight, so the steady backlog shares each rack uplink among
-        // ~20 flows — every completion reshapes its whole cohort.
-        while net.active_flows() > 512 {
-            net.pop_completion();
-            completed += 1;
-        }
-    }
-    completed += net.drain().len() as u64;
-    let _ = completed;
-    let s = net.stats();
-    (
-        s.events_scheduled + s.events_processed,
-        start.elapsed().as_secs_f64(),
-    )
 }

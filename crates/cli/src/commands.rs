@@ -114,27 +114,6 @@ fn cluster(args: &Args) -> Result<ClusterSpec, String> {
     Ok(spec)
 }
 
-/// Parses a byte size with an optional k/m/g suffix (e.g. "512m", "2g").
-fn parse_mem_size(s: &str) -> Result<u64, String> {
-    let s = s.trim().to_ascii_lowercase();
-    let (digits, mult) = match s.strip_suffix(['k', 'm', 'g']) {
-        Some(num) => {
-            let mult = match s.as_bytes()[s.len() - 1] {
-                b'k' => 1024u64,
-                b'm' => 1024 * 1024,
-                _ => 1024 * 1024 * 1024,
-            };
-            (num, mult)
-        }
-        None => (s.as_str(), 1),
-    };
-    let n: u64 = digits
-        .parse()
-        .map_err(|_| format!("bad memory size '{s}' (expected e.g. 512m, 2g)"))?;
-    n.checked_mul(mult)
-        .ok_or_else(|| format!("memory size '{s}' overflows"))
-}
-
 /// Loads `--fault-plan` (with an optional `--fault-seed` override).
 fn fault_plan(args: &Args) -> Result<Option<engine::FaultPlan>, String> {
     let Some(path) = args.get("fault-plan") else {
@@ -156,7 +135,7 @@ fn fault_plan(args: &Args) -> Result<Option<engine::FaultPlan>, String> {
 fn engine_opts(args: &Args) -> Result<EngineOptions, String> {
     let executor_mem = match args.get("executor-mem") {
         None => None,
-        Some(s) => Some(parse_mem_size(s)?),
+        Some(s) => Some(jobserver::parse_mem(s)?),
     };
     let batch = match args.get("batch") {
         None | Some("on") => true,
@@ -566,10 +545,10 @@ pub fn serve(args: &Args) -> CmdResult {
         .num("queue-cap", cfg.queue_cap)
         .map_err(|e| e.to_string())?;
     if let Some(s) = args.get("mem-shared") {
-        cfg.mem_shared = parse_mem_size(s)?;
+        cfg.mem_shared = jobserver::parse_mem(s)?;
     }
     if let Some(s) = args.get("mem-tenant") {
-        cfg.mem_guarantee = parse_mem_size(s)?;
+        cfg.mem_guarantee = jobserver::parse_mem(s)?;
     }
     if args.has("serial") {
         cfg.interleave = jobserver::Interleave::Serial;
@@ -788,12 +767,14 @@ mod tests {
 
     #[test]
     fn mem_size_parsing() {
-        assert_eq!(parse_mem_size("1024"), Ok(1024));
-        assert_eq!(parse_mem_size("2k"), Ok(2048));
-        assert_eq!(parse_mem_size("512m"), Ok(512 * 1024 * 1024));
-        assert_eq!(parse_mem_size("2G"), Ok(2 * 1024 * 1024 * 1024));
-        assert!(parse_mem_size("lots").is_err());
-        assert!(parse_mem_size("12q").is_err());
+        assert_eq!(jobserver::parse_mem("1024"), Ok(1024));
+        assert_eq!(jobserver::parse_mem("2k"), Ok(2048));
+        assert_eq!(jobserver::parse_mem("512m"), Ok(512 * 1024 * 1024));
+        assert_eq!(jobserver::parse_mem("2G"), Ok(2 * 1024 * 1024 * 1024));
+        assert!(jobserver::parse_mem("lots").is_err());
+        assert!(jobserver::parse_mem("12q").is_err());
+        let err = opts_err(&["run", "--executor-mem", "99999999999g"]);
+        assert!(err.contains("overflows"), "{err}");
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::shuffle::{
 use crate::stage::{plan_job, MaterializedInfo, Plan, PlanStage, SideDep, StageOutput, StageRoot};
 use blockstore::BlockStore;
 use faults::{FaultCounters, FaultPlan, NodeLoss, Straggler};
-use memman::{Eviction, EvictionPolicy, MemCounters, MemoryManager};
+use memman::{Eviction, MemCounters, MemoryManager};
 use numeric::Reservoir;
 use simcluster::{ClusterSpec, NodeId, Simulation, TaskSpec};
 use std::collections::HashMap;
@@ -50,8 +50,6 @@ pub struct EngineOptions {
     pub copartition_scheduling: bool,
     /// Host threads used for real data computation.
     pub workers: usize,
-    /// Utilization-trace bucket width in virtual seconds.
-    pub trace_bucket: f64,
     /// Block size of the backing store.
     pub block_size: u64,
     /// Driver link bandwidth (bytes/s) for result collection (the paper's
@@ -72,9 +70,6 @@ pub struct EngineOptions {
     /// nothing is evicted or spilled. `Some(b)` bounds each node's cached
     /// data + task working sets at `b` bytes.
     pub executor_mem: Option<u64>,
-    /// Victim-selection policy for the bounded cache (LRC by default:
-    /// DAG-aware least-reference-count, after Yang et al.).
-    pub eviction_policy: EvictionPolicy,
     /// No effect. The engine has one executor; this field once selected
     /// between two and is kept only because the frozen `benchmark/`
     /// package still sets it. Nothing reads it.
@@ -134,13 +129,11 @@ impl Default for EngineOptions {
                 .map(|n| n.get())
                 .unwrap_or(4)
                 .min(8),
-            trace_bucket: 10.0,
             block_size: 128 * 1024 * 1024,
             driver_bandwidth: 1e9 / 8.0,
             speculation: None,
             trace: TraceSink::disabled(),
             executor_mem: None,
-            eviction_policy: EvictionPolicy::default(),
             pipeline: true,
             faults: None,
             batch: true,
@@ -319,7 +312,7 @@ impl Context {
         if let Err(msg) = options.validate() {
             panic!("invalid engine options: {msg}");
         }
-        let mut sim = Simulation::with_trace_bucket(options.cluster.clone(), options.trace_bucket);
+        let mut sim = Simulation::new(options.cluster.clone());
         if let Some(multiplier) = options.speculation {
             sim.enable_speculation(multiplier);
         }
@@ -346,11 +339,7 @@ impl Context {
                 .trace
                 .name_thread(trace::Track::new(trace::pids::DRIVER, 0), "stages");
         }
-        let mem = MemoryManager::new(
-            options.cluster.num_nodes(),
-            options.executor_mem,
-            options.eviction_policy,
-        );
+        let mem = MemoryManager::new(options.cluster.num_nodes(), options.executor_mem);
         let faults = options
             .faults
             .clone()
@@ -1974,7 +1963,7 @@ impl Context {
     /// shuffle map outputs — which have no replicas — are recomputed
     /// through lineage by re-running their retained task specs on the
     /// surviving topology. The re-homing is a ledger move like any other:
-    /// a survivor pushed over its budget spills by the configured policy,
+    /// a survivor pushed over its budget spills its LRC victims,
     /// and a partition that was on the lost node's disk lands on its new
     /// home's disk.
     /// Only placements and the virtual clock change.

@@ -64,7 +64,7 @@ pub use batch::{ColumnBatch, KeyColumn, ValueColumn};
 pub use config::WorkloadConf;
 pub use exec::{Context, EngineOptions};
 pub use faults::{FaultCounters, FaultPlan, NodeLoss, Straggler};
-pub use memman::{EvictionPolicy, MemCounters};
+pub use memman::MemCounters;
 pub use metrics::{JobMetrics, StageKind, StageMetrics};
 pub use ops::{FilterFn, FlatMapFn, GenFn, MapFn, OpKind, ReduceFn};
 pub use partitioner::{

@@ -215,6 +215,44 @@ fn generous_budget_matches_ungoverned_run() {
     assert_eq!(mc.rereads, 0);
 }
 
+/// Distinct keys, so map-side combine cannot collapse the shuffle and a
+/// task's write volume scales as 1/P: under a 16 KiB budget four fat
+/// tasks overflow their execution share and spill, sixty-four thin ones
+/// do not — the mechanism the memory-aware optimizer relies on.
+#[test]
+fn shuffle_spills_with_fat_tasks_and_not_with_thin_ones() {
+    let counters = |partitions: usize| {
+        let mut opts = options(2, TraceSink::disabled());
+        opts.default_parallelism = partitions;
+        opts.executor_mem = Some(16 * 1024);
+        let mut ctx = Context::new(opts);
+        let data: Vec<Record> = (0..3000)
+            .map(|i| Record::new(Key::Int(i), Value::Int(i)))
+            .collect();
+        let src = ctx.parallelize(data, partitions, "src");
+        let summed = ctx.reduce_by_key(
+            src,
+            Arc::new(|a: &Value, b: &Value| Value::Int(a.as_int() + b.as_int())),
+            None,
+            1e-6,
+            "sum",
+        );
+        ctx.collect(summed, "distinct-sum");
+        ctx.mem_counters()
+    };
+    let fat = counters(4);
+    assert!(
+        fat.spills > 0 && fat.spill_bytes > 0,
+        "P=4 under 16 KiB must spill, got {fat:?}"
+    );
+    let thin = counters(64);
+    assert_eq!(
+        (thin.spills, thin.spill_bytes),
+        (0, 0),
+        "P=64 under 16 KiB must not spill, got {thin:?}"
+    );
+}
+
 #[test]
 fn tracing_on_vs_off_is_bit_identical() {
     for workers in [1, 8] {

@@ -30,4 +30,4 @@ pub use jobs::{mem_demand, JobOutcome, TenantRuntime};
 pub use server::{
     serve, server_engine_defaults, Interleave, JobRow, Policy, ServeReport, ServerConfig,
 };
-pub use trace_file::{generate, JobKind, JobRequest, JobTrace, TenantSpec};
+pub use trace_file::{generate, parse_mem, JobKind, JobRequest, JobTrace, TenantSpec};

@@ -96,7 +96,8 @@ pub struct JobTrace {
     pub jobs: Vec<JobRequest>,
 }
 
-/// Parses a memory size with optional `k`/`m`/`g` suffix.
+/// Parses a byte size with an optional `k`/`m`/`g` suffix (e.g. "512m",
+/// "2g"). A size that does not fit a `u64` is an error, not a wrap.
 pub fn parse_mem(s: &str) -> Result<u64, String> {
     let lower = s.to_ascii_lowercase();
     let (digits, mult) = match lower.strip_suffix(['k', 'm', 'g']) {
@@ -112,8 +113,9 @@ pub fn parse_mem(s: &str) -> Result<u64, String> {
     };
     let n: u64 = digits
         .parse()
-        .map_err(|_| format!("bad memory size '{s}'"))?;
-    Ok(n * mult)
+        .map_err(|_| format!("bad memory size '{s}' (expected e.g. 512m, 2g)"))?;
+    n.checked_mul(mult)
+        .ok_or_else(|| format!("memory size '{s}' overflows"))
 }
 
 /// Renders a memory size with the largest exact `k`/`m`/`g` suffix.
@@ -382,6 +384,12 @@ job t1 at 1.5 wordcount scale 0.1 seed 8
         assert!(err.starts_with("line 2:"), "{err}");
         let err = JobTrace::from_text("tenant a weight 0\n").unwrap_err();
         assert!(err.starts_with("line 1:"), "{err}");
+        let err = JobTrace::from_text("# sizes are checked\ntenant a weight 1 mem 99999999999g\n")
+            .unwrap_err();
+        assert!(
+            err.starts_with("line 2:") && err.contains("overflows"),
+            "{err}"
+        );
         let err = JobTrace::from_text("frob x\n").unwrap_err();
         assert!(err.contains("unknown directive"), "{err}");
         let err = JobTrace::from_text("").unwrap_err();

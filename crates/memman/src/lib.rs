@@ -10,15 +10,12 @@
 //! without a budget it is unbounded — it books the same entries and moves
 //! and simply never finds a node over its limit.
 //!
-//! Eviction is pluggable:
-//!
-//! * [`EvictionPolicy::Lru`] — classic least-recently-used.
-//! * [`EvictionPolicy::Lrc`] — least-reference-count (DAG-aware, after
-//!   Yang et al.): victims are ordered by remaining lineage references
-//!   first, recency second, so a partition still needed by a future stage
-//!   outlives one that is not. The manager stores no reference counts: it
-//!   asks the caller for an entry's remaining references only while it
-//!   ranks victims, so a run that never overflows never pays for them.
+//! Eviction is least-reference-count (LRC: DAG-aware, after Yang et
+//! al.): victims are ordered by remaining lineage references first,
+//! recency second, so a partition still needed by a future stage outlives
+//! one that is not. The manager stores no reference counts: it asks the
+//! caller for an entry's remaining references only while it ranks
+//! victims, so a run that never overflows never pays for them.
 //!
 //! A victim is always *spilled* (its bytes move to disk, a later read
 //! pays a reread): the caller books only entries it still holds a handle
@@ -27,16 +24,6 @@
 //! on (refs, last-access, id), never on hash order.
 
 use std::collections::BTreeMap;
-
-/// Which victim-selection policy the storage region uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvictionPolicy {
-    /// Least-recently-used, reference counts ignored.
-    Lru,
-    /// Least-reference-count first (DAG-aware), recency as tie-break.
-    #[default]
-    Lrc,
-}
 
 /// Monotonic counters describing everything the manager did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -68,7 +55,7 @@ pub struct Eviction {
 }
 
 /// An entry's remaining lineage references, by id. Called only while
-/// ranking victims under [`EvictionPolicy::Lrc`].
+/// ranking victims.
 pub type RefsOf<'a> = &'a dyn Fn(u64) -> usize;
 
 #[derive(Debug, Clone)]
@@ -88,7 +75,6 @@ pub struct MemoryManager {
     /// Per-node unified budget; `None` means unbounded.
     budget: Option<u64>,
     num_nodes: usize,
-    policy: EvictionPolicy,
     /// Logical clock for recency ordering.
     seq: u64,
     entries: BTreeMap<u64, Entry>,
@@ -99,12 +85,11 @@ pub struct MemoryManager {
 
 impl MemoryManager {
     /// Manager with a per-node unified budget.
-    pub fn new(num_nodes: usize, budget: Option<u64>, policy: EvictionPolicy) -> Self {
+    pub fn new(num_nodes: usize, budget: Option<u64>) -> Self {
         assert!(num_nodes > 0, "memory manager needs at least one node");
         MemoryManager {
             budget,
             num_nodes,
-            policy,
             seq: 0,
             entries: BTreeMap::new(),
             storage_used: vec![0; num_nodes],
@@ -115,7 +100,7 @@ impl MemoryManager {
 
     /// Unbounded manager: books every entry but never evicts or spills.
     pub fn unlimited(num_nodes: usize) -> Self {
-        Self::new(num_nodes, None, EvictionPolicy::default())
+        Self::new(num_nodes, None)
     }
 
     pub fn num_nodes(&self) -> usize {
@@ -167,13 +152,7 @@ impl MemoryManager {
             .filter(|&(&id, e)| {
                 Some(id) != exclude && !e.spilled && nodes.iter().any(|&n| e.bytes[n] > 0)
             })
-            .min_by_key(|&(&id, e)| {
-                let refs = match self.policy {
-                    EvictionPolicy::Lru => 0,
-                    EvictionPolicy::Lrc => refs(id),
-                };
-                (refs, e.last_access, id)
-            })
+            .min_by_key(|&(&id, e)| (refs(id), e.last_access, id))
             .map(|(&id, _)| id)
     }
 
@@ -445,27 +424,8 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_least_recent() {
-        let mut m = MemoryManager::new(1, Some(100), EvictionPolicy::Lru);
-        let never = |_| panic!("LRU ignores reference counts");
-        assert!(m.insert(1, vec![40], &never).is_empty());
-        assert!(m.insert(2, vec![40], &never).is_empty());
-        m.touch(1); // entry 2 is now least recent
-        let evicted = m.insert(3, vec![40], &never);
-        assert_eq!(
-            evicted,
-            vec![Eviction {
-                id: 2,
-                bytes: vec![40]
-            }]
-        );
-        assert!(m.is_spilled(2));
-        assert!(!m.is_spilled(1) && !m.is_spilled(3));
-    }
-
-    #[test]
     fn lrc_spills_the_least_referenced_entry_first() {
-        let mut m = MemoryManager::new(1, Some(100), EvictionPolicy::Lrc);
+        let mut m = MemoryManager::new(1, Some(100));
         let refs = |id| if id == 1 { 3 } else { 1 };
         m.insert(1, vec![40], &refs);
         m.insert(2, vec![40], &refs);
@@ -480,7 +440,7 @@ mod tests {
 
     #[test]
     fn execution_reservation_squeezes_storage() {
-        let mut m = MemoryManager::new(1, Some(100), EvictionPolicy::Lrc);
+        let mut m = MemoryManager::new(1, Some(100));
         m.insert(1, vec![60], &pinned);
         assert!(m.set_execution_reservation(&[30], &pinned).is_empty());
         let ev = m.set_execution_reservation(&[70], &pinned);
@@ -492,7 +452,7 @@ mod tests {
 
     #[test]
     fn oversized_insert_spills_itself() {
-        let mut m = MemoryManager::new(2, Some(50), EvictionPolicy::Lrc);
+        let mut m = MemoryManager::new(2, Some(50));
         assert!(m.insert(7, vec![60, 10], &pinned).is_empty());
         assert!(m.is_spilled(7));
         assert_eq!(m.counters().spill_bytes, 70);
@@ -503,7 +463,7 @@ mod tests {
 
     #[test]
     fn rehome_moves_bytes_and_an_overflowing_survivor_spills() {
-        let mut m = MemoryManager::new(3, Some(100), EvictionPolicy::Lrc);
+        let mut m = MemoryManager::new(3, Some(100));
         m.insert(1, vec![40, 40, 0], &pinned);
         m.insert(2, vec![50, 0, 50], &pinned);
         // Node 0 dies: entry 1's bytes go to node 1, entry 2's to node 2.
@@ -540,7 +500,7 @@ mod tests {
 
     #[test]
     fn reinsert_replaces_prior_accounting() {
-        let mut m = MemoryManager::new(1, Some(100), EvictionPolicy::Lrc);
+        let mut m = MemoryManager::new(1, Some(100));
         m.insert(1, vec![80], &pinned);
         m.insert(1, vec![40], &pinned);
         assert_eq!(m.storage_used(), &[40]);

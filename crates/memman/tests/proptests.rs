@@ -3,7 +3,7 @@
 //! operation leaves a node over its storage limit, LRC spills entries in
 //! reference order, and spill→reread round-trips byte counts exactly.
 
-use memman::{Eviction, EvictionPolicy, MemoryManager};
+use memman::{Eviction, MemoryManager};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -61,8 +61,8 @@ impl Model {
 }
 
 /// Drives a manager and the model through one random op sequence.
-fn check_books_agree(policy: EvictionPolicy, budget: Option<u64>, ops: &[(u64, u64, u64, usize)]) {
-    let mut m = MemoryManager::new(NODES, budget, policy);
+fn check_books_agree(budget: Option<u64>, ops: &[(u64, u64, u64, usize)]) {
+    let mut m = MemoryManager::new(NODES, budget);
     let mut model = Model::default();
     for (i, &(id, a, b, node)) in ops.iter().enumerate() {
         match i % 6 {
@@ -116,7 +116,7 @@ fn check_books_agree(policy: EvictionPolicy, budget: Option<u64>, ops: &[(u64, u
 
 proptest! {
     /// Invariant 1: under any mix of inserts, reservations, node-loss
-    /// moves, touches and releases — bounded or not, either policy — the
+    /// moves, touches and releases — bounded or not — the
     /// per-node totals equal the sum of the resident entries, no node
     /// ends an operation over its storage limit, and `spill_bytes` is the
     /// total size of everything that was spilled.
@@ -126,8 +126,7 @@ proptest! {
         ops in proptest::collection::vec(
             (0u64..8, 0u64..4_000, 0u64..4_000, 0usize..NODES), 1..60),
     ) {
-        check_books_agree(EvictionPolicy::Lrc, budget, &ops);
-        check_books_agree(EvictionPolicy::Lru, budget, &ops);
+        check_books_agree(budget, &ops);
     }
 
     /// Invariant 2: LRC never spills an entry while a resident one with
@@ -139,7 +138,7 @@ proptest! {
         sizes in proptest::collection::vec(1u64..500, 2..30),
         budget in 200u64..2_000,
     ) {
-        let mut m = MemoryManager::new(1, Some(budget), EvictionPolicy::Lrc);
+        let mut m = MemoryManager::new(1, Some(budget));
         for (i, &size) in sizes.iter().enumerate() {
             let evicted = m.insert(i as u64, vec![size], &refs);
             for pair in evicted.windows(2) {
@@ -159,7 +158,7 @@ proptest! {
         sizes in proptest::collection::vec(1u64..1_000, 1..25),
         budget in 1u64..800,
     ) {
-        let mut m = MemoryManager::new(2, Some(budget), EvictionPolicy::Lrc);
+        let mut m = MemoryManager::new(2, Some(budget));
         let mut spilled: BTreeMap<u64, u64> = BTreeMap::new();
         let mut totals: BTreeMap<u64, u64> = BTreeMap::new();
         for (i, &size) in sizes.iter().enumerate() {

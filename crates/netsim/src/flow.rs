@@ -40,8 +40,9 @@ struct Flow {
     done: bool,
 }
 
-/// Lifetime counters, exposed for the perfgate throughput gate and the
-/// repro figures.
+/// Lifetime counters, exposed for the repro figures (`fig_scale`'s
+/// `flows` column, pinned by doc-sync) and `benchmark/`'s
+/// `netsim.flow_events_per_s` drive.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct NetworkStats {
     /// Flows ever started.

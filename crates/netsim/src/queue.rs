@@ -7,9 +7,11 @@
 //! bit-deterministic — a plain `f64`-keyed heap reorders equal-time events
 //! arbitrarily as the heap's internal layout shifts.
 //!
-//! Push and pop are `O(log n)`; the queue comfortably sustains millions of
-//! events per second (the `perfgate` CI binary pins a ≥ 1M events/s floor
-//! on a push/pop churn at simulation-realistic sizes).
+//! Push and pop are `O(log n)`. Events per second is a host rate, so it
+//! is measured where host wall-clock is — `benchmark/`'s
+//! `netsim.queue_events_per_s` drive, a push/pop churn at
+//! simulation-realistic sizes — not asserted here; the tests hold the
+//! order, and doc-sync holds the event counts of the figures built on it.
 
 use std::collections::BinaryHeap;
 

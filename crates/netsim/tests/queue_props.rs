@@ -99,8 +99,8 @@ impl XorShift {
 
 /// One million events through the queue, popped in blocks, hashing the
 /// `(time-bits, seq)` pop sequence. Runs twice; the digests must match
-/// exactly. This is the same churn shape `perfgate` holds to ≥ 1M
-/// events/s.
+/// exactly. Its rate is a host number: `benchmark/` times the same churn
+/// shape as `netsim.queue_events_per_s`.
 #[test]
 fn million_event_churn_is_deterministic() {
     fn churn() -> (u64, u64) {

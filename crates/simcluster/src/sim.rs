@@ -319,8 +319,9 @@ impl Simulation {
     }
 
     /// Total discrete events processed so far (stage dispatch/completion
-    /// events plus flow completions) — the quantity the perfgate
-    /// throughput floor is measured over.
+    /// events plus flow completions) — `fig_scale`'s `events` column,
+    /// which doc-sync pins as the tractability contract of the
+    /// 1000-node cells.
     pub fn events_processed(&self) -> u64 {
         self.events
     }
