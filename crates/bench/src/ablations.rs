@@ -22,7 +22,7 @@
 
 use crate::{paper_autotuner, paper_engine, section, stages, Table};
 use chopper::{CostWeights, TestRunPlan, Workload, WorkloadDb};
-use engine::{Key, PartitionerSpec, Record, Value, WorkloadConf};
+use engine::{FaultPlan, Key, PartitionerSpec, Record, Value, WorkloadConf};
 use workloads::{KMeans, KMeansConfig, Sql, SqlConfig};
 
 fn small_sql() -> Sql {
@@ -342,7 +342,10 @@ pub fn speculation() -> String {
                copart: bool| {
         let mut opts = paper_engine(300, copart);
         opts.workers = 2;
-        opts.speculation = speculation;
+        opts.faults = speculation.map(|m| FaultPlan {
+            speculation: Some(m),
+            ..FaultPlan::default()
+        });
         if let Some((node, factor)) = slowdown {
             opts.cluster.nodes[node].speed /= factor;
         }

@@ -6,7 +6,7 @@
 //! filesystem:
 //!
 //! * files split into fixed-size blocks,
-//! * capacity-aware replica placement across data nodes,
+//! * load-balanced replica placement across data nodes,
 //! * block → node locality lookup (drives the input-stage task placement),
 //! * read/write transaction counters.
 //!
@@ -28,28 +28,6 @@ pub struct BlockMeta {
     pub replicas: Vec<NodeId>,
 }
 
-/// Placement failure: not enough nodes with free capacity to hold a
-/// block at the required replication factor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StoreFull {
-    /// Size of the block that could not be placed.
-    pub block_bytes: u64,
-    /// Replicas required per block.
-    pub replication: usize,
-}
-
-impl std::fmt::Display for StoreFull {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "block store full: cannot place a {}-byte block with {} replica(s)",
-            self.block_bytes, self.replication
-        )
-    }
-}
-
-impl std::error::Error for StoreFull {}
-
 /// Aggregate I/O counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoCounters {
@@ -70,14 +48,27 @@ struct Inner {
     counters: IoCounters,
 }
 
+impl Inner {
+    /// Drops a file and releases its space. Returns whether it existed.
+    fn remove(&mut self, name: &str) -> bool {
+        let Some(blocks) = self.files.remove(name) else {
+            return false;
+        };
+        for b in &blocks {
+            for &n in &b.replicas {
+                self.used_bytes[n] = self.used_bytes[n].saturating_sub(b.size);
+            }
+        }
+        true
+    }
+}
+
 /// A replicated block store over `num_nodes` data nodes.
 #[derive(Debug)]
 pub struct BlockStore {
     num_nodes: usize,
     block_size: u64,
     replication: usize,
-    /// Per-node byte capacity; `None` means unbounded.
-    capacity: Option<u64>,
     inner: Mutex<Inner>,
 }
 
@@ -93,21 +84,6 @@ impl BlockStore {
     /// # Panics
     /// Panics if `num_nodes` or `block_size` or `replication` is zero.
     pub fn with_config(num_nodes: usize, block_size: u64, replication: usize) -> Self {
-        Self::with_capacity(num_nodes, block_size, replication, None)
-    }
-
-    /// Creates a store with an optional per-node byte capacity. When a
-    /// capacity is set, placement skips full nodes and
-    /// [`BlockStore::try_create_file`] errors once no placement exists.
-    ///
-    /// # Panics
-    /// Panics if `num_nodes` or `block_size` or `replication` is zero.
-    pub fn with_capacity(
-        num_nodes: usize,
-        block_size: u64,
-        replication: usize,
-        capacity: Option<u64>,
-    ) -> Self {
         assert!(num_nodes > 0, "need at least one data node");
         assert!(block_size > 0, "block size must be positive");
         assert!(replication > 0, "replication factor must be positive");
@@ -115,7 +91,6 @@ impl BlockStore {
             num_nodes,
             block_size,
             replication: replication.min(num_nodes),
-            capacity,
             inner: Mutex::new(Inner {
                 files: HashMap::new(),
                 used_bytes: vec![0; num_nodes],
@@ -135,131 +110,56 @@ impl BlockStore {
     }
 
     /// Creates (or replaces) a file of `total_bytes`, splitting it into
-    /// blocks and placing replicas on the least-loaded nodes.
+    /// blocks and placing each block's replicas on the least-loaded nodes.
     ///
     /// Returns the number of blocks created. Writing counts toward the
     /// transaction counters (one write per stored replica).
-    ///
-    /// # Panics
-    /// Panics if a per-node capacity is set and placement is impossible;
-    /// use [`BlockStore::try_create_file`] when capacity can run out.
     pub fn create_file(&self, name: &str, total_bytes: u64) -> usize {
-        self.try_create_file(name, total_bytes)
-            .expect("block store capacity exhausted")
-    }
-
-    /// Fallible variant of [`BlockStore::create_file`]: returns
-    /// `Err(StoreFull)` when no node has room for a block, leaving the
-    /// store (including any previous file under `name`) untouched.
-    pub fn try_create_file(&self, name: &str, total_bytes: u64) -> Result<usize, StoreFull> {
-        let mut inner = self.inner.lock();
-        // Plan placement on a scratch copy of the usage vector so a
-        // failure mid-file leaves the store unchanged. The scratch view
-        // pretends the old file is already gone (re-creation replaces).
-        let mut used = inner.used_bytes.clone();
-        if let Some(old) = inner.files.get(name) {
-            for b in old {
-                for &n in &b.replicas {
-                    used[n] = used[n].saturating_sub(b.size);
-                }
-            }
-        }
-
-        let mut blocks = Vec::new();
-        let mut remaining = total_bytes;
-        while remaining > 0 || blocks.is_empty() {
-            let size = remaining
-                .min(self.block_size)
-                .max(if total_bytes == 0 { 0 } else { 1 });
-            let replicas = Self::place(&used, self.replication, self.capacity, size)?;
-            for &n in &replicas {
-                used[n] += size;
-            }
-            blocks.push(BlockMeta { size, replicas });
-            if remaining == 0 {
-                break; // empty file still gets one zero-length block
-            }
-            remaining -= size;
-        }
-
-        // Commit: release the old file, charge the new blocks.
-        if let Some(old) = inner.files.remove(name) {
-            for b in &old {
-                for &n in &b.replicas {
-                    inner.used_bytes[n] = inner.used_bytes[n].saturating_sub(b.size);
-                }
-            }
-        }
-        for b in &blocks {
-            for &n in &b.replicas {
-                inner.used_bytes[n] += b.size;
-                inner.counters.writes += 1;
-                inner.counters.bytes_written += b.size;
-            }
-        }
-        let n = blocks.len();
-        inner.files.insert(name.to_string(), blocks);
-        Ok(n)
+        self.write_file(name, total_bytes, |used| {
+            let mut order: Vec<NodeId> = (0..used.len()).collect();
+            // Stable tiebreak on node id keeps placement deterministic.
+            order.sort_by_key(|&n| (used[n], n));
+            order.truncate(self.replication);
+            order
+        })
     }
 
     /// Creates (or replaces) an unreplicated file pinned entirely to
     /// `node` — the engine's spill path writes evicted cache partitions
-    /// to the local disk of the node that held them. Capacity is not
-    /// enforced for spill files. Returns the number of blocks created.
+    /// to the local disk of the node that held them. Returns the number of
+    /// blocks created.
     pub fn create_file_on(&self, name: &str, total_bytes: u64, node: NodeId) -> usize {
         assert!(node < self.num_nodes, "spill target node out of range");
+        self.write_file(name, total_bytes, |_| vec![node])
+    }
+
+    /// Replaces `name` with `total_bytes` cut into blocks (an empty file
+    /// still gets one zero-length block); `place` picks each block's
+    /// replica nodes from the per-node usage so far.
+    fn write_file(
+        &self,
+        name: &str,
+        total_bytes: u64,
+        place: impl Fn(&[u64]) -> Vec<NodeId>,
+    ) -> usize {
         let mut inner = self.inner.lock();
-        if let Some(old) = inner.files.remove(name) {
-            for b in &old {
-                for &n in &b.replicas {
-                    inner.used_bytes[n] = inner.used_bytes[n].saturating_sub(b.size);
-                }
-            }
-        }
+        inner.remove(name);
         let mut blocks = Vec::new();
         let mut remaining = total_bytes;
         while remaining > 0 || blocks.is_empty() {
-            let size = remaining
-                .min(self.block_size)
-                .max(if total_bytes == 0 { 0 } else { 1 });
-            inner.used_bytes[node] += size;
-            inner.counters.writes += 1;
-            inner.counters.bytes_written += size;
-            blocks.push(BlockMeta {
-                size,
-                replicas: vec![node],
-            });
-            if remaining == 0 {
-                break;
+            let size = remaining.min(self.block_size);
+            let replicas = place(&inner.used_bytes);
+            for &n in &replicas {
+                inner.used_bytes[n] += size;
+                inner.counters.writes += 1;
+                inner.counters.bytes_written += size;
             }
+            blocks.push(BlockMeta { size, replicas });
             remaining -= size;
         }
         let n = blocks.len();
         inner.files.insert(name.to_string(), blocks);
         n
-    }
-
-    /// Picks the `replication` least-loaded distinct nodes with room for
-    /// a `size`-byte block.
-    fn place(
-        used: &[u64],
-        replication: usize,
-        capacity: Option<u64>,
-        size: u64,
-    ) -> Result<Vec<NodeId>, StoreFull> {
-        let mut order: Vec<NodeId> = (0..used.len())
-            .filter(|&n| capacity.is_none_or(|cap| used[n] + size <= cap))
-            .collect();
-        // Stable tiebreak on node id keeps placement deterministic.
-        order.sort_by_key(|&n| (used[n], n));
-        if order.len() < replication {
-            return Err(StoreFull {
-                block_bytes: size,
-                replication,
-            });
-        }
-        order.truncate(replication);
-        Ok(order)
     }
 
     /// The block list of a file, if it exists.
@@ -301,29 +201,6 @@ impl BlockStore {
         Self::pick_from(&meta.replicas, down)
     }
 
-    /// Like [`BlockStore::select_replica`], but also charges one read
-    /// transaction for the block — the accounting a recovery-time replica
-    /// read produces.
-    pub fn read_replica(&self, name: &str, block: usize, down: &[bool]) -> Option<NodeId> {
-        let mut inner = self.inner.lock();
-        let meta = inner.files.get(name)?.get(block)?.clone();
-        let node = Self::pick_from(&meta.replicas, down)?;
-        inner.counters.reads += 1;
-        inner.counters.bytes_read += meta.size;
-        Some(node)
-    }
-
-    /// The least-loaded surviving node, ties broken by node id — the same
-    /// deterministic ordering [`place`](BlockStore::try_create_file) uses.
-    /// The engine re-homes data whose holder was lost onto this node.
-    /// Returns `None` when every node is down.
-    pub fn pick_survivor(&self, down: &[bool]) -> Option<NodeId> {
-        let inner = self.inner.lock();
-        (0..self.num_nodes)
-            .filter(|&n| !down.get(n).copied().unwrap_or(false))
-            .min_by_key(|&n| (inner.used_bytes[n], n))
-    }
-
     fn pick_from(replicas: &[NodeId], down: &[bool]) -> Option<NodeId> {
         let alive = |&&n: &&NodeId| !down.get(n).copied().unwrap_or(false);
         match replicas.first() {
@@ -334,18 +211,7 @@ impl BlockStore {
 
     /// Deletes a file, releasing its space. Returns whether it existed.
     pub fn delete_file(&self, name: &str) -> bool {
-        let mut inner = self.inner.lock();
-        match inner.files.remove(name) {
-            Some(blocks) => {
-                for b in &blocks {
-                    for &n in &b.replicas {
-                        inner.used_bytes[n] = inner.used_bytes[n].saturating_sub(b.size);
-                    }
-                }
-                true
-            }
-            None => false,
-        }
+        self.inner.lock().remove(name)
     }
 
     /// Bytes stored per node (all replicas counted).
@@ -361,11 +227,6 @@ impl BlockStore {
     /// Number of data nodes.
     pub fn num_nodes(&self) -> usize {
         self.num_nodes
-    }
-
-    /// Per-node byte capacity, if bounded.
-    pub fn capacity(&self) -> Option<u64> {
-        self.capacity
     }
 }
 
@@ -474,41 +335,6 @@ mod tests {
     }
 
     #[test]
-    fn capacity_exhaustion_errors_without_mutating() {
-        let s = BlockStore::with_capacity(2, 100, 1, Some(150));
-        assert_eq!(s.try_create_file("a", 250), Ok(3)); // 100+100+50 over 2 nodes
-        let before = s.used_bytes();
-        let err = s.try_create_file("b", 200).unwrap_err();
-        assert_eq!(err.replication, 1);
-        assert_eq!(s.used_bytes(), before, "failed create must not leak space");
-        assert_eq!(s.file_blocks("b"), None);
-    }
-
-    #[test]
-    fn failed_recreate_keeps_old_file() {
-        let s = BlockStore::with_capacity(1, 100, 1, Some(100));
-        assert_eq!(s.try_create_file("f", 80), Ok(1));
-        assert!(s.try_create_file("f", 300).is_err());
-        assert_eq!(
-            s.file_len("f"),
-            Some(80),
-            "old file survives a failed replace"
-        );
-        assert_eq!(s.used_bytes(), vec![80]);
-    }
-
-    #[test]
-    fn capacity_placement_skips_full_nodes() {
-        let s = BlockStore::with_capacity(3, 100, 1, Some(100));
-        s.create_file_on("pin", 100, 0); // node 0 full
-        let blocks = s.try_create_file("f", 200).unwrap();
-        assert_eq!(blocks, 2);
-        for b in s.file_blocks("f").unwrap() {
-            assert_ne!(b.replicas[0], 0, "full node must not receive blocks");
-        }
-    }
-
-    #[test]
     fn spill_file_pins_to_node() {
         let s = BlockStore::with_config(4, 100, 3);
         let n = s.create_file_on("__spill/r1.p0", 250, 2);
@@ -556,35 +382,6 @@ mod tests {
 
         assert_eq!(s.select_replica("f", 9, &up), None, "missing block");
         assert_eq!(s.select_replica("nope", 0, &up), None, "missing file");
-    }
-
-    #[test]
-    fn read_replica_charges_one_read() {
-        let s = BlockStore::with_config(4, 100, 2);
-        s.create_file("f", 100);
-        let before = s.counters();
-        let mut down = vec![false; 4];
-        let primary = s.file_blocks("f").unwrap()[0].replicas[0];
-        down[primary] = true;
-        let served = s.read_replica("f", 0, &down).unwrap();
-        assert_ne!(served, primary);
-        let after = s.counters();
-        assert_eq!(after.reads, before.reads + 1);
-        assert_eq!(after.bytes_read, before.bytes_read + 100);
-    }
-
-    #[test]
-    fn pick_survivor_is_deterministic_and_load_aware() {
-        let s = BlockStore::with_config(4, 100, 1);
-        s.create_file_on("x", 300, 0);
-        s.create_file_on("y", 100, 1);
-        let none = vec![false; 4];
-        assert_eq!(s.pick_survivor(&none), Some(2), "least loaded, lowest id");
-        let mut down = vec![false; 4];
-        down[2] = true;
-        down[3] = true;
-        assert_eq!(s.pick_survivor(&down), Some(1));
-        assert_eq!(s.pick_survivor(&[true; 4]), None);
     }
 
     #[test]

@@ -78,28 +78,6 @@ proptest! {
         }
     }
 
-    /// With a per-node capacity, creation either succeeds with every node
-    /// within capacity, or errors leaving usage exactly as before.
-    #[test]
-    fn capacity_is_never_exceeded(nodes in 1usize..6, cap in 1u64..5_000,
-                                  files in proptest::collection::vec(
-                                      ("[a-z]{1,4}", 0u64..8_000), 1..12))
-    {
-        let s = BlockStore::with_capacity(nodes, 512, 1, Some(cap));
-        for (name, len) in &files {
-            let before = s.used_bytes();
-            match s.try_create_file(name, *len) {
-                Ok(_) => {
-                    for &u in &s.used_bytes() {
-                        prop_assert!(u <= cap, "node over capacity: {u} > {cap}");
-                    }
-                }
-                Err(_) => prop_assert_eq!(s.used_bytes(), before,
-                    "failed create mutated usage"),
-            }
-        }
-    }
-
     /// Read counters advance exactly once per block per read.
     #[test]
     fn read_accounting_is_exact(len in 1u64..50_000, reads in 1usize..5) {

@@ -27,12 +27,12 @@
 //!   bucket's keys are too concentrated to yield distinct sub-bounds.
 
 use crate::config::WorkloadConf;
-use crate::exec::{MergeKind, MERGE_BASE_COST, PARTITION_COST};
+use crate::exec::{merge_runs, MergeKind, PARTITION_COST};
 use crate::metrics::StageKind;
 use crate::partitioner::{Partitioner, PartitionerKind, PartitionerSpec, RangePartitioner};
 use crate::rdd::RddGraph;
 use crate::record::{Key, Record};
-use crate::shuffle::{ConcatMerge, GroupMerge, ReduceMerge};
+use crate::shuffle::Run;
 use crate::stage::{Plan, StageRoot};
 use std::sync::Arc;
 
@@ -272,8 +272,8 @@ pub(crate) struct SubTaskStats {
 ///
 /// `maps` are the partition's incoming buckets in map order, already
 /// materialized to owned rows. Each record is routed once
-/// (charged at [`PARTITION_COST`]) and each sub pays the same merge cost
-/// shape as an unsplit task over its share, so the sum of sub costs equals
+/// (charged at [`PARTITION_COST`]) and each sub runs the unsplit task's
+/// merge ([`merge_runs`]) over its share, so the sum of sub costs equals
 /// the unsplit cost plus the routing charge.
 pub(crate) fn merge_split(
     maps: Vec<Vec<Record>>,
@@ -292,41 +292,17 @@ pub(crate) fn merge_split(
             per_sub[s][m].push(rec);
         }
     }
-    // Merge each sub independently, mirroring the unsplit task's cost
-    // accumulation shape (routing charge, base merge charge, op charge).
     let mut out: Vec<Record> = Vec::new();
     let mut total_cost = 0.0;
     let mut stats = Vec::with_capacity(k);
-    for (s, sub_maps) in per_sub.into_iter().enumerate() {
+    for (s, mut sub_maps) in per_sub.into_iter().enumerate() {
         let fetched: u64 = sub_maps.iter().map(|b| b.len() as u64).sum();
         let mut cost = fetched as f64 * PARTITION_COST;
-        cost += fetched as f64 * MERGE_BASE_COST;
-        let records = match merge {
-            MergeKind::Reduce(f, c) => {
-                let mut mg = ReduceMerge::new(Arc::clone(f));
-                for b in sub_maps {
-                    mg.push_owned(b);
-                }
-                let (recs, ops) = mg.finish();
-                cost += ops as f64 * c;
-                recs
-            }
-            MergeKind::Group(c) => {
-                cost += fetched as f64 * c;
-                let mut mg = GroupMerge::new();
-                for b in sub_maps {
-                    mg.push_owned(b);
-                }
-                mg.finish()
-            }
-            MergeKind::Concat => {
-                let mut mg = ConcatMerge::new();
-                for b in sub_maps {
-                    mg.push_owned(b);
-                }
-                mg.finish()
-            }
+        let feed = |push: &mut dyn FnMut(Run<'_>)| {
+            sub_maps.iter_mut().for_each(|b| push(Run::Moved(b)));
+            fetched
         };
+        let (records, _) = merge_runs(merge, feed, &mut cost);
         let out_bytes: u64 = records.iter().map(Record::encoded_size).sum();
         stats.push(SubTaskStats {
             per_map_bytes: per_map_bytes[s].clone(),
@@ -472,11 +448,8 @@ mod tests {
             let fetched: u64 = stats.iter().map(|s| s.fetched).sum();
             prop_assert_eq!(fetched, records.len() as u64);
             // Unsplit reference.
-            let mut mg = ReduceMerge::new(f);
-            for b in maps {
-                mg.push_owned(b);
-            }
-            let (mut reference, _) = mg.finish();
+            let (mut reference, _) =
+                crate::shuffle::merge_reduce(maps.iter().map(Vec::as_slice), &f);
             let mut out = out;
             let by_key = |a: &Record, b: &Record| a.key.cmp(&b.key);
             out.sort_by(by_key);

@@ -551,10 +551,10 @@ impl ColumnBatch {
     /// shuffle byte tables cannot tell the paths apart.
     pub fn encoded_size(&self) -> u64 {
         let (start, end) = (self.offset, self.offset + self.len);
-        2 * self.len as u64 + self.key_bytes(start, end) + self.value_bytes(start, end)
+        2 * self.len as u64 + self.keys_bytes(start, end) + self.values_bytes(start, end)
     }
 
-    fn key_bytes(&self, start: usize, end: usize) -> u64 {
+    fn keys_bytes(&self, start: usize, end: usize) -> u64 {
         let n = (end - start) as u64;
         match &self.keys {
             KeyColumn::AllNone => n,
@@ -588,7 +588,7 @@ impl ColumnBatch {
         }
     }
 
-    fn value_bytes(&self, start: usize, end: usize) -> u64 {
+    fn values_bytes(&self, start: usize, end: usize) -> u64 {
         let n = (end - start) as u64;
         match &self.values {
             ValueColumn::AllNull => n,

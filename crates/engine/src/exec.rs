@@ -34,7 +34,7 @@ pub(crate) const PARTITION_COST: f64 = 0.05e-6;
 /// Compute units charged per record for range-partitioner sampling.
 pub(crate) const SAMPLE_COST: f64 = 0.02e-6;
 /// Compute units charged per fetched record during reduce-side merges.
-pub(crate) const MERGE_BASE_COST: f64 = 0.03e-6;
+const MERGE_BASE_COST: f64 = 0.03e-6;
 
 /// Engine construction options.
 #[derive(Clone)]
@@ -55,10 +55,6 @@ pub struct EngineOptions {
     /// Driver link bandwidth (bytes/s) for result collection (the paper's
     /// master sits on the 1 GbE segment).
     pub driver_bandwidth: f64,
-    /// Spark-style speculative execution: when `Some(m)`, tasks running
-    /// longer than `m` × the stage's median get a backup copy on another
-    /// node. The reactive alternative to CHOPPER's proactive partitioning.
-    pub speculation: Option<f64>,
     /// Execution-trace sink. Disabled by default; when enabled, stage
     /// spans, task timelines, shuffle counters, and pool scheduling
     /// counters are recorded. Tracing only observes — simulated timings
@@ -131,7 +127,6 @@ impl Default for EngineOptions {
                 .min(8),
             block_size: 128 * 1024 * 1024,
             driver_bandwidth: 1e9 / 8.0,
-            speculation: None,
             trace: TraceSink::disabled(),
             executor_mem: None,
             pipeline: true,
@@ -173,20 +168,8 @@ impl EngineOptions {
                  {nodes} nodes — grow the rack grid or shrink the cluster"
             ));
         }
-        if let Some(m) = self.speculation {
-            if m.is_nan() || m <= 1.0 {
-                return Err(format!("speculation multiplier must be > 1, got {m}"));
-            }
-        }
         if let Some(plan) = &self.faults {
             plan.validate(self.cluster.num_nodes())?;
-            if plan.speculation.is_some() && self.speculation.is_some() {
-                return Err(
-                    "speculation is configured twice: both the fault plan and the \
-                     engine speculation option set a multiplier — remove one"
-                        .to_string(),
-                );
-            }
         }
         Ok(())
     }
@@ -239,14 +222,11 @@ struct FaultState {
     /// Slow-node events sorted by `(at, node)`.
     stragglers: Vec<Straggler>,
     next_straggler: usize,
-    /// Per-node lost flag; drives replica selection for source reads and
-    /// re-homing targets.
-    lost: Vec<bool>,
     counters: FaultCounters,
 }
 
 impl FaultState {
-    fn new(plan: FaultPlan, num_nodes: usize) -> Self {
+    fn new(plan: FaultPlan) -> Self {
         let mut losses = plan.node_loss.clone();
         losses.sort_by(|a, b| {
             (a.at, a.node)
@@ -265,7 +245,6 @@ impl FaultState {
             next_loss: 0,
             stragglers,
             next_straggler: 0,
-            lost: vec![false; num_nodes],
             counters: FaultCounters::default(),
         }
     }
@@ -313,9 +292,6 @@ impl Context {
             panic!("invalid engine options: {msg}");
         }
         let mut sim = Simulation::new(options.cluster.clone());
-        if let Some(multiplier) = options.speculation {
-            sim.enable_speculation(multiplier);
-        }
         if let Some(multiplier) = options.faults.as_ref().and_then(|p| p.speculation) {
             sim.enable_speculation(multiplier);
         }
@@ -340,10 +316,7 @@ impl Context {
                 .name_thread(trace::Track::new(trace::pids::DRIVER, 0), "stages");
         }
         let mem = MemoryManager::new(options.cluster.num_nodes(), options.executor_mem);
-        let faults = options
-            .faults
-            .clone()
-            .map(|plan| FaultState::new(plan, options.cluster.num_nodes()));
+        let faults = options.faults.clone().map(FaultState::new);
         Context {
             graph: RddGraph::new(),
             sim,
@@ -571,25 +544,8 @@ impl Context {
     }
 
     // ------------------------------------------------------------------
-    // Derived operators (sugar over the primitives, as in Spark)
+    // Derived operator (sugar over the primitives, as in Spark)
     // ------------------------------------------------------------------
-
-    /// Distinct keys: one record per key, value taken from the first
-    /// occurrence (a shuffle, like Spark's `distinct`).
-    pub fn distinct_by_key(
-        &mut self,
-        parent: Rdd,
-        scheme: Option<PartitionerSpec>,
-        tag: &'static str,
-    ) -> Rdd {
-        self.graph.reduce_by_key(
-            parent,
-            Arc::new(|a: &crate::record::Value, _b: &crate::record::Value| a.clone()),
-            scheme,
-            0.05e-6,
-            tag,
-        )
-    }
 
     /// Occurrence count per key (the word-count kernel): maps every record
     /// to `(key, 1)` and sums.
@@ -611,73 +567,6 @@ impl Context {
                 crate::record::Value::Int(a.as_int() + b.as_int())
             }),
             scheme,
-            0.05e-6,
-            tag,
-        )
-    }
-
-    /// Re-keys records by a derived key (Spark's `keyBy`).
-    pub fn key_by(
-        &mut self,
-        parent: Rdd,
-        f: Arc<dyn Fn(&Record) -> crate::record::Key + Send + Sync>,
-        cost: f64,
-        tag: &'static str,
-    ) -> Rdd {
-        self.graph.map(
-            parent,
-            Arc::new(move |r: &Record| Record::new(f(r), r.value.clone())),
-            cost,
-            tag,
-        )
-    }
-
-    /// Per-key mean of numeric values, computed with a (sum, count)
-    /// accumulator and a value-side division — the common aggregation
-    /// pattern the paper's workloads use.
-    pub fn mean_by_key(
-        &mut self,
-        parent: Rdd,
-        scheme: Option<PartitionerSpec>,
-        tag: &'static str,
-    ) -> Rdd {
-        use crate::record::Value;
-        let paired = self.graph.map_values(
-            parent,
-            Arc::new(|r: &Record| {
-                Record::new(
-                    r.key.clone(),
-                    Value::Pair(
-                        Box::new(Value::Float(r.value.as_float())),
-                        Box::new(Value::Int(1)),
-                    ),
-                )
-            }),
-            0.05e-6,
-            tag,
-        );
-        let summed = self.graph.reduce_by_key(
-            paired,
-            Arc::new(|a: &Value, b: &Value| match (a, b) {
-                (Value::Pair(sa, ca), Value::Pair(sb, cb)) => Value::Pair(
-                    Box::new(Value::Float(sa.as_float() + sb.as_float())),
-                    Box::new(Value::Int(ca.as_int() + cb.as_int())),
-                ),
-                other => panic!("malformed mean accumulator {other:?}"),
-            }),
-            scheme,
-            0.1e-6,
-            tag,
-        );
-        self.graph.map_values(
-            summed,
-            Arc::new(|r: &Record| match &r.value {
-                Value::Pair(s, c) => Record::new(
-                    r.key.clone(),
-                    Value::Float(s.as_float() / c.as_int().max(1) as f64),
-                ),
-                other => panic!("malformed mean accumulator {other:?}"),
-            }),
             0.05e-6,
             tag,
         )
@@ -732,30 +621,6 @@ impl Context {
     /// The simulation (virtual clock, traces, IO stats).
     pub fn sim(&self) -> &Simulation {
         &self.sim
-    }
-
-    // ------------------------------------------------------------------
-    // Failure injection (paper Section VI future work: "how CHOPPER
-    // behaves under failures"). Effective from the next stage onward.
-    // ------------------------------------------------------------------
-
-    /// Persistently slows a node down (e.g. 2.0 = half speed) — a degraded
-    /// or contended executor.
-    pub fn inject_slowdown(&mut self, node: simcluster::NodeId, factor: f64) {
-        self.sim.set_slowdown(node, factor);
-    }
-
-    /// Fails a node: no further tasks are placed on it. Data already
-    /// materialized there remains fetchable (the executor is gone, the
-    /// block replicas are not), so running jobs complete — degraded, like
-    /// Spark recomputing/fetching around a lost executor.
-    pub fn inject_failure(&mut self, node: simcluster::NodeId) {
-        self.sim.fail_node(node);
-    }
-
-    /// Recovers a previously failed node.
-    pub fn recover(&mut self, node: simcluster::NodeId) {
-        self.sim.recover_node(node);
     }
 
     /// The backing block store.
@@ -961,19 +826,9 @@ impl Context {
         let node = self.graph.node(rdd);
         match &node.op {
             OpKind::SourceCollection { partitions, .. } => *partitions,
-            OpKind::SourceBlocks {
-                file, partitions, ..
-            } => {
-                if let Some(p) = partitions {
-                    if !self.conf.override_user_fixed {
-                        return *p;
-                    }
-                }
+            OpKind::SourceBlocks { file, .. } => {
                 if let Some(s) = self.conf.stage_scheme(node.signature) {
                     return s.partitions;
-                }
-                if let Some(p) = partitions {
-                    return *p;
                 }
                 let blocks = self
                     .store
@@ -1049,9 +904,7 @@ impl Context {
         // reads see re-homed data and the scheduler sees the shrunk
         // topology. Recovery (lineage recompute + replica re-homing) runs
         // inside, before any consumer fetch accounting for a lost shuffle.
-        if self.faults.is_some() {
-            self.apply_due_faults(shuffles);
-        }
+        self.apply_due_faults(shuffles);
 
         let sink = self.options.trace.clone();
         let (input, mut reads) = self.resolve_inputs(&cx, shuffles);
@@ -1077,11 +930,14 @@ impl Context {
             last_spec_of_task,
             unsplit,
         } = self.build_specs(&cx, &reads, &outs, writes.as_deref());
-        // Fetch-table snapshot for metrics: fault injection appends
-        // re-fetch entries to spec fetch lists, but the metrics byte
-        // tables must stay fault-invariant.
-        let spec_fetches: Vec<Vec<(NodeId, u64)>> =
-            specs.iter().map(|s| s.fetches.clone()).collect();
+        // Corrupt-chunk injection appends re-fetch entries to the specs'
+        // fetch lists, and the metrics byte tables must stay
+        // fault-invariant: remember where each list ended before it.
+        let clean_fetches: Option<Vec<usize>> = self
+            .faults
+            .as_ref()
+            .filter(|f| f.plan.corrupt_prob > 0.0)
+            .map(|_| specs.iter().map(|s| s.fetches.len()).collect());
         let timing = self.charge_stage(&cx, &mut specs, reads.split_plan.is_some());
         // Per physical task: the node that finished it (its last sub).
         let homes: Vec<NodeId> = last_spec_of_task
@@ -1092,11 +948,15 @@ impl Context {
 
         reads.parents_gids.sort_unstable();
         reads.parents_gids.dedup();
+        let fetches = specs.iter().enumerate().map(|(j, spec)| {
+            let clean = clean_fetches.as_ref().map_or(spec.fetches.len(), |n| n[j]);
+            &spec.fetches[..clean]
+        });
         let metrics = self.stage_metrics(
             &cx,
             &outs,
             writes.as_deref(),
-            &spec_fetches,
+            fetches,
             &timing,
             reads.parents_gids,
         );
@@ -1265,17 +1125,14 @@ impl Context {
                 // Once a node is lost, prefer the deterministic serving
                 // replica the block store selects over the raw replica
                 // list (whose primary may be dead).
-                let down: Option<&Vec<bool>> = self
-                    .faults
-                    .as_ref()
-                    .filter(|f| f.counters.nodes_lost > 0)
-                    .map(|f| &f.lost);
+                let down = self.sim.failed_nodes();
+                let any_down = down.contains(&true);
                 reads.tasks = (0..num_tasks)
                     .map(|i| {
                         let bi = i * blocks.len().max(1) / num_tasks;
                         let preferred = if blocks.is_empty() {
                             Vec::new()
-                        } else if let Some(down) = down {
+                        } else if any_down {
                             self.store
                                 .select_replica(file, bi, down)
                                 .into_iter()
@@ -1653,28 +1510,27 @@ impl Context {
     // Phase 6: metrics and trace
     // ------------------------------------------------------------------
 
-    /// Stage metrics, computed from the pre-injection spec fetch tables:
-    /// identical to the tasks' own reads for unsplit stages (specs clone
-    /// them verbatim), and correctly per-sub for split stages.
-    fn stage_metrics(
+    /// Stage metrics. `fetches` are the pre-injection spec fetch tables,
+    /// one per simulated task: identical to the tasks' own reads for
+    /// unsplit stages (specs clone them verbatim), and correctly per-sub
+    /// for split stages.
+    fn stage_metrics<'f>(
         &self,
         cx: &StageCtx<'_>,
         outs: &[TaskOut],
         writes: Option<&[MapWrite]>,
-        spec_fetches: &[Vec<(NodeId, u64)>],
+        fetches: impl Iterator<Item = &'f [(NodeId, u64)]> + Clone,
         timing: &simcluster::StageTiming,
         parents: Vec<usize>,
     ) -> StageMetrics {
         let stage = cx.stage();
         let shuffle_read_bytes: u64 = match &stage.root {
-            StageRoot::ShuffleRead { .. } | StageRoot::JoinRead { .. } => spec_fetches
-                .iter()
-                .flat_map(|f| f.iter().map(|(_, b)| *b))
-                .sum(),
+            StageRoot::ShuffleRead { .. } | StageRoot::JoinRead { .. } => {
+                fetches.clone().flatten().map(|(_, b)| *b).sum()
+            }
             _ => 0,
         };
-        let remote_read_bytes: u64 = spec_fetches
-            .iter()
+        let remote_read_bytes: u64 = fetches
             .zip(&timing.tasks)
             .flat_map(|(f, t)| {
                 f.iter()
@@ -1684,16 +1540,7 @@ impl Context {
             .sum();
         let user_fixed = |rdd: &Rdd| self.graph.node(*rdd).user_fixed;
         let (kind, configurable) = match &stage.root {
-            StageRoot::Source(rdd) => {
-                let dynamic = matches!(
-                    self.graph.node(*rdd).op,
-                    OpKind::SourceBlocks {
-                        partitions: None,
-                        ..
-                    }
-                );
-                (StageKind::Source, dynamic)
-            }
+            StageRoot::Source(rdd) => (StageKind::Source, !user_fixed(rdd)),
             StageRoot::ShuffleRead { wide, .. } => (StageKind::Shuffle, !user_fixed(wide)),
             StageRoot::JoinRead { wide, .. } => (StageKind::Join, !user_fixed(wide)),
             StageRoot::CachedRead(_) => (StageKind::Cached, false),
@@ -1910,43 +1757,41 @@ impl Context {
     /// data is recovered via [`Context::recover_lost_node`].
     fn apply_due_faults(&mut self, shuffles: &mut [Option<ShuffleData>]) {
         let now = self.sim.clock();
-        let (due_slow, due_lost) = {
-            let Some(fs) = self.faults.as_mut() else {
-                return;
-            };
-            let mut slow = Vec::new();
-            while fs.next_straggler < fs.stragglers.len()
-                && fs.stragglers[fs.next_straggler].at <= now
-            {
-                let s = fs.stragglers[fs.next_straggler];
-                fs.next_straggler += 1;
-                if !fs.lost[s.node] {
-                    fs.counters.stragglers_applied += 1;
-                    slow.push(s);
-                }
-            }
-            let mut lost = Vec::new();
-            while fs.next_loss < fs.losses.len() && fs.losses[fs.next_loss].at <= now {
-                let l = fs.losses[fs.next_loss];
-                fs.next_loss += 1;
-                if !fs.lost[l.node] {
-                    fs.lost[l.node] = true;
-                    fs.counters.nodes_lost += 1;
-                    lost.push(l.node);
-                }
-            }
-            (slow, lost)
+        let Some(fs) = self.faults.as_mut() else {
+            return;
         };
-        for s in due_slow {
-            self.sim.set_slowdown(s.node, s.factor);
+        let mut slow = Vec::new();
+        while fs.next_straggler < fs.stragglers.len() && fs.stragglers[fs.next_straggler].at <= now
+        {
+            let s = fs.stragglers[fs.next_straggler];
+            fs.next_straggler += 1;
+            if !self.sim.failed_nodes()[s.node] {
+                fs.counters.stragglers_applied += 1;
+                self.sim.set_slowdown(s.node, s.factor);
+                slow.push(s);
+            }
+        }
+        // Every node due at this boundary goes down before any of them is
+        // recovered, so nothing re-homes onto (or recomputes on) a node
+        // that dies at the same instant.
+        let mut lost = Vec::new();
+        while fs.next_loss < fs.losses.len() && fs.losses[fs.next_loss].at <= now {
+            let node = fs.losses[fs.next_loss].node;
+            fs.next_loss += 1;
+            if !self.sim.failed_nodes()[node] {
+                self.sim.fail_node(node);
+                fs.counters.nodes_lost += 1;
+                lost.push(node);
+            }
+        }
+        for s in slow {
             self.emit_fault_event(
                 &format!("slow node {}", s.node),
                 "straggler",
                 vec![("node", s.node.into()), ("factor", s.factor.into())],
             );
         }
-        for node in due_lost {
-            self.sim.fail_node(node);
+        for node in lost {
             self.emit_fault_event(
                 &format!("node {node} lost"),
                 "node-loss",
@@ -1968,21 +1813,13 @@ impl Context {
     /// home's disk.
     /// Only placements and the virtual clock change.
     fn recover_lost_node(&mut self, node: NodeId, shuffles: &mut [Option<ShuffleData>]) {
-        let down: Vec<bool> = self
-            .faults
-            .as_ref()
-            .expect("fault state present during recovery")
-            .lost
-            .clone();
         let num_nodes = self.options.cluster.num_nodes();
         // Survivors ordered by node id: re-home targets round-robin over
         // this list so recovery is deterministic regardless of map
-        // iteration order and balanced across the shrunk cluster.
+        // iteration order and balanced across the shrunk cluster. The
+        // simulator refuses to fail its last node, so there is one.
+        let down = self.sim.failed_nodes();
         let survivors: Vec<NodeId> = (0..num_nodes).filter(|&n| !down[n]).collect();
-        assert!(
-            !survivors.is_empty(),
-            "fault plan validated to keep a survivor"
-        );
 
         // Cached partitions, in RDD-id order for determinism.
         let mut moves: Vec<(Rdd, usize, u64)> = Vec::new();
@@ -2765,29 +2602,14 @@ fn read_root(input: &StageInput<'_>, task: TaskId) -> RootRead {
                 sub_stats = Some(stats);
                 (records, fetched, bytes)
             } else {
-                match merge {
-                    MergeKind::Reduce(f, c) => {
-                        let mut m = ReduceMerge::new(Arc::clone(f));
-                        let (fetched, bytes) = data.drain_column(i, |run| m.push_run(run));
-                        cost += fetched as f64 * MERGE_BASE_COST;
-                        let (out, ops) = m.finish();
-                        cost += ops as f64 * c;
-                        (out, fetched, bytes)
-                    }
-                    MergeKind::Group(c) => {
-                        let mut m = GroupMerge::new();
-                        let (fetched, bytes) = data.drain_column(i, |run| m.push_run(run));
-                        cost += fetched as f64 * MERGE_BASE_COST;
-                        cost += fetched as f64 * c;
-                        (m.finish(), fetched, bytes)
-                    }
-                    MergeKind::Concat => {
-                        let mut m = ConcatMerge::new();
-                        let (fetched, bytes) = data.drain_column(i, |run| m.push_run(run));
-                        cost += fetched as f64 * MERGE_BASE_COST;
-                        (m.finish(), fetched, bytes)
-                    }
-                }
+                let mut bytes = 0;
+                let feed = |push: &mut dyn FnMut(Run<'_>)| {
+                    let (fetched, b) = data.drain_column(i, push);
+                    bytes = b;
+                    fetched
+                };
+                let (records, fetched) = merge_runs(merge, feed, &mut cost);
+                (records, fetched, bytes)
             };
             (TaskRecords::Owned(records), fetched, bytes)
         }
@@ -2825,6 +2647,42 @@ fn read_root(input: &StageInput<'_>, task: TaskId) -> RootRead {
         input_bytes,
         cost,
         sub_stats,
+    }
+}
+
+/// The reduce-side merge of a single-parent wide op: `feed` pushes the
+/// task's runs, in map-task order, into the accumulator `kind` calls for
+/// and returns how many records that was. Returns the merged records and
+/// that count; the merge compute is added to `cost`. A whole reduce
+/// partition and each sub of an adaptively split one merge here, so both
+/// charge in the same `f64` order.
+pub(crate) fn merge_runs(
+    kind: &MergeKind,
+    feed: impl FnOnce(&mut dyn FnMut(Run<'_>)) -> u64,
+    cost: &mut f64,
+) -> (Vec<Record>, u64) {
+    match kind {
+        MergeKind::Reduce(f, c) => {
+            let mut m = ReduceMerge::new(Arc::clone(f));
+            let fetched = feed(&mut |run| m.push_run(run));
+            *cost += fetched as f64 * MERGE_BASE_COST;
+            let (out, ops) = m.finish();
+            *cost += ops as f64 * c;
+            (out, fetched)
+        }
+        MergeKind::Group(c) => {
+            let mut m = GroupMerge::new();
+            let fetched = feed(&mut |run| m.push_run(run));
+            *cost += fetched as f64 * MERGE_BASE_COST;
+            *cost += fetched as f64 * c;
+            (m.finish(), fetched)
+        }
+        MergeKind::Concat => {
+            let mut m = ConcatMerge::new();
+            let fetched = feed(&mut |run| m.push_run(run));
+            *cost += fetched as f64 * MERGE_BASE_COST;
+            (m.finish(), fetched)
+        }
     }
 }
 
@@ -3646,13 +3504,19 @@ mod tests {
         assert!(ctx.clock() > t1);
     }
 
+    /// A context degraded by the plan `text` describes (none if empty).
+    fn planned(text: &str) -> Context {
+        let plan = FaultPlan::from_text(text).expect("well-formed plan");
+        Context::new(EngineOptions {
+            faults: (!text.is_empty()).then_some(plan),
+            ..test_options()
+        })
+    }
+
     #[test]
-    fn speculation_option_mitigates_a_degraded_node() {
-        let run = |speculation: Option<f64>| {
-            let mut opts = test_options();
-            opts.speculation = speculation;
-            let mut ctx = Context::new(opts);
-            ctx.inject_slowdown(0, 10.0);
+    fn plan_speculation_mitigates_a_degraded_node() {
+        let run = |plan: &str| {
+            let mut ctx = planned(plan);
             let data: Vec<Record> = (0..20_000)
                 .map(|i| Record::new(Key::Int(i % 10), Value::Int(1)))
                 .collect();
@@ -3661,8 +3525,8 @@ mod tests {
             ctx.count(m, "job");
             ctx.jobs().last().unwrap().duration()
         };
-        let plain = run(None);
-        let speculated = run(Some(1.5));
+        let plain = run("slow-node 0 10 0\n");
+        let speculated = run("slow-node 0 10 0\nspeculation 1.5\n");
         assert!(
             speculated < plain,
             "backups on healthy nodes must beat waiting: {speculated} vs {plain}"
@@ -3671,88 +3535,57 @@ mod tests {
 
     #[test]
     fn derived_operators_compute_correctly() {
-        use crate::record::Key as K;
         let mut ctx = Context::new(test_options());
-        // 200 records over 10 keys with float values 0.5.
-        let data: Vec<Record> = (0..200)
-            .map(|i| Record::new(K::Int(i % 10), Value::Float(0.5)))
-            .collect();
-        let src = ctx.parallelize(data, 4, "src");
-
-        let distinct = ctx.distinct_by_key(src, None, "distinct");
-        assert_eq!(ctx.count(distinct, "distinct"), 10);
-
+        let src = ctx.parallelize(word_records(), 4, "src");
         let counts = ctx.count_by_key(src, None, "cbk");
         let out = ctx.collect(counts, "cbk");
-        assert!(out.iter().all(|r| r.value.as_int() == 20));
-
-        let means = ctx.mean_by_key(src, None, "mbk");
-        let out = ctx.collect(means, "mbk");
         assert_eq!(out.len(), 10);
-        for r in &out {
-            assert!((r.value.as_float() - 0.5).abs() < 1e-12);
-        }
-
-        let rekeyed = ctx.key_by(
-            src,
-            Arc::new(|r: &Record| match r.key {
-                K::Int(k) => K::Int(k % 2),
-                _ => unreachable!(),
-            }),
-            1e-7,
-            "rekey",
-        );
-        let halves = ctx.distinct_by_key(rekeyed, None, "halves");
-        assert_eq!(ctx.count(halves, "halves"), 2);
+        assert!(out.iter().all(|r| r.value.as_int() == 20));
     }
 
     #[test]
     fn failed_node_is_avoided_and_results_stay_correct() {
         // Enough work per task that cluster capacity (not dispatch) binds:
         // 24 tasks of ~0.8 s on 12 cores (2 waves) vs 8 cores (3 waves).
-        let mut ctx = Context::new(test_options());
-        let data: Vec<Record> = (0..20_000)
-            .map(|i| Record::new(Key::Int(i % 10), Value::Int(1)))
-            .collect();
-        let src = ctx.parallelize(data, 24, "src");
-        let work = |ctx: &mut Context| {
+        let run = |plan: &str| {
+            let mut ctx = planned(plan);
+            let data: Vec<Record> = (0..20_000)
+                .map(|i| Record::new(Key::Int(i % 10), Value::Int(1)))
+                .collect();
+            let src = ctx.parallelize(data, 24, "src");
             let m = ctx.map(src, Arc::new(|r: &Record| r.clone()), 2e-3, "work");
-            ctx.reduce_by_key(m, sum(), None, 1e-6, "count")
+            let counts = ctx.reduce_by_key(m, sum(), None, 1e-6, "count");
+            let out = sorted(ctx.collect(counts, "job"));
+            let placed_on_0 = ctx
+                .all_stages()
+                .iter()
+                .flat_map(|m| &m.placements)
+                .filter(|t| t.node == 0)
+                .count();
+            (out, ctx.jobs().last().unwrap().duration(), placed_on_0)
         };
-        let counts = work(&mut ctx);
-        let healthy = sorted(ctx.collect(counts, "before"));
-        let t_healthy = ctx.jobs().last().unwrap().duration();
-
-        ctx.inject_failure(0);
-        let counts2 = work(&mut ctx);
-        let degraded = sorted(ctx.collect(counts2, "after"));
-        let t_degraded = ctx.jobs().last().unwrap().duration();
+        let (healthy, t_healthy, on_0) = run("");
+        assert!(on_0 > 0, "a healthy cluster uses node 0");
+        let (degraded, t_degraded, on_0) = run("lose-node 0 0\n");
         assert_eq!(healthy, degraded, "results unaffected by the failure");
+        assert_eq!(on_0, 0, "no task is placed on the lost node");
         assert!(
             t_degraded > t_healthy * 1.2,
             "losing a third of the cluster must slow the job: {t_degraded} !> {t_healthy}"
         );
-
-        ctx.recover(0);
-        let counts3 = work(&mut ctx);
-        ctx.collect(counts3, "recovered");
-        let t_recovered = ctx.jobs().last().unwrap().duration();
-        assert!(t_recovered < t_degraded, "recovery restores capacity");
     }
 
     #[test]
     fn slowdown_injection_stretches_stage_times() {
-        let mut ctx = Context::new(test_options());
-        let src = ctx.parallelize(word_records(), 4, "src");
-        let m = ctx.map(src, Arc::new(|r: &Record| r.clone()), 5e-3, "work");
-        ctx.count(m, "baseline");
-        let baseline = ctx.jobs().last().unwrap().duration();
-        ctx.inject_slowdown(1, 8.0);
-        let m2 = ctx.map(src, Arc::new(|r: &Record| r.clone()), 5e-3, "work");
-        ctx.count(m2, "degraded");
-        let degraded = ctx.jobs().last().unwrap().duration();
+        let run = |plan: &str| {
+            let mut ctx = planned(plan);
+            let src = ctx.parallelize(word_records(), 4, "src");
+            let m = ctx.map(src, Arc::new(|r: &Record| r.clone()), 5e-3, "work");
+            ctx.count(m, "job");
+            ctx.jobs().last().unwrap().duration()
+        };
         assert!(
-            degraded > baseline,
+            run("slow-node 1 8 0\n") > run(""),
             "a straggler node must show up in the makespan"
         );
     }
@@ -4051,16 +3884,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_options_conflicts_are_rejected() {
-        let mut opts = test_options();
-        opts.faults = Some(FaultPlan {
-            speculation: Some(1.5),
-            ..FaultPlan::default()
-        });
-        opts.speculation = Some(2.0);
-        let err = opts.validate().unwrap_err();
-        assert!(err.contains("twice"), "got: {err}");
-
+    fn a_plan_naming_a_node_the_cluster_lacks_is_rejected() {
         let mut opts = test_options();
         opts.faults = Some(FaultPlan {
             node_loss: vec![NodeLoss { node: 9, at: 1.0 }],

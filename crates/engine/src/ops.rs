@@ -36,16 +36,14 @@ pub enum OpKind {
         partitions: usize,
     },
     /// A block-store file with records generated deterministically per
-    /// partition. With `partitions: None` the split count follows Spark's
-    /// `textFile` rule — `max(block count, default parallelism)` — and is
-    /// retunable through CHOPPER's configuration; `Some(n)` pins it.
+    /// partition. The split count follows Spark's `textFile` rule —
+    /// `max(block count, default parallelism)` — and is retunable through
+    /// CHOPPER's configuration.
     SourceBlocks {
         /// File name in the block store.
         file: String,
         /// Generator producing the records of partition `i` of `n`.
         gen: GenFn,
-        /// Explicit split count, if pinned by the program.
-        partitions: Option<usize>,
     },
     /// Element-wise map. Drops any known partitioning (keys may change).
     Map {

@@ -92,15 +92,8 @@ impl RddGraph {
     }
 
     fn push(&mut self, op: OpKind, parents: Vec<Rdd>, tag: &'static str, cost: f64) -> Rdd {
-        let user_fixed = op.explicit_scheme().is_some()
-            || matches!(
-                &op,
-                OpKind::SourceBlocks {
-                    partitions: Some(_),
-                    ..
-                }
-            )
-            || matches!(&op, OpKind::SourceCollection { .. });
+        let user_fixed =
+            op.explicit_scheme().is_some() || matches!(&op, OpKind::SourceCollection { .. });
         let mut sig = fnv1a(op.discriminant().as_bytes());
         sig = hash_combine(sig, fnv1a(tag.as_bytes()));
         for p in &parents {
@@ -143,29 +136,6 @@ impl RddGraph {
             OpKind::SourceBlocks {
                 file: file.to_string(),
                 gen,
-                partitions: None,
-            },
-            vec![],
-            tag,
-            cost,
-        )
-    }
-
-    /// Block-store-backed source with a pinned split count.
-    pub fn from_blocks_with_partitions(
-        &mut self,
-        file: &str,
-        gen: GenFn,
-        partitions: usize,
-        cost: f64,
-        tag: &'static str,
-    ) -> Rdd {
-        assert!(partitions > 0, "need at least one partition");
-        self.push(
-            OpKind::SourceBlocks {
-                file: file.to_string(),
-                gen,
-                partitions: Some(partitions),
             },
             vec![],
             tag,
@@ -261,26 +231,6 @@ impl RddGraph {
     ) -> Rdd {
         self.push(OpKind::CoGroup { scheme }, vec![left, right], tag, cost)
     }
-
-    /// All ancestors of `rdd` (inclusive), in reverse topological order
-    /// (parents before children).
-    pub fn ancestors(&self, rdd: Rdd) -> Vec<Rdd> {
-        let mut seen = vec![false; self.nodes.len()];
-        let mut order = Vec::new();
-        self.visit(rdd, &mut seen, &mut order);
-        order
-    }
-
-    fn visit(&self, rdd: Rdd, seen: &mut Vec<bool>, order: &mut Vec<Rdd>) {
-        if seen[rdd.0] {
-            return;
-        }
-        seen[rdd.0] = true;
-        for p in self.nodes[rdd.0].parents.clone() {
-            self.visit(p, seen, order);
-        }
-        order.push(rdd);
-    }
 }
 
 #[cfg(test)]
@@ -347,34 +297,6 @@ mod tests {
         let free = g.reduce_by_key(src, sum(), None, 1.0, "r2");
         assert!(g.node(fixed).user_fixed);
         assert!(!g.node(free).user_fixed);
-    }
-
-    #[test]
-    fn ancestors_in_topological_order() {
-        let mut g = RddGraph::new();
-        let a = g.parallelize(sample_records(5), 1, "a");
-        let b = g.parallelize(sample_records(5), 1, "b");
-        let ra = g.reduce_by_key(a, sum(), None, 1.0, "ra");
-        let rb = g.reduce_by_key(b, sum(), None, 1.0, "rb");
-        let j = g.join(ra, rb, None, 1.0, "j");
-        let order = g.ancestors(j);
-        let pos = |r: Rdd| order.iter().position(|&x| x == r).unwrap();
-        assert!(pos(a) < pos(ra));
-        assert!(pos(b) < pos(rb));
-        assert!(pos(ra) < pos(j));
-        assert!(pos(rb) < pos(j));
-        assert_eq!(order.len(), 5);
-    }
-
-    #[test]
-    fn diamond_lineage_visits_shared_parent_once() {
-        let mut g = RddGraph::new();
-        let src = g.parallelize(sample_records(5), 1, "src");
-        let l = g.map(src, identity(), 1.0, "l");
-        let r = g.map(src, identity(), 1.0, "r");
-        let j = g.join(l, r, None, 1.0, "j");
-        let order = g.ancestors(j);
-        assert_eq!(order.len(), 4, "shared source appears once");
     }
 
     #[test]

@@ -564,11 +564,6 @@ impl ReduceMerge {
         }
     }
 
-    /// Fold owned records in; first-seen records are moved, not cloned.
-    pub fn push_owned(&mut self, records: impl IntoIterator<Item = Record>) {
-        self.fold(records);
-    }
-
     /// Fold a borrowed bucket in; first-seen records are cloned.
     pub fn push_slice(&mut self, records: &[Record]) {
         self.fold(records);
@@ -648,11 +643,6 @@ impl GroupMerge {
         }
     }
 
-    /// Collect owned records; keys and values are moved.
-    pub fn push_owned(&mut self, records: impl IntoIterator<Item = Record>) {
-        self.fold(records);
-    }
-
     /// Collect a borrowed bucket; values (and first-seen keys) are cloned.
     pub fn push_slice(&mut self, records: &[Record]) {
         self.fold(records);
@@ -704,11 +694,6 @@ impl ConcatMerge {
 
     fn fold<R: IntoRecord>(&mut self, records: impl IntoIterator<Item = R>) {
         self.out.extend(records.into_iter().map(R::into_record));
-    }
-
-    /// Append owned records; they are moved.
-    pub fn push_owned(&mut self, records: impl IntoIterator<Item = Record>) {
-        self.fold(records);
     }
 
     /// Append a borrowed bucket; records are cloned.
@@ -819,11 +804,6 @@ impl JoinMerge {
         }
     }
 
-    /// Build the table from owned left records; they are moved.
-    pub fn push_left_owned(&mut self, records: impl IntoIterator<Item = Record>) {
-        self.build(records);
-    }
-
     /// Build the table from a borrowed left bucket; values (and
     /// first-seen keys) are cloned.
     pub fn push_left_slice(&mut self, records: &[Record]) {
@@ -838,13 +818,8 @@ impl JoinMerge {
         self.probe(pending);
     }
 
-    /// Probe with owned right records (buffered if the left side is not
-    /// sealed yet); matched values are moved, not cloned.
-    pub fn push_right_owned(&mut self, records: impl IntoIterator<Item = Record>) {
-        self.probe(records);
-    }
-
-    /// Probe with a borrowed right bucket; matched values are cloned.
+    /// Probe with a borrowed right bucket (buffered if the left side is
+    /// not sealed yet); matched values are cloned.
     pub fn push_right_slice(&mut self, records: &[Record]) {
         self.probe(records);
     }
@@ -971,11 +946,6 @@ impl CogroupMerge {
         }
     }
 
-    /// Collect owned left records; they are moved.
-    pub fn push_left_owned(&mut self, records: impl IntoIterator<Item = Record>) {
-        self.side(records, true);
-    }
-
     /// Collect a borrowed left bucket; values (and first-seen keys) are
     /// cloned.
     pub fn push_left_slice(&mut self, records: &[Record]) {
@@ -990,14 +960,8 @@ impl CogroupMerge {
         self.side(pending, false);
     }
 
-    /// Collect owned right records (buffered if the left side is not
-    /// sealed yet); they are moved.
-    pub fn push_right_owned(&mut self, records: impl IntoIterator<Item = Record>) {
-        self.side(records, false);
-    }
-
-    /// Collect a borrowed right bucket; values (and first-seen keys) are
-    /// cloned.
+    /// Collect a borrowed right bucket (buffered if the left side is not
+    /// sealed yet); values (and first-seen keys) are cloned.
     pub fn push_right_slice(&mut self, records: &[Record]) {
         self.side(records, false);
     }
@@ -1207,7 +1171,7 @@ mod tests {
         let b: Vec<Record> = (0..40).map(|i| rec(i % 5, i * 3)).collect();
         let (batch, batch_ops) = merge_reduce([a.as_slice(), b.as_slice()], &sum());
         let mut m = ReduceMerge::new(sum());
-        m.push_owned(a.clone());
+        m.push_run(Run::Moved(&mut a.clone()));
         m.push_slice(&b);
         let (streamed, ops) = m.finish();
         assert_eq!(streamed, batch);
@@ -1220,8 +1184,8 @@ mod tests {
         let b: Vec<Record> = (0..30).map(|i| rec(i % 9, i)).collect();
         let batch = merge_group([a.as_slice(), b.as_slice()]);
         let mut m = GroupMerge::new();
-        m.push_owned(a.clone());
-        m.push_owned(b.clone());
+        m.push_run(Run::Moved(&mut a.clone()));
+        m.push_run(Run::Moved(&mut b.clone()));
         assert_eq!(m.finish(), batch);
     }
 
@@ -1231,7 +1195,7 @@ mod tests {
         let b = vec![rec(3, 3)];
         let batch = merge_concat([a.as_slice(), b.as_slice()]);
         let mut m = ConcatMerge::new();
-        m.push_owned(a.clone());
+        m.push_run(Run::Moved(&mut a.clone()));
         m.push_slice(&b);
         assert_eq!(m.finish(), batch);
     }
@@ -1243,10 +1207,10 @@ mod tests {
         let (batch, batch_probes) = merge_join(&left, &right);
         // Interleave: rights arrive before the left side is complete.
         let mut m = JoinMerge::new();
-        m.push_right_owned(right[..7].to_vec());
-        m.push_left_owned(left[..10].to_vec());
-        m.push_right_owned(right[7..].to_vec());
-        m.push_left_owned(left[10..].to_vec());
+        m.push_run(Run::Moved(&mut right[..7].to_vec()), false);
+        m.push_run(Run::Moved(&mut left[..10].to_vec()), true);
+        m.push_run(Run::Moved(&mut right[7..].to_vec()), false);
+        m.push_run(Run::Moved(&mut left[10..].to_vec()), true);
         m.seal_left();
         let (streamed, probes) = m.finish();
         assert_eq!(streamed, batch);
@@ -1259,9 +1223,9 @@ mod tests {
         let right: Vec<Record> = (0..12).map(|i| rec(i % 7, i + 50)).collect();
         let batch = merge_cogroup(&left, &right);
         let mut m = CogroupMerge::new();
-        m.push_right_owned(right[..5].to_vec());
-        m.push_left_owned(left.clone());
-        m.push_right_owned(right[5..].to_vec());
+        m.push_run(Run::Moved(&mut right[..5].to_vec()), false);
+        m.push_run(Run::Moved(&mut left.clone()), true);
+        m.push_run(Run::Moved(&mut right[5..].to_vec()), false);
         m.seal_left();
         assert_eq!(m.finish(), batch);
     }

@@ -141,11 +141,6 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// The result stage's index (always the last stage).
-    pub fn final_stage(&self) -> usize {
-        self.stages.len() - 1
-    }
-
     /// How many times the plan reads shuffle `idx`, over all stages and
     /// join sides. More than one means the shuffle's buckets are shared.
     pub fn shuffle_reads(&self, idx: usize) -> usize {

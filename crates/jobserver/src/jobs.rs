@@ -101,8 +101,10 @@ pub struct TenantRuntime {
     /// The tenant's private engine context (shared host pool, own virtual
     /// cluster clock).
     pub ctx: Context,
-    /// Source RDDs built so far, keyed by `(kind, scale-millis, seed)`.
-    datasets: HashMap<(JobKind, u32, u64), Vec<Rdd>>,
+    /// Source RDDs built so far, keyed by `(kind, scale bits, seed)` —
+    /// the exact scale the generators size the data from, so two scales
+    /// share a dataset only if they are the same number.
+    datasets: HashMap<(JobKind, u64, u64), Vec<Rdd>>,
     /// Dataset-cache hits across jobs.
     pub cache_hits: u64,
     /// Dataset-cache misses (first builds).
@@ -124,7 +126,7 @@ impl TenantRuntime {
     /// Runs one job to completion on the tenant's context and reports the
     /// outcome. Execution is real (host threads); timing is virtual.
     pub fn run(&mut self, req: &JobRequest) -> JobOutcome {
-        let key = (req.kind, (req.scale * 1000.0).round() as u32, req.seed);
+        let key = (req.kind, req.scale.to_bits(), req.seed);
         let cache_hit = self.datasets.contains_key(&key);
         if cache_hit {
             self.cache_hits += 1;
@@ -165,7 +167,7 @@ impl TenantRuntime {
 fn build_sources(ctx: &mut Context, req: &JobRequest) -> Vec<Rdd> {
     let scale = req.scale;
     let seed = req.seed;
-    let milli = (scale * 1000.0).round() as u32;
+    let bits = scale.to_bits();
     match req.kind {
         JobKind::WordCount => {
             let n = scaled(WC_RECORDS, scale, 64);
@@ -181,7 +183,7 @@ fn build_sources(ctx: &mut Context, req: &JobRequest) -> Vec<Rdd> {
                     })
                     .collect()
             });
-            let file = format!("jobs/wc-{milli}-{seed}");
+            let file = format!("jobs/wc-{bits:x}-{seed}");
             vec![ctx.text_file(&file, n * 24, gen, GEN_COST, "wc_src")]
         }
         JobKind::Sql => {
@@ -212,14 +214,14 @@ fn build_sources(ctx: &mut Context, req: &JobRequest) -> Vec<Rdd> {
                     .collect()
             });
             let orders = ctx.text_file(
-                &format!("jobs/orders-{milli}-{seed}"),
+                &format!("jobs/orders-{bits:x}-{seed}"),
                 n_orders * 18,
                 gen_orders,
                 GEN_COST,
                 "sql_orders",
             );
             let customers = ctx.text_file(
-                &format!("jobs/customers-{milli}-{seed}"),
+                &format!("jobs/customers-{bits:x}-{seed}"),
                 n_cust * 18,
                 gen_cust,
                 GEN_COST,
@@ -250,7 +252,10 @@ fn build_sources(ctx: &mut Context, req: &JobRequest) -> Vec<Rdd> {
                     .collect()
             });
             let tag = if labelled { "lr_points" } else { "km_points" };
-            let file = format!("jobs/{}-{milli}-{seed}", if labelled { "lr" } else { "km" });
+            let file = format!(
+                "jobs/{}-{bits:x}-{seed}",
+                if labelled { "lr" } else { "km" }
+            );
             vec![ctx.text_file(&file, n * (16 + 8 * DIM as u64), gen, GEN_COST, tag)]
         }
     }
@@ -452,6 +457,30 @@ mod tests {
         assert_eq!(first.rows, second.rows);
         // Cached sources skip the generate stage, so the repeat is faster.
         assert!(second.t_solo <= first.t_solo);
+    }
+
+    #[test]
+    fn scales_a_thousandth_apart_are_different_datasets() {
+        // Both round to 100 thousandths, but size 3,012 and 3,003 records.
+        let jobs = [0.1004, 0.1001].map(|scale| req(JobKind::WordCount, scale, 5));
+        let alone = jobs
+            .each_ref()
+            .map(|r| TenantRuntime::new(small_opts()).run(r));
+        assert_ne!(alone[0].hash, alone[1].hash, "different data");
+        for order in [[0, 1], [1, 0]] {
+            let mut rt = TenantRuntime::new(small_opts());
+            for i in order {
+                let got = rt.run(&jobs[i]);
+                assert!(!got.cache_hit, "order {order:?}, job {i}");
+                // A job's result is its own whatever ran before it.
+                assert_eq!(
+                    (got.rows, got.hash),
+                    (alone[i].rows, alone[i].hash),
+                    "order {order:?}, job {i}"
+                );
+            }
+            assert_eq!((rt.cache_hits, rt.cache_misses), (0, 2));
+        }
     }
 
     #[test]

@@ -98,11 +98,6 @@ impl MemoryManager {
         }
     }
 
-    /// Unbounded manager: books every entry but never evicts or spills.
-    pub fn unlimited(num_nodes: usize) -> Self {
-        Self::new(num_nodes, None)
-    }
-
     pub fn num_nodes(&self) -> usize {
         self.num_nodes
     }
@@ -354,10 +349,6 @@ impl TenantLedger {
         }
     }
 
-    pub fn num_tenants(&self) -> usize {
-        self.guarantees.len()
-    }
-
     pub fn counters(&self) -> LedgerCounters {
         self.counters
     }
@@ -411,7 +402,7 @@ mod tests {
 
     #[test]
     fn unlimited_never_evicts() {
-        let mut m = MemoryManager::unlimited(2);
+        let mut m = MemoryManager::new(2, None);
         for id in 0..10 {
             let evicted = m.insert(id, vec![1 << 30, 1 << 30], &|_| {
                 panic!("an unbounded manager never ranks victims")
@@ -489,7 +480,7 @@ mod tests {
 
     #[test]
     fn release_frees_resident_bytes() {
-        let mut m = MemoryManager::unlimited(1);
+        let mut m = MemoryManager::new(1, None);
         m.insert(1, vec![10], &pinned);
         m.insert(2, vec![20], &pinned);
         assert!(m.release(2));

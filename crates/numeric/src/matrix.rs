@@ -57,19 +57,6 @@ impl Matrix {
         }
     }
 
-    /// Builds a matrix from a flat row-major buffer.
-    ///
-    /// # Panics
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(
-            data.len(),
-            rows * cols,
-            "buffer length does not match shape"
-        );
-        Matrix { rows, cols, data }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows

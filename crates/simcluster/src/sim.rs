@@ -187,11 +187,6 @@ impl Simulation {
         self.speculation = Some(multiplier);
     }
 
-    /// Disables speculative execution.
-    pub fn disable_speculation(&mut self) {
-        self.speculation = None;
-    }
-
     /// The cluster description.
     pub fn spec(&self) -> &ClusterSpec {
         &self.spec
@@ -223,9 +218,10 @@ impl Simulation {
         );
     }
 
-    /// Brings a failed node back.
-    pub fn recover_node(&mut self, node: NodeId) {
-        self.failed[node] = false;
+    /// Per node, whether it has failed. A failed node stays failed; this
+    /// is the one record of which nodes are down.
+    pub fn failed_nodes(&self) -> &[bool] {
+        &self.failed
     }
 
     /// Sets the cached RDD bytes resident on each node (counted in the

@@ -142,11 +142,6 @@ impl ClusterSpec {
         self.nodes.len()
     }
 
-    /// Looks a node up by name.
-    pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        self.nodes.iter().position(|n| n.name == name)
-    }
-
     /// The rack a node lives in (always 0 when flat).
     pub fn rack_of(&self, node: NodeId) -> usize {
         self.topology.rack_of(node)
@@ -235,8 +230,11 @@ mod tests {
         assert_eq!(c.nodes[3].speed, 2.3);
         // 10 GbE vs 1 GbE split
         assert!(c.nodes[0].net_bandwidth > 9.0 * c.nodes[4].net_bandwidth);
-        assert_eq!(c.node_by_name("D"), Some(3));
-        assert_eq!(c.node_by_name("F"), None, "master hosts no executor");
+        assert_eq!(c.nodes[3].name, "D");
+        assert!(
+            c.nodes.iter().all(|n| n.name != "F"),
+            "master hosts no executor"
+        );
     }
 
     #[test]

@@ -55,21 +55,6 @@ impl TaskSpec {
         self.pinned_node = Some(node);
         self
     }
-
-    /// Total bytes this task will pull over the network if placed on
-    /// `node` (fetches whose source is `node` are free).
-    pub fn remote_bytes_if_on(&self, node: NodeId) -> u64 {
-        self.fetches
-            .iter()
-            .filter(|(src, _)| *src != node)
-            .map(|(_, b)| *b)
-            .sum()
-    }
-
-    /// Total shuffle fetch volume regardless of placement.
-    pub fn total_fetch_bytes(&self) -> u64 {
-        self.fetches.iter().map(|(_, b)| *b).sum()
-    }
 }
 
 #[cfg(test)]
@@ -82,17 +67,5 @@ mod tests {
         assert_eq!(t.compute_cost, 5.0);
         assert_eq!(t.preferred_nodes, vec![1]);
         assert_eq!(t.pinned_node, Some(2));
-    }
-
-    #[test]
-    fn remote_bytes_excludes_own_node() {
-        let t = TaskSpec {
-            fetches: vec![(0, 100), (1, 200), (0, 50)],
-            ..TaskSpec::default()
-        };
-        assert_eq!(t.remote_bytes_if_on(0), 200);
-        assert_eq!(t.remote_bytes_if_on(1), 150);
-        assert_eq!(t.remote_bytes_if_on(2), 350);
-        assert_eq!(t.total_fetch_bytes(), 350);
     }
 }

@@ -137,11 +137,6 @@ impl TableGen {
         TableGen { cdf, seed, payload }
     }
 
-    /// Number of distinct keys.
-    pub fn num_keys(&self) -> usize {
-        self.cdf.len()
-    }
-
     /// The key of row `i` (Zipf-sampled).
     pub fn key(&self, i: u64) -> i64 {
         let mut rng = record_rng(self.seed, i);

@@ -7,10 +7,14 @@
 //! the same injected faults and the same virtual-clock trace at any host
 //! worker count. The lossy plan is also run under a memory budget tight
 //! enough to spill, where a lost node's cached partitions re-home through
-//! the memory manager.
+//! the memory manager. Beyond the shipped plans, a property test draws
+//! random valid plans and holds them to the same invariants.
 
 use chopper::Workload;
-use engine::{ClockFilter, Context, EngineOptions, FaultPlan, NodeLoss, TraceSink, WorkloadConf};
+use engine::{
+    ClockFilter, Context, EngineOptions, FaultPlan, NodeLoss, Straggler, TraceSink, WorkloadConf,
+};
+use proptest::prelude::*;
 use simcluster::uniform_cluster;
 use std::fmt::Write as _;
 use workloads::{KMeans, KMeansConfig, LogReg, LogRegConfig, Pca, PcaConfig, Sql, SqlConfig};
@@ -214,7 +218,6 @@ fn plan_lossy_mid_shuffle_recomputes_lost_map_outputs() {
 #[test]
 fn invariants_inert_plan_is_bit_identical_to_no_plan() {
     let inert = FaultPlan::default();
-    assert!(inert.is_inert());
     for w in small_workloads() {
         let clean = run(w.as_ref(), 2, None);
         let faulted = run(w.as_ref(), 2, Some(inert.clone()));
@@ -252,5 +255,83 @@ fn invariants_speculation_never_double_counts_shuffle_bytes() {
             "{}: speculation changed a byte table",
             w.name()
         );
+    }
+}
+
+/// Runs a workload to its sorted result and finished context.
+type ResultRun = fn(&EngineOptions) -> (String, Context);
+
+/// SQL's sorted join output next to the finished context.
+fn sql_result(opts: &EngineOptions) -> (String, Context) {
+    let mut res = Sql::new(SqlConfig::small()).execute(opts, &WorkloadConf::new(), 1.0);
+    res.joined
+        .sort_by(|a, b| a.partial_cmp(b).expect("finite revenues"));
+    (format!("{:?}", res.joined), res.ctx)
+}
+
+/// KMeans' centers and sorted histogram next to the finished context.
+fn kmeans_result(opts: &EngineOptions) -> (String, Context) {
+    let mut res = KMeans::new(KMeansConfig::small()).execute(opts, &WorkloadConf::new(), 1.0);
+    res.histogram.sort_unstable();
+    (format!("{:?} {:?}", res.centers, res.histogram), res.ctx)
+}
+
+/// A plan that is valid on the suite's 3-node cluster whatever is drawn:
+/// at most two `lose-node` events, so a node always survives. Event
+/// times are fractions of a run — 0 is "before the first stage" — for the
+/// test to scale by the plan-free run's length.
+fn arb_plan() -> impl Strategy<Value = FaultPlan> {
+    let when = || prop_oneof![Just(0.0), 0.0f64..1.0];
+    let prob = || prop_oneof![Just(0.0), 0.0f64..0.2];
+    (
+        any::<u64>(),
+        prob(),
+        prob(),
+        proptest::collection::vec((0usize..3, when()), 0..3),
+        proptest::collection::vec((0usize..3, 1.0f64..6.0, when()), 0..3),
+        proptest::option::of(1.1f64..3.0),
+    )
+        .prop_map(
+            |(seed, task_fail_prob, corrupt_prob, losses, slows, speculation)| FaultPlan {
+                seed,
+                task_fail_prob,
+                corrupt_prob,
+                node_loss: losses
+                    .into_iter()
+                    .map(|(node, at)| NodeLoss { node, at })
+                    .collect(),
+                stragglers: slows
+                    .into_iter()
+                    .map(|(node, factor, at)| Straggler { node, factor, at })
+                    .collect(),
+                speculation,
+                ..FaultPlan::default()
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn generated_plans_preserve_results_and_byte_tables(shape in arb_plan()) {
+        let workloads: [(&str, ResultRun); 2] = [("sql", sql_result), ("kmeans", kmeans_result)];
+        for (name, run) in workloads {
+            let (clean_result, clean) = run(&options(1, None, None));
+            let mut plan = shape.clone();
+            plan.node_loss.iter_mut().for_each(|l| l.at *= clean.clock());
+            plan.stragglers.iter_mut().for_each(|s| s.at *= clean.clock());
+            prop_assert_eq!(plan.validate(3), Ok(()));
+            let what = format!("{name} under\n{}", plan.to_text());
+            let faulted = [1, 8].map(|workers| run(&options(workers, Some(plan.clone()), None)));
+            for (result, ctx) in &faulted {
+                prop_assert_eq!(&clean_result, result, "results, {}", what);
+                prop_assert_eq!(byte_table(&clean), byte_table(ctx), "byte tables, {}", what);
+            }
+            let [(_, one), (_, eight)] = &faulted;
+            prop_assert_eq!(one.clock().to_bits(), eight.clock().to_bits(), "clock, {}", what);
+            prop_assert_eq!(virtual_view(one), virtual_view(eight), "virtual view, {}", what);
+            prop_assert_eq!(one.fault_counters(), eight.fault_counters(), "faults, {}", what);
+        }
     }
 }
