@@ -1,0 +1,839 @@
+//! The per-task data plane: what one task reads, the fused narrow chain
+//! it streams the records through, and the shuffle write it ends in.
+//! Everything here is a function of the lineage graph and a
+//! [`StageInput`]; nothing here knows a cluster, a clock or a ledger.
+
+use super::stage::{Materialized, ShuffleData, TaskReads};
+use crate::ops::{FilterFn, FlatMapFn, GenFn, MapFn, OpKind, ReduceFn};
+use crate::partitioner::{Partitioner, PartitionerKind, PartitionerSpec};
+use crate::rdd::{Rdd, RddGraph};
+use crate::record::{batch_size, IntoRecord, Key, Record};
+use crate::shuffle::{
+    CogroupMerge, Combiner, ConcatMerge, GroupMerge, JoinMerge, ReduceMerge, Run, TaskArena,
+    TaskRuns,
+};
+use numeric::Reservoir;
+use std::sync::Arc;
+
+/// Compute units charged per record for partition assignment during shuffle
+/// writes.
+pub(crate) const PARTITION_COST: f64 = 0.05e-6;
+/// Compute units charged per record for range-partitioner sampling.
+pub(crate) const SAMPLE_COST: f64 = 0.02e-6;
+/// Compute units charged per fetched record during reduce-side merges.
+const MERGE_BASE_COST: f64 = 0.03e-6;
+
+#[derive(Clone)]
+pub(crate) enum MergeKind {
+    Reduce(ReduceFn, f64),
+    Group(f64),
+    Concat,
+}
+
+/// Where one join side's data comes from.
+pub(super) enum JoinSide<'s> {
+    /// A shuffle, consumed run by run in map order.
+    Shuffle(&'s ShuffleData),
+    /// A materialized co-partitioned RDD: partition `i` feeds task `i`,
+    /// from disk when the ledger has the entry spilled.
+    Narrow(&'s Materialized, bool),
+}
+
+impl JoinSide<'_> {
+    pub(super) fn read_of(&self, i: usize) -> TaskReads {
+        match self {
+            JoinSide::Shuffle(data) => data.read_of(i),
+            JoinSide::Narrow(mat, spilled) => mat.read_of(i, *spilled),
+        }
+    }
+
+    /// Feeds partition `col` of this side to `push`; returns the records
+    /// and bytes fetched.
+    pub(super) fn drain(&self, col: usize, mut push: impl FnMut(Run<'_>)) -> (u64, u64) {
+        match self {
+            JoinSide::Shuffle(data) => data.drain_column(col, push),
+            JoinSide::Narrow(mat, _) => {
+                let part = &mat.parts[col];
+                push(Run::Shared(part));
+                (part.len() as u64, batch_size(part))
+            }
+        }
+    }
+}
+
+/// The data-plane view of a stage's inputs: what task `i` of `n` reads.
+pub(super) enum StageInput<'s> {
+    /// Slice `i` of an in-memory collection.
+    Slice(&'s Arc<Vec<Record>>),
+    /// Split `i` of a deterministic generator.
+    Gen {
+        gen: &'s GenFn,
+        cost_per_record: f64,
+    },
+    /// Partition `i` of a cached RDD.
+    Cached(&'s [Arc<Vec<Record>>]),
+    /// Column `i` of a shuffle, merged as the wide op prescribes. Hot
+    /// columns of `split` merge as several sub-tasks (see
+    /// [`crate::adaptive`]); `split_seed` feeds their sub-bound samples.
+    Shuffle {
+        data: &'s ShuffleData,
+        merge: MergeKind,
+        split: Option<crate::adaptive::SplitPlan>,
+        split_seed: u64,
+    },
+    /// Partition `i` of both sides of a join or co-group.
+    Join {
+        left: JoinSide<'s>,
+        right: JoinSide<'s>,
+        is_join: bool,
+        cost: f64,
+    },
+}
+
+/// How a stage's tasks bucketize their output for the shuffle they feed.
+pub(super) struct ShuffleWriter {
+    pub(super) spec: PartitionerSpec,
+    /// Map-side combine function (reduce-by-key consumers only).
+    pub(super) combine: Option<ReduceFn>,
+    pub(super) combine_cost: f64,
+    /// Seeds the range bounds and the per-task key samples.
+    pub(super) seed: u64,
+    /// Columnar data plane enabled ([`crate::EngineOptions::batch`]).
+    pub(super) batch: bool,
+}
+
+/// One map task's shuffle output.
+pub(super) struct MapWrite {
+    pub(super) runs: TaskRuns,
+    /// Compute charged for partitioning, combining and range sampling.
+    pub(super) cost: f64,
+}
+
+impl ShuffleWriter {
+    pub(super) fn is_range(&self) -> bool {
+        self.spec.kind == PartitionerKind::Range
+    }
+
+    /// Orders a finished task's records by reduce partition, *moving* them
+    /// when the task owns its output (the common case) and cloning when
+    /// the records window a shared cache partition. Combine-free writes go
+    /// through a typed column batch when the keys fit one; every path
+    /// produces identical run contents and byte tables.
+    pub(super) fn write(
+        &self,
+        records: TaskRecords,
+        partitioner: &dyn Partitioner,
+        arena: &mut TaskArena,
+    ) -> MapWrite {
+        let n = records.len() as u64;
+        let columnar = (self.batch && self.combine.is_none())
+            .then(|| {
+                crate::shuffle::bucketize_columnar_runs(records.as_slice(), partitioner, arena)
+            })
+            .flatten();
+        let (runs, combine_ops) = match (columnar, records) {
+            (Some(runs), _) => (runs, 0),
+            (None, TaskRecords::Owned(v)) => {
+                crate::shuffle::bucketize_runs(v, partitioner, self.combine.as_ref(), arena)
+            }
+            (None, shared) => crate::shuffle::bucketize_runs_shared(
+                shared.as_slice(),
+                partitioner,
+                self.combine.as_ref(),
+                arena,
+            ),
+        };
+        self.charged(runs, n, combine_ops)
+    }
+
+    /// Closes a streamed combining write: the sink has already folded
+    /// every record the task's chain produced.
+    pub(super) fn finish(&self, sink: CombineSink<'_>) -> MapWrite {
+        let (runs, combine_ops) = sink.combiner.finish();
+        self.charged(runs, sink.records, combine_ops)
+    }
+
+    /// `runs` with the compute charged for writing them: partitioning (and
+    /// range sampling) per record the task produced, `n` of them, plus the
+    /// combine applications.
+    fn charged(&self, runs: TaskRuns, n: u64, combine_ops: u64) -> MapWrite {
+        let n = n as f64;
+        let mut cost = n * PARTITION_COST + combine_ops as f64 * self.combine_cost;
+        if self.is_range() {
+            cost += n * SAMPLE_COST;
+        }
+        MapWrite { runs, cost }
+    }
+}
+
+/// Per-task reservoir sampling for range-partitioned shuffle writes: each
+/// map task samples its own output during the compute pass instead of a
+/// serial driver-side scan over every task's records.
+pub(super) struct SampleSpec {
+    /// Reservoir capacity per task.
+    pub(super) cap: usize,
+    /// Stage-level seed; each task derives its own stream from it.
+    pub(super) seed: u64,
+}
+
+/// A task's output records: either owned by the task, or a window into a
+/// shared source/cache partition that the narrow chain never needed to copy.
+pub(super) enum TaskRecords {
+    Owned(Vec<Record>),
+    Shared(Arc<Vec<Record>>, usize, usize),
+}
+
+impl Default for TaskRecords {
+    fn default() -> Self {
+        TaskRecords::Owned(Vec::new())
+    }
+}
+
+impl TaskRecords {
+    pub(super) fn as_slice(&self) -> &[Record] {
+        match self {
+            TaskRecords::Owned(v) => v,
+            TaskRecords::Shared(data, start, end) => &data[*start..*end],
+        }
+    }
+
+    pub(super) fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+}
+
+/// Captures the records for cache persistence and leaves the task reading
+/// the captured partition. Nothing is copied: an owned vector moves into
+/// its `Arc`, a shared window covering a whole partition is captured as
+/// that partition (only a partial window of a source collection is cloned).
+fn capture(records: &mut TaskRecords) -> Arc<Vec<Record>> {
+    let part = match std::mem::take(records) {
+        TaskRecords::Owned(v) => Arc::new(v),
+        TaskRecords::Shared(data, start, end) if start == 0 && end == data.len() => data,
+        TaskRecords::Shared(data, start, end) => Arc::new(data[start..end].to_vec()),
+    };
+    *records = TaskRecords::Shared(Arc::clone(&part), 0, part.len());
+    part
+}
+
+pub(super) struct TaskOut {
+    /// The task's output; empty once a shuffle write has consumed it, and
+    /// from the start when the task streamed it into one.
+    pub(super) records: TaskRecords,
+    /// Count and encoded size of the records the task produced.
+    pub(super) out_records: u64,
+    pub(super) out_bytes: u64,
+    pub(super) cost: f64,
+    pub(super) input_records: u64,
+    pub(super) input_bytes: u64,
+    pub(super) captures: Vec<(Rdd, Arc<Vec<Record>>)>,
+    /// Keys reservoir-sampled from the final records (range shuffles only).
+    pub(super) sample: Vec<Key>,
+    /// Per-sub virtual-task statistics when this task ran as an adaptive
+    /// split (`None` for unsplit tasks). The driver turns these into one
+    /// `TaskSpec` per sub.
+    pub(super) sub_stats: Option<Vec<crate::adaptive::SubTaskStats>>,
+}
+
+/// One narrow op compiled for a fused streaming pass.
+enum FusedOp<'g> {
+    Map(&'g MapFn),
+    FlatMap(&'g FlatMapFn),
+    Filter(&'g FilterFn),
+    Sample {
+        fraction: f64,
+        rng: numeric::XorShift64,
+    },
+}
+
+/// A fused op plus its observed input count, so per-op compute cost can be
+/// charged after the pass exactly as the op-at-a-time loop did.
+struct OpState<'g> {
+    op: FusedOp<'g>,
+    inputs: u64,
+}
+
+/// Where a fused pass puts the records that survive it.
+trait RecordSink {
+    fn push<R: IntoRecord>(&mut self, rec: R);
+}
+
+/// Collects the pass's output; a borrowed record is cloned here.
+impl RecordSink for Vec<Record> {
+    fn push<R: IntoRecord>(&mut self, rec: R) {
+        Vec::push(self, rec.into_record());
+    }
+}
+
+/// A task's streamed shuffle write: counts and sizes every record the
+/// narrow chain produces — the task's output as the metrics and the
+/// simulator's memory charge see it — and folds it into the map-side
+/// combine on the spot.
+pub(super) struct CombineSink<'a> {
+    pub(super) combiner: Combiner<'a>,
+    pub(super) records: u64,
+    pub(super) bytes: u64,
+}
+
+impl<'a> CombineSink<'a> {
+    pub(super) fn new(combiner: Combiner<'a>) -> Self {
+        CombineSink {
+            combiner,
+            records: 0,
+            bytes: 0,
+        }
+    }
+}
+
+impl RecordSink for CombineSink<'_> {
+    #[inline]
+    fn push<R: IntoRecord>(&mut self, rec: R) {
+        self.records += 1;
+        self.bytes += rec.borrow().encoded_size();
+        self.combiner.push(rec);
+    }
+}
+
+/// Streams one record, owned or borrowed, through the remaining fused
+/// ops. A borrowed record is cloned only if the sink keeps it; whatever a
+/// `Map`/`FlatMap` produces continues owned.
+///
+/// Records arrive at each op in the same order as the op-at-a-time loop
+/// (every narrow op is order-preserving), so per-op `Sample` RNG draws are
+/// bit-identical to the unfused execution.
+fn feed<R: IntoRecord, S: RecordSink>(ops: &mut [OpState<'_>], rec: R, out: &mut S) {
+    let Some((head, rest)) = ops.split_first_mut() else {
+        out.push(rec);
+        return;
+    };
+    head.inputs += 1;
+    match &mut head.op {
+        FusedOp::Map(f) => feed(rest, f(rec.borrow()), out),
+        FusedOp::FlatMap(f) => {
+            for r in f(rec.borrow()) {
+                feed(rest, r, out);
+            }
+        }
+        FusedOp::Filter(f) => {
+            if f(rec.borrow()) {
+                feed(rest, rec, out);
+            }
+        }
+        FusedOp::Sample { fraction, rng } => {
+            if rng.next_f64() < *fraction {
+                feed(rest, rec, out);
+            }
+        }
+    }
+}
+
+/// One fused pass: every record of `records` — moved if the task owns
+/// them, lent if they window a shared partition — through `ops` into `out`.
+fn feed_all<S: RecordSink>(records: TaskRecords, ops: &mut [OpState<'_>], out: &mut S) {
+    match records {
+        TaskRecords::Owned(v) => {
+            for rec in v {
+                feed(ops, rec, out);
+            }
+        }
+        TaskRecords::Shared(data, start, end) => {
+            for rec in &data[start..end] {
+                feed(ops, rec, out);
+            }
+        }
+    }
+}
+
+/// Task `index` of a stage's `of` tasks.
+#[derive(Clone, Copy)]
+pub(super) struct TaskId {
+    pub(super) index: usize,
+    pub(super) of: usize,
+}
+
+/// A task's root input, materialized.
+struct RootRead {
+    records: TaskRecords,
+    input_records: u64,
+    input_bytes: u64,
+    /// Generation or merge compute charged so far.
+    cost: f64,
+    sub_stats: Option<Vec<crate::adaptive::SubTaskStats>>,
+}
+
+/// Materializes task `task`'s root input.
+///
+/// Shuffle and join roots move their runs out of the producer's table
+/// in map-task order and fold them straight into the streaming merge
+/// accumulators — the merge sees the same record stream whatever the
+/// worker count, so results, byte counts, range samples, and every
+/// simulated cost are deterministic. Slice/Cached roots are borrowed, not
+/// copied.
+fn read_root(input: &StageInput<'_>, task: TaskId) -> RootRead {
+    let i = task.index;
+    let mut cost = 0.0;
+    let mut sub_stats = None;
+    let (records, input_records, input_bytes) = match input {
+        StageInput::Slice(data) => {
+            let (start, end) = (i * data.len() / task.of, (i + 1) * data.len() / task.of);
+            let slice = &data[start..end];
+            let shared = TaskRecords::Shared(Arc::clone(data), start, end);
+            (shared, slice.len() as u64, batch_size(slice))
+        }
+        StageInput::Gen {
+            gen,
+            cost_per_record,
+        } => {
+            let records = gen(i, task.of);
+            let b = batch_size(&records);
+            let count = records.len() as u64;
+            cost += count as f64 * cost_per_record;
+            (TaskRecords::Owned(records), count, b)
+        }
+        StageInput::Cached(parts) => {
+            let data = &parts[i];
+            let shared = TaskRecords::Shared(Arc::clone(data), 0, data.len());
+            (shared, data.len() as u64, batch_size(data))
+        }
+        StageInput::Shuffle {
+            data,
+            merge,
+            split,
+            split_seed,
+        } => {
+            let k = split.as_ref().map_or(1, |sp| sp.subs[i]);
+            let (records, fetched, bytes) = if k > 1 {
+                // Adaptive hot-partition split: take the column in map
+                // order, route each record to one of `k` sub-buckets, and
+                // merge each sub independently. The routing is
+                // key-preserving, so aggregates match the unsplit merge;
+                // concatenation in sub order keeps the output deterministic.
+                let mut maps: Vec<Vec<Record>> = vec![Vec::new(); data.rows.len()];
+                for (m, records) in maps.iter_mut().enumerate() {
+                    data.with_run(m, i, &mut |run| *records = run.into_records());
+                }
+                let fetched: u64 = maps.iter().map(|b| b.len() as u64).sum();
+                let bytes: u64 = data.bytes.iter().map(|b| b[i]).sum();
+                let seed = split_seed ^ ((i as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15));
+                let router = crate::adaptive::SubRouter::build(
+                    maps.iter().flatten().map(|r| &r.key),
+                    k,
+                    seed,
+                );
+                let (records, merge_cost, stats) =
+                    crate::adaptive::merge_split(maps, merge, &router);
+                cost += merge_cost;
+                sub_stats = Some(stats);
+                (records, fetched, bytes)
+            } else {
+                let mut bytes = 0;
+                let feed = |push: &mut dyn FnMut(Run<'_>)| {
+                    let (fetched, b) = data.drain_column(i, push);
+                    bytes = b;
+                    fetched
+                };
+                let (records, fetched) = merge_runs(merge, feed, &mut cost);
+                (records, fetched, bytes)
+            };
+            (TaskRecords::Owned(records), fetched, bytes)
+        }
+        StageInput::Join {
+            left,
+            right,
+            is_join,
+            cost: c,
+        } => {
+            // Left side fully, seal, then the right: the merge sees both
+            // streams in map-task order.
+            let (records, fetched, bytes) = if *is_join {
+                let mut m = JoinMerge::new();
+                let l = left.drain(i, |run| m.push_run(run, true));
+                m.seal_left();
+                let r = right.drain(i, |run| m.push_run(run, false));
+                cost += (l.0 + r.0) as f64 * (MERGE_BASE_COST + c);
+                let (out, probes) = m.finish();
+                cost += probes as f64 * MERGE_BASE_COST;
+                (out, l.0 + r.0, l.1 + r.1)
+            } else {
+                let mut m = CogroupMerge::new();
+                let l = left.drain(i, |run| m.push_run(run, true));
+                m.seal_left();
+                let r = right.drain(i, |run| m.push_run(run, false));
+                cost += (l.0 + r.0) as f64 * (MERGE_BASE_COST + c);
+                (m.finish(), l.0 + r.0, l.1 + r.1)
+            };
+            (TaskRecords::Owned(records), fetched, bytes)
+        }
+    };
+    RootRead {
+        records,
+        input_records,
+        input_bytes,
+        cost,
+        sub_stats,
+    }
+}
+
+/// The reduce-side merge of a single-parent wide op: `feed` pushes the
+/// task's runs, in map-task order, into the accumulator `kind` calls for
+/// and returns how many records that was. Returns the merged records and
+/// that count; the merge compute is added to `cost`. A whole reduce
+/// partition and each sub of an adaptively split one merge here, so both
+/// charge in the same `f64` order.
+pub(crate) fn merge_runs(
+    kind: &MergeKind,
+    feed: impl FnOnce(&mut dyn FnMut(Run<'_>)) -> u64,
+    cost: &mut f64,
+) -> (Vec<Record>, u64) {
+    match kind {
+        MergeKind::Reduce(f, c) => {
+            let mut m = ReduceMerge::new(Arc::clone(f));
+            let fetched = feed(&mut |run| m.push_run(run));
+            *cost += fetched as f64 * MERGE_BASE_COST;
+            let (out, ops) = m.finish();
+            *cost += ops as f64 * c;
+            (out, fetched)
+        }
+        MergeKind::Group(c) => {
+            let mut m = GroupMerge::new();
+            let fetched = feed(&mut |run| m.push_run(run));
+            *cost += fetched as f64 * MERGE_BASE_COST;
+            *cost += fetched as f64 * c;
+            (m.finish(), fetched)
+        }
+        MergeKind::Concat => {
+            let mut m = ConcatMerge::new();
+            let fetched = feed(&mut |run| m.push_run(run));
+            *cost += fetched as f64 * MERGE_BASE_COST;
+            (m.finish(), fetched)
+        }
+    }
+}
+
+/// Runs one task: root input, narrow chain, cache captures, and — for
+/// range-shuffle writes — a reservoir sample of the output keys.
+/// `capture_root` names the root RDD when its output must be cached. With
+/// a `stream`, the task's output goes into it record by record and
+/// [`TaskOut::records`] stays empty.
+pub(super) fn compute_task(
+    graph: &RddGraph,
+    input: &StageInput<'_>,
+    chain: &[Rdd],
+    task: TaskId,
+    capture_root: Option<Rdd>,
+    range_sample: Option<&SampleSpec>,
+    mut stream: Option<&mut CombineSink<'_>>,
+) -> TaskOut {
+    let mut root = read_root(input, task);
+    let mut captures = Vec::new();
+    if let Some(root_rdd) = capture_root {
+        captures.push((root_rdd, capture(&mut root.records)));
+    }
+    let mut cost = root.cost;
+    let records = run_chain(
+        graph,
+        chain,
+        task.index,
+        root.records,
+        &mut cost,
+        &mut captures,
+        stream.as_deref_mut(),
+    );
+    let sample = match range_sample {
+        Some(spec) => {
+            let task_seed = spec.seed ^ ((task.index as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15));
+            let mut res = Reservoir::new(spec.cap, task_seed);
+            for r in records.as_slice() {
+                res.offer(r.key.clone());
+            }
+            res.into_items()
+        }
+        None => Vec::new(),
+    };
+    let (out_records, out_bytes) = match stream {
+        Some(sink) => (sink.records, sink.bytes),
+        None => (records.len() as u64, batch_size(records.as_slice())),
+    };
+    TaskOut {
+        records,
+        out_records,
+        out_bytes,
+        cost,
+        input_records: root.input_records,
+        input_bytes: root.input_bytes,
+        captures,
+        sample,
+        sub_stats: root.sub_stats,
+    }
+}
+
+/// Applies the narrow chain to `records` as fused streaming passes, one
+/// per segment. A segment ends at (and includes) the next cached node:
+/// its output is materialized, captured by move, and the task reads on
+/// from the captured partition. The last pass writes into `stream` when
+/// the task has one — with no ops left if the chain ended in a cached
+/// node — and nothing is returned; without a stream the last pass's
+/// output is returned, and an empty chain passes its input straight
+/// through. Per-op compute is added to `cost`.
+fn run_chain(
+    graph: &RddGraph,
+    chain: &[Rdd],
+    task_index: usize,
+    mut records: TaskRecords,
+    cost: &mut f64,
+    captures: &mut Vec<(Rdd, Arc<Vec<Record>>)>,
+    mut stream: Option<&mut CombineSink<'_>>,
+) -> TaskRecords {
+    let mut counts: Vec<u64> = vec![0; chain.len()];
+    let mut pos = 0;
+    while pos < chain.len() || stream.is_some() {
+        let seg_end = chain[pos..]
+            .iter()
+            .position(|&r| graph.node(r).cached)
+            .map(|off| pos + off + 1)
+            .unwrap_or(chain.len());
+        let mut ops: Vec<OpState<'_>> = chain[pos..seg_end]
+            .iter()
+            .map(|&r| OpState {
+                op: match &graph.node(r).op {
+                    OpKind::Map { f } | OpKind::MapValues { f } => FusedOp::Map(f),
+                    OpKind::FlatMap { f } => FusedOp::FlatMap(f),
+                    OpKind::Filter { f } => FusedOp::Filter(f),
+                    OpKind::Sample { fraction, seed } => FusedOp::Sample {
+                        fraction: *fraction,
+                        rng: numeric::XorShift64::new(seed ^ ((task_index as u64 + 1) * 0x9E37)),
+                    },
+                    other => unreachable!("wide op {other:?} inside a narrow chain"),
+                },
+                inputs: 0,
+            })
+            .collect();
+        let cached = chain[pos..seg_end]
+            .last()
+            .filter(|&&r| graph.node(r).cached);
+        let input = std::mem::take(&mut records);
+        // A segment that ends in a cached node is never the streamed one.
+        match stream.take_if(|_| cached.is_none()) {
+            Some(sink) => feed_all(input, &mut ops, sink),
+            None => {
+                let mut out = Vec::new();
+                feed_all(input, &mut ops, &mut out);
+                records = TaskRecords::Owned(out);
+                if let Some(&rdd) = cached {
+                    captures.push((rdd, capture(&mut records)));
+                }
+            }
+        }
+        for (off, st) in ops.iter().enumerate() {
+            counts[pos + off] = st.inputs;
+        }
+        pos = seg_end;
+    }
+
+    // Charge per-op compute cost in chain order, after the root costs —
+    // the same f64 accumulation sequence as an op-at-a-time loop, so
+    // simulated stage timings are bit-identical.
+    for (i, &r) in chain.iter().enumerate() {
+        *cost += counts[i] as f64 * graph.node(r).cost_per_record;
+    }
+    records
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::fixture::{sum, word_records};
+    use super::*;
+    use crate::partitioner::build_partitioner;
+    use crate::record::Value;
+    use crate::shuffle::Runs;
+
+    /// One fused op per letter: `m`ap, fla`x`-map, `f`ilter, `s`ample.
+    fn fused_ops<'g>(
+        spec: &str,
+        map: &'g MapFn,
+        flat: &'g FlatMapFn,
+        filter: &'g FilterFn,
+    ) -> Vec<OpState<'g>> {
+        let op = |c| match c {
+            'm' => FusedOp::Map(map),
+            'x' => FusedOp::FlatMap(flat),
+            'f' => FusedOp::Filter(filter),
+            _ => FusedOp::Sample {
+                fraction: 0.6,
+                rng: numeric::XorShift64::new(17),
+            },
+        };
+        let state = |c| OpState {
+            op: op(c),
+            inputs: 0,
+        };
+        spec.chars().map(state).collect()
+    }
+
+    #[test]
+    fn chain_step_is_the_same_for_an_owned_and_a_shared_root() {
+        let map: MapFn =
+            Arc::new(|r: &Record| Record::new(r.key.clone(), Value::Int(r.value.as_int() * 3)));
+        let flat: FlatMapFn = Arc::new(|r: &Record| {
+            (0..r.value.as_int() % 4)
+                .map(|j| Record::new(Key::Int(j), r.value.clone()))
+                .collect()
+        });
+        let filter: FilterFn = Arc::new(|r: &Record| r.value.as_int() % 2 == 0);
+        let input: Vec<Record> = (0..300)
+            .map(|i| Record::new(Key::Int(i % 11), Value::Int(i)))
+            .collect();
+        for spec in ["", "fs", "fms", "sxf", "msxs"] {
+            let run = |owned: bool| {
+                let mut ops = fused_ops(spec, &map, &flat, &filter);
+                let mut out = Vec::new();
+                for rec in &input {
+                    if owned {
+                        feed(&mut ops, rec.clone(), &mut out);
+                    } else {
+                        feed(&mut ops, rec, &mut out);
+                    }
+                }
+                let inputs: Vec<u64> = ops.iter().map(|st| st.inputs).collect();
+                (out, inputs)
+            };
+            let (owned, shared) = (run(true), run(false));
+            assert_eq!(owned, shared, "chain {spec:?}");
+            assert!(!owned.0.is_empty(), "chain {spec:?} keeps something");
+        }
+    }
+
+    /// One task of `src → flat-map → filter`, written to a 5-way hash
+    /// shuffle with a map-side combine: streamed into the combine, or
+    /// collected first and handed to the writer.
+    fn combining_task(
+        graph: &RddGraph,
+        chain: &[Rdd],
+        data: &Arc<Vec<Record>>,
+        index: usize,
+        streamed: bool,
+    ) -> (TaskOut, MapWrite) {
+        let writer = ShuffleWriter {
+            spec: PartitionerSpec::hash(5),
+            combine: Some(sum()),
+            combine_cost: 1e-6,
+            seed: 9,
+            batch: true,
+        };
+        let partitioner = build_partitioner(writer.spec, std::iter::empty(), writer.seed);
+        let f = writer.combine.as_ref().expect("combining writer");
+        let arena = &mut TaskArena::default();
+        let task = TaskId { index, of: 3 };
+        let input = StageInput::Slice(data);
+        if streamed {
+            let mut sink = CombineSink::new(Combiner::new(&*partitioner, f, arena));
+            let out = compute_task(graph, &input, chain, task, None, None, Some(&mut sink));
+            assert!(
+                out.records.as_slice().is_empty(),
+                "a streamed task holds nothing"
+            );
+            (out, writer.finish(sink))
+        } else {
+            let mut out = compute_task(graph, &input, chain, task, None, None, None);
+            let records = std::mem::take(&mut out.records);
+            (out, writer.write(records, &*partitioner, arena))
+        }
+    }
+
+    #[test]
+    fn a_streamed_combine_write_equals_the_collected_one_cached_tail_or_not() {
+        let mut graph = RddGraph::new();
+        let data: Vec<Record> = (0..240)
+            .map(|i| Record::new(Key::Int(i % 17), Value::Int(i)))
+            .collect();
+        let src = graph.parallelize(data.clone(), 3, "src");
+        let spread = graph.flat_map(
+            src,
+            Arc::new(|r: &Record| {
+                (0..r.value.as_int() % 3)
+                    .map(|j| Record::new(Key::Int(r.value.as_int() % 7 + j), r.value.clone()))
+                    .collect()
+            }),
+            2e-6,
+            "spread",
+        );
+        let kept = graph.filter(
+            spread,
+            Arc::new(|r: &Record| r.value.as_int() % 5 != 0),
+            1e-6,
+            "kept",
+        );
+        let (chain, data) = ([spread, kept], Arc::new(data));
+        for index in 0..3 {
+            graph.set_uncached(kept);
+            let (collected, collected_write) = combining_task(&graph, &chain, &data, index, false);
+            assert!(collected.out_records > 0, "task {index} keeps something");
+            let task = TaskId { index, of: 3 };
+            let chain_output = compute_task(
+                &graph,
+                &StageInput::Slice(&data),
+                &chain,
+                task,
+                None,
+                None,
+                None,
+            )
+            .records;
+            for (cached_tail, streamed) in [(false, true), (true, true), (true, false)] {
+                if cached_tail {
+                    graph.set_cached(kept);
+                } else {
+                    graph.set_uncached(kept);
+                }
+                let (out, write) = combining_task(&graph, &chain, &data, index, streamed);
+                let case = format!("task {index} cached tail {cached_tail} streamed {streamed}");
+                assert_eq!(out.out_records, collected.out_records, "{case}");
+                assert_eq!(out.out_bytes, collected.out_bytes, "{case}");
+                assert_eq!(out.input_records, collected.input_records, "{case}");
+                assert_eq!(out.cost.to_bits(), collected.cost.to_bits(), "{case}");
+                assert_eq!(
+                    write.cost.to_bits(),
+                    collected_write.cost.to_bits(),
+                    "{case}"
+                );
+                assert_eq!(write.runs.offsets, collected_write.runs.offsets, "{case}");
+                assert_eq!(write.runs.bytes, collected_write.runs.bytes, "{case}");
+                match (&write.runs.runs, &collected_write.runs.runs) {
+                    (Runs::Rows(a), Runs::Rows(b)) => assert_eq!(a, b, "{case}"),
+                    _ => panic!("{case}: a combining write is a row write"),
+                }
+                if cached_tail {
+                    // The capture is the chain's whole pre-combine output.
+                    let [(rdd, part)] = out.captures.as_slice() else {
+                        panic!("{case}: one capture")
+                    };
+                    assert_eq!(*rdd, kept, "{case}");
+                    assert_eq!(part.as_slice(), chain_output.as_slice(), "{case}");
+                } else {
+                    assert!(out.captures.is_empty(), "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_capture_moves_an_owned_output_and_shares_a_whole_partition() {
+        let owned: Vec<Record> = word_records();
+        let at = owned.as_ptr();
+        let mut records = TaskRecords::Owned(owned);
+        let part = capture(&mut records);
+        assert_eq!(part.as_ptr(), at, "the vector moved into its Arc");
+        assert!(
+            matches!(&records, TaskRecords::Shared(data, 0, 200) if Arc::ptr_eq(data, &part)),
+            "the task reads on from the captured partition"
+        );
+        // A window over a whole shared partition is that partition...
+        let again = capture(&mut records);
+        assert!(Arc::ptr_eq(&again, &part));
+        // ...and only a partial window is copied.
+        let mut window = TaskRecords::Shared(Arc::clone(&part), 50, 80);
+        let copy = capture(&mut window);
+        assert_eq!(copy.as_slice(), &part[50..80]);
+        assert_eq!(window.as_slice(), &part[50..80]);
+    }
+}

@@ -1,0 +1,185 @@
+//! Engine construction options and the one gate that checks them.
+
+use crate::pool::WorkerPool;
+use faults::FaultPlan;
+use simcluster::ClusterSpec;
+use std::sync::Arc;
+use trace::TraceSink;
+
+/// Engine construction options.
+#[derive(Clone)]
+pub struct EngineOptions {
+    /// The simulated cluster to run on.
+    pub cluster: ClusterSpec,
+    /// Default task parallelism when nothing else decides (the paper's
+    /// experiments use 300).
+    pub default_parallelism: usize,
+    /// CHOPPER's co-partition-aware scheduling: anchor same-scheme
+    /// partitions to the same nodes and prefer data-heavy nodes for reduce
+    /// tasks (Section III-C). Off = vanilla Spark placement.
+    pub copartition_scheduling: bool,
+    /// Host threads used for real data computation.
+    pub workers: usize,
+    /// Block size of the backing store.
+    pub block_size: u64,
+    /// Driver link bandwidth (bytes/s) for result collection (the paper's
+    /// master sits on the 1 GbE segment).
+    pub driver_bandwidth: f64,
+    /// Execution-trace sink. Disabled by default; when enabled, stage
+    /// spans, task timelines, shuffle counters, and pool scheduling
+    /// counters are recorded. Tracing only observes — simulated timings
+    /// are bit-identical with the sink on or off.
+    pub trace: TraceSink,
+    /// Per-executor unified memory budget in bytes. `None` (the default)
+    /// is the unbounded case: the memory manager books every cached
+    /// partition all the same, but no node is ever over its limit, so
+    /// nothing is evicted or spilled. `Some(b)` bounds each node's cached
+    /// data + task working sets at `b` bytes.
+    pub executor_mem: Option<u64>,
+    /// No effect. The engine has one executor; this field once selected
+    /// between two and is kept only because the frozen `benchmark/`
+    /// package still sets it. Nothing reads it.
+    pub pipeline: bool,
+    /// Deterministic fault-injection plan. `None` (the default) runs
+    /// fault-free — the recovery hooks cost nothing. `Some(plan)` injects
+    /// the plan's task failures, node losses, stragglers, and
+    /// shuffle-chunk corruption, and enables the recovery machinery:
+    /// bounded task retry with exponential backoff, lineage recomputation
+    /// of lost shuffle map outputs, replica re-homing of cached
+    /// partitions, and scheduler blacklisting of lost nodes. Faults
+    /// perturb only the *simulated* side (timings, placements, the
+    /// virtual clock); results and metrics byte tables stay bit-identical
+    /// to the fault-free run.
+    pub faults: Option<FaultPlan>,
+    /// Columnar data plane (the default): combine-free shuffle writes
+    /// convert each task's output to a typed [`crate::batch::ColumnBatch`],
+    /// compute partition assignment with one pass over the key column,
+    /// and ship zero-copy batch slices through the shuffle instead of
+    /// cloned record vectors. Results, byte tables, and virtual-clock
+    /// timings are bit-identical either way — tasks whose keys don't fit
+    /// a typed column layout (and all map-side-combine shuffles) fall
+    /// back to the row path per task. `false` forces rows everywhere.
+    pub batch: bool,
+    /// Host compute pool to share with other contexts. `None` (the
+    /// default) builds a private pool of `workers` lanes. The job server
+    /// sets this so every tenant's data plane runs on one pool: dispatches
+    /// serialize at epoch granularity inside [`WorkerPool`], and each
+    /// context's [`crate::Context::slot_cap_handle`] bounds how many lanes its
+    /// epochs may occupy. Purely a host-side concern — virtual timings and
+    /// results are bit-identical shared or not.
+    pub shared_pool: Option<Arc<WorkerPool>>,
+    /// Adaptive query execution (the default): after the map side of a
+    /// range-partitioned shuffle completes, the engine inspects the
+    /// map×partition byte table and splits hot reduce partitions into
+    /// sub-tasks before reduce work dispatches (see [`crate::adaptive`]).
+    /// Every decision is a pure function of data-plane byte counts, so
+    /// results stay bit-identical across worker counts, engines, and
+    /// fault plans; sorted output tables equal the unsplit run's. `false`
+    /// restores static plans bit-for-bit — timings included.
+    pub adaptive: bool,
+    /// Between-jobs re-optimization hook. After each job the engine hands
+    /// the hook that job's per-stage actuals ([`crate::adaptive::StageActuals`]);
+    /// a returned [`crate::WorkloadConf`] replaces the context's configuration
+    /// for subsequent jobs. `None` (the default) never re-plans. Installed
+    /// by CHOPPER's adaptive layer (`chopper::adaptive::replan`).
+    pub replan: Option<crate::adaptive::ReplanHook>,
+}
+
+impl Default for EngineOptions {
+    fn default() -> Self {
+        EngineOptions {
+            cluster: simcluster::paper_cluster(),
+            default_parallelism: 300,
+            copartition_scheduling: false,
+            workers: std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(4)
+                .min(8),
+            block_size: 128 * 1024 * 1024,
+            driver_bandwidth: 1e9 / 8.0,
+            trace: TraceSink::disabled(),
+            executor_mem: None,
+            pipeline: true,
+            faults: None,
+            batch: true,
+            shared_pool: None,
+            adaptive: true,
+            replan: None,
+        }
+    }
+}
+
+impl EngineOptions {
+    /// The per-task execution-memory budget implied by `executor_mem`:
+    /// the tightest node's budget split across its cores (every core may
+    /// host a task concurrently). `None` without a budget.
+    pub fn per_task_mem_budget(&self) -> Option<u64> {
+        let mem = self.executor_mem?;
+        let max_cores = self
+            .cluster
+            .nodes
+            .iter()
+            .map(|n| n.cores)
+            .max()
+            .unwrap_or(1)
+            .max(1);
+        Some(mem / max_cores as u64)
+    }
+
+    /// Checks for malformed values and contradictory combinations.
+    /// [`crate::Context::new`] panics on an invalid set; the CLI calls this at
+    /// parse time so the user gets the message instead of a silent
+    /// fallback.
+    pub fn validate(&self) -> Result<(), String> {
+        let (topology, nodes) = (self.cluster.topology, self.cluster.num_nodes());
+        if !topology.covers(nodes) {
+            return Err(format!(
+                "topology {topology} has room for fewer hosts than the cluster's \
+                 {nodes} nodes — grow the rack grid or shrink the cluster"
+            ));
+        }
+        if let Some(plan) = &self.faults {
+            plan.validate(self.cluster.num_nodes())?;
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::fixture::test_options;
+    use faults::{FaultPlan, NodeLoss};
+
+    #[test]
+    fn a_plan_naming_a_node_the_cluster_lacks_is_rejected() {
+        let mut opts = test_options();
+        opts.faults = Some(FaultPlan {
+            node_loss: vec![NodeLoss { node: 9, at: 1.0 }],
+            ..FaultPlan::default()
+        });
+        assert!(opts.validate().is_err(), "out-of-range node must fail");
+    }
+
+    #[test]
+    fn undersized_topology_grid_is_rejected() {
+        // `with_topology` asserts the grid covers the cluster; a struct
+        // literal or a deserialized spec gets here without that check.
+        let mut opts = test_options();
+        opts.cluster.topology = simcluster::Topology::Rack {
+            racks: 1,
+            hosts: 2,
+            oversub: 1.0,
+        };
+        let err = opts.validate().unwrap_err();
+        assert!(
+            err.contains("rack:1x2:1") && err.contains("3 nodes"),
+            "got: {err}"
+        );
+        opts.cluster.topology = simcluster::Topology::Rack {
+            racks: 2,
+            hosts: 2,
+            oversub: 1.0,
+        };
+        assert_eq!(opts.validate(), Ok(()));
+    }
+}

@@ -1,0 +1,1351 @@
+//! Stage execution and accounting: one plan stage from resolved inputs to
+//! stage metrics, in phases. The data moves in [`super::dataplane`]; what
+//! this module adds is everything the virtual cluster is charged for it.
+
+use super::books::spill_name;
+use super::context::Context;
+use super::dataplane::{
+    compute_task, CombineSink, JoinSide, MapWrite, MergeKind, SampleSpec, ShuffleWriter,
+    StageInput, TaskId, TaskOut, TaskRecords,
+};
+use crate::metrics::{StageKind, StageMetrics};
+use crate::ops::OpKind;
+use crate::partitioner::{build_partitioner, PartitionerSpec};
+use crate::pool::lock;
+use crate::rdd::Rdd;
+use crate::record::{batch_size, Key, Record};
+use crate::shuffle::{Combiner, Run, Runs};
+use crate::stage::{Plan, PlanStage, SideDep, StageOutput, StageRoot};
+use memman::Eviction;
+use simcluster::{NodeId, TaskSpec};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
+
+pub(super) struct Materialized {
+    pub(super) parts: Vec<Arc<Vec<Record>>>,
+    pub(super) homes: Vec<NodeId>,
+    pub(super) partitioning: Option<PartitionerSpec>,
+    pub(super) producer_stage: usize,
+}
+
+/// One shuffle's map output, from the map stage that wrote it until the
+/// last stage that reads it.
+pub(super) struct ShuffleData {
+    /// `rows[map_task]` — that task's whole output in reduce-partition
+    /// order, records or a columnar batch per the task's layout. One lock
+    /// per map task: a reduce task merges its partition's run out of the
+    /// row in place (see [`ShuffleData::with_run`]) and holds the lock only
+    /// for that. Emptied after the last read.
+    pub(super) rows: Vec<Mutex<Runs>>,
+    /// `offsets[map_task]`: reduce partition `c`'s run is
+    /// `offsets[map_task][c]..offsets[map_task][c + 1]` of the row.
+    pub(super) offsets: Vec<Vec<usize>>,
+    /// `bytes[map_task][reduce_partition]`, serialized size per run.
+    pub(super) bytes: Vec<Vec<u64>>,
+    pub(super) nodes: Vec<NodeId>,
+    pub(super) producer_gid: usize,
+    /// The producer stage's task specs, retained only while a fault plan
+    /// is active so that map outputs lost to a node failure can be
+    /// recomputed through lineage (empty otherwise).
+    pub(super) specs: Vec<TaskSpec>,
+    /// More than one read in the plan (a self-join, or two stages over one
+    /// uncached wide RDD): reads clone the records instead of moving them.
+    pub(super) shared: bool,
+    /// Reads of this shuffle that have not run yet.
+    pub(super) reads_left: usize,
+}
+
+impl Context {
+    /// Runs plan stage `plan_idx`, in phases: resolve inputs → run tasks →
+    /// build specs → fault injection, simulation and memory reservation →
+    /// persist captures and shuffle output → metrics → trace. Every job
+    /// takes this one path; options only change what the accounting
+    /// phases charge, never which code moves the data.
+    pub(super) fn exec_stage(
+        &mut self,
+        plan: &Plan,
+        plan_idx: usize,
+        gid: usize,
+        job_id: usize,
+        shuffles: &mut [Option<ShuffleData>],
+    ) -> (StageMetrics, Option<Vec<TaskOut>>) {
+        let stage = &plan.stages[plan_idx];
+        let cx = StageCtx {
+            plan,
+            plan_idx,
+            gid,
+            job_id,
+            num_tasks: self.stage_partitions(plan, stage).max(1),
+            root_scheme: match &stage.root {
+                StageRoot::ShuffleRead { shuffle, .. } => Some(plan.shuffles[*shuffle].scheme),
+                StageRoot::JoinRead { wide, .. } => plan.schemes.get(wide).copied(),
+                _ => None,
+            },
+        };
+        // Fault plan: apply node-loss and slow-node events whose virtual
+        // time has passed before this stage reads any placement state, so
+        // reads see re-homed data and the scheduler sees the shrunk
+        // topology. Recovery (lineage recompute + replica re-homing) runs
+        // inside, before any consumer fetch accounting for a lost shuffle.
+        self.apply_due_faults(shuffles);
+
+        let sink = self.options.trace.clone();
+        let (input, mut reads) = self.resolve_inputs(&cx, shuffles);
+        let wall_start = sink.wall_now();
+        let (outs, writes) = self.run_tasks(&cx, &input);
+        let wall = (wall_start, sink.wall_now());
+        drop(input);
+        // A shuffle's table is dead once its last read has run.
+        for sidx in stage.root.shuffle_reads() {
+            let data = shuffles[sidx].as_mut().expect("producer stage ran first");
+            data.reads_left -= 1;
+            if data.reads_left == 0 {
+                data.rows = Vec::new();
+            }
+        }
+        self.account_cached_reads(&reads.cached_reads);
+
+        if let Some(sp) = reads.split_plan.as_ref().filter(|_| sink.is_enabled()) {
+            self.trace_split(&cx, sp);
+        }
+        let StageSpecs {
+            mut specs,
+            last_spec_of_task,
+            unsplit,
+        } = self.build_specs(&cx, &reads, &outs, writes.as_deref());
+        // Corrupt-chunk injection appends re-fetch entries to the specs'
+        // fetch lists, and the metrics byte tables must stay
+        // fault-invariant: remember where each list ended before it.
+        let clean_fetches: Option<Vec<usize>> = self
+            .faults
+            .as_ref()
+            .filter(|f| f.plan.corrupt_prob > 0.0)
+            .map(|_| specs.iter().map(|s| s.fetches.len()).collect());
+        let timing = self.charge_stage(&cx, &mut specs, reads.split_plan.is_some());
+        // Per physical task: the node that finished it (its last sub).
+        let homes: Vec<NodeId> = last_spec_of_task
+            .iter()
+            .map(|&j| timing.tasks[j].node)
+            .collect();
+        self.persist_captures(&cx, &outs, &homes);
+
+        reads.parents_gids.sort_unstable();
+        reads.parents_gids.dedup();
+        let fetches = specs.iter().enumerate().map(|(j, spec)| {
+            let clean = clean_fetches.as_ref().map_or(spec.fetches.len(), |n| n[j]);
+            &spec.fetches[..clean]
+        });
+        let metrics = self.stage_metrics(
+            &cx,
+            &outs,
+            writes.as_deref(),
+            fetches,
+            &timing,
+            reads.parents_gids,
+        );
+        let mut result_outs = None;
+        match (stage.output, writes) {
+            (StageOutput::ShuffleWrite(sidx), Some(writes)) => {
+                let mut rows = Vec::with_capacity(cx.num_tasks);
+                let mut offsets = Vec::with_capacity(cx.num_tasks);
+                let mut bytes = Vec::with_capacity(cx.num_tasks);
+                for w in writes {
+                    rows.push(Mutex::new(w.runs.runs));
+                    offsets.push(w.runs.offsets);
+                    bytes.push(w.runs.bytes);
+                }
+                let reads_left = plan.shuffle_reads(sidx);
+                shuffles[sidx] = Some(ShuffleData {
+                    rows,
+                    offsets,
+                    bytes,
+                    nodes: homes,
+                    producer_gid: gid,
+                    // Retained only under a fault plan, as-if-unsplit when
+                    // a split fired: recompute of a lost map output re-runs
+                    // the whole physical task, not one sub.
+                    specs: match (self.faults.is_some(), unsplit) {
+                        (false, _) => Vec::new(),
+                        (true, Some(unsplit)) => unsplit,
+                        (true, None) => specs,
+                    },
+                    shared: reads_left > 1,
+                    reads_left,
+                });
+            }
+            (StageOutput::Result, _) => result_outs = Some(outs),
+            (StageOutput::ShuffleWrite(_), None) => {
+                unreachable!("shuffle-write tasks return their runs")
+            }
+        }
+        if sink.is_enabled() {
+            self.trace_stage(&cx, &metrics, &timing, wall);
+        }
+        debug_assert_eq!(
+            self.mem.storage_used(),
+            self.sim.resident_bytes(),
+            "a cached partition moved without going through `book`"
+        );
+        (metrics, result_outs)
+    }
+
+    // ------------------------------------------------------------------
+    // Phase 1: resolve inputs
+    // ------------------------------------------------------------------
+
+    /// Where each task's input lives: the data-plane view (what
+    /// [`compute_task`] reads) and the virtual-side view (what the
+    /// simulator charges for reading it).
+    fn resolve_inputs<'s>(
+        &'s self,
+        cx: &StageCtx<'_>,
+        shuffles: &'s [Option<ShuffleData>],
+    ) -> (StageInput<'s>, StageReads) {
+        let num_tasks = cx.num_tasks;
+        let mut reads = StageReads::default();
+        let produced = |s: usize| -> &'s ShuffleData {
+            shuffles[s].as_ref().expect("producer stage ran first")
+        };
+        let wide_cost = |wide: Rdd| self.graph.node(wide).cost_per_record;
+        let input = match &cx.stage().root {
+            StageRoot::Source(rdd) => self.source_input(*rdd, num_tasks, &mut reads),
+            StageRoot::CachedRead(rdd) => {
+                let mat = &self.materialized[rdd];
+                let spilled = self.mem.is_spilled(rdd.0 as u64);
+                reads.parents_gids.push(mat.producer_stage);
+                reads.cached_reads.push(*rdd);
+                reads.tasks = (0..num_tasks)
+                    .map(|i| {
+                        // A spilled partition lives in a spill file on its
+                        // home node's disk: the read is local disk I/O
+                        // (feeding the Fig. 14 transaction counters), not
+                        // a memory-resident fetch.
+                        let mut t = mat.read_of(i, spilled);
+                        t.fetch_chunks = usize::from(!spilled);
+                        t.preferred = vec![mat.homes[i]];
+                        t
+                    })
+                    .collect();
+                StageInput::Cached(&mat.parts)
+            }
+            StageRoot::ShuffleRead { wide, shuffle } => {
+                let data = produced(*shuffle);
+                reads.parents_gids.push(data.producer_gid);
+                let merge = match &self.graph.node(*wide).op {
+                    OpKind::ReduceByKey { f, .. } => {
+                        MergeKind::Reduce(Arc::clone(f), wide_cost(*wide))
+                    }
+                    OpKind::GroupByKey { .. } => MergeKind::Group(wide_cost(*wide)),
+                    OpKind::Repartition { .. } => MergeKind::Concat,
+                    other => unreachable!("single-parent wide op expected, got {other:?}"),
+                };
+                // Adaptive hot-partition split, decided from the producer's
+                // map×partition byte table before any reduce work
+                // dispatches. Purely data-plane inputs: identical across
+                // worker counts and fault plans.
+                if self.options.adaptive
+                    && crate::adaptive::split_eligible(cx.plan, &self.graph, cx.plan_idx).is_some()
+                {
+                    reads.split_plan = crate::adaptive::plan_splits(&data.column_bytes());
+                    if reads.split_plan.is_some() {
+                        reads.producer_nodes = data.nodes.clone();
+                    }
+                }
+                reads.tasks = (0..num_tasks).map(|i| data.read_of(i)).collect();
+                StageInput::Shuffle {
+                    data,
+                    merge,
+                    split: reads.split_plan.clone(),
+                    split_seed: crate::adaptive::split_seed(cx.job_id, cx.plan_idx),
+                }
+            }
+            StageRoot::JoinRead { wide, left, right } => {
+                let mut side = |dep: &SideDep| match dep {
+                    SideDep::Shuffle(s) => {
+                        reads.parents_gids.push(produced(*s).producer_gid);
+                        JoinSide::Shuffle(produced(*s))
+                    }
+                    SideDep::Narrow(rdd) => {
+                        reads
+                            .parents_gids
+                            .push(self.materialized[rdd].producer_stage);
+                        reads.cached_reads.push(*rdd);
+                        JoinSide::Narrow(&self.materialized[rdd], self.mem.is_spilled(rdd.0 as u64))
+                    }
+                };
+                let (left, right) = (side(left), side(right));
+                reads.tasks = (0..num_tasks)
+                    .map(|i| {
+                        let (mut t, r) = (left.read_of(i), right.read_of(i));
+                        t.fetches.extend(r.fetches);
+                        t.fetches = aggregate_fetches(t.fetches.iter().map(|(n, b)| (n, *b)));
+                        t.fetch_chunks += r.fetch_chunks;
+                        t.local_read_bytes += r.local_read_bytes;
+                        t
+                    })
+                    .collect();
+                StageInput::Join {
+                    left,
+                    right,
+                    is_join: matches!(self.graph.node(*wide).op, OpKind::Join { .. }),
+                    cost: wide_cost(*wide),
+                }
+            }
+        };
+        (input, reads)
+    }
+
+    fn source_input(&self, rdd: Rdd, num_tasks: usize, reads: &mut StageReads) -> StageInput<'_> {
+        match &self.graph.node(rdd).op {
+            OpKind::SourceCollection { data, .. } => {
+                reads.tasks.resize_with(num_tasks, TaskReads::default);
+                StageInput::Slice(data)
+            }
+            OpKind::SourceBlocks { file, gen, .. } => {
+                let blocks = self.store.read_file(file).unwrap_or_default();
+                let file_len: u64 = blocks.iter().map(|b| b.size).sum();
+                let per_task = file_len / num_tasks as u64;
+                // Once a node is lost, prefer the deterministic serving
+                // replica the block store selects over the raw replica
+                // list (whose primary may be dead).
+                let down = self.sim.failed_nodes();
+                let any_down = down.contains(&true);
+                reads.tasks = (0..num_tasks)
+                    .map(|i| {
+                        let bi = i * blocks.len().max(1) / num_tasks;
+                        let preferred = if blocks.is_empty() {
+                            Vec::new()
+                        } else if any_down {
+                            self.store
+                                .select_replica(file, bi, down)
+                                .into_iter()
+                                .collect()
+                        } else {
+                            blocks[bi].replicas.clone()
+                        };
+                        TaskReads {
+                            local_read_bytes: per_task,
+                            preferred,
+                            ..TaskReads::default()
+                        }
+                    })
+                    .collect();
+                StageInput::Gen {
+                    gen,
+                    cost_per_record: self.graph.node(rdd).cost_per_record,
+                }
+            }
+            other => unreachable!("source stage over {other:?}"),
+        }
+    }
+
+    /// Accounts a stage's cached reads: each consuming stage burns one
+    /// lineage reference, bumps recency, and — for spilled entries — pays
+    /// the reread through the spill files.
+    fn account_cached_reads(&mut self, cached_reads: &[Rdd]) {
+        for rdd in cached_reads {
+            *self.reads_done.entry(*rdd).or_insert(0) += 1;
+            let id = rdd.0 as u64;
+            self.mem.touch(id);
+            if self.mem.is_spilled(id) {
+                self.mem.reread(id);
+                for i in 0..self.materialized[rdd].parts.len() {
+                    self.store.read_file(&spill_name(*rdd, i));
+                }
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Phase 2: run tasks
+    // ------------------------------------------------------------------
+
+    /// Runs the stage's tasks on the pool. A task feeding a hash shuffle
+    /// with map-side combine streams its narrow chain straight into the
+    /// combine and never holds its pre-combine output; a combine-free hash
+    /// write collects the task's output first (the columnar layout needs
+    /// all of it) and bucketizes it by move before the next task starts;
+    /// a range shuffle first needs every task's key sample for its
+    /// bounds, so it computes in one pass and bucketizes, still by move,
+    /// in a second. Returns per-task outputs and, for shuffle writes,
+    /// per-task runs.
+    fn run_tasks(
+        &self,
+        cx: &StageCtx<'_>,
+        input: &StageInput<'_>,
+    ) -> (Vec<TaskOut>, Option<Vec<MapWrite>>) {
+        let (stage, num_tasks) = (cx.stage(), cx.num_tasks);
+        let root_rdd = stage.root_rdd();
+        let capture_root = self.graph.node(root_rdd).cached
+            && !self.materialized.contains_key(&root_rdd)
+            && !matches!(stage.root, StageRoot::CachedRead(_));
+        let writer = match stage.output {
+            StageOutput::ShuffleWrite(sidx) => {
+                let shuffle = &cx.plan.shuffles[sidx];
+                let wide = self.graph.node(shuffle.for_wide);
+                Some(ShuffleWriter {
+                    spec: shuffle.scheme,
+                    combine: match &wide.op {
+                        OpKind::ReduceByKey { f, .. } if shuffle.combine => Some(Arc::clone(f)),
+                        _ => None,
+                    },
+                    combine_cost: wide.cost_per_record,
+                    seed: (cx.job_id as u64) << 32 | (cx.plan_idx as u64) << 8 | 0xC0,
+                    batch: self.options.batch,
+                })
+            }
+            StageOutput::Result => None,
+        };
+        // Range writes: each task reservoir-samples its own output during
+        // the compute pass.
+        let sample = writer
+            .as_ref()
+            .filter(|w| w.is_range())
+            .map(|w| SampleSpec {
+                cap: (20 * w.spec.partitions).div_ceil(num_tasks).max(8),
+                seed: w.seed,
+            });
+        let compute = |i: usize, stream: Option<&mut CombineSink<'_>>| {
+            compute_task(
+                &self.graph,
+                input,
+                &stage.chain,
+                TaskId {
+                    index: i,
+                    of: num_tasks,
+                },
+                capture_root.then_some(root_rdd),
+                sample.as_ref(),
+                stream,
+            )
+        };
+        let (pool, cap) = (&*self.pool, self.lane_cap());
+        let Some(writer) = writer else {
+            return (
+                pool.map_capped(num_tasks, cap, |i, _| compute(i, None)),
+                None,
+            );
+        };
+        if !writer.is_range() {
+            let partitioner = build_partitioner(writer.spec, std::iter::empty(), writer.seed);
+            let (outs, writes) = pool
+                .map_capped(num_tasks, cap, |i, p| {
+                    pool.with_arena(p, |arena| match &writer.combine {
+                        Some(f) => {
+                            let mut sink = CombineSink::new(Combiner::new(&*partitioner, f, arena));
+                            let out = compute(i, Some(&mut sink));
+                            (out, writer.finish(sink))
+                        }
+                        None => {
+                            let mut out = compute(i, None);
+                            let records = std::mem::take(&mut out.records);
+                            (out, writer.write(records, &*partitioner, arena))
+                        }
+                    })
+                })
+                .into_iter()
+                .unzip();
+            return (outs, Some(writes));
+        }
+        let mut outs = pool.map_capped(num_tasks, cap, |i, _| compute(i, None));
+        // Bounds come from the per-task samples concatenated in task order,
+        // so they are independent of worker scheduling.
+        let keys: Vec<Key> = outs.iter().flat_map(|o| o.sample.iter().cloned()).collect();
+        let partitioner = build_partitioner(writer.spec, keys.iter(), writer.seed);
+        let records: Vec<Mutex<TaskRecords>> = outs
+            .iter_mut()
+            .map(|o| Mutex::new(std::mem::take(&mut o.records)))
+            .collect();
+        let writes = pool.map_capped(num_tasks, cap, |i, p| {
+            let records = std::mem::take(&mut *lock(&records[i]));
+            pool.with_arena(p, |arena| writer.write(records, &*partitioner, arena))
+        });
+        (outs, Some(writes))
+    }
+
+    // ------------------------------------------------------------------
+    // Phase 3: task specs
+    // ------------------------------------------------------------------
+
+    /// Turns what the tasks read, computed and wrote into simulator task
+    /// specs — one per task, or one per sub-merge where a task ran as an
+    /// adaptive split.
+    fn build_specs(
+        &mut self,
+        cx: &StageCtx<'_>,
+        reads: &StageReads,
+        outs: &[TaskOut],
+        writes: Option<&[MapWrite]>,
+    ) -> StageSpecs {
+        let task_mem_budget = self.options.per_task_mem_budget();
+        let split_active = reads.split_plan.is_some();
+        let keep_unsplit = self.faults.is_some() && split_active;
+        let mut specs: Vec<TaskSpec> = Vec::with_capacity(outs.len());
+        // Split tasks expand into several virtual specs, but downstream
+        // consumers address shuffle data per *physical* task: remember each
+        // task's final spec, whose node finishes (and stores) its output.
+        let mut last_spec_of_task: Vec<usize> = Vec::with_capacity(outs.len());
+        let mut unsplit: Vec<TaskSpec> = Vec::new();
+        for (i, (task, out)) in reads.tasks.iter().zip(outs).enumerate() {
+            let (mut write_bytes, extra_cost) =
+                writes.map_or((0, 0.0), |w| (w[i].runs.bytes.iter().sum(), w[i].cost));
+            let mut local_read_bytes = task.local_read_bytes;
+            // Map-side combine overflow: a shuffle buffer larger than the
+            // task's execution-memory share spills the overflow to disk
+            // and re-reads it during the merge.
+            if let Some(budget) = task_mem_budget {
+                let overflow = crate::shuffle::spill_overflow(write_bytes, budget);
+                if overflow > 0 {
+                    self.mem.note_shuffle_spill(overflow);
+                    write_bytes += overflow;
+                    local_read_bytes += overflow;
+                }
+            }
+            let mut preferred = task.preferred.clone();
+            let mut pinned = None;
+            // Split stages skip co-partition anchoring: their virtual task
+            // indices no longer align 1:1 with partition indices, so an
+            // anchor keyed on them would pin the wrong data together.
+            if self.options.copartition_scheduling && !split_active {
+                if let Some(s) = cx.root_scheme {
+                    if let Some(&anchor) = self.anchors.get(&(s.kind, s.partitions, i)) {
+                        pinned = Some(anchor);
+                    } else if let Some((node, _)) = task.fetches.iter().max_by_key(|(_, b)| *b) {
+                        // Locality-aware reduce placement: prefer the node
+                        // holding the largest share of this task's input.
+                        preferred.push(*node);
+                    }
+                }
+            }
+            let base_spec = TaskSpec {
+                compute_cost: out.cost + extra_cost,
+                local_read_bytes,
+                fetches: task.fetches.clone(),
+                fetch_chunks: task.fetch_chunks,
+                write_bytes,
+                memory_bytes: out.input_bytes + out.out_bytes,
+                preferred_nodes: preferred,
+                pinned_node: pinned,
+            };
+            if keep_unsplit {
+                unsplit.push(base_spec.clone());
+            }
+            match out.sub_stats.as_deref() {
+                Some(stats) => {
+                    debug_assert_eq!(
+                        stats.iter().map(|s| s.fetched).sum::<u64>(),
+                        out.input_records,
+                        "sub-splits must partition the task's input"
+                    );
+                    let sub_cost_sum: f64 = stats.iter().map(|s| s.cost).sum();
+                    for (s_idx, st) in stats.iter().enumerate() {
+                        let last = s_idx + 1 == stats.len();
+                        let sub_in: u64 = st.per_map_bytes.iter().sum();
+                        specs.push(TaskSpec {
+                            // The narrow chain (plus any bucketize/spill
+                            // charge) runs once over the concatenated
+                            // sub-outputs; charge it to the last sub, whose
+                            // finish gates the physical task's output.
+                            compute_cost: st.cost
+                                + if last {
+                                    (out.cost - sub_cost_sum) + extra_cost
+                                } else {
+                                    0.0
+                                },
+                            local_read_bytes: if last { local_read_bytes } else { 0 },
+                            fetches: aggregate_fetches(
+                                reads
+                                    .producer_nodes
+                                    .iter()
+                                    .zip(st.per_map_bytes.iter().copied()),
+                            ),
+                            fetch_chunks: st.per_map_bytes.iter().filter(|&&b| b > 0).count(),
+                            write_bytes: if last { write_bytes } else { 0 },
+                            memory_bytes: sub_in + st.out_bytes,
+                            preferred_nodes: Vec::new(),
+                            pinned_node: None,
+                        });
+                    }
+                }
+                None => specs.push(base_spec),
+            }
+            last_spec_of_task.push(specs.len() - 1);
+        }
+        StageSpecs {
+            specs,
+            last_spec_of_task,
+            unsplit: keep_unsplit.then_some(unsplit),
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Phase 4: fault injection, simulation, memory reservation
+    // ------------------------------------------------------------------
+
+    /// Charges the stage to the simulated cluster: per-task fault draws
+    /// perturb the specs, the simulator places and times them, placements
+    /// anchor co-partitioned indices, and the stage's execution working
+    /// set is reserved (under a budget, possibly evicting cached data).
+    fn charge_stage(
+        &mut self,
+        cx: &StageCtx<'_>,
+        specs: &mut [TaskSpec],
+        split_active: bool,
+    ) -> simcluster::StageTiming {
+        let (gid, job_id) = (cx.gid, cx.job_id);
+        let stage_faults = self.inject_task_faults(specs, gid);
+        let timing = self.sim.run_stage(specs);
+        if let Some((retried, failures, corrupt)) = stage_faults {
+            self.emit_fault_event(
+                &format!("j{job_id}.s{gid} retries"),
+                "retry",
+                vec![
+                    ("stage", (gid as u64).into()),
+                    ("retried_tasks", retried.into()),
+                    ("injected_failures", failures.into()),
+                    ("corrupt_chunks", corrupt.into()),
+                ],
+            );
+        }
+        // Anchor co-partitioned indices for subsequent same-scheme stages.
+        // Split stages don't anchor: spec indices ≠ partition indices.
+        if self.options.copartition_scheduling && !split_active {
+            if let Some(s) = cx.root_scheme {
+                for (i, t) in timing.tasks.iter().enumerate() {
+                    self.anchors
+                        .entry((s.kind, s.partitions, i))
+                        .or_insert(t.node);
+                }
+            }
+        }
+        // Execution borrows from storage: reserve before the stage's
+        // captures ask the memory manager for room.
+        let mut reserve = vec![0u64; self.options.cluster.num_nodes()];
+        for (spec, t) in specs.iter().zip(&timing.tasks) {
+            reserve[t.node] = reserve[t.node].max(spec.memory_bytes);
+        }
+        self.book(|mem, refs| mem.set_execution_reservation(&reserve, refs));
+        timing
+    }
+
+    // ------------------------------------------------------------------
+    // Phase 5: persist cache captures
+    // ------------------------------------------------------------------
+
+    fn persist_captures(&mut self, cx: &StageCtx<'_>, outs: &[TaskOut], homes: &[NodeId]) {
+        let stage = cx.stage();
+        let root_rdd = stage.root_rdd();
+        let root_part = self.root_partitioning(cx.plan, stage);
+        let mut capture_map: HashMap<Rdd, Vec<Arc<Vec<Record>>>> = HashMap::new();
+        for out in outs {
+            for (rdd, data) in &out.captures {
+                capture_map.entry(*rdd).or_default().push(Arc::clone(data));
+            }
+        }
+        // Deterministic insertion order: under a memory budget the
+        // insertion order decides who evicts whom, so hash-map order
+        // would leak into results.
+        let mut captures: Vec<(Rdd, Vec<Arc<Vec<Record>>>)> = capture_map.into_iter().collect();
+        captures.sort_by_key(|(r, _)| r.0);
+        for (rdd, parts) in captures {
+            if parts.len() != outs.len() || self.materialized.contains_key(&rdd) {
+                continue;
+            }
+            let partitioning = if rdd == root_rdd {
+                root_part
+            } else {
+                self.partitioning_at(root_part, &stage.chain, rdd)
+            };
+            // The producing stage consumes the capture inline unless the
+            // capture is the stage's final result — that consumption has
+            // already burned one lineage reference.
+            if !(rdd == stage.terminal && matches!(stage.output, StageOutput::Result)) {
+                *self.reads_done.entry(rdd).or_insert(0) += 1;
+            }
+            let mut per_node = vec![0u64; self.options.cluster.num_nodes()];
+            for (part, &home) in parts.iter().zip(homes) {
+                per_node[home] += batch_size(part);
+            }
+            self.materialized.insert(
+                rdd,
+                Materialized {
+                    parts,
+                    homes: homes.to_vec(),
+                    partitioning,
+                    producer_stage: cx.gid,
+                },
+            );
+            let id = rdd.0 as u64;
+            self.book(|mem, refs| mem.insert(id, per_node.clone(), refs));
+            if self.mem.is_spilled(id) {
+                // No room even with every eligible victim gone: the
+                // capture goes straight to disk, a transfer of its own
+                // after the victims'.
+                self.write_spills(&[Eviction {
+                    id,
+                    bytes: per_node,
+                }]);
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Phase 6: metrics and trace
+    // ------------------------------------------------------------------
+
+    /// Stage metrics. `fetches` are the pre-injection spec fetch tables,
+    /// one per simulated task: identical to the tasks' own reads for
+    /// unsplit stages (specs clone them verbatim), and correctly per-sub
+    /// for split stages.
+    fn stage_metrics<'f>(
+        &self,
+        cx: &StageCtx<'_>,
+        outs: &[TaskOut],
+        writes: Option<&[MapWrite]>,
+        fetches: impl Iterator<Item = &'f [(NodeId, u64)]> + Clone,
+        timing: &simcluster::StageTiming,
+        parents: Vec<usize>,
+    ) -> StageMetrics {
+        let stage = cx.stage();
+        let shuffle_read_bytes: u64 = match &stage.root {
+            StageRoot::ShuffleRead { .. } | StageRoot::JoinRead { .. } => {
+                fetches.clone().flatten().map(|(_, b)| *b).sum()
+            }
+            _ => 0,
+        };
+        let remote_read_bytes: u64 = fetches
+            .zip(&timing.tasks)
+            .flat_map(|(f, t)| {
+                f.iter()
+                    .filter(move |(src, _)| *src != t.node)
+                    .map(|(_, b)| *b)
+            })
+            .sum();
+        let user_fixed = |rdd: &Rdd| self.graph.node(*rdd).user_fixed;
+        let (kind, configurable) = match &stage.root {
+            StageRoot::Source(rdd) => (StageKind::Source, !user_fixed(rdd)),
+            StageRoot::ShuffleRead { wide, .. } => (StageKind::Shuffle, !user_fixed(wide)),
+            StageRoot::JoinRead { wide, .. } => (StageKind::Join, !user_fixed(wide)),
+            StageRoot::CachedRead(_) => (StageKind::Cached, false),
+        };
+        let root_node = self.graph.node(stage.root_rdd());
+        let terminal_node = self.graph.node(stage.terminal);
+        StageMetrics {
+            stage_id: cx.gid,
+            job_id: cx.job_id,
+            name: terminal_node.tag.to_string(),
+            root_signature: root_node.signature,
+            terminal_signature: terminal_node.signature,
+            kind,
+            // Source stages report the scheme-equivalent of their split
+            // count so the optimizer can reason about them uniformly.
+            scheme: cx.root_scheme.or(Some(PartitionerSpec::hash(cx.num_tasks))),
+            configurable,
+            user_fixed: root_node.user_fixed,
+            // Virtual tasks actually simulated — exceeds the physical
+            // partition count when an adaptive split fired.
+            num_tasks: timing.tasks.len(),
+            input_records: outs.iter().map(|o| o.input_records).sum(),
+            input_bytes: outs.iter().map(|o| o.input_bytes).sum(),
+            output_records: outs.iter().map(|o| o.out_records).sum(),
+            output_bytes: outs.iter().map(|o| o.out_bytes).sum(),
+            shuffle_read_bytes,
+            shuffle_write_bytes: writes.map_or(0, |w| w.iter().flat_map(|w| &w.runs.bytes).sum()),
+            remote_read_bytes,
+            start: timing.start,
+            end: timing.end,
+            task_durations: timing.tasks.iter().map(|t| t.duration()).collect(),
+            placements: timing.tasks.clone(),
+            parents,
+        }
+    }
+
+    /// Records an adaptive split decision on the driver track.
+    fn trace_split(&self, cx: &StageCtx<'_>, sp: &crate::adaptive::SplitPlan) {
+        use trace::{pids, Clock, Track};
+        let (gid, job_id) = (cx.gid, cx.job_id);
+        let hot = sp.subs.iter().filter(|&&k| k > 1).count();
+        self.options.trace.instant(
+            Clock::Virtual,
+            Track::new(pids::DRIVER, 0),
+            format!("j{job_id}.s{gid} adaptive split"),
+            "adaptive",
+            self.sim.clock(),
+            vec![
+                ("stage", gid.into()),
+                ("job", job_id.into()),
+                ("hot_partitions", hot.into()),
+                ("physical_tasks", cx.num_tasks.into()),
+                ("virtual_tasks", sp.total_tasks().into()),
+            ],
+        );
+    }
+
+    /// Purely observational: reads `timing` / `metrics` after the
+    /// simulation advanced, so traced and untraced runs produce
+    /// bit-identical stage timings. Virtual-clock events are emitted on
+    /// the driver thread in stage order, which keeps the virtual trace
+    /// slice deterministic across host worker counts; the one wall span
+    /// covers the stage's task phase on the host pool.
+    fn trace_stage(
+        &self,
+        cx: &StageCtx<'_>,
+        metrics: &StageMetrics,
+        timing: &simcluster::StageTiming,
+        wall: (f64, f64),
+    ) {
+        use trace::{pids, Clock, Track};
+        let sink = &self.options.trace;
+        let (gid, job_id) = (cx.gid, cx.job_id);
+        sink.span(
+            Clock::Virtual,
+            Track::new(pids::DRIVER, 0),
+            format!("j{job_id}.s{gid} {}", metrics.name),
+            "stage",
+            timing.start,
+            timing.end,
+            vec![
+                ("stage", gid.into()),
+                ("job", job_id.into()),
+                ("tasks", metrics.num_tasks.into()),
+                ("kind", format!("{:?}", metrics.kind).into()),
+                ("skew", metrics.task_skew().into()),
+                ("shuffle_read_bytes", metrics.shuffle_read_bytes.into()),
+                ("shuffle_write_bytes", metrics.shuffle_write_bytes.into()),
+            ],
+        );
+        let shuf = Track::new(pids::DRIVER, 1);
+        if !sink.has_thread_name(shuf) {
+            sink.name_thread(shuf, "shuffle bytes");
+        }
+        for (name, at, bytes) in [
+            (
+                "shuffle_read_bytes",
+                timing.start,
+                metrics.shuffle_read_bytes,
+            ),
+            ("remote_read_bytes", timing.start, metrics.remote_read_bytes),
+            (
+                "shuffle_write_bytes",
+                timing.end,
+                metrics.shuffle_write_bytes,
+            ),
+        ] {
+            sink.counter(Clock::Virtual, shuf, name, "shuffle", at, bytes as f64);
+        }
+        simcluster::emit_stage_trace(
+            sink,
+            &self.options.cluster,
+            timing,
+            &format!("j{job_id}.s{gid}"),
+            gid,
+        );
+        let stages = Track::new(pids::POOL, 2);
+        if !sink.has_thread_name(stages) {
+            sink.name_thread(stages, "pipeline stages");
+        }
+        sink.span(
+            Clock::Wall,
+            stages,
+            format!("pipeline j{job_id}.p{} {}", cx.plan_idx, metrics.name),
+            "pipeline",
+            wall.0,
+            wall.1,
+            vec![("tasks", cx.num_tasks.into())],
+        );
+    }
+}
+
+/// Aggregates `(node, bytes)` pairs by node, dropping empty transfers.
+fn aggregate_fetches<'a, I>(pairs: I) -> Vec<(NodeId, u64)>
+where
+    I: IntoIterator<Item = (&'a NodeId, u64)>,
+{
+    let mut per_node: HashMap<NodeId, u64> = HashMap::new();
+    for (&node, bytes) in pairs {
+        if bytes > 0 {
+            *per_node.entry(node).or_insert(0) += bytes;
+        }
+    }
+    let mut v: Vec<(NodeId, u64)> = per_node.into_iter().collect();
+    v.sort_unstable();
+    v
+}
+
+/// The plan stage being executed and its identifiers, shared by every
+/// phase of [`Context::exec_stage`].
+struct StageCtx<'p> {
+    plan: &'p Plan,
+    plan_idx: usize,
+    /// Global stage id (unique across jobs within a context).
+    gid: usize,
+    job_id: usize,
+    num_tasks: usize,
+    /// Scheme the stage's root was shuffled under, if it reads a shuffle.
+    root_scheme: Option<PartitionerSpec>,
+}
+
+impl StageCtx<'_> {
+    fn stage(&self) -> &PlanStage {
+        &self.plan.stages[self.plan_idx]
+    }
+}
+
+/// What the simulator charges one task for reading its input, and where
+/// the task would like to run.
+#[derive(Default)]
+pub(super) struct TaskReads {
+    pub(super) fetches: Vec<(NodeId, u64)>,
+    pub(super) fetch_chunks: usize,
+    pub(super) local_read_bytes: u64,
+    pub(super) preferred: Vec<NodeId>,
+}
+
+/// The virtual-side view of a stage's inputs (see
+/// [`Context::resolve_inputs`]).
+#[derive(Default)]
+struct StageReads {
+    tasks: Vec<TaskReads>,
+    parents_gids: Vec<usize>,
+    /// Cached RDDs consumed by this stage, for lineage ref-counting.
+    cached_reads: Vec<Rdd>,
+    /// `None` when `--adaptive off`, the stage is ineligible, or the
+    /// column skew sits below the trigger.
+    split_plan: Option<crate::adaptive::SplitPlan>,
+    /// Producer task placements, kept for per-sub fetch construction.
+    producer_nodes: Vec<NodeId>,
+}
+
+/// Simulator specs of one stage (see [`Context::build_specs`]).
+struct StageSpecs {
+    specs: Vec<TaskSpec>,
+    last_spec_of_task: Vec<usize>,
+    /// As-if-unsplit specs, retained for lineage recovery when a split
+    /// fired under a fault plan.
+    unsplit: Option<Vec<TaskSpec>>,
+}
+
+impl Materialized {
+    /// How partition `i` is read: from its home node's memory, or — once
+    /// the ledger has the entry `spilled` — from that node's local disk.
+    pub(super) fn read_of(&self, i: usize, spilled: bool) -> TaskReads {
+        let bytes = batch_size(&self.parts[i]);
+        let mut t = TaskReads {
+            fetch_chunks: usize::from(!self.parts[i].is_empty()),
+            ..TaskReads::default()
+        };
+        if spilled {
+            t.local_read_bytes = bytes;
+        } else {
+            t.fetches = vec![(self.homes[i], bytes)];
+        }
+        t
+    }
+}
+
+impl ShuffleData {
+    /// What reduce partition `col` fetches: bytes per producer node, one
+    /// chunk per map task with data for it.
+    pub(super) fn read_of(&self, col: usize) -> TaskReads {
+        TaskReads {
+            fetches: aggregate_fetches(self.nodes.iter().zip(self.bytes.iter().map(|b| b[col]))),
+            fetch_chunks: self.bytes.iter().filter(|b| b[col] > 0).count(),
+            ..TaskReads::default()
+        }
+    }
+
+    /// Bytes written per reduce partition (column sums of the byte table).
+    pub(super) fn column_bytes(&self) -> Vec<u64> {
+        let p = self.bytes.first().map_or(0, Vec::len);
+        (0..p)
+            .map(|i| self.bytes.iter().map(|b| b[i]).sum())
+            .collect()
+    }
+
+    /// Hands map task `m`'s run for reduce partition `col` to `push` and
+    /// returns its record count. Row records are moved out in place under
+    /// the row's lock — no per-reducer copy of a column ever exists, and
+    /// the row's one allocation is freed with the table, by the driver —
+    /// or lent when the shuffle has more than one read. An empty run is
+    /// skipped on the byte table, without touching the lock.
+    pub(super) fn with_run(&self, m: usize, col: usize, push: &mut impl FnMut(Run<'_>)) -> u64 {
+        if self.bytes[m][col] == 0 {
+            return 0;
+        }
+        let (start, end) = (self.offsets[m][col], self.offsets[m][col + 1]);
+        let mut row = lock(&self.rows[m]);
+        match &mut *row {
+            Runs::Rows(records) if self.shared => push(Run::Shared(&records[start..end])),
+            Runs::Rows(records) => push(Run::Moved(&mut records[start..end])),
+            Runs::Cols(batch) => {
+                let slice = batch.slice(start, end - start);
+                drop(row);
+                push(Run::Cols(slice));
+            }
+        }
+        (end - start) as u64
+    }
+
+    /// Feeds reduce partition `col`'s runs to `push` in map-task order;
+    /// returns the records and bytes fetched.
+    pub(super) fn drain_column(&self, col: usize, mut push: impl FnMut(Run<'_>)) -> (u64, u64) {
+        let (mut fetched, mut bytes) = (0u64, 0u64);
+        for m in 0..self.rows.len() {
+            fetched += self.with_run(m, col, &mut push);
+            bytes += self.bytes[m][col];
+        }
+        (fetched, bytes)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::fixture::{sorted, sum, test_options, word_records};
+    use super::super::EngineOptions;
+    use super::Context;
+    use crate::metrics::StageKind;
+    use crate::partitioner::PartitionerSpec;
+    use crate::pool::{lock, WorkerPool};
+    use crate::record::{Key, Record, Value};
+    use std::sync::atomic::Ordering;
+    use std::sync::{Arc, Mutex};
+
+    /// Two tenants capped to one lane each run inline on their own threads
+    /// and both get participant 0 of the shared pool — the same arena
+    /// slot. A task that kept that slot locked while its user closures run
+    /// would make A, parked inside its map function, block B's shuffle
+    /// write for good.
+    #[test]
+    fn tenants_of_a_shared_pool_do_not_wait_on_each_others_tasks() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let pool = Arc::new(WorkerPool::new(2));
+        let tenant = || {
+            let ctx = Context::new(EngineOptions {
+                shared_pool: Some(Arc::clone(&pool)),
+                ..test_options()
+            });
+            ctx.slot_cap_handle().store(1, Ordering::Relaxed);
+            ctx
+        };
+        let (mut a, mut b) = (tenant(), tenant());
+        let (a_parked, a_is_parked) = mpsc::channel::<()>();
+        let (b_done, b_is_done) = mpsc::channel::<()>();
+        // A's first record parks the task until B's job has finished.
+        let gate = Mutex::new(Some((a_parked, b_is_done)));
+        let src = a.parallelize(word_records(), 4, "src");
+        let parked = a.map(
+            src,
+            Arc::new(move |r: &Record| {
+                let first_call = lock(&gate).take();
+                if let Some((a_parked, b_is_done)) = first_call {
+                    a_parked.send(()).expect("the test is listening");
+                    b_is_done
+                        .recv_timeout(Duration::from_secs(60))
+                        .expect("B finishes its combine job while A's task is parked");
+                }
+                r.clone()
+            }),
+            1e-6,
+            "parked",
+        );
+        let a_counts = a.reduce_by_key(parked, sum(), None, 1e-6, "count");
+        let src = b.parallelize(word_records(), 4, "src");
+        let b_counts = b.reduce_by_key(src, sum(), None, 1e-6, "count");
+        std::thread::scope(|s| {
+            let a_job = s.spawn(|| a.collect(a_counts, "a").len());
+            let b_job = s.spawn(move || {
+                a_is_parked
+                    .recv_timeout(Duration::from_secs(60))
+                    .expect("A starts its map stage");
+                let n = b.collect(b_counts, "b").len();
+                b_done.send(()).expect("A is waiting");
+                n
+            });
+            assert_eq!(b_job.join().expect("tenant B"), 10);
+            assert_eq!(a_job.join().expect("tenant A"), 10);
+        });
+    }
+
+    #[test]
+    fn metrics_record_two_stages_with_shuffle() {
+        let mut ctx = Context::new(test_options());
+        let src = ctx.parallelize(word_records(), 4, "src");
+        let counts = ctx.reduce_by_key(src, sum(), None, 1e-6, "count");
+        ctx.collect(counts, "wordcount");
+        let jobs = ctx.jobs();
+        assert_eq!(jobs.len(), 1);
+        let stages = &jobs[0].stages;
+        assert_eq!(stages.len(), 2);
+        assert!(
+            stages[0].shuffle_write_bytes > 0,
+            "map stage writes shuffle"
+        );
+        assert_eq!(stages[0].shuffle_read_bytes, 0);
+        assert!(
+            stages[1].shuffle_read_bytes > 0,
+            "reduce stage reads shuffle"
+        );
+        assert_eq!(stages[1].num_tasks, 6, "default parallelism");
+        assert_eq!(stages[1].parents, vec![stages[0].stage_id]);
+        assert!(jobs[0].duration() > 0.0);
+    }
+
+    #[test]
+    fn range_partitioner_yields_same_results_as_hash() {
+        let run = |spec: PartitionerSpec| {
+            let mut ctx = Context::new(test_options());
+            let src = ctx.parallelize(word_records(), 4, "src");
+            let counts = ctx.reduce_by_key(src, sum(), Some(spec), 1e-6, "count");
+            sorted(ctx.collect(counts, "wc"))
+        };
+        assert_eq!(
+            run(PartitionerSpec::hash(5)),
+            run(PartitionerSpec::range(5))
+        );
+    }
+
+    #[test]
+    fn caching_skips_recompute_in_later_jobs() {
+        let mut ctx = Context::new(test_options());
+        let src = ctx.parallelize(word_records(), 4, "src");
+        let mapped = ctx.map(src, Arc::new(|r: &Record| r.clone()), 5e-3, "prep");
+        ctx.cache(mapped);
+        // Job 1 materializes; job 2 reads the cache.
+        let c1 = ctx.count(mapped, "materialize");
+        let c2 = ctx.count(mapped, "reuse");
+        assert_eq!(c1, c2);
+        let jobs = ctx.jobs();
+        assert_eq!(jobs[0].stages[0].kind, StageKind::Source);
+        assert_eq!(jobs[1].stages[0].kind, StageKind::Cached);
+        assert!(
+            jobs[1].duration() < jobs[0].duration() / 2.0,
+            "cached job should skip the expensive map: {} vs {}",
+            jobs[1].duration(),
+            jobs[0].duration()
+        );
+        assert_eq!(
+            jobs[1].stages.len(),
+            1,
+            "cache read is a single trivial stage"
+        );
+    }
+
+    #[test]
+    fn join_end_to_end_correctness() {
+        let mut ctx = Context::new(test_options());
+        let left: Vec<Record> = (0..10)
+            .map(|i| Record::new(Key::Int(i), Value::Int(i * 10)))
+            .collect();
+        let right: Vec<Record> = (5..15)
+            .map(|i| Record::new(Key::Int(i), Value::Int(i * 100)))
+            .collect();
+        let l = ctx.parallelize(left, 2, "l");
+        let r = ctx.parallelize(right, 2, "r");
+        let j = ctx.join(l, r, None, 1e-6, "j");
+        let out = ctx.collect(j, "join");
+        assert_eq!(out.len(), 5, "keys 5..10 match");
+        for rec in &out {
+            match (&rec.key, &rec.value) {
+                (Key::Int(k), Value::Pair(a, b)) => {
+                    assert_eq!(a.as_int(), k * 10);
+                    assert_eq!(b.as_int(), k * 100);
+                }
+                other => panic!("unexpected record {other:?}"),
+            }
+        }
+        // Join job = two map stages + join stage.
+        assert_eq!(ctx.jobs()[0].stages.len(), 3);
+        assert_eq!(ctx.jobs()[0].stages[2].kind, StageKind::Join);
+    }
+
+    #[test]
+    fn copartition_scheduling_reduces_remote_join_traffic() {
+        let build = |copart: bool| {
+            let mut opts = test_options();
+            opts.copartition_scheduling = copart;
+            let mut ctx = Context::new(opts);
+            // Side A is uniform; side B is skewed (key k appears 1+(k%13)
+            // times with fat string payloads), so the two materialization
+            // stages schedule their waves differently and partition homes
+            // diverge unless co-partition anchoring aligns them.
+            let data_a: Vec<Record> = (0..4000)
+                .map(|i| Record::new(Key::Int(i % 100), Value::Int(i)))
+                .collect();
+            let mut data_b: Vec<Record> = Vec::new();
+            for _rep in 0..10 {
+                for k in 0..100i64 {
+                    for j in 0..1 + (k % 13) {
+                        data_b.push(Record::new(
+                            Key::Int(k),
+                            Value::str(&"x".repeat(64 + (j as usize) * 16)),
+                        ));
+                    }
+                }
+            }
+            let a = ctx.parallelize(data_a, 4, "a");
+            let b = ctx.parallelize(data_b, 4, "b");
+            // 30 partitions on 12 cores → multi-wave scheduling.
+            let scheme = Some(PartitionerSpec::hash(30));
+            let ra = ctx.reduce_by_key(a, sum(), scheme, 1e-6, "ra");
+            // group_by_key has no map-side combine, so side B's reduce
+            // tasks do real per-record work whose duration varies with the
+            // skewed key multiplicities — that is what desynchronizes its
+            // placement from side A's without anchoring.
+            let rb = ctx.group_by_key(b, scheme, 4e-3, "rb");
+            ctx.cache(ra);
+            ctx.cache(rb);
+            ctx.count(ra, "mat-a");
+            ctx.count(rb, "mat-b");
+            let j = ctx.join(ra, rb, scheme, 1e-6, "join");
+            ctx.count(j, "join");
+            let join_job = ctx.jobs().last().unwrap().clone();
+            let join_stage = join_job.stages.last().unwrap().clone();
+            assert_eq!(join_stage.kind, StageKind::Join);
+            join_stage.remote_read_bytes
+        };
+        let with = build(true);
+        let without = build(false);
+        assert!(
+            with < without,
+            "co-partitioning must cut remote bytes: with={with} without={without}"
+        );
+        assert_eq!(with, 0, "anchored partitions are fully local");
+    }
+
+    #[test]
+    fn co_group_end_to_end_correctness() {
+        let mut ctx = Context::new(test_options());
+        let left: Vec<Record> = (0..6)
+            .map(|i| Record::new(Key::Int(i % 3), Value::Int(i)))
+            .collect();
+        let right: Vec<Record> = (0..4)
+            .map(|i| Record::new(Key::Int(i % 4), Value::Int(i * 100)))
+            .collect();
+        let l = ctx.parallelize(left, 2, "l");
+        let r = ctx.parallelize(right, 2, "r");
+        let cg = ctx.co_group(l, r, None, 1e-6, "cg");
+        let out = ctx.collect(cg, "cogroup");
+        // Keys 0,1,2 on the left; 0,1,2,3 on the right -> 4 groups.
+        assert_eq!(out.len(), 4);
+        for rec in &out {
+            let (lhs, rhs) = match &rec.value {
+                Value::Pair(a, b) => (a, b),
+                other => panic!("expected pair of lists, got {other:?}"),
+            };
+            let (l_len, r_len) = match (&**lhs, &**rhs) {
+                (Value::List(a), Value::List(b)) => (a.len(), b.len()),
+                other => panic!("expected lists, got {other:?}"),
+            };
+            match rec.key {
+                Key::Int(k) if k < 3 => {
+                    assert_eq!(l_len, 2, "each left key appears twice");
+                    assert_eq!(r_len, 1);
+                }
+                Key::Int(3) => {
+                    assert_eq!(l_len, 0, "key 3 only exists on the right");
+                    assert_eq!(r_len, 1);
+                }
+                ref other => panic!("unexpected key {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn range_partitioner_alleviates_hot_key_neighbourhood_skew() {
+        // The paper's claim: the right partitioner "implicitly alleviates
+        // task skew". Keys concentrated in a narrow range crush a few hash
+        // buckets' worth of reduce tasks when P >> distinct keys; sampled
+        // range bounds spread the dense region across partitions.
+        let run = |spec: PartitionerSpec| {
+            let mut ctx = Context::new(test_options());
+            // 90% of records in keys 0..20, the rest spread to 10_000.
+            let data: Vec<Record> = (0..20_000)
+                .map(|i| {
+                    let k = if i % 10 < 9 { i % 20 } else { i % 10_000 };
+                    Record::new(Key::Int(k), Value::Int(1))
+                })
+                .collect();
+            let src = ctx.parallelize(data, 4, "src");
+            let g = ctx.group_by_key(src, Some(spec), 5e-5, "group");
+            ctx.count(g, "group");
+            ctx.jobs()
+                .last()
+                .unwrap()
+                .stages
+                .last()
+                .unwrap()
+                .task_skew()
+        };
+        let hash_skew = run(PartitionerSpec::hash(12));
+        let range_skew = run(PartitionerSpec::range(12));
+        assert!(
+            range_skew < hash_skew,
+            "range bounds should spread the dense key region: range {range_skew:.2} vs hash {hash_skew:.2}"
+        );
+    }
+
+    #[test]
+    fn placements_align_with_durations() {
+        let mut ctx = Context::new(test_options());
+        let src = ctx.parallelize(word_records(), 4, "src");
+        ctx.count(src, "job");
+        let stage = ctx.jobs()[0].stages[0].clone();
+        assert_eq!(stage.placements.len(), stage.task_durations.len());
+        for (p, d) in stage.placements.iter().zip(&stage.task_durations) {
+            assert!((p.duration() - d).abs() < 1e-12);
+            assert!(p.node < ctx.options().cluster.num_nodes());
+        }
+    }
+
+    #[test]
+    fn sample_op_is_deterministic_and_proportional() {
+        let run = || {
+            let mut ctx = Context::new(test_options());
+            let src = ctx.parallelize(word_records(), 4, "src");
+            let s = ctx.sample(src, 0.5, 42, "sample");
+            ctx.count(s, "sample")
+        };
+        let a = run();
+        assert_eq!(a, run(), "sampling must be deterministic");
+        assert!(a > 50 && a < 150, "~50% of 200 records, got {a}");
+    }
+
+    #[test]
+    fn group_by_key_collects_all_values() {
+        let mut ctx = Context::new(test_options());
+        let src = ctx.parallelize(word_records(), 4, "src");
+        let g = ctx.group_by_key(src, None, 1e-6, "group");
+        let out = ctx.collect(g, "group");
+        assert_eq!(out.len(), 10);
+        for r in &out {
+            match &r.value {
+                Value::List(vs) => assert_eq!(vs.len(), 20),
+                other => panic!("expected list, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn flat_map_and_filter_compose() {
+        let mut ctx = Context::new(test_options());
+        let src = ctx.parallelize(word_records(), 4, "src");
+        let fm = ctx.flat_map(
+            src,
+            Arc::new(|r: &Record| vec![r.clone(), r.clone()]),
+            1e-6,
+            "dup",
+        );
+        let f = ctx.filter(
+            fm,
+            Arc::new(|r: &Record| matches!(r.key, Key::Int(k) if k < 5)),
+            1e-6,
+            "keep-low",
+        );
+        assert_eq!(
+            ctx.count(f, "q"),
+            200,
+            "200*2 records, half pass the filter"
+        );
+    }
+}
