@@ -98,6 +98,9 @@ fn cluster(args: &Args) -> Result<ClusterSpec, String> {
                 return Err("expected --cluster uniform:<nodes>,<cores>,<ghz>".into());
             }
             let nodes = parts[0].parse().map_err(|_| "bad node count")?;
+            if nodes == 0 {
+                return Err("--cluster uniform: needs at least one node".into());
+            }
             let cores = parts[1].parse().map_err(|_| "bad core count")?;
             let ghz = parts[2].parse().map_err(|_| "bad GHz value")?;
             uniform_cluster(nodes, cores, ghz)

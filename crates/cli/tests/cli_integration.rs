@@ -183,3 +183,41 @@ fn conf_rejects_garbage() {
     assert!(!out.status.success());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Degenerate engine input is a one-line error at parse time: every case
+/// here used to reach an assertion deep in the simulator, the block store
+/// or a partitioner (or, for a negative speed, to run).
+#[test]
+fn degenerate_engine_input_is_an_error_not_a_panic() {
+    let dir = tmpdir("degenerate");
+    let conf = dir.join("zero.conf");
+    std::fs::write(&conf, "default 0\n").unwrap();
+    let conf = conf.to_str().unwrap();
+    let run = ["run", "--workload", "sql", "--scale", "0.05"];
+    let cases: [(&[&str], &str); 8] = [
+        (&["--cluster", "uniform:0,4,2.0"], "at least one node"),
+        (&["--cluster", "uniform:2,0,2.0"], "cores is 0"),
+        (&["--cluster", "uniform:2,4,0"], "speed is 0"),
+        (&["--cluster", "uniform:2,4,nan"], "speed is NaN"),
+        (&["--cluster", "uniform:2,4,-1"], "speed is -1"),
+        (&["--partitions", "0"], "default_parallelism is 0"),
+        (&["--conf", conf], "default parallelism must be positive"),
+        (
+            &["conf", "--file", conf],
+            "default parallelism must be positive",
+        ),
+    ];
+    for (flags, message) in cases {
+        let mut cmd = bin();
+        if flags[0] != "conf" {
+            cmd.args(run);
+        }
+        let out = cmd.args(flags).output().expect("runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{flags:?} must fail");
+        assert!(err.contains(message), "{flags:?}: {err}");
+        assert!(!err.contains("panicked"), "{flags:?}: {err}");
+        assert_eq!(err.trim_end().lines().count(), 1, "{flags:?}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -7,7 +7,7 @@
 //! buckets are hot (max/mean byte skew at or above
 //! [`crate::model::CostConstants::skew_retune_trigger`] — the *same* statistic and
 //! threshold the engine's in-job splitter uses), the re-planner re-runs
-//! the static optimizer's grid search ([`get_min_par`]) over an
+//! the static optimizer's grid search (`get_min_par`) over an
 //! observation-backed [`CostSurface`], considering
 //!
 //! * re-choosing the partition count under the observed skew, and
@@ -28,30 +28,30 @@
 //! bit-identical across `--workers 1` vs `8` and `--batch on` vs `off`.
 
 use crate::model::CostSurface;
-use crate::optimizer::{get_min_par, InputResponse, OptimizerOptions};
+use crate::optimizer::{get_min_par, InputResponse, OptimizerOptions, CONSTS, TASK_OVERHEAD};
 use engine::{
     PartitionerKind, PartitionerSpec, ReplanHook, ReplanInput, StageActuals, WorkloadConf,
 };
 use std::sync::Arc;
 
+/// Trust region for the one-point calibration: candidates outside
+/// `[p_obs / TRUST_FACTOR, p_obs × TRUST_FACTOR]` are excluded from the
+/// grid search. The wave model ignores per-task fetch-chunk and dispatch
+/// overheads that grow with `P`, so far extrapolation from a single
+/// observation systematically flatters large partition counts.
+const TRUST_FACTOR: f64 = 4.0;
+
 /// Knobs for the runtime re-planner.
 #[derive(Debug, Clone)]
 pub struct ReplanOptions {
-    /// The underlying optimizer configuration — weights, candidate grid,
-    /// per-task overhead, spill budget and the [`CostConstants`] that gate
-    /// both the skew trigger and the adoption margin. The grid defaults to
-    /// a wider, finer ladder than the static planner's because observed
-    /// stages can legitimately run at single-digit parallelism.
+    /// The underlying optimizer configuration — weights, candidate grid
+    /// and spill budget. The grid defaults to a wider, finer ladder than
+    /// the static planner's because observed stages can legitimately run
+    /// at single-digit parallelism.
     pub optimizer: OptimizerOptions,
     /// Concurrent task slots in the cluster (workers × cores) — the wave
     /// width the observed-time surface models stage makespan over.
     pub slots: usize,
-    /// Trust region for the one-point calibration: candidates outside
-    /// `[p_obs / trust_factor, p_obs × trust_factor]` are excluded from
-    /// the grid search. The wave model ignores per-task fetch-chunk and
-    /// dispatch overheads that grow with `P`, so far extrapolation from a
-    /// single observation systematically flatters large partition counts.
-    pub trust_factor: f64,
 }
 
 impl Default for ReplanOptions {
@@ -65,7 +65,6 @@ impl Default for ReplanOptions {
                 ..OptimizerOptions::default()
             },
             slots: 8,
-            trust_factor: 4.0,
         }
     }
 }
@@ -96,9 +95,7 @@ struct ObservedSurface {
     /// Max/mean input-bucket byte skew this surface assumes at any `p`.
     skew: f64,
     rate: f64,
-    overhead: f64,
     slots: f64,
-    trust_factor: f64,
 }
 
 impl ObservedSurface {
@@ -114,10 +111,8 @@ impl ObservedSurface {
         opts: &ReplanOptions,
     ) -> ObservedSurface {
         let slots = (opts.slots.max(1)) as f64;
-        let overhead = opts.optimizer.task_overhead;
         let waves_obs = (p_obs / slots).max(1.0);
-        let serial =
-            (t_obs - waves_obs * overhead).max(opts.optimizer.cost_constants.pred_time_floor);
+        let serial = (t_obs - waves_obs * TASK_OVERHEAD).max(CONSTS.pred_time_floor);
         let rate = serial * p_obs / (d_obs * (waves_obs + skew_obs - 1.0));
         ObservedSurface {
             d_obs,
@@ -125,9 +120,7 @@ impl ObservedSurface {
             s_obs,
             skew: skew_assumed,
             rate,
-            overhead,
             slots,
-            trust_factor: opts.trust_factor.max(1.0),
         }
     }
 }
@@ -136,7 +129,7 @@ impl CostSurface for ObservedSurface {
     fn predict_time(&self, d: f64, p: f64) -> f64 {
         let p = p.max(1.0);
         let waves = (p / self.slots).max(1.0);
-        waves * (self.overhead + self.rate * d / p) + self.rate * (self.skew - 1.0) * d / p
+        waves * (TASK_OVERHEAD + self.rate * d / p) + self.rate * (self.skew - 1.0) * d / p
     }
 
     fn predict_shuffle(&self, d: f64, p: f64) -> f64 {
@@ -147,10 +140,7 @@ impl CostSurface for ObservedSurface {
     fn trained_p_range(&self) -> (f64, f64) {
         // A one-point calibration: mechanistic in shape, but only
         // trustworthy near the observation it was inverted from.
-        (
-            self.p_obs / self.trust_factor,
-            self.p_obs * self.trust_factor,
-        )
+        (self.p_obs / TRUST_FACTOR, self.p_obs * TRUST_FACTOR)
     }
 }
 
@@ -187,7 +177,6 @@ pub fn replan(input: &ReplanInput, opts: &ReplanOptions) -> Option<WorkloadConf>
 
 /// The decision list behind [`replan`], exposed for tests and reporting.
 pub fn replan_decisions(actuals: &[StageActuals], opts: &ReplanOptions) -> Vec<ReplanDecision> {
-    let consts = &opts.optimizer.cost_constants;
     let mut decisions = Vec::new();
     // Pair each shuffle-reading stage with the byte skew of the buckets
     // written for it: walk plan order, carrying the max write skew seen
@@ -203,13 +192,13 @@ pub fn replan_decisions(actuals: &[StageActuals], opts: &ReplanOptions) -> Vec<R
         if !stage.configurable
             || stage.num_tasks == 0
             || stage.input_bytes == 0
-            || skew_obs < consts.skew_retune_trigger
+            || skew_obs < CONSTS.skew_retune_trigger
         {
             continue;
         }
         let d_obs = stage.input_bytes as f64;
         let p_obs = stage.num_tasks as f64;
-        let t_obs = stage.duration_s.max(consts.pred_time_floor);
+        let t_obs = stage.duration_s.max(CONSTS.pred_time_floor);
         let s_obs = stage.shuffle_write_bytes as f64;
         let input = InputResponse::Fixed(d_obs);
         // Observed baseline: the current plan's cost is exactly α + β.
@@ -235,7 +224,7 @@ pub fn replan_decisions(actuals: &[StageActuals], opts: &ReplanOptions) -> Vec<R
             kind: best.0,
             partitions: best.1,
         };
-        if best.2 < consts.retune_margin && to != spec {
+        if best.2 < CONSTS.retune_margin && to != spec {
             decisions.push(ReplanDecision {
                 signature: stage.signature,
                 from: spec,
@@ -313,7 +302,7 @@ mod tests {
         assert_eq!(decisions.len(), 1);
         assert_eq!(decisions[0].signature, 42);
         assert_eq!(decisions[0].to.kind, PartitionerKind::Range);
-        assert!(decisions[0].cost < opts.optimizer.cost_constants.retune_margin);
+        assert!(decisions[0].cost < CONSTS.retune_margin);
     }
 
     #[test]
@@ -381,7 +370,7 @@ mod tests {
             for d in replan_decisions(&actuals, &opts) {
                 let p = d.to.partitions as f64;
                 assert!(
-                    (190.0 / opts.trust_factor..=190.0 * opts.trust_factor).contains(&p),
+                    (190.0 / TRUST_FACTOR..=190.0 * TRUST_FACTOR).contains(&p),
                     "retune to {p} left the trust region"
                 );
             }

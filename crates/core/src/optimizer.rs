@@ -33,6 +33,23 @@ fn optimizer_track(sink: &TraceSink) -> trace::Track {
     track
 }
 
+/// Every numeric guard and cutoff of the objective — the static search's
+/// and the runtime re-planner's alike — one documented, pin-tested block.
+pub(crate) const CONSTS: CostConstants = CostConstants::DEFAULT;
+
+/// Per-task launch overhead in seconds, as the simulated cluster charges
+/// it (`ClusterSpec::task_launch_overhead`): what an expected retry and a
+/// task of an inserted repartition phase each pay once.
+pub(crate) const TASK_OVERHEAD: f64 = 0.015;
+
+/// Effective bandwidth (bytes/s) an inserted repartition phase moves a
+/// stage's output at.
+const REPART_BANDWIDTH: f64 = 400e6;
+
+/// Weight of the spill penalty: an infeasible candidate's cost scales by
+/// `1 + SPILL_PENALTY × overflow/budget`.
+const SPILL_PENALTY: f64 = 2.0;
+
 /// Optimizer knobs.
 #[derive(Debug, Clone)]
 pub struct OptimizerOptions {
@@ -44,11 +61,6 @@ pub struct OptimizerOptions {
     pub default_parallelism: usize,
     /// Candidate partition counts for the grid search.
     pub candidates: Vec<usize>,
-    /// Effective bandwidth (bytes/s) for estimating an inserted
-    /// repartition phase's cost.
-    pub repart_bandwidth: f64,
-    /// Per-task launch overhead (seconds) for the same estimate.
-    pub task_overhead: f64,
     /// Restrict the grid search to the partition-count range the model was
     /// trained on (on by default; the ablation harness turns it off to
     /// demonstrate how badly the Eq. 1–2 polynomial extrapolates).
@@ -74,9 +86,6 @@ pub struct OptimizerOptions {
     /// lower bound on the partition count) and penalizes infeasible
     /// ones by their spill overflow.
     pub task_mem_budget: Option<f64>,
-    /// Multiplicative weight of the spill-cost penalty: cost scales by
-    /// `1 + spill_penalty × overflow/budget` for infeasible candidates.
-    pub spill_penalty: f64,
     /// Expected per-task failure probability (derived from the engine's
     /// fault plan). When positive, every candidate's cost is scaled by a
     /// recovery factor that charges the expected re-runs plus their
@@ -84,10 +93,6 @@ pub struct OptimizerOptions {
     /// retries are overhead-dominated. Zero (the default) leaves every
     /// cost untouched, so fault-free plans are bit-identical.
     pub fault_prob: f64,
-    /// Every numeric guard/cutoff the objective depends on (significance
-    /// and correlation cutoffs, working-set and retune factors) — one
-    /// named, tested struct instead of scattered literals.
-    pub cost_constants: CostConstants,
 }
 
 impl Default for OptimizerOptions {
@@ -99,29 +104,25 @@ impl Default for OptimizerOptions {
             gamma: 1.5,
             default_parallelism: 300,
             candidates,
-            repart_bandwidth: 400e6,
-            task_overhead: 0.015,
             clamp_to_trained_range: true,
             basis: ModelBasis::default(),
             shuffle_bandwidth: None,
             trace: TraceSink::disabled(),
             task_mem_budget: None,
-            spill_penalty: 2.0,
             fault_prob: 0.0,
-            cost_constants: CostConstants::DEFAULT,
         }
     }
 }
 
 /// Estimated per-task execution working set at candidate `p` (see
 /// [`CostConstants::working_set_factor`]).
-fn task_working_set(input: InputResponse, p: f64, consts: &CostConstants) -> f64 {
-    consts.working_set_factor * input.d_at(p) / p
+fn task_working_set(input: InputResponse, p: f64) -> f64 {
+    CONSTS.working_set_factor * input.d_at(p) / p
 }
 
 /// Spill-cost multiplier for evaluating a candidate `p`: 1 when the
 /// estimated task working set fits the execution-memory budget, and
-/// `1 + spill_penalty × overflow/budget` when it does not — each byte
+/// `1 + SPILL_PENALTY × overflow/budget` when it does not — each byte
 /// over budget pays a disk round-trip the in-memory path avoids.
 fn spill_factor(input: InputResponse, p: f64, opts: &OptimizerOptions) -> f64 {
     let Some(budget) = opts.task_mem_budget else {
@@ -130,8 +131,8 @@ fn spill_factor(input: InputResponse, p: f64, opts: &OptimizerOptions) -> f64 {
     if budget <= 0.0 || p <= 0.0 {
         return 1.0;
     }
-    let overflow = (task_working_set(input, p, &opts.cost_constants) - budget).max(0.0);
-    1.0 + opts.spill_penalty * overflow / budget
+    let overflow = (task_working_set(input, p) - budget).max(0.0);
+    1.0 + SPILL_PENALTY * overflow / budget
 }
 
 /// Recovery-cost multiplier for evaluating a candidate `p` under an
@@ -145,7 +146,7 @@ fn recovery_factor(p: f64, pred_time: f64, opts: &OptimizerOptions) -> f64 {
     if opts.fault_prob <= 0.0 || p <= 0.0 {
         return 1.0;
     }
-    let relaunch = p * opts.task_overhead / pred_time.max(opts.cost_constants.pred_time_floor);
+    let relaunch = p * TASK_OVERHEAD / pred_time.max(CONSTS.pred_time_floor);
     1.0 + opts.fault_prob * (1.0 + relaunch)
 }
 
@@ -239,10 +240,27 @@ fn stage_baseline(
         None => 1.0,
         Some(bw) => {
             let shuffle_time = s0 / bw.max(1.0);
-            (shuffle_time / t0.max(opts.cost_constants.pred_time_floor)).clamp(0.0, 1.0)
+            (shuffle_time / t0.max(CONSTS.pred_time_floor)).clamp(0.0, 1.0)
         }
     };
     Some((t0, s0, significance))
+}
+
+/// Eq. 3 for one candidate `p`, with its multipliers, spelled once: the
+/// baseline-normalized `α·t + β·s` objective, scaled by the spill penalty
+/// of a working set that overflows the memory budget and by the expected
+/// cost of retries. `baseline` is `(t₀, s₀, shuffle significance)`.
+fn candidate_cost<M: CostSurface + ?Sized>(
+    model: &M,
+    input: InputResponse,
+    p: f64,
+    (t0, s0, significance): (f64, f64, f64),
+    opts: &OptimizerOptions,
+) -> f64 {
+    let d = input.d_at(p);
+    spill_factor(input, p, opts)
+        * recovery_factor(p, model.predict_time(d, p), opts)
+        * cost_with_baseline(model, opts.weights, d, p, t0, s0, significance)
 }
 
 /// `getMinPar`: grid search over candidate partition counts, restricted to
@@ -276,7 +294,7 @@ pub(crate) fn get_min_par<M: CostSurface + ?Sized>(
         Some(budget) => candidates
             .iter()
             .copied()
-            .filter(|&p| task_working_set(input, p as f64, &opts.cost_constants) <= budget)
+            .filter(|&p| task_working_set(input, p as f64) <= budget)
             .collect(),
     };
     let candidates = if feasible.is_empty() {
@@ -286,24 +304,7 @@ pub(crate) fn get_min_par<M: CostSurface + ?Sized>(
     };
     candidates
         .iter()
-        .map(|&p| {
-            let d = input.d_at(p as f64);
-            let pred = model.predict_time(d, p as f64);
-            (
-                p,
-                spill_factor(input, p as f64, opts)
-                    * recovery_factor(p as f64, pred, opts)
-                    * cost_with_baseline(
-                        model,
-                        opts.weights,
-                        d,
-                        p as f64,
-                        baseline.0,
-                        baseline.1,
-                        baseline.2,
-                    ),
-            )
-        })
+        .map(|&p| (p, candidate_cost(model, input, p as f64, baseline, opts)))
         .min_by(|a, b| a.1.partial_cmp(&b.1).expect("costs are finite"))
         .expect("candidate list is non-empty")
 }
@@ -377,7 +378,7 @@ pub fn get_workload_par(
         .dag
         .iter()
         .map(|stage| {
-            let input = input_response(rec, stage, target_input_bytes, opts);
+            let input = input_response(rec, stage, target_input_bytes);
             let par = get_stage_par_with_input(rec, stage.signature, input, opts);
             (stage.clone(), par)
         })
@@ -421,7 +422,6 @@ fn input_response(
     rec: &WorkloadRecord,
     stage: &DagStage,
     target_input_bytes: u64,
-    opts: &OptimizerOptions,
 ) -> InputResponse {
     let mut pts: Vec<(f64, f64)> = Vec::new(); // (p, d)
     for kind in [PartitionerKind::Hash, PartitionerKind::Range] {
@@ -431,9 +431,8 @@ fn input_response(
                 .map(|o| (o.p, o.d)),
         );
     }
-    let consts = &opts.cost_constants;
     let fixed = InputResponse::Fixed(stage_input(stage, target_input_bytes));
-    if pts.len() < consts.input_min_points {
+    if pts.len() < CONSTS.input_min_points {
         return fixed;
     }
     let n = pts.len() as f64;
@@ -446,11 +445,11 @@ fn input_response(
         / n;
     let var_p: f64 = pts.iter().map(|(p, _)| (p - mean_p).powi(2)).sum::<f64>() / n;
     let var_d: f64 = pts.iter().map(|(_, d)| (d - mean_d).powi(2)).sum::<f64>() / n;
-    if var_p <= consts.variance_eps || var_d <= consts.variance_eps {
+    if var_p <= CONSTS.variance_eps || var_d <= CONSTS.variance_eps {
         return fixed;
     }
     let corr = cov / (var_p.sqrt() * var_d.sqrt());
-    if corr.abs() < consts.input_corr_cutoff {
+    if corr.abs() < CONSTS.input_corr_cutoff {
         return fixed;
     }
     let b = cov / var_p;
@@ -478,18 +477,13 @@ fn group_cost(
     let mut any = false;
     for stage in members {
         if let Some(model) = model_for(rec, stage.signature, scheme.kind, opts.basis) {
-            let input = input_response(rec, stage, target_input_bytes, opts);
-            let Some((t0, s0, significance)) = stage_baseline(rec, stage.signature, input, opts)
-            else {
+            let input = input_response(rec, stage, target_input_bytes);
+            let Some(baseline) = stage_baseline(rec, stage.signature, input, opts) else {
                 continue;
             };
-            let weight = stage.multiplicity as f64 * t0.max(opts.cost_constants.group_weight_floor);
+            let weight = stage.multiplicity as f64 * baseline.0.max(CONSTS.group_weight_floor);
             let p = scheme.partitions as f64;
-            let pred = model.predict_time(input.d_at(p), p);
-            total += weight
-                * spill_factor(input, p, opts)
-                * recovery_factor(p, pred, opts)
-                * cost_with_baseline(&model, opts.weights, input.d_at(p), p, t0, s0, significance);
+            total += weight * candidate_cost(&model, input, p, baseline, opts);
             any = true;
         }
     }
@@ -575,7 +569,7 @@ pub fn get_global_par(
             }
         };
         for stage in &members {
-            let input = input_response(rec, stage, target_input_bytes, opts);
+            let input = input_response(rec, stage, target_input_bytes);
             if let Some(par) = get_stage_par_with_input(rec, stage.signature, input, opts) {
                 push(
                     PartitionerSpec {
@@ -685,7 +679,7 @@ fn decide_single(
     target_input_bytes: u64,
     opts: &OptimizerOptions,
 ) -> DecisionAction {
-    let input = input_response(rec, stage, target_input_bytes, opts);
+    let input = input_response(rec, stage, target_input_bytes);
     let par = get_stage_par_with_input(rec, stage.signature, input, opts);
     match par {
         Some(par) if stage.configurable && !stage.user_fixed => {
@@ -742,8 +736,7 @@ fn decide_fixed(
             .map(|r| r.input_bytes.max(1))
             .unwrap_or(1) as f64;
     let moved_bytes = stage.output_bytes as f64 * scale;
-    let repart_time =
-        moved_bytes / opts.repart_bandwidth + spec.partitions as f64 * opts.task_overhead;
+    let repart_time = moved_bytes / REPART_BANDWIDTH + spec.partitions as f64 * TASK_OVERHEAD;
 
     if cur_time > opts.gamma * (opt_time + repart_time) {
         DecisionAction::InsertRepartition(spec)

@@ -129,6 +129,9 @@ impl WorkloadConf {
                         .ok_or_else(|| err("missing value"))?
                         .parse()
                         .map_err(|_| err("bad number"))?;
+                    if n == 0 {
+                        return Err(err("default parallelism must be positive"));
+                    }
                     conf.default_parallelism = Some(n);
                 }
                 "stage" | "repartition" => {
@@ -212,6 +215,7 @@ repartition 00000000000001ef hash 100
         assert!(WorkloadConf::from_text("stage 10 zebra 10").is_err());
         assert!(WorkloadConf::from_text("stage 10 hash").is_err());
         assert!(WorkloadConf::from_text("stage 10 hash 0").is_err());
+        assert!(WorkloadConf::from_text("default 0").is_err());
         assert!(WorkloadConf::from_text("frobnicate 1").is_err());
         assert!(WorkloadConf::from_text("default 10 extra").is_err());
     }

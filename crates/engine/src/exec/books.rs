@@ -1,7 +1,7 @@
 //! The books under failure: the cached-partition ledger and its spill
 //! files, and the fault plan's events and the recovery they trigger.
 
-use super::context::Context;
+use super::context::{Context, Lane};
 use super::stage::ShuffleData;
 use crate::rdd::{Rdd, RddGraph};
 use crate::record::batch_size;
@@ -9,6 +9,12 @@ use faults::{FaultCounters, FaultPlan, NodeLoss, Straggler};
 use memman::{Eviction, MemoryManager};
 use simcluster::{NodeId, TaskSpec};
 use std::collections::HashMap;
+use trace::{pids, Clock, Track};
+
+/// Spills, as the ledger decides them.
+const MEMORY: Lane = (Track::new(pids::DRIVER, 2), "memory manager");
+/// Fault events as they are applied, and the recovery they trigger.
+pub(super) const FAULTS: Lane = (Track::new(pids::DRIVER, 3), "fault recovery");
 
 /// Live state of a fault plan over a run: the not-yet-applied timed
 /// events, which nodes have been lost, and what the recovery machinery
@@ -28,18 +34,13 @@ pub(super) struct FaultState {
 
 impl FaultState {
     pub(super) fn new(plan: FaultPlan) -> Self {
-        let mut losses = plan.node_loss.clone();
-        losses.sort_by(|a, b| {
-            (a.at, a.node)
-                .partial_cmp(&(b.at, b.node))
-                .expect("finite event times")
-        });
-        let mut stragglers = plan.stragglers.clone();
-        stragglers.sort_by(|a, b| {
-            (a.at, a.node)
-                .partial_cmp(&(b.at, b.node))
-                .expect("finite event times")
-        });
+        fn by_time<T: Clone>(events: &[T], key: impl Fn(&T) -> (f64, NodeId)) -> Vec<T> {
+            let mut sorted = events.to_vec();
+            sorted.sort_by(|a, b| key(a).partial_cmp(&key(b)).expect("finite event times"));
+            sorted
+        }
+        let losses = by_time(&plan.node_loss, |l| (l.at, l.node));
+        let stragglers = by_time(&plan.stragglers, |s| (s.at, s.node));
         FaultState {
             plan,
             losses,
@@ -96,32 +97,33 @@ impl Context {
             for (w, b) in spill_write.iter_mut().zip(&ev.bytes) {
                 *w += b;
             }
-            self.emit_mem_event(ev);
+            self.emit(MEMORY, "spill", || {
+                let bytes: u64 = ev.bytes.iter().sum();
+                let refs = remaining_refs(&self.graph, &self.reads_done, rdd);
+                (
+                    format!("spill r{}", ev.id),
+                    vec![("bytes", bytes.into()), ("refs", refs.into())],
+                )
+            });
         }
         self.sim.charge_disk_io(&spill_write, true);
     }
 
-    /// Trace a spill on the driver's memory lane.
-    fn emit_mem_event(&self, ev: &Eviction) {
-        let sink = &self.options.trace;
-        if !sink.is_enabled() {
-            return;
+    /// Accounts a stage's cached reads: each consuming stage burns one
+    /// lineage reference, bumps recency, and — for spilled entries — pays
+    /// the reread through the spill files.
+    pub(super) fn account_cached_reads(&mut self, cached_reads: &[Rdd]) {
+        for rdd in cached_reads {
+            *self.reads_done.entry(*rdd).or_insert(0) += 1;
+            let id = rdd.0 as u64;
+            self.mem.touch(id);
+            if self.mem.is_spilled(id) {
+                self.mem.reread(id);
+                for i in 0..self.materialized[rdd].parts.len() {
+                    self.store.read_file(&spill_name(*rdd, i));
+                }
+            }
         }
-        use trace::{pids, Clock, Track};
-        let track = Track::new(pids::DRIVER, 2);
-        if !sink.has_thread_name(track) {
-            sink.name_thread(track, "memory manager");
-        }
-        let bytes: u64 = ev.bytes.iter().sum();
-        let refs = remaining_refs(&self.graph, &self.reads_done, Rdd(ev.id as usize));
-        sink.instant(
-            Clock::Virtual,
-            track,
-            format!("spill r{}", ev.id),
-            "spill",
-            self.sim.clock(),
-            vec![("bytes", bytes.into()), ("refs", refs.into())],
-        );
     }
 
     // ------------------------------------------------------------------
@@ -162,18 +164,17 @@ impl Context {
             }
         }
         for s in slow {
-            self.emit_fault_event(
-                &format!("slow node {}", s.node),
-                "straggler",
-                vec![("node", s.node.into()), ("factor", s.factor.into())],
-            );
+            self.emit(FAULTS, "straggler", || {
+                (
+                    format!("slow node {}", s.node),
+                    vec![("node", s.node.into()), ("factor", s.factor.into())],
+                )
+            });
         }
         for node in lost {
-            self.emit_fault_event(
-                &format!("node {node} lost"),
-                "node-loss",
-                vec![("node", node.into())],
-            );
+            self.emit(FAULTS, "node-loss", || {
+                (format!("node {node} lost"), vec![("node", node.into())])
+            });
             self.recover_lost_node(node, shuffles);
         }
     }
@@ -214,6 +215,7 @@ impl Context {
             let mut replica_read = vec![0u64; num_nodes];
             let mut respilled = vec![0u64; num_nodes];
             let mut ledger_moves = Vec::with_capacity(moves.len());
+            let mut transfers: Vec<(NodeId, NodeId, u64)> = Vec::with_capacity(moves.len());
             let mut moved_bytes = 0u64;
             for (k, &(rdd, i, bytes)) in moves.iter().enumerate() {
                 let new_home = survivors[k % survivors.len()];
@@ -229,21 +231,13 @@ impl Context {
                 ledger_moves.push((rdd.0 as u64, new_home, bytes));
                 replica_read[new_home] += bytes;
                 moved_bytes += bytes;
+                // The surviving replica also crosses the network to its
+                // new home; those transfers are charged as contended
+                // flows. Source selection is deterministic: the survivor
+                // after the new home in id order holds the replica (with
+                // a single survivor the copy is node-local and free).
+                transfers.push((survivors[(k + 1) % survivors.len()], new_home, bytes));
             }
-            // The surviving replica also crosses the network to its new
-            // home; charge those transfers as contended flows. Source
-            // selection is deterministic: the survivor after the new home
-            // in id order holds the replica (with a single survivor the
-            // copy is node-local and free).
-            let transfers: Vec<(NodeId, NodeId, u64)> = moves
-                .iter()
-                .enumerate()
-                .map(|(k, &(_, _, bytes))| {
-                    let new_home = survivors[k % survivors.len()];
-                    let src = survivors[(k + 1) % survivors.len()];
-                    (src, new_home, bytes)
-                })
-                .collect();
             self.sim.charge_replica_transfers(&transfers);
             self.sim.charge_disk_io(&replica_read, false);
             self.sim.charge_disk_io(&respilled, true);
@@ -251,15 +245,16 @@ impl Context {
             let fs = self.faults.as_mut().expect("fault state present");
             fs.counters.replica_rehomed_partitions += moves.len() as u64;
             fs.counters.replica_read_bytes += moved_bytes;
-            self.emit_fault_event(
-                &format!("re-home {} cached partitions", moves.len()),
-                "rehome",
-                vec![
-                    ("node", node.into()),
-                    ("partitions", moves.len().into()),
-                    ("bytes", moved_bytes.into()),
-                ],
-            );
+            self.emit(FAULTS, "rehome", || {
+                (
+                    format!("re-home {} cached partitions", moves.len()),
+                    vec![
+                        ("node", node.into()),
+                        ("partitions", moves.len().into()),
+                        ("bytes", moved_bytes.into()),
+                    ],
+                )
+            });
         }
 
         // Lost shuffle map outputs: recompute only the missing partitions.
@@ -295,9 +290,9 @@ impl Context {
             }
             total_recomputed += lost_idx.len() as u64;
             let producer = data.producer_gid;
-            if let Some(track) = self.fault_lane() {
+            if let Some(track) = self.lane(FAULTS) {
                 self.options.trace.span(
-                    trace::Clock::Virtual,
+                    Clock::Virtual,
                     track,
                     format!("recompute s{producer}"),
                     "recompute",
@@ -382,34 +377,6 @@ impl Context {
             Some((retried, failures_total, corrupt))
         } else {
             None
-        }
-    }
-
-    /// The fault-recovery trace lane; `None` when tracing is off.
-    fn fault_lane(&self) -> Option<trace::Track> {
-        let sink = &self.options.trace;
-        if !sink.is_enabled() {
-            return None;
-        }
-        let track = trace::Track::new(trace::pids::DRIVER, 3);
-        if !sink.has_thread_name(track) {
-            sink.name_thread(track, "fault recovery");
-        }
-        Some(track)
-    }
-
-    /// Emits an instant on the fault-recovery trace lane.
-    pub(super) fn emit_fault_event(
-        &self,
-        name: &str,
-        cat: &'static str,
-        args: Vec<(&'static str, trace::ArgValue)>,
-    ) {
-        if let Some(track) = self.fault_lane() {
-            let (name, now) = (name.to_string(), self.sim.clock());
-            self.options
-                .trace
-                .instant(trace::Clock::Virtual, track, name, cat, now, args);
         }
     }
 }

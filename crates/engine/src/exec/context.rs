@@ -13,7 +13,7 @@ use crate::ops::{FilterFn, FlatMapFn, GenFn, MapFn, ReduceFn};
 use crate::partitioner::PartitionerSpec;
 use crate::pool::WorkerPool;
 use crate::rdd::{Rdd, RddGraph};
-use crate::record::Record;
+use crate::record::{Record, Value};
 use blockstore::BlockStore;
 use faults::FaultCounters;
 use memman::{MemCounters, MemoryManager};
@@ -21,7 +21,14 @@ use simcluster::{NodeId, Simulation};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use trace::TraceSink;
+use trace::{pids, ArgValue, Clock, TraceSink, Track};
+
+/// A trace lane the driver writes: its track, and the name the track gets
+/// the first time something is recorded on it.
+pub(super) type Lane = (Track, &'static str);
+
+/// Stage spans, adaptive splits and re-plans.
+pub(super) const STAGES: Lane = (Track::new(pids::DRIVER, 0), "stages");
 
 /// The engine context: owns the lineage graph, the simulated cluster, the
 /// block store, cached data, and all collected metrics.
@@ -39,7 +46,7 @@ pub struct Context {
     /// (`usize::MAX` = unbounded). The job server retunes it between jobs
     /// to hand each tenant its weighted share of a shared pool. Affects
     /// only host-side parallelism, never virtual timing or results.
-    pub(super) slot_cap: Arc<AtomicUsize>,
+    slot_cap: Arc<AtomicUsize>,
     pub(super) materialized: HashMap<Rdd, Materialized>,
     pub(super) anchors: HashMap<(crate::partitioner::PartitionerKind, usize, usize), NodeId>,
     pub(super) jobs: Vec<JobMetrics>,
@@ -80,14 +87,9 @@ impl Context {
                 options.trace.clone(),
             )),
         };
-        if options.trace.is_enabled() {
-            options
-                .trace
-                .name_process(trace::pids::DRIVER, "driver (virtual time)");
-            options
-                .trace
-                .name_thread(trace::Track::new(trace::pids::DRIVER, 0), "stages");
-        }
+        options
+            .trace
+            .name_process(pids::DRIVER, "driver (virtual time)");
         let mem = MemoryManager::new(options.cluster.num_nodes(), options.executor_mem);
         let faults = options.faults.clone().map(FaultState::new);
         Context {
@@ -140,6 +142,37 @@ impl Context {
     /// set via [`EngineOptions::trace`]).
     pub fn trace_sink(&self) -> &TraceSink {
         &self.options.trace
+    }
+
+    /// The one way the driver gets a trace lane: `lane`'s track, named the
+    /// first time anything lands on it, or `None` with tracing off — so a
+    /// caller builds no label it will not record.
+    pub(super) fn lane(&self, (track, name): Lane) -> Option<Track> {
+        let sink = &self.options.trace;
+        if !sink.is_enabled() {
+            return None;
+        }
+        if !sink.has_thread_name(track) {
+            sink.name_thread(track, name);
+        }
+        Some(track)
+    }
+
+    /// Records an instant on `lane` at the current virtual time; `event`
+    /// builds its label and arguments.
+    pub(super) fn emit(
+        &self,
+        lane: Lane,
+        cat: &'static str,
+        event: impl FnOnce() -> (String, Vec<(&'static str, ArgValue)>),
+    ) {
+        if let Some(track) = self.lane(lane) {
+            let (name, args) = event();
+            let now = self.sim.clock();
+            self.options
+                .trace
+                .instant(Clock::Virtual, track, name, cat, now, args);
+        }
     }
 
     /// Per-stage summary of every job run so far (task-time percentiles,
@@ -330,15 +363,13 @@ impl Context {
     ) -> Rdd {
         let ones = self.graph.map_values(
             parent,
-            Arc::new(|r: &Record| Record::new(r.key.clone(), crate::record::Value::Int(1))),
+            Arc::new(|r: &Record| Record::new(r.key.clone(), Value::Int(1))),
             0.05e-6,
             tag,
         );
         self.graph.reduce_by_key(
             ones,
-            Arc::new(|a: &crate::record::Value, b: &crate::record::Value| {
-                crate::record::Value::Int(a.as_int() + b.as_int())
-            }),
+            Arc::new(|a: &Value, b: &Value| Value::Int(a.as_int() + b.as_int())),
             scheme,
             0.05e-6,
             tag,

@@ -3,13 +3,14 @@
 //! Everything here is a function of the lineage graph and a
 //! [`StageInput`]; nothing here knows a cluster, a clock or a ledger.
 
-use super::stage::{Materialized, ShuffleData, TaskReads};
+use super::stage::{Materialized, ShuffleData};
 use crate::ops::{FilterFn, FlatMapFn, GenFn, MapFn, OpKind, ReduceFn};
 use crate::partitioner::{Partitioner, PartitionerKind, PartitionerSpec};
+use crate::pool::lock;
 use crate::rdd::{Rdd, RddGraph};
 use crate::record::{batch_size, IntoRecord, Key, Record};
 use crate::shuffle::{
-    CogroupMerge, Combiner, ConcatMerge, GroupMerge, JoinMerge, ReduceMerge, Run, TaskArena,
+    CogroupMerge, Combiner, ConcatMerge, GroupMerge, JoinMerge, ReduceMerge, Run, Runs, TaskArena,
     TaskRuns,
 };
 use numeric::Reservoir;
@@ -19,7 +20,7 @@ use std::sync::Arc;
 /// writes.
 pub(crate) const PARTITION_COST: f64 = 0.05e-6;
 /// Compute units charged per record for range-partitioner sampling.
-pub(crate) const SAMPLE_COST: f64 = 0.02e-6;
+const SAMPLE_COST: f64 = 0.02e-6;
 /// Compute units charged per fetched record during reduce-side merges.
 const MERGE_BASE_COST: f64 = 0.03e-6;
 
@@ -28,6 +29,43 @@ pub(crate) enum MergeKind {
     Reduce(ReduceFn, f64),
     Group(f64),
     Concat,
+}
+
+impl ShuffleData {
+    /// Hands map task `m`'s run for reduce partition `col` to `push` and
+    /// returns its record count. Row records are moved out in place under
+    /// the row's lock — no per-reducer copy of a column ever exists, and
+    /// the row's one allocation is freed with the table, by the driver —
+    /// or lent when the shuffle has more than one read. An empty run is
+    /// skipped on the byte table, without touching the lock.
+    fn with_run(&self, m: usize, col: usize, push: &mut impl FnMut(Run<'_>)) -> u64 {
+        if self.bytes[m][col] == 0 {
+            return 0;
+        }
+        let (start, end) = (self.offsets[m][col], self.offsets[m][col + 1]);
+        let mut row = lock(&self.rows[m]);
+        match &mut *row {
+            Runs::Rows(records) if self.shared => push(Run::Shared(&records[start..end])),
+            Runs::Rows(records) => push(Run::Moved(&mut records[start..end])),
+            Runs::Cols(batch) => {
+                let slice = batch.slice(start, end - start);
+                drop(row);
+                push(Run::Cols(slice));
+            }
+        }
+        (end - start) as u64
+    }
+
+    /// Feeds reduce partition `col`'s runs to `push` in map-task order;
+    /// returns the records and bytes fetched.
+    fn drain_column(&self, col: usize, mut push: impl FnMut(Run<'_>)) -> (u64, u64) {
+        let (mut fetched, mut bytes) = (0u64, 0u64);
+        for m in 0..self.rows.len() {
+            fetched += self.with_run(m, col, &mut push);
+            bytes += self.bytes[m][col];
+        }
+        (fetched, bytes)
+    }
 }
 
 /// Where one join side's data comes from.
@@ -40,16 +78,9 @@ pub(super) enum JoinSide<'s> {
 }
 
 impl JoinSide<'_> {
-    pub(super) fn read_of(&self, i: usize) -> TaskReads {
-        match self {
-            JoinSide::Shuffle(data) => data.read_of(i),
-            JoinSide::Narrow(mat, spilled) => mat.read_of(i, *spilled),
-        }
-    }
-
     /// Feeds partition `col` of this side to `push`; returns the records
     /// and bytes fetched.
-    pub(super) fn drain(&self, col: usize, mut push: impl FnMut(Run<'_>)) -> (u64, u64) {
+    fn drain(&self, col: usize, mut push: impl FnMut(Run<'_>)) -> (u64, u64) {
         match self {
             JoinSide::Shuffle(data) => data.drain_column(col, push),
             JoinSide::Narrow(mat, _) => {
@@ -197,7 +228,7 @@ impl TaskRecords {
         }
     }
 
-    pub(super) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.as_slice().len()
     }
 }
@@ -270,9 +301,9 @@ impl RecordSink for Vec<Record> {
 /// simulator's memory charge see it — and folds it into the map-side
 /// combine on the spot.
 pub(super) struct CombineSink<'a> {
-    pub(super) combiner: Combiner<'a>,
-    pub(super) records: u64,
-    pub(super) bytes: u64,
+    combiner: Combiner<'a>,
+    records: u64,
+    bytes: u64,
 }
 
 impl<'a> CombineSink<'a> {
@@ -443,24 +474,20 @@ fn read_root(input: &StageInput<'_>, task: TaskId) -> RootRead {
             is_join,
             cost: c,
         } => {
-            // Left side fully, seal, then the right: the merge sees both
-            // streams in map-task order.
-            let (records, fetched, bytes) = if *is_join {
+            let (records, (fetched, bytes)) = if *is_join {
                 let mut m = JoinMerge::new();
-                let l = left.drain(i, |run| m.push_run(run, true));
-                m.seal_left();
-                let r = right.drain(i, |run| m.push_run(run, false));
-                cost += (l.0 + r.0) as f64 * (MERGE_BASE_COST + c);
+                let (push, seal) = (JoinMerge::push_run, JoinMerge::seal_left);
+                let read = drain_sides(left, right, i, &mut m, push, seal);
+                cost += read.0 as f64 * (MERGE_BASE_COST + c);
                 let (out, probes) = m.finish();
                 cost += probes as f64 * MERGE_BASE_COST;
-                (out, l.0 + r.0, l.1 + r.1)
+                (out, read)
             } else {
                 let mut m = CogroupMerge::new();
-                let l = left.drain(i, |run| m.push_run(run, true));
-                m.seal_left();
-                let r = right.drain(i, |run| m.push_run(run, false));
-                cost += (l.0 + r.0) as f64 * (MERGE_BASE_COST + c);
-                (m.finish(), l.0 + r.0, l.1 + r.1)
+                let (push, seal) = (CogroupMerge::push_run, CogroupMerge::seal_left);
+                let read = drain_sides(left, right, i, &mut m, push, seal);
+                cost += read.0 as f64 * (MERGE_BASE_COST + c);
+                (m.finish(), read)
             };
             (TaskRecords::Owned(records), fetched, bytes)
         }
@@ -472,6 +499,24 @@ fn read_root(input: &StageInput<'_>, task: TaskId) -> RootRead {
         cost,
         sub_stats,
     }
+}
+
+/// Feeds partition `col` of both sides of a join or co-group into the
+/// merge `m`: the left side fully, `seal`, then the right, so the merge
+/// sees both streams in map-task order. Returns the records and bytes
+/// fetched.
+fn drain_sides<M>(
+    left: &JoinSide<'_>,
+    right: &JoinSide<'_>,
+    col: usize,
+    m: &mut M,
+    push: impl Fn(&mut M, Run<'_>, bool),
+    seal: impl FnOnce(&mut M),
+) -> (u64, u64) {
+    let l = left.drain(col, |run| push(m, run, true));
+    seal(m);
+    let r = right.drain(col, |run| push(m, run, false));
+    (l.0 + r.0, l.1 + r.1)
 }
 
 /// The reduce-side merge of a single-parent wide op: `feed` pushes the
@@ -645,7 +690,18 @@ mod tests {
     use super::*;
     use crate::partitioner::build_partitioner;
     use crate::record::Value;
-    use crate::shuffle::Runs;
+
+    /// The seam the module doc claims: nothing in this file, its tests
+    /// included, names the engine context — so the kernels here can be
+    /// driven (as the tests below do) from an `RddGraph::new()` and a
+    /// [`StageInput`] alone, with no cluster, clock or ledger behind them.
+    #[test]
+    fn the_data_plane_never_names_the_context() {
+        let banned = concat!("Con", "text");
+        for (n, line) in include_str!("dataplane.rs").lines().enumerate() {
+            assert!(!line.contains(banned), "dataplane.rs:{}: {line}", n + 1);
+        }
+    }
 
     /// One fused op per letter: `m`ap, fla`x`-map, `f`ilter, `s`ample.
     fn fused_ops<'g>(

@@ -3,7 +3,7 @@
 //! actuals to the re-planner. Also the partition-count and partitioning
 //! questions a plan leaves to execution time.
 
-use super::context::Context;
+use super::context::{Context, STAGES};
 use super::dataplane::TaskOut;
 use super::stage::ShuffleData;
 use crate::metrics::{JobMetrics, StageMetrics};
@@ -131,20 +131,15 @@ impl Context {
             actuals,
         };
         if let Some(new_conf) = hook(&input) {
-            if self.options.trace.is_enabled() {
-                use trace::{pids, Clock, Track};
-                self.options.trace.instant(
-                    Clock::Virtual,
-                    Track::new(pids::DRIVER, 0),
+            self.emit(STAGES, "adaptive", || {
+                (
                     format!("j{job_id} adaptive replan"),
-                    "adaptive",
-                    input.clock,
                     vec![
                         ("job", job_id.into()),
                         ("decisions", new_conf.stages.len().into()),
                     ],
-                );
-            }
+                )
+            });
             self.conf = new_conf;
         }
     }

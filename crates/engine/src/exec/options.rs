@@ -126,11 +126,38 @@ impl EngineOptions {
         Some(mem / max_cores as u64)
     }
 
-    /// Checks for malformed values and contradictory combinations.
+    /// The one gate for engine input: every value the simulator, the block
+    /// store or a partitioner would otherwise assert on is rejected here,
+    /// with a message naming the offending field.
     /// [`crate::Context::new`] panics on an invalid set; the CLI calls this at
     /// parse time so the user gets the message instead of a silent
     /// fallback.
     pub fn validate(&self) -> Result<(), String> {
+        let positive = |node: Option<usize>, field: &str, value: f64| {
+            if value.is_finite() && value > 0.0 {
+                return Ok(());
+            }
+            let of = node.map_or(String::new(), |i| format!("cluster.nodes[{i}]."));
+            Err(format!(
+                "{of}{field} is {value} — must be positive and finite"
+            ))
+        };
+        if self.cluster.nodes.is_empty() {
+            return Err("cluster.nodes is empty — a cluster needs at least one node".into());
+        }
+        for (i, node) in self.cluster.nodes.iter().enumerate() {
+            for (field, value) in [
+                ("cores", node.cores as f64),
+                ("speed", node.speed),
+                ("net_bandwidth", node.net_bandwidth),
+                ("disk_bandwidth", node.disk_bandwidth),
+            ] {
+                positive(Some(i), field, value)?;
+            }
+        }
+        positive(None, "default_parallelism", self.default_parallelism as f64)?;
+        positive(None, "block_size", self.block_size as f64)?;
+        positive(None, "driver_bandwidth", self.driver_bandwidth)?;
         let (topology, nodes) = (self.cluster.topology, self.cluster.num_nodes());
         if !topology.covers(nodes) {
             return Err(format!(
@@ -148,7 +175,48 @@ impl EngineOptions {
 #[cfg(test)]
 mod tests {
     use super::super::fixture::test_options;
+    use super::EngineOptions;
     use faults::{FaultPlan, NodeLoss};
+
+    #[test]
+    fn every_degenerate_field_is_rejected_by_name() {
+        assert_eq!(test_options().validate(), Ok(()));
+        type Break = fn(&mut EngineOptions);
+        let cases: [(&str, Break); 12] = [
+            ("cluster.nodes is empty", |o| o.cluster.nodes.clear()),
+            ("cluster.nodes[1].cores is 0", |o| {
+                o.cluster.nodes[1].cores = 0
+            }),
+            ("cluster.nodes[0].speed is 0", |o| {
+                o.cluster.nodes[0].speed = 0.0
+            }),
+            ("cluster.nodes[2].speed is NaN", |o| {
+                o.cluster.nodes[2].speed = f64::NAN
+            }),
+            ("cluster.nodes[0].speed is -1", |o| {
+                o.cluster.nodes[0].speed = -1.0
+            }),
+            ("cluster.nodes[1].net_bandwidth is inf", |o| {
+                o.cluster.nodes[1].net_bandwidth = f64::INFINITY
+            }),
+            ("cluster.nodes[2].disk_bandwidth is 0", |o| {
+                o.cluster.nodes[2].disk_bandwidth = 0.0
+            }),
+            ("default_parallelism is 0", |o| o.default_parallelism = 0),
+            ("block_size is 0", |o| o.block_size = 0),
+            ("driver_bandwidth is 0", |o| o.driver_bandwidth = 0.0),
+            ("driver_bandwidth is NaN", |o| o.driver_bandwidth = f64::NAN),
+            ("driver_bandwidth is -125000000", |o| {
+                o.driver_bandwidth = -1e9 / 8.0
+            }),
+        ];
+        for (names, break_it) in cases {
+            let mut opts = test_options();
+            break_it(&mut opts);
+            let err = opts.validate().expect_err(names);
+            assert!(err.starts_with(names), "{names}: got {err}");
+        }
+    }
 
     #[test]
     fn a_plan_naming_a_node_the_cluster_lacks_is_rejected() {

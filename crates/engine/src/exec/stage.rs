@@ -2,8 +2,8 @@
 //! stage metrics, in phases. The data moves in [`super::dataplane`]; what
 //! this module adds is everything the virtual cluster is charged for it.
 
-use super::books::spill_name;
-use super::context::Context;
+use super::books::FAULTS;
+use super::context::{Context, Lane, STAGES};
 use super::dataplane::{
     compute_task, CombineSink, JoinSide, MapWrite, MergeKind, SampleSpec, ShuffleWriter,
     StageInput, TaskId, TaskOut, TaskRecords,
@@ -14,18 +14,21 @@ use crate::partitioner::{build_partitioner, PartitionerSpec};
 use crate::pool::lock;
 use crate::rdd::Rdd;
 use crate::record::{batch_size, Key, Record};
-use crate::shuffle::{Combiner, Run, Runs};
+use crate::shuffle::{Combiner, Runs};
 use crate::stage::{Plan, PlanStage, SideDep, StageOutput, StageRoot};
 use memman::Eviction;
 use simcluster::{NodeId, TaskSpec};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
+use trace::{pids, Clock, Track};
 
+/// A cached RDD as the stage that computed it left it: the partitions,
+/// the node each lives on, and the partitioning they are known to have.
 pub(super) struct Materialized {
     pub(super) parts: Vec<Arc<Vec<Record>>>,
     pub(super) homes: Vec<NodeId>,
     pub(super) partitioning: Option<PartitionerSpec>,
-    pub(super) producer_stage: usize,
+    producer_stage: usize,
 }
 
 /// One shuffle's map output, from the map stage that wrote it until the
@@ -52,7 +55,7 @@ pub(super) struct ShuffleData {
     /// uncached wide RDD): reads clone the records instead of moving them.
     pub(super) shared: bool,
     /// Reads of this shuffle that have not run yet.
-    pub(super) reads_left: usize,
+    reads_left: usize,
 }
 
 impl Context {
@@ -89,11 +92,10 @@ impl Context {
         // inside, before any consumer fetch accounting for a lost shuffle.
         self.apply_due_faults(shuffles);
 
-        let sink = self.options.trace.clone();
         let (input, mut reads) = self.resolve_inputs(&cx, shuffles);
-        let wall_start = sink.wall_now();
+        let wall_start = self.options.trace.wall_now();
         let (outs, writes) = self.run_tasks(&cx, &input);
-        let wall = (wall_start, sink.wall_now());
+        let wall = (wall_start, self.options.trace.wall_now());
         drop(input);
         // A shuffle's table is dead once its last read has run.
         for sidx in stage.root.shuffle_reads() {
@@ -105,8 +107,20 @@ impl Context {
         }
         self.account_cached_reads(&reads.cached_reads);
 
-        if let Some(sp) = reads.split_plan.as_ref().filter(|_| sink.is_enabled()) {
-            self.trace_split(&cx, sp);
+        if let Some(sp) = &reads.split_plan {
+            self.emit(STAGES, "adaptive", || {
+                let hot = sp.subs.iter().filter(|&&k| k > 1).count();
+                (
+                    format!("j{job_id}.s{gid} adaptive split"),
+                    vec![
+                        ("stage", gid.into()),
+                        ("job", job_id.into()),
+                        ("hot_partitions", hot.into()),
+                        ("physical_tasks", cx.num_tasks.into()),
+                        ("virtual_tasks", sp.total_tasks().into()),
+                    ],
+                )
+            });
         }
         let StageSpecs {
             mut specs,
@@ -178,9 +192,7 @@ impl Context {
                 unreachable!("shuffle-write tasks return their runs")
             }
         }
-        if sink.is_enabled() {
-            self.trace_stage(&cx, &metrics, &timing, wall);
-        }
+        self.trace_stage(&cx, &metrics, &timing, wall);
         debug_assert_eq!(
             self.mem.storage_used(),
             self.sim.resident_bytes(),
@@ -336,23 +348,6 @@ impl Context {
                 }
             }
             other => unreachable!("source stage over {other:?}"),
-        }
-    }
-
-    /// Accounts a stage's cached reads: each consuming stage burns one
-    /// lineage reference, bumps recency, and — for spilled entries — pays
-    /// the reread through the spill files.
-    fn account_cached_reads(&mut self, cached_reads: &[Rdd]) {
-        for rdd in cached_reads {
-            *self.reads_done.entry(*rdd).or_insert(0) += 1;
-            let id = rdd.0 as u64;
-            self.mem.touch(id);
-            if self.mem.is_spilled(id) {
-                self.mem.reread(id);
-                for i in 0..self.materialized[rdd].parts.len() {
-                    self.store.read_file(&spill_name(*rdd, i));
-                }
-            }
         }
     }
 
@@ -596,16 +591,17 @@ impl Context {
         let stage_faults = self.inject_task_faults(specs, gid);
         let timing = self.sim.run_stage(specs);
         if let Some((retried, failures, corrupt)) = stage_faults {
-            self.emit_fault_event(
-                &format!("j{job_id}.s{gid} retries"),
-                "retry",
-                vec![
-                    ("stage", (gid as u64).into()),
-                    ("retried_tasks", retried.into()),
-                    ("injected_failures", failures.into()),
-                    ("corrupt_chunks", corrupt.into()),
-                ],
-            );
+            self.emit(FAULTS, "retry", || {
+                (
+                    format!("j{job_id}.s{gid} retries"),
+                    vec![
+                        ("stage", (gid as u64).into()),
+                        ("retried_tasks", retried.into()),
+                        ("injected_failures", failures.into()),
+                        ("corrupt_chunks", corrupt.into()),
+                    ],
+                )
+            });
         }
         // Anchor co-partitioned indices for subsequent same-scheme stages.
         // Split stages don't anchor: spec indices ≠ partition indices.
@@ -760,33 +756,13 @@ impl Context {
         }
     }
 
-    /// Records an adaptive split decision on the driver track.
-    fn trace_split(&self, cx: &StageCtx<'_>, sp: &crate::adaptive::SplitPlan) {
-        use trace::{pids, Clock, Track};
-        let (gid, job_id) = (cx.gid, cx.job_id);
-        let hot = sp.subs.iter().filter(|&&k| k > 1).count();
-        self.options.trace.instant(
-            Clock::Virtual,
-            Track::new(pids::DRIVER, 0),
-            format!("j{job_id}.s{gid} adaptive split"),
-            "adaptive",
-            self.sim.clock(),
-            vec![
-                ("stage", gid.into()),
-                ("job", job_id.into()),
-                ("hot_partitions", hot.into()),
-                ("physical_tasks", cx.num_tasks.into()),
-                ("virtual_tasks", sp.total_tasks().into()),
-            ],
-        );
-    }
-
     /// Purely observational: reads `timing` / `metrics` after the
     /// simulation advanced, so traced and untraced runs produce
     /// bit-identical stage timings. Virtual-clock events are emitted on
     /// the driver thread in stage order, which keeps the virtual trace
     /// slice deterministic across host worker counts; the one wall span
-    /// covers the stage's task phase on the host pool.
+    /// covers the stage's task phase on the host pool. Nothing is built
+    /// with tracing off.
     fn trace_stage(
         &self,
         cx: &StageCtx<'_>,
@@ -794,12 +770,18 @@ impl Context {
         timing: &simcluster::StageTiming,
         wall: (f64, f64),
     ) {
-        use trace::{pids, Clock, Track};
+        let (Some(stages), Some(shuf), Some(pipeline)) = (
+            self.lane(STAGES),
+            self.lane(SHUFFLE_BYTES),
+            self.lane(PIPELINE),
+        ) else {
+            return;
+        };
         let sink = &self.options.trace;
         let (gid, job_id) = (cx.gid, cx.job_id);
         sink.span(
             Clock::Virtual,
-            Track::new(pids::DRIVER, 0),
+            stages,
             format!("j{job_id}.s{gid} {}", metrics.name),
             "stage",
             timing.start,
@@ -814,10 +796,6 @@ impl Context {
                 ("shuffle_write_bytes", metrics.shuffle_write_bytes.into()),
             ],
         );
-        let shuf = Track::new(pids::DRIVER, 1);
-        if !sink.has_thread_name(shuf) {
-            sink.name_thread(shuf, "shuffle bytes");
-        }
         for (name, at, bytes) in [
             (
                 "shuffle_read_bytes",
@@ -840,13 +818,9 @@ impl Context {
             &format!("j{job_id}.s{gid}"),
             gid,
         );
-        let stages = Track::new(pids::POOL, 2);
-        if !sink.has_thread_name(stages) {
-            sink.name_thread(stages, "pipeline stages");
-        }
         sink.span(
             Clock::Wall,
-            stages,
+            pipeline,
             format!("pipeline j{job_id}.p{} {}", cx.plan_idx, metrics.name),
             "pipeline",
             wall.0,
@@ -855,6 +829,11 @@ impl Context {
         );
     }
 }
+
+/// Shuffle read / remote read / shuffle write counters per stage.
+const SHUFFLE_BYTES: Lane = (Track::new(pids::DRIVER, 1), "shuffle bytes");
+/// Host wall-clock span of each stage's task phase, beside the pool's lanes.
+const PIPELINE: Lane = (Track::new(pids::POOL, 2), "pipeline stages");
 
 /// Aggregates `(node, bytes)` pairs by node, dropping empty transfers.
 fn aggregate_fetches<'a, I>(pairs: I) -> Vec<(NodeId, u64)>
@@ -894,11 +873,11 @@ impl StageCtx<'_> {
 /// What the simulator charges one task for reading its input, and where
 /// the task would like to run.
 #[derive(Default)]
-pub(super) struct TaskReads {
-    pub(super) fetches: Vec<(NodeId, u64)>,
-    pub(super) fetch_chunks: usize,
-    pub(super) local_read_bytes: u64,
-    pub(super) preferred: Vec<NodeId>,
+struct TaskReads {
+    fetches: Vec<(NodeId, u64)>,
+    fetch_chunks: usize,
+    local_read_bytes: u64,
+    preferred: Vec<NodeId>,
 }
 
 /// The virtual-side view of a stage's inputs (see
@@ -928,7 +907,7 @@ struct StageSpecs {
 impl Materialized {
     /// How partition `i` is read: from its home node's memory, or — once
     /// the ledger has the entry `spilled` — from that node's local disk.
-    pub(super) fn read_of(&self, i: usize, spilled: bool) -> TaskReads {
+    fn read_of(&self, i: usize, spilled: bool) -> TaskReads {
         let bytes = batch_size(&self.parts[i]);
         let mut t = TaskReads {
             fetch_chunks: usize::from(!self.parts[i].is_empty()),
@@ -946,7 +925,7 @@ impl Materialized {
 impl ShuffleData {
     /// What reduce partition `col` fetches: bytes per producer node, one
     /// chunk per map task with data for it.
-    pub(super) fn read_of(&self, col: usize) -> TaskReads {
+    fn read_of(&self, col: usize) -> TaskReads {
         TaskReads {
             fetches: aggregate_fetches(self.nodes.iter().zip(self.bytes.iter().map(|b| b[col]))),
             fetch_chunks: self.bytes.iter().filter(|b| b[col] > 0).count(),
@@ -961,40 +940,14 @@ impl ShuffleData {
             .map(|i| self.bytes.iter().map(|b| b[i]).sum())
             .collect()
     }
+}
 
-    /// Hands map task `m`'s run for reduce partition `col` to `push` and
-    /// returns its record count. Row records are moved out in place under
-    /// the row's lock — no per-reducer copy of a column ever exists, and
-    /// the row's one allocation is freed with the table, by the driver —
-    /// or lent when the shuffle has more than one read. An empty run is
-    /// skipped on the byte table, without touching the lock.
-    pub(super) fn with_run(&self, m: usize, col: usize, push: &mut impl FnMut(Run<'_>)) -> u64 {
-        if self.bytes[m][col] == 0 {
-            return 0;
+impl JoinSide<'_> {
+    fn read_of(&self, i: usize) -> TaskReads {
+        match self {
+            JoinSide::Shuffle(data) => data.read_of(i),
+            JoinSide::Narrow(mat, spilled) => mat.read_of(i, *spilled),
         }
-        let (start, end) = (self.offsets[m][col], self.offsets[m][col + 1]);
-        let mut row = lock(&self.rows[m]);
-        match &mut *row {
-            Runs::Rows(records) if self.shared => push(Run::Shared(&records[start..end])),
-            Runs::Rows(records) => push(Run::Moved(&mut records[start..end])),
-            Runs::Cols(batch) => {
-                let slice = batch.slice(start, end - start);
-                drop(row);
-                push(Run::Cols(slice));
-            }
-        }
-        (end - start) as u64
-    }
-
-    /// Feeds reduce partition `col`'s runs to `push` in map-task order;
-    /// returns the records and bytes fetched.
-    pub(super) fn drain_column(&self, col: usize, mut push: impl FnMut(Run<'_>)) -> (u64, u64) {
-        let (mut fetched, mut bytes) = (0u64, 0u64);
-        for m in 0..self.rows.len() {
-            fetched += self.with_run(m, col, &mut push);
-            bytes += self.bytes[m][col];
-        }
-        (fetched, bytes)
     }
 }
 

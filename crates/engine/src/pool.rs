@@ -27,7 +27,7 @@
 //! - **Panic propagation.** A panicking task poisons the job: other
 //!   participants stop claiming chunks, and the first payload is re-thrown
 //!   on the caller after the epoch drains.
-//! - **Multi-context sharing.** One pool may back several [`Context`]s at
+//! - **Multi-context sharing.** One pool may back several [`crate::Context`]s at
 //!   once (the job server runs every tenant's data plane on a single
 //!   pool). Dispatches from different calling threads serialize on an
 //!   internal mutex at epoch granularity, and [`WorkerPool::map_capped`]

@@ -331,7 +331,7 @@ pub mod collection {
     use super::strategy::Strategy;
     use super::test_runner::TestRng;
 
-    /// Sizes accepted by [`vec`]: an exact `usize` or an exclusive range.
+    /// Sizes accepted by [`vec()`]: an exact `usize` or an exclusive range.
     pub trait IntoSizeRange {
         /// Lower/upper bounds as `(min, max_exclusive)`.
         fn bounds(&self) -> (usize, usize);

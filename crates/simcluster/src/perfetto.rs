@@ -1,4 +1,4 @@
-//! Emits a stage schedule into a [`TraceSink`](::trace::TraceSink) as
+//! Emits a stage schedule into a [`TraceSink`] as
 //! per-core-lane Perfetto tracks.
 //!
 //! This is the structured sibling of [`gantt`](crate::gantt): instead of

@@ -22,7 +22,7 @@
 //! [`Topology::Flat`] there is one rack and the uplinks are infinite, so
 //! the receiver NICs are the only contended links; on an oversubscribed
 //! rack fabric the ToR uplinks congest exactly when many tasks pull
-//! cross-rack at once. Everything else ([`Simulation::task_cost`]:
+//! cross-rack at once. Everything else (`Simulation::task_cost`:
 //! launch overhead, compute, disk, chunk bookkeeping, fetch-wave
 //! latency) is a closed-form tail charged once the task's flows have
 //! completed; it does not contend.
@@ -31,12 +31,12 @@
 //!
 //! * A task's flows are aggregated per source rack (plus one same-rack
 //!   aggregate), not per source host, bounding queue traffic at scale;
-//!   past [`MAX_PER_RACK_FLOWS`] distinct source racks they collapse
+//!   past `MAX_PER_RACK_FLOWS` distinct source racks they collapse
 //!   further into a single cross-rack flow through the destination's
 //!   downlink. Sender-side NICs are not modeled — the receiver NIC and
 //!   the rack uplinks/downlinks are the contended resources.
 //! * Speculative backup copies are timed by the uncontended estimator
-//!   ([`Simulation::uncontended_duration`]): speculation fires in the
+//!   (`Simulation::uncontended_duration`): speculation fires in the
 //!   stage tail, when the network is draining.
 //!
 //! Determinism: every queue is `(time, seq)`-ordered, ties between a

@@ -11,13 +11,16 @@
 //! random valid plans and holds them to the same invariants.
 
 use chopper::Workload;
-use engine::{
-    ClockFilter, Context, EngineOptions, FaultPlan, NodeLoss, Straggler, TraceSink, WorkloadConf,
-};
+use engine::{ClockFilter, Context, EngineOptions, FaultPlan, NodeLoss, TraceSink, WorkloadConf};
+use plans::arb_plan;
 use proptest::prelude::*;
 use simcluster::uniform_cluster;
 use std::fmt::Write as _;
 use workloads::{KMeans, KMeansConfig, LogReg, LogRegConfig, Pca, PcaConfig, Sql, SqlConfig};
+
+/// The generator of valid plans, shared with the engine's own suites.
+#[path = "../../engine/tests/support/plans.rs"]
+mod plans;
 
 const SMOKE: &str = include_str!("../../../plans/plan_smoke.plan");
 const LOSSY: &str = include_str!("../../../plans/plan_lossy.plan");
@@ -274,40 +277,6 @@ fn kmeans_result(opts: &EngineOptions) -> (String, Context) {
     let mut res = KMeans::new(KMeansConfig::small()).execute(opts, &WorkloadConf::new(), 1.0);
     res.histogram.sort_unstable();
     (format!("{:?} {:?}", res.centers, res.histogram), res.ctx)
-}
-
-/// A plan that is valid on the suite's 3-node cluster whatever is drawn:
-/// at most two `lose-node` events, so a node always survives. Event
-/// times are fractions of a run — 0 is "before the first stage" — for the
-/// test to scale by the plan-free run's length.
-fn arb_plan() -> impl Strategy<Value = FaultPlan> {
-    let when = || prop_oneof![Just(0.0), 0.0f64..1.0];
-    let prob = || prop_oneof![Just(0.0), 0.0f64..0.2];
-    (
-        any::<u64>(),
-        prob(),
-        prob(),
-        proptest::collection::vec((0usize..3, when()), 0..3),
-        proptest::collection::vec((0usize..3, 1.0f64..6.0, when()), 0..3),
-        proptest::option::of(1.1f64..3.0),
-    )
-        .prop_map(
-            |(seed, task_fail_prob, corrupt_prob, losses, slows, speculation)| FaultPlan {
-                seed,
-                task_fail_prob,
-                corrupt_prob,
-                node_loss: losses
-                    .into_iter()
-                    .map(|(node, at)| NodeLoss { node, at })
-                    .collect(),
-                stragglers: slows
-                    .into_iter()
-                    .map(|(node, factor, at)| Straggler { node, factor, at })
-                    .collect(),
-                speculation,
-                ..FaultPlan::default()
-            },
-        )
 }
 
 proptest! {
