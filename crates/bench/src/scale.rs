@@ -135,7 +135,7 @@ impl Workload for ScaleAgg {
         });
         let bytes = ((self.full_input_bytes() as f64 * scale) as u64).max(1);
         let lines = ctx.text_file("scale-in", bytes, gen, LINE_COST, "scan");
-        let payload: Arc<Vec<f64>> = Arc::new(vec![1.0; payload_len(self.nodes)]);
+        let payload: Arc<[f64]> = Arc::from(vec![1.0; payload_len(self.nodes)]);
         let widen: FlatMapFn = Arc::new(move |r: &Record| {
             let line = match &r.key {
                 Key::Int(i) => *i as u64,

@@ -13,7 +13,7 @@
 //! chopper-cli serve   --trace jobs.trace [--policy fair|fifo] [--slots 8]
 //!                     [--queue-cap N] [--mem-shared 1g] [--mem-tenant 256m]
 //! chopper-cli loadgen --out jobs.trace [--tenants 4] [--jobs 56] [--seed 11]
-//! chopper-cli help
+//! chopper-cli help | --help | -h
 //! ```
 
 mod args;
@@ -22,8 +22,12 @@ mod commands;
 use args::Args;
 
 /// `trace <workload>` reads naturally, but the flag parser takes no
-/// positionals — rewrite the bare workload token into `--workload`.
+/// positionals — rewrite the bare workload token into `--workload`. A
+/// leading `--help` / `-h` is the `help` command.
 fn normalize(mut raw: Vec<String>) -> Vec<String> {
+    if matches!(raw.first().map(String::as_str), Some("--help" | "-h")) {
+        raw[0] = "help".to_string();
+    }
     if raw.first().map(String::as_str) == Some("trace")
         && raw.get(1).is_some_and(|t| !t.starts_with("--"))
     {

@@ -27,10 +27,14 @@ fn run_ok(cmd: &mut Command) -> Output {
 
 #[test]
 fn help_prints_usage() {
-    let out = run_ok(bin().arg("help"));
-    let text = String::from_utf8_lossy(&out.stdout);
+    let usage = run_ok(bin().arg("help")).stdout;
+    let text = String::from_utf8_lossy(&usage);
     assert!(text.contains("chopper-cli"));
     assert!(text.contains("compare"));
+    // The flag spellings are the same command: usage on stdout, exit 0.
+    for flag in ["--help", "-h"] {
+        assert_eq!(run_ok(bin().arg(flag)).stdout, usage, "{flag}");
+    }
 }
 
 #[test]

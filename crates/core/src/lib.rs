@@ -37,7 +37,8 @@
 //!         let data = (0..n).map(|i| Record::new(Key::Int(i % 7), Value::Int(1))).collect();
 //!         let src = ctx.parallelize(data, 4, "src");
 //!         let counts = ctx.reduce_by_key(
-//!             src, Arc::new(|a, b| Value::Int(a.as_int() + b.as_int())), None, 1e-6, "count");
+//!             src, Arc::new(|a: &Value, b: &Value| Value::Int(a.as_int() + b.as_int())),
+//!             None, 1e-6, "count");
 //!         ctx.count(counts, "wordcount");
 //!         ctx
 //!     }

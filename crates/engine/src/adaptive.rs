@@ -440,7 +440,8 @@ mod tests {
             let maps: Vec<Vec<Record>> = records.chunks(37).map(<[Record]>::to_vec).collect();
             let in_bytes: u64 = records.iter().map(Record::encoded_size).sum();
             let router = SubRouter::build(records.iter().map(|r| &r.key), k, seed);
-            let f: crate::ReduceFn = Arc::new(|a, b| Value::Int(a.as_int() + b.as_int()));
+            let f: crate::ReduceFn =
+                Arc::new(|a: &Value, b: &Value| Value::Int(a.as_int() + b.as_int()));
             let (out, _cost, stats) =
                 merge_split(maps.clone(), &MergeKind::Reduce(Arc::clone(&f), 1e-6), &router);
             let split_bytes: u64 = stats.iter().flat_map(|s| s.per_map_bytes.iter()).sum();

@@ -523,7 +523,7 @@ impl ColumnBatch {
                 validity,
             } => match validity {
                 Some(v) if !v.get(j) => Value::Null,
-                _ => Value::Vector(Arc::new(data[j * stride..(j + 1) * stride].to_vec())),
+                _ => Value::Vector(Arc::from(&data[j * stride..(j + 1) * stride])),
             },
             ValueColumn::Rows(rows) => rows[j].clone(),
         }

@@ -493,10 +493,12 @@ mod tests {
     use super::super::fixture::{sum, test_options, word_records};
     use super::Context;
     use crate::config::WorkloadConf;
+    use crate::ops::{sum_vector_counts, GenFn};
     use crate::partitioner::PartitionerSpec;
     use crate::rdd::Rdd;
     use crate::record::{Key, Record, Value};
     use faults::{FaultPlan, NodeLoss};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     /// Three jobs over one lineage, with `act` as the action: a cached
@@ -615,6 +617,76 @@ mod tests {
         for r in &out {
             assert_eq!(r.value.as_int(), 40, "20 occurrences of value 2");
         }
+    }
+
+    /// A map that re-keys a cached record by cloning its value shares the
+    /// vector with the cached partition, so the first value an in-place
+    /// reduce sees for a key *is* cached data: the fold has to copy it
+    /// before writing, and the cache must read back as generated.
+    #[test]
+    fn in_place_reduce_over_a_cached_rdd_leaves_the_cache_untouched() {
+        const N: u64 = 240;
+        let point = |i: u64| {
+            let x = (0..3).map(move |d| (3 * i + d) as f64 + 0.25);
+            Record::new(Key::Int(i as i64), Value::vector_from(x))
+        };
+        let generated = Arc::new(AtomicUsize::new(0));
+        let gen: GenFn = {
+            let generated = Arc::clone(&generated);
+            Arc::new(move |part, parts| {
+                generated.fetch_add(1, Ordering::Relaxed);
+                let span = |p: usize| N * p as u64 / parts as u64;
+                (span(part)..span(part + 1)).map(point).collect()
+            })
+        };
+        let mut ctx = Context::new(test_options());
+        let points = ctx.text_file("points", N * 35, gen, 1e-6, "points");
+        ctx.cache(points);
+        let fresh: Vec<Record> = (0..N).map(point).collect();
+        assert_eq!(ctx.collect(points, "materialize"), fresh);
+        let splits = generated.load(Ordering::Relaxed);
+
+        let rekeyed = ctx.map(
+            points,
+            Arc::new(|r: &Record| {
+                let k = match r.key {
+                    Key::Int(i) => i % 4,
+                    _ => unreachable!("int keys"),
+                };
+                let acc = Value::Pair(Box::new(r.value.clone()), Box::new(Value::Int(1)));
+                Record::new(Key::Int(k), acc)
+            }),
+            1e-6,
+            "rekey",
+        );
+        let sums = ctx.reduce_by_key(rekeyed, sum_vector_counts(), None, 1e-6, "sum");
+        for r in ctx.collect(sums, "sum") {
+            let Value::Pair(sum, count) = &r.value else {
+                panic!("accumulator expected, got {r:?}");
+            };
+            assert_eq!(count.as_int(), 60);
+            let k = match r.key {
+                Key::Int(k) => k as u64,
+                _ => unreachable!("int keys"),
+            };
+            // Σ over i ≡ k (mod 4) of 3i + d + 0.25, exact in f64.
+            let base = (0..N).filter(|i| i % 4 == k).sum::<u64>() as f64;
+            let want: Vec<f64> = (0..3)
+                .map(|d| 3.0 * base + 60.0 * (d as f64 + 0.25))
+                .collect();
+            assert_eq!(sum.as_vector(), want);
+        }
+
+        assert_eq!(
+            ctx.collect(points, "reread"),
+            fresh,
+            "cache written through"
+        );
+        assert_eq!(
+            generated.load(Ordering::Relaxed),
+            splits,
+            "both later jobs read the cache, not the generator"
+        );
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //! let src = ctx.parallelize(data, 4, "src");
 //! let counts = ctx.reduce_by_key(
 //!     src,
-//!     Arc::new(|a, b| Value::Int(a.as_int() + b.as_int())),
+//!     Arc::new(|a: &Value, b: &Value| Value::Int(a.as_int() + b.as_int())),
 //!     None,
 //!     1e-6,
 //!     "count",
@@ -66,7 +66,10 @@ pub use exec::{Context, EngineOptions};
 pub use faults::{FaultCounters, FaultPlan, NodeLoss, Straggler};
 pub use memman::MemCounters;
 pub use metrics::{JobMetrics, StageKind, StageMetrics};
-pub use ops::{FilterFn, FlatMapFn, GenFn, MapFn, OpKind, ReduceFn};
+pub use ops::{
+    sum_vector_counts, sum_vectors, FilterFn, FlatMapFn, GenFn, InPlace, MapFn, OpKind, Reduce,
+    ReduceFn,
+};
 pub use partitioner::{
     build_partitioner, measure_skew, HashPartitioner, Partitioner, PartitionerKind,
     PartitionerSpec, RangePartitioner,

@@ -9,7 +9,7 @@
 //! virtual task durations on the simulated cluster.
 
 use crate::partitioner::PartitionerSpec;
-use crate::record::Record;
+use crate::record::{Record, Value};
 use std::sync::Arc;
 
 /// Element-wise transform.
@@ -18,9 +18,96 @@ pub type MapFn = Arc<dyn Fn(&Record) -> Record + Send + Sync>;
 pub type FlatMapFn = Arc<dyn Fn(&Record) -> Vec<Record> + Send + Sync>;
 /// Predicate for `filter`.
 pub type FilterFn = Arc<dyn Fn(&Record) -> bool + Send + Sync>;
-/// Associative, commutative combiner for `reduce_by_key`.
-pub type ReduceFn =
-    Arc<dyn Fn(&crate::record::Value, &crate::record::Value) -> crate::record::Value + Send + Sync>;
+
+/// The combiner of a `reduce_by_key`: folds one more value of a key into
+/// the key's accumulator.
+///
+/// The contract: `fold(acc, v)` leaves in `acc` what a by-value reducer
+/// `f` would return from `f(acc, v)`, and that `f` is associative and
+/// commutative (the map-side combine and the reduce-side merge apply it in
+/// whatever grouping the partitioning produces). `acc` is *not*
+/// necessarily uniquely owned — the first value seen for a key may share
+/// its `Arc` payload with a cached partition — so an implementation that
+/// writes through an `Arc` goes through [`Arc::make_mut`].
+pub trait Reduce: Send + Sync {
+    /// Folds `v` into `acc`.
+    fn fold(&self, acc: &mut Value, v: &Value);
+}
+
+/// A by-value closure is a reducer: `acc = f(acc, v)`. Scalar sums
+/// allocate nothing this way; a reducer over [`Value::Vector`] should be an
+/// [`InPlace`] one instead.
+impl<F: Fn(&Value, &Value) -> Value + Send + Sync> Reduce for F {
+    #[inline]
+    fn fold(&self, acc: &mut Value, v: &Value) {
+        *acc = self(acc, v);
+    }
+}
+
+/// A reducer that updates its accumulator where it lies.
+pub struct InPlace<F>(pub F);
+
+impl<F: Fn(&mut Value, &Value) + Send + Sync> Reduce for InPlace<F> {
+    #[inline]
+    fn fold(&self, acc: &mut Value, v: &Value) {
+        (self.0)(acc, v)
+    }
+}
+
+/// Associative, commutative combiner for `reduce_by_key` (see [`Reduce`]).
+///
+/// Either form coerces from an `Arc`. The closure's parameters must be
+/// annotated: there is no `Fn` signature in `dyn Reduce` for an
+/// unannotated `|a, b|` to be inferred from.
+///
+/// ```
+/// use engine::{InPlace, ReduceFn, Value};
+/// use std::sync::Arc;
+///
+/// let by_value: ReduceFn = Arc::new(|a: &Value, b: &Value| Value::Int(a.as_int() + b.as_int()));
+/// let in_place: ReduceFn = Arc::new(InPlace(|acc: &mut Value, v: &Value| {
+///     *acc = Value::Int(acc.as_int() + v.as_int())
+/// }));
+/// for f in [by_value, in_place] {
+///     let mut acc = Value::Int(2);
+///     f.fold(&mut acc, &Value::Int(3));
+///     assert_eq!(acc, Value::Int(5));
+/// }
+/// ```
+pub type ReduceFn = Arc<dyn Reduce>;
+
+/// `acc[i] += v[i]` on a [`Value::Vector`] accumulator, copying it first
+/// only if its buffer is shared.
+fn add_assign(acc: &mut Value, v: &[f64]) {
+    match acc {
+        Value::Vector(a) => {
+            for (x, y) in Arc::make_mut(a).iter_mut().zip(v) {
+                *x += y;
+            }
+        }
+        other => panic!("expected vector value, got {other:?}"),
+    }
+}
+
+/// Element-wise sum of equal-length [`Value::Vector`]s, in place.
+pub fn sum_vectors() -> ReduceFn {
+    Arc::new(InPlace(|acc: &mut Value, v: &Value| {
+        add_assign(acc, v.as_vector())
+    }))
+}
+
+/// Sum of `Pair(Vector, Int)` accumulators — a vector sum and the count of
+/// what went into it — in place.
+pub fn sum_vector_counts() -> ReduceFn {
+    Arc::new(InPlace(|acc: &mut Value, v: &Value| match (acc, v) {
+        (Value::Pair(sum, count), Value::Pair(s, c)) => {
+            add_assign(sum, s.as_vector());
+            **count = Value::Int(count.as_int() + c.as_int());
+        }
+        other => panic!("malformed accumulator {other:?}"),
+    }))
+}
+
 /// Deterministic per-partition generator for block-backed sources:
 /// `gen(partition_index, num_partitions)` yields that partition's records.
 pub type GenFn = Arc<dyn Fn(usize, usize) -> Vec<Record> + Send + Sync>;
@@ -162,7 +249,6 @@ impl std::fmt::Debug for OpKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::Value;
 
     #[test]
     fn wide_classification_matches_spark() {

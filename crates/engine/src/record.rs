@@ -84,8 +84,9 @@ pub enum Value {
     Float(f64),
     /// String payload.
     Str(Arc<str>),
-    /// Dense numeric vector (points, partial sums, covariance rows).
-    Vector(Arc<Vec<f64>>),
+    /// Dense numeric vector (points, partial sums, covariance rows): one
+    /// allocation, header and elements together.
+    Vector(Arc<[f64]>),
     /// Pair of values (e.g. (sum-vector, count) accumulators).
     Pair(Box<Value>, Box<Value>),
     /// List of values (co-group buckets, collected groups).
@@ -146,9 +147,17 @@ impl Value {
         Value::Str(Arc::from(s))
     }
 
-    /// Convenience constructor for vector values.
+    /// Convenience constructor for vector values (copies `v` into the
+    /// shared allocation; see [`Value::vector_from`] to build it there).
     pub fn vector(v: Vec<f64>) -> Value {
-        Value::Vector(Arc::new(v))
+        Value::Vector(Arc::from(v))
+    }
+
+    /// A vector value collected straight into its shared allocation: an
+    /// iterator of known length (a `map`/`zip`/`chain` over slices or
+    /// ranges) allocates once.
+    pub fn vector_from(elems: impl IntoIterator<Item = f64>) -> Value {
+        Value::Vector(elems.into_iter().collect())
     }
 }
 
@@ -410,6 +419,8 @@ mod tests {
         assert_eq!(Value::Int(3).as_float(), 3.0);
         assert_eq!(Value::Int(3).as_int(), 3);
         assert_eq!(Value::vector(vec![1.0, 2.0]).as_vector(), &[1.0, 2.0]);
+        let built = Value::vector_from([1.0, 2.0].iter().map(|x| x * 2.0).chain([9.0]));
+        assert_eq!(built, Value::vector(vec![2.0, 4.0, 9.0]));
     }
 
     #[test]

@@ -382,7 +382,7 @@ impl<'a> Combiner<'a> {
                 }
                 if at != new {
                     let first = &mut seen[at as usize];
-                    first.value = (self.f)(&first.value, &r.value);
+                    self.f.fold(&mut first.value, &r.value);
                     self.ops += 1;
                     return;
                 }
@@ -553,7 +553,7 @@ impl ReduceMerge {
             let slots = index.entry(r.key.stable_hash()).or_default();
             match slots.iter().find(|&&i| out[i as usize].key == r.key) {
                 Some(&i) => {
-                    out[i as usize].value = f(&out[i as usize].value, &r.value);
+                    f.fold(&mut out[i as usize].value, &r.value);
                     *ops += 1;
                 }
                 None => {

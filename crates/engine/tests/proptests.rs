@@ -6,8 +6,8 @@ use engine::shuffle::{
     ReduceMerge, Run, TaskArena, TaskRuns,
 };
 use engine::{
-    build_partitioner, measure_skew, ColumnBatch, HashPartitioner, Key, Partitioner,
-    PartitionerSpec, RangePartitioner, Record, ReduceFn, Value, WorkloadConf,
+    build_partitioner, measure_skew, sum_vector_counts, sum_vectors, ColumnBatch, HashPartitioner,
+    Key, Partitioner, PartitionerSpec, RangePartitioner, Record, ReduceFn, Value, WorkloadConf,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -47,7 +47,7 @@ fn arb_any_value() -> impl Strategy<Value = Value> {
         any::<i64>().prop_map(Value::Int),
         any::<f64>().prop_map(Value::Float),
         "[a-z]{0,8}".prop_map(|s| Value::Str(s.into())),
-        proptest::collection::vec(any::<f64>(), 0..6).prop_map(|v| Value::Vector(Arc::new(v))),
+        proptest::collection::vec(any::<f64>(), 0..6).prop_map(Value::vector),
         (any::<i64>(), any::<f64>())
             .prop_map(|(a, b)| Value::Pair(Box::new(Value::Int(a)), Box::new(Value::Float(b)))),
         proptest::collection::vec(any::<i64>().prop_map(Value::Int), 0..4)
@@ -90,10 +90,11 @@ fn arb_colliding_records(max: usize) -> impl Strategy<Value = Vec<Record>> {
     proptest::collection::vec(record, 0..max)
 }
 
-/// Records over ten keys, among them two pairs that are unequal yet share
-/// a stable hash: a pair key's byte encoding is not prefix-free, so
-/// `("a", (None, None))` and `("a\u{3}\0", None)` hash the same bytes.
-fn arb_hash_colliding_records(max: usize) -> impl Strategy<Value = Vec<Record>> {
+/// Ten keys — integers, strings, pairs — among them two pairs of pairs
+/// that are unequal yet share a stable hash: a pair key's byte encoding is
+/// not prefix-free, so `("a", (None, None))` and `("a\u{3}\0", None)` hash
+/// the same bytes.
+fn hash_colliding_keys() -> Vec<Key> {
     let pair = |a: &str, b: Key| Key::Pair(Box::new(Key::str(a)), Box::new(b));
     let nested = || Key::Pair(Box::new(Key::None), Box::new(Key::None));
     let keys = vec![
@@ -111,6 +112,12 @@ fn arb_hash_colliding_records(max: usize) -> impl Strategy<Value = Vec<Record>> 
     assert_eq!(keys[0].stable_hash(), keys[1].stable_hash());
     assert_eq!(keys[2].stable_hash(), keys[3].stable_hash());
     assert!(keys[0] != keys[1] && keys[2] != keys[3]);
+    keys
+}
+
+/// Records over [`hash_colliding_keys`] with values of every shape.
+fn arb_hash_colliding_records(max: usize) -> impl Strategy<Value = Vec<Record>> {
+    let keys = hash_colliding_keys();
     proptest::collection::vec(
         (0usize..10, arb_any_value()).prop_map(move |(k, v)| Record::new(keys[k].clone(), v)),
         0..max,
@@ -157,6 +164,28 @@ fn fold_sizes() -> ReduceFn {
 
 fn sum() -> ReduceFn {
     Arc::new(|a: &Value, b: &Value| Value::Int(a.as_int().wrapping_add(b.as_int())))
+}
+
+/// What [`sum_vectors`] computes, by value: a fresh vector per fold.
+fn sum_vectors_by_value() -> ReduceFn {
+    Arc::new(|a: &Value, b: &Value| {
+        let (a, b) = (a.as_vector(), b.as_vector());
+        Value::vector(a.iter().zip(b).map(|(x, y)| x + y).collect())
+    })
+}
+
+/// What [`sum_vector_counts`] computes, by value.
+fn sum_vector_counts_by_value() -> ReduceFn {
+    let sum = sum_vectors_by_value();
+    Arc::new(move |a: &Value, b: &Value| match (a, b) {
+        (Value::Pair(sa, ca), Value::Pair(sb, cb)) => {
+            let mut s = (**sa).clone();
+            sum.fold(&mut s, sb);
+            let n = Value::Int(ca.as_int() + cb.as_int());
+            Value::Pair(Box::new(s), Box::new(n))
+        }
+        other => panic!("malformed accumulator {other:?}"),
+    })
 }
 
 /// Ground truth: per-key sum over a record set.
@@ -386,6 +415,81 @@ proptest! {
         }
         prop_assert_eq!(&written(bucketize_runs(records.clone(), &*p, Some(&f), arena)), &want);
         prop_assert_eq!(&written(bucketize_runs_shared(&records, &*p, Some(&f), arena)), &want);
+    }
+
+    /// The in-place vector reducers finish a map-side combine and a
+    /// reduce-side merge to the records and op counts of their by-value
+    /// twins, over keys of every shape, however the records arrive. Every
+    /// record fed shares its vector with a held copy (as a re-keyed cached
+    /// point does) unless drawn otherwise, and the held copies read back
+    /// as generated: a fold never writes through a shared buffer.
+    #[test]
+    fn in_place_reducers_equal_their_by_value_twins(
+        rows in proptest::collection::vec(
+            (0usize..10, proptest::collection::vec(any::<f64>(), 3), 0i64..9, any::<bool>()),
+            0..200,
+        ),
+        counted in any::<bool>(),
+        parts in prop_oneof![Just(1usize), 2usize..9, Just(512usize)],
+        cuts in proptest::collection::vec(0usize..200, 0..6),
+        owned in proptest::collection::vec(any::<bool>(), 8),
+        kinds in proptest::collection::vec(0u8..3, 8),
+    ) {
+        let keys = hash_colliding_keys();
+        let build = || -> Vec<Record> {
+            rows.iter()
+                .map(|(k, x, n, _)| {
+                    let x = Value::vector(x.clone());
+                    let v = if counted {
+                        Value::Pair(Box::new(x), Box::new(Value::Int(*n)))
+                    } else {
+                        x
+                    };
+                    Record::new(keys[*k].clone(), v)
+                })
+                .collect()
+        };
+        let pristine = build();
+        let held = build();
+        // A clone shares the vector's buffer; a rebuilt record owns its own.
+        let fed: Vec<Record> = held
+            .iter()
+            .zip(build())
+            .zip(&rows)
+            .map(|((shared, own), row)| if row.3 { shared.clone() } else { own })
+            .collect();
+        let (in_place, by_value) = if counted {
+            (sum_vector_counts(), sum_vector_counts_by_value())
+        } else {
+            (sum_vectors(), sum_vectors_by_value())
+        };
+
+        let p = HashPartitioner::new(parts);
+        let combined = |f: &ReduceFn| {
+            let arena = &mut TaskArena::default();
+            let mut combiner = Combiner::new(&p, f, arena);
+            for (i, r) in fed.iter().enumerate() {
+                if owned[i % owned.len()] {
+                    combiner.push(r.clone());
+                } else {
+                    combiner.push(r);
+                }
+            }
+            let (runs, ops) = combiner.finish();
+            let tb = runs.into_buckets();
+            (tb.buckets, tb.bytes, ops)
+        };
+        prop_assert_eq!(combined(&in_place), combined(&by_value));
+
+        let runs = cut_runs(&fed, &cuts);
+        let merged = |f: &ReduceFn| {
+            let mut m = ReduceMerge::new(Arc::clone(f));
+            feed_runs(&runs, Some(&kinds), |run, _| m.push_run(run));
+            m.finish()
+        };
+        prop_assert_eq!(merged(&in_place), merged(&by_value));
+
+        prop_assert_eq!(held, pristine);
     }
 
     /// Join output size equals the sum over shared keys of |L_k|·|R_k|.

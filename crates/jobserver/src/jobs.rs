@@ -14,7 +14,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use engine::record::Fnv;
-use engine::{Context, EngineOptions, GenFn, Key, Rdd, Record, Value};
+use engine::{
+    sum_vector_counts, sum_vectors, Context, EngineOptions, GenFn, Key, Rdd, Record, Value,
+};
 
 use crate::trace_file::{JobKind, JobRequest};
 
@@ -237,15 +239,19 @@ fn build_sources(ctx: &mut Context, req: &JobRequest) -> Vec<Rdd> {
                 let (lo, hi) = span(n, part, parts);
                 (lo..hi)
                     .map(|i| {
-                        let x: Vec<f64> = (0..DIM)
-                            .map(|d| 4.0 * unit(s, i * DIM as u64 + d as u64) - 2.0)
-                            .collect();
+                        let x = Value::vector_from(
+                            (0..DIM).map(|d| 4.0 * unit(s, i * DIM as u64 + d as u64) - 2.0),
+                        );
                         let value = if labelled {
                             // Linearly separable-ish labels from a fixed plane.
-                            let y = if x.iter().sum::<f64>() > 0.0 { 1 } else { 0 };
-                            Value::Pair(Box::new(Value::vector(x)), Box::new(Value::Int(y)))
+                            let y = if x.as_vector().iter().sum::<f64>() > 0.0 {
+                                1
+                            } else {
+                                0
+                            };
+                            Value::Pair(Box::new(x), Box::new(Value::Int(y)))
                         } else {
-                            Value::vector(x)
+                            x
                         };
                         Record::new(Key::None, value)
                     })
@@ -300,22 +306,14 @@ fn run_query(ctx: &mut Context, req: &JobRequest, sources: &[Rdd]) -> Vec<Record
                     }
                     Record::new(
                         Key::Int(best as i64),
-                        Value::Pair(
-                            Box::new(Value::Vector(Arc::new(x.to_vec()))),
-                            Box::new(Value::Int(1)),
-                        ),
+                        Value::Pair(Box::new(r.value.clone()), Box::new(Value::Int(1))),
                     )
                 }),
                 MAP_COST,
                 "km_assign",
             );
-            let summed = ctx.reduce_by_key(
-                assigned,
-                Arc::new(|a: &Value, b: &Value| pair_vec_add(a, b)),
-                None,
-                REDUCE_COST,
-                "km_sum",
-            );
+            let summed =
+                ctx.reduce_by_key(assigned, sum_vector_counts(), None, REDUCE_COST, "km_sum");
             let centroids = ctx.map_values(
                 summed,
                 Arc::new(|r: &Record| {
@@ -323,8 +321,8 @@ fn run_query(ctx: &mut Context, req: &JobRequest, sources: &[Rdd]) -> Vec<Record
                         Value::Pair(s, c) => (s.as_vector(), c.as_int() as f64),
                         other => panic!("expected (sum, count) pair, got {other:?}"),
                     };
-                    let mean: Vec<f64> = sum.iter().map(|v| v / count).collect();
-                    Record::new(r.key.clone(), Value::vector(mean))
+                    let mean = Value::vector_from(sum.iter().map(|v| v / count));
+                    Record::new(r.key.clone(), mean)
                 }),
                 MAP_COST,
                 "km_centroid",
@@ -342,40 +340,15 @@ fn run_query(ctx: &mut Context, req: &JobRequest, sources: &[Rdd]) -> Vec<Record
                     };
                     let dot: f64 = w.iter().zip(x.iter()).map(|(a, b)| a * b).sum();
                     let sigma = 1.0 / (1.0 + (-dot).exp());
-                    let g: Vec<f64> = x.iter().map(|xi| xi * (sigma - y)).collect();
-                    Record::new(Key::Int(0), Value::vector(g))
+                    let g = Value::vector_from(x.iter().map(|xi| xi * (sigma - y)));
+                    Record::new(Key::Int(0), g)
                 }),
                 MAP_COST,
                 "lr_grad",
             );
-            let total = ctx.reduce_by_key(
-                grads,
-                Arc::new(|a: &Value, b: &Value| {
-                    let (va, vb) = (a.as_vector(), b.as_vector());
-                    Value::vector(va.iter().zip(vb.iter()).map(|(x, y)| x + y).collect())
-                }),
-                None,
-                REDUCE_COST,
-                "lr_sum",
-            );
+            let total = ctx.reduce_by_key(grads, sum_vectors(), None, REDUCE_COST, "lr_sum");
             ctx.collect(total, "logreg")
         }
-    }
-}
-
-/// Adds two `(sum-vector, count)` accumulators.
-fn pair_vec_add(a: &Value, b: &Value) -> Value {
-    match (a, b) {
-        (Value::Pair(sa, ca), Value::Pair(sb, cb)) => {
-            let (va, vb) = (sa.as_vector(), sb.as_vector());
-            Value::Pair(
-                Box::new(Value::vector(
-                    va.iter().zip(vb.iter()).map(|(x, y)| x + y).collect(),
-                )),
-                Box::new(Value::Int(ca.as_int() + cb.as_int())),
-            )
-        }
-        other => panic!("expected accumulator pairs, got {other:?}"),
     }
 }
 

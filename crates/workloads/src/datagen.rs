@@ -8,6 +8,7 @@
 
 use engine::{Key, Record, Value};
 use numeric::XorShift64;
+use std::sync::Arc;
 
 /// Monotone warp of `[0, 1]` used to make partition sizes uneven the way
 /// real input splits are: `x + A·sin(2πmx)/(2πm)` has derivative
@@ -81,19 +82,24 @@ impl PointGen {
         self.centers[0].len()
     }
 
-    /// The point at global index `i`: a sample around center `i % k`.
-    pub fn point(&self, i: u64) -> Vec<f64> {
+    /// The coordinates of the point at global index `i`: a sample around
+    /// center `i % k`.
+    fn coords(&self, i: u64) -> impl Iterator<Item = f64> + '_ {
         let mut rng = record_rng(self.seed, i);
         let center = &self.centers[(i % self.centers.len() as u64) as usize];
         center
             .iter()
-            .map(|&c| c + self.spread * normal(&mut rng))
-            .collect()
+            .map(move |&c| c + self.spread * normal(&mut rng))
     }
 
-    /// The record at global index `i`: keyless vector payload.
+    /// The point at global index `i`.
+    pub fn point(&self, i: u64) -> Vec<f64> {
+        self.coords(i).collect()
+    }
+
+    /// The record at global index `i`: its index as key, vector payload.
     pub fn record(&self, i: u64) -> Record {
-        Record::new(Key::Int(i as i64), Value::vector(self.point(i)))
+        Record::new(Key::Int(i as i64), Value::vector_from(self.coords(i)))
     }
 
     /// Records for partition `part` of `parts` over `n` total points,
@@ -117,6 +123,11 @@ pub struct TableGen {
     pub seed: u64,
     /// Bytes of string payload per row.
     pub payload: usize,
+}
+
+/// A string payload of `bytes` bytes.
+fn filler(bytes: usize) -> Arc<str> {
+    Arc::from("x".repeat(bytes))
 }
 
 impl TableGen {
@@ -148,23 +159,31 @@ impl TableGen {
 
     /// The row at global index `i`: `(key, Pair(amount, payload))`.
     pub fn record(&self, i: u64) -> Record {
+        self.row(i, &filler(self.payload))
+    }
+
+    /// [`TableGen::record`] around a payload the caller built.
+    fn row(&self, i: u64, payload: &Arc<str>) -> Record {
         let mut rng = record_rng(self.seed ^ 0xABCD, i);
         let amount = (rng.next_f64() * 1000.0 * 100.0).round() / 100.0;
-        let payload: String = "x".repeat(self.payload);
         Record::new(
             Key::Int(self.key(i)),
             Value::Pair(
                 Box::new(Value::Float(amount)),
-                Box::new(Value::str(&payload)),
+                Box::new(Value::Str(Arc::clone(payload))),
             ),
         )
     }
 
     /// Records for partition `part` of `parts` over `n` rows, with
-    /// realistic split-size variance (see [`skewed_range`]).
+    /// realistic split-size variance (see [`skewed_range`]). The rows of
+    /// one call share one payload string — built per call, not per
+    /// generator, so concurrent tasks do not count references on the same
+    /// cache line.
     pub fn partition(&self, n: u64, part: usize, parts: usize) -> Vec<Record> {
         let (start, end) = skewed_range(n, part, parts);
-        (start..end).map(|i| self.record(i)).collect()
+        let payload = filler(self.payload);
+        (start..end).map(|i| self.row(i, &payload)).collect()
     }
 
     /// Approximate serialized bytes of `n` rows.
@@ -218,31 +237,45 @@ impl HotTableGen {
         rng.next_below(self.keys as u64) as i64
     }
 
+    /// The thin and the fat payload string.
+    fn payloads(&self) -> [Arc<str>; 2] {
+        [self.payload, self.payload * self.fat_factor].map(filler)
+    }
+
     /// The row at global index `i`: `(key, Pair(amount, payload))` where
     /// the payload is fat iff the key falls in the hot range.
     pub fn record(&self, i: u64) -> Record {
+        self.row(i, &self.payloads())
+    }
+
+    /// [`HotTableGen::record`] around `[thin, fat]` payloads the caller
+    /// built.
+    fn row(&self, i: u64, [thin, fat]: &[Arc<str>; 2]) -> Record {
         let key = self.key(i);
         let mut rng = record_rng(self.seed ^ 0xF00D, i);
         let amount = (rng.next_f64() * 1000.0 * 100.0).round() / 100.0;
-        let bytes = if (key as u64) < self.fat_keys as u64 {
-            self.payload * self.fat_factor
+        let payload = if (key as u64) < self.fat_keys as u64 {
+            fat
         } else {
-            self.payload
+            thin
         };
         Record::new(
             Key::Int(key),
             Value::Pair(
                 Box::new(Value::Float(amount)),
-                Box::new(Value::str(&"x".repeat(bytes))),
+                Box::new(Value::Str(Arc::clone(payload))),
             ),
         )
     }
 
     /// Records for partition `part` of `parts` over `n` rows, with
-    /// realistic split-size variance (see [`skewed_range`]).
+    /// realistic split-size variance (see [`skewed_range`]). As in
+    /// [`TableGen::partition`], the rows of one call share their payload
+    /// strings.
     pub fn partition(&self, n: u64, part: usize, parts: usize) -> Vec<Record> {
         let (start, end) = skewed_range(n, part, parts);
-        (start..end).map(|i| self.record(i)).collect()
+        let payloads = self.payloads();
+        (start..end).map(|i| self.row(i, &payloads)).collect()
     }
 
     /// Approximate serialized bytes of `n` rows (expected payload mix).

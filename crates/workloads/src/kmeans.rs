@@ -21,7 +21,9 @@
 
 use crate::datagen::PointGen;
 use chopper::Workload;
-use engine::{Context, EngineOptions, GenFn, Key, MapFn, Record, ReduceFn, Value, WorkloadConf};
+use engine::{
+    sum_vector_counts, Context, EngineOptions, GenFn, Key, MapFn, Record, Value, WorkloadConf,
+};
 use std::sync::Arc;
 
 /// Distinct tags for the prep passes so each gets its own stage signature
@@ -121,31 +123,14 @@ impl KMeans {
 
     fn assign_fn(centers: Arc<Vec<Vec<f64>>>) -> MapFn {
         Arc::new(move |r: &Record| {
-            let x = r.value.as_vector();
-            let c = nearest(x, &centers);
-            // Emit (cluster, (sum vector, count)) for the center update.
+            let c = nearest(r.value.as_vector(), &centers);
+            // Emit (cluster, (sum vector, count)) for the center update. The
+            // point is shared with the cached partition, not copied: the
+            // update's first fold into it copies once per key per task.
             Record::new(
                 Key::Int(c as i64),
-                Value::Pair(Box::new(Value::vector(x.to_vec())), Box::new(Value::Int(1))),
+                Value::Pair(Box::new(r.value.clone()), Box::new(Value::Int(1))),
             )
-        })
-    }
-
-    fn merge_fn() -> ReduceFn {
-        Arc::new(|a: &Value, b: &Value| match (a, b) {
-            (Value::Pair(sa, ca), Value::Pair(sb, cb)) => {
-                let sum: Vec<f64> = sa
-                    .as_vector()
-                    .iter()
-                    .zip(sb.as_vector())
-                    .map(|(x, y)| x + y)
-                    .collect();
-                Value::Pair(
-                    Box::new(Value::vector(sum)),
-                    Box::new(Value::Int(ca.as_int() + cb.as_int())),
-                )
-            }
-            other => panic!("malformed accumulator {other:?}"),
         })
     }
 
@@ -206,7 +191,8 @@ impl KMeans {
                 assign_cost,
                 "assign",
             );
-            let reduced = ctx.reduce_by_key(mapped, Self::merge_fn(), None, update_cost, "update");
+            let reduced =
+                ctx.reduce_by_key(mapped, sum_vector_counts(), None, update_cost, "update");
             let out = ctx.collect(reduced, "iteration");
             for r in &out {
                 let c = match r.key {

@@ -11,7 +11,7 @@
 
 use crate::datagen::PointGen;
 use chopper::Workload;
-use engine::{Context, EngineOptions, GenFn, Key, Record, ReduceFn, Value, WorkloadConf};
+use engine::{sum_vectors, Context, EngineOptions, GenFn, Key, Record, Value, WorkloadConf};
 use std::sync::Arc;
 
 /// Logistic-regression workload parameters.
@@ -143,15 +143,6 @@ impl LogReg {
         ctx.count(points, "load");
 
         // ---- gradient-descent iterations ---------------------------------
-        let sum_grads: ReduceFn = Arc::new(|a: &Value, b: &Value| {
-            let s: Vec<f64> = a
-                .as_vector()
-                .iter()
-                .zip(b.as_vector())
-                .map(|(x, y)| x + y)
-                .collect();
-            Value::vector(s)
-        });
         let grad_cost = GRAD_COST_PER_DIM * dim as f64;
         // weights has dim+1 entries; the last is the bias.
         let mut weights = vec![0.0; dim + 1];
@@ -166,16 +157,16 @@ impl LogReg {
                         let y = label(x);
                         let z = response(x, &w);
                         let err = sigmoid(z) - y;
-                        // Partial gradient, 8 pseudo-keys for parallel sums.
-                        let mut grad: Vec<f64> =
-                            x.iter().map(|v| err * v * FEATURE_SCALE).collect();
-                        grad.push(err); // bias term
-                        grad.push(1.0); // count, for averaging
+                        // Partial gradient, then the bias term and a count
+                        // for averaging; 8 pseudo-keys for parallel sums.
+                        let grad = Value::vector_from(
+                            x.iter().map(|v| err * v * FEATURE_SCALE).chain([err, 1.0]),
+                        );
                         let k = match r.key {
                             Key::Int(i) => i % 8,
                             _ => 0,
                         };
-                        Record::new(Key::Int(k), Value::vector(grad))
+                        Record::new(Key::Int(k), grad)
                     })
                 },
                 grad_cost,
@@ -183,7 +174,7 @@ impl LogReg {
             );
             let grad_red = ctx.reduce_by_key(
                 grad_map,
-                Arc::clone(&sum_grads),
+                sum_vectors(),
                 None,
                 MERGE_COST_PER_DIM * dim as f64,
                 "sum-gradients",

@@ -18,7 +18,9 @@
 
 use crate::datagen::PointGen;
 use chopper::Workload;
-use engine::{Context, EngineOptions, GenFn, Key, Record, ReduceFn, Value, WorkloadConf};
+use engine::{
+    sum_vector_counts, sum_vectors, Context, EngineOptions, GenFn, Key, Record, Value, WorkloadConf,
+};
 use std::sync::Arc;
 
 /// PCA workload parameters.
@@ -128,21 +130,6 @@ impl Pca {
         ctx.count(points, "load");
 
         // ---- stages 1–2: mean vector --------------------------------------
-        let sum_vectors: ReduceFn = Arc::new(|a: &Value, b: &Value| match (a, b) {
-            (Value::Pair(sa, ca), Value::Pair(sb, cb)) => {
-                let s: Vec<f64> = sa
-                    .as_vector()
-                    .iter()
-                    .zip(sb.as_vector())
-                    .map(|(x, y)| x + y)
-                    .collect();
-                Value::Pair(
-                    Box::new(Value::vector(s)),
-                    Box::new(Value::Int(ca.as_int() + cb.as_int())),
-                )
-            }
-            other => panic!("malformed mean accumulator {other:?}"),
-        });
         // A few pseudo-keys keep the reduce parallel without a full
         // shuffle of the raw points.
         let mean_map = ctx.map(
@@ -154,16 +141,19 @@ impl Pca {
                 };
                 Record::new(
                     Key::Int(k),
-                    Value::Pair(
-                        Box::new(Value::vector(r.value.as_vector().to_vec())),
-                        Box::new(Value::Int(1)),
-                    ),
+                    Value::Pair(Box::new(r.value.clone()), Box::new(Value::Int(1))),
                 )
             }),
             MEAN_COST,
             "mean-partials",
         );
-        let mean_red = ctx.reduce_by_key(mean_map, sum_vectors, None, MEAN_COST, "mean-reduce");
+        let mean_red = ctx.reduce_by_key(
+            mean_map,
+            sum_vector_counts(),
+            None,
+            MEAN_COST,
+            "mean-reduce",
+        );
         let partials = ctx.collect(mean_red, "mean");
         let mut mean = vec![0.0; dim];
         let mut count = 0i64;
@@ -196,8 +186,8 @@ impl Pca {
                         .collect();
                     (0..x.len())
                         .map(|row| {
-                            let scaled: Vec<f64> = x.iter().map(|&v| v * x[row]).collect();
-                            Record::new(Key::Int(row as i64), Value::vector(scaled))
+                            let scaled = Value::vector_from(x.iter().map(|&v| v * x[row]));
+                            Record::new(Key::Int(row as i64), scaled)
                         })
                         .collect()
                 })
@@ -205,18 +195,9 @@ impl Pca {
             cov_cost,
             "cov-rows",
         );
-        let add_rows: ReduceFn = Arc::new(|a: &Value, b: &Value| {
-            let s: Vec<f64> = a
-                .as_vector()
-                .iter()
-                .zip(b.as_vector())
-                .map(|(x, y)| x + y)
-                .collect();
-            Value::vector(s)
-        });
         let cov_red = ctx.reduce_by_key(
             cov_map,
-            add_rows,
+            sum_vectors(),
             None,
             COV_MERGE_PER_DIM * dim as f64,
             "cov-reduce",
