@@ -5,7 +5,7 @@
 //! cargo run --release -p bench --bin abpairs -- \
 //!     --parent /path/to/parent/chopper-benchmark \
 //!     --change /path/to/change/chopper-benchmark \
-//!     --workload batch_fat --pairs 10 [--seed 7]
+//!     --workload batch_fat --pairs 10 [--seed 7] [--layer NAME]...
 //! ```
 //!
 //! Build each commit's `benchmark/` package once into its own target
@@ -28,6 +28,13 @@
 //!   than the bound;
 //! * `within bound` — none of the above.
 //!
+//! Each `--layer NAME` (a `per_layer` metric of `BENCHMARK.json`) adds one
+//! more run of both sides to every pair, with `--trace 1`, and a `layer`
+//! line with each side's median and quartiles of that metric and the
+//! pairs the change won — the layer's share before and after, next to the
+//! end-to-end number it is supposed to explain. A layer line carries no
+//! verdict, and the end-to-end verdicts never read a traced run.
+//!
 //! Exits 1 on a `REGRESSED` metric or when a larger share of the change's
 //! operations failed, 2 on a bad command line or a run without a result
 //! line.
@@ -36,41 +43,57 @@ use numeric::percentile;
 use serde::Json;
 use std::process::{Command, Stdio};
 
-const USAGE: &str = "usage: abpairs --parent BIN --change BIN --workload W --pairs N [--seed S]";
+const USAGE: &str =
+    "usage: abpairs --parent BIN --change BIN --workload W --pairs N [--seed S] [--layer NAME]...";
 
-/// One end-to-end metric as `BENCHMARK.json` declares it.
+/// One metric as `BENCHMARK.json` declares it.
 #[derive(Debug, Clone, PartialEq)]
 struct Metric {
     name: String,
     unit: String,
     lower_is_better: bool,
-    /// Share of the parent's median by which the change may be worse.
+    /// Share of the parent's median by which the change may be worse; 0
+    /// for a per-layer metric, which is reported and never judged.
     bound: f64,
 }
 
-/// The `end_to_end` table and `run_seconds` of a `BENCHMARK.json`.
-fn parse_benchmark_json(text: &str) -> Result<(Vec<Metric>, f64), String> {
+/// What `abpairs` reads of a `BENCHMARK.json`.
+struct Contract {
+    end_to_end: Vec<Metric>,
+    per_layer: Vec<Metric>,
+    run_seconds: f64,
+}
+
+fn parse_benchmark_json(text: &str) -> Result<Contract, String> {
     let doc = Json::parse(text).map_err(|e| e.to_string())?;
-    let seconds = number(doc.get_field("run_seconds")).ok_or("no `run_seconds`")?;
-    let Some(Json::Arr(rows)) = doc.get_field("end_to_end") else {
-        return Err("no `end_to_end` array".into());
-    };
-    let text_of = |row: &Json, field: &str| match row.get_field(field) {
-        Some(Json::Str(s)) => Ok(s.clone()),
-        _ => Err(format!("an end-to-end metric lacks `{field}`")),
-    };
-    let metrics = rows
-        .iter()
-        .map(|row| {
-            Ok(Metric {
-                name: text_of(row, "name")?,
-                unit: text_of(row, "unit")?,
-                lower_is_better: text_of(row, "better")? == "lower",
-                bound: number(row.get_field("bound")).ok_or("a metric lacks `bound`")?,
+    let run_seconds = number(doc.get_field("run_seconds")).ok_or("no `run_seconds`")?;
+    let table = |field: &str, bounded: bool| -> Result<Vec<Metric>, String> {
+        let Some(Json::Arr(rows)) = doc.get_field(field) else {
+            return Err(format!("no `{field}` array"));
+        };
+        let text_of = |row: &Json, column: &str| match row.get_field(column) {
+            Some(Json::Str(s)) => Ok(s.clone()),
+            _ => Err(format!("a `{field}` metric lacks `{column}`")),
+        };
+        rows.iter()
+            .map(|row| {
+                Ok(Metric {
+                    name: text_of(row, "name")?,
+                    unit: text_of(row, "unit")?,
+                    lower_is_better: text_of(row, "better")? == "lower",
+                    bound: match bounded {
+                        true => number(row.get_field("bound")).ok_or("a metric lacks `bound`")?,
+                        false => 0.0,
+                    },
+                })
             })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok((metrics, seconds))
+            .collect()
+    };
+    Ok(Contract {
+        end_to_end: table("end_to_end", true)?,
+        per_layer: table("per_layer", false)?,
+        run_seconds,
+    })
 }
 
 fn number(node: Option<&Json>) -> Option<f64> {
@@ -114,18 +137,21 @@ fn parse_result_line(line: &str, metrics: &[Metric]) -> Result<Run, String> {
     })
 }
 
+/// One benchmark process over `workload` — traced if `traced` — read
+/// for `metrics`.
 fn run_once(
     bin: &str,
     workload: &str,
     seed: u64,
     seconds: f64,
+    traced: bool,
     metrics: &[Metric],
 ) -> Result<Run, String> {
     let out = Command::new(bin)
         .args(["--workload", workload])
         .args(["--seed", &seed.to_string()])
         .args(["--seconds", &seconds.to_string()])
-        .args(["--trace", "0"])
+        .args(["--trace", if traced { "1" } else { "0" }])
         .stdin(Stdio::null())
         .stderr(Stdio::inherit())
         .output()
@@ -236,10 +262,13 @@ struct Cli {
     workload: String,
     pairs: usize,
     seed: u64,
+    /// Per-layer metrics to read off an extra traced run of each side.
+    layers: Vec<String>,
 }
 
 fn parse_cli(args: &[String]) -> Result<Cli, String> {
     let (mut parent, mut change, mut workload, mut pairs, mut seed) = (None, None, None, None, 0);
+    let mut layers = Vec::new();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
@@ -252,6 +281,7 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
                 pairs = Some(value.parse().ok().filter(|&n| n > 0).ok_or_else(bad)?);
             }
             "--seed" => seed = value.parse().map_err(|_| bad())?,
+            "--layer" => layers.push(value.clone()),
             _ => return Err(format!("unknown flag `{flag}`")),
         }
     }
@@ -261,7 +291,76 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         workload: workload.ok_or("--workload is required")?,
         pairs: pairs.ok_or("--pairs is required")?,
         seed,
+        layers,
     })
+}
+
+/// Pair `pair`'s two runs, traced or not, read for `metrics`, printed and
+/// appended to `into[side]`. The parent goes first on even pairs, the
+/// change on odd ones.
+fn run_pair(
+    cli: &Cli,
+    pair: usize,
+    seconds: f64,
+    traced: bool,
+    metrics: &[Metric],
+    into: &mut [Vec<Run>; 2],
+) {
+    for turn in 0..2 {
+        let side = (pair + turn) % 2;
+        let bin = [&cli.parent, &cli.change][side];
+        let run = run_once(bin, &cli.workload, cli.seed, seconds, traced, metrics).unwrap_or_else(
+            |msg| {
+                eprintln!("error: {msg}");
+                std::process::exit(2);
+            },
+        );
+        let values: Vec<String> = run.values.iter().map(|v| format!("{v:?}")).collect();
+        println!(
+            "{:<10} {:>4} {} {}",
+            if traced { "traced" } else { "run" },
+            pair + 1,
+            ["parent", "change"][side],
+            values.join(" ")
+        );
+        into[side].push(run);
+    }
+}
+
+/// One line per metric over all pairs of `runs`: a `metric` line with its
+/// verdict when `judged`, a `layer` line without one otherwise. Returns
+/// whether a judged metric regressed.
+fn report(metrics: &[Metric], runs: &[Vec<Run>; 2], judged: bool) -> bool {
+    let mut regressed = false;
+    for (i, metric) in metrics.iter().enumerate() {
+        let column = |side: &[Run]| -> Vec<f64> { side.iter().map(|r| r.values[i]).collect() };
+        let c = compare(metric, &column(&runs[0]), &column(&runs[1]));
+        regressed |= judged && c.verdict == Verdict::Regressed;
+        // A count that reads 0 on both sides moved by 0 %, not by 0/0.
+        let moved = match c.change_median - c.parent_median {
+            0.0 => 0.0,
+            by => 100.0 * by / c.parent_median.abs(),
+        };
+        println!(
+            "{:<10} {:<12} parent {:.4} ({:.4}-{:.4})  change {:.4} ({:.4}-{:.4}) {}  \
+             {:+.1} %  change better in {}/{}{}{}",
+            if judged { "metric" } else { "layer" },
+            metric.name,
+            c.parent_median,
+            c.parent_quartiles.0,
+            c.parent_quartiles.1,
+            c.change_median,
+            c.change_quartiles.0,
+            c.change_quartiles.1,
+            metric.unit,
+            moved,
+            c.won,
+            runs[0].len(),
+            if judged { "  " } else { "" },
+            if judged { c.verdict.label() } else { "" },
+        );
+    }
+    regressed
 }
 
 fn main() {
@@ -271,10 +370,22 @@ fn main() {
         std::process::exit(2);
     };
     let cli = parse_cli(&args).unwrap_or_else(|msg| usage_error(msg));
-    let (metrics, seconds) = std::fs::read_to_string("BENCHMARK.json")
+    let Contract {
+        end_to_end: metrics,
+        per_layer,
+        run_seconds: seconds,
+    } = std::fs::read_to_string("BENCHMARK.json")
         .map_err(|e| e.to_string())
         .and_then(|text| parse_benchmark_json(&text))
         .unwrap_or_else(|msg| usage_error(format!("BENCHMARK.json: {msg}")));
+    let layers: Vec<Metric> = cli
+        .layers
+        .iter()
+        .map(|name| match per_layer.iter().find(|m| m.name == *name) {
+            Some(metric) => metric.clone(),
+            None => usage_error(format!("`{name}` is no per-layer metric of BENCHMARK.json")),
+        })
+        .collect();
 
     println!(
         "abpairs    workload {} seed {} pairs {} seconds {seconds} nproc {}",
@@ -283,53 +394,27 @@ fn main() {
         cli.pairs,
         std::thread::available_parallelism().map_or(0, |n| n.get()),
     );
-    let header: Vec<&str> = metrics.iter().map(|m| m.name.as_str()).collect();
-    println!("run        pair side   {}", header.join(" "));
-    // sides[0] = parent, sides[1] = change; one run per pair each.
+    let names = |metrics: &[Metric]| -> String {
+        let names: Vec<&str> = metrics.iter().map(|m| m.name.as_str()).collect();
+        names.join(" ")
+    };
+    println!("run        pair side   {}", names(&metrics));
+    if !layers.is_empty() {
+        println!("traced     pair side   {}", names(&layers));
+    }
+    // sides[0] = parent, sides[1] = change; one run per pair each, and one
+    // traced run more when layers were asked for.
     let mut sides: [Vec<Run>; 2] = [Vec::new(), Vec::new()];
+    let mut traced: [Vec<Run>; 2] = [Vec::new(), Vec::new()];
     for pair in 0..cli.pairs {
-        // The parent goes first on even pairs, the change on odd ones.
-        for turn in 0..2 {
-            let side = (pair + turn) % 2;
-            let bin = [&cli.parent, &cli.change][side];
-            let run =
-                run_once(bin, &cli.workload, cli.seed, seconds, &metrics).unwrap_or_else(|msg| {
-                    eprintln!("error: {msg}");
-                    std::process::exit(2);
-                });
-            let values: Vec<String> = run.values.iter().map(|v| format!("{v:?}")).collect();
-            println!(
-                "run        {:>4} {} {}",
-                pair + 1,
-                ["parent", "change"][side],
-                values.join(" ")
-            );
-            sides[side].push(run);
+        run_pair(&cli, pair, seconds, false, &metrics, &mut sides);
+        if !layers.is_empty() {
+            run_pair(&cli, pair, seconds, true, &layers, &mut traced);
         }
     }
 
-    let mut regressed = false;
-    for (i, metric) in metrics.iter().enumerate() {
-        let column = |side: &[Run]| -> Vec<f64> { side.iter().map(|r| r.values[i]).collect() };
-        let c = compare(metric, &column(&sides[0]), &column(&sides[1]));
-        regressed |= c.verdict == Verdict::Regressed;
-        println!(
-            "metric     {:<12} parent {:.4} ({:.4}-{:.4})  change {:.4} ({:.4}-{:.4}) {}  \
-             {:+.1} %  change better in {}/{}  {}",
-            metric.name,
-            c.parent_median,
-            c.parent_quartiles.0,
-            c.parent_quartiles.1,
-            c.change_median,
-            c.change_quartiles.0,
-            c.change_quartiles.1,
-            metric.unit,
-            100.0 * (c.change_median - c.parent_median) / c.parent_median.abs(),
-            c.won,
-            cli.pairs,
-            c.verdict.label(),
-        );
-    }
+    let regressed = report(&metrics, &sides, true);
+    report(&layers, &traced, false);
     let totals = |side: &[Run]| {
         side.iter()
             .fold((0, 0), |(f, a), r| (f + r.failed, a + r.attempted))
@@ -447,11 +532,19 @@ mod tests {
         let bench = r#"{"command": ["x"], "run_seconds": 15,
             "end_to_end": [
               {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
-              {"name": "jobs_per_s", "unit": "1/s", "better": "higher", "bound": 0.1}]}"#;
-        let (metrics, seconds) = parse_benchmark_json(bench).expect("well-formed");
-        assert_eq!(seconds, 15.0);
+              {"name": "jobs_per_s", "unit": "1/s", "better": "higher", "bound": 0.1}],
+            "per_layer": [{"name": "workloads.pca.run_s", "unit": "s", "better": "lower"}]}"#;
+        let contract = parse_benchmark_json(bench).expect("well-formed");
+        assert_eq!(contract.run_seconds, 15.0);
+        let metrics = contract.end_to_end;
         assert_eq!(metrics[0], wall());
         assert!(!metrics[1].lower_is_better);
+        let layer = Metric {
+            name: "workloads.pca.run_s".into(),
+            bound: 0.0,
+            ..wall()
+        };
+        assert_eq!(contract.per_layer, std::slice::from_ref(&layer));
 
         let line = r#"{"correct":true,"attempted":28,"failed":1,"metrics":{"wall_s":{"value":3.25,"unit":"s"},"jobs_per_s":{"value":40,"unit":"1/s"}}}"#;
         let run = parse_result_line(line, &metrics).expect("well-formed");
@@ -463,6 +556,10 @@ mod tests {
                 values: vec![3.25, 40.0],
             }
         );
+        // A traced run's line is read the same way, for the layers asked for.
+        let traced = r#"{"correct":true,"attempted":28,"failed":0,"metrics":{"engine.tasks":{"value":9,"unit":"count"},"workloads.pca.run_s":{"value":0.25,"unit":"s"}}}"#;
+        let run = parse_result_line(traced, &[layer]).expect("well-formed");
+        assert_eq!(run.values, [0.25]);
         assert!(parse_result_line("operations attempted 28 failed 0", &metrics).is_err());
         assert!(parse_result_line(r#"{"attempted":1,"failed":0,"metrics":{}}"#, &metrics).is_err());
     }
@@ -475,6 +572,16 @@ mod tests {
         ))
         .expect("complete");
         assert_eq!((cli.pairs, cli.seed), (10, 0));
+        assert!(cli.layers.is_empty());
+        let cli = parse_cli(&args(
+            "--parent a --change b --workload w --pairs 3 --layer x.run_s --layer y.run_s",
+        ))
+        .expect("complete");
+        assert_eq!(cli.layers, ["x.run_s", "y.run_s"]);
+        assert!(parse_cli(&args(
+            "--parent a --change b --workload w --pairs 3 --layer"
+        ))
+        .is_err());
         assert!(parse_cli(&args("--parent a --change b --workload w")).is_err());
         assert!(parse_cli(&args("--parent a --change b --workload w --pairs 0")).is_err());
         assert!(parse_cli(&args(

@@ -14,7 +14,7 @@ pub mod scale;
 
 use chopper::{Autotuner, TestRunPlan, Workload};
 use engine::{
-    Context, EngineOptions, FaultPlan, FlatMapFn, GenFn, Key, Record, ReduceFn, StageMetrics,
+    Context, Emit, EngineOptions, FaultPlan, FlatMapFn, GenFn, Key, Record, ReduceFn, StageMetrics,
     Value, WorkloadConf,
 };
 use simcluster::paper_cluster;
@@ -119,28 +119,24 @@ impl Workload for WordCount {
         let mut ctx = Context::new(opts.clone());
         ctx.set_conf(conf.clone());
         let n = ((self.lines as f64 * scale) as usize).max(1);
-        let gen: GenFn = Arc::new(move |i, parts| {
-            let start = i * n / parts;
-            let end = (i + 1) * n / parts;
-            (start..end)
-                .map(|j| Record::new(Key::Int(j as i64), Value::Int(1)))
-                .collect()
+        let gen: GenFn = Arc::new(move |i, parts, out: &mut dyn Emit| {
+            for j in i * n / parts..(i + 1) * n / parts {
+                out.emit(Record::new(Key::Int(j as i64), Value::Int(1)));
+            }
         });
         let bytes = ((self.full_input_bytes() as f64 * scale) as u64).max(1);
         let lines = ctx.text_file("wordcount-in", bytes, gen, LINE_COST, "read-lines");
-        let split: FlatMapFn = Arc::new(|r: &Record| {
+        let split: FlatMapFn = Arc::new(|r: &Record, out: &mut dyn Emit| {
             let line = match &r.key {
                 Key::Int(i) => *i as u64,
                 other => panic!("malformed line key {other:?}"),
             };
-            (0..WORDS_PER_LINE as u64)
-                .map(|w| {
-                    // Deterministic word draw per (line, position).
-                    let h = line.wrapping_mul(2654435761).wrapping_add(w * 97);
-                    let word = format!("word-{:03}", h % VOCABULARY);
-                    Record::new(Key::str(&word), Value::Int(1))
-                })
-                .collect()
+            for w in 0..WORDS_PER_LINE as u64 {
+                // Deterministic word draw per (line, position).
+                let h = line.wrapping_mul(2654435761).wrapping_add(w * 97);
+                let word = format!("word-{:03}", h % VOCABULARY);
+                out.emit(Record::new(Key::str(&word), Value::Int(1)));
+            }
         });
         let words = ctx.flat_map(lines, split, WORD_COST, "split-words");
         let sum: ReduceFn = Arc::new(|a: &Value, b: &Value| Value::Int(a.as_int() + b.as_int()));

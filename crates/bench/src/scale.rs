@@ -22,8 +22,8 @@
 use crate::{fmt_time, Table, DATA_SCALE};
 use chopper::{Autotuner, DecisionAction, TestRunPlan, Workload};
 use engine::{
-    Context, EngineOptions, FlatMapFn, GenFn, Key, MapFn, PartitionerKind, Record, ReduceFn, Value,
-    WorkloadConf,
+    Context, Emit, EngineOptions, FlatMapFn, GenFn, Key, MapFn, PartitionerKind, Record, ReduceFn,
+    Value, WorkloadConf,
 };
 use simcluster::{uniform_cluster, ClusterSpec, Topology};
 use std::sync::Arc;
@@ -126,30 +126,25 @@ impl Workload for ScaleAgg {
         let mut ctx = Context::new(opts.clone());
         ctx.set_conf(conf.clone());
         let n = ((LINES as f64 * scale) as usize).max(1);
-        let gen: GenFn = Arc::new(move |i, parts| {
-            let start = i * n / parts;
-            let end = (i + 1) * n / parts;
-            (start..end)
-                .map(|j| Record::new(Key::Int(j as i64), Value::Int(1)))
-                .collect()
+        let gen: GenFn = Arc::new(move |i, parts, out: &mut dyn Emit| {
+            for j in i * n / parts..(i + 1) * n / parts {
+                out.emit(Record::new(Key::Int(j as i64), Value::Int(1)));
+            }
         });
         let bytes = ((self.full_input_bytes() as f64 * scale) as u64).max(1);
         let lines = ctx.text_file("scale-in", bytes, gen, LINE_COST, "scan");
         let payload: Arc<[f64]> = Arc::from(vec![1.0; payload_len(self.nodes)]);
-        let widen: FlatMapFn = Arc::new(move |r: &Record| {
+        let widen: FlatMapFn = Arc::new(move |r: &Record, out: &mut dyn Emit| {
             let line = match &r.key {
                 Key::Int(i) => *i as u64,
                 other => panic!("malformed line key {other:?}"),
             };
-            (0..FAN as u64)
-                .map(|f| {
-                    let h = line.wrapping_mul(2654435761).wrapping_add(f * 193);
-                    Record::new(
-                        Key::Int((h % KEYS) as i64),
-                        Value::Vector(Arc::clone(&payload)),
-                    )
-                })
-                .collect()
+            let mut wide = Record::keyless(Value::Vector(Arc::clone(&payload)));
+            for f in 0..FAN as u64 {
+                let h = line.wrapping_mul(2654435761).wrapping_add(f * 193);
+                wide.key = Key::Int((h % KEYS) as i64);
+                out.lend(&wide);
+            }
         });
         let wide = ctx.flat_map(lines, widen, REC_COST, "widen");
         // Every payload is the same shared vector, so a keep-left merge is

@@ -40,7 +40,7 @@ pub(crate) mod testutil {
     //! source followed by a reduce-by-key whose cost scales with input.
 
     use super::*;
-    use engine::{GenFn, Key, Record, ReduceFn, Value};
+    use engine::{Emit, GenFn, Key, Record, ReduceFn, Value};
     use std::sync::Arc;
 
     pub struct MiniAgg {
@@ -68,12 +68,10 @@ pub(crate) mod testutil {
             ctx.set_conf(conf.clone());
             let n = ((self.records_full as f64 * scale) as usize).max(1);
             let keys = self.keys;
-            let gen: GenFn = Arc::new(move |i, parts| {
-                let start = i * n / parts;
-                let end = (i + 1) * n / parts;
-                (start..end)
-                    .map(|j| Record::new(Key::Int(j as i64 % keys), Value::Int(1)))
-                    .collect()
+            let gen: GenFn = Arc::new(move |i, parts, out: &mut dyn Emit| {
+                for j in i * n / parts..(i + 1) * n / parts {
+                    out.emit(Record::new(Key::Int(j as i64 % keys), Value::Int(1)));
+                }
             });
             let bytes = (self.full_input_bytes() as f64 * scale) as u64;
             let src = ctx.text_file("mini-agg-in", bytes.max(1), gen, 0.4e-6, "scan");

@@ -460,7 +460,7 @@ impl Context {
     /// own output is moved into the result; only a window of a shared
     /// source or cache partition is cloned.
     pub fn collect(&mut self, rdd: Rdd, name: &str) -> Vec<Record> {
-        let outs = self.run_job(rdd, name);
+        let outs = self.run_job(rdd, name, false);
         let mut all = Vec::with_capacity(outs.iter().map(|o| o.out_records as usize).sum());
         for out in outs {
             match out.records {
@@ -471,13 +471,14 @@ impl Context {
         all
     }
 
-    /// Runs the job computing `rdd` and returns its record count. No
-    /// result vector is built, but the job is charged on the virtual clock
-    /// exactly like a [`Context::collect`] — the driver-link transfer of
-    /// the result's bytes included (every committed figure pins that), so
-    /// the tasks still sum their output bytes.
+    /// Runs the job computing `rdd` and returns its record count. The
+    /// result stage's tasks keep none of their output — each record is
+    /// counted and sized as the narrow chain produces it — but the job is
+    /// charged on the virtual clock exactly like a [`Context::collect`],
+    /// the driver-link transfer of the result's bytes included (every
+    /// committed figure pins that).
     pub fn count(&mut self, rdd: Rdd, name: &str) -> u64 {
-        let outs = self.run_job(rdd, name);
+        let outs = self.run_job(rdd, name, true);
         outs.iter().map(|o| o.out_records).sum()
     }
 
@@ -493,7 +494,7 @@ mod tests {
     use super::super::fixture::{sum, test_options, word_records};
     use super::Context;
     use crate::config::WorkloadConf;
-    use crate::ops::{sum_vector_counts, GenFn};
+    use crate::ops::{sum_vector_counts, Emit, GenFn};
     use crate::partitioner::PartitionerSpec;
     use crate::rdd::Rdd;
     use crate::record::{Key, Record, Value};
@@ -633,10 +634,10 @@ mod tests {
         let generated = Arc::new(AtomicUsize::new(0));
         let gen: GenFn = {
             let generated = Arc::clone(&generated);
-            Arc::new(move |part, parts| {
+            Arc::new(move |part, parts, out: &mut dyn Emit| {
                 generated.fetch_add(1, Ordering::Relaxed);
                 let span = |p: usize| N * p as u64 / parts as u64;
-                (span(part)..span(part + 1)).map(point).collect()
+                (span(part)..span(part + 1)).for_each(|i| out.emit(point(i)));
             })
         };
         let mut ctx = Context::new(test_options());
@@ -687,6 +688,47 @@ mod tests {
             splits,
             "both later jobs read the cache, not the generator"
         );
+    }
+
+    /// A cached generated split is the one split a task keeps: the
+    /// generator's `reserve` makes it one exact allocation. A generator
+    /// that gives no hint caches the same records, under a vector that
+    /// grew.
+    #[test]
+    fn a_reserved_cached_split_is_one_exact_allocation() {
+        const N: usize = 700;
+        let cached = |reserve: bool| {
+            let gen: GenFn = Arc::new(move |part, parts, out: &mut dyn Emit| {
+                let (lo, hi) = (N * part / parts, N * (part + 1) / parts);
+                if reserve {
+                    out.reserve(hi - lo);
+                }
+                for i in lo..hi {
+                    out.emit(Record::new(Key::Int(i as i64 % 9), Value::Int(i as i64)));
+                }
+            });
+            let mut ctx = Context::new(test_options());
+            let rows = ctx.text_file("rows", 20 * N as u64, gen, 1e-6, "rows");
+            ctx.cache(rows);
+            let sums = ctx.reduce_by_key(rows, sum(), None, 1e-6, "sums");
+            let out = (
+                ctx.count(rows, "materialize"),
+                ctx.collect(rows, "reread"),
+                ctx.collect(sums, "sums"),
+                format!("{:?}", ctx.jobs()),
+            );
+            let parts = ctx.materialized[&rows].parts.clone();
+            (out, parts)
+        };
+        let ((reserved, parts), (grown, grown_parts)) = (cached(true), cached(false));
+        assert_eq!(reserved.0, N as u64);
+        assert_eq!(reserved, grown, "a hint changes no result and no metric");
+        assert!(parts.len() > 1, "several splits");
+        for (part, grown) in parts.iter().zip(&grown_parts) {
+            assert_eq!(part.capacity(), part.len(), "sized once, exactly");
+            assert_eq!(part, grown);
+            assert!(grown.capacity() > grown.len(), "an unhinted split grew");
+        }
     }
 
     #[test]

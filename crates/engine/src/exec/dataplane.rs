@@ -4,7 +4,7 @@
 //! [`StageInput`]; nothing here knows a cluster, a clock or a ledger.
 
 use super::stage::{Materialized, ShuffleData};
-use crate::ops::{FilterFn, FlatMapFn, GenFn, MapFn, OpKind, ReduceFn};
+use crate::ops::{reserve_records, Emit, FilterFn, FlatMapFn, GenFn, MapFn, OpKind, ReduceFn};
 use crate::partitioner::{Partitioner, PartitionerKind, PartitionerSpec};
 use crate::pool::lock;
 use crate::rdd::{Rdd, RddGraph};
@@ -181,7 +181,7 @@ impl ShuffleWriter {
     /// every record the task's chain produced.
     pub(super) fn finish(&self, sink: CombineSink<'_>) -> MapWrite {
         let (runs, combine_ops) = sink.combiner.finish();
-        self.charged(runs, sink.records, combine_ops)
+        self.charged(runs, sink.counted.records, combine_ops)
     }
 
     /// `runs` with the compute charged for writing them: partitioning (and
@@ -287,6 +287,8 @@ struct OpState<'g> {
 /// Where a fused pass puts the records that survive it.
 trait RecordSink {
     fn push<R: IntoRecord>(&mut self, rec: R);
+    /// About `additional` more records follow (see [`Emit::reserve`]).
+    fn reserve(&mut self, _additional: usize) {}
 }
 
 /// Collects the pass's output; a borrowed record is cloned here.
@@ -294,24 +296,40 @@ impl RecordSink for Vec<Record> {
     fn push<R: IntoRecord>(&mut self, rec: R) {
         Vec::push(self, rec.into_record());
     }
+    fn reserve(&mut self, additional: usize) {
+        reserve_records(self, additional);
+    }
 }
 
-/// A task's streamed shuffle write: counts and sizes every record the
-/// narrow chain produces — the task's output as the metrics and the
-/// simulator's memory charge see it — and folds it into the map-side
-/// combine on the spot.
-pub(super) struct CombineSink<'a> {
-    combiner: Combiner<'a>,
+/// Counts and sizes every record the narrow chain produces — the task's
+/// output as the metrics and the simulator's memory charge see it — and
+/// keeps none of them.
+#[derive(Default)]
+pub(super) struct CountSink {
     records: u64,
     bytes: u64,
+}
+
+impl RecordSink for CountSink {
+    #[inline]
+    fn push<R: IntoRecord>(&mut self, rec: R) {
+        self.records += 1;
+        self.bytes += rec.borrow().encoded_size();
+    }
+}
+
+/// A task's streamed shuffle write: counts every record like a
+/// [`CountSink`] and folds it into the map-side combine on the spot.
+pub(super) struct CombineSink<'a> {
+    combiner: Combiner<'a>,
+    counted: CountSink,
 }
 
 impl<'a> CombineSink<'a> {
     pub(super) fn new(combiner: Combiner<'a>) -> Self {
         CombineSink {
             combiner,
-            records: 0,
-            bytes: 0,
+            counted: CountSink::default(),
         }
     }
 }
@@ -319,15 +337,72 @@ impl<'a> CombineSink<'a> {
 impl RecordSink for CombineSink<'_> {
     #[inline]
     fn push<R: IntoRecord>(&mut self, rec: R) {
-        self.records += 1;
-        self.bytes += rec.borrow().encoded_size();
+        self.counted.push(rec.borrow());
         self.combiner.push(rec);
     }
 }
 
+/// What a task's output ends in.
+pub(super) enum Sink<'a, 'c> {
+    /// Kept: the task returns it in [`TaskOut::records`].
+    Collect,
+    /// Counted and sized, none of it kept.
+    Count(CountSink),
+    /// Folded into a map-side combine.
+    Combine(&'a mut CombineSink<'c>),
+}
+
+/// The [`Emit`] a generator or a flat-map closure is handed: what it
+/// produces continues through the remaining fused ops into the task's
+/// sink. A size hint reaches the sink only when no op stands between.
+struct Downstream<'a, 'g, S> {
+    rest: &'a mut [OpState<'g>],
+    out: &'a mut S,
+}
+
+impl<S: RecordSink> Emit for Downstream<'_, '_, S> {
+    #[inline]
+    fn emit(&mut self, rec: Record) {
+        feed(self.rest, rec, self.out);
+    }
+    #[inline]
+    fn lend(&mut self, rec: &Record) {
+        feed(self.rest, rec, self.out);
+    }
+    fn reserve(&mut self, additional: usize) {
+        if self.rest.is_empty() {
+            self.out.reserve(additional);
+        }
+    }
+}
+
+/// A source split on its way [`Downstream`], counted and sized as the
+/// task's input.
+struct Generated<'a, 'g, S> {
+    down: Downstream<'a, 'g, S>,
+    counted: CountSink,
+}
+
+impl<S: RecordSink> Emit for Generated<'_, '_, S> {
+    #[inline]
+    fn emit(&mut self, rec: Record) {
+        self.counted.push(&rec);
+        self.down.emit(rec);
+    }
+    #[inline]
+    fn lend(&mut self, rec: &Record) {
+        self.counted.push(rec);
+        self.down.lend(rec);
+    }
+    fn reserve(&mut self, additional: usize) {
+        self.down.reserve(additional);
+    }
+}
+
 /// Streams one record, owned or borrowed, through the remaining fused
-/// ops. A borrowed record is cloned only if the sink keeps it; whatever a
-/// `Map`/`FlatMap` produces continues owned.
+/// ops. A borrowed record is cloned only if the sink keeps it; what a
+/// `Map` produces continues owned, what a `FlatMap` produces continues as
+/// the closure handed it over ([`Emit::emit`] or [`Emit::lend`]).
 ///
 /// Records arrive at each op in the same order as the op-at-a-time loop
 /// (every narrow op is order-preserving), so per-op `Sample` RNG draws are
@@ -340,11 +415,7 @@ fn feed<R: IntoRecord, S: RecordSink>(ops: &mut [OpState<'_>], rec: R, out: &mut
     head.inputs += 1;
     match &mut head.op {
         FusedOp::Map(f) => feed(rest, f(rec.borrow()), out),
-        FusedOp::FlatMap(f) => {
-            for r in f(rec.borrow()) {
-                feed(rest, r, out);
-            }
-        }
+        FusedOp::FlatMap(f) => f(rec.borrow(), &mut Downstream { rest, out }),
         FusedOp::Filter(f) => {
             if f(rec.borrow()) {
                 feed(rest, rec, out);
@@ -358,23 +429,6 @@ fn feed<R: IntoRecord, S: RecordSink>(ops: &mut [OpState<'_>], rec: R, out: &mut
     }
 }
 
-/// One fused pass: every record of `records` — moved if the task owns
-/// them, lent if they window a shared partition — through `ops` into `out`.
-fn feed_all<S: RecordSink>(records: TaskRecords, ops: &mut [OpState<'_>], out: &mut S) {
-    match records {
-        TaskRecords::Owned(v) => {
-            for rec in v {
-                feed(ops, rec, out);
-            }
-        }
-        TaskRecords::Shared(data, start, end) => {
-            for rec in &data[start..end] {
-                feed(ops, rec, out);
-            }
-        }
-    }
-}
-
 /// Task `index` of a stage's `of` tasks.
 #[derive(Clone, Copy)]
 pub(super) struct TaskId {
@@ -382,9 +436,28 @@ pub(super) struct TaskId {
     pub(super) of: usize,
 }
 
-/// A task's root input, materialized.
-struct RootRead {
-    records: TaskRecords,
+/// What a task's next fused pass reads.
+enum Root<'s> {
+    /// Records the task holds, its own or a shared window.
+    Records(TaskRecords),
+    /// A source split, generated into the pass that reads it.
+    Gen {
+        gen: &'s GenFn,
+        cost_per_record: f64,
+    },
+}
+
+impl Default for Root<'_> {
+    fn default() -> Self {
+        Root::Records(TaskRecords::default())
+    }
+}
+
+/// A task's root input and what reading it has been charged so far. A
+/// generated split is counted, sized and charged by the pass that
+/// produces it.
+struct RootRead<'s> {
+    root: Root<'s>,
     input_records: u64,
     input_bytes: u64,
     /// Generation or merge compute charged so far.
@@ -392,39 +465,90 @@ struct RootRead {
     sub_stats: Option<Vec<crate::adaptive::SubTaskStats>>,
 }
 
-/// Materializes task `task`'s root input.
+impl RootRead<'_> {
+    /// One fused pass: every record of the root — moved if the task owns
+    /// them, lent if they window a shared partition, generated on the spot
+    /// if they are a source split — through `ops` into `out`. Leaves the
+    /// root empty.
+    fn pass<S: RecordSink>(&mut self, task: TaskId, ops: &mut [OpState<'_>], out: &mut S) {
+        match std::mem::take(&mut self.root) {
+            Root::Records(TaskRecords::Owned(v)) => {
+                for rec in v {
+                    feed(ops, rec, out);
+                }
+            }
+            Root::Records(TaskRecords::Shared(data, start, end)) => {
+                for rec in &data[start..end] {
+                    feed(ops, rec, out);
+                }
+            }
+            Root::Gen {
+                gen,
+                cost_per_record,
+            } => {
+                let mut split = Generated {
+                    down: Downstream { rest: ops, out },
+                    counted: CountSink::default(),
+                };
+                gen(task.index, task.of, &mut split);
+                let CountSink { records, bytes } = split.counted;
+                (self.input_records, self.input_bytes) = (records, bytes);
+                self.cost += records as f64 * cost_per_record;
+            }
+        }
+    }
+
+    /// The root as records the task holds. A split still to be generated
+    /// is collected here, into a vector its generator sizes: a cached
+    /// source, or one whose task keeps its output and has no op to stream
+    /// it through.
+    fn records(&mut self, task: TaskId) -> &mut TaskRecords {
+        if matches!(self.root, Root::Gen { .. }) {
+            let mut split = Vec::new();
+            self.pass(task, &mut [], &mut split);
+            self.root = Root::Records(TaskRecords::Owned(split));
+        }
+        match &mut self.root {
+            Root::Records(records) => records,
+            Root::Gen { .. } => unreachable!("the split was just collected"),
+        }
+    }
+}
+
+/// Reads task `task`'s root input.
 ///
 /// Shuffle and join roots move their runs out of the producer's table
 /// in map-task order and fold them straight into the streaming merge
 /// accumulators — the merge sees the same record stream whatever the
 /// worker count, so results, byte counts, range samples, and every
 /// simulated cost are deterministic. Slice/Cached roots are borrowed, not
-/// copied.
-fn read_root(input: &StageInput<'_>, task: TaskId) -> RootRead {
+/// copied; a source split is not generated yet.
+fn read_root<'s>(input: &StageInput<'s>, task: TaskId) -> RootRead<'s> {
     let i = task.index;
     let mut cost = 0.0;
     let mut sub_stats = None;
-    let (records, input_records, input_bytes) = match input {
+    let (root, input_records, input_bytes) = match input {
         StageInput::Slice(data) => {
             let (start, end) = (i * data.len() / task.of, (i + 1) * data.len() / task.of);
             let slice = &data[start..end];
             let shared = TaskRecords::Shared(Arc::clone(data), start, end);
-            (shared, slice.len() as u64, batch_size(slice))
+            (Root::Records(shared), slice.len() as u64, batch_size(slice))
         }
-        StageInput::Gen {
+        // Counted, sized and charged by the pass that generates it.
+        &StageInput::Gen {
             gen,
             cost_per_record,
         } => {
-            let records = gen(i, task.of);
-            let b = batch_size(&records);
-            let count = records.len() as u64;
-            cost += count as f64 * cost_per_record;
-            (TaskRecords::Owned(records), count, b)
+            let split = Root::Gen {
+                gen,
+                cost_per_record,
+            };
+            (split, 0, 0)
         }
         StageInput::Cached(parts) => {
             let data = &parts[i];
             let shared = TaskRecords::Shared(Arc::clone(data), 0, data.len());
-            (shared, data.len() as u64, batch_size(data))
+            (Root::Records(shared), data.len() as u64, batch_size(data))
         }
         StageInput::Shuffle {
             data,
@@ -466,7 +590,7 @@ fn read_root(input: &StageInput<'_>, task: TaskId) -> RootRead {
                 let (records, fetched) = merge_runs(merge, feed, &mut cost);
                 (records, fetched, bytes)
             };
-            (TaskRecords::Owned(records), fetched, bytes)
+            (Root::Records(TaskRecords::Owned(records)), fetched, bytes)
         }
         StageInput::Join {
             left,
@@ -489,11 +613,11 @@ fn read_root(input: &StageInput<'_>, task: TaskId) -> RootRead {
                 cost += read.0 as f64 * (MERGE_BASE_COST + c);
                 (m.finish(), read)
             };
-            (TaskRecords::Owned(records), fetched, bytes)
+            (Root::Records(TaskRecords::Owned(records)), fetched, bytes)
         }
     };
     RootRead {
-        records,
+        root,
         input_records,
         input_bytes,
         cost,
@@ -557,9 +681,9 @@ pub(crate) fn merge_runs(
 
 /// Runs one task: root input, narrow chain, cache captures, and — for
 /// range-shuffle writes — a reservoir sample of the output keys.
-/// `capture_root` names the root RDD when its output must be cached. With
-/// a `stream`, the task's output goes into it record by record and
-/// [`TaskOut::records`] stays empty.
+/// `capture_root` names the root RDD when its output must be cached.
+/// Unless `sink` collects, the task's output goes into it record by record
+/// and [`TaskOut::records`] stays empty.
 pub(super) fn compute_task(
     graph: &RddGraph,
     input: &StageInput<'_>,
@@ -567,23 +691,14 @@ pub(super) fn compute_task(
     task: TaskId,
     capture_root: Option<Rdd>,
     range_sample: Option<&SampleSpec>,
-    mut stream: Option<&mut CombineSink<'_>>,
+    mut sink: Sink<'_, '_>,
 ) -> TaskOut {
     let mut root = read_root(input, task);
     let mut captures = Vec::new();
     if let Some(root_rdd) = capture_root {
-        captures.push((root_rdd, capture(&mut root.records)));
+        captures.push((root_rdd, capture(root.records(task))));
     }
-    let mut cost = root.cost;
-    let records = run_chain(
-        graph,
-        chain,
-        task.index,
-        root.records,
-        &mut cost,
-        &mut captures,
-        stream.as_deref_mut(),
-    );
+    let records = run_chain(graph, chain, task, &mut root, &mut captures, &mut sink);
     let sample = match range_sample {
         Some(spec) => {
             let task_seed = spec.seed ^ ((task.index as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15));
@@ -595,15 +710,17 @@ pub(super) fn compute_task(
         }
         None => Vec::new(),
     };
-    let (out_records, out_bytes) = match stream {
-        Some(sink) => (sink.records, sink.bytes),
-        None => (records.len() as u64, batch_size(records.as_slice())),
+    let (out_records, out_bytes) = match &sink {
+        Sink::Collect => (records.len() as u64, batch_size(records.as_slice())),
+        Sink::Count(counted) | Sink::Combine(CombineSink { counted, .. }) => {
+            (counted.records, counted.bytes)
+        }
     };
     TaskOut {
         records,
         out_records,
         out_bytes,
-        cost,
+        cost: root.cost,
         input_records: root.input_records,
         input_bytes: root.input_bytes,
         captures,
@@ -612,26 +729,27 @@ pub(super) fn compute_task(
     }
 }
 
-/// Applies the narrow chain to `records` as fused streaming passes, one
-/// per segment. A segment ends at (and includes) the next cached node:
+/// Applies the narrow chain to the task's root as fused streaming passes,
+/// one per segment. A segment ends at (and includes) the next cached node:
 /// its output is materialized, captured by move, and the task reads on
-/// from the captured partition. The last pass writes into `stream` when
-/// the task has one — with no ops left if the chain ended in a cached
-/// node — and nothing is returned; without a stream the last pass's
-/// output is returned, and an empty chain passes its input straight
-/// through. Per-op compute is added to `cost`.
+/// from the captured partition. The last pass writes into `sink` unless
+/// that collects — with no ops left if the chain ended in a cached node —
+/// and nothing is returned; a collecting task gets the last pass's output
+/// back, and an empty chain passes its root straight through. A source
+/// split is generated into the first pass, whatever that ends in. Per-op
+/// compute is added to the root's cost.
 fn run_chain(
     graph: &RddGraph,
     chain: &[Rdd],
-    task_index: usize,
-    mut records: TaskRecords,
-    cost: &mut f64,
+    task: TaskId,
+    root: &mut RootRead<'_>,
     captures: &mut Vec<(Rdd, Arc<Vec<Record>>)>,
-    mut stream: Option<&mut CombineSink<'_>>,
+    sink: &mut Sink<'_, '_>,
 ) -> TaskRecords {
     let mut counts: Vec<u64> = vec![0; chain.len()];
     let mut pos = 0;
-    while pos < chain.len() || stream.is_some() {
+    let mut streamed = matches!(sink, Sink::Collect);
+    while pos < chain.len() || !streamed {
         let seg_end = chain[pos..]
             .iter()
             .position(|&r| graph.node(r).cached)
@@ -646,7 +764,7 @@ fn run_chain(
                     OpKind::Filter { f } => FusedOp::Filter(f),
                     OpKind::Sample { fraction, seed } => FusedOp::Sample {
                         fraction: *fraction,
-                        rng: numeric::XorShift64::new(seed ^ ((task_index as u64 + 1) * 0x9E37)),
+                        rng: numeric::XorShift64::new(seed ^ ((task.index as u64 + 1) * 0x9E37)),
                     },
                     other => unreachable!("wide op {other:?} inside a narrow chain"),
                 },
@@ -656,19 +774,20 @@ fn run_chain(
         let cached = chain[pos..seg_end]
             .last()
             .filter(|&&r| graph.node(r).cached);
-        let input = std::mem::take(&mut records);
         // A segment that ends in a cached node is never the streamed one.
-        match stream.take_if(|_| cached.is_none()) {
-            Some(sink) => feed_all(input, &mut ops, sink),
-            None => {
+        match (&mut *sink, cached) {
+            (Sink::Count(counted), None) => root.pass(task, &mut ops, counted),
+            (Sink::Combine(combine), None) => root.pass(task, &mut ops, &mut **combine),
+            (Sink::Collect, _) | (_, Some(_)) => {
                 let mut out = Vec::new();
-                feed_all(input, &mut ops, &mut out);
-                records = TaskRecords::Owned(out);
+                root.pass(task, &mut ops, &mut out);
+                root.root = Root::Records(TaskRecords::Owned(out));
                 if let Some(&rdd) = cached {
-                    captures.push((rdd, capture(&mut records)));
+                    captures.push((rdd, capture(root.records(task))));
                 }
             }
         }
+        streamed |= cached.is_none();
         for (off, st) in ops.iter().enumerate() {
             counts[pos + off] = st.inputs;
         }
@@ -679,9 +798,9 @@ fn run_chain(
     // the same f64 accumulation sequence as an op-at-a-time loop, so
     // simulated stage timings are bit-identical.
     for (i, &r) in chain.iter().enumerate() {
-        *cost += counts[i] as f64 * graph.node(r).cost_per_record;
+        root.cost += counts[i] as f64 * graph.node(r).cost_per_record;
     }
-    records
+    std::mem::take(root.records(task))
 }
 
 #[cfg(test)]
@@ -730,10 +849,18 @@ mod tests {
     fn chain_step_is_the_same_for_an_owned_and_a_shared_root() {
         let map: MapFn =
             Arc::new(|r: &Record| Record::new(r.key.clone(), Value::Int(r.value.as_int() * 3)));
-        let flat: FlatMapFn = Arc::new(|r: &Record| {
-            (0..r.value.as_int() % 4)
-                .map(|j| Record::new(Key::Int(j), r.value.clone()))
-                .collect()
+        // Odd fan-outs lend one scratch record, even ones give each away.
+        let flat: FlatMapFn = Arc::new(|r: &Record, out: &mut dyn Emit| {
+            let fan_out = r.value.as_int() % 4;
+            let mut scratch = r.clone();
+            for j in 0..fan_out {
+                scratch.key = Key::Int(j);
+                if fan_out % 2 == 1 {
+                    out.lend(&scratch);
+                } else {
+                    out.emit(scratch.clone());
+                }
+            }
         });
         let filter: FilterFn = Arc::new(|r: &Record| r.value.as_int() % 2 == 0);
         let input: Vec<Record> = (0..300)
@@ -783,14 +910,15 @@ mod tests {
         let input = StageInput::Slice(data);
         if streamed {
             let mut sink = CombineSink::new(Combiner::new(&*partitioner, f, arena));
-            let out = compute_task(graph, &input, chain, task, None, None, Some(&mut sink));
+            let stream = Sink::Combine(&mut sink);
+            let out = compute_task(graph, &input, chain, task, None, None, stream);
             assert!(
                 out.records.as_slice().is_empty(),
                 "a streamed task holds nothing"
             );
             (out, writer.finish(sink))
         } else {
-            let mut out = compute_task(graph, &input, chain, task, None, None, None);
+            let mut out = compute_task(graph, &input, chain, task, None, None, Sink::Collect);
             let records = std::mem::take(&mut out.records);
             (out, writer.write(records, &*partitioner, arena))
         }
@@ -805,10 +933,13 @@ mod tests {
         let src = graph.parallelize(data.clone(), 3, "src");
         let spread = graph.flat_map(
             src,
-            Arc::new(|r: &Record| {
-                (0..r.value.as_int() % 3)
-                    .map(|j| Record::new(Key::Int(r.value.as_int() % 7 + j), r.value.clone()))
-                    .collect()
+            Arc::new(|r: &Record, out: &mut dyn Emit| {
+                for j in 0..r.value.as_int() % 3 {
+                    out.emit(Record::new(
+                        Key::Int(r.value.as_int() % 7 + j),
+                        r.value.clone(),
+                    ));
+                }
             }),
             2e-6,
             "spread",
@@ -832,7 +963,7 @@ mod tests {
                 task,
                 None,
                 None,
-                None,
+                Sink::Collect,
             )
             .records;
             for (cached_tail, streamed) in [(false, true), (true, true), (true, false)] {

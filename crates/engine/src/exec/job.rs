@@ -30,8 +30,9 @@ impl Context {
     }
 
     /// Runs the job computing `final_rdd` and returns the outputs of its
-    /// result stage's tasks.
-    pub(super) fn run_job(&mut self, final_rdd: Rdd, name: &str) -> Vec<TaskOut> {
+    /// result stage's tasks — counted and sized but empty of records when
+    /// the action is `count_only`.
+    pub(super) fn run_job(&mut self, final_rdd: Rdd, name: &str, count_only: bool) -> Vec<TaskOut> {
         let plan = plan_job(
             &self.graph,
             final_rdd,
@@ -50,7 +51,8 @@ impl Context {
         for idx in 0..plan.stages.len() {
             let gid = self.next_stage_id;
             self.next_stage_id += 1;
-            let (metrics, result_outs) = self.exec_stage(&plan, idx, gid, job_id, &mut shuffles);
+            let (metrics, result_outs) =
+                self.exec_stage(&plan, idx, gid, job_id, count_only, &mut shuffles);
             stage_metrics.push(metrics);
             if let Some(outs) = result_outs {
                 result = outs;
@@ -215,10 +217,17 @@ mod tests {
     use super::super::fixture::{sorted, sum, test_options, word_records};
     use super::Context;
     use crate::config::WorkloadConf;
-    use crate::ops::GenFn;
+    use crate::ops::{Emit, GenFn};
     use crate::partitioner::PartitionerSpec;
     use crate::record::{Key, Record, Value};
     use std::sync::Arc;
+
+    /// A source of one record per split, keyed by the split's index.
+    fn one_per_split() -> GenFn {
+        Arc::new(|i, _n, out: &mut dyn Emit| {
+            out.emit(Record::new(Key::Int(i as i64), Value::Int(1)))
+        })
+    }
 
     #[test]
     fn determinism_across_identical_contexts() {
@@ -250,8 +259,7 @@ mod tests {
     fn text_file_source_uses_spark_split_rule() {
         let mut ctx = Context::new(test_options());
         // 3 blocks of 128 MB but default parallelism 6 → 6 splits.
-        let gen: GenFn = Arc::new(|i, _n| vec![Record::new(Key::Int(i as i64), Value::Int(1))]);
-        let f = ctx.text_file("in", 3 * 128 * 1024 * 1024, gen, 1e-6, "scan");
+        let f = ctx.text_file("in", 3 * 128 * 1024 * 1024, one_per_split(), 1e-6, "scan");
         ctx.count(f, "scan");
         assert_eq!(ctx.jobs()[0].stages[0].num_tasks, 6);
         // Reads hit the block store.
@@ -261,8 +269,7 @@ mod tests {
     #[test]
     fn text_file_config_overrides_split_count() {
         let mut ctx = Context::new(test_options());
-        let gen: GenFn = Arc::new(|i, _n| vec![Record::new(Key::Int(i as i64), Value::Int(1))]);
-        let f = ctx.text_file("in", 256 * 1024 * 1024, gen, 1e-6, "scan");
+        let f = ctx.text_file("in", 256 * 1024 * 1024, one_per_split(), 1e-6, "scan");
         let mut conf = WorkloadConf::new();
         conf.set_stage(ctx.signature(f), PartitionerSpec::hash(9));
         ctx.set_conf(conf);

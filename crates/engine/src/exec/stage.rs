@@ -5,8 +5,8 @@
 use super::books::FAULTS;
 use super::context::{Context, Lane, STAGES};
 use super::dataplane::{
-    compute_task, CombineSink, JoinSide, MapWrite, MergeKind, SampleSpec, ShuffleWriter,
-    StageInput, TaskId, TaskOut, TaskRecords,
+    compute_task, CombineSink, CountSink, JoinSide, MapWrite, MergeKind, SampleSpec, ShuffleWriter,
+    Sink, StageInput, TaskId, TaskOut, TaskRecords,
 };
 use crate::metrics::{StageKind, StageMetrics};
 use crate::ops::OpKind;
@@ -70,6 +70,7 @@ impl Context {
         plan_idx: usize,
         gid: usize,
         job_id: usize,
+        count_only: bool,
         shuffles: &mut [Option<ShuffleData>],
     ) -> (StageMetrics, Option<Vec<TaskOut>>) {
         let stage = &plan.stages[plan_idx];
@@ -78,6 +79,7 @@ impl Context {
             plan_idx,
             gid,
             job_id,
+            count_only,
             num_tasks: self.stage_partitions(plan, stage).max(1),
             root_scheme: match &stage.root {
                 StageRoot::ShuffleRead { shuffle, .. } => Some(plan.shuffles[*shuffle].scheme),
@@ -355,9 +357,11 @@ impl Context {
     // Phase 2: run tasks
     // ------------------------------------------------------------------
 
-    /// Runs the stage's tasks on the pool. A task feeding a hash shuffle
-    /// with map-side combine streams its narrow chain straight into the
-    /// combine and never holds its pre-combine output; a combine-free hash
+    /// Runs the stage's tasks on the pool. A result task returns its
+    /// output, or — under a counting action — streams it into a count and
+    /// holds none of it. A task feeding a hash shuffle with map-side
+    /// combine streams its narrow chain straight into the combine and
+    /// never holds its pre-combine output; a combine-free hash
     /// write collects the task's output first (the columnar layout needs
     /// all of it) and bucketizes it by move before the next task starts;
     /// a range shuffle first needs every task's key sample for its
@@ -400,7 +404,7 @@ impl Context {
                 cap: (20 * w.spec.partitions).div_ceil(num_tasks).max(8),
                 seed: w.seed,
             });
-        let compute = |i: usize, stream: Option<&mut CombineSink<'_>>| {
+        let compute = |i: usize, sink: Sink<'_, '_>| {
             compute_task(
                 &self.graph,
                 input,
@@ -411,13 +415,20 @@ impl Context {
                 },
                 capture_root.then_some(root_rdd),
                 sample.as_ref(),
-                stream,
+                sink,
             )
         };
         let (pool, cap) = (&*self.pool, self.lane_cap());
         let Some(writer) = writer else {
+            let sink = || {
+                if cx.count_only {
+                    Sink::Count(CountSink::default())
+                } else {
+                    Sink::Collect
+                }
+            };
             return (
-                pool.map_capped(num_tasks, cap, |i, _| compute(i, None)),
+                pool.map_capped(num_tasks, cap, |i, _| compute(i, sink())),
                 None,
             );
         };
@@ -428,11 +439,11 @@ impl Context {
                     pool.with_arena(p, |arena| match &writer.combine {
                         Some(f) => {
                             let mut sink = CombineSink::new(Combiner::new(&*partitioner, f, arena));
-                            let out = compute(i, Some(&mut sink));
+                            let out = compute(i, Sink::Combine(&mut sink));
                             (out, writer.finish(sink))
                         }
                         None => {
-                            let mut out = compute(i, None);
+                            let mut out = compute(i, Sink::Collect);
                             let records = std::mem::take(&mut out.records);
                             (out, writer.write(records, &*partitioner, arena))
                         }
@@ -442,7 +453,7 @@ impl Context {
                 .unzip();
             return (outs, Some(writes));
         }
-        let mut outs = pool.map_capped(num_tasks, cap, |i, _| compute(i, None));
+        let mut outs = pool.map_capped(num_tasks, cap, |i, _| compute(i, Sink::Collect));
         // Bounds come from the per-task samples concatenated in task order,
         // so they are independent of worker scheduling.
         let keys: Vec<Key> = outs.iter().flat_map(|o| o.sample.iter().cloned()).collect();
@@ -859,6 +870,8 @@ struct StageCtx<'p> {
     /// Global stage id (unique across jobs within a context).
     gid: usize,
     job_id: usize,
+    /// The job's action keeps none of its result, only counts it.
+    count_only: bool,
     num_tasks: usize,
     /// Scheme the stage's root was shuffled under, if it reads a shuffle.
     root_scheme: Option<PartitionerSpec>,
@@ -957,6 +970,7 @@ mod tests {
     use super::super::EngineOptions;
     use super::Context;
     use crate::metrics::StageKind;
+    use crate::ops::Emit;
     use crate::partitioner::PartitionerSpec;
     use crate::pool::{lock, WorkerPool};
     use crate::record::{Key, Record, Value};
@@ -1285,7 +1299,10 @@ mod tests {
         let src = ctx.parallelize(word_records(), 4, "src");
         let fm = ctx.flat_map(
             src,
-            Arc::new(|r: &Record| vec![r.clone(), r.clone()]),
+            Arc::new(|r: &Record, out: &mut dyn Emit| {
+                out.lend(r);
+                out.lend(r);
+            }),
             1e-6,
             "dup",
         );

@@ -67,8 +67,8 @@ pub use faults::{FaultCounters, FaultPlan, NodeLoss, Straggler};
 pub use memman::MemCounters;
 pub use metrics::{JobMetrics, StageKind, StageMetrics};
 pub use ops::{
-    sum_vector_counts, sum_vectors, FilterFn, FlatMapFn, GenFn, InPlace, MapFn, OpKind, Reduce,
-    ReduceFn,
+    sum_vector_counts, sum_vectors, Emit, FilterFn, FlatMapFn, GenFn, InPlace, MapFn, OpKind,
+    Reduce, ReduceFn,
 };
 pub use partitioner::{
     build_partitioner, measure_skew, HashPartitioner, Partitioner, PartitionerKind,

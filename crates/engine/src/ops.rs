@@ -14,8 +14,9 @@ use std::sync::Arc;
 
 /// Element-wise transform.
 pub type MapFn = Arc<dyn Fn(&Record) -> Record + Send + Sync>;
-/// One-to-many transform.
-pub type FlatMapFn = Arc<dyn Fn(&Record) -> Vec<Record> + Send + Sync>;
+/// One-to-many transform: `f(record, out)` produces the record's outputs
+/// into `out`, in order (see [`Emit`]).
+pub type FlatMapFn = Arc<dyn Fn(&Record, &mut dyn Emit) + Send + Sync>;
 /// Predicate for `filter`.
 pub type FilterFn = Arc<dyn Fn(&Record) -> bool + Send + Sync>;
 
@@ -108,9 +109,100 @@ pub fn sum_vector_counts() -> ReduceFn {
     }))
 }
 
+/// Where a generator or a flat-map puts the records it produces: the rest
+/// of the task's fused pass. What the executor hands a closure continues
+/// through the remaining narrow ops into whatever the task ends in — a
+/// result, a cached partition, a map-side combine, a count — so nothing
+/// is gathered in between.
+///
+/// The contract: records arrive downstream in call order, whichever of the
+/// two ways they were handed over. [`Emit::emit`] gives a record away;
+/// [`Emit::lend`] shows one the closure keeps, which is cloned only if
+/// something downstream keeps it (a map that reads it, a filter that
+/// drops it and a combine that folds it into a key it already holds do
+/// not), so a closure may lend one scratch record again and again,
+/// rewriting it in between. A lent record may by then share its `Arc`
+/// payload with a copy downstream: rewrite one through [`Arc::make_mut`].
+/// [`Emit::reserve`] is a hint that about that many records follow; a
+/// generator that knows its split's size gives it once, up front, so a
+/// cached split is one exact allocation.
+///
+/// A `Vec<Record>` is the collecting sink, for running a producer outside
+/// the executor. The closure's `out` parameter must be annotated — as for
+/// [`ReduceFn`], there is no `Fn` signature to infer it from.
+///
+/// ```
+/// use engine::{Emit, FlatMapFn, GenFn, Key, Record, Value};
+/// use std::sync::Arc;
+///
+/// // Split `part` of `parts` over 0..10, each record given away.
+/// let gen: GenFn = Arc::new(|part, parts, out: &mut dyn Emit| {
+///     let (start, end) = (10 * part / parts, 10 * (part + 1) / parts);
+///     out.reserve(end - start);
+///     for i in start..end {
+///         out.emit(Record::new(Key::Int(i as i64), Value::vector(vec![i as f64; 2])));
+///     }
+/// });
+/// // Each point twice, re-keyed and scaled, from one scratch record.
+/// let twice: FlatMapFn = Arc::new(|r: &Record, out: &mut dyn Emit| {
+///     let mut row = r.clone();
+///     for k in 0..2 {
+///         row.key = Key::Int(k);
+///         if let Value::Vector(v) = &mut row.value {
+///             Arc::make_mut(v).iter_mut().for_each(|x| *x *= 2.0);
+///         }
+///         out.lend(&row);
+///     }
+/// });
+///
+/// let mut points = Vec::new();
+/// gen(1, 2, &mut points);
+/// assert_eq!(points.len(), 5);
+/// assert_eq!(points.capacity(), 5);
+/// let mut rows = Vec::new();
+/// twice(&points[0], &mut rows);
+/// assert_eq!(rows[0], Record::new(Key::Int(0), Value::vector(vec![10.0; 2])));
+/// assert_eq!(rows[1], Record::new(Key::Int(1), Value::vector(vec![20.0; 2])));
+/// assert_eq!(points[0].value, Value::vector(vec![5.0; 2]));
+/// ```
+pub trait Emit {
+    /// Hands `rec` downstream.
+    fn emit(&mut self, rec: Record);
+    /// Shows `rec` downstream; the caller keeps it.
+    fn lend(&mut self, rec: &Record);
+    /// About `additional` more records follow.
+    fn reserve(&mut self, _additional: usize) {}
+}
+
+/// Collects what a producer emits; a lent record is cloned.
+impl Emit for Vec<Record> {
+    fn emit(&mut self, rec: Record) {
+        self.push(rec);
+    }
+    fn lend(&mut self, rec: &Record) {
+        self.push(rec.clone());
+    }
+    fn reserve(&mut self, additional: usize) {
+        reserve_records(self, additional);
+    }
+}
+
+/// `Vec::reserve` that sizes an empty vector exactly — a split its
+/// generator sized up front is then one allocation with no slack — and
+/// grows a started one geometrically, so a producer that hints per input
+/// record does not reallocate per hint.
+pub(crate) fn reserve_records(records: &mut Vec<Record>, additional: usize) {
+    if records.is_empty() {
+        records.reserve_exact(additional);
+    } else {
+        records.reserve(additional);
+    }
+}
+
 /// Deterministic per-partition generator for block-backed sources:
-/// `gen(partition_index, num_partitions)` yields that partition's records.
-pub type GenFn = Arc<dyn Fn(usize, usize) -> Vec<Record> + Send + Sync>;
+/// `gen(partition_index, num_partitions, out)` produces that partition's
+/// records into `out`, in order (see [`Emit`]).
+pub type GenFn = Arc<dyn Fn(usize, usize, &mut dyn Emit) + Send + Sync>;
 
 /// The operator that produces an RDD.
 #[derive(Clone)]

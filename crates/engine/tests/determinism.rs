@@ -3,7 +3,7 @@
 //! byte volumes, and simulated stage timings are functions of the plan
 //! alone, so `workers = 1` and `workers = 8` runs must agree bit-for-bit.
 
-use engine::{Context, EngineOptions, JobMetrics, Key, PartitionerSpec, Record, Value};
+use engine::{Context, Emit, EngineOptions, JobMetrics, Key, PartitionerSpec, Record, Value};
 use simcluster::uniform_cluster;
 use std::sync::Arc;
 
@@ -41,11 +41,9 @@ fn run(workers: usize) -> (Vec<Record>, Vec<Record>, Vec<JobMetrics>) {
     );
     let expanded = ctx.flat_map(
         filtered,
-        Arc::new(|r: &Record| {
-            vec![
-                r.clone(),
-                Record::new(r.key.clone(), Value::Int(r.value.as_int() + 1)),
-            ]
+        Arc::new(|r: &Record, out: &mut dyn Emit| {
+            out.lend(r);
+            out.emit(Record::new(r.key.clone(), Value::Int(r.value.as_int() + 1)));
         }),
         1e-7,
         "expanded",

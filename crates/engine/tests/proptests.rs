@@ -6,8 +6,9 @@ use engine::shuffle::{
     ReduceMerge, Run, TaskArena, TaskRuns,
 };
 use engine::{
-    build_partitioner, measure_skew, sum_vector_counts, sum_vectors, ColumnBatch, HashPartitioner,
-    Key, Partitioner, PartitionerSpec, RangePartitioner, Record, ReduceFn, Value, WorkloadConf,
+    build_partitioner, measure_skew, sum_vector_counts, sum_vectors, ColumnBatch, Context, Emit,
+    EngineOptions, FlatMapFn, GenFn, HashPartitioner, Key, Partitioner, PartitionerSpec,
+    RangePartitioner, Rdd, Record, ReduceFn, Value, WorkloadConf,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -612,5 +613,183 @@ proptest! {
         batch.partition_assignment(&*p, &mut got);
         let want: Vec<u32> = records.iter().map(|r| p.partition(&r.key) as u32).collect();
         prop_assert_eq!(got, want);
+    }
+}
+
+/// A keyed point as the producers under test read it.
+type Point = (i64, Vec<f64>);
+
+/// Hands `scratch` downstream rewritten as `(key, x)`: lent, or — every
+/// so often, as `lend` draws it — given away as a clone that goes on
+/// sharing the scratch's buffer, so the next rewrite has to copy first.
+fn hand_over(
+    scratch: &mut Record,
+    key: i64,
+    x: impl Iterator<Item = f64>,
+    lend: bool,
+    out: &mut dyn Emit,
+) {
+    scratch.key = Key::Int(key);
+    match &mut scratch.value {
+        Value::Vector(buf) => Arc::make_mut(buf)
+            .iter_mut()
+            .zip(x)
+            .for_each(|(b, v)| *b = v),
+        other => panic!("vector scratch expected, got {other:?}"),
+    }
+    if lend {
+        out.lend(scratch);
+    } else {
+        out.emit(scratch.clone());
+    }
+}
+
+/// A source over `points`, split evenly: every record a fresh one, or all
+/// of a split handed over out of one scratch record.
+fn point_source(points: Arc<Vec<Point>>, lends: Option<Arc<Vec<bool>>>) -> GenFn {
+    Arc::new(move |part, parts, out: &mut dyn Emit| {
+        let (lo, hi) = (
+            points.len() * part / parts,
+            points.len() * (part + 1) / parts,
+        );
+        out.reserve(hi - lo);
+        let mut scratch = Record::keyless(Value::vector(vec![0.0; 3]));
+        for (i, (key, x)) in points[lo..hi].iter().enumerate() {
+            match &lends {
+                None => out.emit(Record::new(Key::Int(*key), Value::vector(x.clone()))),
+                Some(lends) => {
+                    let lend = lends[i % lends.len()];
+                    hand_over(&mut scratch, *key, x.iter().copied(), lend, out)
+                }
+            }
+        }
+    })
+}
+
+/// `key.rem_euclid(4)` outputs per point, the `j`-th re-keyed and scaled
+/// by `j + 1`: fresh records, or one scratch record that starts as a
+/// clone of the input — sharing its vector with whatever holds the input.
+fn fan_out(lends: Option<Arc<Vec<bool>>>) -> FlatMapFn {
+    Arc::new(move |r: &Record, out: &mut dyn Emit| {
+        let (Key::Int(key), x) = (&r.key, r.value.as_vector()) else {
+            panic!("int-keyed point expected, got {r:?}")
+        };
+        let mut scratch = r.clone();
+        for j in 0..key.rem_euclid(4) {
+            let scaled = x.iter().map(|v| v * (j + 1) as f64);
+            match &lends {
+                None => out.emit(Record::new(
+                    Key::Int((key + j) % 7),
+                    Value::vector_from(scaled),
+                )),
+                Some(lends) => {
+                    let lend = lends[(key + j) as usize % lends.len()];
+                    hand_over(&mut scratch, (key + j) % 7, scaled, lend, out)
+                }
+            }
+        }
+    })
+}
+
+/// Where the producer under test sits.
+#[derive(Debug, Clone, Copy)]
+enum Producer {
+    /// It is the source.
+    Source,
+    /// A flat-map over a source collection: its tasks read shared slices.
+    OverShared,
+    /// A flat-map over a repartition: its tasks own what they read.
+    OverOwned,
+}
+
+/// Every sink a producer's task can end in, in one context: collected,
+/// counted, combined — streamed from the producer — then cached, and the
+/// cache collected twice, counted and combined. Returns what each job
+/// returned, the job metrics (records, bytes, and the virtual durations
+/// the combine's op counts are charged into) and the final clock.
+fn producer_jobs(
+    points: &Arc<Vec<Point>>,
+    lends: Option<Arc<Vec<bool>>>,
+    producer: Producer,
+) -> (Vec<Vec<Record>>, Vec<u64>, String, u64) {
+    let mut ctx = Context::new(EngineOptions {
+        cluster: simcluster::uniform_cluster(2, 2, 2.0),
+        default_parallelism: 3,
+        workers: 1,
+        ..EngineOptions::default()
+    });
+    let records = || {
+        let record = |(k, x): &Point| Record::new(Key::Int(*k), Value::vector(x.clone()));
+        points.iter().map(record).collect::<Vec<Record>>()
+    };
+    let produced: Rdd = match producer {
+        Producer::Source => {
+            let gen = point_source(Arc::clone(points), lends);
+            ctx.text_file("points", 64 * points.len() as u64, gen, 1e-6, "points")
+        }
+        Producer::OverShared => {
+            let src = ctx.parallelize(records(), 3, "src");
+            ctx.flat_map(src, fan_out(lends), 1e-6, "fan-out")
+        }
+        Producer::OverOwned => {
+            let src = ctx.parallelize(records(), 3, "src");
+            let moved = ctx.repartition(src, Some(PartitionerSpec::hash(4)), "moved");
+            ctx.flat_map(moved, fan_out(lends), 1e-6, "fan-out")
+        }
+    };
+    let sums = ctx.reduce_by_key(produced, sum_vectors(), None, 1e-6, "sums");
+    let (mut collected, mut counted) = (Vec::new(), Vec::new());
+    collected.push(ctx.collect(produced, "collect"));
+    counted.push(ctx.count(produced, "count"));
+    collected.push(ctx.collect(sums, "combine"));
+    ctx.cache(produced);
+    collected.push(ctx.collect(produced, "materialize"));
+    collected.push(ctx.collect(produced, "reread"));
+    counted.push(ctx.count(produced, "recount"));
+    collected.push(ctx.collect(sums, "recombine"));
+    (
+        collected,
+        counted,
+        format!("{:?}", ctx.jobs()),
+        ctx.clock().to_bits(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A generator or a flat-map that hands every record over out of one
+    /// reused scratch record — rewritten through `Arc::make_mut` between
+    /// lends, some of them given away as clones instead — yields exactly
+    /// what its twin building a fresh record each time yields: the same
+    /// records from every sink (collect, count, combine, cached and
+    /// re-read), the same `output_records` / `output_bytes`, and the same
+    /// virtual timings, which the combine's op counts are charged into —
+    /// whether its tasks stream a source, read a shared slice or own their
+    /// input. And nothing it lent is written through: the input and the
+    /// cache read back as produced.
+    #[test]
+    fn a_lending_producer_equals_its_fresh_record_twin(
+        points in proptest::collection::vec(
+            (0i64..40, proptest::collection::vec((-800i32..800).prop_map(|v| v as f64 / 8.0), 3)),
+            0..60,
+        ),
+        lends in proptest::collection::vec(any::<bool>(), 1..7),
+    ) {
+        let (points, lends) = (Arc::new(points), Arc::new(lends));
+        for producer in [Producer::Source, Producer::OverShared, Producer::OverOwned] {
+            let fresh = producer_jobs(&points, None, producer);
+            let lending = producer_jobs(&points, Some(Arc::clone(&lends)), producer);
+            prop_assert_eq!(&lending.0, &fresh.0, "{:?}: records", producer);
+            prop_assert_eq!(&lending.1, &fresh.1, "{:?}: counts", producer);
+            prop_assert_eq!(&lending.2, &fresh.2, "{:?}: job metrics", producer);
+            prop_assert_eq!(lending.3, fresh.3, "{:?}: clock", producer);
+            let [collect, _, materialize, reread, _] = fresh.0.as_slice() else {
+                panic!("five collecting jobs")
+            };
+            prop_assert_eq!(collect, materialize);
+            prop_assert_eq!(collect, reread);
+            prop_assert_eq!(fresh.1.as_slice(), [collect.len() as u64; 2]);
+        }
     }
 }

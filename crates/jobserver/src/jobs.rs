@@ -11,11 +11,12 @@
 //! partition count, worker count, and physical interleaving.
 
 use std::collections::HashMap;
+use std::io::Write;
 use std::sync::Arc;
 
 use engine::record::Fnv;
 use engine::{
-    sum_vector_counts, sum_vectors, Context, EngineOptions, GenFn, Key, Rdd, Record, Value,
+    sum_vector_counts, sum_vectors, Context, Emit, EngineOptions, GenFn, Key, Rdd, Record, Value,
 };
 
 use crate::trace_file::{JobKind, JobRequest};
@@ -165,6 +166,28 @@ impl TenantRuntime {
     }
 }
 
+/// A source over records `0..n`, each built by `record` and given away;
+/// split `part` of `parts` is [`span`]`(n, part, parts)`.
+fn generator(n: u64, record: impl Fn(u64) -> Record + Send + Sync + 'static) -> GenFn {
+    Arc::new(move |part, parts, out: &mut dyn Emit| {
+        let (lo, hi) = span(n, part, parts);
+        out.reserve((hi - lo) as usize);
+        for i in lo..hi {
+            out.emit(record(i));
+        }
+    })
+}
+
+/// The key `w{w:05}`, formatted on the stack: the key's own allocation is
+/// the only one.
+fn word_key(w: u64) -> Key {
+    let mut buf = [0u8; 24];
+    let mut text = std::io::Cursor::new(&mut buf[..]);
+    write!(text, "w{w:05}").expect("a u64 has at most 20 digits");
+    let len = text.position() as usize;
+    Key::str(std::str::from_utf8(&buf[..len]).expect("ascii"))
+}
+
 /// Builds (without materializing) the source RDDs for a request.
 fn build_sources(ctx: &mut Context, req: &JobRequest) -> Vec<Rdd> {
     let scale = req.scale;
@@ -175,15 +198,10 @@ fn build_sources(ctx: &mut Context, req: &JobRequest) -> Vec<Rdd> {
             let n = scaled(WC_RECORDS, scale, 64);
             let vocab = 100 + (300.0 * scale) as u64;
             let s = mix(seed, 0);
-            let gen: GenFn = Arc::new(move |part, parts| {
-                let (lo, hi) = span(n, part, parts);
-                (lo..hi)
-                    .map(|i| {
-                        let u = unit(s, i);
-                        let w = ((u * u) * vocab as f64) as u64;
-                        Record::new(Key::str(&format!("w{w:05}")), Value::Int(1))
-                    })
-                    .collect()
+            let gen = generator(n, move |i| {
+                let u = unit(s, i);
+                let w = ((u * u) * vocab as f64) as u64;
+                Record::new(word_key(w), Value::Int(1))
             });
             let file = format!("jobs/wc-{bits:x}-{seed}");
             vec![ctx.text_file(&file, n * 24, gen, GEN_COST, "wc_src")]
@@ -192,28 +210,18 @@ fn build_sources(ctx: &mut Context, req: &JobRequest) -> Vec<Rdd> {
             let keys = scaled(1_500.0, scale, 16);
             let n_orders = scaled(SQL_ORDERS, scale, 64);
             let s_ord = mix(seed, 1);
-            let gen_orders: GenFn = Arc::new(move |part, parts| {
-                let (lo, hi) = span(n_orders, part, parts);
-                (lo..hi)
-                    .map(|i| {
-                        // Quadratic key skew: popular customers order more.
-                        let u = unit(s_ord, i);
-                        let k = ((u * u) * keys as f64) as i64;
-                        let amount = 1 + (mix(s_ord, i ^ 0x5a5a) % 100) as i64;
-                        Record::new(Key::Int(k), Value::Int(amount))
-                    })
-                    .collect()
+            let gen_orders = generator(n_orders, move |i| {
+                // Quadratic key skew: popular customers order more.
+                let u = unit(s_ord, i);
+                let k = ((u * u) * keys as f64) as i64;
+                let amount = 1 + (mix(s_ord, i ^ 0x5a5a) % 100) as i64;
+                Record::new(Key::Int(k), Value::Int(amount))
             });
             let n_cust = scaled(SQL_CUSTOMERS, scale, 16).min(keys);
             let s_cust = mix(seed, 2);
-            let gen_cust: GenFn = Arc::new(move |part, parts| {
-                let (lo, hi) = span(n_cust, part, parts);
-                (lo..hi)
-                    .map(|i| {
-                        let region = (mix(s_cust, i) % 10) as i64;
-                        Record::new(Key::Int(i as i64), Value::Int(region))
-                    })
-                    .collect()
+            let gen_cust = generator(n_cust, move |i| {
+                let region = (mix(s_cust, i) % 10) as i64;
+                Record::new(Key::Int(i as i64), Value::Int(region))
             });
             let orders = ctx.text_file(
                 &format!("jobs/orders-{bits:x}-{seed}"),
@@ -235,27 +243,22 @@ fn build_sources(ctx: &mut Context, req: &JobRequest) -> Vec<Rdd> {
             let n = scaled(ML_POINTS, scale, 64);
             let s = mix(seed, 3);
             let labelled = req.kind == JobKind::LogReg;
-            let gen: GenFn = Arc::new(move |part, parts| {
-                let (lo, hi) = span(n, part, parts);
-                (lo..hi)
-                    .map(|i| {
-                        let x = Value::vector_from(
-                            (0..DIM).map(|d| 4.0 * unit(s, i * DIM as u64 + d as u64) - 2.0),
-                        );
-                        let value = if labelled {
-                            // Linearly separable-ish labels from a fixed plane.
-                            let y = if x.as_vector().iter().sum::<f64>() > 0.0 {
-                                1
-                            } else {
-                                0
-                            };
-                            Value::Pair(Box::new(x), Box::new(Value::Int(y)))
-                        } else {
-                            x
-                        };
-                        Record::new(Key::None, value)
-                    })
-                    .collect()
+            let gen = generator(n, move |i| {
+                let x = Value::vector_from(
+                    (0..DIM).map(|d| 4.0 * unit(s, i * DIM as u64 + d as u64) - 2.0),
+                );
+                let value = if labelled {
+                    // Linearly separable-ish labels from a fixed plane.
+                    let y = if x.as_vector().iter().sum::<f64>() > 0.0 {
+                        1
+                    } else {
+                        0
+                    };
+                    Value::Pair(Box::new(x), Box::new(Value::Int(y)))
+                } else {
+                    x
+                };
+                Record::new(Key::None, value)
             });
             let tag = if labelled { "lr_points" } else { "km_points" };
             let file = format!(
@@ -384,6 +387,13 @@ mod tests {
             block_size: 64 * 1024,
             workers: 2,
             ..EngineOptions::default()
+        }
+    }
+
+    #[test]
+    fn word_keys_are_the_formatted_text() {
+        for w in [0, 7, 42, 399, 99_999, 100_000, u64::MAX] {
+            assert_eq!(word_key(w), Key::str(&format!("w{w:05}")));
         }
     }
 

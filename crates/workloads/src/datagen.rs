@@ -5,8 +5,14 @@
 //! of partitions never changes the data itself, only how it is split. All
 //! randomness comes from a seeded xorshift generator; runs are exactly
 //! reproducible.
+//!
+//! Each generator produces a split through `stream` (see [`Emit`]): points
+//! are given away one by one, table rows are lent out of one scratch row
+//! whose key and amount are overwritten in place, so a scan that only
+//! projects its rows allocates nothing per row. `partition` is the
+//! collected `stream`.
 
-use engine::{Key, Record, Value};
+use engine::{Emit, Key, Record, Value};
 use numeric::XorShift64;
 use std::sync::Arc;
 
@@ -41,6 +47,13 @@ fn record_rng(seed: u64, index: u64) -> XorShift64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     XorShift64::new(z ^ (z >> 31))
+}
+
+/// What `stream` produces, as a vector.
+fn collected(stream: impl FnOnce(&mut dyn Emit)) -> Vec<Record> {
+    let mut records = Vec::new();
+    stream(&mut records);
+    records
 }
 
 /// Standard-normal sample via Box–Muller.
@@ -102,11 +115,19 @@ impl PointGen {
         Record::new(Key::Int(i as i64), Value::vector_from(self.coords(i)))
     }
 
-    /// Records for partition `part` of `parts` over `n` total points,
-    /// with realistic split-size variance (see [`skewed_range`]).
-    pub fn partition(&self, n: u64, part: usize, parts: usize) -> Vec<Record> {
+    /// Produces partition `part` of `parts` over `n` total points into
+    /// `out`, with realistic split-size variance (see [`skewed_range`]).
+    pub fn stream(&self, n: u64, part: usize, parts: usize, out: &mut dyn Emit) {
         let (start, end) = skewed_range(n, part, parts);
-        (start..end).map(|i| self.record(i)).collect()
+        out.reserve((end - start) as usize);
+        for i in start..end {
+            out.emit(self.record(i));
+        }
+    }
+
+    /// [`PointGen::stream`], collected.
+    pub fn partition(&self, n: u64, part: usize, parts: usize) -> Vec<Record> {
+        collected(|out| self.stream(n, part, parts, out))
     }
 
     /// Approximate serialized bytes of `n` points (for block-store sizing).
@@ -128,6 +149,31 @@ pub struct TableGen {
 /// A string payload of `bytes` bytes.
 fn filler(bytes: usize) -> Arc<str> {
     Arc::from("x".repeat(bytes))
+}
+
+/// A table row: `(key, Pair(amount, payload))`.
+fn table_row(key: i64, amount: f64, payload: &Arc<str>) -> Record {
+    Record::new(
+        Key::Int(key),
+        Value::Pair(
+            Box::new(Value::Float(amount)),
+            Box::new(Value::Str(Arc::clone(payload))),
+        ),
+    )
+}
+
+/// Overwrites a [`table_row`]'s key and amount where they lie.
+fn rewrite_row(row: &mut Record, key: i64, amount: f64) {
+    row.key = Key::Int(key);
+    match &mut row.value {
+        Value::Pair(a, _) => **a = Value::Float(amount),
+        other => unreachable!("table rows are pairs, got {other:?}"),
+    }
+}
+
+/// A row's amount: uniform over `[0, 1000]` in cents.
+fn amount(seed: u64, i: u64) -> f64 {
+    (record_rng(seed, i).next_f64() * 1000.0 * 100.0).round() / 100.0
 }
 
 impl TableGen {
@@ -164,26 +210,27 @@ impl TableGen {
 
     /// [`TableGen::record`] around a payload the caller built.
     fn row(&self, i: u64, payload: &Arc<str>) -> Record {
-        let mut rng = record_rng(self.seed ^ 0xABCD, i);
-        let amount = (rng.next_f64() * 1000.0 * 100.0).round() / 100.0;
-        Record::new(
-            Key::Int(self.key(i)),
-            Value::Pair(
-                Box::new(Value::Float(amount)),
-                Box::new(Value::Str(Arc::clone(payload))),
-            ),
-        )
+        table_row(self.key(i), amount(self.seed ^ 0xABCD, i), payload)
     }
 
-    /// Records for partition `part` of `parts` over `n` rows, with
-    /// realistic split-size variance (see [`skewed_range`]). The rows of
-    /// one call share one payload string — built per call, not per
-    /// generator, so concurrent tasks do not count references on the same
-    /// cache line.
-    pub fn partition(&self, n: u64, part: usize, parts: usize) -> Vec<Record> {
+    /// Produces partition `part` of `parts` over `n` rows into `out`, with
+    /// realistic split-size variance (see [`skewed_range`]). Every row is
+    /// lent out of one scratch row, so the rows of one call share one
+    /// payload string — built per call, not per generator, so concurrent
+    /// tasks do not count references on the same cache line.
+    pub fn stream(&self, n: u64, part: usize, parts: usize, out: &mut dyn Emit) {
         let (start, end) = skewed_range(n, part, parts);
-        let payload = filler(self.payload);
-        (start..end).map(|i| self.row(i, &payload)).collect()
+        out.reserve((end - start) as usize);
+        let mut row = table_row(0, 0.0, &filler(self.payload));
+        for i in start..end {
+            rewrite_row(&mut row, self.key(i), amount(self.seed ^ 0xABCD, i));
+            out.lend(&row);
+        }
+    }
+
+    /// [`TableGen::stream`], collected.
+    pub fn partition(&self, n: u64, part: usize, parts: usize) -> Vec<Record> {
+        collected(|out| self.stream(n, part, parts, out))
     }
 
     /// Approximate serialized bytes of `n` rows.
@@ -248,34 +295,38 @@ impl HotTableGen {
         self.row(i, &self.payloads())
     }
 
-    /// [`HotTableGen::record`] around `[thin, fat]` payloads the caller
-    /// built.
-    fn row(&self, i: u64, [thin, fat]: &[Arc<str>; 2]) -> Record {
-        let key = self.key(i);
-        let mut rng = record_rng(self.seed ^ 0xF00D, i);
-        let amount = (rng.next_f64() * 1000.0 * 100.0).round() / 100.0;
-        let payload = if (key as u64) < self.fat_keys as u64 {
-            fat
-        } else {
-            thin
-        };
-        Record::new(
-            Key::Int(key),
-            Value::Pair(
-                Box::new(Value::Float(amount)),
-                Box::new(Value::Str(Arc::clone(payload))),
-            ),
-        )
+    /// Whether `key` carries the fat payload.
+    fn is_fat(&self, key: i64) -> bool {
+        (key as u64) < self.fat_keys as u64
     }
 
-    /// Records for partition `part` of `parts` over `n` rows, with
+    /// [`HotTableGen::record`] around `[thin, fat]` payloads the caller
+    /// built.
+    fn row(&self, i: u64, payloads: &[Arc<str>; 2]) -> Record {
+        let key = self.key(i);
+        let payload = &payloads[usize::from(self.is_fat(key))];
+        table_row(key, amount(self.seed ^ 0xF00D, i), payload)
+    }
+
+    /// Produces partition `part` of `parts` over `n` rows into `out`, with
     /// realistic split-size variance (see [`skewed_range`]). As in
-    /// [`TableGen::partition`], the rows of one call share their payload
-    /// strings.
-    pub fn partition(&self, n: u64, part: usize, parts: usize) -> Vec<Record> {
+    /// [`TableGen::stream`], every row is lent out of a scratch row — one
+    /// thin, one fat — so the rows of one call share their payload strings.
+    pub fn stream(&self, n: u64, part: usize, parts: usize, out: &mut dyn Emit) {
         let (start, end) = skewed_range(n, part, parts);
-        let payloads = self.payloads();
-        (start..end).map(|i| self.row(i, &payloads)).collect()
+        out.reserve((end - start) as usize);
+        let mut rows = self.payloads().map(|payload| table_row(0, 0.0, &payload));
+        for i in start..end {
+            let key = self.key(i);
+            let row = &mut rows[usize::from(self.is_fat(key))];
+            rewrite_row(row, key, amount(self.seed ^ 0xF00D, i));
+            out.lend(row);
+        }
+    }
+
+    /// [`HotTableGen::stream`], collected.
+    pub fn partition(&self, n: u64, part: usize, parts: usize) -> Vec<Record> {
+        collected(|out| self.stream(n, part, parts, out))
     }
 
     /// Approximate serialized bytes of `n` rows (expected payload mix).
@@ -307,6 +358,76 @@ mod tests {
         let fine: Vec<Record> = (0..10).flat_map(|p| g.partition(n, p, 10)).collect();
         assert_eq!(coarse, fine, "same records regardless of split count");
         assert_eq!(coarse.len(), 100);
+    }
+
+    /// Collects what a generator streams, noting how it was handed over.
+    #[derive(Default)]
+    struct Tape {
+        records: Vec<Record>,
+        lent: usize,
+        reserved: usize,
+    }
+
+    impl Emit for Tape {
+        fn emit(&mut self, rec: Record) {
+            self.records.push(rec);
+        }
+        fn lend(&mut self, rec: &Record) {
+            self.lent += 1;
+            self.records.push(rec.clone());
+        }
+        fn reserve(&mut self, additional: usize) {
+            self.reserved += additional;
+        }
+    }
+
+    /// `stream` produces each split's records one by one — whatever
+    /// scratch row they were lent out of — announced by one exact
+    /// `reserve`; `partition` is that, collected.
+    fn assert_streams_its_records(
+        stream: impl Fn(u64, usize, usize, &mut dyn Emit),
+        partition: impl Fn(u64, usize, usize) -> Vec<Record>,
+        record: impl Fn(u64) -> Record,
+        lends: bool,
+    ) {
+        let n = 300;
+        for parts in [1, 4, 9] {
+            for part in 0..parts {
+                let (lo, hi) = skewed_range(n, part, parts);
+                let mut tape = Tape::default();
+                stream(n, part, parts, &mut tape);
+                let one_by_one: Vec<Record> = (lo..hi).map(&record).collect();
+                assert_eq!(tape.records, one_by_one, "split {part} of {parts}");
+                assert_eq!(tape.reserved, one_by_one.len(), "one exact hint");
+                assert_eq!(tape.lent, if lends { one_by_one.len() } else { 0 });
+                assert_eq!(partition(n, part, parts), one_by_one);
+            }
+        }
+    }
+
+    #[test]
+    fn a_streamed_split_is_its_records_one_by_one() {
+        let g = PointGen::new(3, 4, 0.5, 7);
+        assert_streams_its_records(
+            |n, p, of, out| g.stream(n, p, of, out),
+            |n, p, of| g.partition(n, p, of),
+            |i| g.record(i),
+            false,
+        );
+        let g = TableGen::new(40, 1.1, 8, 3);
+        assert_streams_its_records(
+            |n, p, of, out| g.stream(n, p, of, out),
+            |n, p, of| g.partition(n, p, of),
+            |i| g.record(i),
+            true,
+        );
+        let g = HotTableGen::new(32, 4, 8, 8, 5);
+        assert_streams_its_records(
+            |n, p, of, out| g.stream(n, p, of, out),
+            |n, p, of| g.partition(n, p, of),
+            |i| g.record(i),
+            true,
+        );
     }
 
     #[test]
@@ -434,6 +555,15 @@ mod tests {
         let fine: Vec<Record> = (0..7).flat_map(|p| g.partition(200, p, 7)).collect();
         assert_eq!(coarse, fine, "same rows regardless of split count");
         assert_eq!(coarse.len(), 200);
+    }
+
+    #[test]
+    fn table_rows_are_partition_invariant() {
+        let g = TableGen::new(50, 1.2, 8, 9);
+        let coarse: Vec<Record> = (0..3).flat_map(|p| g.partition(250, p, 3)).collect();
+        let fine: Vec<Record> = (0..11).flat_map(|p| g.partition(250, p, 11)).collect();
+        assert_eq!(coarse, fine, "same rows regardless of split count");
+        assert_eq!(coarse.len(), 250);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 use crate::datagen::PointGen;
 use chopper::Workload;
 use engine::{
-    sum_vector_counts, Context, EngineOptions, GenFn, Key, MapFn, Record, Value, WorkloadConf,
+    sum_vector_counts, Context, Emit, EngineOptions, GenFn, Key, MapFn, Record, Value, WorkloadConf,
 };
 use std::sync::Arc;
 
@@ -146,7 +146,8 @@ impl KMeans {
 
         // ---- stage 0: parse + cache the full input -----------------------
         let g = gen.clone();
-        let gen_full: GenFn = Arc::new(move |i, parts| g.partition(n, i, parts));
+        let gen_full: GenFn =
+            Arc::new(move |i, parts, out: &mut dyn Emit| g.stream(n, i, parts, out));
         let src = ctx.text_file(
             "kmeans.data",
             gen.bytes(n),
@@ -162,7 +163,8 @@ impl KMeans {
         let sample_n = ((n as f64 * cfg.sample_fraction) as u64).max(1);
         for (j, tag) in PREP_TAGS.iter().enumerate().take(cfg.prep_passes) {
             let g = gen.clone();
-            let gen_sample: GenFn = Arc::new(move |i, parts| g.partition(sample_n, i, parts));
+            let gen_sample: GenFn =
+                Arc::new(move |i, parts, out: &mut dyn Emit| g.stream(sample_n, i, parts, out));
             let sample = ctx.text_file(
                 "kmeans.sample",
                 gen.bytes(sample_n),

@@ -11,7 +11,7 @@
 
 use crate::datagen::PointGen;
 use chopper::Workload;
-use engine::{sum_vectors, Context, EngineOptions, GenFn, Key, Record, Value, WorkloadConf};
+use engine::{sum_vectors, Context, Emit, EngineOptions, GenFn, Key, Record, Value, WorkloadConf};
 use std::sync::Arc;
 
 /// Logistic-regression workload parameters.
@@ -130,7 +130,8 @@ impl LogReg {
 
         // ---- stage 0: parse + cache --------------------------------------
         let g = gen.clone();
-        let gen_full: GenFn = Arc::new(move |i, parts| g.partition(n, i, parts));
+        let gen_full: GenFn =
+            Arc::new(move |i, parts, out: &mut dyn Emit| g.stream(n, i, parts, out));
         let src = ctx.text_file(
             "logreg.data",
             n * VIRTUAL_RECORD_BYTES,

@@ -19,7 +19,8 @@
 use crate::datagen::PointGen;
 use chopper::Workload;
 use engine::{
-    sum_vector_counts, sum_vectors, Context, EngineOptions, GenFn, Key, Record, Value, WorkloadConf,
+    sum_vector_counts, sum_vectors, Context, Emit, EngineOptions, GenFn, Key, Record, Value,
+    WorkloadConf,
 };
 use std::sync::Arc;
 
@@ -117,7 +118,8 @@ impl Pca {
 
         // ---- stage 0: parse + cache ---------------------------------------
         let g = gen.clone();
-        let gen_full: GenFn = Arc::new(move |i, parts| g.partition(n, i, parts));
+        let gen_full: GenFn =
+            Arc::new(move |i, parts, out: &mut dyn Emit| g.stream(n, i, parts, out));
         let src = ctx.text_file(
             "pca.data",
             n * VIRTUAL_RECORD_BYTES,
@@ -176,7 +178,7 @@ impl Pca {
             points,
             {
                 let mean = Arc::clone(&mean_arc);
-                Arc::new(move |r: &Record| {
+                Arc::new(move |r: &Record, out: &mut dyn Emit| {
                     let x: Vec<f64> = r
                         .value
                         .as_vector()
@@ -184,12 +186,19 @@ impl Pca {
                         .zip(mean.iter())
                         .map(|(a, b)| a - b)
                         .collect();
-                    (0..x.len())
-                        .map(|row| {
-                            let scaled = Value::vector_from(x.iter().map(|&v| v * x[row]));
-                            Record::new(Key::Int(row as i64), scaled)
-                        })
-                        .collect()
+                    // One scratch row per point, rewritten and lent once
+                    // per covariance row: the map-side combine adds it to
+                    // the row's sum by reference and keeps no copy.
+                    let mut scaled = Record::keyless(Value::vector_from(x.iter().copied()));
+                    for (row, &x_row) in x.iter().enumerate() {
+                        scaled.key = Key::Int(row as i64);
+                        if let Value::Vector(buf) = &mut scaled.value {
+                            for (s, &v) in Arc::make_mut(buf).iter_mut().zip(&x) {
+                                *s = v * x_row;
+                            }
+                        }
+                        out.lend(&scaled);
+                    }
                 })
             },
             cov_cost,
@@ -218,7 +227,8 @@ impl Pca {
         // ---- stage 5: validation scan over a sample ------------------------
         let sample_n = (n / 20).max(1);
         let g = gen.clone();
-        let gen_sample: GenFn = Arc::new(move |i, parts| g.partition(sample_n, i, parts));
+        let gen_sample: GenFn =
+            Arc::new(move |i, parts, out: &mut dyn Emit| g.stream(sample_n, i, parts, out));
         let sample = ctx.text_file(
             "pca.sample",
             sample_n * VIRTUAL_RECORD_BYTES,

@@ -26,7 +26,9 @@
 
 use crate::datagen::{HotTableGen, TableGen};
 use chopper::Workload;
-use engine::{Context, EngineOptions, GenFn, Key, PartitionerSpec, Record, Value, WorkloadConf};
+use engine::{
+    Context, Emit, EngineOptions, GenFn, Key, PartitionerSpec, Record, Value, WorkloadConf,
+};
 use std::sync::Arc;
 
 /// Skewed-aggregation workload parameters.
@@ -197,7 +199,8 @@ impl SkewAgg {
             cfg.seed,
         );
         let g = hot_gen.clone();
-        let gen_hot: GenFn = Arc::new(move |i, parts| g.partition(n_hot, i, parts));
+        let gen_hot: GenFn =
+            Arc::new(move |i, parts, out: &mut dyn Emit| g.stream(n_hot, i, parts, out));
         let hot = ctx.text_file(
             "skewagg.hot",
             hot_gen.bytes(n_hot),
@@ -224,7 +227,8 @@ impl SkewAgg {
         let mut freq_table = Vec::new();
         for _round in 0..2 {
             let g = freq_gen.clone();
-            let gen_freq: GenFn = Arc::new(move |i, parts| g.partition(n_freq, i, parts));
+            let gen_freq: GenFn =
+                Arc::new(move |i, parts, out: &mut dyn Emit| g.stream(n_freq, i, parts, out));
             // Identical tags each round → identical structural signatures,
             // so a scheme retuned after round one applies to round two.
             let freq = ctx.text_file(

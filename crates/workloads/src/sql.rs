@@ -19,7 +19,7 @@
 
 use crate::datagen::TableGen;
 use chopper::Workload;
-use engine::{Context, EngineOptions, GenFn, Key, Record, ReduceFn, Value, WorkloadConf};
+use engine::{Context, Emit, EngineOptions, GenFn, Key, Record, ReduceFn, Value, WorkloadConf};
 use std::sync::Arc;
 
 /// SQL workload parameters.
@@ -113,7 +113,8 @@ impl Sql {
         // ---- stages 0–1: aggregate orders ---------------------------------
         let orders_gen = TableGen::new(cfg.keys, cfg.zipf, cfg.payload, cfg.seed);
         let g = orders_gen.clone();
-        let gen_orders: GenFn = Arc::new(move |i, parts| g.partition(n_orders, i, parts));
+        let gen_orders: GenFn =
+            Arc::new(move |i, parts, out: &mut dyn Emit| g.stream(n_orders, i, parts, out));
         let orders = ctx.text_file(
             "sql.orders",
             n_orders * VIRTUAL_RECORD_BYTES,
@@ -147,7 +148,8 @@ impl Sql {
         // ---- stages 2–3: aggregate returns --------------------------------
         let returns_gen = TableGen::new(cfg.keys, cfg.zipf, cfg.payload, cfg.seed ^ 0xDEAD);
         let g = returns_gen.clone();
-        let gen_returns: GenFn = Arc::new(move |i, parts| g.partition(n_returns, i, parts));
+        let gen_returns: GenFn =
+            Arc::new(move |i, parts, out: &mut dyn Emit| g.stream(n_returns, i, parts, out));
         let returns = ctx.text_file(
             "sql.returns",
             n_returns * VIRTUAL_RECORD_BYTES,
