@@ -751,6 +751,17 @@ mod tests {
     use crate::collector::{Observation, RunSnapshot};
     use crate::db::WorkloadDb;
 
+    /// The overhead the recovery factor, the repartition-insertion test and
+    /// `ObservedSurface::calibrate` reason with is the one the simulated
+    /// cluster charges.
+    #[test]
+    fn task_overhead_matches_the_simulated_cluster() {
+        assert_eq!(
+            TASK_OVERHEAD,
+            simcluster::paper_cluster().task_launch_overhead
+        );
+    }
+
     /// Builds a record with synthetic observations for one stage under both
     /// partitioner kinds: hash has per-P overhead 0.02 s, range 0.01 s
     /// (range wins), both share a work term D/1e6/P-ish linear surface.

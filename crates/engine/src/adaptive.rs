@@ -449,8 +449,9 @@ mod tests {
             let fetched: u64 = stats.iter().map(|s| s.fetched).sum();
             prop_assert_eq!(fetched, records.len() as u64);
             // Unsplit reference.
-            let (mut reference, _) =
-                crate::shuffle::merge_reduce(maps.iter().map(Vec::as_slice), &f);
+            let mut unsplit = crate::shuffle::ReduceMerge::new(f);
+            maps.iter().for_each(|part| unsplit.push_slice(part));
+            let (mut reference, _) = unsplit.finish();
             let mut out = out;
             let by_key = |a: &Record, b: &Record| a.key.cmp(&b.key);
             out.sort_by(by_key);

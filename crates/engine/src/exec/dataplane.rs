@@ -10,8 +10,7 @@ use crate::pool::lock;
 use crate::rdd::{Rdd, RddGraph};
 use crate::record::{batch_size, IntoRecord, Key, Record};
 use crate::shuffle::{
-    CogroupMerge, Combiner, ConcatMerge, GroupMerge, JoinMerge, ReduceMerge, Run, Runs, TaskArena,
-    TaskRuns,
+    Combiner, ConcatMerge, GroupMerge, JoinMerge, ReduceMerge, Run, Runs, TaskArena, TaskRuns,
 };
 use numeric::Reservoir;
 use std::sync::Arc;
@@ -116,7 +115,8 @@ pub(super) enum StageInput<'s> {
     Join {
         left: JoinSide<'s>,
         right: JoinSide<'s>,
-        is_join: bool,
+        /// A co-group, which keeps a key only one side has; else a join.
+        outer: bool,
         cost: f64,
     },
 }
@@ -595,24 +595,14 @@ fn read_root<'s>(input: &StageInput<'s>, task: TaskId) -> RootRead<'s> {
         StageInput::Join {
             left,
             right,
-            is_join,
+            outer,
             cost: c,
         } => {
-            let (records, (fetched, bytes)) = if *is_join {
-                let mut m = JoinMerge::new();
-                let (push, seal) = (JoinMerge::push_run, JoinMerge::seal_left);
-                let read = drain_sides(left, right, i, &mut m, push, seal);
-                cost += read.0 as f64 * (MERGE_BASE_COST + c);
-                let (out, probes) = m.finish();
-                cost += probes as f64 * MERGE_BASE_COST;
-                (out, read)
-            } else {
-                let mut m = CogroupMerge::new();
-                let (push, seal) = (CogroupMerge::push_run, CogroupMerge::seal_left);
-                let read = drain_sides(left, right, i, &mut m, push, seal);
-                cost += read.0 as f64 * (MERGE_BASE_COST + c);
-                (m.finish(), read)
-            };
+            let mut m = JoinMerge::two_sided(*outer);
+            let (fetched, bytes) = drain_sides(left, right, i, &mut m);
+            cost += fetched as f64 * (MERGE_BASE_COST + c);
+            let (records, probes) = m.finish();
+            cost += probes as f64 * MERGE_BASE_COST;
             (Root::Records(TaskRecords::Owned(records)), fetched, bytes)
         }
     };
@@ -626,20 +616,18 @@ fn read_root<'s>(input: &StageInput<'s>, task: TaskId) -> RootRead<'s> {
 }
 
 /// Feeds partition `col` of both sides of a join or co-group into the
-/// merge `m`: the left side fully, `seal`, then the right, so the merge
+/// table `m`: the left side fully, the seal, then the right, so the table
 /// sees both streams in map-task order. Returns the records and bytes
 /// fetched.
-fn drain_sides<M>(
+fn drain_sides(
     left: &JoinSide<'_>,
     right: &JoinSide<'_>,
     col: usize,
-    m: &mut M,
-    push: impl Fn(&mut M, Run<'_>, bool),
-    seal: impl FnOnce(&mut M),
+    m: &mut JoinMerge,
 ) -> (u64, u64) {
-    let l = left.drain(col, |run| push(m, run, true));
-    seal(m);
-    let r = right.drain(col, |run| push(m, run, false));
+    let l = left.drain(col, |run| m.push_run(run, true));
+    m.seal_left();
+    let r = right.drain(col, |run| m.push_run(run, false));
     (l.0 + r.0, l.1 + r.1)
 }
 

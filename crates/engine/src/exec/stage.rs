@@ -301,7 +301,7 @@ impl Context {
                 StageInput::Join {
                     left,
                     right,
-                    is_join: matches!(self.graph.node(*wide).op, OpKind::Join { .. }),
+                    outer: matches!(self.graph.node(*wide).op, OpKind::CoGroup { .. }),
                     cost: wide_cost(*wide),
                 }
             }

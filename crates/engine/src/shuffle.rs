@@ -25,16 +25,24 @@
 //! one private step, generic over a record by value or by reference
 //! (`record::IntoRecord`): owned records are *moved* in, borrowed ones
 //! cloned only in the part that is kept, and a columnar slice is one
-//! more iterator of owned records. The `push_*` methods only pick the
-//! iterator; the batch `merge_*` functions feed borrowed slices through
-//! the same accumulators.
+//! more iterator of owned records. `push_run` only picks the iterator.
+//! Grouping, joining and co-grouping are one two-sided table
+//! ([`JoinMerge`]) with one seal protocol — Spark's own shape, where
+//! `groupByKey` and `join` are `cogroup` underneath: the inner join drops
+//! an unmatched right record at the probe, the co-group keeps it, a
+//! group-by is the table with a left side only.
 //!
 //! All merges preserve first-seen key order, keeping the engine
 //! deterministic end-to-end (no `HashMap` iteration order leaks into
-//! results, byte counts, or range-partitioner samples). The dedup tables
-//! are keyed on each key's [`Key::stable_hash`] through a pass-through
-//! hasher, with same-hash slots disambiguated by a real key comparison —
-//! equality semantics identical to hashing the key itself.
+//! results, byte counts, or range-partitioner samples). How equal keys
+//! are found is written once (`KeyIndex`): each key's
+//! [`Key::stable_hash`], through a pass-through hasher, leads to the first
+//! slot seen with that hash, and slots that share a hash are chained and
+//! disambiguated by a real key comparison — equality semantics identical
+//! to hashing the key itself, and no allocation per distinct key. The
+//! index holds slot numbers only; the keys stay in the accumulator that
+//! owns them, so the combine and the reduce hand their records over as
+//! they hold them.
 
 use crate::batch::ColumnBatch;
 use crate::ops::ReduceFn;
@@ -198,22 +206,82 @@ impl std::hash::Hasher for IdentityHasher {
 
 type IdentityBuild = std::hash::BuildHasherDefault<IdentityHasher>;
 
-/// End of a same-hash chain in [`TaskArena::next`].
+/// End of a same-hash chain in [`KeyIndex::next`].
 const CHAIN_END: u32 = u32::MAX;
+
+/// The first-seen key table every keyed accumulator shares: slot `i` is
+/// the `i`-th distinct key pushed. The index stores no key — its owner
+/// does, at the same position, and tells it through `holds` whether a slot
+/// holds the key being looked up — so unequal keys that share a
+/// [`Key::stable_hash`] stay apart and nothing is allocated per key.
+#[derive(Default)]
+struct KeyIndex {
+    /// `stable_hash` → first slot seen with that hash.
+    heads: HashMap<u64, u32, IdentityBuild>,
+    /// Next slot with the same hash, or [`CHAIN_END`]; one entry per slot.
+    next: Vec<u32>,
+}
+
+impl KeyIndex {
+    fn clear(&mut self) {
+        self.heads.clear();
+        self.next.clear();
+    }
+
+    /// The slot of the key with hash `h`, if one is held.
+    #[inline]
+    fn find(&self, h: u64, holds: impl Fn(usize) -> bool) -> Option<usize> {
+        let mut at = *self.heads.get(&h)?;
+        while !holds(at as usize) {
+            at = self.next[at as usize];
+            if at == CHAIN_END {
+                return None;
+            }
+        }
+        Some(at as usize)
+    }
+
+    /// The slot of the key with hash `h`. A key not held yet gets the next
+    /// slot — the number of keys held before the call — and the caller
+    /// stores it there.
+    #[inline]
+    fn slot(&mut self, h: u64, holds: impl Fn(usize) -> bool) -> usize {
+        use std::collections::hash_map::Entry;
+        let new = self.next.len() as u32;
+        match self.heads.entry(h) {
+            Entry::Vacant(head) => {
+                head.insert(new);
+            }
+            Entry::Occupied(head) => {
+                let mut at = *head.get() as usize;
+                loop {
+                    if holds(at) {
+                        return at;
+                    }
+                    if self.next[at] == CHAIN_END {
+                        self.next[at] = new;
+                        break;
+                    }
+                    at = self.next[at] as usize;
+                }
+            }
+        }
+        self.next.push(CHAIN_END);
+        new as usize
+    }
+}
 
 /// Reusable scratch space for the bucketize functions: the
 /// partition-assignment vector, the per-partition counts and the combine
-/// dedup index survive across calls, so a long-lived worker stops paying
+/// index survive across calls, so a long-lived worker stops paying
 /// per-task allocation churn. The record payload itself is *not* pooled —
 /// it is owned downstream by the shuffle consumer.
 #[derive(Default)]
 pub struct TaskArena {
     assignment: Vec<u32>,
     counts: Vec<usize>,
-    /// Combine index: `stable_hash` → first record seen with that hash.
-    heads: HashMap<u64, u32, IdentityBuild>,
-    /// Next first-seen record with the same hash, or [`CHAIN_END`].
-    next: Vec<u32>,
+    /// Indexes the [`Combiner`]'s survivors.
+    index: KeyIndex,
     /// Record indices in reduce-partition order.
     order: Vec<u32>,
 }
@@ -313,13 +381,11 @@ fn assign(records: &[Record], partitioner: &dyn Partitioner, arena: &mut TaskAre
 /// (same key, same partition, so one index serves all partitions), and
 /// [`finish`](Combiner::finish) lays the survivors out in reduce-partition
 /// order. A task that streams its narrow chain into this never holds its
-/// pre-combine output. The index is keyed on the record's stable hash
-/// (identity-hashed); records that share a hash are chained and
-/// disambiguated by a real key comparison.
+/// pre-combine output.
 pub struct Combiner<'a> {
     partitioner: &'a dyn Partitioner,
     f: &'a ReduceFn,
-    /// `assignment` and `counts` describe `seen`; `heads` and `next` index it.
+    /// `assignment` and `counts` describe `seen`; `index` indexes it.
     arena: &'a mut TaskArena,
     /// The survivors, in first-seen order.
     seen: Vec<Record>,
@@ -336,8 +402,7 @@ impl<'a> Combiner<'a> {
         arena.assignment.clear();
         arena.counts.clear();
         arena.counts.resize(partitioner.num_partitions(), 0);
-        arena.heads.clear();
-        arena.next.clear();
+        arena.index.clear();
         Combiner {
             partitioner,
             f,
@@ -351,47 +416,24 @@ impl<'a> Combiner<'a> {
     /// is kept (a borrowed one cloned), a later one only lends its value.
     #[inline]
     pub fn push<R: IntoRecord>(&mut self, item: R) {
-        use std::collections::hash_map::Entry;
         let TaskArena {
             assignment,
             counts,
-            heads,
-            next,
+            index,
             ..
         } = &mut *self.arena;
         let seen = &mut self.seen;
         let r = item.borrow();
         let h = r.key.stable_hash();
-        let new = seen.len() as u32;
-        match heads.entry(h) {
-            Entry::Vacant(slot) => {
-                slot.insert(new);
-            }
-            Entry::Occupied(slot) => {
-                let mut at = *slot.get();
-                loop {
-                    if seen[at as usize].key == r.key {
-                        break;
-                    }
-                    if next[at as usize] == CHAIN_END {
-                        next[at as usize] = new;
-                        at = new;
-                        break;
-                    }
-                    at = next[at as usize];
-                }
-                if at != new {
-                    let first = &mut seen[at as usize];
-                    self.f.fold(&mut first.value, &r.value);
-                    self.ops += 1;
-                    return;
-                }
-            }
+        let at = index.slot(h, |i| seen[i].key == r.key);
+        if at < seen.len() {
+            self.f.fold(&mut seen[at].value, &r.value);
+            self.ops += 1;
+            return;
         }
         let b = self.partitioner.partition_hashed(&r.key, h);
         counts[b] += 1;
         assignment.push(b as u32);
-        next.push(CHAIN_END);
         seen.push(item.into_record());
     }
 
@@ -529,7 +571,7 @@ pub fn spill_overflow(write_bytes: u64, task_mem_budget: u64) -> u64 {
 pub struct ReduceMerge {
     f: ReduceFn,
     out: Vec<Record>,
-    index: HashMap<u64, Vec<u32>, IdentityBuild>,
+    index: KeyIndex,
     ops: u64,
 }
 
@@ -539,7 +581,7 @@ impl ReduceMerge {
         Self {
             f,
             out: Vec::new(),
-            index: HashMap::default(),
+            index: KeyIndex::default(),
             ops: 0,
         }
     }
@@ -550,16 +592,12 @@ impl ReduceMerge {
         let Self { f, out, index, ops } = self;
         for item in records {
             let r = item.borrow();
-            let slots = index.entry(r.key.stable_hash()).or_default();
-            match slots.iter().find(|&&i| out[i as usize].key == r.key) {
-                Some(&i) => {
-                    f.fold(&mut out[i as usize].value, &r.value);
-                    *ops += 1;
-                }
-                None => {
-                    slots.push(out.len() as u32);
-                    out.push(item.into_record());
-                }
+            let at = index.slot(r.key.stable_hash(), |i| out[i].key == r.key);
+            if at < out.len() {
+                f.fold(&mut out[at].value, &r.value);
+                *ops += 1;
+            } else {
+                out.push(item.into_record());
             }
         }
     }
@@ -592,94 +630,6 @@ impl ReduceMerge {
     }
 }
 
-/// Reduce-side merge for `reduce_by_key`: folds all values of a key with
-/// `f`, preserving first-seen key order. Returns records and the number of
-/// reduce applications.
-pub fn merge_reduce<'a, I>(parts: I, f: &ReduceFn) -> (Vec<Record>, u64)
-where
-    I: IntoIterator<Item = &'a [Record]>,
-{
-    let mut m = ReduceMerge::new(Arc::clone(f));
-    for part in parts {
-        m.push_slice(part);
-    }
-    m.finish()
-}
-
-/// Streaming reduce-side merge for `group_by_key`: collects all values of
-/// a key into a `Value::List`, preserving first-seen key order.
-#[derive(Default)]
-pub struct GroupMerge {
-    order: Vec<Key>,
-    groups: Vec<Vec<Value>>,
-    index: HashMap<u64, Vec<u32>, IdentityBuild>,
-}
-
-impl GroupMerge {
-    /// New empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The merge step: a value joins its key's group; the first record
-    /// with a key also contributes the key.
-    fn fold<R: IntoRecord>(&mut self, records: impl IntoIterator<Item = R>) {
-        for item in records {
-            let key = &item.borrow().key;
-            let slots = self.index.entry(key.stable_hash()).or_default();
-            match slots
-                .iter()
-                .find(|&&i| self.order[i as usize] == *key)
-                .copied()
-            {
-                Some(i) => self.groups[i as usize].push(item.into_value()),
-                None => {
-                    slots.push(self.order.len() as u32);
-                    let r = item.into_record();
-                    self.order.push(r.key);
-                    self.groups.push(vec![r.value]);
-                }
-            }
-        }
-    }
-
-    /// Collect a borrowed bucket; values (and first-seen keys) are cloned.
-    pub fn push_slice(&mut self, records: &[Record]) {
-        self.fold(records);
-    }
-
-    /// Collect one map task's run in, as the shuffle table hands it out.
-    pub fn push_run(&mut self, run: Run<'_>) {
-        match run {
-            Run::Moved(records) => self.fold(records.iter_mut().map(std::mem::take)),
-            Run::Shared(records) => self.fold(records),
-            Run::Cols(batch) => self.fold(batch.records()),
-        }
-    }
-
-    /// One `Record(k, List(values))` per key, in first-seen key order.
-    pub fn finish(self) -> Vec<Record> {
-        self.order
-            .into_iter()
-            .zip(self.groups)
-            .map(|(k, vals)| Record::new(k, Value::List(Arc::new(vals))))
-            .collect()
-    }
-}
-
-/// Reduce-side merge for `group_by_key`: collects all values of a key into
-/// a `Value::List`, preserving first-seen key order.
-pub fn merge_group<'a, I>(parts: I) -> Vec<Record>
-where
-    I: IntoIterator<Item = &'a [Record]>,
-{
-    let mut m = GroupMerge::new();
-    for part in parts {
-        m.push_slice(part);
-    }
-    m.finish()
-}
-
 /// Streaming merge for `repartition`: plain concatenation in push order.
 #[derive(Default)]
 pub struct ConcatMerge {
@@ -692,21 +642,12 @@ impl ConcatMerge {
         Self::default()
     }
 
-    fn fold<R: IntoRecord>(&mut self, records: impl IntoIterator<Item = R>) {
-        self.out.extend(records.into_iter().map(R::into_record));
-    }
-
-    /// Append a borrowed bucket; records are cloned.
-    pub fn push_slice(&mut self, records: &[Record]) {
-        self.fold(records);
-    }
-
     /// Append one map task's run in, as the shuffle table hands it out.
     pub fn push_run(&mut self, run: Run<'_>) {
         match run {
-            Run::Moved(records) => self.fold(records.iter_mut().map(std::mem::take)),
-            Run::Shared(records) => self.fold(records),
-            Run::Cols(batch) => self.fold(batch.records()),
+            Run::Moved(records) => self.out.extend(records.iter_mut().map(std::mem::take)),
+            Run::Shared(records) => self.out.extend_from_slice(records),
+            Run::Cols(batch) => self.out.extend(batch.records()),
         }
     }
 
@@ -716,31 +657,29 @@ impl ConcatMerge {
     }
 }
 
-/// Reduce-side merge for `repartition`: plain concatenation.
-pub fn merge_concat<'a, I>(parts: I) -> Vec<Record>
-where
-    I: IntoIterator<Item = &'a [Record]>,
-{
-    let mut m = ConcatMerge::new();
-    for part in parts {
-        m.push_slice(part);
-    }
-    m.finish()
+/// One key of the grouping table with the values seen for it on the left
+/// (`sides[0]`) and on the right (`sides[1]`), each in arrival order.
+struct Group {
+    key: Key,
+    sides: [Vec<Value>; 2],
 }
 
-/// Streaming inner hash join. Left records build the table; right records
-/// probe it. Rights pushed before [`JoinMerge::seal_left`] are buffered
-/// untouched and probed at seal time in arrival order, so a consumer may
-/// interleave sides freely while producing output identical to "all left,
-/// then all right".
+/// The streaming two-sided grouping table, and the inner hash join it
+/// finishes to by default: values gather per key and side, keys in
+/// first-seen order. Left records build the table; right records probe it,
+/// and one whose key the left side lacks is dropped (inner) or given the
+/// next slot ([`CogroupMerge`]). Rights pushed before
+/// [`JoinMerge::seal_left`] are buffered untouched and probed at seal time
+/// in arrival order, so a consumer may interleave sides freely while
+/// producing output identical to "all left, then all right".
 #[derive(Default)]
 pub struct JoinMerge {
-    order: Vec<Key>,
-    lefts: Vec<Vec<Value>>,
-    rights: Vec<Vec<Value>>,
-    index: HashMap<u64, Vec<u32>, IdentityBuild>,
+    groups: Vec<Group>,
+    index: KeyIndex,
     pending: Vec<Record>,
     sealed: bool,
+    /// Keep a right record the left side has no key for.
+    outer: bool,
     probes: u64,
 }
 
@@ -750,64 +689,47 @@ impl JoinMerge {
         Self::default()
     }
 
-    /// The build step: a left value joins its key's list; the first
-    /// record with a key also contributes the key.
-    fn build<R: IntoRecord>(&mut self, records: impl IntoIterator<Item = R>) {
-        debug_assert!(!self.sealed, "left side pushed after seal_left");
-        for item in records {
-            let key = &item.borrow().key;
-            let slots = self.index.entry(key.stable_hash()).or_default();
-            match slots
-                .iter()
-                .find(|&&i| self.order[i as usize] == *key)
-                .copied()
-            {
-                Some(i) => self.lefts[i as usize].push(item.into_value()),
-                None => {
-                    slots.push(self.order.len() as u32);
-                    let r = item.into_record();
-                    self.order.push(r.key);
-                    self.lefts.push(vec![r.value]);
-                    self.rights.push(Vec::new());
-                }
-            }
+    /// New empty table: a co-group's if `outer`, an inner join's if not.
+    pub(crate) fn two_sided(outer: bool) -> Self {
+        JoinMerge {
+            outer,
+            ..Self::default()
         }
     }
 
-    /// The probe step: a right value joins its key's list if the left
-    /// side has the key and is dropped otherwise. Before the seal,
-    /// records are buffered whole.
-    fn probe<R: IntoRecord>(&mut self, records: impl IntoIterator<Item = R>) {
-        if !self.sealed {
+    /// The merge step for either side: a value joins its key's list on
+    /// that side; the first record with a key also contributes the key. An
+    /// inner join's right records only probe, and are counted doing so.
+    /// Rights arriving before the seal are buffered whole.
+    fn side<R: IntoRecord>(&mut self, records: impl IntoIterator<Item = R>, is_left: bool) {
+        if !is_left && !self.sealed {
             self.pending.extend(records.into_iter().map(R::into_record));
             return;
         }
+        debug_assert!(!is_left || !self.sealed, "left side pushed after seal_left");
+        let (side, builds) = (usize::from(!is_left), is_left || self.outer);
         for item in records {
-            self.probes += 1;
             let key = &item.borrow().key;
-            let hit = self
-                .index
-                .get(&key.stable_hash())
-                .and_then(|slots| slots.iter().find(|&&i| self.order[i as usize] == *key))
-                .copied();
-            if let Some(i) = hit {
-                self.rights[i as usize].push(item.into_value());
+            let (h, groups) = (key.stable_hash(), &self.groups);
+            let holds = |i: usize| groups[i].key == *key;
+            let at = if builds {
+                self.index.slot(h, holds)
+            } else {
+                self.probes += 1;
+                match self.index.find(h, holds) {
+                    Some(at) => at,
+                    None => continue,
+                }
+            };
+            if at < self.groups.len() {
+                self.groups[at].sides[side].push(item.into_value());
+            } else {
+                let Record { key, value } = item.into_record();
+                let mut sides = [Vec::new(), Vec::new()];
+                sides[side] = vec![value];
+                self.groups.push(Group { key, sides });
             }
         }
-    }
-
-    fn side<R: IntoRecord>(&mut self, records: impl IntoIterator<Item = R>, is_left: bool) {
-        if is_left {
-            self.build(records)
-        } else {
-            self.probe(records)
-        }
-    }
-
-    /// Build the table from a borrowed left bucket; values (and
-    /// first-seen keys) are cloned.
-    pub fn push_left_slice(&mut self, records: &[Record]) {
-        self.build(records);
     }
 
     /// Declare the left side complete; buffered right records are probed
@@ -815,13 +737,7 @@ impl JoinMerge {
     pub fn seal_left(&mut self) {
         self.sealed = true;
         let pending = std::mem::take(&mut self.pending);
-        self.probe(pending);
-    }
-
-    /// Probe with a borrowed right bucket (buffered if the left side is
-    /// not sealed yet); matched values are cloned.
-    pub fn push_right_slice(&mut self, records: &[Record]) {
-        self.probe(records);
+        self.side(pending, false);
     }
 
     /// Route a shipped bucket to the chosen side, whichever layout it
@@ -843,56 +759,78 @@ impl JoinMerge {
         }
     }
 
-    /// Cross-product output per matched key, in left first-seen key order,
-    /// pre-sized exactly from per-key match counts; plus the probe count.
+    /// An inner join's output — `Record(k, Pair(l, r))` for every pair of
+    /// matching values, in left first-seen key order, pre-sized exactly
+    /// from per-key match counts, one clone of the key and of both values
+    /// per pair — plus the probe count. A co-group's is one
+    /// `Record(k, Pair(List(lefts), List(rights)))` per key present on
+    /// either side, in first-seen key order (left side first), built by
+    /// moving the table out, and no probes.
     pub fn finish(mut self) -> (Vec<Record>, u64) {
         if !self.sealed {
             self.seal_left();
         }
-        let total: usize = self
-            .lefts
-            .iter()
-            .zip(&self.rights)
-            .map(|(ls, rs)| ls.len() * rs.len())
-            .sum();
-        let mut out = Vec::with_capacity(total);
-        for ((k, ls), rs) in self.order.iter().zip(&self.lefts).zip(&self.rights) {
-            for l in ls {
-                for r in rs {
-                    out.push(Record::new(
-                        k.clone(),
-                        Value::Pair(Box::new(l.clone()), Box::new(r.clone())),
-                    ));
+        let out = if self.outer {
+            let both = |g: Group| {
+                let [ls, rs] = g
+                    .sides
+                    .map(|values| Box::new(Value::List(Arc::new(values))));
+                Record::new(g.key, Value::Pair(ls, rs))
+            };
+            self.groups.into_iter().map(both).collect()
+        } else {
+            let matches = |g: &Group| g.sides[0].len() * g.sides[1].len();
+            let mut out = Vec::with_capacity(self.groups.iter().map(matches).sum());
+            for g in &self.groups {
+                let [ls, rs] = &g.sides;
+                for l in ls {
+                    for r in rs {
+                        let pair = Value::Pair(Box::new(l.clone()), Box::new(r.clone()));
+                        out.push(Record::new(g.key.clone(), pair));
+                    }
                 }
             }
-        }
+            out
+        };
         (out, self.probes)
     }
 }
 
-/// Inner hash join of two sides: emits `Record(k, Pair(l, r))` for every
-/// pair of matching values, in left-side first-seen key order. Returns the
-/// output and the number of probe operations.
-pub fn merge_join(left: &[Record], right: &[Record]) -> (Vec<Record>, u64) {
-    let mut m = JoinMerge::new();
-    m.push_left_slice(left);
-    m.seal_left();
-    m.push_right_slice(right);
-    m.finish()
+/// Streaming merge for `group_by_key`: collects all values of a key into
+/// a `Value::List`, preserving first-seen key order — the grouping table
+/// with a left side only.
+#[derive(Default)]
+pub struct GroupMerge(JoinMerge);
+
+impl GroupMerge {
+    /// New empty accumulator.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Collect one map task's run in, as the shuffle table hands it out.
+    pub fn push_run(&mut self, run: Run<'_>) {
+        self.0.push_run(run, true);
+    }
+
+    /// One `Record(k, List(values))` per key, in first-seen key order.
+    pub fn finish(self) -> Vec<Record> {
+        let grouped = |g: Group| {
+            let [values, _] = g.sides;
+            Record::new(g.key, Value::List(Arc::new(values)))
+        };
+        self.0.groups.into_iter().map(grouped).collect()
+    }
 }
 
-/// Streaming co-group of two sides. Shares [`JoinMerge`]'s seal protocol:
-/// rights pushed before [`CogroupMerge::seal_left`] are buffered and
-/// replayed at seal time, preserving the "left keys first, then unseen
-/// right keys" output order.
-#[derive(Default)]
-pub struct CogroupMerge {
-    order: Vec<Key>,
-    lefts: Vec<Vec<Value>>,
-    rights: Vec<Vec<Value>>,
-    index: HashMap<u64, Vec<u32>, IdentityBuild>,
-    pending: Vec<Record>,
-    sealed: bool,
+/// Streaming co-group of two sides: the grouping table keeping every key,
+/// so the output order is "left keys first, then unseen right keys".
+pub struct CogroupMerge(JoinMerge);
+
+impl Default for CogroupMerge {
+    fn default() -> Self {
+        CogroupMerge(JoinMerge::two_sided(true))
+    }
 }
 
 impl CogroupMerge {
@@ -901,111 +839,22 @@ impl CogroupMerge {
         Self::default()
     }
 
-    fn slot(&self, key: &Key) -> Option<usize> {
-        let h = key.stable_hash();
-        self.index
-            .get(&h)
-            .and_then(|slots| slots.iter().find(|&&i| &self.order[i as usize] == key))
-            .map(|&i| i as usize)
-    }
-
-    fn insert(&mut self, key: Key) -> usize {
-        let h = key.stable_hash();
-        let i = self.order.len();
-        self.index.entry(h).or_default().push(i as u32);
-        self.order.push(key);
-        self.lefts.push(Vec::new());
-        self.rights.push(Vec::new());
-        i
-    }
-
-    /// The merge step for either side: a value joins its key's list on
-    /// that side; a key seen for the first time gets the next slot. Rights
-    /// arriving before the seal are buffered whole.
-    fn side<R: IntoRecord>(&mut self, records: impl IntoIterator<Item = R>, is_left: bool) {
-        if is_left {
-            debug_assert!(!self.sealed, "left side pushed after seal_left");
-        } else if !self.sealed {
-            self.pending.extend(records.into_iter().map(R::into_record));
-            return;
-        }
-        for item in records {
-            let (i, value) = match self.slot(&item.borrow().key) {
-                Some(i) => (i, item.into_value()),
-                None => {
-                    let r = item.into_record();
-                    (self.insert(r.key), r.value)
-                }
-            };
-            let lists = if is_left {
-                &mut self.lefts
-            } else {
-                &mut self.rights
-            };
-            lists[i].push(value);
-        }
-    }
-
-    /// Collect a borrowed left bucket; values (and first-seen keys) are
-    /// cloned.
-    pub fn push_left_slice(&mut self, records: &[Record]) {
-        self.side(records, true);
-    }
-
-    /// Declare the left side complete; buffered right records are
-    /// replayed now, in the order they arrived.
+    /// Declare the left side complete; see [`JoinMerge::seal_left`].
     pub fn seal_left(&mut self) {
-        self.sealed = true;
-        let pending = std::mem::take(&mut self.pending);
-        self.side(pending, false);
-    }
-
-    /// Collect a borrowed right bucket (buffered if the left side is not
-    /// sealed yet); values (and first-seen keys) are cloned.
-    pub fn push_right_slice(&mut self, records: &[Record]) {
-        self.side(records, false);
+        self.0.seal_left();
     }
 
     /// Route one map task's run to the chosen side, as the shuffle table
     /// hands it out.
     pub fn push_run(&mut self, run: Run<'_>, is_left: bool) {
-        match run {
-            Run::Moved(records) => self.side(records.iter_mut().map(std::mem::take), is_left),
-            Run::Shared(records) => self.side(records, is_left),
-            Run::Cols(batch) => self.side(batch.records(), is_left),
-        }
+        self.0.push_run(run, is_left);
     }
 
     /// One `Record(k, Pair(List(lefts), List(rights)))` per key present on
-    /// either side, in first-seen key order (left side first), pre-sized
-    /// from the key count.
-    pub fn finish(mut self) -> Vec<Record> {
-        if !self.sealed {
-            self.seal_left();
-        }
-        let mut out = Vec::with_capacity(self.order.len());
-        for ((k, l), r) in self.order.into_iter().zip(self.lefts).zip(self.rights) {
-            out.push(Record::new(
-                k,
-                Value::Pair(
-                    Box::new(Value::List(Arc::new(l))),
-                    Box::new(Value::List(Arc::new(r))),
-                ),
-            ));
-        }
-        out
+    /// either side, in first-seen key order (left side first).
+    pub fn finish(self) -> Vec<Record> {
+        self.0.finish().0
     }
-}
-
-/// Co-group of two sides: one record per key present on either side, value
-/// `Pair(List(left values), List(right values))`, in first-seen key order
-/// (left side first).
-pub fn merge_cogroup(left: &[Record], right: &[Record]) -> Vec<Record> {
-    let mut m = CogroupMerge::new();
-    m.push_left_slice(left);
-    m.seal_left();
-    m.push_right_slice(right);
-    m.finish()
 }
 
 #[cfg(test)]
@@ -1020,6 +869,41 @@ mod tests {
 
     fn sum() -> ReduceFn {
         Arc::new(|a: &Value, b: &Value| Value::Int(a.as_int() + b.as_int()))
+    }
+
+    /// Each accumulator fed whole parts, every one of them lent.
+    fn reduced(parts: &[&[Record]]) -> (Vec<Record>, u64) {
+        let mut m = ReduceMerge::new(sum());
+        parts.iter().for_each(|part| m.push_slice(part));
+        m.finish()
+    }
+
+    fn grouped(parts: &[&[Record]]) -> Vec<Record> {
+        let mut m = GroupMerge::new();
+        parts.iter().for_each(|part| m.push_run(Run::Shared(part)));
+        m.finish()
+    }
+
+    fn concatenated(parts: &[&[Record]]) -> Vec<Record> {
+        let mut m = ConcatMerge::new();
+        parts.iter().for_each(|part| m.push_run(Run::Shared(part)));
+        m.finish()
+    }
+
+    fn joined(left: &[Record], right: &[Record]) -> (Vec<Record>, u64) {
+        let mut m = JoinMerge::new();
+        m.push_run(Run::Shared(left), true);
+        m.seal_left();
+        m.push_run(Run::Shared(right), false);
+        m.finish()
+    }
+
+    fn cogrouped(left: &[Record], right: &[Record]) -> Vec<Record> {
+        let mut m = CogroupMerge::new();
+        m.push_run(Run::Shared(left), true);
+        m.seal_left();
+        m.push_run(Run::Shared(right), false);
+        m.finish()
     }
 
     #[test]
@@ -1076,18 +960,18 @@ mod tests {
     }
 
     #[test]
-    fn merge_reduce_folds_across_parts() {
+    fn reduce_folds_across_parts() {
         let a = vec![rec(1, 1), rec(2, 10)];
         let b = vec![rec(1, 2), rec(3, 100)];
-        let (out, ops) = merge_reduce([a.as_slice(), b.as_slice()], &sum());
+        let (out, ops) = reduced(&[a.as_slice(), b.as_slice()]);
         assert_eq!(ops, 1);
         assert_eq!(out, vec![rec(1, 3), rec(2, 10), rec(3, 100)]);
     }
 
     #[test]
-    fn merge_reduce_is_deterministic_first_seen_order() {
+    fn reduce_is_deterministic_first_seen_order() {
         let a = vec![rec(5, 1), rec(3, 1), rec(9, 1)];
-        let (out, _) = merge_reduce([a.as_slice()], &sum());
+        let (out, _) = reduced(&[a.as_slice()]);
         let keys: Vec<i64> = out
             .iter()
             .map(|r| match &r.key {
@@ -1099,9 +983,9 @@ mod tests {
     }
 
     #[test]
-    fn merge_group_collects_lists() {
+    fn group_collects_lists() {
         let a = vec![rec(1, 1), rec(1, 2), rec(2, 3)];
-        let out = merge_group([a.as_slice()]);
+        let out = grouped(&[a.as_slice()]);
         assert_eq!(out.len(), 2);
         match &out[0].value {
             Value::List(vs) => assert_eq!(vs.len(), 2),
@@ -1110,17 +994,17 @@ mod tests {
     }
 
     #[test]
-    fn merge_concat_preserves_everything() {
+    fn concat_preserves_everything() {
         let a = vec![rec(1, 1)];
         let b = vec![rec(1, 2), rec(2, 3)];
-        assert_eq!(merge_concat([a.as_slice(), b.as_slice()]).len(), 3);
+        assert_eq!(concatenated(&[a.as_slice(), b.as_slice()]).len(), 3);
     }
 
     #[test]
     fn join_emits_cross_product_per_key() {
         let left = vec![rec(1, 10), rec(1, 11), rec(2, 20)];
         let right = vec![rec(1, 100), rec(3, 300)];
-        let (out, probes) = merge_join(&left, &right);
+        let (out, probes) = joined(&left, &right);
         assert_eq!(probes, 2);
         assert_eq!(out.len(), 2, "key 1 matches 2x1, keys 2 and 3 unmatched");
         for r in &out {
@@ -1138,15 +1022,15 @@ mod tests {
     #[test]
     fn join_with_empty_side_is_empty() {
         let left = vec![rec(1, 10)];
-        assert!(merge_join(&left, &[]).0.is_empty());
-        assert!(merge_join(&[], &left).0.is_empty());
+        assert!(joined(&left, &[]).0.is_empty());
+        assert!(joined(&[], &left).0.is_empty());
     }
 
     #[test]
     fn cogroup_includes_unmatched_keys() {
         let left = vec![rec(1, 10)];
         let right = vec![rec(2, 20)];
-        let out = merge_cogroup(&left, &right);
+        let out = cogrouped(&left, &right);
         assert_eq!(out.len(), 2);
         match &out[1].value {
             Value::Pair(l, r) => {
@@ -1166,45 +1050,10 @@ mod tests {
     }
 
     #[test]
-    fn streaming_reduce_matches_batch_wrapper() {
-        let a: Vec<Record> = (0..40).map(|i| rec(i % 7, i)).collect();
-        let b: Vec<Record> = (0..40).map(|i| rec(i % 5, i * 3)).collect();
-        let (batch, batch_ops) = merge_reduce([a.as_slice(), b.as_slice()], &sum());
-        let mut m = ReduceMerge::new(sum());
-        m.push_run(Run::Moved(&mut a.clone()));
-        m.push_slice(&b);
-        let (streamed, ops) = m.finish();
-        assert_eq!(streamed, batch);
-        assert_eq!(ops, batch_ops);
-    }
-
-    #[test]
-    fn streaming_group_matches_batch_wrapper() {
-        let a: Vec<Record> = (0..30).map(|i| rec(i % 4, i)).collect();
-        let b: Vec<Record> = (0..30).map(|i| rec(i % 9, i)).collect();
-        let batch = merge_group([a.as_slice(), b.as_slice()]);
-        let mut m = GroupMerge::new();
-        m.push_run(Run::Moved(&mut a.clone()));
-        m.push_run(Run::Moved(&mut b.clone()));
-        assert_eq!(m.finish(), batch);
-    }
-
-    #[test]
-    fn streaming_concat_matches_batch_wrapper() {
-        let a = vec![rec(1, 1), rec(2, 2)];
-        let b = vec![rec(3, 3)];
-        let batch = merge_concat([a.as_slice(), b.as_slice()]);
-        let mut m = ConcatMerge::new();
-        m.push_run(Run::Moved(&mut a.clone()));
-        m.push_slice(&b);
-        assert_eq!(m.finish(), batch);
-    }
-
-    #[test]
     fn streaming_join_buffers_rights_pushed_before_seal() {
         let left: Vec<Record> = (0..20).map(|i| rec(i % 6, i)).collect();
         let right: Vec<Record> = (0..15).map(|i| rec(i % 8, i + 100)).collect();
-        let (batch, batch_probes) = merge_join(&left, &right);
+        let (lent, lent_probes) = joined(&left, &right);
         // Interleave: rights arrive before the left side is complete.
         let mut m = JoinMerge::new();
         m.push_run(Run::Moved(&mut right[..7].to_vec()), false);
@@ -1213,21 +1062,21 @@ mod tests {
         m.push_run(Run::Moved(&mut left[10..].to_vec()), true);
         m.seal_left();
         let (streamed, probes) = m.finish();
-        assert_eq!(streamed, batch);
-        assert_eq!(probes, batch_probes);
+        assert_eq!(streamed, lent);
+        assert_eq!(probes, lent_probes);
     }
 
     #[test]
-    fn streaming_cogroup_matches_batch_wrapper() {
+    fn streaming_cogroup_buffers_rights_pushed_before_seal() {
         let left: Vec<Record> = (0..12).map(|i| rec(i % 5, i)).collect();
         let right: Vec<Record> = (0..12).map(|i| rec(i % 7, i + 50)).collect();
-        let batch = merge_cogroup(&left, &right);
+        let lent = cogrouped(&left, &right);
         let mut m = CogroupMerge::new();
         m.push_run(Run::Moved(&mut right[..5].to_vec()), false);
         m.push_run(Run::Moved(&mut left.clone()), true);
         m.push_run(Run::Moved(&mut right[5..].to_vec()), false);
         m.seal_left();
-        assert_eq!(m.finish(), batch);
+        assert_eq!(m.finish(), lent);
     }
 
     #[test]
@@ -1290,14 +1139,14 @@ mod tests {
     }
 
     #[test]
-    fn merge_accumulators_consume_columnar_buckets_identically() {
+    fn accumulators_consume_columnar_buckets_identically() {
         let a: Vec<Record> = (0..60).map(|i| rec(i % 9, i)).collect();
         let b: Vec<Record> = (0..60).map(|i| rec(i % 6, i * 2)).collect();
         let cols_a = ColumnBatch::from_records(&a);
         let cols_b = ColumnBatch::from_records(&b);
         let (batch_a, batch_b) = (Bucket::Cols(cols_a.clone()), Bucket::Cols(cols_b.clone()));
 
-        let (row_out, row_ops) = merge_reduce([a.as_slice(), b.as_slice()], &sum());
+        let (row_out, row_ops) = reduced(&[a.as_slice(), b.as_slice()]);
         let mut m = ReduceMerge::new(sum());
         m.push_bucket(&batch_a);
         m.push_bucket(&batch_b);
@@ -1308,14 +1157,14 @@ mod tests {
         let mut g = GroupMerge::new();
         g.push_run(Run::Cols(cols_a.clone()));
         g.push_run(Run::Cols(cols_b.clone()));
-        assert_eq!(g.finish(), merge_group([a.as_slice(), b.as_slice()]));
+        assert_eq!(g.finish(), grouped(&[a.as_slice(), b.as_slice()]));
 
         let mut c = ConcatMerge::new();
         c.push_run(Run::Cols(cols_a.clone()));
         c.push_run(Run::Cols(cols_b.clone()));
-        assert_eq!(c.finish(), merge_concat([a.as_slice(), b.as_slice()]));
+        assert_eq!(c.finish(), concatenated(&[a.as_slice(), b.as_slice()]));
 
-        let (row_join, row_probes) = merge_join(&a, &b);
+        let (row_join, row_probes) = joined(&a, &b);
         let mut j = JoinMerge::new();
         j.push_bucket(&batch_b, false); // buffered pre-seal
         j.push_bucket(&batch_a, true);
@@ -1328,7 +1177,7 @@ mod tests {
         cg.push_run(Run::Cols(cols_a), true);
         cg.seal_left();
         cg.push_run(Run::Cols(cols_b), false);
-        assert_eq!(cg.finish(), merge_cogroup(&a, &b));
+        assert_eq!(cg.finish(), cogrouped(&a, &b));
     }
 
     #[test]
@@ -1347,36 +1196,33 @@ mod tests {
             let mut m = ReduceMerge::new(sum());
             m.push_run(ra);
             m.push_run(rb);
-            assert_eq!(
-                m.finish(),
-                merge_reduce([a.as_slice(), b.as_slice()], &sum())
-            );
+            assert_eq!(m.finish(), reduced(&[a.as_slice(), b.as_slice()]));
         });
         moved(&mut |ra, rb| {
             let mut g = GroupMerge::new();
             g.push_run(ra);
             g.push_run(rb);
-            assert_eq!(g.finish(), merge_group([a.as_slice(), b.as_slice()]));
+            assert_eq!(g.finish(), grouped(&[a.as_slice(), b.as_slice()]));
         });
         moved(&mut |ra, rb| {
             let mut c = ConcatMerge::new();
             c.push_run(ra);
             c.push_run(rb);
-            assert_eq!(c.finish(), merge_concat([a.as_slice(), b.as_slice()]));
+            assert_eq!(c.finish(), concatenated(&[a.as_slice(), b.as_slice()]));
         });
         moved(&mut |ra, rb| {
             let mut j = JoinMerge::new();
             j.push_run(ra, true);
             j.seal_left();
             j.push_run(rb, false);
-            assert_eq!(j.finish(), merge_join(&a, &b));
+            assert_eq!(j.finish(), joined(&a, &b));
         });
         moved(&mut |ra, rb| {
             let mut cg = CogroupMerge::new();
             cg.push_run(rb, true);
             cg.seal_left();
             cg.push_run(ra, false);
-            assert_eq!(cg.finish(), merge_cogroup(&b, &a));
+            assert_eq!(cg.finish(), cogrouped(&b, &a));
         });
     }
 
@@ -1425,6 +1271,56 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One copy of "how are equal keys found": outside [`KeyIndex`] no
+    /// accumulator declares a hash table of its own, and none anywhere
+    /// chains through a vector per key. The next accumulator takes a
+    /// `KeyIndex` field.
+    #[test]
+    fn the_key_index_is_the_only_hash_table() {
+        let (table, per_key) = (
+            concat!("Hash", "Map<u64"),
+            concat!("Hash", "Map<u64, Vec<u32>"),
+        );
+        let source = include_str!("shuffle.rs");
+        let declared: Vec<_> = source.lines().filter(|l| l.contains(table)).collect();
+        assert_eq!(declared.len(), 1, "identity-hashed tables: {declared:#?}");
+        assert!(
+            declared[0].contains("heads:"),
+            "not the index: {declared:#?}"
+        );
+        assert!(
+            !source.contains(per_key),
+            "a table allocating per distinct key"
+        );
+    }
+
+    #[test]
+    fn the_index_keeps_unequal_keys_that_share_a_hash_apart() {
+        // Five keys under two hashes, so chains of three and two.
+        let hash = |k: i64| (k % 2) as u64;
+        let mut index = KeyIndex::default();
+        let mut held: Vec<i64> = Vec::new();
+        for k in [4, 7, 2, 4, 9, 6, 7, 2, 6] {
+            let at = index.slot(hash(k), |i| held[i] == k);
+            if at == held.len() {
+                held.push(k);
+            }
+            assert_eq!(held[at], k);
+        }
+        assert_eq!(held, [4, 7, 2, 9, 6], "slots are first-seen positions");
+        for (at, &k) in held.iter().enumerate() {
+            assert_eq!(index.find(hash(k), |i| held[i] == k), Some(at));
+        }
+        assert_eq!(
+            index.find(hash(8), |i| held[i] == 8),
+            None,
+            "chain exhausted"
+        );
+        index.clear();
+        assert_eq!(index.find(hash(4), |i| held[i] == 4), None);
+        assert_eq!(index.slot(hash(9), |_| unreachable!("nothing held")), 0);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Property-based tests for the engine's core invariants.
 
 use engine::shuffle::{
-    bucketize, bucketize_runs, bucketize_runs_shared, merge_cogroup, merge_concat, merge_group,
-    merge_join, merge_reduce, Bucket, CogroupMerge, Combiner, ConcatMerge, GroupMerge, JoinMerge,
-    ReduceMerge, Run, TaskArena, TaskRuns,
+    bucketize, bucketize_runs, bucketize_runs_shared, Bucket, CogroupMerge, Combiner, ConcatMerge,
+    GroupMerge, JoinMerge, ReduceMerge, Run, TaskArena, TaskRuns,
 };
 use engine::{
     build_partitioner, measure_skew, sum_vector_counts, sum_vectors, ColumnBatch, Context, Emit,
@@ -154,6 +153,75 @@ fn feed_runs(runs: &[&[Record]], kinds: Option<&[u8]>, mut push: impl FnMut(Run<
     }
 }
 
+/// The reference the accumulators are held to, sharing nothing with them:
+/// a key is found by a linear scan on full `Key ==` — no hashing, so no
+/// collision to get wrong — and takes the next position when the scan
+/// fails. Returns the folded records in first-seen key order and the
+/// number of folds.
+fn naive_reduce(records: &[Record], f: &ReduceFn) -> (Vec<Record>, u64) {
+    let (mut out, mut ops) = (Vec::<Record>::new(), 0);
+    for r in records {
+        match out.iter_mut().find(|held| held.key == r.key) {
+            Some(held) => {
+                f.fold(&mut held.value, &r.value);
+                ops += 1;
+            }
+            None => out.push(r.clone()),
+        }
+    }
+    (out, ops)
+}
+
+/// The same scan over two sides: every key with its left and its right
+/// values in arrival order, left keys first. A right record whose key no
+/// left record has is kept if `outer` and dropped if not.
+fn naive_table(left: &[Record], right: &[Record], outer: bool) -> Vec<(Key, [Vec<Value>; 2])> {
+    let mut table: Vec<(Key, [Vec<Value>; 2])> = Vec::new();
+    for (side, records) in [left, right].into_iter().enumerate() {
+        for r in records {
+            let at = match table.iter().position(|(key, _)| *key == r.key) {
+                Some(at) => at,
+                None if side == 0 || outer => {
+                    table.push((r.key.clone(), [Vec::new(), Vec::new()]));
+                    table.len() - 1
+                }
+                None => continue,
+            };
+            table[at].1[side].push(r.value.clone());
+        }
+    }
+    table
+}
+
+fn naive_group(records: &[Record]) -> Vec<Record> {
+    naive_table(records, &[], false)
+        .into_iter()
+        .map(|(key, [values, _])| Record::new(key, Value::List(Arc::new(values))))
+        .collect()
+}
+
+/// Every matching pair, and one probe per right record.
+fn naive_join(left: &[Record], right: &[Record]) -> (Vec<Record>, u64) {
+    let mut out = Vec::new();
+    for (key, [ls, rs]) in naive_table(left, right, false) {
+        for l in &ls {
+            for r in &rs {
+                let pair = Value::Pair(Box::new(l.clone()), Box::new(r.clone()));
+                out.push(Record::new(key.clone(), pair));
+            }
+        }
+    }
+    (out, right.len() as u64)
+}
+
+fn naive_cogroup(left: &[Record], right: &[Record]) -> Vec<Record> {
+    let list = |values| Box::new(Value::List(Arc::new(values)));
+    naive_table(left, right, true)
+        .into_iter()
+        .map(|(key, [ls, rs])| Record::new(key, Value::Pair(list(ls), list(rs))))
+        .collect()
+}
+
 /// A reduce function defined on every value shape; not commutative, so
 /// it also pins the fold order.
 fn fold_sizes() -> ReduceFn {
@@ -254,11 +322,13 @@ proptest! {
 
     /// Reduce-merge over arbitrary partitionings equals the direct fold.
     #[test]
-    fn merge_reduce_is_partition_invariant(records in arb_records(200), cut in 0usize..200) {
+    fn reduce_is_partition_invariant(records in arb_records(200), cut in 0usize..200) {
         let cut = cut.min(records.len());
         let (a, b) = records.split_at(cut);
-        let f = sum();
-        let (merged, _) = merge_reduce([a, b], &f);
+        let mut m = ReduceMerge::new(sum());
+        m.push_slice(a);
+        m.push_slice(b);
+        let (merged, _) = m.finish();
         prop_assert_eq!(key_sums(&merged), key_sums(&records));
         // One record per distinct key.
         let distinct: std::collections::HashSet<_> =
@@ -268,8 +338,10 @@ proptest! {
 
     /// Group-merge collects exactly the multiset of values per key.
     #[test]
-    fn merge_group_collects_everything(records in arb_records(150)) {
-        let grouped = merge_group([records.as_slice()]);
+    fn group_collects_everything(records in arb_records(150)) {
+        let mut m = GroupMerge::new();
+        m.push_run(Run::Shared(&records));
+        let grouped = m.finish();
         let mut counts: HashMap<Key, usize> = HashMap::new();
         for r in &records {
             *counts.entry(r.key.clone()).or_default() += 1;
@@ -285,22 +357,26 @@ proptest! {
 
     /// Concat preserves count and total bytes.
     #[test]
-    fn merge_concat_is_lossless(records in arb_records(150), cut in 0usize..150) {
+    fn concat_is_lossless(records in arb_records(150), cut in 0usize..150) {
         let cut = cut.min(records.len());
         let (a, b) = records.split_at(cut);
-        let merged = merge_concat([a, b]);
+        let mut m = ConcatMerge::new();
+        m.push_run(Run::Shared(a));
+        m.push_run(Run::Shared(b));
+        let merged = m.finish();
         prop_assert_eq!(merged.len(), records.len());
         prop_assert_eq!(engine::batch_size(&merged), engine::batch_size(&records));
     }
 
     /// However a reducer's input arrives — runs moved, lent or columnar,
     /// in any mix, rights before or after the left side is sealed — every
-    /// accumulator finishes to what the all-lent feed gives, records and
-    /// counters both.
+    /// accumulator finishes to what the all-lent feed gives and to what
+    /// the hash-free reference computes, records and counters both, over
+    /// keys of every shape and over unequal keys that share a stable hash.
     #[test]
     fn accumulators_do_not_care_how_runs_arrive(
-        left in arb_colliding_records(160),
-        right in arb_colliding_records(160),
+        left in prop_oneof![arb_colliding_records(160), arb_hash_colliding_records(160)],
+        right in prop_oneof![arb_colliding_records(160), arb_hash_colliding_records(160)],
         left_cuts in proptest::collection::vec(0usize..160, 0..6),
         right_cuts in proptest::collection::vec(0usize..160, 0..6),
         kinds in proptest::collection::vec(0u8..3, 16),
@@ -316,7 +392,7 @@ proptest! {
             m.finish()
         };
         prop_assert_eq!(reduce(Some(&kinds)), reduce(None));
-        prop_assert_eq!(reduce(None), merge_reduce(lefts.iter().copied(), &f));
+        prop_assert_eq!(reduce(None), naive_reduce(&left, &f));
 
         let group = |kinds| {
             let mut m = GroupMerge::new();
@@ -324,7 +400,7 @@ proptest! {
             m.finish()
         };
         prop_assert_eq!(group(Some(&kinds)), group(None));
-        prop_assert_eq!(group(None), merge_group(lefts.iter().copied()));
+        prop_assert_eq!(group(None), naive_group(&left));
 
         let concat = |kinds| {
             let mut m = ConcatMerge::new();
@@ -332,7 +408,7 @@ proptest! {
             m.finish()
         };
         prop_assert_eq!(concat(Some(&kinds)), concat(None));
-        prop_assert_eq!(concat(None), merge_concat(lefts.iter().copied()));
+        prop_assert_eq!(concat(None), left.clone());
 
         // The first `early` right runs arrive before any left run.
         let right_kinds = |kinds: Option<&[u8]>| kinds.map(|k| k.iter().rev().copied().collect::<Vec<u8>>());
@@ -346,7 +422,7 @@ proptest! {
             m.finish()
         };
         prop_assert_eq!(join(Some(&kinds)), join(None));
-        prop_assert_eq!(join(None), merge_join(&left, &right));
+        prop_assert_eq!(join(None), naive_join(&left, &right));
 
         let cogroup = |kinds: Option<&[u8]>| {
             let rk = right_kinds(kinds);
@@ -358,13 +434,13 @@ proptest! {
             m.finish()
         };
         prop_assert_eq!(cogroup(Some(&kinds)), cogroup(None));
-        prop_assert_eq!(cogroup(None), merge_cogroup(&left, &right));
+        prop_assert_eq!(cogroup(None), naive_cogroup(&left, &right));
     }
 
     /// The incremental combiner fed one record at a time — each owned or
     /// borrowed as drawn — writes what the whole-sequence combining writes
-    /// do, and what combine-free bucketing followed by a per-bucket reduce
-    /// gives: the same runs with the same boundaries, byte table and
+    /// do, and what combine-free bucketing followed by the hash-free
+    /// reference reduce of each bucket gives: the same runs with the same boundaries, byte table and
     /// combine count, at one partition, a few, and far more than keys,
     /// with unequal keys that share a hash, over a reused arena.
     #[test]
@@ -391,7 +467,7 @@ proptest! {
         let merged: Vec<(Vec<Record>, u64)> = buckets
             .buckets
             .iter()
-            .map(|b| merge_reduce([b.to_vec().as_slice()], &f))
+            .map(|b| naive_reduce(&b.to_vec(), &f))
             .collect();
         let want = (
             merged
@@ -496,7 +572,10 @@ proptest! {
     /// Join output size equals the sum over shared keys of |L_k|·|R_k|.
     #[test]
     fn join_cardinality_matches_set_theory(left in arb_records(80), right in arb_records(80)) {
-        let (joined, _) = merge_join(&left, &right);
+        let mut m = JoinMerge::new();
+        m.push_run(Run::Shared(&left), true);
+        m.push_run(Run::Shared(&right), false);
+        let (joined, _) = m.finish();
         let mut lc: HashMap<Key, usize> = HashMap::new();
         for r in &left { *lc.entry(r.key.clone()).or_default() += 1; }
         let mut rc: HashMap<Key, usize> = HashMap::new();

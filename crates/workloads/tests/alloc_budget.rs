@@ -1,7 +1,8 @@
-//! Heap allocations of the three vector-sum jobs and of a SQL scan,
-//! counted — the guard on "accumulate allocates nothing per record" and
-//! "a producer emits, it does not return" where wall-clock cannot be one:
-//! a count repeats exactly, a timing on a shared host does not.
+//! Heap allocations of the three vector-sum jobs, of a SQL scan and of the
+//! SQL join, counted — the guard on "accumulate allocates nothing per
+//! record", "a producer emits, it does not return" and "an accumulator
+//! allocates nothing per distinct key" where wall-clock cannot be one: a
+//! count repeats exactly, a timing on a shared host does not.
 //!
 //! A counting `#[global_allocator]` wraps the system one (hence a test
 //! binary of its own, with a single test so nothing else allocates
@@ -11,31 +12,41 @@
 //! the difference of two marks. The counts are pinned exactly (per input
 //! record of the job's map stage in brackets):
 //!
-//! | job (map + reduce stage)            | records | by-value reduce | in-place reduce | emitting producers |
-//! |-------------------------------------|--------:|----------------:|----------------:|-------------------:|
-//! | KMeans `assign` + `update`          |   8 000 |   64 286 (8.04) |   16 350 (2.04) |      16 350 (2.04) |
-//! | PCA `cov-rows` + `cov-reduce`       |   6 000 | 132 295 (22.05) |   42 305 (7.05) |      12 353 (2.06) |
-//! | LogReg `gradient` + `sum-gradients` |   6 000 |   30 312 (5.05) |    6 328 (1.05) |       6 328 (1.05) |
-//! | SQL `scan-orders` + `agg-orders`    |   8 000 |               — |   17 023 (2.13) |       1 035 (0.13) |
-//! | … the same at scale 0.5             |   4 000 |               — |    8 917 (2.23) |         929 (0.23) |
+//! | job (map + reduce stage)            | records | by-value reduce | in-place reduce | emitting producers | one key table |
+//! |-------------------------------------|--------:|----------------:|----------------:|-------------------:|--------------:|
+//! | KMeans `assign` + `update`          |   8 000 |   64 286 (8.04) |   16 350 (2.04) |      16 350 (2.04) | 16 350 (2.04) |
+//! | PCA `cov-rows` + `cov-reduce`       |   6 000 | 132 295 (22.05) |   42 305 (7.05) |      12 353 (2.06) | 12 352 (2.06) |
+//! | LogReg `gradient` + `sum-gradients` |   6 000 |   30 312 (5.05) |    6 328 (1.05) |       6 328 (1.05) |  6 326 (1.05) |
+//! | SQL `scan-orders` + `agg-orders`    |   8 000 |               — |   17 023 (2.13) |       1 035 (0.13) |    682 (0.09) |
+//! | … the same at scale 0.5             |   4 000 |               — |    8 917 (2.23) |         929 (0.23) |    647 (0.16) |
+//! | SQL `join-revenue` (one stage)      |     724 |               — |               — |       2 059 (2.84) |  1 592 (2.20) |
 //!
 //! Each column is the same test one commit on: `ReduceFn` by value with
 //! `Value::Vector(Arc<Vec<f64>>)`; the in-place `Reduce` with
 //! `Arc<[f64]>`; generators and flat-maps that push into the task's sink
-//! (`engine::Emit`) instead of returning a `Vec`. What is left per record
-//! is what the record model itself costs: the two boxes of a
+//! (`engine::Emit`) instead of returning a `Vec`; the reduce-side
+//! accumulators sharing the combine's chained first-seen index instead of
+//! each keeping a `Vec<u32>` of slots per distinct key. What is left per
+//! record is what the record model itself costs: the two boxes of a
 //! `Value::Pair` (KMeans), the centered point and the one scratch row
 //! `cov-rows` lends `dim` = 5 times (PCA; it was the flat-map's output
 //! vector, the centered point and a vector per row), the gradient vector
 //! (LogReg). A SQL row costs nothing: `TableGen::stream` lends one scratch
 //! row, the projection reads it, the combine folds a float. The SQL job is
 //! its workload's first, so its count carries the context's and the
-//! generator's construction; the ~900 allocations it does not shed with
+//! generator's construction; the ~650 allocations it does not shed with
 //! its rows are that and the per-task work of 24 tasks, and the slope —
-//! 106 allocations for 4 000 more rows, 0.027 a row, the combiners' tables
-//! growing — is what the last assertion holds under 0.1. The fractions
-//! elsewhere are per-task and per-job work too. Debug and release builds
-//! count the same.
+//! 35 allocations for 4 000 more rows, 0.009 a row, the combiners' and
+//! the merges' tables growing — is what the last assertion holds under
+//! 0.1. The last column's fall there, 353, is the allocation per distinct
+//! key reaching `agg-orders` (410 of the 500 keys are drawn) less the
+//! growth of the index's own chain vector in 12 reduce tasks. The `join`
+//! job is one stage: both aggregates are cached by the jobs before it, so
+//! its 12 tasks read the 410 + 314 totals as co-partitioned narrow sides
+//! and emit 279 matches; per key it keeps what the grouping table and the
+//! output cost — the left and the right value list and the two boxes of
+//! the joined `Value::Pair`. The fractions elsewhere are per-task and
+//! per-job work too. Debug and release builds count the same.
 
 use engine::{EngineOptions, ReplanHook, ReplanInput, WorkloadConf};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -120,23 +131,26 @@ fn vector_sum_jobs_stay_within_their_allocation_budget() {
             .execute(o, &conf, 1.0)
             .ctx
     });
-    let sql = |scale: f64| {
-        job_allocations("orders-aggregate", |o| {
+    let sql = |job: &str, scale: f64| {
+        job_allocations(job, |o| {
             Sql::new(SqlConfig::small()).execute(o, &conf, scale).ctx
         })
     };
-    let (sql_full, sql_half) = (sql(1.0), sql(0.5));
+    let (sql_full, sql_half) = (sql("orders-aggregate", 1.0), sql("orders-aggregate", 0.5));
+    let sql_join = sql("join", 1.0);
     assert_eq!(
-        [kmeans, pca, logreg, sql_full, sql_half],
+        [kmeans, pca, logreg, sql_full, sql_half, sql_join],
         [
             (16_350, 8_000),
-            (12_353, 6_000),
-            (6_328, 6_000),
-            (1_035, 8_000),
-            (929, 4_000)
+            (12_352, 6_000),
+            (6_326, 6_000),
+            (682, 8_000),
+            (647, 4_000),
+            (1_592, 724)
         ],
         "(allocations, input records) of KMeans assign+update, PCA cov-rows+cov-reduce, \
-         LogReg gradient+sum-gradients, SQL scan-orders+agg-orders at scale 1 and 0.5"
+         LogReg gradient+sum-gradients, SQL scan-orders+agg-orders at scale 1 and 0.5, \
+         SQL join-revenue"
     );
     assert!(
         (sql_full.0 - sql_half.0) * 10 < sql_full.1 - sql_half.1,
