@@ -40,7 +40,7 @@
 use bench::{
     ablations, fmt_kb, fmt_time, kmeans_motivation, kmeans_paper, kmeans_reduced, paper_autotuner,
     paper_autotuner_degraded, paper_autotuner_mem, paper_engine, pca_paper, section, sql_paper,
-    stages, total_time, wordcount_paper, Table,
+    stages, wordcount_paper, Table,
 };
 use chopper::{Comparison, Workload};
 use engine::{Context, FaultPlan, StageMetrics, WorkloadConf};
@@ -526,7 +526,7 @@ impl MotivationSweep {
                 eprintln!("[repro] motivation sweep P={p}...");
                 let ctx: Context = w.run(&paper_engine(p, false), &WorkloadConf::new(), 1.0);
                 let st = stages(&ctx);
-                let total = total_time(&ctx);
+                let total = ctx.run_span();
                 (p, st, total)
             })
             .collect();
@@ -734,7 +734,7 @@ fn fig_mem() -> String {
             fmt_kb(mc.spill_bytes),
             mc.rereads.to_string(),
             fmt_kb(mc.reread_bytes),
-            fmt_time(total_time(ctx)),
+            fmt_time(ctx.run_span()),
         ]);
     }
     section(
@@ -814,8 +814,8 @@ fn fig_faults() -> String {
         t.row(vec![
             (*name).into(),
             format!("{}/{}", faulted.jobs().len(), clean.jobs().len()),
-            fmt_time(total_time(&clean)),
-            fmt_time(total_time(&faulted)),
+            fmt_time(clean.run_span()),
+            fmt_time(faulted.run_span()),
             fc.retried_tasks.to_string(),
             fc.recomputed_map_tasks.to_string(),
             fc.replica_rehomed_partitions.to_string(),

@@ -207,15 +207,6 @@ fn paper_tuner(base: EngineOptions) -> Autotuner {
     t
 }
 
-/// Total virtual execution time of a finished context.
-pub fn total_time(ctx: &Context) -> f64 {
-    let jobs = ctx.jobs();
-    match (jobs.first(), jobs.last()) {
-        (Some(f), Some(l)) => l.end - f.start,
-        _ => 0.0,
-    }
-}
-
 /// All stages of a context, cloned, in execution order.
 pub fn stages(ctx: &Context) -> Vec<StageMetrics> {
     ctx.all_stages().into_iter().cloned().collect()

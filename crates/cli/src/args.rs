@@ -26,7 +26,7 @@ impl std::fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 /// Flags that take no value.
-const BOOLEAN_FLAGS: &[&str] = &["copartition", "vanilla", "help", "gantt", "serial"];
+const BOOLEAN_FLAGS: &[&str] = &["copartition", "gantt", "serial"];
 
 /// Flags that take a value, over all commands.
 const VALUE_FLAGS: &[&str] = &[

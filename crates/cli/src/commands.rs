@@ -21,7 +21,7 @@ commands:
            [--topology flat|rack:RxH[:oversub]]
            [--executor-mem SIZE] [--fault-plan FILE] [--fault-seed N]
   tune     --workload W --db FILE [--out-conf FILE]
-           [--scales 0.1,0.3,0.6] [--partitions 60,150,300,600,1200]
+           [--scales 0.1,0.3,0.6] [--test-partitions 60,150,300,600,1200]
            [--test-parallelism N]
   plan     --workload W --db FILE [--out-conf FILE] [--partitions N]
   compare  --workload W [--partitions N] [--executor-mem SIZE]
@@ -239,10 +239,10 @@ fn print_stages(ctx: &Context) {
             s.task_skew()
         );
     }
-    if let (Some(first), Some(last)) = (ctx.jobs().first(), ctx.jobs().last()) {
+    if !ctx.jobs().is_empty() {
         println!(
             "total: {:.2}s over {} jobs",
-            last.end - first.start,
+            ctx.run_span(),
             ctx.jobs().len()
         );
     }
@@ -250,14 +250,22 @@ fn print_stages(ctx: &Context) {
 
 fn tuner(args: &Args) -> Result<Autotuner, String> {
     let opts = engine_opts(args)?;
+    let scales = args
+        .num_list("scales", vec![0.1, 0.3, 0.6])
+        .map_err(|e| e.to_string())?;
+    if let Some(s) = scales.iter().find(|&&s| !(s > 0.0 && s <= 1.0)) {
+        return Err(format!("--scales entries must be in (0, 1], got {s}"));
+    }
+    let partitions = args
+        .num_list("test-partitions", vec![60, 150, 300, 600, 1200])
+        .map_err(|e| e.to_string())?;
+    if partitions.contains(&0) {
+        return Err("--test-partitions entries must be positive, got 0".into());
+    }
     let mut t = Autotuner::new(opts);
     t.test_plan = TestRunPlan {
-        scales: args
-            .num_list("scales", vec![0.1, 0.3, 0.6])
-            .map_err(|e| e.to_string())?,
-        partitions: args
-            .num_list("test-partitions", vec![60, 150, 300, 600, 1200])
-            .map_err(|e| e.to_string())?,
+        scales,
+        partitions,
         kinds: vec![PartitionerKind::Hash, PartitionerKind::Range],
         probe_user_fixed: true,
         parallelism: args.num("test-parallelism", 1).map_err(|e| e.to_string())?,

@@ -4,7 +4,7 @@
 //! chopper-cli run     --workload kmeans [--scale 0.5] [--partitions 300]
 //!                     [--copartition] [--conf FILE] [--cluster paper|uniform:N,C,GHz]
 //! chopper-cli tune    --workload sql --db db.json [--out-conf conf.txt]
-//!                     [--scales 0.1,0.3,0.6] [--partitions 60,150,300,600,1200]
+//!                     [--scales 0.1,0.3,0.6] [--test-partitions 60,150,300,600,1200]
 //! chopper-cli plan    --workload sql --db db.json [--out-conf conf.txt]
 //! chopper-cli compare --workload pca [--partitions 300]
 //! chopper-cli trace   kmeans [--out trace_kmeans.json] [--clock all|virtual|wall]
@@ -23,10 +23,10 @@ use args::Args;
 
 /// `trace <workload>` reads naturally, but the flag parser takes no
 /// positionals — rewrite the bare workload token into `--workload`. A
-/// leading `--help` / `-h` is the `help` command.
+/// `--help` / `-h` anywhere is the `help` command.
 fn normalize(mut raw: Vec<String>) -> Vec<String> {
-    if matches!(raw.first().map(String::as_str), Some("--help" | "-h")) {
-        raw[0] = "help".to_string();
+    if raw.iter().any(|t| t == "--help" || t == "-h") {
+        return vec!["help".to_string()];
     }
     if raw.first().map(String::as_str) == Some("trace")
         && raw.get(1).is_some_and(|t| !t.starts_with("--"))

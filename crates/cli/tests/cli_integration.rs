@@ -31,9 +31,14 @@ fn help_prints_usage() {
     let text = String::from_utf8_lossy(&usage);
     assert!(text.contains("chopper-cli"));
     assert!(text.contains("compare"));
-    // The flag spellings are the same command: usage on stdout, exit 0.
-    for flag in ["--help", "-h"] {
-        assert_eq!(run_ok(bin().arg(flag)).stdout, usage, "{flag}");
+    // The flag spellings are the same command, wherever they stand:
+    // usage on stdout, exit 0, and nothing run.
+    for tokens in [
+        &["--help"][..],
+        &["-h"],
+        &["run", "--workload", "sql", "--help"],
+    ] {
+        assert_eq!(run_ok(bin().args(tokens)).stdout, usage, "{tokens:?}");
     }
 }
 
@@ -189,16 +194,19 @@ fn conf_rejects_garbage() {
 }
 
 /// Degenerate engine input is a one-line error at parse time: every case
-/// here used to reach an assertion deep in the simulator, the block store
-/// or a partitioner (or, for a negative speed, to run).
+/// here used to reach an assertion deep in the simulator, the block store,
+/// a partitioner or a workload's generator (or, for a negative speed, to
+/// run).
 #[test]
 fn degenerate_engine_input_is_an_error_not_a_panic() {
     let dir = tmpdir("degenerate");
     let conf = dir.join("zero.conf");
     std::fs::write(&conf, "default 0\n").unwrap();
     let conf = conf.to_str().unwrap();
+    let db = dir.join("d.json");
+    let tune = ["tune", "--workload", "sql", "--db", db.to_str().unwrap()];
     let run = ["run", "--workload", "sql", "--scale", "0.05"];
-    let cases: [(&[&str], &str); 8] = [
+    let cases: [(&[&str], &str); 11] = [
         (&["--cluster", "uniform:0,4,2.0"], "at least one node"),
         (&["--cluster", "uniform:2,0,2.0"], "cores is 0"),
         (&["--cluster", "uniform:2,4,0"], "speed is 0"),
@@ -210,11 +218,23 @@ fn degenerate_engine_input_is_an_error_not_a_panic() {
             &["conf", "--file", conf],
             "default parallelism must be positive",
         ),
+        (&["--scales", "0"], "--scales entries must be in (0, 1]"),
+        (&["--scales", "1.5"], "--scales entries must be in (0, 1]"),
+        (
+            &["--test-partitions", "0"],
+            "--test-partitions entries must be",
+        ),
     ];
     for (flags, message) in cases {
         let mut cmd = bin();
-        if flags[0] != "conf" {
-            cmd.args(run);
+        match flags[0] {
+            "conf" => {}
+            "--scales" | "--test-partitions" => {
+                cmd.args(tune);
+            }
+            _ => {
+                cmd.args(run);
+            }
         }
         let out = cmd.args(flags).output().expect("runs");
         let err = String::from_utf8_lossy(&out.stderr);

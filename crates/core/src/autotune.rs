@@ -175,14 +175,14 @@ impl Comparison {
 
     /// Total vanilla execution time (virtual seconds).
     pub fn vanilla_time(&self) -> f64 {
-        span(&self.vanilla)
+        self.vanilla.run_span()
     }
 
     /// Total CHOPPER execution time (virtual seconds), including any
     /// inserted repartition phases — "the reported execution time includes
     /// the overhead of repartitioning introduced by CHOPPER".
     pub fn chopper_time(&self) -> f64 {
-        span(&self.chopper)
+        self.chopper.run_span()
     }
 
     /// Relative improvement in percent (positive = CHOPPER faster).
@@ -192,14 +192,6 @@ impl Comparison {
             return 0.0;
         }
         100.0 * (v - self.chopper_time()) / v
-    }
-}
-
-fn span(ctx: &Context) -> f64 {
-    let jobs = ctx.jobs();
-    match (jobs.first(), jobs.last()) {
-        (Some(first), Some(last)) => last.end - first.start,
-        _ => 0.0,
     }
 }
 

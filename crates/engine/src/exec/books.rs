@@ -1,14 +1,19 @@
-//! The books under failure: the cached-partition ledger and its spill
-//! files, and the fault plan's events and the recovery they trigger.
+//! The books under failure: the cache ledger — which cached partitions
+//! exist, on which nodes, in memory or spilled — with every movement of
+//! one, and the fault plan's events and the recovery they trigger.
 
 use super::context::{Context, Lane};
+use super::dataplane::TaskOut;
 use super::stage::ShuffleData;
+use crate::partitioner::PartitionerSpec;
 use crate::rdd::{Rdd, RddGraph};
-use crate::record::batch_size;
+use crate::record::{batch_size, Record};
+use crate::stage::{MaterializedInfo, Plan, PlanStage, StageOutput, StageRoot};
 use faults::{FaultCounters, FaultPlan, NodeLoss, Straggler};
-use memman::{Eviction, MemoryManager};
-use simcluster::{NodeId, TaskSpec};
-use std::collections::HashMap;
+use memman::{Eviction, MemCounters, MemoryManager};
+use simcluster::{NodeId, StageTiming, TaskSpec};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 use trace::{pids, Clock, Track};
 
 /// Spills, as the ledger decides them.
@@ -52,44 +57,308 @@ impl FaultState {
     }
 }
 
+/// A cached RDD as the stage that computed it left it: the partitions,
+/// the node each lives on, and the partitioning they are known to have.
+struct Materialized {
+    parts: Vec<Arc<Vec<Record>>>,
+    homes: Vec<NodeId>,
+    partitioning: Option<PartitionerSpec>,
+    producer_stage: usize,
+}
+
+/// The cache ledger: each cached RDD's partitions and homes, the memory
+/// manager's book of what is resident where and what is spilled, and the
+/// cached reads served per RDD (for LRC's remaining references). Only
+/// this module changes it, and every change that moves a partition keeps
+/// the spill files in `store` and the simulator's residency in step.
+pub(super) struct Ledger {
+    /// Ordered by RDD id, so a walk over it is deterministic.
+    materialized: BTreeMap<Rdd, Materialized>,
+    mem: MemoryManager,
+    reads_done: HashMap<Rdd, usize>,
+}
+
+impl Ledger {
+    pub(super) fn new(num_nodes: usize, executor_mem: Option<u64>) -> Self {
+        Ledger {
+            materialized: BTreeMap::new(),
+            mem: MemoryManager::new(num_nodes, executor_mem),
+            reads_done: HashMap::new(),
+        }
+    }
+
+    /// Whether `rdd` is cached.
+    pub(super) fn holds(&self, rdd: Rdd) -> bool {
+        self.materialized.contains_key(&rdd)
+    }
+
+    /// Cached `rdd`'s partitions, and the global id of the stage that
+    /// computed them.
+    pub(super) fn cached(&self, rdd: Rdd) -> (&[Arc<Vec<Record>>], usize) {
+        let mat = &self.materialized[&rdd];
+        (&mat.parts, mat.producer_stage)
+    }
+
+    /// What the planner knows of each cached RDD.
+    pub(super) fn infos(&self) -> HashMap<Rdd, MaterializedInfo> {
+        let info = |m: &Materialized| MaterializedInfo {
+            partitions: m.parts.len(),
+            partitioning: m.partitioning,
+        };
+        self.materialized
+            .iter()
+            .map(|(&r, m)| (r, info(m)))
+            .collect()
+    }
+
+    /// How partition `i` of cached `rdd` is read: from its home node's
+    /// memory, or — once the entry is spilled — from that node's local
+    /// disk.
+    pub(super) fn read_of(&self, rdd: Rdd, i: usize) -> TaskSpec {
+        let mat = &self.materialized[&rdd];
+        let bytes = batch_size(&mat.parts[i]);
+        let mut t = TaskSpec {
+            fetch_chunks: usize::from(!mat.parts[i].is_empty()),
+            ..TaskSpec::default()
+        };
+        if self.mem.is_spilled(rdd.0 as u64) {
+            t.local_read_bytes = bytes;
+        } else {
+            t.fetches = vec![(mat.homes[i], bytes)];
+        }
+        t
+    }
+
+    /// How task `i` of a stage rooted at cached `rdd` reads its partition:
+    /// as [`Ledger::read_of`], preferring the home node, with one chunk
+    /// per memory read — a spilled partition is local disk I/O (feeding
+    /// the Fig. 14 transaction counters), not a memory-resident fetch.
+    pub(super) fn scan_of(&self, rdd: Rdd, i: usize) -> TaskSpec {
+        let mut t = self.read_of(rdd, i);
+        t.fetch_chunks = usize::from(!t.fetches.is_empty());
+        t.preferred_nodes = vec![self.materialized[&rdd].homes[i]];
+        t
+    }
+
+    /// Counts a map-side shuffle spill of `bytes` (a combine buffer larger
+    /// than the task's execution-memory share); no cached partition moves.
+    pub(super) fn note_shuffle_spill(&mut self, bytes: u64) {
+        self.mem.note_shuffle_spill(bytes);
+    }
+}
+
 impl Context {
     // ------------------------------------------------------------------
-    // The cache ledger
+    // The cache ledger: every movement of a cached partition
     // ------------------------------------------------------------------
 
-    /// The one place cached data changes where it lives. `op` books the
-    /// movement — a capture admitted, a stage's execution reservation, a
-    /// lost node's partitions re-homed, an `uncache` — in the memory
-    /// manager and returns the entries the manager pushed to disk to make
-    /// room; their spill files are written and the simulator's residency
-    /// becomes the ledger's, so the books agree after every movement.
-    /// `op` is handed the remaining-reference lookup, which the manager
-    /// calls only while it ranks victims: a run that never overflows
-    /// never walks the graph.
-    pub(super) fn book(
+    /// Releases a cached RDD: drops its pin reference and frees the
+    /// materialization (memory residency, storage-region accounting, and
+    /// any spill files) immediately. A later read recomputes from lineage.
+    pub fn uncache(&mut self, rdd: Rdd) {
+        self.graph.set_uncached(rdd);
+        let Some(mat) = self.ledger.materialized.remove(&rdd) else {
+            return;
+        };
+        let id = rdd.0 as u64;
+        if self.ledger.mem.is_spilled(id) {
+            for i in 0..mat.parts.len() {
+                self.store.delete_file(&spill_name(rdd, i));
+            }
+        }
+        self.book(|mem, _| {
+            mem.release(id);
+            Vec::new()
+        });
+    }
+
+    /// Snapshot of the memory-manager counters (evictions, spills,
+    /// rereads, released entries).
+    pub fn mem_counters(&self) -> MemCounters {
+        self.ledger.mem.counters()
+    }
+
+    /// Books the cache captures of a stage's tasks, each RDD whole or not
+    /// at all, partition `i` on `homes[i]`, in RDD-id order: under a
+    /// memory budget the insertion order decides who evicts whom, so
+    /// hash-map order would leak into results. The manager spills LRC
+    /// victims to make room or, when none can be made, the capture itself
+    /// on arrival — a transfer of its own after the victims'.
+    pub(super) fn capture(
         &mut self,
-        op: impl FnOnce(&mut MemoryManager, memman::RefsOf) -> Vec<Eviction>,
+        plan: &Plan,
+        stage: &PlanStage,
+        producer_stage: usize,
+        outs: &[TaskOut],
+        homes: &[NodeId],
     ) {
-        let (graph, reads_done) = (&self.graph, &self.reads_done);
-        let evicted = op(&mut self.mem, &|id| {
+        let root_rdd = stage.root_rdd();
+        let root_part = match &stage.root {
+            StageRoot::Source(_) => None,
+            StageRoot::ShuffleRead { wide, .. } | StageRoot::JoinRead { wide, .. } => {
+                plan.schemes.get(wide).copied()
+            }
+            StageRoot::CachedRead(rdd) => self.ledger.materialized[rdd].partitioning,
+        };
+        let mut capture_map: HashMap<Rdd, Vec<Arc<Vec<Record>>>> = HashMap::new();
+        for out in outs {
+            for (rdd, data) in &out.captures {
+                capture_map.entry(*rdd).or_default().push(Arc::clone(data));
+            }
+        }
+        let mut captures: Vec<(Rdd, Vec<Arc<Vec<Record>>>)> = capture_map.into_iter().collect();
+        captures.sort_by_key(|(r, _)| r.0);
+        for (rdd, parts) in captures {
+            if parts.len() != outs.len() || self.ledger.holds(rdd) {
+                continue;
+            }
+            let partitioning = if rdd == root_rdd {
+                root_part
+            } else {
+                self.partitioning_at(root_part, &stage.chain, rdd)
+            };
+            // The producing stage consumes the capture inline unless the
+            // capture is the stage's final result — that consumption has
+            // already burned one lineage reference.
+            if !(rdd == stage.terminal && matches!(stage.output, StageOutput::Result)) {
+                *self.ledger.reads_done.entry(rdd).or_insert(0) += 1;
+            }
+            let mut per_node = vec![0u64; self.options.cluster.num_nodes()];
+            for (part, &home) in parts.iter().zip(homes) {
+                per_node[home] += batch_size(part);
+            }
+            let entry = Materialized {
+                parts,
+                homes: homes.to_vec(),
+                partitioning,
+                producer_stage,
+            };
+            self.ledger.materialized.insert(rdd, entry);
+            let id = rdd.0 as u64;
+            self.book(|mem, refs| mem.insert(id, per_node.clone(), refs));
+            if self.ledger.mem.is_spilled(id) {
+                self.write_spills(&[Eviction {
+                    id,
+                    bytes: per_node,
+                }]);
+            }
+        }
+    }
+
+    /// Accounts a stage's cached reads: each consuming stage burns one
+    /// lineage reference, bumps recency, and — for spilled entries — pays
+    /// the reread through the spill files.
+    pub(super) fn account_cached_reads(&mut self, cached_reads: &[Rdd]) {
+        for rdd in cached_reads {
+            *self.ledger.reads_done.entry(*rdd).or_insert(0) += 1;
+            let id = rdd.0 as u64;
+            self.ledger.mem.touch(id);
+            if self.ledger.mem.is_spilled(id) {
+                self.ledger.mem.reread(id);
+                for i in 0..self.ledger.materialized[rdd].parts.len() {
+                    self.store.read_file(&spill_name(*rdd, i));
+                }
+            }
+        }
+    }
+
+    /// Reserves a stage's execution working set — per node, the largest
+    /// task `timing` placed there — before its captures ask for room:
+    /// execution borrows from storage, so cached entries may spill.
+    pub(super) fn reserve_execution(&mut self, specs: &[TaskSpec], timing: &StageTiming) {
+        let mut per_node = vec![0u64; self.options.cluster.num_nodes()];
+        for (spec, t) in specs.iter().zip(&timing.tasks) {
+            per_node[t.node] = per_node[t.node].max(spec.memory_bytes);
+        }
+        self.book(|mem, refs| mem.set_execution_reservation(&per_node, refs));
+    }
+
+    /// Moves the cached partitions that lived on lost `node` to
+    /// `survivors`, round-robin in RDD-id order, at the cost of a network
+    /// copy plus a replica disk read (their host-side `Arc`s never left
+    /// driver memory, so results are untouched). A survivor pushed over
+    /// its budget spills its LRC victims, and a partition that was on the
+    /// lost node's disk lands on its new home's disk.
+    fn rehome_cached(&mut self, node: NodeId, survivors: &[NodeId]) {
+        let num_nodes = self.options.cluster.num_nodes();
+        let mut replica_read = vec![0u64; num_nodes];
+        let mut respilled = vec![0u64; num_nodes];
+        let mut ledger_moves: Vec<(u64, NodeId, u64)> = Vec::new();
+        let mut transfers: Vec<(NodeId, NodeId, u64)> = Vec::new();
+        for (&rdd, mat) in self.ledger.materialized.iter_mut() {
+            let spilled = self.ledger.mem.is_spilled(rdd.0 as u64);
+            for (i, home) in mat.homes.iter_mut().enumerate() {
+                if *home != node {
+                    continue;
+                }
+                let k = ledger_moves.len();
+                let (new_home, bytes) = (survivors[k % survivors.len()], batch_size(&mat.parts[i]));
+                *home = new_home;
+                if spilled {
+                    self.store
+                        .create_file_on(&spill_name(rdd, i), bytes, new_home);
+                    respilled[new_home] += bytes;
+                }
+                ledger_moves.push((rdd.0 as u64, new_home, bytes));
+                replica_read[new_home] += bytes;
+                // The surviving replica also crosses the network to its new
+                // home; those transfers are charged as contended flows.
+                // Source selection is deterministic: the survivor after the
+                // new home in id order holds the replica (with a single
+                // survivor the copy is node-local and free).
+                transfers.push((survivors[(k + 1) % survivors.len()], new_home, bytes));
+            }
+        }
+        if ledger_moves.is_empty() {
+            return;
+        }
+        let (moved, moved_bytes) = (ledger_moves.len(), replica_read.iter().sum::<u64>());
+        self.sim.charge_replica_transfers(&transfers);
+        self.sim.charge_disk_io(&replica_read, false);
+        self.sim.charge_disk_io(&respilled, true);
+        self.book(|mem, refs| mem.rehome(node, &ledger_moves, refs));
+        let fs = self.faults.as_mut().expect("fault state present");
+        fs.counters.replica_rehomed_partitions += moved as u64;
+        fs.counters.replica_read_bytes += moved_bytes;
+        self.emit(FAULTS, "rehome", || {
+            (
+                format!("re-home {moved} cached partitions"),
+                vec![
+                    ("node", node.into()),
+                    ("partitions", moved.into()),
+                    ("bytes", moved_bytes.into()),
+                ],
+            )
+        });
+    }
+
+    /// Books one movement in the memory manager: `op` returns the entries
+    /// the manager pushed to disk to make room; their spill files are
+    /// written and the simulator's residency becomes the manager's. `op`
+    /// is handed the remaining-reference lookup, which the manager calls
+    /// only while it ranks victims: a run that never overflows never
+    /// walks the graph.
+    fn book(&mut self, op: impl FnOnce(&mut MemoryManager, memman::RefsOf) -> Vec<Eviction>) {
+        let (graph, reads_done) = (&self.graph, &self.ledger.reads_done);
+        let evicted = op(&mut self.ledger.mem, &|id| {
             remaining_refs(graph, reads_done, Rdd(id as usize))
         });
         self.write_spills(&evicted);
-        self.sim.set_resident(self.mem.storage_used());
+        self.sim.set_resident(self.ledger.mem.storage_used());
     }
 
     /// Entries the ledger just moved to disk: write each partition's spill
     /// file on its home node and charge the writes as one parallel disk
     /// transfer. The host-side `Arc`s stay, so reread data is
     /// byte-identical.
-    pub(super) fn write_spills(&mut self, spilled: &[Eviction]) {
+    fn write_spills(&mut self, spilled: &[Eviction]) {
         if spilled.is_empty() {
             return;
         }
         let mut spill_write = vec![0u64; self.options.cluster.num_nodes()];
         for ev in spilled {
             let rdd = Rdd(ev.id as usize);
-            let mat = &self.materialized[&rdd];
+            let mat = &self.ledger.materialized[&rdd];
             for (i, part) in mat.parts.iter().enumerate() {
                 self.store
                     .create_file_on(&spill_name(rdd, i), batch_size(part), mat.homes[i]);
@@ -99,7 +368,7 @@ impl Context {
             }
             self.emit(MEMORY, "spill", || {
                 let bytes: u64 = ev.bytes.iter().sum();
-                let refs = remaining_refs(&self.graph, &self.reads_done, rdd);
+                let refs = remaining_refs(&self.graph, &self.ledger.reads_done, rdd);
                 (
                     format!("spill r{}", ev.id),
                     vec![("bytes", bytes.into()), ("refs", refs.into())],
@@ -107,23 +376,6 @@ impl Context {
             });
         }
         self.sim.charge_disk_io(&spill_write, true);
-    }
-
-    /// Accounts a stage's cached reads: each consuming stage burns one
-    /// lineage reference, bumps recency, and — for spilled entries — pays
-    /// the reread through the spill files.
-    pub(super) fn account_cached_reads(&mut self, cached_reads: &[Rdd]) {
-        for rdd in cached_reads {
-            *self.reads_done.entry(*rdd).or_insert(0) += 1;
-            let id = rdd.0 as u64;
-            self.mem.touch(id);
-            if self.mem.is_spilled(id) {
-                self.mem.reread(id);
-                for i in 0..self.materialized[rdd].parts.len() {
-                    self.store.read_file(&spill_name(*rdd, i));
-                }
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -180,115 +432,32 @@ impl Context {
     }
 
     /// Recovers the data that died with `node`, replicas first, recompute
-    /// second: cached partitions re-home to surviving nodes at the cost
-    /// of a network copy plus a replica disk read (their host-side `Arc`s
-    /// never left driver memory, so results are untouched), while lost
+    /// second: cached partitions re-home to surviving nodes (a ledger
+    /// movement like any other, [`Context::rehome_cached`]), while lost
     /// shuffle map outputs — which have no replicas — are recomputed
     /// through lineage by re-running their retained task specs on the
-    /// surviving topology. The re-homing is a ledger move like any other:
-    /// a survivor pushed over its budget spills its LRC victims,
-    /// and a partition that was on the lost node's disk lands on its new
-    /// home's disk.
-    /// Only placements and the virtual clock change.
+    /// surviving topology. Only placements and the virtual clock change.
     fn recover_lost_node(&mut self, node: NodeId, shuffles: &mut [Option<ShuffleData>]) {
-        let num_nodes = self.options.cluster.num_nodes();
         // Survivors ordered by node id: re-home targets round-robin over
         // this list so recovery is deterministic regardless of map
         // iteration order and balanced across the shrunk cluster. The
         // simulator refuses to fail its last node, so there is one.
         let down = self.sim.failed_nodes();
-        let survivors: Vec<NodeId> = (0..num_nodes).filter(|&n| !down[n]).collect();
-
-        // Cached partitions, in RDD-id order for determinism.
-        let mut moves: Vec<(Rdd, usize, u64)> = Vec::new();
-        let mut rdds: Vec<Rdd> = self.materialized.keys().copied().collect();
-        rdds.sort_by_key(|r| r.0);
-        for rdd in rdds {
-            let mat = &self.materialized[&rdd];
-            for i in 0..mat.homes.len() {
-                if mat.homes[i] == node {
-                    moves.push((rdd, i, batch_size(&mat.parts[i])));
-                }
-            }
-        }
-        if !moves.is_empty() {
-            let mut replica_read = vec![0u64; num_nodes];
-            let mut respilled = vec![0u64; num_nodes];
-            let mut ledger_moves = Vec::with_capacity(moves.len());
-            let mut transfers: Vec<(NodeId, NodeId, u64)> = Vec::with_capacity(moves.len());
-            let mut moved_bytes = 0u64;
-            for (k, &(rdd, i, bytes)) in moves.iter().enumerate() {
-                let new_home = survivors[k % survivors.len()];
-                self.materialized
-                    .get_mut(&rdd)
-                    .expect("key just listed")
-                    .homes[i] = new_home;
-                if self.mem.is_spilled(rdd.0 as u64) {
-                    self.store
-                        .create_file_on(&spill_name(rdd, i), bytes, new_home);
-                    respilled[new_home] += bytes;
-                }
-                ledger_moves.push((rdd.0 as u64, new_home, bytes));
-                replica_read[new_home] += bytes;
-                moved_bytes += bytes;
-                // The surviving replica also crosses the network to its
-                // new home; those transfers are charged as contended
-                // flows. Source selection is deterministic: the survivor
-                // after the new home in id order holds the replica (with
-                // a single survivor the copy is node-local and free).
-                transfers.push((survivors[(k + 1) % survivors.len()], new_home, bytes));
-            }
-            self.sim.charge_replica_transfers(&transfers);
-            self.sim.charge_disk_io(&replica_read, false);
-            self.sim.charge_disk_io(&respilled, true);
-            self.book(|mem, refs| mem.rehome(node, &ledger_moves, refs));
-            let fs = self.faults.as_mut().expect("fault state present");
-            fs.counters.replica_rehomed_partitions += moves.len() as u64;
-            fs.counters.replica_read_bytes += moved_bytes;
-            self.emit(FAULTS, "rehome", || {
-                (
-                    format!("re-home {} cached partitions", moves.len()),
-                    vec![
-                        ("node", node.into()),
-                        ("partitions", moves.len().into()),
-                        ("bytes", moved_bytes.into()),
-                    ],
-                )
-            });
-        }
+        let survivors: Vec<NodeId> = (0..self.options.cluster.num_nodes())
+            .filter(|&n| !down[n])
+            .collect();
+        self.rehome_cached(node, &survivors);
 
         // Lost shuffle map outputs: recompute only the missing partitions.
         let mut total_recomputed = 0u64;
-        for sdata in shuffles.iter_mut() {
-            let Some(data) = sdata else { continue };
-            if data.specs.is_empty() {
+        for data in shuffles.iter_mut().flatten() {
+            let (lost, respecs) = data.lost_to(node);
+            if lost.is_empty() {
                 continue;
             }
-            let lost_idx: Vec<usize> = data
-                .nodes
-                .iter()
-                .enumerate()
-                .filter(|&(_, &n)| n == node)
-                .map(|(m, _)| m)
-                .collect();
-            if lost_idx.is_empty() {
-                continue;
-            }
-            let respecs: Vec<TaskSpec> = lost_idx
-                .iter()
-                .map(|&m| {
-                    let mut sp = data.specs[m].clone();
-                    if sp.pinned_node == Some(node) {
-                        sp.pinned_node = None;
-                    }
-                    sp
-                })
-                .collect();
             let timing = self.sim.run_stage(&respecs);
-            for (j, &m) in lost_idx.iter().enumerate() {
-                data.nodes[m] = timing.tasks[j].node;
-            }
-            total_recomputed += lost_idx.len() as u64;
+            data.rehome(&lost, timing.tasks.iter().map(|t| t.node));
+            total_recomputed += lost.len() as u64;
             let producer = data.producer_gid;
             if let Some(track) = self.lane(FAULTS) {
                 self.options.trace.span(
@@ -298,10 +467,7 @@ impl Context {
                     "recompute",
                     timing.start,
                     timing.end,
-                    vec![
-                        ("stage", producer.into()),
-                        ("map_tasks", lost_idx.len().into()),
-                    ],
+                    vec![("stage", producer.into()), ("map_tasks", lost.len().into())],
                 );
             }
         }
@@ -397,7 +563,7 @@ fn remaining_refs(graph: &RddGraph, reads_done: &HashMap<Rdd, usize>, rdd: Rdd) 
 }
 
 /// Name of the spill file backing partition `part` of a cached RDD.
-pub(super) fn spill_name(rdd: Rdd, part: usize) -> String {
+fn spill_name(rdd: Rdd, part: usize) -> String {
     format!("__spill/r{}.p{}", rdd.0, part)
 }
 
@@ -722,5 +888,63 @@ mod tests {
         assert_eq!(base_a, a);
         assert_eq!(base_b, b);
         assert_eq!(ctx.fault_counters().stragglers_applied, 1);
+    }
+
+    #[test]
+    fn uncaching_a_spilled_entry_deletes_its_spill_files() {
+        let mut ctx = Context::new(EngineOptions {
+            executor_mem: Some(1 << 10),
+            ..test_options()
+        });
+        let src = ctx.parallelize(word_records(), 4, "src");
+        let doubled = ctx.map(
+            src,
+            Arc::new(|r: &Record| Record::new(r.key.clone(), Value::Int(r.value.as_int() * 2))),
+            1e-7,
+            "doubled",
+        );
+        ctx.cache(doubled);
+        let cached = sorted(ctx.collect(doubled, "materialize"));
+        let spill_files = |ctx: &Context| {
+            (0..4)
+                .filter(|&i| ctx.store().file_blocks(&spill_name(doubled, i)).is_some())
+                .count()
+        };
+        assert_eq!(ctx.mem_counters().spills, 1, "1 KiB holds none of it");
+        assert_eq!(spill_files(&ctx), 4, "one spill file per partition");
+
+        ctx.uncache(doubled);
+        assert_eq!(spill_files(&ctx), 0, "uncache deletes the spill files");
+        assert_eq!(ctx.sim().resident_bytes(), &[0, 0, 0]);
+        assert_eq!(ctx.mem_counters().released, 1);
+        assert_eq!(sorted(ctx.collect(doubled, "reuse")), cached);
+        let reuse = ctx.jobs().last().expect("two jobs ran");
+        assert_eq!(reuse.stages[0].kind, StageKind::Source, "recomputed");
+    }
+
+    /// One owner for cached data: outside this file nothing in the
+    /// executor names the ledger's maps, the memory manager or the spill
+    /// files, so a cached partition moves only through a method here, and
+    /// every such method keeps the spill files and the simulator's
+    /// residency in step with the ledger.
+    #[test]
+    fn only_the_books_name_the_cache_ledger() {
+        let banned = ["materialized", "reads_done", "MemoryManager", "spill_name"];
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/src/exec");
+        let mut checked = 0;
+        for entry in std::fs::read_dir(dir).expect("the exec sources") {
+            let path = entry.expect("a directory entry").path();
+            if path.file_name().is_some_and(|f| f == "books.rs") {
+                continue;
+            }
+            let source = std::fs::read_to_string(&path).expect("a source file");
+            for (n, line) in source.lines().enumerate() {
+                for word in banned {
+                    assert!(!line.contains(word), "{}:{}: {line}", path.display(), n + 1);
+                }
+            }
+            checked += 1;
+        }
+        assert!(checked >= 6, "read {checked} sibling files of books.rs");
     }
 }

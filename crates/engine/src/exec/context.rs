@@ -3,10 +3,9 @@
 //! the two actions. Everything a job does once an action fires lives in
 //! the sibling modules.
 
-use super::books::{spill_name, FaultState};
+use super::books::{FaultState, Ledger};
 use super::dataplane::TaskRecords;
 use super::options::EngineOptions;
-use super::stage::Materialized;
 use crate::config::WorkloadConf;
 use crate::metrics::{JobMetrics, StageMetrics};
 use crate::ops::{FilterFn, FlatMapFn, GenFn, MapFn, ReduceFn};
@@ -16,7 +15,6 @@ use crate::rdd::{Rdd, RddGraph};
 use crate::record::{Record, Value};
 use blockstore::BlockStore;
 use faults::FaultCounters;
-use memman::{MemCounters, MemoryManager};
 use simcluster::{NodeId, Simulation};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -47,19 +45,11 @@ pub struct Context {
     /// to hand each tenant its weighted share of a shared pool. Affects
     /// only host-side parallelism, never virtual timing or results.
     slot_cap: Arc<AtomicUsize>,
-    pub(super) materialized: HashMap<Rdd, Materialized>,
+    /// What is cached where, in memory or on disk: see [`Ledger`].
+    pub(super) ledger: Ledger,
     pub(super) anchors: HashMap<(crate::partitioner::PartitionerKind, usize, usize), NodeId>,
     pub(super) jobs: Vec<JobMetrics>,
     pub(super) next_stage_id: usize,
-    /// The ledger of cached-partition residency: which bytes sit in which
-    /// node's memory and which entries live on disk. Unbounded when
-    /// `executor_mem` is `None`. Every change goes through
-    /// [`Context::book`], which keeps `sim`'s residency and the spill
-    /// files in `store` in step with it.
-    pub(super) mem: MemoryManager,
-    /// Cached reads already served per RDD, subtracted from the lineage
-    /// child count to get *remaining* references for LRC.
-    pub(super) reads_done: HashMap<Rdd, usize>,
     /// Fault-injection state (plan, pending events, recovery counters);
     /// `None` when running fault-free.
     pub(super) faults: Option<FaultState>,
@@ -90,7 +80,7 @@ impl Context {
         options
             .trace
             .name_process(pids::DRIVER, "driver (virtual time)");
-        let mem = MemoryManager::new(options.cluster.num_nodes(), options.executor_mem);
+        let ledger = Ledger::new(options.cluster.num_nodes(), options.executor_mem);
         let faults = options.faults.clone().map(FaultState::new);
         Context {
             graph: RddGraph::new(),
@@ -100,12 +90,10 @@ impl Context {
             options,
             pool,
             slot_cap: Arc::new(AtomicUsize::new(usize::MAX)),
-            materialized: HashMap::new(),
+            ledger,
             anchors: HashMap::new(),
             jobs: Vec::new(),
             next_stage_id: 0,
-            mem,
-            reads_done: HashMap::new(),
             faults,
         }
     }
@@ -329,26 +317,6 @@ impl Context {
         self.graph.set_cached(rdd);
     }
 
-    /// Releases a cached RDD: drops its pin reference and frees the
-    /// materialization (memory residency, storage-region accounting, and
-    /// any spill files) immediately. A later read recomputes from lineage.
-    pub fn uncache(&mut self, rdd: Rdd) {
-        self.graph.set_uncached(rdd);
-        let Some(mat) = self.materialized.remove(&rdd) else {
-            return;
-        };
-        let id = rdd.0 as u64;
-        if self.mem.is_spilled(id) {
-            for i in 0..mat.parts.len() {
-                self.store.delete_file(&spill_name(rdd, i));
-            }
-        }
-        self.book(|mem, _| {
-            mem.release(id);
-            Vec::new()
-        });
-    }
-
     // ------------------------------------------------------------------
     // Derived operator (sugar over the primitives, as in Spark)
     // ------------------------------------------------------------------
@@ -442,6 +410,14 @@ impl Context {
         &self.jobs
     }
 
+    /// Virtual time from the first job's start to the last job's end; zero
+    /// before any job has run.
+    pub fn run_span(&self) -> f64 {
+        self.jobs
+            .last()
+            .map_or(0.0, |last| last.end - self.jobs[0].start)
+    }
+
     /// All stage metrics across jobs, in execution order.
     pub fn all_stages(&self) -> Vec<&StageMetrics> {
         self.jobs.iter().flat_map(|j| j.stages.iter()).collect()
@@ -480,12 +456,6 @@ impl Context {
     pub fn count(&mut self, rdd: Rdd, name: &str) -> u64 {
         let outs = self.run_job(rdd, name, true);
         outs.iter().map(|o| o.out_records).sum()
-    }
-
-    /// Snapshot of the memory-manager counters (evictions, spills,
-    /// rereads, released entries).
-    pub fn mem_counters(&self) -> MemCounters {
-        self.mem.counters()
     }
 }
 
@@ -717,7 +687,7 @@ mod tests {
                 ctx.collect(sums, "sums"),
                 format!("{:?}", ctx.jobs()),
             );
-            let parts = ctx.materialized[&rows].parts.clone();
+            let parts = ctx.ledger.cached(rows).0.to_vec();
             (out, parts)
         };
         let ((reserved, parts), (grown, grown_parts)) = (cached(true), cached(false));

@@ -3,7 +3,7 @@
 //! Everything here is a function of the lineage graph and a
 //! [`StageInput`]; nothing here knows a cluster, a clock or a ledger.
 
-use super::stage::{Materialized, ShuffleData};
+use super::stage::ShuffleData;
 use crate::ops::{reserve_records, Emit, FilterFn, FlatMapFn, GenFn, MapFn, OpKind, ReduceFn};
 use crate::partitioner::{Partitioner, PartitionerKind, PartitionerSpec};
 use crate::pool::lock;
@@ -71,9 +71,9 @@ impl ShuffleData {
 pub(super) enum JoinSide<'s> {
     /// A shuffle, consumed run by run in map order.
     Shuffle(&'s ShuffleData),
-    /// A materialized co-partitioned RDD: partition `i` feeds task `i`,
-    /// from disk when the ledger has the entry spilled.
-    Narrow(&'s Materialized, bool),
+    /// A cached co-partitioned RDD's partitions: partition `i` feeds
+    /// task `i`.
+    Narrow(&'s [Arc<Vec<Record>>]),
 }
 
 impl JoinSide<'_> {
@@ -82,8 +82,8 @@ impl JoinSide<'_> {
     fn drain(&self, col: usize, mut push: impl FnMut(Run<'_>)) -> (u64, u64) {
         match self {
             JoinSide::Shuffle(data) => data.drain_column(col, push),
-            JoinSide::Narrow(mat, _) => {
-                let part = &mat.parts[col];
+            JoinSide::Narrow(parts) => {
+                let part = &parts[col];
                 push(Run::Shared(part));
                 (part.len() as u64, batch_size(part))
             }
@@ -719,7 +719,7 @@ pub(super) fn compute_task(
 
 /// Applies the narrow chain to the task's root as fused streaming passes,
 /// one per segment. A segment ends at (and includes) the next cached node:
-/// its output is materialized, captured by move, and the task reads on
+/// its output is collected whole, captured by move, and the task reads on
 /// from the captured partition. The last pass writes into `sink` unless
 /// that collects — with no ops left if the chain ended in a cached node —
 /// and nothing is returned; a collecting task gets the last pass's output

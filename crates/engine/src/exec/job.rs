@@ -10,25 +10,9 @@ use crate::metrics::{JobMetrics, StageMetrics};
 use crate::ops::OpKind;
 use crate::partitioner::PartitionerSpec;
 use crate::rdd::Rdd;
-use crate::stage::{plan_job, MaterializedInfo, Plan, PlanStage, StageOutput, StageRoot};
-use std::collections::HashMap;
+use crate::stage::{plan_job, Plan, PlanStage, StageOutput, StageRoot};
 
 impl Context {
-    fn mat_infos(&self) -> HashMap<Rdd, MaterializedInfo> {
-        self.materialized
-            .iter()
-            .map(|(&r, m)| {
-                (
-                    r,
-                    MaterializedInfo {
-                        partitions: m.parts.len(),
-                        partitioning: m.partitioning,
-                    },
-                )
-            })
-            .collect()
-    }
-
     /// Runs the job computing `final_rdd` and returns the outputs of its
     /// result stage's tasks — counted and sized but empty of records when
     /// the action is `count_only`.
@@ -38,7 +22,7 @@ impl Context {
             final_rdd,
             &self.conf,
             self.options.default_parallelism,
-            &self.mat_infos(),
+            &self.ledger.infos(),
         );
         let job_id = self.jobs.len();
         let job_start = self.sim.clock();
@@ -152,7 +136,7 @@ impl Context {
             StageRoot::Source(rdd) => self.source_partitions(*rdd, plan.default_parallelism),
             StageRoot::ShuffleRead { shuffle, .. } => plan.shuffles[*shuffle].scheme.partitions,
             StageRoot::JoinRead { wide, .. } => plan.schemes[wide].partitions,
-            StageRoot::CachedRead(rdd) => self.materialized[rdd].parts.len(),
+            StageRoot::CachedRead(rdd) => self.ledger.cached(*rdd).0.len(),
         }
     }
 
@@ -173,21 +157,6 @@ impl Context {
                 blocks.max(default_parallelism)
             }
             other => panic!("source_partitions on non-source op {other:?}"),
-        }
-    }
-
-    /// Known partitioning of a stage's root output.
-    pub(super) fn root_partitioning(
-        &self,
-        plan: &Plan,
-        stage: &PlanStage,
-    ) -> Option<PartitionerSpec> {
-        match &stage.root {
-            StageRoot::Source(_) => None,
-            StageRoot::ShuffleRead { wide, .. } | StageRoot::JoinRead { wide, .. } => {
-                plan.schemes.get(wide).copied()
-            }
-            StageRoot::CachedRead(rdd) => self.materialized[rdd].partitioning,
         }
     }
 

@@ -15,12 +15,12 @@
 //!   nothing itself.
 //! * `job` — `run_job`, the between-jobs re-plan, and partition-count /
 //!   partitioning resolution. Sees stages only through `exec_stage`.
-//! * `stage` — `exec_stage` and its phases, the shuffle table and the
-//!   cache materializations, stage metrics. Moves no record itself and
-//!   changes the ledger only through `book`.
-//! * `books` — the cached-partition ledger (`book`, spill files) and the
-//!   fault plan (due events, node-loss recovery, per-task draws). Only
-//!   placements, disk files and the virtual clock change here, never data.
+//! * `stage` — `exec_stage` and its phases, the shuffle table, stage
+//!   metrics. Moves no record itself and no cached partition.
+//! * `books` — the cache ledger (`Ledger`) and one method per movement of
+//!   a cached partition; the fault plan (due events, node-loss recovery,
+//!   per-task draws). Only placements, disk files and the virtual clock
+//!   change here, never data.
 //! * `dataplane` — what a task reads, the fused narrow chain, the shuffle
 //!   write. A function of the lineage graph and a `StageInput`; no
 //!   cluster, clock or ledger.

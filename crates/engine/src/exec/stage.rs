@@ -13,23 +13,13 @@ use crate::ops::OpKind;
 use crate::partitioner::{build_partitioner, PartitionerSpec};
 use crate::pool::lock;
 use crate::rdd::Rdd;
-use crate::record::{batch_size, Key, Record};
+use crate::record::Key;
 use crate::shuffle::{Combiner, Runs};
 use crate::stage::{Plan, PlanStage, SideDep, StageOutput, StageRoot};
-use memman::Eviction;
 use simcluster::{NodeId, TaskSpec};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use trace::{pids, Clock, Track};
-
-/// A cached RDD as the stage that computed it left it: the partitions,
-/// the node each lives on, and the partitioning they are known to have.
-pub(super) struct Materialized {
-    pub(super) parts: Vec<Arc<Vec<Record>>>,
-    pub(super) homes: Vec<NodeId>,
-    pub(super) partitioning: Option<PartitionerSpec>,
-    producer_stage: usize,
-}
 
 /// One shuffle's map output, from the map stage that wrote it until the
 /// last stage that reads it.
@@ -45,12 +35,12 @@ pub(super) struct ShuffleData {
     pub(super) offsets: Vec<Vec<usize>>,
     /// `bytes[map_task][reduce_partition]`, serialized size per run.
     pub(super) bytes: Vec<Vec<u64>>,
-    pub(super) nodes: Vec<NodeId>,
+    nodes: Vec<NodeId>,
     pub(super) producer_gid: usize,
     /// The producer stage's task specs, retained only while a fault plan
     /// is active so that map outputs lost to a node failure can be
     /// recomputed through lineage (empty otherwise).
-    pub(super) specs: Vec<TaskSpec>,
+    specs: Vec<TaskSpec>,
     /// More than one read in the plan (a self-join, or two stages over one
     /// uncached wide RDD): reads clone the records instead of moving them.
     pub(super) shared: bool,
@@ -143,7 +133,7 @@ impl Context {
             .iter()
             .map(|&j| timing.tasks[j].node)
             .collect();
-        self.persist_captures(&cx, &outs, &homes);
+        self.capture(plan, stage, gid, &outs, &homes);
 
         reads.parents_gids.sort_unstable();
         reads.parents_gids.dedup();
@@ -195,11 +185,6 @@ impl Context {
             }
         }
         self.trace_stage(&cx, &metrics, &timing, wall);
-        debug_assert_eq!(
-            self.mem.storage_used(),
-            self.sim.resident_bytes(),
-            "a cached partition moved without going through `book`"
-        );
         (metrics, result_outs)
     }
 
@@ -224,23 +209,13 @@ impl Context {
         let input = match &cx.stage().root {
             StageRoot::Source(rdd) => self.source_input(*rdd, num_tasks, &mut reads),
             StageRoot::CachedRead(rdd) => {
-                let mat = &self.materialized[rdd];
-                let spilled = self.mem.is_spilled(rdd.0 as u64);
-                reads.parents_gids.push(mat.producer_stage);
+                let (parts, producer) = self.ledger.cached(*rdd);
+                reads.parents_gids.push(producer);
                 reads.cached_reads.push(*rdd);
                 reads.tasks = (0..num_tasks)
-                    .map(|i| {
-                        // A spilled partition lives in a spill file on its
-                        // home node's disk: the read is local disk I/O
-                        // (feeding the Fig. 14 transaction counters), not
-                        // a memory-resident fetch.
-                        let mut t = mat.read_of(i, spilled);
-                        t.fetch_chunks = usize::from(!spilled);
-                        t.preferred = vec![mat.homes[i]];
-                        t
-                    })
+                    .map(|i| self.ledger.scan_of(*rdd, i))
                     .collect();
-                StageInput::Cached(&mat.parts)
+                StageInput::Cached(parts)
             }
             StageRoot::ShuffleRead { wide, shuffle } => {
                 let data = produced(*shuffle);
@@ -274,23 +249,13 @@ impl Context {
                 }
             }
             StageRoot::JoinRead { wide, left, right } => {
-                let mut side = |dep: &SideDep| match dep {
-                    SideDep::Shuffle(s) => {
-                        reads.parents_gids.push(produced(*s).producer_gid);
-                        JoinSide::Shuffle(produced(*s))
-                    }
-                    SideDep::Narrow(rdd) => {
-                        reads
-                            .parents_gids
-                            .push(self.materialized[rdd].producer_stage);
-                        reads.cached_reads.push(*rdd);
-                        JoinSide::Narrow(&self.materialized[rdd], self.mem.is_spilled(rdd.0 as u64))
-                    }
+                let read = |dep: &SideDep, i| match dep {
+                    SideDep::Shuffle(s) => produced(*s).read_of(i),
+                    SideDep::Narrow(rdd) => self.ledger.read_of(*rdd, i),
                 };
-                let (left, right) = (side(left), side(right));
                 reads.tasks = (0..num_tasks)
                     .map(|i| {
-                        let (mut t, r) = (left.read_of(i), right.read_of(i));
+                        let (mut t, r) = (read(left, i), read(right, i));
                         t.fetches.extend(r.fetches);
                         t.fetches = aggregate_fetches(t.fetches.iter().map(|(n, b)| (n, *b)));
                         t.fetch_chunks += r.fetch_chunks;
@@ -298,9 +263,21 @@ impl Context {
                         t
                     })
                     .collect();
+                let mut side = |dep: &SideDep| match dep {
+                    SideDep::Shuffle(s) => {
+                        reads.parents_gids.push(produced(*s).producer_gid);
+                        JoinSide::Shuffle(produced(*s))
+                    }
+                    SideDep::Narrow(rdd) => {
+                        let (parts, producer) = self.ledger.cached(*rdd);
+                        reads.parents_gids.push(producer);
+                        reads.cached_reads.push(*rdd);
+                        JoinSide::Narrow(parts)
+                    }
+                };
                 StageInput::Join {
-                    left,
-                    right,
+                    left: side(left),
+                    right: side(right),
                     outer: matches!(self.graph.node(*wide).op, OpKind::CoGroup { .. }),
                     cost: wide_cost(*wide),
                 }
@@ -312,7 +289,7 @@ impl Context {
     fn source_input(&self, rdd: Rdd, num_tasks: usize, reads: &mut StageReads) -> StageInput<'_> {
         match &self.graph.node(rdd).op {
             OpKind::SourceCollection { data, .. } => {
-                reads.tasks.resize_with(num_tasks, TaskReads::default);
+                reads.tasks.resize_with(num_tasks, TaskSpec::default);
                 StageInput::Slice(data)
             }
             OpKind::SourceBlocks { file, gen, .. } => {
@@ -327,7 +304,7 @@ impl Context {
                 reads.tasks = (0..num_tasks)
                     .map(|i| {
                         let bi = i * blocks.len().max(1) / num_tasks;
-                        let preferred = if blocks.is_empty() {
+                        let preferred_nodes = if blocks.is_empty() {
                             Vec::new()
                         } else if any_down {
                             self.store
@@ -337,10 +314,10 @@ impl Context {
                         } else {
                             blocks[bi].replicas.clone()
                         };
-                        TaskReads {
+                        TaskSpec {
                             local_read_bytes: per_task,
-                            preferred,
-                            ..TaskReads::default()
+                            preferred_nodes,
+                            ..TaskSpec::default()
                         }
                     })
                     .collect();
@@ -375,9 +352,7 @@ impl Context {
     ) -> (Vec<TaskOut>, Option<Vec<MapWrite>>) {
         let (stage, num_tasks) = (cx.stage(), cx.num_tasks);
         let root_rdd = stage.root_rdd();
-        let capture_root = self.graph.node(root_rdd).cached
-            && !self.materialized.contains_key(&root_rdd)
-            && !matches!(stage.root, StageRoot::CachedRead(_));
+        let capture_root = self.graph.node(root_rdd).cached && !self.ledger.holds(root_rdd);
         let writer = match stage.output {
             StageOutput::ShuffleWrite(sidx) => {
                 let shuffle = &cx.plan.shuffles[sidx];
@@ -502,12 +477,12 @@ impl Context {
             if let Some(budget) = task_mem_budget {
                 let overflow = crate::shuffle::spill_overflow(write_bytes, budget);
                 if overflow > 0 {
-                    self.mem.note_shuffle_spill(overflow);
+                    self.ledger.note_shuffle_spill(overflow);
                     write_bytes += overflow;
                     local_read_bytes += overflow;
                 }
             }
-            let mut preferred = task.preferred.clone();
+            let mut preferred = task.preferred_nodes.clone();
             let mut pinned = None;
             // Split stages skip co-partition anchoring: their virtual task
             // indices no longer align 1:1 with partition indices, so an
@@ -625,79 +600,12 @@ impl Context {
                 }
             }
         }
-        // Execution borrows from storage: reserve before the stage's
-        // captures ask the memory manager for room.
-        let mut reserve = vec![0u64; self.options.cluster.num_nodes()];
-        for (spec, t) in specs.iter().zip(&timing.tasks) {
-            reserve[t.node] = reserve[t.node].max(spec.memory_bytes);
-        }
-        self.book(|mem, refs| mem.set_execution_reservation(&reserve, refs));
+        self.reserve_execution(specs, &timing);
         timing
     }
 
     // ------------------------------------------------------------------
-    // Phase 5: persist cache captures
-    // ------------------------------------------------------------------
-
-    fn persist_captures(&mut self, cx: &StageCtx<'_>, outs: &[TaskOut], homes: &[NodeId]) {
-        let stage = cx.stage();
-        let root_rdd = stage.root_rdd();
-        let root_part = self.root_partitioning(cx.plan, stage);
-        let mut capture_map: HashMap<Rdd, Vec<Arc<Vec<Record>>>> = HashMap::new();
-        for out in outs {
-            for (rdd, data) in &out.captures {
-                capture_map.entry(*rdd).or_default().push(Arc::clone(data));
-            }
-        }
-        // Deterministic insertion order: under a memory budget the
-        // insertion order decides who evicts whom, so hash-map order
-        // would leak into results.
-        let mut captures: Vec<(Rdd, Vec<Arc<Vec<Record>>>)> = capture_map.into_iter().collect();
-        captures.sort_by_key(|(r, _)| r.0);
-        for (rdd, parts) in captures {
-            if parts.len() != outs.len() || self.materialized.contains_key(&rdd) {
-                continue;
-            }
-            let partitioning = if rdd == root_rdd {
-                root_part
-            } else {
-                self.partitioning_at(root_part, &stage.chain, rdd)
-            };
-            // The producing stage consumes the capture inline unless the
-            // capture is the stage's final result — that consumption has
-            // already burned one lineage reference.
-            if !(rdd == stage.terminal && matches!(stage.output, StageOutput::Result)) {
-                *self.reads_done.entry(rdd).or_insert(0) += 1;
-            }
-            let mut per_node = vec![0u64; self.options.cluster.num_nodes()];
-            for (part, &home) in parts.iter().zip(homes) {
-                per_node[home] += batch_size(part);
-            }
-            self.materialized.insert(
-                rdd,
-                Materialized {
-                    parts,
-                    homes: homes.to_vec(),
-                    partitioning,
-                    producer_stage: cx.gid,
-                },
-            );
-            let id = rdd.0 as u64;
-            self.book(|mem, refs| mem.insert(id, per_node.clone(), refs));
-            if self.mem.is_spilled(id) {
-                // No room even with every eligible victim gone: the
-                // capture goes straight to disk, a transfer of its own
-                // after the victims'.
-                self.write_spills(&[Eviction {
-                    id,
-                    bytes: per_node,
-                }]);
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Phase 6: metrics and trace
+    // Phase 5: metrics and trace
     // ------------------------------------------------------------------
 
     /// Stage metrics. `fetches` are the pre-injection spec fetch tables,
@@ -883,21 +791,13 @@ impl StageCtx<'_> {
     }
 }
 
-/// What the simulator charges one task for reading its input, and where
-/// the task would like to run.
-#[derive(Default)]
-struct TaskReads {
-    fetches: Vec<(NodeId, u64)>,
-    fetch_chunks: usize,
-    local_read_bytes: u64,
-    preferred: Vec<NodeId>,
-}
-
 /// The virtual-side view of a stage's inputs (see
 /// [`Context::resolve_inputs`]).
 #[derive(Default)]
 struct StageReads {
-    tasks: Vec<TaskReads>,
+    /// Per task, the read half of its spec: fetches, fetch chunks, local
+    /// reads, and where it would like to run.
+    tasks: Vec<TaskSpec>,
     parents_gids: Vec<usize>,
     /// Cached RDDs consumed by this stage, for lineage ref-counting.
     cached_reads: Vec<Rdd>,
@@ -917,32 +817,14 @@ struct StageSpecs {
     unsplit: Option<Vec<TaskSpec>>,
 }
 
-impl Materialized {
-    /// How partition `i` is read: from its home node's memory, or — once
-    /// the ledger has the entry `spilled` — from that node's local disk.
-    fn read_of(&self, i: usize, spilled: bool) -> TaskReads {
-        let bytes = batch_size(&self.parts[i]);
-        let mut t = TaskReads {
-            fetch_chunks: usize::from(!self.parts[i].is_empty()),
-            ..TaskReads::default()
-        };
-        if spilled {
-            t.local_read_bytes = bytes;
-        } else {
-            t.fetches = vec![(self.homes[i], bytes)];
-        }
-        t
-    }
-}
-
 impl ShuffleData {
     /// What reduce partition `col` fetches: bytes per producer node, one
     /// chunk per map task with data for it.
-    fn read_of(&self, col: usize) -> TaskReads {
-        TaskReads {
+    fn read_of(&self, col: usize) -> TaskSpec {
+        TaskSpec {
             fetches: aggregate_fetches(self.nodes.iter().zip(self.bytes.iter().map(|b| b[col]))),
             fetch_chunks: self.bytes.iter().filter(|b| b[col] > 0).count(),
-            ..TaskReads::default()
+            ..TaskSpec::default()
         }
     }
 
@@ -953,13 +835,26 @@ impl ShuffleData {
             .map(|i| self.bytes.iter().map(|b| b[i]).sum())
             .collect()
     }
-}
 
-impl JoinSide<'_> {
-    fn read_of(&self, i: usize) -> TaskReads {
-        match self {
-            JoinSide::Shuffle(data) => data.read_of(i),
-            JoinSide::Narrow(mat, spilled) => mat.read_of(i, *spilled),
+    /// The map outputs that died with `node`: their task indices, and the
+    /// specs that recompute them off `node`. None without a fault plan,
+    /// which retains no specs.
+    pub(super) fn lost_to(&self, node: NodeId) -> (Vec<usize>, Vec<TaskSpec>) {
+        let lost: Vec<usize> = (0..self.specs.len())
+            .filter(|&m| self.nodes[m] == node)
+            .collect();
+        let unpinned = |m: &usize| TaskSpec {
+            pinned_node: self.specs[*m].pinned_node.filter(|&n| n != node),
+            ..self.specs[*m].clone()
+        };
+        let specs = lost.iter().map(unpinned).collect();
+        (lost, specs)
+    }
+
+    /// Records where the recomputed map outputs `lost` now live, in order.
+    pub(super) fn rehome(&mut self, lost: &[usize], homes: impl Iterator<Item = NodeId>) {
+        for (&m, home) in lost.iter().zip(homes) {
+            self.nodes[m] = home;
         }
     }
 }
