@@ -8,6 +8,11 @@
 //!     --workload batch_fat --pairs 10 [--seed 7] [--layer NAME]...
 //! ```
 //!
+//! `--workload` may be given more than once, and `--workload all` names
+//! every workload of `BENCHMARK.json`: the workloads run one after the
+//! other, each with its own pairs and its own table — the check a merge
+//! applies in one command.
+//!
 //! Build each commit's `benchmark/` package once into its own target
 //! directory and hand the two executables over. Every pair runs both with
 //! `--workload W --seed S --seconds <run_seconds> --trace 0`; who goes
@@ -35,16 +40,16 @@
 //! end-to-end number it is supposed to explain. A layer line carries no
 //! verdict, and the end-to-end verdicts never read a traced run.
 //!
-//! Exits 1 on a `REGRESSED` metric or when a larger share of the change's
-//! operations failed, 2 on a bad command line or a run without a result
-//! line.
+//! Exits 1 when any workload has a `REGRESSED` metric or a larger share of
+//! the change's operations failed, 2 on a bad command line or a run
+//! without a result line.
 
 use numeric::percentile;
 use serde::Json;
 use std::process::{Command, Stdio};
 
-const USAGE: &str =
-    "usage: abpairs --parent BIN --change BIN --workload W --pairs N [--seed S] [--layer NAME]...";
+const USAGE: &str = "usage: abpairs --parent BIN --change BIN --workload W|all [--workload W]... \
+                     --pairs N [--seed S] [--layer NAME]...";
 
 /// One metric as `BENCHMARK.json` declares it.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,6 +64,7 @@ struct Metric {
 
 /// What `abpairs` reads of a `BENCHMARK.json`.
 struct Contract {
+    workloads: Vec<String>,
     end_to_end: Vec<Metric>,
     per_layer: Vec<Metric>,
     run_seconds: f64,
@@ -89,7 +95,18 @@ fn parse_benchmark_json(text: &str) -> Result<Contract, String> {
             })
             .collect()
     };
+    let Some(Json::Arr(workloads)) = doc.get_field("workloads") else {
+        return Err("no `workloads` array".into());
+    };
+    let workloads = workloads
+        .iter()
+        .map(|w| match w.get_field("name") {
+            Some(Json::Str(name)) => Ok(name.clone()),
+            _ => Err("a workload lacks `name`".to_string()),
+        })
+        .collect::<Result<_, _>>()?;
     Ok(Contract {
+        workloads,
         end_to_end: table("end_to_end", true)?,
         per_layer: table("per_layer", false)?,
         run_seconds,
@@ -259,7 +276,8 @@ fn compare(metric: &Metric, parent: &[f64], change: &[f64]) -> Comparison {
 struct Cli {
     parent: String,
     change: String,
-    workload: String,
+    /// As given; `all` stands for every workload of `BENCHMARK.json`.
+    workloads: Vec<String>,
     pairs: usize,
     seed: u64,
     /// Per-layer metrics to read off an extra traced run of each side.
@@ -267,8 +285,8 @@ struct Cli {
 }
 
 fn parse_cli(args: &[String]) -> Result<Cli, String> {
-    let (mut parent, mut change, mut workload, mut pairs, mut seed) = (None, None, None, None, 0);
-    let mut layers = Vec::new();
+    let (mut parent, mut change, mut pairs, mut seed) = (None, None, None, 0);
+    let (mut workloads, mut layers) = (Vec::new(), Vec::new());
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
@@ -276,7 +294,7 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         match flag.as_str() {
             "--parent" => parent = Some(value.clone()),
             "--change" => change = Some(value.clone()),
-            "--workload" => workload = Some(value.clone()),
+            "--workload" => workloads.push(value.clone()),
             "--pairs" => {
                 pairs = Some(value.parse().ok().filter(|&n| n > 0).ok_or_else(bad)?);
             }
@@ -288,18 +306,22 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
     Ok(Cli {
         parent: parent.ok_or("--parent is required")?,
         change: change.ok_or("--change is required")?,
-        workload: workload.ok_or("--workload is required")?,
+        workloads: match workloads.is_empty() {
+            true => return Err("--workload is required".into()),
+            false => workloads,
+        },
         pairs: pairs.ok_or("--pairs is required")?,
         seed,
         layers,
     })
 }
 
-/// Pair `pair`'s two runs, traced or not, read for `metrics`, printed and
-/// appended to `into[side]`. The parent goes first on even pairs, the
-/// change on odd ones.
+/// Pair `pair`'s two runs of `workload`, traced or not, read for
+/// `metrics`, printed and appended to `into[side]`. The parent goes first
+/// on even pairs, the change on odd ones.
 fn run_pair(
     cli: &Cli,
+    workload: &str,
     pair: usize,
     seconds: f64,
     traced: bool,
@@ -309,12 +331,11 @@ fn run_pair(
     for turn in 0..2 {
         let side = (pair + turn) % 2;
         let bin = [&cli.parent, &cli.change][side];
-        let run = run_once(bin, &cli.workload, cli.seed, seconds, traced, metrics).unwrap_or_else(
-            |msg| {
+        let run =
+            run_once(bin, workload, cli.seed, seconds, traced, metrics).unwrap_or_else(|msg| {
                 eprintln!("error: {msg}");
                 std::process::exit(2);
-            },
-        );
+            });
         let values: Vec<String> = run.values.iter().map(|v| format!("{v:?}")).collect();
         println!(
             "{:<10} {:>4} {} {}",
@@ -363,6 +384,67 @@ fn report(metrics: &[Metric], runs: &[Vec<Run>; 2], judged: bool) -> bool {
     regressed
 }
 
+/// Every pair of one workload, then its table. Returns whether a judged
+/// metric regressed or a larger share of the change's operations failed.
+fn compare_workload(
+    cli: &Cli,
+    workload: &str,
+    seconds: f64,
+    metrics: &[Metric],
+    layers: &[Metric],
+) -> bool {
+    println!(
+        "abpairs    workload {workload} seed {} pairs {} seconds {seconds} nproc {}",
+        cli.seed,
+        cli.pairs,
+        std::thread::available_parallelism().map_or(0, |n| n.get()),
+    );
+    let names = |metrics: &[Metric]| -> String {
+        let names: Vec<&str> = metrics.iter().map(|m| m.name.as_str()).collect();
+        names.join(" ")
+    };
+    println!("run        pair side   {}", names(metrics));
+    if !layers.is_empty() {
+        println!("traced     pair side   {}", names(layers));
+    }
+    // sides[0] = parent, sides[1] = change; one run per pair each, and one
+    // traced run more when layers were asked for.
+    let mut sides: [Vec<Run>; 2] = [Vec::new(), Vec::new()];
+    let mut traced: [Vec<Run>; 2] = [Vec::new(), Vec::new()];
+    for pair in 0..cli.pairs {
+        run_pair(cli, workload, pair, seconds, false, metrics, &mut sides);
+        if !layers.is_empty() {
+            run_pair(cli, workload, pair, seconds, true, layers, &mut traced);
+        }
+    }
+
+    let regressed = report(metrics, &sides, true);
+    report(layers, &traced, false);
+    let totals = |side: &[Run]| {
+        side.iter()
+            .fold((0, 0), |(f, a), r| (f + r.failed, a + r.attempted))
+    };
+    let ((pf, pa), (cf, ca)) = (totals(&sides[0]), totals(&sides[1]));
+    println!("failed     parent {pf}/{pa}  change {cf}/{ca}");
+    // Compared as shares of the operations attempted, without dividing.
+    let more_failed = cf * pa > pf * ca;
+    regressed || more_failed
+}
+
+/// The workloads `asked` names, in order, with `all` standing for every
+/// one of `declared`; an undeclared name is an error.
+fn expand_workloads(asked: &[String], declared: &[String]) -> Result<Vec<String>, String> {
+    let mut out = Vec::new();
+    for name in asked {
+        match name.as_str() {
+            "all" => out.extend(declared.iter().cloned()),
+            _ if declared.contains(name) => out.push(name.clone()),
+            _ => return Err(format!("`{name}` is no workload of BENCHMARK.json")),
+        }
+    }
+    Ok(out)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let usage_error = |msg: String| -> ! {
@@ -371,6 +453,7 @@ fn main() {
     };
     let cli = parse_cli(&args).unwrap_or_else(|msg| usage_error(msg));
     let Contract {
+        workloads,
         end_to_end: metrics,
         per_layer,
         run_seconds: seconds,
@@ -378,6 +461,8 @@ fn main() {
         .map_err(|e| e.to_string())
         .and_then(|text| parse_benchmark_json(&text))
         .unwrap_or_else(|msg| usage_error(format!("BENCHMARK.json: {msg}")));
+    let workloads =
+        expand_workloads(&cli.workloads, &workloads).unwrap_or_else(|msg| usage_error(msg));
     let layers: Vec<Metric> = cli
         .layers
         .iter()
@@ -387,43 +472,17 @@ fn main() {
         })
         .collect();
 
-    println!(
-        "abpairs    workload {} seed {} pairs {} seconds {seconds} nproc {}",
-        cli.workload,
-        cli.seed,
-        cli.pairs,
-        std::thread::available_parallelism().map_or(0, |n| n.get()),
-    );
-    let names = |metrics: &[Metric]| -> String {
-        let names: Vec<&str> = metrics.iter().map(|m| m.name.as_str()).collect();
-        names.join(" ")
-    };
-    println!("run        pair side   {}", names(&metrics));
-    if !layers.is_empty() {
-        println!("traced     pair side   {}", names(&layers));
-    }
-    // sides[0] = parent, sides[1] = change; one run per pair each, and one
-    // traced run more when layers were asked for.
-    let mut sides: [Vec<Run>; 2] = [Vec::new(), Vec::new()];
-    let mut traced: [Vec<Run>; 2] = [Vec::new(), Vec::new()];
-    for pair in 0..cli.pairs {
-        run_pair(&cli, pair, seconds, false, &metrics, &mut sides);
-        if !layers.is_empty() {
-            run_pair(&cli, pair, seconds, true, &layers, &mut traced);
+    let mut bad = Vec::new();
+    for (i, workload) in workloads.iter().enumerate() {
+        if i > 0 {
+            println!();
+        }
+        if compare_workload(&cli, workload, seconds, &metrics, &layers) {
+            bad.push(workload.as_str());
         }
     }
-
-    let regressed = report(&metrics, &sides, true);
-    report(&layers, &traced, false);
-    let totals = |side: &[Run]| {
-        side.iter()
-            .fold((0, 0), |(f, a), r| (f + r.failed, a + r.attempted))
-    };
-    let ((pf, pa), (cf, ca)) = (totals(&sides[0]), totals(&sides[1]));
-    println!("failed     parent {pf}/{pa}  change {cf}/{ca}");
-    // Compared as shares of the operations attempted, without dividing.
-    let more_failed = cf * pa > pf * ca;
-    if regressed || more_failed {
+    if !bad.is_empty() {
+        println!("REGRESSED  {}", bad.join(" "));
         std::process::exit(1);
     }
 }
@@ -530,12 +589,14 @@ mod tests {
     #[test]
     fn reads_the_two_contracts() {
         let bench = r#"{"command": ["x"], "run_seconds": 15,
+            "workloads": [{"name": "batch_fat", "why": "kernels"}, {"name": "serve_mix"}],
             "end_to_end": [
               {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
               {"name": "jobs_per_s", "unit": "1/s", "better": "higher", "bound": 0.1}],
             "per_layer": [{"name": "workloads.pca.run_s", "unit": "s", "better": "lower"}]}"#;
         let contract = parse_benchmark_json(bench).expect("well-formed");
         assert_eq!(contract.run_seconds, 15.0);
+        assert_eq!(contract.workloads, ["batch_fat", "serve_mix"]);
         let metrics = contract.end_to_end;
         assert_eq!(metrics[0], wall());
         assert!(!metrics[1].lower_is_better);
@@ -572,7 +633,13 @@ mod tests {
         ))
         .expect("complete");
         assert_eq!((cli.pairs, cli.seed), (10, 0));
+        assert_eq!(cli.workloads, ["batch_fat"]);
         assert!(cli.layers.is_empty());
+        let cli = parse_cli(&args(
+            "--parent a --change b --workload w --workload all --pairs 3",
+        ))
+        .expect("complete");
+        assert_eq!(cli.workloads, ["w", "all"]);
         let cli = parse_cli(&args(
             "--parent a --change b --workload w --pairs 3 --layer x.run_s --layer y.run_s",
         ))
@@ -589,5 +656,22 @@ mod tests {
         ))
         .is_err());
         assert!(parse_cli(&args("--parent a --change b --workload w --pairs")).is_err());
+    }
+
+    #[test]
+    fn all_names_every_declared_workload_in_order() {
+        let declared: Vec<String> = ["batch_fat", "batch_wide", "tune_grid"]
+            .map(String::from)
+            .into();
+        let asked = |names: &[&str]| -> Vec<String> { names.iter().map(|&n| n.into()).collect() };
+        assert_eq!(
+            expand_workloads(&asked(&["all"]), &declared),
+            Ok(declared.clone())
+        );
+        assert_eq!(
+            expand_workloads(&asked(&["tune_grid", "batch_fat"]), &declared),
+            Ok(asked(&["tune_grid", "batch_fat"]))
+        );
+        assert!(expand_workloads(&asked(&["batch_fat", "nope"]), &declared).is_err());
     }
 }

@@ -3,8 +3,8 @@
 //! The static planner fixes every shuffle's partitioner and partition
 //! count before the job runs; when the data turns out skewed, one hot
 //! reduce partition stalls the whole stage. This module closes that gap
-//! *inside* a job: by the time a reduce stage starts, its shuffle holds
-//! the complete map×partition byte table, so the engine can decide —
+//! *inside* a job: by the time a reduce stage starts, its shuffle knows
+//! the bytes of every run it holds, so the engine can decide —
 //! identically at any worker count and under any fault plan — to split
 //! hot partitions into sub-tasks before reduce work is dispatched.
 //!
@@ -133,7 +133,7 @@ impl SplitPlan {
 }
 
 /// Decides the split for one shuffle from its per-partition byte totals
-/// (the column sums of the shuffle's map×partition byte table).
+/// (each reduce partition's runs, summed).
 ///
 /// The trigger statistic is [`trace::skew_ratio`] — the same max/mean
 /// computation the trace summary reports per stage — so a threshold read
@@ -257,8 +257,9 @@ impl SubRouter {
 /// physical split; the driver builds one `TaskSpec` per sub from them.
 #[derive(Debug, Clone)]
 pub(crate) struct SubTaskStats {
-    /// Encoded bytes received from each map task (length = map count).
-    pub per_map_bytes: Vec<u64>,
+    /// `(map task, encoded bytes received from it)`, one entry per map
+    /// task with data for the split partition, in map order.
+    pub per_map_bytes: Vec<(usize, u64)>,
     /// Records routed to this sub.
     pub fetched: u64,
     /// Routing + merge compute cost of this sub.
@@ -270,26 +271,27 @@ pub(crate) struct SubTaskStats {
 /// Splits one reduce partition's buckets and merges each sub-bucket
 /// independently, concatenating sub-outputs in sub order.
 ///
-/// `maps` are the partition's incoming buckets in map order, already
-/// materialized to owned rows. Each record is routed once
-/// (charged at [`PARTITION_COST`]) and each sub runs the unsplit task's
-/// merge ([`merge_runs`]) over its share, so the sum of sub costs equals
-/// the unsplit cost plus the routing charge.
+/// `maps` are the partition's incoming runs in map order, each with the
+/// map task that wrote it, already materialized to owned rows. Each
+/// record is routed once (charged at [`PARTITION_COST`]) and each sub runs
+/// the unsplit task's merge ([`merge_runs`]) over its share, so the sum of
+/// sub costs equals the unsplit cost plus the routing charge.
 pub(crate) fn merge_split(
-    maps: Vec<Vec<Record>>,
+    maps: Vec<(usize, Vec<Record>)>,
     merge: &MergeKind,
     router: &SubRouter,
 ) -> (Vec<Record>, f64, Vec<SubTaskStats>) {
     let k = router.k();
-    let m_count = maps.len();
-    // Route: per_sub[s][m] holds map m's records for sub s, in arrival order.
-    let mut per_sub: Vec<Vec<Vec<Record>>> = (0..k).map(|_| vec![Vec::new(); m_count]).collect();
-    let mut per_map_bytes: Vec<Vec<u64>> = vec![vec![0u64; m_count]; k];
-    for (m, bucket) in maps.into_iter().enumerate() {
+    let runs = maps.len();
+    // Route: per_sub[s][j] holds run j's records for sub s, in arrival order.
+    let mut per_sub: Vec<Vec<Vec<Record>>> = (0..k).map(|_| vec![Vec::new(); runs]).collect();
+    let mut per_map_bytes: Vec<Vec<(usize, u64)>> =
+        vec![maps.iter().map(|&(m, _)| (m, 0)).collect(); k];
+    for (j, (_, bucket)) in maps.into_iter().enumerate() {
         for rec in bucket {
             let s = router.route(&rec.key);
-            per_map_bytes[s][m] += rec.encoded_size();
-            per_sub[s][m].push(rec);
+            per_map_bytes[s][j].1 += rec.encoded_size();
+            per_sub[s][j].push(rec);
         }
     }
     let mut out: Vec<Record> = Vec::new();
@@ -437,20 +439,33 @@ mod tests {
                 .iter()
                 .map(|&(key, v)| Record::new(Key::Int(key), Value::Int(v)))
                 .collect();
-            let maps: Vec<Vec<Record>> = records.chunks(37).map(<[Record]>::to_vec).collect();
+            // Runs from every other map task, as a sparse column lists them.
+            let maps: Vec<(usize, Vec<Record>)> = records
+                .chunks(37)
+                .enumerate()
+                .map(|(j, run)| (2 * j, run.to_vec()))
+                .collect();
             let in_bytes: u64 = records.iter().map(Record::encoded_size).sum();
             let router = SubRouter::build(records.iter().map(|r| &r.key), k, seed);
             let f: crate::ReduceFn =
                 Arc::new(|a: &Value, b: &Value| Value::Int(a.as_int() + b.as_int()));
             let (out, _cost, stats) =
                 merge_split(maps.clone(), &MergeKind::Reduce(Arc::clone(&f), 1e-6), &router);
-            let split_bytes: u64 = stats.iter().flat_map(|s| s.per_map_bytes.iter()).sum();
+            let split_bytes: u64 = stats
+                .iter()
+                .flat_map(|s| s.per_map_bytes.iter().map(|&(_, b)| b))
+                .sum();
             prop_assert_eq!(split_bytes, in_bytes, "sub-bucket bytes sum to the input");
+            for s in &stats {
+                let from: Vec<usize> = s.per_map_bytes.iter().map(|&(m, _)| m).collect();
+                let want: Vec<usize> = maps.iter().map(|&(m, _)| m).collect();
+                prop_assert_eq!(from, want, "bytes are booked to the run's map task");
+            }
             let fetched: u64 = stats.iter().map(|s| s.fetched).sum();
             prop_assert_eq!(fetched, records.len() as u64);
             // Unsplit reference.
             let mut unsplit = crate::shuffle::ReduceMerge::new(f);
-            maps.iter().for_each(|part| unsplit.push_slice(part));
+            maps.iter().for_each(|(_, part)| unsplit.push_slice(part));
             let (mut reference, _) = unsplit.finish();
             let mut out = out;
             let by_key = |a: &Record, b: &Record| a.key.cmp(&b.key);

@@ -3,11 +3,11 @@
 //! one, and the fault plan's events and the recovery they trigger.
 
 use super::context::{Context, Lane};
-use super::dataplane::TaskOut;
+use super::dataplane::{CachedParts, Capture, TaskOut};
 use super::stage::ShuffleData;
 use crate::partitioner::PartitionerSpec;
 use crate::rdd::{Rdd, RddGraph};
-use crate::record::{batch_size, Record};
+use crate::record::Record;
 use crate::stage::{MaterializedInfo, Plan, PlanStage, StageOutput, StageRoot};
 use faults::{FaultCounters, FaultPlan, NodeLoss, Straggler};
 use memman::{Eviction, MemCounters, MemoryManager};
@@ -58,9 +58,13 @@ impl FaultState {
 }
 
 /// A cached RDD as the stage that computed it left it: the partitions,
-/// the node each lives on, and the partitioning they are known to have.
+/// their encoded sizes, the node each lives on, and the partitioning they
+/// are known to have.
 struct Materialized {
     parts: Vec<Arc<Vec<Record>>>,
+    /// `sizes[i]` is `parts[i]`'s encoded size, as its capturing task
+    /// measured it; every read, spill and re-home books this number.
+    sizes: Vec<u64>,
     homes: Vec<NodeId>,
     partitioning: Option<PartitionerSpec>,
     producer_stage: usize,
@@ -92,11 +96,15 @@ impl Ledger {
         self.materialized.contains_key(&rdd)
     }
 
-    /// Cached `rdd`'s partitions, and the global id of the stage that
-    /// computed them.
-    pub(super) fn cached(&self, rdd: Rdd) -> (&[Arc<Vec<Record>>], usize) {
+    /// Cached `rdd`'s partitions and their sizes, and the global id of
+    /// the stage that computed them.
+    pub(super) fn cached(&self, rdd: Rdd) -> (CachedParts<'_>, usize) {
         let mat = &self.materialized[&rdd];
-        (&mat.parts, mat.producer_stage)
+        let parts = CachedParts {
+            parts: &mat.parts,
+            sizes: &mat.sizes,
+        };
+        (parts, mat.producer_stage)
     }
 
     /// What the planner knows of each cached RDD.
@@ -116,7 +124,7 @@ impl Ledger {
     /// disk.
     pub(super) fn read_of(&self, rdd: Rdd, i: usize) -> TaskSpec {
         let mat = &self.materialized[&rdd];
-        let bytes = batch_size(&mat.parts[i]);
+        let bytes = mat.sizes[i];
         let mut t = TaskSpec {
             fetch_chunks: usize::from(!mat.parts[i].is_empty()),
             ..TaskSpec::default()
@@ -200,16 +208,14 @@ impl Context {
             }
             StageRoot::CachedRead(rdd) => self.ledger.materialized[rdd].partitioning,
         };
-        let mut capture_map: HashMap<Rdd, Vec<Arc<Vec<Record>>>> = HashMap::new();
+        let mut capture_map: BTreeMap<Rdd, Vec<&Capture>> = BTreeMap::new();
         for out in outs {
-            for (rdd, data) in &out.captures {
-                capture_map.entry(*rdd).or_default().push(Arc::clone(data));
+            for c in &out.captures {
+                capture_map.entry(c.rdd).or_default().push(c);
             }
         }
-        let mut captures: Vec<(Rdd, Vec<Arc<Vec<Record>>>)> = capture_map.into_iter().collect();
-        captures.sort_by_key(|(r, _)| r.0);
-        for (rdd, parts) in captures {
-            if parts.len() != outs.len() || self.ledger.holds(rdd) {
+        for (rdd, captured) in capture_map {
+            if captured.len() != outs.len() || self.ledger.holds(rdd) {
                 continue;
             }
             let partitioning = if rdd == root_rdd {
@@ -224,11 +230,12 @@ impl Context {
                 *self.ledger.reads_done.entry(rdd).or_insert(0) += 1;
             }
             let mut per_node = vec![0u64; self.options.cluster.num_nodes()];
-            for (part, &home) in parts.iter().zip(homes) {
-                per_node[home] += batch_size(part);
+            for (c, &home) in captured.iter().zip(homes) {
+                per_node[home] += c.bytes;
             }
             let entry = Materialized {
-                parts,
+                parts: captured.iter().map(|c| Arc::clone(&c.part)).collect(),
+                sizes: captured.iter().map(|c| c.bytes).collect(),
                 homes: homes.to_vec(),
                 partitioning,
                 producer_stage,
@@ -292,7 +299,7 @@ impl Context {
                     continue;
                 }
                 let k = ledger_moves.len();
-                let (new_home, bytes) = (survivors[k % survivors.len()], batch_size(&mat.parts[i]));
+                let (new_home, bytes) = (survivors[k % survivors.len()], mat.sizes[i]);
                 *home = new_home;
                 if spilled {
                     self.store
@@ -359,9 +366,8 @@ impl Context {
         for ev in spilled {
             let rdd = Rdd(ev.id as usize);
             let mat = &self.ledger.materialized[&rdd];
-            for (i, part) in mat.parts.iter().enumerate() {
-                self.store
-                    .create_file_on(&spill_name(rdd, i), batch_size(part), mat.homes[i]);
+            for (i, (&bytes, &home)) in mat.sizes.iter().zip(&mat.homes).enumerate() {
+                self.store.create_file_on(&spill_name(rdd, i), bytes, home);
             }
             for (w, b) in spill_write.iter_mut().zip(&ev.bytes) {
                 *w += b;

@@ -687,7 +687,7 @@ mod tests {
                 ctx.collect(sums, "sums"),
                 format!("{:?}", ctx.jobs()),
             );
-            let parts = ctx.ledger.cached(rows).0.to_vec();
+            let parts = ctx.ledger.cached(rows).0.parts.to_vec();
             (out, parts)
         };
         let ((reserved, parts), (grown, grown_parts)) = (cached(true), cached(false));

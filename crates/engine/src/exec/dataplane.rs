@@ -3,7 +3,7 @@
 //! Everything here is a function of the lineage graph and a
 //! [`StageInput`]; nothing here knows a cluster, a clock or a ledger.
 
-use super::stage::ShuffleData;
+use super::stage::{ColumnRun, ShuffleData};
 use crate::ops::{reserve_records, Emit, FilterFn, FlatMapFn, GenFn, MapFn, OpKind, ReduceFn};
 use crate::partitioner::{Partitioner, PartitionerKind, PartitionerSpec};
 use crate::pool::lock;
@@ -31,18 +31,14 @@ pub(crate) enum MergeKind {
 }
 
 impl ShuffleData {
-    /// Hands map task `m`'s run for reduce partition `col` to `push` and
-    /// returns its record count. Row records are moved out in place under
-    /// the row's lock — no per-reducer copy of a column ever exists, and
-    /// the row's one allocation is freed with the table, by the driver —
-    /// or lent when the shuffle has more than one read. An empty run is
-    /// skipped on the byte table, without touching the lock.
-    fn with_run(&self, m: usize, col: usize, push: &mut impl FnMut(Run<'_>)) -> u64 {
-        if self.bytes[m][col] == 0 {
-            return 0;
-        }
-        let (start, end) = (self.offsets[m][col], self.offsets[m][col + 1]);
-        let mut row = lock(&self.rows[m]);
+    /// Hands `run` to `push` and returns its record count. Row records are
+    /// moved out in place under the row's lock — no per-reducer copy of a
+    /// column ever exists, and the row's one allocation is freed with the
+    /// table, by the driver — or lent when the shuffle has more than one
+    /// read.
+    fn with_run(&self, run: &ColumnRun, push: &mut impl FnMut(Run<'_>)) -> u64 {
+        let (start, end) = (run.start as usize, run.end as usize);
+        let mut row = lock(&self.rows[run.map as usize]);
         match &mut *row {
             Runs::Rows(records) if self.shared => push(Run::Shared(&records[start..end])),
             Runs::Rows(records) => push(Run::Moved(&mut records[start..end])),
@@ -59,21 +55,28 @@ impl ShuffleData {
     /// returns the records and bytes fetched.
     fn drain_column(&self, col: usize, mut push: impl FnMut(Run<'_>)) -> (u64, u64) {
         let (mut fetched, mut bytes) = (0u64, 0u64);
-        for m in 0..self.rows.len() {
-            fetched += self.with_run(m, col, &mut push);
-            bytes += self.bytes[m][col];
+        for run in self.column(col) {
+            fetched += self.with_run(run, &mut push);
+            bytes += run.bytes;
         }
         (fetched, bytes)
     }
+}
+
+/// A cached RDD's partitions and their encoded sizes, as the tasks that
+/// captured them measured them: partition `i` feeds task `i`.
+#[derive(Clone, Copy)]
+pub(super) struct CachedParts<'s> {
+    pub(super) parts: &'s [Arc<Vec<Record>>],
+    pub(super) sizes: &'s [u64],
 }
 
 /// Where one join side's data comes from.
 pub(super) enum JoinSide<'s> {
     /// A shuffle, consumed run by run in map order.
     Shuffle(&'s ShuffleData),
-    /// A cached co-partitioned RDD's partitions: partition `i` feeds
-    /// task `i`.
-    Narrow(&'s [Arc<Vec<Record>>]),
+    /// A cached co-partitioned RDD.
+    Narrow(CachedParts<'s>),
 }
 
 impl JoinSide<'_> {
@@ -82,10 +85,10 @@ impl JoinSide<'_> {
     fn drain(&self, col: usize, mut push: impl FnMut(Run<'_>)) -> (u64, u64) {
         match self {
             JoinSide::Shuffle(data) => data.drain_column(col, push),
-            JoinSide::Narrow(parts) => {
-                let part = &parts[col];
+            JoinSide::Narrow(cached) => {
+                let part = &cached.parts[col];
                 push(Run::Shared(part));
-                (part.len() as u64, batch_size(part))
+                (part.len() as u64, cached.sizes[col])
             }
         }
     }
@@ -101,7 +104,7 @@ pub(super) enum StageInput<'s> {
         cost_per_record: f64,
     },
     /// Partition `i` of a cached RDD.
-    Cached(&'s [Arc<Vec<Record>>]),
+    Cached(CachedParts<'s>),
     /// Column `i` of a shuffle, merged as the wide op prescribes. Hot
     /// columns of `split` merge as several sub-tasks (see
     /// [`crate::adaptive`]); `split_seed` feeds their sub-bound samples.
@@ -233,18 +236,28 @@ impl TaskRecords {
     }
 }
 
-/// Captures the records for cache persistence and leaves the task reading
-/// the captured partition. Nothing is copied: an owned vector moves into
-/// its `Arc`, a shared window covering a whole partition is captured as
-/// that partition (only a partial window of a source collection is cloned).
-fn capture(records: &mut TaskRecords) -> Arc<Vec<Record>> {
+/// One cached partition as the task that computed it captured it.
+pub(super) struct Capture {
+    pub(super) rdd: Rdd,
+    pub(super) part: Arc<Vec<Record>>,
+    /// Encoded size of `part`, measured once, here.
+    pub(super) bytes: u64,
+}
+
+/// Captures the records of `rdd` for cache persistence and leaves the
+/// task reading the captured partition. Nothing is copied: an owned vector
+/// moves into its `Arc`, a shared window covering a whole partition is
+/// captured as that partition (only a partial window of a source
+/// collection is cloned).
+fn capture(rdd: Rdd, records: &mut TaskRecords) -> Capture {
     let part = match std::mem::take(records) {
         TaskRecords::Owned(v) => Arc::new(v),
         TaskRecords::Shared(data, start, end) if start == 0 && end == data.len() => data,
         TaskRecords::Shared(data, start, end) => Arc::new(data[start..end].to_vec()),
     };
     *records = TaskRecords::Shared(Arc::clone(&part), 0, part.len());
-    part
+    let bytes = batch_size(&part);
+    Capture { rdd, part, bytes }
 }
 
 pub(super) struct TaskOut {
@@ -257,7 +270,7 @@ pub(super) struct TaskOut {
     pub(super) cost: f64,
     pub(super) input_records: u64,
     pub(super) input_bytes: u64,
-    pub(super) captures: Vec<(Rdd, Arc<Vec<Record>>)>,
+    pub(super) captures: Vec<Capture>,
     /// Keys reservoir-sampled from the final records (range shuffles only).
     pub(super) sample: Vec<Key>,
     /// Per-sub virtual-task statistics when this task ran as an adaptive
@@ -545,10 +558,10 @@ fn read_root<'s>(input: &StageInput<'s>, task: TaskId) -> RootRead<'s> {
             };
             (split, 0, 0)
         }
-        StageInput::Cached(parts) => {
-            let data = &parts[i];
+        StageInput::Cached(cached) => {
+            let data = &cached.parts[i];
             let shared = TaskRecords::Shared(Arc::clone(data), 0, data.len());
-            (Root::Records(shared), data.len() as u64, batch_size(data))
+            (Root::Records(shared), data.len() as u64, cached.sizes[i])
         }
         StageInput::Shuffle {
             data,
@@ -563,15 +576,20 @@ fn read_root<'s>(input: &StageInput<'s>, task: TaskId) -> RootRead<'s> {
                 // merge each sub independently. The routing is
                 // key-preserving, so aggregates match the unsplit merge;
                 // concatenation in sub order keeps the output deterministic.
-                let mut maps: Vec<Vec<Record>> = vec![Vec::new(); data.rows.len()];
-                for (m, records) in maps.iter_mut().enumerate() {
-                    data.with_run(m, i, &mut |run| *records = run.into_records());
-                }
-                let fetched: u64 = maps.iter().map(|b| b.len() as u64).sum();
-                let bytes: u64 = data.bytes.iter().map(|b| b[i]).sum();
+                let column = data.column(i);
+                let maps: Vec<(usize, Vec<Record>)> = column
+                    .iter()
+                    .map(|run| {
+                        let mut records = Vec::new();
+                        data.with_run(run, &mut |r| records = r.into_records());
+                        (run.map as usize, records)
+                    })
+                    .collect();
+                let fetched: u64 = maps.iter().map(|(_, b)| b.len() as u64).sum();
+                let bytes: u64 = column.iter().map(|r| r.bytes).sum();
                 let seed = split_seed ^ ((i as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15));
                 let router = crate::adaptive::SubRouter::build(
-                    maps.iter().flatten().map(|r| &r.key),
+                    maps.iter().flat_map(|(_, b)| b).map(|r| &r.key),
                     k,
                     seed,
                 );
@@ -684,7 +702,7 @@ pub(super) fn compute_task(
     let mut root = read_root(input, task);
     let mut captures = Vec::new();
     if let Some(root_rdd) = capture_root {
-        captures.push((root_rdd, capture(root.records(task))));
+        captures.push(capture(root_rdd, root.records(task)));
     }
     let records = run_chain(graph, chain, task, &mut root, &mut captures, &mut sink);
     let sample = match range_sample {
@@ -731,7 +749,7 @@ fn run_chain(
     chain: &[Rdd],
     task: TaskId,
     root: &mut RootRead<'_>,
-    captures: &mut Vec<(Rdd, Arc<Vec<Record>>)>,
+    captures: &mut Vec<Capture>,
     sink: &mut Sink<'_, '_>,
 ) -> TaskRecords {
     let mut counts: Vec<u64> = vec![0; chain.len()];
@@ -771,7 +789,7 @@ fn run_chain(
                 root.pass(task, &mut ops, &mut out);
                 root.root = Root::Records(TaskRecords::Owned(out));
                 if let Some(&rdd) = cached {
-                    captures.push((rdd, capture(root.records(task))));
+                    captures.push(capture(rdd, root.records(task)));
                 }
             }
         }
@@ -971,19 +989,19 @@ mod tests {
                     collected_write.cost.to_bits(),
                     "{case}"
                 );
-                assert_eq!(write.runs.offsets, collected_write.runs.offsets, "{case}");
-                assert_eq!(write.runs.bytes, collected_write.runs.bytes, "{case}");
+                assert_eq!(write.runs.spans, collected_write.runs.spans, "{case}");
                 match (&write.runs.runs, &collected_write.runs.runs) {
                     (Runs::Rows(a), Runs::Rows(b)) => assert_eq!(a, b, "{case}"),
                     _ => panic!("{case}: a combining write is a row write"),
                 }
                 if cached_tail {
                     // The capture is the chain's whole pre-combine output.
-                    let [(rdd, part)] = out.captures.as_slice() else {
+                    let [Capture { rdd, part, bytes }] = out.captures.as_slice() else {
                         panic!("{case}: one capture")
                     };
                     assert_eq!(*rdd, kept, "{case}");
                     assert_eq!(part.as_slice(), chain_output.as_slice(), "{case}");
+                    assert_eq!(*bytes, batch_size(part), "{case}");
                 } else {
                     assert!(out.captures.is_empty(), "{case}");
                 }
@@ -996,19 +1014,22 @@ mod tests {
         let owned: Vec<Record> = word_records();
         let at = owned.as_ptr();
         let mut records = TaskRecords::Owned(owned);
-        let part = capture(&mut records);
+        let rdd = Rdd(7);
+        let Capture { part, bytes, .. } = capture(rdd, &mut records);
         assert_eq!(part.as_ptr(), at, "the vector moved into its Arc");
+        assert_eq!(bytes, batch_size(&part), "sized as captured");
         assert!(
             matches!(&records, TaskRecords::Shared(data, 0, 200) if Arc::ptr_eq(data, &part)),
             "the task reads on from the captured partition"
         );
         // A window over a whole shared partition is that partition...
-        let again = capture(&mut records);
-        assert!(Arc::ptr_eq(&again, &part));
+        let again = capture(rdd, &mut records);
+        assert!(Arc::ptr_eq(&again.part, &part));
         // ...and only a partial window is copied.
         let mut window = TaskRecords::Shared(Arc::clone(&part), 50, 80);
-        let copy = capture(&mut window);
-        assert_eq!(copy.as_slice(), &part[50..80]);
+        let copy = capture(rdd, &mut window);
+        assert_eq!(copy.part.as_slice(), &part[50..80]);
+        assert_eq!(copy.bytes, batch_size(&part[50..80]));
         assert_eq!(window.as_slice(), &part[50..80]);
     }
 }

@@ -136,7 +136,7 @@ impl Context {
             StageRoot::Source(rdd) => self.source_partitions(*rdd, plan.default_parallelism),
             StageRoot::ShuffleRead { shuffle, .. } => plan.shuffles[*shuffle].scheme.partitions,
             StageRoot::JoinRead { wide, .. } => plan.schemes[wide].partitions,
-            StageRoot::CachedRead(rdd) => self.ledger.cached(*rdd).0.len(),
+            StageRoot::CachedRead(rdd) => self.ledger.cached(*rdd).0.parts.len(),
         }
     }
 

@@ -69,8 +69,8 @@ pub struct EngineOptions {
     /// results are bit-identical shared or not.
     pub shared_pool: Option<Arc<WorkerPool>>,
     /// Adaptive query execution (the default): after the map side of a
-    /// range-partitioned shuffle completes, the engine inspects the
-    /// map×partition byte table and splits hot reduce partitions into
+    /// range-partitioned shuffle completes, the engine inspects each
+    /// reduce partition's shuffle bytes and splits hot ones into
     /// sub-tasks before reduce work dispatches (see [`crate::adaptive`]).
     /// Every decision is a pure function of data-plane byte counts, so
     /// results stay bit-identical across worker counts, engines, and

@@ -1,6 +1,15 @@
 //! Stage execution and accounting: one plan stage from resolved inputs to
 //! stage metrics, in phases. The data moves in [`super::dataplane`]; what
 //! this module adds is everything the virtual cluster is charged for it.
+//!
+//! A shuffle's map output is kept as [`ShuffleData`]: each map task's
+//! records in one allocation, and one column-major index of the runs that
+//! exist — reduce partition `c`'s runs, in map-task order, are one
+//! contiguous slice. The index is built once, when the map stage stores
+//! its output, in time proportional to the runs plus P; every later
+//! question about a reduce partition (what it fetches and from where, how
+//! many bytes it holds, its records) reads that slice and never walks the
+//! map tasks that wrote nothing for it.
 
 use super::books::FAULTS;
 use super::context::{Context, Lane, STAGES};
@@ -17,9 +26,19 @@ use crate::record::Key;
 use crate::shuffle::{Combiner, Runs};
 use crate::stage::{Plan, PlanStage, SideDep, StageOutput, StageRoot};
 use simcluster::{NodeId, TaskSpec};
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use trace::{pids, Clock, Track};
+
+/// One run of the shuffle's column-major index: map task `map`'s records
+/// `start..end` for the reduce partition whose column lists it.
+#[derive(Debug, Clone, Copy, Default)]
+pub(super) struct ColumnRun {
+    pub(super) map: u32,
+    pub(super) start: u32,
+    pub(super) end: u32,
+    /// Serialized size of the run; never 0.
+    pub(super) bytes: u64,
+}
 
 /// One shuffle's map output, from the map stage that wrote it until the
 /// last stage that reads it.
@@ -30,11 +49,12 @@ pub(super) struct ShuffleData {
     /// row in place (see [`ShuffleData::with_run`]) and holds the lock only
     /// for that. Emptied after the last read.
     pub(super) rows: Vec<Mutex<Runs>>,
-    /// `offsets[map_task]`: reduce partition `c`'s run is
-    /// `offsets[map_task][c]..offsets[map_task][c + 1]` of the row.
-    pub(super) offsets: Vec<Vec<usize>>,
-    /// `bytes[map_task][reduce_partition]`, serialized size per run.
-    pub(super) bytes: Vec<Vec<u64>>,
+    /// `P + 1` column starts: reduce partition `c`'s runs are
+    /// `runs[col_start[c]..col_start[c + 1]]`.
+    col_start: Vec<usize>,
+    /// Every non-empty run, column by column, in map-task order within a
+    /// column.
+    runs: Vec<ColumnRun>,
     nodes: Vec<NodeId>,
     pub(super) producer_gid: usize,
     /// The producer stage's task specs, retained only while a fault plan
@@ -152,19 +172,13 @@ impl Context {
         let mut result_outs = None;
         match (stage.output, writes) {
             (StageOutput::ShuffleWrite(sidx), Some(writes)) => {
-                let mut rows = Vec::with_capacity(cx.num_tasks);
-                let mut offsets = Vec::with_capacity(cx.num_tasks);
-                let mut bytes = Vec::with_capacity(cx.num_tasks);
-                for w in writes {
-                    rows.push(Mutex::new(w.runs.runs));
-                    offsets.push(w.runs.offsets);
-                    bytes.push(w.runs.bytes);
-                }
                 let reads_left = plan.shuffle_reads(sidx);
+                let (rows, col_start, runs) =
+                    index_runs(writes, plan.shuffles[sidx].scheme.partitions);
                 shuffles[sidx] = Some(ShuffleData {
                     rows,
-                    offsets,
-                    bytes,
+                    col_start,
+                    runs,
                     nodes: homes,
                     producer_gid: gid,
                     // Retained only under a fault plan, as-if-unsplit when
@@ -228,8 +242,8 @@ impl Context {
                     OpKind::Repartition { .. } => MergeKind::Concat,
                     other => unreachable!("single-parent wide op expected, got {other:?}"),
                 };
-                // Adaptive hot-partition split, decided from the producer's
-                // map×partition byte table before any reduce work
+                // Adaptive hot-partition split, decided from the bytes of
+                // each reduce partition's runs before any reduce work
                 // dispatches. Purely data-plane inputs: identical across
                 // worker counts and fault plans.
                 if self.options.adaptive
@@ -257,7 +271,7 @@ impl Context {
                     .map(|i| {
                         let (mut t, r) = (read(left, i), read(right, i));
                         t.fetches.extend(r.fetches);
-                        t.fetches = aggregate_fetches(t.fetches.iter().map(|(n, b)| (n, *b)));
+                        t.fetches = aggregate_fetches(std::mem::take(&mut t.fetches));
                         t.fetch_chunks += r.fetch_chunks;
                         t.local_read_bytes += r.local_read_bytes;
                         t
@@ -469,7 +483,7 @@ impl Context {
         let mut unsplit: Vec<TaskSpec> = Vec::new();
         for (i, (task, out)) in reads.tasks.iter().zip(outs).enumerate() {
             let (mut write_bytes, extra_cost) =
-                writes.map_or((0, 0.0), |w| (w[i].runs.bytes.iter().sum(), w[i].cost));
+                writes.map_or((0, 0.0), |w| (w[i].runs.total_bytes(), w[i].cost));
             let mut local_read_bytes = task.local_read_bytes;
             // Map-side combine overflow: a shuffle buffer larger than the
             // task's execution-memory share spills the overflow to disk
@@ -521,7 +535,7 @@ impl Context {
                     let sub_cost_sum: f64 = stats.iter().map(|s| s.cost).sum();
                     for (s_idx, st) in stats.iter().enumerate() {
                         let last = s_idx + 1 == stats.len();
-                        let sub_in: u64 = st.per_map_bytes.iter().sum();
+                        let sub_in: u64 = st.per_map_bytes.iter().map(|&(_, b)| b).sum();
                         specs.push(TaskSpec {
                             // The narrow chain (plus any bucketize/spill
                             // charge) runs once over the concatenated
@@ -535,12 +549,11 @@ impl Context {
                                 },
                             local_read_bytes: if last { local_read_bytes } else { 0 },
                             fetches: aggregate_fetches(
-                                reads
-                                    .producer_nodes
+                                st.per_map_bytes
                                     .iter()
-                                    .zip(st.per_map_bytes.iter().copied()),
+                                    .map(|&(m, b)| (reads.producer_nodes[m], b)),
                             ),
-                            fetch_chunks: st.per_map_bytes.iter().filter(|&&b| b > 0).count(),
+                            fetch_chunks: st.per_map_bytes.iter().filter(|&&(_, b)| b > 0).count(),
                             write_bytes: if last { write_bytes } else { 0 },
                             memory_bytes: sub_in + st.out_bytes,
                             preferred_nodes: Vec::new(),
@@ -665,7 +678,7 @@ impl Context {
             output_records: outs.iter().map(|o| o.out_records).sum(),
             output_bytes: outs.iter().map(|o| o.out_bytes).sum(),
             shuffle_read_bytes,
-            shuffle_write_bytes: writes.map_or(0, |w| w.iter().flat_map(|w| &w.runs.bytes).sum()),
+            shuffle_write_bytes: writes.map_or(0, |w| w.iter().map(|w| w.runs.total_bytes()).sum()),
             remote_read_bytes,
             start: timing.start,
             end: timing.end,
@@ -754,20 +767,64 @@ const SHUFFLE_BYTES: Lane = (Track::new(pids::DRIVER, 1), "shuffle bytes");
 /// Host wall-clock span of each stage's task phase, beside the pool's lanes.
 const PIPELINE: Lane = (Track::new(pids::POOL, 2), "pipeline stages");
 
-/// Aggregates `(node, bytes)` pairs by node, dropping empty transfers.
-fn aggregate_fetches<'a, I>(pairs: I) -> Vec<(NodeId, u64)>
-where
-    I: IntoIterator<Item = (&'a NodeId, u64)>,
-{
-    let mut per_node: HashMap<NodeId, u64> = HashMap::new();
-    for (&node, bytes) in pairs {
-        if bytes > 0 {
-            *per_node.entry(node).or_insert(0) += bytes;
+/// Aggregates `(node, bytes)` pairs by node, dropping empty transfers;
+/// sorted by node.
+fn aggregate_fetches(pairs: impl IntoIterator<Item = (NodeId, u64)>) -> Vec<(NodeId, u64)> {
+    // Collected whole, so an exact-size source allocates once.
+    let mut v: Vec<(NodeId, u64)> = pairs.into_iter().collect();
+    v.retain(|&(_, b)| b > 0);
+    v.sort_unstable_by_key(|&(node, _)| node);
+    v.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            kept.1 += later.1;
+        }
+        same
+    });
+    v
+}
+
+/// Lays the map tasks' writes out as a shuffle table: each task's records
+/// become its row, and its runs go into a column-major index — the `P + 1`
+/// column starts and the runs, map-task order within a column — built by
+/// one counting sort over the runs, in time proportional to the runs plus
+/// `partitions`.
+fn index_runs(
+    writes: Vec<MapWrite>,
+    partitions: usize,
+) -> (Vec<Mutex<Runs>>, Vec<usize>, Vec<ColumnRun>) {
+    let mut col_start = vec![0usize; partitions + 1];
+    for s in writes.iter().flat_map(|w| w.runs.spans()) {
+        col_start[s.partition as usize] += 1;
+    }
+    // Each column's end; filling back to front turns it into its start.
+    let mut acc = 0;
+    for c in col_start.iter_mut() {
+        acc += *c;
+        *c = acc;
+    }
+    let mut runs = vec![ColumnRun::default(); acc];
+    assert!(
+        u32::try_from(writes.len()).is_ok(),
+        "fewer than 2^32 map tasks"
+    );
+    for (m, w) in writes.iter().enumerate().rev() {
+        for s in w.runs.spans().iter().rev() {
+            let at = &mut col_start[s.partition as usize];
+            *at -= 1;
+            runs[*at] = ColumnRun {
+                map: m as u32,
+                start: s.start,
+                end: s.end,
+                bytes: s.bytes,
+            };
         }
     }
-    let mut v: Vec<(NodeId, u64)> = per_node.into_iter().collect();
-    v.sort_unstable();
-    v
+    let rows = writes
+        .into_iter()
+        .map(|w| Mutex::new(w.runs.runs))
+        .collect();
+    (rows, col_start, runs)
 }
 
 /// The plan stage being executed and its identifiers, shared by every
@@ -818,21 +875,26 @@ struct StageSpecs {
 }
 
 impl ShuffleData {
+    /// Reduce partition `col`'s runs, in map-task order.
+    pub(super) fn column(&self, col: usize) -> &[ColumnRun] {
+        &self.runs[self.col_start[col]..self.col_start[col + 1]]
+    }
+
     /// What reduce partition `col` fetches: bytes per producer node, one
     /// chunk per map task with data for it.
     fn read_of(&self, col: usize) -> TaskSpec {
+        let runs = self.column(col);
         TaskSpec {
-            fetches: aggregate_fetches(self.nodes.iter().zip(self.bytes.iter().map(|b| b[col]))),
-            fetch_chunks: self.bytes.iter().filter(|b| b[col] > 0).count(),
+            fetches: aggregate_fetches(runs.iter().map(|r| (self.nodes[r.map as usize], r.bytes))),
+            fetch_chunks: runs.len(),
             ..TaskSpec::default()
         }
     }
 
-    /// Bytes written per reduce partition (column sums of the byte table).
+    /// Bytes written per reduce partition.
     pub(super) fn column_bytes(&self) -> Vec<u64> {
-        let p = self.bytes.first().map_or(0, Vec::len);
-        (0..p)
-            .map(|i| self.bytes.iter().map(|b| b[i]).sum())
+        (0..self.col_start.len() - 1)
+            .map(|c| self.column(c).iter().map(|r| r.bytes).sum())
             .collect()
     }
 
@@ -861,14 +923,16 @@ impl ShuffleData {
 
 #[cfg(test)]
 mod tests {
+    use super::super::dataplane::MapWrite;
     use super::super::fixture::{sorted, sum, test_options, word_records};
     use super::super::EngineOptions;
-    use super::Context;
+    use super::{index_runs, Context};
     use crate::metrics::StageKind;
     use crate::ops::Emit;
-    use crate::partitioner::PartitionerSpec;
+    use crate::partitioner::{HashPartitioner, PartitionerSpec};
     use crate::pool::{lock, WorkerPool};
     use crate::record::{Key, Record, Value};
+    use crate::shuffle::{bucketize_runs, TaskArena};
     use std::sync::atomic::Ordering;
     use std::sync::{Arc, Mutex};
 
@@ -927,6 +991,59 @@ mod tests {
             assert_eq!(b_job.join().expect("tenant B"), 10);
             assert_eq!(a_job.join().expect("tenant A"), 10);
         });
+    }
+
+    /// Shuffle bookkeeping in proportion to the runs that exist: at
+    /// P = 100 000 and 3 records per map task, a task lists at most 3 runs
+    /// and the whole shuffle keeps one `P + 1` column-start vector beside
+    /// them. Neither the table nor a task's output declares a field of one
+    /// entry per partition per map task.
+    #[test]
+    fn shuffle_bookkeeping_grows_with_the_runs_not_with_p() {
+        const P: usize = 100_000;
+        let (maps, partitioner) = (8, HashPartitioner::new(P));
+        let arena = &mut TaskArena::default();
+        // Every map task writes the same 3 keys, so 3 columns hold a run
+        // of every map task.
+        let writes: Vec<MapWrite> = (0..maps)
+            .map(|m| {
+                let records = (0..3).map(|k| Record::new(Key::Int(k), Value::Int(m)));
+                let (runs, _) = bucketize_runs(records.collect(), &partitioner, None, arena);
+                assert!(runs.spans().len() <= 3, "map {m}: {:?}", runs.spans());
+                MapWrite { runs, cost: 0.0 }
+            })
+            .collect();
+        let (rows, col_start, runs) = index_runs(writes, P);
+        assert_eq!(rows.len(), maps as usize);
+        assert_eq!(col_start.len(), P + 1);
+        assert_eq!(
+            runs.len(),
+            3 * maps as usize,
+            "3 keys a task, 3 runs a task"
+        );
+        let columns: Vec<&[super::ColumnRun]> = (0..P)
+            .map(|c| &runs[col_start[c]..col_start[c + 1]])
+            .filter(|column| !column.is_empty())
+            .collect();
+        assert_eq!(columns.len(), 3);
+        for column in columns {
+            let order: Vec<u32> = column.iter().map(|r| r.map).collect();
+            assert_eq!(order, (0..maps as u32).collect::<Vec<_>>(), "map order");
+        }
+
+        let definition = |source: &str, header: &str| -> String {
+            let start = source.find(header).expect("the struct is defined");
+            let end = start + source[start..].find("\n}\n").expect("and closed");
+            source[start..end].to_string()
+        };
+        let per_map_table = concat!("Vec<", "Vec<");
+        let table = definition(include_str!("stage.rs"), "pub(super) struct ShuffleData {");
+        assert!(!table.contains(per_map_table), "a dense table:\n{table}");
+        let per_partition = [concat!("Vec<", "usize>"), concat!("Vec<", "u64>")];
+        let task = definition(include_str!("../shuffle.rs"), "pub struct TaskRuns {");
+        for field in per_partition {
+            assert!(!task.contains(field), "a per-partition field:\n{task}");
+        }
     }
 
     #[test]

@@ -9,12 +9,15 @@
 //! each partition sees fewer duplicate keys, the combiner collapses less,
 //! and more records survive to be shuffled.
 //!
-//! A map task's output is one allocation: its records (or one columnar
-//! batch) in reduce-partition order plus `P + 1` run boundaries
-//! ([`TaskRuns`]). Nothing is allocated per reduce partition, so a write
-//! costs the same at P = 60 and P = 1200; [`TaskBuckets`] is the same
-//! output cut into one [`Bucket`] per partition, for callers that want
-//! the pieces. The map-side combine is incremental ([`Combiner`]): the
+//! A map task's output is its records (or one columnar batch) in
+//! reduce-partition order plus the list of its *non-empty* runs —
+//! partition, record range, encoded bytes — in ascending partition order
+//! ([`TaskRuns`], [`RunSpan`]). What a task keeps grows with its records,
+//! not with P: at P much larger than the records per task an empty
+//! partition costs one counter in the task's scratch space and nothing
+//! that outlives the task. [`TaskBuckets`] is the same output cut into one
+//! [`Bucket`] per partition, for callers that want the pieces. The
+//! map-side combine is incremental ([`Combiner`]): the
 //! executor pushes a task's records into it as the narrow chain produces
 //! them, and the whole-sequence writes are the loop over the same `push`.
 //!
@@ -124,43 +127,80 @@ pub(crate) enum Runs {
     Cols(ColumnBatch),
 }
 
+/// Why a [`RunSpan`]'s `u32` bounds hold every index they are given.
+const FITS_U32: &str = "a map task holds fewer than 2^32 records";
+
+/// One non-empty run of a map task's output: reduce partition
+/// `partition`'s records at `start..end` of the task's records, `bytes`
+/// of them encoded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunSpan {
+    /// Reduce partition.
+    pub partition: u32,
+    /// First record of the run.
+    pub start: u32,
+    /// One past the run's last record.
+    pub end: u32,
+    /// Serialized size of the run.
+    pub bytes: u64,
+}
+
 /// Map-side output of one task as the executor stores it: every record of
 /// the task in one allocation, ordered by reduce partition, first-seen
-/// order inside a partition. However many reduce partitions there are, a
-/// task allocates nothing per partition — at P much larger than the
-/// records per task, per-bucket vectors and their handles used to be most
-/// of the shuffle's work. [`TaskRuns::into_buckets`] cuts it into the
-/// bucket-per-partition form.
+/// order inside a partition, and one [`RunSpan`] per partition the task
+/// has records for. However many reduce partitions there are, nothing is
+/// allocated or listed for an empty one. [`TaskRuns::into_buckets`] cuts
+/// it into the bucket-per-partition form.
 #[derive(Debug, Clone)]
 pub struct TaskRuns {
-    /// The records, partition `b` at `offsets[b]..offsets[b + 1]`.
+    /// The records, in the order [`TaskRuns::spans`] cuts them.
     pub(crate) runs: Runs,
-    /// `P + 1` run boundaries.
-    pub(crate) offsets: Vec<usize>,
-    /// Serialized size per reduce partition.
-    pub(crate) bytes: Vec<u64>,
+    /// The non-empty runs, in ascending partition order.
+    pub(crate) spans: Vec<RunSpan>,
+    /// The partitioner's P.
+    partitions: usize,
 }
 
 impl TaskRuns {
-    /// One [`Bucket`] per reduce partition: row runs are moved into their
-    /// own vectors, columnar runs become zero-copy slices.
+    /// The task's non-empty runs, in ascending partition order.
+    pub fn spans(&self) -> &[RunSpan] {
+        &self.spans
+    }
+
+    /// Total bytes this task wrote.
+    pub(crate) fn total_bytes(&self) -> u64 {
+        self.spans.iter().map(|s| s.bytes).sum()
+    }
+
+    /// One [`Bucket`] per reduce partition, empty ones included: row runs
+    /// are moved into their own vectors, columnar runs become zero-copy
+    /// slices.
     pub fn into_buckets(self) -> TaskBuckets {
-        let lens = self.offsets.windows(2).map(|w| w[1] - w[0]);
+        let mut bytes = vec![0; self.partitions];
+        let mut spans = self.spans.iter().peekable();
+        let mut at = 0;
+        // `(start, len)` of every partition's run, an empty one where the
+        // last run ended.
+        let cuts =
+            (0..self.partitions).map(|b| match spans.next_if(|s| s.partition as usize == b) {
+                Some(s) => {
+                    bytes[b] = s.bytes;
+                    at = s.end as usize;
+                    (s.start as usize, (s.end - s.start) as usize)
+                }
+                None => (at, 0),
+            });
         let buckets = match self.runs {
             Runs::Rows(records) => {
                 let mut records = records.into_iter();
-                lens.map(|n| Bucket::Rows(Arc::new(records.by_ref().take(n).collect())))
+                cuts.map(|(_, n)| Bucket::Rows(Arc::new(records.by_ref().take(n).collect())))
                     .collect()
             }
-            Runs::Cols(batch) => lens
-                .zip(&self.offsets)
-                .map(|(n, &start)| Bucket::Cols(batch.slice(start, n)))
+            Runs::Cols(batch) => cuts
+                .map(|(start, n)| Bucket::Cols(batch.slice(start, n)))
                 .collect(),
         };
-        TaskBuckets {
-            buckets,
-            bytes: self.bytes,
-        }
+        TaskBuckets { buckets, bytes }
     }
 }
 
@@ -464,10 +504,10 @@ fn combine_first_seen<R: IntoRecord>(
 }
 
 /// Lays `records` out in reduce-partition order by `arena.assignment`
-/// (stable: a partition's records keep their relative order) and sums the
-/// byte table on the way. `fetch(i)` yields input record `i` by value —
-/// moved out of an owned vector or cloned from a borrowed one — and is
-/// called once per record, in output order.
+/// (stable: a partition's records keep their relative order) and lists
+/// the non-empty runs on the way. `fetch(i)` yields input record `i` by
+/// value — moved out of an owned vector or cloned from a borrowed one —
+/// and is called once per record, in output order.
 fn order_runs(p: usize, arena: &mut TaskArena, mut fetch: impl FnMut(usize) -> Record) -> TaskRuns {
     let TaskArena {
         assignment,
@@ -475,16 +515,15 @@ fn order_runs(p: usize, arena: &mut TaskArena, mut fetch: impl FnMut(usize) -> R
         order,
         ..
     } = arena;
-    let mut offsets = Vec::with_capacity(p + 1);
-    let mut acc = 0usize;
-    offsets.push(0);
     // `counts` turns into each partition's write cursor.
+    let mut acc = 0usize;
     for c in counts.iter_mut() {
         let n = std::mem::replace(c, acc);
         acc += n;
-        offsets.push(acc);
     }
-    // Counting sort of the record indices, then one sequential write.
+    // Counting sort of the record indices, then one sequential write that
+    // opens a run wherever the partition changes.
+    assert!(u32::try_from(assignment.len()).is_ok(), "{FITS_U32}");
     order.clear();
     order.resize(assignment.len(), 0);
     for (i, &b) in assignment.iter().enumerate() {
@@ -492,20 +531,28 @@ fn order_runs(p: usize, arena: &mut TaskArena, mut fetch: impl FnMut(usize) -> R
         counts[b as usize] += 1;
     }
     let mut ordered = Vec::with_capacity(order.len());
-    let mut bytes = Vec::with_capacity(p);
-    for w in offsets.windows(2) {
-        let mut run_bytes = 0u64;
-        for &i in &order[w[0]..w[1]] {
-            let r = fetch(i as usize);
-            run_bytes += r.encoded_size();
-            ordered.push(r);
+    let mut spans: Vec<RunSpan> = Vec::with_capacity(order.len().min(p));
+    for &i in order.iter() {
+        let (r, partition) = (fetch(i as usize), assignment[i as usize]);
+        let (at, bytes) = (ordered.len() as u32, r.encoded_size());
+        match spans.last_mut() {
+            Some(run) if run.partition == partition => {
+                run.end += 1;
+                run.bytes += bytes;
+            }
+            _ => spans.push(RunSpan {
+                partition,
+                start: at,
+                end: at + 1,
+                bytes,
+            }),
         }
-        bytes.push(run_bytes);
+        ordered.push(r);
     }
     TaskRuns {
         runs: Runs::Rows(ordered),
-        offsets,
-        bytes,
+        spans,
+        partitions: p,
     }
 }
 
@@ -532,17 +579,22 @@ pub fn bucketize_columnar_runs(
     assignment.reserve(records.len());
     batch.partition_assignment(partitioner, assignment);
     let (gathered, offsets) = batch.gather(assignment, p);
-    let bytes = offsets
-        .windows(2)
-        .map(|w| match w[1] - w[0] {
-            0 => 0,
-            n => gathered.slice(w[0], n).encoded_size(),
-        })
-        .collect();
+    assert!(u32::try_from(records.len()).is_ok(), "{FITS_U32}");
+    let mut spans = Vec::with_capacity(records.len().min(p));
+    spans.extend((0..p).filter(|&b| offsets[b + 1] > offsets[b]).map(|b| {
+        RunSpan {
+            partition: b as u32,
+            start: offsets[b] as u32,
+            end: offsets[b + 1] as u32,
+            bytes: gathered
+                .slice(offsets[b], offsets[b + 1] - offsets[b])
+                .encoded_size(),
+        }
+    }));
     Some(TaskRuns {
         runs: Runs::Cols(gathered),
-        offsets,
-        bytes,
+        spans,
+        partitions: p,
     })
 }
 
@@ -1228,9 +1280,10 @@ mod tests {
 
     #[test]
     fn runs_are_the_buckets_laid_end_to_end() {
-        // Owned, shared and columnar writes agree on offsets, bytes and
-        // contents, with and without combine, and first-seen order holds
-        // inside a run even when two keys share a partition.
+        // Owned, shared and columnar writes agree on spans and contents,
+        // with and without combine; the spans tile the records; and
+        // first-seen order holds inside a run even when two keys share a
+        // partition.
         let records: Vec<Record> = (0..500).map(|i| rec((i * 7) % 41, i)).collect();
         let hash = HashPartitioner::new(16);
         let keys: Vec<Key> = records.iter().map(|r| r.key.clone()).collect();
@@ -1242,15 +1295,23 @@ mod tests {
                 let (shared, shared_ops) =
                     bucketize_runs_shared(&records, part, combine.as_ref(), arena);
                 assert_eq!(ops, shared_ops);
-                assert_eq!(owned.offsets, shared.offsets);
-                assert_eq!(owned.bytes, shared.bytes);
+                assert_eq!(owned.spans, shared.spans);
                 let Runs::Rows(rows) = &owned.runs else {
                     panic!("row write")
                 };
-                for (b, w) in owned.offsets.windows(2).enumerate() {
-                    let run = &rows[w[0]..w[1]];
-                    assert_eq!(owned.bytes[b], batch_size(run));
-                    assert!(run.iter().all(|r| part.partition(&r.key) == b));
+                let mut at = 0;
+                for (s, next) in owned.spans.iter().zip(owned.spans.iter().skip(1)) {
+                    assert!(s.partition < next.partition, "ascending partitions");
+                }
+                for s in &owned.spans {
+                    assert_eq!(s.start as usize, at, "the spans tile the records");
+                    at = s.end as usize;
+                    let run = &rows[s.start as usize..s.end as usize];
+                    assert!(!run.is_empty());
+                    assert_eq!(s.bytes, batch_size(run));
+                    assert!(run
+                        .iter()
+                        .all(|r| part.partition(&r.key) == s.partition as usize));
                     if combine.is_some() {
                         let mut keys: Vec<&Key> = run.iter().map(|r| &r.key).collect();
                         keys.dedup();
@@ -1259,14 +1320,14 @@ mod tests {
                         assert_eq!(keys.len(), run.len(), "one record per key");
                     }
                 }
+                assert_eq!(at, rows.len());
                 assert_eq!(
                     owned.clone().into_buckets().buckets,
                     shared.into_buckets().buckets
                 );
                 if combine.is_none() {
                     let cols = bucketize_columnar_runs(&records, part, arena).expect("int keys");
-                    assert_eq!(cols.offsets, owned.offsets);
-                    assert_eq!(cols.bytes, owned.bytes);
+                    assert_eq!(cols.spans, owned.spans);
                     assert_eq!(cols.into_buckets().buckets, owned.into_buckets().buckets);
                 }
             }

@@ -1,8 +1,9 @@
 //! Property-based tests for the engine's core invariants.
 
 use engine::shuffle::{
-    bucketize, bucketize_runs, bucketize_runs_shared, Bucket, CogroupMerge, Combiner, ConcatMerge,
-    GroupMerge, JoinMerge, ReduceMerge, Run, TaskArena, TaskRuns,
+    bucketize, bucketize_columnar_runs, bucketize_runs, bucketize_runs_shared, Bucket,
+    CogroupMerge, Combiner, ConcatMerge, GroupMerge, JoinMerge, ReduceMerge, Run, TaskArena,
+    TaskRuns,
 };
 use engine::{
     build_partitioner, measure_skew, sum_vector_counts, sum_vectors, ColumnBatch, Context, Emit,
@@ -492,6 +493,73 @@ proptest! {
         }
         prop_assert_eq!(&written(bucketize_runs(records.clone(), &*p, Some(&f), arena)), &want);
         prop_assert_eq!(&written(bucketize_runs_shared(&records, &*p, Some(&f), arena)), &want);
+    }
+
+    /// A map task's sparse run list is its dense per-partition view with
+    /// the empty partitions left out, for owned, shared, columnar and
+    /// combining writes: the listed runs ascend by partition, each holds
+    /// exactly the records the partitioner sends there — in first-seen
+    /// order, folded by key when the write combines — and its bytes are
+    /// their encoded size; a partition is listed if and only if it has a
+    /// record. Drawn down to a task with no records and up to P far above
+    /// the records.
+    #[test]
+    fn sparse_runs_are_the_dense_view(
+        records in prop_oneof![
+            arb_records(120),
+            arb_typed_records(120),
+            arb_hash_colliding_records(120)
+        ],
+        parts in prop_oneof![Just(1usize), 2usize..9, Just(4096usize)],
+        range in any::<bool>(),
+    ) {
+        let keys: Vec<Key> = records.iter().map(|r| r.key.clone()).collect();
+        let p: Box<dyn Partitioner> = if range {
+            Box::new(RangePartitioner::from_sample(keys.iter(), parts, 13))
+        } else {
+            Box::new(HashPartitioner::new(parts))
+        };
+        let f = fold_sizes();
+        let arena = &mut TaskArena::default();
+        let sent = |b: usize| -> Vec<Record> {
+            records.iter().filter(|r| p.partition(&r.key) == b).cloned().collect()
+        };
+        let check = |runs: TaskRuns, combine: bool, write: &str| {
+            let want = |b: usize| if combine { naive_reduce(&sent(b), &f).0 } else { sent(b) };
+            let spans = runs.spans().to_vec();
+            prop_assert!(spans.len() <= records.len().min(parts), "{}: {} runs", write, spans.len());
+            let mut at = 0;
+            for (i, s) in spans.iter().enumerate() {
+                prop_assert_eq!(s.start, at, "{}: the runs tile the records", write);
+                prop_assert!(s.end > s.start, "{}: run {:?} is empty", write, s);
+                prop_assert!(i == 0 || spans[i - 1].partition < s.partition, "{}: ascending", write);
+                at = s.end;
+            }
+            // The dense view cuts the same records at the listed bounds.
+            let dense = runs.into_buckets();
+            prop_assert_eq!(dense.buckets.len(), parts);
+            let held: usize = dense.buckets.iter().map(|b| b.len()).sum();
+            prop_assert_eq!(at as usize, held, "{}: the runs cover every record", write);
+            for (b, bucket) in dense.buckets.iter().enumerate() {
+                let run = bucket.to_vec();
+                prop_assert_eq!(&run, &want(b), "{}: partition {}", write, b);
+                prop_assert_eq!(dense.bytes[b], engine::batch_size(&run), "{}: bytes of {}", write, b);
+                match spans.iter().find(|s| s.partition as usize == b) {
+                    Some(s) => {
+                        prop_assert_eq!((s.end - s.start) as usize, run.len(), "{}: {:?}", write, s);
+                        prop_assert_eq!(s.bytes, dense.bytes[b], "{}: {:?}", write, s);
+                    }
+                    None => prop_assert!(run.is_empty(), "{}: partition {} unlisted", write, b),
+                }
+            }
+        };
+        check(bucketize_runs(records.clone(), &*p, None, arena).0, false, "owned");
+        check(bucketize_runs_shared(&records, &*p, None, arena).0, false, "shared");
+        if let Some(cols) = bucketize_columnar_runs(&records, &*p, arena) {
+            check(cols, false, "columnar");
+        }
+        check(bucketize_runs(records.clone(), &*p, Some(&f), arena).0, true, "combining");
+        check(bucketize_runs_shared(&records, &*p, Some(&f), arena).0, true, "combining shared");
     }
 
     /// The in-place vector reducers finish a map-side combine and a
