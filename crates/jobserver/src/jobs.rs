@@ -1,14 +1,20 @@
 //! Per-tenant job execution: four workload builders over a long-lived
 //! engine [`Context`], with cross-job reuse of cached source RDDs.
 //!
-//! Each tenant owns one `Context` for the server's lifetime. A cached
-//! dataset stays booked until it is uncached — under an `executor_mem`
-//! budget it may spill to disk, but it is never dropped — so a dataset
-//! cached by one job is still materialized when a later job of the same
-//! tenant asks for the same `(kind, scale, seed)`: the cross-job cache
-//! reuse the job server advertises. Every generator is a pure function
-//! of `(seed, global record index)`, so results are independent of
-//! partition count, worker count, and physical interleaving.
+//! Each tenant owns one `Context` for the server's lifetime. A job's
+//! source RDDs are cached under its dataset key `(kind, scale, seed)`,
+//! so a later job of the same tenant asking for the same dataset reads
+//! them materialized: the cross-job cache reuse the job server
+//! advertises. A cached dataset lives from its first job to its last:
+//! [`serve`](crate::serve) tells each runtime its jobs up front
+//! (`expect`), the runtime counts them down as they run or are rejected
+//! (`skip`), and after the last one it uncaches the dataset's sources —
+//! no later job reads them. Under an `executor_mem` budget a live dataset
+//! may spill to disk, but it is not dropped before then. A runtime told
+//! nothing, as one built outside `serve` is, keeps what it builds.
+//! Every generator is a pure function of `(seed, global record index)`,
+//! so results are independent of partition count, worker count, and
+//! physical interleaving.
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -99,15 +105,26 @@ pub struct JobOutcome {
     pub cache_hit: bool,
 }
 
+/// A dataset's identity: `(kind, scale bits, seed)` — the exact scale
+/// the generators size the data from, so two scales share a dataset only
+/// if they are the same number.
+type DatasetKey = (JobKind, u64, u64);
+
+/// The dataset `req` reads.
+fn dataset_key(req: &JobRequest) -> DatasetKey {
+    (req.kind, req.scale.to_bits(), req.seed)
+}
+
 /// A tenant's long-lived execution state.
 pub struct TenantRuntime {
     /// The tenant's private engine context (shared host pool, own virtual
     /// cluster clock).
     pub ctx: Context,
-    /// Source RDDs built so far, keyed by `(kind, scale bits, seed)` —
-    /// the exact scale the generators size the data from, so two scales
-    /// share a dataset only if they are the same number.
-    datasets: HashMap<(JobKind, u64, u64), Vec<Rdd>>,
+    /// Cached source RDDs of the datasets built and still live.
+    datasets: HashMap<DatasetKey, Vec<Rdd>>,
+    /// Declared jobs not yet run or skipped, per dataset. A dataset with
+    /// no entry has no declared future and is kept.
+    jobs_left: HashMap<DatasetKey, usize>,
     /// Dataset-cache hits across jobs.
     pub cache_hits: u64,
     /// Dataset-cache misses (first builds).
@@ -121,15 +138,45 @@ impl TenantRuntime {
         TenantRuntime {
             ctx: Context::new(options),
             datasets: HashMap::new(),
+            jobs_left: HashMap::new(),
             cache_hits: 0,
             cache_misses: 0,
+        }
+    }
+
+    /// Declares a job this runtime will later be handed, once, to
+    /// [`TenantRuntime::run`] or [`TenantRuntime::skip`]. A declared
+    /// dataset is uncached right after its last declared job.
+    pub(crate) fn expect(&mut self, req: &JobRequest) {
+        *self.jobs_left.entry(dataset_key(req)).or_insert(0) += 1;
+    }
+
+    /// Gives back a declared job that will never run (it was rejected),
+    /// releasing its dataset if no other declared job reads it.
+    pub(crate) fn skip(&mut self, req: &JobRequest) {
+        self.done_with(dataset_key(req));
+    }
+
+    /// Counts one declared job of `key` as finished; after the last one
+    /// the dataset's sources are uncached.
+    fn done_with(&mut self, key: DatasetKey) {
+        let Some(left) = self.jobs_left.get_mut(&key) else {
+            return;
+        };
+        *left -= 1;
+        if *left > 0 {
+            return;
+        }
+        self.jobs_left.remove(&key);
+        for rdd in self.datasets.remove(&key).unwrap_or_default() {
+            self.ctx.uncache(rdd);
         }
     }
 
     /// Runs one job to completion on the tenant's context and reports the
     /// outcome. Execution is real (host threads); timing is virtual.
     pub fn run(&mut self, req: &JobRequest) -> JobOutcome {
-        let key = (req.kind, req.scale.to_bits(), req.seed);
+        let key = dataset_key(req);
         let cache_hit = self.datasets.contains_key(&key);
         if cache_hit {
             self.cache_hits += 1;
@@ -143,6 +190,7 @@ impl TenantRuntime {
         }
         let sources = self.datasets[&key].clone();
         let out = run_query(&mut self.ctx, req, &sources);
+        self.done_with(key);
 
         let mut h = Fnv::new();
         for rec in &out {
@@ -440,6 +488,65 @@ mod tests {
         assert_eq!(first.rows, second.rows);
         // Cached sources skip the generate stage, so the repeat is faster.
         assert!(second.t_solo <= first.t_solo);
+        // Told nothing of its future, the runtime keeps what it built.
+        assert_eq!(rt.ctx.mem_counters().released, 0);
+        assert!(rt.run(&r).cache_hit);
+    }
+
+    /// Cached source RDDs per dataset of `kind`.
+    fn sources_of(kind: JobKind) -> u64 {
+        if kind == JobKind::Sql {
+            2
+        } else {
+            1
+        }
+    }
+
+    #[test]
+    fn a_declared_dataset_is_released_right_after_its_last_job() {
+        for kind in [
+            JobKind::WordCount,
+            JobKind::Sql,
+            JobKind::KMeans,
+            JobKind::LogReg,
+        ] {
+            let (a, b) = (req(kind, 0.2, 7), req(JobKind::LogReg, 0.1, 8));
+            let mut rt = TenantRuntime::new(small_opts());
+            for r in [&a, &a, &b] {
+                rt.expect(r);
+            }
+            let released = |rt: &TenantRuntime| rt.ctx.mem_counters().released;
+            let first = rt.run(&a);
+            assert_eq!(released(&rt), 0, "{kind:?}: A has one more job");
+            let second = rt.run(&a);
+            assert!(!first.cache_hit && second.cache_hit, "{kind:?}");
+            assert_eq!((first.rows, first.hash), (second.rows, second.hash));
+            assert_eq!(released(&rt), sources_of(kind), "{kind:?}: after A's last");
+            assert!(!rt.run(&b).cache_hit);
+            assert_eq!(released(&rt), sources_of(kind) + 1, "{kind:?}: after B's");
+            assert_eq!((rt.cache_hits, rt.cache_misses), (1, 2), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn a_skipped_job_gives_its_reference_back() {
+        let a = req(JobKind::Sql, 0.2, 7);
+        let mut rt = TenantRuntime::new(small_opts());
+        for _ in 0..3 {
+            rt.expect(&a);
+        }
+        rt.run(&a);
+        // A rejected job that is not the dataset's last keeps it cached.
+        rt.skip(&a);
+        assert_eq!(rt.ctx.mem_counters().released, 0);
+        // Rejecting the last one releases it, as running it would have.
+        rt.skip(&a);
+        assert_eq!(rt.ctx.mem_counters().released, sources_of(JobKind::Sql));
+        // A dataset never built has nothing to release.
+        let never = req(JobKind::KMeans, 0.2, 7);
+        rt.expect(&never);
+        rt.skip(&never);
+        assert_eq!(rt.ctx.mem_counters().released, sources_of(JobKind::Sql));
     }
 
     #[test]

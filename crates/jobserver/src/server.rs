@@ -307,9 +307,16 @@ struct Flow {
 /// Runs a job trace to completion and reports per-job latencies and
 /// result fingerprints. See the module docs for the model.
 pub fn serve(trace: &JobTrace, cfg: &ServerConfig) -> Result<ServeReport, String> {
-    if trace.tenants.is_empty() {
-        return Err("trace declares no tenants".to_string());
-    }
+    serve_tenants(trace, cfg).map(|(report, _)| report)
+}
+
+/// [`serve`], also handing back the tenant runtimes as the trace left
+/// them.
+fn serve_tenants(
+    trace: &JobTrace,
+    cfg: &ServerConfig,
+) -> Result<(ServeReport, Vec<TenantRuntime>), String> {
+    trace.validate()?;
     if cfg.slots == 0 {
         return Err("slots must be >= 1".to_string());
     }
@@ -392,6 +399,12 @@ pub fn serve(trace: &JobTrace, cfg: &ServerConfig) -> Result<ServeReport, String
             rt
         })
         .collect();
+    // Every job runs or is rejected exactly once, so each tenant's
+    // datasets are released after their last job in the trace — the same
+    // point of the tenant's own job stream under either interleaving.
+    for job in &trace.jobs {
+        runtimes[job.tenant].expect(job);
+    }
 
     // Pre-execute per tenant when asked: every tenant's stream runs on
     // its own OS thread, so data planes genuinely contend on the shared
@@ -689,6 +702,7 @@ pub fn serve(trace: &JobTrace, cfg: &ServerConfig) -> Result<ServeReport, String
                 next_arrival += 1;
                 if queued >= cfg.queue_cap {
                     rejected.push(id);
+                    runtimes[trace.jobs[id].tenant].skip(&trace.jobs[id]);
                     sink.instant(
                         Clock::Virtual,
                         Track::new(pids::SERVER, 0),
@@ -742,7 +756,7 @@ pub fn serve(trace: &JobTrace, cfg: &ServerConfig) -> Result<ServeReport, String
         .map(|rt| rt.ctx.fault_counters().injected_failures)
         .sum();
     rejected.sort_unstable();
-    Ok(ServeReport {
+    let report = ServeReport {
         policy: cfg.policy.name().to_string(),
         slots: cfg.slots,
         tenants: trace.tenants.len(),
@@ -762,5 +776,62 @@ pub fn serve(trace: &JobTrace, cfg: &ServerConfig) -> Result<ServeReport, String
         },
         makespan,
         per_job,
-    })
+    };
+    Ok((report, runtimes))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_dataset_is_released_by_the_end_of_the_trace() {
+        // Tenant a reads one sql dataset three times, tenant b one kmeans
+        // dataset twice; a one-job queue rejects the same-instant repeats.
+        let trace = JobTrace::from_text(
+            "tenant a weight 1\n\
+             tenant b weight 2\n\
+             job a at 0 sql scale 0.2 seed 1\n\
+             job a at 0 sql scale 0.2 seed 1\n\
+             job b at 0 kmeans scale 0.1 seed 2\n\
+             job b at 0 wordcount scale 0.1 seed 3\n\
+             job a at 50 sql scale 0.2 seed 1\n\
+             job b at 50 kmeans scale 0.1 seed 2\n",
+        )
+        .unwrap();
+        let engine = EngineOptions {
+            cluster: simcluster::uniform_cluster(2, 4, 2.0),
+            default_parallelism: 6,
+            workers: 2,
+            ..server_engine_defaults()
+        };
+        for (queue_cap, interleave) in [
+            (1, Interleave::Serial),
+            (8, Interleave::Serial),
+            (8, Interleave::TenantThreads),
+        ] {
+            let cfg = ServerConfig {
+                queue_cap,
+                interleave,
+                engine: engine.clone(),
+                ..ServerConfig::default()
+            };
+            let (report, runtimes) = serve_tenants(&trace, &cfg).unwrap();
+            let label = format!("queue_cap {queue_cap}, {interleave:?}");
+            assert_eq!(report.rejected.is_empty(), queue_cap > 1, "{label}");
+            assert!(report.cache_hits > 0, "{label}");
+            // Each built dataset is one cached RDD per source.
+            let built: u64 = report
+                .per_job
+                .iter()
+                .filter(|r| !r.cache_hit)
+                .map(|r| if r.kind == "sql" { 2 } else { 1 })
+                .sum();
+            let released: u64 = runtimes
+                .iter()
+                .map(|rt| rt.ctx.mem_counters().released)
+                .sum();
+            assert_eq!(released, built, "{label}");
+        }
+    }
 }

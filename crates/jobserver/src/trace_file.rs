@@ -131,11 +131,85 @@ fn render_mem(bytes: u64) -> String {
     }
 }
 
+/// The declaration a [`JobTrace`] check failed on.
+enum Item {
+    /// The trace as a whole.
+    Trace,
+    /// `tenants[i]`.
+    Tenant(usize),
+    /// `jobs[i]`.
+    Job(usize),
+}
+
 impl JobTrace {
+    /// Checks every field a hand-built trace could get wrong: at least one
+    /// tenant; unique, non-empty, whitespace-free tenant names; weights
+    /// positive and finite; job ids equal to their positions; tenant
+    /// indices in range; arrivals `>= 0` and finite; scales in `(0, 1]`.
+    /// [`JobTrace::from_text`] applies the same checks.
+    pub fn validate(&self) -> Result<(), String> {
+        self.check().map_err(|(item, msg)| match item {
+            Item::Trace => msg,
+            Item::Tenant(t) => format!("tenant {t}: {msg}"),
+            Item::Job(j) => format!("job {j}: {msg}"),
+        })
+    }
+
+    /// The first failed check of [`JobTrace::validate`], with the
+    /// declaration it failed on.
+    fn check(&self) -> Result<(), (Item, String)> {
+        if self.tenants.is_empty() {
+            return Err((Item::Trace, "trace declares no tenants".to_string()));
+        }
+        for (i, t) in self.tenants.iter().enumerate() {
+            let fail = |msg: String| Err((Item::Tenant(i), msg));
+            if t.name.is_empty() || t.name.contains(char::is_whitespace) {
+                return fail(format!(
+                    "tenant name must be non-empty with no whitespace, got '{}'",
+                    t.name
+                ));
+            }
+            if self.tenants[..i].iter().any(|u| u.name == t.name) {
+                return fail(format!("duplicate tenant '{}'", t.name));
+            }
+            if !(t.weight > 0.0 && t.weight.is_finite()) {
+                return fail(format!(
+                    "weight must be positive and finite, got {}",
+                    t.weight
+                ));
+            }
+        }
+        for (i, j) in self.jobs.iter().enumerate() {
+            let fail = |msg: String| Err((Item::Job(i), msg));
+            if j.id != i {
+                return fail(format!("id must be the job's position {i}, got {}", j.id));
+            }
+            if j.tenant >= self.tenants.len() {
+                return fail(format!(
+                    "tenant index {} out of range ({} tenants)",
+                    j.tenant,
+                    self.tenants.len()
+                ));
+            }
+            if !(j.at >= 0.0 && j.at.is_finite()) {
+                return fail(format!(
+                    "arrival time must be >= 0 and finite, got {}",
+                    j.at
+                ));
+            }
+            if !(j.scale > 0.0 && j.scale <= 1.0) {
+                return fail(format!("scale must be in (0, 1], got {}", j.scale));
+            }
+        }
+        Ok(())
+    }
+
     /// Parses the text format. Errors carry 1-based line numbers.
     pub fn from_text(text: &str) -> Result<JobTrace, String> {
         let mut tenants: Vec<TenantSpec> = Vec::new();
         let mut jobs: Vec<JobRequest> = Vec::new();
+        // The line each tenant and job was declared on.
+        let (mut tenant_lines, mut job_lines) = (Vec::new(), Vec::new());
         for (idx, raw) in text.lines().enumerate() {
             let line_no = idx + 1;
             let line = raw.trim();
@@ -154,16 +228,10 @@ impl JobTrace {
                         ));
                     }
                     let name = toks[1].to_string();
-                    if tenants.iter().any(|t| t.name == name) {
-                        return fail(format!("duplicate tenant '{name}'"));
-                    }
                     let weight: f64 = match toks[3].parse() {
                         Ok(w) => w,
                         Err(_) => return fail(format!("bad weight '{}'", toks[3])),
                     };
-                    if !(weight > 0.0 && weight.is_finite()) {
-                        return fail(format!("weight must be positive and finite, got {weight}"));
-                    }
                     let mem = if toks.len() == 6 {
                         if toks[4] != "mem" {
                             return fail(format!("expected 'mem', got '{}'", toks[4]));
@@ -176,6 +244,7 @@ impl JobTrace {
                         None
                     };
                     tenants.push(TenantSpec { name, weight, mem });
+                    tenant_lines.push(line_no);
                 }
                 "job" => {
                     // job <tenant> at <secs> <kind> scale <f> seed <u64>
@@ -193,9 +262,6 @@ impl JobTrace {
                         Ok(a) => a,
                         Err(_) => return fail(format!("bad arrival time '{}'", toks[3])),
                     };
-                    if !(at >= 0.0 && at.is_finite()) {
-                        return fail(format!("arrival time must be >= 0 and finite, got {at}"));
-                    }
                     let kind = match JobKind::parse(toks[4]) {
                         Ok(k) => k,
                         Err(e) => return fail(e),
@@ -204,9 +270,6 @@ impl JobTrace {
                         Ok(s) => s,
                         Err(_) => return fail(format!("bad scale '{}'", toks[6])),
                     };
-                    if !(scale > 0.0 && scale <= 1.0) {
-                        return fail(format!("scale must be in (0, 1], got {scale}"));
-                    }
                     let seed: u64 = match toks[8].parse() {
                         Ok(s) => s,
                         Err(_) => return fail(format!("bad seed '{}'", toks[8])),
@@ -219,16 +282,20 @@ impl JobTrace {
                         scale,
                         seed,
                     });
+                    job_lines.push(line_no);
                 }
                 other => {
                     return fail(format!("unknown directive '{other}'"));
                 }
             }
         }
-        if tenants.is_empty() {
-            return Err("trace declares no tenants".to_string());
-        }
-        Ok(JobTrace { tenants, jobs })
+        let trace = JobTrace { tenants, jobs };
+        trace.check().map_err(|(item, msg)| match item {
+            Item::Trace => msg,
+            Item::Tenant(t) => format!("line {}: {msg}", tenant_lines[t]),
+            Item::Job(j) => format!("line {}: {msg}", job_lines[j]),
+        })?;
+        Ok(trace)
     }
 
     /// Renders the trace back to the text format (round-trips through
@@ -384,6 +451,17 @@ job t1 at 1.5 wordcount scale 0.1 seed 8
         assert!(err.starts_with("line 2:"), "{err}");
         let err = JobTrace::from_text("tenant a weight 0\n").unwrap_err();
         assert!(err.starts_with("line 1:"), "{err}");
+        // The checks `validate` shares name the line of what they reject.
+        let err = JobTrace::from_text("tenant a weight 1\n\ntenant a weight 2\n").unwrap_err();
+        assert!(
+            err.starts_with("line 3:") && err.contains("duplicate"),
+            "{err}"
+        );
+        let err = JobTrace::from_text(
+            "tenant a weight 1\njob a at 0 sql scale 0.5 seed 1\njob a at 1 sql scale 0 seed 1\n",
+        )
+        .unwrap_err();
+        assert!(err.starts_with("line 3:") && err.contains("scale"), "{err}");
         let err = JobTrace::from_text("# sizes are checked\ntenant a weight 1 mem 99999999999g\n")
             .unwrap_err();
         assert!(

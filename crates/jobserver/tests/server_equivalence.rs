@@ -8,7 +8,7 @@
 //! matrix meaningful: scheduling decisions key on virtual-clock state
 //! only, never on host timing.
 
-use jobserver::{generate, serve, Interleave, Policy, ServeReport, ServerConfig};
+use jobserver::{generate, serve, Interleave, JobTrace, Policy, ServeReport, ServerConfig};
 
 fn engine(workers: usize, batch: bool) -> engine::EngineOptions {
     engine::EngineOptions {
@@ -170,6 +170,34 @@ fn serve_rejects_unsound_configurations() {
     )
     .unwrap_err();
     assert!(err.contains("reserve at most"), "{err}");
+    // A hand-built trace is checked field by field, as a parsed one is.
+    let cfg = ServerConfig {
+        engine: engine(2, true),
+        interleave: Interleave::Serial,
+        ..ServerConfig::default()
+    };
+    type Break = fn(&mut JobTrace);
+    let broken: [(&str, Break); 10] = [
+        ("no tenants", |t| t.tenants.clear()),
+        ("tenant name", |t| t.tenants[1].name = "a b".to_string()),
+        ("duplicate tenant", |t| {
+            t.tenants[1].name = t.tenants[0].name.clone()
+        }),
+        ("weight", |t| t.tenants[0].weight = 0.0),
+        ("weight", |t| t.tenants[1].weight = f64::NAN),
+        ("id must", |t| t.jobs[2].id = 7),
+        ("tenant index", |t| t.jobs[3].tenant = 2),
+        ("arrival time", |t| t.jobs[4].at = f64::NAN),
+        ("scale", |t| t.jobs[5].scale = f64::NAN),
+        ("scale", |t| t.jobs[6].scale = 0.0),
+    ];
+    for (field, breaks) in broken {
+        let mut bad = trace.clone();
+        breaks(&mut bad);
+        let err = serve(&bad, &cfg).unwrap_err();
+        assert!(err.contains(field), "{field}: {err}");
+        assert_eq!(bad.validate(), Err(err));
+    }
 }
 
 #[test]
