@@ -126,7 +126,12 @@ impl Workload for WordCount {
         });
         let bytes = ((self.full_input_bytes() as f64 * scale) as u64).max(1);
         let lines = ctx.text_file("wordcount-in", bytes, gen, LINE_COST, "read-lines");
-        let split: FlatMapFn = Arc::new(|r: &Record, out: &mut dyn Emit| {
+        // One `(word, 1)` record per vocabulary word, built once per run
+        // and lent to every line that draws it.
+        let vocabulary: Vec<Record> = (0..VOCABULARY)
+            .map(|w| Record::new(Key::str(&format!("word-{w:03}")), Value::Int(1)))
+            .collect();
+        let split: FlatMapFn = Arc::new(move |r: &Record, out: &mut dyn Emit| {
             let line = match &r.key {
                 Key::Int(i) => *i as u64,
                 other => panic!("malformed line key {other:?}"),
@@ -134,8 +139,7 @@ impl Workload for WordCount {
             for w in 0..WORDS_PER_LINE as u64 {
                 // Deterministic word draw per (line, position).
                 let h = line.wrapping_mul(2654435761).wrapping_add(w * 97);
-                let word = format!("word-{:03}", h % VOCABULARY);
-                out.emit(Record::new(Key::str(&word), Value::Int(1)));
+                out.lend(&vocabulary[(h % VOCABULARY) as usize]);
             }
         });
         let words = ctx.flat_map(lines, split, WORD_COST, "split-words");

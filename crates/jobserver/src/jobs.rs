@@ -5,18 +5,25 @@
 //! source RDDs are cached under its dataset key `(kind, scale, seed)`,
 //! so a later job of the same tenant asking for the same dataset reads
 //! them materialized: the cross-job cache reuse the job server
-//! advertises. A cached dataset lives from its first job to its last:
-//! [`serve`](crate::serve) tells each runtime its jobs up front
-//! (`expect`), the runtime counts them down as they run or are rejected
-//! (`skip`), and after the last one it uncaches the dataset's sources —
-//! no later job reads them. Under an `executor_mem` budget a live dataset
-//! may spill to disk, but it is not dropped before then. A runtime told
-//! nothing, as one built outside `serve` is, keeps what it builds.
+//! advertises. A dataset is cached only if another declared job reads
+//! it, and lives from its first job to its last: [`serve`](crate::serve)
+//! tells each runtime its jobs up front (`expect`), the runtime counts
+//! them down as they run or are rejected (`skip`), and after the last
+//! one it uncaches the dataset's sources — no later job reads them. A
+//! dataset whose first build is also its last declared job is never
+//! cached: its query streams each generated split through its chain.
+//! Under an `executor_mem` budget a live dataset may spill to disk, but
+//! it is not dropped before its last job. A runtime told nothing, as one
+//! built outside `serve` is, caches and keeps everything it builds.
 //! Every generator is a pure function of `(seed, global record index)`,
 //! so results are independent of partition count, worker count, and
-//! physical interleaving.
+//! physical interleaving; the word-count generator builds each word's
+//! key once per split and shares it among that split's records.
+//! [`JobOutcome::hash`] is FNV-1a over the result rows' `Debug` text,
+//! written into the hasher in place.
 
 use std::collections::HashMap;
+use std::fmt::{self, Write as _};
 use std::io::Write;
 use std::sync::Arc;
 
@@ -115,7 +122,10 @@ fn dataset_key(req: &JobRequest) -> DatasetKey {
     (req.kind, req.scale.to_bits(), req.seed)
 }
 
-/// A tenant's long-lived execution state.
+/// A tenant's long-lived execution state. A dataset is cached only if
+/// another declared job reads it; one with a single declared job left at
+/// its first build is streamed, and one with no declared jobs at all (a
+/// runtime told nothing) is cached and kept.
 pub struct TenantRuntime {
     /// The tenant's private engine context (shared host pool, own virtual
     /// cluster clock).
@@ -123,7 +133,7 @@ pub struct TenantRuntime {
     /// Cached source RDDs of the datasets built and still live.
     datasets: HashMap<DatasetKey, Vec<Rdd>>,
     /// Declared jobs not yet run or skipped, per dataset. A dataset with
-    /// no entry has no declared future and is kept.
+    /// no entry has no declared future and is cached and kept.
     jobs_left: HashMap<DatasetKey, usize>,
     /// Dataset-cache hits across jobs.
     pub cache_hits: u64,
@@ -146,7 +156,8 @@ impl TenantRuntime {
 
     /// Declares a job this runtime will later be handed, once, to
     /// [`TenantRuntime::run`] or [`TenantRuntime::skip`]. A declared
-    /// dataset is uncached right after its last declared job.
+    /// dataset is uncached right after its last declared job, and not
+    /// cached at all if its first build is that job.
     pub(crate) fn expect(&mut self, req: &JobRequest) {
         *self.jobs_left.entry(dataset_key(req)).or_insert(0) += 1;
     }
@@ -174,29 +185,29 @@ impl TenantRuntime {
     }
 
     /// Runs one job to completion on the tenant's context and reports the
-    /// outcome. Execution is real (host threads); timing is virtual.
+    /// outcome. Execution is real (host threads); timing is virtual. A
+    /// first build that is its dataset's last declared job streams its
+    /// sources instead of caching them.
     pub fn run(&mut self, req: &JobRequest) -> JobOutcome {
         let key = dataset_key(req);
         let cache_hit = self.datasets.contains_key(&key);
-        if cache_hit {
+        let sources = if cache_hit {
             self.cache_hits += 1;
+            self.datasets[&key].clone()
         } else {
             self.cache_misses += 1;
             let sources = build_sources(&mut self.ctx, req);
-            for &rdd in &sources {
-                self.ctx.cache(rdd);
+            if self.jobs_left.get(&key) != Some(&1) {
+                for &rdd in &sources {
+                    self.ctx.cache(rdd);
+                }
+                self.datasets.insert(key, sources.clone());
             }
-            self.datasets.insert(key, sources);
-        }
-        let sources = self.datasets[&key].clone();
+            sources
+        };
         let out = run_query(&mut self.ctx, req, &sources);
         self.done_with(key);
 
-        let mut h = Fnv::new();
-        for rec in &out {
-            h.write(format!("{rec:?}").as_bytes());
-            h.write_u8(b'\n');
-        }
         let job = self.ctx.jobs().last().expect("collect records job metrics");
         let t_solo = (job.end - job.start).max(1e-9);
         let task_secs: f64 = job
@@ -206,12 +217,33 @@ impl TenantRuntime {
             .sum();
         JobOutcome {
             rows: out.len(),
-            hash: h.finish(),
+            hash: fingerprint(&out),
             t_solo,
             cores: (task_secs / t_solo).max(0.05),
             cache_hit,
         }
     }
+}
+
+/// Feeds formatted text straight into an [`Fnv`] hasher.
+struct FnvText<'a>(&'a mut Fnv);
+
+impl fmt::Write for FnvText<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.write(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// FNV-1a over each row's `Debug` text and a `\n`, in order: the
+/// [`JobOutcome::hash`] of `rows`, with no `String` per row.
+fn fingerprint(rows: &[Record]) -> u64 {
+    let mut h = Fnv::new();
+    for rec in rows {
+        write!(FnvText(&mut h), "{rec:?}").expect("hashing text cannot fail");
+        h.write_u8(b'\n');
+    }
+    h.finish()
 }
 
 /// A source over records `0..n`, each built by `record` and given away;
@@ -227,13 +259,36 @@ fn generator(n: u64, record: impl Fn(u64) -> Record + Send + Sync + 'static) -> 
 }
 
 /// The key `w{w:05}`, formatted on the stack: the key's own allocation is
-/// the only one.
+/// the only one. [`words`] calls it once per word a split holds.
 fn word_key(w: u64) -> Key {
     let mut buf = [0u8; 24];
     let mut text = std::io::Cursor::new(&mut buf[..]);
     write!(text, "w{w:05}").expect("a u64 has at most 20 digits");
     let len = text.position() as usize;
     Key::str(std::str::from_utf8(&buf[..len]).expect("ascii"))
+}
+
+/// The word of record `i` of a word-count dataset: quadratically skewed
+/// towards low ids, always below `vocab` (`u < 1`).
+fn word_of(s: u64, vocab: u64, i: u64) -> u64 {
+    let u = unit(s, i);
+    ((u * u) * vocab as f64) as u64
+}
+
+/// The word-count source over records `0..n`, each `(word key, 1)`. A
+/// word's key is built at its first appearance in the split and cloned
+/// after: per split, so no reference count is shared between threads.
+fn words(n: u64, vocab: u64, s: u64) -> GenFn {
+    Arc::new(move |part, parts, out: &mut dyn Emit| {
+        let mut keys: Vec<Option<Key>> = vec![None; vocab as usize];
+        let (lo, hi) = span(n, part, parts);
+        out.reserve((hi - lo) as usize);
+        for i in lo..hi {
+            let w = word_of(s, vocab, i);
+            let key = keys[w as usize].get_or_insert_with(|| word_key(w));
+            out.emit(Record::new(key.clone(), Value::Int(1)));
+        }
+    })
 }
 
 /// Builds (without materializing) the source RDDs for a request.
@@ -245,12 +300,7 @@ fn build_sources(ctx: &mut Context, req: &JobRequest) -> Vec<Rdd> {
         JobKind::WordCount => {
             let n = scaled(WC_RECORDS, scale, 64);
             let vocab = 100 + (300.0 * scale) as u64;
-            let s = mix(seed, 0);
-            let gen = generator(n, move |i| {
-                let u = unit(s, i);
-                let w = ((u * u) * vocab as f64) as u64;
-                Record::new(word_key(w), Value::Int(1))
-            });
+            let gen = words(n, vocab, mix(seed, 0));
             let file = format!("jobs/wc-{bits:x}-{seed}");
             vec![ctx.text_file(&file, n * 24, gen, GEN_COST, "wc_src")]
         }
@@ -438,10 +488,36 @@ mod tests {
         }
     }
 
+    const KINDS: [JobKind; 4] = [
+        JobKind::WordCount,
+        JobKind::Sql,
+        JobKind::KMeans,
+        JobKind::LogReg,
+    ];
+
     #[test]
     fn word_keys_are_the_formatted_text() {
         for w in [0, 7, 42, 399, 99_999, 100_000, u64::MAX] {
             assert_eq!(word_key(w), Key::str(&format!("w{w:05}")));
+        }
+    }
+
+    #[test]
+    fn every_word_record_carries_its_own_words_key() {
+        let (n, vocab, s) = (5_000, 130, mix(9, 0));
+        let gen = words(n, vocab, s);
+        for parts in [1, 7] {
+            let mut got = Vec::new();
+            for part in 0..parts {
+                gen(part, parts, &mut got);
+            }
+            let want: Vec<Record> = (0..n)
+                .map(|i| {
+                    let w = word_of(s, vocab, i);
+                    Record::new(Key::str(&format!("w{w:05}")), Value::Int(1))
+                })
+                .collect();
+            assert_eq!(got, want, "{parts} splits");
         }
     }
 
@@ -458,12 +534,7 @@ mod tests {
 
     #[test]
     fn every_kind_runs_and_is_deterministic() {
-        for kind in [
-            JobKind::WordCount,
-            JobKind::Sql,
-            JobKind::KMeans,
-            JobKind::LogReg,
-        ] {
+        for kind in KINDS {
             let mut a = TenantRuntime::new(small_opts());
             let mut b = TenantRuntime::new(small_opts());
             let r = req(kind, 0.2, 7);
@@ -502,14 +573,15 @@ mod tests {
         }
     }
 
+    /// Whether the runtime's context holds no cached partition and no
+    /// dataset is booked.
+    fn holds_nothing(rt: &TenantRuntime) -> bool {
+        rt.datasets.is_empty() && rt.ctx.sim().resident_bytes().iter().all(|&b| b == 0)
+    }
+
     #[test]
     fn a_declared_dataset_is_released_right_after_its_last_job() {
-        for kind in [
-            JobKind::WordCount,
-            JobKind::Sql,
-            JobKind::KMeans,
-            JobKind::LogReg,
-        ] {
+        for kind in KINDS {
             let (a, b) = (req(kind, 0.2, 7), req(JobKind::LogReg, 0.1, 8));
             let mut rt = TenantRuntime::new(small_opts());
             for r in [&a, &a, &b] {
@@ -518,14 +590,85 @@ mod tests {
             let released = |rt: &TenantRuntime| rt.ctx.mem_counters().released;
             let first = rt.run(&a);
             assert_eq!(released(&rt), 0, "{kind:?}: A has one more job");
+            assert!(!holds_nothing(&rt), "{kind:?}: A is cached");
             let second = rt.run(&a);
             assert!(!first.cache_hit && second.cache_hit, "{kind:?}");
             assert_eq!((first.rows, first.hash), (second.rows, second.hash));
             assert_eq!(released(&rt), sources_of(kind), "{kind:?}: after A's last");
+            assert!(holds_nothing(&rt), "{kind:?}: after A's last");
+            // B has one job, so it is streamed: nothing cached, nothing to
+            // release.
             assert!(!rt.run(&b).cache_hit);
-            assert_eq!(released(&rt), sources_of(kind) + 1, "{kind:?}: after B's");
+            assert_eq!(released(&rt), sources_of(kind), "{kind:?}: after B's");
+            assert!(holds_nothing(&rt), "{kind:?}: after B's");
             assert_eq!((rt.cache_hits, rt.cache_misses), (1, 2), "{kind:?}");
         }
+    }
+
+    #[test]
+    fn a_single_use_dataset_is_streamed_and_answers_like_a_cached_one() {
+        for kind in KINDS {
+            let r = req(kind, 0.2, 7);
+            let mut streamed = TenantRuntime::new(small_opts());
+            streamed.expect(&r);
+            let mut cached = TenantRuntime::new(small_opts());
+            let (got, want) = (streamed.run(&r), cached.run(&r));
+            assert_eq!(
+                (got.rows, got.hash, got.cache_hit),
+                (want.rows, want.hash, want.cache_hit),
+                "{kind:?}"
+            );
+            assert_eq!(got.t_solo.to_bits(), want.t_solo.to_bits(), "{kind:?}");
+            assert_eq!(got.cores.to_bits(), want.cores.to_bits(), "{kind:?}");
+            assert!(holds_nothing(&streamed), "{kind:?}: streamed");
+            assert_eq!(streamed.ctx.mem_counters().released, 0, "{kind:?}");
+            // The runtime told nothing did materialize what it built.
+            assert!(!holds_nothing(&cached), "{kind:?}: cached");
+        }
+    }
+
+    #[test]
+    fn a_survivor_of_skipped_siblings_is_streamed() {
+        let a = req(JobKind::Sql, 0.2, 7);
+        let mut rt = TenantRuntime::new(small_opts());
+        for _ in 0..3 {
+            rt.expect(&a);
+        }
+        // Two of the three are rejected before any runs: the survivor is
+        // the dataset's only reader.
+        rt.skip(&a);
+        rt.skip(&a);
+        let got = rt.run(&a);
+        assert!(!got.cache_hit);
+        assert!(holds_nothing(&rt));
+        assert_eq!(rt.ctx.mem_counters().released, 0);
+        let alone = TenantRuntime::new(small_opts()).run(&a);
+        assert_eq!((got.rows, got.hash), (alone.rows, alone.hash));
+    }
+
+    #[test]
+    fn the_fingerprint_is_fnv_over_each_rows_debug_text_and_a_newline() {
+        let rows = vec![
+            Record::new(Key::str("w00042"), Value::Int(-3)),
+            Record::new(Key::Int(7), Value::Float(0.1)),
+            Record::new(Key::Int(-1), Value::Float(f64::NAN)),
+            Record::new(
+                Key::Int(0),
+                Value::Pair(
+                    Box::new(Value::vector(vec![1.5, -2.0])),
+                    Box::new(Value::Int(9)),
+                ),
+            ),
+            Record::new(Key::None, Value::vector(vec![0.25; 4])),
+            Record::new(Key::str(""), Value::str("text \"quoted\"")),
+        ];
+        let mut text = String::new();
+        for rec in &rows {
+            text.push_str(&format!("{rec:?}"));
+            text.push('\n');
+        }
+        assert_eq!(fingerprint(&rows), engine::record::fnv1a(text.as_bytes()));
+        assert_eq!(fingerprint(&[]), Fnv::new().finish());
     }
 
     #[test]
@@ -597,12 +740,7 @@ mod tests {
 
     #[test]
     fn mem_demand_is_monotone_in_scale() {
-        for kind in [
-            JobKind::WordCount,
-            JobKind::Sql,
-            JobKind::KMeans,
-            JobKind::LogReg,
-        ] {
+        for kind in KINDS {
             assert!(mem_demand(kind, 0.1) <= mem_demand(kind, 0.9));
             assert!(mem_demand(kind, 1.0) > 1 << 20);
         }

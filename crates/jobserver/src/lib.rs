@@ -9,8 +9,8 @@
 //!   and the deterministic load generator behind `chopper-cli loadgen`.
 //! * [`jobs`] — per-tenant runtimes: four workload kinds (wordcount,
 //!   sql, kmeans, logreg) built over one persistent context per tenant,
-//!   with cross-job reuse of cached source RDDs, each released after the
-//!   last job of the trace that reads it.
+//!   with cross-job reuse of cached source RDDs: a dataset is cached only
+//!   if another job of the trace reads it, and released after the last.
 //! * [`server`] — bounded-queue admission, weighted-fair (SFQ) or FIFO
 //!   dispatch, tenant memory budgets via [`memman::TenantLedger`], and a
 //!   fluid contention model on the server's virtual clock.
