@@ -31,7 +31,6 @@ const BOOLEAN_FLAGS: &[&str] = &["copartition", "gantt", "serial"];
 /// Flags that take a value, over all commands.
 const VALUE_FLAGS: &[&str] = &[
     "adaptive",
-    "batch",
     "clock",
     "cluster",
     "conf",

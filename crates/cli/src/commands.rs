@@ -16,7 +16,6 @@ chopper-cli — CHOPPER auto-partitioning (CLUSTER 2016 reproduction)
 commands:
   run      --workload kmeans|pca|sql|logreg|skewagg [--scale F]
            [--partitions N] [--copartition] [--gantt] [--conf FILE]
-           [--batch on|off]
            [--adaptive on|off] [--cluster paper|uniform:N,C,GHz]
            [--topology flat|rack:RxH[:oversub]]
            [--executor-mem SIZE] [--fault-plan FILE] [--fault-seed N]
@@ -33,7 +32,7 @@ commands:
   conf     --file FILE
   serve    --trace FILE [--policy fair|fifo] [--slots N] [--queue-cap N]
            [--mem-shared SIZE] [--mem-tenant SIZE] [--workers N]
-           [--partitions N] [--batch on|off] [--serial]
+           [--partitions N] [--serial]
            [--cluster paper|uniform:N,C,GHz] [--results-out FILE]
            [--tables-out FILE] [--trace-out FILE]
   loadgen  --out FILE [--tenants N] [--jobs N] [--seed N]
@@ -140,11 +139,6 @@ fn engine_opts(args: &Args) -> Result<EngineOptions, String> {
         None => None,
         Some(s) => Some(jobserver::parse_mem(s)?),
     };
-    let batch = match args.get("batch") {
-        None | Some("on") => true,
-        Some("off") => false,
-        Some(other) => return Err(format!("bad --batch '{other}' (expected on|off)")),
-    };
     let adaptive = match args.get("adaptive") {
         None | Some("on") => true,
         Some("off") => false,
@@ -168,7 +162,6 @@ fn engine_opts(args: &Args) -> Result<EngineOptions, String> {
         default_parallelism: args.num("partitions", 300).map_err(|e| e.to_string())?,
         copartition_scheduling: args.has("copartition"),
         executor_mem,
-        batch,
         adaptive,
         replan,
         faults: fault_plan(args)?,
@@ -519,11 +512,6 @@ fn serve_engine_opts(args: &Args) -> Result<EngineOptions, String> {
                 .into(),
         );
     }
-    let batch = match args.get("batch") {
-        None | Some("on") => true,
-        Some("off") => false,
-        Some(other) => return Err(format!("bad --batch '{other}' (expected on|off)")),
-    };
     let defaults = jobserver::server_engine_defaults();
     let opts = EngineOptions {
         cluster: cluster(args)?,
@@ -533,7 +521,6 @@ fn serve_engine_opts(args: &Args) -> Result<EngineOptions, String> {
         workers: args
             .num("workers", defaults.workers)
             .map_err(|e| e.to_string())?,
-        batch,
         ..defaults
     };
     opts.validate()?;
@@ -746,22 +733,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_flag_parses_on_off() {
-        assert!(engine_opts(&args(&["run"])).unwrap().batch);
-        assert!(engine_opts(&args(&["run", "--batch", "on"])).unwrap().batch);
-        assert!(
-            !engine_opts(&args(&["run", "--batch", "off"]))
-                .unwrap()
-                .batch
-        );
-        let err = match engine_opts(&args(&["run", "--batch", "maybe"])) {
-            Err(e) => e,
-            Ok(_) => panic!("bad --batch value must be rejected"),
-        };
-        assert!(err.contains("--batch"));
-    }
-
-    #[test]
     fn adaptive_flag_parses_on_off() {
         let on = engine_opts(&args(&["run"])).unwrap();
         assert!(on.adaptive && on.replan.is_some());
@@ -886,6 +857,10 @@ mod tests {
         assert_eq!(o.executor_mem, Some(16 * 1024 * 1024));
         let err = Args::parse(["run", "--pipeline", "on"]).unwrap_err();
         assert!(err.0.contains("unknown flag --pipeline"), "{err}");
+        for tokens in [["run", "--batch", "off"], ["serve", "--batch", "on"]] {
+            let err = Args::parse(tokens).unwrap_err();
+            assert!(err.0.contains("unknown flag --batch"), "{tokens:?}: {err}");
+        }
     }
 
     #[test]
@@ -989,20 +964,10 @@ mod tests {
         let d = serve_engine_opts(&args(&["serve"])).unwrap();
         let defaults = jobserver::server_engine_defaults();
         assert_eq!(d.default_parallelism, defaults.default_parallelism);
-        assert!(d.batch);
-        let o = serve_engine_opts(&args(&[
-            "serve",
-            "--workers",
-            "2",
-            "--partitions",
-            "8",
-            "--batch",
-            "off",
-        ]))
-        .unwrap();
+        let o =
+            serve_engine_opts(&args(&["serve", "--workers", "2", "--partitions", "8"])).unwrap();
         assert_eq!(o.workers, 2);
         assert_eq!(o.default_parallelism, 8);
-        assert!(!o.batch);
     }
 
     #[test]

@@ -23,9 +23,9 @@
 //!
 //! Determinism: every input is either a data-plane byte count (identical
 //! under any fault plan and worker count) or a virtual-clock duration
-//! (identical across worker counts and data layouts), and the search
-//! itself is a pure `f64` grid minimization — so adaptive plans are
-//! bit-identical across `--workers 1` vs `8` and `--batch on` vs `off`.
+//! (identical across worker counts), and the search itself is a pure
+//! `f64` grid minimization — so adaptive plans are bit-identical across
+//! `--workers 1` vs `8`.
 
 use crate::model::CostSurface;
 use crate::optimizer::{get_min_par, InputResponse, OptimizerOptions, CONSTS, TASK_OVERHEAD};

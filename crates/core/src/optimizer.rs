@@ -305,7 +305,7 @@ pub(crate) fn get_min_par<M: CostSurface + ?Sized>(
     candidates
         .iter()
         .map(|&p| (p, candidate_cost(model, input, p as f64, baseline, opts)))
-        .min_by(|a, b| a.1.partial_cmp(&b.1).expect("costs are finite"))
+        .min_by(|a, b| a.1.total_cmp(&b.1))
         .expect("candidate list is non-empty")
 }
 
@@ -596,7 +596,7 @@ pub fn get_global_par(
             .filter_map(|&spec| {
                 group_cost(rec, &members, spec, target_input_bytes, opts).map(|c| (spec, c))
             })
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite costs"));
+            .min_by(|a, b| a.1.total_cmp(&b.1));
 
         for (&i, stage) in members_idx.iter().zip(&members) {
             decided[i] = Some(match best {

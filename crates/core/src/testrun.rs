@@ -172,9 +172,7 @@ pub fn run_test_grid(
         let mut order: Vec<usize> = (0..results.len()).collect();
         order.sort_by(|&a, &b| {
             let (sa, sb) = (results[a].2 .0, results[b].2 .0);
-            sa.partial_cmp(&sb)
-                .expect("finite wall times")
-                .then(a.cmp(&b))
+            sa.total_cmp(&sb).then(a.cmp(&b))
         });
         let mut lane_end: Vec<f64> = Vec::new();
         for &i in &order {

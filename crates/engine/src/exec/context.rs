@@ -175,7 +175,7 @@ impl Context {
         for job in &self.jobs {
             for m in &job.stages {
                 let mut durations = m.task_durations.clone();
-                durations.sort_by(|a, b| a.partial_cmp(b).expect("finite task times"));
+                durations.sort_by(f64::total_cmp);
                 stages.push(trace::StageSummaryRow {
                     stage_id: m.stage_id,
                     job_id: m.job_id,

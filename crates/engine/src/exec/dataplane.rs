@@ -10,7 +10,8 @@ use crate::pool::lock;
 use crate::rdd::{Rdd, RddGraph};
 use crate::record::{batch_size, IntoRecord, Key, Record};
 use crate::shuffle::{
-    Combiner, ConcatMerge, GroupMerge, JoinMerge, ReduceMerge, Run, Runs, TaskArena, TaskRuns,
+    bucketize_runs, bucketize_runs_shared, Combiner, ConcatMerge, GroupMerge, JoinMerge,
+    ReduceMerge, Run, TaskArena, TaskRuns,
 };
 use numeric::Reservoir;
 use std::sync::Arc;
@@ -31,7 +32,7 @@ pub(crate) enum MergeKind {
 }
 
 impl ShuffleData {
-    /// Hands `run` to `push` and returns its record count. Row records are
+    /// Hands `run` to `push` and returns its record count. The records are
     /// moved out in place under the row's lock — no per-reducer copy of a
     /// column ever exists, and the row's one allocation is freed with the
     /// table, by the driver — or lent when the shuffle has more than one
@@ -39,14 +40,11 @@ impl ShuffleData {
     fn with_run(&self, run: &ColumnRun, push: &mut impl FnMut(Run<'_>)) -> u64 {
         let (start, end) = (run.start as usize, run.end as usize);
         let mut row = lock(&self.rows[run.map as usize]);
-        match &mut *row {
-            Runs::Rows(records) if self.shared => push(Run::Shared(&records[start..end])),
-            Runs::Rows(records) => push(Run::Moved(&mut records[start..end])),
-            Runs::Cols(batch) => {
-                let slice = batch.slice(start, end - start);
-                drop(row);
-                push(Run::Cols(slice));
-            }
+        let records = &mut row[start..end];
+        if self.shared {
+            push(Run::Shared(records));
+        } else {
+            push(Run::Moved(records));
         }
         (end - start) as u64
     }
@@ -132,8 +130,6 @@ pub(super) struct ShuffleWriter {
     pub(super) combine_cost: f64,
     /// Seeds the range bounds and the per-task key samples.
     pub(super) seed: u64,
-    /// Columnar data plane enabled ([`crate::EngineOptions::batch`]).
-    pub(super) batch: bool,
 }
 
 /// One map task's shuffle output.
@@ -150,32 +146,17 @@ impl ShuffleWriter {
 
     /// Orders a finished task's records by reduce partition, *moving* them
     /// when the task owns its output (the common case) and cloning when
-    /// the records window a shared cache partition. Combine-free writes go
-    /// through a typed column batch when the keys fit one; every path
-    /// produces identical run contents and byte tables.
+    /// the records window a shared cache partition.
     pub(super) fn write(
         &self,
         records: TaskRecords,
         partitioner: &dyn Partitioner,
         arena: &mut TaskArena,
     ) -> MapWrite {
-        let n = records.len() as u64;
-        let columnar = (self.batch && self.combine.is_none())
-            .then(|| {
-                crate::shuffle::bucketize_columnar_runs(records.as_slice(), partitioner, arena)
-            })
-            .flatten();
-        let (runs, combine_ops) = match (columnar, records) {
-            (Some(runs), _) => (runs, 0),
-            (None, TaskRecords::Owned(v)) => {
-                crate::shuffle::bucketize_runs(v, partitioner, self.combine.as_ref(), arena)
-            }
-            (None, shared) => crate::shuffle::bucketize_runs_shared(
-                shared.as_slice(),
-                partitioner,
-                self.combine.as_ref(),
-                arena,
-            ),
+        let (n, combine) = (records.len() as u64, self.combine.as_ref());
+        let (runs, combine_ops) = match records {
+            TaskRecords::Owned(v) => bucketize_runs(v, partitioner, combine, arena),
+            shared => bucketize_runs_shared(shared.as_slice(), partitioner, combine, arena),
         };
         self.charged(runs, n, combine_ops)
     }
@@ -907,7 +888,6 @@ mod tests {
             combine: Some(sum()),
             combine_cost: 1e-6,
             seed: 9,
-            batch: true,
         };
         let partitioner = build_partitioner(writer.spec, std::iter::empty(), writer.seed);
         let f = writer.combine.as_ref().expect("combining writer");
@@ -990,10 +970,7 @@ mod tests {
                     "{case}"
                 );
                 assert_eq!(write.runs.spans, collected_write.runs.spans, "{case}");
-                match (&write.runs.runs, &collected_write.runs.runs) {
-                    (Runs::Rows(a), Runs::Rows(b)) => assert_eq!(a, b, "{case}"),
-                    _ => panic!("{case}: a combining write is a row write"),
-                }
+                assert_eq!(write.runs.records, collected_write.runs.records, "{case}");
                 if cached_tail {
                     // The capture is the chain's whole pre-combine output.
                     let [Capture { rdd, part, bytes }] = out.captures.as_slice() else {

@@ -37,8 +37,8 @@ pub struct EngineOptions {
     /// data + task working sets at `b` bytes.
     pub executor_mem: Option<u64>,
     /// No effect. The engine has one executor; this field once selected
-    /// between two and is kept only because the frozen `benchmark/`
-    /// package still sets it. Nothing reads it.
+    /// between two and is kept only for the frozen `benchmark/` until
+    /// ROADMAP item 4a. Nothing reads it.
     pub pipeline: bool,
     /// Deterministic fault-injection plan. `None` (the default) runs
     /// fault-free — the recovery hooks cost nothing. `Some(plan)` injects
@@ -51,14 +51,9 @@ pub struct EngineOptions {
     /// virtual clock); results and metrics byte tables stay bit-identical
     /// to the fault-free run.
     pub faults: Option<FaultPlan>,
-    /// Columnar data plane (the default): combine-free shuffle writes
-    /// convert each task's output to a typed [`crate::batch::ColumnBatch`],
-    /// compute partition assignment with one pass over the key column,
-    /// and ship zero-copy batch slices through the shuffle instead of
-    /// cloned record vectors. Results, byte tables, and virtual-clock
-    /// timings are bit-identical either way — tasks whose keys don't fit
-    /// a typed column layout (and all map-side-combine shuffles) fall
-    /// back to the row path per task. `false` forces rows everywhere.
+    /// No effect. The shuffle has one record layout; this field once
+    /// selected a second and is kept only for the frozen `benchmark/`
+    /// until ROADMAP item 4a. Nothing reads it.
     pub batch: bool,
     /// Host compute pool to share with other contexts. `None` (the
     /// default) builds a private pool of `workers` lanes. The job server
@@ -215,6 +210,45 @@ mod tests {
             break_it(&mut opts);
             let err = opts.validate().expect_err(names);
             assert!(err.starts_with(names), "{names}: got {err}");
+        }
+    }
+
+    /// `batch` and `pipeline` have no effect because nothing reads them:
+    /// outside this file no engine source's code (comments aside) names
+    /// either field.
+    #[test]
+    fn nothing_reads_the_fields_that_have_no_effect() {
+        fn sources(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+            for entry in std::fs::read_dir(dir).expect("a source directory") {
+                let path = entry.expect("a directory entry").path();
+                if path.is_dir() {
+                    sources(&path, out);
+                } else if path.extension().is_some_and(|e| e == "rs") {
+                    out.push(path);
+                }
+            }
+        }
+        let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+        let mut files = Vec::new();
+        sources(&src, &mut files);
+        assert!(
+            files.len() > 10,
+            "found {} files under {src:?}",
+            files.len()
+        );
+        let reads = [concat!(".", "batch"), concat!(".", "pipeline")];
+        for file in files.iter().filter(|f| !f.ends_with("exec/options.rs")) {
+            let text = std::fs::read_to_string(file).expect("a readable source");
+            for (n, line) in text.lines().enumerate() {
+                let code = line.find("//").map_or(line, |at| &line[..at]);
+                let named = reads.iter().any(|field| {
+                    code.match_indices(field).any(|(at, _)| {
+                        let next = code[at + field.len()..].chars().next();
+                        !next.is_some_and(|c| c.is_alphanumeric() || c == '_')
+                    })
+                });
+                assert!(!named, "{}:{}: {line}", file.display(), n + 1);
+            }
         }
     }
 

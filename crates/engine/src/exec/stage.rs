@@ -22,8 +22,8 @@ use crate::ops::OpKind;
 use crate::partitioner::{build_partitioner, PartitionerSpec};
 use crate::pool::lock;
 use crate::rdd::Rdd;
-use crate::record::Key;
-use crate::shuffle::{Combiner, Runs};
+use crate::record::{Key, Record};
+use crate::shuffle::Combiner;
 use crate::stage::{Plan, PlanStage, SideDep, StageOutput, StageRoot};
 use simcluster::{NodeId, TaskSpec};
 use std::sync::{Arc, Mutex};
@@ -44,11 +44,10 @@ pub(super) struct ColumnRun {
 /// last stage that reads it.
 pub(super) struct ShuffleData {
     /// `rows[map_task]` — that task's whole output in reduce-partition
-    /// order, records or a columnar batch per the task's layout. One lock
-    /// per map task: a reduce task merges its partition's run out of the
-    /// row in place (see [`ShuffleData::with_run`]) and holds the lock only
-    /// for that. Emptied after the last read.
-    pub(super) rows: Vec<Mutex<Runs>>,
+    /// order. One lock per map task: a reduce task merges its partition's
+    /// run out of the row in place (see [`ShuffleData::with_run`]) and
+    /// holds the lock only for that. Emptied after the last read.
+    pub(super) rows: Vec<Mutex<Vec<Record>>>,
     /// `P + 1` column starts: reduce partition `c`'s runs are
     /// `runs[col_start[c]..col_start[c + 1]]`.
     col_start: Vec<usize>,
@@ -353,7 +352,7 @@ impl Context {
     /// holds none of it. A task feeding a hash shuffle with map-side
     /// combine streams its narrow chain straight into the combine and
     /// never holds its pre-combine output; a combine-free hash
-    /// write collects the task's output first (the columnar layout needs
+    /// write collects the task's output first (its counting sort needs
     /// all of it) and bucketizes it by move before the next task starts;
     /// a range shuffle first needs every task's key sample for its
     /// bounds, so it computes in one pass and bucketizes, still by move,
@@ -379,7 +378,6 @@ impl Context {
                     },
                     combine_cost: wide.cost_per_record,
                     seed: (cx.job_id as u64) << 32 | (cx.plan_idx as u64) << 8 | 0xC0,
-                    batch: self.options.batch,
                 })
             }
             StageOutput::Result => None,
@@ -792,7 +790,7 @@ fn aggregate_fetches(pairs: impl IntoIterator<Item = (NodeId, u64)>) -> Vec<(Nod
 fn index_runs(
     writes: Vec<MapWrite>,
     partitions: usize,
-) -> (Vec<Mutex<Runs>>, Vec<usize>, Vec<ColumnRun>) {
+) -> (Vec<Mutex<Vec<Record>>>, Vec<usize>, Vec<ColumnRun>) {
     let mut col_start = vec![0usize; partitions + 1];
     for s in writes.iter().flat_map(|w| w.runs.spans()) {
         col_start[s.partition as usize] += 1;
@@ -822,7 +820,7 @@ fn index_runs(
     }
     let rows = writes
         .into_iter()
-        .map(|w| Mutex::new(w.runs.runs))
+        .map(|w| Mutex::new(w.runs.records))
         .collect();
     (rows, col_start, runs)
 }

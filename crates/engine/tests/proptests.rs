@@ -1,14 +1,13 @@
 //! Property-based tests for the engine's core invariants.
 
 use engine::shuffle::{
-    bucketize, bucketize_columnar_runs, bucketize_runs, bucketize_runs_shared, Bucket,
-    CogroupMerge, Combiner, ConcatMerge, GroupMerge, JoinMerge, ReduceMerge, Run, TaskArena,
-    TaskRuns,
+    bucketize, bucketize_runs, bucketize_runs_shared, CogroupMerge, Combiner, ConcatMerge,
+    GroupMerge, JoinMerge, ReduceMerge, Run, TaskArena, TaskRuns,
 };
 use engine::{
-    build_partitioner, measure_skew, sum_vector_counts, sum_vectors, ColumnBatch, Context, Emit,
-    EngineOptions, FlatMapFn, GenFn, HashPartitioner, Key, Partitioner, PartitionerSpec,
-    RangePartitioner, Rdd, Record, ReduceFn, Value, WorkloadConf,
+    build_partitioner, measure_skew, sum_vector_counts, sum_vectors, Context, Emit, EngineOptions,
+    FlatMapFn, GenFn, HashPartitioner, Key, Partitioner, PartitionerSpec, RangePartitioner, Rdd,
+    Record, ReduceFn, Value, WorkloadConf,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -29,18 +28,6 @@ fn arb_records(max: usize) -> impl Strategy<Value = Vec<Record>> {
     )
 }
 
-/// Every key shape the engine produces, including keyless rows and
-/// composite pairs that force the columnar plane's row fallback.
-fn arb_any_key() -> impl Strategy<Value = Key> {
-    prop_oneof![
-        Just(Key::None),
-        any::<i64>().prop_map(Key::Int),
-        "[a-z]{0,6}".prop_map(|s| Key::str(&s)),
-        (any::<i64>(), "[a-z]{0,4}")
-            .prop_map(|(a, b)| Key::Pair(Box::new(Key::Int(a)), Box::new(Key::Str(b.into())))),
-    ]
-}
-
 /// Every value shape, including nested pairs and lists.
 fn arb_any_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -54,26 +41,6 @@ fn arb_any_value() -> impl Strategy<Value = Value> {
         proptest::collection::vec(any::<i64>().prop_map(Value::Int), 0..4)
             .prop_map(|v| Value::List(Arc::new(v))),
     ]
-}
-
-fn arb_mixed_records(max: usize) -> impl Strategy<Value = Vec<Record>> {
-    proptest::collection::vec(
-        (arb_any_key(), arb_any_value()).prop_map(|(k, v)| Record::new(k, v)),
-        0..max,
-    )
-}
-
-/// Records whose keys/values fit the typed columnar layouts (no fallback).
-fn arb_typed_records(max: usize) -> impl Strategy<Value = Vec<Record>> {
-    let key = prop_oneof![
-        Just(Key::None),
-        any::<i64>().prop_map(Key::Int),
-        "[a-z]{0,5}".prop_map(|s| Key::str(&s)),
-    ];
-    proptest::collection::vec(
-        (key, any::<i64>()).prop_map(|(k, v)| Record::new(k, Value::Int(v))),
-        0..max,
-    )
 }
 
 /// Records over a dozen keys of every shape (so runs share keys) with
@@ -142,13 +109,12 @@ fn cut_runs<'a>(records: &'a [Record], cuts: &[usize]) -> Vec<&'a [Record]> {
 }
 
 /// Hands every run to `push` in the form its drawn kind names — moved out
-/// of an owned buffer, lent, or columnar — or all lent when `kinds` is
-/// `None`. The second argument of `push` is the run's index.
-fn feed_runs(runs: &[&[Record]], kinds: Option<&[u8]>, mut push: impl FnMut(Run<'_>, usize)) {
+/// of an owned buffer or lent — or all lent when `kinds` is `None`. The
+/// second argument of `push` is the run's index.
+fn feed_runs(runs: &[&[Record]], kinds: Option<&[bool]>, mut push: impl FnMut(Run<'_>, usize)) {
     for (i, run) in runs.iter().enumerate() {
         match kinds.map(|k| k[i % k.len()]) {
-            Some(0) => push(Run::Moved(&mut run.to_vec()), i),
-            Some(2) => push(Run::Cols(ColumnBatch::from_records(run)), i),
+            Some(true) => push(Run::Moved(&mut run.to_vec()), i),
             _ => push(Run::Shared(run), i),
         }
     }
@@ -311,11 +277,11 @@ proptest! {
         let f = sum();
         let (tb, _) = bucketize(&records, &p, combine.then_some(&f));
         let rebuilt: Vec<Record> =
-            tb.buckets.iter().flat_map(|b| b.to_vec()).collect();
+            tb.buckets.iter().flat_map(|b| b.iter().cloned()).collect();
         prop_assert_eq!(key_sums(&rebuilt), key_sums(&records));
         // And every record sits in the right bucket.
         for (i, bucket) in tb.buckets.iter().enumerate() {
-            for r in bucket.to_vec() {
+            for r in bucket.iter() {
                 prop_assert_eq!(p.partition(&r.key), i);
             }
         }
@@ -369,8 +335,8 @@ proptest! {
         prop_assert_eq!(engine::batch_size(&merged), engine::batch_size(&records));
     }
 
-    /// However a reducer's input arrives — runs moved, lent or columnar,
-    /// in any mix, rights before or after the left side is sealed — every
+    /// However a reducer's input arrives — runs moved or lent, in any
+    /// mix, rights before or after the left side is sealed — every
     /// accumulator finishes to what the all-lent feed gives and to what
     /// the hash-free reference computes, records and counters both, over
     /// keys of every shape and over unequal keys that share a stable hash.
@@ -380,7 +346,7 @@ proptest! {
         right in prop_oneof![arb_colliding_records(160), arb_hash_colliding_records(160)],
         left_cuts in proptest::collection::vec(0usize..160, 0..6),
         right_cuts in proptest::collection::vec(0usize..160, 0..6),
-        kinds in proptest::collection::vec(0u8..3, 16),
+        kinds in proptest::collection::vec(any::<bool>(), 16),
         early in 0usize..4,
     ) {
         let lefts = cut_runs(&left, &left_cuts);
@@ -412,8 +378,8 @@ proptest! {
         prop_assert_eq!(concat(None), left.clone());
 
         // The first `early` right runs arrive before any left run.
-        let right_kinds = |kinds: Option<&[u8]>| kinds.map(|k| k.iter().rev().copied().collect::<Vec<u8>>());
-        let join = |kinds: Option<&[u8]>| {
+        let right_kinds = |kinds: Option<&[bool]>| kinds.map(|k| k.iter().rev().copied().collect::<Vec<bool>>());
+        let join = |kinds: Option<&[bool]>| {
             let rk = right_kinds(kinds);
             let mut m = JoinMerge::new();
             feed_runs(&rights, rk.as_deref(), |run, i| if i < early { m.push_run(run, false) });
@@ -425,7 +391,7 @@ proptest! {
         prop_assert_eq!(join(Some(&kinds)), join(None));
         prop_assert_eq!(join(None), naive_join(&left, &right));
 
-        let cogroup = |kinds: Option<&[u8]>| {
+        let cogroup = |kinds: Option<&[bool]>| {
             let rk = right_kinds(kinds);
             let mut m = CogroupMerge::new();
             feed_runs(&rights, rk.as_deref(), |run, i| if i < early { m.push_run(run, false) });
@@ -468,12 +434,12 @@ proptest! {
         let merged: Vec<(Vec<Record>, u64)> = buckets
             .buckets
             .iter()
-            .map(|b| naive_reduce(&b.to_vec(), &f))
+            .map(|b| naive_reduce(b, &f))
             .collect();
         let want = (
             merged
                 .iter()
-                .map(|(run, _)| Bucket::Rows(Arc::new(run.clone())))
+                .map(|(run, _)| Arc::new(run.clone()))
                 .collect::<Vec<_>>(),
             merged.iter().map(|(run, _)| engine::batch_size(run)).collect::<Vec<u64>>(),
             merged.iter().map(|(_, ops)| ops).sum::<u64>(),
@@ -496,8 +462,8 @@ proptest! {
     }
 
     /// A map task's sparse run list is its dense per-partition view with
-    /// the empty partitions left out, for owned, shared, columnar and
-    /// combining writes: the listed runs ascend by partition, each holds
+    /// the empty partitions left out, for owned, shared and combining
+    /// writes: the listed runs ascend by partition, each holds
     /// exactly the records the partitioner sends there — in first-seen
     /// order, folded by key when the write combines — and its bytes are
     /// their encoded size; a partition is listed if and only if it has a
@@ -505,11 +471,7 @@ proptest! {
     /// the records.
     #[test]
     fn sparse_runs_are_the_dense_view(
-        records in prop_oneof![
-            arb_records(120),
-            arb_typed_records(120),
-            arb_hash_colliding_records(120)
-        ],
+        records in prop_oneof![arb_records(120), arb_hash_colliding_records(120)],
         parts in prop_oneof![Just(1usize), 2usize..9, Just(4096usize)],
         range in any::<bool>(),
     ) {
@@ -555,9 +517,6 @@ proptest! {
         };
         check(bucketize_runs(records.clone(), &*p, None, arena).0, false, "owned");
         check(bucketize_runs_shared(&records, &*p, None, arena).0, false, "shared");
-        if let Some(cols) = bucketize_columnar_runs(&records, &*p, arena) {
-            check(cols, false, "columnar");
-        }
         check(bucketize_runs(records.clone(), &*p, Some(&f), arena).0, true, "combining");
         check(bucketize_runs_shared(&records, &*p, Some(&f), arena).0, true, "combining shared");
     }
@@ -578,7 +537,7 @@ proptest! {
         parts in prop_oneof![Just(1usize), 2usize..9, Just(512usize)],
         cuts in proptest::collection::vec(0usize..200, 0..6),
         owned in proptest::collection::vec(any::<bool>(), 8),
-        kinds in proptest::collection::vec(0u8..3, 8),
+        kinds in proptest::collection::vec(any::<bool>(), 8),
     ) {
         let keys = hash_colliding_keys();
         let build = || -> Vec<Record> {
@@ -700,66 +659,6 @@ proptest! {
         let p = build_partitioner(spec, keys.iter(), 5);
         prop_assert_eq!(p.num_partitions(), parts);
         prop_assert_eq!(p.kind(), spec.kind);
-    }
-}
-
-proptest! {
-    /// The columnar batch is a lossless encoding of any record set: every
-    /// key shape (including `Key::None` rows and composite pairs that force
-    /// the row fallback) and every value shape round-trips bit-identically.
-    #[test]
-    fn column_batch_round_trips_any_records(records in arb_mixed_records(120)) {
-        let batch = ColumnBatch::from_records(&records);
-        prop_assert_eq!(batch.len(), records.len());
-        prop_assert_eq!(batch.to_records(), records.clone());
-        // encoded_size computed from buffer lengths must equal the
-        // row-path byte accounting of the same records.
-        prop_assert_eq!(batch.encoded_size(), engine::batch_size(&records));
-        // And any window of the batch is the matching window of the rows.
-        if !records.is_empty() {
-            let mid = records.len() / 2;
-            let tail = batch.slice(mid, records.len() - mid);
-            prop_assert_eq!(tail.to_records(), records[mid..].to_vec());
-        }
-    }
-
-    /// Per-batch partition assignment (one pass over the key column) equals
-    /// the per-record assignment for both hash and range partitioners, on
-    /// typed key columns and on fallback row columns alike.
-    #[test]
-    fn batch_assignment_matches_per_record(records in arb_mixed_records(150),
-                                           parts in 1usize..32,
-                                           range in any::<bool>()) {
-        let keys: Vec<Key> = records.iter().map(|r| r.key.clone()).collect();
-        let p: Box<dyn Partitioner> = if range {
-            Box::new(RangePartitioner::from_sample(keys.iter(), parts, 7))
-        } else {
-            Box::new(HashPartitioner::new(parts))
-        };
-        let batch = ColumnBatch::from_records(&records);
-        let mut got = Vec::new();
-        batch.partition_assignment(&*p, &mut got);
-        let want: Vec<u32> = records.iter().map(|r| p.partition(&r.key) as u32).collect();
-        prop_assert_eq!(got, want);
-    }
-
-    /// Typed int/str key columns take the vectorized assignment path; it
-    /// must agree with the scalar path there too.
-    #[test]
-    fn typed_batch_assignment_matches_per_record(records in arb_typed_records(200),
-                                                 parts in 1usize..32,
-                                                 range in any::<bool>()) {
-        let keys: Vec<Key> = records.iter().map(|r| r.key.clone()).collect();
-        let p: Box<dyn Partitioner> = if range {
-            Box::new(RangePartitioner::from_sample(keys.iter(), parts, 11))
-        } else {
-            Box::new(HashPartitioner::new(parts))
-        };
-        let batch = ColumnBatch::from_records(&records);
-        let mut got = Vec::new();
-        batch.partition_assignment(&*p, &mut got);
-        let want: Vec<u32> = records.iter().map(|r| p.partition(&r.key) as u32).collect();
-        prop_assert_eq!(got, want);
     }
 }
 

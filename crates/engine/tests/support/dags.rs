@@ -196,7 +196,6 @@ impl Program {
 #[derive(Clone, Debug)]
 struct Knobs {
     workers: usize,
-    batch: bool,
     adaptive: bool,
     tight_mem: bool,
     faults: Option<FaultPlan>,
@@ -243,7 +242,6 @@ impl Knobs {
             // Small enough that a few hundred records spill.
             executor_mem: self.tight_mem.then_some(16 * 1024),
             faults,
-            batch: self.batch,
             adaptive: self.adaptive,
             ..EngineOptions::default()
         }
@@ -358,7 +356,6 @@ fn draw_program(rng: &mut TestRng) -> Program {
 fn draw_knobs(rng: &mut TestRng) -> Knobs {
     Knobs {
         workers: pick(rng, &[1, 4]),
-        batch: rng.bool(),
         adaptive: below(rng, 4) > 0,
         tight_mem: rng.bool(),
         faults: rng.bool().then(|| arb_plan().generate(rng)),
@@ -462,8 +459,8 @@ fn check(program: &Program, knobs: &Knobs, seen: &mut Seen) {
 }
 
 /// The legs after the fault- and budget-free run `clean`: the options as
-/// drawn keep its results and byte tables, and with workers, layout,
-/// topology and tracing flipped they move no bit.
+/// drawn keep its results and byte tables, and with workers, topology
+/// and tracing flipped they move no bit.
 fn check_options(
     knobs: &Knobs,
     clean: Observed,
@@ -485,11 +482,10 @@ fn check_options(
     seen.note("re-home or recompute", recovered > 0);
     let flipped = Knobs {
         workers: 5 - knobs.workers,
-        batch: !knobs.batch,
         one_rack: !knobs.one_rack,
         trace: true,
         ..knobs.clone()
     };
-    let what = "workers, layout, topology and tracing flipped";
+    let what = "workers, topology and tracing flipped";
     base.assert_identical(&run(&flipped.options(run_s)), what);
 }

@@ -20,8 +20,8 @@
 //! shared host [`engine::WorkerPool`], capped per tenant — while every
 //! scheduling decision keys on virtual-clock state only. A fixed trace
 //! therefore produces bit-identical per-job result tables and latencies
-//! across worker counts, row/columnar layouts, and physical
-//! interleavings; `tests/server_equivalence.rs` pins this.
+//! across worker counts and physical interleavings;
+//! `tests/server_equivalence.rs` pins this.
 
 pub mod jobs;
 pub mod server;

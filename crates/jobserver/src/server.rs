@@ -12,8 +12,8 @@
 //! each job's uncontended service time and core demand. Scheduling state
 //! (virtual time, fair tags, queue contents, the memory ledger) is keyed
 //! only on trace content — never on host timing — so a fixed trace + seed
-//! replays bit-identically regardless of worker count, row/columnar
-//! layout, or how tenant executions physically interleave.
+//! replays bit-identically regardless of worker count or how tenant
+//! executions physically interleave.
 //!
 //! # Scheduling
 //!
@@ -98,9 +98,8 @@ pub struct ServerConfig {
     /// Default per-tenant memory guarantee (a trace `tenant ... mem`
     /// clause overrides it).
     pub mem_guarantee: u64,
-    /// Engine options for every tenant context (cluster, workers, batch,
-    /// parallelism). `shared_pool` is overwritten by the
-    /// server.
+    /// Engine options for every tenant context (cluster, workers,
+    /// parallelism). `shared_pool` is overwritten by the server.
     pub engine: EngineOptions,
     /// Host-side execution interleaving.
     pub interleave: Interleave,
@@ -215,9 +214,8 @@ impl ServeReport {
     }
 
     /// Policy-independent result-table fingerprint: one line per job with
-    /// its rows and hash. CI compares this text across schedulers,
-    /// row/columnar layouts, and worker counts — it must be identical as
-    /// long as the same jobs ran.
+    /// its rows and hash. CI compares this text across schedulers and
+    /// worker counts — it must be identical as long as the same jobs ran.
     pub fn tables_text(&self) -> String {
         let mut out = String::new();
         for row in &self.per_job {
@@ -559,20 +557,13 @@ fn serve_tenants(
                     Policy::Fair => {
                         let sa = vtag.max(flows[a].finish_tag);
                         let sb = vtag.max(flows[b].finish_tag);
-                        sa.partial_cmp(&sb)
-                            .expect("tags are finite")
-                            .then(
-                                trace.jobs[ja]
-                                    .at
-                                    .partial_cmp(&trace.jobs[jb].at)
-                                    .expect("arrivals are finite"),
-                            )
+                        sa.total_cmp(&sb)
+                            .then(trace.jobs[ja].at.total_cmp(&trace.jobs[jb].at))
                             .then(ja.cmp(&jb))
                     }
                     Policy::Fifo => trace.jobs[ja]
                         .at
-                        .partial_cmp(&trace.jobs[jb].at)
-                        .expect("arrivals are finite")
+                        .total_cmp(&trace.jobs[jb].at)
                         .then(ja.cmp(&jb)),
                 }
             });
@@ -730,7 +721,7 @@ fn serve_tenants(
     // --- Report. --------------------------------------------------------
     let per_job: Vec<JobRow> = rows_out.into_iter().flatten().collect();
     let mut latencies: Vec<f64> = per_job.iter().map(|r| r.latency).collect();
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+    latencies.sort_by(f64::total_cmp);
     let min_weight = trace
         .tenants
         .iter()
@@ -748,7 +739,7 @@ fn serve_tenants(
         .filter(|r| interactive.contains(&r.tenant.as_str()))
         .map(|r| r.latency)
         .collect();
-    interactive_lat.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+    interactive_lat.sort_by(f64::total_cmp);
     let makespan = per_job.iter().map(|r| r.completed).fold(0.0, f64::max);
     let cache_hits: u64 = runtimes.iter().map(|rt| rt.cache_hits).sum();
     let faults_injected: u64 = runtimes

@@ -330,13 +330,7 @@ impl JobTrace {
     /// Job ids sorted by `(arrival, id)` — the server's admission order.
     pub fn arrival_order(&self) -> Vec<usize> {
         let mut order: Vec<usize> = (0..self.jobs.len()).collect();
-        order.sort_by(|&a, &b| {
-            self.jobs[a]
-                .at
-                .partial_cmp(&self.jobs[b].at)
-                .expect("arrival times are finite")
-                .then(a.cmp(&b))
-        });
+        order.sort_by(|&a, &b| self.jobs[a].at.total_cmp(&self.jobs[b].at).then(a.cmp(&b)));
         order
     }
 }

@@ -37,7 +37,7 @@ struct Entry<T> {
 
 impl<T> PartialEq for Entry<T> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.cmp(other).is_eq()
     }
 }
 
@@ -51,11 +51,11 @@ impl<T> PartialOrd for Entry<T> {
 
 impl<T> Ord for Entry<T> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Finite times are enforced at push, so partial_cmp cannot fail.
+        // Finite times are enforced at push, so `total_cmp` is their
+        // numeric order.
         other
             .time
-            .partial_cmp(&self.time)
-            .expect("event times are finite")
+            .total_cmp(&self.time)
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }

@@ -57,7 +57,7 @@ pub fn render(spec: &ClusterSpec, timing: &StageTiming, width: usize) -> String 
     let straggler = last_end
         .iter()
         .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
+        .max_by(|a, b| a.1.total_cmp(b.1))
         .map(|(n, _)| n);
 
     let name_w = spec.nodes.iter().map(|n| n.name.len()).max().unwrap_or(1);

@@ -48,10 +48,7 @@ pub fn emit_stage_trace(
     let mut order: Vec<usize> = (0..timing.tasks.len()).collect();
     order.sort_by(|&a, &b| {
         let (ta, tb) = (&timing.tasks[a], &timing.tasks[b]);
-        ta.start
-            .partial_cmp(&tb.start)
-            .expect("finite")
-            .then(a.cmp(&b))
+        ta.start.total_cmp(&tb.start).then(a.cmp(&b))
     });
     let mut lane_end: Vec<Vec<f64>> = spec.nodes.iter().map(|n| vec![0.0; n.cores]).collect();
 
@@ -67,7 +64,7 @@ pub fn emit_stage_trace(
                 lanes
                     .iter()
                     .enumerate()
-                    .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
+                    .min_by(|a, b| a.1.total_cmp(b.1))
                     .map(|(l, _)| l)
                     .unwrap_or(0)
             });

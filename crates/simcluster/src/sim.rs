@@ -424,7 +424,7 @@ impl Simulation {
             return stage_end;
         }
         let mut durations: Vec<f64> = timings.iter().map(TaskTiming::duration).collect();
-        durations.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        durations.sort_by(f64::total_cmp);
         let mid = durations.len() / 2;
         let median = if durations.len().is_multiple_of(2) {
             0.5 * (durations[mid - 1] + durations[mid])

@@ -12,14 +12,14 @@
 //! the difference of two marks. The counts are pinned exactly (per input
 //! record of the job's map stage in brackets):
 //!
-//! | job (map + reduce stage)            | records | by-value reduce | in-place reduce | emitting producers | one key table |  sparse runs |
-//! |-------------------------------------|--------:|----------------:|----------------:|-------------------:|--------------:|-------------:|
-//! | KMeans `assign` + `update`          |   8 000 |   64 286 (8.04) |   16 350 (2.04) |      16 350 (2.04) | 16 350 (2.04) | 16 334 (2.04) |
-//! | PCA `cov-rows` + `cov-reduce`       |   6 000 | 132 295 (22.05) |   42 305 (7.05) |      12 353 (2.06) | 12 352 (2.06) | 12 336 (2.06) |
-//! | LogReg `gradient` + `sum-gradients` |   6 000 |   30 312 (5.05) |    6 328 (1.05) |       6 328 (1.05) |  6 326 (1.05) |  6 308 (1.05) |
-//! | SQL `scan-orders` + `agg-orders`    |   8 000 |               — |   17 023 (2.13) |       1 035 (0.13) |    682 (0.09) |    659 (0.08) |
-//! | … the same at scale 0.5             |   4 000 |               — |    8 917 (2.23) |         929 (0.23) |    647 (0.16) |    624 (0.16) |
-//! | SQL `join-revenue` (one stage)      |     724 |               — |               — |       2 059 (2.84) |  1 592 (2.20) |  1 568 (2.17) |
+//! | job (map + reduce stage)            | records | by-value reduce | in-place reduce | emitting producers | one key table |   sparse runs |    one layout |
+//! |-------------------------------------|--------:|----------------:|----------------:|-------------------:|--------------:|--------------:|--------------:|
+//! | KMeans `assign` + `update`          |   8 000 |   64 286 (8.04) |   16 350 (2.04) |      16 350 (2.04) | 16 350 (2.04) | 16 334 (2.04) | 16 333 (2.04) |
+//! | PCA `cov-rows` + `cov-reduce`       |   6 000 | 132 295 (22.05) |   42 305 (7.05) |      12 353 (2.06) | 12 352 (2.06) | 12 336 (2.06) | 12 335 (2.06) |
+//! | LogReg `gradient` + `sum-gradients` |   6 000 |   30 312 (5.05) |    6 328 (1.05) |       6 328 (1.05) |  6 326 (1.05) |  6 308 (1.05) |  6 307 (1.05) |
+//! | SQL `scan-orders` + `agg-orders`    |   8 000 |               — |   17 023 (2.13) |       1 035 (0.13) |    682 (0.09) |    659 (0.08) |    658 (0.08) |
+//! | … the same at scale 0.5             |   4 000 |               — |    8 917 (2.23) |         929 (0.23) |    647 (0.16) |    624 (0.16) |    623 (0.16) |
+//! | SQL `join-revenue` (one stage)      |     724 |               — |               — |       2 059 (2.84) |  1 592 (2.20) |  1 568 (2.17) |  1 568 (2.17) |
 //!
 //! Each column is the same test one commit on: `ReduceFn` by value with
 //! `Value::Vector(Arc<Vec<f64>>)`; the in-place `Reduce` with
@@ -29,11 +29,16 @@
 //! each keeping a `Vec<u32>` of slots per distinct key; a map task listing
 //! its non-empty runs in one vector instead of `P + 1` offsets and `P` byte
 //! counts, and the driver aggregating a task's fetches by sorting one
-//! vector instead of filling a `HashMap`. The last column's falls are
+//! vector instead of filling a `HashMap`; one record layout. The sparse-runs
+//! column's falls are
 //! per-task bookkeeping — no per-record cost moved; the join's 24 are its
 //! 12 tasks' two-sided fetch tables, now merged in the vector they arrive
-//! in. What is left per
-//! record is what the record model itself costs: the two boxes of a
+//! in. The "one layout" column's fall of one per shuffle is the map
+//! outputs' index: with the columnar layout gone a stored map output is
+//! the task's record vector, no larger than the write that carried it, so
+//! collecting the writes into the shuffle table reuses their vector in
+//! place (the join, which shuffles nothing, keeps its count). What is
+//! left per record is what the record model itself costs: the two boxes of a
 //! `Value::Pair` (KMeans), the centered point and the one scratch row
 //! `cov-rows` lends `dim` = 5 times (PCA; it was the flat-map's output
 //! vector, the centered point and a vector per row), the gradient vector
@@ -147,11 +152,11 @@ fn vector_sum_jobs_stay_within_their_allocation_budget() {
     assert_eq!(
         [kmeans, pca, logreg, sql_full, sql_half, sql_join],
         [
-            (16_334, 8_000),
-            (12_336, 6_000),
-            (6_308, 6_000),
-            (659, 8_000),
-            (624, 4_000),
+            (16_333, 8_000),
+            (12_335, 6_000),
+            (6_307, 6_000),
+            (658, 8_000),
+            (623, 4_000),
             (1_568, 724)
         ],
         "(allocations, input records) of KMeans assign+update, PCA cov-rows+cov-reduce, \

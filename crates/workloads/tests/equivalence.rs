@@ -130,7 +130,6 @@ type Flip = (&'static str, Set, Keeps);
 const ROWS: [(&str, Set, &[Flip]); 8] = [
     ("defaults", |_| {}, &[
         ("workers 1 → 8", |o| o.workers = 8, BITS),
-        ("columns → rows", |o| o.batch = false, BITS),
         ("flat → one rack", |o| o.cluster = o.cluster.clone().with_topology(ONE_RACK), BITS),
         ("traced → untraced", |o| o.trace = TraceSink::disabled(), BITS),
         ("no plan → inert plan", |o| o.faults = Some(FaultPlan::default()), BITS),
@@ -156,12 +155,10 @@ const ROWS: [(&str, Set, &[Flip]); 8] = [
     ]),
     ("--adaptive on", adaptive, &[
         ("workers 1 → 8", |o| o.workers = 8, BITS),
-        ("columns → rows", |o| o.batch = false, BITS),
         ("→ --adaptive off", static_plans, RESULTS),
     ]),
     ("--adaptive off", static_plans, &[
         ("workers 1 → 8", |o| o.workers = 8, BITS),
-        ("columns → rows", |o| o.batch = false, BITS),
     ]),
 ];
 
@@ -180,11 +177,10 @@ fn every_flip_keeps_what_its_row_names() {
     }
 }
 
-/// Options drawn by the differential harness — workers, layout, adaptive
+/// Options drawn by the differential harness — workers, adaptive
 /// execution, a tight budget, a generated fault plan, one rack,
 /// co-partition scheduling, tracing — keep SQL's and k-means' results and
-/// byte tables, and flipping workers, layout, topology or tracing moves no
-/// bit.
+/// byte tables, and flipping workers, topology or tracing moves no bit.
 #[test]
 fn generated_plans_preserve_results_and_byte_tables() {
     for (name, run) in [WORKLOADS[0], WORKLOADS[2]] {

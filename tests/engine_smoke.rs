@@ -29,11 +29,10 @@ const SCALE: f64 = 0.05;
 /// Small enough that both workloads spill at either partition count.
 const TIGHT: Option<u64> = Some(8 * 1024);
 
-fn options(workers: usize, batch: bool, partitions: usize, mem: Option<u64>) -> EngineOptions {
+fn options(workers: usize, partitions: usize, mem: Option<u64>) -> EngineOptions {
     EngineOptions {
         default_parallelism: partitions,
         workers,
-        batch,
         executor_mem: mem,
         ..EngineOptions::default()
     }
@@ -80,8 +79,7 @@ fn spilled(o: &Observed) -> bool {
 }
 
 /// At each P, under each budget: the budget moves nothing but the clock
-/// and where bytes are read from, and no worker count or layout moves a
-/// bit.
+/// and where bytes are read from, and no worker count moves a bit.
 fn assert_cells(
     name: &str,
     run: fn(&EngineOptions) -> Observed,
@@ -89,8 +87,7 @@ fn assert_cells(
     mem: &[Option<u64>],
 ) {
     for p in p {
-        let references: Vec<Observed> =
-            mem.iter().map(|&m| run(&options(1, false, p, m))).collect();
+        let references: Vec<Observed> = mem.iter().map(|&m| run(&options(1, p, m))).collect();
         for (&mem, reference) in mem.iter().zip(&references) {
             let what = format!("{name} P={p} mem={mem:?}");
             assert!(!reference.byte_table.is_empty(), "{what}: no stages ran");
@@ -98,33 +95,30 @@ fn assert_cells(
                 assert!(spilled(reference), "{what}: the budget never engaged");
                 references[0].assert_same_data(reference, false, &what);
             }
-            for (workers, batch) in [(1, true), (8, false), (8, true)] {
-                let got = run(&options(workers, batch, p, mem));
-                reference
-                    .assert_identical(&got, &format!("{what} workers={workers} batch={batch}"));
-            }
+            let got = run(&options(8, p, mem));
+            reference.assert_identical(&got, &format!("{what} workers=8"));
         }
     }
 }
 
 #[test]
-fn sql_is_identical_across_workers_layout_and_budget() {
+fn sql_is_identical_across_workers_and_budget() {
     assert_cells("sql", sql, [8, 600], &[None, TIGHT]);
 }
 
 #[test]
-fn kmeans_is_identical_across_workers_layout_and_budget() {
+fn kmeans_is_identical_across_workers_and_budget() {
     assert_cells("kmeans", kmeans, [8, 600], &[None, TIGHT]);
 }
 
 #[test]
-fn pca_is_identical_across_workers_and_layout() {
+fn pca_is_identical_across_workers() {
     assert_cells("pca", pca, [60, 1200], &[None]);
 }
 
 #[test]
 fn kmeans_under_a_budget_survives_a_node_loss() {
-    let (free, at) = kmeans_timed(&options(1, false, 8, None));
+    let (free, at) = kmeans_timed(&options(1, 8, None));
     // Due as soon as the input is cached: the loss is applied at the next
     // stage boundary, before the cache is re-read.
     let loss = NodeLoss { node: 0, at };
@@ -132,27 +126,24 @@ fn kmeans_under_a_budget_survives_a_node_loss() {
         node_loss: vec![loss],
         ..FaultPlan::default()
     });
-    let run = |workers, batch| {
+    let run = |workers| {
         let opts = EngineOptions {
             faults: faults.clone(),
-            ..options(workers, batch, 8, TIGHT)
+            ..options(workers, 8, TIGHT)
         };
         kmeans(&opts)
     };
-    let reference = run(1, false);
+    let reference = run(1);
     assert!(spilled(&reference), "the tight budget never engaged");
     let rehomed = reference.faults.replica_rehomed_partitions;
     assert!(rehomed > 0, "node 0 held no cached partition");
     free.assert_same_data(&reference, false, "node loss under a budget");
-    for (workers, batch) in [(1, true), (8, false), (8, true)] {
-        let what = format!("workers={workers} batch={batch}");
-        reference.assert_identical(&run(workers, batch), &what);
-    }
+    reference.assert_identical(&run(8), "workers=8");
 }
 
 #[test]
 fn flat_is_the_one_rack_topology() {
-    let flat = options(1, true, 600, None);
+    let flat = options(1, 600, None);
     let mut one_rack = flat.clone();
     one_rack.cluster = one_rack.cluster.with_topology(Topology::Rack {
         racks: 1,
