@@ -350,7 +350,10 @@ pub fn tune(args: &Args) -> CmdResult {
     let runs = t.train(w.as_ref(), &mut db);
     db.save(std::path::Path::new(db_path))
         .map_err(|e| e.to_string())?;
-    println!("recorded {runs} test runs into {db_path}");
+    println!(
+        "recorded {} test runs, {runs} executed, into {db_path}",
+        t.test_plan.num_runs()
+    );
     if let Some(path) = args.get("out-conf") {
         let plan = t.plan(w.as_ref(), &db);
         std::fs::write(path, plan.conf.to_text()).map_err(|e| e.to_string())?;

@@ -71,7 +71,8 @@ impl Autotuner {
         }
     }
 
-    /// Runs the test grid, recording observations into `db`. Training is
+    /// Runs the test grid, recording observations into `db`, and returns
+    /// the number of runs executed (see [`run_test_grid`]). Training is
     /// offline — it does not touch the production clock.
     pub fn train(&self, workload: &dyn Workload, db: &mut WorkloadDb) -> usize {
         run_test_grid(workload, &self.chopper_opts, &self.test_plan, db)

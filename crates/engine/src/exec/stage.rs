@@ -766,19 +766,31 @@ const SHUFFLE_BYTES: Lane = (Track::new(pids::DRIVER, 1), "shuffle bytes");
 const PIPELINE: Lane = (Track::new(pids::POOL, 2), "pipeline stages");
 
 /// Aggregates `(node, bytes)` pairs by node, dropping empty transfers;
-/// sorted by node.
+/// sorted by node. The sums build in place at the front of the collected
+/// pairs: each pair binary-searches the distinct nodes summed so far, so a
+/// task costs its pairs times the log of the nodes it fetches from — no
+/// sort of the pairs, and nothing per cluster node.
 fn aggregate_fetches(pairs: impl IntoIterator<Item = (NodeId, u64)>) -> Vec<(NodeId, u64)> {
-    // Collected whole, so an exact-size source allocates once.
+    // Collected whole, so an exact-size source allocates once (and a
+    // vector is reused as it is).
     let mut v: Vec<(NodeId, u64)> = pairs.into_iter().collect();
-    v.retain(|&(_, b)| b > 0);
-    v.sort_unstable_by_key(|&(node, _)| node);
-    v.dedup_by(|later, kept| {
-        let same = later.0 == kept.0;
-        if same {
-            kept.1 += later.1;
+    let mut summed = 0;
+    for i in 0..v.len() {
+        let (node, bytes) = v[i];
+        if bytes == 0 {
+            continue;
         }
-        same
-    });
+        match v[..summed].binary_search_by_key(&node, |&(n, _)| n) {
+            Ok(at) => v[at].1 += bytes,
+            Err(at) => {
+                // `summed <= i`: the slot was read already.
+                v[summed] = (node, bytes);
+                v[at..=summed].rotate_right(1);
+                summed += 1;
+            }
+        }
+    }
+    v.truncate(summed);
     v
 }
 
@@ -924,7 +936,7 @@ mod tests {
     use super::super::dataplane::MapWrite;
     use super::super::fixture::{sorted, sum, test_options, word_records};
     use super::super::EngineOptions;
-    use super::{index_runs, Context};
+    use super::{aggregate_fetches, index_runs, Context};
     use crate::metrics::StageKind;
     use crate::ops::Emit;
     use crate::partitioner::{HashPartitioner, PartitionerSpec};
@@ -1327,5 +1339,40 @@ mod tests {
             200,
             "200*2 records, half pass the filter"
         );
+    }
+
+    /// The definition `aggregate_fetches` replaced: collect, drop empty
+    /// transfers, sort by node, merge equal nodes.
+    fn sorted_fetches(pairs: &[(usize, u64)]) -> Vec<(usize, u64)> {
+        let mut v: Vec<(usize, u64)> = pairs.iter().copied().filter(|&(_, b)| b > 0).collect();
+        v.sort_unstable_by_key(|&(node, _)| node);
+        v.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 += later.1;
+            }
+            same
+        });
+        v
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Summing in place gives what sorting gave, for unsorted and
+        /// repeated nodes, empty transfers, and node ids up to 999.
+        #[test]
+        fn fetches_aggregate_as_the_sort_did(
+            draws in proptest::collection::vec((0usize..1000, 0u64..4, 0u64..1_000_000), 0..80),
+            nodes in 1usize..1000,
+        ) {
+            let pairs: Vec<(usize, u64)> = draws
+                .iter()
+                .map(|&(n, empty, b)| (n % nodes, if empty == 0 { 0 } else { b }))
+                .collect();
+            proptest::prop_assert_eq!(aggregate_fetches(pairs.clone()), sorted_fetches(&pairs));
+            let iter = pairs.iter().copied();
+            proptest::prop_assert_eq!(aggregate_fetches(iter), sorted_fetches(&pairs));
+        }
     }
 }

@@ -132,6 +132,9 @@ impl Partitioner for HashPartitioner {
 #[derive(Debug, Clone)]
 pub struct RangePartitioner {
     bounds: Vec<Key>,
+    /// `bounds` as integers, when every bound is a `Key::Int`: an integer
+    /// key is then placed by the same binary search over plain `i64`s.
+    int_bounds: Option<Vec<i64>>,
     partitions: usize,
 }
 
@@ -147,7 +150,18 @@ impl RangePartitioner {
             bounds.windows(2).all(|w| w[0] <= w[1]),
             "bounds must be sorted"
         );
-        RangePartitioner { bounds, partitions }
+        let int_bounds = bounds
+            .iter()
+            .map(|b| match b {
+                Key::Int(i) => Some(*i),
+                _ => None,
+            })
+            .collect();
+        RangePartitioner {
+            bounds,
+            int_bounds,
+            partitions,
+        }
     }
 
     /// Estimates bounds by reservoir-sampling `keys` — mirroring Spark's
@@ -181,7 +195,7 @@ impl RangePartitioner {
             }
             bounds
         };
-        RangePartitioner { bounds, partitions }
+        RangePartitioner::from_bounds(bounds, partitions)
     }
 
     /// The range bounds (`P - 1` or fewer keys).
@@ -196,7 +210,14 @@ impl Partitioner for RangePartitioner {
     }
     fn partition(&self, key: &Key) -> usize {
         // First bound >= key ⇒ that range; after all bounds ⇒ last range.
-        match self.bounds.binary_search_by(|b| b.cmp(key)) {
+        // `Key::Int`s order as their `i64`s, and a search's probes depend
+        // only on the slice length and the comparisons, so both searches
+        // land on the same index — duplicate bounds included.
+        let found = match (&self.int_bounds, key) {
+            (Some(ints), Key::Int(k)) => ints.binary_search(k),
+            _ => self.bounds.binary_search_by(|b| b.cmp(key)),
+        };
+        match found {
             Ok(i) => i,
             Err(i) => i.min(self.partitions - 1),
         }
@@ -286,6 +307,62 @@ mod tests {
         assert_eq!(p.partition(&Key::Int(11)), 1);
         assert_eq!(p.partition(&Key::Int(20)), 1);
         assert_eq!(p.partition(&Key::Int(25)), 2);
+    }
+
+    /// The integer path places every key where the `Key` search does: on
+    /// duplicate bounds, on keys equal to a bound, between and beyond them.
+    #[test]
+    fn int_bounds_search_like_key_bounds() {
+        let key_search = |p: &RangePartitioner, k: &Key| match p.bounds.binary_search(k) {
+            Ok(i) => i,
+            Err(i) => i.min(p.partitions - 1),
+        };
+        let shapes: [&[i64]; 6] = [
+            &[],
+            &[5],
+            &[3, 3, 3],
+            &[-4, 0, 0, 7, 7, 7, 7, 12],
+            &[1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6],
+            &[i64::MIN, 0, 0, i64::MAX],
+        ];
+        for bounds in shapes {
+            for partitions in [bounds.len() + 1, bounds.len() + 5] {
+                let keys = bounds.iter().map(|&b| Key::Int(b)).collect();
+                let p = RangePartitioner::from_bounds(keys, partitions);
+                assert!(p.int_bounds.is_some());
+                let probes = bounds
+                    .iter()
+                    .flat_map(|&b| [b.saturating_sub(1), b, b.saturating_add(1)])
+                    .chain([i64::MIN, -1, 0, 1, i64::MAX]);
+                for k in probes.map(Key::Int) {
+                    assert_eq!(
+                        p.partition(&k),
+                        key_search(&p, &k),
+                        "{bounds:?} P={partitions} {k:?}"
+                    );
+                }
+            }
+        }
+        // A non-integer key, or a non-integer bound, takes the `Key` search.
+        let ints = RangePartitioner::from_bounds(vec![Key::Int(1), Key::Int(9)], 3);
+        for k in [
+            Key::None,
+            Key::str("a"),
+            Key::Pair(Box::new(Key::Int(1)), Box::new(Key::None)),
+        ] {
+            assert_eq!(ints.partition(&k), key_search(&ints, &k), "{k:?}");
+        }
+        let mixed = RangePartitioner::from_bounds(vec![Key::Int(4), Key::str("m")], 3);
+        assert!(mixed.int_bounds.is_none());
+        for k in [
+            Key::Int(3),
+            Key::Int(4),
+            Key::Int(99),
+            Key::str("a"),
+            Key::str("z"),
+        ] {
+            assert_eq!(mixed.partition(&k), key_search(&mixed, &k), "{k:?}");
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use engine::{Emit, Key, Record, Value};
 use numeric::XorShift64;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Monotone warp of `[0, 1]` used to make partition sizes uneven the way
 /// real input splits are: `x + A·sin(2πmx)/(2πm)` has derivative
@@ -136,10 +136,110 @@ impl PointGen {
     }
 }
 
+/// Most guide buckets a [`ZipfTable`] keeps: 2^16 `u32` entries, 256 KiB.
+const MAX_GUIDE_BUCKETS: usize = 1 << 16;
+
+/// A Zipf(`exponent`) law over `keys` values, drawn in O(1) expected time.
+///
+/// Beside the normalized CDF the table keeps a guide of `G = 2^k`
+/// buckets: `guide[b]` is the first CDF index whose entry is `>= b/G`. A
+/// uniform `u ∈ [0, 1)` falls in bucket `b = ⌊u·G⌋`, so `b/G <= u <
+/// (b+1)/G` and the first entry `>= u` lies in `guide[b]..=guide[b+1]` —
+/// only that slice is searched. `G` is a power of two, so `u·G`, its floor
+/// and `b/G` are all exact in `f64`: the drawn index is the same
+/// `partition_point` a search of the whole CDF returns, for every `u`.
+#[derive(Debug)]
+pub(crate) struct ZipfTable {
+    keys: usize,
+    exponent: f64,
+    cdf: Vec<f64>,
+    guide: Vec<u32>,
+}
+
+impl ZipfTable {
+    /// The law over `keys` values with the given exponent. `exponent = 0`
+    /// is uniform; ~1 is web-like skew.
+    pub(crate) fn new(keys: usize, exponent: f64) -> Self {
+        assert!(keys > 0, "need at least one key");
+        assert!(
+            u32::try_from(keys).is_ok(),
+            "guide entries index the CDF in 32 bits"
+        );
+        let mut cdf = Vec::with_capacity(keys);
+        let mut acc = 0.0;
+        for k in 1..=keys {
+            acc += 1.0 / (k as f64).powf(exponent);
+            cdf.push(acc);
+        }
+        let total = *cdf.last().expect("non-empty");
+        for v in &mut cdf {
+            *v /= total;
+        }
+        // One sweep: the CDF is non-decreasing, so each bucket edge's first
+        // entry lies at or after the previous edge's.
+        let buckets = keys.next_power_of_two().min(MAX_GUIDE_BUCKETS);
+        let mut guide = Vec::with_capacity(buckets + 1);
+        let mut i = 0;
+        for b in 0..=buckets {
+            let edge = b as f64 / buckets as f64;
+            while i < cdf.len() && cdf[i] < edge {
+                i += 1;
+            }
+            guide.push(i as u32);
+        }
+        ZipfTable {
+            keys,
+            exponent,
+            cdf,
+            guide,
+        }
+    }
+
+    /// Whether this is the law over `keys` values with `exponent`.
+    fn is(&self, keys: usize, exponent: f64) -> bool {
+        self.keys == keys && self.exponent.to_bits() == exponent.to_bits()
+    }
+
+    /// The key `u ∈ [0, 1)` draws: the first CDF index whose entry is
+    /// `>= u`, clamped to the last key.
+    pub(crate) fn index(&self, u: f64) -> usize {
+        let buckets = self.guide.len() - 1;
+        let b = ((u * buckets as f64) as usize).min(buckets - 1);
+        let (lo, hi) = (self.guide[b] as usize, self.guide[b + 1] as usize);
+        let idx = lo + self.cdf[lo..hi].partition_point(|&c| c < u);
+        idx.min(self.cdf.len() - 1)
+    }
+}
+
+/// One workload's Zipf table, built on first use and again only when the
+/// law it is asked for changes — so every run of a workload value, and
+/// every table of one run, shares one CDF and guide.
+#[derive(Debug, Default)]
+pub(crate) struct ZipfSlot(Mutex<Option<Arc<ZipfTable>>>);
+
+impl ZipfSlot {
+    /// The table of the law over `keys` values with `exponent`.
+    pub(crate) fn get(&self, keys: usize, exponent: f64) -> Arc<ZipfTable> {
+        // The slot only ever holds a whole table or none, so one a
+        // panicking holder left behind is still valid.
+        let mut slot = self.0.lock().unwrap_or_else(|e| e.into_inner());
+        match &*slot {
+            Some(table) if table.is(keys, exponent) => Arc::clone(table),
+            _ => Arc::clone(slot.insert(Arc::new(ZipfTable::new(keys, exponent)))),
+        }
+    }
+}
+
+/// Approximate serialized bytes of `n` table rows with `payload` bytes of
+/// string each.
+pub(crate) fn table_bytes(n: u64, payload: usize) -> u64 {
+    n * (payload as u64 + 40)
+}
+
 /// Zipf-distributed keyed-row generator for the SQL workload.
 #[derive(Debug, Clone)]
 pub struct TableGen {
-    cdf: Vec<f64>,
+    keys: Arc<ZipfTable>,
     /// Base RNG seed.
     pub seed: u64,
     /// Bytes of string payload per row.
@@ -180,27 +280,22 @@ impl TableGen {
     /// A table whose keys follow a Zipf(`exponent`) law over `keys`
     /// distinct values. `exponent = 0` is uniform; ~1 is web-like skew.
     pub fn new(keys: usize, exponent: f64, payload: usize, seed: u64) -> Self {
-        assert!(keys > 0, "need at least one key");
-        let mut cdf = Vec::with_capacity(keys);
-        let mut acc = 0.0;
-        for k in 1..=keys {
-            acc += 1.0 / (k as f64).powf(exponent);
-            cdf.push(acc);
+        TableGen::over(Arc::new(ZipfTable::new(keys, exponent)), payload, seed)
+    }
+
+    /// A table whose keys follow `keys`, a law other tables share.
+    pub(crate) fn over(keys: Arc<ZipfTable>, payload: usize, seed: u64) -> Self {
+        TableGen {
+            keys,
+            seed,
+            payload,
         }
-        let total = *cdf.last().expect("non-empty");
-        for v in &mut cdf {
-            *v /= total;
-        }
-        TableGen { cdf, seed, payload }
     }
 
     /// The key of row `i` (Zipf-sampled).
     pub fn key(&self, i: u64) -> i64 {
         let mut rng = record_rng(self.seed, i);
-        let u = rng.next_f64();
-        // First CDF entry >= u.
-        let idx = self.cdf.partition_point(|&c| c < u);
-        idx.min(self.cdf.len() - 1) as i64
+        self.keys.index(rng.next_f64()) as i64
     }
 
     /// The row at global index `i`: `(key, Pair(amount, payload))`.
@@ -235,7 +330,7 @@ impl TableGen {
 
     /// Approximate serialized bytes of `n` rows.
     pub fn bytes(&self, n: u64) -> u64 {
-        n * (self.payload as u64 + 40)
+        table_bytes(n, self.payload)
     }
 }
 
@@ -459,6 +554,44 @@ mod tests {
         let tail: u64 = counts[90..].iter().sum();
         assert!(head > 5 * tail, "zipf head must dominate: {head} vs {tail}");
         assert!(counts.iter().all(|&c| c < 20_000), "but not a single key");
+    }
+
+    /// The guide draw is the whole-CDF search at every bucket edge and
+    /// every CDF entry, and at both their `f64` neighbours — the only
+    /// places the two searches could part.
+    #[test]
+    fn guide_draws_equal_a_search_of_the_whole_cdf() {
+        for keys in [1, 7, 500, 40_000, 1_000_000] {
+            for exponent in [0.0, 0.9, 1.3, 2.5] {
+                let t = ZipfTable::new(keys, exponent);
+                let buckets = t.guide.len() - 1;
+                assert!(buckets.is_power_of_two());
+                assert!(t.guide.len() * 4 <= 512 * 1024, "guide stays small");
+                let whole = |u: f64| t.cdf.partition_point(|&c| c < u).min(keys - 1);
+                let edges = (0..=buckets).map(|b| b as f64 / buckets as f64);
+                let entries = t.cdf.iter().copied().take(4096);
+                for at in edges.chain(entries) {
+                    for u in [at.next_down(), at, at.next_up()] {
+                        if (0.0..=1.0).contains(&u) {
+                            assert_eq!(t.index(u), whole(u), "keys={keys} s={exponent} u={u:e}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_slot_rebuilds_only_when_the_law_changes() {
+        let slot = ZipfSlot::default();
+        let a = slot.get(500, 1.3);
+        assert!(Arc::ptr_eq(&a, &slot.get(500, 1.3)), "same law, same table");
+        for (keys, exponent) in [(501, 1.3), (500, 1.2)] {
+            let fresh = slot.get(keys, exponent);
+            assert!(fresh.is(keys, exponent), "never a stale table");
+            let u = 0.999;
+            assert_eq!(fresh.index(u), ZipfTable::new(keys, exponent).index(u));
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! fingerprint — are bit-identical between `--adaptive on` and `off`;
 //! only the simulated timings differ.
 
-use crate::datagen::{HotTableGen, TableGen};
+use crate::datagen::{table_bytes, HotTableGen, TableGen, ZipfSlot};
 use chopper::Workload;
 use engine::{
     Context, Emit, EngineOptions, GenFn, Key, PartitionerSpec, Record, Value, WorkloadConf,
@@ -107,6 +107,8 @@ impl SkewAggConfig {
 pub struct SkewAgg {
     /// Parameters.
     pub config: SkewAggConfig,
+    /// The count-skewed table's key law, shared by every run.
+    key_table: ZipfSlot,
 }
 
 /// Final state of a run.
@@ -177,7 +179,20 @@ fn summary_row(r: &Record) -> (i64, f64, u64) {
 impl SkewAgg {
     /// Creates the workload.
     pub fn new(config: SkewAggConfig) -> Self {
-        SkewAgg { config }
+        SkewAgg {
+            config,
+            key_table: ZipfSlot::default(),
+        }
+    }
+
+    /// The generator of the count-skewed `freq` table.
+    pub fn freq_table(&self) -> TableGen {
+        let cfg = &self.config;
+        TableGen::over(
+            self.key_table.get(cfg.keys, cfg.zipf),
+            cfg.payload,
+            cfg.seed ^ 0xBEEF,
+        )
     }
 
     /// Runs the three jobs.
@@ -223,7 +238,7 @@ impl SkewAgg {
         hot_table.sort_by_key(|r| r.0);
 
         // ---- jobs 1–2: count-skewed aggregation, hash → adaptive retune ----
-        let freq_gen = TableGen::new(cfg.keys, cfg.zipf, cfg.payload, cfg.seed ^ 0xBEEF);
+        let freq_gen = self.freq_table();
         let mut freq_table = Vec::new();
         for _round in 0..2 {
             let g = freq_gen.clone();
@@ -271,8 +286,7 @@ impl Workload for SkewAgg {
             cfg.fat_factor,
             cfg.seed,
         );
-        let freq = TableGen::new(cfg.keys, cfg.zipf, cfg.payload, cfg.seed ^ 0xBEEF);
-        hot.bytes(cfg.rows_hot) + 2 * freq.bytes(cfg.rows_freq)
+        hot.bytes(cfg.rows_hot) + 2 * table_bytes(cfg.rows_freq, cfg.payload)
     }
 
     fn run(&self, opts: &EngineOptions, conf: &WorkloadConf, scale: f64) -> Context {

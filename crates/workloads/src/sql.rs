@@ -17,7 +17,7 @@
 //! uneven while the sampled range partitioner adapts its bounds — giving
 //! CHOPPER's partitioner *choice* (Algorithm 1) something real to decide.
 
-use crate::datagen::TableGen;
+use crate::datagen::{TableGen, ZipfSlot};
 use chopper::Workload;
 use engine::{Context, Emit, EngineOptions, GenFn, Key, Record, ReduceFn, Value, WorkloadConf};
 use std::sync::Arc;
@@ -80,6 +80,8 @@ const VIRTUAL_RECORD_BYTES: u64 = 154;
 pub struct Sql {
     /// Parameters.
     pub config: SqlConfig,
+    /// The key law both tables draw from, shared by every run.
+    key_table: ZipfSlot,
 }
 
 /// Final state of a SQL run.
@@ -93,7 +95,18 @@ pub struct SqlResult {
 impl Sql {
     /// Creates the workload.
     pub fn new(config: SqlConfig) -> Self {
-        Sql { config }
+        Sql {
+            config,
+            key_table: ZipfSlot::default(),
+        }
+    }
+
+    /// The `orders` and `returns` table generators, over one key table.
+    pub fn tables(&self) -> [TableGen; 2] {
+        let cfg = &self.config;
+        let keys = self.key_table.get(cfg.keys, cfg.zipf);
+        [cfg.seed, cfg.seed ^ 0xDEAD]
+            .map(|seed| TableGen::over(Arc::clone(&keys), cfg.payload, seed))
     }
 
     fn sum_amounts() -> ReduceFn {
@@ -109,10 +122,10 @@ impl Sql {
 
         let mut ctx = Context::new(opts.clone());
         ctx.set_conf(conf.clone());
+        let [orders_gen, returns_gen] = self.tables();
 
         // ---- stages 0–1: aggregate orders ---------------------------------
-        let orders_gen = TableGen::new(cfg.keys, cfg.zipf, cfg.payload, cfg.seed);
-        let g = orders_gen.clone();
+        let g = orders_gen;
         let gen_orders: GenFn =
             Arc::new(move |i, parts, out: &mut dyn Emit| g.stream(n_orders, i, parts, out));
         let orders = ctx.text_file(
@@ -146,8 +159,7 @@ impl Sql {
         ctx.count(order_totals, "orders-aggregate");
 
         // ---- stages 2–3: aggregate returns --------------------------------
-        let returns_gen = TableGen::new(cfg.keys, cfg.zipf, cfg.payload, cfg.seed ^ 0xDEAD);
-        let g = returns_gen.clone();
+        let g = returns_gen;
         let gen_returns: GenFn =
             Arc::new(move |i, parts, out: &mut dyn Emit| g.stream(n_returns, i, parts, out));
         let returns = ctx.text_file(
@@ -253,8 +265,7 @@ mod tests {
         let res = w.execute(&opts(), &WorkloadConf::new(), 1.0);
         // Direct computation.
         let cfg = &w.config;
-        let og = TableGen::new(cfg.keys, cfg.zipf, cfg.payload, cfg.seed);
-        let rg = TableGen::new(cfg.keys, cfg.zipf, cfg.payload, cfg.seed ^ 0xDEAD);
+        let [og, rg] = w.tables();
         let mut o_tot = std::collections::HashMap::new();
         for i in 0..cfg.orders {
             let r = og.record(i);
@@ -322,6 +333,29 @@ mod tests {
         let b = w.execute(&opts(), &WorkloadConf::new(), 1.0);
         assert_eq!(a.joined, b.joined);
         assert_eq!(a.ctx.clock().to_bits(), b.ctx.clock().to_bits());
+    }
+
+    #[test]
+    fn a_changed_key_law_never_draws_from_a_stale_table() {
+        let mut w = Sql::new(SqlConfig::small());
+        let first = w.execute(&opts(), &WorkloadConf::new(), 0.5);
+        for change in [
+            |c: &mut SqlConfig| c.keys = 37,
+            |c: &mut SqlConfig| c.zipf = 0.4,
+        ] {
+            change(&mut w.config);
+            let fresh = Sql::new(w.config.clone());
+            let (a, b) = (w.tables(), fresh.tables());
+            for (a, b) in a.iter().zip(&b) {
+                assert!((0..4000).all(|i| a.key(i) == b.key(i)));
+            }
+            let reused = w.execute(&opts(), &WorkloadConf::new(), 0.5);
+            assert_eq!(
+                reused.joined,
+                fresh.execute(&opts(), &WorkloadConf::new(), 0.5).joined
+            );
+            assert_ne!(reused.joined, first.joined);
+        }
     }
 
     #[test]
