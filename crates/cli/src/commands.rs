@@ -2,7 +2,8 @@
 
 use crate::args::Args;
 use chopper::{Autotuner, DecisionAction, TestRunPlan, Workload, WorkloadDb};
-use engine::{Context, EngineOptions, PartitionerKind, WorkloadConf};
+use engine::{EngineOptions, PartitionerKind, WorkloadConf};
+use serde::Serialize;
 use simcluster::{paper_cluster, uniform_cluster, ClusterSpec};
 use workloads::{
     KMeans, KMeansConfig, LogReg, LogRegConfig, Pca, PcaConfig, SkewAgg, SkewAggConfig, Sql,
@@ -173,38 +174,6 @@ fn engine_opts(args: &Args) -> Result<EngineOptions, String> {
     Ok(opts)
 }
 
-/// Prints the memory-manager counter line when a budget was set.
-fn print_mem_counters(ctx: &Context, opts: &EngineOptions) {
-    if opts.executor_mem.is_none() {
-        return;
-    }
-    let mc = ctx.mem_counters();
-    println!(
-        "memory: {} evictions, {} spills ({} B), {} rereads ({} B), {} released",
-        mc.evictions, mc.spills, mc.spill_bytes, mc.rereads, mc.reread_bytes, mc.released
-    );
-}
-
-/// Prints the fault-recovery counter line when a plan was installed.
-fn print_fault_counters(ctx: &Context, opts: &EngineOptions) {
-    if opts.faults.is_none() {
-        return;
-    }
-    let fc = ctx.fault_counters();
-    println!(
-        "faults: {} injected failures over {} tasks, {} recomputed map tasks, \
-         {} re-homed partitions ({} B), {} nodes lost, {} stragglers, {} corrupt chunks",
-        fc.injected_failures,
-        fc.retried_tasks,
-        fc.recomputed_map_tasks,
-        fc.replica_rehomed_partitions,
-        fc.replica_read_bytes,
-        fc.nodes_lost,
-        fc.stragglers_applied,
-        fc.corrupt_chunks
-    );
-}
-
 fn load_conf(args: &Args) -> Result<WorkloadConf, String> {
     match args.get("conf") {
         None => Ok(WorkloadConf::new()),
@@ -212,32 +181,6 @@ fn load_conf(args: &Args) -> Result<WorkloadConf, String> {
             let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
             WorkloadConf::from_text(&text)
         }
-    }
-}
-
-fn print_stages(ctx: &Context) {
-    println!(
-        "{:>5} {:>16} {:>6} {:>10} {:>12} {:>12} {:>8}",
-        "stage", "name", "tasks", "time", "shuffle KB", "remote KB", "skew"
-    );
-    for s in ctx.all_stages() {
-        println!(
-            "{:>5} {:>16} {:>6} {:>9.2}s {:>12.1} {:>12.1} {:>8.2}",
-            s.stage_id,
-            s.name,
-            s.num_tasks,
-            s.duration(),
-            s.shuffle_data() as f64 / 1024.0,
-            s.remote_read_bytes as f64 / 1024.0,
-            s.task_skew()
-        );
-    }
-    if !ctx.jobs().is_empty() {
-        println!(
-            "total: {:.2}s over {} jobs",
-            ctx.run_span(),
-            ctx.jobs().len()
-        );
     }
 }
 
@@ -277,9 +220,7 @@ pub fn run(args: &Args) -> CmdResult {
         return Err("--scale must be in (0, 1]".into());
     }
     let ctx = w.run(&opts, &conf, scale);
-    print_stages(&ctx);
-    print_mem_counters(&ctx, &opts);
-    print_fault_counters(&ctx, &opts);
+    print!("{}", ctx.report());
     if args.has("gantt") {
         for s in ctx.all_stages() {
             let timing = simcluster::StageTiming {
@@ -299,8 +240,8 @@ stage {} [{}]",
 }
 
 /// `trace`: execute a workload with the event sink enabled, write a
-/// Perfetto-loadable Chrome `trace_event` JSON file, and print the
-/// per-stage summary table.
+/// Perfetto-loadable Chrome `trace_event` JSON file, and print the stage
+/// table `run` prints plus the host pool's counters.
 pub fn trace(args: &Args) -> CmdResult {
     let w = workload(args)?;
     let mut opts = engine_opts(args)?;
@@ -322,13 +263,16 @@ pub fn trace(args: &Args) -> CmdResult {
     let default_out = format!("trace_{}.json", w.name());
     let out = args.get("out").unwrap_or(&default_out);
     std::fs::write(out, &json).map_err(|e| format!("write {out}: {e}"))?;
-    let summary = ctx.trace_summary();
-    print!("{}", summary.render());
-    print_mem_counters(&ctx, &opts);
-    print_fault_counters(&ctx, &opts);
+    print!("{}", ctx.report());
+    let pool = ctx.pool().stats();
+    println!(
+        "pool (host): {} jobs, {} items, {} stolen, {} idle epochs",
+        pool.jobs, pool.items, pool.stolen, pool.idle_epochs
+    );
     if let Some(path) = args.get("summary-out") {
-        std::fs::write(path, summary.to_json()).map_err(|e| format!("write {path}: {e}"))?;
-        println!("wrote summary JSON to {path}");
+        let jobs = ctx.jobs().to_json().render(false);
+        std::fs::write(path, jobs).map_err(|e| format!("write {path}: {e}"))?;
+        println!("wrote stage metrics JSON to {path}");
     }
     println!(
         "wrote {} trace events to {out} (open at https://ui.perfetto.dev)",
@@ -412,9 +356,9 @@ pub fn compare(args: &Args) -> CmdResult {
     );
     let cmp = t.compare(w.as_ref());
     println!("\n== vanilla ==");
-    print_stages(&cmp.vanilla);
+    print!("{}", cmp.vanilla.report());
     println!("\n== CHOPPER ==");
-    print_stages(&cmp.chopper);
+    print!("{}", cmp.chopper.report());
     println!(
         "\n{}: {:.1}s -> {:.1}s ({:+.1}%)",
         cmp.workload,
@@ -919,7 +863,7 @@ mod tests {
         assert!(json.starts_with("{\"displayTimeUnit\":\"ms\""));
         assert!(json.contains("\"ph\":\"X\""));
         let sjson = std::fs::read_to_string(&summary).unwrap();
-        assert!(sjson.starts_with("{\"stages\":["));
+        assert!(sjson.starts_with("[{\"job_id\":0,"), "{sjson}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -110,6 +110,74 @@ fn run_composes_a_memory_budget_with_a_fault_plan() {
     assert_eq!(out.stdout, run_ok(&mut cmd).stdout, "rerun differs");
 }
 
+/// `run` and `trace` print one stage table from one renderer: with the
+/// same flags, `trace`'s stdout opens with `run`'s whole stdout — table,
+/// `memory:` and `faults:` lines — and adds only host and file lines.
+/// `--summary-out` is the same stage records as JSON, one entry a stage.
+#[test]
+fn run_and_trace_print_the_same_stage_table() {
+    let plan = concat!(env!("CARGO_MANIFEST_DIR"), "/../../plans/plan_lossy.plan");
+    let flags = [
+        "--workload",
+        "kmeans",
+        "--scale",
+        "0.05",
+        "--partitions",
+        "24",
+        "--executor-mem",
+        "64k",
+        "--fault-plan",
+        plan,
+    ];
+    let run = run_ok(bin().arg("run").args(flags)).stdout;
+    let run = String::from_utf8_lossy(&run);
+    let dir = tmpdir("stage-table");
+    let (trace_out, summary) = (dir.join("t.json"), dir.join("s.json"));
+    let traced = run_ok(bin().arg("trace").args(flags).args([
+        "--out",
+        trace_out.to_str().unwrap(),
+        "--summary-out",
+        summary.to_str().unwrap(),
+    ]))
+    .stdout;
+    let traced = String::from_utf8_lossy(&traced);
+    let extra = traced
+        .strip_prefix(run.as_ref())
+        .unwrap_or_else(|| panic!("trace's table differs from run's:\n{run}\n---\n{traced}"));
+    assert!(extra.starts_with("pool (host): "), "{extra}");
+    for prefix in ["memory: ", "faults: ", "total: "] {
+        assert!(
+            run.lines().any(|l| l.starts_with(prefix)),
+            "no `{prefix}`:\n{run}"
+        );
+    }
+    // Rows sit between the header and the `total:` line.
+    let rows = run
+        .lines()
+        .skip(1)
+        .take_while(|l| !l.starts_with("total:"))
+        .count();
+    assert!(rows > 2, "{run}");
+
+    let text = std::fs::read_to_string(&summary).expect("summary written");
+    let jobs = match serde::Json::parse(&text).expect("summary JSON parses") {
+        serde::Json::Arr(jobs) => jobs,
+        other => panic!("an array of jobs expected, got {other:?}"),
+    };
+    let stages: Vec<&serde::Json> = jobs
+        .iter()
+        .flat_map(|j| match j.get_field("stages") {
+            Some(serde::Json::Arr(stages)) => stages.iter(),
+            other => panic!("a job's stages must be an array, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(stages.len(), rows, "one JSON entry per table row");
+    for (i, s) in stages.iter().enumerate() {
+        assert_eq!(s.get_field("stage_id"), Some(&serde::Json::Int(i as i128)));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn tune_plan_run_round_trip() {
     let dir = tmpdir("roundtrip");

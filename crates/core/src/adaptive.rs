@@ -1,9 +1,9 @@
 //! Runtime re-optimization: the feedback path from the engine's per-stage
 //! actuals back into CHOPPER's cost objective.
 //!
-//! After each job the engine hands [`replan`] the fault-invariant
-//! observations it gathered ([`engine::StageActuals`]): bytes moved,
-//! per-bucket write skew, virtual durations. When a shuffle's written
+//! After each job the engine hands [`replan`] the job's stage metrics
+//! ([`engine::StageMetrics`], the record `Context::jobs` keeps): bytes
+//! moved, per-bucket write skew, virtual durations. When a shuffle's written
 //! buckets are hot (max/mean byte skew at or above
 //! [`crate::model::CostConstants::skew_retune_trigger`] — the *same* statistic and
 //! threshold the engine's in-job splitter uses), the re-planner re-runs
@@ -30,7 +30,8 @@
 use crate::model::CostSurface;
 use crate::optimizer::{get_min_par, InputResponse, OptimizerOptions, CONSTS, TASK_OVERHEAD};
 use engine::{
-    PartitionerKind, PartitionerSpec, ReplanHook, ReplanInput, StageActuals, WorkloadConf,
+    PartitionerKind, PartitionerSpec, ReplanHook, ReplanInput, StageKind, StageMetrics,
+    WorkloadConf,
 };
 use std::sync::Arc;
 
@@ -164,7 +165,7 @@ pub struct ReplanDecision {
 /// This is the policy behind the engine's `EngineOptions::replan` hook —
 /// wrap it with [`hook`] to install it.
 pub fn replan(input: &ReplanInput, opts: &ReplanOptions) -> Option<WorkloadConf> {
-    let decisions = replan_decisions(&input.actuals, opts);
+    let decisions = replan_decisions(&input.job.stages, opts);
     if decisions.is_empty() {
         return None;
     }
@@ -176,29 +177,33 @@ pub fn replan(input: &ReplanInput, opts: &ReplanOptions) -> Option<WorkloadConf>
 }
 
 /// The decision list behind [`replan`], exposed for tests and reporting.
-pub fn replan_decisions(actuals: &[StageActuals], opts: &ReplanOptions) -> Vec<ReplanDecision> {
+pub fn replan_decisions(stages: &[StageMetrics], opts: &ReplanOptions) -> Vec<ReplanDecision> {
     let mut decisions = Vec::new();
     // Pair each shuffle-reading stage with the byte skew of the buckets
     // written for it: walk plan order, carrying the max write skew seen
-    // since the last consumer (joins read two writers; take the worse).
+    // since the last reader (a join reads two writers; take the worse).
+    // Source and cached stages read no shuffle, so they only write.
     let mut pending_skew = 1.0_f64;
-    for stage in actuals {
-        let Some(spec) = stage.scheme else {
+    for stage in stages {
+        if !matches!(stage.kind, StageKind::Shuffle | StageKind::Join) {
             pending_skew = pending_skew.max(stage.write_bucket_skew);
             continue;
-        };
+        }
         let skew_obs = pending_skew.max(1.0);
         pending_skew = stage.write_bucket_skew.max(1.0);
+        let Some(spec) = stage.scheme else {
+            continue;
+        };
         if !stage.configurable
-            || stage.num_tasks == 0
+            || spec.partitions == 0
             || stage.input_bytes == 0
             || skew_obs < CONSTS.skew_retune_trigger
         {
             continue;
         }
         let d_obs = stage.input_bytes as f64;
-        let p_obs = stage.num_tasks as f64;
-        let t_obs = stage.duration_s.max(CONSTS.pred_time_floor);
+        let p_obs = spec.partitions as f64;
+        let t_obs = stage.duration().max(CONSTS.pred_time_floor);
         let s_obs = stage.shuffle_write_bytes as f64;
         let input = InputResponse::Fixed(d_obs);
         // Observed baseline: the current plan's cost is exactly α + β.
@@ -226,7 +231,7 @@ pub fn replan_decisions(actuals: &[StageActuals], opts: &ReplanOptions) -> Vec<R
         };
         if best.2 < CONSTS.retune_margin && to != spec {
             decisions.push(ReplanDecision {
-                signature: stage.signature,
+                signature: stage.root_signature,
                 from: spec,
                 to,
                 cost: best.2,
@@ -245,45 +250,63 @@ pub fn hook(opts: ReplanOptions) -> ReplanHook {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use engine::StageKind;
+    use engine::JobMetrics;
 
-    fn writer(skew: f64) -> StageActuals {
-        StageActuals {
+    /// A stage as the engine records it: every stage carries a scheme
+    /// (a source's is `hash` over its splits), and only a stage that
+    /// wrote a shuffle has a write skew above 1.
+    fn stage(kind: StageKind, signature: u64, spec: PartitionerSpec, skew: f64) -> StageMetrics {
+        let reads = matches!(kind, StageKind::Shuffle | StageKind::Join);
+        StageMetrics {
             stage_id: 0,
-            signature: 11,
-            kind: StageKind::Source,
-            scheme: None,
-            configurable: false,
-            num_tasks: 4,
-            tasks_run: 4,
+            job_id: 0,
+            name: "s".into(),
+            root_signature: signature,
+            terminal_signature: signature,
+            kind,
+            scheme: Some(spec),
+            configurable: kind != StageKind::Cached,
+            user_fixed: false,
+            num_tasks: spec.partitions,
             input_records: 10_000,
-            input_bytes: 1_000_000,
-            output_bytes: 800_000,
-            shuffle_read_bytes: 0,
-            shuffle_write_bytes: 800_000,
+            input_bytes: if reads { 800_000 } else { 1_000_000 },
+            output_records: 10_000,
+            output_bytes: if reads { 100_000 } else { 800_000 },
+            shuffle_read_bytes: if reads { 800_000 } else { 0 },
+            shuffle_write_bytes: if skew > 1.0 { 800_000 } else { 0 },
+            remote_read_bytes: 0,
             write_bucket_skew: skew,
-            duration_s: 0.5,
-            task_skew: 1.1,
+            start: 0.0,
+            end: if reads { 2.0 } else { 0.5 },
+            task_durations: Vec::new(),
+            placements: Vec::new(),
+            parents: Vec::new(),
         }
     }
 
-    fn reader(spec: PartitionerSpec, configurable: bool) -> StageActuals {
-        StageActuals {
-            stage_id: 1,
-            signature: 42,
-            kind: StageKind::Shuffle,
-            scheme: Some(spec),
+    /// A source stage of 4 splits whose shuffle write has `skew`.
+    fn writer(skew: f64) -> StageMetrics {
+        stage(StageKind::Source, 11, PartitionerSpec::hash(4), skew)
+    }
+
+    /// The stage reading the writer's shuffle (signature 42).
+    fn reader(spec: PartitionerSpec, configurable: bool) -> StageMetrics {
+        StageMetrics {
             configurable,
-            num_tasks: spec.partitions,
-            tasks_run: spec.partitions,
-            input_records: 10_000,
-            input_bytes: 800_000,
-            output_bytes: 100_000,
-            shuffle_read_bytes: 800_000,
-            shuffle_write_bytes: 0,
-            write_bucket_skew: 1.0,
-            duration_s: 2.0,
-            task_skew: 3.0,
+            ..stage(StageKind::Shuffle, 42, spec, 1.0)
+        }
+    }
+
+    fn input(stages: Vec<StageMetrics>) -> ReplanInput {
+        ReplanInput {
+            conf: WorkloadConf::new(),
+            job: JobMetrics {
+                job_id: 0,
+                name: "j".into(),
+                stages,
+                start: 0.0,
+                end: 1.0,
+            },
         }
     }
 
@@ -324,23 +347,31 @@ mod tests {
     #[test]
     fn replan_installs_decisions_into_the_conf() {
         let opts = ReplanOptions::default();
-        let input = ReplanInput {
-            job_id: 0,
-            clock: 1.0,
-            conf: WorkloadConf::new(),
-            actuals: vec![writer(4.0), reader(PartitionerSpec::hash(8), true)],
-        };
-        let conf = replan(&input, &opts).expect("hot stage should retune");
+        let hot = input(vec![writer(4.0), reader(PartitionerSpec::hash(8), true)]);
+        let conf = replan(&hot, &opts).expect("hot stage should retune");
         let scheme = conf.stage_scheme(42).expect("decision keyed on signature");
         assert_eq!(scheme.kind, PartitionerKind::Range);
-        assert!(replan(
-            &ReplanInput {
-                actuals: vec![writer(1.0), reader(PartitionerSpec::hash(8), true)],
-                ..input
-            },
-            &opts
-        )
-        .is_none());
+        let cool = input(vec![writer(1.0), reader(PartitionerSpec::hash(8), true)]);
+        assert!(replan(&cool, &opts).is_none());
+    }
+
+    /// Each reader is paired with what was written for it: a join with
+    /// the worse of its two sides, however the sides are ordered, and a
+    /// source or cached stage — which reads no shuffle, whatever its
+    /// scheme — is never retuned for the skew of the stage before it.
+    #[test]
+    fn a_join_answers_for_the_skew_of_both_its_sides() {
+        let opts = ReplanOptions::default();
+        let join = stage(StageKind::Join, 42, PartitionerSpec::hash(8), 1.0);
+        let right = |kind| stage(kind, 7, PartitionerSpec::hash(62), 1.01);
+        for (first, second) in [
+            (writer(7.31), right(StageKind::Source)),
+            (right(StageKind::Cached), writer(7.31)),
+        ] {
+            let decisions = replan_decisions(&[first, second, join.clone()], &opts);
+            let signatures: Vec<u64> = decisions.iter().map(|d| d.signature).collect();
+            assert_eq!(signatures, [42], "{decisions:?}");
+        }
     }
 
     #[test]
@@ -380,12 +411,10 @@ mod tests {
     #[test]
     fn hook_wraps_replan() {
         let h = hook(ReplanOptions::default());
-        let input = ReplanInput {
-            job_id: 3,
-            clock: 0.0,
-            conf: WorkloadConf::new(),
-            actuals: vec![writer(4.0), reader(PartitionerSpec::hash(8), true)],
-        };
-        assert!(h(&input).is_some());
+        assert!(h(&input(vec![
+            writer(4.0),
+            reader(PartitionerSpec::hash(8), true)
+        ]))
+        .is_some());
     }
 }

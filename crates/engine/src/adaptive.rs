@@ -28,8 +28,8 @@
 
 use crate::config::WorkloadConf;
 use crate::exec::{merge_runs, MergeKind, PARTITION_COST};
-use crate::metrics::StageKind;
-use crate::partitioner::{Partitioner, PartitionerKind, PartitionerSpec, RangePartitioner};
+use crate::metrics::JobMetrics;
+use crate::partitioner::{Partitioner, PartitionerKind, RangePartitioner};
 use crate::rdd::RddGraph;
 use crate::record::{Key, Record};
 use crate::shuffle::Run;
@@ -51,65 +51,25 @@ pub const MAX_SUBSPLIT: usize = 8;
 pub const HOT_MIN_BYTES: u64 = 4096;
 
 /// Between-jobs re-optimization hook: receives the finished job's
-/// per-stage actuals, returns a replacement [`WorkloadConf`] to apply to
-/// subsequent jobs (or `None` to keep the current one). Installed through
+/// metrics, returns a replacement [`WorkloadConf`] to apply to subsequent
+/// jobs (or `None` to keep the current one). Installed through
 /// [`crate::EngineOptions::replan`].
 pub type ReplanHook = Arc<dyn Fn(&ReplanInput) -> Option<WorkloadConf> + Send + Sync>;
 
 /// Everything the re-planner sees after a job completes.
+///
+/// Byte and record counts in the stage metrics are data-plane
+/// measurements — identical under any fault plan and any worker count.
+/// Durations and task skew come from the *virtual* clock, bit-identical
+/// across worker counts; a hook that must stay fault-invariant should key
+/// decisions on the byte fields only.
 #[derive(Debug, Clone)]
 pub struct ReplanInput {
-    /// The job that just finished.
-    pub job_id: usize,
-    /// Virtual-clock reading at the decision point — recorded in the
-    /// trace instant so adaptive decisions are auditable and replayable.
-    pub clock: f64,
     /// The configuration the job ran under.
     pub conf: WorkloadConf,
-    /// Per-stage observations, in plan order.
-    pub actuals: Vec<StageActuals>,
-}
-
-/// Fault-invariant per-stage observations handed to the re-planner.
-///
-/// Byte and record counts are data-plane measurements — identical under
-/// any fault plan and any worker count. The two duration-derived fields
-/// (`duration_s`, `task_skew`) come from the *virtual* clock, which is
-/// bit-identical across worker counts and engines; a hook that must stay
-/// fault-invariant should key decisions on the byte fields only.
-#[derive(Debug, Clone)]
-pub struct StageActuals {
-    /// Global stage id (unique across jobs within a context).
-    pub stage_id: usize,
-    /// Signature of the stage's root RDD — for shuffle stages this is the
-    /// wide node's signature, i.e. the key [`WorkloadConf`] decisions
-    /// attach to.
-    pub signature: u64,
-    /// Stage classification (source / shuffle / join / cached).
-    pub kind: StageKind,
-    /// The partitioning scheme the stage ran under.
-    pub scheme: Option<PartitionerSpec>,
-    /// Whether the planner may change this stage's partitioning.
-    pub configurable: bool,
-    /// Physical reduce partitions (pre-split).
-    pub num_tasks: usize,
-    /// Virtual tasks actually simulated (post-split; equals `num_tasks`
-    /// when nothing split).
-    pub tasks_run: usize,
-    pub input_records: u64,
-    pub input_bytes: u64,
-    pub output_bytes: u64,
-    pub shuffle_read_bytes: u64,
-    pub shuffle_write_bytes: u64,
-    /// Max/mean skew of the per-partition byte columns this stage *wrote*
-    /// (1.0 when the stage wrote no shuffle) — the data-plane statistic
-    /// the in-job splitter triggers on, surfaced so the re-planner can
-    /// retune the partitioner kind for the next job.
-    pub write_bucket_skew: f64,
-    /// Virtual stage duration in seconds.
-    pub duration_s: f64,
-    /// Max/mean skew of simulated task durations ([`trace::skew_ratio`]).
-    pub task_skew: f64,
+    /// The job that just finished, exactly as [`crate::Context::jobs`]
+    /// records it; `job.end` is the virtual clock at the decision point.
+    pub job: JobMetrics,
 }
 
 /// The split decision for one shuffle: how many sub-tasks each reduce
@@ -136,8 +96,8 @@ impl SplitPlan {
 /// (each reduce partition's runs, summed).
 ///
 /// The trigger statistic is [`trace::skew_ratio`] — the same max/mean
-/// computation the trace summary reports per stage — so a threshold read
-/// off a `chopper trace` table is directly the threshold used here. A hot
+/// computation behind a stage's `write_bucket_skew` — so the re-planner
+/// and this splitter agree on what a hot shuffle is. A hot
 /// bucket splits into `ceil(bytes/mean)` subs (capped at
 /// [`MAX_SUBSPLIT`]): enough to bring its expected share back to the
 /// mean. Returns `None` when nothing splits.
@@ -349,14 +309,14 @@ mod tests {
         assert_eq!(plan_splits(&[50, 50, 50, 600]), None);
     }
 
-    /// The trigger statistic is literally the trace summary's skew ratio —
-    /// the satellite pin: both computations agree on the same inputs.
+    /// The trigger statistic is literally [`trace::skew_ratio`], the one
+    /// a stage's `write_bucket_skew` reports: both agree on the same inputs.
     #[test]
-    fn trigger_matches_trace_summary_skew() {
+    fn trigger_matches_the_write_bucket_skew() {
         let bytes = [5_000u64, 5_000, 5_000, 60_000];
         let vals: Vec<f64> = bytes.iter().map(|&b| b as f64).collect();
-        let summary_skew = trace::skew_ratio(&vals);
-        assert!(summary_skew >= HOT_SKEW_TRIGGER);
+        let write_skew = trace::skew_ratio(&vals);
+        assert!(write_skew >= HOT_SKEW_TRIGGER);
         assert!(plan_splits(&bytes).is_some());
         // And a below-trigger table stays unsplit by the same statistic.
         let flat = [5_000u64; 4];

@@ -163,42 +163,58 @@ impl Context {
         }
     }
 
-    /// Per-stage summary of every job run so far (task-time percentiles,
-    /// skew, shuffle bytes) plus the executor pool's scheduling counters.
-    ///
-    /// Derived from collected [`StageMetrics`], so it is available whether
-    /// or not the trace sink was enabled, and the stage rows are
-    /// bit-deterministic across worker counts.
-    pub fn trace_summary(&self) -> trace::TraceSummary {
-        let mut stages = Vec::new();
-        let mut total_s = 0.0f64;
-        for job in &self.jobs {
-            for m in &job.stages {
-                let mut durations = m.task_durations.clone();
-                durations.sort_by(f64::total_cmp);
-                stages.push(trace::StageSummaryRow {
-                    stage_id: m.stage_id,
-                    job_id: m.job_id,
-                    name: m.name.clone(),
-                    kind: format!("{:?}", m.kind).to_lowercase(),
-                    tasks: m.num_tasks,
-                    duration_s: m.duration(),
-                    p50_task_s: trace::percentile(&durations, 50.0),
-                    p95_task_s: trace::percentile(&durations, 95.0),
-                    max_task_s: durations.last().copied().unwrap_or(0.0),
-                    skew: m.task_skew(),
-                    shuffle_read_bytes: m.shuffle_read_bytes,
-                    shuffle_write_bytes: m.shuffle_write_bytes,
-                    remote_read_bytes: m.remote_read_bytes,
-                });
-                total_s = total_s.max(m.end);
-            }
+    /// The run's stage table: one row per stage of every job so far, then
+    /// the `memory:` line when an executor-memory budget is set and the
+    /// `faults:` line when a fault plan is installed. Every column is
+    /// virtual-clock or bytes, so the text is identical across host worker
+    /// counts and reruns. The one renderer every command prints.
+    pub fn report(&self) -> String {
+        let mut out = format!(
+            "{:>5} {:>16} {:>6} {:>10} {:>12} {:>12} {:>8}\n",
+            "stage", "name", "tasks", "time", "shuffle KB", "remote KB", "skew"
+        );
+        for s in self.all_stages() {
+            out += &format!(
+                "{:>5} {:>16} {:>6} {:>9.2}s {:>12.1} {:>12.1} {:>8.2}\n",
+                s.stage_id,
+                s.name,
+                s.num_tasks,
+                s.duration(),
+                s.shuffle_data() as f64 / 1024.0,
+                s.remote_read_bytes as f64 / 1024.0,
+                s.task_skew()
+            );
         }
-        trace::TraceSummary {
-            stages,
-            pool: self.pool.stats(),
-            total_s,
+        if !self.jobs.is_empty() {
+            out += &format!(
+                "total: {:.2}s over {} jobs\n",
+                self.run_span(),
+                self.jobs.len()
+            );
         }
+        if self.options.executor_mem.is_some() {
+            let mc = self.mem_counters();
+            out += &format!(
+                "memory: {} evictions, {} spills ({} B), {} rereads ({} B), {} released\n",
+                mc.evictions, mc.spills, mc.spill_bytes, mc.rereads, mc.reread_bytes, mc.released
+            );
+        }
+        if self.faults.is_some() {
+            let fc = self.fault_counters();
+            out += &format!(
+                "faults: {} injected failures over {} tasks, {} recomputed map tasks, \
+                 {} re-homed partitions ({} B), {} nodes lost, {} stragglers, {} corrupt chunks\n",
+                fc.injected_failures,
+                fc.retried_tasks,
+                fc.recomputed_map_tasks,
+                fc.replica_rehomed_partitions,
+                fc.replica_read_bytes,
+                fc.nodes_lost,
+                fc.stragglers_applied,
+                fc.corrupt_chunks
+            );
+        }
+        out
     }
 
     /// A context on the paper's cluster with vanilla-Spark defaults.

@@ -1,6 +1,6 @@
 //! Job driving: plan an action's lineage into stages, run them in order,
 //! charge the driver-side result collection, and hand the finished job's
-//! actuals to the re-planner. Also the partition-count and partitioning
+//! metrics to the re-planner. Also the partition-count and partitioning
 //! questions a plan leaves to execution time.
 
 use super::context::{Context, STAGES};
@@ -10,7 +10,7 @@ use crate::metrics::{JobMetrics, StageMetrics};
 use crate::ops::OpKind;
 use crate::partitioner::PartitionerSpec;
 use crate::rdd::Rdd;
-use crate::stage::{plan_job, Plan, PlanStage, StageOutput, StageRoot};
+use crate::stage::{plan_job, Plan, PlanStage, StageRoot};
 
 impl Context {
     /// Runs the job computing `final_rdd` and returns the outputs of its
@@ -50,73 +50,32 @@ impl Context {
                 .advance(result_bytes as f64 / self.options.driver_bandwidth);
         }
 
-        self.replan_after_job(&plan, job_id, &stage_metrics, &shuffles);
-
-        self.jobs.push(JobMetrics {
+        let job = self.replan_after_job(JobMetrics {
             job_id,
             name: name.to_string(),
             stages: stage_metrics,
             start: job_start,
             end: self.sim.clock(),
         });
+        self.jobs.push(job);
         result
     }
 
-    /// Between-jobs re-optimization: hand the finished job's actuals to
+    /// Between-jobs re-optimization: hand the finished job's metrics to
     /// the installed hook; a returned configuration replaces `conf` for
     /// subsequent jobs. Decisions and their trigger state are recorded as
-    /// virtual-clock trace instants on the driver track.
-    fn replan_after_job(
-        &mut self,
-        plan: &Plan,
-        job_id: usize,
-        stage_metrics: &[StageMetrics],
-        shuffles: &[Option<ShuffleData>],
-    ) {
+    /// virtual-clock trace instants on the driver track. Gives the job
+    /// back unchanged.
+    fn replan_after_job(&mut self, job: JobMetrics) -> JobMetrics {
         let Some(hook) = self.options.replan.clone() else {
-            return;
+            return job;
         };
-        let actuals: Vec<crate::adaptive::StageActuals> = stage_metrics
-            .iter()
-            .enumerate()
-            .map(|(idx, m)| {
-                let write_bucket_skew = match plan.stages[idx].output {
-                    StageOutput::ShuffleWrite(sidx) => shuffles[sidx]
-                        .as_ref()
-                        .map(|d| {
-                            let cols: Vec<f64> =
-                                d.column_bytes().into_iter().map(|b| b as f64).collect();
-                            trace::skew_ratio(&cols)
-                        })
-                        .unwrap_or(1.0),
-                    StageOutput::Result => 1.0,
-                };
-                crate::adaptive::StageActuals {
-                    stage_id: m.stage_id,
-                    signature: m.root_signature,
-                    kind: m.kind,
-                    scheme: m.scheme,
-                    configurable: m.configurable,
-                    num_tasks: self.stage_partitions(plan, &plan.stages[idx]).max(1),
-                    tasks_run: m.num_tasks,
-                    input_records: m.input_records,
-                    input_bytes: m.input_bytes,
-                    output_bytes: m.output_bytes,
-                    shuffle_read_bytes: m.shuffle_read_bytes,
-                    shuffle_write_bytes: m.shuffle_write_bytes,
-                    write_bucket_skew,
-                    duration_s: m.end - m.start,
-                    task_skew: m.task_skew(),
-                }
-            })
-            .collect();
         let input = crate::adaptive::ReplanInput {
-            job_id,
-            clock: self.sim.clock(),
             conf: self.conf.clone(),
-            actuals,
+            job,
         };
         if let Some(new_conf) = hook(&input) {
+            let job_id = input.job.job_id;
             self.emit(STAGES, "adaptive", || {
                 (
                     format!("j{job_id} adaptive replan"),
@@ -128,6 +87,7 @@ impl Context {
             });
             self.conf = new_conf;
         }
+        input.job
     }
 
     /// Number of tasks a plan stage runs.
@@ -184,12 +144,14 @@ impl Context {
 #[cfg(test)]
 mod tests {
     use super::super::fixture::{sorted, sum, test_options, word_records};
+    use super::super::EngineOptions;
     use super::Context;
+    use crate::adaptive::ReplanInput;
     use crate::config::WorkloadConf;
     use crate::ops::{Emit, GenFn};
-    use crate::partitioner::PartitionerSpec;
+    use crate::partitioner::{HashPartitioner, Partitioner, PartitionerSpec};
     use crate::record::{Key, Record, Value};
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
     /// A source of one record per split, keyed by the split's index.
     fn one_per_split() -> GenFn {
@@ -244,6 +206,61 @@ mod tests {
         ctx.set_conf(conf);
         ctx.count(f, "scan");
         assert_eq!(ctx.jobs()[0].stages[0].num_tasks, 9);
+    }
+
+    /// A stage's `write_bucket_skew` is `trace::skew_ratio` of the bytes
+    /// it wrote per reduce partition — computed here from the records and
+    /// the partitioner, apart from the shuffle table — and 1.0 for a stage
+    /// that wrote none. The re-plan hook is handed the very metrics
+    /// `jobs()` then records, and a stage's `scheme.partitions` is its
+    /// task count when nothing split.
+    #[test]
+    fn the_hook_reads_the_recorded_stages_and_their_write_skew() {
+        let captured: Arc<Mutex<Vec<ReplanInput>>> = Arc::default();
+        let store = Arc::clone(&captured);
+        let mut ctx = Context::new(EngineOptions {
+            replan: Some(Arc::new(move |input: &ReplanInput| {
+                store.lock().unwrap().push(input.clone());
+                None
+            })),
+            ..test_options()
+        });
+        let skewed: Vec<Record> = (0..400)
+            .map(|i| Record::new(Key::Int(if i % 10 < 9 { 0 } else { i }), Value::Int(i)))
+            .collect();
+        let left = ctx.parallelize(skewed.clone(), 4, "left");
+        let right = ctx.parallelize(word_records(), 3, "right");
+        let joined = ctx.join(left, right, Some(PartitionerSpec::hash(4)), 1e-6, "join");
+        ctx.count(joined, "j");
+
+        let written = |records: &[Record]| {
+            let p = HashPartitioner::new(4);
+            let mut bytes = [0.0f64; 4];
+            for r in records {
+                bytes[p.partition(&r.key)] += r.encoded_size() as f64;
+            }
+            trace::skew_ratio(bytes)
+        };
+        let stages = &ctx.jobs()[0].stages;
+        let skews: Vec<u64> = stages
+            .iter()
+            .map(|s| s.write_bucket_skew.to_bits())
+            .collect();
+        let want = [written(&skewed), written(&word_records()), 1.0];
+        assert_eq!(skews, want.map(f64::to_bits), "{want:?}");
+        assert!(want[0] > crate::HOT_SKEW_TRIGGER);
+        for s in stages {
+            assert_eq!(s.scheme.map(|spec| spec.partitions), Some(s.num_tasks));
+        }
+
+        let inputs = captured.lock().unwrap();
+        assert_eq!(inputs.len(), ctx.jobs().len());
+        for (input, job) in inputs.iter().zip(ctx.jobs()) {
+            assert_eq!(input.job.stages.len(), job.stages.len());
+            for (seen, kept) in input.job.stages.iter().zip(&job.stages) {
+                assert_eq!(format!("{seen:?}"), format!("{kept:?}"));
+            }
+        }
     }
 
     #[test]

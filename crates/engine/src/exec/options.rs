@@ -73,8 +73,9 @@ pub struct EngineOptions {
     /// restores static plans bit-for-bit — timings included.
     pub adaptive: bool,
     /// Between-jobs re-optimization hook. After each job the engine hands
-    /// the hook that job's per-stage actuals ([`crate::adaptive::StageActuals`]);
-    /// a returned [`crate::WorkloadConf`] replaces the context's configuration
+    /// the hook that job's metrics ([`crate::ReplanInput`]: the
+    /// [`crate::JobMetrics`] [`crate::Context::jobs`] then records); a
+    /// returned [`crate::WorkloadConf`] replaces the context's configuration
     /// for subsequent jobs. `None` (the default) never re-plans. Installed
     /// by CHOPPER's adaptive layer (`chopper::adaptive::replan`).
     pub replan: Option<crate::adaptive::ReplanHook>,

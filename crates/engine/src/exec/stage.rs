@@ -160,7 +160,7 @@ impl Context {
             let clean = clean_fetches.as_ref().map_or(spec.fetches.len(), |n| n[j]);
             &spec.fetches[..clean]
         });
-        let metrics = self.stage_metrics(
+        let mut metrics = self.stage_metrics(
             &cx,
             &outs,
             writes.as_deref(),
@@ -174,7 +174,7 @@ impl Context {
                 let reads_left = plan.shuffle_reads(sidx);
                 let (rows, col_start, runs) =
                     index_runs(writes, plan.shuffles[sidx].scheme.partitions);
-                shuffles[sidx] = Some(ShuffleData {
+                let data = shuffles[sidx].insert(ShuffleData {
                     rows,
                     col_start,
                     runs,
@@ -191,6 +191,8 @@ impl Context {
                     shared: reads_left > 1,
                     reads_left,
                 });
+                metrics.write_bucket_skew =
+                    trace::skew_ratio(data.column_bytes().map(|b| b as f64));
             }
             (StageOutput::Result, _) => result_outs = Some(outs),
             (StageOutput::ShuffleWrite(_), None) => {
@@ -248,7 +250,8 @@ impl Context {
                 if self.options.adaptive
                     && crate::adaptive::split_eligible(cx.plan, &self.graph, cx.plan_idx).is_some()
                 {
-                    reads.split_plan = crate::adaptive::plan_splits(&data.column_bytes());
+                    reads.split_plan =
+                        crate::adaptive::plan_splits(&data.column_bytes().collect::<Vec<_>>());
                     if reads.split_plan.is_some() {
                         reads.producer_nodes = data.nodes.clone();
                     }
@@ -678,6 +681,8 @@ impl Context {
             shuffle_read_bytes,
             shuffle_write_bytes: writes.map_or(0, |w| w.iter().map(|w| w.runs.total_bytes()).sum()),
             remote_read_bytes,
+            // Set once the stage's shuffle output is indexed.
+            write_bucket_skew: 1.0,
             start: timing.start,
             end: timing.end,
             task_durations: timing.tasks.iter().map(|t| t.duration()).collect(),
@@ -901,11 +906,10 @@ impl ShuffleData {
         }
     }
 
-    /// Bytes written per reduce partition.
-    pub(super) fn column_bytes(&self) -> Vec<u64> {
-        (0..self.col_start.len() - 1)
-            .map(|c| self.column(c).iter().map(|r| r.bytes).sum())
-            .collect()
+    /// Bytes written per reduce partition, in partition order: one pass
+    /// over the column starts and the runs.
+    pub(super) fn column_bytes(&self) -> impl Iterator<Item = u64> + '_ {
+        (0..self.col_start.len() - 1).map(|c| self.column(c).iter().map(|r| r.bytes).sum())
     }
 
     /// The map outputs that died with `node`: their task indices, and the

@@ -57,9 +57,7 @@ pub mod record;
 pub mod shuffle;
 pub mod stage;
 
-pub use adaptive::{
-    plan_splits, ReplanHook, ReplanInput, SplitPlan, StageActuals, SubRouter, HOT_SKEW_TRIGGER,
-};
+pub use adaptive::{plan_splits, ReplanHook, ReplanInput, SplitPlan, SubRouter, HOT_SKEW_TRIGGER};
 pub use batch::ColumnBatch;
 pub use config::WorkloadConf;
 pub use exec::{Context, EngineOptions};
@@ -77,4 +75,4 @@ pub use partitioner::{
 pub use pool::WorkerPool;
 pub use rdd::{Rdd, RddGraph, RddNode};
 pub use record::{batch_size, Key, Record, Value};
-pub use trace::{ClockFilter, TraceSink, TraceSummary};
+pub use trace::{ClockFilter, TraceSink};

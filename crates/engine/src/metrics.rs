@@ -7,9 +7,10 @@
 //! flags) consumed by the global optimization of Algorithm 3.
 
 use crate::partitioner::PartitionerSpec;
+use serde::Serialize;
 
 /// What kind of root a stage executed from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum StageKind {
     /// Reads an input source (collection slices or storage blocks).
     Source,
@@ -21,8 +22,11 @@ pub enum StageKind {
     Cached,
 }
 
-/// Metrics of one executed stage.
-#[derive(Debug, Clone)]
+/// Metrics of one executed stage: the one per-stage record the engine
+/// hands out — to [`crate::Context::jobs`], to the re-planner
+/// ([`crate::ReplanInput`]), and to the stage table
+/// ([`crate::Context::report`]).
+#[derive(Debug, Clone, Serialize)]
 pub struct StageMetrics {
     /// Global stage id, monotonically increasing per engine context —
     /// aligns with the paper's per-workload stage numbering.
@@ -38,14 +42,17 @@ pub struct StageMetrics {
     pub terminal_signature: u64,
     /// Root kind.
     pub kind: StageKind,
-    /// The scheme that governed this stage's task count (None when the
-    /// count came from source structure).
+    /// The scheme that governed this stage's physical task count: the
+    /// shuffle's for a stage that reads one, otherwise `hash(n)` over the
+    /// stage's `n` splits. `partitions` is the task count before any
+    /// adaptive split.
     pub scheme: Option<PartitionerSpec>,
     /// Whether CHOPPER may change this stage's scheme via configuration.
     pub configurable: bool,
     /// Whether the program pinned the scheme explicitly.
     pub user_fixed: bool,
-    /// Number of tasks (== partitions).
+    /// Virtual tasks simulated: `scheme.partitions`, or more when an
+    /// adaptive split fired.
     pub num_tasks: usize,
     /// Records entering the stage.
     pub input_records: u64,
@@ -61,6 +68,11 @@ pub struct StageMetrics {
     pub shuffle_write_bytes: u64,
     /// Bytes of this stage's reads that crossed the network.
     pub remote_read_bytes: u64,
+    /// Max/mean ([`trace::skew_ratio`]) of the bytes this stage wrote per
+    /// reduce partition; 1.0 when it wrote no shuffle. The data-plane
+    /// statistic the in-job splitter triggers on, kept so the re-planner
+    /// can retune the reading stage for the next job.
+    pub write_bucket_skew: f64,
     /// Stage start (virtual seconds).
     pub start: f64,
     /// Stage end (virtual seconds).
@@ -93,7 +105,7 @@ impl StageMetrics {
 }
 
 /// Metrics of one job (action).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct JobMetrics {
     /// Job id, monotonically increasing per engine context.
     pub job_id: usize,
@@ -137,6 +149,7 @@ mod tests {
             shuffle_read_bytes: read,
             shuffle_write_bytes: write,
             remote_read_bytes: 0,
+            write_bucket_skew: 1.0,
             start: 1.0,
             end: 3.0,
             task_durations: durations,

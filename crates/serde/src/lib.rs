@@ -485,9 +485,15 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     }
 }
 
-impl<T: Serialize> Serialize for Vec<T> {
+impl<T: Serialize> Serialize for [T] {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(Serialize::to_json).collect())
+    }
+}
+
+impl<T: Serialize> Serialize for Vec<T> {
+    fn to_json(&self) -> Json {
+        self.as_slice().to_json()
     }
 }
 

@@ -47,6 +47,7 @@
 use std::collections::VecDeque;
 
 use netsim::{EventQueue, LinkId, Network, Topology};
+use serde::Serialize;
 
 use crate::spec::{ClusterSpec, NodeId};
 use crate::task::TaskSpec;
@@ -57,7 +58,7 @@ use crate::trace::UtilTrace;
 const MAX_PER_RACK_FLOWS: usize = 8;
 
 /// Where and when one task ran.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TaskTiming {
     /// Node the task executed on.
     pub node: NodeId,

@@ -5,8 +5,8 @@
 //! timelines, shuffle waves, executor-pool occupancy, and the autotune
 //! loop's grid cells, model fits, and optimizer decisions. Every subsystem
 //! emits into one shared [`TraceSink`], and the result exports as Chrome
-//! `trace_event` JSON (viewable in Perfetto) plus a per-stage summary
-//! table ([`summary`]).
+//! `trace_event` JSON (viewable in Perfetto); [`summary`] holds the skew
+//! and percentile statistics the engine's stage table is read by.
 //!
 //! Design constraints, in priority order:
 //!
@@ -34,7 +34,7 @@ pub mod chrome;
 pub mod summary;
 
 pub use chrome::ClockFilter;
-pub use summary::{percentile, skew_ratio, PoolCounters, StageSummaryRow, TraceSummary};
+pub use summary::{percentile, skew_ratio, PoolCounters};
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};

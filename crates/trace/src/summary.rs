@@ -1,30 +1,33 @@
-//! Per-stage / per-task summary model: the structured view `chopper
-//! trace` prints and `bench` consumes.
-//!
-//! The summary is computed from the engine's stage metrics (virtual-clock
-//! data, deterministic) plus the executor pool's wall-clock counters
-//! (diagnostic). Rendering is dependency-free: an aligned text table and
-//! a hand-rolled, stably-ordered JSON document.
+//! The summary statistics every report in the tree shares: the one skew
+//! definition, nearest-rank percentiles, and the executor pool's
+//! scheduling counters.
+
+use std::borrow::Borrow;
 
 /// max/mean skew ratio of a set of per-task magnitudes (durations, byte
-/// counts, record counts — any non-negative load measure).
+/// counts, record counts — any non-negative load measure), in one pass.
 ///
-/// Returns 1.0 (perfectly balanced) for an empty slice or a zero mean so
+/// Returns 1.0 (perfectly balanced) for no values or a zero mean so
 /// callers can multiply/compare without guarding. This is the *single*
-/// definition of "skew" in the tree: `StageSummaryRow::skew`, the engine's
-/// task-time skew metric, and the adaptive executor's hot-partition
-/// trigger all call it, so a threshold tuned against one is valid against
-/// the others.
-pub fn skew_ratio(values: &[f64]) -> f64 {
-    if values.is_empty() {
+/// definition of "skew" in the tree: the engine's task-time skew metric,
+/// a stage's written-bucket skew, and the adaptive executor's
+/// hot-partition trigger all call it, so a threshold tuned against one is
+/// valid against the others.
+pub fn skew_ratio(values: impl IntoIterator<Item = impl Borrow<f64>>) -> f64 {
+    let (mut n, mut sum, mut max) = (0usize, 0.0f64, f64::MIN);
+    for v in values {
+        let v = *v.borrow();
+        n += 1;
+        sum += v;
+        max = max.max(v);
+    }
+    if n == 0 {
         return 1.0;
     }
-    let sum: f64 = values.iter().sum();
-    let mean = sum / values.len() as f64;
+    let mean = sum / n as f64;
     if mean <= 0.0 {
         return 1.0;
     }
-    let max = values.iter().cloned().fold(f64::MIN, f64::max);
     max / mean
 }
 
@@ -40,37 +43,6 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// One stage's summary line.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StageSummaryRow {
-    /// Stage id within the job.
-    pub stage_id: usize,
-    /// Job the stage belongs to.
-    pub job_id: usize,
-    /// Human label (operator chain).
-    pub name: String,
-    /// Stage kind (`input` / `shuffle`).
-    pub kind: String,
-    /// Task count.
-    pub tasks: usize,
-    /// Stage wall span on the virtual clock, seconds.
-    pub duration_s: f64,
-    /// Median task time, seconds.
-    pub p50_task_s: f64,
-    /// 95th-percentile task time, seconds.
-    pub p95_task_s: f64,
-    /// Slowest task, seconds.
-    pub max_task_s: f64,
-    /// max/mean task-time skew ratio (1.0 = perfectly balanced).
-    pub skew: f64,
-    /// Bytes read by this stage's shuffle fetch.
-    pub shuffle_read_bytes: u64,
-    /// Bytes written for downstream shuffles.
-    pub shuffle_write_bytes: u64,
-    /// Portion of the shuffle read that crossed node boundaries.
-    pub remote_read_bytes: u64,
-}
-
 /// Executor-pool scheduling counters (host wall clock, diagnostic).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolCounters {
@@ -84,168 +56,9 @@ pub struct PoolCounters {
     pub idle_epochs: u64,
 }
 
-/// A whole run's summary: stage rows plus pool counters.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TraceSummary {
-    /// Per-stage rows, in execution order.
-    pub stages: Vec<StageSummaryRow>,
-    /// Host executor-pool counters.
-    pub pool: PoolCounters,
-    /// End of the last stage on the virtual clock, seconds.
-    pub total_s: f64,
-}
-
-impl TraceSummary {
-    /// Aligned text table (what `chopper trace` prints).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:>3} {:>3}  {:<26} {:<7} {:>5} {:>9} {:>8} {:>8} {:>8} {:>5} {:>10} {:>10} {:>10}\n",
-            "job",
-            "stg",
-            "name",
-            "kind",
-            "tasks",
-            "dur(s)",
-            "p50(s)",
-            "p95(s)",
-            "max(s)",
-            "skew",
-            "shuf_in",
-            "shuf_out",
-            "remote_in",
-        ));
-        for r in &self.stages {
-            out.push_str(&format!(
-                "{:>3} {:>3}  {:<26} {:<7} {:>5} {:>9.4} {:>8.4} {:>8.4} {:>8.4} {:>5.2} {:>10} {:>10} {:>10}\n",
-                r.job_id,
-                r.stage_id,
-                truncate(&r.name, 26),
-                r.kind,
-                r.tasks,
-                r.duration_s,
-                r.p50_task_s,
-                r.p95_task_s,
-                r.max_task_s,
-                r.skew,
-                fmt_bytes(r.shuffle_read_bytes),
-                fmt_bytes(r.shuffle_write_bytes),
-                fmt_bytes(r.remote_read_bytes),
-            ));
-        }
-        out.push_str(&format!(
-            "total {:.4}s virtual | pool: {} jobs, {} items, {} stolen, {} idle epochs\n",
-            self.total_s, self.pool.jobs, self.pool.items, self.pool.stolen, self.pool.idle_epochs,
-        ));
-        out
-    }
-
-    /// Stably-ordered JSON document (machine-consumable by `bench`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"stages\":[");
-        for (i, r) in self.stages.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"job_id\":{},\"stage_id\":{},\"name\":\"{}\",\"kind\":\"{}\",\
-                 \"tasks\":{},\"duration_s\":{},\"p50_task_s\":{},\"p95_task_s\":{},\
-                 \"max_task_s\":{},\"skew\":{},\"shuffle_read_bytes\":{},\
-                 \"shuffle_write_bytes\":{},\"remote_read_bytes\":{}}}",
-                r.job_id,
-                r.stage_id,
-                escape(&r.name),
-                escape(&r.kind),
-                r.tasks,
-                fmt_f64(r.duration_s),
-                fmt_f64(r.p50_task_s),
-                fmt_f64(r.p95_task_s),
-                fmt_f64(r.max_task_s),
-                fmt_f64(r.skew),
-                r.shuffle_read_bytes,
-                r.shuffle_write_bytes,
-                r.remote_read_bytes,
-            ));
-        }
-        out.push_str(&format!(
-            "],\"pool\":{{\"jobs\":{},\"items\":{},\"stolen\":{},\"idle_epochs\":{}}},\
-             \"total_s\":{}}}",
-            self.pool.jobs,
-            self.pool.items,
-            self.pool.stolen,
-            self.pool.idle_epochs,
-            fmt_f64(self.total_s),
-        ));
-        out
-    }
-}
-
-fn truncate(s: &str, width: usize) -> String {
-    if s.chars().count() <= width {
-        s.to_string()
-    } else {
-        let cut: String = s.chars().take(width.saturating_sub(1)).collect();
-        format!("{cut}…")
-    }
-}
-
-fn fmt_bytes(b: u64) -> String {
-    if b >= 1 << 30 {
-        format!("{:.2}GiB", b as f64 / (1u64 << 30) as f64)
-    } else if b >= 1 << 20 {
-        format!("{:.2}MiB", b as f64 / (1u64 << 20) as f64)
-    } else if b >= 1 << 10 {
-        format!("{:.2}KiB", b as f64 / (1u64 << 10) as f64)
-    } else {
-        format!("{b}B")
-    }
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        v.to_string()
-    } else {
-        "0".to_string()
-    }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn row() -> StageSummaryRow {
-        StageSummaryRow {
-            stage_id: 1,
-            job_id: 0,
-            name: "map.filter".to_string(),
-            kind: "shuffle".to_string(),
-            tasks: 8,
-            duration_s: 1.25,
-            p50_task_s: 0.4,
-            p95_task_s: 0.9,
-            max_task_s: 1.0,
-            skew: 1.6,
-            shuffle_read_bytes: 3 << 20,
-            shuffle_write_bytes: 0,
-            remote_read_bytes: 2 << 20,
-        }
-    }
 
     #[test]
     fn percentile_nearest_rank() {
@@ -259,53 +72,11 @@ mod tests {
     }
 
     #[test]
-    fn render_includes_rows_and_totals() {
-        let s = TraceSummary {
-            stages: vec![row()],
-            pool: PoolCounters {
-                jobs: 3,
-                items: 24,
-                stolen: 5,
-                idle_epochs: 2,
-            },
-            total_s: 1.25,
-        };
-        let text = s.render();
-        assert!(text.contains("map.filter"));
-        assert!(text.contains("shuffle"));
-        assert!(text.contains("3.00MiB"));
-        assert!(text.contains("5 stolen"));
-    }
-
-    #[test]
-    fn json_is_stable_and_parseable() {
-        let s = TraceSummary {
-            stages: vec![row()],
-            pool: PoolCounters::default(),
-            total_s: 1.25,
-        };
-        let a = s.to_json();
-        let b = s.to_json();
-        assert_eq!(a, b);
-        assert!(a.starts_with("{\"stages\":["));
-        assert!(a.contains("\"skew\":1.6"));
-        assert!(a.ends_with("\"total_s\":1.25}"));
-    }
-
-    #[test]
-    fn bytes_format_scales() {
-        assert_eq!(fmt_bytes(512), "512B");
-        assert_eq!(fmt_bytes(2048), "2.00KiB");
-        assert_eq!(fmt_bytes(3 << 20), "3.00MiB");
-        assert_eq!(fmt_bytes(5 << 30), "5.00GiB");
-    }
-
-    #[test]
-    fn truncate_respects_width() {
-        assert_eq!(truncate("short", 26), "short");
-        let long = "a".repeat(40);
-        let t = truncate(&long, 26);
-        assert_eq!(t.chars().count(), 26);
-        assert!(t.ends_with('…'));
+    fn skew_is_max_over_mean_from_slices_and_iterators_alike() {
+        let v = [1.0, 1.0, 4.0];
+        assert_eq!(skew_ratio(v.as_slice()), 2.0);
+        assert_eq!(skew_ratio(v.iter().map(|x| x * 3.0)), 2.0);
+        assert_eq!(skew_ratio(std::iter::empty::<f64>()), 1.0);
+        assert_eq!(skew_ratio([0.0, 0.0]), 1.0);
     }
 }

@@ -3,11 +3,16 @@
 //! cluster.
 
 use chopper_repro::chopper::{
-    collect_dag, collect_observations, Autotuner, StageModel, TestRunPlan, Workload, WorkloadDb,
+    collect_dag, collect_observations, replan_decisions, Autotuner, ReplanOptions, StageModel,
+    TestRunPlan, Workload, WorkloadDb,
 };
-use chopper_repro::engine::{EngineOptions, PartitionerKind, WorkloadConf};
+use chopper_repro::engine::{
+    Context, EngineOptions, Key, PartitionerKind, Record, ReplanInput, StageKind, Value,
+    WorkloadConf,
+};
 use chopper_repro::simcluster::uniform_cluster;
 use chopper_repro::workloads::{KMeans, KMeansConfig, Sql, SqlConfig};
+use std::sync::{Arc, Mutex};
 
 fn small_engine(parallelism: usize) -> EngineOptions {
     EngineOptions {
@@ -282,5 +287,67 @@ fn optimizer_never_regresses_any_workload_at_small_scale() {
             cmp.chopper_time(),
             cmp.vanilla_time()
         );
+    }
+}
+
+/// The re-planner pairs each shuffle reader with the write skew of the
+/// buckets written for it. In a join of a hot left source (~90 % one key)
+/// and a uniform right one, plan order is left, right, join: the join
+/// must answer for max(left, right), and no source stage — which reads no
+/// shuffle, though every stage carries a scheme — may be a decision.
+#[test]
+fn a_join_is_replanned_for_the_skew_of_its_hot_side() {
+    let captured: Arc<Mutex<Vec<ReplanInput>>> = Arc::default();
+    let store = Arc::clone(&captured);
+    let mut ctx = Context::new(EngineOptions {
+        replan: Some(Arc::new(move |input: &ReplanInput| {
+            store.lock().unwrap().push(input.clone());
+            None
+        })),
+        ..small_engine(8)
+    });
+    let hot: Vec<Record> = (0..4000)
+        .map(|i| Record::new(Key::Int(if i % 10 < 9 { 0 } else { i }), Value::Int(i)))
+        .collect();
+    let uniform: Vec<Record> = (0..4000)
+        .map(|i| Record::new(Key::Int(i % 400), Value::Int(i)))
+        .collect();
+    let left = ctx.parallelize(hot, 8, "left");
+    let right = ctx.parallelize(uniform, 8, "right");
+    let joined = ctx.join(left, right, None, 1e-6, "join");
+    let join_signature = ctx.signature(joined);
+    ctx.count(joined, "join");
+
+    let opts = ReplanOptions {
+        slots: 32,
+        ..ReplanOptions::default()
+    };
+    let inputs = captured.lock().unwrap();
+    let stages = &inputs[0].job.stages;
+    let kinds: Vec<StageKind> = stages.iter().map(|s| s.kind).collect();
+    assert_eq!(
+        kinds,
+        [StageKind::Source, StageKind::Source, StageKind::Join]
+    );
+    let (left_skew, right_skew) = (stages[0].write_bucket_skew, stages[1].write_bucket_skew);
+    assert!(
+        left_skew > 7.0 && right_skew < 1.1,
+        "{left_skew} {right_skew}"
+    );
+    for input in inputs.iter() {
+        let decisions = replan_decisions(&input.job.stages, &opts);
+        for d in &decisions {
+            let stage = input
+                .job
+                .stages
+                .iter()
+                .find(|s| s.root_signature == d.signature);
+            assert!(
+                stage.is_some_and(|s| matches!(s.kind, StageKind::Shuffle | StageKind::Join)),
+                "a stage that reads no shuffle was retuned: {d:?}"
+            );
+        }
+        let join = decisions.iter().find(|d| d.signature == join_signature);
+        assert!(join.is_some(), "the hot join was left alone: {decisions:?}");
     }
 }
