@@ -2,15 +2,15 @@
 //! workload run `--adaptive off` vs `--adaptive on`.
 //!
 //! Every figure here is virtual-clock deterministic — the splitter keys
-//! on data-plane byte tables and the replan hook on virtual durations —
-//! so `repro fig_adaptive` regenerates the committed
-//! `results/BENCH_adaptive.json` verbatim and CI's doc-sync step (`repro
-//! all`, then `git diff --exit-code -- results/`) pins it. The floors the
-//! figure is read by are asserted by this module's unit test: the
-//! adaptive run at least [`ADAPTIVE_SPEEDUP_FLOOR`]x faster than the
-//! static run, the two modes' sorted output tables bit-identical, the hot
-//! range partition split, the repeated aggregation retuned. Host
-//! wall-clock is measured by `benchmark/` alone.
+//! on data-plane byte tables — so `repro fig_adaptive` regenerates the
+//! committed `results/BENCH_adaptive.json` verbatim and CI's doc-sync
+//! step (`repro all`, then `git diff --exit-code -- results/`) pins it.
+//! The floors the figure is read by are asserted by this module's unit
+//! test: the adaptive run at least [`ADAPTIVE_SPEEDUP_FLOOR`]x faster
+//! than the static run, the two modes' sorted output tables
+//! bit-identical, the hot range partition split, and both rounds of the
+//! hash aggregation split in-job. Host wall-clock is measured by
+//! `benchmark/` alone.
 
 use crate::DATA_SCALE;
 use engine::{EngineOptions, PartitionerSpec, WorkloadConf};
@@ -96,21 +96,11 @@ fn bench_cluster() -> ClusterSpec {
 }
 
 fn run(adaptive: bool) -> SkewAggResult {
-    let cluster = bench_cluster();
-    // Wave width for the replan hook's makespan model comes from the
-    // simulated cluster, never the host worker count — determinism.
-    let slots = cluster.total_cores();
     let opts = EngineOptions {
-        cluster,
+        cluster: bench_cluster(),
         default_parallelism: SkewAggConfig::paper().partitions,
         workers: 4,
         adaptive,
-        replan: adaptive.then(|| {
-            chopper::replan_hook(chopper::ReplanOptions {
-                slots,
-                ..chopper::ReplanOptions::default()
-            })
-        }),
         ..EngineOptions::default()
     };
     SkewAgg::new(SkewAggConfig::paper()).execute(&opts, &WorkloadConf::new(), 1.0)
@@ -165,16 +155,18 @@ mod tests {
             rep.speedup
         );
         assert!(rep.tables_equal, "sorted output tables diverged");
-        // hot-agg: the byte-hot range partition splits into sub-tasks.
-        let hot = &rep.jobs[0];
-        assert!(
-            hot.tasks_adaptive > hot.tasks_static,
-            "no split: {} virtual tasks over {} partitions",
-            hot.tasks_adaptive,
-            hot.tasks_static
-        );
-        // freq-agg round two: the replan hook retunes the shared stage.
-        let retuned = rep.jobs.last().expect("report has jobs");
-        assert_ne!(retuned.scheme_adaptive, retuned.scheme_static, "no replan");
+        // hot-agg: the byte-hot range partition splits into sub-tasks;
+        // freq-agg, both rounds: so does the count-hot hash partition.
+        assert_eq!(rep.jobs.len(), 3);
+        for job in &rep.jobs {
+            assert!(
+                job.tasks_adaptive > job.tasks_static,
+                "{}: no split: {} virtual tasks over {} partitions",
+                job.job,
+                job.tasks_adaptive,
+                job.tasks_static
+            );
+            assert_eq!(job.scheme_adaptive, job.scheme_static, "{}", job.job);
+        }
     }
 }

@@ -28,8 +28,8 @@
 //! where the tuned partition count or partitioner diverges.
 //!
 //! `fig_adaptive` is the adaptive-execution comparison: the skewed
-//! aggregation workload with `--adaptive` off vs on (hot-partition
-//! splitting plus the replan hook). It additionally writes
+//! aggregation workload with `--adaptive` off vs on (in-job
+//! hot-partition splitting). It additionally writes
 //! `results/BENCH_adaptive.json`.
 //!
 //! `jobserver` additionally writes `results/BENCH_jobserver.json`: the
@@ -900,7 +900,7 @@ fn fig_adaptive() -> String {
         report.fingerprint,
     );
     section(
-        "Fig adaptive — runtime re-optimization vs the static plan \
+        "Fig adaptive — in-job hot-partition splitting vs the static plan \
          (BENCH_adaptive.json)",
         "The skewed aggregation workload under `--adaptive` off vs on. Job \
          hot-agg groups a byte-skewed table under a user-fixed range \
@@ -908,16 +908,14 @@ fn fig_adaptive() -> String {
          partition; the adaptive engine detects it from the per-bucket \
          byte columns and splits it into key-preserving sub-tasks \
          mid-job. The freq-agg rounds run the same hash aggregation twice \
-         over a Zipf table; after round one the replan hook feeds observed \
-         stage actuals back through the cost objective and retunes the \
-         shared stage signature for round two. Shape criterion: the hot \
-         job runs more virtual tasks than physical partitions, round two's \
-         scheme differs from round one's, the adaptive total beats the \
-         static total by the floor below, and both modes' sorted output \
-         tables are bit-identical (all four asserted by the \
-         bench::adaptive unit test). All figures are virtual-clock \
-         deterministic: the committed JSON regenerates verbatim under \
-         the doc-sync check.",
+         over a Zipf table, whose head keys leave one hash partition \
+         byte-hot; each round splits it the same way. Shape criterion: \
+         every job runs more virtual tasks than physical partitions under \
+         its unchanged scheme, the adaptive total beats the static total \
+         by the floor below, and both modes' sorted output tables are \
+         bit-identical (all asserted by the bench::adaptive unit test). \
+         All figures are virtual-clock deterministic: the committed JSON \
+         regenerates verbatim under the doc-sync check.",
         body,
     )
 }

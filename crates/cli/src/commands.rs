@@ -46,12 +46,11 @@ on a non-blocking fabric, so only the receiver NICs are contended;
 uplinks carrying hosts×NIC/oversub each way. The rack grid must have
 room for every cluster node; malformed specs are rejected at parse time.
 
---adaptive (default on) enables runtime re-optimization: the engine
-splits byte-hot reduce partitions in-job (range shuffles, key-preserving
-— sorted outputs are bit-identical to the unsplit plan), and per-stage
-actuals feed CHOPPER's cost objective to re-choose partitioner kind and
-count for subsequent jobs. `--adaptive off` restores static plans
-bit-for-bit.
+--adaptive (default on) splits byte-hot reduce partitions of hash and
+range shuffles into sub-tasks in-job, from the shuffle's own byte counts.
+Splitting is key-preserving, so sorted outputs are bit-identical to the
+unsplit plan; only simulated timings move. `--adaptive off` restores
+static plans bit-for-bit.
 
 --executor-mem bounds each simulated executor's unified memory (cache +
 task working sets); accepts k/m/g suffixes, e.g. 512m. Omitting it keeps
@@ -145,26 +144,12 @@ fn engine_opts(args: &Args) -> Result<EngineOptions, String> {
         Some("off") => false,
         Some(other) => return Err(format!("bad --adaptive '{other}' (expected on|off)")),
     };
-    let cluster = cluster(args)?;
-    // `--adaptive on` enables both halves of the adaptive layer: the
-    // in-engine hot-partition splitter (EngineOptions::adaptive) and the
-    // cross-job re-planner (CHOPPER's cost objective over observed
-    // actuals). The wave width fed to the re-planner comes from the
-    // simulated cluster, never the host worker count, so adaptive plans
-    // stay bit-identical across `--workers`.
-    let replan = adaptive.then(|| {
-        chopper::replan_hook(chopper::ReplanOptions {
-            slots: cluster.total_cores(),
-            ..chopper::ReplanOptions::default()
-        })
-    });
     let opts = EngineOptions {
-        cluster,
+        cluster: cluster(args)?,
         default_parallelism: args.num("partitions", 300).map_err(|e| e.to_string())?,
         copartition_scheduling: args.has("copartition"),
         executor_mem,
         adaptive,
-        replan,
         faults: fault_plan(args)?,
         ..EngineOptions::default()
     };
@@ -681,17 +666,49 @@ mod tests {
 
     #[test]
     fn adaptive_flag_parses_on_off() {
-        let on = engine_opts(&args(&["run"])).unwrap();
-        assert!(on.adaptive && on.replan.is_some());
-        let on = engine_opts(&args(&["run", "--adaptive", "on"])).unwrap();
-        assert!(on.adaptive && on.replan.is_some());
-        let off = engine_opts(&args(&["run", "--adaptive", "off"])).unwrap();
-        assert!(!off.adaptive && off.replan.is_none());
+        assert!(engine_opts(&args(&["run"])).unwrap().adaptive);
+        assert!(
+            engine_opts(&args(&["run", "--adaptive", "on"]))
+                .unwrap()
+                .adaptive
+        );
+        assert!(
+            !engine_opts(&args(&["run", "--adaptive", "off"]))
+                .unwrap()
+                .adaptive
+        );
         let err = match engine_opts(&args(&["run", "--adaptive", "maybe"])) {
             Err(e) => e,
             Ok(_) => panic!("bad --adaptive value must be rejected"),
         };
         assert!(err.contains("--adaptive"));
+    }
+
+    /// ROADMAP item 8's hot join (left ~90 % one key, right uniform, P=8)
+    /// under the options `run --adaptive on` parses to, counted three
+    /// times in one context: every count is the whole join. A between-job
+    /// re-planner once turned it into a lossy range join after the first.
+    #[test]
+    fn adaptive_on_counts_a_repeated_hot_join_whole() {
+        let flags = [
+            "run",
+            "--adaptive",
+            "on",
+            "--cluster",
+            "uniform:4,8,2.0",
+            "--partitions",
+            "8",
+        ];
+        let mut ctx = engine::Context::new(engine_opts(&args(&flags)).unwrap());
+        let record =
+            |k: i64, v: i64| engine::Record::new(engine::Key::Int(k), engine::Value::Int(v));
+        let hot = (0..4000).map(|i| record(if i % 10 < 9 { 0 } else { i }, i));
+        let uniform = (0..4000).map(|i| record(i % 400, i));
+        let left = ctx.parallelize(hot.collect(), 8, "left");
+        let right = ctx.parallelize(uniform.collect(), 8, "right");
+        let joined = ctx.join(left, right, None, 1e-6, "join");
+        let counts: Vec<u64> = (0..3).map(|_| ctx.count(joined, "join")).collect();
+        assert_eq!(counts, [36_400; 3]);
     }
 
     #[test]

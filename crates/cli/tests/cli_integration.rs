@@ -78,6 +78,21 @@ fn run_prints_stage_table() {
     assert!(text.contains("total:"));
 }
 
+/// `run` at its defaults keeps LogReg's plan: every `sum-gradients` round
+/// runs its 300 partitions (8 keys — nothing to split), where a between-job
+/// re-planner once walked it to 176, 506 and 1856.
+#[test]
+fn run_keeps_every_logreg_round_at_its_partition_count() {
+    let out = run_ok(bin().args(["run", "--workload", "logreg", "--scale", "0.1"]));
+    let text = String::from_utf8_lossy(&out.stdout);
+    let rounds: Vec<&str> = text
+        .lines()
+        .filter(|line| line.contains("sum-gradients"))
+        .map(|line| line.split_whitespace().nth(2).unwrap_or(""))
+        .collect();
+    assert_eq!(rounds, ["300"; 5], "{text}");
+}
+
 #[test]
 fn run_composes_a_memory_budget_with_a_fault_plan() {
     let plan = concat!(env!("CARGO_MANIFEST_DIR"), "/../../plans/plan_lossy.plan");

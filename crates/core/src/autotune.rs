@@ -38,7 +38,6 @@ impl Autotuner {
         // adaptive layer composes with the tuned plan at production time
         // instead (and is benchmarked on its own in fig_adaptive).
         base.adaptive = false;
-        base.replan = None;
         let mut chopper = base.clone();
         chopper.copartition_scheduling = true;
         let optimizer = OptimizerOptions {

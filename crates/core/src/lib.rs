@@ -66,13 +66,13 @@ pub mod optimizer;
 pub mod testrun;
 pub mod workload;
 
-pub use adaptive::{hook as replan_hook, replan, replan_decisions, ReplanDecision, ReplanOptions};
+pub use adaptive::{replan, ReplanOptions};
 pub use autotune::{Autotuner, Comparison};
 pub use collector::{collect_dag, collect_observations, DagStage, Observation, RunSnapshot};
 pub use db::{WorkloadDb, WorkloadRecord};
 pub use model::{
-    cost, cost_with_baseline, cross_validation_error, CostConstants, CostSurface, CostWeights,
-    ModelBasis, StageModel, MIN_OBSERVATIONS,
+    cost, cost_with_baseline, cross_validation_error, CostConstants, CostWeights, ModelBasis,
+    StageModel, MIN_OBSERVATIONS,
 };
 pub use optimizer::{
     get_global_par, get_stage_par, get_workload_par, DecisionAction, OptimizerOptions,

@@ -39,10 +39,6 @@ pub const MIN_OBSERVATIONS: usize = 6;
 /// Every numeric guard and cutoff the cost objective depends on, in one
 /// named, unit-tested place (the grep-proof successor to the scattered
 /// `1e-9`/`0.8`/`2.0` literals these used to be).
-///
-/// The adaptive executor addresses these directly — its observed-input
-/// re-optimization reuses the same objective, so a threshold change here
-/// moves the static planner and the runtime re-planner together.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostConstants {
     /// Below this, the Eq. 3 time baseline `t₀` is treated as vanishing
@@ -74,15 +70,6 @@ pub struct CostConstants {
     /// Variance floor below which the correlation test is meaningless
     /// (all observations at one `D` or one `P`).
     pub variance_eps: f64,
-    /// Adaptive re-planning only adopts a new scheme when its modeled
-    /// cost is below `retune_margin ×` the current scheme's modeled cost
-    /// — the runtime analogue of the paper's γ tolerance, biased
-    /// conservative so noise never flips a plan.
-    pub retune_margin: f64,
-    /// Max/mean per-bucket byte skew above which the adaptive layer
-    /// treats a shuffle as hot (triggering a kind flip on hash stages
-    /// and, in the engine, hot-partition splitting).
-    pub skew_retune_trigger: f64,
 }
 
 impl CostConstants {
@@ -97,41 +84,12 @@ impl CostConstants {
         input_corr_cutoff: 0.8,
         input_min_points: 4,
         variance_eps: 1e-12,
-        retune_margin: 0.9,
-        skew_retune_trigger: 2.0,
     };
 }
 
 impl Default for CostConstants {
     fn default() -> Self {
         Self::DEFAULT
-    }
-}
-
-/// The surface the Eq. 3–4 objective is evaluated over: predicted (or
-/// observed) execution time and shuffle volume as functions of `(D, P)`.
-///
-/// [`StageModel`] is the trained implementation; the adaptive executor
-/// supplies an observation-backed one so runtime re-optimization runs the
-/// *same* grid search and objective with measured inputs.
-pub trait CostSurface {
-    /// Execution-time estimate in seconds at input `d` and parallelism `p`.
-    fn predict_time(&self, d: f64, p: f64) -> f64;
-    /// Shuffle-volume estimate in bytes at input `d` and parallelism `p`.
-    fn predict_shuffle(&self, d: f64, p: f64) -> f64;
-    /// The `P` range the surface is trustworthy over.
-    fn trained_p_range(&self) -> (f64, f64);
-}
-
-impl CostSurface for StageModel {
-    fn predict_time(&self, d: f64, p: f64) -> f64 {
-        StageModel::predict_time(self, d, p)
-    }
-    fn predict_shuffle(&self, d: f64, p: f64) -> f64 {
-        StageModel::predict_shuffle(self, d, p)
-    }
-    fn trained_p_range(&self) -> (f64, f64) {
-        StageModel::trained_p_range(self)
     }
 }
 
@@ -332,8 +290,8 @@ impl Default for CostWeights {
 /// the shuffle's plausible share of the stage time (1.0 reproduces the
 /// paper's formula exactly; the unweighted behaviour is kept as an
 /// ablation).
-pub fn cost_with_baseline<M: CostSurface + ?Sized>(
-    model: &M,
+pub fn cost_with_baseline(
+    model: &StageModel,
     weights: CostWeights,
     d: f64,
     p: f64,
@@ -361,8 +319,8 @@ pub fn cost_with_baseline<M: CostSurface + ?Sized>(
 
 /// Eq. 3 self-baselined: `cost = α·t(D,P)/t(D,P₀) + β·s(D,P)/s(D,P₀)`
 /// where `P₀` is the default parallelism. Used when only one model exists.
-pub fn cost<M: CostSurface + ?Sized>(
-    model: &M,
+pub fn cost(
+    model: &StageModel,
     weights: CostWeights,
     d: f64,
     p: f64,
@@ -391,46 +349,36 @@ mod tests {
         assert!((0.0..=1.0).contains(&c.input_corr_cutoff));
         assert!(c.input_min_points >= 2);
         assert!(c.working_set_factor >= 1.0);
-        // The retune margin is conservative (< 1: a new plan must beat the
-        // incumbent by a real margin) and the skew trigger means "worse
-        // than balanced" (> 1).
-        assert!(c.retune_margin < 1.0 && c.retune_margin > 0.0);
-        assert!(c.skew_retune_trigger > 1.0);
-    }
-
-    /// The skew trigger is shared with the engine's hot-partition
-    /// splitter: a shuffle the re-planner calls hot is exactly one the
-    /// splitter would split, so the two mitigations never disagree.
-    #[test]
-    fn skew_trigger_matches_engine_split_trigger() {
-        assert_eq!(
-            CostConstants::DEFAULT.skew_retune_trigger,
-            engine::adaptive::HOT_SKEW_TRIGGER
-        );
     }
 
     /// A vanishing baseline neutralizes its term via the named epsilons
     /// (the old inline `1e-12`/`1e-9` behaviour, now addressable).
     #[test]
     fn cost_constants_gate_degenerate_baselines() {
-        struct Flat;
-        impl CostSurface for Flat {
-            fn predict_time(&self, _d: f64, _p: f64) -> f64 {
-                5.0
-            }
-            fn predict_shuffle(&self, _d: f64, _p: f64) -> f64 {
-                100.0
-            }
-            fn trained_p_range(&self) -> (f64, f64) {
-                (1.0, 1e9)
-            }
-        }
+        // Constant predictions: only the intercept (the paper basis' last
+        // feature, 1.0) carries a coefficient.
+        let intercept = |c: f64| {
+            let mut coeffs = vec![0.0; numeric::NUM_FEATURES];
+            coeffs[numeric::NUM_FEATURES - 1] = c;
+            coeffs
+        };
+        let flat = StageModel {
+            coeffs_t: intercept(5.0),
+            coeffs_s: intercept(100.0),
+            d_scale: 1.0,
+            p_scale: 1.0,
+            p_min: 1.0,
+            p_max: 1e9,
+            basis: ModelBasis::Paper,
+        };
+        assert_eq!(flat.predict_time(3.0, 40.0), 5.0);
+        assert_eq!(flat.predict_shuffle(3.0, 40.0), 100.0);
         let w = CostWeights::default();
         // Both baselines below their epsilons: cost is exactly α + β.
-        let c = cost_with_baseline(&Flat, w, 1.0, 10.0, 0.0, 0.0, 1.0);
+        let c = cost_with_baseline(&flat, w, 1.0, 10.0, 0.0, 0.0, 1.0);
         assert!((c - (w.alpha + w.beta)).abs() < 1e-12);
         // Live baselines: the ratios participate.
-        let c = cost_with_baseline(&Flat, w, 1.0, 10.0, 10.0, 200.0, 1.0);
+        let c = cost_with_baseline(&flat, w, 1.0, 10.0, 10.0, 200.0, 1.0);
         assert!((c - (w.alpha * 0.5 + w.beta * 0.5)).abs() < 1e-12);
     }
 

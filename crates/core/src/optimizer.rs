@@ -13,9 +13,7 @@
 
 use crate::collector::DagStage;
 use crate::db::WorkloadRecord;
-use crate::model::{
-    cost_with_baseline, CostConstants, CostSurface, CostWeights, ModelBasis, StageModel,
-};
+use crate::model::{cost_with_baseline, CostConstants, CostWeights, ModelBasis, StageModel};
 use engine::{PartitionerKind, PartitionerSpec, TraceSink, WorkloadConf};
 use std::collections::HashMap;
 
@@ -33,14 +31,14 @@ fn optimizer_track(sink: &TraceSink) -> trace::Track {
     track
 }
 
-/// Every numeric guard and cutoff of the objective — the static search's
-/// and the runtime re-planner's alike — one documented, pin-tested block.
-pub(crate) const CONSTS: CostConstants = CostConstants::DEFAULT;
+/// Every numeric guard and cutoff of the objective, one documented,
+/// pin-tested block.
+const CONSTS: CostConstants = CostConstants::DEFAULT;
 
 /// Per-task launch overhead in seconds, as the simulated cluster charges
 /// it (`ClusterSpec::task_launch_overhead`): what an expected retry and a
 /// task of an inserted repartition phase each pay once.
-pub(crate) const TASK_OVERHEAD: f64 = 0.015;
+const TASK_OVERHEAD: f64 = 0.015;
 
 /// Effective bandwidth (bytes/s) an inserted repartition phase moves a
 /// stage's output at.
@@ -250,8 +248,8 @@ fn stage_baseline(
 /// baseline-normalized `α·t + β·s` objective, scaled by the spill penalty
 /// of a working set that overflows the memory budget and by the expected
 /// cost of retries. `baseline` is `(t₀, s₀, shuffle significance)`.
-fn candidate_cost<M: CostSurface + ?Sized>(
-    model: &M,
+fn candidate_cost(
+    model: &StageModel,
     input: InputResponse,
     p: f64,
     (t0, s0, significance): (f64, f64, f64),
@@ -266,8 +264,8 @@ fn candidate_cost<M: CostSurface + ?Sized>(
 /// `getMinPar`: grid search over candidate partition counts, restricted to
 /// the range the model was actually trained on — the Eq. 1–2 polynomial has
 /// no business being evaluated far outside its observations.
-pub(crate) fn get_min_par<M: CostSurface + ?Sized>(
-    model: &M,
+fn get_min_par(
+    model: &StageModel,
     input: InputResponse,
     baseline: (f64, f64, f64),
     opts: &OptimizerOptions,
@@ -400,7 +398,7 @@ fn stage_input(stage: &DagStage, target_input_bytes: u64) -> f64 {
 /// We detect the correlation in the observations and, when strong, model
 /// `D(P)` with a linear fit.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum InputResponse {
+enum InputResponse {
     /// `D` is independent of `P`: use the ratio-scaled workload input.
     Fixed(f64),
     /// `D ≈ a + b·P` (strong observed correlation).
@@ -751,9 +749,8 @@ mod tests {
     use crate::collector::{Observation, RunSnapshot};
     use crate::db::WorkloadDb;
 
-    /// The overhead the recovery factor, the repartition-insertion test and
-    /// `ObservedSurface::calibrate` reason with is the one the simulated
-    /// cluster charges.
+    /// The overhead the recovery factor and the repartition-insertion test
+    /// reason with is the one the simulated cluster charges.
     #[test]
     fn task_overhead_matches_the_simulated_cluster() {
         assert_eq!(

@@ -103,9 +103,8 @@ impl TestRunPlan {
 ///
 /// A cell at the bootstrap's scale whose `(kind, P)` is the scheme the
 /// bootstrap ran every probed stage under forces nothing the bootstrap did
-/// not already do, so — unless a re-plan hook is installed — it records a
-/// copy of the bootstrap's observations and DAG instead of executing it
-/// again.
+/// not already do, so it records a copy of the bootstrap's observations
+/// and DAG instead of executing it again.
 ///
 /// Returns the number of runs executed.
 pub fn run_test_grid(
@@ -174,11 +173,8 @@ pub fn run_test_grid(
             }
         }
     }
-    // A re-plan hook is handed the active configuration, which a cell's
-    // differs from the bootstrap's; only without one is the run the same.
     let ran_at_boot = |&(scale, p, kind): &(f64, usize, PartitionerKind)| {
         scale == boot_scale
-            && engine_opts.replan.is_none()
             && boot_observations
                 .iter()
                 .filter(|(sig, _, _)| signatures.contains(sig))
@@ -390,15 +386,6 @@ mod tests {
         }
         want.sort();
         assert_eq!(spans, want, "only the bootstrap's own cell is skipped");
-    }
-
-    #[test]
-    fn a_replan_hook_makes_every_cell_run() {
-        let mut opts = small_opts();
-        opts.replan = Some(std::sync::Arc::new(|_: &engine::ReplanInput| None));
-        let plan = reuse_plan(2);
-        let runs = run_test_grid(&mini(), &opts, &plan, &mut WorkloadDb::new());
-        assert_eq!(runs, plan.num_runs());
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! *inside* a job: by the time a reduce stage starts, its shuffle knows
 //! the bytes of every run it holds, so the engine can decide —
 //! identically at any worker count and under any fault plan — to split
-//! hot partitions into sub-tasks before reduce work is dispatched.
+//! hot partitions into sub-tasks before reduce work is dispatched. It is
+//! the engine's one skew mechanism, for hash and range shuffles alike.
 //!
 //! Determinism rules (the reason this is safe to default on):
 //!
@@ -19,28 +20,21 @@
 //!   exactly one sub-bucket, so reduce/group merges per sub-bucket produce
 //!   the same aggregates as the unsplit merge, and concatenating
 //!   sub-outputs in sub order is a deterministic permutation of the
-//!   unsplit output (identical sorted tables).
-//! * Only **range-partitioned** shuffles split in place. Hash skew is
-//!   handled between jobs by the re-planner
-//!   (`core::adaptive`), which flips hot hash stages to range — this
-//!   module's hash [`SubRouter`] exists as the fallback when a hot range
-//!   bucket's keys are too concentrated to yield distinct sub-bounds.
+//!   unsplit output (identical sorted tables). Records stay in their
+//!   partition, so a split hash stage keeps its co-partitioning.
+//! * A split runs only the subs that received records, and a hot bucket
+//!   whose keys all route to one sub (one hot key) runs as the unsplit
+//!   task would, bit for bit: no routing charge, no extra task.
 
-use crate::config::WorkloadConf;
 use crate::exec::{merge_runs, MergeKind, PARTITION_COST};
-use crate::metrics::JobMetrics;
-use crate::partitioner::{Partitioner, PartitionerKind, RangePartitioner};
+use crate::partitioner::{Partitioner, RangePartitioner};
 use crate::rdd::RddGraph;
 use crate::record::{Key, Record};
 use crate::shuffle::Run;
 use crate::stage::{Plan, StageRoot};
-use std::sync::Arc;
 
 /// Max/mean per-bucket byte skew above which a reduce partition counts as
-/// hot. Shared with the re-planner's trigger
-/// (`chopper::CostConstants::skew_retune_trigger` pins equality) so the
-/// in-job splitter and the between-jobs re-planner never disagree on what
-/// "hot" means.
+/// hot — the statistic a stage's `write_bucket_skew` reports.
 pub const HOT_SKEW_TRIGGER: f64 = 2.0;
 
 /// Upper bound on how many sub-tasks one hot partition splits into.
@@ -49,28 +43,6 @@ pub const MAX_SUBSPLIT: usize = 8;
 /// Buckets smaller than this never split — below it the routing pass
 /// costs more than the imbalance it removes.
 pub const HOT_MIN_BYTES: u64 = 4096;
-
-/// Between-jobs re-optimization hook: receives the finished job's
-/// metrics, returns a replacement [`WorkloadConf`] to apply to subsequent
-/// jobs (or `None` to keep the current one). Installed through
-/// [`crate::EngineOptions::replan`].
-pub type ReplanHook = Arc<dyn Fn(&ReplanInput) -> Option<WorkloadConf> + Send + Sync>;
-
-/// Everything the re-planner sees after a job completes.
-///
-/// Byte and record counts in the stage metrics are data-plane
-/// measurements — identical under any fault plan and any worker count.
-/// Durations and task skew come from the *virtual* clock, bit-identical
-/// across worker counts; a hook that must stay fault-invariant should key
-/// decisions on the byte fields only.
-#[derive(Debug, Clone)]
-pub struct ReplanInput {
-    /// The configuration the job ran under.
-    pub conf: WorkloadConf,
-    /// The job that just finished, exactly as [`crate::Context::jobs`]
-    /// records it; `job.end` is the virtual clock at the decision point.
-    pub job: JobMetrics,
-}
 
 /// The split decision for one shuffle: how many sub-tasks each reduce
 /// partition runs as (1 = unsplit).
@@ -81,11 +53,6 @@ pub struct SplitPlan {
 }
 
 impl SplitPlan {
-    /// Total virtual task count after splitting.
-    pub fn total_tasks(&self) -> usize {
-        self.subs.iter().sum()
-    }
-
     /// Whether any partition actually splits.
     pub fn is_active(&self) -> bool {
         self.subs.iter().any(|&k| k > 1)
@@ -96,9 +63,7 @@ impl SplitPlan {
 /// (each reduce partition's runs, summed).
 ///
 /// The trigger statistic is [`trace::skew_ratio`] — the same max/mean
-/// computation behind a stage's `write_bucket_skew` — so the re-planner
-/// and this splitter agree on what a hot shuffle is. A hot
-/// bucket splits into `ceil(bytes/mean)` subs (capped at
+/// computation behind a stage's `write_bucket_skew`. A hot bucket splits into `ceil(bytes/mean)` subs (capped at
 /// [`MAX_SUBSPLIT`]): enough to bring its expected share back to the
 /// mean. Returns `None` when nothing splits.
 pub fn plan_splits(column_bytes: &[u64]) -> Option<SplitPlan> {
@@ -128,9 +93,8 @@ pub fn plan_splits(column_bytes: &[u64]) -> Option<SplitPlan> {
 /// shuffle index when it may.
 ///
 /// Evaluated from the plan and graph alone, never from runtime state.
-/// Conditions: the root is a `ShuffleRead` over a **range**-partitioned
-/// shuffle, this is that shuffle's only read, and the stage captures no
-/// cache (splitting
+/// Conditions: the root is a `ShuffleRead` (hash or range), this is that
+/// shuffle's only read, and the stage captures no cache (splitting
 /// re-orders records within a partition, which must not leak into a cached
 /// RDD whose co-partitioning later stages rely on).
 pub(crate) fn split_eligible(plan: &Plan, graph: &RddGraph, stage_idx: usize) -> Option<usize> {
@@ -138,9 +102,6 @@ pub(crate) fn split_eligible(plan: &Plan, graph: &RddGraph, stage_idx: usize) ->
     let StageRoot::ShuffleRead { wide, shuffle } = stage.root else {
         return None;
     };
-    if plan.shuffles[shuffle].scheme.kind != PartitionerKind::Range {
-        return None;
-    }
     if plan.shuffle_reads(shuffle) != 1 {
         return None;
     }
@@ -233,14 +194,17 @@ pub(crate) struct SubTaskStats {
 ///
 /// `maps` are the partition's incoming runs in map order, each with the
 /// map task that wrote it, already materialized to owned rows. Each
-/// record is routed once (charged at [`PARTITION_COST`]) and each sub runs
-/// the unsplit task's merge ([`merge_runs`]) over its share, so the sum of
-/// sub costs equals the unsplit cost plus the routing charge.
+/// record is routed once (charged at [`PARTITION_COST`]) and each sub
+/// that received records runs the unsplit task's merge ([`merge_runs`])
+/// over its share, so the sum of sub costs equals the unsplit cost plus
+/// the routing charge. When every record routes to one sub, the partition
+/// merges as the unsplit task does — no routing charge — and the stats
+/// are `None`.
 pub(crate) fn merge_split(
     maps: Vec<(usize, Vec<Record>)>,
     merge: &MergeKind,
     router: &SubRouter,
-) -> (Vec<Record>, f64, Vec<SubTaskStats>) {
+) -> (Vec<Record>, f64, Option<Vec<SubTaskStats>>) {
     let k = router.k();
     let runs = maps.len();
     // Route: per_sub[s][j] holds run j's records for sub s, in arrival order.
@@ -254,20 +218,35 @@ pub(crate) fn merge_split(
             per_sub[s][j].push(rec);
         }
     }
+    let mut subs: Vec<_> = per_sub
+        .into_iter()
+        .zip(per_map_bytes)
+        .map(|(sub, bytes)| (sub.iter().map(|b| b.len() as u64).sum(), sub, bytes))
+        .filter(|&(fetched, _, _)| fetched > 0)
+        .collect();
+    if subs.len() <= 1 {
+        let (fetched, mut sub, _) = subs.pop().unwrap_or_default();
+        let feed = |push: &mut dyn FnMut(Run<'_>)| {
+            sub.iter_mut().for_each(|b| push(Run::Moved(b)));
+            fetched
+        };
+        let mut cost = 0.0;
+        let (records, _) = merge_runs(merge, feed, &mut cost);
+        return (records, cost, None);
+    }
     let mut out: Vec<Record> = Vec::new();
     let mut total_cost = 0.0;
-    let mut stats = Vec::with_capacity(k);
-    for (s, mut sub_maps) in per_sub.into_iter().enumerate() {
-        let fetched: u64 = sub_maps.iter().map(|b| b.len() as u64).sum();
+    let mut stats = Vec::with_capacity(subs.len());
+    for (fetched, mut sub, per_map_bytes) in subs {
         let mut cost = fetched as f64 * PARTITION_COST;
         let feed = |push: &mut dyn FnMut(Run<'_>)| {
-            sub_maps.iter_mut().for_each(|b| push(Run::Moved(b)));
+            sub.iter_mut().for_each(|b| push(Run::Moved(b)));
             fetched
         };
         let (records, _) = merge_runs(merge, feed, &mut cost);
         let out_bytes: u64 = records.iter().map(Record::encoded_size).sum();
         stats.push(SubTaskStats {
-            per_map_bytes: per_map_bytes[s].clone(),
+            per_map_bytes,
             fetched,
             cost,
             out_bytes,
@@ -275,7 +254,7 @@ pub(crate) fn merge_split(
         total_cost += cost;
         out.extend(records);
     }
-    (out, total_cost, stats)
+    (out, total_cost, Some(stats))
 }
 
 #[cfg(test)]
@@ -283,6 +262,7 @@ mod tests {
     use super::*;
     use crate::record::Value;
     use proptest::prelude::*;
+    use std::sync::Arc;
 
     #[test]
     fn plan_splits_balanced_is_none() {
@@ -299,7 +279,6 @@ mod tests {
         assert_eq!(plan.subs.len(), 4);
         assert_eq!(&plan.subs[..3], &[1, 1, 1]);
         assert!(plan.subs[3] >= 2 && plan.subs[3] <= MAX_SUBSPLIT);
-        assert_eq!(plan.total_tasks(), 3 + plan.subs[3]);
         assert!(plan.is_active());
     }
 
@@ -323,6 +302,33 @@ mod tests {
         let flat_vals: Vec<f64> = flat.iter().map(|&b| b as f64).collect();
         assert!(trace::skew_ratio(&flat_vals) < HOT_SKEW_TRIGGER);
         assert_eq!(plan_splits(&flat), None);
+    }
+
+    /// A hot bucket of one key routes to one sub, so it merges as the
+    /// unsplit task would: same records, same cost bits, no sub stats.
+    #[test]
+    fn a_one_key_bucket_merges_as_the_unsplit_task() {
+        let maps: Vec<(usize, Vec<Record>)> = (0..3)
+            .map(|m| {
+                let run = (0..50).map(|v| Record::new(Key::Int(7), Value::Int(v)));
+                (2 * m, run.collect())
+            })
+            .collect();
+        let router = SubRouter::build(maps.iter().flat_map(|(_, r)| r).map(|r| &r.key), 4, 1);
+        let f: crate::ReduceFn =
+            Arc::new(|a: &Value, b: &Value| Value::Int(a.as_int() + b.as_int()));
+        let merge = MergeKind::Reduce(f, 1e-6);
+        let (out, cost, stats) = merge_split(maps.clone(), &merge, &router);
+        assert!(stats.is_none(), "a one-sub split runs unsplit");
+        let mut runs: Vec<Vec<Record>> = maps.into_iter().map(|(_, run)| run).collect();
+        let feed = |push: &mut dyn FnMut(Run<'_>)| {
+            runs.iter_mut().for_each(|run| push(Run::Moved(run)));
+            150
+        };
+        let mut want_cost = 0.0;
+        let (want, _) = merge_runs(&merge, feed, &mut want_cost);
+        assert_eq!(out, want);
+        assert_eq!(cost.to_bits(), want_cost.to_bits());
     }
 
     fn arb_key() -> impl Strategy<Value = Key> {
@@ -411,6 +417,14 @@ mod tests {
                 Arc::new(|a: &Value, b: &Value| Value::Int(a.as_int() + b.as_int()));
             let (out, _cost, stats) =
                 merge_split(maps.clone(), &MergeKind::Reduce(Arc::clone(&f), 1e-6), &router);
+            let subs: std::collections::BTreeSet<usize> =
+                records.iter().map(|r| router.route(&r.key)).collect();
+            let stats = stats.unwrap_or_default();
+            if stats.is_empty() {
+                prop_assert_eq!(subs.len(), 1, "only a one-sub partition merges unsplit");
+            } else {
+            prop_assert_eq!(stats.len(), subs.len(), "one task per sub that received records");
+            prop_assert!(stats.iter().all(|s| s.fetched > 0));
             let split_bytes: u64 = stats
                 .iter()
                 .flat_map(|s| s.per_map_bytes.iter().map(|&(_, b)| b))
@@ -423,6 +437,7 @@ mod tests {
             }
             let fetched: u64 = stats.iter().map(|s| s.fetched).sum();
             prop_assert_eq!(fetched, records.len() as u64);
+            }
             // Unsplit reference.
             let mut unsplit = crate::shuffle::ReduceMerge::new(f);
             maps.iter().for_each(|(_, part)| unsplit.push_slice(part));

@@ -255,8 +255,9 @@ pub(super) struct TaskOut {
     /// Keys reservoir-sampled from the final records (range shuffles only).
     pub(super) sample: Vec<Key>,
     /// Per-sub virtual-task statistics when this task ran as an adaptive
-    /// split (`None` for unsplit tasks). The driver turns these into one
-    /// `TaskSpec` per sub.
+    /// split (`None` for unsplit tasks, and for a hot partition whose keys
+    /// all routed to one sub). The driver turns these into one `TaskSpec`
+    /// per sub.
     pub(super) sub_stats: Option<Vec<crate::adaptive::SubTaskStats>>,
 }
 
@@ -554,9 +555,10 @@ fn read_root<'s>(input: &StageInput<'s>, task: TaskId) -> RootRead<'s> {
             let (records, fetched, bytes) = if k > 1 {
                 // Adaptive hot-partition split: take the column in map
                 // order, route each record to one of `k` sub-buckets, and
-                // merge each sub independently. The routing is
+                // merge each non-empty sub independently. The routing is
                 // key-preserving, so aggregates match the unsplit merge;
                 // concatenation in sub order keeps the output deterministic.
+                // Keys that all route to one sub merge unsplit.
                 let column = data.column(i);
                 let maps: Vec<(usize, Vec<Record>)> = column
                     .iter()
@@ -577,7 +579,7 @@ fn read_root<'s>(input: &StageInput<'s>, task: TaskId) -> RootRead<'s> {
                 let (records, merge_cost, stats) =
                     crate::adaptive::merge_split(maps, merge, &router);
                 cost += merge_cost;
-                sub_stats = Some(stats);
+                sub_stats = stats;
                 (records, fetched, bytes)
             } else {
                 let mut bytes = 0;

@@ -1,9 +1,9 @@
 //! Job driving: plan an action's lineage into stages, run them in order,
-//! charge the driver-side result collection, and hand the finished job's
-//! metrics to the re-planner. Also the partition-count and partitioning
-//! questions a plan leaves to execution time.
+//! charge the driver-side result collection, and record the finished
+//! job's metrics. Also the partition-count and partitioning questions a
+//! plan leaves to execution time.
 
-use super::context::{Context, STAGES};
+use super::context::Context;
 use super::dataplane::TaskOut;
 use super::stage::ShuffleData;
 use crate::metrics::{JobMetrics, StageMetrics};
@@ -50,44 +50,14 @@ impl Context {
                 .advance(result_bytes as f64 / self.options.driver_bandwidth);
         }
 
-        let job = self.replan_after_job(JobMetrics {
+        self.jobs.push(JobMetrics {
             job_id,
             name: name.to_string(),
             stages: stage_metrics,
             start: job_start,
             end: self.sim.clock(),
         });
-        self.jobs.push(job);
         result
-    }
-
-    /// Between-jobs re-optimization: hand the finished job's metrics to
-    /// the installed hook; a returned configuration replaces `conf` for
-    /// subsequent jobs. Decisions and their trigger state are recorded as
-    /// virtual-clock trace instants on the driver track. Gives the job
-    /// back unchanged.
-    fn replan_after_job(&mut self, job: JobMetrics) -> JobMetrics {
-        let Some(hook) = self.options.replan.clone() else {
-            return job;
-        };
-        let input = crate::adaptive::ReplanInput {
-            conf: self.conf.clone(),
-            job,
-        };
-        if let Some(new_conf) = hook(&input) {
-            let job_id = input.job.job_id;
-            self.emit(STAGES, "adaptive", || {
-                (
-                    format!("j{job_id} adaptive replan"),
-                    vec![
-                        ("job", job_id.into()),
-                        ("decisions", new_conf.stages.len().into()),
-                    ],
-                )
-            });
-            self.conf = new_conf;
-        }
-        input.job
     }
 
     /// Number of tasks a plan stage runs.
@@ -144,14 +114,12 @@ impl Context {
 #[cfg(test)]
 mod tests {
     use super::super::fixture::{sorted, sum, test_options, word_records};
-    use super::super::EngineOptions;
     use super::Context;
-    use crate::adaptive::ReplanInput;
     use crate::config::WorkloadConf;
     use crate::ops::{Emit, GenFn};
     use crate::partitioner::{HashPartitioner, Partitioner, PartitionerSpec};
     use crate::record::{Key, Record, Value};
-    use std::sync::{Arc, Mutex};
+    use std::sync::Arc;
 
     /// A source of one record per split, keyed by the split's index.
     fn one_per_split() -> GenFn {
@@ -211,20 +179,11 @@ mod tests {
     /// A stage's `write_bucket_skew` is `trace::skew_ratio` of the bytes
     /// it wrote per reduce partition — computed here from the records and
     /// the partitioner, apart from the shuffle table — and 1.0 for a stage
-    /// that wrote none. The re-plan hook is handed the very metrics
-    /// `jobs()` then records, and a stage's `scheme.partitions` is its
-    /// task count when nothing split.
+    /// that wrote none; a stage's `scheme.partitions` is its task count
+    /// when nothing split.
     #[test]
-    fn the_hook_reads_the_recorded_stages_and_their_write_skew() {
-        let captured: Arc<Mutex<Vec<ReplanInput>>> = Arc::default();
-        let store = Arc::clone(&captured);
-        let mut ctx = Context::new(EngineOptions {
-            replan: Some(Arc::new(move |input: &ReplanInput| {
-                store.lock().unwrap().push(input.clone());
-                None
-            })),
-            ..test_options()
-        });
+    fn a_stage_records_the_skew_of_the_buckets_it_wrote() {
+        let mut ctx = Context::new(test_options());
         let skewed: Vec<Record> = (0..400)
             .map(|i| Record::new(Key::Int(if i % 10 < 9 { 0 } else { i }), Value::Int(i)))
             .collect();
@@ -251,15 +210,6 @@ mod tests {
         assert!(want[0] > crate::HOT_SKEW_TRIGGER);
         for s in stages {
             assert_eq!(s.scheme.map(|spec| spec.partitions), Some(s.num_tasks));
-        }
-
-        let inputs = captured.lock().unwrap();
-        assert_eq!(inputs.len(), ctx.jobs().len());
-        for (input, job) in inputs.iter().zip(ctx.jobs()) {
-            assert_eq!(input.job.stages.len(), job.stages.len());
-            for (seen, kept) in input.job.stages.iter().zip(&job.stages) {
-                assert_eq!(format!("{seen:?}"), format!("{kept:?}"));
-            }
         }
     }
 

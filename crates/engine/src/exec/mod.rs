@@ -13,7 +13,7 @@
 //! * `context` — the [`Context`] struct, its constructor, the RDD-builder
 //!   delegations, configuration, accessors, `collect` / `count`. Runs
 //!   nothing itself.
-//! * `job` — `run_job`, the between-jobs re-plan, and partition-count /
+//! * `job` — `run_job`, its job record, and partition-count /
 //!   partitioning resolution. Sees stages only through `exec_stage`.
 //! * `stage` — `exec_stage` and its phases, the shuffle table, stage
 //!   metrics. Moves no record itself and no cached partition.
@@ -34,7 +34,7 @@ mod stage;
 
 pub use context::Context;
 pub(crate) use dataplane::{merge_runs, MergeKind, PARTITION_COST};
-pub use options::EngineOptions;
+pub use options::{EngineOptions, ReplanInput};
 
 /// What the unit tests of every module here build their jobs from.
 #[cfg(test)]

@@ -64,22 +64,28 @@ pub struct EngineOptions {
     /// results are bit-identical shared or not.
     pub shared_pool: Option<Arc<WorkerPool>>,
     /// Adaptive query execution (the default): after the map side of a
-    /// range-partitioned shuffle completes, the engine inspects each
-    /// reduce partition's shuffle bytes and splits hot ones into
-    /// sub-tasks before reduce work dispatches (see [`crate::adaptive`]).
-    /// Every decision is a pure function of data-plane byte counts, so
-    /// results stay bit-identical across worker counts, engines, and
-    /// fault plans; sorted output tables equal the unsplit run's. `false`
-    /// restores static plans bit-for-bit — timings included.
+    /// shuffle completes, the engine inspects each reduce partition's
+    /// shuffle bytes and splits hot ones, hash or range, into sub-tasks
+    /// before reduce work dispatches (see [`crate::adaptive`]). Every
+    /// decision is a pure function of data-plane byte counts, so results
+    /// stay bit-identical across worker counts and fault plans; sorted
+    /// output tables equal the unsplit run's. `false` restores static
+    /// plans bit-for-bit — timings included.
     pub adaptive: bool,
-    /// Between-jobs re-optimization hook. After each job the engine hands
-    /// the hook that job's metrics ([`crate::ReplanInput`]: the
-    /// [`crate::JobMetrics`] [`crate::Context::jobs`] then records); a
-    /// returned [`crate::WorkloadConf`] replaces the context's configuration
-    /// for subsequent jobs. `None` (the default) never re-plans. Installed
-    /// by CHOPPER's adaptive layer (`chopper::adaptive::replan`).
-    pub replan: Option<crate::adaptive::ReplanHook>,
+    /// No effect. The engine never calls this hook, and no
+    /// [`ReplanInput`] to call it with exists; it once re-planned between
+    /// jobs and is kept only for the frozen `benchmark/` until ROADMAP
+    /// item 4a. Nothing reads it.
+    pub replan: Option<ReplanHook>,
 }
+
+/// The type of the no-effect [`EngineOptions::replan`] field.
+type ReplanHook = Arc<dyn Fn(&ReplanInput) -> Option<crate::WorkloadConf> + Send + Sync>;
+
+/// No effect: uninhabited, so a [`EngineOptions::replan`] hook can never
+/// be called. Kept for the frozen `benchmark/` until ROADMAP item 4a.
+#[derive(Debug, Clone)]
+pub enum ReplanInput {}
 
 impl Default for EngineOptions {
     fn default() -> Self {
@@ -214,9 +220,9 @@ mod tests {
         }
     }
 
-    /// `batch` and `pipeline` have no effect because nothing reads them:
-    /// outside this file no engine source's code (comments aside) names
-    /// either field.
+    /// `batch`, `pipeline` and `replan` have no effect because nothing
+    /// reads them: outside this file no engine source's code (comments
+    /// aside) names any of them.
     #[test]
     fn nothing_reads_the_fields_that_have_no_effect() {
         fn sources(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
@@ -237,7 +243,11 @@ mod tests {
             "found {} files under {src:?}",
             files.len()
         );
-        let reads = [concat!(".", "batch"), concat!(".", "pipeline")];
+        let reads = [
+            concat!(".", "batch"),
+            concat!(".", "pipeline"),
+            concat!(".", "replan"),
+        ];
         for file in files.iter().filter(|f| !f.ends_with("exec/options.rs")) {
             let text = std::fs::read_to_string(file).expect("a readable source");
             for (n, line) in text.lines().enumerate() {

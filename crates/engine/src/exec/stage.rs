@@ -118,26 +118,27 @@ impl Context {
         }
         self.account_cached_reads(&reads.cached_reads);
 
-        if let Some(sp) = &reads.split_plan {
+        // A stage counts as split only if some task actually ran as subs.
+        let split_tasks = outs.iter().filter(|o| o.sub_stats.is_some()).count();
+        let StageSpecs {
+            mut specs,
+            last_spec_of_task,
+            unsplit,
+        } = self.build_specs(&cx, &reads, &outs, writes.as_deref(), split_tasks > 0);
+        if split_tasks > 0 {
             self.emit(STAGES, "adaptive", || {
-                let hot = sp.subs.iter().filter(|&&k| k > 1).count();
                 (
                     format!("j{job_id}.s{gid} adaptive split"),
                     vec![
                         ("stage", gid.into()),
                         ("job", job_id.into()),
-                        ("hot_partitions", hot.into()),
+                        ("hot_partitions", split_tasks.into()),
                         ("physical_tasks", cx.num_tasks.into()),
-                        ("virtual_tasks", sp.total_tasks().into()),
+                        ("virtual_tasks", specs.len().into()),
                     ],
                 )
             });
         }
-        let StageSpecs {
-            mut specs,
-            last_spec_of_task,
-            unsplit,
-        } = self.build_specs(&cx, &reads, &outs, writes.as_deref());
         // Corrupt-chunk injection appends re-fetch entries to the specs'
         // fetch lists, and the metrics byte tables must stay
         // fault-invariant: remember where each list ended before it.
@@ -146,7 +147,7 @@ impl Context {
             .as_ref()
             .filter(|f| f.plan.corrupt_prob > 0.0)
             .map(|_| specs.iter().map(|s| s.fetches.len()).collect());
-        let timing = self.charge_stage(&cx, &mut specs, reads.split_plan.is_some());
+        let timing = self.charge_stage(&cx, &mut specs, split_tasks > 0);
         // Per physical task: the node that finished it (its last sub).
         let homes: Vec<NodeId> = last_spec_of_task
             .iter()
@@ -465,16 +466,16 @@ impl Context {
 
     /// Turns what the tasks read, computed and wrote into simulator task
     /// specs — one per task, or one per sub-merge where a task ran as an
-    /// adaptive split.
+    /// adaptive split (`split_active`: some task did).
     fn build_specs(
         &mut self,
         cx: &StageCtx<'_>,
         reads: &StageReads,
         outs: &[TaskOut],
         writes: Option<&[MapWrite]>,
+        split_active: bool,
     ) -> StageSpecs {
         let task_mem_budget = self.options.per_task_mem_budget();
-        let split_active = reads.split_plan.is_some();
         let keep_unsplit = self.faults.is_some() && split_active;
         let mut specs: Vec<TaskSpec> = Vec::with_capacity(outs.len());
         // Split tasks expand into several virtual specs, but downstream
@@ -943,12 +944,79 @@ mod tests {
     use super::{aggregate_fetches, index_runs, Context};
     use crate::metrics::StageKind;
     use crate::ops::Emit;
-    use crate::partitioner::{HashPartitioner, PartitionerSpec};
+    use crate::partitioner::{HashPartitioner, Partitioner, PartitionerSpec};
     use crate::pool::{lock, WorkerPool};
     use crate::record::{Key, Record, Value};
     use crate::shuffle::{bucketize_runs, TaskArena};
     use std::sync::atomic::Ordering;
     use std::sync::{Arc, Mutex};
+
+    /// `keys` distinct keys of hash partition 0 of 4, `per_key` records
+    /// each, then one record of each of 30 keys of the other partitions.
+    fn one_hot_hash_bucket(keys: usize, per_key: usize) -> Vec<Record> {
+        let keys_where = |hot: bool| {
+            let p = HashPartitioner::new(4);
+            (0i64..)
+                .map(Key::Int)
+                .filter(move |k| (p.partition(k) == 0) == hot)
+        };
+        let hot = keys_where(true)
+            .take(keys)
+            .flat_map(|k| (0..per_key as i64).map(move |v| Record::new(k.clone(), Value::Int(v))));
+        let cold = keys_where(false)
+            .take(30)
+            .map(|k| Record::new(k, Value::Int(0)));
+        hot.chain(cold).collect()
+    }
+
+    /// A hot hash bucket splits in-job, and the `adaptive split` instant
+    /// reports what ran: the partitions actually split and the stage's
+    /// task count once empty subs are dropped. The sorted output equals
+    /// the unsplit run's. A bucket hot with one key routes to one sub, so
+    /// it runs as the unsplit task: no instant and the unsplit run's every
+    /// virtual bit.
+    #[test]
+    fn a_hot_hash_bucket_splits_and_reports_what_ran() {
+        let run = |records: Vec<Record>, adaptive: bool| {
+            let mut ctx = Context::new(EngineOptions {
+                adaptive,
+                trace: trace::TraceSink::enabled(),
+                ..test_options()
+            });
+            let src = ctx.parallelize(records, 4, "src");
+            let grouped = ctx.group_by_key(src, Some(PartitionerSpec::hash(4)), 1e-6, "group");
+            let out = sorted(ctx.collect(grouped, "g"));
+            (ctx, out)
+        };
+        let reported = |ctx: &Context| -> Vec<[trace::ArgValue; 2]> {
+            let arg = |e: &trace::Event, name: &str| {
+                let (_, value) = e.args.iter().find(|(k, _)| *k == name).expect("an arg");
+                value.clone()
+            };
+            let events = ctx.trace_sink().events();
+            let splits = events.iter().filter(|e| e.name.ends_with("adaptive split"));
+            splits
+                .map(|e| [arg(e, "hot_partitions"), arg(e, "virtual_tasks")])
+                .collect()
+        };
+
+        let (on, out_on) = run(one_hot_hash_bucket(64, 20), true);
+        let (_, out_off) = run(one_hot_hash_bucket(64, 20), false);
+        assert_eq!(out_on, out_off);
+        let tasks = on.jobs()[0].stages[1].num_tasks;
+        assert!(tasks > 4, "the hot hash partition ran as {tasks} tasks");
+        let want = [
+            trace::ArgValue::UInt(1),
+            trace::ArgValue::UInt(tasks as u64),
+        ];
+        assert_eq!(reported(&on), [want]);
+
+        let (on, out_on) = run(one_hot_hash_bucket(1, 1280), true);
+        let (off, out_off) = run(one_hot_hash_bucket(1, 1280), false);
+        assert_eq!(out_on, out_off);
+        assert!(reported(&on).is_empty(), "a one-sub split is no split");
+        assert_eq!(format!("{:?}", on.jobs()), format!("{:?}", off.jobs()));
+    }
 
     /// Two tenants capped to one lane each run inline on their own threads
     /// and both get participant 0 of the shared pool — the same arena

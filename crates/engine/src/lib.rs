@@ -57,10 +57,10 @@ pub mod record;
 pub mod shuffle;
 pub mod stage;
 
-pub use adaptive::{plan_splits, ReplanHook, ReplanInput, SplitPlan, SubRouter, HOT_SKEW_TRIGGER};
+pub use adaptive::{plan_splits, SplitPlan, SubRouter, HOT_SKEW_TRIGGER};
 pub use batch::ColumnBatch;
 pub use config::WorkloadConf;
-pub use exec::{Context, EngineOptions};
+pub use exec::{Context, EngineOptions, ReplanInput};
 pub use faults::{FaultCounters, FaultPlan, NodeLoss, Straggler};
 pub use memman::MemCounters;
 pub use metrics::{JobMetrics, StageKind, StageMetrics};

@@ -23,8 +23,7 @@ pub enum StageKind {
 }
 
 /// Metrics of one executed stage: the one per-stage record the engine
-/// hands out — to [`crate::Context::jobs`], to the re-planner
-/// ([`crate::ReplanInput`]), and to the stage table
+/// hands out — to [`crate::Context::jobs`] and to the stage table
 /// ([`crate::Context::report`]).
 #[derive(Debug, Clone, Serialize)]
 pub struct StageMetrics {

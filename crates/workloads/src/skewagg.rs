@@ -13,11 +13,8 @@
 //!   sub-tasks; with `--adaptive off` the hot task serializes the stage.
 //! * **jobs 1–2 — `freq-agg` ×2**: the same group-by aggregation, twice,
 //!   over a Zipf count-skewed table with no explicit scheme (engine
-//!   default: hash). The two rounds build structurally identical DAGs, so
-//!   they share a stage signature — after round one, the installed replan
-//!   hook sees the hash shuffle's hot write buckets and retunes the
-//!   signature's scheme (hash → range, observed-cost partition count) for
-//!   round two.
+//!   default: hash). The head keys make their hash bucket byte-hot, and
+//!   with `--adaptive on` each round splits it in-job like the range one.
 //!
 //! Aggregates are order-insensitive per key and splitting is
 //! key-preserving, so the sorted output tables — and [`SkewAggResult`]'s
@@ -306,12 +303,6 @@ mod tests {
             default_parallelism: 8,
             workers: 2,
             adaptive,
-            replan: adaptive.then(|| {
-                chopper::replan_hook(chopper::ReplanOptions {
-                    slots: 12,
-                    ..chopper::ReplanOptions::default()
-                })
-            }),
             ..EngineOptions::default()
         }
     }
@@ -400,23 +391,22 @@ mod tests {
     }
 
     #[test]
-    fn replan_retunes_the_freq_rounds() {
+    fn split_fires_on_both_hash_freq_rounds() {
         let w = SkewAgg::new(SkewAggConfig::small());
         let on = w.execute(&opts(true), &WorkloadConf::new(), 1.0);
         let stages = on.ctx.all_stages();
-        // Stage 3 is round one's hash group-by; stage 5 is round two's
-        // after the replan hook saw round one's hot buckets.
-        let round1 = &stages[3];
-        let round2 = &stages[5];
-        assert_eq!(
-            round1.scheme.map(|s| s.kind),
-            Some(engine::PartitionerKind::Hash)
-        );
-        assert_eq!(
-            round2.scheme.map(|s| s.kind),
-            Some(engine::PartitionerKind::Range),
-            "replan should flip the hot hash stage to range"
-        );
+        // Stages 3 and 5 are the two rounds' hash group-bys.
+        for round in [&stages[3], &stages[5]] {
+            assert_eq!(
+                round.scheme.map(|s| s.kind),
+                Some(engine::PartitionerKind::Hash)
+            );
+            assert!(
+                round.num_tasks > w.config.partitions,
+                "hot hash partition should split: {} tasks",
+                round.num_tasks
+            );
+        }
     }
 
     #[test]

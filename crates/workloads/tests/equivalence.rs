@@ -5,11 +5,11 @@
 //! bit, the results and byte tables, or the results alone. Beyond the
 //! shipped fault plans, the differential harness draws options for SQL and
 //! k-means, generated plans among them. The tests after it check what no
-//! flip shows: adaptive execution splits, replans and runs faster; a fault
+//! flip shows: adaptive execution splits hash and range stages and runs
+//! faster; a fault
 //! plan retries, loses and blacklists a node, and recomputes the map
 //! outputs the loss took.
 
-use chopper::{replan_hook, ReplanOptions};
 use engine::{ClockFilter, Context, EngineOptions, FaultPlan, NodeLoss, PartitionerKind};
 use engine::{TraceSink, WorkloadConf};
 use observed::Observed;
@@ -95,19 +95,14 @@ fn options(set: Set) -> EngineOptions {
     opts
 }
 
-/// `--adaptive on`: the hot-partition splitter and the replan hook.
+/// `--adaptive on`: the hot-partition splitter.
 fn adaptive(o: &mut EngineOptions) {
     o.adaptive = true;
-    let replan = ReplanOptions {
-        slots: 12,
-        ..Default::default()
-    };
-    o.replan = Some(replan_hook(replan));
 }
 
 /// `--adaptive off`.
 fn static_plans(o: &mut EngineOptions) {
-    (o.adaptive, o.replan) = (false, None);
+    o.adaptive = false;
 }
 
 /// What a flip keeps, checked on the runs before and after it.
@@ -189,20 +184,23 @@ fn generated_plans_preserve_results_and_byte_tables() {
 }
 
 #[test]
-fn adaptive_execution_splits_replans_and_runs_faster() {
+fn adaptive_execution_splits_hash_and_range_stages_and_runs_faster() {
     let (_, on) = WORKLOADS[4].1(&options(adaptive));
     let (_, off) = WORKLOADS[4].1(&options(static_plans));
     let stages = on.all_stages();
     let partitions = SkewAggConfig::small().partitions;
-    assert!(stages[1].num_tasks > partitions, "no hot partition split");
-    let replanned = stages[5].scheme.map(|s| s.kind);
-    assert_eq!(replanned, Some(PartitionerKind::Range), "not re-planned");
+    for (i, kind) in [
+        (1, PartitionerKind::Range),
+        (3, PartitionerKind::Hash),
+        (5, PartitionerKind::Hash),
+    ] {
+        assert_eq!(stages[i].scheme.map(|s| s.kind), Some(kind), "stage {i}");
+        assert!(stages[i].num_tasks > partitions, "stage {i}: no split");
+    }
     let trace = on
         .trace_sink()
         .chrome_json_filtered(ClockFilter::VirtualOnly);
-    for decision in ["adaptive split", "adaptive replan"] {
-        assert!(trace.contains(decision), "no `{decision}` instant");
-    }
+    assert_eq!(trace.matches("adaptive split").count(), 3);
     let (t_on, t_off) = (on.clock(), off.clock());
     assert!(t_on < t_off, "adaptive {t_on:.4} s, static {t_off:.4} s");
 }

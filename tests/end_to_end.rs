@@ -3,16 +3,15 @@
 //! cluster.
 
 use chopper_repro::chopper::{
-    collect_dag, collect_observations, replan_decisions, Autotuner, ReplanOptions, StageModel,
-    TestRunPlan, Workload, WorkloadDb,
+    collect_dag, collect_observations, Autotuner, StageModel, TestRunPlan, Workload, WorkloadDb,
 };
 use chopper_repro::engine::{
-    Context, EngineOptions, Key, PartitionerKind, Record, ReplanInput, StageKind, Value,
-    WorkloadConf,
+    Context, EngineOptions, HashPartitioner, Key, Partitioner, PartitionerKind, PartitionerSpec,
+    Record, Value, WorkloadConf,
 };
 use chopper_repro::simcluster::uniform_cluster;
 use chopper_repro::workloads::{KMeans, KMeansConfig, Sql, SqlConfig};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 fn small_engine(parallelism: usize) -> EngineOptions {
     EngineOptions {
@@ -290,64 +289,44 @@ fn optimizer_never_regresses_any_workload_at_small_scale() {
     }
 }
 
-/// The re-planner pairs each shuffle reader with the write skew of the
-/// buckets written for it. In a join of a hot left source (~90 % one key)
-/// and a uniform right one, plan order is left, right, join: the join
-/// must answer for max(left, right), and no source stage — which reads no
-/// shuffle, though every stage carries a scheme — may be a decision.
+/// A hot hash aggregation splits in-job: 400 keys that all hash to
+/// partition 0 of 8 carry most of the records, so that partition's
+/// buckets are byte-hot even after the map-side combine. Its reduce stage
+/// runs more virtual tasks than partitions, under the same hash scheme,
+/// and its sorted output equals the static run's.
 #[test]
-fn a_join_is_replanned_for_the_skew_of_its_hot_side() {
-    let captured: Arc<Mutex<Vec<ReplanInput>>> = Arc::default();
-    let store = Arc::clone(&captured);
-    let mut ctx = Context::new(EngineOptions {
-        replan: Some(Arc::new(move |input: &ReplanInput| {
-            store.lock().unwrap().push(input.clone());
-            None
-        })),
-        ..small_engine(8)
-    });
-    let hot: Vec<Record> = (0..4000)
-        .map(|i| Record::new(Key::Int(if i % 10 < 9 { 0 } else { i }), Value::Int(i)))
-        .collect();
-    let uniform: Vec<Record> = (0..4000)
-        .map(|i| Record::new(Key::Int(i % 400), Value::Int(i)))
-        .collect();
-    let left = ctx.parallelize(hot, 8, "left");
-    let right = ctx.parallelize(uniform, 8, "right");
-    let joined = ctx.join(left, right, None, 1e-6, "join");
-    let join_signature = ctx.signature(joined);
-    ctx.count(joined, "join");
-
-    let opts = ReplanOptions {
-        slots: 32,
-        ..ReplanOptions::default()
+fn a_hot_hash_aggregation_splits_in_job() {
+    let keys = |hot: bool| {
+        let bucket = HashPartitioner::new(8);
+        (0i64..)
+            .map(Key::Int)
+            .filter(move |k| (bucket.partition(k) == 0) == hot)
     };
-    let inputs = captured.lock().unwrap();
-    let stages = &inputs[0].job.stages;
-    let kinds: Vec<StageKind> = stages.iter().map(|s| s.kind).collect();
-    assert_eq!(
-        kinds,
-        [StageKind::Source, StageKind::Source, StageKind::Join]
-    );
-    let (left_skew, right_skew) = (stages[0].write_bucket_skew, stages[1].write_bucket_skew);
+    let records: Vec<Record> = keys(true)
+        .take(400)
+        .flat_map(|k| (0..10).map(move |v| Record::new(k.clone(), Value::Int(v))))
+        .chain(keys(false).take(140).map(|k| Record::new(k, Value::Int(1))))
+        .collect();
+    let run = |adaptive: bool| {
+        let mut ctx = Context::new(EngineOptions {
+            adaptive,
+            ..small_engine(8)
+        });
+        let src = ctx.parallelize(records.clone(), 8, "src");
+        let sum = Arc::new(|a: &Value, b: &Value| Value::Int(a.as_int() + b.as_int()));
+        let totals = ctx.reduce_by_key(src, sum, None, 1e-6, "totals");
+        let mut out = ctx.collect(totals, "totals");
+        out.sort_by(|a, b| a.key.cmp(&b.key));
+        let reduce = ctx.jobs()[0].stages[1].clone();
+        (out, reduce)
+    };
+    let (split, stage) = run(true);
+    let (unsplit, _) = run(false);
+    assert_eq!(stage.scheme, Some(PartitionerSpec::hash(8)));
     assert!(
-        left_skew > 7.0 && right_skew < 1.1,
-        "{left_skew} {right_skew}"
+        stage.num_tasks > 8,
+        "the hot partition ran unsplit: {} tasks",
+        stage.num_tasks
     );
-    for input in inputs.iter() {
-        let decisions = replan_decisions(&input.job.stages, &opts);
-        for d in &decisions {
-            let stage = input
-                .job
-                .stages
-                .iter()
-                .find(|s| s.root_signature == d.signature);
-            assert!(
-                stage.is_some_and(|s| matches!(s.kind, StageKind::Shuffle | StageKind::Join)),
-                "a stage that reads no shuffle was retuned: {d:?}"
-            );
-        }
-        let join = decisions.iter().find(|d| d.signature == join_signature);
-        assert!(join.is_some(), "the hot join was left alone: {decisions:?}");
-    }
+    assert_eq!(split, unsplit);
 }
