@@ -16,16 +16,23 @@
 //! * `basis` — the paper's Eq. 1–2 feature basis vs the extended one.
 //! * `significance` — shuffle-significance weighting of Eq. 3 on/off.
 //!
+//! Every ablation that varies only `OptimizerOptions` decides from one
+//! database [`chopper::Autotuner::observe`] trained: `weights` and
+//! `algorithms` share [`small_sql`]'s, `clamp`, `basis` and `transfer`'s
+//! stale plan share [`small_kmeans`]'s, `significance` takes Fig. 7's PCA
+//! database, and `gamma` observes its workload once for all four γ.
+//!
 //! ```text
 //! cargo run --release -p bench --bin repro -- ablation_weights ablation_gamma
 //! ```
 
 use crate::{paper_autotuner, paper_engine, section, stages, Table};
 use chopper::{CostWeights, TestRunPlan, Workload, WorkloadDb};
-use engine::{FaultPlan, Key, PartitionerSpec, Record, Value, WorkloadConf};
+use engine::{Context, FaultPlan, Key, PartitionerSpec, Record, Value, WorkloadConf};
 use workloads::{KMeans, KMeansConfig, Sql, SqlConfig};
 
-fn small_sql() -> Sql {
+/// The SQL workload the `weights` and `algorithms` ablations tune.
+pub fn small_sql() -> Sql {
     Sql::new(SqlConfig {
         orders: 120_000,
         returns: 60_000,
@@ -36,25 +43,26 @@ fn small_sql() -> Sql {
     })
 }
 
-fn small_kmeans() -> KMeans {
+/// The KMeans workload the `clamp`, `basis` and `transfer` ablations tune.
+pub fn small_kmeans() -> KMeans {
     let mut cfg = KMeansConfig::paper();
     cfg.points = 60_000;
     KMeans::new(cfg)
 }
 
 /// α/β sweep: the weight on shuffle volume trades scan speed for shuffle.
-pub fn weights() -> String {
+pub fn weights(db: &WorkloadDb) -> String {
     let w = small_sql();
     let mut t = Table::new(&["alpha", "beta", "total time", "scan shuffle KB", "scan P"]);
     for (alpha, beta) in [(1.0, 0.0), (0.7, 0.3), (0.5, 0.5), (0.3, 0.7), (0.0, 1.0)] {
         let mut tuner = paper_autotuner();
         tuner.optimizer.weights = CostWeights { alpha, beta };
-        let cmp = tuner.compare(&w);
-        let st = stages(&cmp.chopper);
+        let (_, tuned) = tuner.decide(&w, db);
+        let st = stages(&tuned);
         t.row(vec![
             format!("{alpha:.1}"),
             format!("{beta:.1}"),
-            format!("{:.1}s", cmp.chopper_time()),
+            format!("{:.1}s", tuned.run_span()),
             format!("{:.0}", st[0].shuffle_data() as f64 / 1024.0),
             st[0].num_tasks.to_string(),
         ]);
@@ -116,23 +124,24 @@ pub fn gamma() -> String {
         }
     }
 
+    let mut tuner = paper_autotuner();
+    tuner.test_plan = TestRunPlan {
+        scales: vec![0.2, 0.5, 1.0],
+        partitions: vec![60, 150, 300, 600, 1200],
+        kinds: vec![engine::PartitionerKind::Hash],
+        probe_user_fixed: true,
+        parallelism: 2,
+    };
+    let (_, db) = tuner.observe(&FixedBad);
     let mut t = Table::new(&["gamma", "repartition inserted?", "total time"]);
     for gamma in [1.0, 1.5, 3.0, 10.0] {
-        let mut tuner = paper_autotuner();
         tuner.optimizer.gamma = gamma;
-        tuner.test_plan = TestRunPlan {
-            scales: vec![0.2, 0.5, 1.0],
-            partitions: vec![60, 150, 300, 600, 1200],
-            kinds: vec![engine::PartitionerKind::Hash],
-            probe_user_fixed: true,
-            parallelism: 2,
-        };
-        let cmp = tuner.compare(&FixedBad);
-        let inserted = !cmp.plan.conf.insert_repartition.is_empty();
+        let (plan, tuned) = tuner.decide(&FixedBad, &db);
+        let inserted = !plan.conf.insert_repartition.is_empty();
         t.row(vec![
             format!("{gamma:.1}"),
             if inserted { "yes".into() } else { "no".into() },
-            format!("{:.1}s", cmp.chopper_time()),
+            format!("{:.1}s", tuned.run_span()),
         ]);
     }
     section(
@@ -174,7 +183,7 @@ pub fn copartition() -> String {
 }
 
 /// Grid-search clamping on/off.
-pub fn clamp() -> String {
+pub fn clamp(db: &WorkloadDb) -> String {
     let w = small_kmeans();
     let mut t = Table::new(&["grid search", "stage-0 P", "total time"]);
     for (label, clamp) in [
@@ -183,12 +192,12 @@ pub fn clamp() -> String {
     ] {
         let mut tuner = paper_autotuner();
         tuner.optimizer.clamp_to_trained_range = clamp;
-        let cmp = tuner.compare(&w);
-        let st = stages(&cmp.chopper);
+        let (_, tuned) = tuner.decide(&w, db);
+        let st = stages(&tuned);
         t.row(vec![
             label.into(),
             st[0].num_tasks.to_string(),
-            format!("{:.1}s", cmp.chopper_time()),
+            format!("{:.1}s", tuned.run_span()),
         ]);
     }
     section(
@@ -200,15 +209,10 @@ pub fn clamp() -> String {
     )
 }
 
-/// Cross-resource model transfer (paper Section VI).
-pub fn transfer() -> String {
+/// Cross-resource model transfer (paper Section VI) from a healthy `db`.
+pub fn transfer(db: &WorkloadDb) -> String {
     let w = small_kmeans();
-
-    // Train on the healthy cluster.
-    let healthy_tuner = paper_autotuner();
-    let mut healthy_db = WorkloadDb::new();
-    healthy_tuner.train(&w, &mut healthy_db);
-    let stale_plan = healthy_tuner.plan(&w, &healthy_db);
+    let stale_plan = paper_autotuner().plan(&w, db);
 
     // The cluster changes: node A degrades to half speed.
     let degraded = |parallelism: usize, copart: bool| {
@@ -253,21 +257,11 @@ pub fn transfer() -> String {
 
 /// Algorithm 2 (naive per-stage) vs Algorithm 3 (global) — the paper's
 /// stage-A/stage-B/stage-C join argument, on the SQL workload.
-pub fn algorithms() -> String {
+pub fn algorithms(vanilla: &Context, db: &WorkloadDb) -> String {
     let w = small_sql();
     let tuner = paper_autotuner();
-    let mut db = WorkloadDb::new();
-    // Production anchor + test grid, as in the evaluation protocol.
-    let vanilla = w.run(&tuner.vanilla_opts, &WorkloadConf::new(), 1.0);
-    db.record_run(
-        w.name(),
-        chopper::collect_observations(vanilla.jobs(), w.full_input_bytes()),
-        chopper::collect_dag(vanilla.jobs(), w.full_input_bytes()),
-    );
-    tuner.train(&w, &mut db);
-
-    let naive = tuner.plan_naive(&w, &db);
-    let global = tuner.plan(&w, &db);
+    let naive = tuner.plan_naive(&w, db);
+    let global = tuner.plan(&w, db);
 
     let run_with = |conf: &WorkloadConf| {
         let ctx = w.run(&tuner.chopper_opts, conf, 1.0);
@@ -280,15 +274,7 @@ pub fn algorithms() -> String {
             join.remote_read_bytes,
         )
     };
-    let (t_vanilla, _, _, _) = {
-        let st = stages(&vanilla);
-        (
-            vanilla.jobs().last().expect("ran").end,
-            st.len(),
-            0u64,
-            0u64,
-        )
-    };
+    let t_vanilla = vanilla.jobs().last().expect("ran").end;
     let (t_naive, stages_naive, join_read_naive, _) = run_with(&naive.conf);
     let (t_global, stages_global, join_read_global, remote_global) = run_with(&global.conf);
 
@@ -296,7 +282,7 @@ pub fn algorithms() -> String {
     t.row(vec![
         "vanilla (hash 300)".into(),
         format!("{t_vanilla:.1}s"),
-        "5".into(),
+        stages(vanilla).len().to_string(),
         "-".into(),
     ]);
     t.row(vec![
@@ -353,17 +339,9 @@ pub fn speculation() -> String {
         ctx.jobs().last().expect("ran").end
     };
 
-    // Train CHOPPER once on the healthy cluster, anchored by a full-scale
-    // production run as in the evaluation protocol.
+    // Train CHOPPER once on the healthy cluster.
     let tuner = paper_autotuner();
-    let mut db = WorkloadDb::new();
-    let anchor = w.run(&tuner.vanilla_opts, &WorkloadConf::new(), 1.0);
-    db.record_run(
-        w.name(),
-        chopper::collect_observations(anchor.jobs(), w.full_input_bytes()),
-        chopper::collect_dag(anchor.jobs(), w.full_input_bytes()),
-    );
-    tuner.train(&w, &mut db);
+    let (_, db) = tuner.observe(&w);
     let plan = tuner.plan(&w, &db);
     let empty = WorkloadConf::new();
 
@@ -388,7 +366,7 @@ pub fn speculation() -> String {
 }
 
 /// Paper basis vs extended basis for the Eq. 1–2 fits.
-pub fn basis() -> String {
+pub fn basis(db: &WorkloadDb) -> String {
     let w = small_kmeans();
     let mut t = Table::new(&["basis", "stage-0 P", "total time"]);
     for (label, basis) in [
@@ -400,12 +378,12 @@ pub fn basis() -> String {
     ] {
         let mut tuner = paper_autotuner();
         tuner.optimizer.basis = basis;
-        let cmp = tuner.compare(&w);
-        let st = stages(&cmp.chopper);
+        let (_, tuned) = tuner.decide(&w, db);
+        let st = stages(&tuned);
         t.row(vec![
             label.into(),
             st[0].num_tasks.to_string(),
-            format!("{:.1}s", cmp.chopper_time()),
+            format!("{:.1}s", tuned.run_span()),
         ]);
     }
     section(
@@ -416,7 +394,7 @@ pub fn basis() -> String {
 }
 
 /// Shuffle-significance weighting on/off (raw paper Eq. 3 vs weighted).
-pub fn significance() -> String {
+pub fn significance(db: &WorkloadDb) -> String {
     let w = crate::pca_paper();
     let mut t = Table::new(&["beta weighting", "parse P", "total time"]);
     for (label, bw) in [
@@ -428,12 +406,12 @@ pub fn significance() -> String {
     ] {
         let mut tuner = paper_autotuner();
         tuner.optimizer.shuffle_bandwidth = bw;
-        let cmp = tuner.compare(&w);
-        let st = stages(&cmp.chopper);
+        let (_, tuned) = tuner.decide(&w, db);
+        let st = stages(&tuned);
         t.row(vec![
             label.into(),
             st[0].num_tasks.to_string(),
-            format!("{:.1}s", cmp.chopper_time()),
+            format!("{:.1}s", tuned.run_span()),
         ]);
     }
     section(

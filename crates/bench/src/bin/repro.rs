@@ -6,7 +6,8 @@
 //! cargo run --release -p bench --bin repro -- fig3 fig7 table3 ablation_gamma
 //! ```
 //!
-//! Output goes to stdout and, per experiment, to `results/<id>.txt`.
+//! Output goes to stdout and, per experiment, to `results/<id>.txt`;
+//! stderr gets `[repro] <id> <secs> s` after each experiment.
 //! Experiment ids: table1, fig2, fig3, fig4, sec2b, fig7, fig8, table2,
 //! table3, fig9, fig10, fig11, fig12, fig13, fig14, fig_mem, fig_faults,
 //! fig_adaptive, fig_tenants, fig_scale, jobserver, and the nine
@@ -42,7 +43,7 @@ use bench::{
     paper_autotuner_degraded, paper_autotuner_mem, paper_engine, pca_paper, section, sql_paper,
     stages, wordcount_paper, Table,
 };
-use chopper::{Comparison, Workload};
+use chopper::{Comparison, Workload, WorkloadDb};
 use engine::{Context, FaultPlan, StageMetrics, WorkloadConf};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -83,15 +84,22 @@ const EXPERIMENTS: [(&str, Render); 30] = [
     ("fig_tenants", Runner::fig_tenants),
     ("fig_scale", |_| fig_scale()),
     ("jobserver", Runner::jobserver_bench),
-    ("ablation_weights", |_| ablations::weights()),
+    ("ablation_weights", |r| ablations::weights(&r.small_sql().1)),
     ("ablation_gamma", |_| ablations::gamma()),
     ("ablation_copartition", |_| ablations::copartition()),
-    ("ablation_clamp", |_| ablations::clamp()),
-    ("ablation_transfer", |_| ablations::transfer()),
-    ("ablation_algorithms", |_| ablations::algorithms()),
+    ("ablation_clamp", |r| ablations::clamp(&r.small_kmeans().1)),
+    ("ablation_transfer", |r| {
+        ablations::transfer(&r.small_kmeans().1)
+    }),
+    ("ablation_algorithms", |r| {
+        let (vanilla, db) = r.small_sql();
+        ablations::algorithms(vanilla, db)
+    }),
     ("ablation_speculation", |_| ablations::speculation()),
-    ("ablation_basis", |_| ablations::basis()),
-    ("ablation_significance", |_| ablations::significance()),
+    ("ablation_basis", |r| ablations::basis(&r.small_kmeans().1)),
+    ("ablation_significance", |r| {
+        ablations::significance(&r.pca_cmp().db)
+    }),
 ];
 
 fn main() {
@@ -116,53 +124,67 @@ fn main() {
 
     let mut runner = Runner::default();
     for (id, render) in runs {
+        let started = std::time::Instant::now();
         let report = render(&mut runner);
         println!("{report}");
         std::fs::write(format!("results/{id}.txt"), &report)
             .unwrap_or_else(|e| panic!("write results/{id}.txt: {e}"));
+        eprintln!("[repro] {id} {:.1} s", started.elapsed().as_secs_f64());
     }
 }
 
-/// Caches the expensive artifacts shared by several experiments.
+/// Caches the expensive artifacts shared by several experiments: the
+/// `Comparison`s (each with its trained database) and the two small
+/// `Autotuner::observe` results the [`bench::ablations`] share.
 #[derive(Default)]
 struct Runner {
     motivation: Option<MotivationSweep>,
     kmeans: Option<Comparison>,
     pca: Option<Comparison>,
     sql: Option<Comparison>,
+    small_sql: Option<(Context, WorkloadDb)>,
+    small_kmeans: Option<(Context, WorkloadDb)>,
     jobserver: Option<bench::jobserver::JobserverReport>,
 }
 
 impl Runner {
     fn motivation(&mut self) -> &MotivationSweep {
-        if self.motivation.is_none() {
-            self.motivation = Some(MotivationSweep::run());
-        }
-        self.motivation.as_ref().expect("just set")
+        self.motivation.get_or_insert_with(MotivationSweep::run)
     }
 
     fn kmeans_cmp(&mut self) -> &Comparison {
-        if self.kmeans.is_none() {
+        self.kmeans.get_or_insert_with(|| {
             eprintln!("[repro] auto-tuning kmeans (vanilla + test grid + tuned run)...");
-            self.kmeans = Some(paper_autotuner().compare(&kmeans_paper()));
-        }
-        self.kmeans.as_ref().expect("just set")
+            paper_autotuner().compare(&kmeans_paper())
+        })
     }
 
     fn pca_cmp(&mut self) -> &Comparison {
-        if self.pca.is_none() {
+        self.pca.get_or_insert_with(|| {
             eprintln!("[repro] auto-tuning pca...");
-            self.pca = Some(paper_autotuner().compare(&pca_paper()));
-        }
-        self.pca.as_ref().expect("just set")
+            paper_autotuner().compare(&pca_paper())
+        })
     }
 
     fn sql_cmp(&mut self) -> &Comparison {
-        if self.sql.is_none() {
+        self.sql.get_or_insert_with(|| {
             eprintln!("[repro] auto-tuning sql...");
-            self.sql = Some(paper_autotuner().compare(&sql_paper()));
-        }
-        self.sql.as_ref().expect("just set")
+            paper_autotuner().compare(&sql_paper())
+        })
+    }
+
+    fn small_sql(&mut self) -> &(Context, WorkloadDb) {
+        self.small_sql.get_or_insert_with(|| {
+            eprintln!("[repro] observing small sql (vanilla + test grid)...");
+            paper_autotuner().observe(&ablations::small_sql())
+        })
+    }
+
+    fn small_kmeans(&mut self) -> &(Context, WorkloadDb) {
+        self.small_kmeans.get_or_insert_with(|| {
+            eprintln!("[repro] observing small kmeans (vanilla + test grid)...");
+            paper_autotuner().observe(&ablations::small_kmeans())
+        })
     }
 
     // ---- Fig 7: overall execution time ---------------------------------
@@ -390,14 +412,13 @@ impl Runner {
 
     // ---- Multi-tenant job server -----------------------------------------
     fn jobserver_report(&mut self) -> &bench::jobserver::JobserverReport {
-        if self.jobserver.is_none() {
+        self.jobserver.get_or_insert_with(|| {
             eprintln!(
                 "[repro] serving the multi-tenant contention sweep \
                  (1/4/16 tenants, fair + fifo + serial baseline)..."
             );
-            self.jobserver = Some(bench::jobserver::measure_jobserver());
-        }
-        self.jobserver.as_ref().expect("just set")
+            bench::jobserver::measure_jobserver()
+        })
     }
 
     fn jobserver_bench(&mut self) -> String {

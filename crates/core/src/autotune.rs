@@ -1,10 +1,9 @@
-//! End-to-end auto-tuning façade: train → optimize → re-run.
+//! End-to-end auto-tuning façade (Fig. 5, as Section IV uses it).
 //!
-//! Ties the pieces of Fig. 5 together the way the evaluation (Section IV)
-//! uses them: run the workload under vanilla Spark defaults, train the
-//! per-stage models offline from lightweight test runs, compute the
-//! globally optimized configuration (Algorithm 3), install it, and run
-//! again under CHOPPER's co-partition-aware scheduling.
+//! [`Autotuner::observe`] runs the workload under vanilla Spark defaults
+//! and trains the per-stage models from lightweight test runs;
+//! [`Autotuner::decide`] computes the globally optimized configuration
+//! (Algorithm 3) and runs again under co-partition-aware scheduling.
 
 use crate::db::WorkloadDb;
 use crate::optimizer::{get_global_par, OptimizerOptions, TuningPlan};
@@ -118,27 +117,44 @@ impl Autotuner {
         plan
     }
 
-    /// Full evaluation protocol: vanilla run, train, plan, optimized run.
-    ///
-    /// The vanilla run doubles as the *production-run* statistics source
-    /// the paper describes ("CHOPPER also remembers the statistics from
-    /// the user workload execution in a production environment"): its
-    /// full-scale observations anchor the models so the optimizer is not
-    /// extrapolating the Eq. 1–2 polynomial in `D` far beyond the sampled
-    /// test runs.
-    pub fn compare(&self, workload: &dyn Workload) -> Comparison {
-        let vanilla_ctx = workload.run_full(&self.vanilla_opts, &WorkloadConf::new());
+    /// The training half of the evaluation protocol, which reads no
+    /// [`OptimizerOptions`]: the vanilla run, recorded as the anchor, then
+    /// the test grid. The vanilla run is the *production-run* statistics
+    /// source the paper describes ("CHOPPER also remembers the statistics
+    /// from the user workload execution in a production environment"):
+    /// its full-scale observations keep the optimizer from extrapolating
+    /// the Eq. 1–2 polynomial in `D` far beyond the sampled test runs.
+    pub fn observe(&self, workload: &dyn Workload) -> (Context, WorkloadDb) {
+        let vanilla = workload.run_full(&self.vanilla_opts, &WorkloadConf::new());
         let mut db = WorkloadDb::new();
         let full = workload.full_input_bytes();
         db.record_run(
             workload.name(),
-            crate::collector::collect_observations(vanilla_ctx.jobs(), full),
-            crate::collector::collect_dag(vanilla_ctx.jobs(), full),
+            crate::collector::collect_observations(vanilla.jobs(), full),
+            crate::collector::collect_dag(vanilla.jobs(), full),
         );
         self.train(workload, &mut db);
-        let plan = self.plan(workload, &db);
-        let chopper_ctx = workload.run_full(&self.chopper_opts, &plan.conf);
-        Comparison::new(workload.name(), vanilla_ctx, chopper_ctx, plan, db)
+        (vanilla, db)
+    }
+
+    /// The deciding half: the plan from a trained `db`, then the tuned run.
+    pub fn decide(&self, workload: &dyn Workload, db: &WorkloadDb) -> (TuningPlan, Context) {
+        let plan = self.plan(workload, db);
+        let tuned = workload.run_full(&self.chopper_opts, &plan.conf);
+        (plan, tuned)
+    }
+
+    /// Full evaluation protocol: [`Autotuner::observe`], then [`Autotuner::decide`].
+    pub fn compare(&self, workload: &dyn Workload) -> Comparison {
+        let (vanilla, db) = self.observe(workload);
+        let (plan, chopper) = self.decide(workload, &db);
+        Comparison {
+            workload: workload.name().to_string(),
+            vanilla,
+            chopper,
+            plan,
+            db,
+        }
     }
 }
 
@@ -157,22 +173,6 @@ pub struct Comparison {
 }
 
 impl Comparison {
-    fn new(
-        workload: &str,
-        vanilla: Context,
-        chopper: Context,
-        plan: TuningPlan,
-        db: WorkloadDb,
-    ) -> Self {
-        Comparison {
-            workload: workload.to_string(),
-            vanilla,
-            chopper,
-            plan,
-            db,
-        }
-    }
-
     /// Total vanilla execution time (virtual seconds).
     pub fn vanilla_time(&self) -> f64 {
         self.vanilla.run_span()
@@ -221,6 +221,47 @@ mod tests {
         t.optimizer.default_parallelism = 400;
         t.optimizer.candidates = vec![6, 12, 25, 50, 100, 200, 400, 800];
         t
+    }
+
+    /// [`tuner`] with every optimizer knob the ablations sweep changed,
+    /// and nothing else.
+    fn variant() -> Autotuner {
+        let mut t = tuner();
+        t.optimizer.weights = crate::CostWeights {
+            alpha: 0.3,
+            beta: 0.7,
+        };
+        t.optimizer.gamma = 10.0;
+        t.optimizer.clamp_to_trained_range = !t.optimizer.clamp_to_trained_range;
+        t.optimizer.basis = crate::ModelBasis::Paper;
+        t.optimizer.shuffle_bandwidth = None;
+        t
+    }
+
+    #[test]
+    fn one_observation_serves_every_optimizer_variant() {
+        let w = MiniAgg {
+            records_full: 30_000,
+            keys: 40,
+        };
+        let (vanilla, db) = tuner().observe(&w);
+        let mut confs = Vec::new();
+        for t in [tuner(), variant()] {
+            // `compare` is `observe` then `decide`, bit for bit, and the
+            // observation is the same whatever the optimizer options.
+            let fresh = t.compare(&w);
+            assert_eq!(fresh.vanilla_time().to_bits(), vanilla.run_span().to_bits());
+            assert_eq!(
+                fresh.db.to_json(),
+                db.to_json(),
+                "observe read an optimizer option"
+            );
+            let (plan, tuned) = t.decide(&w, &db);
+            assert_eq!(plan.conf, fresh.plan.conf);
+            assert_eq!(tuned.run_span().to_bits(), fresh.chopper_time().to_bits());
+            confs.push(plan.conf);
+        }
+        assert_ne!(confs[0], confs[1], "the variant must decide differently");
     }
 
     #[test]
