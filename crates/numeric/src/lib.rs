@@ -14,7 +14,9 @@
 //! * [`stats`] — summary statistics used by the statistics collector and the
 //!   skew metrics,
 //! * [`sample`] — deterministic reservoir sampling used by the range
-//!   partitioner to estimate key-range bounds.
+//!   partitioner to estimate key-range bounds, and the seeded generator
+//!   whose ziggurat normal draws ([`XorShift64::next_normal`]) the point
+//!   generators use.
 //!
 //! Everything is deterministic and `f64`-based; no external linear-algebra
 //! dependency is used.

@@ -134,12 +134,17 @@ impl KMeans {
         })
     }
 
+    /// The generator of the input points: a mixture of `k` clusters.
+    pub fn points(&self) -> PointGen {
+        PointGen::new(self.config.k, self.config.dim, 2.0, self.config.seed)
+    }
+
     /// Runs the full 20-stage pipeline, returning clustering results.
     pub fn execute(&self, opts: &EngineOptions, conf: &WorkloadConf, scale: f64) -> KMeansResult {
         assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0, 1]");
         let cfg = &self.config;
         let n = ((cfg.points as f64 * scale) as u64).max(cfg.k as u64 * 10);
-        let gen = PointGen::new(cfg.k, cfg.dim, 2.0, cfg.seed);
+        let gen = self.points();
 
         let mut ctx = Context::new(opts.clone());
         ctx.set_conf(conf.clone());
@@ -269,8 +274,7 @@ impl Workload for KMeans {
     }
 
     fn full_input_bytes(&self) -> u64 {
-        PointGen::new(self.config.k, self.config.dim, 2.0, self.config.seed)
-            .bytes(self.config.points)
+        self.points().bytes(self.config.points)
     }
 
     fn run(&self, opts: &EngineOptions, conf: &WorkloadConf, scale: f64) -> Context {
@@ -352,7 +356,7 @@ mod tests {
         // a distinct true center.
         let w = KMeans::new(KMeansConfig::small());
         let res = w.execute(&opts(), &WorkloadConf::new(), 1.0);
-        let truth = PointGen::new(w.config.k, w.config.dim, 2.0, w.config.seed).centers;
+        let truth = w.points().centers;
         for c in &res.centers {
             let min_d = truth
                 .iter()

@@ -117,13 +117,18 @@ impl LogReg {
         LogReg { config }
     }
 
+    /// The generator of the input points: a mixture of two clusters.
+    pub fn points(&self) -> PointGen {
+        PointGen::new(2, self.config.dim, 1.5, self.config.seed)
+    }
+
     /// Runs the full pipeline, returning the learned model.
     pub fn execute(&self, opts: &EngineOptions, conf: &WorkloadConf, scale: f64) -> LogRegResult {
         assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0, 1]");
         let cfg = &self.config;
         let n = ((cfg.points as f64 * scale) as u64).max(64);
         let dim = cfg.dim;
-        let gen = PointGen::new(2, dim, 1.5, cfg.seed);
+        let gen = self.points();
 
         let mut ctx = Context::new(opts.clone());
         ctx.set_conf(conf.clone());

@@ -103,15 +103,19 @@ impl Pca {
         Pca { config }
     }
 
+    /// The generator of the input points: an anisotropic cloud around
+    /// three centers, so the top component is predictable.
+    pub fn points(&self) -> PointGen {
+        PointGen::new(3, self.config.dim, 1.0, self.config.seed)
+    }
+
     /// Runs the pipeline and extracts principal components.
     pub fn execute(&self, opts: &EngineOptions, conf: &WorkloadConf, scale: f64) -> PcaResult {
         assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0, 1]");
         let cfg = &self.config;
         let n = ((cfg.points as f64 * scale) as u64).max(64);
         let dim = cfg.dim;
-        // Anisotropic cloud: one dominant center direction plus noise, so
-        // the top component is predictable.
-        let gen = PointGen::new(3, dim, 1.0, cfg.seed);
+        let gen = self.points();
 
         let mut ctx = Context::new(opts.clone());
         ctx.set_conf(conf.clone());
@@ -357,7 +361,7 @@ mod tests {
     fn mean_matches_direct_computation() {
         let w = Pca::new(PcaConfig::small());
         let res = w.execute(&opts(), &WorkloadConf::new(), 1.0);
-        let gen = PointGen::new(3, w.config.dim, 1.0, w.config.seed);
+        let gen = w.points();
         let n = w.config.points;
         let mut direct = vec![0.0; w.config.dim];
         for i in 0..n {
