@@ -10,15 +10,15 @@
 //! stderr gets `[repro] <id> <secs> s` after each experiment.
 //! Experiment ids: table1, fig2, fig3, fig4, sec2b, fig7, fig8, table2,
 //! table3, fig9, fig10, fig11, fig12, fig13, fig14, fig_mem, fig_faults,
-//! fig_adaptive, fig_tenants, fig_scale, jobserver, and the nine
+//! fig_tenants, fig_scale, jobserver, and the nine
 //! `ablation_*` ids of [`bench::ablations`]. An unknown id prints this
 //! list and exits 2 before anything runs.
 //!
 //! What gates what: every output is on the virtual clock and regenerates
 //! verbatim, so CI's doc-sync step (`repro all`, then `git diff
 //! --exit-code -- results/`) pins all of it to the committed bytes; the
-//! invariants and floors the figures are read by (adaptive speedup,
-//! job-server fairness, the 1000-node flip) are `#[test]`s under `cargo
+//! invariants and floors the figures are read by (job-server fairness,
+//! the 1000-node flip) are `#[test]`s under `cargo
 //! test --workspace`; host wall-clock is measured by `benchmark/` alone
 //! (the `BENCHMARK.json` parent-vs-change run). EXPERIMENTS.md "What
 //! gates what" has the full map.
@@ -27,11 +27,6 @@
 //! auto-tuned at 6/96/1000 nodes on a flat fabric vs an oversubscribed
 //! rack/spine fabric (netsim flow engine), with a flip table showing
 //! where the tuned partition count or partitioner diverges.
-//!
-//! `fig_adaptive` is the adaptive-execution comparison: the skewed
-//! aggregation workload with `--adaptive` off vs on (in-job
-//! hot-partition splitting). It additionally writes
-//! `results/BENCH_adaptive.json`.
 //!
 //! `jobserver` additionally writes `results/BENCH_jobserver.json`: the
 //! multi-tenant contention sweep (1/4/16 tenants, fair vs FIFO, plus a
@@ -52,7 +47,7 @@ use std::fmt::Write as _;
 type Render = fn(&mut Runner) -> String;
 
 /// Every experiment, in the order `all` runs them.
-const EXPERIMENTS: [(&str, Render); 30] = [
+const EXPERIMENTS: [(&str, Render); 29] = [
     ("table1", |_| table1()),
     ("fig2", |r| r.motivation().fig2()),
     ("fig3", |r| r.motivation().fig3()),
@@ -80,7 +75,6 @@ const EXPERIMENTS: [(&str, Render); 30] = [
     }),
     ("fig_mem", |_| fig_mem()),
     ("fig_faults", |_| fig_faults()),
-    ("fig_adaptive", |_| fig_adaptive()),
     ("fig_tenants", Runner::fig_tenants),
     ("fig_scale", |_| fig_scale()),
     ("jobserver", Runner::jobserver_bench),
@@ -877,67 +871,6 @@ fn fig_faults() -> String {
          loss, re-tuning on the shrunk cluster with the failure rate \
          charged into the cost model re-chooses the partition count.",
         format!("{}\n{}", t.render(), o.render()),
-    )
-}
-
-// ---- Fig adaptive: runtime re-optimization on the skewed aggregation -----
-
-fn fig_adaptive() -> String {
-    eprintln!("[repro] fig_adaptive: skewed aggregation, static vs adaptive (virtual clock)...");
-    let report = bench::adaptive::measure_adaptive();
-    std::fs::write("results/BENCH_adaptive.json", report.to_json())
-        .expect("write results/BENCH_adaptive.json");
-
-    let mut t = Table::new(&[
-        "job",
-        "static time",
-        "adaptive time",
-        "static tasks",
-        "adaptive tasks",
-        "static scheme",
-        "adaptive scheme",
-    ]);
-    for r in &report.jobs {
-        t.row(vec![
-            r.job.clone(),
-            fmt_time(r.time_static),
-            fmt_time(r.time_adaptive),
-            r.tasks_static.to_string(),
-            r.tasks_adaptive.to_string(),
-            r.scheme_static.clone(),
-            r.scheme_adaptive.clone(),
-        ]);
-    }
-    let body = format!(
-        "{}\ntotal: static {} vs adaptive {} — {:.2}x faster (floor \
-         {:.1}x); sorted output tables bit-identical: {} (fingerprint \
-         {:016x}).\n",
-        t.render(),
-        fmt_time(report.total_static),
-        fmt_time(report.total_adaptive),
-        report.speedup,
-        bench::adaptive::ADAPTIVE_SPEEDUP_FLOOR,
-        if report.tables_equal { "yes" } else { "NO" },
-        report.fingerprint,
-    );
-    section(
-        "Fig adaptive — in-job hot-partition splitting vs the static plan \
-         (BENCH_adaptive.json)",
-        "The skewed aggregation workload under `--adaptive` off vs on. Job \
-         hot-agg groups a byte-skewed table under a user-fixed range \
-         partitioner whose count-balancing bounds leave one byte-hot \
-         partition; the adaptive engine detects it from the per-bucket \
-         byte columns and splits it into key-preserving sub-tasks \
-         mid-job. The freq-agg rounds run the same hash aggregation twice \
-         over a Zipf table, whose head keys leave one hash partition \
-         byte-hot; each round splits it the same way. Shape criterion: \
-         every job runs more virtual tasks than physical partitions under \
-         its unchanged scheme, the adaptive total beats the static total \
-         by the floor below, and both modes' sorted output tables are \
-         bit-identical (all asserted by the bench::adaptive unit test). \
-         All figures are virtual-clock deterministic: the committed JSON \
-         regenerates verbatim under the doc-sync check.",
-        body,
     )
 }
 

@@ -8,7 +8,6 @@
 //! `tests/end_to_end.rs`.
 
 pub mod ablations;
-pub mod adaptive;
 pub mod jobserver;
 pub mod scale;
 

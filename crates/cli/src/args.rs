@@ -30,7 +30,6 @@ const BOOLEAN_FLAGS: &[&str] = &["copartition", "gantt", "serial"];
 
 /// Flags that take a value, over all commands.
 const VALUE_FLAGS: &[&str] = &[
-    "adaptive",
     "clock",
     "cluster",
     "conf",

@@ -17,7 +17,7 @@ chopper-cli — CHOPPER auto-partitioning (CLUSTER 2016 reproduction)
 commands:
   run      --workload kmeans|pca|sql|logreg|skewagg [--scale F]
            [--partitions N] [--copartition] [--gantt] [--conf FILE]
-           [--adaptive on|off] [--cluster paper|uniform:N,C,GHz]
+           [--cluster paper|uniform:N,C,GHz]
            [--topology flat|rack:RxH[:oversub]]
            [--executor-mem SIZE] [--fault-plan FILE] [--fault-seed N]
   tune     --workload W --db FILE [--out-conf FILE]
@@ -27,7 +27,7 @@ commands:
   compare  --workload W [--partitions N] [--executor-mem SIZE]
   trace    <workload> | --workload W [--scale F] [--partitions N]
            [--out FILE] [--summary-out FILE] [--clock all|virtual|wall]
-           [--conf FILE] [--adaptive on|off] [--cluster paper|uniform:N,C,GHz]
+           [--conf FILE] [--cluster paper|uniform:N,C,GHz]
            [--executor-mem SIZE] [--fault-plan FILE] [--fault-seed N]
   inspect  --db FILE
   conf     --file FILE
@@ -45,12 +45,6 @@ on a non-blocking fabric, so only the receiver NICs are contended;
 `rack:<racks>x<hosts>[:oversub]` groups hosts into racks behind ToR
 uplinks carrying hosts×NIC/oversub each way. The rack grid must have
 room for every cluster node; malformed specs are rejected at parse time.
-
---adaptive (default on) splits byte-hot reduce partitions of hash and
-range shuffles into sub-tasks in-job, from the shuffle's own byte counts.
-Splitting is key-preserving, so sorted outputs are bit-identical to the
-unsplit plan; only simulated timings move. `--adaptive off` restores
-static plans bit-for-bit.
 
 --executor-mem bounds each simulated executor's unified memory (cache +
 task working sets); accepts k/m/g suffixes, e.g. 512m. Omitting it keeps
@@ -139,17 +133,11 @@ fn engine_opts(args: &Args) -> Result<EngineOptions, String> {
         None => None,
         Some(s) => Some(jobserver::parse_mem(s)?),
     };
-    let adaptive = match args.get("adaptive") {
-        None | Some("on") => true,
-        Some("off") => false,
-        Some(other) => return Err(format!("bad --adaptive '{other}' (expected on|off)")),
-    };
     let opts = EngineOptions {
         cluster: cluster(args)?,
         default_parallelism: args.num("partitions", 300).map_err(|e| e.to_string())?,
         copartition_scheduling: args.has("copartition"),
         executor_mem,
-        adaptive,
         faults: fault_plan(args)?,
         ..EngineOptions::default()
     };
@@ -664,41 +652,21 @@ mod tests {
         assert!(!d.copartition_scheduling);
     }
 
+    /// A stage runs one task per partition; there is no splitter to
+    /// switch.
     #[test]
-    fn adaptive_flag_parses_on_off() {
-        assert!(engine_opts(&args(&["run"])).unwrap().adaptive);
-        assert!(
-            engine_opts(&args(&["run", "--adaptive", "on"]))
-                .unwrap()
-                .adaptive
-        );
-        assert!(
-            !engine_opts(&args(&["run", "--adaptive", "off"]))
-                .unwrap()
-                .adaptive
-        );
-        let err = match engine_opts(&args(&["run", "--adaptive", "maybe"])) {
-            Err(e) => e,
-            Ok(_) => panic!("bad --adaptive value must be rejected"),
-        };
-        assert!(err.contains("--adaptive"));
+    fn run_rejects_the_adaptive_flag() {
+        let err = Args::parse(["run", "--adaptive", "on"]).unwrap_err();
+        assert!(err.0.contains("unknown flag --adaptive"), "{err}");
     }
 
     /// ROADMAP item 8's hot join (left ~90 % one key, right uniform, P=8)
-    /// under the options `run --adaptive on` parses to, counted three
-    /// times in one context: every count is the whole join. A between-job
+    /// under the options `run` parses to by default, counted three times
+    /// in one context: every count is the whole join. A between-job
     /// re-planner once turned it into a lossy range join after the first.
     #[test]
-    fn adaptive_on_counts_a_repeated_hot_join_whole() {
-        let flags = [
-            "run",
-            "--adaptive",
-            "on",
-            "--cluster",
-            "uniform:4,8,2.0",
-            "--partitions",
-            "8",
-        ];
+    fn run_counts_a_repeated_hot_join_whole() {
+        let flags = ["run", "--cluster", "uniform:4,8,2.0", "--partitions", "8"];
         let mut ctx = engine::Context::new(engine_opts(&args(&flags)).unwrap());
         let record =
             |k: i64, v: i64| engine::Record::new(engine::Key::Int(k), engine::Value::Int(v));

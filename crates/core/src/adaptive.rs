@@ -1,6 +1,6 @@
 //! No effect: the between-job re-planner's names, kept for the frozen
-//! `benchmark/` until ROADMAP item 4a. Skew is the engine's in-job
-//! splitter's alone (`engine::adaptive`).
+//! `benchmark/` until ROADMAP item 4a. Skew is the chosen partitioner's
+//! and P's alone.
 
 use engine::{ReplanInput, WorkloadConf};
 

@@ -29,14 +29,6 @@ impl Autotuner {
     /// An auto-tuner over the given base engine options: the vanilla run
     /// uses them as-is; CHOPPER runs enable co-partition scheduling.
     pub fn new(base: EngineOptions) -> Self {
-        let mut base = base;
-        // The evaluation protocol measures the *static* plans the cost
-        // model reasons about: in-job hot-partition splitting during a
-        // test run or a timed comparison would fold runtime mitigation
-        // into the model's training data and skew the grid search. The
-        // adaptive layer composes with the tuned plan at production time
-        // instead (and is benchmarked on its own in fig_adaptive).
-        base.adaptive = false;
         let mut chopper = base.clone();
         chopper.copartition_scheduling = true;
         let optimizer = OptimizerOptions {

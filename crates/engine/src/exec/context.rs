@@ -25,7 +25,7 @@ use trace::{pids, ArgValue, Clock, TraceSink, Track};
 /// the first time something is recorded on it.
 pub(super) type Lane = (Track, &'static str);
 
-/// Stage spans and adaptive splits.
+/// Stage spans.
 pub(super) const STAGES: Lane = (Track::new(pids::DRIVER, 0), "stages");
 
 /// The engine context: owns the lineage graph, the simulated cluster, the

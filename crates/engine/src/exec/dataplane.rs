@@ -18,14 +18,13 @@ use std::sync::Arc;
 
 /// Compute units charged per record for partition assignment during shuffle
 /// writes.
-pub(crate) const PARTITION_COST: f64 = 0.05e-6;
+const PARTITION_COST: f64 = 0.05e-6;
 /// Compute units charged per record for range-partitioner sampling.
 const SAMPLE_COST: f64 = 0.02e-6;
 /// Compute units charged per fetched record during reduce-side merges.
 const MERGE_BASE_COST: f64 = 0.03e-6;
 
-#[derive(Clone)]
-pub(crate) enum MergeKind {
+pub(super) enum MergeKind {
     Reduce(ReduceFn, f64),
     Group(f64),
     Concat,
@@ -103,14 +102,10 @@ pub(super) enum StageInput<'s> {
     },
     /// Partition `i` of a cached RDD.
     Cached(CachedParts<'s>),
-    /// Column `i` of a shuffle, merged as the wide op prescribes. Hot
-    /// columns of `split` merge as several sub-tasks (see
-    /// [`crate::adaptive`]); `split_seed` feeds their sub-bound samples.
+    /// Column `i` of a shuffle, merged as the wide op prescribes.
     Shuffle {
         data: &'s ShuffleData,
         merge: MergeKind,
-        split: Option<crate::adaptive::SplitPlan>,
-        split_seed: u64,
     },
     /// Partition `i` of both sides of a join or co-group.
     Join {
@@ -254,11 +249,6 @@ pub(super) struct TaskOut {
     pub(super) captures: Vec<Capture>,
     /// Keys reservoir-sampled from the final records (range shuffles only).
     pub(super) sample: Vec<Key>,
-    /// Per-sub virtual-task statistics when this task ran as an adaptive
-    /// split (`None` for unsplit tasks, and for a hot partition whose keys
-    /// all routed to one sub). The driver turns these into one `TaskSpec`
-    /// per sub.
-    pub(super) sub_stats: Option<Vec<crate::adaptive::SubTaskStats>>,
 }
 
 /// One narrow op compiled for a fused streaming pass.
@@ -457,7 +447,6 @@ struct RootRead<'s> {
     input_bytes: u64,
     /// Generation or merge compute charged so far.
     cost: f64,
-    sub_stats: Option<Vec<crate::adaptive::SubTaskStats>>,
 }
 
 impl RootRead<'_> {
@@ -521,7 +510,6 @@ impl RootRead<'_> {
 fn read_root<'s>(input: &StageInput<'s>, task: TaskId) -> RootRead<'s> {
     let i = task.index;
     let mut cost = 0.0;
-    let mut sub_stats = None;
     let (root, input_records, input_bytes) = match input {
         StageInput::Slice(data) => {
             let (start, end) = (i * data.len() / task.of, (i + 1) * data.len() / task.of);
@@ -545,52 +533,14 @@ fn read_root<'s>(input: &StageInput<'s>, task: TaskId) -> RootRead<'s> {
             let shared = TaskRecords::Shared(Arc::clone(data), 0, data.len());
             (Root::Records(shared), data.len() as u64, cached.sizes[i])
         }
-        StageInput::Shuffle {
-            data,
-            merge,
-            split,
-            split_seed,
-        } => {
-            let k = split.as_ref().map_or(1, |sp| sp.subs[i]);
-            let (records, fetched, bytes) = if k > 1 {
-                // Adaptive hot-partition split: take the column in map
-                // order, route each record to one of `k` sub-buckets, and
-                // merge each non-empty sub independently. The routing is
-                // key-preserving, so aggregates match the unsplit merge;
-                // concatenation in sub order keeps the output deterministic.
-                // Keys that all route to one sub merge unsplit.
-                let column = data.column(i);
-                let maps: Vec<(usize, Vec<Record>)> = column
-                    .iter()
-                    .map(|run| {
-                        let mut records = Vec::new();
-                        data.with_run(run, &mut |r| records = r.into_records());
-                        (run.map as usize, records)
-                    })
-                    .collect();
-                let fetched: u64 = maps.iter().map(|(_, b)| b.len() as u64).sum();
-                let bytes: u64 = column.iter().map(|r| r.bytes).sum();
-                let seed = split_seed ^ ((i as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15));
-                let router = crate::adaptive::SubRouter::build(
-                    maps.iter().flat_map(|(_, b)| b).map(|r| &r.key),
-                    k,
-                    seed,
-                );
-                let (records, merge_cost, stats) =
-                    crate::adaptive::merge_split(maps, merge, &router);
-                cost += merge_cost;
-                sub_stats = stats;
-                (records, fetched, bytes)
-            } else {
-                let mut bytes = 0;
-                let feed = |push: &mut dyn FnMut(Run<'_>)| {
-                    let (fetched, b) = data.drain_column(i, push);
-                    bytes = b;
-                    fetched
-                };
-                let (records, fetched) = merge_runs(merge, feed, &mut cost);
-                (records, fetched, bytes)
+        StageInput::Shuffle { data, merge } => {
+            let mut bytes = 0;
+            let feed = |push: &mut dyn FnMut(Run<'_>)| {
+                let (fetched, b) = data.drain_column(i, push);
+                bytes = b;
+                fetched
             };
+            let (records, fetched) = merge_runs(merge, feed, &mut cost);
             (Root::Records(TaskRecords::Owned(records)), fetched, bytes)
         }
         StageInput::Join {
@@ -612,7 +562,6 @@ fn read_root<'s>(input: &StageInput<'s>, task: TaskId) -> RootRead<'s> {
         input_records,
         input_bytes,
         cost,
-        sub_stats,
     }
 }
 
@@ -635,10 +584,8 @@ fn drain_sides(
 /// The reduce-side merge of a single-parent wide op: `feed` pushes the
 /// task's runs, in map-task order, into the accumulator `kind` calls for
 /// and returns how many records that was. Returns the merged records and
-/// that count; the merge compute is added to `cost`. A whole reduce
-/// partition and each sub of an adaptively split one merge here, so both
-/// charge in the same `f64` order.
-pub(crate) fn merge_runs(
+/// that count; the merge compute is added to `cost`.
+fn merge_runs(
     kind: &MergeKind,
     feed: impl FnOnce(&mut dyn FnMut(Run<'_>)) -> u64,
     cost: &mut f64,
@@ -714,7 +661,6 @@ pub(super) fn compute_task(
         input_bytes: root.input_bytes,
         captures,
         sample,
-        sub_stats: root.sub_stats,
     }
 }
 

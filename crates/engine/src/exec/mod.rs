@@ -33,7 +33,6 @@ mod options;
 mod stage;
 
 pub use context::Context;
-pub(crate) use dataplane::{merge_runs, MergeKind, PARTITION_COST};
 pub use options::{EngineOptions, ReplanInput};
 
 /// What the unit tests of every module here build their jobs from.

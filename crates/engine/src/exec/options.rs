@@ -63,15 +63,6 @@ pub struct EngineOptions {
     /// epochs may occupy. Purely a host-side concern — virtual timings and
     /// results are bit-identical shared or not.
     pub shared_pool: Option<Arc<WorkerPool>>,
-    /// Adaptive query execution (the default): after the map side of a
-    /// shuffle completes, the engine inspects each reduce partition's
-    /// shuffle bytes and splits hot ones, hash or range, into sub-tasks
-    /// before reduce work dispatches (see [`crate::adaptive`]). Every
-    /// decision is a pure function of data-plane byte counts, so results
-    /// stay bit-identical across worker counts and fault plans; sorted
-    /// output tables equal the unsplit run's. `false` restores static
-    /// plans bit-for-bit — timings included.
-    pub adaptive: bool,
     /// No effect. The engine never calls this hook, and no
     /// [`ReplanInput`] to call it with exists; it once re-planned between
     /// jobs and is kept only for the frozen `benchmark/` until ROADMAP
@@ -105,7 +96,6 @@ impl Default for EngineOptions {
             faults: None,
             batch: true,
             shared_pool: None,
-            adaptive: true,
             replan: None,
         }
     }

@@ -118,27 +118,7 @@ impl Context {
         }
         self.account_cached_reads(&reads.cached_reads);
 
-        // A stage counts as split only if some task actually ran as subs.
-        let split_tasks = outs.iter().filter(|o| o.sub_stats.is_some()).count();
-        let StageSpecs {
-            mut specs,
-            last_spec_of_task,
-            unsplit,
-        } = self.build_specs(&cx, &reads, &outs, writes.as_deref(), split_tasks > 0);
-        if split_tasks > 0 {
-            self.emit(STAGES, "adaptive", || {
-                (
-                    format!("j{job_id}.s{gid} adaptive split"),
-                    vec![
-                        ("stage", gid.into()),
-                        ("job", job_id.into()),
-                        ("hot_partitions", split_tasks.into()),
-                        ("physical_tasks", cx.num_tasks.into()),
-                        ("virtual_tasks", specs.len().into()),
-                    ],
-                )
-            });
-        }
+        let mut specs = self.build_specs(&cx, &reads, &outs, writes.as_deref());
         // Corrupt-chunk injection appends re-fetch entries to the specs'
         // fetch lists, and the metrics byte tables must stay
         // fault-invariant: remember where each list ended before it.
@@ -147,12 +127,8 @@ impl Context {
             .as_ref()
             .filter(|f| f.plan.corrupt_prob > 0.0)
             .map(|_| specs.iter().map(|s| s.fetches.len()).collect());
-        let timing = self.charge_stage(&cx, &mut specs, split_tasks > 0);
-        // Per physical task: the node that finished it (its last sub).
-        let homes: Vec<NodeId> = last_spec_of_task
-            .iter()
-            .map(|&j| timing.tasks[j].node)
-            .collect();
+        let timing = self.charge_stage(&cx, &mut specs);
+        let homes: Vec<NodeId> = timing.tasks.iter().map(|t| t.node).collect();
         self.capture(plan, stage, gid, &outs, &homes);
 
         reads.parents_gids.sort_unstable();
@@ -181,13 +157,11 @@ impl Context {
                     runs,
                     nodes: homes,
                     producer_gid: gid,
-                    // Retained only under a fault plan, as-if-unsplit when
-                    // a split fired: recompute of a lost map output re-runs
-                    // the whole physical task, not one sub.
-                    specs: match (self.faults.is_some(), unsplit) {
-                        (false, _) => Vec::new(),
-                        (true, Some(unsplit)) => unsplit,
-                        (true, None) => specs,
+                    // Retained only under a fault plan.
+                    specs: if self.faults.is_some() {
+                        specs
+                    } else {
+                        Vec::new()
                     },
                     shared: reads_left > 1,
                     reads_left,
@@ -244,26 +218,8 @@ impl Context {
                     OpKind::Repartition { .. } => MergeKind::Concat,
                     other => unreachable!("single-parent wide op expected, got {other:?}"),
                 };
-                // Adaptive hot-partition split, decided from the bytes of
-                // each reduce partition's runs before any reduce work
-                // dispatches. Purely data-plane inputs: identical across
-                // worker counts and fault plans.
-                if self.options.adaptive
-                    && crate::adaptive::split_eligible(cx.plan, &self.graph, cx.plan_idx).is_some()
-                {
-                    reads.split_plan =
-                        crate::adaptive::plan_splits(&data.column_bytes().collect::<Vec<_>>());
-                    if reads.split_plan.is_some() {
-                        reads.producer_nodes = data.nodes.clone();
-                    }
-                }
                 reads.tasks = (0..num_tasks).map(|i| data.read_of(i)).collect();
-                StageInput::Shuffle {
-                    data,
-                    merge,
-                    split: reads.split_plan.clone(),
-                    split_seed: crate::adaptive::split_seed(cx.job_id, cx.plan_idx),
-                }
+                StageInput::Shuffle { data, merge }
             }
             StageRoot::JoinRead { wide, left, right } => {
                 let read = |dep: &SideDep, i| match dep {
@@ -465,24 +421,16 @@ impl Context {
     // ------------------------------------------------------------------
 
     /// Turns what the tasks read, computed and wrote into simulator task
-    /// specs — one per task, or one per sub-merge where a task ran as an
-    /// adaptive split (`split_active`: some task did).
+    /// specs, one per task.
     fn build_specs(
         &mut self,
         cx: &StageCtx<'_>,
         reads: &StageReads,
         outs: &[TaskOut],
         writes: Option<&[MapWrite]>,
-        split_active: bool,
-    ) -> StageSpecs {
+    ) -> Vec<TaskSpec> {
         let task_mem_budget = self.options.per_task_mem_budget();
-        let keep_unsplit = self.faults.is_some() && split_active;
         let mut specs: Vec<TaskSpec> = Vec::with_capacity(outs.len());
-        // Split tasks expand into several virtual specs, but downstream
-        // consumers address shuffle data per *physical* task: remember each
-        // task's final spec, whose node finishes (and stores) its output.
-        let mut last_spec_of_task: Vec<usize> = Vec::with_capacity(outs.len());
-        let mut unsplit: Vec<TaskSpec> = Vec::new();
         for (i, (task, out)) in reads.tasks.iter().zip(outs).enumerate() {
             let (mut write_bytes, extra_cost) =
                 writes.map_or((0, 0.0), |w| (w[i].runs.total_bytes(), w[i].cost));
@@ -500,10 +448,7 @@ impl Context {
             }
             let mut preferred = task.preferred_nodes.clone();
             let mut pinned = None;
-            // Split stages skip co-partition anchoring: their virtual task
-            // indices no longer align 1:1 with partition indices, so an
-            // anchor keyed on them would pin the wrong data together.
-            if self.options.copartition_scheduling && !split_active {
+            if self.options.copartition_scheduling {
                 if let Some(s) = cx.root_scheme {
                     if let Some(&anchor) = self.anchors.get(&(s.kind, s.partitions, i)) {
                         pinned = Some(anchor);
@@ -514,7 +459,7 @@ impl Context {
                     }
                 }
             }
-            let base_spec = TaskSpec {
+            specs.push(TaskSpec {
                 compute_cost: out.cost + extra_cost,
                 local_read_bytes,
                 fetches: task.fetches.clone(),
@@ -523,55 +468,9 @@ impl Context {
                 memory_bytes: out.input_bytes + out.out_bytes,
                 preferred_nodes: preferred,
                 pinned_node: pinned,
-            };
-            if keep_unsplit {
-                unsplit.push(base_spec.clone());
-            }
-            match out.sub_stats.as_deref() {
-                Some(stats) => {
-                    debug_assert_eq!(
-                        stats.iter().map(|s| s.fetched).sum::<u64>(),
-                        out.input_records,
-                        "sub-splits must partition the task's input"
-                    );
-                    let sub_cost_sum: f64 = stats.iter().map(|s| s.cost).sum();
-                    for (s_idx, st) in stats.iter().enumerate() {
-                        let last = s_idx + 1 == stats.len();
-                        let sub_in: u64 = st.per_map_bytes.iter().map(|&(_, b)| b).sum();
-                        specs.push(TaskSpec {
-                            // The narrow chain (plus any bucketize/spill
-                            // charge) runs once over the concatenated
-                            // sub-outputs; charge it to the last sub, whose
-                            // finish gates the physical task's output.
-                            compute_cost: st.cost
-                                + if last {
-                                    (out.cost - sub_cost_sum) + extra_cost
-                                } else {
-                                    0.0
-                                },
-                            local_read_bytes: if last { local_read_bytes } else { 0 },
-                            fetches: aggregate_fetches(
-                                st.per_map_bytes
-                                    .iter()
-                                    .map(|&(m, b)| (reads.producer_nodes[m], b)),
-                            ),
-                            fetch_chunks: st.per_map_bytes.iter().filter(|&&(_, b)| b > 0).count(),
-                            write_bytes: if last { write_bytes } else { 0 },
-                            memory_bytes: sub_in + st.out_bytes,
-                            preferred_nodes: Vec::new(),
-                            pinned_node: None,
-                        });
-                    }
-                }
-                None => specs.push(base_spec),
-            }
-            last_spec_of_task.push(specs.len() - 1);
+            });
         }
-        StageSpecs {
-            specs,
-            last_spec_of_task,
-            unsplit: keep_unsplit.then_some(unsplit),
-        }
+        specs
     }
 
     // ------------------------------------------------------------------
@@ -586,7 +485,6 @@ impl Context {
         &mut self,
         cx: &StageCtx<'_>,
         specs: &mut [TaskSpec],
-        split_active: bool,
     ) -> simcluster::StageTiming {
         let (gid, job_id) = (cx.gid, cx.job_id);
         let stage_faults = self.inject_task_faults(specs, gid);
@@ -605,8 +503,7 @@ impl Context {
             });
         }
         // Anchor co-partitioned indices for subsequent same-scheme stages.
-        // Split stages don't anchor: spec indices ≠ partition indices.
-        if self.options.copartition_scheduling && !split_active {
+        if self.options.copartition_scheduling {
             if let Some(s) = cx.root_scheme {
                 for (i, t) in timing.tasks.iter().enumerate() {
                     self.anchors
@@ -624,9 +521,7 @@ impl Context {
     // ------------------------------------------------------------------
 
     /// Stage metrics. `fetches` are the pre-injection spec fetch tables,
-    /// one per simulated task: identical to the tasks' own reads for
-    /// unsplit stages (specs clone them verbatim), and correctly per-sub
-    /// for split stages.
+    /// one per task: the tasks' own reads (specs clone them verbatim).
     fn stage_metrics<'f>(
         &self,
         cx: &StageCtx<'_>,
@@ -672,8 +567,6 @@ impl Context {
             scheme: cx.root_scheme.or(Some(PartitionerSpec::hash(cx.num_tasks))),
             configurable,
             user_fixed: root_node.user_fixed,
-            // Virtual tasks actually simulated — exceeds the physical
-            // partition count when an adaptive split fired.
             num_tasks: timing.tasks.len(),
             input_records: outs.iter().map(|o| o.input_records).sum(),
             input_bytes: outs.iter().map(|o| o.input_bytes).sum(),
@@ -874,20 +767,6 @@ struct StageReads {
     parents_gids: Vec<usize>,
     /// Cached RDDs consumed by this stage, for lineage ref-counting.
     cached_reads: Vec<Rdd>,
-    /// `None` when `--adaptive off`, the stage is ineligible, or the
-    /// column skew sits below the trigger.
-    split_plan: Option<crate::adaptive::SplitPlan>,
-    /// Producer task placements, kept for per-sub fetch construction.
-    producer_nodes: Vec<NodeId>,
-}
-
-/// Simulator specs of one stage (see [`Context::build_specs`]).
-struct StageSpecs {
-    specs: Vec<TaskSpec>,
-    last_spec_of_task: Vec<usize>,
-    /// As-if-unsplit specs, retained for lineage recovery when a split
-    /// fired under a fault plan.
-    unsplit: Option<Vec<TaskSpec>>,
 }
 
 impl ShuffleData {
@@ -944,79 +823,12 @@ mod tests {
     use super::{aggregate_fetches, index_runs, Context};
     use crate::metrics::StageKind;
     use crate::ops::Emit;
-    use crate::partitioner::{HashPartitioner, Partitioner, PartitionerSpec};
+    use crate::partitioner::{HashPartitioner, PartitionerSpec};
     use crate::pool::{lock, WorkerPool};
     use crate::record::{Key, Record, Value};
     use crate::shuffle::{bucketize_runs, TaskArena};
     use std::sync::atomic::Ordering;
     use std::sync::{Arc, Mutex};
-
-    /// `keys` distinct keys of hash partition 0 of 4, `per_key` records
-    /// each, then one record of each of 30 keys of the other partitions.
-    fn one_hot_hash_bucket(keys: usize, per_key: usize) -> Vec<Record> {
-        let keys_where = |hot: bool| {
-            let p = HashPartitioner::new(4);
-            (0i64..)
-                .map(Key::Int)
-                .filter(move |k| (p.partition(k) == 0) == hot)
-        };
-        let hot = keys_where(true)
-            .take(keys)
-            .flat_map(|k| (0..per_key as i64).map(move |v| Record::new(k.clone(), Value::Int(v))));
-        let cold = keys_where(false)
-            .take(30)
-            .map(|k| Record::new(k, Value::Int(0)));
-        hot.chain(cold).collect()
-    }
-
-    /// A hot hash bucket splits in-job, and the `adaptive split` instant
-    /// reports what ran: the partitions actually split and the stage's
-    /// task count once empty subs are dropped. The sorted output equals
-    /// the unsplit run's. A bucket hot with one key routes to one sub, so
-    /// it runs as the unsplit task: no instant and the unsplit run's every
-    /// virtual bit.
-    #[test]
-    fn a_hot_hash_bucket_splits_and_reports_what_ran() {
-        let run = |records: Vec<Record>, adaptive: bool| {
-            let mut ctx = Context::new(EngineOptions {
-                adaptive,
-                trace: trace::TraceSink::enabled(),
-                ..test_options()
-            });
-            let src = ctx.parallelize(records, 4, "src");
-            let grouped = ctx.group_by_key(src, Some(PartitionerSpec::hash(4)), 1e-6, "group");
-            let out = sorted(ctx.collect(grouped, "g"));
-            (ctx, out)
-        };
-        let reported = |ctx: &Context| -> Vec<[trace::ArgValue; 2]> {
-            let arg = |e: &trace::Event, name: &str| {
-                let (_, value) = e.args.iter().find(|(k, _)| *k == name).expect("an arg");
-                value.clone()
-            };
-            let events = ctx.trace_sink().events();
-            let splits = events.iter().filter(|e| e.name.ends_with("adaptive split"));
-            splits
-                .map(|e| [arg(e, "hot_partitions"), arg(e, "virtual_tasks")])
-                .collect()
-        };
-
-        let (on, out_on) = run(one_hot_hash_bucket(64, 20), true);
-        let (_, out_off) = run(one_hot_hash_bucket(64, 20), false);
-        assert_eq!(out_on, out_off);
-        let tasks = on.jobs()[0].stages[1].num_tasks;
-        assert!(tasks > 4, "the hot hash partition ran as {tasks} tasks");
-        let want = [
-            trace::ArgValue::UInt(1),
-            trace::ArgValue::UInt(tasks as u64),
-        ];
-        assert_eq!(reported(&on), [want]);
-
-        let (on, out_on) = run(one_hot_hash_bucket(1, 1280), true);
-        let (off, out_off) = run(one_hot_hash_bucket(1, 1280), false);
-        assert_eq!(out_on, out_off);
-        assert!(reported(&on).is_empty(), "a one-sub split is no split");
-        assert_eq!(format!("{:?}", on.jobs()), format!("{:?}", off.jobs()));
-    }
 
     /// Two tenants capped to one lane each run inline on their own threads
     /// and both get participant 0 of the shared pool — the same arena

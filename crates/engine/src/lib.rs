@@ -44,7 +44,6 @@
 //! assert_eq!(out.len(), 5);
 //! ```
 
-pub mod adaptive;
 pub mod batch;
 pub mod config;
 pub mod exec;
@@ -57,7 +56,6 @@ pub mod record;
 pub mod shuffle;
 pub mod stage;
 
-pub use adaptive::{plan_splits, SplitPlan, SubRouter, HOT_SKEW_TRIGGER};
 pub use batch::ColumnBatch;
 pub use config::WorkloadConf;
 pub use exec::{Context, EngineOptions, ReplanInput};

@@ -41,17 +41,15 @@ pub struct StageMetrics {
     pub terminal_signature: u64,
     /// Root kind.
     pub kind: StageKind,
-    /// The scheme that governed this stage's physical task count: the
+    /// The scheme that governed this stage's task count: the
     /// shuffle's for a stage that reads one, otherwise `hash(n)` over the
-    /// stage's `n` splits. `partitions` is the task count before any
-    /// adaptive split.
+    /// stage's `n` splits. `partitions` is the task count.
     pub scheme: Option<PartitionerSpec>,
     /// Whether CHOPPER may change this stage's scheme via configuration.
     pub configurable: bool,
     /// Whether the program pinned the scheme explicitly.
     pub user_fixed: bool,
-    /// Virtual tasks simulated: `scheme.partitions`, or more when an
-    /// adaptive split fired.
+    /// Tasks simulated: one per partition, so `scheme.partitions`.
     pub num_tasks: usize,
     /// Records entering the stage.
     pub input_records: u64,
@@ -69,8 +67,8 @@ pub struct StageMetrics {
     pub remote_read_bytes: u64,
     /// Max/mean ([`trace::skew_ratio`]) of the bytes this stage wrote per
     /// reduce partition; 1.0 when it wrote no shuffle. The data-plane
-    /// statistic the in-job splitter triggers on, kept so the re-planner
-    /// can retune the reading stage for the next job.
+    /// skew the chosen partitioner and P left in the reading stage's
+    /// input.
     pub write_bucket_skew: f64,
     /// Stage start (virtual seconds).
     pub start: f64,

@@ -144,16 +144,6 @@ pub enum Run<'a> {
     Shared(&'a [Record]),
 }
 
-impl Run<'_> {
-    /// The run's records by value.
-    pub fn into_records(self) -> Vec<Record> {
-        match self {
-            Run::Moved(records) => records.iter_mut().map(std::mem::take).collect(),
-            Run::Shared(records) => records.to_vec(),
-        }
-    }
-}
-
 /// Pass-through hasher for keys that are already good hashes (`stable_hash`
 /// output); avoids re-hashing `u64` map keys in the combine path.
 #[derive(Default, Clone)]

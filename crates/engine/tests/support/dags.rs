@@ -196,7 +196,6 @@ impl Program {
 #[derive(Clone, Debug)]
 struct Knobs {
     workers: usize,
-    adaptive: bool,
     tight_mem: bool,
     faults: Option<FaultPlan>,
     one_rack: bool,
@@ -242,7 +241,6 @@ impl Knobs {
             // Small enough that a few hundred records spill.
             executor_mem: self.tight_mem.then_some(16 * 1024),
             faults,
-            adaptive: self.adaptive,
             ..EngineOptions::default()
         }
     }
@@ -356,7 +354,6 @@ fn draw_program(rng: &mut TestRng) -> Program {
 fn draw_knobs(rng: &mut TestRng) -> Knobs {
     Knobs {
         workers: pick(rng, &[1, 4]),
-        adaptive: below(rng, 4) > 0,
         tight_mem: rng.bool(),
         faults: rng.bool().then(|| arb_plan().generate(rng)),
         one_rack: rng.bool(),
@@ -440,13 +437,17 @@ fn check(program: &Program, knobs: &Knobs, seen: &mut Seen) {
     let shared = (0..first.shuffles.len()).any(|s| first.shuffle_reads(s) > 1);
     seen.note("shuffle read twice", shared);
     let stages = ctx.all_stages();
+    // One task per partition.
+    for m in &stages {
+        let scheme = m.scheme.expect("every stage has a scheme");
+        assert_eq!(m.num_tasks, scheme.partitions, "{}: tasks", m.name);
+    }
     let is_wide = |m: &&&StageMetrics| matches!(m.kind, StageKind::Shuffle | StageKind::Join);
     let wide: Vec<_> = stages.iter().filter(is_wide).collect();
     let p = |m: &StageMetrics| m.scheme.expect("a wide stage has a scheme").partitions;
     // The records a stage fetched bound its keys.
     let sparse = |m: &&&StageMetrics| p(m) >= 64 && 8 * m.input_records as usize <= p(m);
     seen.note("P ≫ keys", wide.iter().any(sparse));
-    seen.note("adaptive split", wide.iter().any(|m| m.num_tasks > p(m)));
     let reread = stages.iter().any(|m| m.kind == StageKind::Cached);
     seen.note("cached partition re-read", reread);
     let uncache = program.steps.iter().any(|s| matches!(s, Step::Uncache(_)));

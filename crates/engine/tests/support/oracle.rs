@@ -157,8 +157,8 @@ impl<'g> Oracle<'g> {
 
 /// `records` in one canonical order — by key, then by the rendered value —
 /// with every list inside a value put in that order first: the order in
-/// which runs reached a merge, which the scheme, P and an adaptive split
-/// all move, is not part of a result.
+/// which runs reached a merge, which the scheme and P move, is not part
+/// of a result.
 pub fn sorted(records: Vec<Record>) -> Vec<Record> {
     fn canon(v: Value) -> Value {
         match v {

@@ -156,7 +156,8 @@ impl FaultPlan {
                 }
                 "max-task-retries" => {
                     arity(1)?;
-                    plan.max_task_retries = int(0, "retry count")? as u32;
+                    plan.max_task_retries =
+                        rest[0].parse::<u32>().map_err(|_| bad("bad retry count"))?;
                 }
                 "retry-backoff" => {
                     arity(1)?;
@@ -403,6 +404,15 @@ mod tests {
         assert!(FaultPlan::from_text("lose-node 1").is_err());
         assert!(FaultPlan::from_text("slow-node 1 2.0").is_err());
         assert!(FaultPlan::from_text("seed 1 2").is_err());
+    }
+
+    /// A retry count past `u32::MAX` is an error, not a wrapped count.
+    #[test]
+    fn parser_rejects_a_retry_count_past_u32() {
+        let plan = FaultPlan::from_text("max-task-retries 4294967295").expect("u32::MAX");
+        assert_eq!(plan.max_task_retries, u32::MAX);
+        let err = FaultPlan::from_text("max-task-retries 4294967296").unwrap_err();
+        assert!(err.contains("bad retry count"), "{err}");
     }
 
     #[test]

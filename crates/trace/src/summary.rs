@@ -9,10 +9,9 @@ use std::borrow::Borrow;
 ///
 /// Returns 1.0 (perfectly balanced) for no values or a zero mean so
 /// callers can multiply/compare without guarding. This is the *single*
-/// definition of "skew" in the tree: the engine's task-time skew metric,
-/// a stage's written-bucket skew, and the adaptive executor's
-/// hot-partition trigger all call it, so a threshold tuned against one is
-/// valid against the others.
+/// definition of "skew" in the tree: the engine's task-time skew metric
+/// and a stage's written-bucket skew both call it, so the two read on
+/// one scale.
 pub fn skew_ratio(values: impl IntoIterator<Item = impl Borrow<f64>>) -> f64 {
     let (mut n, mut sum, mut max) = (0usize, 0.0f64, f64::MIN);
     for v in values {

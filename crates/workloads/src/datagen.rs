@@ -335,13 +335,12 @@ impl TableGen {
     }
 }
 
-/// Byte-skewed keyed-row generator for the adaptive-execution workload:
+/// Byte-skewed keyed-row generator for the skewed-aggregation workload:
 /// key *frequencies* are uniform, but a contiguous low range of keys
 /// carries a payload `fat_factor ×` larger than the rest. Count-based
 /// partitioning (and sampled range bounds, which equalize record counts)
 /// cannot see the imbalance — the partition holding the fat key range is
-/// byte-hot, which is exactly the condition the engine's hot-partition
-/// splitter detects from published per-bucket byte columns.
+/// byte-hot.
 #[derive(Debug, Clone)]
 pub struct HotTableGen {
     /// Distinct keys (uniformly likely).

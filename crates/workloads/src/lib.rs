@@ -13,9 +13,8 @@
 //!   narrow over two cached co-partitionable aggregates (Figs. 9–10).
 //! * [`logreg`] — logistic regression by distributed gradient descent, an
 //!   extra iterative subject beyond the paper's three.
-//! * [`skewagg`] — byte- and count-skewed group-by aggregations, the
-//!   demonstration subject for the adaptive execution layer (in-job
-//!   hot-partition splitting and between-job re-planning).
+//! * [`skewagg`] — byte- and count-skewed group-by aggregations, whose
+//!   hot partitions only the partitioner and P can spread.
 //!
 //! All input data comes from the deterministic generators in [`datagen`];
 //! rerunning any workload with the same seed reproduces results, shuffle

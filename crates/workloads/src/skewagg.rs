@@ -1,5 +1,6 @@
-//! The skewed-aggregation workload — the adaptive execution layer's
-//! demonstration subject.
+//! The skewed-aggregation workload: group-by aggregations over data
+//! whose skew no count-based partitioner sees, so what a hot partition
+//! costs its stage is set by the partitioner and P alone.
 //!
 //! Three jobs over two deterministic tables:
 //!
@@ -8,18 +9,15 @@
 //!   contiguous low key range carrying `fat_factor ×` payloads) under a
 //!   user-fixed **range** partitioner. Sampled range bounds equalize
 //!   record *counts*, so the partition holding the fat key range is
-//!   byte-hot — with `--adaptive on` the engine detects it from the
-//!   published per-bucket byte columns and splits it into key-preserving
-//!   sub-tasks; with `--adaptive off` the hot task serializes the stage.
+//!   byte-hot, and its one task holds the stage.
 //! * **jobs 1–2 — `freq-agg` ×2**: the same group-by aggregation, twice,
 //!   over a Zipf count-skewed table with no explicit scheme (engine
-//!   default: hash). The head keys make their hash bucket byte-hot, and
-//!   with `--adaptive on` each round splits it in-job like the range one.
+//!   default: hash). The head keys make their hash bucket byte-hot; the
+//!   stage is configurable, so CHOPPER may retune its partitioner and P.
 //!
-//! Aggregates are order-insensitive per key and splitting is
-//! key-preserving, so the sorted output tables — and [`SkewAggResult`]'s
-//! fingerprint — are bit-identical between `--adaptive on` and `off`;
-//! only the simulated timings differ.
+//! Aggregates are order-insensitive per key, so the sorted output tables
+//! — and [`SkewAggResult`]'s fingerprint — do not depend on the scheme or
+//! P; only the simulated timings do.
 
 use crate::datagen::{table_bytes, HotTableGen, TableGen, ZipfSlot};
 use chopper::Workload;
@@ -60,10 +58,9 @@ pub struct SkewAggConfig {
 }
 
 impl SkewAggConfig {
-    /// Full-size instance for the `fig_adaptive` benchmark: cheap
-    /// per-row compute and very fat payloads, so on a bandwidth-scaled
-    /// cluster the byte-hot partition's fetch time dominates its reduce
-    /// stage and splitting it pays off end to end.
+    /// Full-size instance: cheap per-row compute and very fat payloads,
+    /// so on a bandwidth-scaled cluster the byte-hot partition's fetch
+    /// time dominates its reduce stage.
     pub fn paper() -> Self {
         SkewAggConfig {
             rows_hot: 60_000,
@@ -234,7 +231,7 @@ impl SkewAgg {
             .collect();
         hot_table.sort_by_key(|r| r.0);
 
-        // ---- jobs 1–2: count-skewed aggregation, hash → adaptive retune ----
+        // ---- jobs 1–2: count-skewed aggregation under the default hash ----
         let freq_gen = self.freq_table();
         let mut freq_table = Vec::new();
         for _round in 0..2 {
@@ -297,12 +294,11 @@ mod tests {
     use engine::StageKind;
     use simcluster::uniform_cluster;
 
-    fn opts(adaptive: bool) -> EngineOptions {
+    fn opts() -> EngineOptions {
         EngineOptions {
             cluster: uniform_cluster(3, 4, 2.0),
             default_parallelism: 8,
             workers: 2,
-            adaptive,
             ..EngineOptions::default()
         }
     }
@@ -310,7 +306,7 @@ mod tests {
     #[test]
     fn three_jobs_six_stages() {
         let w = SkewAgg::new(SkewAggConfig::small());
-        let res = w.execute(&opts(false), &WorkloadConf::new(), 1.0);
+        let res = w.execute(&opts(), &WorkloadConf::new(), 1.0);
         assert_eq!(res.ctx.jobs().len(), 3, "hot-agg + two freq-agg rounds");
         let stages = res.ctx.all_stages();
         assert_eq!(stages.len(), 6, "each job is a map + reduce pair");
@@ -323,7 +319,7 @@ mod tests {
     #[test]
     fn aggregation_matches_direct_computation() {
         let w = SkewAgg::new(SkewAggConfig::small());
-        let res = w.execute(&opts(true), &WorkloadConf::new(), 1.0);
+        let res = w.execute(&opts(), &WorkloadConf::new(), 1.0);
         let cfg = &w.config;
         let gen = HotTableGen::new(
             cfg.keys,
@@ -349,71 +345,28 @@ mod tests {
         }
     }
 
+    /// Every job writes a byte-hot bucket, and every stage still runs one
+    /// task per partition: the skew is left to the partitioner and P.
     #[test]
-    fn adaptive_on_and_off_agree_bit_for_bit() {
+    fn hot_buckets_run_as_one_task_each() {
         let w = SkewAgg::new(SkewAggConfig::small());
-        let on = w.execute(&opts(true), &WorkloadConf::new(), 1.0);
-        let off = w.execute(&opts(false), &WorkloadConf::new(), 1.0);
-        assert_eq!(on.hot_table, off.hot_table);
-        assert_eq!(on.freq_table, off.freq_table);
-        assert_eq!(on.fingerprint(), off.fingerprint());
-    }
-
-    #[test]
-    fn adaptive_beats_static_on_the_virtual_clock() {
-        let w = SkewAgg::new(SkewAggConfig::small());
-        let on = w.execute(&opts(true), &WorkloadConf::new(), 1.0);
-        let off = w.execute(&opts(false), &WorkloadConf::new(), 1.0);
-        let t_on = on.ctx.clock();
-        let t_off = off.ctx.clock();
-        assert!(
-            t_on < t_off,
-            "splitting the hot partition must shorten the simulated run: \
-             on={t_on:.4}s off={t_off:.4}s"
-        );
-    }
-
-    #[test]
-    fn split_fires_on_the_hot_range_stage() {
-        let w = SkewAgg::new(SkewAggConfig::small());
-        let on = w.execute(&opts(true), &WorkloadConf::new(), 1.0);
-        let stages = on.ctx.all_stages();
-        // Stage 1 is the range group-by reduce: with adaptive on it runs
-        // more virtual tasks than its physical partition count.
-        assert!(
-            stages[1].num_tasks > w.config.partitions,
-            "hot partition should split: {} tasks over {} partitions",
-            stages[1].num_tasks,
-            w.config.partitions
-        );
-        let off = w.execute(&opts(false), &WorkloadConf::new(), 1.0);
-        assert_eq!(off.ctx.all_stages()[1].num_tasks, w.config.partitions);
-    }
-
-    #[test]
-    fn split_fires_on_both_hash_freq_rounds() {
-        let w = SkewAgg::new(SkewAggConfig::small());
-        let on = w.execute(&opts(true), &WorkloadConf::new(), 1.0);
-        let stages = on.ctx.all_stages();
-        // Stages 3 and 5 are the two rounds' hash group-bys.
-        for round in [&stages[3], &stages[5]] {
-            assert_eq!(
-                round.scheme.map(|s| s.kind),
-                Some(engine::PartitionerKind::Hash)
-            );
-            assert!(
-                round.num_tasks > w.config.partitions,
-                "hot hash partition should split: {} tasks",
-                round.num_tasks
-            );
+        let res = w.execute(&opts(), &WorkloadConf::new(), 1.0);
+        let stages = res.ctx.all_stages();
+        for map in [&stages[0], &stages[2], &stages[4]] {
+            let skew = map.write_bucket_skew;
+            assert!(skew > 2.0, "{}: bucket skew {skew}", map.name);
         }
+        for s in &stages {
+            assert_eq!(s.scheme.map(|p| p.partitions), Some(s.num_tasks));
+        }
+        assert_eq!(stages[1].num_tasks, w.config.partitions);
     }
 
     #[test]
     fn deterministic_runs() {
         let w = SkewAgg::new(SkewAggConfig::small());
-        let a = w.execute(&opts(true), &WorkloadConf::new(), 1.0);
-        let b = w.execute(&opts(true), &WorkloadConf::new(), 1.0);
+        let a = w.execute(&opts(), &WorkloadConf::new(), 1.0);
+        let b = w.execute(&opts(), &WorkloadConf::new(), 1.0);
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_eq!(a.ctx.clock().to_bits(), b.ctx.clock().to_bits());
     }

@@ -12,17 +12,27 @@
 //!
 //! | run (every job)          | source records | allocations |
 //! |--------------------------|---------------:|------------:|
-//! | KMeans                   |          8 800 |      42 159 |
-//! | PCA                      |          6 300 |      31 290 |
-//! | LogReg                   |          6 000 |     195 290 |
-//! | SQL                      |         12 000 |       2 768 |
-//! | … the same at scale 0.5  |          6 000 |       2 365 |
+//! | KMeans                   |          8 800 |      42 138 |
+//! | PCA                      |          6 300 |      31 276 |
+//! | LogReg                   |          6 000 |     195 108 |
+//! | SQL                      |         12 000 |       2 761 |
+//! | … the same at scale 0.5  |          6 000 |       2 358 |
 //!
 //! One allocation per record in any job adds thousands to a row. The two
 //! SQL rows hold the slope: 403 allocations for 6 000 more generated rows,
 //! 0.07 a row, the combiners', the merges' and the join's tables growing
 //! with the keys drawn — under the 0.1 the last assertion allows. Debug
 //! and release builds count the same.
+//!
+//! The rows fell (42 159, 31 290, 195 290, 2 768, 2 365 before) when a
+//! stage's tasks became its partitions again and the hot-partition
+//! splitter went: one allocation per stage, its task-to-last-spec map,
+//! and per shuffle-reading stage the plan's count of that shuffle's reads
+//! (one) and, where the stage caches nothing, the split decision's byte
+//! column, its float copy and its sub counts (three). KMeans has 9 stages
+//! and 3 shuffle reads (−21), PCA 6 and 2 (−14), LogReg 62 and 30 (−182);
+//! SQL's 5 stages read 2 shuffles into cached aggregates (−7 at both
+//! scales).
 //!
 //! Until the engine stopped calling a between-jobs hook, that hook marked
 //! the counter after every job, and this test pinned single jobs (per
@@ -167,11 +177,11 @@ fn vector_sum_jobs_stay_within_their_allocation_budget() {
     assert_eq!(
         [kmeans, pca, logreg, sql_full, sql_half],
         [
-            (42_159, 8_800),
-            (31_290, 6_300),
-            (195_290, 6_000),
-            (2_768, 12_000),
-            (2_365, 6_000)
+            (42_138, 8_800),
+            (31_276, 6_300),
+            (195_108, 6_000),
+            (2_761, 12_000),
+            (2_358, 6_000)
         ],
         "(allocations, source records) of a whole KMeans, PCA, LogReg run, and SQL at \
          scale 1 and 0.5"

@@ -2,15 +2,13 @@
 //! what the virtual clock records of it a function of those and the
 //! simulated cluster — never of the host. Each row of [`ROWS`] flips one
 //! option on every small workload and names what the flip keeps: every
-//! bit, the results and byte tables, or the results alone. Beyond the
+//! bit, or the results and byte tables. Beyond the
 //! shipped fault plans, the differential harness draws options for SQL and
-//! k-means, generated plans among them. The tests after it check what no
-//! flip shows: adaptive execution splits hash and range stages and runs
-//! faster; a fault
-//! plan retries, loses and blacklists a node, and recomputes the map
-//! outputs the loss took.
+//! k-means, generated plans among them. The test after it checks what no
+//! flip shows: a fault plan retries, loses and blacklists a node, and
+//! recomputes the map outputs the loss took.
 
-use engine::{ClockFilter, Context, EngineOptions, FaultPlan, NodeLoss, PartitionerKind};
+use engine::{Context, EngineOptions, FaultPlan, NodeLoss};
 use engine::{TraceSink, WorkloadConf};
 use observed::Observed;
 use simcluster::{uniform_cluster, Topology};
@@ -95,16 +93,6 @@ fn options(set: Set) -> EngineOptions {
     opts
 }
 
-/// `--adaptive on`: the hot-partition splitter.
-fn adaptive(o: &mut EngineOptions) {
-    o.adaptive = true;
-}
-
-/// `--adaptive off`.
-fn static_plans(o: &mut EngineOptions) {
-    o.adaptive = false;
-}
-
 /// What a flip keeps, checked on the runs before and after it.
 type Keeps = fn(&Observed, &Observed, &str);
 const BITS: Keeps = |a, b, what| a.assert_identical(b, what);
@@ -115,14 +103,13 @@ const SPILLED_DATA: Keeps = |a, b, what| {
     assert!(b.mem.spills > 0, "{what}: no spill");
     a.assert_same_data(b, false, what)
 };
-const RESULTS: Keeps = |a, b, what| assert_eq!(a.results, b.results, "{what}");
 
 /// One option flipped: its name, the flip, and what it keeps.
 type Flip = (&'static str, Set, Keeps);
 
 /// The flips, by the options they start from.
 #[rustfmt::skip]
-const ROWS: [(&str, Set, &[Flip]); 8] = [
+const ROWS: [(&str, Set, &[Flip]); 6] = [
     ("defaults", |_| {}, &[
         ("workers 1 → 8", |o| o.workers = 8, BITS),
         ("flat → one rack", |o| o.cluster = o.cluster.clone().with_topology(ONE_RACK), BITS),
@@ -148,13 +135,6 @@ const ROWS: [(&str, Set, &[Flip]); 8] = [
     ("a straggler", |o| o.faults = plan(STRAGGLER), &[
         ("speculation off → on", |o| o.faults = plan(SPECULATING), DATA),
     ]),
-    ("--adaptive on", adaptive, &[
-        ("workers 1 → 8", |o| o.workers = 8, BITS),
-        ("→ --adaptive off", static_plans, RESULTS),
-    ]),
-    ("--adaptive off", static_plans, &[
-        ("workers 1 → 8", |o| o.workers = 8, BITS),
-    ]),
 ];
 
 #[test]
@@ -172,8 +152,7 @@ fn every_flip_keeps_what_its_row_names() {
     }
 }
 
-/// Options drawn by the differential harness — workers, adaptive
-/// execution, a tight budget, a generated fault plan, one rack,
+/// Options drawn by the differential harness — workers, a tight budget, a generated fault plan, one rack,
 /// co-partition scheduling, tracing — keep SQL's and k-means' results and
 /// byte tables, and flipping workers, topology or tracing moves no bit.
 #[test]
@@ -181,28 +160,6 @@ fn generated_plans_preserve_results_and_byte_tables() {
     for (name, run) in [WORKLOADS[0], WORKLOADS[2]] {
         dags::check_workload(name, 32, |opts| observe(run, opts));
     }
-}
-
-#[test]
-fn adaptive_execution_splits_hash_and_range_stages_and_runs_faster() {
-    let (_, on) = WORKLOADS[4].1(&options(adaptive));
-    let (_, off) = WORKLOADS[4].1(&options(static_plans));
-    let stages = on.all_stages();
-    let partitions = SkewAggConfig::small().partitions;
-    for (i, kind) in [
-        (1, PartitionerKind::Range),
-        (3, PartitionerKind::Hash),
-        (5, PartitionerKind::Hash),
-    ] {
-        assert_eq!(stages[i].scheme.map(|s| s.kind), Some(kind), "stage {i}");
-        assert!(stages[i].num_tasks > partitions, "stage {i}: no split");
-    }
-    let trace = on
-        .trace_sink()
-        .chrome_json_filtered(ClockFilter::VirtualOnly);
-    assert_eq!(trace.matches("adaptive split").count(), 3);
-    let (t_on, t_off) = (on.clock(), off.clock());
-    assert!(t_on < t_off, "adaptive {t_on:.4} s, static {t_off:.4} s");
 }
 
 #[test]

@@ -5,13 +5,9 @@
 use chopper_repro::chopper::{
     collect_dag, collect_observations, Autotuner, StageModel, TestRunPlan, Workload, WorkloadDb,
 };
-use chopper_repro::engine::{
-    Context, EngineOptions, HashPartitioner, Key, Partitioner, PartitionerKind, PartitionerSpec,
-    Record, Value, WorkloadConf,
-};
+use chopper_repro::engine::{EngineOptions, PartitionerKind, WorkloadConf};
 use chopper_repro::simcluster::uniform_cluster;
 use chopper_repro::workloads::{KMeans, KMeansConfig, Sql, SqlConfig};
-use std::sync::Arc;
 
 fn small_engine(parallelism: usize) -> EngineOptions {
     EngineOptions {
@@ -287,46 +283,4 @@ fn optimizer_never_regresses_any_workload_at_small_scale() {
             cmp.vanilla_time()
         );
     }
-}
-
-/// A hot hash aggregation splits in-job: 400 keys that all hash to
-/// partition 0 of 8 carry most of the records, so that partition's
-/// buckets are byte-hot even after the map-side combine. Its reduce stage
-/// runs more virtual tasks than partitions, under the same hash scheme,
-/// and its sorted output equals the static run's.
-#[test]
-fn a_hot_hash_aggregation_splits_in_job() {
-    let keys = |hot: bool| {
-        let bucket = HashPartitioner::new(8);
-        (0i64..)
-            .map(Key::Int)
-            .filter(move |k| (bucket.partition(k) == 0) == hot)
-    };
-    let records: Vec<Record> = keys(true)
-        .take(400)
-        .flat_map(|k| (0..10).map(move |v| Record::new(k.clone(), Value::Int(v))))
-        .chain(keys(false).take(140).map(|k| Record::new(k, Value::Int(1))))
-        .collect();
-    let run = |adaptive: bool| {
-        let mut ctx = Context::new(EngineOptions {
-            adaptive,
-            ..small_engine(8)
-        });
-        let src = ctx.parallelize(records.clone(), 8, "src");
-        let sum = Arc::new(|a: &Value, b: &Value| Value::Int(a.as_int() + b.as_int()));
-        let totals = ctx.reduce_by_key(src, sum, None, 1e-6, "totals");
-        let mut out = ctx.collect(totals, "totals");
-        out.sort_by(|a, b| a.key.cmp(&b.key));
-        let reduce = ctx.jobs()[0].stages[1].clone();
-        (out, reduce)
-    };
-    let (split, stage) = run(true);
-    let (unsplit, _) = run(false);
-    assert_eq!(stage.scheme, Some(PartitionerSpec::hash(8)));
-    assert!(
-        stage.num_tasks > 8,
-        "the hot partition ran unsplit: {} tasks",
-        stage.num_tasks
-    );
-    assert_eq!(split, unsplit);
 }
