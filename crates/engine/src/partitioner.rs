@@ -82,12 +82,6 @@ pub trait Partitioner: Send + Sync {
     fn num_partitions(&self) -> usize;
     /// Partition index for `key`, in `0..num_partitions()`.
     fn partition(&self, key: &Key) -> usize;
-    /// Partition index for `key` when its `stable_hash` is already known.
-    /// Hash-based partitioners reuse the hash instead of recomputing it;
-    /// everything else falls back to [`Partitioner::partition`].
-    fn partition_hashed(&self, key: &Key, _hash: u64) -> usize {
-        self.partition(key)
-    }
     /// The family this partitioner belongs to.
     fn kind(&self) -> PartitionerKind;
 }
@@ -115,9 +109,6 @@ impl Partitioner for HashPartitioner {
     }
     fn partition(&self, key: &Key) -> usize {
         (key.stable_hash() % self.partitions as u64) as usize
-    }
-    fn partition_hashed(&self, _key: &Key, hash: u64) -> usize {
-        (hash % self.partitions as u64) as usize
     }
     fn kind(&self) -> PartitionerKind {
         PartitionerKind::Hash

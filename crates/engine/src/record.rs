@@ -58,13 +58,20 @@ impl Key {
     }
 
     /// Approximate serialized size in bytes (for shuffle accounting).
+    /// Only a composite key recurses, out of line.
+    #[inline]
     pub fn encoded_size(&self) -> u64 {
         match self {
             Key::None => 1,
             Key::Int(_) => 9,
             Key::Str(s) => 5 + s.len() as u64,
-            Key::Pair(a, b) => 1 + a.encoded_size() + b.encoded_size(),
+            Key::Pair(a, b) => Key::pair_size(a, b),
         }
+    }
+
+    #[inline(never)]
+    fn pair_size(a: &Key, b: &Key) -> u64 {
+        1 + a.encoded_size() + b.encoded_size()
     }
 
     /// Convenience constructor for string keys.
@@ -103,17 +110,42 @@ impl Value {
     /// (`Str` a u32, `Vector`/`List` a u64). Shuffle byte tables, and the
     /// committed figures read from them, depend on these exact numbers —
     /// the pinned regression test below holds them.
+    ///
+    /// Flat on the hot path: a leaf, or a `Pair` of leaves (a sum and its
+    /// count, a joined row), is sized without a call, so the function
+    /// inlines into the per-record loops; only a deeper value recurses.
+    #[inline]
     pub fn encoded_size(&self) -> u64 {
+        match self {
+            Value::Pair(a, b) => 1 + a.child_size() + b.child_size(),
+            v => v.child_size(),
+        }
+    }
+
+    /// [`Value::encoded_size`] of a leaf without a call; a container
+    /// recurses out of line.
+    #[inline(always)]
+    fn child_size(&self) -> u64 {
         match self {
             Value::Null => 1,
             Value::Int(_) | Value::Float(_) => 1 + 8,
             Value::Str(s) => 1 + 4 + s.len() as u64,
             Value::Vector(v) => 1 + 8 + 8 * v.len() as u64,
-            Value::Pair(a, b) => 1 + a.encoded_size() + b.encoded_size(),
-            // Tag + u64 count, then each element with its own tag — the
-            // same per-element accounting as `Pair`'s children.
-            Value::List(vs) => 1 + 8 + vs.iter().map(Value::encoded_size).sum::<u64>(),
+            Value::Pair(a, b) => Value::pair_size(a, b),
+            Value::List(vs) => Value::list_size(vs),
         }
+    }
+
+    #[inline(never)]
+    fn pair_size(a: &Value, b: &Value) -> u64 {
+        1 + a.encoded_size() + b.encoded_size()
+    }
+
+    /// Tag + u64 count, then each element with its own tag — the same
+    /// per-element accounting as `Pair`'s children.
+    #[inline(never)]
+    fn list_size(vs: &[Value]) -> u64 {
+        1 + 8 + vs.iter().map(Value::encoded_size).sum::<u64>()
     }
 
     /// Extracts a float, panicking with context otherwise (workload code
@@ -193,6 +225,7 @@ impl Record {
     }
 
     /// Approximate serialized size in bytes.
+    #[inline]
     pub fn encoded_size(&self) -> u64 {
         2 + self.key.encoded_size() + self.value.encoded_size()
     }

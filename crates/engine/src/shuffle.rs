@@ -38,11 +38,14 @@
 //! All merges preserve first-seen key order, keeping the engine
 //! deterministic end-to-end (no `HashMap` iteration order leaks into
 //! results, byte counts, or range-partitioner samples). How equal keys
-//! are found is written once (`KeyIndex`): each key's
-//! [`Key::stable_hash`], through a pass-through hasher, leads to the first
-//! slot seen with that hash, and slots that share a hash are chained and
-//! disambiguated by a real key comparison — equality semantics identical
-//! to hashing the key itself, and no allocation per distinct key. The
+//! are found is written once (`KeyIndex`): each key's probe hash — one
+//! multiply for an integer key, [`Key::stable_hash`] for any other —
+//! through a pass-through hasher, leads to the first slot seen with that
+//! hash, and slots that share a hash are chained and disambiguated by a
+//! real key comparison — equality semantics identical to hashing the key
+//! itself, and no allocation per distinct key. An integer key in `0..64`
+//! skips the table: a fixed array holds its slot. Which slot a key gets
+//! depends on the order keys arrive in, never on the hash. The
 //! index holds slot numbers only; the keys stay in the accumulator that
 //! owns them, so the combine and the reduce hand their records over as
 //! they hold them.
@@ -144,8 +147,9 @@ pub enum Run<'a> {
     Shared(&'a [Record]),
 }
 
-/// Pass-through hasher for keys that are already good hashes (`stable_hash`
-/// output); avoids re-hashing `u64` map keys in the combine path.
+/// Pass-through hasher for keys that are already good hashes
+/// ([`KeyIndex::hash`] output); avoids re-hashing `u64` map keys in the
+/// combine path.
 #[derive(Default, Clone)]
 struct IdentityHasher(u64);
 
@@ -166,28 +170,96 @@ type IdentityBuild = std::hash::BuildHasherDefault<IdentityHasher>;
 /// End of a same-hash chain in [`KeyIndex::next`].
 const CHAIN_END: u32 = u32::MAX;
 
+/// Integer keys in `0..SMALL_INTS` find their slot by direct lookup.
+const SMALL_INTS: usize = 64;
+
 /// The first-seen key table every keyed accumulator shares: slot `i` is
 /// the `i`-th distinct key pushed. The index stores no key — its owner
 /// does, at the same position, and tells it through `holds` whether a slot
 /// holds the key being looked up — so unequal keys that share a
-/// [`Key::stable_hash`] stay apart and nothing is allocated per key.
-#[derive(Default)]
+/// [`KeyIndex::hash`] stay apart and nothing is allocated per key.
+///
+/// A small non-negative integer key — a cluster, a covariance row, a
+/// pseudo-key spreading a sum — skips the hash table: its slot is one
+/// array load away.
 struct KeyIndex {
-    /// `stable_hash` → first slot seen with that hash.
+    /// Slot + 1 of `Key::Int(i)` for `i` in `0..SMALL_INTS`; 0 if not held.
+    small: [u32; SMALL_INTS],
+    /// [`KeyIndex::hash`] → first slot seen with that hash.
     heads: HashMap<u64, u32, IdentityBuild>,
     /// Next slot with the same hash, or [`CHAIN_END`]; one entry per slot.
     next: Vec<u32>,
 }
 
+impl Default for KeyIndex {
+    fn default() -> Self {
+        KeyIndex {
+            small: [0; SMALL_INTS],
+            heads: HashMap::default(),
+            next: Vec::new(),
+        }
+    }
+}
+
 impl KeyIndex {
+    /// The hash a key is filed under: one multiply (and a free rotation
+    /// that brings the well-mixed high bits down to the table's index
+    /// bits) for an integer key, [`Key::stable_hash`] for any other. Equal
+    /// keys hash equal, which is all the index needs; where a key is
+    /// *partitioned* is the partitioner's business, computed once per
+    /// distinct key.
+    #[inline]
+    fn hash(key: &Key) -> u64 {
+        match key {
+            Key::Int(i) => (*i as u64)
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                .rotate_left(26),
+            other => other.stable_hash(),
+        }
+    }
+
+    /// `key`'s entry in [`KeyIndex::small`], if it has one.
+    #[inline]
+    fn small_int(key: &Key) -> Option<usize> {
+        match *key {
+            Key::Int(i) => usize::try_from(i).ok().filter(|&i| i < SMALL_INTS),
+            _ => None,
+        }
+    }
+
     fn clear(&mut self) {
+        self.small = [0; SMALL_INTS];
         self.heads.clear();
         self.next.clear();
     }
 
+    /// The slot of `key`, if one is held.
+    #[inline]
+    fn find(&self, key: &Key, holds: impl Fn(usize) -> bool) -> Option<usize> {
+        match Self::small_int(key) {
+            Some(i) => (self.small[i] as usize).checked_sub(1),
+            None => self.find_hashed(Self::hash(key), holds),
+        }
+    }
+
+    /// The slot of `key`. A key not held yet gets the next slot — the
+    /// number of keys held before the call — and the caller stores it
+    /// there.
+    #[inline]
+    fn slot(&mut self, key: &Key, holds: impl Fn(usize) -> bool) -> usize {
+        let Some(i) = Self::small_int(key) else {
+            return self.slot_hashed(Self::hash(key), holds);
+        };
+        if self.small[i] == 0 {
+            self.next.push(CHAIN_END);
+            self.small[i] = self.next.len() as u32;
+        }
+        self.small[i] as usize - 1
+    }
+
     /// The slot of the key with hash `h`, if one is held.
     #[inline]
-    fn find(&self, h: u64, holds: impl Fn(usize) -> bool) -> Option<usize> {
+    fn find_hashed(&self, h: u64, holds: impl Fn(usize) -> bool) -> Option<usize> {
         let mut at = *self.heads.get(&h)?;
         while !holds(at as usize) {
             at = self.next[at as usize];
@@ -198,11 +270,9 @@ impl KeyIndex {
         Some(at as usize)
     }
 
-    /// The slot of the key with hash `h`. A key not held yet gets the next
-    /// slot — the number of keys held before the call — and the caller
-    /// stores it there.
+    /// [`KeyIndex::slot`] of the key with hash `h`.
     #[inline]
-    fn slot(&mut self, h: u64, holds: impl Fn(usize) -> bool) -> usize {
+    fn slot_hashed(&mut self, h: u64, holds: impl Fn(usize) -> bool) -> usize {
         use std::collections::hash_map::Entry;
         let new = self.next.len() as u32;
         match self.heads.entry(h) {
@@ -245,9 +315,6 @@ pub struct TaskArena {
 
 /// Buckets `records` by `partitioner`, optionally combining values per key
 /// within each bucket (map-side combine for reduce-by-key).
-///
-/// Each record's key is hashed at most once: the `stable_hash` drives both
-/// the partition choice (for hash partitioners) and the combine index.
 ///
 /// Returns the buckets and the number of combine applications performed
 /// (for cost accounting).
@@ -370,7 +437,8 @@ impl<'a> Combiner<'a> {
     }
 
     /// Folds one record in, owned or borrowed: the first record with a key
-    /// is kept (a borrowed one cloned), a later one only lends its value.
+    /// is kept (a borrowed one cloned) and partitioned, a later one only
+    /// lends its value.
     #[inline]
     pub fn push<R: IntoRecord>(&mut self, item: R) {
         let TaskArena {
@@ -381,14 +449,13 @@ impl<'a> Combiner<'a> {
         } = &mut *self.arena;
         let seen = &mut self.seen;
         let r = item.borrow();
-        let h = r.key.stable_hash();
-        let at = index.slot(h, |i| seen[i].key == r.key);
+        let at = index.slot(&r.key, |i| seen[i].key == r.key);
         if at < seen.len() {
             self.f.fold(&mut seen[at].value, &r.value);
             self.ops += 1;
             return;
         }
-        let b = self.partitioner.partition_hashed(&r.key, h);
+        let b = self.partitioner.partition(&r.key);
         counts[b] += 1;
         assignment.push(b as u32);
         seen.push(item.into_record());
@@ -525,7 +592,7 @@ impl ReduceMerge {
         let Self { f, out, index, ops } = self;
         for item in records {
             let r = item.borrow();
-            let at = index.slot(r.key.stable_hash(), |i| out[i].key == r.key);
+            let at = index.slot(&r.key, |i| out[i].key == r.key);
             if at < out.len() {
                 f.fold(&mut out[at].value, &r.value);
                 *ops += 1;
@@ -639,13 +706,13 @@ impl JoinMerge {
         let (side, builds) = (usize::from(!is_left), is_left || self.outer);
         for item in records {
             let key = &item.borrow().key;
-            let (h, groups) = (key.stable_hash(), &self.groups);
+            let groups = &self.groups;
             let holds = |i: usize| groups[i].key == *key;
             let at = if builds {
-                self.index.slot(h, holds)
+                self.index.slot(key, holds)
             } else {
                 self.probes += 1;
-                match self.index.find(h, holds) {
+                match self.index.find(key, holds) {
                     Some(at) => at,
                     None => continue,
                 }
@@ -1141,7 +1208,7 @@ mod tests {
         let mut index = KeyIndex::default();
         let mut held: Vec<i64> = Vec::new();
         for k in [4, 7, 2, 4, 9, 6, 7, 2, 6] {
-            let at = index.slot(hash(k), |i| held[i] == k);
+            let at = index.slot_hashed(hash(k), |i| held[i] == k);
             if at == held.len() {
                 held.push(k);
             }
@@ -1149,16 +1216,83 @@ mod tests {
         }
         assert_eq!(held, [4, 7, 2, 9, 6], "slots are first-seen positions");
         for (at, &k) in held.iter().enumerate() {
-            assert_eq!(index.find(hash(k), |i| held[i] == k), Some(at));
+            assert_eq!(index.find_hashed(hash(k), |i| held[i] == k), Some(at));
         }
         assert_eq!(
-            index.find(hash(8), |i| held[i] == 8),
+            index.find_hashed(hash(8), |i| held[i] == 8),
             None,
             "chain exhausted"
         );
         index.clear();
-        assert_eq!(index.find(hash(4), |i| held[i] == 4), None);
-        assert_eq!(index.slot(hash(9), |_| unreachable!("nothing held")), 0);
+        assert_eq!(index.find_hashed(hash(4), |i| held[i] == 4), None);
+        assert_eq!(
+            index.slot_hashed(hash(9), |_| unreachable!("nothing held")),
+            0
+        );
+    }
+
+    /// Keys that take the direct lookup (integers in `0..SMALL_INTS`) and
+    /// keys that take the hash table number their slots as one sequence,
+    /// in first-seen order, and a cleared index forgets both.
+    #[test]
+    fn small_integers_and_hashed_keys_share_one_slot_sequence() {
+        let keys = [
+            Key::Int(3),
+            Key::str("a"),
+            Key::Int(-1),
+            Key::Int(SMALL_INTS as i64),
+            Key::Int(3),
+            Key::Int(SMALL_INTS as i64 - 1),
+            Key::str("a"),
+            Key::Int(0),
+        ];
+        let mut index = KeyIndex::default();
+        let mut held: Vec<Key> = Vec::new();
+        let slots: Vec<usize> = keys
+            .iter()
+            .map(|k| {
+                let at = index.slot(k, |i| held[i] == *k);
+                if at == held.len() {
+                    held.push(k.clone());
+                }
+                at
+            })
+            .collect();
+        assert_eq!(slots, [0, 1, 2, 3, 0, 4, 1, 5]);
+        for (at, k) in held.iter().enumerate() {
+            assert_eq!(index.find(k, |i| held[i] == *k), Some(at));
+        }
+        assert_eq!(index.find(&Key::Int(7), |_| false), None);
+        index.clear();
+        assert_eq!(index.find(&Key::Int(3), |_| true), None);
+        assert_eq!(index.find(&Key::str("a"), |_| true), None);
+        assert_eq!(index.slot(&Key::Int(5), |_| unreachable!()), 0);
+    }
+
+    /// Integer keys `2^56` apart agree in the low 18 bits of their probe
+    /// hash (the property tests draw such keys to crowd one bucket), yet
+    /// the hash of an integer is a bijection, and equal keys of any shape
+    /// hash equal.
+    #[test]
+    fn integer_keys_2_56_apart_share_the_low_probe_bits() {
+        let low = |k: i64| KeyIndex::hash(&Key::Int(k)) & ((1 << 18) - 1);
+        for base in [-3, 0, 5] {
+            let hashes: Vec<u64> = (0..8)
+                .map(|j| KeyIndex::hash(&Key::Int(base + (j << 56))))
+                .collect();
+            assert!((0..8).all(|j| low(base + (j << 56)) == low(base)));
+            let mut distinct = hashes.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(
+                distinct.len(),
+                hashes.len(),
+                "unequal integers, unequal hashes"
+            );
+        }
+        let pair = || Key::Pair(Box::new(Key::str("a")), Box::new(Key::Int(1)));
+        assert_eq!(KeyIndex::hash(&pair()), KeyIndex::hash(&pair()));
+        assert_eq!(KeyIndex::hash(&Key::None), Key::None.stable_hash());
     }
 
     #[test]

@@ -54,20 +54,19 @@ pub enum StageRoot {
 }
 
 impl StageRoot {
-    /// The shuffles this root reads, one entry per read: a self-join lists
-    /// its one shuffle twice.
-    pub fn shuffle_reads(&self) -> Vec<usize> {
-        match self {
-            StageRoot::ShuffleRead { shuffle, .. } => vec![*shuffle],
-            StageRoot::JoinRead { left, right, .. } => [left, right]
-                .into_iter()
-                .filter_map(|dep| match dep {
-                    SideDep::Shuffle(s) => Some(*s),
-                    SideDep::Narrow(_) => None,
-                })
-                .collect(),
-            StageRoot::Source(_) | StageRoot::CachedRead(_) => Vec::new(),
-        }
+    /// The shuffles this root reads, one item per read: a self-join yields
+    /// its one shuffle twice. Allocates nothing.
+    pub fn shuffle_reads(&self) -> impl Iterator<Item = usize> {
+        let shuffle = |dep: &SideDep| match dep {
+            SideDep::Shuffle(s) => Some(*s),
+            SideDep::Narrow(_) => None,
+        };
+        let (first, second) = match self {
+            StageRoot::ShuffleRead { shuffle, .. } => (Some(*shuffle), None),
+            StageRoot::JoinRead { left, right, .. } => (shuffle(left), shuffle(right)),
+            StageRoot::Source(_) | StageRoot::CachedRead(_) => (None, None),
+        };
+        first.into_iter().chain(second)
     }
 }
 
@@ -553,5 +552,7 @@ mod tests {
             other => panic!("expected JoinRead, got {other:?}"),
         }
         assert_eq!(plan.shuffle_reads(0), 2, "one shuffle, read by both sides");
+        let reads = |i: usize| plan.stages[i].root.shuffle_reads().collect::<Vec<_>>();
+        assert_eq!((reads(0), reads(1)), (vec![], vec![0, 0]));
     }
 }

@@ -662,6 +662,217 @@ proptest! {
     }
 }
 
+/// Keys of every shape for the key index's probe. Among them integers
+/// `2^56` apart: their probe hashes (a multiply, then a rotation by 26)
+/// agree in the low 18 bits, the bits a small table picks its bucket by.
+fn arb_probe_key() -> impl Strategy<Value = Key> {
+    prop_oneof![
+        Just(Key::None),
+        (-2i64..6).prop_map(Key::Int),
+        (0i64..6, -2i64..2).prop_map(|(j, base)| Key::Int(base.wrapping_add(j << 56))),
+        (0usize..3).prop_map(|i| Key::str(["a", "b", ""][i])),
+        (0i64..3, 0usize..2).prop_map(|(i, s)| {
+            Key::Pair(Box::new(Key::Int(i)), Box::new(Key::str(["x", ""][s])))
+        }),
+    ]
+}
+
+fn arb_probe_records(max: usize) -> impl Strategy<Value = Vec<Record>> {
+    proptest::collection::vec(
+        (arb_probe_key(), arb_any_value()).prop_map(|(k, v)| Record::new(k, v)),
+        0..max,
+    )
+}
+
+/// A first-seen key table probed the way the key index once was, by
+/// [`Key::stable_hash`]: the hash leads to the slots filed under it, and
+/// a key comparison picks among them.
+#[derive(Default)]
+struct FnvTable {
+    keys: Vec<Key>,
+    by_hash: HashMap<u64, Vec<usize>>,
+}
+
+impl FnvTable {
+    fn find(&self, key: &Key) -> Option<usize> {
+        let slots = self.by_hash.get(&key.stable_hash())?;
+        slots.iter().copied().find(|&at| self.keys[at] == *key)
+    }
+
+    /// The key's slot, a new one if it is not held.
+    fn slot(&mut self, key: &Key) -> usize {
+        self.find(key).unwrap_or_else(|| {
+            self.by_hash
+                .entry(key.stable_hash())
+                .or_default()
+                .push(self.keys.len());
+            self.keys.push(key.clone());
+            self.keys.len() - 1
+        })
+    }
+}
+
+/// The reduce over the FNV-probed table: records in first-seen key order
+/// and the fold count.
+fn fnv_reduce(records: &[Record], f: &ReduceFn) -> (Vec<Record>, u64) {
+    let (mut table, mut out, mut ops) = (FnvTable::default(), Vec::<Record>::new(), 0);
+    for r in records {
+        let at = table.slot(&r.key);
+        if at < out.len() {
+            f.fold(&mut out[at].value, &r.value);
+            ops += 1;
+        } else {
+            out.push(r.clone());
+        }
+    }
+    (out, ops)
+}
+
+/// The inner join over the FNV-probed table: left values gathered by key
+/// in first-seen order, each right record one probe.
+fn fnv_join(left: &[Record], right: &[Record]) -> (Vec<Record>, u64) {
+    let mut table = FnvTable::default();
+    let mut sides: Vec<[Vec<Value>; 2]> = Vec::new();
+    for r in left {
+        let at = table.slot(&r.key);
+        if at == sides.len() {
+            sides.push([Vec::new(), Vec::new()]);
+        }
+        sides[at][0].push(r.value.clone());
+    }
+    for r in right {
+        if let Some(at) = table.find(&r.key) {
+            sides[at][1].push(r.value.clone());
+        }
+    }
+    let mut out = Vec::new();
+    for (key, [ls, rs]) in table.keys.iter().zip(&sides) {
+        for l in ls {
+            for r in rs {
+                let pair = Value::Pair(Box::new(l.clone()), Box::new(r.clone()));
+                out.push(Record::new(key.clone(), pair));
+            }
+        }
+    }
+    (out, right.len() as u64)
+}
+
+/// The encoded size by its recursive definition, every variant spelled
+/// out: what the flat `Value::encoded_size` must equal.
+fn value_size(v: &Value) -> u64 {
+    match v {
+        Value::Null => 1,
+        Value::Int(_) | Value::Float(_) => 9,
+        Value::Str(s) => 5 + s.len() as u64,
+        Value::Vector(xs) => 9 + 8 * xs.len() as u64,
+        Value::Pair(a, b) => 1 + value_size(a) + value_size(b),
+        Value::List(vs) => 9 + vs.iter().map(value_size).sum::<u64>(),
+    }
+}
+
+/// [`value_size`] for keys.
+fn key_size(k: &Key) -> u64 {
+    match k {
+        Key::None => 1,
+        Key::Int(_) => 9,
+        Key::Str(s) => 5 + s.len() as u64,
+        Key::Pair(a, b) => 1 + key_size(a) + key_size(b),
+    }
+}
+
+/// Values nested up to `depth` containers deep: `Pair`s of `Pair`s,
+/// `List`s inside `Pair`s and the reverse, over every leaf.
+fn arb_nested_value(depth: u32) -> proptest::strategy::Union<Value> {
+    let leaves = prop_oneof![
+        Just(Value::Null),
+        any::<i64>().prop_map(Value::Int),
+        any::<f64>().prop_map(Value::Float),
+        "[a-z]{0,8}".prop_map(|s| Value::Str(s.into())),
+        proptest::collection::vec(any::<f64>(), 0..6).prop_map(Value::vector),
+    ];
+    if depth == 0 {
+        return leaves;
+    }
+    prop_oneof![
+        leaves,
+        (arb_nested_value(depth - 1), arb_nested_value(depth - 1))
+            .prop_map(|(a, b)| Value::Pair(Box::new(a), Box::new(b))),
+        proptest::collection::vec(arb_nested_value(depth - 1), 0..4)
+            .prop_map(|vs| Value::List(Arc::new(vs))),
+    ]
+}
+
+/// Keys nested up to `depth` pairs deep.
+fn arb_nested_key(depth: u32) -> proptest::strategy::Union<Key> {
+    let leaves = prop_oneof![
+        Just(Key::None),
+        any::<i64>().prop_map(Key::Int),
+        "[a-z]{0,8}".prop_map(|s| Key::str(&s)),
+    ];
+    if depth == 0 {
+        return leaves;
+    }
+    prop_oneof![
+        leaves,
+        (arb_nested_key(depth - 1), arb_nested_key(depth - 1))
+            .prop_map(|(a, b)| Key::Pair(Box::new(a), Box::new(b))),
+    ]
+}
+
+proptest! {
+    /// The key index probes with a cheap hash and partitions a key only
+    /// the first time it sees it; what each keyed accumulator writes is
+    /// what the FNV-probed table gives — the records in order, the fold
+    /// count of the combine and the reduce, the join's probe count — and
+    /// the combine's runs are the reduce's survivors partitioned by FNV.
+    #[test]
+    fn the_probe_hash_finds_what_fnv_finds(
+        left in arb_probe_records(200),
+        right in arb_probe_records(200),
+        parts in prop_oneof![Just(1usize), 2usize..9, Just(4096usize)],
+    ) {
+        let f = fold_sizes();
+        let (survivors, ops) = fnv_reduce(&left, &f);
+
+        let mut reduce = ReduceMerge::new(Arc::clone(&f));
+        reduce.push_slice(&left);
+        prop_assert_eq!(reduce.finish(), (survivors.clone(), ops));
+
+        let (p, mut arena) = (HashPartitioner::new(parts), TaskArena::default());
+        let mut combiner = Combiner::new(&p, &f, &mut arena);
+        for r in &left {
+            combiner.push(r);
+        }
+        let (runs, combine_ops) = combiner.finish();
+        let buckets: Vec<Vec<Record>> = (0..parts)
+            .map(|b| survivors.iter().filter(|r| p.partition(&r.key) == b).cloned().collect())
+            .collect();
+        let tb = runs.into_buckets();
+        let got: Vec<Vec<Record>> = tb.buckets.iter().map(|b| b.to_vec()).collect();
+        prop_assert_eq!((got, combine_ops), (buckets, ops));
+
+        let mut join = JoinMerge::new();
+        join.push_run(Run::Shared(&left), true);
+        join.seal_left();
+        join.push_run(Run::Shared(&right), false);
+        prop_assert_eq!(join.finish(), fnv_join(&left, &right));
+    }
+
+    /// The flat encoded size — leaves and a `Pair` of leaves sized without
+    /// a call — is the recursive definition on values and keys nested
+    /// three deep, and a record's is its header plus both.
+    #[test]
+    fn the_flat_encoded_size_is_the_recursive_one(
+        value in arb_nested_value(3),
+        key in arb_nested_key(3),
+    ) {
+        prop_assert_eq!(value.encoded_size(), value_size(&value));
+        prop_assert_eq!(key.encoded_size(), key_size(&key));
+        let record = Record::new(key, value);
+        prop_assert_eq!(record.encoded_size(), 2 + key_size(&record.key) + value_size(&record.value));
+    }
+}
+
 /// A keyed point as the producers under test read it.
 type Point = (i64, Vec<f64>);
 

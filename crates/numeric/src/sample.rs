@@ -116,19 +116,51 @@ impl XorShift64 {
     /// rectangle, Marsaglia's `ln` tail method.
     #[inline]
     pub fn next_normal(&mut self) -> f64 {
+        self.normal_from(ziggurat())
+    }
+
+    /// Standard-normal draws forever: [`next_normal`](Self::next_normal)
+    /// after [`next_normal`](Self::next_normal), with the tables fetched
+    /// once for the whole stream rather than once per draw.
+    pub fn normals(mut self) -> impl Iterator<Item = f64> {
         let z = ziggurat();
+        std::iter::repeat_with(move || self.normal_from(z))
+    }
+
+    /// One draw: the common case inline, the rest out of line.
+    #[inline]
+    fn normal_from(&mut self, z: &Ziggurat) -> f64 {
+        let (i, u) = self.layer_draw();
+        let x = u * z.x[i];
+        if x.abs() < z.x[i + 1] {
+            return x;
+        }
+        self.normal_rest(z, i, u, x)
+    }
+
+    /// A layer and a signed abscissa in `[-1, 1)` from one output.
+    #[inline]
+    fn layer_draw(&mut self) -> (usize, f64) {
+        let bits = self.next_u64();
+        let u = 2.0 * f64::from_bits(ONE_BITS | (bits & MANTISSA)) - 3.0;
+        ((bits >> 56) as usize, u)
+    }
+
+    /// A draw whose first try `x = u · x[i]` fell outside layer `i + 1`'s
+    /// width: the tail, the wedge test, or a fresh try.
+    #[cold]
+    #[inline(never)]
+    fn normal_rest(&mut self, z: &Ziggurat, mut i: usize, mut u: f64, mut x: f64) -> f64 {
         loop {
-            let bits = self.next_u64();
-            let i = (bits >> 56) as usize;
-            let u = 2.0 * f64::from_bits(ONE_BITS | (bits & MANTISSA)) - 3.0;
-            let x = u * z.x[i];
-            if x.abs() < z.x[i + 1] {
-                return x;
-            }
             if i == 0 {
                 return self.normal_tail(u < 0.0);
             }
             if z.f[i] + (z.f[i + 1] - z.f[i]) * self.next_f64() < density(x) {
+                return x;
+            }
+            (i, u) = self.layer_draw();
+            x = u * z.x[i];
+            if x.abs() < z.x[i + 1] {
                 return x;
             }
         }
@@ -272,6 +304,23 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
         let _: Reservoir<u32> = Reservoir::new(0, 1);
+    }
+
+    /// The stream is the single draw repeated: the same bits, the wedge
+    /// and the tail included, from the same generator state.
+    #[test]
+    fn normals_are_next_normal_draw_for_draw() {
+        for seed in [1, 0x5EED, u64::MAX] {
+            let mut one = XorShift64::new(seed);
+            let stream = XorShift64::new(seed).normals().take(1 << 18);
+            for (i, z) in stream.enumerate() {
+                assert_eq!(
+                    z.to_bits(),
+                    one.next_normal().to_bits(),
+                    "draw {i}, seed {seed}"
+                );
+            }
+        }
     }
 
     /// Moments and tail mass of 2^20 draws, each within 4σ of the standard

@@ -12,7 +12,10 @@
 //! draws cost one RNG output, one table lookup and one compare, where
 //! Box–Muller paid two outputs, a `ln`, a `sqrt` and a `cos` (~10× the
 //! time). Each point reads its own `record_rng(seed, index)`, so the rare
-//! draw that takes more than one output moves no other point.
+//! draw that takes more than one output moves no other point, and takes
+//! its coordinates from that generator's [`XorShift64::normals`], which
+//! fetches the ziggurat tables once per point instead of once per
+//! coordinate.
 //!
 //! Each generator produces a split through `stream` (see [`Emit`]): points
 //! are given away one by one, table rows are lent out of one scratch row
@@ -99,11 +102,12 @@ impl PointGen {
     /// The coordinates of the point at global index `i`: a sample around
     /// center `i % k`.
     fn coords(&self, i: u64) -> impl Iterator<Item = f64> + '_ {
-        let mut rng = record_rng(self.seed, i);
         let center = &self.centers[(i % self.centers.len() as u64) as usize];
+        let normals = record_rng(self.seed, i).normals();
         center
             .iter()
-            .map(move |&c| c + self.spread * rng.next_normal())
+            .zip(normals)
+            .map(move |(&c, z)| c + self.spread * z)
     }
 
     /// The point at global index `i`.

@@ -121,9 +121,9 @@ impl KMeans {
         KMeans { config }
     }
 
-    fn assign_fn(centers: Arc<Vec<Vec<f64>>>) -> MapFn {
+    fn assign_fn(centers: Arc<Centers>) -> MapFn {
         Arc::new(move |r: &Record| {
-            let c = nearest(r.value.as_vector(), &centers);
+            let c = centers.nearest(r.value.as_vector());
             // Emit (cluster, (sum vector, count)) for the center update. The
             // point is shared with the cached partition, not copied: the
             // update's first fold into it copies once per key per task.
@@ -194,7 +194,7 @@ impl KMeans {
         for _ in 0..cfg.iterations {
             let mapped = ctx.map(
                 points,
-                Self::assign_fn(Arc::new(centers.clone())),
+                Self::assign_fn(Arc::new(Centers::new(&centers))),
                 assign_cost,
                 "assign",
             );
@@ -217,9 +217,9 @@ impl KMeans {
         let final_map = ctx.map(
             points,
             {
-                let centers = Arc::new(centers.clone());
+                let centers: Centers = Centers::new(&centers);
                 Arc::new(move |r: &Record| {
-                    let c = nearest(r.value.as_vector(), &centers);
+                    let c = centers.nearest(r.value.as_vector());
                     Record::new(Key::Int(c as i64), Value::Int(1))
                 })
             },
@@ -254,8 +254,91 @@ impl KMeans {
     }
 }
 
-/// Index of the nearest center to `x` (squared Euclidean distance).
-fn nearest(x: &[f64], centers: &[Vec<f64>]) -> usize {
+/// Lanes of a center block: one 256-bit vector of `f64`s.
+const LANES: usize = 4;
+
+/// The centers of a nearest-center search, laid out across centers: block
+/// `b` holds centers `b·L .. b·L + L` dimension-major, so row `j` of the
+/// block is coordinate `j` of its `L` centers, and one pass over a point
+/// sums `L` squared distances at once. Each lane still sums its center's
+/// squared differences coordinate by coordinate, from the first, with no
+/// fused multiply-add — the very operations, in the very order, of
+/// [`nearest_scalar`] — so the distances and the chosen index are its
+/// bits. Lanes past the last center hold zeros and are never chosen.
+struct Centers<const L: usize = LANES> {
+    k: usize,
+    dim: usize,
+    /// `blocks · dim` rows.
+    rows: Vec<[f64; L]>,
+}
+
+impl<const L: usize> Centers<L> {
+    /// Lays `centers` (at least one, each `dim > 0` long) out in blocks.
+    fn new(centers: &[Vec<f64>]) -> Self {
+        let (k, dim) = (centers.len(), centers.first().map_or(0, Vec::len));
+        assert!(k > 0 && dim > 0, "a nearest-center search needs a center");
+        let mut rows = vec![[0.0; L]; k.div_ceil(L) * dim];
+        for (i, c) in centers.iter().enumerate() {
+            assert_eq!(c.len(), dim, "centers of one dimension");
+            for (j, &v) in c.iter().enumerate() {
+                rows[i / L * dim + j][i % L] = v;
+            }
+        }
+        Centers { k, dim, rows }
+    }
+
+    /// Index of the nearest center to `x` (squared Euclidean distance; the
+    /// lowest index wins a tie, and a NaN distance never wins), as
+    /// [`nearest_scalar`] chooses it.
+    fn nearest(&self, x: &[f64]) -> usize {
+        self.nearest_dispatched(x).0
+    }
+
+    /// [`Centers::nearest_portable`] compiled for AVX2 where the host has
+    /// it. The code is the same; only the vector width differs.
+    fn nearest_dispatched(&self, x: &[f64]) -> (usize, f64) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: `nearest_avx2` requires AVX2, which was just detected
+            // on this host.
+            return unsafe { self.nearest_avx2(x) };
+        }
+        self.nearest_portable(x)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn nearest_avx2(&self, x: &[f64]) -> (usize, f64) {
+        self.nearest_portable(x)
+    }
+
+    /// The nearest center's index and squared distance.
+    #[inline(always)]
+    fn nearest_portable(&self, x: &[f64]) -> (usize, f64) {
+        assert_eq!(x.len(), self.dim, "point and centers of one dimension");
+        let mut best = (0, f64::INFINITY);
+        for (b, block) in self.rows.chunks_exact(self.dim).enumerate() {
+            let mut d = [0.0; L];
+            for (&xj, row) in x.iter().zip(block) {
+                for (d, &c) in d.iter_mut().zip(row) {
+                    let t = xj - c;
+                    *d += t * t;
+                }
+            }
+            for (l, &d) in d.iter().enumerate().take(self.k - b * L) {
+                if d < best.1 {
+                    best = (b * L + l, d);
+                }
+            }
+        }
+        best
+    }
+}
+
+/// The nearest center to `x` and its squared distance, one center at a
+/// time: the reference [`Centers`] reproduces bit for bit.
+#[cfg(test)]
+fn nearest_scalar(x: &[f64], centers: &[Vec<f64>]) -> (usize, f64) {
     let mut best = 0;
     let mut best_d = f64::INFINITY;
     for (i, c) in centers.iter().enumerate() {
@@ -265,7 +348,7 @@ fn nearest(x: &[f64], centers: &[Vec<f64>]) -> usize {
             best = i;
         }
     }
-    best
+    (best, best_d)
 }
 
 impl Workload for KMeans {
@@ -405,6 +488,62 @@ mod tests {
         assert_eq!(a.centers, b.centers);
         assert_eq!(a.histogram, b.histogram);
         assert_eq!(a.ctx.clock().to_bits(), b.ctx.clock().to_bits());
+    }
+
+    /// `Centers` against `nearest_scalar`, index and distance bits, on
+    /// every path the host can run: the portable code and the dispatched
+    /// one (AVX2 where it is detected). `k` covers one center, a partial
+    /// block, a full block, and one and four blocks past it.
+    #[test]
+    fn the_lane_search_is_the_scalar_search_bit_for_bit() {
+        let mut rng = numeric::XorShift64::new(0x6b6d_6561_6e73);
+        // Coordinates of mixed magnitude, so that a lane summing in another
+        // order rounds differently.
+        let coord = |rng: &mut numeric::XorShift64| {
+            (rng.next_f64() - 0.5) * [1.0, 3.0, 1e3, 1e-3][rng.next_below(4) as usize]
+        };
+        let odd = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        for k in [1, 3, 4, 10, 17] {
+            for dim in [1, 2, 7, 20] {
+                let mut plain: Vec<Vec<f64>> = (0..k)
+                    .map(|_| (0..dim).map(|_| coord(&mut rng)).collect())
+                    .collect();
+                // An exact tie: the last center repeats the first, and the
+                // lower index must win.
+                if k > 1 {
+                    plain[k - 1] = plain[0].clone();
+                }
+                // The same centers with a NaN or an infinite coordinate in
+                // two of them.
+                let mut odd_centers = plain.clone();
+                odd_centers[k / 2][dim - 1] = odd[k % 3];
+                odd_centers[k - 1][0] = odd[(k + 1) % 3];
+                for centers in [plain, odd_centers] {
+                    let lanes: Centers = Centers::new(&centers);
+                    for i in 0..400 {
+                        let mut x: Vec<f64> = match i % 4 {
+                            // A center itself: distance 0, tied if repeated.
+                            0 => centers[i / 4 % k].clone(),
+                            _ => (0..dim).map(|_| coord(&mut rng)).collect(),
+                        };
+                        if i % 10 == 1 {
+                            x[i % dim] = odd[i % 3];
+                        }
+                        let want = nearest_scalar(&x, &centers);
+                        for (path, got) in [
+                            ("portable", lanes.nearest_portable(&x)),
+                            ("dispatched", lanes.nearest_dispatched(&x)),
+                        ] {
+                            assert_eq!(
+                                (got.0, got.1.to_bits()),
+                                (want.0, want.1.to_bits()),
+                                "{path} k={k} dim={dim} x={x:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

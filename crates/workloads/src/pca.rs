@@ -183,13 +183,19 @@ impl Pca {
             {
                 let mean = Arc::clone(&mean_arc);
                 Arc::new(move |r: &Record, out: &mut dyn Emit| {
-                    let x: Vec<f64> = r
-                        .value
-                        .as_vector()
-                        .iter()
-                        .zip(mean.iter())
-                        .map(|(a, b)| a - b)
-                        .collect();
+                    // The centered point, on the stack up to `STACK_DIM`.
+                    let point = r.value.as_vector();
+                    let (mut stack, mut heap) = ([0.0; STACK_DIM], Vec::new());
+                    let x = if point.len() <= STACK_DIM {
+                        &mut stack[..point.len()]
+                    } else {
+                        heap.resize(point.len(), 0.0);
+                        &mut heap[..]
+                    };
+                    for ((c, a), b) in x.iter_mut().zip(point).zip(mean.iter()) {
+                        *c = a - b;
+                    }
+                    let x = &*x;
                     // One scratch row per point, rewritten and lent once
                     // per covariance row: the map-side combine adds it to
                     // the row's sum by reference and keeps no copy.
@@ -197,7 +203,7 @@ impl Pca {
                     for (row, &x_row) in x.iter().enumerate() {
                         scaled.key = Key::Int(row as i64);
                         if let Value::Vector(buf) = &mut scaled.value {
-                            for (s, &v) in Arc::make_mut(buf).iter_mut().zip(&x) {
+                            for (s, &v) in Arc::make_mut(buf).iter_mut().zip(x) {
                                 *s = v * x_row;
                             }
                         }
@@ -260,6 +266,10 @@ impl Pca {
         }
     }
 }
+
+/// Widest point `cov-rows` centers on the stack; a wider one goes to the
+/// heap.
+const STACK_DIM: usize = 32;
 
 /// Power iteration with deflation over a symmetric matrix.
 fn power_iteration(

@@ -10,19 +10,33 @@
 //! configuration on `workers: 1` and is counted whole, from its start
 //! until it hands back its context. The counts are pinned exactly:
 //!
-//! | run (every job)          | source records | allocations |
-//! |--------------------------|---------------:|------------:|
-//! | KMeans                   |          8 800 |      42 138 |
-//! | PCA                      |          6 300 |      31 276 |
-//! | LogReg                   |          6 000 |     195 108 |
-//! | SQL                      |         12 000 |       2 761 |
-//! | … the same at scale 0.5  |          6 000 |       2 358 |
+//! | run (every job)          | source records | allocations | before the point kernels (what fell)        |
+//! |--------------------------|---------------:|------------:|----------------------------------------------|
+//! | KMeans                   |          8 800 |      42 105 | 42 138 (−6 reads, −14 keys, −13 centers)     |
+//! | PCA                      |          6 300 |      25 262 | 31 276 (−4 reads, −10 keys, −6 000 centered) |
+//! | LogReg                   |          6 000 |     194 865 | 195 108 (−60 reads, −183 keys)               |
+//! | SQL                      |         12 000 |       2 743 | 2 761 (−4 reads, −14 keys)                   |
+//! | … the same at scale 0.5  |          6 000 |       2 339 | 2 358 (−4 reads, −15 keys)                   |
 //!
 //! One allocation per record in any job adds thousands to a row. The two
-//! SQL rows hold the slope: 403 allocations for 6 000 more generated rows,
+//! SQL rows hold the slope: 404 allocations for 6 000 more generated rows,
 //! 0.07 a row, the combiners', the merges' and the join's tables growing
 //! with the keys drawn — under the 0.1 the last assertion allows. Debug
 //! and release builds count the same.
+//!
+//! The last column is the count before the point kernels, and what each
+//! of their changes removed, measured one change at a time: *reads*, two
+//! vectors per shuffle — the reading stage's list of the shuffles it
+//! reads, and the plan's count of one shuffle's reads, which collected
+//! such a list for every shuffle-reading stage (both are an iterator now;
+//! KMeans reads 3 shuffles, PCA 2, LogReg 30, SQL 2); *keys*, the hash
+//! tables the combines' and the reduce tasks' key indexes grew for keys
+//! that are small integers (clusters, covariance rows, pseudo-keys, SQL's
+//! low key ids), which now find their slot in the index's fixed array; *centers*, KMeans' centers
+//! copied into one dimension-major vector instead of a `Vec<Vec<f64>>`
+//! (1 + k = 5 vectors) per `assign` (−4 each, twice) and per
+//! `final-assign` (−5); *centered*, PCA's centered point, one per point,
+//! now on the stack.
 //!
 //! The rows fell (42 159, 31 290, 195 290, 2 768, 2 365 before) when a
 //! stage's tasks became its partitions again and the hot-partition
@@ -80,9 +94,9 @@
 //! workload's first, also counts its own name now (+1): the job's record
 //! is built before the hook is called, not after. What is
 //! left per record is what the record model itself costs: the two boxes of a
-//! `Value::Pair` (KMeans), the centered point and the one scratch row
-//! `cov-rows` lends `dim` = 5 times (PCA; it was the flat-map's output
-//! vector, the centered point and a vector per row), the gradient vector
+//! `Value::Pair` (KMeans), the one scratch row `cov-rows` lends `dim` = 5
+//! times (PCA; it was the flat-map's output vector, the centered point and
+//! a vector per row), the gradient vector
 //! (LogReg). A SQL row costs nothing: `TableGen::stream` lends one scratch
 //! row, the projection reads it, the combine folds a float. The SQL job is
 //! its workload's first, so its count carries the context's and the
@@ -177,11 +191,11 @@ fn vector_sum_jobs_stay_within_their_allocation_budget() {
     assert_eq!(
         [kmeans, pca, logreg, sql_full, sql_half],
         [
-            (42_138, 8_800),
-            (31_276, 6_300),
-            (195_108, 6_000),
-            (2_761, 12_000),
-            (2_358, 6_000)
+            (42_105, 8_800),
+            (25_262, 6_300),
+            (194_865, 6_000),
+            (2_743, 12_000),
+            (2_339, 6_000)
         ],
         "(allocations, source records) of a whole KMeans, PCA, LogReg run, and SQL at \
          scale 1 and 0.5"
