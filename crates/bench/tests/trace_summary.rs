@@ -1,6 +1,6 @@
 //! The bench harness reads a run through the one per-stage record,
 //! `StageMetrics`, in its two printed forms: the stage table
-//! (`Context::report`) and the JSON `chopper-cli trace --summary-out`
+//! (`Context::report`) and the JSON `chopper-cli run --summary-out`
 //! writes (`ctx.jobs()` through `#[derive(Serialize)]`).
 //!
 //! By construction, the table's rows are the stage metrics — the renderer

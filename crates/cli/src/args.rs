@@ -25,46 +25,75 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Flags that take no value.
-const BOOLEAN_FLAGS: &[&str] = &["copartition", "gantt", "serial"];
+/// The flags one command reads.
+struct CommandFlags {
+    command: &'static str,
+    /// Flags followed by a value.
+    values: &'static [&'static str],
+    /// Flags that take no value.
+    switches: &'static [&'static str],
+    /// `(flag, needs)`: `flag` means something only beside `needs`.
+    needs: &'static [(&'static str, &'static str)],
+}
 
-/// Flags that take a value, over all commands.
-const VALUE_FLAGS: &[&str] = &[
-    "clock",
-    "cluster",
-    "conf",
-    "db",
-    "executor-mem",
-    "fault-plan",
-    "fault-seed",
-    "file",
-    "jobs",
-    "mem-shared",
-    "mem-tenant",
-    "out",
-    "out-conf",
-    "partitions",
-    "policy",
-    "queue-cap",
-    "results-out",
-    "scale",
-    "scales",
-    "seed",
-    "slots",
-    "summary-out",
-    "tables-out",
-    "tenants",
-    "test-parallelism",
-    "test-partitions",
-    "topology",
-    "trace",
-    "trace-out",
-    "workers",
-    "workload",
+/// Every command and the flags it reads. The second line of `run`,
+/// `tune`, `plan` and `compare` is what `commands::engine_opts` reads;
+/// `tune` and `plan` take no `--copartition` because the tuner schedules
+/// co-partitioned whatever it says. `serve` reads `fault-plan`,
+/// `fault-seed` and `executor-mem` only to reject them with the reason.
+#[rustfmt::skip]
+const COMMANDS: &[CommandFlags] = &[
+    CommandFlags {
+        command: "run",
+        values: &["workload", "scale", "conf", "trace-out", "clock", "summary-out",
+                  "cluster", "topology", "partitions", "executor-mem", "fault-plan", "fault-seed"],
+        switches: &["copartition"],
+        needs: &[("clock", "trace-out")],
+    },
+    CommandFlags {
+        command: "tune",
+        values: &["workload", "db", "out-conf", "scales", "test-partitions", "test-parallelism",
+                  "cluster", "topology", "partitions", "executor-mem", "fault-plan", "fault-seed"],
+        switches: &[],
+        needs: &[],
+    },
+    CommandFlags {
+        command: "plan",
+        values: &["workload", "db", "out-conf",
+                  "cluster", "topology", "partitions", "executor-mem", "fault-plan", "fault-seed"],
+        switches: &[],
+        needs: &[],
+    },
+    CommandFlags {
+        command: "compare",
+        values: &["workload", "scales", "test-partitions", "test-parallelism",
+                  "cluster", "topology", "partitions", "executor-mem", "fault-plan", "fault-seed"],
+        switches: &["copartition"],
+        needs: &[],
+    },
+    CommandFlags { command: "inspect", values: &["db"], switches: &[], needs: &[] },
+    CommandFlags { command: "conf", values: &["file"], switches: &[], needs: &[] },
+    CommandFlags {
+        command: "serve",
+        values: &["trace", "policy", "slots", "queue-cap", "mem-shared", "mem-tenant", "workers",
+                  "partitions", "cluster", "topology", "results-out", "tables-out", "trace-out",
+                  "fault-plan", "fault-seed", "executor-mem"],
+        switches: &["serial"],
+        needs: &[],
+    },
+    CommandFlags {
+        command: "loadgen",
+        values: &["out", "tenants", "jobs", "seed"],
+        switches: &[],
+        needs: &[],
+    },
+    CommandFlags { command: "help", values: &[], switches: &[], needs: &[] },
 ];
 
 impl Args {
-    /// Parses raw arguments (without the binary name).
+    /// Parses raw arguments (without the binary name). A flag that is
+    /// not in the command's row of [`COMMANDS`] is an error. An unknown
+    /// command parses with no flags read: dispatching it is the error.
     pub fn parse<I, S>(raw: I) -> Result<Args, ParseError>
     where
         I: IntoIterator<Item = S>,
@@ -80,6 +109,9 @@ impl Args {
             )));
         }
         let mut flags = HashMap::new();
+        let Some(spec) = COMMANDS.iter().find(|c| c.command == command) else {
+            return Ok(Args { command, flags });
+        };
         while let Some(tok) = iter.next() {
             let Some(name) = tok.strip_prefix("--") else {
                 return Err(ParseError(format!(
@@ -89,16 +121,23 @@ impl Args {
             if name.is_empty() {
                 return Err(ParseError("empty flag name".into()));
             }
-            let value = if BOOLEAN_FLAGS.contains(&name) {
+            let value = if spec.switches.contains(&name) {
                 "true".to_string()
-            } else if VALUE_FLAGS.contains(&name) {
+            } else if spec.values.contains(&name) {
                 iter.next()
                     .ok_or_else(|| ParseError(format!("flag --{name} requires a value")))?
             } else {
-                return Err(ParseError(format!("unknown flag --{name}")));
+                return Err(ParseError(format!("unknown flag --{name} for `{command}`")));
             };
             if flags.insert(name.to_string(), value).is_some() {
                 return Err(ParseError(format!("flag --{name} given twice")));
+            }
+        }
+        for (flag, needs) in spec.needs {
+            if flags.contains_key(*flag) && !flags.contains_key(*needs) {
+                return Err(ParseError(format!(
+                    "flag --{flag} of `{command}` needs --{needs}"
+                )));
             }
         }
         Ok(Args { command, flags })
@@ -187,7 +226,50 @@ mod tests {
     #[test]
     fn unknown_flag_is_an_error() {
         let err = parse(&["run", "--wrokload", "kmeans"]).unwrap_err();
-        assert!(err.0.contains("unknown flag --wrokload"), "{err}");
+        assert_eq!(err.0, "unknown flag --wrokload for `run`");
+    }
+
+    /// Each command reads its own flags: one another command reads is
+    /// as unknown here as a typo, and the message names the command.
+    #[test]
+    fn a_flag_of_another_command_is_an_error() {
+        for (tokens, flag) in [
+            (&["run", "--workload", "sql", "--slots", "4"][..], "--slots"),
+            (&["run", "--db", "x.json"], "--db"),
+            (&["run", "--gantt"], "--gantt"),
+            (&["plan", "--scales", "0.1"], "--scales"),
+            (&["serve", "--copartition"], "--copartition"),
+            (&["help", "--workload", "sql"], "--workload"),
+        ] {
+            let err = parse(tokens).unwrap_err();
+            assert_eq!(err.0, format!("unknown flag {flag} for `{}`", tokens[0]));
+        }
+    }
+
+    #[test]
+    fn clock_needs_a_trace_file() {
+        let err = parse(&["run", "--workload", "sql", "--clock", "wall"]).unwrap_err();
+        assert_eq!(err.0, "flag --clock of `run` needs --trace-out");
+        let a = parse(&["run", "--clock", "wall", "--trace-out", "t.json"]).unwrap();
+        assert_eq!(a.get("clock"), Some("wall"));
+    }
+
+    #[test]
+    fn every_command_has_one_row_and_no_flag_twice() {
+        for (i, c) in COMMANDS.iter().enumerate() {
+            assert!(COMMANDS[..i].iter().all(|d| d.command != c.command));
+            let flags: Vec<&str> = c.values.iter().chain(c.switches).copied().collect();
+            for (j, f) in flags.iter().enumerate() {
+                assert!(!flags[..j].contains(f), "{}: --{f} twice", c.command);
+            }
+            for (flag, needs) in c.needs {
+                assert!(
+                    flags.contains(flag) && flags.contains(needs),
+                    "{}",
+                    c.command
+                );
+            }
+        }
     }
 
     #[test]

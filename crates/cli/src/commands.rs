@@ -16,19 +16,17 @@ chopper-cli — CHOPPER auto-partitioning (CLUSTER 2016 reproduction)
 
 commands:
   run      --workload kmeans|pca|sql|logreg|skewagg [--scale F]
-           [--partitions N] [--copartition] [--gantt] [--conf FILE]
+           [--partitions N] [--copartition] [--conf FILE]
            [--cluster paper|uniform:N,C,GHz]
            [--topology flat|rack:RxH[:oversub]]
            [--executor-mem SIZE] [--fault-plan FILE] [--fault-seed N]
+           [--trace-out FILE [--clock all|virtual|wall]]
+           [--summary-out FILE]
   tune     --workload W --db FILE [--out-conf FILE]
            [--scales 0.1,0.3,0.6] [--test-partitions 60,150,300,600,1200]
            [--test-parallelism N]
   plan     --workload W --db FILE [--out-conf FILE] [--partitions N]
   compare  --workload W [--partitions N] [--executor-mem SIZE]
-  trace    <workload> | --workload W [--scale F] [--partitions N]
-           [--out FILE] [--summary-out FILE] [--clock all|virtual|wall]
-           [--conf FILE] [--cluster paper|uniform:N,C,GHz]
-           [--executor-mem SIZE] [--fault-plan FILE] [--fault-seed N]
   inspect  --db FILE
   conf     --file FILE
   serve    --trace FILE [--policy fair|fifo] [--slots N] [--queue-cap N]
@@ -48,8 +46,12 @@ room for every cluster node; malformed specs are rejected at parse time.
 
 --executor-mem bounds each simulated executor's unified memory (cache +
 task working sets); accepts k/m/g suffixes, e.g. 512m. Omitting it keeps
-the cache unbounded (no eviction or spill). run and trace then print a
-`memory:` line with what the memory manager did.
+the cache unbounded (no eviction or spill). run then prints a `memory:`
+line with what the memory manager did.
+
+run --trace-out writes the run as a Perfetto-loadable Chrome trace
+(--clock picks the clocks it keeps) and prints the host pool's counters;
+--summary-out writes the stage table's records as JSON.
 
 --fault-plan installs a deterministic, seeded fault plan (task failures,
 node losses at virtual times, slow nodes, shuffle-chunk corruption) and
@@ -182,44 +184,16 @@ fn tuner(args: &Args) -> Result<Autotuner, String> {
     Ok(t)
 }
 
-/// `run`: execute a workload once and print its stage table (and, with
-/// `--gantt`, a per-stage schedule timeline).
+/// `run`: execute a workload once and print its stage table. With
+/// `--trace-out`, the event sink records the run into a Chrome
+/// `trace_event` JSON file, and the host pool's counters follow the table.
 pub fn run(args: &Args) -> CmdResult {
     let w = workload(args)?;
-    let opts = engine_opts(args)?;
-    let conf = load_conf(args)?;
-    let scale = args.num("scale", 1.0).map_err(|e| e.to_string())?;
-    if !(scale > 0.0 && scale <= 1.0) {
-        return Err("--scale must be in (0, 1]".into());
-    }
-    let ctx = w.run(&opts, &conf, scale);
-    print!("{}", ctx.report());
-    if args.has("gantt") {
-        for s in ctx.all_stages() {
-            let timing = simcluster::StageTiming {
-                start: s.start,
-                end: s.end,
-                tasks: s.placements.clone(),
-            };
-            println!(
-                "
-stage {} [{}]",
-                s.stage_id, s.name
-            );
-            print!("{}", simcluster::render_gantt(&opts.cluster, &timing, 80));
-        }
-    }
-    Ok(())
-}
-
-/// `trace`: execute a workload with the event sink enabled, write a
-/// Perfetto-loadable Chrome `trace_event` JSON file, and print the stage
-/// table `run` prints plus the host pool's counters.
-pub fn trace(args: &Args) -> CmdResult {
-    let w = workload(args)?;
     let mut opts = engine_opts(args)?;
-    let sink = engine::TraceSink::enabled();
-    opts.trace = sink.clone();
+    let trace_out = args.get("trace-out");
+    if trace_out.is_some() {
+        opts.trace = engine::TraceSink::enabled();
+    }
     let conf = load_conf(args)?;
     let scale = args.num("scale", 1.0).map_err(|e| e.to_string())?;
     if !(scale > 0.0 && scale <= 1.0) {
@@ -232,25 +206,27 @@ pub fn trace(args: &Args) -> CmdResult {
         other => return Err(format!("unknown --clock '{other}' (all|virtual|wall)")),
     };
     let ctx = w.run(&opts, &conf, scale);
-    let json = sink.chrome_json_filtered(filter);
-    let default_out = format!("trace_{}.json", w.name());
-    let out = args.get("out").unwrap_or(&default_out);
-    std::fs::write(out, &json).map_err(|e| format!("write {out}: {e}"))?;
     print!("{}", ctx.report());
-    let pool = ctx.pool().stats();
-    println!(
-        "pool (host): {} jobs, {} items, {} stolen, {} idle epochs",
-        pool.jobs, pool.items, pool.stolen, pool.idle_epochs
-    );
+    if trace_out.is_some() {
+        let pool = ctx.pool().stats();
+        println!(
+            "pool (host): {} jobs, {} items, {} stolen, {} idle epochs",
+            pool.jobs, pool.items, pool.stolen, pool.idle_epochs
+        );
+    }
     if let Some(path) = args.get("summary-out") {
         let jobs = ctx.jobs().to_json().render(false);
         std::fs::write(path, jobs).map_err(|e| format!("write {path}: {e}"))?;
         println!("wrote stage metrics JSON to {path}");
     }
-    println!(
-        "wrote {} trace events to {out} (open at https://ui.perfetto.dev)",
-        sink.events().len()
-    );
+    if let Some(out) = trace_out {
+        let json = opts.trace.chrome_json_filtered(filter);
+        std::fs::write(out, &json).map_err(|e| format!("write {out}: {e}"))?;
+        println!(
+            "wrote {} trace events to {out} (open at https://ui.perfetto.dev)",
+            opts.trace.events().len()
+        );
+    }
     Ok(())
 }
 
@@ -830,15 +806,15 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("t.json");
         let summary = dir.join("s.json");
-        trace(&args(&[
-            "trace",
+        run(&args(&[
+            "run",
             "--workload",
             "kmeans",
             "--scale",
             "0.05",
             "--partitions",
             "24",
-            "--out",
+            "--trace-out",
             out.to_str().unwrap(),
             "--summary-out",
             summary.to_str().unwrap(),
@@ -854,12 +830,14 @@ mod tests {
 
     #[test]
     fn trace_rejects_bad_clock() {
-        let err = trace(&args(&[
-            "trace",
+        let err = run(&args(&[
+            "run",
             "--workload",
             "kmeans",
             "--scale",
             "0.05",
+            "--trace-out",
+            "unwritten.json",
             "--clock",
             "lunar",
         ]))

@@ -3,11 +3,11 @@
 //! ```text
 //! chopper-cli run     --workload kmeans [--scale 0.5] [--partitions 300]
 //!                     [--copartition] [--conf FILE] [--cluster paper|uniform:N,C,GHz]
+//!                     [--trace-out FILE [--clock all|virtual|wall]] [--summary-out FILE]
 //! chopper-cli tune    --workload sql --db db.json [--out-conf conf.txt]
 //!                     [--scales 0.1,0.3,0.6] [--test-partitions 60,150,300,600,1200]
 //! chopper-cli plan    --workload sql --db db.json [--out-conf conf.txt]
 //! chopper-cli compare --workload pca [--partitions 300]
-//! chopper-cli trace   kmeans [--out trace_kmeans.json] [--clock all|virtual|wall]
 //! chopper-cli inspect --db db.json
 //! chopper-cli conf    --file conf.txt
 //! chopper-cli serve   --trace jobs.trace [--policy fair|fifo] [--slots 8]
@@ -21,17 +21,10 @@ mod commands;
 
 use args::Args;
 
-/// `trace <workload>` reads naturally, but the flag parser takes no
-/// positionals — rewrite the bare workload token into `--workload`. A
-/// `--help` / `-h` anywhere is the `help` command.
-fn normalize(mut raw: Vec<String>) -> Vec<String> {
+/// A `--help` / `-h` anywhere is the `help` command.
+fn normalize(raw: Vec<String>) -> Vec<String> {
     if raw.iter().any(|t| t == "--help" || t == "-h") {
         return vec!["help".to_string()];
-    }
-    if raw.first().map(String::as_str) == Some("trace")
-        && raw.get(1).is_some_and(|t| !t.starts_with("--"))
-    {
-        raw.insert(1, "--workload".to_string());
     }
     raw
 }
@@ -51,7 +44,6 @@ fn main() {
         "tune" => commands::tune(&parsed),
         "plan" => commands::plan(&parsed),
         "compare" => commands::compare(&parsed),
-        "trace" => commands::trace(&parsed),
         "inspect" => commands::inspect(&parsed),
         "conf" => commands::conf(&parsed),
         "serve" => commands::serve(&parsed),
@@ -76,25 +68,15 @@ mod tests {
         normalize(tokens.iter().map(|t| t.to_string()).collect())
     }
 
-    #[test]
-    fn trace_positional_workload_is_rewritten() {
-        assert_eq!(
-            norm(&["trace", "kmeans", "--scale", "0.5"]),
-            ["trace", "--workload", "kmeans", "--scale", "0.5"]
-        );
-    }
-
+    /// Only the help spellings are rewritten; a positional is left for
+    /// the parser to reject.
     #[test]
     fn flag_form_and_other_commands_pass_through() {
         assert_eq!(
-            norm(&["trace", "--workload", "sql"]),
-            ["trace", "--workload", "sql"]
+            norm(&["run", "--workload", "sql"]),
+            ["run", "--workload", "sql"]
         );
-        assert_eq!(
-            norm(&["run", "kmeans"]),
-            ["run", "kmeans"],
-            "only `trace` takes a positional"
-        );
-        assert_eq!(norm(&["trace"]), ["trace"]);
+        assert_eq!(norm(&["run", "kmeans"]), ["run", "kmeans"]);
+        assert_eq!(norm(&["run", "kmeans", "-h"]), ["help"]);
     }
 }

@@ -50,6 +50,39 @@ fn unknown_command_fails_with_usage() {
     assert!(err.contains("unknown command"));
 }
 
+/// A command reads only its own flags: a removed command is unknown
+/// (exit 1), and a flag the command does not read — removed, another
+/// command's, or `--clock` with no trace file — is a usage error (exit 2)
+/// that names the command, before anything runs.
+#[test]
+fn removed_commands_and_foreign_flags_fail_cleanly() {
+    let out = bin()
+        .args(["trace", "kmeans", "--scale", "0.05"])
+        .output()
+        .expect("runs");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command 'trace'"));
+    let run = ["run", "--workload", "sql", "--scale", "0.05"];
+    for (flags, message) in [
+        (&["--gantt"][..], "unknown flag --gantt for `run`"),
+        (&["--slots", "4"], "unknown flag --slots for `run`"),
+        (&["--db", "x.json"], "unknown flag --db for `run`"),
+        (
+            &["--clock", "wall"],
+            "flag --clock of `run` needs --trace-out",
+        ),
+    ] {
+        let out = bin().args(run).args(flags).output().expect("runs");
+        assert_eq!(out.status.code(), Some(2), "{flags:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.starts_with(&format!("error: {message}\n")),
+            "{flags:?}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{flags:?} ran");
+    }
+}
+
 #[test]
 fn missing_required_flag_fails_cleanly() {
     let out = bin().args(["run"]).output().expect("runs");
@@ -125,10 +158,11 @@ fn run_composes_a_memory_budget_with_a_fault_plan() {
     assert_eq!(out.stdout, run_ok(&mut cmd).stdout, "rerun differs");
 }
 
-/// `run` and `trace` print one stage table from one renderer: with the
-/// same flags, `trace`'s stdout opens with `run`'s whole stdout — table,
-/// `memory:` and `faults:` lines — and adds only host and file lines.
-/// `--summary-out` is the same stage records as JSON, one entry a stage.
+/// `run` prints one stage table whether or not it traces: with the same
+/// flags, `run --trace-out`'s stdout opens with the untraced `run`'s whole
+/// stdout — table, `memory:` and `faults:` lines — and adds only host and
+/// file lines. `--summary-out` is the same stage records as JSON, one
+/// entry a stage.
 #[test]
 fn run_and_trace_print_the_same_stage_table() {
     let plan = concat!(env!("CARGO_MANIFEST_DIR"), "/../../plans/plan_lossy.plan");
@@ -148,8 +182,8 @@ fn run_and_trace_print_the_same_stage_table() {
     let run = String::from_utf8_lossy(&run);
     let dir = tmpdir("stage-table");
     let (trace_out, summary) = (dir.join("t.json"), dir.join("s.json"));
-    let traced = run_ok(bin().arg("trace").args(flags).args([
-        "--out",
+    let traced = run_ok(bin().arg("run").args(flags).args([
+        "--trace-out",
         trace_out.to_str().unwrap(),
         "--summary-out",
         summary.to_str().unwrap(),
@@ -158,7 +192,7 @@ fn run_and_trace_print_the_same_stage_table() {
     let traced = String::from_utf8_lossy(&traced);
     let extra = traced
         .strip_prefix(run.as_ref())
-        .unwrap_or_else(|| panic!("trace's table differs from run's:\n{run}\n---\n{traced}"));
+        .unwrap_or_else(|| panic!("the traced table differs:\n{run}\n---\n{traced}"));
     assert!(extra.starts_with("pool (host): "), "{extra}");
     for prefix in ["memory: ", "faults: ", "total: "] {
         assert!(

@@ -224,15 +224,23 @@ pub(super) struct Capture {
 /// task reading the captured partition. Nothing is copied: an owned vector
 /// moves into its `Arc`, a shared window covering a whole partition is
 /// captured as that partition (only a partial window of a source
-/// collection is cloned).
-fn capture(rdd: Rdd, records: &mut TaskRecords) -> Capture {
+/// collection is cloned). `measured` is the records' encoded size when
+/// the pass that produced them already took it; otherwise it is taken
+/// here.
+fn capture(rdd: Rdd, records: &mut TaskRecords, measured: Option<u64>) -> Capture {
     let part = match std::mem::take(records) {
         TaskRecords::Owned(v) => Arc::new(v),
         TaskRecords::Shared(data, start, end) if start == 0 && end == data.len() => data,
         TaskRecords::Shared(data, start, end) => Arc::new(data[start..end].to_vec()),
     };
     *records = TaskRecords::Shared(Arc::clone(&part), 0, part.len());
-    let bytes = batch_size(&part);
+    let bytes = match measured {
+        Some(bytes) => {
+            debug_assert_eq!(bytes, batch_size(&part), "{rdd:?} measured as generated");
+            bytes
+        }
+        None => batch_size(&part),
+    };
     Capture { rdd, part, bytes }
 }
 
@@ -632,7 +640,11 @@ pub(super) fn compute_task(
     let mut root = read_root(input, task);
     let mut captures = Vec::new();
     if let Some(root_rdd) = capture_root {
-        captures.push(capture(root_rdd, root.records(task)));
+        // A split generated here is sized by the pass that generates it.
+        let generated = matches!(root.root, Root::Gen { .. });
+        root.records(task);
+        let measured = generated.then_some(root.input_bytes);
+        captures.push(capture(root_rdd, root.records(task), measured));
     }
     let records = run_chain(graph, chain, task, &mut root, &mut captures, &mut sink);
     let sample = match range_sample {
@@ -718,7 +730,7 @@ fn run_chain(
                 root.pass(task, &mut ops, &mut out);
                 root.root = Root::Records(TaskRecords::Owned(out));
                 if let Some(&rdd) = cached {
-                    captures.push(capture(rdd, root.records(task)));
+                    captures.push(capture(rdd, root.records(task), None));
                 }
             }
         }
@@ -934,13 +946,37 @@ mod tests {
         }
     }
 
+    /// A cached source split is generated once, sized by the generating
+    /// pass, and captured at that size (debug builds recheck it there).
+    #[test]
+    fn a_generated_root_is_captured_at_the_size_its_pass_measured() {
+        let graph = RddGraph::new();
+        let gen: GenFn = Arc::new(|index, of, out: &mut dyn Emit| {
+            for i in (index..100).step_by(of) {
+                out.emit(Record::new(Key::Int(i as i64), Value::Int(i as i64 * 3)));
+            }
+        });
+        let input = StageInput::Gen {
+            gen: &gen,
+            cost_per_record: 1e-6,
+        };
+        let task = TaskId { index: 1, of: 4 };
+        let out = compute_task(&graph, &input, &[], task, Some(Rdd(0)), None, Sink::Collect);
+        let [Capture { part, bytes, .. }] = out.captures.as_slice() else {
+            panic!("one capture")
+        };
+        assert_eq!((part.len(), out.input_records), (25, 25));
+        assert_eq!(*bytes, out.input_bytes);
+        assert_eq!(*bytes, batch_size(part));
+    }
+
     #[test]
     fn a_capture_moves_an_owned_output_and_shares_a_whole_partition() {
         let owned: Vec<Record> = word_records();
         let at = owned.as_ptr();
         let mut records = TaskRecords::Owned(owned);
         let rdd = Rdd(7);
-        let Capture { part, bytes, .. } = capture(rdd, &mut records);
+        let Capture { part, bytes, .. } = capture(rdd, &mut records, None);
         assert_eq!(part.as_ptr(), at, "the vector moved into its Arc");
         assert_eq!(bytes, batch_size(&part), "sized as captured");
         assert!(
@@ -948,11 +984,11 @@ mod tests {
             "the task reads on from the captured partition"
         );
         // A window over a whole shared partition is that partition...
-        let again = capture(rdd, &mut records);
+        let again = capture(rdd, &mut records, None);
         assert!(Arc::ptr_eq(&again.part, &part));
         // ...and only a partial window is copied.
         let mut window = TaskRecords::Shared(Arc::clone(&part), 50, 80);
-        let copy = capture(rdd, &mut window);
+        let copy = capture(rdd, &mut window, None);
         assert_eq!(copy.part.as_slice(), &part[50..80]);
         assert_eq!(copy.bytes, batch_size(&part[50..80]));
         assert_eq!(window.as_slice(), &part[50..80]);

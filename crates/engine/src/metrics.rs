@@ -76,8 +76,7 @@ pub struct StageMetrics {
     pub end: f64,
     /// Per-task virtual durations, in task order.
     pub task_durations: Vec<f64>,
-    /// Full per-task placements (node, start, end), in task order — feeds
-    /// `simcluster::render_gantt` for schedule visualization.
+    /// Full per-task placements (node, start, end), in task order.
     pub placements: Vec<simcluster::TaskTiming>,
     /// Global stage ids this stage consumed data from.
     pub parents: Vec<usize>,

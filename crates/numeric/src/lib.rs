@@ -11,8 +11,7 @@
 //! * [`solve`] — Gaussian elimination with partial pivoting and
 //!   (ridge-regularized) normal-equation least squares,
 //! * [`features`] — the paper's 8-term feature basis over `(D, P)`,
-//! * [`stats`] — summary statistics used by the statistics collector and the
-//!   skew metrics,
+//! * [`stats`] — percentiles of a sample,
 //! * [`sample`] — deterministic reservoir sampling used by the range
 //!   partitioner to estimate key-range bounds, and the seeded generator
 //!   whose ziggurat normal draws ([`XorShift64::next_normal`]) the point
@@ -34,4 +33,4 @@ pub use features::{
 pub use matrix::Matrix;
 pub use sample::{Reservoir, XorShift64};
 pub use solve::{least_squares, least_squares_ridge, r_squared, solve_linear, SolveError};
-pub use stats::{percentile, Summary};
+pub use stats::percentile;

@@ -1,128 +1,4 @@
-//! Summary statistics used by the statistics collector and skew metrics.
-
-/// Summary of a sample: count, mean, variance, extrema.
-///
-/// Built incrementally with Welford's online algorithm so it can be fed from
-/// streaming task metrics without buffering.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Summary {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    /// An empty summary.
-    pub fn new() -> Self {
-        Summary {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Builds a summary from a slice in one pass.
-    pub fn of(values: &[f64]) -> Self {
-        let mut s = Summary::new();
-        for &v in values {
-            s.push(v);
-        }
-        s
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, v: f64) {
-        self.count += 1;
-        let delta = v - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (v - self.mean);
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Merges another summary into this one (parallel Welford combine).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.count = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sample mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 for fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (+∞ when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation (−∞ when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Max/mean ratio — the skew metric CHOPPER uses to flag imbalanced
-    /// partitionings (1.0 = perfectly balanced). Returns 1.0 when empty or
-    /// when the mean is zero.
-    pub fn skew(&self) -> f64 {
-        let m = self.mean();
-        if self.count == 0 || m == 0.0 {
-            1.0
-        } else {
-            self.max / m
-        }
-    }
-
-    /// Coefficient of variation (std-dev / mean), 0 when the mean is 0.
-    pub fn cv(&self) -> f64 {
-        let m = self.mean();
-        if m == 0.0 {
-            0.0
-        } else {
-            self.std_dev() / m
-        }
-    }
-}
+//! Percentiles of a sample.
 
 /// Linear-interpolated percentile of a sample (`q` in `[0, 1]`). The
 /// sample is ordered by [`f64::total_cmp`], so a NaN sorts last and does
@@ -151,58 +27,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn summary_of_known_sample() {
-        let s = Summary::of(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn empty_summary_is_neutral() {
-        let s = Summary::new();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.skew(), 1.0);
-    }
-
-    #[test]
-    fn merge_matches_single_pass() {
-        let all: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0 + 20.0).collect();
-        let mut a = Summary::of(&all[..37]);
-        let b = Summary::of(&all[37..]);
-        a.merge(&b);
-        let whole = Summary::of(&all);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = Summary::of(&[1.0, 2.0]);
-        let before = a;
-        a.merge(&Summary::new());
-        assert_eq!(a, before);
-        let mut e = Summary::new();
-        e.merge(&before);
-        assert_eq!(e, before);
-    }
-
-    #[test]
-    fn skew_flags_imbalance() {
-        let balanced = Summary::of(&[10.0, 10.0, 10.0]);
-        let skewed = Summary::of(&[1.0, 1.0, 28.0]);
-        assert!((balanced.skew() - 1.0).abs() < 1e-12);
-        assert!(skewed.skew() > 2.0);
-    }
-
-    #[test]
     fn percentile_interpolates() {
         let v = [1.0, 2.0, 3.0, 4.0];
         assert_eq!(percentile(&v, 0.0), 1.0);
@@ -224,10 +48,5 @@ mod tests {
     #[should_panic(expected = "empty sample")]
     fn percentile_empty_panics() {
         let _ = percentile(&[], 0.5);
-    }
-
-    #[test]
-    fn cv_of_constant_sample_is_zero() {
-        assert_eq!(Summary::of(&[5.0, 5.0, 5.0]).cv(), 0.0);
     }
 }

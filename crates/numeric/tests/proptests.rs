@@ -2,7 +2,7 @@
 
 use numeric::{
     feature_vector, least_squares, percentile, solve_linear, FeatureScaler, Matrix, Reservoir,
-    Summary, NUM_FEATURES,
+    NUM_FEATURES,
 };
 use proptest::prelude::*;
 
@@ -75,28 +75,6 @@ proptest! {
         for (x, y) in lhs.iter().zip(&rhs) {
             prop_assert!((x - y).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn summary_mean_is_bounded_by_extremes(values in proptest::collection::vec(-1e6..1e6f64, 1..200)) {
-        let s = Summary::of(&values);
-        prop_assert!(s.mean() >= s.min() - 1e-9);
-        prop_assert!(s.mean() <= s.max() + 1e-9);
-        prop_assert!(s.variance() >= 0.0);
-    }
-
-    #[test]
-    fn summary_merge_equals_whole(
-        values in proptest::collection::vec(-1e3..1e3f64, 2..100),
-        split in 0usize..100,
-    ) {
-        let k = split % values.len();
-        let mut a = Summary::of(&values[..k]);
-        a.merge(&Summary::of(&values[k..]));
-        let whole = Summary::of(&values);
-        prop_assert_eq!(a.count(), whole.count());
-        prop_assert!((a.mean() - whole.mean()).abs() < 1e-6);
-        prop_assert!((a.variance() - whole.variance()).abs() < 1e-4);
     }
 
     #[test]

@@ -22,14 +22,12 @@
 //! and identical traces, which makes every experiment in the reproduction
 //! exactly repeatable.
 
-pub mod gantt;
 pub mod perfetto;
 pub mod sim;
 pub mod spec;
 pub mod task;
 pub mod trace;
 
-pub use gantt::render as render_gantt;
 pub use netsim::{Topology, TopologyParseError};
 pub use perfetto::emit_stage_trace;
 pub use sim::{Simulation, StageTiming, TaskTiming};

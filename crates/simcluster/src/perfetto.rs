@@ -1,10 +1,9 @@
 //! Emits a stage schedule into a [`TraceSink`] as
 //! per-core-lane Perfetto tracks.
 //!
-//! This is the structured sibling of [`gantt`](crate::gantt): instead of
-//! shading ASCII columns it assigns every task a *lane* on its node and
-//! records one complete span per task, so Perfetto shows the same
-//! timeline the ASCII Gantt approximates.
+//! This is the one schedule view: every task gets a *lane* on its node
+//! and one complete span, so Perfetto shows the stage timeline (the
+//! barrier a straggler holds, the node a pin forces) core by core.
 //!
 //! Lane assignment is deterministic: tasks are processed in ascending
 //! `(start, submission index)` order and each takes the first lane on its
