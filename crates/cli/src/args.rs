@@ -272,6 +272,53 @@ mod tests {
         }
     }
 
+    /// The `--` flags a piece of usage text names.
+    fn named_flags(text: &str) -> Vec<&str> {
+        text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|word| word.strip_prefix("--"))
+            .collect()
+    }
+
+    /// `USAGE` lists every flag each command reads, in the command's
+    /// entry — its line under `commands:` and the indented lines after it.
+    /// The three flags `serve` reads only to reject may be named in its
+    /// paragraph instead.
+    #[test]
+    fn usage_lists_every_flag_each_command_reads() {
+        let usage = crate::commands::USAGE;
+        let listing = usage
+            .split("\n\n")
+            .find(|p| p.starts_with("commands:"))
+            .expect("a commands section");
+        let serve_prose = usage
+            .split("\n\n")
+            .find(|p| p.starts_with("serve "))
+            .expect("a paragraph on serve");
+        for c in COMMANDS {
+            let mut lines = listing.lines().skip_while(|l| {
+                l.strip_prefix("  ").and_then(|l| l.split(' ').next()) != Some(c.command)
+            });
+            let head = lines
+                .next()
+                .unwrap_or_else(|| panic!("no entry for `{}`", c.command));
+            let entry: Vec<&str> = std::iter::once(head)
+                .chain(lines.take_while(|l| l.starts_with("   ")))
+                .collect();
+            let entry = entry.join("\n");
+            let listed = named_flags(&entry);
+            for flag in c.values.iter().chain(c.switches) {
+                let rejected = c.command == "serve"
+                    && ["fault-plan", "fault-seed", "executor-mem"].contains(flag)
+                    && named_flags(serve_prose).contains(flag);
+                assert!(
+                    listed.contains(flag) || rejected,
+                    "`{}` reads --{flag}, which its usage entry does not name:\n{entry}",
+                    c.command
+                );
+            }
+        }
+    }
+
     #[test]
     fn duplicate_flag_is_an_error() {
         assert!(parse(&["run", "--scale", "1", "--scale", "2"]).is_err());

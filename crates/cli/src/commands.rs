@@ -24,16 +24,23 @@ commands:
            [--summary-out FILE]
   tune     --workload W --db FILE [--out-conf FILE]
            [--scales 0.1,0.3,0.6] [--test-partitions 60,150,300,600,1200]
-           [--test-parallelism N]
+           [--test-parallelism N] [--partitions N]
+           [--cluster paper|uniform:N,C,GHz] [--topology T]
+           [--executor-mem SIZE] [--fault-plan FILE] [--fault-seed N]
   plan     --workload W --db FILE [--out-conf FILE] [--partitions N]
-  compare  --workload W [--partitions N] [--executor-mem SIZE]
+           [--cluster paper|uniform:N,C,GHz] [--topology T]
+           [--executor-mem SIZE] [--fault-plan FILE] [--fault-seed N]
+  compare  --workload W [--partitions N] [--copartition]
+           [--scales LIST] [--test-partitions LIST] [--test-parallelism N]
+           [--cluster paper|uniform:N,C,GHz] [--topology T]
+           [--executor-mem SIZE] [--fault-plan FILE] [--fault-seed N]
   inspect  --db FILE
   conf     --file FILE
   serve    --trace FILE [--policy fair|fifo] [--slots N] [--queue-cap N]
            [--mem-shared SIZE] [--mem-tenant SIZE] [--workers N]
            [--partitions N] [--serial]
-           [--cluster paper|uniform:N,C,GHz] [--results-out FILE]
-           [--tables-out FILE] [--trace-out FILE]
+           [--cluster paper|uniform:N,C,GHz] [--topology T]
+           [--results-out FILE] [--tables-out FILE] [--trace-out FILE]
   loadgen  --out FILE [--tenants N] [--jobs N] [--seed N]
   help
 
@@ -50,7 +57,8 @@ the cache unbounded (no eviction or spill). run then prints a `memory:`
 line with what the memory manager did.
 
 run --trace-out writes the run as a Perfetto-loadable Chrome trace
-(--clock picks the clocks it keeps) and prints the host pool's counters;
+(--clock picks the clocks it keeps) and prints the host pool's counters
+on stderr (they move between reruns; stdout does not);
 --summary-out writes the stage table's records as JSON.
 
 --fault-plan installs a deterministic, seeded fault plan (task failures,
@@ -63,10 +71,11 @@ through the memory manager, so a survivor pushed over its budget spills.
 
 serve runs a multi-tenant job trace (see loadgen, or write one by hand:
 `tenant NAME weight W [mem SIZE]` + `job TENANT at SECS KIND scale F
-seed N` lines) through the long-lived job server. --fault-plan and
---executor-mem are rejected for serve: faults attach per tenant inside
-the server, and tenant memory is governed by the admission ledger
-(--mem-shared / --mem-tenant) instead of executor caches.
+seed N` lines) through the long-lived job server. --fault-plan,
+--fault-seed and --executor-mem are rejected for serve: faults attach
+per tenant inside the server, and tenant memory is governed by the
+admission ledger (--mem-shared / --mem-tenant) instead of executor
+caches.
 ";
 
 type CmdResult = Result<(), String>;
@@ -186,7 +195,9 @@ fn tuner(args: &Args) -> Result<Autotuner, String> {
 
 /// `run`: execute a workload once and print its stage table. With
 /// `--trace-out`, the event sink records the run into a Chrome
-/// `trace_event` JSON file, and the host pool's counters follow the table.
+/// `trace_event` JSON file, and the host pool's counters go to stderr:
+/// work stealing moves them between reruns, and stdout stays a function
+/// of the flags.
 pub fn run(args: &Args) -> CmdResult {
     let w = workload(args)?;
     let mut opts = engine_opts(args)?;
@@ -209,7 +220,7 @@ pub fn run(args: &Args) -> CmdResult {
     print!("{}", ctx.report());
     if trace_out.is_some() {
         let pool = ctx.pool().stats();
-        println!(
+        eprintln!(
             "pool (host): {} jobs, {} items, {} stolen, {} idle epochs",
             pool.jobs, pool.items, pool.stolen, pool.idle_epochs
         );

@@ -1,4 +1,6 @@
 //! `chopper-cli` — drive the CHOPPER reproduction from the command line.
+//! The commands, abridged (`chopper-cli help` prints every flag each one
+//! reads):
 //!
 //! ```text
 //! chopper-cli run     --workload kmeans [--scale 0.5] [--partitions 300]

@@ -160,9 +160,9 @@ fn run_composes_a_memory_budget_with_a_fault_plan() {
 
 /// `run` prints one stage table whether or not it traces: with the same
 /// flags, `run --trace-out`'s stdout opens with the untraced `run`'s whole
-/// stdout — table, `memory:` and `faults:` lines — and adds only host and
-/// file lines. `--summary-out` is the same stage records as JSON, one
-/// entry a stage.
+/// stdout — table, `memory:` and `faults:` lines — and adds only the lines
+/// naming the files it wrote; the host pool's counters go to stderr.
+/// `--summary-out` is the same stage records as JSON, one entry a stage.
 #[test]
 fn run_and_trace_print_the_same_stage_table() {
     let plan = concat!(env!("CARGO_MANIFEST_DIR"), "/../../plans/plan_lossy.plan");
@@ -187,13 +187,15 @@ fn run_and_trace_print_the_same_stage_table() {
         trace_out.to_str().unwrap(),
         "--summary-out",
         summary.to_str().unwrap(),
-    ]))
-    .stdout;
-    let traced = String::from_utf8_lossy(&traced);
+    ]));
+    let stderr = String::from_utf8_lossy(&traced.stderr);
+    assert!(stderr.starts_with("pool (host): "), "{stderr}");
+    let traced = String::from_utf8_lossy(&traced.stdout);
     let extra = traced
         .strip_prefix(run.as_ref())
         .unwrap_or_else(|| panic!("the traced table differs:\n{run}\n---\n{traced}"));
-    assert!(extra.starts_with("pool (host): "), "{extra}");
+    assert!(extra.lines().all(|l| l.starts_with("wrote ")), "{extra}");
+    assert_eq!(extra.lines().count(), 2, "{extra}");
     for prefix in ["memory: ", "faults: ", "total: "] {
         assert!(
             run.lines().any(|l| l.starts_with(prefix)),
@@ -224,6 +226,42 @@ fn run_and_trace_print_the_same_stage_table() {
     for (i, s) in stages.iter().enumerate() {
         assert_eq!(s.get_field("stage_id"), Some(&serde::Json::Int(i as i128)));
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A traced run's stdout is a function of its flags: two identical runs
+/// writing the same trace file print the same bytes, and write the same
+/// virtual-clock trace. Host work stealing, which moves between reruns,
+/// is reported on stderr only.
+#[test]
+fn two_identical_traced_runs_print_the_same_stdout() {
+    let dir = tmpdir("traced-twice");
+    let trace_out = dir.join("t.json");
+    let run = || {
+        let out = run_ok(bin().args([
+            "run",
+            "--workload",
+            "sql",
+            "--scale",
+            "0.1",
+            "--partitions",
+            "60",
+            "--trace-out",
+            trace_out.to_str().unwrap(),
+            "--clock",
+            "virtual",
+        ]));
+        let trace = std::fs::read(&trace_out).expect("trace written");
+        (out.stdout, trace)
+    };
+    let (first, second) = (run(), run());
+    assert!(!first.0.is_empty());
+    assert_eq!(
+        String::from_utf8_lossy(&first.0),
+        String::from_utf8_lossy(&second.0),
+        "stdout differs between reruns"
+    );
+    assert!(first.1 == second.1, "the virtual-clock trace differs");
     std::fs::remove_dir_all(&dir).ok();
 }
 

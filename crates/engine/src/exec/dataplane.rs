@@ -10,8 +10,7 @@ use crate::pool::lock;
 use crate::rdd::{Rdd, RddGraph};
 use crate::record::{batch_size, IntoRecord, Key, Record};
 use crate::shuffle::{
-    bucketize_runs, bucketize_runs_shared, Combiner, ConcatMerge, GroupMerge, JoinMerge,
-    ReduceMerge, Run, TaskArena, TaskRuns,
+    lay_out, ConcatMerge, GroupMerge, JoinMerge, ReduceMerge, Run, TaskArena, TaskRuns,
 };
 use numeric::Reservoir;
 use std::sync::Arc;
@@ -117,7 +116,7 @@ pub(super) enum StageInput<'s> {
     },
 }
 
-/// How a stage's tasks bucketize their output for the shuffle they feed.
+/// How a stage's tasks write their output to the shuffle they feed.
 pub(super) struct ShuffleWriter {
     pub(super) spec: PartitionerSpec,
     /// Map-side combine function (reduce-by-key consumers only).
@@ -134,56 +133,78 @@ pub(super) struct MapWrite {
     pub(super) cost: f64,
 }
 
+/// A shuffle-writing task's output once its sink is closed, not yet laid
+/// out.
+#[derive(Default)]
+pub(super) struct Folded {
+    /// The map-side fold's survivors, or every record without a combine.
+    pub(super) survivors: Vec<Record>,
+    /// Records the task produced, before the fold.
+    pub(super) produced: u64,
+    /// Combine applications.
+    pub(super) folds: u64,
+    /// Keys reservoir-sampled from the records produced (range writes
+    /// only).
+    pub(super) sample: Vec<Key>,
+}
+
 impl ShuffleWriter {
     pub(super) fn is_range(&self) -> bool {
         self.spec.kind == PartitionerKind::Range
     }
 
-    /// Orders a finished task's records by reduce partition, *moving* them
-    /// when the task owns its output (the common case) and cloning when
-    /// the records window a shared cache partition.
+    /// Runs task `task` — `compute` streams its output into the sink it is
+    /// handed — and closes the task's sink.
+    pub(super) fn fold(
+        &self,
+        task: TaskId,
+        arena: &mut TaskArena,
+        compute: impl FnOnce(TaskId, Sink<'_>) -> TaskOut,
+    ) -> (TaskOut, Folded) {
+        let mut sink = self.sink(task, arena);
+        let out = compute(task, Sink::Write(&mut sink));
+        (out, sink.finish(arena))
+    }
+
+    /// The sink task `task` streams its output into: a fold over `arena`'s
+    /// key index when the consumer is a `reduce_by_key`, and under a range
+    /// scheme a reservoir seeded for the task, sized so that the stage's
+    /// samples hold about 20 keys per partition.
+    fn sink(&self, task: TaskId, arena: &mut TaskArena) -> WriteSink {
+        let sample = self.is_range().then(|| {
+            let cap = (20 * self.spec.partitions).div_ceil(task.of).max(8);
+            let seed = self.seed ^ ((task.index as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15));
+            Reservoir::new(cap, seed)
+        });
+        let fold = self
+            .combine
+            .as_ref()
+            .map(|f| ReduceMerge::in_arena(Arc::clone(f), arena));
+        WriteSink {
+            counted: CountSink::default(),
+            sample,
+            fold,
+            kept: Vec::new(),
+        }
+    }
+
+    /// Lays a task's survivors out by reduce partition and charges the
+    /// write: partitioning (and range sampling) per record the task
+    /// produced, plus the combine applications.
     pub(super) fn write(
         &self,
-        records: TaskRecords,
+        folded: Folded,
         partitioner: &dyn Partitioner,
         arena: &mut TaskArena,
     ) -> MapWrite {
-        let (n, combine) = (records.len() as u64, self.combine.as_ref());
-        let (runs, combine_ops) = match records {
-            TaskRecords::Owned(v) => bucketize_runs(v, partitioner, combine, arena),
-            shared => bucketize_runs_shared(shared.as_slice(), partitioner, combine, arena),
-        };
-        self.charged(runs, n, combine_ops)
-    }
-
-    /// Closes a streamed combining write: the sink has already folded
-    /// every record the task's chain produced.
-    pub(super) fn finish(&self, sink: CombineSink<'_>) -> MapWrite {
-        let (runs, combine_ops) = sink.combiner.finish();
-        self.charged(runs, sink.counted.records, combine_ops)
-    }
-
-    /// `runs` with the compute charged for writing them: partitioning (and
-    /// range sampling) per record the task produced, `n` of them, plus the
-    /// combine applications.
-    fn charged(&self, runs: TaskRuns, n: u64, combine_ops: u64) -> MapWrite {
-        let n = n as f64;
-        let mut cost = n * PARTITION_COST + combine_ops as f64 * self.combine_cost;
+        let n = folded.produced as f64;
+        let mut cost = n * PARTITION_COST + folded.folds as f64 * self.combine_cost;
         if self.is_range() {
             cost += n * SAMPLE_COST;
         }
+        let runs = lay_out(folded.survivors, partitioner, arena);
         MapWrite { runs, cost }
     }
-}
-
-/// Per-task reservoir sampling for range-partitioned shuffle writes: each
-/// map task samples its own output during the compute pass instead of a
-/// serial driver-side scan over every task's records.
-pub(super) struct SampleSpec {
-    /// Reservoir capacity per task.
-    pub(super) cap: usize,
-    /// Stage-level seed; each task derives its own stream from it.
-    pub(super) seed: u64,
 }
 
 /// A task's output records: either owned by the task, or a window into a
@@ -245,8 +266,7 @@ fn capture(rdd: Rdd, records: &mut TaskRecords, measured: Option<u64>) -> Captur
 }
 
 pub(super) struct TaskOut {
-    /// The task's output; empty once a shuffle write has consumed it, and
-    /// from the start when the task streamed it into one.
+    /// The task's output when its sink collects; empty otherwise.
     pub(super) records: TaskRecords,
     /// Count and encoded size of the records the task produced.
     pub(super) out_records: u64,
@@ -255,8 +275,6 @@ pub(super) struct TaskOut {
     pub(super) input_records: u64,
     pub(super) input_bytes: u64,
     pub(super) captures: Vec<Capture>,
-    /// Keys reservoir-sampled from the final records (range shuffles only).
-    pub(super) sample: Vec<Key>,
 }
 
 /// One narrow op compiled for a fused streaming pass.
@@ -282,6 +300,12 @@ trait RecordSink {
     fn push<R: IntoRecord>(&mut self, rec: R);
     /// About `additional` more records follow (see [`Emit::reserve`]).
     fn reserve(&mut self, _additional: usize) {}
+    /// Every record of `records`, in order, when no op stands between.
+    fn push_all(&mut self, records: Vec<Record>) {
+        for rec in records {
+            self.push(rec);
+        }
+    }
 }
 
 /// Collects the pass's output; a borrowed record is cloned here.
@@ -311,38 +335,79 @@ impl RecordSink for CountSink {
     }
 }
 
-/// A task's streamed shuffle write: counts every record like a
-/// [`CountSink`] and folds it into the map-side combine on the spot.
-pub(super) struct CombineSink<'a> {
-    combiner: Combiner<'a>,
+/// A shuffle-writing task's sink: counts every record like a
+/// [`CountSink`], offers its key to the task's range sample, and folds it
+/// into the map-side combine on the spot — or, with no combine, keeps it.
+pub(super) struct WriteSink {
     counted: CountSink,
+    sample: Option<Reservoir<Key>>,
+    fold: Option<ReduceMerge>,
+    kept: Vec<Record>,
 }
 
-impl<'a> CombineSink<'a> {
-    pub(super) fn new(combiner: Combiner<'a>) -> Self {
-        CombineSink {
-            combiner,
-            counted: CountSink::default(),
+impl WriteSink {
+    #[inline]
+    fn see(&mut self, rec: &Record) {
+        self.counted.push(rec);
+        if let Some(sample) = &mut self.sample {
+            sample.offer(rec.key.clone());
+        }
+    }
+
+    /// Closes the sink; the fold's key index goes back to `arena`.
+    fn finish(self, arena: &mut TaskArena) -> Folded {
+        let (survivors, folds) = match self.fold {
+            Some(m) => m.finish_in(arena),
+            None => (self.kept, 0),
+        };
+        Folded {
+            survivors,
+            produced: self.counted.records,
+            folds,
+            sample: self.sample.map_or_else(Vec::new, Reservoir::into_items),
         }
     }
 }
 
-impl RecordSink for CombineSink<'_> {
+impl RecordSink for WriteSink {
     #[inline]
     fn push<R: IntoRecord>(&mut self, rec: R) {
-        self.counted.push(rec.borrow());
-        self.combiner.push(rec);
+        self.see(rec.borrow());
+        match &mut self.fold {
+            Some(m) => m.push(rec),
+            None => self.kept.push(rec.into_record()),
+        }
+    }
+
+    fn reserve(&mut self, additional: usize) {
+        if self.fold.is_none() {
+            reserve_records(&mut self.kept, additional);
+        }
+    }
+
+    /// Keeps an owned vector as it is when there is nothing to fold.
+    fn push_all(&mut self, mut records: Vec<Record>) {
+        if self.fold.is_some() {
+            records.into_iter().for_each(|rec| self.push(rec));
+            return;
+        }
+        records.iter().for_each(|rec| self.see(rec));
+        if self.kept.is_empty() {
+            self.kept = records;
+        } else {
+            self.kept.append(&mut records);
+        }
     }
 }
 
 /// What a task's output ends in.
-pub(super) enum Sink<'a, 'c> {
+pub(super) enum Sink<'a> {
     /// Kept: the task returns it in [`TaskOut::records`].
     Collect,
     /// Counted and sized, none of it kept.
     Count(CountSink),
-    /// Folded into a map-side combine.
-    Combine(&'a mut CombineSink<'c>),
+    /// Written to a shuffle.
+    Write(&'a mut WriteSink),
 }
 
 /// The [`Emit`] a generator or a flat-map closure is handed: what it
@@ -464,12 +529,14 @@ impl RootRead<'_> {
     /// root empty.
     fn pass<S: RecordSink>(&mut self, task: TaskId, ops: &mut [OpState<'_>], out: &mut S) {
         match std::mem::take(&mut self.root) {
+            Root::Records(TaskRecords::Owned(v)) if ops.is_empty() => out.push_all(v),
             Root::Records(TaskRecords::Owned(v)) => {
                 for rec in v {
                     feed(ops, rec, out);
                 }
             }
             Root::Records(TaskRecords::Shared(data, start, end)) => {
+                Downstream { rest: ops, out }.reserve(end - start);
                 for rec in &data[start..end] {
                     feed(ops, rec, out);
                 }
@@ -623,8 +690,7 @@ fn merge_runs(
     }
 }
 
-/// Runs one task: root input, narrow chain, cache captures, and — for
-/// range-shuffle writes — a reservoir sample of the output keys.
+/// Runs one task: root input, narrow chain, cache captures.
 /// `capture_root` names the root RDD when its output must be cached.
 /// Unless `sink` collects, the task's output goes into it record by record
 /// and [`TaskOut::records`] stays empty.
@@ -634,8 +700,7 @@ pub(super) fn compute_task(
     chain: &[Rdd],
     task: TaskId,
     capture_root: Option<Rdd>,
-    range_sample: Option<&SampleSpec>,
-    mut sink: Sink<'_, '_>,
+    mut sink: Sink<'_>,
 ) -> TaskOut {
     let mut root = read_root(input, task);
     let mut captures = Vec::new();
@@ -647,20 +712,9 @@ pub(super) fn compute_task(
         captures.push(capture(root_rdd, root.records(task), measured));
     }
     let records = run_chain(graph, chain, task, &mut root, &mut captures, &mut sink);
-    let sample = match range_sample {
-        Some(spec) => {
-            let task_seed = spec.seed ^ ((task.index as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15));
-            let mut res = Reservoir::new(spec.cap, task_seed);
-            for r in records.as_slice() {
-                res.offer(r.key.clone());
-            }
-            res.into_items()
-        }
-        None => Vec::new(),
-    };
     let (out_records, out_bytes) = match &sink {
         Sink::Collect => (records.len() as u64, batch_size(records.as_slice())),
-        Sink::Count(counted) | Sink::Combine(CombineSink { counted, .. }) => {
+        Sink::Count(counted) | Sink::Write(WriteSink { counted, .. }) => {
             (counted.records, counted.bytes)
         }
     };
@@ -672,7 +726,6 @@ pub(super) fn compute_task(
         input_records: root.input_records,
         input_bytes: root.input_bytes,
         captures,
-        sample,
     }
 }
 
@@ -691,7 +744,7 @@ fn run_chain(
     task: TaskId,
     root: &mut RootRead<'_>,
     captures: &mut Vec<Capture>,
-    sink: &mut Sink<'_, '_>,
+    sink: &mut Sink<'_>,
 ) -> TaskRecords {
     let mut counts: Vec<u64> = vec![0; chain.len()];
     let mut pos = 0;
@@ -724,7 +777,7 @@ fn run_chain(
         // A segment that ends in a cached node is never the streamed one.
         match (&mut *sink, cached) {
             (Sink::Count(counted), None) => root.pass(task, &mut ops, counted),
-            (Sink::Combine(combine), None) => root.pass(task, &mut ops, &mut **combine),
+            (Sink::Write(write), None) => root.pass(task, &mut ops, &mut **write),
             (Sink::Collect, _) | (_, Some(_)) => {
                 let mut out = Vec::new();
                 root.pass(task, &mut ops, &mut out);
@@ -834,8 +887,9 @@ mod tests {
     }
 
     /// One task of `src → flat-map → filter`, written to a 5-way hash
-    /// shuffle with a map-side combine: streamed into the combine, or
-    /// collected first and handed to the writer.
+    /// shuffle with a map-side combine: streamed into the task's write
+    /// sink, or — the reference — collected first, folded by a fresh
+    /// `ReduceMerge` and laid out.
     fn combining_task(
         graph: &RddGraph,
         chain: &[Rdd],
@@ -850,23 +904,30 @@ mod tests {
             seed: 9,
         };
         let partitioner = build_partitioner(writer.spec, std::iter::empty(), writer.seed);
-        let f = writer.combine.as_ref().expect("combining writer");
         let arena = &mut TaskArena::default();
         let task = TaskId { index, of: 3 };
         let input = StageInput::Slice(data);
         if streamed {
-            let mut sink = CombineSink::new(Combiner::new(&*partitioner, f, arena));
-            let stream = Sink::Combine(&mut sink);
-            let out = compute_task(graph, &input, chain, task, None, None, stream);
+            let (out, folded) = writer.fold(task, arena, |task, sink| {
+                compute_task(graph, &input, chain, task, None, sink)
+            });
             assert!(
                 out.records.as_slice().is_empty(),
                 "a streamed task holds nothing"
             );
-            (out, writer.finish(sink))
+            (out, writer.write(folded, &*partitioner, arena))
         } else {
-            let mut out = compute_task(graph, &input, chain, task, None, None, Sink::Collect);
-            let records = std::mem::take(&mut out.records);
-            (out, writer.write(records, &*partitioner, arena))
+            let out = compute_task(graph, &input, chain, task, None, Sink::Collect);
+            let mut m = ReduceMerge::new(sum());
+            m.push_slice(out.records.as_slice());
+            let (survivors, folds) = m.finish();
+            let folded = Folded {
+                survivors,
+                produced: out.out_records,
+                folds,
+                sample: Vec::new(),
+            };
+            (out, writer.write(folded, &*partitioner, arena))
         }
     }
 
@@ -907,7 +968,6 @@ mod tests {
                 &StageInput::Slice(&data),
                 &chain,
                 task,
-                None,
                 None,
                 Sink::Collect,
             )
@@ -961,7 +1021,7 @@ mod tests {
             cost_per_record: 1e-6,
         };
         let task = TaskId { index: 1, of: 4 };
-        let out = compute_task(&graph, &input, &[], task, Some(Rdd(0)), None, Sink::Collect);
+        let out = compute_task(&graph, &input, &[], task, Some(Rdd(0)), Sink::Collect);
         let [Capture { part, bytes, .. }] = out.captures.as_slice() else {
             panic!("one capture")
         };

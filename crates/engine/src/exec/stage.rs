@@ -14,8 +14,8 @@
 use super::books::FAULTS;
 use super::context::{Context, Lane, STAGES};
 use super::dataplane::{
-    compute_task, CombineSink, CountSink, JoinSide, MapWrite, MergeKind, SampleSpec, ShuffleWriter,
-    Sink, StageInput, TaskId, TaskOut, TaskRecords,
+    compute_task, CountSink, Folded, JoinSide, MapWrite, MergeKind, ShuffleWriter, Sink,
+    StageInput, TaskId, TaskOut,
 };
 use crate::metrics::{StageKind, StageMetrics};
 use crate::ops::OpKind;
@@ -23,7 +23,6 @@ use crate::partitioner::{build_partitioner, PartitionerSpec};
 use crate::pool::lock;
 use crate::rdd::Rdd;
 use crate::record::{Key, Record};
-use crate::shuffle::Combiner;
 use crate::stage::{Plan, PlanStage, SideDep, StageOutput, StageRoot};
 use simcluster::{NodeId, TaskSpec};
 use std::sync::{Arc, Mutex};
@@ -309,15 +308,12 @@ impl Context {
 
     /// Runs the stage's tasks on the pool. A result task returns its
     /// output, or — under a counting action — streams it into a count and
-    /// holds none of it. A task feeding a hash shuffle with map-side
-    /// combine streams its narrow chain straight into the combine and
-    /// never holds its pre-combine output; a combine-free hash
-    /// write collects the task's output first (its counting sort needs
-    /// all of it) and bucketizes it by move before the next task starts;
-    /// a range shuffle first needs every task's key sample for its
-    /// bounds, so it computes in one pass and bucketizes, still by move,
-    /// in a second. Returns per-task outputs and, for shuffle writes,
-    /// per-task runs.
+    /// holds none of it. A shuffle-writing task streams its narrow chain
+    /// into its write sink — counted, sampled under a range scheme, folded
+    /// when the consumer is a `reduce_by_key` — and lays the survivors out
+    /// by partition: a hash write inside the task's pool item, a range
+    /// write once every task's sample is in and its bounds are built.
+    /// Returns per-task outputs and, for shuffle writes, per-task runs.
     fn run_tasks(
         &self,
         cx: &StageCtx<'_>,
@@ -325,48 +321,17 @@ impl Context {
     ) -> (Vec<TaskOut>, Option<Vec<MapWrite>>) {
         let (stage, num_tasks) = (cx.stage(), cx.num_tasks);
         let root_rdd = stage.root_rdd();
-        let capture_root = self.graph.node(root_rdd).cached && !self.ledger.holds(root_rdd);
-        let writer = match stage.output {
-            StageOutput::ShuffleWrite(sidx) => {
-                let shuffle = &cx.plan.shuffles[sidx];
-                let wide = self.graph.node(shuffle.for_wide);
-                Some(ShuffleWriter {
-                    spec: shuffle.scheme,
-                    combine: match &wide.op {
-                        OpKind::ReduceByKey { f, .. } if shuffle.combine => Some(Arc::clone(f)),
-                        _ => None,
-                    },
-                    combine_cost: wide.cost_per_record,
-                    seed: (cx.job_id as u64) << 32 | (cx.plan_idx as u64) << 8 | 0xC0,
-                })
-            }
-            StageOutput::Result => None,
+        let capture_root =
+            (self.graph.node(root_rdd).cached && !self.ledger.holds(root_rdd)).then_some(root_rdd);
+        let task = |index| TaskId {
+            index,
+            of: num_tasks,
         };
-        // Range writes: each task reservoir-samples its own output during
-        // the compute pass.
-        let sample = writer
-            .as_ref()
-            .filter(|w| w.is_range())
-            .map(|w| SampleSpec {
-                cap: (20 * w.spec.partitions).div_ceil(num_tasks).max(8),
-                seed: w.seed,
-            });
-        let compute = |i: usize, sink: Sink<'_, '_>| {
-            compute_task(
-                &self.graph,
-                input,
-                &stage.chain,
-                TaskId {
-                    index: i,
-                    of: num_tasks,
-                },
-                capture_root.then_some(root_rdd),
-                sample.as_ref(),
-                sink,
-            )
+        let compute = |task: TaskId, sink: Sink<'_>| {
+            compute_task(&self.graph, input, &stage.chain, task, capture_root, sink)
         };
         let (pool, cap) = (&*self.pool, self.lane_cap());
-        let Some(writer) = writer else {
+        let StageOutput::ShuffleWrite(sidx) = stage.output else {
             let sink = || {
                 if cx.count_only {
                     Sink::Count(CountSink::default())
@@ -375,43 +340,53 @@ impl Context {
                 }
             };
             return (
-                pool.map_capped(num_tasks, cap, |i, _| compute(i, sink())),
+                pool.map_capped(num_tasks, cap, |i, _| compute(task(i), sink())),
                 None,
             );
         };
+        let shuffle = &cx.plan.shuffles[sidx];
+        let wide = self.graph.node(shuffle.for_wide);
+        let writer = ShuffleWriter {
+            spec: shuffle.scheme,
+            combine: match &wide.op {
+                OpKind::ReduceByKey { f, .. } if shuffle.combine => Some(Arc::clone(f)),
+                _ => None,
+            },
+            combine_cost: wide.cost_per_record,
+            seed: (cx.job_id as u64) << 32 | (cx.plan_idx as u64) << 8 | 0xC0,
+        };
+        let fold = |i: usize, arena: &mut _| writer.fold(task(i), arena, compute);
         if !writer.is_range() {
             let partitioner = build_partitioner(writer.spec, std::iter::empty(), writer.seed);
             let (outs, writes) = pool
                 .map_capped(num_tasks, cap, |i, p| {
-                    pool.with_arena(p, |arena| match &writer.combine {
-                        Some(f) => {
-                            let mut sink = CombineSink::new(Combiner::new(&*partitioner, f, arena));
-                            let out = compute(i, Sink::Combine(&mut sink));
-                            (out, writer.finish(sink))
-                        }
-                        None => {
-                            let mut out = compute(i, Sink::Collect);
-                            let records = std::mem::take(&mut out.records);
-                            (out, writer.write(records, &*partitioner, arena))
-                        }
+                    pool.with_arena(p, |arena| {
+                        let (out, folded) = fold(i, arena);
+                        (out, writer.write(folded, &*partitioner, arena))
                     })
                 })
                 .into_iter()
                 .unzip();
             return (outs, Some(writes));
         }
-        let mut outs = pool.map_capped(num_tasks, cap, |i, _| compute(i, Sink::Collect));
+        let (outs, folded): (Vec<TaskOut>, Vec<Folded>) = pool
+            .map_capped(num_tasks, cap, |i, p| {
+                pool.with_arena(p, |arena| fold(i, arena))
+            })
+            .into_iter()
+            .unzip();
         // Bounds come from the per-task samples concatenated in task order,
         // so they are independent of worker scheduling.
-        let keys: Vec<Key> = outs.iter().flat_map(|o| o.sample.iter().cloned()).collect();
-        let partitioner = build_partitioner(writer.spec, keys.iter(), writer.seed);
-        let records: Vec<Mutex<TaskRecords>> = outs
-            .iter_mut()
-            .map(|o| Mutex::new(std::mem::take(&mut o.records)))
+        let keys: Vec<Key> = folded
+            .iter()
+            .flat_map(|f| f.sample.iter().cloned())
             .collect();
+        let partitioner = build_partitioner(writer.spec, keys.iter(), writer.seed);
+        // Each task's survivors move to the pool item that lays them out.
+        let folded: Vec<Mutex<Folded>> = folded.into_iter().map(Mutex::new).collect();
         let writes = pool.map_capped(num_tasks, cap, |i, p| {
-            let records = std::mem::take(&mut *lock(&records[i]));
-            pool.with_arena(p, |arena| writer.write(records, &*partitioner, arena))
+            let folded = std::mem::take(&mut *lock(&folded[i]));
+            pool.with_arena(p, |arena| writer.write(folded, &*partitioner, arena))
         });
         (outs, Some(writes))
     }
@@ -823,10 +798,10 @@ mod tests {
     use super::{aggregate_fetches, index_runs, Context};
     use crate::metrics::StageKind;
     use crate::ops::Emit;
-    use crate::partitioner::{HashPartitioner, PartitionerSpec};
+    use crate::partitioner::{build_partitioner, HashPartitioner, PartitionerSpec};
     use crate::pool::{lock, WorkerPool};
     use crate::record::{Key, Record, Value};
-    use crate::shuffle::{bucketize_runs, TaskArena};
+    use crate::shuffle::{lay_out, TaskArena};
     use std::sync::atomic::Ordering;
     use std::sync::{Arc, Mutex};
 
@@ -902,7 +877,7 @@ mod tests {
         let writes: Vec<MapWrite> = (0..maps)
             .map(|m| {
                 let records = (0..3).map(|k| Record::new(Key::Int(k), Value::Int(m)));
-                let (runs, _) = bucketize_runs(records.collect(), &partitioner, None, arena);
+                let runs = lay_out(records.collect(), &partitioner, arena);
                 assert!(runs.spans().len() <= 3, "map {m}: {:?}", runs.spans());
                 MapWrite { runs, cost: 0.0 }
             })
@@ -938,6 +913,122 @@ mod tests {
         for field in per_partition {
             assert!(!task.contains(field), "a per-partition field:\n{task}");
         }
+    }
+
+    /// The first-seen fold the reference uses: a linear scan, no index.
+    fn fold_by_scan(records: &[Record]) -> (Vec<Record>, u64) {
+        let (mut kept, mut folds) = (Vec::<Record>::new(), 0);
+        for r in records {
+            match kept.iter_mut().find(|k| k.key == r.key) {
+                Some(k) => {
+                    k.value = Value::Int(k.value.as_int() + r.value.as_int());
+                    folds += 1;
+                }
+                None => kept.push(r.clone()),
+            }
+        }
+        (kept, folds)
+    }
+
+    /// A range `reduce_by_key` at P > 1 with a map-side combine, against
+    /// its definition: each task's pre-combine output collected, a
+    /// `Reservoir` per task filled from it with the task's seed, the bounds
+    /// built from the samples in task order, then the fold, then the
+    /// lay-out. The write samples the stream it folds, not the survivors;
+    /// holds only the survivors until the bounds exist; and lays them out
+    /// under those bounds — task by task through the pieces `run_tasks`
+    /// runs, and for the whole job through a `Context`.
+    #[test]
+    fn a_range_combine_write_samples_then_folds_then_lays_out() {
+        use super::super::dataplane::{compute_task, ShuffleWriter, StageInput, TaskId};
+        use crate::record::batch_size;
+        const M: usize = 4;
+        let p = PartitionerSpec::range(5);
+        let data: Vec<Record> = (0..600)
+            .map(|i| Record::new(Key::Int((i * 37) % 97), Value::Int(i)))
+            .collect();
+        let fan = |r: &Record| Record::new(r.key.clone(), Value::Int(r.value.as_int() % 7));
+        let mut ctx = Context::new(test_options());
+        let src = ctx.parallelize(data.clone(), M, "src");
+        let mapped = ctx.map(src, Arc::new(fan), 1e-6, "fan");
+        let reduced = ctx.reduce_by_key(mapped, sum(), Some(p), 2e-6, "sum");
+
+        // The reference, task by task. Job 0's map stage is plan stage 0.
+        let seed = 0xC0;
+        let cap = (20 * p.partitions).div_ceil(M).max(8);
+        let mut reference = Vec::new();
+        for i in 0..M {
+            let slice = &data[i * data.len() / M..(i + 1) * data.len() / M];
+            let produced: Vec<Record> = slice.iter().map(fan).collect();
+            let task_seed = seed ^ ((i as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15));
+            let mut sample = numeric::Reservoir::new(cap, task_seed);
+            produced.iter().for_each(|r| sample.offer(r.key.clone()));
+            let (survivors, folds) = fold_by_scan(&produced);
+            reference.push((produced.len() as u64, sample.into_items(), survivors, folds));
+        }
+        let keys: Vec<Key> = reference.iter().flat_map(|t| t.1.clone()).collect();
+        let bounds = build_partitioner(p, keys.iter(), seed);
+        let runs_of = |survivors: &[Record]| -> Vec<Vec<Record>> {
+            (0..p.partitions)
+                .map(|b| {
+                    let sent = survivors.iter().filter(|r| bounds.partition(&r.key) == b);
+                    sent.cloned().collect()
+                })
+                .collect()
+        };
+        assert!(reference.iter().all(|t| t.3 > 0), "every task folds");
+        assert!(
+            reference.iter().all(|t| t.0 as usize > cap),
+            "every reservoir replaces"
+        );
+
+        // The write, task by task.
+        let writer = ShuffleWriter {
+            spec: p,
+            combine: Some(sum()),
+            combine_cost: 2e-6,
+            seed,
+        };
+        let (input, arena) = (Arc::new(data), &mut TaskArena::default());
+        let mut held = Vec::new();
+        for (i, (produced, sample, survivors, folds)) in reference.iter().enumerate() {
+            let task = TaskId { index: i, of: M };
+            let (out, folded) = writer.fold(task, arena, |task, sink| {
+                let input = StageInput::Slice(&input);
+                compute_task(ctx.graph(), &input, &[mapped], task, None, sink)
+            });
+            assert_eq!(out.out_records, *produced, "task {i}");
+            assert_eq!(&folded.sample, sample, "task {i} samples what it produced");
+            assert_eq!(&folded.survivors, survivors, "task {i} holds its survivors");
+            assert_eq!(folded.folds, *folds, "task {i}");
+            held.push(folded);
+        }
+        let keys: Vec<Key> = held.iter().flat_map(|f| f.sample.clone()).collect();
+        let built = build_partitioner(p, keys.iter(), seed);
+        for k in (0..97).map(Key::Int) {
+            assert_eq!(built.partition(&k), bounds.partition(&k), "{k:?}");
+        }
+        let mut write_bytes = 0;
+        let mut columns: Vec<Vec<Record>> = vec![Vec::new(); p.partitions];
+        for (i, folded) in held.into_iter().enumerate() {
+            let want = runs_of(&reference[i].2);
+            let runs = writer.write(folded, &*built, arena).runs.into_buckets();
+            let got: Vec<Vec<Record>> = runs.buckets.iter().map(|b| b.to_vec()).collect();
+            assert_eq!(got, want, "task {i}'s runs");
+            for (b, run) in want.iter().enumerate() {
+                assert_eq!(runs.bytes[b], batch_size(run), "task {i} run {b}");
+                write_bytes += runs.bytes[b];
+                columns[b].extend(run.iter().cloned());
+            }
+        }
+
+        // The whole job: the same write, and each reduce partition the
+        // fold of its column in map-task order, in partition order.
+        let merged: Vec<Record> = columns.iter().flat_map(|c| fold_by_scan(c).0).collect();
+        assert_eq!(ctx.collect(reduced, "range-sum"), merged);
+        let map_stage = &ctx.jobs()[0].stages[0];
+        assert_eq!(map_stage.shuffle_write_bytes, write_bytes);
+        assert_eq!(map_stage.output_records, 600);
     }
 
     #[test]

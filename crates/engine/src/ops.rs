@@ -70,9 +70,9 @@ impl<F: Fn(&mut Value, &Value) + Send + Sync> Reduce for InPlace<F> {
 ///     *acc = Value::Int(acc.as_int() + v.as_int())
 /// }));
 /// for f in [by_value, in_place] {
-///     let mut acc = Value::Int(2);
-///     f.fold(&mut acc, &Value::Int(3));
-///     assert_eq!(acc, Value::Int(5));
+///     let acc = &mut Value::Int(2);
+///     f.fold(acc, &Value::Int(3));
+///     assert_eq!(*acc, Value::Int(5));
 /// }
 /// ```
 pub type ReduceFn = Arc<dyn Reduce>;

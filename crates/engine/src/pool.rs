@@ -5,7 +5,7 @@
 //! every stage spawned fresh scoped threads and parked each result behind
 //! its own mutex; a multi-stage job paid thread start-up and teardown per
 //! stage. [`WorkerPool`] is built once per [`Context`](crate::Context) and
-//! reused for every stage-compute and shuffle-bucketize fan-out.
+//! reused for every stage-compute and shuffle-write fan-out.
 //!
 //! Design:
 //!
@@ -595,7 +595,8 @@ mod tests {
             .map(|i| Record::new(Key::Int(i % 7), Value::Int(i)))
             .collect();
         let p = HashPartitioner::new(4);
-        let expected = crate::shuffle::bucketize(&records, &p, None).0;
+        let fresh = &mut crate::shuffle::TaskArena::default();
+        let expected = crate::shuffle::bucketize_owned_in(records.clone(), &p, None, fresh).0;
         let out = pool.map_with(32, |i, participant| {
             assert!(participant < pool.workers());
             let (tb, _) = pool.with_arena(participant, |arena| {

@@ -1,5 +1,5 @@
-//! Shuffle mechanics: map-side bucketing (with optional combine) and
-//! reduce-side merges.
+//! Shuffle mechanics: the map-side write (an optional fold, then one
+//! lay-out) and reduce-side merges.
 //!
 //! The volume a shuffle moves is *measured from real data*, not modeled:
 //! every map task partitions its actual output records with the consumer's
@@ -16,14 +16,16 @@
 //! not with P: at P much larger than the records per task an empty
 //! partition costs one counter in the task's scratch space and nothing
 //! that outlives the task. [`TaskBuckets`] is the same output cut into one
-//! record vector per partition, for callers that want the pieces. The
-//! map-side combine is incremental ([`Combiner`]): the
-//! executor pushes a task's records into it as the narrow chain produces
-//! them, and the whole-sequence writes are the loop over the same `push`.
+//! record vector per partition, for callers that want the pieces. Every
+//! write is one sequence: the map-side combine is a [`ReduceMerge`] — the
+//! same fold the reduce side runs — that the executor pushes a task's
+//! records into as the narrow chain produces them, and [`lay_out`]
+//! partitions each survivor once and orders the survivors by partition. A
+//! combine-free write lays out all of the task's records.
 //!
 //! Reduce-side merges are *incremental*: each merge is an accumulator
-//! ([`ReduceMerge`], [`GroupMerge`], [`ConcatMerge`], [`JoinMerge`],
-//! [`CogroupMerge`]) that consumes one map task's [`Run`] at a time, so a
+//! ([`ReduceMerge`], [`GroupMerge`], [`ConcatMerge`], [`JoinMerge`]) that
+//! consumes one map task's [`Run`] at a time, so a
 //! reduce task never materializes its whole input. Each accumulator has
 //! one private step, generic over a record by value or by reference
 //! (`record::IntoRecord`): owned records are *moved* in, borrowed ones
@@ -298,207 +300,69 @@ impl KeyIndex {
     }
 }
 
-/// Reusable scratch space for the bucketize functions: the
-/// partition-assignment vector, the per-partition counts and the combine
-/// index survive across calls, so a long-lived worker stops paying
-/// per-task allocation churn. The record payload itself is *not* pooled —
-/// it is owned downstream by the shuffle consumer.
+/// Reusable scratch space for a task's shuffle write: the
+/// partition-assignment vector, the per-partition counts and the key index
+/// the map-side [`ReduceMerge`] borrows survive across calls, so a
+/// long-lived worker stops paying per-task allocation churn. The record
+/// payload itself is *not* pooled — it is owned downstream by the shuffle
+/// consumer.
 #[derive(Default)]
 pub struct TaskArena {
     assignment: Vec<u32>,
     counts: Vec<usize>,
-    /// Indexes the [`Combiner`]'s survivors.
+    /// Lent to the map-side [`ReduceMerge`] ([`ReduceMerge::in_arena`]).
     index: KeyIndex,
     /// Record indices in reduce-partition order.
     order: Vec<u32>,
 }
 
-/// Buckets `records` by `partitioner`, optionally combining values per key
-/// within each bucket (map-side combine for reduce-by-key).
-///
-/// Returns the buckets and the number of combine applications performed
-/// (for cost accounting).
-pub fn bucketize(
-    records: &[Record],
-    partitioner: &dyn Partitioner,
-    combine: Option<&ReduceFn>,
-) -> (TaskBuckets, u64) {
-    let (runs, ops) =
-        bucketize_runs_shared(records, partitioner, combine, &mut TaskArena::default());
-    (runs.into_buckets(), ops)
-}
-
-/// [`bucketize`] over an *owned* record vector with caller-owned scratch
-/// space: records are moved into their buckets instead of cloned. Output
-/// is identical to the borrowing version on the same input — same bucket
-/// contents, same byte table, same combine-op count.
+/// Kept only for the frozen `benchmark/` until ROADMAP item 4a: a task's
+/// shuffle write over an owned record vector — the map-side fold when
+/// `combine` is given, then [`lay_out`] — cut into one bucket per
+/// partition. Returns the buckets and the number of combine applications.
 pub fn bucketize_owned_in(
     records: Vec<Record>,
     partitioner: &dyn Partitioner,
     combine: Option<&ReduceFn>,
     arena: &mut TaskArena,
 ) -> (TaskBuckets, u64) {
-    let (runs, ops) = bucketize_runs(records, partitioner, combine, arena);
-    (runs.into_buckets(), ops)
+    let (survivors, ops) = match combine {
+        Some(f) => {
+            let mut m = ReduceMerge::in_arena(Arc::clone(f), arena);
+            m.fold(records);
+            m.finish_in(arena)
+        }
+        None => (records, 0),
+    };
+    (lay_out(survivors, partitioner, arena).into_buckets(), ops)
 }
 
-/// The executor's row shuffle write over a task's own output: records are
-/// *moved* into reduce-partition order. Without a combine, two passes:
-/// partition assignment with exact run sizes, then one move per record.
-/// With one, duplicates fold into the first record seen with their key and
-/// the survivors are ordered the same way, so a run keeps first-seen key
-/// order. Returns the runs and the number of combine applications.
-pub fn bucketize_runs(
-    mut records: Vec<Record>,
+/// The last step of every shuffle write: partitions each of a task's
+/// survivors — its records after the map-side fold, or all of them — once,
+/// and moves them into reduce-partition order, listing the non-empty runs
+/// on the way. Stable: a partition's records keep their relative order, so
+/// a run keeps first-seen key order.
+pub fn lay_out(
+    mut survivors: Vec<Record>,
     partitioner: &dyn Partitioner,
-    combine: Option<&ReduceFn>,
     arena: &mut TaskArena,
-) -> (TaskRuns, u64) {
-    match combine {
-        None => {
-            assign(&records, partitioner, arena);
-            let p = partitioner.num_partitions();
-            (order_runs(p, arena, |i| std::mem::take(&mut records[i])), 0)
-        }
-        Some(f) => combine_first_seen(records, partitioner, f, arena),
-    }
-}
-
-/// [`bucketize_runs`] over records the task does not own (a window of a
-/// shared cache partition): survivors are cloned, everything else is
-/// identical.
-pub fn bucketize_runs_shared(
-    records: &[Record],
-    partitioner: &dyn Partitioner,
-    combine: Option<&ReduceFn>,
-    arena: &mut TaskArena,
-) -> (TaskRuns, u64) {
-    match combine {
-        None => {
-            assign(records, partitioner, arena);
-            let p = partitioner.num_partitions();
-            (order_runs(p, arena, |i| records[i].clone()), 0)
-        }
-        Some(f) => combine_first_seen(records, partitioner, f, arena),
-    }
-}
-
-/// Fills `arena.assignment` (one partition id per record) and
-/// `arena.counts` (records per partition).
-fn assign(records: &[Record], partitioner: &dyn Partitioner, arena: &mut TaskArena) {
-    let TaskArena {
-        assignment, counts, ..
-    } = arena;
-    assignment.clear();
-    assignment.reserve(records.len());
-    counts.clear();
-    counts.resize(partitioner.num_partitions(), 0);
-    for r in records {
-        let b = partitioner.partition(&r.key);
-        counts[b] += 1;
-        assignment.push(b as u32);
-    }
-}
-
-/// Map-side combine over a whole task, one record at a time: every record
-/// [`push`](Combiner::push)ed folds into the first one seen with its key
-/// (same key, same partition, so one index serves all partitions), and
-/// [`finish`](Combiner::finish) lays the survivors out in reduce-partition
-/// order. A task that streams its narrow chain into this never holds its
-/// pre-combine output.
-pub struct Combiner<'a> {
-    partitioner: &'a dyn Partitioner,
-    f: &'a ReduceFn,
-    /// `assignment` and `counts` describe `seen`; `index` indexes it.
-    arena: &'a mut TaskArena,
-    /// The survivors, in first-seen order.
-    seen: Vec<Record>,
-    ops: u64,
-}
-
-impl<'a> Combiner<'a> {
-    /// An empty combine folding with `f`, over `arena`'s scratch space.
-    pub fn new(
-        partitioner: &'a dyn Partitioner,
-        f: &'a ReduceFn,
-        arena: &'a mut TaskArena,
-    ) -> Self {
-        arena.assignment.clear();
-        arena.counts.clear();
-        arena.counts.resize(partitioner.num_partitions(), 0);
-        arena.index.clear();
-        Combiner {
-            partitioner,
-            f,
-            arena,
-            seen: Vec::new(),
-            ops: 0,
-        }
-    }
-
-    /// Folds one record in, owned or borrowed: the first record with a key
-    /// is kept (a borrowed one cloned) and partitioned, a later one only
-    /// lends its value.
-    #[inline]
-    pub fn push<R: IntoRecord>(&mut self, item: R) {
-        let TaskArena {
-            assignment,
-            counts,
-            index,
-            ..
-        } = &mut *self.arena;
-        let seen = &mut self.seen;
-        let r = item.borrow();
-        let at = index.slot(&r.key, |i| seen[i].key == r.key);
-        if at < seen.len() {
-            self.f.fold(&mut seen[at].value, &r.value);
-            self.ops += 1;
-            return;
-        }
-        let b = self.partitioner.partition(&r.key);
-        counts[b] += 1;
-        assignment.push(b as u32);
-        seen.push(item.into_record());
-    }
-
-    /// The survivors in reduce-partition order, first-seen order inside a
-    /// partition, and the number of combine applications.
-    pub fn finish(self) -> (TaskRuns, u64) {
-        let mut seen = self.seen;
-        let runs = order_runs(self.partitioner.num_partitions(), self.arena, |i| {
-            std::mem::take(&mut seen[i])
-        });
-        (runs, self.ops)
-    }
-}
-
-/// The combining shuffle write of a whole record sequence: the loop over
-/// [`Combiner::push`].
-fn combine_first_seen<R: IntoRecord>(
-    records: impl IntoIterator<Item = R>,
-    partitioner: &dyn Partitioner,
-    f: &ReduceFn,
-    arena: &mut TaskArena,
-) -> (TaskRuns, u64) {
-    let mut combiner = Combiner::new(partitioner, f, arena);
-    for item in records {
-        combiner.push(item);
-    }
-    combiner.finish()
-}
-
-/// Lays `records` out in reduce-partition order by `arena.assignment`
-/// (stable: a partition's records keep their relative order) and lists
-/// the non-empty runs on the way. `fetch(i)` yields input record `i` by
-/// value — moved out of an owned vector or cloned from a borrowed one —
-/// and is called once per record, in output order.
-fn order_runs(p: usize, arena: &mut TaskArena, mut fetch: impl FnMut(usize) -> Record) -> TaskRuns {
+) -> TaskRuns {
+    let p = partitioner.num_partitions();
     let TaskArena {
         assignment,
         counts,
         order,
         ..
     } = arena;
+    assignment.clear();
+    assignment.reserve(survivors.len());
+    counts.clear();
+    counts.resize(p, 0);
+    for r in &survivors {
+        let b = partitioner.partition(&r.key);
+        counts[b] += 1;
+        assignment.push(b as u32);
+    }
     // `counts` turns into each partition's write cursor.
     let mut acc = 0usize;
     for c in counts.iter_mut() {
@@ -520,7 +384,10 @@ fn order_runs(p: usize, arena: &mut TaskArena, mut fetch: impl FnMut(usize) -> R
     let mut ordered = Vec::with_capacity(order.len());
     let mut spans: Vec<RunSpan> = Vec::with_capacity(order.len().min(p));
     for &i in order.iter() {
-        let (r, partition) = (fetch(i as usize), assignment[i as usize]);
+        let (r, partition) = (
+            std::mem::take(&mut survivors[i as usize]),
+            assignment[i as usize],
+        );
         let (at, bytes) = (ordered.len() as u32, r.encoded_size());
         match spans.last_mut() {
             Some(run) if run.partition == partition => {
@@ -544,16 +411,16 @@ fn order_runs(p: usize, arena: &mut TaskArena, mut fetch: impl FnMut(usize) -> R
 }
 
 /// Kept only for the frozen `benchmark/` until ROADMAP item 4a: `None`
-/// where [`ColumnBatch::from_records_typed`] rejects `records`, else their
-/// combine-free row write.
+/// where [`ColumnBatch::from_records_typed`] rejects `records`, else a
+/// copy of them [`lay_out`] without a combine.
 pub fn bucketize_columnar(
     records: &[Record],
     partitioner: &dyn Partitioner,
     arena: &mut TaskArena,
 ) -> Option<(TaskBuckets, u64)> {
     ColumnBatch::from_records_typed(records)?;
-    let (runs, ops) = bucketize_runs_shared(records, partitioner, None, arena);
-    Some((runs.into_buckets(), ops))
+    let runs = lay_out(records.to_vec(), partitioner, arena);
+    Some((runs.into_buckets(), 0))
 }
 
 /// Map-side spill overflow: the bytes of a task's shuffle write that do
@@ -564,10 +431,12 @@ pub fn spill_overflow(write_bytes: u64, task_mem_budget: u64) -> u64 {
     write_bytes.saturating_sub(task_mem_budget)
 }
 
-/// Streaming reduce-side merge for `reduce_by_key`: folds all values of a
-/// key with `f`, preserving first-seen key order. Records can be pushed
-/// one run at a time, owned (moved) or borrowed (cloned on first sight
-/// only).
+/// The fold of `reduce_by_key`, map side and reduce side alike: folds
+/// every value of a key into the first record seen with it, with `f`,
+/// preserving first-seen key order. Records can be pushed one at a time
+/// or one run at a time, owned (moved) or borrowed (cloned on first sight
+/// only). A task's map-side combine folds over its worker's key index
+/// ([`ReduceMerge::in_arena`]); a reduce task's merge owns one.
 pub struct ReduceMerge {
     f: ReduceFn,
     out: Vec<Record>,
@@ -586,19 +455,35 @@ impl ReduceMerge {
         }
     }
 
+    /// New accumulator folding with `f` over `arena`'s key index, which
+    /// [`ReduceMerge::finish_in`] hands back.
+    pub fn in_arena(f: ReduceFn, arena: &mut TaskArena) -> Self {
+        let mut index = std::mem::take(&mut arena.index);
+        index.clear();
+        Self {
+            index,
+            ..Self::new(f)
+        }
+    }
+
     /// The merge step: a record whose key is already held folds into it
     /// by reference; the first record with a key is kept.
-    fn fold<R: IntoRecord>(&mut self, records: impl IntoIterator<Item = R>) {
+    #[inline]
+    pub fn push<R: IntoRecord>(&mut self, item: R) {
         let Self { f, out, index, ops } = self;
+        let r = item.borrow();
+        let at = index.slot(&r.key, |i| out[i].key == r.key);
+        if at < out.len() {
+            f.fold(&mut out[at].value, &r.value);
+            *ops += 1;
+        } else {
+            out.push(item.into_record());
+        }
+    }
+
+    fn fold<R: IntoRecord>(&mut self, records: impl IntoIterator<Item = R>) {
         for item in records {
-            let r = item.borrow();
-            let at = index.slot(&r.key, |i| out[i].key == r.key);
-            if at < out.len() {
-                f.fold(&mut out[at].value, &r.value);
-                *ops += 1;
-            } else {
-                out.push(item.into_record());
-            }
+            self.push(item);
         }
     }
 
@@ -623,6 +508,13 @@ impl ReduceMerge {
 
     /// Merged records in first-seen key order, plus reduce-op count.
     pub fn finish(self) -> (Vec<Record>, u64) {
+        (self.out, self.ops)
+    }
+
+    /// [`ReduceMerge::finish`] of an accumulator made by
+    /// [`ReduceMerge::in_arena`]: the key index goes back to `arena`.
+    pub fn finish_in(self, arena: &mut TaskArena) -> (Vec<Record>, u64) {
+        arena.index = self.index;
         (self.out, self.ops)
     }
 }
@@ -664,7 +556,7 @@ struct Group {
 /// finishes to by default: values gather per key and side, keys in
 /// first-seen order. Left records build the table; right records probe it,
 /// and one whose key the left side lacks is dropped (inner) or given the
-/// next slot ([`CogroupMerge`]). Rights pushed before
+/// next slot (a co-group, [`JoinMerge::two_sided`]). Rights pushed before
 /// [`JoinMerge::seal_left`] are buffered untouched and probed at seal time
 /// in arrival order, so a consumer may interleave sides freely while
 /// producing output identical to "all left, then all right".
@@ -686,7 +578,7 @@ impl JoinMerge {
     }
 
     /// New empty table: a co-group's if `outer`, an inner join's if not.
-    pub(crate) fn two_sided(outer: bool) -> Self {
+    pub fn two_sided(outer: bool) -> Self {
         JoinMerge {
             outer,
             ..Self::default()
@@ -815,40 +707,6 @@ impl GroupMerge {
     }
 }
 
-/// Streaming co-group of two sides: the grouping table keeping every key,
-/// so the output order is "left keys first, then unseen right keys".
-pub struct CogroupMerge(JoinMerge);
-
-impl Default for CogroupMerge {
-    fn default() -> Self {
-        CogroupMerge(JoinMerge::two_sided(true))
-    }
-}
-
-impl CogroupMerge {
-    /// New empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Declare the left side complete; see [`JoinMerge::seal_left`].
-    pub fn seal_left(&mut self) {
-        self.0.seal_left();
-    }
-
-    /// Route one map task's run to the chosen side, as the shuffle table
-    /// hands it out.
-    pub fn push_run(&mut self, run: Run<'_>, is_left: bool) {
-        self.0.push_run(run, is_left);
-    }
-
-    /// One `Record(k, Pair(List(lefts), List(rights)))` per key present on
-    /// either side, in first-seen key order (left side first).
-    pub fn finish(self) -> Vec<Record> {
-        self.0.finish().0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -891,18 +749,45 @@ mod tests {
     }
 
     fn cogrouped(left: &[Record], right: &[Record]) -> Vec<Record> {
-        let mut m = CogroupMerge::new();
+        let mut m = JoinMerge::two_sided(true);
         m.push_run(Run::Shared(left), true);
         m.seal_left();
         m.push_run(Run::Shared(right), false);
-        m.finish()
+        m.finish().0
+    }
+
+    /// A whole task's write over a fresh arena, cut into buckets.
+    fn write_buckets(
+        records: &[Record],
+        partitioner: &dyn Partitioner,
+        combine: Option<&ReduceFn>,
+    ) -> (TaskBuckets, u64) {
+        let arena = &mut TaskArena::default();
+        bucketize_owned_in(records.to_vec(), partitioner, combine, arena)
+    }
+
+    /// The survivors of a task's map-side fold, the records themselves
+    /// without one.
+    fn survivors(
+        records: &[Record],
+        combine: Option<&ReduceFn>,
+        arena: &mut TaskArena,
+    ) -> (Vec<Record>, u64) {
+        match combine {
+            Some(f) => {
+                let mut m = ReduceMerge::in_arena(Arc::clone(f), arena);
+                m.push_slice(records);
+                m.finish_in(arena)
+            }
+            None => (records.to_vec(), 0),
+        }
     }
 
     #[test]
     fn bucketize_routes_by_partitioner() {
         let p = HashPartitioner::new(4);
         let records: Vec<Record> = (0..100).map(|i| rec(i, i)).collect();
-        let (tb, ops) = bucketize(&records, &p, None);
+        let (tb, ops) = write_buckets(&records, &p, None);
         assert_eq!(ops, 0);
         assert_eq!(tb.buckets.len(), 4);
         let total: usize = tb.buckets.iter().map(|b| b.len()).sum();
@@ -920,7 +805,7 @@ mod tests {
         let p = HashPartitioner::new(2);
         // 100 records, only 4 distinct keys.
         let records: Vec<Record> = (0..100).map(|i| rec(i % 4, 1)).collect();
-        let (tb, ops) = bucketize(&records, &p, Some(&sum()));
+        let (tb, ops) = write_buckets(&records, &p, Some(&sum()));
         let total: usize = tb.buckets.iter().map(|b| b.len()).sum();
         assert_eq!(total, 4, "one combined record per key");
         assert_eq!(ops, 96);
@@ -941,7 +826,7 @@ mod tests {
             (0..num_map_tasks)
                 .map(|m| {
                     let slice = &records[m * chunk..(m + 1) * chunk];
-                    bucketize(slice, &p, Some(&sum())).0.total_bytes()
+                    write_buckets(slice, &p, Some(&sum())).0.total_bytes()
                 })
                 .sum()
         };
@@ -1034,7 +919,7 @@ mod tests {
     #[test]
     fn empty_input_bucketizes_to_empty_buckets() {
         let p = HashPartitioner::new(3);
-        let (tb, _) = bucketize(&[], &p, Some(&sum()));
+        let (tb, _) = write_buckets(&[], &p, Some(&sum()));
         assert!(tb.buckets.iter().all(|b| b.is_empty()));
         assert_eq!(tb.total_bytes(), 0);
     }
@@ -1061,12 +946,12 @@ mod tests {
         let left: Vec<Record> = (0..12).map(|i| rec(i % 5, i)).collect();
         let right: Vec<Record> = (0..12).map(|i| rec(i % 7, i + 50)).collect();
         let lent = cogrouped(&left, &right);
-        let mut m = CogroupMerge::new();
+        let mut m = JoinMerge::two_sided(true);
         m.push_run(Run::Moved(&mut right[..5].to_vec()), false);
         m.push_run(Run::Moved(&mut left.clone()), true);
         m.push_run(Run::Moved(&mut right[5..].to_vec()), false);
         m.seal_left();
-        assert_eq!(m.finish(), lent);
+        assert_eq!(m.finish().0, lent);
     }
 
     #[test]
@@ -1076,9 +961,9 @@ mod tests {
         for round in 0..3 {
             for combine in [None, Some(sum())] {
                 let records: Vec<Record> = (0..200).map(|i| rec((i + round) % 13, i)).collect();
-                let fresh = bucketize(&records, &p, combine.as_ref());
-                let (runs, ops) = bucketize_runs_shared(&records, &p, combine.as_ref(), &mut arena);
-                let reused = runs.into_buckets();
+                let fresh = write_buckets(&records, &p, combine.as_ref());
+                let (reused, ops) =
+                    bucketize_owned_in(records.clone(), &p, combine.as_ref(), &mut arena);
                 assert_eq!(ops, fresh.1);
                 assert_eq!(reused.bytes, fresh.0.bytes);
                 assert_eq!(reused.buckets, fresh.0.buckets);
@@ -1124,20 +1009,19 @@ mod tests {
             assert_eq!(j.finish(), joined(&a, &b));
         });
         moved(&mut |ra, rb| {
-            let mut cg = CogroupMerge::new();
+            let mut cg = JoinMerge::two_sided(true);
             cg.push_run(rb, true);
             cg.seal_left();
             cg.push_run(ra, false);
-            assert_eq!(cg.finish(), cogrouped(&b, &a));
+            assert_eq!(cg.finish().0, cogrouped(&b, &a));
         });
     }
 
     #[test]
     fn runs_are_the_buckets_laid_end_to_end() {
-        // Owned and shared writes agree on spans and contents, with and
-        // without combine; the spans tile the records; and
-        // first-seen order holds inside a run even when two keys share a
-        // partition.
+        // The laid-out survivors are the buckets, with and without
+        // combine; the spans tile the records; and first-seen order holds
+        // inside a run even when two keys share a partition.
         let records: Vec<Record> = (0..500).map(|i| rec((i * 7) % 41, i)).collect();
         let hash = HashPartitioner::new(16);
         let keys: Vec<Key> = records.iter().map(|r| r.key.clone()).collect();
@@ -1145,17 +1029,14 @@ mod tests {
         for part in [&hash as &dyn Partitioner, &range] {
             for combine in [None, Some(sum())] {
                 let arena = &mut TaskArena::default();
-                let (owned, ops) = bucketize_runs(records.clone(), part, combine.as_ref(), arena);
-                let (shared, shared_ops) =
-                    bucketize_runs_shared(&records, part, combine.as_ref(), arena);
-                assert_eq!(ops, shared_ops);
-                assert_eq!(owned.spans, shared.spans);
-                let rows = &owned.records;
+                let (kept, ops) = survivors(&records, combine.as_ref(), arena);
+                let runs = lay_out(kept, part, arena);
+                let rows = &runs.records;
                 let mut at = 0;
-                for (s, next) in owned.spans.iter().zip(owned.spans.iter().skip(1)) {
+                for (s, next) in runs.spans.iter().zip(runs.spans.iter().skip(1)) {
                     assert!(s.partition < next.partition, "ascending partitions");
                 }
-                for s in &owned.spans {
+                for s in &runs.spans {
                     assert_eq!(s.start as usize, at, "the spans tile the records");
                     at = s.end as usize;
                     let run = &rows[s.start as usize..s.end as usize];
@@ -1173,7 +1054,9 @@ mod tests {
                     }
                 }
                 assert_eq!(at, rows.len());
-                assert_eq!(owned.into_buckets().buckets, shared.into_buckets().buckets);
+                let (buckets, bucketized_ops) = write_buckets(&records, part, combine.as_ref());
+                assert_eq!(ops, bucketized_ops);
+                assert_eq!(runs.into_buckets().buckets, buckets.buckets);
             }
         }
     }

@@ -1,8 +1,8 @@
 //! Property-based tests for the engine's core invariants.
 
 use engine::shuffle::{
-    bucketize, bucketize_runs, bucketize_runs_shared, CogroupMerge, Combiner, ConcatMerge,
-    GroupMerge, JoinMerge, ReduceMerge, Run, TaskArena, TaskRuns,
+    bucketize_owned_in, lay_out, ConcatMerge, GroupMerge, JoinMerge, ReduceMerge, Run, TaskArena,
+    TaskRuns,
 };
 use engine::{
     build_partitioner, measure_skew, sum_vector_counts, sum_vectors, Context, Emit, EngineOptions,
@@ -118,6 +118,35 @@ fn feed_runs(runs: &[&[Record]], kinds: Option<&[bool]>, mut push: impl FnMut(Ru
             _ => push(Run::Shared(run), i),
         }
     }
+}
+
+/// A map task's shuffle write as the executor's sink does it: with a
+/// combine, each record pushed into a `ReduceMerge` over the arena's key
+/// index — owned or lent as `owned` draws, cycling — then the survivors
+/// laid out; without one, the records themselves laid out. Returns the
+/// runs and the fold count.
+fn write_task(
+    records: &[Record],
+    p: &dyn Partitioner,
+    combine: Option<&ReduceFn>,
+    owned: &[bool],
+    arena: &mut TaskArena,
+) -> (TaskRuns, u64) {
+    let (survivors, ops) = match combine {
+        Some(f) => {
+            let mut m = ReduceMerge::in_arena(Arc::clone(f), arena);
+            for (i, r) in records.iter().enumerate() {
+                if owned[i % owned.len()] {
+                    m.push(r.clone());
+                } else {
+                    m.push(r);
+                }
+            }
+            m.finish_in(arena)
+        }
+        None => (records.to_vec(), 0),
+    };
+    (lay_out(survivors, p, arena), ops)
 }
 
 /// The reference the accumulators are held to, sharing nothing with them:
@@ -275,7 +304,8 @@ proptest! {
                                     combine in any::<bool>()) {
         let p = HashPartitioner::new(parts);
         let f = sum();
-        let (tb, _) = bucketize(&records, &p, combine.then_some(&f));
+        let arena = &mut TaskArena::default();
+        let tb = write_task(&records, &p, combine.then_some(&f), &[false], arena).0.into_buckets();
         let rebuilt: Vec<Record> =
             tb.buckets.iter().flat_map(|b| b.iter().cloned()).collect();
         prop_assert_eq!(key_sums(&rebuilt), key_sums(&records));
@@ -393,23 +423,24 @@ proptest! {
 
         let cogroup = |kinds: Option<&[bool]>| {
             let rk = right_kinds(kinds);
-            let mut m = CogroupMerge::new();
+            let mut m = JoinMerge::two_sided(true);
             feed_runs(&rights, rk.as_deref(), |run, i| if i < early { m.push_run(run, false) });
             feed_runs(&lefts, kinds, |run, _| m.push_run(run, true));
             m.seal_left();
             feed_runs(&rights, rk.as_deref(), |run, i| if i >= early { m.push_run(run, false) });
-            m.finish()
+            m.finish().0
         };
         prop_assert_eq!(cogroup(Some(&kinds)), cogroup(None));
         prop_assert_eq!(cogroup(None), naive_cogroup(&left, &right));
     }
 
-    /// The incremental combiner fed one record at a time — each owned or
-    /// borrowed as drawn — writes what the whole-sequence combining writes
-    /// do, and what combine-free bucketing followed by the hash-free
-    /// reference reduce of each bucket gives: the same runs with the same boundaries, byte table and
-    /// combine count, at one partition, a few, and far more than keys,
-    /// with unequal keys that share a hash, over a reused arena.
+    /// The map-side fold fed one record at a time — each owned or lent as
+    /// drawn, all owned, all lent — then laid out, writes what the
+    /// whole-sequence write `bucketize_owned_in` does, and what the
+    /// combine-free lay-out followed by the hash-free reference reduce of
+    /// each bucket gives: the same runs with the same boundaries, byte
+    /// table and combine count, at one partition, a few, and far more than
+    /// keys, with unequal keys that share a hash, over a reused arena.
     #[test]
     fn streamed_combine_equals_the_whole_sequence_write(
         records in arb_hash_colliding_records(200),
@@ -430,7 +461,7 @@ proptest! {
             (tb.buckets, tb.bytes, ops)
         };
 
-        let (buckets, _) = bucketize(&records, &*p, None);
+        let buckets = lay_out(records.clone(), &*p, arena).into_buckets();
         let merged: Vec<(Vec<Record>, u64)> = buckets
             .buckets
             .iter()
@@ -446,19 +477,12 @@ proptest! {
         );
         prop_assert_eq!(want.0.len(), parts);
 
-        for feed in [Some(true), Some(false), None] {
-            let mut combiner = Combiner::new(&*p, &f, arena);
-            for (i, r) in records.iter().enumerate() {
-                if feed.unwrap_or(owned[i % owned.len()]) {
-                    combiner.push(r.clone());
-                } else {
-                    combiner.push(r);
-                }
-            }
-            prop_assert_eq!(&written(combiner.finish()), &want, "feed owned: {:?}", feed);
+        for feed in [&owned[..], &[true], &[false]] {
+            let write = write_task(&records, &*p, Some(&f), feed, arena);
+            prop_assert_eq!(&written(write), &want, "feed owned: {:?}", feed);
         }
-        prop_assert_eq!(&written(bucketize_runs(records.clone(), &*p, Some(&f), arena)), &want);
-        prop_assert_eq!(&written(bucketize_runs_shared(&records, &*p, Some(&f), arena)), &want);
+        let (tb, ops) = bucketize_owned_in(records.clone(), &*p, Some(&f), arena);
+        prop_assert_eq!(&(tb.buckets, tb.bytes, ops), &want);
     }
 
     /// A map task's sparse run list is its dense per-partition view with
@@ -515,10 +539,10 @@ proptest! {
                 }
             }
         };
-        check(bucketize_runs(records.clone(), &*p, None, arena).0, false, "owned");
-        check(bucketize_runs_shared(&records, &*p, None, arena).0, false, "shared");
-        check(bucketize_runs(records.clone(), &*p, Some(&f), arena).0, true, "combining");
-        check(bucketize_runs_shared(&records, &*p, Some(&f), arena).0, true, "combining shared");
+        check(write_task(&records, &*p, None, &[true], arena).0, false, "owned");
+        check(write_task(&records, &*p, None, &[false], arena).0, false, "shared");
+        check(write_task(&records, &*p, Some(&f), &[true], arena).0, true, "combining");
+        check(write_task(&records, &*p, Some(&f), &[false], arena).0, true, "combining shared");
     }
 
     /// The in-place vector reducers finish a map-side combine and a
@@ -571,15 +595,7 @@ proptest! {
         let p = HashPartitioner::new(parts);
         let combined = |f: &ReduceFn| {
             let arena = &mut TaskArena::default();
-            let mut combiner = Combiner::new(&p, f, arena);
-            for (i, r) in fed.iter().enumerate() {
-                if owned[i % owned.len()] {
-                    combiner.push(r.clone());
-                } else {
-                    combiner.push(r);
-                }
-            }
-            let (runs, ops) = combiner.finish();
+            let (runs, ops) = write_task(&fed, &p, Some(f), &owned, arena);
             let tb = runs.into_buckets();
             (tb.buckets, tb.bytes, ops)
         };
@@ -838,12 +854,8 @@ proptest! {
         reduce.push_slice(&left);
         prop_assert_eq!(reduce.finish(), (survivors.clone(), ops));
 
-        let (p, mut arena) = (HashPartitioner::new(parts), TaskArena::default());
-        let mut combiner = Combiner::new(&p, &f, &mut arena);
-        for r in &left {
-            combiner.push(r);
-        }
-        let (runs, combine_ops) = combiner.finish();
+        let (p, arena) = (HashPartitioner::new(parts), &mut TaskArena::default());
+        let (runs, combine_ops) = write_task(&left, &p, Some(&f), &[false], arena);
         let buckets: Vec<Vec<Record>> = (0..parts)
             .map(|b| survivors.iter().filter(|r| p.partition(&r.key) == b).cloned().collect())
             .collect();
