@@ -114,7 +114,7 @@ pub fn gamma() -> String {
             let after = ctx.maybe_insert_repartition(fixed);
             let m = ctx.map_values(
                 after,
-                std::sync::Arc::new(|r: &Record| r.clone()),
+                std::sync::Arc::new(|r: &Record, out: &mut Record| *out = r.clone()),
                 2e-3,
                 "post-processing",
             );

@@ -57,13 +57,21 @@ const KEYS: u64 = 500;
 const LINE_COST: f64 = 0.1;
 const REC_COST: f64 = 0.01;
 
-/// Length of the shared f64 payload each widened record carries, scaled
-/// with √nodes. Shuffle accounting charges the payload's *encoded* size
-/// while the host only clones an `Arc`, so the sweep's shuffle volume
+/// Length of the f64 payload each widened record stands for, scaled with
+/// √nodes. Shuffle accounting charges the payload's *encoded* size while
+/// the host only clones an `Arc`, so the sweep's shuffle volume
 /// weak-scales from ~90 MB at 6 hosts to ~1 GB at 1000 without the
 /// wall-clock cost of materializing it.
 fn payload_len(nodes: usize) -> usize {
     (24.0 * (nodes as f64).sqrt()).round() as usize
+}
+
+/// The payload every widened record shares: one string, encoded at the
+/// size of a `payload_len(nodes)`-float vector (tag, length word and
+/// 8 bytes a float). A vector owns its elements, so a vector payload
+/// would be copied into every record a combine or a shuffle keeps.
+fn payload(nodes: usize) -> Value {
+    Value::Str(Arc::from("\0".repeat(8 * payload_len(nodes) + 4)))
 }
 
 /// The rack grid for `nodes` hosts: the largest divisor ≤ √nodes, so the
@@ -133,13 +141,13 @@ impl Workload for ScaleAgg {
         });
         let bytes = ((self.full_input_bytes() as f64 * scale) as u64).max(1);
         let lines = ctx.text_file("scale-in", bytes, gen, LINE_COST, "scan");
-        let payload: Arc<[f64]> = Arc::from(vec![1.0; payload_len(self.nodes)]);
+        let payload = payload(self.nodes);
         let widen: FlatMapFn = Arc::new(move |r: &Record, out: &mut dyn Emit| {
             let line = match &r.key {
                 Key::Int(i) => *i as u64,
                 other => panic!("malformed line key {other:?}"),
             };
-            let mut wide = Record::keyless(Value::Vector(Arc::clone(&payload)));
+            let mut wide = Record::keyless(payload.clone());
             for f in 0..FAN as u64 {
                 let h = line.wrapping_mul(2654435761).wrapping_add(f * 193);
                 wide.key = Key::Int((h % KEYS) as i64);
@@ -147,17 +155,17 @@ impl Workload for ScaleAgg {
             }
         });
         let wide = ctx.flat_map(lines, widen, REC_COST, "widen");
-        // Every payload is the same shared vector, so a keep-left merge is
+        // Every payload is the same shared string, so a keep-left merge is
         // associative/commutative in the only sense that matters here: the
         // aggregate's value is identical no matter the merge order.
         let sum: ReduceFn = Arc::new(|a: &Value, _b: &Value| a.clone());
         let counts = ctx.reduce_by_key(wide, Arc::clone(&sum), None, REC_COST, "agg-wide");
-        let rekey: MapFn = Arc::new(|r: &Record| {
+        let rekey: MapFn = Arc::new(|r: &Record, out: &mut Record| {
             let k = match &r.key {
                 Key::Int(i) => *i,
                 other => panic!("malformed key {other:?}"),
             };
-            Record::new(Key::Int(k % 50), r.value.clone())
+            *out = Record::new(Key::Int(k % 50), r.value.clone())
         });
         let coarse = ctx.map(counts, rekey, REC_COST, "rekey");
         let rollup = ctx.reduce_by_key(coarse, sum, None, REC_COST, "agg-coarse");
@@ -335,6 +343,14 @@ impl ScaleSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_payload_is_charged_as_its_vector() {
+        for nodes in [6, 96, 1000] {
+            let vector = Value::vector(vec![1.0; payload_len(nodes)]);
+            assert_eq!(payload(nodes).encoded_size(), vector.encoded_size());
+        }
+    }
 
     #[test]
     fn rack_fabric_flips_a_stage_at_1000_nodes() {

@@ -599,7 +599,12 @@ mod tests {
                 .map(|i| Record::new(Key::Int(i % 10), Value::Int(1)))
                 .collect();
             let src = ctx.parallelize(data, 12, "src");
-            let m = ctx.map(src, Arc::new(|r: &Record| r.clone()), 2e-3, "work");
+            let m = ctx.map(
+                src,
+                Arc::new(|r: &Record, out: &mut Record| *out = r.clone()),
+                2e-3,
+                "work",
+            );
             ctx.count(m, "job");
             ctx.jobs().last().unwrap().duration()
         };
@@ -621,7 +626,12 @@ mod tests {
                 .map(|i| Record::new(Key::Int(i % 10), Value::Int(1)))
                 .collect();
             let src = ctx.parallelize(data, 24, "src");
-            let m = ctx.map(src, Arc::new(|r: &Record| r.clone()), 2e-3, "work");
+            let m = ctx.map(
+                src,
+                Arc::new(|r: &Record, out: &mut Record| *out = r.clone()),
+                2e-3,
+                "work",
+            );
             let counts = ctx.reduce_by_key(m, sum(), None, 1e-6, "count");
             let out = sorted(ctx.collect(counts, "job"));
             let placed_on_0 = ctx
@@ -648,7 +658,12 @@ mod tests {
         let run = |plan: &str| {
             let mut ctx = planned(plan);
             let src = ctx.parallelize(word_records(), 4, "src");
-            let m = ctx.map(src, Arc::new(|r: &Record| r.clone()), 5e-3, "work");
+            let m = ctx.map(
+                src,
+                Arc::new(|r: &Record, out: &mut Record| *out = r.clone()),
+                5e-3,
+                "work",
+            );
             ctx.count(m, "job");
             ctx.jobs().last().unwrap().duration()
         };
@@ -666,7 +681,9 @@ mod tests {
         let src = ctx.parallelize(word_records(), 4, "src");
         let doubled = ctx.map(
             src,
-            Arc::new(|r: &Record| Record::new(r.key.clone(), Value::Int(r.value.as_int() * 2))),
+            Arc::new(|r: &Record, out: &mut Record| {
+                *out = Record::new(r.key.clone(), Value::Int(r.value.as_int() * 2))
+            }),
             1e-7,
             "doubled",
         );
@@ -696,7 +713,12 @@ mod tests {
             .map(|i| Record::new(Key::Int(i % 10), Value::Int(1)))
             .collect();
         let src = ctx.parallelize(data, 12, "src");
-        let slow = ctx.map(src, Arc::new(|r: &Record| r.clone()), 2e-4, "slow");
+        let slow = ctx.map(
+            src,
+            Arc::new(|r: &Record, out: &mut Record| *out = r.clone()),
+            2e-4,
+            "slow",
+        );
         ctx.cache(slow);
         ctx.count(slow, "materialize");
         let counts = ctx.reduce_by_key(slow, sum(), None, 1e-6, "count");
@@ -810,7 +832,12 @@ mod tests {
             .map(|i| Record::new(Key::Int(i), Value::Int(i)))
             .collect();
         let src = ctx.parallelize(data, 6, "src");
-        let kept = ctx.map(src, Arc::new(|r: &Record| r.clone()), 1e-4, "kept");
+        let kept = ctx.map(
+            src,
+            Arc::new(|r: &Record, out: &mut Record| *out = r.clone()),
+            1e-4,
+            "kept",
+        );
         ctx.cache(kept);
         ctx.count(kept, "materialize");
         let between = ctx.clock();
@@ -905,7 +932,9 @@ mod tests {
         let src = ctx.parallelize(word_records(), 4, "src");
         let doubled = ctx.map(
             src,
-            Arc::new(|r: &Record| Record::new(r.key.clone(), Value::Int(r.value.as_int() * 2))),
+            Arc::new(|r: &Record, out: &mut Record| {
+                *out = Record::new(r.key.clone(), Value::Int(r.value.as_int() * 2))
+            }),
             1e-7,
             "doubled",
         );

@@ -347,7 +347,9 @@ impl Context {
     ) -> Rdd {
         let ones = self.graph.map_values(
             parent,
-            Arc::new(|r: &Record| Record::new(r.key.clone(), Value::Int(1))),
+            Arc::new(|r: &Record, out: &mut Record| {
+                *out = Record::new(r.key.clone(), Value::Int(1))
+            }),
             0.05e-6,
             tag,
         );
@@ -589,7 +591,9 @@ mod tests {
         let src = ctx.parallelize(word_records(), 4, "src");
         let doubled = ctx.map(
             src,
-            Arc::new(|r: &Record| Record::new(r.key.clone(), Value::Int(r.value.as_int() * 2))),
+            Arc::new(|r: &Record, out: &mut Record| {
+                *out = Record::new(r.key.clone(), Value::Int(r.value.as_int() * 2))
+            }),
             1e-7,
             "doubled",
         );
@@ -606,10 +610,10 @@ mod tests {
         }
     }
 
-    /// A map that re-keys a cached record by cloning its value shares the
-    /// vector with the cached partition, so the first value an in-place
-    /// reduce sees for a key *is* cached data: the fold has to copy it
-    /// before writing, and the cache must read back as generated.
+    /// A map that re-keys a cached record by cloning its value hands an
+    /// in-place reduce values read off the cached partition: the folds
+    /// write only the accumulator's own vector, and the cache must read
+    /// back as generated.
     #[test]
     fn in_place_reduce_over_a_cached_rdd_leaves_the_cache_untouched() {
         const N: u64 = 240;
@@ -635,13 +639,13 @@ mod tests {
 
         let rekeyed = ctx.map(
             points,
-            Arc::new(|r: &Record| {
+            Arc::new(|r: &Record, out: &mut Record| {
                 let k = match r.key {
                     Key::Int(i) => i % 4,
                     _ => unreachable!("int keys"),
                 };
                 let acc = Value::Pair(Box::new(r.value.clone()), Box::new(Value::Int(1)));
-                Record::new(Key::Int(k), acc)
+                *out = Record::new(Key::Int(k), acc)
             }),
             1e-6,
             "rekey",

@@ -279,7 +279,8 @@ pub(super) struct TaskOut {
 
 /// One narrow op compiled for a fused streaming pass.
 enum FusedOp<'g> {
-    Map(&'g MapFn),
+    /// A map and the scratch record it writes each output over.
+    Map(&'g MapFn, Record),
     FlatMap(&'g FlatMapFn),
     Filter(&'g FilterFn),
     Sample {
@@ -298,6 +299,10 @@ struct OpState<'g> {
 /// Where a fused pass puts the records that survive it.
 trait RecordSink {
     fn push<R: IntoRecord>(&mut self, rec: R);
+    /// Whether the sink keeps the records it is handed — a map then gives
+    /// its output away; else it lends it and rewrites it for the next
+    /// record.
+    fn keeps(&self) -> bool;
     /// About `additional` more records follow (see [`Emit::reserve`]).
     fn reserve(&mut self, _additional: usize) {}
     /// Every record of `records`, in order, when no op stands between.
@@ -312,6 +317,9 @@ trait RecordSink {
 impl RecordSink for Vec<Record> {
     fn push<R: IntoRecord>(&mut self, rec: R) {
         Vec::push(self, rec.into_record());
+    }
+    fn keeps(&self) -> bool {
+        true
     }
     fn reserve(&mut self, additional: usize) {
         reserve_records(self, additional);
@@ -332,6 +340,9 @@ impl RecordSink for CountSink {
     fn push<R: IntoRecord>(&mut self, rec: R) {
         self.records += 1;
         self.bytes += rec.borrow().encoded_size();
+    }
+    fn keeps(&self) -> bool {
+        false
     }
 }
 
@@ -377,6 +388,12 @@ impl RecordSink for WriteSink {
             Some(m) => m.push(rec),
             None => self.kept.push(rec.into_record()),
         }
+    }
+
+    /// A combine folds a record by reference into a key it holds and
+    /// clones only the first of each key.
+    fn keeps(&self) -> bool {
+        self.fold.is_none()
     }
 
     fn reserve(&mut self, additional: usize) {
@@ -459,20 +476,43 @@ impl<S: RecordSink> Emit for Generated<'_, '_, S> {
 
 /// Streams one record, owned or borrowed, through the remaining fused
 /// ops. A borrowed record is cloned only if the sink keeps it; what a
-/// `Map` produces continues owned, what a `FlatMap` produces continues as
-/// the closure handed it over ([`Emit::emit`] or [`Emit::lend`]).
+/// `Map` writes over its scratch record continues owned (taken, leaving
+/// [`Record::default`]) into a sink that keeps it and lent into one that
+/// does not, and what a `FlatMap` produces continues as the closure handed
+/// it over ([`Emit::emit`] or [`Emit::lend`]).
 ///
 /// Records arrive at each op in the same order as the op-at-a-time loop
 /// (every narrow op is order-preserving), so per-op `Sample` RNG draws are
 /// bit-identical to the unfused execution.
+///
+/// Inlined into each step, so the last op hands its record to the sink
+/// without a call: a map's lent scratch would otherwise recurse into the
+/// very instance it is in, which the compiler cannot inline.
+#[inline(always)]
 fn feed<R: IntoRecord, S: RecordSink>(ops: &mut [OpState<'_>], rec: R, out: &mut S) {
-    let Some((head, rest)) = ops.split_first_mut() else {
-        out.push(rec);
-        return;
-    };
+    match ops.split_first_mut() {
+        None => out.push(rec),
+        Some((head, rest)) => step(head, rest, rec, out),
+    }
+}
+
+/// `head`'s part of [`feed`]: counts the record in and applies the op.
+fn step<R: IntoRecord, S: RecordSink>(
+    head: &mut OpState<'_>,
+    rest: &mut [OpState<'_>],
+    rec: R,
+    out: &mut S,
+) {
     head.inputs += 1;
     match &mut head.op {
-        FusedOp::Map(f) => feed(rest, f(rec.borrow()), out),
+        FusedOp::Map(f, scratch) => {
+            f(rec.borrow(), scratch);
+            if out.keeps() {
+                feed(rest, std::mem::take(scratch), out);
+            } else {
+                feed(rest, &*scratch, out);
+            }
+        }
         FusedOp::FlatMap(f) => f(rec.borrow(), &mut Downstream { rest, out }),
         FusedOp::Filter(f) => {
             if f(rec.borrow()) {
@@ -759,7 +799,9 @@ fn run_chain(
             .iter()
             .map(|&r| OpState {
                 op: match &graph.node(r).op {
-                    OpKind::Map { f } | OpKind::MapValues { f } => FusedOp::Map(f),
+                    OpKind::Map { f } | OpKind::MapValues { f } => {
+                        FusedOp::Map(f, Record::default())
+                    }
                     OpKind::FlatMap { f } => FusedOp::FlatMap(f),
                     OpKind::Filter { f } => FusedOp::Filter(f),
                     OpKind::Sample { fraction, seed } => FusedOp::Sample {
@@ -830,7 +872,7 @@ mod tests {
         filter: &'g FilterFn,
     ) -> Vec<OpState<'g>> {
         let op = |c| match c {
-            'm' => FusedOp::Map(map),
+            'm' => FusedOp::Map(map, Record::default()),
             'x' => FusedOp::FlatMap(flat),
             'f' => FusedOp::Filter(filter),
             _ => FusedOp::Sample {
@@ -847,8 +889,9 @@ mod tests {
 
     #[test]
     fn chain_step_is_the_same_for_an_owned_and_a_shared_root() {
-        let map: MapFn =
-            Arc::new(|r: &Record| Record::new(r.key.clone(), Value::Int(r.value.as_int() * 3)));
+        let map: MapFn = Arc::new(|r: &Record, out: &mut Record| {
+            *out = Record::new(r.key.clone(), Value::Int(r.value.as_int() * 3))
+        });
         // Odd fan-outs lend one scratch record, even ones give each away.
         let flat: FlatMapFn = Arc::new(|r: &Record, out: &mut dyn Emit| {
             let fan_out = r.value.as_int() % 4;

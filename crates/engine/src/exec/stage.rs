@@ -831,7 +831,7 @@ mod tests {
         let src = a.parallelize(word_records(), 4, "src");
         let parked = a.map(
             src,
-            Arc::new(move |r: &Record| {
+            Arc::new(move |r: &Record, out: &mut Record| {
                 let first_call = lock(&gate).take();
                 if let Some((a_parked, b_is_done)) = first_call {
                     a_parked.send(()).expect("the test is listening");
@@ -839,7 +839,7 @@ mod tests {
                         .recv_timeout(Duration::from_secs(60))
                         .expect("B finishes its combine job while A's task is parked");
                 }
-                r.clone()
+                *out = r.clone()
             }),
             1e-6,
             "parked",
@@ -947,7 +947,9 @@ mod tests {
         let data: Vec<Record> = (0..600)
             .map(|i| Record::new(Key::Int((i * 37) % 97), Value::Int(i)))
             .collect();
-        let fan = |r: &Record| Record::new(r.key.clone(), Value::Int(r.value.as_int() % 7));
+        let fan = |r: &Record, out: &mut Record| {
+            *out = Record::new(r.key.clone(), Value::Int(r.value.as_int() % 7))
+        };
         let mut ctx = Context::new(test_options());
         let src = ctx.parallelize(data.clone(), M, "src");
         let mapped = ctx.map(src, Arc::new(fan), 1e-6, "fan");
@@ -959,7 +961,14 @@ mod tests {
         let mut reference = Vec::new();
         for i in 0..M {
             let slice = &data[i * data.len() / M..(i + 1) * data.len() / M];
-            let produced: Vec<Record> = slice.iter().map(fan).collect();
+            let produced: Vec<Record> = slice
+                .iter()
+                .map(|r| {
+                    let mut out = Record::default();
+                    fan(r, &mut out);
+                    out
+                })
+                .collect();
             let task_seed = seed ^ ((i as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15));
             let mut sample = numeric::Reservoir::new(cap, task_seed);
             produced.iter().for_each(|r| sample.offer(r.key.clone()));
@@ -1073,7 +1082,12 @@ mod tests {
     fn caching_skips_recompute_in_later_jobs() {
         let mut ctx = Context::new(test_options());
         let src = ctx.parallelize(word_records(), 4, "src");
-        let mapped = ctx.map(src, Arc::new(|r: &Record| r.clone()), 5e-3, "prep");
+        let mapped = ctx.map(
+            src,
+            Arc::new(|r: &Record, out: &mut Record| *out = r.clone()),
+            5e-3,
+            "prep",
+        );
         ctx.cache(mapped);
         // Job 1 materializes; job 2 reads the cache.
         let c1 = ctx.count(mapped, "materialize");

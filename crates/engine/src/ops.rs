@@ -12,8 +12,40 @@ use crate::partitioner::PartitionerSpec;
 use crate::record::{Record, Value};
 use std::sync::Arc;
 
-/// Element-wise transform.
-pub type MapFn = Arc<dyn Fn(&Record) -> Record + Send + Sync>;
+/// Element-wise transform: `f(record, out)` writes the record's output
+/// over `out`.
+///
+/// `out` is a scratch record the executor keeps for the task's pass. When
+/// nothing downstream keeps what the map produces — the pass ends in a
+/// count or a map-side combine, which folds it by reference — the same
+/// scratch comes back for the next record, still holding the last output,
+/// so a closure that writes into its buffers ([`Value::vector_mut`],
+/// [`Value::pair_mut`]) allocates nothing per record. When the pass keeps
+/// its records (a collect, a cache, a shuffle write without a combine) the
+/// output is taken and `out` starts as [`Record::default`]. Either way the
+/// closure must write every part of the output: a key or a value it leaves
+/// alone may be the last record's. `*out = Record::new(..)` is always
+/// right. The closure's parameters must be annotated.
+///
+/// ```
+/// use engine::{Key, MapFn, Record, Value};
+/// use std::sync::Arc;
+///
+/// // Each point keyed by its sign, scaled by two, in `out`'s own buffer.
+/// let double: MapFn = Arc::new(|r: &Record, out: &mut Record| {
+///     let x = r.value.as_vector();
+///     out.key = Key::Int(i64::from(x[0] >= 0.0));
+///     for (o, v) in out.value.vector_mut(x.len()).iter_mut().zip(x) {
+///         *o = 2.0 * v;
+///     }
+/// });
+/// let mut out = Record::default();
+/// double(&Record::keyless(Value::vector(vec![1.0, -2.0])), &mut out);
+/// assert_eq!(out, Record::new(Key::Int(1), Value::vector(vec![2.0, -4.0])));
+/// double(&Record::keyless(Value::vector(vec![-3.0, 0.5])), &mut out);
+/// assert_eq!(out, Record::new(Key::Int(0), Value::vector(vec![-6.0, 1.0])));
+/// ```
+pub type MapFn = Arc<dyn Fn(&Record, &mut Record) + Send + Sync>;
 /// One-to-many transform: `f(record, out)` produces the record's outputs
 /// into `out`, in order (see [`Emit`]).
 pub type FlatMapFn = Arc<dyn Fn(&Record, &mut dyn Emit) + Send + Sync>;
@@ -26,10 +58,10 @@ pub type FilterFn = Arc<dyn Fn(&Record) -> bool + Send + Sync>;
 /// The contract: `fold(acc, v)` leaves in `acc` what a by-value reducer
 /// `f` would return from `f(acc, v)`, and that `f` is associative and
 /// commutative (the map-side combine and the reduce-side merge apply it in
-/// whatever grouping the partitioning produces). `acc` is *not*
-/// necessarily uniquely owned — the first value seen for a key may share
-/// its `Arc` payload with a cached partition — so an implementation that
-/// writes through an `Arc` goes through [`Arc::make_mut`].
+/// whatever grouping the partitioning produces). `acc` is the
+/// accumulator's own: the first value seen for a key is moved or cloned
+/// into it, and a [`Value::Vector`] owns its elements, so an
+/// implementation writes a vector accumulator in place.
 pub trait Reduce: Send + Sync {
     /// Folds `v` into `acc`.
     fn fold(&self, acc: &mut Value, v: &Value);
@@ -45,7 +77,9 @@ impl<F: Fn(&Value, &Value) -> Value + Send + Sync> Reduce for F {
     }
 }
 
-/// A reducer that updates its accumulator where it lies.
+/// A reducer that updates its accumulator where it lies: the accumulator
+/// is uniquely owned (see [`Reduce`]), so a vector sum is a loop over its
+/// elements.
 pub struct InPlace<F>(pub F);
 
 impl<F: Fn(&mut Value, &Value) + Send + Sync> Reduce for InPlace<F> {
@@ -77,12 +111,11 @@ impl<F: Fn(&mut Value, &Value) + Send + Sync> Reduce for InPlace<F> {
 /// ```
 pub type ReduceFn = Arc<dyn Reduce>;
 
-/// `acc[i] += v[i]` on a [`Value::Vector`] accumulator, copying it first
-/// only if its buffer is shared.
+/// `acc[i] += v[i]` on a [`Value::Vector`] accumulator.
 fn add_assign(acc: &mut Value, v: &[f64]) {
     match acc {
         Value::Vector(a) => {
-            for (x, y) in Arc::make_mut(a).iter_mut().zip(v) {
+            for (x, y) in a.iter_mut().zip(v) {
                 *x += y;
             }
         }
@@ -121,9 +154,8 @@ pub fn sum_vector_counts() -> ReduceFn {
 /// something downstream keeps it (a map that reads it, a filter that
 /// drops it and a combine that folds it into a key it already holds do
 /// not), so a closure may lend one scratch record again and again,
-/// rewriting it in between. A lent record may by then share its `Arc`
-/// payload with a copy downstream: rewrite one through [`Arc::make_mut`].
-/// [`Emit::reserve`] is a hint that about that many records follow; a
+/// rewriting it in between; a copy downstream owns its vector, so the
+/// scratch's is written in place. [`Emit::reserve`] is a hint that about that many records follow; a
 /// generator that knows its split's size gives it once, up front, so a
 /// cached split is one exact allocation.
 ///
@@ -149,7 +181,7 @@ pub fn sum_vector_counts() -> ReduceFn {
 ///     for k in 0..2 {
 ///         row.key = Key::Int(k);
 ///         if let Value::Vector(v) = &mut row.value {
-///             Arc::make_mut(v).iter_mut().for_each(|x| *x *= 2.0);
+///             v.iter_mut().for_each(|x| *x *= 2.0);
 ///         }
 ///         out.lend(&row);
 ///     }
@@ -345,7 +377,7 @@ mod tests {
     #[test]
     fn wide_classification_matches_spark() {
         let map = OpKind::Map {
-            f: Arc::new(|r: &Record| r.clone()),
+            f: Arc::new(|r: &Record, out: &mut Record| *out = r.clone()),
         };
         assert!(!map.is_wide());
         let rbk = OpKind::ReduceByKey {
@@ -368,11 +400,11 @@ mod tests {
         }
         .preserves_partitioning());
         assert!(OpKind::MapValues {
-            f: Arc::new(|r: &Record| r.clone())
+            f: Arc::new(|r: &Record, out: &mut Record| *out = r.clone())
         }
         .preserves_partitioning());
         assert!(!OpKind::Map {
-            f: Arc::new(|r: &Record| r.clone())
+            f: Arc::new(|r: &Record, out: &mut Record| *out = r.clone())
         }
         .preserves_partitioning());
     }
@@ -389,11 +421,11 @@ mod tests {
     fn discriminants_are_distinct() {
         let ops = [
             OpKind::Map {
-                f: Arc::new(|r: &Record| r.clone()),
+                f: Arc::new(|r: &Record, out: &mut Record| *out = r.clone()),
             }
             .discriminant(),
             OpKind::MapValues {
-                f: Arc::new(|r: &Record| r.clone()),
+                f: Arc::new(|r: &Record, out: &mut Record| *out = r.clone()),
             }
             .discriminant(),
             OpKind::Filter {

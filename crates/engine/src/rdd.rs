@@ -245,7 +245,7 @@ mod tests {
     }
 
     fn identity() -> MapFn {
-        Arc::new(|r: &Record| r.clone())
+        Arc::new(|r: &Record, out: &mut Record| *out = r.clone())
     }
 
     fn sum() -> ReduceFn {

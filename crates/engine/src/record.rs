@@ -92,8 +92,9 @@ pub enum Value {
     /// String payload.
     Str(Arc<str>),
     /// Dense numeric vector (points, partial sums, covariance rows): one
-    /// allocation, header and elements together.
-    Vector(Arc<[f64]>),
+    /// allocation the value owns, so it is written in place and a clone
+    /// copies the elements.
+    Vector(Box<[f64]>),
     /// Pair of values (e.g. (sum-vector, count) accumulators).
     Pair(Box<Value>, Box<Value>),
     /// List of values (co-group buckets, collected groups).
@@ -179,17 +180,43 @@ impl Value {
         Value::Str(Arc::from(s))
     }
 
-    /// Convenience constructor for vector values (copies `v` into the
-    /// shared allocation; see [`Value::vector_from`] to build it there).
+    /// Convenience constructor for vector values (takes `v`'s buffer,
+    /// shrunk to its length; see [`Value::vector_from`] to build it there).
     pub fn vector(v: Vec<f64>) -> Value {
-        Value::Vector(Arc::from(v))
+        Value::Vector(v.into_boxed_slice())
     }
 
-    /// A vector value collected straight into its shared allocation: an
-    /// iterator of known length (a `map`/`zip`/`chain` over slices or
-    /// ranges) allocates once.
+    /// A vector value collected straight into its allocation: an iterator
+    /// of known length (a `map`/`zip`/`chain` over slices or ranges)
+    /// allocates once.
     pub fn vector_from(elems: impl IntoIterator<Item = f64>) -> Value {
         Value::Vector(elems.into_iter().collect())
+    }
+
+    /// This value as a vector of `len` elements to write over: its own
+    /// buffer when it is a vector of that length already, else a fresh
+    /// one of zeros. A map that rewrites its scratch record (see
+    /// [`crate::MapFn`]) allocates nothing once the scratch has its shape.
+    pub fn vector_mut(&mut self, len: usize) -> &mut [f64] {
+        if !matches!(self, Value::Vector(v) if v.len() == len) {
+            *self = Value::Vector(vec![0.0; len].into_boxed_slice());
+        }
+        match self {
+            Value::Vector(v) => v,
+            _ => unreachable!("just made a vector"),
+        }
+    }
+
+    /// This value as a pair to write over: its own two boxes when it is a
+    /// pair already, else two fresh ones holding `Null`.
+    pub fn pair_mut(&mut self) -> (&mut Value, &mut Value) {
+        if !matches!(self, Value::Pair(..)) {
+            *self = Value::Pair(Box::new(Value::Null), Box::new(Value::Null));
+        }
+        match self {
+            Value::Pair(a, b) => (a, b),
+            _ => unreachable!("just made a pair"),
+        }
     }
 }
 
@@ -334,6 +361,50 @@ impl PartialOrd for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The record layout is pinned: `Value` and `Key` are 24 bytes and a
+    /// `Record` 48. A 32-byte `Value` — a vector as a ranged view
+    /// `{Arc<[f64]>, start, len}` — slowed every `batch_fat` program by
+    /// 10–20 %, SQL and skewagg included, whose records hold no vector:
+    /// every record moved, cloned, bucketed and merged grows with it. That
+    /// is why a vector is a `Box<[f64]>` (a pointer and a length) and not a
+    /// `Vec<f64>` (a capacity more).
+    #[test]
+    fn the_record_layout_is_pinned() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Value>(), 24);
+        assert_eq!(size_of::<Key>(), 24);
+        assert_eq!(size_of::<Record>(), 48);
+    }
+
+    #[test]
+    fn a_rewritten_value_reuses_its_buffers_when_the_shape_fits() {
+        let mut v = Value::Null;
+        v.vector_mut(3).copy_from_slice(&[1.0, 2.0, 3.0]);
+        assert_eq!(v, Value::vector(vec![1.0, 2.0, 3.0]));
+        let at = v.as_vector().as_ptr();
+        v.vector_mut(3)[1] = 5.0;
+        assert_eq!(v.as_vector(), &[1.0, 5.0, 3.0]);
+        assert_eq!(v.as_vector().as_ptr(), at, "same length, same buffer");
+        assert_eq!(v.vector_mut(2), &[0.0, 0.0], "another length, fresh zeros");
+
+        let mut p = Value::Int(4);
+        let (a, b) = p.pair_mut();
+        (*a, *b) = (Value::Int(1), Value::Null);
+        let boxes = match &p {
+            Value::Pair(a, b) => (&**a as *const Value, &**b as *const Value),
+            other => panic!("pair expected, got {other:?}"),
+        };
+        let (a, _) = p.pair_mut();
+        a.vector_mut(2).fill(7.0);
+        match &p {
+            Value::Pair(a, b) => {
+                assert_eq!(boxes, (&**a as *const Value, &**b as *const Value));
+                assert_eq!((&**a, &**b), (&Value::vector(vec![7.0; 2]), &Value::Null));
+            }
+            other => panic!("pair expected, got {other:?}"),
+        }
+    }
 
     #[test]
     fn key_ordering_is_total_within_variant() {

@@ -326,7 +326,7 @@ mod tests {
     }
 
     fn ident() -> crate::ops::MapFn {
-        Arc::new(|r: &Record| r.clone())
+        Arc::new(|r: &Record, out: &mut Record| *out = r.clone())
     }
 
     fn no_mat() -> HashMap<Rdd, MaterializedInfo> {

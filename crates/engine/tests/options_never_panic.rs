@@ -142,7 +142,7 @@ fn word_count(opts: EngineOptions) -> Vec<Record> {
     let src = ctx.parallelize(data.collect(), 5, "src");
     let ones = ctx.map(
         src,
-        Arc::new(|r: &Record| Record::new(r.key.clone(), Value::Int(1))),
+        Arc::new(|r: &Record, out: &mut Record| *out = Record::new(r.key.clone(), Value::Int(1))),
         1e-5,
         "ones",
     );

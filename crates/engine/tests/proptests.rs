@@ -6,8 +6,8 @@ use engine::shuffle::{
 };
 use engine::{
     build_partitioner, measure_skew, sum_vector_counts, sum_vectors, Context, Emit, EngineOptions,
-    FlatMapFn, GenFn, HashPartitioner, Key, Partitioner, PartitionerSpec, RangePartitioner, Rdd,
-    Record, ReduceFn, Value, WorkloadConf,
+    FlatMapFn, GenFn, HashPartitioner, Key, MapFn, Partitioner, PartitionerSpec, RangePartitioner,
+    Rdd, Record, ReduceFn, Value, WorkloadConf,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -888,9 +888,8 @@ proptest! {
 /// A keyed point as the producers under test read it.
 type Point = (i64, Vec<f64>);
 
-/// Hands `scratch` downstream rewritten as `(key, x)`: lent, or — every
-/// so often, as `lend` draws it — given away as a clone that goes on
-/// sharing the scratch's buffer, so the next rewrite has to copy first.
+/// Hands `scratch` downstream rewritten as `(key, x)` in its own buffer:
+/// lent, or — every so often, as `lend` draws it — given away as a clone.
 fn hand_over(
     scratch: &mut Record,
     key: i64,
@@ -900,10 +899,7 @@ fn hand_over(
 ) {
     scratch.key = Key::Int(key);
     match &mut scratch.value {
-        Value::Vector(buf) => Arc::make_mut(buf)
-            .iter_mut()
-            .zip(x)
-            .for_each(|(b, v)| *b = v),
+        Value::Vector(buf) => buf.iter_mut().zip(x).for_each(|(b, v)| *b = v),
         other => panic!("vector scratch expected, got {other:?}"),
     }
     if lend {
@@ -937,7 +933,7 @@ fn point_source(points: Arc<Vec<Point>>, lends: Option<Arc<Vec<bool>>>) -> GenFn
 
 /// `key.rem_euclid(4)` outputs per point, the `j`-th re-keyed and scaled
 /// by `j + 1`: fresh records, or one scratch record that starts as a
-/// clone of the input — sharing its vector with whatever holds the input.
+/// clone of the input.
 fn fan_out(lends: Option<Arc<Vec<bool>>>) -> FlatMapFn {
     Arc::new(move |r: &Record, out: &mut dyn Emit| {
         let (Key::Int(key), x) = (&r.key, r.value.as_vector()) else {
@@ -1028,8 +1024,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// A generator or a flat-map that hands every record over out of one
-    /// reused scratch record — rewritten through `Arc::make_mut` between
-    /// lends, some of them given away as clones instead — yields exactly
+    /// reused scratch record — rewritten in place between lends, some of
+    /// them given away as clones instead — yields exactly
     /// what its twin building a fresh record each time yields: the same
     /// records from every sink (collect, count, combine, cached and
     /// re-read), the same `output_records` / `output_bytes`, and the same
@@ -1059,6 +1055,143 @@ proptest! {
             prop_assert_eq!(collect, materialize);
             prop_assert_eq!(collect, reread);
             prop_assert_eq!(fresh.1.as_slice(), [collect.len() as u64; 2]);
+        }
+    }
+}
+
+/// A point mapped to `(dim · 4 + key mod 4, Pair(x · (key mod 3 + 1), 1))`
+/// — one vector length per output key — built fresh, or written over
+/// `out`'s own pair and vector, whose buffers are reused whenever the
+/// last record left them the right shape.
+fn scale_point(in_place: bool) -> MapFn {
+    Arc::new(move |r: &Record, out: &mut Record| {
+        let (Key::Int(key), x) = (&r.key, r.value.as_vector()) else {
+            panic!("int-keyed point expected, got {r:?}")
+        };
+        let k = Key::Int(4 * x.len() as i64 + key.rem_euclid(4));
+        let scale = (key.rem_euclid(3) + 1) as f64;
+        if in_place {
+            out.key = k;
+            let (sum, count) = out.value.pair_mut();
+            for (s, v) in sum.vector_mut(x.len()).iter_mut().zip(x) {
+                *s = v * scale;
+            }
+            *count = Value::Int(1);
+        } else {
+            let sum = Value::vector_from(x.iter().map(|v| v * scale));
+            *out = Record::new(k, Value::Pair(Box::new(sum), Box::new(Value::Int(1))));
+        }
+    })
+}
+
+/// What the map under test reads.
+#[derive(Debug, Clone, Copy)]
+enum MapRoot {
+    /// A source split, generated into the pass.
+    Generated,
+    /// Shared slices of a source collection.
+    Shared,
+    /// A repartition's output, which its tasks own.
+    Owned,
+}
+
+/// Every way a map's pass can end, in one context: collected, counted,
+/// combined, written without a combine, then cached, and the cache
+/// collected twice, counted and combined — and at the end the map's input
+/// collected again. Returns what each job returned, the job metrics and
+/// the final clock.
+fn map_jobs(
+    points: &Arc<Vec<Point>>,
+    in_place: bool,
+    root: MapRoot,
+) -> (Vec<Vec<Record>>, Vec<u64>, String, u64) {
+    let mut ctx = Context::new(EngineOptions {
+        cluster: simcluster::uniform_cluster(2, 2, 2.0),
+        default_parallelism: 3,
+        workers: 1,
+        ..EngineOptions::default()
+    });
+    let record = |(k, x): &Point| Record::new(Key::Int(*k), Value::vector(x.clone()));
+    let records = points.iter().map(record).collect::<Vec<Record>>();
+    let input: Rdd = match root {
+        MapRoot::Generated => {
+            let gen = point_source(Arc::clone(points), None);
+            ctx.text_file("points", 64 * points.len() as u64, gen, 1e-6, "points")
+        }
+        MapRoot::Shared => ctx.parallelize(records, 3, "src"),
+        MapRoot::Owned => {
+            let src = ctx.parallelize(records, 3, "src");
+            ctx.repartition(src, Some(PartitionerSpec::hash(4)), "moved")
+        }
+    };
+    let mapped = ctx.map(input, scale_point(in_place), 1e-6, "scale");
+    let sums = ctx.reduce_by_key(mapped, sum_vector_counts(), None, 1e-6, "sums");
+    let moved = ctx.repartition(mapped, Some(PartitionerSpec::hash(3)), "write");
+    let (mut collected, mut counted) = (Vec::new(), Vec::new());
+    collected.push(ctx.collect(input, "input"));
+    collected.push(ctx.collect(mapped, "collect"));
+    counted.push(ctx.count(mapped, "count"));
+    collected.push(ctx.collect(sums, "combine"));
+    collected.push(ctx.collect(moved, "write"));
+    ctx.cache(mapped);
+    collected.push(ctx.collect(mapped, "materialize"));
+    collected.push(ctx.collect(mapped, "reread"));
+    counted.push(ctx.count(mapped, "recount"));
+    collected.push(ctx.collect(sums, "recombine"));
+    collected.push(ctx.collect(input, "input again"));
+    (
+        collected,
+        counted,
+        format!("{:?}", ctx.jobs()),
+        ctx.clock().to_bits(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A map that writes every output over the scratch record it is handed
+    /// — reusing the last output's pair and vector where their shape fits,
+    /// reallocating where a point's dimension changed — yields exactly
+    /// what its twin building a fresh record yields, however the pass
+    /// ends: the same records from a collect, a count, a combining write,
+    /// a write without a combine, a cache capture and its re-reads, the
+    /// same `output_records` / `output_bytes`, and the same virtual
+    /// timings — whether its tasks stream a generated split, read a shared
+    /// slice or own their input. And nothing it was lent is written
+    /// through: the input and the cache read back as produced.
+    #[test]
+    fn a_map_writing_over_its_scratch_equals_its_fresh_record_twin(
+        points in proptest::collection::vec(
+            (
+                0i64..40,
+                proptest::collection::vec((-800i32..800).prop_map(|v| v as f64 / 8.0), 1..4),
+            ),
+            0..60,
+        ),
+    ) {
+        let points = Arc::new(points);
+        for root in [MapRoot::Generated, MapRoot::Shared, MapRoot::Owned] {
+            let fresh = map_jobs(&points, false, root);
+            let in_place = map_jobs(&points, true, root);
+            prop_assert_eq!(&in_place.0, &fresh.0, "{:?}: records", root);
+            prop_assert_eq!(&in_place.1, &fresh.1, "{:?}: counts", root);
+            prop_assert_eq!(&in_place.2, &fresh.2, "{:?}: job metrics", root);
+            prop_assert_eq!(in_place.3, fresh.3, "{:?}: clock", root);
+            let [input, collect, _, write, materialize, reread, _, input_again] =
+                fresh.0.as_slice()
+            else {
+                panic!("eight collecting jobs")
+            };
+            prop_assert_eq!(input, input_again);
+            prop_assert_eq!(collect, materialize);
+            prop_assert_eq!(collect, reread);
+            prop_assert_eq!(collect.len(), write.len());
+            prop_assert_eq!(fresh.1.as_slice(), [collect.len() as u64; 2]);
+            if let MapRoot::Shared = root {
+                let record = |(k, x): &Point| Record::new(Key::Int(*k), Value::vector(x.clone()));
+                prop_assert_eq!(input, &points.iter().map(record).collect::<Vec<_>>());
+            }
         }
     }
 }

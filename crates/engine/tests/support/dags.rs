@@ -73,7 +73,8 @@ enum Op {
     /// `map_values` to the value's [`digest`].
     Digest,
     /// `map` to a coarser key: an int mod 3, a string's first byte, a
-    /// pair's first half.
+    /// pair's first half — written over the map's scratch record, whose
+    /// buffers it reuses when their shape matches.
     Rekey,
     /// `filter`: values whose digest is no multiple of 3.
     Filter,
@@ -105,14 +106,26 @@ fn digest(v: &Value) -> i64 {
     }
 }
 
-fn rekey(r: &Record) -> Record {
-    let key = match &r.key {
+/// The record re-keyed, written over `out`: a pair value (a join's or a
+/// co-group's) goes into `out`'s own two boxes when it holds a pair
+/// already. Every part is written whatever `out` held — what the engine
+/// hands a map may be the last record it wrote, and the evaluator's is
+/// always fresh.
+fn rekey(r: &Record, out: &mut Record) {
+    out.key = match &r.key {
         Key::Int(i) => Key::Int(i.rem_euclid(3)),
         Key::Str(s) => Key::str(s.get(..1).unwrap_or("")),
         Key::Pair(a, _) => (**a).clone(),
         Key::None => Key::None,
     };
-    Record::new(key, r.value.clone())
+    match &r.value {
+        Value::Pair(a, b) => {
+            let (out_a, out_b) = out.value.pair_mut();
+            out_a.clone_from(a);
+            out_b.clone_from(b);
+        }
+        v => out.value.clone_from(v),
+    }
 }
 
 fn fan_out(r: &Record, out: &mut dyn Emit) {
@@ -125,7 +138,9 @@ fn fan_out(r: &Record, out: &mut dyn Emit) {
 
 /// Adds `op` over `l` (and `r`, if it is two-sided) to the context.
 fn build(ctx: &mut Context, op: Op, scheme: Option<PartitionerSpec>, l: Rdd, r: Rdd) -> Rdd {
-    let digested = |r: &Record| Record::new(r.key.clone(), Value::Int(digest(&r.value)));
+    let digested = |r: &Record, out: &mut Record| {
+        *out = Record::new(r.key.clone(), Value::Int(digest(&r.value)))
+    };
     let kept = |r: &Record| digest(&r.value) % 3 != 0;
     // Associative and commutative: `digest` is the identity on what it returns.
     let sum = |a: &Value, b: &Value| Value::Int(digest(a).wrapping_add(digest(b)));

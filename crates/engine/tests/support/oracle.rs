@@ -129,9 +129,15 @@ impl<'g> Oracle<'g> {
                     pairs.map(|v| Record::new(k.clone(), v)).collect()
                 }))
             }
-            OpKind::Map { f } | OpKind::MapValues { f } => {
-                self.narrow(node, |_, part| part.iter().map(|r| f(r)).collect())
-            }
+            // Every output written over a fresh record.
+            OpKind::Map { f } | OpKind::MapValues { f } => self.narrow(node, |_, part| {
+                let map = |r| {
+                    let mut out = Record::default();
+                    f(r, &mut out);
+                    out
+                };
+                part.iter().map(map).collect()
+            }),
             OpKind::FlatMap { f } => self.narrow(node, |_, part| {
                 let mut out = Vec::new();
                 part.iter().for_each(|r| f(r, &mut out));
@@ -335,8 +341,8 @@ mod tests {
     fn reduced_then_rekeyed(g: &mut RddGraph) -> Rdd {
         let src = g.parallelize((0..12).map(|i| int(i % 6, 2 + i)).collect(), 3, "src");
         let reduced = g.reduce_by_key(src, sum(), None, 1e-6, "sums");
-        let parity = |r: &Record| match r.key {
-            Key::Int(k) => int(k % 2, r.value.as_int()),
+        let parity = |r: &Record, out: &mut Record| match r.key {
+            Key::Int(k) => *out = int(k % 2, r.value.as_int()),
             _ => unreachable!("int keys"),
         };
         g.map(reduced, Arc::new(parity), 1e-6, "parity")

@@ -390,7 +390,7 @@ fn run_query(ctx: &mut Context, req: &JobRequest, sources: &[Rdd]) -> Vec<Record
             let centers = fixed_centers(req.seed);
             let assigned = ctx.map(
                 sources[0],
-                Arc::new(move |r: &Record| {
+                Arc::new(move |r: &Record, out: &mut Record| {
                     let x = r.value.as_vector();
                     let mut best = 0usize;
                     let mut best_d = f64::INFINITY;
@@ -405,10 +405,10 @@ fn run_query(ctx: &mut Context, req: &JobRequest, sources: &[Rdd]) -> Vec<Record
                             best = c;
                         }
                     }
-                    Record::new(
-                        Key::Int(best as i64),
-                        Value::Pair(Box::new(r.value.clone()), Box::new(Value::Int(1))),
-                    )
+                    out.key = Key::Int(best as i64);
+                    let (sum, count) = out.value.pair_mut();
+                    sum.vector_mut(x.len()).copy_from_slice(x);
+                    *count = Value::Int(1);
                 }),
                 MAP_COST,
                 "km_assign",
@@ -417,13 +417,13 @@ fn run_query(ctx: &mut Context, req: &JobRequest, sources: &[Rdd]) -> Vec<Record
                 ctx.reduce_by_key(assigned, sum_vector_counts(), None, REDUCE_COST, "km_sum");
             let centroids = ctx.map_values(
                 summed,
-                Arc::new(|r: &Record| {
+                Arc::new(|r: &Record, out: &mut Record| {
                     let (sum, count) = match &r.value {
                         Value::Pair(s, c) => (s.as_vector(), c.as_int() as f64),
                         other => panic!("expected (sum, count) pair, got {other:?}"),
                     };
                     let mean = Value::vector_from(sum.iter().map(|v| v / count));
-                    Record::new(r.key.clone(), mean)
+                    *out = Record::new(r.key.clone(), mean)
                 }),
                 MAP_COST,
                 "km_centroid",
@@ -434,15 +434,17 @@ fn run_query(ctx: &mut Context, req: &JobRequest, sources: &[Rdd]) -> Vec<Record
             let w = fixed_weights(req.seed);
             let grads = ctx.map(
                 sources[0],
-                Arc::new(move |r: &Record| {
+                Arc::new(move |r: &Record, out: &mut Record| {
                     let (x, y) = match &r.value {
                         Value::Pair(x, y) => (x.as_vector(), y.as_int() as f64),
                         other => panic!("expected (x, y) pair, got {other:?}"),
                     };
                     let dot: f64 = w.iter().zip(x.iter()).map(|(a, b)| a * b).sum();
                     let sigma = 1.0 / (1.0 + (-dot).exp());
-                    let g = Value::vector_from(x.iter().map(|xi| xi * (sigma - y)));
-                    Record::new(Key::Int(0), g)
+                    out.key = Key::Int(0);
+                    for (g, xi) in out.value.vector_mut(x.len()).iter_mut().zip(x) {
+                        *g = xi * (sigma - y);
+                    }
                 }),
                 MAP_COST,
                 "lr_grad",

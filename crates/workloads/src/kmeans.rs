@@ -122,15 +122,15 @@ impl KMeans {
     }
 
     fn assign_fn(centers: Arc<Centers>) -> MapFn {
-        Arc::new(move |r: &Record| {
-            let c = centers.nearest(r.value.as_vector());
-            // Emit (cluster, (sum vector, count)) for the center update. The
-            // point is shared with the cached partition, not copied: the
-            // update's first fold into it copies once per key per task.
-            Record::new(
-                Key::Int(c as i64),
-                Value::Pair(Box::new(r.value.clone()), Box::new(Value::Int(1))),
-            )
+        Arc::new(move |r: &Record, out: &mut Record| {
+            let x = r.value.as_vector();
+            // (cluster, (sum vector, count)) for the center update, written
+            // over the scratch record: the update's combine folds it by
+            // reference and copies only the first point of a key.
+            out.key = Key::Int(centers.nearest(x) as i64);
+            let (sum, count) = out.value.pair_mut();
+            sum.vector_mut(x.len()).copy_from_slice(x);
+            *count = Value::Int(1);
         })
     }
 
@@ -218,9 +218,9 @@ impl KMeans {
             points,
             {
                 let centers: Centers = Centers::new(&centers);
-                Arc::new(move |r: &Record| {
+                Arc::new(move |r: &Record, out: &mut Record| {
                     let c = centers.nearest(r.value.as_vector());
-                    Record::new(Key::Int(c as i64), Value::Int(1))
+                    *out = Record::new(Key::Int(c as i64), Value::Int(1))
                 })
             },
             assign_cost,

@@ -11,7 +11,7 @@
 
 use crate::datagen::PointGen;
 use chopper::Workload;
-use engine::{sum_vectors, Context, Emit, EngineOptions, GenFn, Key, Record, Value, WorkloadConf};
+use engine::{sum_vectors, Context, Emit, EngineOptions, GenFn, Key, Record, WorkloadConf};
 use std::sync::Arc;
 
 /// Logistic-regression workload parameters.
@@ -158,21 +158,23 @@ impl LogReg {
                 points,
                 {
                     let w = Arc::clone(&w);
-                    Arc::new(move |r: &Record| {
+                    Arc::new(move |r: &Record, out: &mut Record| {
                         let x = r.value.as_vector();
                         let y = label(x);
                         let z = response(x, &w);
                         let err = sigmoid(z) - y;
                         // Partial gradient, then the bias term and a count
-                        // for averaging; 8 pseudo-keys for parallel sums.
-                        let grad = Value::vector_from(
-                            x.iter().map(|v| err * v * FEATURE_SCALE).chain([err, 1.0]),
-                        );
-                        let k = match r.key {
+                        // for averaging, written over the scratch row; 8
+                        // pseudo-keys for parallel sums.
+                        let grad = out.value.vector_mut(x.len() + 2);
+                        for (g, v) in grad.iter_mut().zip(x) {
+                            *g = err * v * FEATURE_SCALE;
+                        }
+                        grad[x.len()..].copy_from_slice(&[err, 1.0]);
+                        out.key = Key::Int(match r.key {
                             Key::Int(i) => i % 8,
                             _ => 0,
-                        };
-                        Record::new(Key::Int(k), grad)
+                        });
                     })
                 },
                 grad_cost,

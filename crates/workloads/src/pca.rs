@@ -140,15 +140,16 @@ impl Pca {
         // shuffle of the raw points.
         let mean_map = ctx.map(
             points,
-            Arc::new(|r: &Record| {
+            Arc::new(|r: &Record, out: &mut Record| {
                 let k = match r.key {
                     Key::Int(i) => i % 4,
                     _ => 0,
                 };
-                Record::new(
-                    Key::Int(k),
-                    Value::Pair(Box::new(r.value.clone()), Box::new(Value::Int(1))),
-                )
+                let x = r.value.as_vector();
+                out.key = Key::Int(k);
+                let (sum, count) = out.value.pair_mut();
+                sum.vector_mut(x.len()).copy_from_slice(x);
+                *count = Value::Int(1);
             }),
             MEAN_COST,
             "mean-partials",
@@ -199,13 +200,11 @@ impl Pca {
                     // One scratch row per point, rewritten and lent once
                     // per covariance row: the map-side combine adds it to
                     // the row's sum by reference and keeps no copy.
-                    let mut scaled = Record::keyless(Value::vector_from(x.iter().copied()));
+                    let mut scaled = Record::keyless(Value::vector(vec![0.0; x.len()]));
                     for (row, &x_row) in x.iter().enumerate() {
                         scaled.key = Key::Int(row as i64);
-                        if let Value::Vector(buf) = &mut scaled.value {
-                            for (s, &v) in Arc::make_mut(buf).iter_mut().zip(x) {
-                                *s = v * x_row;
-                            }
+                        for (s, &v) in scaled.value.vector_mut(x.len()).iter_mut().zip(x) {
+                            *s = v * x_row;
                         }
                         out.lend(&scaled);
                     }

@@ -142,7 +142,7 @@ impl SkewAggResult {
 
 /// Collapses a grouped record `(key, List(Pair(amount, payload), …))`
 /// into `(key, Pair(sum, count))`.
-fn summarize(r: &Record) -> Record {
+fn summarize(r: &Record, out: &mut Record) {
     let Value::List(vals) = &r.value else {
         panic!("expected grouped values, got {:?}", r.value);
     };
@@ -153,7 +153,7 @@ fn summarize(r: &Record) -> Record {
             other => panic!("malformed row {other:?}"),
         }
     }
-    Record::new(
+    *out = Record::new(
         r.key.clone(),
         Value::Pair(
             Box::new(Value::Float(sum)),

@@ -138,12 +138,12 @@ impl Sql {
         // Project rows to (key, amount) — the aggregation input.
         let order_amounts = ctx.map_values(
             orders,
-            Arc::new(|r: &Record| {
+            Arc::new(|r: &Record, out: &mut Record| {
                 let amount = match &r.value {
                     Value::Pair(a, _) => a.as_float(),
                     other => panic!("malformed row {other:?}"),
                 };
-                Record::new(r.key.clone(), Value::Float(amount))
+                *out = Record::new(r.key.clone(), Value::Float(amount))
             }),
             AGG_COST,
             "project-orders",
@@ -171,12 +171,12 @@ impl Sql {
         );
         let return_amounts = ctx.map_values(
             returns,
-            Arc::new(|r: &Record| {
+            Arc::new(|r: &Record, out: &mut Record| {
                 let amount = match &r.value {
                     Value::Pair(a, _) => a.as_float(),
                     other => panic!("malformed row {other:?}"),
                 };
-                Record::new(r.key.clone(), Value::Float(amount))
+                *out = Record::new(r.key.clone(), Value::Float(amount))
             }),
             AGG_COST,
             "project-returns",

@@ -10,19 +10,44 @@
 //! configuration on `workers: 1` and is counted whole, from its start
 //! until it hands back its context. The counts are pinned exactly:
 //!
-//! | run (every job)          | source records | allocations | before the point kernels (what fell)        |
-//! |--------------------------|---------------:|------------:|----------------------------------------------|
-//! | KMeans                   |          8 800 |      42 105 | 42 138 (−6 reads, −14 keys, −13 centers)     |
-//! | PCA                      |          6 300 |      25 262 | 31 276 (−4 reads, −10 keys, −6 000 centered) |
-//! | LogReg                   |          6 000 |     194 864 | 195 108 (−60 reads, −183 keys)               |
-//! | SQL                      |         12 000 |       2 738 | 2 761 (−4 reads, −14 keys)                   |
-//! | … the same at scale 0.5  |          6 000 |       2 335 | 2 358 (−4 reads, −15 keys)                   |
+//! | run (every job)          | source records | allocations | before owned vectors and scratch maps (what fell)  | before the point kernels (what fell)        |
+//! |--------------------------|---------------:|------------:|-----------------------------------------------------|----------------------------------------------|
+//! | KMeans                   |          8 800 |      10 369 | 42 105 (−32 000 pairs, +192 first copies, +72 scratch) | 42 138 (−6 reads, −14 keys, −13 centers)     |
+//! | … the same at scale 0.5  |          4 400 |       5 969 | 21 705 (−16 000 pairs, +192 first copies, +72 scratch) | —                                            |
+//! | PCA                      |          6 300 |      13 406 | 25 262 (−12 000 pairs, +96 first copies, +36 scratch, +12 rows) | 31 276 (−4 reads, −10 keys, −6 000 centered) |
+//! | LogReg                   |          6 000 |      18 104 | 194 864 (−180 000 gradients, +2 880 first copies, +360 scratch) | 195 108 (−60 reads, −183 keys)               |
+//! | SQL                      |         12 000 |       2 738 | 2 738                                               | 2 761 (−4 reads, −14 keys)                   |
+//! | … the same at scale 0.5  |          6 000 |       2 335 | 2 335                                               | 2 358 (−4 reads, −15 keys)                   |
 //!
-//! One allocation per record in any job adds thousands to a row. The two
+//! One allocation per record in any job adds thousands to a row. The
 //! SQL rows hold the slope: 403 allocations for 6 000 more generated rows,
 //! 0.07 a row, the combiners', the merges' and the join's tables growing
-//! with the keys drawn — under the 0.1 the last assertion allows. Debug
-//! and release builds count the same.
+//! with the keys drawn — under the 0.1 the last assertion allows. The
+//! KMeans rows hold it for points: 4 400 allocations for 4 400 more
+//! source points, which is each point's own vector (a cached point owns
+//! its elements, and a sampled one is freed after its filter) and nothing
+//! more — every pass over the points together costs under 0.1 a point
+//! beyond it, where each point cost four more (two `assign` passes, two
+//! `Value::Pair` boxes each) before the map wrote over its scratch record.
+//! Debug and release builds count the same.
+//!
+//! The fourth column is the count before a `Value::Vector` owned its
+//! elements (a `Box<[f64]>`, not an `Arc<[f64]>`) and a map wrote its
+//! output over a scratch record its task keeps, and what those changes
+//! moved. *Pairs* and *gradients* are the per-point outputs of KMeans'
+//! `assign` (two boxes; the point was shared), PCA's `mean-partials`
+//! (two boxes) and LogReg's `gradient` (a vector): each is now written
+//! over the last one. *First copies*: the map-side combine clones the
+//! first record of each key it is lent, which now copies the vector and
+//! the pair's boxes where it shared the `Arc` and copied the vector at
+//! the first fold (+2 a key and task for a pair: KMeans' 4 keys on 12
+//! tasks in each of 2 iterations, PCA's 4 pseudo-keys on 12 tasks; +1
+//! for a gradient, which moved in before:
+//! LogReg's 8 keys on 12 tasks, 30 times). *Scratch*: the scratch record
+//! each task's map fills once (three allocations for a pair of a vector,
+//! one for a vector). *Rows*: PCA's `cov-rows` lends each task's first
+//! point's last row to a key the combine has not seen; the copy it keeps
+//! was the shared row before, which nothing rewrote after.
 //!
 //! The last column is the count before the point kernels, and what each
 //! of their changes removed, measured one change at a time: *reads*, two
@@ -100,12 +125,16 @@
 //! list (SQL's one block and its replica list, −2). The SQL job, its
 //! workload's first, also counts its own name now (+1): the job's record
 //! is built before the hook is called, not after. What is
-//! left per record is what the record model itself costs: the two boxes of a
-//! `Value::Pair` (KMeans), the one scratch row `cov-rows` lends `dim` = 5
-//! times (PCA; it was the flat-map's output vector, the centered point and
-//! a vector per row), the gradient vector
-//! (LogReg). A SQL row costs nothing: `TableGen::stream` lends one scratch
-//! row, the projection reads it, the combine folds a float. The SQL job is
+//! left per record is the point itself and one flat-map row: each
+//! generated point allocates its own vector (KMeans, PCA, LogReg), and
+//! PCA's `cov-rows` allocates one scratch row per point, which it lends
+//! `dim` = 5 times (it was the flat-map's output vector, the centered
+//! point and a vector per row) — a flat-map is handed no scratch of the
+//! task's to write over. The maps allocate nothing per point: KMeans'
+//! `assign`, PCA's `mean-partials` and LogReg's `gradient` write over
+//! their task's scratch record, and the combine folds it by reference. A
+//! SQL row costs nothing: `TableGen::stream` lends one scratch row, the
+//! projection reads it, the combine folds a float. The SQL job is
 //! its workload's first, so its count carries the context's and the
 //! generator's construction; the ~650 allocations it does not shed with
 //! its rows are that and the per-task work of 24 tasks, and the slope —
@@ -181,11 +210,14 @@ fn run_allocations(run: impl FnOnce(&EngineOptions) -> Context) -> (u64, u64) {
 #[test]
 fn vector_sum_jobs_stay_within_their_allocation_budget() {
     let conf = WorkloadConf::new();
-    let kmeans = run_allocations(|o| {
-        KMeans::new(KMeansConfig::small())
-            .execute(o, &conf, 1.0)
-            .ctx
-    });
+    let kmeans = |scale: f64| {
+        run_allocations(|o| {
+            KMeans::new(KMeansConfig::small())
+                .execute(o, &conf, scale)
+                .ctx
+        })
+    };
+    let (kmeans_full, kmeans_half) = (kmeans(1.0), kmeans(0.5));
     let pca = run_allocations(|o| Pca::new(PcaConfig::small()).execute(o, &conf, 1.0).ctx);
     let logreg = run_allocations(|o| {
         LogReg::new(LogRegConfig::small())
@@ -196,16 +228,23 @@ fn vector_sum_jobs_stay_within_their_allocation_budget() {
         |scale: f64| run_allocations(|o| Sql::new(SqlConfig::small()).execute(o, &conf, scale).ctx);
     let (sql_full, sql_half) = (sql(1.0), sql(0.5));
     assert_eq!(
-        [kmeans, pca, logreg, sql_full, sql_half],
+        [kmeans_full, kmeans_half, pca, logreg, sql_full, sql_half],
         [
-            (42_105, 8_800),
-            (25_262, 6_300),
-            (194_864, 6_000),
+            (10_369, 8_800),
+            (5_969, 4_400),
+            (13_406, 6_300),
+            (18_104, 6_000),
             (2_738, 12_000),
             (2_335, 6_000)
         ],
-        "(allocations, source records) of a whole KMeans, PCA, LogReg run, and SQL at \
-         scale 1 and 0.5"
+        "(allocations, source records) of a whole KMeans run at scale 1 and 0.5, PCA, \
+         LogReg, and SQL at scale 1 and 0.5"
+    );
+    let (more_points, more_allocations) =
+        (kmeans_full.1 - kmeans_half.1, kmeans_full.0 - kmeans_half.0);
+    assert!(
+        more_allocations.saturating_sub(more_points) * 10 < more_points,
+        "beyond its own vector, a generated KMeans point costs under 0.1 allocations"
     );
     assert!(
         (sql_full.0 - sql_half.0) * 10 < sql_full.1 - sql_half.1,

@@ -41,7 +41,12 @@ fn main() {
             ctx.set_conf_text(&conf_text).expect("valid config");
         }
 
-        let mapped = ctx.map(points, Arc::new(|r: &Record| r.clone()), 1e-4, "iterate");
+        let mapped = ctx.map(
+            points,
+            Arc::new(|r: &Record, out: &mut Record| *out = r.clone()),
+            1e-4,
+            "iterate",
+        );
         let reduced = ctx.reduce_by_key(mapped, Arc::clone(&sum), None, 1e-5, "accumulate");
         iteration_sig = Some(ctx.signature(reduced));
         ctx.count(reduced, "iteration");

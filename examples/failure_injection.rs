@@ -38,7 +38,12 @@ fn run(faults: Option<FaultPlan>) -> (Vec<Round>, Context) {
 
     let sum: ReduceFn = Arc::new(|a: &Value, b: &Value| Value::Int(a.as_int() + b.as_int()));
     let rounds = ["first", "second", "third"].map(|label| {
-        let m = ctx.map(points, Arc::new(|r: &Record| r.clone()), 4e-4, "process");
+        let m = ctx.map(
+            points,
+            Arc::new(|r: &Record, out: &mut Record| *out = r.clone()),
+            4e-4,
+            "process",
+        );
         let red = ctx.reduce_by_key(m, Arc::clone(&sum), None, 1e-5, "aggregate");
         let keys = ctx.count(red, label);
         let job = ctx.jobs().last().expect("job ran");
