@@ -96,13 +96,16 @@ impl Ledger {
         self.materialized.contains_key(&rdd)
     }
 
-    /// Cached `rdd`'s partitions and their sizes, and the global id of
-    /// the stage that computed them.
+    /// Cached `rdd`'s partitions, their sizes and homes and whether they
+    /// are spilled, and the global id of the stage that computed them.
     pub(super) fn cached(&self, rdd: Rdd) -> (CachedParts<'_>, usize) {
         let mat = &self.materialized[&rdd];
         let parts = CachedParts {
             parts: &mat.parts,
             sizes: &mat.sizes,
+            homes: &mat.homes,
+            spilled: self.mem.is_spilled(rdd.0 as u64),
+            nodes: self.mem.num_nodes(),
         };
         (parts, mat.producer_stage)
     }
@@ -119,32 +122,24 @@ impl Ledger {
             .collect()
     }
 
-    /// How partition `i` of cached `rdd` is read: from its home node's
-    /// memory, or — once the entry is spilled — from that node's local
-    /// disk.
-    pub(super) fn read_of(&self, rdd: Rdd, i: usize) -> TaskSpec {
+    /// How task `i` of a stage rooted at cached `rdd` reads its partition,
+    /// preferring its home node: one chunk fetched from the home's memory
+    /// (empty or not), or — once the entry is spilled — local disk I/O
+    /// (feeding the Fig. 14 transaction counters), not a memory-resident
+    /// fetch.
+    pub(super) fn scan_of(&self, rdd: Rdd, i: usize) -> TaskSpec {
         let mat = &self.materialized[&rdd];
-        let bytes = mat.sizes[i];
+        let (home, bytes) = (mat.homes[i], mat.sizes[i]);
         let mut t = TaskSpec {
-            fetch_chunks: usize::from(!mat.parts[i].is_empty()),
+            preferred_nodes: vec![home],
             ..TaskSpec::default()
         };
         if self.mem.is_spilled(rdd.0 as u64) {
             t.local_read_bytes = bytes;
         } else {
-            t.fetches = vec![(mat.homes[i], bytes)];
+            t.fetches = vec![(home, bytes)];
+            t.fetch_chunks = 1;
         }
-        t
-    }
-
-    /// How task `i` of a stage rooted at cached `rdd` reads its partition:
-    /// as [`Ledger::read_of`], preferring the home node, with one chunk
-    /// per memory read — a spilled partition is local disk I/O (feeding
-    /// the Fig. 14 transaction counters), not a memory-resident fetch.
-    pub(super) fn scan_of(&self, rdd: Rdd, i: usize) -> TaskSpec {
-        let mut t = self.read_of(rdd, i);
-        t.fetch_chunks = usize::from(!t.fetches.is_empty());
-        t.preferred_nodes = vec![self.materialized[&rdd].homes[i]];
         t
     }
 

@@ -2,17 +2,35 @@
 //! it streams the records through, and the shuffle write it ends in.
 //! Everything here is a function of the lineage graph and a
 //! [`StageInput`]; nothing here knows a cluster, a clock or a ledger.
+//!
+//! A stage that reads a shuffle runs its tasks in *blocks* of adjacent
+//! reduce partitions, one pool item a block ([`map_tasks`]). A block walks
+//! the producer's map rows in map-task order, finds its partitions' runs
+//! in each row's partition-sorted [`RunSpan`]s by binary search, locks the
+//! row once if it holds any, and hands each run to its partition's merge —
+//! so every partition's merge receives its runs in map-task order,
+//! whatever the block size — booking what each partition fetched from
+//! which node ([`Fetched`]) on the way. A cached join side is booked the
+//! same way, next to it: one chunk and its bytes from the partition's
+//! home, or local-disk bytes once the cached RDD is spilled. Then the
+//! block finishes each partition's merge and runs the partition's task
+//! over it. A stage of `n` tasks on `l` pool lanes cuts its tasks into
+//! blocks of `ceil(n² / 2^14)` partitions, at least one and at most
+//! `ceil(n / 4l)` ([`block_size`]). On the shuffle's last read the records
+//! move out of the rows, and the last block to pass a row frees it.
 
-use super::stage::{ColumnRun, ShuffleData};
+use super::stage::ShuffleData;
 use crate::ops::{reserve_records, Emit, FilterFn, FlatMapFn, GenFn, MapFn, OpKind, ReduceFn};
 use crate::partitioner::{Partitioner, PartitionerKind, PartitionerSpec};
-use crate::pool::lock;
+use crate::pool::{lock, WorkerPool};
 use crate::rdd::{Rdd, RddGraph};
 use crate::record::{batch_size, IntoRecord, Key, Record};
 use crate::shuffle::{
-    lay_out, ConcatMerge, GroupMerge, JoinMerge, ReduceMerge, Run, TaskArena, TaskRuns,
+    lay_out, ConcatMerge, GroupMerge, JoinMerge, ReduceMerge, Run, RunSpan, TaskArena, TaskRuns,
 };
 use numeric::Reservoir;
+use std::ops::Range;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Compute units charged per record for partition assignment during shuffle
@@ -22,6 +40,11 @@ const PARTITION_COST: f64 = 0.05e-6;
 const SAMPLE_COST: f64 = 0.02e-6;
 /// Compute units charged per fetched record during reduce-side merges.
 const MERGE_BASE_COST: f64 = 0.03e-6;
+/// A shuffle-reading stage's blocks visit the map rows about this many
+/// times, whatever its partition count (see [`block_size`]).
+const ROW_VISITS: usize = 1 << 14;
+/// Source nodes a task's fetch list has room for at its first entry.
+const FETCH_ROOM: usize = 64;
 
 pub(super) enum MergeKind {
     Reduce(ReduceFn, f64),
@@ -29,69 +52,138 @@ pub(super) enum MergeKind {
     Concat,
 }
 
-impl ShuffleData {
-    /// Hands `run` to `push` and returns its record count. The records are
-    /// moved out in place under the row's lock — no per-reducer copy of a
-    /// column ever exists, and the row's one allocation is freed with the
-    /// table, by the driver — or lent when the shuffle has more than one
-    /// read.
-    fn with_run(&self, run: &ColumnRun, push: &mut impl FnMut(Run<'_>)) -> u64 {
-        let (start, end) = (run.start as usize, run.end as usize);
-        let mut row = lock(&self.rows[run.map as usize]);
-        let records = &mut row[start..end];
-        if self.shared {
-            push(Run::Shared(records));
-        } else {
-            push(Run::Moved(records));
-        }
-        (end - start) as u64
-    }
-
-    /// Feeds reduce partition `col`'s runs to `push` in map-task order;
-    /// returns the records and bytes fetched.
-    fn drain_column(&self, col: usize, mut push: impl FnMut(Run<'_>)) -> (u64, u64) {
-        let (mut fetched, mut bytes) = (0u64, 0u64);
-        for run in self.column(col) {
-            fetched += self.with_run(run, &mut push);
-            bytes += run.bytes;
-        }
-        (fetched, bytes)
-    }
-}
-
-/// A cached RDD's partitions and their encoded sizes, as the tasks that
-/// captured them measured them: partition `i` feeds task `i`.
+/// One read of a shuffle by a stage: the last one moves the records out
+/// of the rows and frees them, an earlier one clones them.
 #[derive(Clone, Copy)]
-pub(super) struct CachedParts<'s> {
-    pub(super) parts: &'s [Arc<Vec<Record>>],
-    pub(super) sizes: &'s [u64],
+pub(super) struct TableRead<'s> {
+    pub(super) data: &'s ShuffleData,
+    pub(super) last: bool,
 }
 
-/// Where one join side's data comes from.
-pub(super) enum JoinSide<'s> {
-    /// A shuffle, consumed run by run in map order.
-    Shuffle(&'s ShuffleData),
-    /// A cached co-partitioned RDD.
-    Narrow(CachedParts<'s>),
-}
-
-impl JoinSide<'_> {
-    /// Feeds partition `col` of this side to `push`; returns the records
-    /// and bytes fetched.
-    fn drain(&self, col: usize, mut push: impl FnMut(Run<'_>)) -> (u64, u64) {
-        match self {
-            JoinSide::Shuffle(data) => data.drain_column(col, push),
-            JoinSide::Narrow(cached) => {
-                let part = &cached.parts[col];
-                push(Run::Shared(part));
-                (part.len() as u64, cached.sizes[col])
+impl TableRead<'_> {
+    /// Walks the map rows in map-task order for reduce partitions `block`
+    /// (one of `blocks`), handing each run to its partition's slot and
+    /// booking it there. A row is locked once, and only if it holds a run
+    /// of the block; on the last read, the last block to pass a row frees
+    /// it.
+    fn walk<T>(&self, block: &Range<usize>, blocks: usize, slots: &mut [Slot<T>], left: bool) {
+        let data = self.data;
+        let (lo, hi) = (block.start, block.end);
+        let in_block = |s: &&RunSpan| (s.partition as usize) < hi;
+        for (row, &node) in data.rows.iter().zip(&data.nodes) {
+            let spans = &row.spans[row.spans.partition_point(|s| (s.partition as usize) < lo)..];
+            if spans.first().is_some_and(|s| in_block(&s)) {
+                let mut records = lock(&row.records);
+                for s in spans.iter().take_while(in_block) {
+                    let run = &mut records[s.start as usize..s.end as usize];
+                    let slot = &mut slots[s.partition as usize - lo];
+                    slot.records += run.len() as u64;
+                    slot.bytes += s.bytes;
+                    slot.fetched.chunks += 1;
+                    slot.fetched.add(node, s.bytes, data.cluster_nodes);
+                    let run = match self.last {
+                        true => Run::Moved(run),
+                        false => Run::Shared(run),
+                    };
+                    slot.merge.push(run, left);
+                }
+            }
+            let passed = || row.visits.fetch_add(1, Ordering::AcqRel) + 1;
+            if self.last && !row.spans.is_empty() && passed() == blocks {
+                *lock(&row.records) = Vec::new();
             }
         }
     }
 }
 
-/// The data-plane view of a stage's inputs: what task `i` of `n` reads.
+/// What a task fetched from map outputs and cached partitions: bytes per
+/// node id, ascending and none of them empty, the chunks fetched, and the
+/// bytes a spilled cached side read from local disk instead.
+#[derive(Default)]
+pub(super) struct Fetched {
+    pub(super) from: Vec<(usize, u64)>,
+    pub(super) chunks: usize,
+    pub(super) local: u64,
+}
+
+impl Fetched {
+    /// Books `bytes` from `node`: summed into the node's entry, or a new
+    /// entry in node order. The first entry reserves room for `nodes`, the
+    /// cluster's node count, up to [`FETCH_ROOM`]: a task's list allocates
+    /// once on a cluster that small.
+    pub(super) fn add(&mut self, node: usize, bytes: u64, nodes: usize) {
+        if bytes == 0 {
+            return;
+        }
+        match self.from.binary_search_by_key(&node, |&(n, _)| n) {
+            Ok(at) => self.from[at].1 += bytes,
+            Err(at) => {
+                if self.from.capacity() == 0 {
+                    self.from.reserve_exact(nodes.clamp(1, FETCH_ROOM));
+                }
+                self.from.insert(at, (node, bytes));
+            }
+        }
+    }
+}
+
+/// A cached RDD's partitions and their encoded sizes, as the tasks that
+/// captured them measured them: partition `i` feeds task `i`. A join task
+/// reading partition `i` fetches it from `homes[i]`, or reads it from
+/// local disk once the RDD is `spilled`.
+#[derive(Clone, Copy)]
+pub(super) struct CachedParts<'s> {
+    pub(super) parts: &'s [Arc<Vec<Record>>],
+    pub(super) sizes: &'s [u64],
+    pub(super) homes: &'s [usize],
+    pub(super) spilled: bool,
+    /// The cluster's node count: what a fetch list reserves room for.
+    pub(super) nodes: usize,
+}
+
+/// Where one join side's data comes from.
+pub(super) enum JoinSide<'s> {
+    /// A shuffle, consumed run by run in map order.
+    Shuffle(TableRead<'s>),
+    /// A cached co-partitioned RDD.
+    Narrow(CachedParts<'s>),
+}
+
+impl JoinSide<'_> {
+    /// Feeds partitions `block` (one of `blocks`) of this side to their
+    /// slots, booking each on the way: a cached partition is one chunk if
+    /// it holds records, and its bytes come from its home's memory, or
+    /// from local disk once spilled.
+    fn read<T>(&self, block: &Range<usize>, blocks: usize, slots: &mut [Slot<T>], left: bool) {
+        match self {
+            JoinSide::Shuffle(read) => read.walk(block, blocks, slots, left),
+            JoinSide::Narrow(cached) => {
+                for (slot, col) in slots.iter_mut().zip(block.clone()) {
+                    let (part, bytes) = (&cached.parts[col], cached.sizes[col]);
+                    slot.records += part.len() as u64;
+                    slot.bytes += bytes;
+                    slot.fetched.chunks += usize::from(!part.is_empty());
+                    match cached.spilled {
+                        true => slot.fetched.local += bytes,
+                        false => slot.fetched.add(cached.homes[col], bytes, cached.nodes),
+                    }
+                    slot.merge.push(Run::Shared(part), left);
+                }
+            }
+        }
+    }
+}
+
+/// The data-plane view of a stage's inputs.
 pub(super) enum StageInput<'s> {
+    /// Each task reads its own split or partition.
+    Split(SplitInput<'s>),
+    /// Tasks read reduce partitions of shuffles, in blocks.
+    Wide(WideInput<'s>),
+}
+
+/// What task `i` of `n` reads, task by task.
+pub(super) enum SplitInput<'s> {
     /// Slice `i` of an in-memory collection.
     Slice(&'s Arc<Vec<Record>>),
     /// Split `i` of a deterministic generator.
@@ -101,12 +193,16 @@ pub(super) enum StageInput<'s> {
     },
     /// Partition `i` of a cached RDD.
     Cached(CachedParts<'s>),
-    /// Column `i` of a shuffle, merged as the wide op prescribes.
+}
+
+/// What a block of reduce partitions reads.
+pub(super) enum WideInput<'s> {
+    /// One shuffle, merged as the wide op prescribes.
     Shuffle {
-        data: &'s ShuffleData,
+        read: TableRead<'s>,
         merge: MergeKind,
     },
-    /// Partition `i` of both sides of a join or co-group.
+    /// Both sides of a join or co-group.
     Join {
         left: JoinSide<'s>,
         right: JoinSide<'s>,
@@ -114,6 +210,178 @@ pub(super) enum StageInput<'s> {
         outer: bool,
         cost: f64,
     },
+}
+
+/// One reduce partition's merge, as the stage's wide op prescribes, with
+/// its compute charge per record.
+enum Merge {
+    Reduce(ReduceMerge, f64),
+    Group(GroupMerge, f64),
+    Concat(ConcatMerge),
+    Join(JoinMerge, f64),
+}
+
+impl Merge {
+    fn push(&mut self, run: Run<'_>, left: bool) {
+        match self {
+            Merge::Reduce(m, _) => m.push_run(run),
+            Merge::Group(m, _) => m.push_run(run),
+            Merge::Concat(m) => m.push_run(run),
+            Merge::Join(m, _) => m.push_run(run, left),
+        }
+    }
+
+    /// The merged records and their merge compute, `fetched` records in.
+    fn finish(self, fetched: u64) -> (Vec<Record>, f64) {
+        let n = fetched as f64;
+        let mut cost = 0.0;
+        let records = match self {
+            Merge::Reduce(m, c) => {
+                cost += n * MERGE_BASE_COST;
+                let (out, ops) = m.finish();
+                cost += ops as f64 * c;
+                out
+            }
+            Merge::Group(m, c) => {
+                cost += n * MERGE_BASE_COST;
+                cost += n * c;
+                m.finish()
+            }
+            Merge::Concat(m) => {
+                cost += n * MERGE_BASE_COST;
+                m.finish()
+            }
+            Merge::Join(m, c) => {
+                cost += n * (MERGE_BASE_COST + c);
+                let (out, probes) = m.finish();
+                cost += probes as f64 * MERGE_BASE_COST;
+                out
+            }
+        };
+        (records, cost)
+    }
+}
+
+impl Default for Merge {
+    fn default() -> Self {
+        Merge::Concat(ConcatMerge::new())
+    }
+}
+
+/// One reduce partition of a block: its merge and books while the block
+/// walks the rows, then its task's output.
+struct Slot<T> {
+    merge: Merge,
+    records: u64,
+    bytes: u64,
+    fetched: Fetched,
+    out: Option<T>,
+}
+
+impl<T> Slot<T> {
+    /// The partition's merged root; the slot keeps its books.
+    fn root(&mut self) -> RootRead<'static> {
+        let (records, cost) = std::mem::take(&mut self.merge).finish(self.records);
+        RootRead {
+            root: Root::Records(TaskRecords::Owned(records)),
+            input_records: self.records,
+            input_bytes: self.bytes,
+            cost,
+        }
+    }
+}
+
+impl WideInput<'_> {
+    /// Reads partitions `block`, one of `blocks`: every side walked in
+    /// map-task order, a join's left side whole and sealed before its
+    /// right.
+    fn read_block<T>(&self, block: &Range<usize>, blocks: usize) -> Vec<Slot<T>> {
+        let merge = || match self {
+            WideInput::Shuffle { merge, .. } => match merge {
+                MergeKind::Reduce(f, c) => Merge::Reduce(ReduceMerge::new(Arc::clone(f)), *c),
+                MergeKind::Group(c) => Merge::Group(GroupMerge::new(), *c),
+                MergeKind::Concat => Merge::Concat(ConcatMerge::new()),
+            },
+            WideInput::Join { outer, cost, .. } => Merge::Join(JoinMerge::two_sided(*outer), *cost),
+        };
+        let slot = |_| Slot {
+            merge: merge(),
+            records: 0,
+            bytes: 0,
+            fetched: Fetched::default(),
+            out: None,
+        };
+        let mut slots: Vec<Slot<T>> = block.clone().map(slot).collect();
+        match self {
+            WideInput::Shuffle { read, .. } => read.walk(block, blocks, &mut slots, true),
+            WideInput::Join { left, right, .. } => {
+                left.read(block, blocks, &mut slots, true);
+                for s in &mut slots {
+                    if let Merge::Join(m, _) = &mut s.merge {
+                        m.seal_left();
+                    }
+                }
+                right.read(block, blocks, &mut slots, false);
+            }
+        }
+        slots
+    }
+}
+
+/// The reduce partitions in a block of a shuffle-reading stage of `of`
+/// tasks on `lanes` pool lanes: `of² / ROW_VISITS`, at least one, and no
+/// more than a quarter of a lane's share, so the lanes still balance their
+/// load. Every block visits every map row and the map tasks number about
+/// as many as the reduce tasks, so a stage's blocks visit about
+/// `ROW_VISITS` rows whatever P, while each row's run for a partition
+/// thins as 1/P: one partition a block at P ≤ 128, where runs are long and
+/// a partition's merge wants the cache to itself, and about 90 at P = 1200,
+/// where a run is a record or two and walking the rows once per block is
+/// what a task's read costs.
+fn block_size(of: usize, lanes: usize) -> usize {
+    let share = of.div_ceil(4 * lanes.max(1));
+    (of * of).div_ceil(ROW_VISITS).min(share).max(1)
+}
+
+/// Runs `f` over every task of a stage of `of` tasks on the pool — at most
+/// `cap` lanes — in task order: over its own split one pool item a task,
+/// over shuffled input one pool item a block of partitions (see the module
+/// doc). `f` gets the task, its root and the pool participant running it.
+/// Returns the outputs and, for shuffled input, what each task fetched.
+pub(super) fn map_tasks<'s, T: Send>(
+    pool: &WorkerPool,
+    cap: usize,
+    input: &StageInput<'s>,
+    of: usize,
+    f: impl Fn(TaskId, RootRead<'s>, usize) -> T + Sync,
+) -> (Vec<T>, Vec<Fetched>) {
+    let task = |index| TaskId { index, of };
+    let wide = match input {
+        StageInput::Split(split) => {
+            let outs = pool.map_capped(of, cap, |i, p| f(task(i), split.read(task(i)), p));
+            return (outs, Vec::new());
+        }
+        StageInput::Wide(wide) => wide,
+    };
+    let size = block_size(of, pool.workers().min(cap));
+    let blocks = of.div_ceil(size);
+    let done = pool.map_capped(blocks, cap, |b, p| {
+        let block = b * size..(b * size + size).min(of);
+        let mut slots = wide.read_block(&block, blocks);
+        for (i, slot) in block.zip(&mut slots) {
+            slot.out = Some(f(task(i), slot.root(), p));
+        }
+        slots
+    });
+    let (mut outs, mut books) = (Vec::with_capacity(of), Vec::with_capacity(of));
+    for slot in done.into_iter().flatten() {
+        if let Some(out) = slot.out {
+            outs.push(out);
+            books.push(slot.fetched);
+        }
+    }
+    debug_assert_eq!(outs.len(), of, "every task ran once");
+    (outs, books)
 }
 
 /// How a stage's tasks write their output to the shuffle they feed.
@@ -553,8 +821,8 @@ impl Default for Root<'_> {
 
 /// A task's root input and what reading it has been charged so far. A
 /// generated split is counted, sized and charged by the pass that
-/// produces it.
-struct RootRead<'s> {
+/// produces it; a shuffled partition arrives merged, its merge charged.
+pub(super) struct RootRead<'s> {
     root: Root<'s>,
     input_records: u64,
     input_bytes: u64,
@@ -614,135 +882,56 @@ impl RootRead<'_> {
     }
 }
 
-/// Reads task `task`'s root input.
-///
-/// Shuffle and join roots move their runs out of the producer's table
-/// in map-task order and fold them straight into the streaming merge
-/// accumulators — the merge sees the same record stream whatever the
-/// worker count, so results, byte counts, range samples, and every
-/// simulated cost are deterministic. Slice/Cached roots are borrowed, not
-/// copied; a source split is not generated yet.
-fn read_root<'s>(input: &StageInput<'s>, task: TaskId) -> RootRead<'s> {
-    let i = task.index;
-    let mut cost = 0.0;
-    let (root, input_records, input_bytes) = match input {
-        StageInput::Slice(data) => {
-            let (start, end) = (i * data.len() / task.of, (i + 1) * data.len() / task.of);
-            let slice = &data[start..end];
-            let shared = TaskRecords::Shared(Arc::clone(data), start, end);
-            (Root::Records(shared), slice.len() as u64, batch_size(slice))
-        }
-        // Counted, sized and charged by the pass that generates it.
-        &StageInput::Gen {
-            gen,
-            cost_per_record,
-        } => {
-            let split = Root::Gen {
+impl<'s> SplitInput<'s> {
+    /// Task `task`'s root: a slice or cached partition borrowed, not
+    /// copied; a source split not generated yet.
+    pub(super) fn read(&self, task: TaskId) -> RootRead<'s> {
+        let i = task.index;
+        let (root, input_records, input_bytes) = match self {
+            SplitInput::Slice(data) => {
+                let (start, end) = (i * data.len() / task.of, (i + 1) * data.len() / task.of);
+                let slice = &data[start..end];
+                let shared = TaskRecords::Shared(Arc::clone(data), start, end);
+                (Root::Records(shared), slice.len() as u64, batch_size(slice))
+            }
+            // Counted, sized and charged by the pass that generates it.
+            &SplitInput::Gen {
                 gen,
                 cost_per_record,
-            };
-            (split, 0, 0)
-        }
-        StageInput::Cached(cached) => {
-            let data = &cached.parts[i];
-            let shared = TaskRecords::Shared(Arc::clone(data), 0, data.len());
-            (Root::Records(shared), data.len() as u64, cached.sizes[i])
-        }
-        StageInput::Shuffle { data, merge } => {
-            let mut bytes = 0;
-            let feed = |push: &mut dyn FnMut(Run<'_>)| {
-                let (fetched, b) = data.drain_column(i, push);
-                bytes = b;
-                fetched
-            };
-            let (records, fetched) = merge_runs(merge, feed, &mut cost);
-            (Root::Records(TaskRecords::Owned(records)), fetched, bytes)
-        }
-        StageInput::Join {
-            left,
-            right,
-            outer,
-            cost: c,
-        } => {
-            let mut m = JoinMerge::two_sided(*outer);
-            let (fetched, bytes) = drain_sides(left, right, i, &mut m);
-            cost += fetched as f64 * (MERGE_BASE_COST + c);
-            let (records, probes) = m.finish();
-            cost += probes as f64 * MERGE_BASE_COST;
-            (Root::Records(TaskRecords::Owned(records)), fetched, bytes)
-        }
-    };
-    RootRead {
-        root,
-        input_records,
-        input_bytes,
-        cost,
-    }
-}
-
-/// Feeds partition `col` of both sides of a join or co-group into the
-/// table `m`: the left side fully, the seal, then the right, so the table
-/// sees both streams in map-task order. Returns the records and bytes
-/// fetched.
-fn drain_sides(
-    left: &JoinSide<'_>,
-    right: &JoinSide<'_>,
-    col: usize,
-    m: &mut JoinMerge,
-) -> (u64, u64) {
-    let l = left.drain(col, |run| m.push_run(run, true));
-    m.seal_left();
-    let r = right.drain(col, |run| m.push_run(run, false));
-    (l.0 + r.0, l.1 + r.1)
-}
-
-/// The reduce-side merge of a single-parent wide op: `feed` pushes the
-/// task's runs, in map-task order, into the accumulator `kind` calls for
-/// and returns how many records that was. Returns the merged records and
-/// that count; the merge compute is added to `cost`.
-fn merge_runs(
-    kind: &MergeKind,
-    feed: impl FnOnce(&mut dyn FnMut(Run<'_>)) -> u64,
-    cost: &mut f64,
-) -> (Vec<Record>, u64) {
-    match kind {
-        MergeKind::Reduce(f, c) => {
-            let mut m = ReduceMerge::new(Arc::clone(f));
-            let fetched = feed(&mut |run| m.push_run(run));
-            *cost += fetched as f64 * MERGE_BASE_COST;
-            let (out, ops) = m.finish();
-            *cost += ops as f64 * c;
-            (out, fetched)
-        }
-        MergeKind::Group(c) => {
-            let mut m = GroupMerge::new();
-            let fetched = feed(&mut |run| m.push_run(run));
-            *cost += fetched as f64 * MERGE_BASE_COST;
-            *cost += fetched as f64 * c;
-            (m.finish(), fetched)
-        }
-        MergeKind::Concat => {
-            let mut m = ConcatMerge::new();
-            let fetched = feed(&mut |run| m.push_run(run));
-            *cost += fetched as f64 * MERGE_BASE_COST;
-            (m.finish(), fetched)
+            } => {
+                let split = Root::Gen {
+                    gen,
+                    cost_per_record,
+                };
+                (split, 0, 0)
+            }
+            SplitInput::Cached(cached) => {
+                let data = &cached.parts[i];
+                let shared = TaskRecords::Shared(Arc::clone(data), 0, data.len());
+                (Root::Records(shared), data.len() as u64, cached.sizes[i])
+            }
+        };
+        RootRead {
+            root,
+            input_records,
+            input_bytes,
+            cost: 0.0,
         }
     }
 }
 
-/// Runs one task: root input, narrow chain, cache captures.
+/// Runs one task over its root: narrow chain, cache captures.
 /// `capture_root` names the root RDD when its output must be cached.
 /// Unless `sink` collects, the task's output goes into it record by record
 /// and [`TaskOut::records`] stays empty.
 pub(super) fn compute_task(
     graph: &RddGraph,
-    input: &StageInput<'_>,
+    mut root: RootRead<'_>,
     chain: &[Rdd],
     task: TaskId,
     capture_root: Option<Rdd>,
     mut sink: Sink<'_>,
 ) -> TaskOut {
-    let mut root = read_root(input, task);
     let mut captures = Vec::new();
     if let Some(root_rdd) = capture_root {
         // A split generated here is sized by the pass that generates it.
@@ -949,10 +1138,10 @@ mod tests {
         let partitioner = build_partitioner(writer.spec, std::iter::empty(), writer.seed);
         let arena = &mut TaskArena::default();
         let task = TaskId { index, of: 3 };
-        let input = StageInput::Slice(data);
+        let input = SplitInput::Slice(data);
         if streamed {
             let (out, folded) = writer.fold(task, arena, |task, sink| {
-                compute_task(graph, &input, chain, task, None, sink)
+                compute_task(graph, input.read(task), chain, task, None, sink)
             });
             assert!(
                 out.records.as_slice().is_empty(),
@@ -960,7 +1149,7 @@ mod tests {
             );
             (out, writer.write(folded, &*partitioner, arena))
         } else {
-            let out = compute_task(graph, &input, chain, task, None, Sink::Collect);
+            let out = compute_task(graph, input.read(task), chain, task, None, Sink::Collect);
             let mut m = ReduceMerge::new(sum());
             m.push_slice(out.records.as_slice());
             let (survivors, folds) = m.finish();
@@ -1008,7 +1197,7 @@ mod tests {
             let task = TaskId { index, of: 3 };
             let chain_output = compute_task(
                 &graph,
-                &StageInput::Slice(&data),
+                SplitInput::Slice(&data).read(task),
                 &chain,
                 task,
                 None,
@@ -1059,12 +1248,13 @@ mod tests {
                 out.emit(Record::new(Key::Int(i as i64), Value::Int(i as i64 * 3)));
             }
         });
-        let input = StageInput::Gen {
+        let input = SplitInput::Gen {
             gen: &gen,
             cost_per_record: 1e-6,
         };
         let task = TaskId { index: 1, of: 4 };
-        let out = compute_task(&graph, &input, &[], task, Some(Rdd(0)), Sink::Collect);
+        let root = input.read(task);
+        let out = compute_task(&graph, root, &[], task, Some(Rdd(0)), Sink::Collect);
         let [Capture { part, bytes, .. }] = out.captures.as_slice() else {
             panic!("one capture")
         };

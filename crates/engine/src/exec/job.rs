@@ -5,18 +5,21 @@
 
 use super::context::Context;
 use super::dataplane::TaskOut;
-use super::stage::ShuffleData;
+use super::stage::{ShuffleData, DRIVER_PHASES};
 use crate::metrics::{JobMetrics, StageMetrics};
 use crate::ops::OpKind;
 use crate::partitioner::PartitionerSpec;
 use crate::rdd::Rdd;
 use crate::stage::{plan_job, Plan, PlanStage, StageRoot};
+use trace::Clock;
 
 impl Context {
     /// Runs the job computing `final_rdd` and returns the outputs of its
     /// result stage's tasks — counted and sized but empty of records when
     /// the action is `count_only`.
     pub(super) fn run_job(&mut self, final_rdd: Rdd, name: &str, count_only: bool) -> Vec<TaskOut> {
+        let sink = &self.options.trace;
+        let planning = sink.is_enabled().then(|| sink.wall_now());
         let plan = plan_job(
             &self.graph,
             final_rdd,
@@ -25,6 +28,20 @@ impl Context {
             &self.ledger.infos(),
         );
         let job_id = self.jobs.len();
+        if let (Some(start), Some(track)) = (planning, self.lane(DRIVER_PHASES)) {
+            let sink = &self.options.trace;
+            let stages = vec![("stages", plan.stages.len().into())];
+            let name = format!("plan j{job_id}");
+            sink.span(
+                Clock::Wall,
+                track,
+                name,
+                "driver",
+                start,
+                sink.wall_now(),
+                stages,
+            );
+        }
         let job_start = self.sim.clock();
 
         let mut shuffles: Vec<Option<ShuffleData>> = Vec::new();

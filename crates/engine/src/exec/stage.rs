@@ -2,20 +2,31 @@
 //! stage metrics, in phases. The data moves in [`super::dataplane`]; what
 //! this module adds is everything the virtual cluster is charged for it.
 //!
-//! A shuffle's map output is kept as [`ShuffleData`]: each map task's
-//! records in one allocation, and one column-major index of the runs that
-//! exist — reduce partition `c`'s runs, in map-task order, are one
-//! contiguous slice. The index is built once, when the map stage stores
-//! its output, in time proportional to the runs plus P; every later
-//! question about a reduce partition (what it fetches and from where, how
-//! many bytes it holds, its records) reads that slice and never walks the
-//! map tasks that wrote nothing for it.
+//! A shuffle's map output is kept as [`ShuffleData`]: one [`MapRow`] per
+//! map task — the task's records in one allocation, in reduce-partition
+//! order, and the task's own list of its non-empty runs, sorted by
+//! partition — moved in as the tasks wrote them, with no index over the
+//! rows. A stage that reads the shuffle walks the rows in blocks of
+//! adjacent reduce partitions on the pool (see [`super::dataplane`]), and
+//! the same walk books what each partition fetches from which node, so the
+//! driver's only pass over the runs is the sum of the write's bytes per
+//! partition for its skew. The rows' records are freed on the pool by the
+//! last block of the last read to pass them; the driver drops the emptied
+//! rows.
+//!
+//! With tracing on, each phase of [`Context::exec_stage`] is a wall-clock
+//! span of category `driver` on the driver's `driver phases` lane:
+//! `resolve` (due faults, inputs), `tasks` (the pool's work, also the
+//! `pipeline` span), `drop` (dead shuffle rows), `specs` (read books and
+//! task specs), `replay` (fault draws, the simulator, the memory
+//! reservation) and `store` (captures, metrics, the shuffle's rows and
+//! its skew); `plan` spans cover job planning.
 
 use super::books::FAULTS;
 use super::context::{Context, Lane, STAGES};
 use super::dataplane::{
-    compute_task, CountSink, Folded, JoinSide, MapWrite, MergeKind, ShuffleWriter, Sink,
-    StageInput, TaskId, TaskOut,
+    compute_task, map_tasks, CountSink, Fetched, Folded, JoinSide, MapWrite, MergeKind,
+    ShuffleWriter, Sink, SplitInput, StageInput, TableRead, TaskId, TaskOut, WideInput,
 };
 use crate::metrics::{StageKind, StageMetrics};
 use crate::ops::OpKind;
@@ -23,55 +34,51 @@ use crate::partitioner::{build_partitioner, PartitionerSpec};
 use crate::pool::lock;
 use crate::rdd::Rdd;
 use crate::record::{Key, Record};
+use crate::shuffle::RunSpan;
 use crate::stage::{Plan, PlanStage, SideDep, StageOutput, StageRoot};
 use simcluster::{NodeId, TaskSpec};
+use std::sync::atomic::AtomicUsize;
 use std::sync::{Arc, Mutex};
-use trace::{pids, Clock, Track};
+use trace::{pids, Clock, TraceSink, Track};
 
-/// One run of the shuffle's column-major index: map task `map`'s records
-/// `start..end` for the reduce partition whose column lists it.
-#[derive(Debug, Clone, Copy, Default)]
-pub(super) struct ColumnRun {
-    pub(super) map: u32,
-    pub(super) start: u32,
-    pub(super) end: u32,
-    /// Serialized size of the run; never 0.
-    pub(super) bytes: u64,
+/// One map task's output as its shuffle keeps it until the last read.
+pub(super) struct MapRow {
+    /// The task's records, in the order `spans` cuts them. Emptied by the
+    /// last block of the shuffle's last read to pass the row.
+    pub(super) records: Mutex<Vec<Record>>,
+    /// The task's non-empty runs, in ascending partition order.
+    pub(super) spans: Vec<RunSpan>,
+    /// Blocks of the shuffle's last read that have passed the row.
+    pub(super) visits: AtomicUsize,
 }
 
 /// One shuffle's map output, from the map stage that wrote it until the
 /// last stage that reads it.
 pub(super) struct ShuffleData {
-    /// `rows[map_task]` — that task's whole output in reduce-partition
-    /// order. One lock per map task: a reduce task merges its partition's
-    /// run out of the row in place (see [`ShuffleData::with_run`]) and
-    /// holds the lock only for that. Emptied after the last read.
-    pub(super) rows: Vec<Mutex<Vec<Record>>>,
-    /// `P + 1` column starts: reduce partition `c`'s runs are
-    /// `runs[col_start[c]..col_start[c + 1]]`.
-    col_start: Vec<usize>,
-    /// Every non-empty run, column by column, in map-task order within a
-    /// column.
-    runs: Vec<ColumnRun>,
-    nodes: Vec<NodeId>,
+    /// `rows[map_task]`, as that task wrote it.
+    pub(super) rows: Vec<MapRow>,
+    /// Where each map task's output lives.
+    pub(super) nodes: Vec<NodeId>,
+    /// The cluster's node count: what a reduce partition's fetch list
+    /// reserves room for.
+    pub(super) cluster_nodes: usize,
     pub(super) producer_gid: usize,
     /// The producer stage's task specs, retained only while a fault plan
     /// is active so that map outputs lost to a node failure can be
     /// recomputed through lineage (empty otherwise).
     specs: Vec<TaskSpec>,
-    /// More than one read in the plan (a self-join, or two stages over one
-    /// uncached wide RDD): reads clone the records instead of moving them.
-    pub(super) shared: bool,
-    /// Reads of this shuffle that have not run yet.
+    /// Reads of this shuffle that have not run yet; the last one moves
+    /// the records out of the rows, earlier ones clone them.
     reads_left: usize,
 }
 
 impl Context {
     /// Runs plan stage `plan_idx`, in phases: resolve inputs → run tasks →
-    /// build specs → fault injection, simulation and memory reservation →
-    /// persist captures and shuffle output → metrics → trace. Every job
-    /// takes this one path; options only change what the accounting
-    /// phases charge, never which code moves the data.
+    /// drop dead shuffle rows → read books and task specs → fault
+    /// injection, simulation and memory reservation → persist captures and
+    /// shuffle output → metrics → trace. Every job takes this one path;
+    /// options only change what the accounting phases charge, never which
+    /// code moves the data.
     pub(super) fn exec_stage(
         &mut self,
         plan: &Plan,
@@ -95,6 +102,7 @@ impl Context {
                 _ => None,
             },
         };
+        let mut phases = Phases::start(&self.options.trace);
         // Fault plan: apply node-loss and slow-node events whose virtual
         // time has passed before this stage reads any placement state, so
         // reads see re-homed data and the scheduler sees the shrunk
@@ -103,11 +111,13 @@ impl Context {
         self.apply_due_faults(shuffles);
 
         let (input, mut reads) = self.resolve_inputs(&cx, shuffles);
-        let wall_start = self.options.trace.wall_now();
-        let (outs, writes) = self.run_tasks(&cx, &input);
-        let wall = (wall_start, self.options.trace.wall_now());
+        phases.end(&self.options.trace, "resolve");
+        let (outs, writes, fetched) = self.run_tasks(&cx, &input);
+        phases.end(&self.options.trace, "tasks");
+        let wide = matches!(input, StageInput::Wide(_));
         drop(input);
-        // A shuffle's table is dead once its last read has run.
+        // A shuffle's table is dead once its last read has run; its
+        // records went with the read.
         for sidx in stage.root.shuffle_reads() {
             let data = shuffles[sidx].as_mut().expect("producer stage ran first");
             data.reads_left -= 1;
@@ -115,9 +125,21 @@ impl Context {
                 data.rows = Vec::new();
             }
         }
+        phases.end(&self.options.trace, "drop");
         self.account_cached_reads(&reads.cached_reads);
 
-        let mut specs = self.build_specs(&cx, &reads, &outs, writes.as_deref());
+        if wide {
+            // What each block walk booked; the fetch lists move.
+            let read = |f: Fetched| TaskSpec {
+                fetches: f.from,
+                fetch_chunks: f.chunks,
+                local_read_bytes: f.local,
+                ..TaskSpec::default()
+            };
+            reads.tasks = fetched.into_iter().map(read).collect();
+        }
+        let mut specs = self.build_specs(&cx, reads.tasks, &outs, writes.as_deref());
+        phases.end(&self.options.trace, "specs");
         // Corrupt-chunk injection appends re-fetch entries to the specs'
         // fetch lists, and the metrics byte tables must stay
         // fault-invariant: remember where each list ended before it.
@@ -127,6 +149,7 @@ impl Context {
             .filter(|f| f.plan.corrupt_prob > 0.0)
             .map(|_| specs.iter().map(|s| s.fetches.len()).collect());
         let timing = self.charge_stage(&cx, &mut specs);
+        phases.end(&self.options.trace, "replay");
         let homes: Vec<NodeId> = timing.tasks.iter().map(|t| t.node).collect();
         self.capture(plan, stage, gid, &outs, &homes);
 
@@ -147,14 +170,20 @@ impl Context {
         let mut result_outs = None;
         match (stage.output, writes) {
             (StageOutput::ShuffleWrite(sidx), Some(writes)) => {
-                let reads_left = plan.shuffle_reads(sidx);
-                let (rows, col_start, runs) =
-                    index_runs(writes, plan.shuffles[sidx].scheme.partitions);
-                let data = shuffles[sidx].insert(ShuffleData {
+                let scheme = plan.shuffles[sidx].scheme;
+                metrics.write_bucket_skew = write_skew(&writes, scheme.partitions);
+                let rows = writes
+                    .into_iter()
+                    .map(|w| MapRow {
+                        records: Mutex::new(w.runs.records),
+                        spans: w.runs.spans,
+                        visits: AtomicUsize::new(0),
+                    })
+                    .collect();
+                shuffles[sidx] = Some(ShuffleData {
                     rows,
-                    col_start,
-                    runs,
                     nodes: homes,
+                    cluster_nodes: self.options.cluster.num_nodes(),
                     producer_gid: gid,
                     // Retained only under a fault plan.
                     specs: if self.faults.is_some() {
@@ -162,18 +191,16 @@ impl Context {
                     } else {
                         Vec::new()
                     },
-                    shared: reads_left > 1,
-                    reads_left,
+                    reads_left: plan.shuffle_reads(sidx),
                 });
-                metrics.write_bucket_skew =
-                    trace::skew_ratio(data.column_bytes().map(|b| b as f64));
             }
             (StageOutput::Result, _) => result_outs = Some(outs),
             (StageOutput::ShuffleWrite(_), None) => {
                 unreachable!("shuffle-write tasks return their runs")
             }
         }
-        self.trace_stage(&cx, &metrics, &timing, wall);
+        phases.end(&self.options.trace, "store");
+        self.trace_stage(&cx, &metrics, &timing, &phases);
         (metrics, result_outs)
     }
 
@@ -181,9 +208,11 @@ impl Context {
     // Phase 1: resolve inputs
     // ------------------------------------------------------------------
 
-    /// Where each task's input lives: the data-plane view (what
-    /// [`compute_task`] reads) and the virtual-side view (what the
-    /// simulator charges for reading it).
+    /// Where each task's input lives: the data-plane view (what the tasks
+    /// read) and, for a stage over its own splits, the virtual-side view
+    /// (what the simulator charges for reading them). A stage over
+    /// shuffled input books its reads as it walks them (see
+    /// [`Fetched`]).
     fn resolve_inputs<'s>(
         &'s self,
         cx: &StageCtx<'_>,
@@ -191,12 +220,20 @@ impl Context {
     ) -> (StageInput<'s>, StageReads) {
         let num_tasks = cx.num_tasks;
         let mut reads = StageReads::default();
-        let produced = |s: usize| -> &'s ShuffleData {
-            shuffles[s].as_ref().expect("producer stage ran first")
+        // The `nth` read of a shuffle in this stage is its last when that
+        // is all the reads it has left.
+        let read = |s: usize, nth: usize| -> TableRead<'s> {
+            let data = shuffles[s].as_ref().expect("producer stage ran first");
+            TableRead {
+                data,
+                last: data.reads_left == nth,
+            }
         };
         let wide_cost = |wide: Rdd| self.graph.node(wide).cost_per_record;
         let input = match &cx.stage().root {
-            StageRoot::Source(rdd) => self.source_input(*rdd, num_tasks, &mut reads),
+            StageRoot::Source(rdd) => {
+                StageInput::Split(self.source_input(*rdd, num_tasks, &mut reads))
+            }
             StageRoot::CachedRead(rdd) => {
                 let (parts, producer) = self.ledger.cached(*rdd);
                 reads.parents_gids.push(producer);
@@ -204,11 +241,11 @@ impl Context {
                 reads.tasks = (0..num_tasks)
                     .map(|i| self.ledger.scan_of(*rdd, i))
                     .collect();
-                StageInput::Cached(parts)
+                StageInput::Split(SplitInput::Cached(parts))
             }
             StageRoot::ShuffleRead { wide, shuffle } => {
-                let data = produced(*shuffle);
-                reads.parents_gids.push(data.producer_gid);
+                let read = read(*shuffle, 1);
+                reads.parents_gids.push(read.data.producer_gid);
                 let merge = match &self.graph.node(*wide).op {
                     OpKind::ReduceByKey { f, .. } => {
                         MergeKind::Reduce(Arc::clone(f), wide_cost(*wide))
@@ -217,28 +254,19 @@ impl Context {
                     OpKind::Repartition { .. } => MergeKind::Concat,
                     other => unreachable!("single-parent wide op expected, got {other:?}"),
                 };
-                reads.tasks = (0..num_tasks).map(|i| data.read_of(i)).collect();
-                StageInput::Shuffle { data, merge }
+                StageInput::Wide(WideInput::Shuffle { read, merge })
             }
             StageRoot::JoinRead { wide, left, right } => {
-                let read = |dep: &SideDep, i| match dep {
-                    SideDep::Shuffle(s) => produced(*s).read_of(i),
-                    SideDep::Narrow(rdd) => self.ledger.read_of(*rdd, i),
+                // A self-join reads its shuffle twice, the left side first.
+                let right_nth = match (left, right) {
+                    (SideDep::Shuffle(l), SideDep::Shuffle(r)) if l == r => 2,
+                    _ => 1,
                 };
-                reads.tasks = (0..num_tasks)
-                    .map(|i| {
-                        let (mut t, r) = (read(left, i), read(right, i));
-                        t.fetches.extend(r.fetches);
-                        t.fetches = aggregate_fetches(std::mem::take(&mut t.fetches));
-                        t.fetch_chunks += r.fetch_chunks;
-                        t.local_read_bytes += r.local_read_bytes;
-                        t
-                    })
-                    .collect();
-                let mut side = |dep: &SideDep| match dep {
+                let mut side = |dep: &SideDep, nth| match dep {
                     SideDep::Shuffle(s) => {
-                        reads.parents_gids.push(produced(*s).producer_gid);
-                        JoinSide::Shuffle(produced(*s))
+                        let read = read(*s, nth);
+                        reads.parents_gids.push(read.data.producer_gid);
+                        JoinSide::Shuffle(read)
                     }
                     SideDep::Narrow(rdd) => {
                         let (parts, producer) = self.ledger.cached(*rdd);
@@ -247,22 +275,22 @@ impl Context {
                         JoinSide::Narrow(parts)
                     }
                 };
-                StageInput::Join {
-                    left: side(left),
-                    right: side(right),
+                StageInput::Wide(WideInput::Join {
+                    left: side(left, 1),
+                    right: side(right, right_nth),
                     outer: matches!(self.graph.node(*wide).op, OpKind::CoGroup { .. }),
                     cost: wide_cost(*wide),
-                }
+                })
             }
         };
         (input, reads)
     }
 
-    fn source_input(&self, rdd: Rdd, num_tasks: usize, reads: &mut StageReads) -> StageInput<'_> {
+    fn source_input(&self, rdd: Rdd, num_tasks: usize, reads: &mut StageReads) -> SplitInput<'_> {
         match &self.graph.node(rdd).op {
             OpKind::SourceCollection { data, .. } => {
                 reads.tasks.resize_with(num_tasks, TaskSpec::default);
-                StageInput::Slice(data)
+                SplitInput::Slice(data)
             }
             OpKind::SourceBlocks { file, gen, .. } => {
                 let blocks = self.store.read_file(file).unwrap_or_default();
@@ -293,7 +321,7 @@ impl Context {
                         }
                     })
                     .collect();
-                StageInput::Gen {
+                SplitInput::Gen {
                     gen,
                     cost_per_record: self.graph.node(rdd).cost_per_record,
                 }
@@ -313,22 +341,19 @@ impl Context {
     /// when the consumer is a `reduce_by_key` — and lays the survivors out
     /// by partition: a hash write inside the task's pool item, a range
     /// write once every task's sample is in and its bounds are built.
-    /// Returns per-task outputs and, for shuffle writes, per-task runs.
+    /// Returns per-task outputs, for shuffle writes per-task runs, and for
+    /// shuffled input what each task fetched from map outputs.
     fn run_tasks(
         &self,
         cx: &StageCtx<'_>,
         input: &StageInput<'_>,
-    ) -> (Vec<TaskOut>, Option<Vec<MapWrite>>) {
+    ) -> (Vec<TaskOut>, Option<Vec<MapWrite>>, Vec<Fetched>) {
         let (stage, num_tasks) = (cx.stage(), cx.num_tasks);
         let root_rdd = stage.root_rdd();
         let capture_root =
             (self.graph.node(root_rdd).cached && !self.ledger.holds(root_rdd)).then_some(root_rdd);
-        let task = |index| TaskId {
-            index,
-            of: num_tasks,
-        };
-        let compute = |task: TaskId, sink: Sink<'_>| {
-            compute_task(&self.graph, input, &stage.chain, task, capture_root, sink)
+        let compute = |task: TaskId, root, sink: Sink<'_>| {
+            compute_task(&self.graph, root, &stage.chain, task, capture_root, sink)
         };
         let (pool, cap) = (&*self.pool, self.lane_cap());
         let StageOutput::ShuffleWrite(sidx) = stage.output else {
@@ -339,10 +364,10 @@ impl Context {
                     Sink::Collect
                 }
             };
-            return (
-                pool.map_capped(num_tasks, cap, |i, _| compute(task(i), sink())),
-                None,
-            );
+            let (outs, fetched) = map_tasks(pool, cap, input, num_tasks, |task, root, _| {
+                compute(task, root, sink())
+            });
+            return (outs, None, fetched);
         };
         let shuffle = &cx.plan.shuffles[sidx];
         let wide = self.graph.node(shuffle.for_wide);
@@ -355,26 +380,24 @@ impl Context {
             combine_cost: wide.cost_per_record,
             seed: (cx.job_id as u64) << 32 | (cx.plan_idx as u64) << 8 | 0xC0,
         };
-        let fold = |i: usize, arena: &mut _| writer.fold(task(i), arena, compute);
+        let fold = |task: TaskId, root, arena: &mut _| {
+            writer.fold(task, arena, |task, sink| compute(task, root, sink))
+        };
         if !writer.is_range() {
             let partitioner = build_partitioner(writer.spec, std::iter::empty(), writer.seed);
-            let (outs, writes) = pool
-                .map_capped(num_tasks, cap, |i, p| {
-                    pool.with_arena(p, |arena| {
-                        let (out, folded) = fold(i, arena);
-                        (out, writer.write(folded, &*partitioner, arena))
-                    })
+            let (done, fetched) = map_tasks(pool, cap, input, num_tasks, |task, root, p| {
+                pool.with_arena(p, |arena| {
+                    let (out, folded) = fold(task, root, arena);
+                    (out, writer.write(folded, &*partitioner, arena))
                 })
-                .into_iter()
-                .unzip();
-            return (outs, Some(writes));
+            });
+            let (outs, writes) = done.into_iter().unzip();
+            return (outs, Some(writes), fetched);
         }
-        let (outs, folded): (Vec<TaskOut>, Vec<Folded>) = pool
-            .map_capped(num_tasks, cap, |i, p| {
-                pool.with_arena(p, |arena| fold(i, arena))
-            })
-            .into_iter()
-            .unzip();
+        let (done, fetched) = map_tasks(pool, cap, input, num_tasks, |task, root, p| {
+            pool.with_arena(p, |arena| fold(task, root, arena))
+        });
+        let (outs, folded): (Vec<TaskOut>, Vec<Folded>) = done.into_iter().unzip();
         // Bounds come from the per-task samples concatenated in task order,
         // so they are independent of worker scheduling.
         let keys: Vec<Key> = folded
@@ -388,25 +411,26 @@ impl Context {
             let folded = std::mem::take(&mut *lock(&folded[i]));
             pool.with_arena(p, |arena| writer.write(folded, &*partitioner, arena))
         });
-        (outs, Some(writes))
+        (outs, Some(writes), fetched)
     }
 
     // ------------------------------------------------------------------
-    // Phase 3: task specs
+    // Phase 3: read books and task specs
     // ------------------------------------------------------------------
 
     /// Turns what the tasks read, computed and wrote into simulator task
-    /// specs, one per task.
+    /// specs, one per task; the reads' fetch lists and preferred nodes
+    /// move into them.
     fn build_specs(
         &mut self,
         cx: &StageCtx<'_>,
-        reads: &StageReads,
+        reads: Vec<TaskSpec>,
         outs: &[TaskOut],
         writes: Option<&[MapWrite]>,
     ) -> Vec<TaskSpec> {
         let task_mem_budget = self.options.per_task_mem_budget();
         let mut specs: Vec<TaskSpec> = Vec::with_capacity(outs.len());
-        for (i, (task, out)) in reads.tasks.iter().zip(outs).enumerate() {
+        for (i, (task, out)) in reads.into_iter().zip(outs).enumerate() {
             let (mut write_bytes, extra_cost) =
                 writes.map_or((0, 0.0), |w| (w[i].runs.total_bytes(), w[i].cost));
             let mut local_read_bytes = task.local_read_bytes;
@@ -421,7 +445,7 @@ impl Context {
                     local_read_bytes += overflow;
                 }
             }
-            let mut preferred = task.preferred_nodes.clone();
+            let mut preferred = task.preferred_nodes;
             let mut pinned = None;
             if self.options.copartition_scheduling {
                 if let Some(s) = cx.root_scheme {
@@ -437,7 +461,7 @@ impl Context {
             specs.push(TaskSpec {
                 compute_cost: out.cost + extra_cost,
                 local_read_bytes,
-                fetches: task.fetches.clone(),
+                fetches: task.fetches,
                 fetch_chunks: task.fetch_chunks,
                 write_bytes,
                 memory_bytes: out.input_bytes + out.out_bytes,
@@ -496,7 +520,7 @@ impl Context {
     // ------------------------------------------------------------------
 
     /// Stage metrics. `fetches` are the pre-injection spec fetch tables,
-    /// one per task: the tasks' own reads (specs clone them verbatim).
+    /// one per task: the tasks' own reads (specs take them verbatim).
     fn stage_metrics<'f>(
         &self,
         cx: &StageCtx<'_>,
@@ -550,7 +574,7 @@ impl Context {
             shuffle_read_bytes,
             shuffle_write_bytes: writes.map_or(0, |w| w.iter().map(|w| w.runs.total_bytes()).sum()),
             remote_read_bytes,
-            // Set once the stage's shuffle output is indexed.
+            // Set once the stage's shuffle output is stored.
             write_bucket_skew: 1.0,
             start: timing.start,
             end: timing.end,
@@ -564,20 +588,21 @@ impl Context {
     /// simulation advanced, so traced and untraced runs produce
     /// bit-identical stage timings. Virtual-clock events are emitted on
     /// the driver thread in stage order, which keeps the virtual trace
-    /// slice deterministic across host worker counts; the one wall span
-    /// covers the stage's task phase on the host pool. Nothing is built
-    /// with tracing off.
+    /// slice deterministic across host worker counts; the wall spans are
+    /// the stage's task phase on the host pool and each phase on the
+    /// driver. Nothing is built with tracing off.
     fn trace_stage(
         &self,
         cx: &StageCtx<'_>,
         metrics: &StageMetrics,
         timing: &simcluster::StageTiming,
-        wall: (f64, f64),
+        phases: &Phases,
     ) {
-        let (Some(stages), Some(shuf), Some(pipeline)) = (
+        let (Some(stages), Some(shuf), Some(pipeline), Some(driver)) = (
             self.lane(STAGES),
             self.lane(SHUFFLE_BYTES),
             self.lane(PIPELINE),
+            self.lane(DRIVER_PHASES),
         ) else {
             return;
         };
@@ -622,15 +647,54 @@ impl Context {
             &format!("j{job_id}.s{gid}"),
             gid,
         );
-        sink.span(
-            Clock::Wall,
-            pipeline,
-            format!("pipeline j{job_id}.p{} {}", cx.plan_idx, metrics.name),
-            "pipeline",
-            wall.0,
-            wall.1,
-            vec![("tasks", cx.num_tasks.into())],
-        );
+        for &(phase, start, end) in &phases.done {
+            if phase == "tasks" {
+                sink.span(
+                    Clock::Wall,
+                    pipeline,
+                    format!("pipeline j{job_id}.p{} {}", cx.plan_idx, metrics.name),
+                    "pipeline",
+                    start,
+                    end,
+                    vec![("tasks", cx.num_tasks.into())],
+                );
+            }
+            sink.span(
+                Clock::Wall,
+                driver,
+                format!("{phase} j{job_id}.s{gid}"),
+                "driver",
+                start,
+                end,
+                vec![("stage", gid.into()), ("tasks", cx.num_tasks.into())],
+            );
+        }
+    }
+}
+
+/// Wall-clock spans of [`Context::exec_stage`]'s phases, each from the end
+/// of the one before; taken only with tracing on, when a phase's end costs
+/// one branch.
+struct Phases {
+    at: f64,
+    done: Vec<(&'static str, f64, f64)>,
+}
+
+impl Phases {
+    fn start(sink: &TraceSink) -> Self {
+        Phases {
+            at: sink.wall_now(),
+            done: Vec::new(),
+        }
+    }
+
+    /// Ends phase `name` now; the next one starts.
+    fn end(&mut self, sink: &TraceSink, name: &'static str) {
+        if sink.is_enabled() {
+            let now = sink.wall_now();
+            self.done.push((name, self.at, now));
+            self.at = now;
+        }
     }
 }
 
@@ -638,77 +702,19 @@ impl Context {
 const SHUFFLE_BYTES: Lane = (Track::new(pids::DRIVER, 1), "shuffle bytes");
 /// Host wall-clock span of each stage's task phase, beside the pool's lanes.
 const PIPELINE: Lane = (Track::new(pids::POOL, 2), "pipeline stages");
+/// Host wall-clock spans of the driver's phases: planning and each
+/// stage's phases.
+pub(super) const DRIVER_PHASES: Lane = (Track::new(pids::DRIVER, 4), "driver phases");
 
-/// Aggregates `(node, bytes)` pairs by node, dropping empty transfers;
-/// sorted by node. The sums build in place at the front of the collected
-/// pairs: each pair binary-searches the distinct nodes summed so far, so a
-/// task costs its pairs times the log of the nodes it fetches from — no
-/// sort of the pairs, and nothing per cluster node.
-fn aggregate_fetches(pairs: impl IntoIterator<Item = (NodeId, u64)>) -> Vec<(NodeId, u64)> {
-    // Collected whole, so an exact-size source allocates once (and a
-    // vector is reused as it is).
-    let mut v: Vec<(NodeId, u64)> = pairs.into_iter().collect();
-    let mut summed = 0;
-    for i in 0..v.len() {
-        let (node, bytes) = v[i];
-        if bytes == 0 {
-            continue;
-        }
-        match v[..summed].binary_search_by_key(&node, |&(n, _)| n) {
-            Ok(at) => v[at].1 += bytes,
-            Err(at) => {
-                // `summed <= i`: the slot was read already.
-                v[summed] = (node, bytes);
-                v[at..=summed].rotate_right(1);
-                summed += 1;
-            }
-        }
-    }
-    v.truncate(summed);
-    v
-}
-
-/// Lays the map tasks' writes out as a shuffle table: each task's records
-/// become its row, and its runs go into a column-major index — the `P + 1`
-/// column starts and the runs, map-task order within a column — built by
-/// one counting sort over the runs, in time proportional to the runs plus
-/// `partitions`.
-fn index_runs(
-    writes: Vec<MapWrite>,
-    partitions: usize,
-) -> (Vec<Mutex<Vec<Record>>>, Vec<usize>, Vec<ColumnRun>) {
-    let mut col_start = vec![0usize; partitions + 1];
+/// The write skew of a shuffle: its bytes per reduce partition, summed
+/// over the map tasks' runs in one pass, as [`trace::skew_ratio`] reads
+/// them.
+fn write_skew(writes: &[MapWrite], partitions: usize) -> f64 {
+    let mut bytes = vec![0u64; partitions];
     for s in writes.iter().flat_map(|w| w.runs.spans()) {
-        col_start[s.partition as usize] += 1;
+        bytes[s.partition as usize] += s.bytes;
     }
-    // Each column's end; filling back to front turns it into its start.
-    let mut acc = 0;
-    for c in col_start.iter_mut() {
-        acc += *c;
-        *c = acc;
-    }
-    let mut runs = vec![ColumnRun::default(); acc];
-    assert!(
-        u32::try_from(writes.len()).is_ok(),
-        "fewer than 2^32 map tasks"
-    );
-    for (m, w) in writes.iter().enumerate().rev() {
-        for s in w.runs.spans().iter().rev() {
-            let at = &mut col_start[s.partition as usize];
-            *at -= 1;
-            runs[*at] = ColumnRun {
-                map: m as u32,
-                start: s.start,
-                end: s.end,
-                bytes: s.bytes,
-            };
-        }
-    }
-    let rows = writes
-        .into_iter()
-        .map(|w| Mutex::new(w.runs.records))
-        .collect();
-    (rows, col_start, runs)
+    trace::skew_ratio(bytes.iter().map(|&b| b as f64))
 }
 
 /// The plan stage being executed and its identifiers, shared by every
@@ -737,7 +743,8 @@ impl StageCtx<'_> {
 #[derive(Default)]
 struct StageReads {
     /// Per task, the read half of its spec: fetches, fetch chunks, local
-    /// reads, and where it would like to run.
+    /// reads, and where it would like to run. Filled after the tasks ran
+    /// for a stage over shuffled input.
     tasks: Vec<TaskSpec>,
     parents_gids: Vec<usize>,
     /// Cached RDDs consumed by this stage, for lineage ref-counting.
@@ -745,28 +752,6 @@ struct StageReads {
 }
 
 impl ShuffleData {
-    /// Reduce partition `col`'s runs, in map-task order.
-    pub(super) fn column(&self, col: usize) -> &[ColumnRun] {
-        &self.runs[self.col_start[col]..self.col_start[col + 1]]
-    }
-
-    /// What reduce partition `col` fetches: bytes per producer node, one
-    /// chunk per map task with data for it.
-    fn read_of(&self, col: usize) -> TaskSpec {
-        let runs = self.column(col);
-        TaskSpec {
-            fetches: aggregate_fetches(runs.iter().map(|r| (self.nodes[r.map as usize], r.bytes))),
-            fetch_chunks: runs.len(),
-            ..TaskSpec::default()
-        }
-    }
-
-    /// Bytes written per reduce partition, in partition order: one pass
-    /// over the column starts and the runs.
-    pub(super) fn column_bytes(&self) -> impl Iterator<Item = u64> + '_ {
-        (0..self.col_start.len() - 1).map(|c| self.column(c).iter().map(|r| r.bytes).sum())
-    }
-
     /// The map outputs that died with `node`: their task indices, and the
     /// specs that recompute them off `node`. None without a fault plan,
     /// which retains no specs.
@@ -792,16 +777,20 @@ impl ShuffleData {
 
 #[cfg(test)]
 mod tests {
-    use super::super::dataplane::MapWrite;
+    use super::super::dataplane::{
+        compute_task, map_tasks, Fetched, MergeKind, Sink, StageInput, TableRead, WideInput,
+    };
     use super::super::fixture::{sorted, sum, test_options, word_records};
     use super::super::EngineOptions;
-    use super::{aggregate_fetches, index_runs, Context};
+    use super::{Context, MapRow, ShuffleData};
     use crate::metrics::StageKind;
     use crate::ops::Emit;
     use crate::partitioner::{build_partitioner, HashPartitioner, PartitionerSpec};
     use crate::pool::{lock, WorkerPool};
+    use crate::rdd::RddGraph;
     use crate::record::{Key, Record, Value};
     use crate::shuffle::{lay_out, TaskArena};
+    use std::sync::atomic::AtomicUsize;
     use std::sync::atomic::Ordering;
     use std::sync::{Arc, Mutex};
 
@@ -863,42 +852,75 @@ mod tests {
     }
 
     /// Shuffle bookkeeping in proportion to the runs that exist: at
-    /// P = 100 000 and 3 records per map task, a task lists at most 3 runs
-    /// and the whole shuffle keeps one `P + 1` column-start vector beside
-    /// them. Neither the table nor a task's output declares a field of one
-    /// entry per partition per map task.
+    /// P = 100 000 and 3 records per map task, a task lists at most 3 runs,
+    /// the shuffle keeps the tasks' rows as they wrote them, and a read
+    /// finds each partition's runs, in map-task order, by walking the rows
+    /// in blocks. Neither the table, a row nor a task's output declares a
+    /// field of one entry per partition.
     #[test]
     fn shuffle_bookkeeping_grows_with_the_runs_not_with_p() {
         const P: usize = 100_000;
         let (maps, partitioner) = (8, HashPartitioner::new(P));
         let arena = &mut TaskArena::default();
-        // Every map task writes the same 3 keys, so 3 columns hold a run
+        // Every map task writes the same 3 keys, so 3 partitions hold a run
         // of every map task.
-        let writes: Vec<MapWrite> = (0..maps)
+        let rows: Vec<MapRow> = (0..maps)
             .map(|m| {
                 let records = (0..3).map(|k| Record::new(Key::Int(k), Value::Int(m)));
                 let runs = lay_out(records.collect(), &partitioner, arena);
                 assert!(runs.spans().len() <= 3, "map {m}: {:?}", runs.spans());
-                MapWrite { runs, cost: 0.0 }
+                MapRow {
+                    records: Mutex::new(runs.records),
+                    spans: runs.spans,
+                    visits: AtomicUsize::new(0),
+                }
             })
             .collect();
-        let (rows, col_start, runs) = index_runs(writes, P);
-        assert_eq!(rows.len(), maps as usize);
-        assert_eq!(col_start.len(), P + 1);
-        assert_eq!(
-            runs.len(),
-            3 * maps as usize,
-            "3 keys a task, 3 runs a task"
-        );
-        let columns: Vec<&[super::ColumnRun]> = (0..P)
-            .map(|c| &runs[col_start[c]..col_start[c + 1]])
-            .filter(|column| !column.is_empty())
+        let data = ShuffleData {
+            rows,
+            nodes: (0..maps as usize).map(|m| m % 3).collect(),
+            cluster_nodes: 3,
+            producer_gid: 0,
+            specs: Vec::new(),
+            reads_left: 1,
+        };
+        let input = StageInput::Wide(WideInput::Shuffle {
+            read: TableRead {
+                data: &data,
+                last: true,
+            },
+            merge: MergeKind::Concat,
+        });
+        let (graph, pool) = (RddGraph::new(), WorkerPool::new(2));
+        let (outs, fetched) = map_tasks(&pool, usize::MAX, &input, P, |task, root, _| {
+            compute_task(&graph, root, &[], task, None, Sink::Collect)
+        });
+        let read: Vec<(usize, Vec<Record>, Fetched)> = outs
+            .into_iter()
+            .zip(fetched)
+            .enumerate()
+            .filter(|(_, (out, _))| out.input_records > 0)
+            .map(|(p, (out, f))| (p, out.records.as_slice().to_vec(), f))
             .collect();
-        assert_eq!(columns.len(), 3);
-        for column in columns {
-            let order: Vec<u32> = column.iter().map(|r| r.map).collect();
-            assert_eq!(order, (0..maps as u32).collect::<Vec<_>>(), "map order");
+        assert_eq!(read.len(), 3, "3 keys, 3 partitions");
+        for (p, records, f) in &read {
+            let order: Vec<i64> = records.iter().map(|r| r.value.as_int()).collect();
+            assert_eq!(
+                order,
+                (0..maps).collect::<Vec<_>>(),
+                "partition {p}: map order"
+            );
+            assert_eq!(
+                f.chunks, maps as usize,
+                "partition {p}: one chunk a map task"
+            );
+            let nodes: Vec<usize> = f.from.iter().map(|&(n, _)| n).collect();
+            assert_eq!(nodes, [0, 1, 2], "partition {p}: bytes by node");
         }
+        assert!(
+            data.rows.iter().all(|r| lock(&r.records).capacity() == 0),
+            "the last read frees every row"
+        );
 
         let definition = |source: &str, header: &str| -> String {
             let start = source.find(header).expect("the struct is defined");
@@ -906,9 +928,18 @@ mod tests {
             source[start..end].to_string()
         };
         let per_map_table = concat!("Vec<", "Vec<");
-        let table = definition(include_str!("stage.rs"), "pub(super) struct ShuffleData {");
-        assert!(!table.contains(per_map_table), "a dense table:\n{table}");
         let per_partition = [concat!("Vec<", "usize>"), concat!("Vec<", "u64>")];
+        let stage = include_str!("stage.rs");
+        for header in [
+            "pub(super) struct ShuffleData {",
+            "pub(super) struct MapRow {",
+        ] {
+            let table = definition(stage, header);
+            assert!(!table.contains(per_map_table), "a dense table:\n{table}");
+            for field in per_partition {
+                assert!(!table.contains(field), "a per-partition field:\n{table}");
+            }
+        }
         let task = definition(include_str!("../shuffle.rs"), "pub struct TaskRuns {");
         for field in per_partition {
             assert!(!task.contains(field), "a per-partition field:\n{task}");
@@ -940,7 +971,7 @@ mod tests {
     /// runs, and for the whole job through a `Context`.
     #[test]
     fn a_range_combine_write_samples_then_folds_then_lays_out() {
-        use super::super::dataplane::{compute_task, ShuffleWriter, StageInput, TaskId};
+        use super::super::dataplane::{ShuffleWriter, SplitInput, TaskId};
         use crate::record::batch_size;
         const M: usize = 4;
         let p = PartitionerSpec::range(5);
@@ -1003,8 +1034,8 @@ mod tests {
         for (i, (produced, sample, survivors, folds)) in reference.iter().enumerate() {
             let task = TaskId { index: i, of: M };
             let (out, folded) = writer.fold(task, arena, |task, sink| {
-                let input = StageInput::Slice(&input);
-                compute_task(ctx.graph(), &input, &[mapped], task, None, sink)
+                let root = SplitInput::Slice(&input).read(task);
+                compute_task(ctx.graph(), root, &[mapped], task, None, sink)
             });
             assert_eq!(out.out_records, *produced, "task {i}");
             assert_eq!(&folded.sample, sample, "task {i} samples what it produced");
@@ -1191,6 +1222,56 @@ mod tests {
         assert_eq!(with, 0, "anchored partitions are fully local");
     }
 
+    /// A join task reads a cached co-partitioned side from its home's
+    /// memory; once the side is spilled, from local disk: its bytes leave
+    /// the join's fetches, and the simulator still reads every byte.
+    #[test]
+    fn a_spilled_cached_join_side_is_read_from_local_disk() {
+        let run = |executor_mem: Option<u64>| {
+            let mut ctx = Context::new(EngineOptions {
+                executor_mem,
+                ..test_options()
+            });
+            let data: Vec<Record> = (0..4000)
+                .map(|i| Record::new(Key::Int(i % 100), Value::Int(i)))
+                .collect();
+            let src = ctx.parallelize(data, 4, "src");
+            let scheme = Some(PartitionerSpec::hash(8));
+            let sums = ctx.reduce_by_key(src, sum(), scheme, 1e-6, "sums");
+            let groups = ctx.group_by_key(src, scheme, 1e-6, "groups");
+            ctx.cache(sums);
+            ctx.cache(groups);
+            ctx.count(sums, "sums");
+            ctx.count(groups, "groups");
+            // Both sides cached: the join's job is its one stage.
+            let io = |ctx: &Context| {
+                let io = ctx.sim().io_stats();
+                io.remote_bytes + io.local_read_bytes
+            };
+            let before = io(&ctx);
+            let cogroups = ctx.co_group(sums, groups, scheme, 1e-6, "cogroups");
+            ctx.count(cogroups, "cogroups");
+            let job = ctx.jobs().last().unwrap().clone();
+            assert_eq!(job.stages.len(), 1);
+            assert_eq!(job.stages[0].kind, StageKind::Join);
+            let size = |rdd| ctx.ledger.cached(rdd).0.sizes.iter().sum::<u64>();
+            let cached = size(sums) + size(groups);
+            let (read, spills) = (job.stages[0].shuffle_read_bytes, ctx.mem_counters().spills);
+            (read, io(&ctx) - before, cached, spills)
+        };
+        let (read, io, cached, spills) = run(None);
+        assert_eq!(
+            (read, io, spills),
+            (cached, cached, 0),
+            "fetched from memory"
+        );
+        let (tight_read, tight_io, tight_cached, tight_spills) = run(Some(16 * 1024));
+        assert!(tight_spills > 0, "the budget spills");
+        assert_eq!(tight_cached, cached);
+        assert!(tight_read < cached, "a spilled side is not fetched");
+        assert_eq!(tight_io, cached, "it is read from local disk instead");
+    }
+
     #[test]
     fn co_group_end_to_end_correctness() {
         let mut ctx = Context::new(test_options());
@@ -1330,8 +1411,8 @@ mod tests {
         );
     }
 
-    /// The definition `aggregate_fetches` replaced: collect, drop empty
-    /// transfers, sort by node, merge equal nodes.
+    /// What a task's fetch list is: its transfers collected, empty ones
+    /// dropped, sorted by node, equal nodes merged.
     fn sorted_fetches(pairs: &[(usize, u64)]) -> Vec<(usize, u64)> {
         let mut v: Vec<(usize, u64)> = pairs.iter().copied().filter(|&(_, b)| b > 0).collect();
         v.sort_unstable_by_key(|&(node, _)| node);
@@ -1348,8 +1429,9 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
-        /// Summing in place gives what sorting gave, for unsorted and
-        /// repeated nodes, empty transfers, and node ids up to 999.
+        /// Booking transfers one at a time gives what sorting gave, for
+        /// unsorted and repeated nodes, empty transfers, and node ids up to
+        /// 999, whatever room the list reserves first.
         #[test]
         fn fetches_aggregate_as_the_sort_did(
             draws in proptest::collection::vec((0usize..1000, 0u64..4, 0u64..1_000_000), 0..80),
@@ -1359,9 +1441,11 @@ mod tests {
                 .iter()
                 .map(|&(n, empty, b)| (n % nodes, if empty == 0 { 0 } else { b }))
                 .collect();
-            proptest::prop_assert_eq!(aggregate_fetches(pairs.clone()), sorted_fetches(&pairs));
-            let iter = pairs.iter().copied();
-            proptest::prop_assert_eq!(aggregate_fetches(iter), sorted_fetches(&pairs));
+            let mut booked = Fetched::default();
+            for &(node, bytes) in &pairs {
+                booked.add(node, bytes, nodes);
+            }
+            proptest::prop_assert_eq!(booked.from, sorted_fetches(&pairs));
         }
     }
 }

@@ -32,7 +32,8 @@ struct Link {
 }
 
 struct Flow {
-    path: Vec<LinkId>,
+    /// Where the flow's links sit in [`Network::paths`].
+    path: std::ops::Range<usize>,
     remaining: f64,
     rate: f64,
     last_update: f64,
@@ -71,6 +72,9 @@ impl std::ops::AddAssign for NetworkStats {
 pub struct Network {
     links: Vec<Link>,
     flows: Vec<Flow>,
+    /// Every flow's path, one after the other: a flow costs no allocation
+    /// of its own.
+    paths: Vec<LinkId>,
     /// Active flow ids, kept sorted — the deterministic iteration order
     /// for rate assignment.
     active: Vec<FlowId>,
@@ -108,6 +112,7 @@ impl Network {
         Network {
             links: Vec::new(),
             flows: Vec::new(),
+            paths: Vec::new(),
             active: Vec::new(),
             completions: EventQueue::new(),
             now: 0.0,
@@ -173,13 +178,16 @@ impl Network {
     ///
     /// # Panics
     /// Panics on an empty path or a non-positive byte count.
-    pub fn start_flow(&mut self, path: Vec<LinkId>, bytes: f64) -> FlowId {
+    pub fn start_flow(&mut self, path: impl AsRef<[LinkId]>, bytes: f64) -> FlowId {
+        let path = path.as_ref();
         assert!(!path.is_empty(), "a flow needs at least one link");
         assert!(bytes > 0.0, "a flow needs a positive byte count");
         debug_assert!(path.iter().all(|&l| l < self.links.len()));
         let id = self.flows.len();
+        let from = self.paths.len();
+        self.paths.extend_from_slice(path);
         self.flows.push(Flow {
-            path,
+            path: from..self.paths.len(),
             remaining: bytes,
             rate: -1.0, // sentinel: always differs from the first real rate
             last_update: self.now,
@@ -254,7 +262,7 @@ impl Network {
         s.at_min.resize(self.links.len(), 0);
         s.touched.clear();
         for &fid in &self.active {
-            for &l in &self.flows[fid].path {
+            for &l in &self.paths[self.flows[fid].path.clone()] {
                 if s.cnt[l] == 0 {
                     s.cap[l] = self.links[l].capacity;
                     s.touched.push(l);
@@ -297,11 +305,12 @@ impl Network {
             let mut work = std::mem::take(&mut s.work);
             work.retain(|&i| {
                 let fid = self.active[i];
-                if !self.flows[fid].path.iter().any(|&l| s.at_min[l] == round) {
+                let path = &self.paths[self.flows[fid].path.clone()];
+                if !path.iter().any(|&l| s.at_min[l] == round) {
                     return true;
                 }
                 s.new_rate[i] = share;
-                for &l in &self.flows[fid].path {
+                for &l in path {
                     s.cap[l] = (s.cap[l] - share).max(0.0);
                     s.cnt[l] -= 1;
                 }

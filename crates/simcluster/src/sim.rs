@@ -282,12 +282,11 @@ impl Simulation {
                 continue;
             }
             let (sr, dr) = (self.spec.rack_of(src), self.spec.rack_of(dst));
-            let path = if sr == dr {
-                vec![nic[dst]]
+            if sr == dr {
+                net.start_flow([nic[dst]], bytes as f64);
             } else {
-                vec![uplink[sr], downlink[dr], nic[dst]]
-            };
-            net.start_flow(path, bytes as f64);
+                net.start_flow([uplink[sr], downlink[dr], nic[dst]], bytes as f64);
+            }
             flow_move.push(i);
         }
         let mut end = start;
@@ -573,8 +572,13 @@ struct Stage<'a> {
     ready: VecDeque<usize>,
     timing: Vec<TaskTiming>,
     run: Vec<Running>,
-    /// Per task, shuffle input bytes by source rack — the placement score.
-    rack_bytes: Vec<Vec<u64>>,
+    /// Shuffle input bytes by task and source rack, `racks` to a task —
+    /// the placement score.
+    rack_bytes: Vec<u64>,
+    racks: usize,
+    /// A starting task's cross-rack bytes by source rack; all zero
+    /// between starts.
+    cross: Vec<u64>,
     /// Flow id → owning task.
     flow_task: Vec<usize>,
     ended: usize,
@@ -586,16 +590,13 @@ impl<'a> Stage<'a> {
         let topo = sim.spec.topology;
         let (mut net, nic, uplink, downlink) = build_network(&sim.spec);
         net.sync_to(stage_start);
-        let rack_bytes = tasks
-            .iter()
-            .map(|t| {
-                let mut by_rack = vec![0u64; topo.num_racks()];
-                for &(src, bytes) in &t.fetches {
-                    by_rack[topo.rack_of(src)] += bytes;
-                }
-                by_rack
-            })
-            .collect();
+        let racks = topo.num_racks();
+        let mut rack_bytes = vec![0u64; tasks.len() * racks];
+        for (by_rack, t) in rack_bytes.chunks_exact_mut(racks).zip(tasks) {
+            for &(src, bytes) in &t.fetches {
+                by_rack[topo.rack_of(src)] += bytes;
+            }
+        }
         let unplaced = TaskTiming {
             node: 0,
             start: 0.0,
@@ -622,6 +623,8 @@ impl<'a> Stage<'a> {
             timing: vec![unplaced; tasks.len()],
             run: vec![Running::default(); tasks.len()],
             rack_bytes,
+            racks,
+            cross: vec![0; racks],
             flow_task: Vec::new(),
             ended: 0,
             stage_end: stage_start,
@@ -662,7 +665,7 @@ impl<'a> Stage<'a> {
             if sim.failed[node] || !self.has_free_core(node, now) {
                 continue;
             }
-            let score = self.rack_bytes[idx][self.topo.rack_of(node)];
+            let score = self.rack_bytes[idx * self.racks + self.topo.rack_of(node)];
             let load = self.assigned[node] as f64 / sim.spec.nodes[node].cores as f64;
             let rotated = (node + n - self.salt) % n;
             let better = match best {
@@ -734,7 +737,7 @@ impl<'a> Stage<'a> {
         // fan-in is large.
         let my_rack = self.topo.rack_of(node);
         let mut same_rack = 0u64;
-        let mut cross = vec![0u64; self.topo.num_racks()];
+        let mut cross = std::mem::take(&mut self.cross);
         for &(src, bytes) in task.fetches.iter().filter(|&&(src, _)| src != node) {
             let r = self.topo.rack_of(src);
             if r == my_rack {
@@ -745,25 +748,27 @@ impl<'a> Stage<'a> {
         }
         self.net.sync_to(now);
         if same_rack > 0 {
-            self.start_flow(idx, vec![self.nic[node]], same_rack);
+            self.start_flow(idx, &[self.nic[node]], same_rack);
         }
         if cross.iter().filter(|&&b| b > 0).count() > MAX_PER_RACK_FLOWS {
-            let path = vec![self.downlink[my_rack], self.nic[node]];
-            self.start_flow(idx, path, cross.iter().sum());
+            let path = [self.downlink[my_rack], self.nic[node]];
+            self.start_flow(idx, &path, cross.iter().sum());
         } else {
             for (r, &bytes) in cross.iter().enumerate() {
                 if bytes > 0 {
-                    let path = vec![self.uplink[r], self.downlink[my_rack], self.nic[node]];
-                    self.start_flow(idx, path, bytes);
+                    let path = [self.uplink[r], self.downlink[my_rack], self.nic[node]];
+                    self.start_flow(idx, &path, bytes);
                 }
             }
         }
+        cross.fill(0);
+        self.cross = cross;
         if self.run[idx].pending_flows == 0 {
             self.q.push(now + cost.tail, Ev::TaskEnd(idx));
         }
     }
 
-    fn start_flow(&mut self, idx: usize, path: Vec<LinkId>, bytes: u64) {
+    fn start_flow(&mut self, idx: usize, path: &[LinkId], bytes: u64) {
         self.net.start_flow(path, bytes as f64);
         self.flow_task.push(idx);
         self.run[idx].pending_flows += 1;

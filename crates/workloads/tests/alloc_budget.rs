@@ -10,14 +10,14 @@
 //! configuration on `workers: 1` and is counted whole, from its start
 //! until it hands back its context. The counts are pinned exactly:
 //!
-//! | run (every job)          | source records | allocations | before owned vectors and scratch maps (what fell)  | before the point kernels (what fell)        |
-//! |--------------------------|---------------:|------------:|-----------------------------------------------------|----------------------------------------------|
-//! | KMeans                   |          8 800 |      10 369 | 42 105 (−32 000 pairs, +192 first copies, +72 scratch) | 42 138 (−6 reads, −14 keys, −13 centers)     |
-//! | … the same at scale 0.5  |          4 400 |       5 969 | 21 705 (−16 000 pairs, +192 first copies, +72 scratch) | —                                            |
-//! | PCA                      |          6 300 |      13 406 | 25 262 (−12 000 pairs, +96 first copies, +36 scratch, +12 rows) | 31 276 (−4 reads, −10 keys, −6 000 centered) |
-//! | LogReg                   |          6 000 |      18 104 | 194 864 (−180 000 gradients, +2 880 first copies, +360 scratch) | 195 108 (−60 reads, −183 keys)               |
-//! | SQL                      |         12 000 |       2 738 | 2 738                                               | 2 761 (−4 reads, −14 keys)                   |
-//! | … the same at scale 0.5  |          6 000 |       2 335 | 2 335                                               | 2 358 (−4 reads, −15 keys)                   |
+//! | run (every job)          | source records | allocations | before block reads and the replay's scratch (what fell) | before owned vectors and scratch maps (what fell)  | before the point kernels (what fell)        |
+//! |--------------------------|---------------:|------------:|------------------------------------------|-----------------------------------------------------|----------------------------------------------|
+//! | KMeans                   |          8 800 |      10 072 | 10 369 (−81 specs, −216 replay)          | 42 105 (−32 000 pairs, +192 first copies, +72 scratch) | 42 138 (−6 reads, −14 keys, −13 centers)     |
+//! | … the same at scale 0.5  |          4 400 |       5 672 | 5 969 (−81 specs, −216 replay)           | 21 705 (−16 000 pairs, +192 first copies, +72 scratch) | —                                            |
+//! | PCA                      |          6 300 |      13 208 | 13 406 (−54 specs, −144 replay)          | 25 262 (−12 000 pairs, +96 first copies, +36 scratch, +12 rows) | 31 276 (−4 reads, −10 keys, −6 000 centered) |
+//! | LogReg                   |          6 000 |      16 012 | 18 104 (−546 specs, −1 546 replay)       | 194 864 (−180 000 gradients, +2 880 first copies, +360 scratch) | 195 108 (−60 reads, −183 keys)               |
+//! | SQL                      |         12 000 |       2 552 | 2 738 (−44 specs, −142 replay)           | 2 738                                               | 2 761 (−4 reads, −14 keys)                   |
+//! | … the same at scale 0.5  |          6 000 |       2 149 | 2 335 (−44 specs, −142 replay)           | 2 335                                               | 2 358 (−4 reads, −15 keys)                   |
 //!
 //! One allocation per record in any job adds thousands to a row. The
 //! SQL rows hold the slope: 403 allocations for 6 000 more generated rows,
@@ -31,7 +31,20 @@
 //! `Value::Pair` boxes each) before the map wrote over its scratch record.
 //! Debug and release builds count the same.
 //!
-//! The fourth column is the count before a `Value::Vector` owned its
+//! The fourth column is the count before a stage's reduce tasks read in
+//! blocks that walk the map rows and the replay stopped allocating per
+//! task, measured one half at a time. *Specs*: a task's simulator spec
+//! takes its read's fetch list and preferred nodes instead of a copy
+//! (a shuffle read's fetch list, a cached read's fetch and home, a block
+//! source's replica list), and the driver keeps no run index (two vectors
+//! a shuffle) but sums the write skew in one (one a shuffle); the blocks
+//! themselves add one vector each. *Replay*: the simulator keeps a stage's
+//! per-task rack bytes in one vector, splits a task's fetches by rack in a
+//! vector the stage reuses, and keeps every flow's path in one vector of
+//! the network's — two vectors a simulated task, and one a flow, less a
+//! few a stage. Nothing per record or per key moved.
+//!
+//! The fifth column is the count before a `Value::Vector` owned its
 //! elements (a `Box<[f64]>`, not an `Arc<[f64]>`) and a map wrote its
 //! output over a scratch record its task keeps, and what those changes
 //! moved. *Pairs* and *gradients* are the per-point outputs of KMeans'
@@ -230,12 +243,12 @@ fn vector_sum_jobs_stay_within_their_allocation_budget() {
     assert_eq!(
         [kmeans_full, kmeans_half, pca, logreg, sql_full, sql_half],
         [
-            (10_369, 8_800),
-            (5_969, 4_400),
-            (13_406, 6_300),
-            (18_104, 6_000),
-            (2_738, 12_000),
-            (2_335, 6_000)
+            (10_072, 8_800),
+            (5_672, 4_400),
+            (13_208, 6_300),
+            (16_012, 6_000),
+            (2_552, 12_000),
+            (2_149, 6_000)
         ],
         "(allocations, source records) of a whole KMeans run at scale 1 and 0.5, PCA, \
          LogReg, and SQL at scale 1 and 0.5"
