@@ -147,11 +147,10 @@ impl Workload for ScaleAgg {
                 Key::Int(i) => *i as u64,
                 other => panic!("malformed line key {other:?}"),
             };
-            let mut wide = Record::keyless(payload.clone());
             for f in 0..FAN as u64 {
                 let h = line.wrapping_mul(2654435761).wrapping_add(f * 193);
-                wide.key = Key::Int((h % KEYS) as i64);
-                out.lend(&wide);
+                let k = (h % KEYS) as i64;
+                out.put(&mut |wide| (wide.key, wide.value) = (Key::Int(k), payload.clone()));
             }
         });
         let wide = ctx.flat_map(lines, widen, REC_COST, "widen");

@@ -495,10 +495,6 @@ impl TaskRecords {
             TaskRecords::Shared(data, start, end) => &data[*start..*end],
         }
     }
-
-    fn len(&self) -> usize {
-        self.as_slice().len()
-    }
 }
 
 /// One cached partition as the task that computed it captured it.
@@ -547,9 +543,10 @@ pub(super) struct TaskOut {
 
 /// One narrow op compiled for a fused streaming pass.
 enum FusedOp<'g> {
-    /// A map and the scratch record it writes each output over.
+    /// A map and the slot it writes each output over.
     Map(&'g MapFn, Record),
-    FlatMap(&'g FlatMapFn),
+    /// A flat-map and the slot it writes each output over.
+    FlatMap(&'g FlatMapFn, Record),
     Filter(&'g FilterFn),
     Sample {
         fraction: f64,
@@ -567,9 +564,7 @@ struct OpState<'g> {
 /// Where a fused pass puts the records that survive it.
 trait RecordSink {
     fn push<R: IntoRecord>(&mut self, rec: R);
-    /// Whether the sink keeps the records it is handed — a map then gives
-    /// its output away; else it lends it and rewrites it for the next
-    /// record.
+    /// Whether the sink keeps the records it is handed ([`hand_on`]).
     fn keeps(&self) -> bool;
     /// About `additional` more records follow (see [`Emit::reserve`]).
     fn reserve(&mut self, _additional: usize) {}
@@ -696,21 +691,20 @@ pub(super) enum Sink<'a> {
 }
 
 /// The [`Emit`] a generator or a flat-map closure is handed: what it
-/// produces continues through the remaining fused ops into the task's
-/// sink. A size hint reaches the sink only when no op stands between.
+/// writes into `slot` continues through the remaining fused ops into the
+/// task's sink. A size hint reaches the sink only when no op stands
+/// between.
 struct Downstream<'a, 'g, S> {
     rest: &'a mut [OpState<'g>],
+    slot: &'a mut Record,
     out: &'a mut S,
 }
 
 impl<S: RecordSink> Emit for Downstream<'_, '_, S> {
     #[inline]
-    fn emit(&mut self, rec: Record) {
-        feed(self.rest, rec, self.out);
-    }
-    #[inline]
-    fn lend(&mut self, rec: &Record) {
-        feed(self.rest, rec, self.out);
+    fn put(&mut self, write: &mut dyn FnMut(&mut Record)) {
+        write(self.slot);
+        hand_on(self.rest, self.slot, self.out);
     }
     fn reserve(&mut self, additional: usize) {
         if self.rest.is_empty() {
@@ -723,39 +717,46 @@ impl<S: RecordSink> Emit for Downstream<'_, '_, S> {
 /// task's input.
 struct Generated<'a, 'g, S> {
     down: Downstream<'a, 'g, S>,
-    counted: CountSink,
+    input: CountSink,
 }
 
 impl<S: RecordSink> Emit for Generated<'_, '_, S> {
     #[inline]
-    fn emit(&mut self, rec: Record) {
-        self.counted.push(&rec);
-        self.down.emit(rec);
-    }
-    #[inline]
-    fn lend(&mut self, rec: &Record) {
-        self.counted.push(rec);
-        self.down.lend(rec);
+    fn put(&mut self, write: &mut dyn FnMut(&mut Record)) {
+        let down = &mut self.down;
+        write(down.slot);
+        self.input.push(&*down.slot);
+        hand_on(down.rest, down.slot, down.out);
     }
     fn reserve(&mut self, additional: usize) {
         self.down.reserve(additional);
     }
 }
 
+/// The one hand-off of a producer's output — a map's, a flat-map's or a
+/// generator's, written into the slot its pass keeps — to the rest of the
+/// pass: taken, leaving [`Record::default`], into a sink that keeps it;
+/// else lent, so the next output is written over this one's buffers.
+#[inline(always)]
+fn hand_on<S: RecordSink>(rest: &mut [OpState<'_>], slot: &mut Record, out: &mut S) {
+    if out.keeps() {
+        feed(rest, std::mem::take(slot), out);
+    } else {
+        feed(rest, &*slot, out);
+    }
+}
+
 /// Streams one record, owned or borrowed, through the remaining fused
-/// ops. A borrowed record is cloned only if the sink keeps it; what a
-/// `Map` writes over its scratch record continues owned (taken, leaving
-/// [`Record::default`]) into a sink that keeps it and lent into one that
-/// does not, and what a `FlatMap` produces continues as the closure handed
-/// it over ([`Emit::emit`] or [`Emit::lend`]).
+/// ops. A borrowed record is cloned only if the sink keeps it; what a map
+/// or a flat-map writes into its slot continues as [`hand_on`] hands it.
 ///
 /// Records arrive at each op in the same order as the op-at-a-time loop
 /// (every narrow op is order-preserving), so per-op `Sample` RNG draws are
 /// bit-identical to the unfused execution.
 ///
 /// Inlined into each step, so the last op hands its record to the sink
-/// without a call: a map's lent scratch would otherwise recurse into the
-/// very instance it is in, which the compiler cannot inline.
+/// without a call: a lent slot would otherwise recurse into the very
+/// instance it is in, which the compiler cannot inline.
 #[inline(always)]
 fn feed<R: IntoRecord, S: RecordSink>(ops: &mut [OpState<'_>], rec: R, out: &mut S) {
     match ops.split_first_mut() {
@@ -773,15 +774,11 @@ fn step<R: IntoRecord, S: RecordSink>(
 ) {
     head.inputs += 1;
     match &mut head.op {
-        FusedOp::Map(f, scratch) => {
-            f(rec.borrow(), scratch);
-            if out.keeps() {
-                feed(rest, std::mem::take(scratch), out);
-            } else {
-                feed(rest, &*scratch, out);
-            }
+        FusedOp::Map(f, slot) => {
+            f(rec.borrow(), slot);
+            hand_on(rest, slot, out);
         }
-        FusedOp::FlatMap(f) => f(rec.borrow(), &mut Downstream { rest, out }),
+        FusedOp::FlatMap(f, slot) => f(rec.borrow(), &mut Downstream { rest, slot, out }),
         FusedOp::Filter(f) => {
             if f(rec.borrow()) {
                 feed(rest, rec, out);
@@ -844,7 +841,9 @@ impl RootRead<'_> {
                 }
             }
             Root::Records(TaskRecords::Shared(data, start, end)) => {
-                Downstream { rest: ops, out }.reserve(end - start);
+                if ops.is_empty() {
+                    out.reserve(end - start);
+                }
                 for rec in &data[start..end] {
                     feed(ops, rec, out);
                 }
@@ -853,12 +852,11 @@ impl RootRead<'_> {
                 gen,
                 cost_per_record,
             } => {
-                let mut split = Generated {
-                    down: Downstream { rest: ops, out },
-                    counted: CountSink::default(),
-                };
+                let (rest, slot) = (ops, &mut Record::default());
+                let (down, input) = (Downstream { rest, slot, out }, CountSink::default());
+                let mut split = Generated { down, input };
                 gen(task.index, task.of, &mut split);
-                let CountSink { records, bytes } = split.counted;
+                let CountSink { records, bytes } = split.input;
                 (self.input_records, self.input_bytes) = (records, bytes);
                 self.cost += records as f64 * cost_per_record;
             }
@@ -942,7 +940,10 @@ pub(super) fn compute_task(
     }
     let records = run_chain(graph, chain, task, &mut root, &mut captures, &mut sink);
     let (out_records, out_bytes) = match &sink {
-        Sink::Collect => (records.len() as u64, batch_size(records.as_slice())),
+        Sink::Collect => (
+            records.as_slice().len() as u64,
+            batch_size(records.as_slice()),
+        ),
         Sink::Count(counted) | Sink::Write(WriteSink { counted, .. }) => {
             (counted.records, counted.bytes)
         }
@@ -991,7 +992,7 @@ fn run_chain(
                     OpKind::Map { f } | OpKind::MapValues { f } => {
                         FusedOp::Map(f, Record::default())
                     }
-                    OpKind::FlatMap { f } => FusedOp::FlatMap(f),
+                    OpKind::FlatMap { f } => FusedOp::FlatMap(f, Record::default()),
                     OpKind::Filter { f } => FusedOp::Filter(f),
                     OpKind::Sample { fraction, seed } => FusedOp::Sample {
                         fraction: *fraction,
@@ -1062,7 +1063,7 @@ mod tests {
     ) -> Vec<OpState<'g>> {
         let op = |c| match c {
             'm' => FusedOp::Map(map, Record::default()),
-            'x' => FusedOp::FlatMap(flat),
+            'x' => FusedOp::FlatMap(flat, Record::default()),
             'f' => FusedOp::Filter(filter),
             _ => FusedOp::Sample {
                 fraction: 0.6,
@@ -1081,16 +1082,14 @@ mod tests {
         let map: MapFn = Arc::new(|r: &Record, out: &mut Record| {
             *out = Record::new(r.key.clone(), Value::Int(r.value.as_int() * 3))
         });
-        // Odd fan-outs lend one scratch record, even ones give each away.
+        // Odd fan-outs write into the slot, even ones give each away.
         let flat: FlatMapFn = Arc::new(|r: &Record, out: &mut dyn Emit| {
             let fan_out = r.value.as_int() % 4;
-            let mut scratch = r.clone();
             for j in 0..fan_out {
-                scratch.key = Key::Int(j);
                 if fan_out % 2 == 1 {
-                    out.lend(&scratch);
+                    out.put(&mut |slot| (slot.key, slot.value) = (Key::Int(j), r.value.clone()));
                 } else {
-                    out.emit(scratch.clone());
+                    out.emit(Record::new(Key::Int(j), r.value.clone()));
                 }
             }
         });

@@ -1392,8 +1392,9 @@ mod tests {
         let fm = ctx.flat_map(
             src,
             Arc::new(|r: &Record, out: &mut dyn Emit| {
-                out.lend(r);
-                out.lend(r);
+                for _ in 0..2 {
+                    out.put(&mut |slot| slot.clone_from(r));
+                }
             }),
             1e-6,
             "dup",

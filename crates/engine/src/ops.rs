@@ -143,31 +143,26 @@ pub fn sum_vector_counts() -> ReduceFn {
 }
 
 /// Where a generator or a flat-map puts the records it produces: the rest
-/// of the task's fused pass. What the executor hands a closure continues
-/// through the remaining narrow ops into whatever the task ends in — a
-/// result, a cached partition, a map-side combine, a count — so nothing
-/// is gathered in between.
+/// of the task's fused pass, through the remaining narrow ops into a
+/// result, a cached partition, a map-side combine or a count, with nothing
+/// gathered in between.
 ///
-/// The contract: records arrive downstream in call order, whichever of the
-/// two ways they were handed over. [`Emit::emit`] gives a record away;
-/// [`Emit::lend`] shows one the closure keeps, which is cloned only if
-/// something downstream keeps it (a map that reads it, a filter that
-/// drops it and a combine that folds it into a key it already holds do
-/// not), so a closure may lend one scratch record again and again,
-/// rewriting it in between; a copy downstream owns its vector, so the
-/// scratch's is written in place. [`Emit::reserve`] is a hint that about that many records follow; a
-/// generator that knows its split's size gives it once, up front, so a
-/// cached split is one exact allocation.
-///
-/// A `Vec<Record>` is the collecting sink, for running a producer outside
-/// the executor. The closure's `out` parameter must be annotated — as for
-/// [`ReduceFn`], there is no `Fn` signature to infer it from.
+/// The contract is a map's ([`MapFn`]): [`Emit::put`] hands `write` the
+/// next output slot, a record the pass keeps, and `write` writes the whole
+/// output over it. The slot holds the last output, buffers and all, when
+/// nothing downstream keeps it, and [`Record::default`] when something
+/// does. Records arrive downstream in call order. [`Emit::emit`] puts a
+/// record built whole. [`Emit::reserve`] hints that about that many
+/// records follow: a generator that gives its split's size once, up front,
+/// caches it in one exact allocation. A `Vec<Record>` collects, for
+/// running a producer outside the executor. The closure's `out` parameter
+/// must be annotated, as a [`ReduceFn`]'s are.
 ///
 /// ```
 /// use engine::{Emit, FlatMapFn, GenFn, Key, Record, Value};
 /// use std::sync::Arc;
 ///
-/// // Split `part` of `parts` over 0..10, each record given away.
+/// // Split `part` of `parts` over 0..10, each record built whole.
 /// let gen: GenFn = Arc::new(|part, parts, out: &mut dyn Emit| {
 ///     let (start, end) = (10 * part / parts, 10 * (part + 1) / parts);
 ///     out.reserve(end - start);
@@ -175,44 +170,44 @@ pub fn sum_vector_counts() -> ReduceFn {
 ///         out.emit(Record::new(Key::Int(i as i64), Value::vector(vec![i as f64; 2])));
 ///     }
 /// });
-/// // Each point twice, re-keyed and scaled, from one scratch record.
+/// // Each point twice, re-keyed and scaled in the slot's own vector.
 /// let twice: FlatMapFn = Arc::new(|r: &Record, out: &mut dyn Emit| {
-///     let mut row = r.clone();
+///     let x = r.value.as_vector();
 ///     for k in 0..2 {
-///         row.key = Key::Int(k);
-///         if let Value::Vector(v) = &mut row.value {
-///             v.iter_mut().for_each(|x| *x *= 2.0);
-///         }
-///         out.lend(&row);
+///         out.put(&mut |slot| {
+///             slot.key = Key::Int(k);
+///             let scaled = x.iter().map(|v| v * (2 * k + 2) as f64);
+///             slot.value.vector_mut(x.len()).iter_mut().zip(scaled).for_each(|(s, v)| *s = v);
+///         });
 ///     }
 /// });
 ///
 /// let mut points = Vec::new();
 /// gen(1, 2, &mut points);
-/// assert_eq!(points.len(), 5);
-/// assert_eq!(points.capacity(), 5);
+/// assert_eq!((points.len(), points.capacity()), (5, 5));
 /// let mut rows = Vec::new();
 /// twice(&points[0], &mut rows);
 /// assert_eq!(rows[0], Record::new(Key::Int(0), Value::vector(vec![10.0; 2])));
 /// assert_eq!(rows[1], Record::new(Key::Int(1), Value::vector(vec![20.0; 2])));
-/// assert_eq!(points[0].value, Value::vector(vec![5.0; 2]));
 /// ```
 pub trait Emit {
-    /// Hands `rec` downstream.
-    fn emit(&mut self, rec: Record);
-    /// Shows `rec` downstream; the caller keeps it.
-    fn lend(&mut self, rec: &Record);
+    /// Hands `write` the next output slot to write a record over, then
+    /// sends that record downstream.
+    fn put(&mut self, write: &mut dyn FnMut(&mut Record));
+    /// Sends `rec` downstream: [`Emit::put`] of it.
+    fn emit(&mut self, mut rec: Record) {
+        self.put(&mut |slot| std::mem::swap(slot, &mut rec));
+    }
     /// About `additional` more records follow.
     fn reserve(&mut self, _additional: usize) {}
 }
 
-/// Collects what a producer emits; a lent record is cloned.
+/// Collects what a producer writes, each record into a fresh slot.
 impl Emit for Vec<Record> {
-    fn emit(&mut self, rec: Record) {
+    fn put(&mut self, write: &mut dyn FnMut(&mut Record)) {
+        let mut rec = Record::default();
+        write(&mut rec);
         self.push(rec);
-    }
-    fn lend(&mut self, rec: &Record) {
-        self.push(rec.clone());
     }
     fn reserve(&mut self, additional: usize) {
         reserve_records(self, additional);

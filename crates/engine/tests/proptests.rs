@@ -7,7 +7,7 @@ use engine::shuffle::{
 use engine::{
     build_partitioner, measure_skew, sum_vector_counts, sum_vectors, Context, Emit, EngineOptions,
     FlatMapFn, GenFn, HashPartitioner, Key, MapFn, Partitioner, PartitionerSpec, RangePartitioner,
-    Rdd, Record, ReduceFn, Value, WorkloadConf,
+    Rdd, Record, ReduceFn, StageKind, Value, WorkloadConf,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -888,70 +888,60 @@ proptest! {
 /// A keyed point as the producers under test read it.
 type Point = (i64, Vec<f64>);
 
-/// Hands `scratch` downstream rewritten as `(key, x)` in its own buffer:
-/// lent, or — every so often, as `lend` draws it — given away as a clone.
-fn hand_over(
-    scratch: &mut Record,
-    key: i64,
-    x: impl Iterator<Item = f64>,
-    lend: bool,
-    out: &mut dyn Emit,
-) {
-    scratch.key = Key::Int(key);
-    match &mut scratch.value {
-        Value::Vector(buf) => buf.iter_mut().zip(x).for_each(|(b, v)| *b = v),
-        other => panic!("vector scratch expected, got {other:?}"),
-    }
-    if lend {
-        out.lend(scratch);
+/// Hands `(key, x)` downstream: written into the pass's slot — into the
+/// last output's vector when its length fits — or, as `in_slot` draws it,
+/// built whole and emitted.
+fn hand_over(key: i64, x: &[f64], in_slot: bool, out: &mut dyn Emit) {
+    if in_slot {
+        out.put(&mut |slot| {
+            slot.key = Key::Int(key);
+            slot.value.vector_mut(x.len()).copy_from_slice(x);
+        });
     } else {
-        out.emit(scratch.clone());
+        out.emit(Record::new(Key::Int(key), Value::vector(x.to_vec())));
     }
 }
 
-/// A source over `points`, split evenly: every record a fresh one, or all
-/// of a split handed over out of one scratch record.
-fn point_source(points: Arc<Vec<Point>>, lends: Option<Arc<Vec<bool>>>) -> GenFn {
+/// Whether output `i` of a producer is written into its slot: never for
+/// the fresh-record twin (`None`), else as `slots` draws it.
+fn in_slot(slots: &Option<Arc<Vec<bool>>>, i: usize) -> bool {
+    slots.as_ref().is_some_and(|s| s[i % s.len()])
+}
+
+/// A source over `points`, split evenly (see [`hand_over`]).
+fn point_source(points: Arc<Vec<Point>>, slots: Option<Arc<Vec<bool>>>) -> GenFn {
     Arc::new(move |part, parts, out: &mut dyn Emit| {
         let (lo, hi) = (
             points.len() * part / parts,
             points.len() * (part + 1) / parts,
         );
         out.reserve(hi - lo);
-        let mut scratch = Record::keyless(Value::vector(vec![0.0; 3]));
         for (i, (key, x)) in points[lo..hi].iter().enumerate() {
-            match &lends {
-                None => out.emit(Record::new(Key::Int(*key), Value::vector(x.clone()))),
-                Some(lends) => {
-                    let lend = lends[i % lends.len()];
-                    hand_over(&mut scratch, *key, x.iter().copied(), lend, out)
-                }
-            }
+            hand_over(*key, x, in_slot(&slots, i), out);
         }
     })
 }
 
-/// `key.rem_euclid(4)` outputs per point, the `j`-th re-keyed and scaled
-/// by `j + 1`: fresh records, or one scratch record that starts as a
-/// clone of the input.
-fn fan_out(lends: Option<Arc<Vec<bool>>>) -> FlatMapFn {
+/// The coordinates a point keyed `key` has: two or three by the key's
+/// parity, so a slot the last output left holding a vector of the other
+/// length is resized.
+fn width(key: i64) -> usize {
+    2 + key.rem_euclid(2) as usize
+}
+
+/// `key.rem_euclid(4)` outputs per point, the `j`-th re-keyed to `k`,
+/// scaled by `j + 1` and [`width`]`(k)` long, its coordinates cycling
+/// (see [`hand_over`]).
+fn fan_out(slots: Option<Arc<Vec<bool>>>) -> FlatMapFn {
     Arc::new(move |r: &Record, out: &mut dyn Emit| {
         let (Key::Int(key), x) = (&r.key, r.value.as_vector()) else {
             panic!("int-keyed point expected, got {r:?}")
         };
-        let mut scratch = r.clone();
         for j in 0..key.rem_euclid(4) {
-            let scaled = x.iter().map(|v| v * (j + 1) as f64);
-            match &lends {
-                None => out.emit(Record::new(
-                    Key::Int((key + j) % 7),
-                    Value::vector_from(scaled),
-                )),
-                Some(lends) => {
-                    let lend = lends[(key + j) as usize % lends.len()];
-                    hand_over(&mut scratch, (key + j) % 7, scaled, lend, out)
-                }
-            }
+            let k = (key + j) % 7;
+            let scaled = x.iter().cycle().take(width(k)).map(|v| v * (j + 1) as f64);
+            let y: Vec<f64> = scaled.collect();
+            hand_over(k, &y, in_slot(&slots, (key + j) as usize), out);
         }
     })
 }
@@ -968,13 +958,15 @@ enum Producer {
 }
 
 /// Every sink a producer's task can end in, in one context: collected,
-/// counted, combined — streamed from the producer — then cached, and the
-/// cache collected twice, counted and combined. Returns what each job
-/// returned, the job metrics (records, bytes, and the virtual durations
-/// the combine's op counts are charged into) and the final clock.
+/// counted, combined, written without a combine — streamed from the
+/// producer — then cached, and the cache collected twice, counted and
+/// combined. Returns what each job returned; the records the first job's
+/// source stage read, then what each count returned; the job metrics
+/// (records, bytes, and the virtual durations the combine's op counts are
+/// charged into) and the final clock.
 fn producer_jobs(
     points: &Arc<Vec<Point>>,
-    lends: Option<Arc<Vec<bool>>>,
+    slots: Option<Arc<Vec<bool>>>,
     producer: Producer,
 ) -> (Vec<Vec<Record>>, Vec<u64>, String, u64) {
     let mut ctx = Context::new(EngineOptions {
@@ -989,24 +981,29 @@ fn producer_jobs(
     };
     let produced: Rdd = match producer {
         Producer::Source => {
-            let gen = point_source(Arc::clone(points), lends);
+            let gen = point_source(Arc::clone(points), slots);
             ctx.text_file("points", 64 * points.len() as u64, gen, 1e-6, "points")
         }
         Producer::OverShared => {
             let src = ctx.parallelize(records(), 3, "src");
-            ctx.flat_map(src, fan_out(lends), 1e-6, "fan-out")
+            ctx.flat_map(src, fan_out(slots), 1e-6, "fan-out")
         }
         Producer::OverOwned => {
             let src = ctx.parallelize(records(), 3, "src");
             let moved = ctx.repartition(src, Some(PartitionerSpec::hash(4)), "moved");
-            ctx.flat_map(moved, fan_out(lends), 1e-6, "fan-out")
+            ctx.flat_map(moved, fan_out(slots), 1e-6, "fan-out")
         }
     };
     let sums = ctx.reduce_by_key(produced, sum_vectors(), None, 1e-6, "sums");
+    let moved = ctx.repartition(produced, Some(PartitionerSpec::hash(3)), "write");
     let (mut collected, mut counted) = (Vec::new(), Vec::new());
     collected.push(ctx.collect(produced, "collect"));
+    let sources = ctx.jobs()[0].stages.iter();
+    let sources = sources.filter(|s| s.kind == StageKind::Source);
+    counted.push(sources.map(|s| s.input_records).sum());
     counted.push(ctx.count(produced, "count"));
     collected.push(ctx.collect(sums, "combine"));
+    collected.push(ctx.collect(moved, "write"));
     ctx.cache(produced);
     collected.push(ctx.collect(produced, "materialize"));
     collected.push(ctx.collect(produced, "reread"));
@@ -1023,38 +1020,46 @@ fn producer_jobs(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// A generator or a flat-map that hands every record over out of one
-    /// reused scratch record — rewritten in place between lends, some of
-    /// them given away as clones instead — yields exactly
-    /// what its twin building a fresh record each time yields: the same
-    /// records from every sink (collect, count, combine, cached and
-    /// re-read), the same `output_records` / `output_bytes`, and the same
-    /// virtual timings, which the combine's op counts are charged into —
-    /// whether its tasks stream a source, read a shared slice or own their
-    /// input. And nothing it lent is written through: the input and the
-    /// cache read back as produced.
+    /// A generator or a flat-map that writes its records into the pass's
+    /// slot — over the last output's vector where its length fits,
+    /// resizing it where not, some records emitted whole instead — yields
+    /// exactly what its twin emitting a fresh record each time yields: the
+    /// same records from every sink (collect, count, combine, plain write,
+    /// cached and re-read), the same `output_records` / `output_bytes`,
+    /// and the same virtual timings, which the combine's op counts are
+    /// charged into — whether its tasks stream a source, read a shared
+    /// slice or own their input. Each source record is read once, and
+    /// nothing a slot was lent is written through: the input and the cache
+    /// read back as produced.
     #[test]
-    fn a_lending_producer_equals_its_fresh_record_twin(
+    fn a_producer_writing_into_its_slot_equals_its_fresh_record_twin(
         points in proptest::collection::vec(
             (0i64..40, proptest::collection::vec((-800i32..800).prop_map(|v| v as f64 / 8.0), 3)),
             0..60,
         ),
-        lends in proptest::collection::vec(any::<bool>(), 1..7),
+        slots in proptest::collection::vec(any::<bool>(), 1..7),
     ) {
-        let (points, lends) = (Arc::new(points), Arc::new(lends));
+        let shaped = |(key, mut x): Point| {
+            x.truncate(width(key));
+            (key, x)
+        };
+        let points: Vec<Point> = points.into_iter().map(shaped).collect();
+        let (points, slots) = (Arc::new(points), Arc::new(slots));
         for producer in [Producer::Source, Producer::OverShared, Producer::OverOwned] {
             let fresh = producer_jobs(&points, None, producer);
-            let lending = producer_jobs(&points, Some(Arc::clone(&lends)), producer);
-            prop_assert_eq!(&lending.0, &fresh.0, "{:?}: records", producer);
-            prop_assert_eq!(&lending.1, &fresh.1, "{:?}: counts", producer);
-            prop_assert_eq!(&lending.2, &fresh.2, "{:?}: job metrics", producer);
-            prop_assert_eq!(lending.3, fresh.3, "{:?}: clock", producer);
-            let [collect, _, materialize, reread, _] = fresh.0.as_slice() else {
-                panic!("five collecting jobs")
+            let written = producer_jobs(&points, Some(Arc::clone(&slots)), producer);
+            prop_assert_eq!(&written.0, &fresh.0, "{:?}: records", producer);
+            prop_assert_eq!(&written.1, &fresh.1, "{:?}: counts", producer);
+            prop_assert_eq!(&written.2, &fresh.2, "{:?}: job metrics", producer);
+            prop_assert_eq!(written.3, fresh.3, "{:?}: clock", producer);
+            let [collect, _, write, materialize, reread, _] = fresh.0.as_slice() else {
+                panic!("six collecting jobs")
             };
             prop_assert_eq!(collect, materialize);
             prop_assert_eq!(collect, reread);
-            prop_assert_eq!(fresh.1.as_slice(), [collect.len() as u64; 2]);
+            prop_assert_eq!(collect.len(), write.len());
+            let n = collect.len() as u64;
+            prop_assert_eq!(fresh.1.as_slice(), [points.len() as u64, n, n]);
         }
     }
 }

@@ -18,9 +18,10 @@
 //! coordinate.
 //!
 //! Each generator produces a split through `stream` (see [`Emit`]): points
-//! are given away one by one, table rows are lent out of one scratch row
-//! whose key and amount are overwritten in place, so a scan that only
-//! projects its rows allocates nothing per row. `partition` is the
+//! are built whole and emitted, table rows are written into the slot the
+//! pass hands out — where nothing keeps them, over the last row's key,
+//! amount and pair, sharing one payload string per split — so a scan that
+//! only projects its rows allocates nothing per row. `partition` is the
 //! collected `stream`.
 
 use engine::{Emit, Key, Record, Value};
@@ -256,24 +257,24 @@ fn filler(bytes: usize) -> Arc<str> {
     Arc::from("x".repeat(bytes))
 }
 
-/// A table row: `(key, Pair(amount, payload))`.
-fn table_row(key: i64, amount: f64, payload: &Arc<str>) -> Record {
-    Record::new(
-        Key::Int(key),
-        Value::Pair(
-            Box::new(Value::Float(amount)),
-            Box::new(Value::Str(Arc::clone(payload))),
-        ),
-    )
+/// Writes the table row `(key, Pair(amount, payload))` over `row`: into
+/// its own pair when it holds one, and sharing `payload` unless it does
+/// already, so a row written over the last one allocates nothing and
+/// counts no reference.
+fn write_row(row: &mut Record, key: i64, amount: f64, payload: &Arc<str>) {
+    row.key = Key::Int(key);
+    let (a, p) = row.value.pair_mut();
+    *a = Value::Float(amount);
+    if !matches!(p, Value::Str(s) if Arc::ptr_eq(s, payload)) {
+        *p = Value::Str(Arc::clone(payload));
+    }
 }
 
-/// Overwrites a [`table_row`]'s key and amount where they lie.
-fn rewrite_row(row: &mut Record, key: i64, amount: f64) {
-    row.key = Key::Int(key);
-    match &mut row.value {
-        Value::Pair(a, _) => **a = Value::Float(amount),
-        other => unreachable!("table rows are pairs, got {other:?}"),
-    }
+/// A row built whole by `write` (see [`write_row`]).
+fn fresh_row(write: impl FnOnce(&mut Record)) -> Record {
+    let mut row = Record::default();
+    write(&mut row);
+    row
 }
 
 /// A row's amount: uniform over `[0, 1000]` in cents.
@@ -305,26 +306,25 @@ impl TableGen {
 
     /// The row at global index `i`: `(key, Pair(amount, payload))`.
     pub fn record(&self, i: u64) -> Record {
-        self.row(i, &filler(self.payload))
+        fresh_row(|row| self.write(row, i, &filler(self.payload)))
     }
 
-    /// [`TableGen::record`] around a payload the caller built.
-    fn row(&self, i: u64, payload: &Arc<str>) -> Record {
-        table_row(self.key(i), amount(self.seed ^ 0xABCD, i), payload)
+    /// Writes row `i` over `row` around a payload the caller built.
+    fn write(&self, row: &mut Record, i: u64, payload: &Arc<str>) {
+        write_row(row, self.key(i), amount(self.seed ^ 0xABCD, i), payload);
     }
 
     /// Produces partition `part` of `parts` over `n` rows into `out`, with
-    /// realistic split-size variance (see [`skewed_range`]). Every row is
-    /// lent out of one scratch row, so the rows of one call share one
-    /// payload string — built per call, not per generator, so concurrent
-    /// tasks do not count references on the same cache line.
+    /// realistic split-size variance (see [`skewed_range`]). The rows of
+    /// one call share one payload string — built per call, not per
+    /// generator, so concurrent tasks do not count references on the same
+    /// cache line.
     pub fn stream(&self, n: u64, part: usize, parts: usize, out: &mut dyn Emit) {
         let (start, end) = skewed_range(n, part, parts);
         out.reserve((end - start) as usize);
-        let mut row = table_row(0, 0.0, &filler(self.payload));
+        let payload = filler(self.payload);
         for i in start..end {
-            rewrite_row(&mut row, self.key(i), amount(self.seed ^ 0xABCD, i));
-            out.lend(&row);
+            out.put(&mut |row| self.write(row, i, &payload));
         }
     }
 
@@ -391,7 +391,7 @@ impl HotTableGen {
     /// The row at global index `i`: `(key, Pair(amount, payload))` where
     /// the payload is fat iff the key falls in the hot range.
     pub fn record(&self, i: u64) -> Record {
-        self.row(i, &self.payloads())
+        fresh_row(|row| self.write(row, i, &self.payloads()))
     }
 
     /// Whether `key` carries the fat payload.
@@ -399,27 +399,24 @@ impl HotTableGen {
         (key as u64) < self.fat_keys as u64
     }
 
-    /// [`HotTableGen::record`] around `[thin, fat]` payloads the caller
+    /// Writes row `i` over `row` around `[thin, fat]` payloads the caller
     /// built.
-    fn row(&self, i: u64, payloads: &[Arc<str>; 2]) -> Record {
+    fn write(&self, row: &mut Record, i: u64, payloads: &[Arc<str>; 2]) {
         let key = self.key(i);
         let payload = &payloads[usize::from(self.is_fat(key))];
-        table_row(key, amount(self.seed ^ 0xF00D, i), payload)
+        write_row(row, key, amount(self.seed ^ 0xF00D, i), payload);
     }
 
     /// Produces partition `part` of `parts` over `n` rows into `out`, with
     /// realistic split-size variance (see [`skewed_range`]). As in
-    /// [`TableGen::stream`], every row is lent out of a scratch row — one
-    /// thin, one fat — so the rows of one call share their payload strings.
+    /// [`TableGen::stream`], the rows of one call share their thin and fat
+    /// payload strings.
     pub fn stream(&self, n: u64, part: usize, parts: usize, out: &mut dyn Emit) {
         let (start, end) = skewed_range(n, part, parts);
         out.reserve((end - start) as usize);
-        let mut rows = self.payloads().map(|payload| table_row(0, 0.0, &payload));
+        let payloads = self.payloads();
         for i in start..end {
-            let key = self.key(i);
-            let row = &mut rows[usize::from(self.is_fat(key))];
-            rewrite_row(row, key, amount(self.seed ^ 0xF00D, i));
-            out.lend(row);
+            out.put(&mut |row| self.write(row, i, &payloads));
         }
     }
 
@@ -459,46 +456,46 @@ mod tests {
         assert_eq!(coarse.len(), 100);
     }
 
-    /// Collects what a generator streams, noting how it was handed over.
-    #[derive(Default)]
+    /// Copies what a generator writes into a slot it never resets, as a
+    /// sink that keeps nothing does: each record is written over the last
+    /// one, and the first over a record of another shape.
     struct Tape {
+        slot: Record,
         records: Vec<Record>,
-        lent: usize,
         reserved: usize,
     }
 
     impl Emit for Tape {
-        fn emit(&mut self, rec: Record) {
-            self.records.push(rec);
-        }
-        fn lend(&mut self, rec: &Record) {
-            self.lent += 1;
-            self.records.push(rec.clone());
+        fn put(&mut self, write: &mut dyn FnMut(&mut Record)) {
+            write(&mut self.slot);
+            self.records.push(self.slot.clone());
         }
         fn reserve(&mut self, additional: usize) {
             self.reserved += additional;
         }
     }
 
-    /// `stream` produces each split's records one by one — whatever
-    /// scratch row they were lent out of — announced by one exact
-    /// `reserve`; `partition` is that, collected.
+    /// `stream` produces each split's records one by one — whatever its
+    /// slot held before — announced by one exact `reserve`; `partition` is
+    /// that, collected.
     fn assert_streams_its_records(
         stream: impl Fn(u64, usize, usize, &mut dyn Emit),
         partition: impl Fn(u64, usize, usize) -> Vec<Record>,
         record: impl Fn(u64) -> Record,
-        lends: bool,
     ) {
         let n = 300;
         for parts in [1, 4, 9] {
             for part in 0..parts {
                 let (lo, hi) = skewed_range(n, part, parts);
-                let mut tape = Tape::default();
+                let mut tape = Tape {
+                    slot: Record::new(Key::str("stale"), Value::vector(vec![9.0; 7])),
+                    records: Vec::new(),
+                    reserved: 0,
+                };
                 stream(n, part, parts, &mut tape);
                 let one_by_one: Vec<Record> = (lo..hi).map(&record).collect();
                 assert_eq!(tape.records, one_by_one, "split {part} of {parts}");
                 assert_eq!(tape.reserved, one_by_one.len(), "one exact hint");
-                assert_eq!(tape.lent, if lends { one_by_one.len() } else { 0 });
                 assert_eq!(partition(n, part, parts), one_by_one);
             }
         }
@@ -511,21 +508,18 @@ mod tests {
             |n, p, of, out| g.stream(n, p, of, out),
             |n, p, of| g.partition(n, p, of),
             |i| g.record(i),
-            false,
         );
         let g = TableGen::new(40, 1.1, 8, 3);
         assert_streams_its_records(
             |n, p, of, out| g.stream(n, p, of, out),
             |n, p, of| g.partition(n, p, of),
             |i| g.record(i),
-            true,
         );
         let g = HotTableGen::new(32, 4, 8, 8, 5);
         assert_streams_its_records(
             |n, p, of, out| g.stream(n, p, of, out),
             |n, p, of| g.partition(n, p, of),
             |i| g.record(i),
-            true,
         );
     }
 

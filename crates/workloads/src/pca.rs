@@ -197,16 +197,16 @@ impl Pca {
                         *c = a - b;
                     }
                     let x = &*x;
-                    // One scratch row per point, rewritten and lent once
-                    // per covariance row: the map-side combine adds it to
-                    // the row's sum by reference and keeps no copy.
-                    let mut scaled = Record::keyless(Value::vector(vec![0.0; x.len()]));
+                    // Each covariance row written into the pass's slot:
+                    // the map-side combine adds it to the row's sum by
+                    // reference, and the next row is written over it.
                     for (row, &x_row) in x.iter().enumerate() {
-                        scaled.key = Key::Int(row as i64);
-                        for (s, &v) in scaled.value.vector_mut(x.len()).iter_mut().zip(x) {
-                            *s = v * x_row;
-                        }
-                        out.lend(&scaled);
+                        out.put(&mut |scaled| {
+                            scaled.key = Key::Int(row as i64);
+                            for (s, &v) in scaled.value.vector_mut(x.len()).iter_mut().zip(x) {
+                                *s = v * x_row;
+                            }
+                        });
                     }
                 })
             },

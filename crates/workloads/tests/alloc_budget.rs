@@ -1,6 +1,6 @@
 //! Heap allocations of whole workload runs, counted — the guard on
-//! "accumulate allocates nothing per record", "a producer emits, it does
-//! not return" and "an accumulator allocates nothing per distinct key"
+//! "accumulate allocates nothing per record", "a producer writes into its
+//! pass's slot, it does not return" and "an accumulator allocates nothing per distinct key"
 //! where wall-clock cannot be one: a count repeats exactly, a timing on a
 //! shared host does not.
 //!
@@ -10,14 +10,15 @@
 //! configuration on `workers: 1` and is counted whole, from its start
 //! until it hands back its context. The counts are pinned exactly:
 //!
-//! | run (every job)          | source records | allocations | before block reads and the replay's scratch (what fell) | before owned vectors and scratch maps (what fell)  | before the point kernels (what fell)        |
-//! |--------------------------|---------------:|------------:|------------------------------------------|-----------------------------------------------------|----------------------------------------------|
-//! | KMeans                   |          8 800 |      10 072 | 10 369 (−81 specs, −216 replay)          | 42 105 (−32 000 pairs, +192 first copies, +72 scratch) | 42 138 (−6 reads, −14 keys, −13 centers)     |
-//! | … the same at scale 0.5  |          4 400 |       5 672 | 5 969 (−81 specs, −216 replay)           | 21 705 (−16 000 pairs, +192 first copies, +72 scratch) | —                                            |
-//! | PCA                      |          6 300 |      13 208 | 13 406 (−54 specs, −144 replay)          | 25 262 (−12 000 pairs, +96 first copies, +36 scratch, +12 rows) | 31 276 (−4 reads, −10 keys, −6 000 centered) |
-//! | LogReg                   |          6 000 |      16 012 | 18 104 (−546 specs, −1 546 replay)       | 194 864 (−180 000 gradients, +2 880 first copies, +360 scratch) | 195 108 (−60 reads, −183 keys)               |
-//! | SQL                      |         12 000 |       2 552 | 2 738 (−44 specs, −142 replay)           | 2 738                                               | 2 761 (−4 reads, −14 keys)                   |
-//! | … the same at scale 0.5  |          6 000 |       2 149 | 2 335 (−44 specs, −142 replay)           | 2 335                                               | 2 358 (−4 reads, −15 keys)                   |
+//! | run (every job)          | source records | allocations | before the producers' slots (what fell) | before block reads and the replay's scratch (what fell) | before owned vectors and scratch maps (what fell)  | before the point kernels (what fell)        |
+//! |--------------------------|---------------:|------------:|------------------------------------------|------------------------------------------|-----------------------------------------------------|----------------------------------------------|
+//! | KMeans                   |          8 800 |      10 072 | 10 072                                   | 10 369 (−81 specs, −216 replay)          | 42 105 (−32 000 pairs, +192 first copies, +72 scratch) | 42 138 (−6 reads, −14 keys, −13 centers)     |
+//! | … the same at scale 0.5  |          4 400 |       5 672 | 5 672                                    | 5 969 (−81 specs, −216 replay)           | 21 705 (−16 000 pairs, +192 first copies, +72 scratch) | —                                            |
+//! | PCA                      |          6 300 |       7 220 | 13 208 (−5 988 rows)                     | 13 406 (−54 specs, −144 replay)          | 25 262 (−12 000 pairs, +96 first copies, +36 scratch, +12 rows) | 31 276 (−4 reads, −10 keys, −6 000 centered) |
+//! | … the same at scale 0.5  |          3 150 |       4 070 | 7 058 (−2 988 rows)                      | —                                        | —                                                   | —                                            |
+//! | LogReg                   |          6 000 |      16 012 | 16 012                                   | 18 104 (−546 specs, −1 546 replay)       | 194 864 (−180 000 gradients, +2 880 first copies, +360 scratch) | 195 108 (−60 reads, −183 keys)               |
+//! | SQL                      |         12 000 |       2 552 | 2 552                                    | 2 738 (−44 specs, −142 replay)           | 2 738                                               | 2 761 (−4 reads, −14 keys)                   |
+//! | … the same at scale 0.5  |          6 000 |       2 149 | 2 149                                    | 2 335 (−44 specs, −142 replay)           | 2 335                                               | 2 358 (−4 reads, −15 keys)                   |
 //!
 //! One allocation per record in any job adds thousands to a row. The
 //! SQL rows hold the slope: 403 allocations for 6 000 more generated rows,
@@ -29,9 +30,22 @@
 //! more — every pass over the points together costs under 0.1 a point
 //! beyond it, where each point cost four more (two `assign` passes, two
 //! `Value::Pair` boxes each) before the map wrote over its scratch record.
+//! The PCA rows hold it the same way, 3 150 allocations for 3 150 more
+//! points, where each point cost a `cov-rows` row besides before that
+//! flat-map wrote into its slot.
 //! Debug and release builds count the same.
 //!
-//! The fourth column is the count before a stage's reduce tasks read in
+//! The fourth column is the count before a generator and a flat-map wrote
+//! each record into a slot their pass keeps, as a map writes over its
+//! scratch record, and what that moved. *Rows*: PCA's `cov-rows`
+//! allocated one row per point and lent it `dim` times; it now writes
+//! each covariance row over the last in its slot, which the combine folds
+//! by reference, so each of the 12 tasks allocates one row, its first
+//! (6 000 − 12 at scale 1, 3 000 − 12 at 0.5). The PCA row at scale 0.5
+//! is new with this column. Nothing else moved: `TableGen::stream` writes
+//! over its slot what it rewrote in its own scratch row before.
+//!
+//! The fifth column is the count before a stage's reduce tasks read in
 //! blocks that walk the map rows and the replay stopped allocating per
 //! task, measured one half at a time. *Specs*: a task's simulator spec
 //! takes its read's fetch list and preferred nodes instead of a copy
@@ -44,7 +58,7 @@
 //! the network's — two vectors a simulated task, and one a flow, less a
 //! few a stage. Nothing per record or per key moved.
 //!
-//! The fifth column is the count before a `Value::Vector` owned its
+//! The sixth column is the count before a `Value::Vector` owned its
 //! elements (a `Box<[f64]>`, not an `Arc<[f64]>`) and a map wrote its
 //! output over a scratch record its task keeps, and what those changes
 //! moved. *Pairs* and *gradients* are the per-point outputs of KMeans'
@@ -58,8 +72,8 @@
 //! for a gradient, which moved in before:
 //! LogReg's 8 keys on 12 tasks, 30 times). *Scratch*: the scratch record
 //! each task's map fills once (three allocations for a pair of a vector,
-//! one for a vector). *Rows*: PCA's `cov-rows` lends each task's first
-//! point's last row to a key the combine has not seen; the copy it keeps
+//! one for a vector). *Rows*: PCA's `cov-rows` lent each task's first
+//! point's last row to a key the combine had not seen; the copy it kept
 //! was the shared row before, which nothing rewrote after.
 //!
 //! The last column is the count before the point kernels, and what each
@@ -138,15 +152,15 @@
 //! list (SQL's one block and its replica list, −2). The SQL job, its
 //! workload's first, also counts its own name now (+1): the job's record
 //! is built before the hook is called, not after. What is
-//! left per record is the point itself and one flat-map row: each
-//! generated point allocates its own vector (KMeans, PCA, LogReg), and
-//! PCA's `cov-rows` allocates one scratch row per point, which it lends
-//! `dim` = 5 times (it was the flat-map's output vector, the centered
-//! point and a vector per row) — a flat-map is handed no scratch of the
-//! task's to write over. The maps allocate nothing per point: KMeans'
-//! `assign`, PCA's `mean-partials` and LogReg's `gradient` write over
-//! their task's scratch record, and the combine folds it by reference. A
-//! SQL row costs nothing: `TableGen::stream` lends one scratch row, the
+//! left per record is a cached point itself: each allocates its own
+//! vector (KMeans, PCA, LogReg). PCA's `cov-rows` allocated one scratch
+//! row per point until it wrote each row into its pass's slot (the first
+//! table's fourth column); before that row it was the flat-map's output
+//! vector, the centered point and a vector per row. The maps allocate
+//! nothing per point: KMeans' `assign`, PCA's `mean-partials` and
+//! LogReg's `gradient` write over their task's scratch record, and the
+//! combine folds it by reference. A SQL row costs nothing:
+//! `TableGen::stream` writes it over the last one in its pass's slot, the
 //! projection reads it, the combine folds a float. The SQL job is
 //! its workload's first, so its count carries the context's and the
 //! generator's construction; the ~650 allocations it does not shed with
@@ -231,7 +245,9 @@ fn vector_sum_jobs_stay_within_their_allocation_budget() {
         })
     };
     let (kmeans_full, kmeans_half) = (kmeans(1.0), kmeans(0.5));
-    let pca = run_allocations(|o| Pca::new(PcaConfig::small()).execute(o, &conf, 1.0).ctx);
+    let pca =
+        |scale: f64| run_allocations(|o| Pca::new(PcaConfig::small()).execute(o, &conf, scale).ctx);
+    let (pca_full, pca_half) = (pca(1.0), pca(0.5));
     let logreg = run_allocations(|o| {
         LogReg::new(LogRegConfig::small())
             .execute(o, &conf, 1.0)
@@ -241,24 +257,37 @@ fn vector_sum_jobs_stay_within_their_allocation_budget() {
         |scale: f64| run_allocations(|o| Sql::new(SqlConfig::small()).execute(o, &conf, scale).ctx);
     let (sql_full, sql_half) = (sql(1.0), sql(0.5));
     assert_eq!(
-        [kmeans_full, kmeans_half, pca, logreg, sql_full, sql_half],
+        [
+            kmeans_full,
+            kmeans_half,
+            pca_full,
+            pca_half,
+            logreg,
+            sql_full,
+            sql_half
+        ],
         [
             (10_072, 8_800),
             (5_672, 4_400),
-            (13_208, 6_300),
+            (7_220, 6_300),
+            (4_070, 3_150),
             (16_012, 6_000),
             (2_552, 12_000),
             (2_149, 6_000)
         ],
-        "(allocations, source records) of a whole KMeans run at scale 1 and 0.5, PCA, \
-         LogReg, and SQL at scale 1 and 0.5"
+        "(allocations, source records) of a whole KMeans run at scale 1 and 0.5, PCA at \
+         scale 1 and 0.5, LogReg, and SQL at scale 1 and 0.5"
     );
-    let (more_points, more_allocations) =
-        (kmeans_full.1 - kmeans_half.1, kmeans_full.0 - kmeans_half.0);
-    assert!(
-        more_allocations.saturating_sub(more_points) * 10 < more_points,
-        "beyond its own vector, a generated KMeans point costs under 0.1 allocations"
-    );
+    for (name, full, half) in [
+        ("KMeans", kmeans_full, kmeans_half),
+        ("PCA", pca_full, pca_half),
+    ] {
+        let (more_points, more_allocations) = (full.1 - half.1, full.0 - half.0);
+        assert!(
+            more_allocations.saturating_sub(more_points) * 10 < more_points,
+            "beyond its own vector, a generated {name} point costs under 0.1 allocations"
+        );
+    }
     assert!(
         (sql_full.0 - sql_half.0) * 10 < sql_full.1 - sql_half.1,
         "a generated SQL row costs under 0.1 allocations"

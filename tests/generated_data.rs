@@ -28,10 +28,9 @@ impl Fingerprint {
 }
 
 impl Emit for Fingerprint {
-    fn emit(&mut self, rec: Record) {
-        self.lend(&rec);
-    }
-    fn lend(&mut self, rec: &Record) {
+    fn put(&mut self, write: &mut dyn FnMut(&mut Record)) {
+        let mut rec = Record::default();
+        write(&mut rec);
         match (&rec.key, &rec.value) {
             (Key::Int(k), Value::Pair(amount, _)) => {
                 self.eat(*k as u64);
@@ -72,10 +71,9 @@ const POINTS: u64 = 20_000;
 struct PointPrint(Fingerprint);
 
 impl Emit for PointPrint {
-    fn emit(&mut self, rec: Record) {
-        self.lend(&rec);
-    }
-    fn lend(&mut self, rec: &Record) {
+    fn put(&mut self, write: &mut dyn FnMut(&mut Record)) {
+        let mut rec = Record::default();
+        write(&mut rec);
         match (&rec.key, &rec.value) {
             (Key::Int(k), Value::Vector(coords)) => {
                 self.0.eat(*k as u64);
